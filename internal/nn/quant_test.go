@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"sov/internal/parallel"
 )
 
 // calibInput builds a deterministic image-like input in [0,1].
@@ -168,8 +170,13 @@ func TestQYOLOTracksFloatDecode(t *testing.T) {
 }
 
 // TestQuantForwardPooledZeroAlloc: a warm quantized forward pass must not
-// allocate (the pooled-path contract the hotalloc analyzer guards).
+// allocate (the pooled-path contract the hotalloc analyzer guards). The gate
+// names its worker count instead of inheriting the host's: with more than
+// one worker each layer's fan-out allocates its closures (51 allocs/run);
+// the {4} leg joins this gate with ROADMAP item 1's pooled job descriptors.
 func TestQuantForwardPooledZeroAlloc(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
 	cl := NewClassifier(32, 32, 4, 42)
 	calib := calibInput(1, 32, 32, 3)
 	qn := QuantizeNetwork(cl.Net, calib)

@@ -1,6 +1,7 @@
 package planning
 
 import (
+	"fmt"
 	"math"
 
 	"sov/internal/canbus"
@@ -47,6 +48,9 @@ type MPC struct {
 
 // NewMPC returns a planner with the given configuration.
 func NewMPC(cfg MPCConfig) *MPC {
+	if cfg.Horizon < 1 || cfg.Dt <= 0 {
+		panic(fmt.Sprintf("planning: invalid MPC config: Horizon=%d Dt=%v", cfg.Horizon, cfg.Dt))
+	}
 	return &MPC{
 		Cfg:   cfg,
 		accel: make([]float64, cfg.Horizon),
@@ -55,25 +59,36 @@ func NewMPC(cfg MPCConfig) *MPC {
 	}
 }
 
-// cost evaluates the objective for a control sequence without allocating:
-// the rollout is fused into the accumulation (this runs thousands of times
-// per planning cycle).
-func (m *MPC) cost(in Input, accel, steer []float64) float64 {
-	cfg := m.Cfg
+// rollState is the rollout before a horizon step: arc length, lateral
+// offset, speed, heading error, and the cost accumulated over the steps
+// already taken.
+type rollState struct{ s, d, v, h, c float64 }
+
+// roll advances st over horizon steps [from, to) of the current control
+// sequence without allocating: the rollout is fused into the cost
+// accumulation (this runs thousands of times per planning cycle). Steps are
+// evaluated strictly in order, so rolling [0,k) and then [k,n) gives the
+// same bits as rolling [0,n) — which is what lets Plan resume a probe of
+// control k from the state before step k.
+//
+//sov:hotpath
+func (m *MPC) roll(in Input, st rollState, from, to int) rollState {
+	cfg := &m.Cfg
 	dt := cfg.Dt
-	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
-	c := 0.0
-	for k := range accel {
-		v = mathx.Clamp(v+accel[k]*dt, 0, 12)
-		h = mathx.Clamp(h+steer[k]*dt, -2.5, 2.5)
-		s += v * math.Cos(h) * dt
-		d += v * math.Sin(h) * dt
+	s, d, v, h, c := st.s, st.d, st.v, st.h, st.c
+	for k := from; k < to; k++ {
+		a, w := m.accel[k], m.steer[k]
+		v = mathx.Clamp(v+a*dt, 0, 12)
+		h = mathx.Clamp(h+w*dt, -2.5, 2.5)
+		sin, cos := math.Sincos(h)
+		s += v * cos * dt
+		d += v * sin * dt
 		t := dt * float64(k+1)
 
 		dv := v - in.TargetSpeed
 		c += cfg.WSpeed * dv * dv
 		c += cfg.WLane * d * d
-		c += cfg.WEffort * (accel[k]*accel[k] + 4*steer[k]*steer[k])
+		c += cfg.WEffort * (a*a + 4*w*w)
 		for _, o := range in.Obstacles {
 			ds := s - (o.S + o.VS*t)
 			dd := d - (o.D + o.VD*t)
@@ -84,15 +99,27 @@ func (m *MPC) cost(in Input, accel, steer []float64) float64 {
 			}
 		}
 	}
-	// Terminal heading alignment.
-	c += cfg.WHeading * h * h
-	return c
+	return rollState{s, d, v, h, c}
+}
+
+// costFrom evaluates the objective of the current control sequence given
+// the rollout state before step k: the remaining steps plus the terminal
+// heading alignment.
+//
+//sov:hotpath
+func (m *MPC) costFrom(in Input, st rollState, k int) float64 {
+	st = m.roll(in, st, k, len(m.accel))
+	return st.c + m.Cfg.WHeading*st.h*st.h
 }
 
 // Plan runs one receding-horizon optimization and returns the first-step
 // command. The optimizer is coordinate-wise numerical gradient descent with
 // a fixed iteration budget — deterministic compute cost, as an embedded
-// planner requires.
+// planner requires. A probe of control k leaves steps before k untouched,
+// so each sweep carries the rollout state before step k forward and every
+// probe resumes from it instead of re-rolling the whole horizon.
+//
+//sov:hotpath
 func (m *MPC) Plan(in Input) Plan {
 	cfg := m.Cfg
 	if in.LaneWidth == 0 {
@@ -103,19 +130,21 @@ func (m *MPC) Plan(in Input) Plan {
 	copy(m.steer, m.steer[1:])
 
 	lr := 0.5
-	base := m.cost(in, m.accel, m.steer)
+	start := rollState{d: in.LaneOffset, v: in.Speed, h: in.HeadingErr}
+	base := m.costFrom(in, start, 0)
 	const eps = 1e-3
 	for it := 0; it < cfg.Iters; it++ {
 		improved := false
+		pre := start // rollout state before step k
 		for k := 0; k < cfg.Horizon; k++ {
 			// Numerical gradient for accel[k].
 			m.accel[k] += eps
-			ca := m.cost(in, m.accel, m.steer)
+			ca := m.costFrom(in, pre, k)
 			m.accel[k] -= eps
 			ga := (ca - base) / eps
 			// And steer[k].
 			m.steer[k] += eps
-			cs := m.cost(in, m.accel, m.steer)
+			cs := m.costFrom(in, pre, k)
 			m.steer[k] -= eps
 			gs := (cs - base) / eps
 
@@ -123,13 +152,16 @@ func (m *MPC) Plan(in Input) Plan {
 			ns := mathx.Clamp(m.steer[k]-lr*gs, -cfg.MaxSteerRate, cfg.MaxSteerRate)
 			olda, olds := m.accel[k], m.steer[k]
 			m.accel[k], m.steer[k] = na, ns
-			c := m.cost(in, m.accel, m.steer)
+			c := m.costFrom(in, pre, k)
 			if c < base {
 				base = c
 				improved = true
 			} else {
 				m.accel[k], m.steer[k] = olda, olds
 			}
+			// Step k is settled for this sweep (the ±eps round trip may
+			// have moved it by an ulp even when rejected): advance over it.
+			pre = m.roll(in, pre, k, k+1)
 		}
 		if !improved {
 			lr /= 2

@@ -6,6 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"sov/internal/canbus"
+	"sov/internal/mathx"
 )
 
 func cruiseInput() Input {
@@ -269,5 +272,205 @@ func TestEMPlannerSpeedsNonNegative(t *testing.T) {
 		if tp.V < 0 {
 			t.Fatalf("negative speed in profile: %+v", tp)
 		}
+	}
+}
+
+// fullRolloutMPC is the planner as it was before Plan resumed probes from
+// the state before the probed step: every cost evaluation re-rolls the whole
+// horizon with separate math.Cos/math.Sin calls. It is kept verbatim as the
+// oracle TestPlanBitIdenticalToFullRollout holds MPC.Plan to.
+type fullRolloutMPC struct {
+	Cfg          MPCConfig
+	accel, steer []float64
+	traj         []TrajPoint
+}
+
+func newFullRolloutMPC(cfg MPCConfig) *fullRolloutMPC {
+	return &fullRolloutMPC{
+		Cfg:   cfg,
+		accel: make([]float64, cfg.Horizon),
+		steer: make([]float64, cfg.Horizon),
+		traj:  make([]TrajPoint, cfg.Horizon),
+	}
+}
+
+func (m *fullRolloutMPC) cost(in Input, accel, steer []float64) float64 {
+	cfg := m.Cfg
+	dt := cfg.Dt
+	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
+	c := 0.0
+	for k := range accel {
+		v = mathx.Clamp(v+accel[k]*dt, 0, 12)
+		h = mathx.Clamp(h+steer[k]*dt, -2.5, 2.5)
+		s += v * math.Cos(h) * dt
+		d += v * math.Sin(h) * dt
+		t := dt * float64(k+1)
+
+		dv := v - in.TargetSpeed
+		c += cfg.WSpeed * dv * dv
+		c += cfg.WLane * d * d
+		c += cfg.WEffort * (accel[k]*accel[k] + 4*steer[k]*steer[k])
+		for _, o := range in.Obstacles {
+			ds := s - (o.S + o.VS*t)
+			dd := d - (o.D + o.VD*t)
+			clear := math.Sqrt(ds*ds+dd*dd) - o.Radius
+			if clear < cfg.SafeDistance {
+				pen := cfg.SafeDistance - clear
+				c += cfg.WObstacle * pen * pen
+			}
+		}
+	}
+	// Terminal heading alignment.
+	c += cfg.WHeading * h * h
+	return c
+}
+
+func (m *fullRolloutMPC) Plan(in Input) Plan {
+	cfg := m.Cfg
+	if in.LaneWidth == 0 {
+		in.LaneWidth = 3
+	}
+	// Warm start: shift the previous solution one step.
+	copy(m.accel, m.accel[1:])
+	copy(m.steer, m.steer[1:])
+
+	lr := 0.5
+	base := m.cost(in, m.accel, m.steer)
+	const eps = 1e-3
+	for it := 0; it < cfg.Iters; it++ {
+		improved := false
+		for k := 0; k < cfg.Horizon; k++ {
+			// Numerical gradient for accel[k].
+			m.accel[k] += eps
+			ca := m.cost(in, m.accel, m.steer)
+			m.accel[k] -= eps
+			ga := (ca - base) / eps
+			// And steer[k].
+			m.steer[k] += eps
+			cs := m.cost(in, m.accel, m.steer)
+			m.steer[k] -= eps
+			gs := (cs - base) / eps
+
+			na := mathx.Clamp(m.accel[k]-lr*ga, -cfg.MaxBrake, cfg.MaxAccel)
+			ns := mathx.Clamp(m.steer[k]-lr*gs, -cfg.MaxSteerRate, cfg.MaxSteerRate)
+			olda, olds := m.accel[k], m.steer[k]
+			m.accel[k], m.steer[k] = na, ns
+			c := m.cost(in, m.accel, m.steer)
+			if c < base {
+				base = c
+				improved = true
+			} else {
+				m.accel[k], m.steer[k] = olda, olds
+			}
+		}
+		if !improved {
+			lr /= 2
+			if lr < 1e-3 {
+				break
+			}
+		}
+	}
+
+	traj := simulateInto(m.traj, in, m.accel, m.steer, cfg.Dt)
+	collides, _ := CollisionCheck(traj, in.Obstacles, 0.5)
+	const wheelBase = 1.8
+	v := math.Max(in.Speed, 0.5)
+	plan := Plan{
+		Cmd: canbus.Command{
+			SteerRad:  mathx.Clamp(math.Atan(wheelBase*m.steer[0]/v), -0.55, 0.55),
+			AccelMps2: m.accel[0],
+		},
+		Traj: traj,
+		Cost: base,
+	}
+	if collides {
+		plan.Blocked = true
+		plan.Cmd = canbus.Command{AccelMps2: -cfg.MaxBrake}
+	}
+	return plan
+}
+
+// randomPlanInput draws a scene that exercises every branch of the cost:
+// 0–8 moving obstacles, off-lane and heading-error starts, and (one in six)
+// a wall dead ahead that leaves no safe plan.
+func randomPlanInput(rng *rand.Rand) Input {
+	in := Input{
+		Speed:       rng.Float64() * 11,
+		LaneOffset:  rng.Float64()*4 - 2,
+		HeadingErr:  rng.Float64()*1.6 - 0.8,
+		TargetSpeed: rng.Float64() * 9,
+	}
+	if rng.Intn(4) == 0 { // on-lane, aligned cruise
+		in.LaneOffset, in.HeadingErr = 0, 0
+	}
+	for n := rng.Intn(9); n > 0; n-- {
+		in.Obstacles = append(in.Obstacles, Obstacle{
+			S:      rng.Float64() * 40,
+			D:      rng.Float64()*6 - 3,
+			VS:     rng.Float64()*6 - 3,
+			VD:     rng.Float64()*2 - 1,
+			Radius: 0.3 + rng.Float64(),
+		})
+	}
+	if rng.Intn(6) == 0 {
+		in.Obstacles = append(in.Obstacles, Obstacle{S: 1 + 4*rng.Float64(), Radius: 2})
+	}
+	return in
+}
+
+// TestPlanBitIdenticalToFullRollout holds the resumed-rollout Plan to the
+// full-rollout oracle bit for bit. Each seed is a run of consecutive Plan
+// calls on one planner of each kind, so the warm start — which carries any
+// divergence into every later cycle — is covered.
+func TestPlanBitIdenticalToFullRollout(t *testing.T) {
+	const runs, cycles = 150, 8 // 1200 inputs
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	blocked := 0
+	for seed := int64(0); seed < runs; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewMPC(DefaultMPCConfig()), newFullRolloutMPC(DefaultMPCConfig())
+		for c := 0; c < cycles; c++ {
+			in := randomPlanInput(rng)
+			g, w := got.Plan(in), want.Plan(in)
+			if g.Blocked {
+				blocked++
+			}
+			if g.Blocked != w.Blocked || !sameBits(g.Cost, w.Cost) ||
+				!sameBits(g.Cmd.AccelMps2, w.Cmd.AccelMps2) || !sameBits(g.Cmd.SteerRad, w.Cmd.SteerRad) {
+				t.Fatalf("seed %d cycle %d: plan = {%+v cost %v blocked %v}, full rollout = {%+v cost %v blocked %v}",
+					seed, c, g.Cmd, g.Cost, g.Blocked, w.Cmd, w.Cost, w.Blocked)
+			}
+			if len(g.Traj) != len(w.Traj) {
+				t.Fatalf("seed %d cycle %d: %d trajectory points, want %d", seed, c, len(g.Traj), len(w.Traj))
+			}
+			for i := range g.Traj {
+				p, q := g.Traj[i], w.Traj[i]
+				if !sameBits(p.T, q.T) || !sameBits(p.S, q.S) || !sameBits(p.D, q.D) || !sameBits(p.V, q.V) {
+					t.Fatalf("seed %d cycle %d: traj[%d] = %+v, full rollout = %+v", seed, c, i, p, q)
+				}
+			}
+		}
+	}
+	if blocked == 0 || blocked == runs*cycles {
+		t.Fatalf("%d of %d plans blocked; the inputs must cover both outcomes", blocked, runs*cycles)
+	}
+}
+
+func TestNewMPCPanicsOnBadConfig(t *testing.T) {
+	for _, mut := range []func(*MPCConfig){
+		func(c *MPCConfig) { c.Horizon = 0 },
+		func(c *MPCConfig) { c.Dt = 0 },
+		func(c *MPCConfig) { c.Dt = -0.1 },
+	} {
+		cfg := DefaultMPCConfig()
+		mut(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMPC(%+v) did not panic", cfg)
+				}
+			}()
+			NewMPC(cfg)
+		}()
 	}
 }

@@ -69,31 +69,74 @@ type Engine struct {
 	energyJ float64
 }
 
-// NewEngine returns an engine with the given config.
+// NewEngine returns an engine with the given config. It panics on a config
+// whose datapath can never move a byte: no clock, no ICAP port, no burst
+// beats, no handshake to open a burst with, or a memory beat wider than the
+// FIFO it is pushed into.
 func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.ClockHz <= 0 || cfg.ICAPBytesPerCycle <= 0 || cfg.FIFOBytes <= 0 {
+	if cfg.ClockHz <= 0 || cfg.ICAPBytesPerCycle <= 0 || cfg.FIFOBytes <= 0 ||
+		cfg.BurstBeats < 1 || cfg.HandshakeCycles < 1 ||
+		cfg.MemBytesPerBeat < 1 || cfg.MemBytesPerBeat > cfg.FIFOBytes {
 		panic(fmt.Sprintf("rpr: invalid engine config %+v", cfg))
 	}
 	return &Engine{Cfg: cfg}
 }
 
-// Transfer simulates streaming a bitstream of the given size cycle by
-// cycle: Tx bursts from memory into the FIFO (one handshake per burst,
-// critically not per word — the design's key trick), while Rx drains the
-// FIFO into the ICAP at its port width every cycle.
+// Transfer simulates streaming a bitstream of the given size, cycle-exact:
+// Tx bursts from memory into the FIFO (one handshake per burst, critically
+// not per word — the design's key trick), while Rx drains the FIFO into the
+// ICAP at its port width every cycle. A transfer of no bytes costs nothing
+// and is not counted as a swap.
+//
+// Only the fill and drain edges are stepped cycle by cycle. A burst opens
+// with the datapath in state (FIFO level, no beats pending, no handshake in
+// flight), so once the FIFO level at a burst start repeats, everything in
+// between repeats with it; the whole periods that fit before the end of the
+// bitstream are then taken in one jump. The repeat is found with one saved
+// burst start, re-taken at burst 1, 2, 4, 8, ... (Brent), so nothing is
+// cached or allocated and any Cfg, including one changed between calls, is
+// modelled exactly.
+//
+//sov:hotpath
 func (e *Engine) Transfer(bytes int) Result {
+	if bytes <= 0 {
+		return Result{}
+	}
 	cfg := e.Cfg
-	fifo := 0
-	sent := 0     // bytes pushed by Tx
-	consumed := 0 // bytes accepted by ICAP
+	fifo := 0 // bytes pushed by Tx and not yet accepted by the ICAP
+	sent := 0 // bytes pushed by Tx
 	var cycles int64
 	burstRemaining := 0
 	handshake := 0
-	for consumed < bytes {
+	// The saved burst start, and how many bursts until it is re-taken.
+	seeking := true
+	markFIFO, markSent, markCycles := -1, 0, int64(0)
+	bursts, retake := 0, 1
+	for sent < bytes || fifo > 0 {
 		cycles++
 		// Tx side.
 		if sent < bytes {
 			if burstRemaining == 0 && handshake == 0 {
+				if seeking {
+					if fifo == markFIFO {
+						// One period moves dSent bytes in dCycles and
+						// returns here. Jump all but the last whole period,
+						// which is stepped so that no push in a skipped one
+						// is the truncated final push.
+						seeking = false
+						dSent, dCycles := sent-markSent, cycles-markCycles
+						if dSent == 0 {
+							panic("rpr: transfer did not converge")
+						}
+						if n := (bytes-sent)/dSent - 1; n > 0 {
+							sent += n * dSent
+							cycles += int64(n) * dCycles
+						}
+					} else if bursts++; bursts == retake {
+						markFIFO, markSent, markCycles = fifo, sent, cycles
+						retake *= 2
+					}
+				}
 				handshake = cfg.HandshakeCycles
 			}
 			if handshake > 0 {
@@ -118,7 +161,6 @@ func (e *Engine) Transfer(bytes int) Result {
 				drain = fifo
 			}
 			fifo -= drain
-			consumed += drain
 		}
 		if cycles > int64(bytes)*100+1000 {
 			panic("rpr: transfer did not converge")

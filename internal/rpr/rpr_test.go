@@ -1,6 +1,7 @@
 package rpr
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -173,12 +174,141 @@ func TestEngineResourceFootprint(t *testing.T) {
 }
 
 func TestPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("zero config", func() { NewEngine(EngineConfig{}) })
+	// Configs whose datapath can never move a byte.
+	for name, mut := range map[string]func(*EngineConfig){
+		"no burst beats":       func(c *EngineConfig) { c.BurstBeats = 0 },
+		"no handshake":         func(c *EngineConfig) { c.HandshakeCycles = 0 },
+		"no memory beat":       func(c *EngineConfig) { c.MemBytesPerBeat = 0 },
+		"beat wider than FIFO": func(c *EngineConfig) { c.MemBytesPerBeat = c.FIFOBytes + 1 },
+	} {
+		cfg := DefaultEngineConfig()
+		mut(&cfg)
+		mustPanic(name, func() { NewEngine(cfg) })
+		// Cfg is an exported field: the same config written after
+		// construction must still end in a panic, not a hang.
+		e := NewEngine(DefaultEngineConfig())
+		e.Cfg = cfg
+		mustPanic(name+" (set after NewEngine)", func() { e.Transfer(4096) })
+	}
+}
+
+func TestTransferOfNothingIsFree(t *testing.T) {
+	e := NewEngine(DefaultEngineConfig())
+	for _, n := range []int{0, -1, -1 << 20} {
+		if r := e.Transfer(n); r != (Result{}) {
+			t.Fatalf("Transfer(%d) = %+v, want the zero Result", n, r)
 		}
-	}()
-	NewEngine(EngineConfig{})
+	}
+	if swaps, total, energy := e.Stats(); swaps != 0 || total != 0 || energy != 0 {
+		t.Fatalf("empty transfers were counted: %d swaps, %v, %v J", swaps, total, energy)
+	}
+}
+
+// cycleModel is the per-cycle loop Transfer ran before it skipped the steady
+// state, kept verbatim as the oracle: every cycle of the Tx/FIFO/Rx state
+// machine is stepped, and the cycle count is returned.
+func cycleModel(cfg EngineConfig, bytes int) int64 {
+	fifo := 0
+	sent := 0     // bytes pushed by Tx
+	consumed := 0 // bytes accepted by ICAP
+	var cycles int64
+	burstRemaining := 0
+	handshake := 0
+	for consumed < bytes {
+		cycles++
+		// Tx side.
+		if sent < bytes {
+			if burstRemaining == 0 && handshake == 0 {
+				handshake = cfg.HandshakeCycles
+			}
+			if handshake > 0 {
+				handshake--
+				if handshake == 0 {
+					burstRemaining = cfg.BurstBeats
+				}
+			} else if burstRemaining > 0 && fifo+cfg.MemBytesPerBeat <= cfg.FIFOBytes {
+				push := cfg.MemBytesPerBeat
+				if sent+push > bytes {
+					push = bytes - sent
+				}
+				fifo += push
+				sent += push
+				burstRemaining--
+			}
+		}
+		// Rx side drains into the ICAP.
+		if fifo > 0 {
+			drain := cfg.ICAPBytesPerCycle
+			if drain > fifo {
+				drain = fifo
+			}
+			fifo -= drain
+			consumed += drain
+		}
+		if cycles > int64(bytes)*100+1000 {
+			panic("rpr: transfer did not converge")
+		}
+	}
+	return cycles
+}
+
+// datapath builds a config from raw draws, folding each into the range the
+// exactness tests cover: ICAP width 1–9, beat 1–16, burst 1–32, handshake
+// 1–12, FIFO from one beat to one beat plus 300 bytes.
+func datapath(icap, beat, burst, handshake, fifoExtra uint) EngineConfig {
+	cfg := DefaultEngineConfig()
+	cfg.ICAPBytesPerCycle = 1 + int(icap%9)
+	cfg.MemBytesPerBeat = 1 + int(beat%16)
+	cfg.BurstBeats = 1 + int(burst%32)
+	cfg.HandshakeCycles = 1 + int(handshake%12)
+	cfg.FIFOBytes = cfg.MemBytesPerBeat + int(fifoExtra%301)
+	return cfg
+}
+
+func checkAgainstCycleModel(t *testing.T, cfg EngineConfig, bytes int) {
+	t.Helper()
+	e := NewEngine(cfg)
+	if got, want := e.Transfer(bytes).Cycles, cycleModel(cfg, bytes); got != want {
+		t.Fatalf("%+v: Transfer(%d) took %d cycles, the per-cycle model %d", cfg, bytes, got, want)
+	}
+}
+
+func TestTransferMatchesCycleModel(t *testing.T) {
+	configs := 300
+	if testing.Short() {
+		configs = 40
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := -1; i < configs; i++ {
+		cfg := DefaultEngineConfig()
+		if i >= 0 {
+			cfg = datapath(uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()))
+		}
+		sizes := []int{1, 3, 127, 128, 129, 4096, 65537, 900 * 1024, 1 << 20,
+			1 + rng.Intn(1<<20), 1 + rng.Intn(1<<12)}
+		for _, n := range sizes {
+			checkAgainstCycleModel(t, cfg, n)
+		}
+	}
+}
+
+func FuzzTransferMatchesCycleModel(f *testing.F) {
+	f.Add(uint(3), uint(7), uint(15), uint(3), uint(120), uint(1<<20)) // the deployed engine, 1 MiB
+	f.Add(uint(0), uint(0), uint(0), uint(0), uint(0), uint(1))
+	f.Add(uint(8), uint(15), uint(31), uint(11), uint(300), uint(900*1024))
+	f.Fuzz(func(t *testing.T, icap, beat, burst, handshake, fifoExtra, bytes uint) {
+		checkAgainstCycleModel(t, datapath(icap, beat, burst, handshake, fifoExtra), 1+int(bytes%(2<<20)))
+	})
 }
 
 func BenchmarkEngineTransfer1MB(b *testing.B) {
@@ -186,5 +316,12 @@ func BenchmarkEngineTransfer1MB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Transfer(1 << 20)
+	}
+}
+
+func TestTransferDoesNotAllocate(t *testing.T) {
+	e := NewEngine(DefaultEngineConfig())
+	if n := testing.AllocsPerRun(100, func() { e.Transfer(1 << 20) }); n != 0 {
+		t.Fatalf("Transfer allocates %v times per call, want 0", n)
 	}
 }

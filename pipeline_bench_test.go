@@ -13,6 +13,7 @@ import (
 
 	"sov/internal/core"
 	"sov/internal/obs"
+	"sov/internal/parallel"
 )
 
 // benchCruise runs one fixed-horizon characterization cruise. Each op spans
@@ -81,7 +82,14 @@ func measureSteadyStateAllocs(pipelined, instrumented, sched bool) float64 {
 // flight-recorder ring) must add ~0 allocs/cycle. The sched variants hold
 // the online scheduler to it as well: BeginCycle/Observe/decide work
 // entirely in preallocated candidate tables.
+//
+// The gate names its worker count instead of inheriting the host's: one
+// worker is the contract the repo commits to today. With more, every
+// parallel fan-out allocates its closures (~7 allocs/cycle); the {4} leg
+// joins this gate with ROADMAP item 1's pooled job descriptors.
 func TestControlLoopSteadyStateAllocs(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	t.Cleanup(func() { parallel.SetWorkers(prev) })
 	for _, mode := range []struct {
 		name         string
 		pipelined    bool

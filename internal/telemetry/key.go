@@ -134,6 +134,9 @@ func (k Key) Less(o Key) bool {
 	return k.Seq < o.Seq
 }
 
+// keyMax is the greatest key: the upper bound of an unbounded range.
+var keyMax = Key{Vehicle: 1<<32 - 1, TMs: 1<<64 - 1, Kind: 1<<16 - 1, Seq: 1<<32 - 1}
+
 // Event is one telemetry record: a key plus an opaque payload (typically
 // compact JSON). Payload aliases store-owned arenas on the read path;
 // callers that retain events must copy.

@@ -1,17 +1,12 @@
 package telemetry
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 )
-
-// errShortEntry marks a corrupt block encountered mid-scan.
-var errShortEntry = errors.New("telemetry: short block entry in scan")
 
 // Query selects a rectangle of the telemetry space: a vehicle range, a
 // virtual-time window, and optionally a kind set. The zero value selects
@@ -57,16 +52,27 @@ func (q Query) matchKind(k Kind) bool {
 func (s *Store) Scan(q Query, fn func(Event) bool) error {
 	q = q.normalize()
 	lo := Key{Vehicle: q.VehicleMin, TMs: q.TMinMs}
-	hi := Key{Vehicle: q.VehicleMax, TMs: q.TMaxMs, Kind: Kind(math.MaxUint16), Seq: math.MaxUint32}
+	hi := keyMax
+	hi.Vehicle, hi.TMs = q.VehicleMax, q.TMaxMs
 
 	sources := make([]*scanCursor, 0, len(s.runs)+1)
-	for _, r := range s.runs {
-		c, err := newRunCursor(r, lo, hi, &s.stats)
-		if err != nil {
-			return err
+	// The block cursors go back to the store for the next scan; a Scan or
+	// Get made from inside fn borrows others.
+	defer func() {
+		for _, c := range sources {
+			if c.run != nil {
+				s.idleCursors = append(s.idleCursors, c.run)
+			}
 		}
-		if c != nil {
-			sources = append(sources, c)
+	}()
+	for _, r := range s.runs {
+		if hi.Less(r.meta.minKey) || r.meta.maxKey.Less(lo) {
+			continue
+		}
+		c := &scanCursor{hi: hi, run: s.borrowCursor()}
+		sources = append(sources, c)
+		if err := c.seekRun(r, lo, &s.stats); err != nil {
+			return err
 		}
 	}
 	sources = append(sources, newMemCursor(s.mem, lo, hi))
@@ -177,14 +183,14 @@ type scanCursor struct {
 	key  Key
 	val  []byte
 	done bool
+	hi   Key
 
 	// memtable source
 	mem *memtable
 	mi  int
 
 	// run source
-	iter *boundedRunIter
-	hi   Key
+	run *blockCursor
 }
 
 func newMemCursor(m *memtable, lo, hi Key) *scanCursor {
@@ -209,32 +215,20 @@ func (c *scanCursor) advanceMem() {
 	c.mi++
 }
 
-// boundedRunIter walks one run across [lo, hi].
-type boundedRunIter struct {
-	r     *run
-	st    *Stats
-	hi    Key
-	block []byte
-	bi    int
-}
-
-func newRunCursor(r *run, lo, hi Key, st *Stats) (*scanCursor, error) {
-	if hi.Less(r.meta.minKey) || r.meta.maxKey.Less(lo) {
-		return nil, nil
+// seekRun points a run source at r's first key >= lo, walking only the
+// blocks the index says can hold keys in [lo, c.hi].
+func (c *scanCursor) seekRun(r *run, lo Key, st *Stats) error {
+	first := r.blockFor(lo)
+	if first < 0 {
+		first = 0
 	}
-	bi := r.blockFor(lo)
-	if bi < 0 {
-		bi = 0
-	}
-	it := &boundedRunIter{r: r, st: st, hi: hi, bi: bi - 1}
-	c := &scanCursor{iter: it, hi: hi}
-	// Position on the first key >= lo.
+	c.run.seek(r, st, first, r.blockFor(c.hi))
 	for {
-		if err := c.nextRun(); err != nil {
-			return nil, err
+		if err := c.next(); err != nil {
+			return err
 		}
 		if c.done || !c.key.Less(lo) {
-			return c, nil
+			return nil
 		}
 	}
 }
@@ -244,48 +238,17 @@ func (c *scanCursor) next() error {
 		c.advanceMem()
 		return nil
 	}
-	return c.nextRun()
-}
-
-func (c *scanCursor) nextRun() error {
-	it := c.iter
-	for {
-		if len(it.block) == 0 {
-			it.bi++
-			if it.bi >= len(it.r.index) || c.hi.Less(it.r.index[it.bi].firstKey) {
-				c.done = true
-				return nil
-			}
-			b, err := it.r.readBlock(it.bi, it.st)
-			if err != nil {
-				return err
-			}
-			// Copy out of the run's shared scratch: sibling cursors in the
-			// same merge interleave readBlock calls on other runs, and the
-			// merge holds this block's entries across those calls.
-			it.block = append(it.block[:0], b...)
-		}
-		b := it.block
-		if len(b) < KeySize {
-			c.done = true
-			return errShortEntry
-		}
-		k := decodeKey(b)
-		b = b[KeySize:]
-		pn, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < pn {
-			c.done = true
-			return errShortEntry
-		}
-		c.key = k
-		c.val = b[n : n+int(pn)]
-		it.block = b[n+int(pn):]
-		if c.hi.Less(k) {
-			c.done = true
-			return nil
-		}
+	ok, err := c.run.next()
+	if err != nil {
+		c.done = true
+		return c.run.fail(err)
+	}
+	if !ok || c.hi.Less(c.run.key) {
+		c.done = true
 		return nil
 	}
+	c.key, c.val = c.run.key, c.run.val
+	return nil
 }
 
 // Count runs a query and returns the matching event count (using the

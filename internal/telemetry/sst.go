@@ -3,10 +3,12 @@ package telemetry
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"sov/internal/cloud"
@@ -48,37 +50,56 @@ const blockMetaSize = KeySize + 1 + 8 + 4 + 4 + 4 + 4
 // u32 | entryCount u64 | minKey | maxKey | metaCRC u32 | magic.
 const footerSize = 8 + 4 + 8 + 4 + 8 + KeySize + KeySize + 4 + 8
 
-// runWriter streams sorted entries into a run file.
+// runWriter streams sorted entries into a run file. The Store owns one and
+// begins it anew for every flush and compaction, so the file buffer and the
+// block, packed, index and tail buffers are allocated once per store.
 type runWriter struct {
+	path    string
 	f       *os.File
 	bw      *bufio.Writer
 	off     uint64
 	block   []byte // current uncompressed block body
+	packed  []byte // its deflated form
 	blockN  uint32
 	keyBuf  []byte
 	index   []blockMeta
+	tail    []byte // marshaled index, bloom and footer
 	filter  *bloom
 	first   Key
 	minKey  Key
 	maxKey  Key
 	count   uint64
 	started bool
-	written int64
 }
 
-func newRunWriter(path string, expectEntries int) (*runWriter, error) {
+// begin creates the run file at path and resets the writer for it.
+func (w *runWriter) begin(path string, expectEntries int) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	w := &runWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), filter: newBloom(expectEntries)}
-	if _, err := w.bw.WriteString(runMagic); err != nil {
-		f.Close()
-		return nil, err
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(f, 1<<16)
+	} else {
+		w.bw.Reset(f)
 	}
+	w.path, w.f = path, f
+	w.filter = newBloom(expectEntries)
+	w.block, w.index = w.block[:0], w.index[:0]
+	w.blockN, w.count, w.started = 0, 0, false
 	w.off = uint64(len(runMagic))
-	w.written = int64(len(runMagic))
-	return w, nil
+	if _, err := w.bw.WriteString(runMagic); err != nil {
+		w.abort()
+		return err
+	}
+	return nil
+}
+
+// abort abandons the run being written: a failed flush or compaction must
+// leave neither an open handle nor a partial file the MANIFEST never names.
+func (w *runWriter) abort() {
+	w.f.Close()
+	os.Remove(w.path)
 }
 
 // add appends one entry; keys must arrive in strictly ascending order.
@@ -105,14 +126,17 @@ func (w *runWriter) add(k Key, payload []byte) error {
 }
 
 // flushBlock writes the pending block, compressing when it pays.
+//
+//sov:hotpath
 func (w *runWriter) flushBlock() error {
 	if w.blockN == 0 {
 		return nil
 	}
 	body := w.block
 	compressed := false
-	if c, err := cloud.Compress(body); err == nil && len(c) < len(body)-len(body)/10 {
-		body, compressed = c, true
+	var err error
+	if w.packed, err = cloud.AppendCompress(w.packed[:0], body); err == nil && len(w.packed) < len(body)-len(body)/10 {
+		body, compressed = w.packed, true
 	}
 	w.index = append(w.index, blockMeta{
 		firstKey:   w.first,
@@ -127,69 +151,65 @@ func (w *runWriter) flushBlock() error {
 		return err
 	}
 	w.off += uint64(len(body))
-	w.written += int64(len(body))
 	w.block = w.block[:0]
 	w.blockN = 0
 	return nil
 }
 
 // finish writes index, bloom, and footer, then closes the file. It returns
-// the run's metadata for the manifest.
+// the run's metadata for the manifest; on error the run is aborted.
 func (w *runWriter) finish() (meta runMeta, err error) {
+	defer func() {
+		if err != nil {
+			w.abort()
+		}
+	}()
 	if err := w.flushBlock(); err != nil {
-		w.f.Close()
 		return runMeta{}, err
 	}
 	indexOff := w.off
-	var metaBuf []byte
+	tail := w.tail[:0]
 	for _, bm := range w.index {
-		metaBuf = appendKey(metaBuf, bm.firstKey)
+		tail = appendKey(tail, bm.firstKey)
 		if bm.compressed {
-			metaBuf = append(metaBuf, 1)
+			tail = append(tail, 1)
 		} else {
-			metaBuf = append(metaBuf, 0)
+			tail = append(tail, 0)
 		}
-		metaBuf = binary.LittleEndian.AppendUint64(metaBuf, bm.off)
-		metaBuf = binary.LittleEndian.AppendUint32(metaBuf, bm.storedLen)
-		metaBuf = binary.LittleEndian.AppendUint32(metaBuf, bm.rawLen)
-		metaBuf = binary.LittleEndian.AppendUint32(metaBuf, bm.count)
-		metaBuf = binary.LittleEndian.AppendUint32(metaBuf, bm.crc)
+		tail = binary.LittleEndian.AppendUint64(tail, bm.off)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.storedLen)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.rawLen)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.count)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.crc)
 	}
-	bloomOff := indexOff + uint64(len(metaBuf))
+	bloomOff := indexOff + uint64(len(tail))
 	bloomBytes := w.filter.marshal()
-	metaBuf = append(metaBuf, bloomBytes...)
+	tail = append(tail, bloomBytes...)
+	crc := crc32.ChecksumIEEE(tail)
 
-	footer := make([]byte, 0, footerSize)
-	footer = binary.LittleEndian.AppendUint64(footer, indexOff)
-	footer = binary.LittleEndian.AppendUint32(footer, uint32(len(w.index)))
-	footer = binary.LittleEndian.AppendUint64(footer, bloomOff)
-	footer = binary.LittleEndian.AppendUint32(footer, uint32(len(bloomBytes)))
-	footer = binary.LittleEndian.AppendUint64(footer, w.count)
-	footer = appendKey(footer, w.minKey)
-	footer = appendKey(footer, w.maxKey)
-	crc := crc32.ChecksumIEEE(metaBuf)
-	footer = binary.LittleEndian.AppendUint32(footer, crc)
-	footer = append(footer, runFooterMagic...)
+	tail = binary.LittleEndian.AppendUint64(tail, indexOff)
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(w.index)))
+	tail = binary.LittleEndian.AppendUint64(tail, bloomOff)
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(bloomBytes)))
+	tail = binary.LittleEndian.AppendUint64(tail, w.count)
+	tail = appendKey(tail, w.minKey)
+	tail = appendKey(tail, w.maxKey)
+	tail = binary.LittleEndian.AppendUint32(tail, crc)
+	tail = append(tail, runFooterMagic...)
+	w.tail = tail
 
-	if _, err := w.bw.Write(metaBuf); err != nil {
-		w.f.Close()
-		return runMeta{}, err
-	}
-	if _, err := w.bw.Write(footer); err != nil {
-		w.f.Close()
+	if _, err := w.bw.Write(tail); err != nil {
 		return runMeta{}, err
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
 		return runMeta{}, err
 	}
-	w.written += int64(len(metaBuf) + len(footer))
 	if err := w.f.Close(); err != nil {
 		return runMeta{}, err
 	}
 	return runMeta{
 		entries: w.count,
-		bytes:   w.written,
+		bytes:   int64(indexOff) + int64(len(tail)),
 		minKey:  w.minKey,
 		maxKey:  w.maxKey,
 		crc:     crc,
@@ -208,38 +228,40 @@ type runMeta struct {
 }
 
 // run is an open immutable run: its index and bloom resident in memory,
-// data blocks read on demand.
+// data blocks read on demand through a blockCursor.
 type run struct {
-	meta     runMeta
-	f        *os.File
-	index    []blockMeta
-	filter   *bloom
-	scratch  []byte // block read buffer
-	inflated []byte // decompression target
+	meta   runMeta
+	f      *os.File
+	index  []blockMeta
+	filter *bloom
 }
 
-// openRun loads a run's index and bloom and validates the footer.
-func openRun(path string, meta runMeta) (*run, error) {
+// openRun loads a run's index and bloom. Nothing the file says is trusted
+// before it is checked: the footer's offsets against the file size, the
+// index and bloom against the footer's crc, every block's extent against
+// the data region.
+func openRun(path string, meta runMeta) (_ *run, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if st.Size() < int64(len(runMagic)+footerSize) {
-		f.Close()
 		return nil, fmt.Errorf("telemetry: run %s truncated", path)
 	}
 	footer := make([]byte, footerSize)
 	if _, err := f.ReadAt(footer, st.Size()-footerSize); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if string(footer[footerSize-8:]) != runFooterMagic {
-		f.Close()
 		return nil, fmt.Errorf("telemetry: run %s bad footer magic", path)
 	}
 	indexOff := binary.LittleEndian.Uint64(footer[0:8])
@@ -251,28 +273,32 @@ func openRun(path string, meta runMeta) (*run, error) {
 	maxKey := decodeKey(footer[32+KeySize : 32+2*KeySize])
 	wantCRC := binary.LittleEndian.Uint32(footer[32+2*KeySize : 32+2*KeySize+4])
 
-	metaLen := bloomOff + uint64(bloomLen) - indexOff
-	metaBuf := make([]byte, metaLen)
+	// The footer is outside every crc, so what it repeats of the MANIFEST
+	// entry (written by the same finish that wrote the footer) must agree.
+	if st.Size() != meta.bytes || entryCount != meta.entries ||
+		minKey != meta.minKey || maxKey != meta.maxKey || wantCRC != meta.crc {
+		return nil, fmt.Errorf("telemetry: run %s footer disagrees with the manifest", path)
+	}
+	// Magic, blocks, index, bloom and footer tile the file in that order.
+	// bloomOff is compared before it is added to, so a huge value cannot
+	// wrap into range.
+	tailOff := uint64(st.Size() - footerSize)
+	if indexOff < uint64(len(runMagic)) || indexOff > bloomOff || bloomOff > tailOff ||
+		bloomOff+uint64(bloomLen) != tailOff ||
+		bloomOff-indexOff != uint64(blockCount)*blockMetaSize {
+		return nil, fmt.Errorf("telemetry: run %s footer offsets out of range", path)
+	}
+	metaBuf := make([]byte, tailOff-indexOff)
 	if _, err := f.ReadAt(metaBuf, int64(indexOff)); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(metaBuf) != wantCRC {
-		f.Close()
 		return nil, fmt.Errorf("telemetry: run %s index crc mismatch", path)
 	}
-	r := &run{meta: meta, f: f}
-	r.meta.entries = entryCount
-	r.meta.minKey, r.meta.maxKey, r.meta.crc = minKey, maxKey, wantCRC
-	idxBuf := metaBuf[:bloomOff-indexOff]
-	if len(idxBuf) != int(blockCount)*blockMetaSize {
-		f.Close()
-		return nil, fmt.Errorf("telemetry: run %s index size mismatch", path)
-	}
-	r.index = make([]blockMeta, blockCount)
+	r := &run{meta: meta, f: f, index: make([]blockMeta, blockCount)}
 	for i := range r.index {
-		b := idxBuf[i*blockMetaSize:]
-		r.index[i] = blockMeta{
+		b := metaBuf[i*blockMetaSize:]
+		bm := blockMeta{
 			firstKey:   decodeKey(b[:KeySize]),
 			compressed: b[KeySize] == 1,
 			off:        binary.LittleEndian.Uint64(b[KeySize+1:]),
@@ -281,42 +307,18 @@ func openRun(path string, meta runMeta) (*run, error) {
 			count:      binary.LittleEndian.Uint32(b[KeySize+17:]),
 			crc:        binary.LittleEndian.Uint32(b[KeySize+21:]),
 		}
+		if bm.off < uint64(len(runMagic)) || bm.off > indexOff || uint64(bm.storedLen) > indexOff-bm.off {
+			return nil, fmt.Errorf("telemetry: run %s block %d outside the data region", path, i)
+		}
+		r.index[i] = bm
 	}
 	if r.filter = unmarshalBloom(metaBuf[bloomOff-indexOff:]); r.filter == nil {
-		f.Close()
 		return nil, fmt.Errorf("telemetry: run %s bad bloom", path)
 	}
 	return r, nil
 }
 
 func (r *run) close() error { return r.f.Close() }
-
-// readBlock fetches and (if needed) inflates block i, charging the read to
-// st. The returned slice aliases the run's scratch buffers.
-func (r *run) readBlock(i int, st *Stats) ([]byte, error) {
-	bm := r.index[i]
-	if cap(r.scratch) < int(bm.storedLen) {
-		r.scratch = make([]byte, bm.storedLen)
-	}
-	buf := r.scratch[:bm.storedLen]
-	if _, err := r.f.ReadAt(buf, int64(bm.off)); err != nil {
-		return nil, err
-	}
-	st.BlocksRead++
-	st.RunBytesRead += int64(bm.storedLen)
-	if crc32.ChecksumIEEE(buf) != bm.crc {
-		return nil, fmt.Errorf("telemetry: run block %d crc mismatch", i)
-	}
-	if !bm.compressed {
-		return buf, nil
-	}
-	out, err := cloud.Decompress(buf)
-	if err != nil {
-		return nil, err
-	}
-	r.inflated = out
-	return out, nil
-}
 
 // blockFor returns the index of the block that could contain k.
 func (r *run) blockFor(k Key) int {
@@ -326,9 +328,10 @@ func (r *run) blockFor(k Key) int {
 	return i - 1 // -1 when k precedes the first block
 }
 
-// get returns the payload for an exact key. The bloom filter short-
-// circuits most absent keys without any block I/O.
-func (r *run) get(k Key, keyBuf []byte, st *Stats) ([]byte, bool, error) {
+// get returns the payload for an exact key, read through cur (the payload
+// aliases cur's buffer). The bloom filter short-circuits most absent keys
+// without any block I/O.
+func (r *run) get(k Key, keyBuf []byte, cur *blockCursor, st *Stats) ([]byte, bool, error) {
 	if k.Less(r.meta.minKey) || r.meta.maxKey.Less(k) {
 		return nil, false, nil
 	}
@@ -341,83 +344,126 @@ func (r *run) get(k Key, keyBuf []byte, st *Stats) ([]byte, bool, error) {
 	if bi < 0 {
 		return nil, false, nil
 	}
-	block, err := r.readBlock(bi, st)
-	if err != nil {
-		return nil, false, err
-	}
-	found := false
-	var payload []byte
-	err = decodeBlock(block, func(ek Key, p []byte) bool {
-		if ek == k {
-			payload, found = p, true
-			return false
+	cur.seek(r, st, bi, bi)
+	for {
+		ok, err := cur.next()
+		if err != nil {
+			return nil, false, cur.fail(err)
 		}
-		return !k.Less(ek)
-	})
-	return payload, found, err
+		if !ok || k.Less(cur.key) {
+			return nil, false, nil
+		}
+		if cur.key == k {
+			return cur.val, true, nil
+		}
+	}
 }
 
-// scan calls fn for every entry with lo <= key <= hi in key order, reading
-// only the blocks that overlap the range.
-func (r *run) scan(lo, hi Key, st *Stats, fn func(k Key, payload []byte) bool) error {
-	if hi.Less(r.meta.minKey) || r.meta.maxKey.Less(lo) {
-		return nil
-	}
-	bi := r.blockFor(lo)
-	if bi < 0 {
-		bi = 0
-	}
-	for ; bi < len(r.index); bi++ {
-		if hi.Less(r.index[bi].firstKey) {
-			return nil
+// What a block can be found wanting of once its crc has passed. They are
+// values, not fmt.Errorf calls, because the cursor's hot methods return
+// them; blockCursor.fail adds the run and block.
+var (
+	errBlockCRC   = errors.New("block crc mismatch")
+	errBlockLen   = errors.New("block length differs from its index entry")
+	errBlockCount = errors.New("block entry count differs from its index entry")
+	errShortEntry = errors.New("short block entry")
+)
+
+// blockCursor walks a range of one run's blocks entry by entry. It is the
+// one decoder of the block entry format (key, uvarint length, payload), and
+// it owns the buffers a block is read and inflated into: key and val stay
+// valid while sibling cursors of the same merge load their own blocks, until
+// this cursor's next call. Compaction, Scan and Get all read through one.
+type blockCursor struct {
+	r      *run
+	st     *Stats
+	bi     int    // next block to load; bi-1 is the one loaded
+	last   int    // last block to walk
+	stored []byte // the loaded block as the file holds it
+	raw    []byte // ... inflated, when it is compressed
+	rest   []byte // undecoded remainder of the loaded block
+	left   uint32 // entries the index says rest holds
+	key    Key
+	val    []byte
+}
+
+// seek positions the cursor before the first entry of block first; next
+// walks on through block last.
+func (c *blockCursor) seek(r *run, st *Stats, first, last int) {
+	c.r, c.st, c.bi, c.last = r, st, first, last
+	c.rest, c.left = nil, 0
+}
+
+// next decodes the following entry into key and val. It returns false at
+// the end of the block range.
+//
+//sov:hotpath
+func (c *blockCursor) next() (bool, error) {
+	if len(c.rest) == 0 {
+		if c.left != 0 {
+			return false, errBlockCount
 		}
-		block, err := r.readBlock(bi, st)
+		if c.bi > c.last {
+			return false, nil
+		}
+		c.bi++
+		if err := c.readBlock(c.bi - 1); err != nil {
+			return false, err
+		}
+	}
+	b := c.rest
+	if c.left == 0 {
+		return false, errBlockCount
+	}
+	if len(b) < KeySize {
+		return false, errShortEntry
+	}
+	c.key = decodeKey(b)
+	b = b[KeySize:]
+	pn, n := binary.Uvarint(b)
+	if n <= 0 || uint64(len(b)-n) < pn {
+		return false, errShortEntry
+	}
+	c.val = b[n : n+int(pn)]
+	c.rest = b[n+int(pn):]
+	c.left--
+	return true, nil
+}
+
+// readBlock loads block i into the cursor's buffers, charging the read to
+// st: crc over the stored bytes first, then inflation bounded by the
+// index's raw length, then that length itself.
+//
+//sov:hotpath
+func (c *blockCursor) readBlock(i int) error {
+	bm := &c.r.index[i]
+	c.stored = slices.Grow(c.stored[:0], int(bm.storedLen))[:bm.storedLen]
+	if _, err := c.r.f.ReadAt(c.stored, int64(bm.off)); err != nil {
+		return err
+	}
+	c.st.BlocksRead++
+	c.st.RunBytesRead += int64(bm.storedLen)
+	if crc32.ChecksumIEEE(c.stored) != bm.crc {
+		return errBlockCRC
+	}
+	block := c.stored
+	if bm.compressed {
+		raw, err := cloud.AppendDecompress(c.raw[:0], c.stored, int(bm.rawLen))
 		if err != nil {
 			return err
 		}
-		stop := false
-		err = decodeBlock(block, func(k Key, p []byte) bool {
-			if hi.Less(k) {
-				stop = true
-				return false
-			}
-			if k.Less(lo) {
-				return true
-			}
-			if !fn(k, p) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
+		c.raw, block = raw, raw
 	}
+	if len(block) != int(bm.rawLen) {
+		return errBlockLen
+	}
+	c.rest, c.left = block, bm.count
 	return nil
 }
 
-// decodeBlock walks a raw block's entries.
-func decodeBlock(b []byte, fn func(k Key, payload []byte) bool) error {
-	for len(b) > 0 {
-		if len(b) < KeySize {
-			return fmt.Errorf("telemetry: short block entry")
-		}
-		k := decodeKey(b)
-		b = b[KeySize:]
-		pn, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < pn {
-			return fmt.Errorf("telemetry: short block payload")
-		}
-		if !fn(k, b[n:n+int(pn)]) {
-			return nil
-		}
-		b = b[n+int(pn):]
-	}
-	return nil
+// fail names the run and block a cursor error came from.
+func (c *blockCursor) fail(err error) error {
+	return fmt.Errorf("telemetry: run %06d block %d: %w", c.r.meta.id, c.bi-1, err)
 }
 
 // runPath names run id's file.
@@ -425,84 +471,38 @@ func runPath(dir string, id uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("run-%06d.sst", id))
 }
 
-// iterators for merging runs during compaction.
-
-// runIter walks a whole run sequentially.
-type runIter struct {
-	r     *run
-	st    *Stats
-	block []byte
-	bi    int
-	key   Key
-	val   []byte
-	done  bool
-	err   error
-}
-
-func newRunIter(r *run, st *Stats) *runIter {
-	it := &runIter{r: r, st: st, bi: -1}
-	it.next()
-	return it
-}
-
-// next advances to the following entry; done is set at end.
-func (it *runIter) next() {
-	for {
-		if len(it.block) == 0 {
-			it.bi++
-			if it.bi >= len(it.r.index) {
-				it.done = true
-				return
-			}
-			b, err := it.r.readBlock(it.bi, it.st)
-			if err != nil {
-				it.err, it.done = err, true
-				return
-			}
-			// Copy: readBlock reuses the run's scratch buffer and the
-			// iterator must survive interleaved reads from sibling runs.
-			it.block = append([]byte(nil), b...)
-		}
-		b := it.block
-		if len(b) < KeySize {
-			it.err, it.done = fmt.Errorf("telemetry: short iter entry"), true
-			return
-		}
-		it.key = decodeKey(b)
-		b = b[KeySize:]
-		pn, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < pn {
-			it.err, it.done = fmt.Errorf("telemetry: short iter payload"), true
-			return
-		}
-		it.val = b[n : n+int(pn)]
-		it.block = b[n+int(pn):]
-		return
-	}
-}
-
 // mergeRuns streams the union of the given runs (newest-wins on equal
 // keys, which cannot occur in practice since Seq disambiguates) into a new
 // run file via w. Runs must be passed oldest-first.
-func mergeRuns(runs []*run, st *Stats, w *runWriter) error {
-	iters := make([]*runIter, len(runs))
+func (s *Store) mergeRuns(runs []*run, w *runWriter) error {
+	iters := make([]scanCursor, len(runs))
+	for i := range iters {
+		iters[i] = scanCursor{hi: keyMax, run: s.borrowCursor()}
+	}
+	defer func() {
+		for i := range iters {
+			s.idleCursors = append(s.idleCursors, iters[i].run)
+		}
+	}()
 	for i, r := range runs {
-		iters[i] = newRunIter(r, st)
+		if err := iters[i].seekRun(r, Key{}, &s.stats); err != nil {
+			return err
+		}
 	}
 	for {
 		best := -1
-		for i, it := range iters {
+		for i := range iters {
+			it := &iters[i]
 			if it.done {
-				if it.err != nil {
-					return it.err
-				}
 				continue
 			}
 			if best < 0 || it.key.Less(iters[best].key) {
 				best = i
 			} else if it.key == iters[best].key {
 				// Equal keys: the later (newer) run wins; skip the older.
-				iters[best].next()
+				if err := iters[best].next(); err != nil {
+					return err
+				}
 				best = i
 			}
 		}
@@ -512,11 +512,8 @@ func mergeRuns(runs []*run, st *Stats, w *runWriter) error {
 		if err := w.add(iters[best].key, iters[best].val); err != nil {
 			return err
 		}
-		iters[best].next()
-		if iters[best].err != nil && iters[best].done {
-			if err := iters[best].err; err != nil {
-				return err
-			}
+		if err := iters[best].next(); err != nil {
+			return err
 		}
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -75,6 +76,12 @@ type Store struct {
 	idx *bptree // lazy secondary index; nil until first kind query
 
 	stats Stats
+
+	// reused block-path state: the one run writer, Get's cursor, and the
+	// cursors scans and compactions borrow
+	rw          runWriter
+	getCur      blockCursor
+	idleCursors []*blockCursor
 
 	// reused ingest scratch
 	shardIdx   [][]int32
@@ -257,12 +264,13 @@ func (s *Store) flush() error {
 	}
 	id := s.nextRun
 	s.nextRun++
-	w, err := newRunWriter(runPath(s.dir, id), s.mem.len())
-	if err != nil {
+	w := &s.rw
+	if err := w.begin(runPath(s.dir, id), s.mem.len()); err != nil {
 		return err
 	}
 	for _, e := range s.mem.entries {
 		if err := w.add(e.key, s.mem.arena[e.off:e.off+e.n]); err != nil {
+			w.abort()
 			return err
 		}
 	}
@@ -352,11 +360,12 @@ func (s *Store) mergeRunsAt(positions []int) error {
 	}
 	id := s.nextRun
 	s.nextRun++
-	w, err := newRunWriter(runPath(s.dir, id), int(total))
-	if err != nil {
+	w := &s.rw
+	if err := w.begin(runPath(s.dir, id), int(total)); err != nil {
 		return err
 	}
-	if err := mergeRuns(victims, &s.stats, w); err != nil {
+	if err := s.mergeRuns(victims, w); err != nil {
+		w.abort()
 		return err
 	}
 	meta, err := w.finish()
@@ -438,15 +447,28 @@ func (s *Store) Runs() (count int, bytes int64) {
 // MemLen reports buffered (unflushed) events.
 func (s *Store) MemLen() int { return s.mem.len() }
 
+// borrowCursor hands out an idle block cursor, its buffers already grown,
+// or a new one. Borrowers append theirs back to idleCursors when done.
+func (s *Store) borrowCursor() *blockCursor {
+	if n := len(s.idleCursors); n > 0 {
+		c := s.idleCursors[n-1]
+		s.idleCursors = s.idleCursors[:n-1]
+		return c
+	}
+	return new(blockCursor)
+}
+
 // Get returns the payload for an exact key: memtable first, then runs
-// newest-to-oldest with bloom-filter short-circuiting.
+// newest-to-oldest with bloom-filter short-circuiting. The payload aliases
+// a store-owned buffer and is valid until the next call on the Store; copy
+// to retain.
 func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if p, ok := s.mem.get(k); ok {
 		return p, true, nil
 	}
 	var keyBuf [KeySize]byte
 	for i := len(s.runs) - 1; i >= 0; i-- {
-		p, ok, err := s.runs[i].get(k, keyBuf[:0], &s.stats)
+		p, ok, err := s.runs[i].get(k, keyBuf[:0], &s.getCur, &s.stats)
 		if err != nil {
 			return nil, false, err
 		}
@@ -540,6 +562,17 @@ func (s *Store) loadManifest() error {
 			if err != nil {
 				return err
 			}
+			if m.minKey, err = parseKeyHex(fields[9]); err != nil {
+				return err
+			}
+			if m.maxKey, err = parseKeyHex(fields[11]); err != nil {
+				return err
+			}
+			crc, err := strconv.ParseUint(fields[13], 16, 32)
+			if err != nil {
+				return err
+			}
+			m.crc = uint32(crc)
 			r, err := openRun(runPath(s.dir, m.id), m)
 			if err != nil {
 				return err
@@ -595,4 +628,14 @@ func appendKeyHex(b []byte, k Key) []byte {
 		b = append(b, hexDigits[c>>4], hexDigits[c&0xf])
 	}
 	return b
+}
+
+func parseKeyHex(s string) (Key, error) {
+	var kb [KeySize]byte
+	if len(s) == 2*KeySize { // hex.Decode panics on a short destination
+		if _, err := hex.Decode(kb[:], []byte(s)); err == nil {
+			return decodeKey(kb[:]), nil
+		}
+	}
+	return Key{}, fmt.Errorf("telemetry: bad manifest key %q", s)
 }

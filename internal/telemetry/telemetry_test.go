@@ -2,15 +2,19 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"sov/internal/cloud"
 	"sov/internal/parallel"
 )
 
@@ -702,7 +706,283 @@ func TestRunFileCorruptionDetected(t *testing.T) {
 	if _, err := Open(dir, opts); err == nil {
 		t.Fatal("open accepted corrupt index")
 	}
+
+	// Every footer field, overwritten with values that used to wrap the
+	// metadata length or slice out of range: open errors, never panics.
+	foot := len(raw) - footerSize
+	fields := []struct {
+		name     string
+		off, len int
+	}{
+		{"indexOff", 0, 8}, {"blockCount", 8, 4}, {"bloomOff", 12, 8}, {"bloomLen", 20, 4},
+		{"entryCount", 24, 8}, {"minKey", 32, KeySize}, {"maxKey", 32 + KeySize, KeySize},
+		{"metaCRC", 32 + 2*KeySize, 4}, {"magic", 32 + 2*KeySize + 4, 8},
+	}
+	indexOff := binary.LittleEndian.Uint64(raw[foot:])
+	bloomOff := binary.LittleEndian.Uint64(raw[foot+12:])
+	values := []uint64{0, 1, uint64(len(runMagic)) - 1, indexOff - 1, indexOff + 1, bloomOff + 1,
+		uint64(foot), uint64(foot) + 1, uint64(len(raw)), 1 << 31, 1<<32 - 1, 1 << 63, 1<<64 - 1}
+	for _, fld := range fields {
+		for _, v := range values {
+			mut = append([]byte(nil), raw...)
+			var le [KeySize]byte
+			binary.LittleEndian.PutUint64(le[:], v)
+			binary.LittleEndian.PutUint64(le[8:], v)
+			if bytes.Equal(mut[foot+fld.off:][:fld.len], le[:fld.len]) {
+				continue // the field's true value
+			}
+			copy(mut[foot+fld.off:][:fld.len], le[:])
+			os.WriteFile(runFile, mut, 0o644)
+			if st, err := Open(dir, opts); err == nil {
+				st.crash()
+				t.Fatalf("open accepted footer %s = %#x", fld.name, v)
+			}
+		}
+	}
 	os.WriteFile(runFile, raw, 0o644)
+}
+
+// firstRun flushes a few blocks into a one-run store and returns the run's
+// path, bytes and manifest entry.
+func firstRun(t *testing.T) (string, []byte, runMeta) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{FlushBytes: 1 << 20, Shards: 2, NoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestInBatches(t, s, makeEvents(10, 60), 100)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.runs) != 1 || len(s.runs[0].index) < 3 {
+		t.Fatalf("want one run of several blocks, got %d runs", len(s.runs))
+	}
+	path := runPath(dir, s.runs[0].meta.id)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw, s.runs[0].meta
+}
+
+// TestBlockLengthAndCountChecked: a block whose index entry states another
+// raw length or entry count than the block holds is an error on read, and
+// a compressed block is never inflated past its stated length. The index
+// crc is recomputed, so only these checks stand in the way.
+func TestBlockLengthAndCountChecked(t *testing.T) {
+	path, raw, meta := firstRun(t)
+	foot := len(raw) - footerSize
+	indexOff := int(binary.LittleEndian.Uint64(raw[foot:]))
+	const rawLenAt, countAt = KeySize + 13, KeySize + 17
+
+	walk := func(r *run) (entries int, err error) {
+		var st Stats
+		var c blockCursor
+		c.seek(r, &st, 0, len(r.index)-1)
+		for {
+			ok, err := c.next()
+			if err != nil || !ok {
+				return entries, err
+			}
+			entries++
+		}
+	}
+	intact, err := openRun(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := walk(intact); err != nil || uint64(n) != meta.entries {
+		t.Fatalf("intact run walked %d of %d entries: %v", n, meta.entries, err)
+	}
+	var compressed, plain int
+	for _, bm := range intact.index {
+		if bm.compressed {
+			compressed++
+		} else {
+			plain++
+		}
+	}
+	intact.close()
+	if compressed == 0 {
+		t.Fatal("test wants a compressed block")
+	}
+
+	cases := []struct {
+		name  string
+		block int
+		at    int
+		delta int32
+		want  error
+	}{
+		{"rawLen short", 1, rawLenAt, -1, nil}, // cloud's bound trips before errBlockLen can
+		{"rawLen long", 1, rawLenAt, +1, errBlockLen},
+		{"rawLen far long", 1, rawLenAt, 1 << 30, errBlockLen},
+		{"count short", 1, countAt, -1, errBlockCount},
+		{"count long", 1, countAt, +1, errBlockCount},
+		{"count zero", 0, countAt, 0, errBlockCount},
+	}
+	for _, c := range cases {
+		mut := append([]byte(nil), raw...)
+		field := mut[indexOff+c.block*blockMetaSize+c.at:][:4]
+		v := binary.LittleEndian.Uint32(field) + uint32(c.delta)
+		if c.delta == 0 {
+			v = 0
+		}
+		binary.LittleEndian.PutUint32(field, v)
+		m := meta
+		m.crc = crc32.ChecksumIEEE(mut[indexOff:foot])
+		binary.LittleEndian.PutUint32(mut[foot+32+2*KeySize:], m.crc)
+		os.WriteFile(path, mut, 0o644)
+		r, err := openRun(path, m)
+		if err != nil {
+			t.Fatalf("%s: open: %v", c.name, err)
+		}
+		n, err := walk(r)
+		r.close()
+		if err == nil || (c.want != nil && err != c.want) {
+			t.Fatalf("%s: walked %d entries, err %v, want %v", c.name, n, err, c.want)
+		}
+	}
+}
+
+// TestFailedCompactionLeavesNoPartialRun: a compaction that fails (here on
+// a block crc) returns the error, leaves no run file the MANIFEST does not
+// name, and leaves the store answering reads from its intact runs.
+func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{FlushBytes: 4 << 10, Shards: 2, NoCompact: true}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(10, 200)
+	fed := 0
+	for len(s.runs) < tierFanout-1 {
+		ingestInBatches(t, s, events[fed:fed+50], 50)
+		fed += 50
+	}
+	if s.MemLen() != 0 {
+		// keep the run count at tierFanout-1 across Close
+		t.Fatalf("test wants an empty memtable at %d runs; tune the batch size", len(s.runs))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := runPath(dir, s.runs[1].meta.id)
+	raw, _ := os.ReadFile(bad)
+	raw[len(runMagic)+3] ^= 0x40
+	os.WriteFile(bad, raw, 0o644)
+
+	opts.NoCompact = false
+	s, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.crash()
+	var ingestErr error
+	for ingestErr == nil && fed < len(events) {
+		b := append([]Event(nil), events[fed:fed+50]...)
+		fed += 50
+		ingestErr = s.Ingest(b)
+	}
+	if ingestErr == nil || !strings.Contains(ingestErr.Error(), "crc") {
+		t.Fatalf("compaction over a corrupt block: %v", ingestErr)
+	}
+
+	manifest, err := s.ManifestBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	des, _ := os.ReadDir(dir)
+	for _, de := range des {
+		id, isRun := strings.CutPrefix(strings.TrimSuffix(de.Name(), ".sst"), "run-")
+		if isRun && !strings.Contains(string(manifest), "run "+id+" ") {
+			t.Fatalf("%s is on disk but not in the MANIFEST:\n%s", de.Name(), manifest)
+		}
+	}
+	if len(s.runs) != tierFanout {
+		t.Fatalf("%d runs live after the failed merge, want %d", len(s.runs), tierFanout)
+	}
+	// events[0] went into the first (intact) run, the last batch into the
+	// run flushed just before the merge failed.
+	for _, i := range []int{0, fed - 1} {
+		k := events[i].Key
+		k.Seq = uint32(i)
+		if p, ok, err := s.Get(k); err != nil || !ok || !bytes.Equal(p, events[i].Payload) {
+			t.Fatalf("Get(%v) after the failed compaction = %q %v %v", k, p, ok, err)
+		}
+	}
+}
+
+// TestBlockPathSteadyStateAllocs: a warmed codec deflates and inflates a
+// block without allocating, and a whole 256 KB memtable flush (a run of ~60
+// blocks, reopened and recorded in the MANIFEST) allocates well under 1 MB;
+// with a flate.Writer per block it allocated ~60 MB.
+func TestBlockPathSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of its Puts at random, the codec among them")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	// sync.Pool keeps its entries per P: on one P the codec a call returns is
+	// the codec the next call gets (testing.AllocsPerRun pins this too).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var block []byte
+	for _, e := range makeEvents(1, 200) {
+		block = appendKey(block, e.Key)
+		block = binary.AppendUvarint(block, uint64(len(e.Payload)))
+		block = append(block, e.Payload...)
+		if len(block) >= blockTarget {
+			break
+		}
+	}
+	packed, _ := cloud.AppendCompress(nil, block)
+	raw := make([]byte, 0, len(block))
+	if n := testing.AllocsPerRun(200, func() {
+		packed, _ = cloud.AppendCompress(packed[:0], block)
+	}); n != 0 {
+		t.Errorf("AppendCompress allocates %v times per block, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		raw, _ = cloud.AppendDecompress(raw[:0], packed, len(block))
+	}); n != 0 {
+		t.Errorf("AppendDecompress allocates %v times per block, want 0", n)
+	}
+	if !bytes.Equal(raw, block) {
+		t.Fatal("round trip broke")
+	}
+
+	s, err := Open(t.TempDir(), Options{FlushBytes: 1 << 30, Shards: 1, NoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	events := makeEvents(100, 80)
+	var flushAlloc uint64
+	for round := 0; round < 2; round++ { // the first flush grows the store's buffers
+		fed := 0
+		for s.mem.sizeBytes() < 256<<10 {
+			ingestInBatches(t, s, events[fed:fed+100], 100)
+			fed += 100
+		}
+		// Filling the memtable allocates here (the batches are copied), and
+		// a pool that sits idle across two collections is emptied: warm it.
+		packed, _ = cloud.AppendCompress(packed[:0], block)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		flushAlloc = after.TotalAlloc - before.TotalAlloc
+	}
+	if blocks := len(s.runs[1].index); blocks < 40 {
+		t.Fatalf("flush wrote %d blocks, want the ~60 of a 256 KB memtable", blocks)
+	}
+	if flushAlloc >= 1<<20 {
+		t.Errorf("one 256 KB flush allocated %d bytes, want < 1 MB", flushAlloc)
+	}
+	t.Logf("256 KB flush: %d blocks, %d bytes allocated", len(s.runs[1].index), flushAlloc)
 }
 
 // TestTierOf: size buckets quadruple.

@@ -335,11 +335,10 @@ func (s *SoV) publishRunMetrics() {
 	m.counterSet("sov_parallel_pool_tiles_total", "tiles claimed via the shared pool queue", obs.ClassHost, par.PoolTiles-m.par0.PoolTiles+m.prev["sov_parallel_pool_tiles_total"])
 	m.par0 = par
 
-	// Quantized kernel dispatch (host: backend choice is a per-shape
-	// performance decision, not part of the virtual-time contract).
+	// Quantized kernel call counts (host: call volume, not part of the
+	// virtual-time contract).
 	kc := nn.KernelCounterSnapshot()
-	m.counterSet("sov_qconv_gemm_dispatches_total", "QConv2D calls routed to the im2col GEMM backend", obs.ClassHost, kc.GEMMDispatches-m.nn0.GEMMDispatches+m.prev["sov_qconv_gemm_dispatches_total"])
-	m.counterSet("sov_qconv_direct_dispatches_total", "QConv2D calls routed to the direct SWAR kernel", obs.ClassHost, kc.DirectDispatches-m.nn0.DirectDispatches+m.prev["sov_qconv_direct_dispatches_total"])
+	m.counterSet("sov_qconv_gemm_dispatches_total", "QConv2D calls (im2col GEMM backend)", obs.ClassHost, kc.GEMMDispatches-m.nn0.GEMMDispatches+m.prev["sov_qconv_gemm_dispatches_total"])
 	m.counterSet("sov_qnn_batch_images_total", "images processed through batched network forwards", obs.ClassHost, kc.BatchImages-m.nn0.BatchImages+m.prev["sov_qnn_batch_images_total"])
 	m.nn0 = kc
 

@@ -5,13 +5,16 @@ import (
 	"sov/internal/nn"
 )
 
-// Cross-vehicle batched perception: PR 6's layer-major quantized batching
-// (one weight-panel traversal per layer across a whole batch) applied
-// across vehicles instead of cameras. One master QYOLOHead is quantized
-// once; each shard holds a ShareClone (aliased weights, private scratch)
-// plus its own input tensors and detect scratch, so the shard fan-out runs
-// every clone concurrently while all of them stream the same cache-resident
-// weight panels. After warmup the phase allocates nothing.
+// Cross-vehicle batched perception: the layer-major quantized batching of
+// nn.ForwardRawBatch (every image of a batch goes through a layer before
+// the next layer starts, so a layer's packed weight panels are still in
+// cache for the next image) applied across vehicles instead of cameras.
+// One master QYOLOHead is quantized once; each shard holds a ShareClone
+// (aliased weights, private scratch) plus its own input tensors and detect
+// scratch, so the shard fan-out runs every clone concurrently. The shard is
+// the unit of parallelism: every fan-out a layer or the decode would issue
+// by itself runs inline while the shard fan-out is in flight
+// (internal/parallel), and after warmup the phase allocates nothing.
 
 const (
 	batchInH, batchInW = 32, 32
@@ -81,7 +84,8 @@ func (f *Fleet) shardRange(start, end int) {
 		// The online scheduler moved some vehicle's scene understanding off a
 		// batching-capable processor: fall back to per-image inference (byte-
 		// identical results — RunQuantCNNBatch is bit-exact with the per-image
-		// path — but no cross-vehicle weight-panel amortization).
+		// path — but image-major, so every image re-streams every layer's
+		// weight panels).
 		for len(sh.outs) < len(sh.inputs) {
 			sh.outs = append(sh.outs, nil)
 		}
@@ -91,12 +95,6 @@ func (f *Fleet) shardRange(start, end int) {
 		}
 	}
 }
-
-// nested fan-out note: shardRange runs inside a parallel.For worker, and
-// RunQuantCNNBatch itself issues parallel.For calls. The pool's caller-
-// drains-queue protocol makes that nesting deadlock-free (see
-// internal/parallel), and determinism holds because every kernel below is
-// tiling-independent.
 
 // fillInput synthesizes a deterministic per-vehicle frame from (vehicle,
 // epoch, odometer) via an integer mix — a stand-in for a camera capture

@@ -6,11 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"sov/internal/core"
+	"sov/internal/nn"
 	"sov/internal/obs"
 	"sov/internal/parallel"
 	"sov/internal/sim"
@@ -280,6 +283,9 @@ func TestReplayFromSeed(t *testing.T) {
 // TestConcurrentShardsRace is the scratch-aliasing regression test
 // (satellite: 64 vehicles advancing concurrently under -race, with the
 // batched perception clones active so shared-weight scratch is exercised).
+// Sibling clones then forward two different input shapes at once, swapping
+// shapes every pass: each conv layer's padded buffer and tap table are
+// rebuilt on a shape change, which -race reports if ShareClone aliased them.
 func TestConcurrentShardsRace(t *testing.T) {
 	cfg := testConfig(64)
 	cfg.Regions = 4
@@ -297,28 +303,68 @@ func TestConcurrentShardsRace(t *testing.T) {
 	if s.Detections == 0 {
 		t.Fatal("batched perception produced no detections over 5 epochs x 64 vehicles")
 	}
+
+	var inputs [2]*nn.Tensor
+	var want [2][]int8
+	for i, hw := range [][2]int{{batchInH, batchInW}, {48, 24}} {
+		inputs[i] = nn.NewTensor(1, hw[0], hw[1])
+		fillInput(inputs[i].Data, i, 3, 5)
+		raw := f.shards[2].model.ForwardRaw(inputs[i])
+		want[i] = append([]int8(nil), raw.Data...)
+		nn.PutQTensor(raw)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			model := f.shards[g].model
+			for pass := 0; pass < 6; pass++ {
+				i := (g + pass) % 2
+				raw := model.ForwardRaw(inputs[i])
+				if !slices.Equal(raw.Data, want[i]) {
+					t.Errorf("clone %d pass %d: %dx%d output differs from the serial forward", g, pass, inputs[i].H, inputs[i].W)
+				}
+				nn.PutQTensor(raw)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestZeroAllocEpochSteadyState is the substrate's allocation gate: once
-// warm, Step (advance + settle + demand + dispatch + metrics + trace)
-// allocates nothing at one worker. (The multi-worker fan-out allocates its
-// per-call closure in parallel.run, same as every other fan-out in the
-// repo; the serial path is the budget.)
+// warm, Step (advance + perception + settle + demand + dispatch + metrics +
+// trace) allocates nothing at one worker, and at four workers nothing
+// beyond what its two top-level fan-outs cost by themselves — everything
+// nested inside them (per-vehicle perception Do, per-layer conv/pool/decode
+// For) runs inline and allocation-free.
 func TestZeroAllocEpochSteadyState(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	cfg := testConfig(8)
-	cfg.PerceptionEvery = 1
-	cfg.Trace = nullWriter{}
-	f := New(cfg)
-	f.AttachMetrics(obs.NewRegistry())
-	// Warmup is long: beyond the obvious arenas (riders, queues, NN
-	// scratch, trace buffer) the per-vehicle event free lists settle over
-	// a few hundred epochs before the loop goes fully heap-silent.
-	for e := 0; e < 300; e++ {
-		f.Step()
-	}
-	if avg := testing.AllocsPerRun(30, f.Step); avg > 0 {
-		t.Fatalf("fleet epoch allocates %.1f times in steady state, want 0", avg)
+	var atOne float64
+	for _, workers := range []int{1, 4} {
+		parallel.SetWorkers(workers)
+		cfg := testConfig(16) // two advance tiles: the vehicle fan-out really fans out
+		cfg.PerceptionEvery = 1
+		cfg.Trace = nullWriter{}
+		f := New(cfg)
+		f.AttachMetrics(obs.NewRegistry())
+		// Warmup is long: beyond the obvious arenas (riders, queues, NN
+		// scratch, trace buffer) the per-vehicle event free lists settle over
+		// a few hundred epochs before the loop goes fully heap-silent.
+		for e := 0; e < 300; e++ {
+			f.Step()
+		}
+		avg := testing.AllocsPerRun(30, f.Step)
+		if workers == 1 {
+			if atOne = avg; avg > 0 {
+				t.Fatalf("fleet epoch allocates %.1f times in steady state at one worker, want 0", avg)
+			}
+			continue
+		}
+		bare := testing.AllocsPerRun(30, func() { parallel.For(workers, 1, func(int, int) {}) })
+		if avg > atOne+2*bare {
+			t.Fatalf("fleet epoch allocates %.1f times at %d workers, want <= %.1f (one worker) + 2 x %.1f (a bare fan-out)", avg, workers, atOne, bare)
+		}
 	}
 }
 

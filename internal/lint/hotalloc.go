@@ -61,15 +61,14 @@ var hotKernels = map[string][]string{
 	"sov/internal/nn": {
 		"Conv2D.ForwardInto", "Conv2D.forwardChannel", "MaxPool2.ForwardInto", "poolChannel",
 		// int8 fused kernels (DESIGN.md §8).
-		"QConv2D.ForwardInto", "QConv2D.forwardChannel", "QConv2D.accEdge",
+		"QConv2D.ForwardInto",
 		"QMaxPool2.ForwardInto", "qpoolChannel",
 		"QGlobalAvgPool.ForwardInto", "qgapChannel",
 		"QFC.ForwardInto", "QFC.swarRowQuad", "QFC.swarRow", "QFC.swarTail",
 		"QuantizeTensorInto", "DequantizeTensorInto",
 		"requant.apply", "SigmoidLUT.At", "QYOLOHead.decodeCellQ",
-		// SWAR + im2col GEMM backend and batched inference (DESIGN.md §10).
-		"QConv2D.swarChunk", "QConv2D.packInput",
-		"QConv2D.forwardGEMM", "QConv2D.gemmBlock", "QConv2D.packACol",
+		// im2col GEMM backend and batched inference (DESIGN.md §10).
+		"QConv2D.forwardGEMM", "QConv2D.gemmBlock",
 		"QNetwork.ForwardBatchPooled", "QYOLOHead.ForwardRawBatch",
 	},
 	"sov/internal/pointcloud": {"icpMatchOne"},

@@ -2,71 +2,60 @@ package nn
 
 import "sov/internal/parallel"
 
-// im2col + register-blocked integer GEMM backend for QConv2D (DESIGN.md
+// im2col + register-blocked integer GEMM: QConv2D's one backend (DESIGN.md
 // §10). The convolution reshapes into C[OutC × P] = W[OutC × kd] · A[kd × P]
 // with kd = InC·K·K and P = OH·OW output pixels. Weight panels (B) pack once
-// at construction into reversed biased pair words (swar.go); activation
-// panels (A) pack per column block into pooled scratch, with the input's
-// zero-point code standing in for out-of-bounds taps so border columns are
-// bit-exact with the direct path's edge handling. The 4×4 micro-kernel keeps
-// sixteen pair-dot accumulators live across the shared kd sweep: every A
-// load feeds four weight rows, every B load four pixels, and every 64-bit
-// multiply retires two MACs.
-//
-// The direct tap-major path stays the better kernel when the dot product is
-// short (pack overhead dominates) or the output plane is tiny (panels don't
-// amortize); gemmEligible gates construction and gemmOK dispatches per call.
+// at construction into reversed biased pair words (swar.go). Activation
+// panels (A) pack per column block from a zero-point-padded copy of the
+// input: the border of that copy holds the input's zero-point code, which
+// *is* real zero, so an output pixel's window is always kd in-bounds bytes
+// at fixed offsets from its top-left corner and border columns need no code
+// of their own. The offsets live in a per-shape tap table. The 4×4
+// micro-kernel keeps sixteen pair-dot accumulators live across the shared
+// kd sweep: every A load feeds four weight rows, every B load four pixels,
+// and every 64-bit multiply retires two MACs.
 
-const (
-	// gemmMinDot is the dispatcher's im2col depth floor: below kd = InC·K·K
-	// of ~3 input channels of a 3×3 kernel, packing every activation into
-	// pair words costs more than the direct SWAR interior saves.
-	gemmMinDot = 48
-	// gemmMinPixels is the dispatcher's output-plane floor: tiny grids (the
-	// 1×1 detection head's 7×9 cells) re-pack weights' worth of A panel per
-	// handful of outputs and lose to the direct path.
-	gemmMinPixels = 128
-	// gemmColBlock is the im2col column-block width (output pixels per A
-	// panel). Chosen by the cachesim sweep in tiles_test.go: the block's
-	// pair words (np·8·gemmColBlock bytes) plus the full B panel set must
-	// stay cache-resident together — then the B panels survive from block
-	// to block and only the A gather misses. On the perception-shaped GEMM
-	// stream the sweep's miss-rate optimum sits at 32 columns (18 KB of A
-	// panel + 18 KB of B); wall-clock is flat from 32 to 128 on the
-	// ALU-bound kernel, so the traffic optimum ships (DESIGN.md §10).
-	gemmColBlock = 32
-)
+// gemmColBlock is the im2col column-block width (output pixels per A
+// panel). Chosen by the cachesim sweep in tiles_test.go: the block's pair
+// words (np·8·gemmColBlock bytes) plus the full B panel set must stay
+// cache-resident together — then the B panels survive from block to block
+// and only the A gather misses. On the perception-shaped GEMM stream the
+// sweep's miss-rate optimum sits at 32 columns (18 KB of A panel + 18 KB of
+// B); wall-clock is flat from 32 to 128 on the ALU-bound kernel, so the
+// traffic optimum ships (DESIGN.md §10).
+const gemmColBlock = 32
 
-// gemmState is QConv2D's GEMM backend: construction-time weight panels plus
-// the serial path's reusable im2col scratch.
+// gemmState is QConv2D's GEMM backend: construction-time weight panels,
+// which ShareClone aliases, and per-instance scratch, which it zeroes.
 type gemmState struct {
 	np   int      // pair words per kd-length dot product
 	mpad int      // OutC rounded up to the 4-row panel height
 	b    []uint64 // packed B panels, [mpad/4] panels of [np][4] words
 	rowC []int64  // per-channel pair-dot constant (swarRowConst)
+	gemmScratch
+}
+
+// gemmScratch is everything a forward pass writes in the layer instance.
+type gemmScratch struct {
 	abuf []uint64 // serial A-panel scratch (grown on first use)
 	sbuf []int32  // serial Σu scratch (grown on first use)
-}
-
-// gemmEligible reports whether the layer shape ever dispatches to GEMM.
-func (c *QConv2D) gemmEligible() bool {
-	return c.InC*c.K*c.K >= gemmMinDot
-}
-
-// gemmOK is the per-call dispatcher: the backend must be built and the
-// output plane large enough to amortize the A-panel packing.
-func (c *QConv2D) gemmOK(oh, ow int) bool {
-	return c.gemm.b != nil && oh*ow >= gemmMinPixels
+	// pbuf is the input as biased bytes u = x+128 inside a zero-point
+	// border, InC × (inH+2·Pad) × (inW+2·Pad); taps[k] is the byte offset of
+	// im2col row k = (ic, ky, kx) from a window's top-left corner in it.
+	// Both are built for the inH×inW input last seen: the border is filled
+	// and the table computed on a shape change, the interior every call.
+	pbuf     []byte
+	taps     []int32
+	inH, inW int
 }
 
 // initGEMM packs the weight panels. Row panels hold four output channels at
 // word stride 4 — the micro-kernel streams one panel per j step; channels
 // past OutC pad with zero words whose products land in discarded
-// accumulators.
+// accumulators. The input zero point folds into the row constant: with the
+// border holding the zero-point code every window is full, so the fold is
+// exact everywhere.
 func (c *QConv2D) initGEMM() {
-	if !c.gemmEligible() {
-		return
-	}
 	kd := c.InC * c.K * c.K
 	np := swarPairs(kd)
 	mpad := (c.OutC + 3) &^ 3
@@ -78,24 +67,79 @@ func (c *QConv2D) initGEMM() {
 		row := c.Weights[o*kd : (o+1)*kd]
 		panel := c.gemm.b[(o/4)*np*4:]
 		r := o % 4
+		var wsum int32
 		var wsumB int64
 		for j := 0; j < np; j++ {
 			a := uint64(uint8(row[2*j]) ^ 0x80)
 			b := uint64(swarPadW)
+			wsum += int32(row[2*j])
 			if 2*j+1 < kd {
 				b = uint64(uint8(row[2*j+1]) ^ 0x80)
+				wsum += int32(row[2*j+1])
 			}
 			panel[j*4+r] = b | a<<32
 			wsumB += int64(a + b)
 		}
-		c.gemm.rowC[o] = swarRowConst(c.foldedBias[o], wsumB, np)
+		c.gemm.rowC[o] = swarRowConst(c.Bias[o]-c.zeroIn*wsum, wsumB, np)
+	}
+}
+
+// reshape rebuilds the padded buffer's border and the tap table for an
+// h×w input (cold: runs on the first call and on a shape change).
+func (c *QConv2D) reshape(h, w int) {
+	g := &c.gemm
+	ph, pw := h+2*c.Pad, w+2*c.Pad
+	if n := c.InC * ph * pw; cap(g.pbuf) < n {
+		//sovlint:ignore hotalloc first call or a larger input shape; warm passes reuse the padded buffer
+		g.pbuf = make([]byte, n)
+	} else {
+		g.pbuf = g.pbuf[:n]
+	}
+	upad := uint8(int8(c.zeroIn)) ^ 0x80
+	for i := range g.pbuf {
+		g.pbuf[i] = upad
+	}
+	if g.taps == nil {
+		//sovlint:ignore hotalloc first-call scratch growth; a shape change rewrites the table in place
+		g.taps = make([]int32, 0, c.InC*c.K*c.K)
+	}
+	g.taps = g.taps[:0]
+	for ic := 0; ic < c.InC; ic++ {
+		for ky := 0; ky < c.K; ky++ {
+			for kx := 0; kx < c.K; kx++ {
+				g.taps = append(g.taps, int32((ic*ph+ky)*pw+kx))
+			}
+		}
+	}
+	g.inH, g.inW = h, w
+}
+
+// packInput rewrites the input tensor as biased bytes into the interior of
+// the padded buffer, once per forward pass before any fan-out (the buffer
+// and the tap table are read-only to the workers).
+//
+//sov:hotpath
+func (c *QConv2D) packInput(in *QTensor) {
+	g := &c.gemm
+	if g.pbuf == nil || g.inH != in.H || g.inW != in.W {
+		c.reshape(in.H, in.W)
+	}
+	ph, pw := in.H+2*c.Pad, in.W+2*c.Pad
+	for ic := 0; ic < c.InC; ic++ {
+		for y := 0; y < in.H; y++ {
+			src := in.Data[(ic*in.H+y)*in.W:][:in.W]
+			dst := g.pbuf[(ic*ph+y+c.Pad)*pw+c.Pad:][:in.W]
+			for x, v := range src {
+				dst[x] = uint8(v) ^ 0x80
+			}
+		}
 	}
 }
 
 // forwardGEMM runs the convolution as a blocked integer GEMM. Column blocks
 // are independent (each owns its output columns across every channel), so
 // they fan out across the worker pool; the integer arithmetic is exact, so
-// the output is byte-identical to the direct path and to any worker count.
+// the output is byte-identical for any worker count.
 //
 //sov:hotpath
 func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
@@ -113,7 +157,7 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 			c.gemm.sbuf = make([]int32, gemmColBlock)
 		}
 		for blk := 0; blk < nblk; blk++ {
-			c.gemmBlock(out, in.H, in.W, ow, p, blk*gemmColBlock, c.gemm.abuf[:apn], c.gemm.sbuf[:gemmColBlock])
+			c.gemmBlock(out, ow, p, blk*gemmColBlock, c.gemm.abuf[:apn], c.gemm.sbuf[:gemmColBlock])
 		}
 		return
 	}
@@ -122,7 +166,7 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 		ap := parallel.GetU64(apn)
 		su := parallel.GetI32(gemmColBlock)
 		for blk := b0; blk < b1; blk++ {
-			c.gemmBlock(out, in.H, in.W, ow, p, blk*gemmColBlock, ap, su)
+			c.gemmBlock(out, ow, p, blk*gemmColBlock, ap, su)
 		}
 		parallel.PutI32(su)
 		parallel.PutU64(ap)
@@ -133,29 +177,23 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 // weight panel, requantizing straight into the output tensor.
 //
 //sov:hotpath
-func (c *QConv2D) gemmBlock(out *QTensor, inH, inW, ow, p, colBase int, ap []uint64, su []int32) {
+func (c *QConv2D) gemmBlock(out *QTensor, ow, p, colBase int, ap []uint64, su []int32) {
 	cols := gemmColBlock
 	if colBase+cols > p {
 		cols = p - colBase
 	}
 	groups := (cols + 3) / 4
 	np := c.gemm.np
-	upad := uint8(int8(c.zeroIn)) ^ 0x80
+	pw := c.gemm.inW + 2*c.Pad
 	for g := 0; g < groups; g++ {
-		panel := ap[g*np*4 : (g+1)*np*4]
-		for ci := 0; ci < 4; ci++ {
-			col := colBase + g*4 + ci
-			if col >= p {
-				// Phantom columns of the last group: all-zero pair words
-				// multiply to nothing and are never written back.
-				for j := 0; j < np; j++ {
-					panel[j*4+ci] = 0
-				}
-				su[g*4+ci] = 0
-				continue
-			}
-			su[g*4+ci] = c.packACol(panel, ci, col, ow, inH, inW, upad)
+		var corner [4]int
+		for ci := range corner {
+			// Phantom columns of the last group repeat the last real one:
+			// their accumulators are never written back.
+			col := min(colBase+g*4+ci, p-1)
+			corner[ci] = (col/ow*pw + col%ow) * c.Stride
 		}
+		c.packAGroup(ap[g*np*4:(g+1)*np*4], su[g*4:g*4+4], corner)
 	}
 	rq := c.rq
 	for rb := 0; rb < c.gemm.mpad/4; rb++ {
@@ -217,46 +255,44 @@ func (c *QConv2D) gemmBlock(out *QTensor, inH, inW, ow, p, colBase int, ap []uin
 	}
 }
 
-// packACol gathers one output pixel's kd-length im2col column into pair
-// words at panel word offset ci (stride 4) and returns its Σu. Taps outside
-// the input read the zero-point code — exactly the zero padding the direct
-// path's border handling computes.
+// packAGroup gathers four output pixels' kd-length im2col columns into one
+// A panel (pixel ci at word offset ci, stride 4) and writes each pixel's Σu.
+// corner[ci] is the pixel's window corner in the padded buffer; every tap is
+// then an in-bounds byte at its table offset, so the sweep has no row or
+// column tests. An odd kd pairs its last tap with the swarPadU lane.
 //
 //sov:hotpath
-func (c *QConv2D) packACol(panel []uint64, ci, col, ow, inH, inW int, upad uint8) int32 {
-	ub := c.ubuf
-	oy, ox := col/ow, col%ow
-	iy0 := oy*c.Stride - c.Pad
-	ix0 := ox*c.Stride - c.Pad
-	var sum int32
-	var lo uint64
-	j, k := 0, 0
-	for ic := 0; ic < c.InC; ic++ {
-		base := ic * inH * inW
-		for ky := 0; ky < c.K; ky++ {
-			iy := iy0 + ky
-			rowOK := iy >= 0 && iy < inH
-			rowBase := base + iy*inW
-			for kx := 0; kx < c.K; kx++ {
-				u := uint64(upad)
-				if rowOK {
-					if ix := ix0 + kx; ix >= 0 && ix < inW {
-						u = uint64(ub[rowBase+ix])
-					}
-				}
-				sum += int32(u)
-				if k&1 == 0 {
-					lo = u
-				} else {
-					panel[j*4+ci] = lo | u<<32
-					j++
-				}
-				k++
-			}
-		}
+func (c *QConv2D) packAGroup(panel []uint64, su []int32, corner [4]int) {
+	pb := c.gemm.pbuf
+	w0, w1, w2, w3 := pb[corner[0]:], pb[corner[1]:], pb[corner[2]:], pb[corner[3]:]
+	taps := c.gemm.taps
+	var s0, s1, s2, s3 uint64
+	j := 0
+	for ; 2*j+1 < len(taps); j++ {
+		lo, hi := taps[2*j], taps[2*j+1]
+		q := panel[j*4 : j*4+4 : j*4+4]
+		a, b := uint64(w0[lo]), uint64(w0[hi])
+		s0 += a + b
+		q[0] = a | b<<32
+		a, b = uint64(w1[lo]), uint64(w1[hi])
+		s1 += a + b
+		q[1] = a | b<<32
+		a, b = uint64(w2[lo]), uint64(w2[hi])
+		s2 += a + b
+		q[2] = a | b<<32
+		a, b = uint64(w3[lo]), uint64(w3[hi])
+		s3 += a + b
+		q[3] = a | b<<32
 	}
-	if k&1 == 1 {
-		panel[j*4+ci] = lo | swarPadU<<32
+	if 2*j < len(taps) {
+		lo := taps[2*j]
+		q := panel[j*4 : j*4+4 : j*4+4]
+		a, b, d, e := uint64(w0[lo]), uint64(w1[lo]), uint64(w2[lo]), uint64(w3[lo])
+		s0, s1, s2, s3 = s0+a, s1+b, s2+d, s3+e
+		q[0] = a | swarPadU<<32
+		q[1] = b | swarPadU<<32
+		q[2] = d | swarPadU<<32
+		q[3] = e | swarPadU<<32
 	}
-	return sum
+	su[0], su[1], su[2], su[3] = int32(s0), int32(s1), int32(s2), int32(s3)
 }

@@ -24,9 +24,8 @@ type QLayer interface {
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // QConv2D is the fused int8 convolution: conv + bias + ReLU + requantize in
-// one pass. Interior output pixels (full receptive field) accumulate with a
-// zero-point-folded bias over a branch-free inner loop; border pixels take
-// the exact per-tap path. Accumulation is int32 throughout.
+// one pass, for every shape, through the im2col + pair-dot GEMM backend
+// (gemm.go). Accumulation is exact integer arithmetic throughout.
 type QConv2D struct {
 	InC, OutC int
 	K         int
@@ -34,31 +33,20 @@ type QConv2D struct {
 	Pad       int
 	Weights   []int8  // [outC][inC][K][K], symmetric per-tensor
 	Bias      []int32 // accumulator domain (inScale × weightScale)
-	// foldedBias is Bias minus zeroIn × Σ(weights of the channel): the
-	// full-window accumulation then needs no per-tap zero-point subtraction.
-	foldedBias []int32
-	InP, OutP  QuantParams
-	WScale     float32
-	ReLU       bool
-	rq         requant
-	zeroIn     int32
-	// scratch is the serial path's int32 accumulator row (grown on first
-	// use, reused forever); parallel workers borrow theirs from the pools.
-	scratch []int32
-	// swarFold is foldedBias − 128·Σw per output channel: the constant that
-	// rebases the SWAR interior's biased-domain accumulation (swar.go).
-	swarFold []int32
-	// ubuf is the input tensor as biased bytes u = x+128, packed once per
-	// forward pass before any fan-out (read-only to the workers).
-	ubuf []byte
-	// gemm is the im2col GEMM backend (gemm.go), built at construction for
-	// eligible shapes.
-	gemm gemmState
+	InP, OutP QuantParams
+	WScale    float32
+	ReLU      bool
+	rq        requant
+	zeroIn    int32
+	gemm      gemmState
 }
 
 // NewQConv2D quantizes a float convolution for the given input/output
 // activation quantizations.
 func NewQConv2D(c *Conv2D, in, out QuantParams) *QConv2D {
+	if c.K < 1 || c.Stride < 1 {
+		panic(fmt.Sprintf("nn: qconv %d->%d needs K >= 1 and Stride >= 1, got K=%d Stride=%d", c.InC, c.OutC, c.K, c.Stride))
+	}
 	w, ws := quantizeWeights(c.Weights)
 	q := &QConv2D{
 		InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad,
@@ -67,33 +55,9 @@ func NewQConv2D(c *Conv2D, in, out QuantParams) *QConv2D {
 	}
 	accScale := in.Scale * ws
 	q.Bias = quantizeBias(c.Bias, accScale)
-	q.foldedBias = make([]int32, c.OutC)
-	q.swarFold = make([]int32, c.OutC)
-	per := c.InC * c.K * c.K
-	for o := 0; o < c.OutC; o++ {
-		var wsum int32
-		for _, v := range w[o*per : (o+1)*per] {
-			wsum += int32(v)
-		}
-		q.foldedBias[o] = q.Bias[o] - in.Zero*wsum
-		q.swarFold[o] = q.foldedBias[o] - 128*wsum
-	}
 	q.rq = newRequant(float64(accScale)/float64(out.Scale), out.Zero, c.ReLU)
 	q.initGEMM()
 	return q
-}
-
-// packInput rewrites the input tensor as biased bytes into c.ubuf (the SWAR
-// interior and the GEMM A-panel packer both read it through 8-byte loads).
-//
-//sov:hotpath
-func (c *QConv2D) packInput(in *QTensor) {
-	n := len(in.Data)
-	if cap(c.ubuf) < n {
-		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the biased byte buffer
-		c.ubuf = make([]byte, n)
-	}
-	packBiasedBytesInto(c.ubuf[:n], in.Data)
 }
 
 // Name implements QLayer.
@@ -118,251 +82,24 @@ func (c *QConv2D) Forward(in *QTensor) *QTensor {
 	return out
 }
 
-// ForwardInto implements QLayer. The dispatcher (gemm.go) sends deep, wide
-// layers to the im2col GEMM backend; everything else runs the direct
-// tap-major kernel, whose stride-1 interior accumulates in SWAR 16-bit
-// lanes. Both paths are exact integer arithmetic over independent work
-// units, so the output is byte-identical across backends and worker counts.
+// ForwardInto implements QLayer. Column blocks of the GEMM are independent
+// exact integer work units, so the output is byte-identical for any worker
+// count.
 //
 //sov:hotpath
 func (c *QConv2D) ForwardInto(in, out *QTensor) {
 	if in.C != c.InC {
 		panic(fmt.Sprintf("nn: qconv input channels %d != %d", in.C, c.InC))
 	}
+	if in.H+2*c.Pad < c.K || in.W+2*c.Pad < c.K {
+		panic(fmt.Sprintf("nn: qconv%dx%d/%d->%d: input %dx%d with pad %d is smaller than the %dx%d kernel", c.K, c.K, c.InC, c.OutC, in.H, in.W, c.Pad, c.K, c.K))
+	}
 	oc, oh, ow := c.OutShape(in.C, in.H, in.W)
 	if out.C != oc || out.H != oh || out.W != ow {
 		panic(fmt.Sprintf("nn: qconv output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, oc, oh, ow))
 	}
-	if c.gemmOK(oh, ow) {
-		kernelDispatch.gemm.Add(1)
-		c.forwardGEMM(in, out, oh, ow)
-		return
-	}
-	kernelDispatch.direct.Add(1)
-	oxLo, oxHi := c.interior(in.W, ow)
-	swar := c.Stride == 1 && oxHi-oxLo >= 8
-	if swar {
-		c.packInput(in)
-	}
-	if parallel.Workers() <= 1 {
-		if n := oxHi - oxLo; cap(c.scratch) < n {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the accumulator row
-			c.scratch = make([]int32, n)
-		}
-		for o := 0; o < oc; o++ {
-			c.forwardChannel(in, out, o, oh, ow, swar, c.scratch)
-		}
-		return
-	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(oc, 1, func(o0, o1 int) {
-		oxLo, oxHi := c.interior(in.W, ow)
-		acc := parallel.GetI32(oxHi - oxLo)
-		for o := o0; o < o1; o++ {
-			c.forwardChannel(in, out, o, oh, ow, swar, acc)
-		}
-		parallel.PutI32(acc)
-	})
-}
-
-// interior returns the [oxLo, oxHi) output-column range whose full K-wide
-// window fits horizontally inside the input.
-func (c *QConv2D) interior(inW, ow int) (oxLo, oxHi int) {
-	oxLo = ceilDiv(c.Pad, c.Stride)
-	oxHi = (inW-c.K+c.Pad)/c.Stride + 1
-	if oxLo > ow {
-		oxLo = ow
-	}
-	if oxHi > ow {
-		oxHi = ow
-	}
-	if oxHi < oxLo {
-		oxHi = oxLo
-	}
-	return oxLo, oxHi
-}
-
-// forwardChannel computes one output channel of the fused convolution.
-// Interior output rows run eight pixels at a time through the SWAR chunk
-// kernel when the stride is 1 (swar is set by the caller after packing the
-// biased byte buffer); the ≤7 leftover columns — and every row when SWAR is
-// off — accumulate tap-major: each weight is hoisted into a register once
-// and swept across an int32 accumulator row (borrowed from the parallel
-// pools), so the hot loop is a branch-free widening multiply-add with no
-// per-pixel slicing. Integer addition is exact and associative, so neither
-// reordering can perturb results.
-//
-//sov:hotpath
-func (c *QConv2D) forwardChannel(in, out *QTensor, o, oh, ow int, swar bool, scratch []int32) {
-	per := c.InC * c.K * c.K
-	wBase := o * per
-	fold := c.foldedBias[o]
-	rq := c.rq
-	oxLo, oxHi := c.interior(in.W, ow)
-	n := oxHi - oxLo
-	nC := 0
-	if swar {
-		nC = n &^ 7
-	}
-	acc := scratch[:n-nC]
-	k3s1 := c.K == 3 && c.Stride == 1
-	for oy := 0; oy < oh; oy++ {
-		iy0 := oy*c.Stride - c.Pad
-		rowFull := iy0 >= 0 && iy0+c.K <= in.H
-		outRow := out.Data[(o*oh+oy)*ow : (o*oh+oy+1)*ow]
-		if !rowFull {
-			for ox := 0; ox < ow; ox++ {
-				outRow[ox] = rq.apply(c.accEdge(in, wBase, iy0, ox*c.Stride-c.Pad))
-			}
-			continue
-		}
-		for ox := 0; ox < oxLo; ox++ {
-			outRow[ox] = rq.apply(c.accEdge(in, wBase, iy0, ox*c.Stride-c.Pad))
-		}
-		for j0 := 0; j0 < nC; j0 += 8 {
-			c.swarChunk(in.H, in.W, iy0, oxLo+j0-c.Pad, o, outRow[oxLo+j0:oxLo+j0+8])
-		}
-		if len(acc) > 0 {
-			for j := range acc {
-				acc[j] = fold
-			}
-			ix0 := (oxLo+nC)*c.Stride - c.Pad
-			for ic := 0; ic < c.InC; ic++ {
-				wc := wBase + ic*c.K*c.K
-				chanBase := (ic*in.H+iy0)*in.W + ix0
-				for ky := 0; ky < c.K; ky++ {
-					rowBase := chanBase + ky*in.W
-					if k3s1 {
-						w0 := int32(c.Weights[wc+ky*3])
-						w1 := int32(c.Weights[wc+ky*3+1])
-						w2 := int32(c.Weights[wc+ky*3+2])
-						r := in.Data[rowBase : rowBase+len(acc)+2]
-						for j, a := range acc {
-							acc[j] = a + w0*int32(r[j]) + w1*int32(r[j+1]) + w2*int32(r[j+2])
-						}
-						continue
-					}
-					for kx := 0; kx < c.K; kx++ {
-						w := int32(c.Weights[wc+ky*c.K+kx])
-						if w == 0 {
-							continue
-						}
-						r := in.Data[rowBase+kx:]
-						for j := range acc {
-							acc[j] += w * int32(r[j*c.Stride])
-						}
-					}
-				}
-			}
-			for j, a := range acc {
-				outRow[oxLo+nC+j] = rq.apply(a)
-			}
-		}
-		for ox := oxHi; ox < ow; ox++ {
-			outRow[ox] = rq.apply(c.accEdge(in, wBase, iy0, ox*c.Stride-c.Pad))
-		}
-	}
-}
-
-// swarChunk accumulates eight consecutive interior output pixels in SWAR
-// 16-bit lanes. Each tap issues one 8-byte load of biased activations,
-// splits it into even/odd 16-bit lanes, and multiply-accumulates the
-// unsigned weight magnitude into positive- or negative-weight lane words;
-// a running weight budget spills the lanes to int32 before Σ|w|·255 can
-// exceed a 16-bit lane. The biased-domain total folds back through
-// swarFold = foldedBias − 128·Σw, so the result is bit-exact with the
-// tap-major accumulation.
-//
-//sov:hotpath
-func (c *QConv2D) swarChunk(inH, inW, iy0, ix0, o int, outChunk []int8) {
-	ub := c.ubuf
-	per := c.K * c.K
-	wBase := o * c.InC * per
-	var acc [8]int32
-	var pe, po, ne, no uint64
-	var budP, budN int32
-	for ic := 0; ic < c.InC; ic++ {
-		wc := wBase + ic*per
-		chanBase := (ic*inH+iy0)*inW + ix0
-		for ky := 0; ky < c.K; ky++ {
-			rowBase := chanBase + ky*inW
-			wRow := wc + ky*c.K
-			for kx := 0; kx < c.K; kx++ {
-				w := int32(c.Weights[wRow+kx])
-				if w == 0 {
-					continue
-				}
-				v := load8(ub, rowBase+kx)
-				even := v & swarEvenBytes
-				odd := (v >> 8) & swarEvenBytes
-				if w > 0 {
-					if budP += w * 255; budP > 0xFFFF {
-						spillLanes16(&acc, pe, po, 1)
-						pe, po = 0, 0
-						budP = w * 255
-					}
-					u := uint64(w)
-					pe += even * u
-					po += odd * u
-				} else {
-					w = -w
-					if budN += w * 255; budN > 0xFFFF {
-						spillLanes16(&acc, ne, no, -1)
-						ne, no = 0, 0
-						budN = w * 255
-					}
-					u := uint64(w)
-					ne += even * u
-					no += odd * u
-				}
-			}
-		}
-	}
-	spillLanes16(&acc, pe, po, 1)
-	spillLanes16(&acc, ne, no, -1)
-	fold := c.swarFold[o]
-	rq := c.rq
-	for i, a := range &acc {
-		outChunk[i] = rq.apply(fold + a)
-	}
-}
-
-// accEdge accumulates one output pixel whose window is clipped by the
-// image border: only valid taps contribute, each with the exact per-tap
-// zero-point subtraction (clipped taps see real 0, which is the zero point
-// itself, so they contribute nothing — identical semantics to the float
-// kernel's implicit zero padding).
-//
-//sov:hotpath
-func (c *QConv2D) accEdge(in *QTensor, wBase, iy0, ix0 int) int32 {
-	ky0, ky1 := 0, c.K
-	if iy0 < 0 {
-		ky0 = -iy0
-	}
-	if iy0+c.K > in.H {
-		ky1 = in.H - iy0
-	}
-	kx0, kx1 := 0, c.K
-	if ix0 < 0 {
-		kx0 = -ix0
-	}
-	if ix0+c.K > in.W {
-		kx1 = in.W - ix0
-	}
-	sum := c.Bias[wBase/(c.InC*c.K*c.K)]
-	zero := c.zeroIn
-	for ic := 0; ic < c.InC; ic++ {
-		wc := wBase + ic*c.K*c.K
-		chanBase := ic * in.H * in.W
-		for ky := ky0; ky < ky1; ky++ {
-			rowBase := chanBase + (iy0+ky)*in.W + ix0
-			wRow := wc + ky*c.K
-			for kx := kx0; kx < kx1; kx++ {
-				sum += int32(c.Weights[wRow+kx]) * (int32(in.Data[rowBase+kx]) - zero)
-			}
-		}
-	}
-	return sum
+	kernelDispatch.gemm.Add(1)
+	c.forwardGEMM(in, out, oh, ow)
 }
 
 // QMaxPool2 is the 2×2 stride-2 max pool over int8 codes. Quantization is

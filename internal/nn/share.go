@@ -4,11 +4,12 @@ import "fmt"
 
 // Cross-instance weight sharing (DESIGN.md §11). A fleet shard runs the
 // same quantized detector for every vehicle it owns, but the quantized
-// layers carry per-instance scratch (the serial-path accumulator rows,
-// biased-byte input buffers, GEMM A panels, and FC input packs) that makes
-// one model unsafe to forward from two goroutines at once. ShareClone
+// layers carry per-instance scratch (zero-point-padded input buffers with
+// the tap tables built for their shape, GEMM A panels, and FC input packs)
+// that makes one model unsafe to forward from two goroutines at once —
+// a tap table is rebuilt in place when the input shape changes. ShareClone
 // splits the two concerns: the clone aliases every read-only tensor — int8
-// weights, folded biases, SWAR constants, packed GEMM B panels, FC pair
+// weights, biases, pair-dot row constants, packed GEMM B panels, FC pair
 // words, the sigmoid LUT — and zeroes only the mutable scratch, which
 // regrows privately on the clone's first forward. N shards therefore pay
 // one copy of the weight panels (they stay cache-resident across the whole
@@ -19,10 +20,7 @@ import "fmt"
 // buffers. Safe to forward concurrently with the original.
 func (c *QConv2D) ShareClone() *QConv2D {
 	cp := *c
-	cp.scratch = nil
-	cp.ubuf = nil
-	cp.gemm.abuf = nil
-	cp.gemm.sbuf = nil
+	cp.gemm.gemmScratch = gemmScratch{}
 	return &cp
 }
 

@@ -1,12 +1,11 @@
 package nn
 
 // SWAR (SIMD Within A Register) substrate for the second-generation int8
-// kernels (DESIGN.md §10). A uint64 holds eight 8-bit lanes or four 16-bit
-// lanes; the kernels below this file (QFC, the QConv2D interior, the im2col
-// GEMM micro-kernel) do their multiply-accumulate in packed sub-words and
-// spill to int32/int64 before any lane can overflow. Everything is exact
-// integer arithmetic — the SWAR paths produce bit-identical accumulators to
-// the scalar paths they replace, which the package tests assert directly.
+// kernels (DESIGN.md §10). The kernels below this file (QFC and the im2col
+// GEMM micro-kernel behind QConv2D) do their multiply-accumulate on two
+// activations per 64-bit word. Everything is exact integer arithmetic — the
+// SWAR paths produce bit-identical accumulators to the scalar references
+// the package tests compare them with.
 //
 // Lane layout and the pair-dot identity
 //
@@ -33,17 +32,9 @@ package nn
 // the middle sum ≤ 130050 < 2³² cannot carry into the (discarded) top, so
 // (A·B)>>32 extracts u₀w'₀ + u₁w'₁ exactly: two MACs per multiply.
 
-import "encoding/binary"
-
+// swarPadU and swarPadW are the padding lane values of the pair-dot
+// identity: an (u, w') = (0, 128) element contributes exactly zero.
 const (
-	// swarSignFlip XORs int8 bytes into the biased unsigned domain u = x+128.
-	swarSignFlip = 0x8080808080808080
-	// swarEvenBytes selects the even byte lanes of a word as 16-bit lanes.
-	swarEvenBytes = 0x00FF00FF00FF00FF
-	// swarOnes16 replicates a 16-bit lane across the word (horizontal sums).
-	swarOnes16 = 0x0001000100010001
-	// swarPadU and swarPadW are the padding lane values of the pair-dot
-	// identity: an (u, w') = (0, 128) element contributes exactly zero.
 	swarPadU = 0
 	swarPadW = 128
 )
@@ -99,41 +90,4 @@ func packWeightPairsInto(dst []uint64, row []int8) int64 {
 // acc = rowConst + Σ(u·w') − 128·Σu.
 func swarRowConst(foldedBias int32, wsumBiased int64, pairs int) int64 {
 	return int64(foldedBias) - 128*wsumBiased + 16384*int64(2*pairs)
-}
-
-// packBiasedBytesInto rewrites src's int8 codes as biased bytes u = x+128.
-// The convolution kernels read these through 8-byte loads; dst aliases a
-// whole activation tensor, packed once per forward pass.
-//
-//sov:hotpath
-func packBiasedBytesInto(dst []byte, src []int8) {
-	for i, v := range src {
-		dst[i] = uint8(v) ^ 0x80
-	}
-}
-
-// load8 reads eight consecutive biased bytes as one little-endian word, so
-// byte k lands in 8-bit lane k regardless of host endianness.
-//
-//sov:hotpath
-func load8(b []byte, off int) uint64 {
-	return binary.LittleEndian.Uint64(b[off : off+8 : off+8])
-}
-
-// spillLanes16 drains four 16-bit lane accumulators from each of the
-// even/odd lane words into eight int32 accumulators (pixel order: even word
-// lane k is pixel 2k, odd word lane k is pixel 2k+1). sign selects add (+1)
-// or subtract (−1) — the convolution interior keeps separate positive- and
-// negative-weight accumulators so lanes stay unsigned.
-//
-//sov:hotpath
-func spillLanes16(acc *[8]int32, even, odd uint64, sign int32) {
-	acc[0] += sign * int32(even&0xFFFF)
-	acc[2] += sign * int32((even>>16)&0xFFFF)
-	acc[4] += sign * int32((even>>32)&0xFFFF)
-	acc[6] += sign * int32(even>>48)
-	acc[1] += sign * int32(odd&0xFFFF)
-	acc[3] += sign * int32((odd>>16)&0xFFFF)
-	acc[5] += sign * int32((odd>>32)&0xFFFF)
-	acc[7] += sign * int32(odd>>48)
 }

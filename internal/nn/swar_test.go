@@ -42,45 +42,3 @@ func TestPairDotIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestPackBiasedBytes checks the biased byte rewrite and the 8-byte lane
-// loader agree on lane order.
-func TestPackBiasedBytes(t *testing.T) {
-	src := []int8{-128, -1, 0, 1, 127, -64, 64, 33}
-	dst := make([]byte, len(src))
-	packBiasedBytesInto(dst, src)
-	for i, v := range src {
-		if want := uint8(int16(v) + 128); dst[i] != want {
-			t.Fatalf("byte %d: got %d want %d", i, dst[i], want)
-		}
-	}
-	v := load8(dst, 0)
-	for i := 0; i < 8; i++ {
-		lane := uint8(v >> (8 * i))
-		if lane != dst[i] {
-			t.Fatalf("lane %d: got %d want %d", i, lane, dst[i])
-		}
-	}
-}
-
-// TestSpillLanes16 checks the even/odd 16-bit lane drain lands each lane on
-// the right pixel with the right sign.
-func TestSpillLanes16(t *testing.T) {
-	var even, odd uint64
-	for lane := 0; lane < 4; lane++ {
-		even |= uint64(1000+lane) << (16 * lane) // pixels 0,2,4,6
-		odd |= uint64(2000+lane) << (16 * lane)  // pixels 1,3,5,7
-	}
-	var acc [8]int32
-	spillLanes16(&acc, even, odd, 1)
-	spillLanes16(&acc, even, odd, -1)
-	spillLanes16(&acc, even, odd, 1)
-	for lane := 0; lane < 4; lane++ {
-		if acc[2*lane] != int32(1000+lane) {
-			t.Fatalf("even lane %d: got %d", lane, acc[2*lane])
-		}
-		if acc[2*lane+1] != int32(2000+lane) {
-			t.Fatalf("odd lane %d: got %d", lane, acc[2*lane+1])
-		}
-	}
-}

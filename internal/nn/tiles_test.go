@@ -7,12 +7,12 @@ import (
 )
 
 // The GEMM column-block width is not a guess: this test replays the im2col
-// backend's memory access stream — A-panel gather from the biased input,
-// packed-panel writes, the per-row-panel multiply sweep, output writeback —
-// through the cachesim LRU model for a range of block widths, and holds the
-// shipped gemmColBlock at the measured miss-rate optimum. The replay uses
-// the BENCH_quant conv shape (16ch 48×64 → 32ch 3×3 s1 p1), the shape the
-// dispatcher routes to GEMM on the perception hot path.
+// backend's memory access stream — A-panel gather from the padded input
+// through the tap table, packed-panel writes, the per-row-panel multiply
+// sweep, output writeback — through the cachesim LRU model for a range of
+// block widths, and holds the shipped gemmColBlock at the measured
+// miss-rate optimum. The replay uses the BENCH_quant conv shape (16ch 48×64
+// → 32ch 3×3 s1 p1).
 
 const (
 	tileInC, tileInH, tileInW = 16, 48, 64
@@ -20,18 +20,27 @@ const (
 )
 
 // replayGEMMStream drives one full forwardGEMM's worth of accesses with
-// column block width nc through the cache model. Regions are spaced so they
-// never alias: ubuf (biased input bytes), abuf (the reused A-panel
-// scratch), the packed B panels, and the int8 output plane.
+// column block width nc through the cache model. The gather addresses come
+// from a real layer's tap table, in packAGroup's order. Regions are spaced
+// so they never alias: pbuf (padded biased input bytes), the tap table,
+// abuf (the reused A-panel scratch), the packed B panels, and the int8
+// output plane.
 func replayGEMMStream(c *cachesim.Cache, nc int) {
 	const (
-		ubase int64 = 0
+		pbase int64 = 0
+		tbase int64 = 1 << 19
 		abase int64 = 1 << 20
 		bbase int64 = 2 << 20
 		obase int64 = 3 << 20
 	)
-	kd := tileInC * tileK * tileK
-	np := swarPairs(kd)
+	qc := NewQConv2D(&Conv2D{
+		InC: tileInC, OutC: tileOutC, K: tileK, Stride: 1, Pad: tilePad,
+		Weights: make([]float32, tileOutC*tileInC*tileK*tileK), Bias: make([]float32, tileOutC),
+	}, QuantParams{Scale: 1}, QuantParams{Scale: 1})
+	qc.reshape(tileInH, tileInW)
+	taps := qc.gemm.taps
+	np := qc.gemm.np
+	pw := tileInW + 2*tilePad
 	oh, ow := tileInH, tileInW // stride 1, pad 1
 	p := oh * ow
 	panelBytes := int64(np * 4 * 8)
@@ -41,33 +50,14 @@ func replayGEMMStream(c *cachesim.Cache, nc int) {
 			cols = p - colBase
 		}
 		groups := (cols + 3) / 4
-		// A-pack: gather each column's taps (rows of K bytes, clipped at the
-		// borders) and write its group panel.
+		// A-pack: per tap, one table entry and one byte from each of the
+		// group's four windows; then the group's panel is written.
 		for g := 0; g < groups; g++ {
-			for ci := 0; ci < 4; ci++ {
-				col := colBase + g*4 + ci
-				if col >= p {
-					continue
-				}
-				oy, ox := col/ow, col%ow
-				for ic := 0; ic < tileInC; ic++ {
-					for ky := 0; ky < tileK; ky++ {
-						iy := oy - tilePad + ky
-						if iy < 0 || iy >= tileInH {
-							continue
-						}
-						ix0 := ox - tilePad
-						ix1 := ix0 + tileK
-						if ix0 < 0 {
-							ix0 = 0
-						}
-						if ix1 > tileInW {
-							ix1 = tileInW
-						}
-						if ix1 > ix0 {
-							c.Access(ubase+int64((ic*tileInH+iy)*tileInW+ix0), int64(ix1-ix0))
-						}
-					}
+			for k, off := range taps {
+				c.Access(tbase+int64(4*k), 4)
+				for ci := 0; ci < 4; ci++ {
+					col := min(colBase+g*4+ci, p-1)
+					c.Access(pbase+int64(col/ow*pw+col%ow)+int64(off), 1)
 				}
 			}
 			c.Access(abase+int64(g)*panelBytes, panelBytes) // pack writes

@@ -29,9 +29,28 @@ import (
 // configured holds the SetWorkers override; 0 means runtime.NumCPU().
 var configured atomic.Int64
 
-// Workers returns the current parallelism target: the SetWorkers override
-// when set, else runtime.NumCPU().
+// inFlight counts fan-outs currently inside run. While it is non-zero the
+// pool is already the unit of parallelism, so every further fan-out — one
+// issued from a running body, or from another goroutine beside it — takes
+// its caller's serial branch: no closure, no queue traffic, no allocation.
+// Go has no goroutine-local state, so the marker is process-wide; outputs
+// are byte-identical for any worker count, which makes going serial always
+// a legal schedule.
+var inFlight atomic.Int32
+
+// Workers returns the parallelism a fan-out issued now would get: 1 while
+// another fan-out is in flight (see inFlight), else the configured count.
+// Kernels guard their allocation-free serial branch with Workers() <= 1.
 func Workers() int {
+	if inFlight.Load() > 0 {
+		return 1
+	}
+	return configuredWorkers()
+}
+
+// configuredWorkers is the SetWorkers override when set, else
+// runtime.NumCPU().
+func configuredWorkers() int {
 	if n := configured.Load(); n > 0 {
 		return int(n)
 	}
@@ -39,10 +58,10 @@ func Workers() int {
 }
 
 // SetWorkers overrides the worker count (n <= 0 resets to runtime.NumCPU)
-// and returns the previous effective count. Outputs are byte-identical for
-// any setting; only wall-clock time changes.
+// and returns the previously configured count. Outputs are byte-identical
+// for any setting; only wall-clock time changes.
 func SetWorkers(n int) int {
-	prev := Workers()
+	prev := configuredWorkers()
 	if n <= 0 {
 		n = 0
 	}
@@ -52,8 +71,8 @@ func SetWorkers(n int) int {
 
 // tasks is the shared pool's run queue. Helper execution is opportunistic:
 // a submitting goroutine never blocks on the queue and always processes
-// tiles itself, so a saturated pool (e.g. nested parallelism) degrades to
-// caller-runs-everything instead of deadlocking.
+// tiles itself, so a saturated pool (two goroutines fanning out at once)
+// degrades to caller-runs-everything instead of deadlocking.
 var tasks chan func()
 
 var poolStarted atomic.Bool
@@ -116,9 +135,13 @@ func CounterSnapshot() Counters {
 }
 
 // run executes task(0..count-1), each exactly once, using up to `helpers`
-// pool goroutines plus the calling goroutine. While waiting for stragglers
-// the caller drains the shared queue, so nested calls cannot deadlock.
+// pool goroutines plus the calling goroutine. It holds the in-flight marker
+// for its whole duration, so fan-outs issued from task bodies run inline.
+// While waiting for stragglers the caller drains the shared queue, so two
+// goroutines that both got past the marker cannot deadlock each other.
 func run(count, helpers int, task func(i int)) {
+	inFlight.Add(1)
+	defer inFlight.Add(-1)
 	var claimed, completed int64
 	statRuns.Add(1)
 	statTiles.Add(int64(count))

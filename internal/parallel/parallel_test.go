@@ -133,18 +133,40 @@ func TestDoRunsAll(t *testing.T) {
 	}
 }
 
-// TestNestedForDoesNotDeadlock exercises parallel-inside-parallel: the
-// submit path must never block when the pool is saturated.
+// TestNestedForDoesNotDeadlock exercises parallel-inside-parallel: a
+// fan-out issued from a running body runs inline on its caller — For,
+// ForTiled and Do alike — so the whole nest is one run, the body sees one
+// worker, and SetWorkers still reports the configured count.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	withWorkers(t, 8, func() {
-		var total int64
+		var total, tiled, done, serial, configured int64
+		before := CounterSnapshot()
 		For(16, 1, func(s, e int) {
+			if Workers() == 1 {
+				atomic.AddInt64(&serial, 1)
+			}
+			if prev := SetWorkers(8); prev == 8 {
+				atomic.AddInt64(&configured, 1)
+			}
 			For(64, 4, func(s2, e2 int) {
 				atomic.AddInt64(&total, int64(e2-s2))
 			})
+			ForTiled(64, 4, func(_, s2, e2 int) {
+				atomic.AddInt64(&tiled, int64(e2-s2))
+			})
+			Do(func() { atomic.AddInt64(&done, 1) }, func() { atomic.AddInt64(&done, 1) })
 		})
-		if total != 16*64 {
-			t.Fatalf("nested total = %d, want %d", total, 16*64)
+		if total != 16*64 || tiled != 16*64 || done != 16*2 {
+			t.Fatalf("nested totals = %d %d %d, want %d %d %d", total, tiled, done, 16*64, 16*64, 16*2)
+		}
+		if serial != 16 || configured != 16 {
+			t.Fatalf("inside a body: Workers()==1 in %d of 16 tiles, SetWorkers returned the configured count in %d", serial, configured)
+		}
+		if runs := CounterSnapshot().Runs - before.Runs; runs != 1 {
+			t.Fatalf("nested fan-outs cost %d runs, want exactly 1", runs)
+		}
+		if Workers() != 8 {
+			t.Fatalf("Workers() = %d after the fan-out returned, want 8", Workers())
 		}
 	})
 }

@@ -16,7 +16,9 @@ import (
 
 // TestQuantKernelsZeroAllocSteadyState warms each kernel, then requires
 // zero allocations per run with one worker (the serial paths; the parallel
-// fan-outs borrow pooled buffers and are audited by sovlint instead).
+// fan-outs borrow pooled buffers and are audited by sovlint instead), and
+// for the batched detector also with four workers from inside a fan-out
+// body, where every layer's own fan-out runs inline.
 func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 
@@ -117,5 +119,20 @@ func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, k.run); avg > 0 {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", k.name, avg)
 		}
+	}
+
+	// What a fleet shard does: the batch forward called from a parallel.For
+	// body at four workers. The other tile returns at once; the fan-out
+	// stays in flight until this one is done.
+	parallel.SetWorkers(4)
+	batch := kernels[len(kernels)-1]
+	var nested float64
+	parallel.For(2, 1, func(start, _ int) {
+		if start == 0 {
+			nested = testing.AllocsPerRun(20, batch.run)
+		}
+	})
+	if nested > 0 {
+		t.Errorf("%s inside a 4-worker fan-out: %.2f allocs/op in steady state, want 0", batch.name, nested)
 	}
 }

@@ -102,7 +102,8 @@ fi
 
 out="${1:-BENCH_quant.json}"
 cpu="$(awk '/^cpu:/ { sub(/^cpu: */, ""); print; exit }' "$raw")"
-parse_bench "$raw" | awk -v cpu="$cpu" '
+procs="$(awk '/^BenchmarkQuantSpeedup\// { if (match($1, /-[0-9]+$/)) { print substr($1, RSTART + 1); exit } }' "$raw")"
+parse_bench "$raw" | awk -v cpu="$cpu" -v procs="${procs:-1}" '
 {
     kernel = $1; variant = $2
     if (!(kernel in seen)) { order[++nk] = kernel; seen[kernel] = 1 }
@@ -121,7 +122,7 @@ END {
             printf "%s    {\"kernel\": \"%s\", \"int8_ns_per_op\": %s, \"int8_allocs_per_op\": %s}",
                 (k > 1 ? ",\n" : ""), kr, q, al[kr, "int8"]
     }
-    printf "\n  ],\n  \"cpu\": \"%s\"\n}\n", cpu
+    printf "\n  ],\n  \"cpu\": \"%s\",\n  \"num_cpu\": %s\n}\n", cpu, procs
 }
 ' > "$out"
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sovbench [-duration 120s] [-seed 1] [-points 4000] [-only fig10] [-workers N]
-//	         [-pipeline] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //	         [-metrics m.prom] [-spans s.json] [-blackbox b.jsonl]
 //
 // The telemetry flags attach the unified observability layer to the Fig. 10
@@ -35,7 +35,6 @@ func main() {
 	points := flag.Int("points", 4000, "points per synthetic LiDAR scan")
 	only := flag.String("only", "", "run a single experiment: fig2|fig3a|fig3b|table1|table2|fig4a|fig4b|fig6|fig8|fig9|fig10|fig11a|fig11b|fig12|reactive|fusion|extensions|sched|sched-json|csv")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker count for parallel kernels (output is identical for any value)")
-	pipelined := flag.Bool("pipeline", false, "run SoV control loops as overlapped pipeline stages (output is identical)")
 	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md \u00a78)")
 	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler to SoV runs (DESIGN.md \u00a713)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -45,7 +44,6 @@ func main() {
 	boxPath := flag.String("blackbox", "", "attach the flight recorder to the characterization cruise and write anomaly dumps (JSONL) here")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
-	core.SetPipelineDefault(*pipelined)
 	core.SetQuantDefault(*quant)
 	core.SetSchedDefault(*sched)
 

@@ -8,8 +8,8 @@
 //
 //	sovfleet [-vehicles 1000] [-regions 8] [-duration 10m] [-epoch 1s]
 //	         [-seed 1] [-workers N] [-demand 120] [-quant] [-sched]
-//	         [-pipeline] [-perception 0] [-trace fleet.jsonl]
-//	         [-metrics fleet.prom] [-hist] [-cloud telemetry-dir]
+//	         [-perception 0] [-trace fleet.jsonl] [-metrics fleet.prom]
+//	         [-hist] [-cloud telemetry-dir]
 //
 // With -cloud, every epoch's barrier streams per-vehicle events into the
 // LSM telemetry store at that directory (DESIGN.md §14); query it with
@@ -45,7 +45,6 @@ func main() {
 	demand := flag.Float64("demand", 120, "mean rider arrivals per region-hour")
 	quant := flag.Bool("quant", false, "back per-vehicle perception with the int8 kernels")
 	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler to every vehicle")
-	pipelined := flag.Bool("pipeline", false, "run each vehicle's control loop as pipeline stages")
 	perception := flag.Int("perception", 0, "run the batched cross-vehicle quantized detector every k epochs (0 = off)")
 	tracePath := flag.String("trace", "", "write the per-epoch JSONL fleet trace here (- for stdout)")
 	metricsPath := flag.String("metrics", "", "write the fleet metrics exposition here (.json for JSON, else Prometheus text)")
@@ -54,7 +53,6 @@ func main() {
 	flag.Parse()
 
 	parallel.SetWorkers(*workers)
-	core.SetPipelineDefault(*pipelined)
 	core.SetQuantDefault(*quant)
 	core.SetSchedDefault(*sched)
 
@@ -66,9 +64,6 @@ func main() {
 	cfg.DemandPerHour = *demand
 	cfg.PerceptionEvery = *perception
 	cfg.Vehicle = core.DefaultConfig()
-	if *pipelined {
-		cfg.Vehicle.PipelineForce = true
-	}
 
 	if *tracePath != "" {
 		out := os.Stdout

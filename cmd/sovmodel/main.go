@@ -21,11 +21,9 @@ import (
 
 func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "worker count for parallel kernels (output is identical for any value)")
-	pipelined := flag.Bool("pipeline", false, "run any SoV control loops as overlapped pipeline stages (output is identical)")
 	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md \u00a78)")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
-	core.SetPipelineDefault(*pipelined)
 	core.SetQuantDefault(*quant)
 	args := flag.Args()
 	if len(args) < 1 {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sovsim [-duration 120s] [-seed 1] [-no-fpga] [-no-sync] [-no-reactive]
-//	       [-no-radar-tracking] [-em-planner] [-workers N] [-pipeline]
+//	       [-no-radar-tracking] [-em-planner] [-workers N]
 //	       [-sched] [-sched-mapping GPU/FPGA] [-sched-static] [-cameras N]
 //	       [-ambient 25] [-trace t.jsonl] [-metrics m.prom] [-spans s.json]
 //	       [-blackbox b.jsonl]
@@ -39,7 +39,6 @@ func main() {
 	boxPath := flag.String("blackbox", "", "write flight-recorder anomaly dumps (JSONL) to this path")
 	boxDepth := flag.Int("blackbox-depth", 64, "flight-recorder ring depth in cycles")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker count for parallel kernels (output is identical for any value)")
-	pipelined := flag.Bool("pipeline", false, "run the control loop as overlapped pipeline stages (output is identical)")
 	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md §8)")
 	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler (DESIGN.md §13)")
 	schedMapping := flag.String("sched-mapping", "", "scheduler initial SU/Loc mapping, e.g. GPU/FPGA")
@@ -51,7 +50,6 @@ func main() {
 	core.SetSchedDefault(*sched)
 
 	cfg := core.DefaultConfig()
-	cfg.Pipeline = *pipelined
 	cfg.Quant = *quant
 	cfg.SchedMapping = *schedMapping
 	cfg.SchedStatic = *schedStatic

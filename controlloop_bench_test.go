@@ -1,8 +1,7 @@
-// Benchmarks for the staged control-loop dataflow: serial vs pipelined
-// wall-clock throughput and the steady-state allocation contract. The CI
-// bench-smoke step runs TestControlLoopSteadyStateAllocs as the regression
-// gate; scripts/bench_pipeline.sh turns the benchmark output into
-// BENCH_pipeline.json.
+// Control-loop wall-clock throughput (ROADMAP's pprof target) and the
+// steady-state allocation contract. The CI bench-smoke step runs
+// TestControlLoopSteadyStateAllocs as the regression gate; the committed
+// control-loop number is the cruise workload of `go run ./benchmark`.
 package sov
 
 import (
@@ -16,29 +15,19 @@ import (
 	"sov/internal/parallel"
 )
 
-// benchCruise runs one fixed-horizon characterization cruise. Each op spans
-// simDuration of virtual time (~10 control cycles per virtual second), so
-// per-cycle figures are ns/op and allocs/op divided by the cycle count.
-func benchCruise(b *testing.B, pipelined bool, simDuration time.Duration) {
-	b.Helper()
+// BenchmarkControlLoopThroughput runs one 60 s characterization cruise per
+// op (~10 control cycles per virtual second), so per-cycle figures are ns/op
+// and allocs/op divided by the cycle count.
+func BenchmarkControlLoopThroughput(b *testing.B) {
 	var rep *core.Report
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Pipeline = pipelined
-		rep = core.New(cfg, core.CruiseScenario(3)).Run(simDuration)
+		rep = core.New(core.DefaultConfig(), core.CruiseScenario(3)).Run(60 * time.Second)
 	}
-	b.StopTimer()
 	cycles := float64(rep.Cycles)
 	b.ReportMetric(cycles, "cycles/op")
 	b.ReportMetric(cycles/b.Elapsed().Seconds()*float64(b.N), "cycles/sec")
 	b.ReportMetric(rep.PipelineDepth.Mean(), "inflight_mean")
-}
-
-func BenchmarkPipelineThroughput(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchCruise(b, false, 60*time.Second) })
-	b.Run("pipelined", func(b *testing.B) { benchCruise(b, true, 60*time.Second) })
 }
 
 // measureSteadyStateAllocs returns the per-cycle allocation rate of the
@@ -48,10 +37,10 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 // writer, flight recorder — is attached, so the gate also covers the obs
 // record paths. With sched set, the online heterogeneous scheduler runs in
 // the loop, so the gate covers its per-cycle BeginCycle/Observe path too.
-func measureSteadyStateAllocs(pipelined, instrumented, sched bool) float64 {
+func measureSteadyStateAllocs(quant, instrumented, sched bool) float64 {
 	run := func(d time.Duration) (uint64, int) {
 		cfg := core.DefaultConfig()
-		cfg.Pipeline = pipelined
+		cfg.Quant = quant
 		cfg.Sched = sched
 		s := core.New(cfg, core.CruiseScenario(3))
 		if instrumented {
@@ -73,15 +62,15 @@ func measureSteadyStateAllocs(pipelined, instrumented, sched bool) float64 {
 
 // TestControlLoopSteadyStateAllocs is the CI bench-smoke gate for the
 // zero-allocation frame-reuse contract: a warm control cycle — capture,
-// perceive, plan, delivery scheduling — must stay near zero allocations in
-// both modes. The seed ran ~25 allocs/cycle; the frame/slot/event recycling
-// brought it under 1. The bound of 2 leaves headroom for amortized sample
-// growth without letting a per-cycle regression slip through. The
-// instrumented variants hold the telemetry layer to the same bound: its
-// steady-state record paths (counters, histogram bins, buffered spans, the
-// flight-recorder ring) must add ~0 allocs/cycle. The sched variants hold
-// the online scheduler to it as well: BeginCycle/Observe/decide work
-// entirely in preallocated candidate tables.
+// perceive, plan, delivery scheduling — must stay near zero allocations.
+// The seed ran ~25 allocs/cycle; the frame/slot/event recycling brought it
+// under 1. The bound of 2 leaves headroom for amortized sample growth
+// without letting a per-cycle regression slip through. The obs rows hold the
+// telemetry layer to the same bound: its steady-state record paths
+// (counters, histogram bins, buffered spans, the flight-recorder ring) must
+// add ~0 allocs/cycle. The sched rows hold the online scheduler to it as
+// well: BeginCycle/Observe/decide work entirely in preallocated candidate
+// tables. Every row runs on the float and on the int8 operating points.
 //
 // The gate names its worker count instead of inheriting the host's: one
 // worker is the contract the repo commits to today. With more, every
@@ -91,19 +80,19 @@ func TestControlLoopSteadyStateAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
 	for _, mode := range []struct {
-		name         string
-		pipelined    bool
-		instrumented bool
-		sched        bool
+		name                       string
+		quant, instrumented, sched bool
 	}{
-		{"serial", false, false, false},
-		{"pipelined", true, false, false},
-		{"serial+obs", false, true, false},
-		{"pipelined+obs", true, true, false},
-		{"serial+sched", false, false, true},
-		{"pipelined+obs+sched", true, true, true},
+		{"plain", false, false, false},
+		{"obs", false, true, false},
+		{"sched", false, false, true},
+		{"obs+sched", false, true, true},
+		{"quant", true, false, false},
+		{"quant+obs", true, true, false},
+		{"quant+sched", true, false, true},
+		{"quant+obs+sched", true, true, true},
 	} {
-		if got := measureSteadyStateAllocs(mode.pipelined, mode.instrumented, mode.sched); got > 2 {
+		if got := measureSteadyStateAllocs(mode.quant, mode.instrumented, mode.sched); got > 2 {
 			t.Errorf("%s control loop allocates %.2f allocs/cycle in steady state, want < 2",
 				mode.name, got)
 		}

@@ -33,7 +33,6 @@ func benchFleetConfig(vehicles int) fleet.Config {
 	v.PhysicsRate = 10
 	v.RadarRate = 5
 	v.ReactiveRate = 5
-	v.Pipeline = false
 	v.Quant = false
 	cfg.Vehicle = v
 	return cfg
@@ -60,10 +59,10 @@ func benchFleetEpoch(b *testing.B, vehicles, workers int) {
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1000, "epoch_ms")
 }
 
-// BenchmarkFleetThroughput sweeps fleet size × worker count. Like the
-// pipeline benchmark, worker-count speedups are only expressible on a
-// multi-core host — bench_fleet.sh records num_cpu next to the numbers so
-// a single-CPU runner's flat curve reads as what it is.
+// BenchmarkFleetThroughput sweeps fleet size × worker count. Worker-count
+// speedups are only expressible on a multi-core host — bench_fleet.sh
+// records num_cpu next to the numbers so a single-CPU runner's flat curve
+// reads as what it is.
 func BenchmarkFleetThroughput(b *testing.B) {
 	for _, v := range []int{100, 1000} {
 		for _, w := range []int{1, 4, 8} {

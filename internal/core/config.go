@@ -8,7 +8,6 @@
 package core
 
 import (
-	"os"
 	"time"
 
 	"sov/internal/detect"
@@ -56,17 +55,16 @@ type Config struct {
 	RPREnabled bool
 	// KeyframeEvery spaces feature-extraction keyframes (RPR swaps).
 	KeyframeEvery int
-	// Pipeline runs the control loop as a staged dataflow: sensing capture
-	// on the simulation thread, perception and planning as overlapped
-	// pipeline stages with recycled frame buffers (internal/pipeline).
-	// Virtual-time results are byte-identical to the serial loop; only
-	// wall-clock execution changes. On a single-CPU host (GOMAXPROCS=1)
-	// the stage goroutines only add handoff overhead, so Run falls back to
-	// the serial loop unless PipelineForce is set; the decision lands in
-	// Report.PipelineDecision.
+	// Pipeline is inert: the overlapped stage runtime it selected is gone
+	// and the control loop has one execution path (DESIGN.md §6).
+	//
+	// Deprecated: nothing reads it. It stays only because benchmark/, frozen
+	// for the PR that removed the runtime, assigns it; ROADMAP item 3 records
+	// the benchmark-only follow-up that drops it.
 	Pipeline bool
-	// PipelineForce keeps the staged dataflow even when the host has a
-	// single CPU (tests and diagnostics of the pipelined runtime itself).
+	// PipelineForce is inert.
+	//
+	// Deprecated: see Pipeline.
 	PipelineForce bool
 	// Quant backs perception with the int8 fixed-point kernels
 	// (internal/nn QNetwork, fixed-point ISP/stereo/decode): the dense
@@ -134,30 +132,22 @@ type Config struct {
 	SyncErrorFactor float64
 }
 
-// pipelineDefault is the process-wide default for Config.Pipeline, set by
-// command-line front-ends (-pipeline) so helpers that build DefaultConfig
-// internally (the experiment suite) pick the pipelined runtime up too. The
-// SOV_PIPELINE environment variable seeds it, letting CI rerun the whole
-// test suite under the pipelined runtime (results are byte-identical, so
-// every assertion must hold in both modes).
-var pipelineDefault = os.Getenv("SOV_PIPELINE") == "1"
+// SetPipelineDefault does nothing.
+//
+// Deprecated: see Config.Pipeline.
+func SetPipelineDefault(bool) {}
 
-// SetPipelineDefault makes subsequent DefaultConfig calls enable (or
-// disable) the pipelined control-loop runtime.
-func SetPipelineDefault(on bool) { pipelineDefault = on }
-
-// quantDefault mirrors pipelineDefault for Config.Quant: the -quant flags
-// seed it, and the SOV_QUANT environment variable lets CI rerun suites on
-// the fixed-point perception path.
-var quantDefault = os.Getenv("SOV_QUANT") == "1"
+// quantDefault is the process-wide default for Config.Quant: the -quant
+// flags set it so helpers that build DefaultConfig internally (the
+// experiment suite) run on the fixed-point perception path too.
+var quantDefault bool
 
 // SetQuantDefault makes subsequent DefaultConfig calls enable (or disable)
 // the quantized perception path.
 func SetQuantDefault(on bool) { quantDefault = on }
 
-// schedDefault mirrors pipelineDefault for Config.Sched: the -sched flags
-// on sovsim/sovbench/sovfleet seed it so helpers that build DefaultConfig
-// internally (the experiment suite) attach the scheduler too.
+// schedDefault mirrors quantDefault for Config.Sched: the -sched flags on
+// sovsim/sovbench/sovfleet set it.
 var schedDefault bool
 
 // SetSchedDefault makes subsequent DefaultConfig calls attach (or not) the
@@ -167,7 +157,6 @@ func SetSchedDefault(on bool) { schedDefault = on }
 // DefaultConfig returns the deployed configuration.
 func DefaultConfig() Config {
 	return Config{
-		Pipeline:        pipelineDefault,
 		Quant:           quantDefault,
 		Sched:           schedDefault,
 		Cameras:         1,

@@ -9,7 +9,6 @@ import (
 	"sov/internal/fusion"
 	"sov/internal/mathx"
 	"sov/internal/parallel"
-	"sov/internal/pipeline"
 	"sov/internal/planning"
 	"sov/internal/rpr"
 	"sov/internal/sched"
@@ -20,32 +19,24 @@ import (
 )
 
 // The control loop is split into three stages — capture, perceive, plan —
-// that communicate through a cycleFrame. Serial mode runs them back to back
-// inside the control event; pipelined mode runs perceive and plan on
-// internal/pipeline stage goroutines so frame N plans while N+1 perceives
-// and N+2 captures.
+// that communicate through a cycleFrame and run back to back inside the
+// control event.
 //
 // The split is drawn along the determinism boundary. Everything that touches
-// shared mutable state or the coordinator RNG stream stays in capture, on
-// the simulation-engine thread, in cycle order: the lane handover, the
-// latency draw, the radar scan (its per-unit RNG streams interleave with the
-// reactive path's scans), the shared-stream noise draws, the command
-// sequence number, and the delivery schedule. Perceive and plan touch only
-// state they own exclusively (the detector's forked RNG, the tracker, the
-// planner's warm start, the tracer) plus frame snapshots, so running them
-// behind FIFO queues on single goroutines reproduces the serial results
-// bit for bit.
+// shared mutable state or the coordinator RNG stream is in capture: the lane
+// handover, the latency draw, the radar scan (its per-unit RNG streams
+// interleave with the reactive path's scans), the shared-stream noise draws,
+// the command sequence number, and the in-flight depth. Perceive and plan
+// touch only state they own exclusively (the detector's forked RNG, the
+// tracker, the planner's warm start, the tracer) plus frame snapshots, which
+// is what lets perception fan its two kernels out over workers and keeps
+// every telemetry record a function of capture-time values (obs.go).
 
-// pipeQueueCap bounds each inter-stage ring; with ~100 ms control periods
-// and ~165 ms compute latency the steady-state depth is 2-3 frames, so a
-// small bound provides backpressure without stalling capture.
-const pipeQueueCap = 4
-
-// cycleFrame carries one control cycle through the stages. All slices are
-// recycled buffers: stages truncate and refill them, never reallocate once
-// warm.
+// cycleFrame carries one control cycle through the stages. The SoV owns one
+// and reuses it every cycle; all slices are recycled buffers: stages
+// truncate and refill them, never reallocate once warm.
 type cycleFrame struct {
-	// Captured on the engine thread.
+	// Capture-stage outputs.
 	cycle          int
 	t0             time.Duration
 	pose           world.Pose
@@ -60,8 +51,8 @@ type cycleFrame struct {
 	tdata          time.Duration
 	inflight       int
 	overrideActive bool
-	// Scheduler decisions snapshotted at capture, so the plan stage can
-	// emit their spans/metrics without touching scheduler state.
+	// Scheduler decisions snapshotted at capture, so the plan stage emits
+	// their spans/metrics without touching scheduler state.
 	schedRemap    bool
 	schedOpSwitch bool
 	schedSwap     time.Duration
@@ -81,70 +72,10 @@ type cycleFrame struct {
 	blocked   bool
 	cmdFrame  canbus.Frame
 	encodeOK  bool
-	// done signals the plan stage finished this frame; the delivery event
-	// waits on it in pipelined mode.
-	done chan struct{}
-	// deliver is the frame's delivery-event closure, built once when the
-	// frame pool creates the frame so scheduling never allocates.
-	deliver func()
-}
-
-func newCycleFrame() *cycleFrame {
-	return &cycleFrame{done: make(chan struct{}, 1)}
-}
-
-// startPipeline builds the frame pool and the two-stage runtime. Called
-// from Run when cfg.Pipeline is set.
-func (s *SoV) startPipeline() {
-	pool := pipeline.NewFramePool(func() *cycleFrame {
-		fr := newCycleFrame()
-		fr.deliver = func() {
-			<-fr.done // the command must be computed before it can arrive
-			if fr.encodeOK {
-				if err := s.ecu.Receive(fr.cmdFrame); err == nil {
-					s.report.CommandsDelivered++
-					if s.obsM != nil {
-						s.obsM.delivered.Inc()
-					}
-				}
-			}
-			s.framePool.Put(fr)
-		}
-		return fr
-	}, func(fr *cycleFrame) {
-		select {
-		case <-fr.done: // drain a stale completion token (unfired delivery)
-		default:
-		}
-	})
-	s.framePool = pool
-	s.pipe = pipeline.NewRuntime(pipeQueueCap,
-		pipeline.Stage[cycleFrame]{Name: "perceive", Fn: s.perceiveFrame},
-		pipeline.Stage[cycleFrame]{Name: "plan", Fn: func(fr *cycleFrame) {
-			s.planFrame(fr)
-			fr.done <- struct{}{}
-		}},
-	)
-}
-
-// stopPipeline waits out in-flight frames, joins the stage goroutines, and
-// files the wall-clock diagnostics into the report.
-func (s *SoV) stopPipeline() {
-	if s.pipe == nil {
-		return
-	}
-	s.pipe.Drain()
-	s.pipe.Stop()
-	s.report.Pipeline = &PipelineStats{Stages: s.pipe.Stats(), Pool: s.framePool.Stats()}
-	//sovlint:ignore detflow the PIDHost span track is host-class diagnostics by contract, outside the determinism boundary
-	s.emitHostSpans(s.report.Pipeline)
-	s.pipe = nil
-	s.framePool = nil
 }
 
 // captureInto runs the capture stage: everything RNG- or shared-state-
-// dependent, in the exact order of the historical serial cycle, snapshotted
-// into the frame.
+// dependent, in a fixed order, snapshotted into the frame.
 func (s *SoV) captureInto(fr *cycleFrame) {
 	s.cycle++
 	fr.cycle = s.cycle
@@ -172,11 +103,11 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 		radarStable = !s.rng.Bernoulli(p)
 	}
 
-	// The online scheduler runs at capture, on the engine thread, in cycle
-	// order: its inputs (battery SoC, keyframe schedule, the EWMAs fed by
-	// prior draws) are all virtual-class, so the decision sequence — and
-	// therefore every multiplier it hands the latency model — is identical
-	// across worker counts and control-loop modes.
+	// The online scheduler runs at capture, in cycle order: its inputs
+	// (battery SoC, keyframe schedule, the EWMAs fed by prior draws) are all
+	// virtual-class, so the decision sequence — and therefore every
+	// multiplier it hands the latency model — is identical across worker
+	// counts.
 	var tr *sched.Transform
 	fr.schedRemap, fr.schedOpSwitch, fr.schedSwap = false, false, 0
 	if s.sched != nil {
@@ -220,8 +151,8 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	s.report.observe(fr.d)
 
 	// Pose-estimate noise is drawn at capture so the coordinator's RNG
-	// stream keeps its serial order (dropout Bernoulli, then pose noise)
-	// regardless of how the later stages are scheduled.
+	// stream keeps its order (dropout Bernoulli, then pose noise) however
+	// perception fans out.
 	fr.locStd = s.cfg.LocalizationErrorStd
 	if !s.cfg.HardwareSync {
 		fr.locStd *= s.cfg.SyncErrorFactor
@@ -235,7 +166,7 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 
 	// The radar scan stays at capture: its per-unit RNG streams are shared
 	// with the reactive path's scans, so the draw order must follow the
-	// virtual clock, not pipeline wall-clock.
+	// virtual clock.
 	fr.rig = s.radarRig.ScanAllInto(fr.rig[:0], fr.t0, fr.pose)
 	fr.returns = fr.returns[:0]
 	for _, rr := range fr.rig {
@@ -250,16 +181,16 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 
 	// The command sequence number is assigned at capture — in virtual time
 	// the cycle's command exists from its capture instant, which is what
-	// the reactive override's Seq must reflect in both modes.
+	// the reactive override's Seq must reflect.
 	s.seq++
 	fr.seq = s.seq
 	fr.tdata = s.bus.CommandLatency()
 	fr.overrideActive = s.ecu.OverrideActive()
 
 	// Pipeline depth in virtual time: commands captured earlier whose
-	// delivery lies beyond this capture are still in flight. Identical in
-	// serial and pipelined runs — the overlap the dataflow exploits is a
-	// property of the latency model, not of the host scheduling.
+	// delivery lies beyond this capture are still in flight — the paper's
+	// pipelining (10 Hz commands against a ~164 ms Tcomp, Sec. V-C) is a
+	// property of the latency model, not of host scheduling.
 	n := 0
 	for _, deadline := range s.outstanding {
 		if deadline > fr.t0 {

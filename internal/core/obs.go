@@ -12,10 +12,9 @@ import (
 // control loop. The split follows the determinism boundary documented in
 // dataflow.go: everything recorded per cycle derives from frame snapshots
 // (capture-time values), so metrics, spans, and flight-recorder content on
-// the virtual track are byte-identical across worker counts and control-loop
-// modes. Host wall-clock diagnostics (pipeline stage utilization, parallel
-// substrate scheduling) are published as ClassHost metrics and on the
-// PIDHost span track, outside the byte-identity contract.
+// the virtual track are byte-identical across worker counts. Host
+// diagnostics (parallel substrate scheduling, kernel call volume) are
+// published as ClassHost metrics, outside the byte-identity contract.
 
 // Span thread lanes on the virtual-time track, one per control-loop stage.
 // The order mirrors the causal chain: capture → sensing → perception
@@ -55,9 +54,6 @@ const (
 	spanSchedOp    = "sched-op-switch"
 	spanSchedSwap  = "sched-rpr-swap"
 )
-
-// Host-track stage lanes (one per pipeline stage, in Runtime order).
-const tidHostStageBase = 1
 
 // coreMetrics bundles the SoV's registry handles. The steady-state handles
 // are created at attach time; run-summary metrics register lazily at the
@@ -189,9 +185,9 @@ func (s *SoV) observeE2E(total time.Duration) {
 }
 
 // recordSpans emits one cycle's stage spans from frame snapshots. Runs on
-// the plan stage (the only SpanWriter caller during a run), so pipelined and
-// serial modes produce identical event sets; the writer's sort-at-Close
-// keeps each lane monotonic regardless of latency overlap between cycles.
+// the plan stage (the only SpanWriter caller during a run); the writer's
+// sort-at-Close keeps each lane monotonic regardless of latency overlap
+// between cycles.
 //
 //sov:hotpath
 func (s *SoV) recordSpans(fr *cycleFrame) {
@@ -232,7 +228,7 @@ func (s *SoV) recordSpans(fr *cycleFrame) {
 
 // recordBox files one cycle with the flight recorder. Runs on the plan
 // stage; all fields are capture-time snapshots, so ring content at any
-// virtual time is mode-independent.
+// virtual time does not depend on the worker count.
 //
 //sov:hotpath
 func (s *SoV) recordBox(fr *cycleFrame) {
@@ -282,8 +278,8 @@ func (m *coreMetrics) gaugeSet(name, help string, class obs.Class, v float64) {
 }
 
 // publishRunMetrics files the run-summary metrics after report.finish: the
-// virtual-time safety/energy/subsystem totals, then the host-class pipeline
-// and parallel-substrate diagnostics. Cold path — runs once per Run.
+// virtual-time safety/energy/subsystem totals, then the host-class
+// parallel-substrate and kernel diagnostics. Cold path — runs once per Run.
 func (s *SoV) publishRunMetrics() {
 	m := s.obsM
 	if m == nil {
@@ -341,38 +337,4 @@ func (s *SoV) publishRunMetrics() {
 	m.counterSet("sov_qconv_gemm_dispatches_total", "QConv2D calls (im2col GEMM backend)", obs.ClassHost, kc.GEMMDispatches-m.nn0.GEMMDispatches+m.prev["sov_qconv_gemm_dispatches_total"])
 	m.counterSet("sov_qnn_batch_images_total", "images processed through batched network forwards", obs.ClassHost, kc.BatchImages-m.nn0.BatchImages+m.prev["sov_qnn_batch_images_total"])
 	m.nn0 = kc
-
-	// Pipelined runtime (host wall-clock) when the run used it.
-	if p := r.Pipeline; p != nil {
-		for _, st := range p.Stages {
-			m.counterSet("sov_pipe_"+st.Name+"_frames_total", "frames processed by the stage", obs.ClassHost, st.Frames)
-			m.gaugeSet("sov_pipe_"+st.Name+"_busy_ms", "stage busy wall-clock time", obs.ClassHost, st.Busy.Seconds()*1000)
-			m.gaugeSet("sov_pipe_"+st.Name+"_wait_ms", "stage idle wall-clock time", obs.ClassHost, st.Wait.Seconds()*1000)
-			m.counterSet("sov_pipe_"+st.Name+"_queue_stalls_total", "submissions that found the stage queue full", obs.ClassHost, st.Queue.FullStalls)
-			m.gaugeSet("sov_pipe_"+st.Name+"_queue_mean_occupancy", "mean inbound queue occupancy", obs.ClassHost, st.Queue.MeanOcc)
-			m.gaugeSet("sov_pipe_"+st.Name+"_queue_max_occupancy", "max inbound queue occupancy", obs.ClassHost, float64(st.Queue.MaxOcc))
-		}
-		m.counterSet("sov_pipe_pool_news_total", "frames allocated by the pool", obs.ClassHost, p.Pool.News)
-		m.counterSet("sov_pipe_pool_reuses_total", "frames recycled by the pool", obs.ClassHost, p.Pool.Reuses)
-	}
-}
-
-// emitHostSpans files the pipelined runtime's wall-clock utilization on the
-// host span track: per stage, a busy span followed by a wait span, so the
-// Perfetto lane reads as a utilization bar. Called after the stage
-// goroutines have joined.
-func (s *SoV) emitHostSpans(p *PipelineStats) {
-	sw := s.spans
-	if sw == nil || p == nil {
-		return
-	}
-	sw.DeclareProcess(obs.PIDHost, "host wall-clock (pipeline diagnostics)")
-	for i, st := range p.Stages {
-		tid := tidHostStageBase + i
-		sw.DeclareThread(obs.PIDHost, tid, st.Name)
-		// Stage names come from the static Runtime construction, never from
-		// user input, so embedding them in thread metadata is JSON-safe.
-		sw.Span(obs.PIDHost, tid, "busy", "", 0, 0, st.Busy)
-		sw.Span(obs.PIDHost, tid, "wait", "busy", 0, st.Busy, st.Wait)
-	}
 }

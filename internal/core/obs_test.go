@@ -16,18 +16,17 @@ import (
 type obsOutputs struct {
 	metricsVirtual string // virtual-only registry exposition
 	spansVirtual   string // PIDVirtual lines of the span file
+	spanFile       string // the span file as written
 	box            string // flight-recorder dump stream, verbatim
 	rep            *Report
 }
 
-// obsRun executes one fully instrumented cruise in the given mode.
-func obsRun(t *testing.T, pipelined, quant bool, workers int, dur time.Duration) obsOutputs {
+// obsRun executes one fully instrumented cruise at the given worker count.
+func obsRun(t *testing.T, quant bool, workers int, dur time.Duration) obsOutputs {
 	t.Helper()
 	defer parallel.SetWorkers(parallel.SetWorkers(workers))
 
 	cfg := DefaultConfig()
-	cfg.Pipeline = pipelined
-	cfg.PipelineForce = pipelined
 	cfg.Quant = quant
 	s := New(cfg, CruiseScenario(3))
 
@@ -50,20 +49,18 @@ func obsRun(t *testing.T, pipelined, quant bool, workers int, dur time.Duration)
 	if err := reg.WriteText(&met, false); err != nil {
 		t.Fatal(err)
 	}
-	// Keep only the virtual-time track: host spans (pipelined runs emit
-	// stage-utilization spans on PIDHost) are wall-clock diagnostics.
-	// A pipelined run appends host events after the last virtual one, which
-	// turns the final virtual line's separator into a trailing comma — strip
-	// it so the comparison sees only event content.
+	// Keep only the virtual-time track: anything on PIDHost is a wall-clock
+	// diagnostic outside the contract.
 	var virt []string
 	for _, line := range strings.Split(spanBuf.String(), "\n") {
 		if strings.Contains(line, `"pid":1,`) {
-			virt = append(virt, strings.TrimSuffix(line, ","))
+			virt = append(virt, line)
 		}
 	}
 	return obsOutputs{
 		metricsVirtual: met.String(),
 		spansVirtual:   strings.Join(virt, "\n"),
+		spanFile:       spanBuf.String(),
 		box:            boxBuf.String(),
 		rep:            rep,
 	}
@@ -71,9 +68,8 @@ func obsRun(t *testing.T, pipelined, quant bool, workers int, dur time.Duration)
 
 // TestObsVirtualOutputsByteIdentical is the telemetry determinism contract:
 // the virtual-only metrics exposition, the virtual span track, and the
-// flight-recorder stream must be byte-identical across worker counts and
-// serial/pipelined control loops, for both the float and quantized latency
-// models.
+// flight-recorder stream must be byte-identical across worker counts, for
+// both the float and quantized latency models.
 func TestObsVirtualOutputsByteIdentical(t *testing.T) {
 	const dur = 30 * time.Second
 	for _, quant := range []bool{false, true} {
@@ -81,29 +77,19 @@ func TestObsVirtualOutputsByteIdentical(t *testing.T) {
 		if quant {
 			name = "quant"
 		}
-		ref := obsRun(t, false, quant, 1, dur)
+		ref := obsRun(t, quant, 1, dur)
 		if ref.rep.Cycles == 0 {
 			t.Fatalf("%s: no cycles ran", name)
 		}
-		for _, mode := range []struct {
-			label     string
-			pipelined bool
-			workers   int
-		}{
-			{"serial/8w", false, 8},
-			{"pipelined/1w", true, 1},
-			{"pipelined/8w", true, 8},
-		} {
-			got := obsRun(t, mode.pipelined, quant, mode.workers, dur)
-			if got.metricsVirtual != ref.metricsVirtual {
-				t.Errorf("%s %s: virtual metrics exposition diverged from serial/1w", name, mode.label)
-			}
-			if got.spansVirtual != ref.spansVirtual {
-				t.Errorf("%s %s: virtual span track diverged from serial/1w", name, mode.label)
-			}
-			if got.box != ref.box {
-				t.Errorf("%s %s: flight-recorder stream diverged from serial/1w", name, mode.label)
-			}
+		got := obsRun(t, quant, 8, dur)
+		if got.metricsVirtual != ref.metricsVirtual {
+			t.Errorf("%s: virtual metrics exposition differs between 1 and 8 workers", name)
+		}
+		if got.spansVirtual != ref.spansVirtual {
+			t.Errorf("%s: virtual span track differs between 1 and 8 workers", name)
+		}
+		if got.box != ref.box {
+			t.Errorf("%s: flight-recorder stream differs between 1 and 8 workers", name)
 		}
 	}
 }
@@ -159,80 +145,47 @@ func itoa(n int) string {
 }
 
 // TestObsSpanCountAndLayout: every cycle contributes exactly ten spans on
-// the virtual track, and a forced-pipelined run adds the host utilization
-// track without touching the virtual one.
+// the virtual track, and the span file as written parses to the same count.
 func TestObsSpanCountAndLayout(t *testing.T) {
-	out := obsRun(t, true, false, 1, 20*time.Second)
+	out := obsRun(t, false, 1, 20*time.Second)
 	virtSpans := strings.Count(out.spansVirtual, `"ph":"X"`)
 	if want := out.rep.Cycles * 10; virtSpans != want {
 		t.Fatalf("virtual spans = %d, want %d (10 per cycle over %d cycles)", virtSpans, want, out.rep.Cycles)
 	}
-	// The whole file parses and the host track is present and labeled.
-	sum, err := obs.SummarizeSpans(strings.NewReader(rebuildSpanFile(t, true, 20*time.Second)))
+	sum, err := obs.SummarizeSpans(strings.NewReader(out.spanFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Cycles != out.rep.Cycles || sum.Events != virtSpans {
 		t.Fatalf("summary sees %d events over %d cycles, want %d over %d", sum.Events, sum.Cycles, virtSpans, out.rep.Cycles)
 	}
-	if sum.HostEvents == 0 {
-		t.Fatal("forced-pipelined run emitted no host utilization spans")
-	}
-}
-
-// rebuildSpanFile reruns the instrumented cruise and returns the raw span
-// file (obsRun strips it down to the virtual lines).
-func rebuildSpanFile(t *testing.T, pipelined bool, dur time.Duration) string {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Pipeline = pipelined
-	cfg.PipelineForce = pipelined
-	s := New(cfg, CruiseScenario(3))
-	var buf bytes.Buffer
-	sw := obs.NewSpanWriter(&buf)
-	s.AttachSpans(sw)
-	s.Run(dur)
-	if _, err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
 }
 
 // TestObsFlightRecorderCapturesReactive: a sudden obstacle inside the
 // proactive envelope engages the reactive path, and the flight recorder must
-// dump the surrounding cycles — identically in both control-loop modes.
+// dump the surrounding cycles.
 func TestObsFlightRecorderCapturesReactive(t *testing.T) {
-	run := func(pipelined bool) (string, *Report) {
-		cfg := DefaultConfig()
-		cfg.Pipeline = pipelined
-		cfg.PipelineForce = pipelined
-		w, _ := CutInScenario(cfg.TargetSpeed, 4.5)
-		s := New(cfg, w)
-		var buf bytes.Buffer
-		box := obs.NewFlightRecorder(&buf, 16, 3)
-		s.AttachFlightRecorder(box)
-		rep := s.Run(30 * time.Second)
-		if _, err := box.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), rep
+	cfg := DefaultConfig()
+	w, _ := CutInScenario(cfg.TargetSpeed, 4.5)
+	s := New(cfg, w)
+	var buf bytes.Buffer
+	box := obs.NewFlightRecorder(&buf, 16, 3)
+	s.AttachFlightRecorder(box)
+	rep := s.Run(30 * time.Second)
+	if _, err := box.Close(); err != nil {
+		t.Fatal(err)
 	}
-	serial, rep := run(false)
 	if rep.ReactiveEngagements == 0 {
 		t.Skip("scenario did not engage the reactive path at this configuration")
 	}
-	if serial == "" {
+	if buf.Len() == 0 {
 		t.Fatal("reactive engagement produced no flight-recorder dump")
 	}
 	var d obs.Dump
-	if err := json.Unmarshal([]byte(strings.SplitN(serial, "\n", 2)[0]), &d); err != nil {
+	if err := json.Unmarshal([]byte(strings.SplitN(buf.String(), "\n", 2)[0]), &d); err != nil {
 		t.Fatalf("bad dump: %v", err)
 	}
 	if d.Trigger != "reactive-engagement" || len(d.Records) == 0 {
 		t.Fatalf("dump wrong: trigger=%q records=%d", d.Trigger, len(d.Records))
-	}
-	piped, _ := run(true)
-	if piped != serial {
-		t.Fatal("flight-recorder stream differs between serial and pipelined modes")
 	}
 }

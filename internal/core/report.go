@@ -7,19 +7,10 @@ import (
 	"time"
 
 	"sov/internal/models"
-	"sov/internal/pipeline"
 	"sov/internal/platform"
 	"sov/internal/sched"
 	"sov/internal/stats"
 )
-
-// PipelineStats carries the wall-clock diagnostics of a pipelined run: per-
-// stage busy/wait/occupancy counters and frame-pool reuse. Virtual-time
-// metrics live in the Report proper; these describe only host execution.
-type PipelineStats struct {
-	Stages []pipeline.StageStats
-	Pool   pipeline.PoolStats
-}
 
 // Report is the run's characterization output: the Fig. 10 latency
 // distributions plus safety/throughput counters.
@@ -37,15 +28,9 @@ type Report struct {
 	EndToEnd *stats.Sample
 	// PipelineDepth samples, at each capture, how many earlier commands are
 	// still in flight (captured but undelivered) — the virtual-time overlap
-	// the staged dataflow exploits. Identical in serial and pipelined runs.
+	// of 10 Hz commands against a ~164 ms Tcomp (Sec. V-C).
 	PipelineDepth *stats.Sample
 
-	// Pipeline holds wall-clock stage/pool diagnostics when the run used
-	// the pipelined runtime; nil for serial runs.
-	Pipeline *PipelineStats
-	// PipelineDecision records how Run resolved the control-loop execution
-	// mode: "serial", "pipelined", or the single-CPU fallback note.
-	PipelineDecision string
 	// QuantizedPerception records whether the run drew scene-understanding
 	// latencies from the int8 fixed-point operating points (-quant).
 	QuantizedPerception bool
@@ -85,7 +70,7 @@ type Report struct {
 	// Lean mode (Config.LeanReport): per-cycle latencies fold into
 	// streaming accumulators instead of the raw Samples above, so a
 	// thousand-vehicle fleet does not retain every cycle of every vehicle.
-	// The observation order is the serial cycle order either way, so the
+	// The observation order is the cycle order either way, so the
 	// accumulated means are deterministic.
 	lean      bool
 	leanTcomp stats.Welford
@@ -239,30 +224,12 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "navigation: lane-keeping RMS %.3f m\n", r.LateralRMSM)
 	fmt.Fprintf(&b, "pipeline depth (commands in flight at capture): mean=%.2f max=%.0f\n",
 		r.PipelineDepth.Mean(), r.PipelineDepth.Max())
-	if r.PipelineDecision != "" {
-		fmt.Fprintf(&b, "control loop: %s\n", r.PipelineDecision)
-	}
 	if r.QuantizedPerception {
 		fmt.Fprintf(&b, "perception compute: int8 fixed-point operating points (x%.1f)\n", platform.QuantSpeedup)
 	}
 	if sc := r.Sched; sc != nil {
 		fmt.Fprintf(&b, "online scheduler: mapping=%s quant=%v sticky=%v temp=%.1fC windows=%d remaps=%d op-switches=%d rpr-swaps=%d (%.1f ms)\n",
 			sc.Mapping, sc.Quantized, sc.Sticky, sc.TempC, sc.Windows, sc.Remaps, sc.OpSwitches, sc.Swaps, ms(sc.SwapTotal))
-	}
-	if p := r.Pipeline; p != nil {
-		fmt.Fprintf(&b, "pipelined runtime (wall clock):\n")
-		for _, st := range p.Stages {
-			busy := st.Busy.Seconds() * 1000
-			wait := st.Wait.Seconds() * 1000
-			util := 0.0
-			if tot := busy + wait; tot > 0 {
-				util = 100 * busy / tot
-			}
-			fmt.Fprintf(&b, "  %-9s frames=%d busy=%.1fms wait=%.1fms util=%.0f%% queue: mean occ=%.2f max=%d stalls=%d\n",
-				st.Name, st.Frames, busy, wait, util,
-				st.Queue.MeanOcc, st.Queue.MaxOcc, st.Queue.FullStalls)
-		}
-		fmt.Fprintf(&b, "  frame pool: %d allocated, %d reused\n", p.Pool.News, p.Pool.Reuses)
 	}
 	return b.String()
 }
@@ -283,9 +250,6 @@ func (r *Report) renderLean() string {
 		r.ADEnergyWh, 100*r.BatteryShare)
 	fmt.Fprintf(&b, "navigation: lane-keeping RMS %.3f m\n", r.LateralRMSM)
 	fmt.Fprintf(&b, "pipeline depth (commands in flight at capture): mean=%.2f\n", r.leanDepth.Mean())
-	if r.PipelineDecision != "" {
-		fmt.Fprintf(&b, "control loop: %s\n", r.PipelineDecision)
-	}
 	if sc := r.Sched; sc != nil {
 		fmt.Fprintf(&b, "online scheduler: mapping=%s quant=%v sticky=%v temp=%.1fC windows=%d remaps=%d op-switches=%d rpr-swaps=%d (%.1f ms)\n",
 			sc.Mapping, sc.Quantized, sc.Sticky, sc.TempC, sc.Windows, sc.Remaps, sc.OpSwitches, sc.Swaps, ms(sc.SwapTotal))

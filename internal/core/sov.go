@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"sov/internal/canbus"
@@ -12,7 +11,6 @@ import (
 	"sov/internal/models"
 	"sov/internal/obs"
 	"sov/internal/parallel"
-	"sov/internal/pipeline"
 	"sov/internal/planning"
 	"sov/internal/rpr"
 	"sov/internal/sched"
@@ -62,13 +60,11 @@ type SoV struct {
 	seq     uint16
 	started bool
 
-	// Staged control-loop state: the recycled serial frame, the pipelined
-	// runtime (nil in serial mode), the in-flight command deadlines behind
-	// the virtual-time pipeline-depth metric, and the recycled delivery
-	// slots that keep steady-state scheduling allocation-free.
-	serialFrame *cycleFrame
-	pipe        *pipeline.Runtime[cycleFrame]
-	framePool   *pipeline.FramePool[cycleFrame]
+	// Control-loop state: the one recycled cycle frame, the in-flight
+	// command deadlines behind the virtual-time pipeline-depth metric, and
+	// the recycled delivery slots that keep steady-state scheduling
+	// allocation-free.
+	frame       cycleFrame
 	outstanding []time.Duration
 	freeSlots   []*deliverySlot
 
@@ -162,7 +158,6 @@ func New(cfg Config, w *world.World) *SoV {
 		}
 		s.sched = sch
 	}
-	s.serialFrame = newCycleFrame()
 	s.report.init(cfg.LeanReport)
 	s.report.QuantizedPerception = cfg.Quant
 	return s
@@ -212,8 +207,8 @@ func (s *SoV) Run(duration time.Duration) *Report {
 	return s.Finish(duration)
 }
 
-// Start arms the control loop: it resolves the serial/pipelined execution
-// mode and schedules the periodic physics, control, and reactive events.
+// Start arms the control loop: it schedules the periodic physics, control,
+// and reactive events.
 // Idempotent — a second Start (or a Run after a Start) is a no-op, so an
 // epoch driver can Start once and AdvanceTo repeatedly.
 func (s *SoV) Start() {
@@ -229,19 +224,6 @@ func (s *SoV) Start() {
 	}
 	reactivePeriod := time.Duration(float64(time.Second) / reactiveRate)
 
-	// The staged dataflow only pays off when stage goroutines can actually
-	// overlap; on a single-CPU host it adds handoff overhead over the
-	// serial loop (virtual-time results are byte-identical either way), so
-	// fall back unless explicitly forced.
-	switch {
-	case !s.cfg.Pipeline:
-		s.report.PipelineDecision = "serial"
-	case runtime.GOMAXPROCS(0) > 1 || s.cfg.PipelineForce:
-		s.startPipeline()
-		s.report.PipelineDecision = "pipelined"
-	default:
-		s.report.PipelineDecision = "serial (pipeline fallback: GOMAXPROCS=1)"
-	}
 	s.engine.Every(physPeriod, "physics", func() { s.physicsStep(physPeriod) })
 	s.engine.Every(ctrlPeriod, "control", s.controlCycle)
 	if s.cfg.ReactivePath {
@@ -268,11 +250,9 @@ func (s *SoV) Now() time.Duration { return s.engine.Now() }
 // vehicle.
 func (s *SoV) Halted() bool { return s.engine.Stopped() }
 
-// Finish closes out an incrementally advanced run: it drains the pipelined
-// runtime (if armed), finalizes the report over the given total duration,
-// and publishes the run-summary metrics.
+// Finish closes out an incrementally advanced run: it finalizes the report
+// over the given total duration and publishes the run-summary metrics.
 func (s *SoV) Finish(duration time.Duration) *Report {
-	s.stopPipeline()
 	if s.sched != nil {
 		st := s.sched.Snapshot()
 		s.report.Sched = &st
@@ -322,14 +302,8 @@ func (s *SoV) physicsStep(dt time.Duration) {
 
 // controlCycle runs one proactive-path iteration: capture, perceive, plan,
 // and schedule the command's delivery after the drawn computing latency.
-// In pipelined mode capture runs here and the frame is handed to the stage
-// goroutines; the delivery event synchronizes on the frame's completion.
 func (s *SoV) controlCycle() {
-	if s.pipe != nil {
-		s.pipedCycle()
-		return
-	}
-	fr := s.serialFrame
+	fr := &s.frame
 	s.captureInto(fr)
 	s.perceiveFrame(fr)
 	s.planFrame(fr)
@@ -338,7 +312,7 @@ func (s *SoV) controlCycle() {
 	}
 	// The command is computed Tcomp after capture, then crosses the CAN
 	// bus (Tdata) and takes effect after Tmech inside the vehicle model.
-	// The CAN frame is copied into a recycled delivery slot: the serial
+	// The CAN frame is copied into a recycled delivery slot: the cycle
 	// frame is reused next cycle, long before this delivery fires.
 	s.observeE2E(fr.d.Tcomp + fr.tdata + s.cfg.Vehicle.MechLatency)
 	s.scheduleDelivery(fr.d.Tcomp+fr.tdata, fr.cmdFrame)
@@ -372,21 +346,6 @@ func (s *SoV) scheduleDelivery(delay time.Duration, frame canbus.Frame) {
 	}
 	sl.frame = frame
 	s.engine.Schedule(delay, "command-delivery", sl.fire)
-}
-
-// pipedCycle is the pipelined control event: capture the frame, schedule
-// its delivery at the virtual-time deadline, and submit it to the stage
-// goroutines. The delivery event blocks (wall-clock only) on the plan
-// stage's completion signal, so virtual-time semantics are unchanged while
-// frame N's planning overlaps frame N+1's perception and frame N+2's
-// capture.
-func (s *SoV) pipedCycle() {
-	fr := s.framePool.Get()
-	s.captureInto(fr)
-	s.observeE2E(fr.d.Tcomp + fr.tdata + s.cfg.Vehicle.MechLatency)
-	s.engine.Schedule(fr.d.Tcomp+fr.tdata, "command-delivery", fr.deliver)
-	//sovlint:ignore poolescape ownership transfers into the stage pipeline by design; the frame's delivery event Puts it back
-	s.pipe.Submit(fr)
 }
 
 // reactiveCheck is the last line of defense: radar (and sonar) distances go

@@ -146,9 +146,7 @@ func SummarizeTrace(r io.Reader) (TraceSummary, error) {
 }
 
 // recordTrace is called from the plan stage when a tracer is attached. It
-// reads only frame snapshots (captured on the engine thread), so it is safe
-// on the pipelined plan goroutine and produces byte-identical lines in both
-// modes.
+// reads only frame snapshots.
 func (s *SoV) recordTrace(fr *cycleFrame) {
 	if s.tracer == nil {
 		return

@@ -31,8 +31,6 @@ func cheapVehicle() core.Config {
 	cfg.PhysicsRate = 25
 	cfg.RadarRate = 10
 	cfg.ReactiveRate = 10
-	cfg.Pipeline = false
-	cfg.PipelineForce = false
 	cfg.Quant = false
 	return cfg
 }
@@ -222,29 +220,25 @@ func runFleetTrace(t *testing.T, cfg Config, workers int, horizon time.Duration)
 
 // TestDeterminismAcrossWorkersAndModes is the fleet determinism matrix:
 // trace bytes and the rendered summary must be identical for any worker
-// count, in serial and pipelined per-vehicle runtimes, on the float and
-// quantized perception paths (satellite: workers {1,4,8} x {serial,
-// pipelined} x {float,quant}).
+// count, on the float and quantized perception paths and with the online
+// scheduler attached (workers {1,4,8} x {float,quant,sched}).
 func TestDeterminismAcrossWorkersAndModes(t *testing.T) {
 	horizon := 12 * time.Second
 	modes := []struct {
-		name                   string
-		pipeline, quant, sched bool
+		name         string
+		quant, sched bool
 	}{
-		{"serial/float", false, false, false},
-		{"serial/quant", false, true, false},
-		{"pipelined/float", true, false, false},
-		{"pipelined/quant", true, true, false},
-		{"serial/sched", false, false, true},
-		{"pipelined/sched", true, false, true},
+		// Row names predate the removal of the pipelined per-vehicle loop
+		// and are kept so the test ids stay stable.
+		{"serial/float", false, false},
+		{"serial/quant", true, false},
+		{"serial/sched", false, true},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := testConfig(24)
 			cfg.PerceptionEvery = 4
 			cfg.Vehicle.Quant = m.quant
-			cfg.Vehicle.Pipeline = m.pipeline
-			cfg.Vehicle.PipelineForce = m.pipeline
 			cfg.Vehicle.Sched = m.sched
 			refTrace, refSummary := runFleetTrace(t, cfg, 1, horizon)
 			if refTrace == "" {

@@ -4,13 +4,13 @@ package lint
 // //sovlint:wallclock.
 //
 // The whole simulation runs on virtual time (sim.Clock advances by modeled
-// stage latencies), which is what makes traces byte-identical across runs,
-// worker counts, and pipeline on/off — the property every calibrated
-// figure and the Eq. 1–2 Tcomp accounting rest on. A single time.Now
+// stage latencies), which is what makes traces byte-identical across runs
+// and worker counts — the property every calibrated figure and the Eq. 1–2
+// Tcomp accounting rest on. A single time.Now
 // leaking into the control path silently re-couples results to host
 // scheduling. The only sanctioned wall-clock consumers are diagnostics
-// explicitly excluded from the determinism contract (today: the pipeline
-// Runtime's per-stage busy/wait stats).
+// explicitly excluded from the determinism contract (today: sovfleet's
+// host-throughput line and the benchmark's own timers).
 
 import (
 	"go/ast"

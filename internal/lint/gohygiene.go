@@ -2,7 +2,7 @@ package lint
 
 // gohygiene: goroutine and lock discipline in the concurrency substrate.
 //
-// Three rules, all aimed at the pipeline/parallel lifecycle bugs that race
+// Three rules, all aimed at the goroutine lifecycle bugs that race
 // detectors only catch when the schedule cooperates:
 //
 //  1. Every `go` launch must have a visible join or lifecycle: a

@@ -91,8 +91,11 @@ func analyzerNames(analyzers []*Analyzer) map[string]bool {
 // as findings of the "sovlint" pseudo-analyzer. The result is sorted by
 // position, then analyzer, then message.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	known := analyzerNames(analyzers)
-	dirs := parseDirectiveIndex(pkgs, known)
+	// Directive names are checked against the whole suite, staleness only
+	// against the analyzers that run: a hotalloc directive is neither
+	// unknown nor stale in a gohygiene-only run.
+	ran := analyzerNames(analyzers)
+	dirs := parseDirectiveIndex(pkgs, analyzerNames(Analyzers()))
 
 	var prog *Program
 	for _, an := range analyzers {
@@ -146,7 +149,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 	}
 	if len(pkgs) > 0 {
-		out = append(out, dirs.stale(known, pkgs[0].Fset)...)
+		out = append(out, dirs.stale(ran, pkgs[0].Fset)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

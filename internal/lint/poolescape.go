@@ -2,20 +2,20 @@ package lint
 
 // poolescape: pooled buffers have exactly one owner between Get and Put.
 //
-// The scratch pools in internal/parallel and internal/pipeline are what
-// keep the steady-state cycle allocation-free, and their contract
-// (parallel/pool.go) is strict: whoever Gets a buffer owns it until Put,
-// and Put surrenders it. PR 7's fleet-scale work hit the failure mode this
-// analyzer now rejects at review time — a borrowed buffer aliased into
-// longer-lived state, so two owners raced on one backing array.
+// The scratch pools in internal/parallel are what keep the steady-state
+// cycle allocation-free, and their contract (parallel/pool.go) is strict:
+// whoever Gets a buffer owns it until Put, and Put surrenders it. PR 7's
+// fleet-scale work hit the failure mode this analyzer now rejects at review
+// time — a borrowed buffer aliased into longer-lived state, so two owners
+// raced on one backing array.
 //
 // Tracked values come from the pool Get functions (parallel.GetF64 & co.,
-// SlicePool.Get, pipeline's FramePool.Get), from module functions whose
-// bottom-up summary says they return a still-borrowed buffer (poolFact.
-// returnsPooled — the documented "caller must release" idiom, e.g. the KCF
-// tracker's FFT helpers), and from borrowed-view sources (scratch-struct
-// accessors and arena-slot addresses) that hand out aliases of state the
-// callee still owns. Violations:
+// SlicePool.Get), from module functions whose bottom-up summary says they
+// return a still-borrowed buffer (poolFact.returnsPooled — the documented
+// "caller must release" idiom, e.g. the KCF tracker's FFT helpers), and
+// from borrowed-view sources (scratch-struct accessors and arena-slot
+// addresses) that hand out aliases of state the callee still owns.
+// Violations:
 //
 //   - storing a pooled/borrowed buffer into a struct field reachable from
 //     a parameter or into a package-level variable (it outlives the borrow)
@@ -61,7 +61,6 @@ var poolGets = map[string]string{
 	"sov/internal/parallel.GetU64":        "parallel.GetU64",
 	"sov/internal/parallel.GetIntsZeroed": "parallel.GetIntsZeroed",
 	"sov/internal/parallel.SlicePool.Get": "SlicePool.Get",
-	"sov/internal/pipeline.FramePool.Get": "FramePool.Get",
 }
 
 // poolPuts maps qualified names of release functions to their display name.
@@ -74,7 +73,6 @@ var poolPuts = map[string]string{
 	"sov/internal/parallel.PutU64":        "parallel.PutU64",
 	"sov/internal/parallel.PutInts":       "parallel.PutInts",
 	"sov/internal/parallel.SlicePool.Put": "SlicePool.Put",
-	"sov/internal/pipeline.FramePool.Put": "FramePool.Put",
 }
 
 // borrowedSources lend a view of state the callee still owns: the caller

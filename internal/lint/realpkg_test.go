@@ -7,11 +7,12 @@ import (
 )
 
 // TestGoHygieneRealPackages runs the concurrency-hygiene analyzer against
-// the two most goroutine-dense production packages — internal/pipeline
-// (stage runtimes, rings) and internal/fleet (worker-sharded simulation) —
-// rather than only the toy fixture. The test asserts both directions: the
-// packages are clean, and they actually contain spawned goroutines, so a
-// regression in the loader or the analyzer cannot pass vacuously.
+// the two production packages that own the concurrency — internal/parallel
+// (the worker pool every fan-out runs on) and internal/fleet (worker-sharded
+// simulation) — rather than only the toy fixture. The test asserts both
+// directions: the packages are clean, and they actually contain spawned
+// goroutines, so a regression in the loader or the analyzer cannot pass
+// vacuously.
 func TestGoHygieneRealPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks module packages; skipped in -short")
@@ -25,7 +26,7 @@ func TestGoHygieneRealPackages(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkgs, err := loader.LoadDirs([]string{
-		modRoot + "/internal/pipeline",
+		modRoot + "/internal/parallel",
 		modRoot + "/internal/fleet",
 	})
 	if err != nil {
@@ -47,7 +48,7 @@ func TestGoHygieneRealPackages(t *testing.T) {
 		}
 	}
 	if goStmts == 0 {
-		t.Fatal("no go statements found in internal/pipeline or internal/fleet; the hygiene check is vacuous")
+		t.Fatal("no go statements found in internal/parallel or internal/fleet; the hygiene check is vacuous")
 	}
 
 	if findings := Run(pkgs, []*Analyzer{GoHygiene}); len(findings) > 0 {

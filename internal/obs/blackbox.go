@@ -91,10 +91,9 @@ type BoxStats struct {
 //
 // Determinism: triggers raised from the physics or reactive paths carry a
 // virtual timestamp and are deferred until the cycle-record stream reaches
-// that time, so a dump's content depends only on virtual-time ordering —
-// never on how far the pipelined plan stage happens to lag on the host.
-// Dump bytes are therefore byte-identical across worker counts and
-// control-loop modes.
+// that time, so a dump's content depends only on virtual-time ordering,
+// never on host scheduling. Dump bytes are therefore byte-identical across
+// worker counts.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	w    io.Writer

@@ -253,86 +253,55 @@ func TestQuantKernelsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCoreSimulationDeterministicAcrossWorkers drives the full SoV control
-// loop — concurrent perception-branch dispatch included — and asserts the
-// per-cycle trace and headline report figures are bit-identical across
-// worker counts.
+// loop — concurrent perception-branch dispatch included — on the float
+// path, the int8 perception path and with the online scheduler attached, and
+// asserts the per-cycle trace and headline report figures are bit-identical
+// across worker counts.
 func TestCoreSimulationDeterministicAcrossWorkers(t *testing.T) {
-	tr1, rep1 := tracedCruise(t, 1, false)
-	tr8, rep8 := tracedCruise(t, 8, false)
-	if tr1 != tr8 {
-		t.Fatal("simulation traces differ between workers=1 and workers=8")
+	traces := map[string]string{}
+	for _, m := range []struct {
+		name         string
+		quant, sched bool
+	}{
+		{"float", false, false},
+		{"quant", true, false},
+		{"sched", false, true},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			mutate := func(c *core.Config) { c.Quant, c.Sched = m.quant, m.sched }
+			tr1, rep1 := cruiseWith(t, 1, mutate)
+			tr8, rep8 := cruiseWith(t, 8, mutate)
+			if tr1 != tr8 {
+				t.Fatal("simulation traces differ between workers=1 and workers=8")
+			}
+			assertSameCruise(t, rep1, rep8)
+			if rep1.QuantizedPerception != m.quant {
+				t.Fatalf("QuantizedPerception = %v, want %v", rep1.QuantizedPerception, m.quant)
+			}
+			if (rep1.Sched != nil) != m.sched {
+				t.Fatalf("scheduler stats recorded = %v, want %v", rep1.Sched != nil, m.sched)
+			}
+			traces[m.name] = tr1
+		})
 	}
-	assertSameCruise(t, rep1, rep8)
-}
-
-// TestCoreSimulationDeterministicAcrossPipelineModes is the determinism
-// contract of the staged control-loop dataflow: serial and pipelined runs,
-// at worker counts 1 and 8 each, must produce bit-identical traces and
-// reports — four executions, one result.
-func TestCoreSimulationDeterministicAcrossPipelineModes(t *testing.T) {
-	ref, repRef := tracedCruise(t, 1, false)
-	for _, c := range []struct {
-		workers   int
-		pipelined bool
-	}{{1, true}, {8, false}, {8, true}} {
-		tr, rep := tracedCruise(t, c.workers, c.pipelined)
-		if tr != ref {
-			t.Fatalf("trace at workers=%d pipeline=%v differs from serial workers=1",
-				c.workers, c.pipelined)
-		}
-		assertSameCruise(t, repRef, rep)
-	}
-}
-
-// TestCoreSimulationQuantDeterministicAcrossModes: the quantized perception
-// path must keep the same determinism contract — serial and pipelined runs
-// at worker counts 1 and 8 produce bit-identical traces and reports.
-func TestCoreSimulationQuantDeterministicAcrossModes(t *testing.T) {
-	ref, repRef := tracedQuantCruise(t, 1, false)
-	if !repRef.QuantizedPerception {
-		t.Fatal("quant run did not record QuantizedPerception")
-	}
-	for _, c := range []struct {
-		workers   int
-		pipelined bool
-	}{{1, true}, {8, false}, {8, true}} {
-		tr, rep := tracedQuantCruise(t, c.workers, c.pipelined)
-		if tr != ref {
-			t.Fatalf("quant trace at workers=%d pipeline=%v differs from serial workers=1",
-				c.workers, c.pipelined)
-		}
-		assertSameCruise(t, repRef, rep)
-	}
-	// And the knob actually changes the drawn latencies: a float-path run
-	// must NOT match the quantized trace.
-	floatTr, _ := tracedCruise(t, 1, false)
-	if floatTr == ref {
+	if q, ran := traces["quant"]; ran && q == traces["float"] {
 		t.Fatal("quantized trace identical to float trace; the knob is inert")
 	}
 }
 
-// tracedCruise runs the 5 s reference cruise under the given worker count
-// and control-loop mode, returning the full trace and report.
-func tracedCruise(t *testing.T, workers int, pipelined bool) (string, *core.Report) {
-	return cruiseWith(t, workers, pipelined, false)
-}
-
-// tracedQuantCruise is tracedCruise on the int8 fixed-point perception path.
-func tracedQuantCruise(t *testing.T, workers int, pipelined bool) (string, *core.Report) {
-	return cruiseWith(t, workers, pipelined, true)
-}
-
-func cruiseWith(t *testing.T, workers int, pipelined, quant bool) (string, *core.Report) {
+// cruiseWith runs the 5 s reference cruise under the given worker count,
+// with mutate (when non-nil) applied to the default config, returning the
+// full trace and report.
+func cruiseWith(t *testing.T, workers int, mutate func(*core.Config)) (string, *core.Report) {
 	t.Helper()
 	var buf bytes.Buffer
 	var rep *core.Report
 	atWorkers(workers, func() {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 4
-		cfg.Pipeline = pipelined
-		// Keep the staged dataflow under test even on a single-CPU host.
-		cfg.PipelineForce = pipelined
-		cfg.Quant = quant
+		if mutate != nil {
+			mutate(&cfg)
+		}
 		s := core.New(cfg, core.CruiseScenario(4))
 		tr := core.NewTracer(&buf)
 		s.AttachTracer(tr)

@@ -1,67 +1,27 @@
-// Determinism and identity contracts of the online heterogeneous scheduler
-// (DESIGN.md §13). The scheduler observes latencies, projects thermal state,
-// and rewrites the latency-draw transform every cycle window — all on the
-// engine thread, in cycle order, from virtual-time inputs only — so a
-// sched-attached run must stay bit-identical across worker counts and
-// control-loop modes. And because its deployed-point multipliers are exactly
+// Identity contract of the online heterogeneous scheduler (DESIGN.md §13).
+// The scheduler observes latencies, projects thermal state, and rewrites the
+// latency-draw transform every cycle window from virtual-time inputs only
+// (TestCoreSimulationDeterministicAcrossWorkers holds the sched-attached run
+// to worker invariance). Because its deployed-point multipliers are exactly
 // 1.0, a calm cruise with the scheduler holding every decision must be
 // byte-identical to the scheduler-off baseline.
 package sov
 
 import (
-	"bytes"
 	"testing"
-	"time"
 
 	"sov/internal/core"
 )
 
-// schedCruise runs the 5 s reference cruise with the online scheduler
-// attached, under the given worker count and control-loop mode. An empty
-// mapping starts from the deployed GPU/FPGA point.
-func schedCruise(t *testing.T, workers int, pipelined bool, mapping string) (string, *core.Report) {
+// schedCruise runs the 5 s reference cruise at one worker with the online
+// scheduler attached. An empty mapping starts from the deployed GPU/FPGA
+// point.
+func schedCruise(t *testing.T, mapping string) (string, *core.Report) {
 	t.Helper()
-	var buf bytes.Buffer
-	var rep *core.Report
-	atWorkers(workers, func() {
-		cfg := core.DefaultConfig()
-		cfg.Seed = 4
-		cfg.Pipeline = pipelined
-		// Keep the staged dataflow under test even on a single-CPU host.
-		cfg.PipelineForce = pipelined
-		cfg.Sched = true
-		cfg.SchedMapping = mapping
-		s := core.New(cfg, core.CruiseScenario(4))
-		tr := core.NewTracer(&buf)
-		s.AttachTracer(tr)
-		rep = s.Run(5 * time.Second)
-		if _, err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
+	return cruiseWith(t, 1, func(c *core.Config) {
+		c.Sched = true
+		c.SchedMapping = mapping
 	})
-	return buf.String(), rep
-}
-
-// TestCoreSimulationSchedDeterministicAcrossModes: with the scheduler in the
-// loop, serial and pipelined runs at worker counts 1 and 8 must produce
-// bit-identical traces and reports — the scheduler's EWMAs, thermal
-// projection, and window decisions all live on the engine thread.
-func TestCoreSimulationSchedDeterministicAcrossModes(t *testing.T) {
-	ref, repRef := schedCruise(t, 1, false, "")
-	if repRef.Sched == nil {
-		t.Fatal("sched run did not record scheduler stats")
-	}
-	for _, c := range []struct {
-		workers   int
-		pipelined bool
-	}{{1, true}, {8, false}, {8, true}} {
-		tr, rep := schedCruise(t, c.workers, c.pipelined, "")
-		if tr != ref {
-			t.Fatalf("sched trace at workers=%d pipeline=%v differs from serial workers=1",
-				c.workers, c.pipelined)
-		}
-		assertSameCruise(t, repRef, rep)
-	}
 }
 
 // TestSchedSteadyStateIdentity pins the scheduler's zero-overhead contract:
@@ -73,13 +33,13 @@ func TestCoreSimulationSchedDeterministicAcrossModes(t *testing.T) {
 // latencies (the contention factor inflates scene understanding) and the
 // online scheduler must remap away from it.
 func TestSchedSteadyStateIdentity(t *testing.T) {
-	off, _ := tracedCruise(t, 1, false)
-	on, _ := schedCruise(t, 1, false, "")
+	off, _ := cruiseWith(t, 1, nil)
+	on, _ := schedCruise(t, "")
 	if on != off {
 		t.Fatal("scheduler-attached steady cruise diverges from the scheduler-off baseline; the deployed-point multipliers are not exact")
 	}
 
-	contended, rep := schedCruise(t, 1, false, "GPU/GPU")
+	contended, rep := schedCruise(t, "GPU/GPU")
 	if contended == off {
 		t.Fatal("GPU/GPU-pinned sched trace identical to baseline; the mapping knob is inert")
 	}

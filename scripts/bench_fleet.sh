@@ -21,8 +21,7 @@
 #
 # Worker-count scaling is only expressible on a multi-core runner — on a
 # single-CPU host every w-column collapses to the serial cost plus fan-out
-# overhead — so the JSON records num_cpu next to the numbers, the same
-# convention as BENCH_pipeline.json.
+# overhead — so the JSON records num_cpu next to the numbers.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -44,6 +44,31 @@ type MPC struct {
 	// traj is the rollout buffer reused across cycles; each Plan's Traj
 	// aliases it and stays valid until the next Plan call.
 	traj []TrajPoint
+	// trig holds, per horizon step, the heading the current control sequence
+	// last rolled through and its sin, cos; cand is the same for a candidate
+	// that moves steer[k], and replaces trig[k:] only if it is accepted.
+	trig, cand []headingTrig
+}
+
+// headingTrig is one memoised math.Sincos result. It is keyed on the bit
+// pattern of the heading, so a hit is the value Sincos would return whatever
+// happened to the controls or Cfg since it was stored, and -0 and +0 (whose
+// sines differ in sign) stay apart.
+type headingTrig struct {
+	key      uint64
+	sin, cos float64
+}
+
+// newTrigMemo returns n entries no finite heading hits. The empty entry is
+// Sincos(NaN) itself, so even a NaN heading with that payload reads what
+// Sincos returns; a zero-valued entry would be a false hit for h == 0.
+func newTrigMemo(n int) []headingTrig {
+	nan := math.NaN()
+	memo := make([]headingTrig, n)
+	for i := range memo {
+		memo[i] = headingTrig{math.Float64bits(nan), nan, nan}
+	}
+	return memo
 }
 
 // NewMPC returns a planner with the given configuration.
@@ -56,6 +81,8 @@ func NewMPC(cfg MPCConfig) *MPC {
 		accel: make([]float64, cfg.Horizon),
 		steer: make([]float64, cfg.Horizon),
 		traj:  make([]TrajPoint, cfg.Horizon),
+		trig:  newTrigMemo(cfg.Horizon),
+		cand:  newTrigMemo(cfg.Horizon),
 	}
 }
 
@@ -71,8 +98,13 @@ type rollState struct{ s, d, v, h, c float64 }
 // same bits as rolling [0,n) — which is what lets Plan resume a probe of
 // control k from the state before step k.
 //
+// The heading recurrence depends on steer[] alone, so most rollouts of a
+// sweep revisit headings an earlier one already took the sin and cos of.
+// With a memo, step k reuses memo[k] when it holds this exact heading and
+// stores into it otherwise; with nil every step calls math.Sincos.
+//
 //sov:hotpath
-func (m *MPC) roll(in Input, st rollState, from, to int) rollState {
+func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rollState {
 	cfg := &m.Cfg
 	dt := cfg.Dt
 	s, d, v, h, c := st.s, st.d, st.v, st.h, st.c
@@ -80,7 +112,15 @@ func (m *MPC) roll(in Input, st rollState, from, to int) rollState {
 		a, w := m.accel[k], m.steer[k]
 		v = mathx.Clamp(v+a*dt, 0, 12)
 		h = mathx.Clamp(h+w*dt, -2.5, 2.5)
-		sin, cos := math.Sincos(h)
+		var sin, cos float64
+		if memo == nil {
+			sin, cos = math.Sincos(h)
+		} else if e, key := &memo[k], math.Float64bits(h); e.key == key {
+			sin, cos = e.sin, e.cos
+		} else {
+			sin, cos = math.Sincos(h)
+			*e = headingTrig{key, sin, cos}
+		}
 		s += v * cos * dt
 		d += v * sin * dt
 		t := dt * float64(k+1)
@@ -107,8 +147,8 @@ func (m *MPC) roll(in Input, st rollState, from, to int) rollState {
 // heading alignment.
 //
 //sov:hotpath
-func (m *MPC) costFrom(in Input, st rollState, k int) float64 {
-	st = m.roll(in, st, k, len(m.accel))
+func (m *MPC) costFrom(in Input, st rollState, k int, memo []headingTrig) float64 {
+	st = m.roll(in, st, k, len(m.accel), memo)
 	return st.c + m.Cfg.WHeading*st.h*st.h
 }
 
@@ -117,21 +157,19 @@ func (m *MPC) costFrom(in Input, st rollState, k int) float64 {
 // a fixed iteration budget — deterministic compute cost, as an embedded
 // planner requires. A probe of control k leaves steps before k untouched,
 // so each sweep carries the rollout state before step k forward and every
-// probe resumes from it instead of re-rolling the whole horizon.
+// probe resumes from it instead of re-rolling the whole horizon, and every
+// rollout that leaves steer[] alone takes its sin, cos from the trig memo.
 //
 //sov:hotpath
 func (m *MPC) Plan(in Input) Plan {
 	cfg := m.Cfg
-	if in.LaneWidth == 0 {
-		in.LaneWidth = 3
-	}
 	// Warm start: shift the previous solution one step.
 	copy(m.accel, m.accel[1:])
 	copy(m.steer, m.steer[1:])
 
 	lr := 0.5
 	start := rollState{d: in.LaneOffset, v: in.Speed, h: in.HeadingErr}
-	base := m.costFrom(in, start, 0)
+	base := m.costFrom(in, start, 0, m.trig)
 	const eps = 1e-3
 	for it := 0; it < cfg.Iters; it++ {
 		improved := false
@@ -139,12 +177,12 @@ func (m *MPC) Plan(in Input) Plan {
 		for k := 0; k < cfg.Horizon; k++ {
 			// Numerical gradient for accel[k].
 			m.accel[k] += eps
-			ca := m.costFrom(in, pre, k)
+			ca := m.costFrom(in, pre, k, m.trig)
 			m.accel[k] -= eps
 			ga := (ca - base) / eps
 			// And steer[k].
 			m.steer[k] += eps
-			cs := m.costFrom(in, pre, k)
+			cs := m.costFrom(in, pre, k, nil) // every heading from k on is new
 			m.steer[k] -= eps
 			gs := (cs - base) / eps
 
@@ -152,16 +190,25 @@ func (m *MPC) Plan(in Input) Plan {
 			ns := mathx.Clamp(m.steer[k]-lr*gs, -cfg.MaxSteerRate, cfg.MaxSteerRate)
 			olda, olds := m.accel[k], m.steer[k]
 			m.accel[k], m.steer[k] = na, ns
-			c := m.costFrom(in, pre, k)
+			// A candidate that keeps steer[k] stays on the heading track
+			// trig holds; one that moves it rolls a new track into cand.
+			moved, memo := ns != olds, m.trig
+			if moved {
+				memo = m.cand
+			}
+			c := m.costFrom(in, pre, k, memo)
 			if c < base {
 				base = c
 				improved = true
+				if moved {
+					copy(m.trig[k:], m.cand[k:])
+				}
 			} else {
 				m.accel[k], m.steer[k] = olda, olds
 			}
 			// Step k is settled for this sweep (the ±eps round trip may
 			// have moved it by an ulp even when rejected): advance over it.
-			pre = m.roll(in, pre, k, k+1)
+			pre = m.roll(in, pre, k, k+1, m.trig)
 		}
 		if !improved {
 			lr /= 2

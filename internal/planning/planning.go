@@ -35,7 +35,8 @@ type Input struct {
 	HeadingErr float64
 	// TargetSpeed is the cruise set point.
 	TargetSpeed float64
-	// LaneWidth bounds lateral motion.
+	// LaneWidth is the width of the current lane (m). Neither planner reads
+	// it: the lane cost is quadratic in LaneOffset, with no edge term.
 	LaneWidth float64
 	// Obstacles ahead, in lane coordinates relative to the vehicle (S=0).
 	Obstacles []Obstacle
@@ -96,16 +97,10 @@ func CollisionCheck(traj []TrajPoint, obs []Obstacle, margin float64) (collides 
 	return minClear < margin, minClear
 }
 
-// simulate rolls the simple planning model forward: s' = v, v' = a,
-// d' = v*sin(heading), heading' = steer rate proxy. The same model backs
-// both planners so their costs are comparable.
-func simulate(in Input, accel, steer []float64, dt float64) []TrajPoint {
-	return simulateInto(make([]TrajPoint, len(accel)), in, accel, steer, dt)
-}
-
-// simulateInto writes the rollout into dst, which must have len(accel)
-// points — the zero-allocation variant for a planner-owned trajectory
-// buffer.
+// simulateInto rolls the planning model of MPC.roll forward (s' = v cos h,
+// d' = v sin h, v' = a, h' = steer rate) and writes the trajectory into dst,
+// which must have len(accel) points: the planner owns the buffer, so a plan
+// allocates nothing.
 func simulateInto(dst []TrajPoint, in Input, accel, steer []float64, dt float64) []TrajPoint {
 	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
 	for k := range accel {

@@ -1,6 +1,7 @@
 package planning
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -390,6 +391,17 @@ func (m *fullRolloutMPC) Plan(in Input) Plan {
 	return plan
 }
 
+// randomObstacle draws a moving obstacle somewhere in the 40 m ahead.
+func randomObstacle(rng *rand.Rand) Obstacle {
+	return Obstacle{
+		S:      rng.Float64() * 40,
+		D:      rng.Float64()*6 - 3,
+		VS:     rng.Float64()*6 - 3,
+		VD:     rng.Float64()*2 - 1,
+		Radius: 0.3 + rng.Float64(),
+	}
+}
+
 // randomPlanInput draws a scene that exercises every branch of the cost:
 // 0–8 moving obstacles, off-lane and heading-error starts, and (one in six)
 // a wall dead ahead that leaves no safe plan.
@@ -404,13 +416,7 @@ func randomPlanInput(rng *rand.Rand) Input {
 		in.LaneOffset, in.HeadingErr = 0, 0
 	}
 	for n := rng.Intn(9); n > 0; n-- {
-		in.Obstacles = append(in.Obstacles, Obstacle{
-			S:      rng.Float64() * 40,
-			D:      rng.Float64()*6 - 3,
-			VS:     rng.Float64()*6 - 3,
-			VD:     rng.Float64()*2 - 1,
-			Radius: 0.3 + rng.Float64(),
-		})
+		in.Obstacles = append(in.Obstacles, randomObstacle(rng))
 	}
 	if rng.Intn(6) == 0 {
 		in.Obstacles = append(in.Obstacles, Obstacle{S: 1 + 4*rng.Float64(), Radius: 2})
@@ -418,41 +424,223 @@ func randomPlanInput(rng *rand.Rand) Input {
 	return in
 }
 
-// TestPlanBitIdenticalToFullRollout holds the resumed-rollout Plan to the
-// full-rollout oracle bit for bit. Each seed is a run of consecutive Plan
-// calls on one planner of each kind, so the warm start — which carries any
-// divergence into every later cycle — is covered.
+// planPair is one planner of each kind fed the same inputs, so the warm
+// start — which carries any divergence into every later cycle — is covered.
+type planPair struct {
+	got  *MPC
+	want *fullRolloutMPC
+}
+
+func newPlanPair(cfg MPCConfig) planPair {
+	return planPair{NewMPC(cfg), newFullRolloutMPC(cfg)}
+}
+
+// warm sets every control of both warm starts.
+func (pp planPair) warm(accel, steer float64) {
+	for k := range pp.got.accel {
+		pp.got.accel[k], pp.want.accel[k] = accel, accel
+		pp.got.steer[k], pp.want.steer[k] = steer, steer
+	}
+}
+
+// plan runs both planners on in and fails, naming the input as where, unless
+// MPC.Plan returned the oracle's plan and left the oracle's warm start, bit
+// for bit. NaNs match each other whatever their payload: which operand's
+// payload a product of two NaNs keeps is the compiler's choice per call
+// site, not the planner's.
+func (pp planPair) plan(t *testing.T, where string, in Input) Plan {
+	t.Helper()
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+	}
+	g, w := pp.got.Plan(in), pp.want.Plan(in)
+	if g.Blocked != w.Blocked || !same(g.Cost, w.Cost) ||
+		!same(g.Cmd.AccelMps2, w.Cmd.AccelMps2) || !same(g.Cmd.SteerRad, w.Cmd.SteerRad) {
+		t.Fatalf("%s: plan = {%+v cost %v blocked %v}, full rollout = {%+v cost %v blocked %v}",
+			where, g.Cmd, g.Cost, g.Blocked, w.Cmd, w.Cost, w.Blocked)
+	}
+	if len(g.Traj) != len(w.Traj) {
+		t.Fatalf("%s: %d trajectory points, want %d", where, len(g.Traj), len(w.Traj))
+	}
+	for i := range g.Traj {
+		p, q := g.Traj[i], w.Traj[i]
+		if !same(p.T, q.T) || !same(p.S, q.S) || !same(p.D, q.D) || !same(p.V, q.V) {
+			t.Fatalf("%s: traj[%d] = %+v, full rollout = %+v", where, i, p, q)
+		}
+	}
+	for k := range pp.got.accel {
+		if !same(pp.got.accel[k], pp.want.accel[k]) || !same(pp.got.steer[k], pp.want.steer[k]) {
+			t.Fatalf("%s: control %d = (%v, %v), full rollout = (%v, %v)",
+				where, k, pp.got.accel[k], pp.got.steer[k], pp.want.accel[k], pp.want.steer[k])
+		}
+	}
+	return g
+}
+
+// pinned counts the horizon steps of the solution in.HeadingErr was just
+// planned from whose heading sits on the ±2.5 clamp, and those whose steer
+// rate sits on ±MaxSteerRate.
+func (pp planPair) pinned(in Input) (heading, steer int) {
+	h := in.HeadingErr
+	for _, w := range pp.got.steer {
+		h = mathx.Clamp(h+w*pp.got.Cfg.Dt, -2.5, 2.5)
+		if math.Abs(h) == 2.5 {
+			heading++
+		}
+		if math.Abs(w) == pp.got.Cfg.MaxSteerRate {
+			steer++
+		}
+	}
+	return heading, steer
+}
+
+// TestPlanBitIdenticalToFullRollout holds the resumed-rollout, sin/cos
+// memoising Plan to the full-rollout oracle bit for bit, on runs of
+// consecutive Plan calls over random scenes and then over the regimes the
+// memo's hits and misses depend on.
 func TestPlanBitIdenticalToFullRollout(t *testing.T) {
-	const runs, cycles = 150, 8 // 1200 inputs
-	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	blocked := 0
-	for seed := int64(0); seed < runs; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		got, want := NewMPC(DefaultMPCConfig()), newFullRolloutMPC(DefaultMPCConfig())
-		for c := 0; c < cycles; c++ {
-			in := randomPlanInput(rng)
-			g, w := got.Plan(in), want.Plan(in)
-			if g.Blocked {
-				blocked++
-			}
-			if g.Blocked != w.Blocked || !sameBits(g.Cost, w.Cost) ||
-				!sameBits(g.Cmd.AccelMps2, w.Cmd.AccelMps2) || !sameBits(g.Cmd.SteerRad, w.Cmd.SteerRad) {
-				t.Fatalf("seed %d cycle %d: plan = {%+v cost %v blocked %v}, full rollout = {%+v cost %v blocked %v}",
-					seed, c, g.Cmd, g.Cost, g.Blocked, w.Cmd, w.Cost, w.Blocked)
-			}
-			if len(g.Traj) != len(w.Traj) {
-				t.Fatalf("seed %d cycle %d: %d trajectory points, want %d", seed, c, len(g.Traj), len(w.Traj))
-			}
-			for i := range g.Traj {
-				p, q := g.Traj[i], w.Traj[i]
-				if !sameBits(p.T, q.T) || !sameBits(p.S, q.S) || !sameBits(p.D, q.D) || !sameBits(p.V, q.V) {
-					t.Fatalf("seed %d cycle %d: traj[%d] = %+v, full rollout = %+v", seed, c, i, p, q)
+	t.Run("random scenes", func(t *testing.T) {
+		const runs, cycles = 150, 8 // 1200 inputs
+		blocked := 0
+		for seed := int64(0); seed < runs; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pp := newPlanPair(DefaultMPCConfig())
+			for c := 0; c < cycles; c++ {
+				if pp.plan(t, fmt.Sprintf("seed %d cycle %d", seed, c), randomPlanInput(rng)).Blocked {
+					blocked++
 				}
 			}
 		}
+		if blocked == 0 || blocked == runs*cycles {
+			t.Fatalf("%d of %d plans blocked; the inputs must cover both outcomes", blocked, runs*cycles)
+		}
+	})
+
+	// Off-lane on the side the heading points away from, so the lane cost
+	// pushes the heading further into the clamp and the steer rate into its
+	// limit: probes and candidates of a clamped step revisit the same
+	// heading, and a candidate clamped to the limit it already sat on is the
+	// ns == olds path.
+	t.Run("heading and steer pinned", func(t *testing.T) {
+		cfg := DefaultMPCConfig()
+		headings, steers := 0, 0
+		for _, sign := range []float64{1, -1} {
+			pp := newPlanPair(cfg)
+			pp.warm(0, sign*cfg.MaxSteerRate)
+			for c := 0; c < 8; c++ {
+				in := Input{Speed: 8, TargetSpeed: 8, LaneOffset: sign * 1.5,
+					HeadingErr: sign * (2.3 + 0.05*float64(c)), // past the clamp from cycle 5 on
+					Obstacles:  []Obstacle{{S: -6, D: sign * 3, VS: -1, Radius: 0.5}}}
+				pp.plan(t, fmt.Sprintf("sign %v cycle %d", sign, c), in)
+				h, s := pp.pinned(in)
+				headings, steers = headings+h, steers+s
+			}
+		}
+		if headings == 0 || steers == 0 {
+			t.Fatalf("%d steps with the heading on its clamp, %d with the steer rate on its limit; want both", headings, steers)
+		}
+	})
+
+	// A heading of exactly zero is where a zero-valued memo entry is a false
+	// hit (cos 0: the vehicle never advances, which only an obstacle's
+	// clearance notices), and -0 and +0 are the one pair of equal headings
+	// whose Sincos differ. Aligned cruise at the set point on a zero warm
+	// start keeps the early rollouts on that heading.
+	t.Run("signed zero heading", func(t *testing.T) {
+		negZero := math.Copysign(0, -1)
+		for _, h := range []float64{0, negZero} {
+			for _, steer := range []float64{0, negZero} {
+				for _, offset := range []float64{0, negZero, 0.7} {
+					pp := newPlanPair(DefaultMPCConfig())
+					pp.warm(0, steer)
+					in := Input{Speed: 5.6, TargetSpeed: 5.6, LaneOffset: offset, HeadingErr: h,
+						Obstacles: []Obstacle{{S: 9, D: 2.4, Radius: 0.6}}}
+					for c := 0; c < 3; c++ {
+						pp.plan(t, fmt.Sprintf("heading %v steer %v offset %v cycle %d", h, steer, offset, c), in)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("dense obstacles", func(t *testing.T) {
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(1000 + seed))
+			pp := newPlanPair(DefaultMPCConfig())
+			for c := 0; c < 4; c++ {
+				in := randomPlanInput(rng)
+				for n := 16 + rng.Intn(17); len(in.Obstacles) < n; {
+					in.Obstacles = append(in.Obstacles, randomObstacle(rng))
+				}
+				pp.plan(t, fmt.Sprintf("seed %d cycle %d, %d obstacles", seed, c, len(in.Obstacles)), in)
+			}
+		}
+	})
+
+	// Cfg is an exported field: a caller may retune it between cycles, and
+	// the memo filled under the old Dt must not answer for the new one.
+	t.Run("Dt mutated between plans", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		pp := newPlanPair(DefaultMPCConfig())
+		in := randomPlanInput(rng)
+		for c, dt := range []float64{0.1, 0.05, 0.05, 0.2, 0.1, 0.1} {
+			pp.got.Cfg.Dt, pp.want.Cfg.Dt = dt, dt
+			pp.plan(t, fmt.Sprintf("cycle %d, Dt %v", c, dt), in) // the same scene again: only Dt moved the headings
+			if c%2 == 1 {
+				in = randomPlanInput(rng)
+			}
+		}
+	})
+}
+
+// FuzzPlanMatchesFullRollout drives MPC.Plan and the full-rollout oracle
+// with a fuzzed start state and obstacle field (five bytes per obstacle, at
+// most 32), then follows the plan for a few cycles as the vehicle would, so
+// the warm start and the memo carry over from one Plan to the next.
+func FuzzPlanMatchesFullRollout(f *testing.F) {
+	f.Fuzz(func(t *testing.T, speed, laneOffset, headingErr, targetSpeed float64, horizon uint8, obstacles []byte) {
+		cfg := DefaultMPCConfig()
+		cfg.Horizon = 1 + int(horizon)%24
+		in := Input{Speed: speed, LaneOffset: laneOffset, HeadingErr: headingErr, TargetSpeed: targetSpeed}
+		unit := func(x byte) float64 { return float64(x) / 255 }
+		for b := obstacles; len(b) >= 5 && len(in.Obstacles) < 32; b = b[5:] {
+			in.Obstacles = append(in.Obstacles, Obstacle{
+				S:      unit(b[0]) * 40,
+				D:      unit(b[1])*6 - 3,
+				VS:     unit(b[2])*6 - 3,
+				VD:     unit(b[3])*2 - 1,
+				Radius: 0.3 + unit(b[4]),
+			})
+		}
+		pp := newPlanPair(cfg)
+		for c := 0; c < 4; c++ {
+			p := pp.plan(t, fmt.Sprintf("cycle %d", c), in)
+			in.Speed, in.LaneOffset = p.Traj[0].V, p.Traj[0].D
+			in.HeadingErr = mathx.Clamp(in.HeadingErr+pp.got.steer[0]*cfg.Dt, -2.5, 2.5)
+			for i := range in.Obstacles {
+				o := &in.Obstacles[i]
+				o.S += o.VS*cfg.Dt - p.Traj[0].S
+				o.D += o.VD * cfg.Dt
+			}
+		}
+	})
+}
+
+// BenchmarkPlanSequence plans over the oracle test's scene stream on one
+// planner: off-lane and misaligned starts, moving obstacles and a warm start
+// that never converges, which is what the control loop feeds the planner.
+// (BenchmarkPlannerComparisonMPC replays one aligned, converged input.)
+func BenchmarkPlanSequence(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	inputs := make([]Input, 256)
+	for i := range inputs {
+		inputs[i] = randomPlanInput(rng)
 	}
-	if blocked == 0 || blocked == runs*cycles {
-		t.Fatalf("%d of %d plans blocked; the inputs must cover both outcomes", blocked, runs*cycles)
+	m := NewMPC(DefaultMPCConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Plan(inputs[i%len(inputs)])
 	}
 }
 

@@ -134,7 +134,8 @@ func main() {
 	case "sched-json":
 		fmt.Print(experiments.SchedBenchJSON(*seed))
 	default:
-		fmt.Printf("unknown experiment %q\n", *only)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
+		os.Exit(2)
 	}
 }
 
@@ -172,7 +173,7 @@ func runInstrumented(seed int64, duration time.Duration, metricsPath, spansPath,
 	fmt.Print(out)
 
 	if reg != nil {
-		if err := writeMetrics(reg, metricsPath); err != nil {
+		if err := reg.WriteFile(metricsPath); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", err)
 		} else {
 			fmt.Printf("metrics: registry snapshot -> %s\n", metricsPath)
@@ -200,22 +201,4 @@ func runInstrumented(seed int64, duration time.Duration, metricsPath, spansPath,
 			fmt.Printf("blackbox: %d dumps -> %s\n", n, boxPath)
 		}
 	}
-}
-
-// writeMetrics renders the registry to path: JSON for .json paths, the
-// Prometheus text exposition otherwise. Host-class metrics are included.
-func writeMetrics(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = reg.WriteJSON(f, true)
-	} else {
-		err = reg.WriteText(f, true)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"sov/internal/core"
@@ -137,18 +136,7 @@ func main() {
 	}
 
 	if reg != nil && *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if strings.HasSuffix(*metricsPath, ".json") {
-			err = reg.WriteJSON(f, true)
-		} else {
-			err = reg.WriteText(f, true)
-		}
-		if err != nil {
+		if err := reg.WriteFile(*metricsPath); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", err)
 			os.Exit(1)
 		}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sovlint [-workers n] [-list] [-json] [packages...]
+//	sovlint [-list] [-json] [packages...]
 //
 // Packages are directories or "./..." (the default: every package under
 // the module root). Findings print as "file:line:col: [analyzer] message"
@@ -22,11 +22,9 @@ import (
 	"strings"
 
 	"sov/internal/lint"
-	"sov/internal/parallel"
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "worker count for the analyzer matrix (0 = NumCPU); findings are identical for any value")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (stable field and finding order)")
 	flag.Usage = func() {
@@ -40,9 +38,6 @@ func main() {
 			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
 	}
 
 	cwd, err := os.Getwd()

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"sov/internal/core"
@@ -115,7 +114,7 @@ func main() {
 		}
 	}
 	if reg != nil {
-		if err := writeMetrics(reg, *metricsPath); err != nil {
+		if err := reg.WriteFile(*metricsPath); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", err)
 		} else {
 			fmt.Printf("metrics: registry snapshot -> %s\n", *metricsPath)
@@ -141,24 +140,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "warning: collisions occurred")
 		os.Exit(1)
 	}
-}
-
-// writeMetrics renders the registry to path: the JSON snapshot for .json
-// paths, the Prometheus text exposition otherwise. Host-class metrics are
-// included — the file is a diagnostic artifact; determinism-sensitive
-// consumers read only the virtual section (the text form separates them).
-func writeMetrics(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = reg.WriteJSON(f, true)
-	} else {
-		err = reg.WriteText(f, true)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -1,6 +1,6 @@
 // Benchmarks for the fleet-scale simulation substrate: vehicles advanced
 // per wall-clock second and epoch latency, swept over fleet size × worker
-// count. scripts/bench_fleet.sh turns the output into BENCH_fleet.json and
+// count. scripts/bench.sh fleet turns the output into BENCH_fleet.json and
 // carries the nightly --check regression gate.
 package sov
 
@@ -60,7 +60,7 @@ func benchFleetEpoch(b *testing.B, vehicles, workers int) {
 }
 
 // BenchmarkFleetThroughput sweeps fleet size × worker count. Worker-count
-// speedups are only expressible on a multi-core host — bench_fleet.sh
+// speedups are only expressible on a multi-core host — the snapshot
 // records num_cpu next to the numbers so a single-CPU runner's flat curve
 // reads as what it is.
 func BenchmarkFleetThroughput(b *testing.B) {

@@ -1,3 +1,7 @@
+// Package cloud is the block codec the fleet telemetry store writes its run
+// files with (internal/telemetry/sst.go) and the Sec. VII model of the
+// hourly field-data upload: a compression engine that RPR swaps onto the
+// fabric only while it is needed.
 package cloud
 
 import (

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // freshCompress and freshDecompress are the one-shot bodies Compress and
@@ -275,4 +276,55 @@ func TestDecompressTruncatedAndCorrupt(t *testing.T) {
 			t.Fatal("trailing garbage corrupted the payload")
 		}
 	})
+}
+
+func TestCompressRoundTrip(t *testing.T) {
+	payload := []byte(strings.Repeat(`{"kind":"heartbeat","at":123456}`, 200))
+	c, err := Compress(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c) >= len(payload)/4 {
+		t.Fatalf("repetitive JSON compressed to %d/%d — ratio too weak", len(c), len(payload))
+	}
+	back, err := Decompress(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(back) != string(payload) {
+		t.Fatal("roundtrip mismatch")
+	}
+}
+
+func TestDecompressGarbage(t *testing.T) {
+	if _, err := Decompress([]byte{0xde, 0xad, 0xbe, 0xef, 0x01}); err == nil {
+		t.Fatal("garbage should not inflate")
+	}
+}
+
+func TestCompressionAcceleratorEstimate(t *testing.T) {
+	acc := DefaultCompressionAccelerator()
+	// 1 hour of raw data at the paper's ~1 TB/day is ~42 GB.
+	job := acc.Estimate(42 << 30)
+	if job.Duration < 100*time.Second || job.Duration > 400*time.Second {
+		t.Fatalf("42 GB at 200 MB/s = %v, want ~225 s", job.Duration)
+	}
+	if job.EnergyJ <= 0 {
+		t.Fatal("energy must be positive")
+	}
+	if z := (CompressionAccelerator{}).Estimate(100); z.Duration != 0 {
+		t.Fatal("degenerate accelerator should be zero, not Inf")
+	}
+}
+
+func TestHourlyUploadPlanLowDuty(t *testing.T) {
+	out := HourlyUploadPlan(42<<30, DefaultCompressionAccelerator(), 3*time.Millisecond)
+	if !strings.Contains(out, "duty") {
+		t.Fatalf("plan: %s", out)
+	}
+	// The whole point of RPR here: the compressor occupies the fabric a
+	// few percent of the hour, not permanently.
+	if !strings.Contains(out, "swaps") {
+		t.Fatal("plan should include swap cost")
+	}
 }

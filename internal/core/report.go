@@ -149,15 +149,6 @@ func (r *Report) MeanE2EMS() float64 {
 	return r.EndToEnd.Mean()
 }
 
-// MeanPipelineDepth returns the mean number of commands in flight at
-// capture.
-func (r *Report) MeanPipelineDepth() float64 {
-	if r.lean {
-		return r.leanDepth.Mean()
-	}
-	return r.PipelineDepth.Mean()
-}
-
 func (r *Report) finish(duration time.Duration, s *SoV) {
 	if r.physSteps > 0 {
 		r.ProactiveFraction = 1 - float64(r.reactiveSteps)/float64(r.physSteps)

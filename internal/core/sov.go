@@ -166,17 +166,6 @@ func New(cfg Config, w *world.World) *SoV {
 // Battery exposes the pack for long-run inspection.
 func (s *SoV) Battery() *vehicle.Battery { return s.battery }
 
-// SchedBatching reports whether batched multi-image inference is currently
-// allowed: always without the scheduler (the deployed GPU mapping batches),
-// otherwise only while scene understanding sits on a batching-capable
-// processor. The fleet substrate consults it before cross-vehicle batching.
-func (s *SoV) SchedBatching() bool {
-	if s.sched == nil {
-		return true
-	}
-	return s.sched.BatchCapable()
-}
-
 // Cycles returns the number of control cycles captured so far (live — the
 // fleet substrate reads it between epochs without finishing the run).
 func (s *SoV) Cycles() int { return s.cycle }

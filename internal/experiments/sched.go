@@ -140,7 +140,7 @@ func SchedDynamic(seed int64) string {
 }
 
 // SchedBenchJSON emits the machine-readable BENCH_sched.json content. The
-// runs are virtual-time deterministic, so scripts/bench_sched.sh --check can
+// runs are virtual-time deterministic, so scripts/bench.sh sched --check can
 // regenerate and exact-diff this output against the committed snapshot.
 func SchedBenchJSON(seed int64) string {
 	var b strings.Builder

@@ -67,30 +67,11 @@ func (f *Fleet) initShards() {
 func (f *Fleet) shardRange(start, end int) {
 	for s := start; s < end; s++ {
 		sh := f.shards[s]
-		batch := true
 		for i, u := range sh.units {
 			fillInput(sh.inputs[i].Data, u.id, f.epoch, int(u.odo*16))
-			if !u.sov.SchedBatching() {
-				batch = false
-			}
 		}
-		if batch {
-			sh.outs = detect.RunQuantCNNBatch(sh.outs, sh.model, sh.inputs, objThreshold, iouThreshold, &sh.scratch)
-			for i, u := range sh.units {
-				u.boxes = len(sh.outs[i])
-			}
-			continue
-		}
-		// The online scheduler moved some vehicle's scene understanding off a
-		// batching-capable processor: fall back to per-image inference (byte-
-		// identical results — RunQuantCNNBatch is bit-exact with the per-image
-		// path — but image-major, so every image re-streams every layer's
-		// weight panels).
-		for len(sh.outs) < len(sh.inputs) {
-			sh.outs = append(sh.outs, nil)
-		}
+		sh.outs = detect.RunQuantCNNBatch(sh.outs, sh.model, sh.inputs, objThreshold, iouThreshold, &sh.scratch)
 		for i, u := range sh.units {
-			sh.outs[i] = detect.RunQuantCNNInto(sh.outs[i][:0], sh.model, sh.inputs[i], objThreshold, iouThreshold, &sh.scratch)
 			u.boxes = len(sh.outs[i])
 		}
 	}

@@ -1,13 +1,13 @@
 package lint
 
 // The whole-program layer under the second-generation analyzers (DESIGN.md
-// §12): every function declaration in the loaded package set, the static
+// §7): every function declaration in the loaded package set, the static
 // call graph over them, and a bottom-up SCC order for summary propagation.
 // Construction is strictly deterministic — packages arrive sorted by import
 // path, files sorted by name, declarations in source order — so the
 // summaries (and therefore every finding derived from them) are identical
-// for any worker count. The graph is built once per Run, before the
-// package × analyzer matrix fans out, and is immutable afterwards.
+// from run to run. The graph is built once per Run, before the package ×
+// analyzer matrix, and is immutable afterwards.
 //
 // Only static module-internal edges exist: a call through a function value,
 // an interface method, or into a package outside the loaded set has no
@@ -44,8 +44,7 @@ type ProgFunc struct {
 	pool  poolFact
 }
 
-// Name returns "Recv.Name" for methods, "Name" otherwise — the same naming
-// the hotKernels table uses.
+// Name returns "Recv.Name" for methods, "Name" otherwise.
 func (pf *ProgFunc) Name() string { return funcKey(pf.Decl) }
 
 // Program is the whole-program view shared read-only by every pass of an

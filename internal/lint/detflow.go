@@ -73,7 +73,6 @@ var hostSinks = map[string]string{
 	"sov/internal/core.Tracer.Record":           "the cycle trace (core.Tracer.Record)",
 	"sov/internal/obs.SpanWriter.Span":          "the span trace (obs.SpanWriter.Span)",
 	"sov/internal/obs.FlightRecorder.Record":    "the flight recorder (obs.FlightRecorder.Record)",
-	"sov/internal/cloud.OperationalLog.Record":  "the operational log (cloud.OperationalLog.Record)",
 	"sov/internal/fleet.traceWriter.intField":   "the fleet trace (traceWriter.intField)",
 	"sov/internal/fleet.traceWriter.floatField": "the fleet trace (traceWriter.floatField)",
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// The annotation grammar (DESIGN.md §7, §12):
+// The annotation grammar (DESIGN.md §7):
 //
 //	//sovlint:ignore <analyzer> <reason>   — suppress <analyzer> findings on
 //	                                         this line and the next; the

@@ -14,7 +14,7 @@ package lint
 // panic arguments are exempt (shape-check error paths never run in steady
 // state). Intentional exceptions carry //sovlint:ignore with a reason.
 //
-// v2 (DESIGN.md §12) adds the interprocedural half: per-function
+// The interprocedural half (DESIGN.md §7): per-function
 // "may-allocate" summaries are inferred bottom-up over the call graph, so a
 // hot kernel calling an allocating helper is flagged at the call site with
 // a witness chain down to the offending construct. A //sovlint:ignore on an
@@ -25,11 +25,7 @@ package lint
 // set have no summary and are assumed allocation-free; fmt, the worst
 // stdlib offender, is still caught per-site.
 //
-// The //sov:hotpath annotation is the source of truth for what is hot. The
-// built-in hotKernels table is a drift-checked regression list of the
-// kernels the steady-state alloc gates measure: VerifyHotKernels fails if a
-// listed function disappears (rename drift) or loses its annotation
-// (coverage drift).
+// The //sov:hotpath annotation is the only registry of what is hot.
 
 import (
 	"go/ast"
@@ -46,86 +42,7 @@ var HotAlloc = &Analyzer{
 	Run:          runHotAlloc,
 }
 
-// hotKernels is the regression list of per-frame kernels: the
-// zero-allocation Into-variants and inner-loop kernels the steady-state
-// alloc gates measure. Methods are named "Receiver.Method". Every entry
-// must resolve to a declared function carrying //sov:hotpath —
-// TestHotKernelTableFresh fails on either kind of drift. Coverage itself
-// comes from the annotations; this table only pins the measured set.
-var hotKernels = map[string][]string{
-	"sov/internal/isp": {
-		"PixelPipelineConfig.ProcessInto", "boxBlur3Into",
-		// Fixed-point pixel chain (DESIGN.md §8).
-		"QuantPixelPipeline.ProcessInto", "qBoxBlur3Into", "qBlurEdge",
-	},
-	"sov/internal/nn": {
-		"Conv2D.ForwardInto", "Conv2D.forwardChannel", "MaxPool2.ForwardInto", "poolChannel",
-		// int8 fused kernels (DESIGN.md §8).
-		"QConv2D.ForwardInto",
-		"QMaxPool2.ForwardInto", "qpoolChannel",
-		"QGlobalAvgPool.ForwardInto", "qgapChannel",
-		"QFC.ForwardInto", "QFC.swarRowQuad", "QFC.swarRow", "QFC.swarTail",
-		"QuantizeTensorInto", "DequantizeTensorInto",
-		"requant.apply", "SigmoidLUT.At", "QYOLOHead.decodeCellQ",
-		// im2col GEMM backend and batched inference (DESIGN.md §10).
-		"QConv2D.forwardGEMM", "QConv2D.gemmBlock",
-		"QNetwork.ForwardBatchPooled", "QYOLOHead.ForwardRawBatch",
-	},
-	"sov/internal/pointcloud": {"icpMatchOne"},
-	"sov/internal/detect": {
-		"Detector.DetectInto",
-		// Fixed-point grid decode (DESIGN.md §8).
-		"DecodeQuantGridInto", "decodeQuantBox",
-		// Scratch-reusing quantized pipeline entry points (DESIGN.md §10).
-		"RunQuantCNNInto", "RunQuantCNNBatch",
-	},
-	"sov/internal/fusion": {"SyncScratch.SpatialSyncInto", "FuseAllInto"},
-	"sov/internal/vision": {
-		// Fixed-point stereo cost aggregation and 8-bit frame conversion
-		// (DESIGN.md §8).
-		"sadAtQ", "matchPixelQ", "QuantizeImageInto", "QImage.DequantizeInto",
-		// SWAR SAD sweep and scratch-reusing stereo matchers (DESIGN.md §10).
-		"sad8", "sadSweepSWAR", "BlockMatchQuantInto",
-		"SupportPointsQuantInto", "SupportPointStereoQuantInto",
-	},
-	"sov/internal/obs": {
-		// Telemetry steady-state record paths (DESIGN.md §9): touched every
-		// control cycle when the obs layer is attached, so they obey the
-		// same zero-allocation contract as the perception kernels.
-		"Counter.Inc", "Counter.Add", "Gauge.Set", "Histogram.Observe",
-		"SpanWriter.Span", "FlightRecorder.Record",
-	},
-	"sov/internal/core": {
-		// Per-cycle telemetry emitters feeding the obs layer (DESIGN.md §9).
-		"SoV.recordSpans", "SoV.recordBox", "SoV.observeCycleMetrics",
-	},
-	"sov/internal/sched": {
-		// Online-scheduler per-cycle methods (DESIGN.md §13): run inside
-		// captureInto on the engine thread every control cycle, covered by
-		// the sched variants of the steady-state alloc gate.
-		"Scheduler.BeginCycle", "Scheduler.Observe", "Scheduler.FrontEnd",
-		"Scheduler.NoteSwap",
-	},
-	"sov/internal/fleet": {
-		// Fleet epoch-loop leaves (DESIGN.md §11): ring geometry for the
-		// dispatcher, Poisson demand draws, RNG stream derivation, and the
-		// synthetic per-vehicle frame fill — all on the
-		// zero-steady-state-alloc epoch path.
-		"ringPos", "ringDist", "poisson", "splitSeed", "fillInput",
-	},
-	"sov/internal/telemetry": {
-		// Telemetry-store ingest path (DESIGN.md §14): per-event work on
-		// the fleet barrier's uplink — batcher Add, memtable insert, key
-		// encode/compare, bloom probes, and the secondary-index key
-		// shuffles. Arena/slice growth roots carry //sovlint:ignore
-		// (amortized, like the §11 arenas).
-		"Ingestor.Add", "memtable.put", "appendKey", "Key.Less",
-		"bloom.add", "bloom.test", "bloomHash",
-		"skeyOf", "skey.primary", "skey.less", "bptNode.search",
-	},
-}
-
-// funcKey names a declaration the way hotKernels does.
+// funcKey names a declaration: "Func", or "Receiver.Method" for methods.
 func funcKey(fn *ast.FuncDecl) string {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
 		return fn.Name.Name
@@ -143,59 +60,11 @@ func funcKey(fn *ast.FuncDecl) string {
 	return fn.Name.Name
 }
 
-// VerifyHotKernels checks the regression list against the given packages
-// and returns one entry per problem: a listed function that no longer
-// resolves to a declaration (rename drift) or that no longer carries the
-// //sov:hotpath annotation (coverage drift — the annotation, not this
-// table, is what the analyzer enforces).
-func VerifyHotKernels(pkgs []*Package) []string {
-	annotated := make(map[string]bool)
-	declared := make(map[string]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok {
-					key := pkg.ImportPath + "." + funcKey(fn)
-					declared[key] = true
-					if funcHasDirective(fn, directiveHotpath) {
-						annotated[key] = true
-					}
-				}
-			}
-		}
-	}
-	var bad []string
-	for path, names := range hotKernels {
-		for _, name := range names {
-			key := path + "." + name
-			switch {
-			case !declared[key]:
-				bad = append(bad, key+" (no such function)")
-			case !annotated[key]:
-				bad = append(bad, key+" (missing //sov:hotpath annotation)")
-			}
-		}
-	}
-	return bad
-}
-
-func isHotFunc(pkg *Package, fn *ast.FuncDecl) bool {
-	if funcHasDirective(fn, directiveHotpath) {
-		return true
-	}
-	for _, name := range hotKernels[pkg.ImportPath] {
-		if name == funcKey(fn) {
-			return true
-		}
-	}
-	return false
-}
-
 func runHotAlloc(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !isHotFunc(p.Pkg, fn) {
+			if !ok || fn.Body == nil || !funcHasDirective(fn, directiveHotpath) {
 				continue
 			}
 			scanAllocSites(p.Pkg, fn, func(pos token.Pos, kind allocKind, detail string) {
@@ -222,7 +91,7 @@ func checkHotCalls(p *Pass, fn *ast.FuncDecl) {
 		if callee == nil || callee.Decl.Body == nil {
 			return true // dynamic or external: no summary, assumed benign
 		}
-		if isHotFunc(callee.Pkg, callee.Decl) {
+		if funcHasDirective(callee.Decl, directiveHotpath) {
 			return true // its own hotalloc pass reports its sites
 		}
 		if !callee.alloc.may {

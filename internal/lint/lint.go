@@ -7,8 +7,6 @@ import (
 	"go/token"
 	"path/filepath"
 	"sort"
-
-	"sov/internal/parallel"
 )
 
 // An Analyzer is one named invariant check over a type-checked package.
@@ -19,9 +17,9 @@ type Analyzer struct {
 	// Doc is a one-line description for -list output.
 	Doc string
 	// NeedsProgram marks interprocedural analyzers: before the package ×
-	// analyzer matrix fans out, the driver builds the whole-program call
-	// graph and bottom-up summaries (callgraph.go, summary.go) and hands
-	// them to every pass via Pass.Prog.
+	// analyzer matrix runs, the driver builds the whole-program call graph
+	// and bottom-up summaries (callgraph.go, summary.go) and hands them to
+	// every pass via Pass.Prog.
 	NeedsProgram bool
 	// Run inspects the package and reports findings through the pass.
 	Run func(*Pass)
@@ -32,7 +30,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	// Prog is the shared whole-program view (non-nil when any analyzer in
-	// the run set has NeedsProgram). It is immutable during the fan-out.
+	// the run set has NeedsProgram). No pass mutates it.
 	Prog     *Program
 	findings []Finding
 }
@@ -81,14 +79,12 @@ func analyzerNames(analyzers []*Analyzer) map[string]bool {
 	return m
 }
 
-// Run executes every analyzer over every package, fanning the matrix out
-// across internal/parallel (byte-identical findings for any worker count:
-// each job owns its result slot and the merge is a fixed-order reduction).
-// When any analyzer is interprocedural the whole-program call graph and
-// summaries are built serially first and shared read-only by every pass.
-// Suppressed findings are dropped; malformed //sovlint:ignore directives
-// and directives that suppressed nothing (stale suppressions) are reported
-// as findings of the "sovlint" pseudo-analyzer. The result is sorted by
+// Run executes every analyzer over every package, serially and in argument
+// order. When any analyzer is interprocedural the whole-program call graph
+// and summaries are built first and shared by every pass. Suppressed
+// findings are dropped; malformed //sovlint:ignore directives and
+// directives that suppressed nothing (stale suppressions) are reported as
+// findings of the "sovlint" pseudo-analyzer. The result is sorted by
 // position, then analyzer, then message.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	// Directive names are checked against the whole suite, staleness only
@@ -105,25 +101,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 	}
 
-	type job struct {
-		pkg *Package
-		an  *Analyzer
-	}
-	var jobs []job
-	for _, pkg := range pkgs {
-		for _, an := range analyzers {
-			jobs = append(jobs, job{pkg, an})
-		}
-	}
-	results := make([][]Finding, len(jobs))
-	parallel.For(len(jobs), 1, func(start, end int) {
-		for i := start; i < end; i++ {
-			pass := &Pass{Analyzer: jobs[i].an, Pkg: jobs[i].pkg, Prog: prog}
-			pass.Analyzer.Run(pass)
-			results[i] = pass.findings
-		}
-	})
-
 	var out []Finding
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -136,11 +113,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 				})
 			}
 		}
-		for i, j := range jobs {
-			if j.pkg != pkg {
-				continue
-			}
-			for _, f := range results[i] {
+		for _, an := range analyzers {
+			pass := &Pass{Analyzer: an, Pkg: pkg, Prog: prog}
+			an.Run(pass)
+			for _, f := range pass.findings {
 				if dirs.suppress(f.Analyzer, f.Pos.Filename, f.Pos.Line) {
 					continue
 				}
@@ -201,9 +177,9 @@ type jsonFinding struct {
 
 // FormatJSON renders findings as a JSON array (one object per finding,
 // stable field order, findings in the driver's sorted order, trailing
-// newline). Paths are relativized against baseDir like Format. The output
-// is byte-identical for any worker count — the same contract as the text
-// form — so CI and tooling can diff findings without parsing text.
+// newline). Paths are relativized against baseDir like Format. Two runs
+// over the same tree are byte-identical, so CI and tooling can diff
+// findings without parsing text.
 func FormatJSON(findings []Finding, baseDir string) ([]byte, error) {
 	arr := make([]jsonFinding, len(findings))
 	for i, f := range findings {

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"sov/internal/parallel"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from current analyzer output")
@@ -124,9 +122,9 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-// TestFindingsDeterministic runs the full matrix over every fixture at
-// worker counts 1 and 8 and requires byte-identical output — the linter
-// obeys the determinism contract it enforces.
+// TestFindingsDeterministic runs the full matrix over every fixture twice
+// and requires byte-identical output — the linter obeys the determinism
+// contract it enforces.
 func TestFindingsDeterministic(t *testing.T) {
 	collect := func() string {
 		var all []string
@@ -135,19 +133,15 @@ func TestFindingsDeterministic(t *testing.T) {
 		}
 		return strings.Join(all, "\n")
 	}
-	prev := parallel.SetWorkers(1)
-	serial := collect()
-	parallel.SetWorkers(8)
-	wide := collect()
-	parallel.SetWorkers(prev)
-	if serial != wide {
-		t.Errorf("findings differ between 1 and 8 workers\n--- 1 ---\n%s\n--- 8 ---\n%s", serial, wide)
+	first, second := collect(), collect()
+	if first != second {
+		t.Errorf("findings differ between two runs\n--- 1 ---\n%s\n--- 2 ---\n%s", first, second)
 	}
 }
 
 // TestFormatJSON pins the machine-readable output: valid JSON, stable
-// field order, findings in driver order, and byte-identical bytes for any
-// worker count (the same contract as the text form).
+// field order, findings in driver order, and byte-identical bytes from two
+// runs (the same contract as the text form).
 func TestFormatJSON(t *testing.T) {
 	_, pkg := loadFixture(t, "detflow")
 	render := func() []byte {
@@ -161,13 +155,9 @@ func TestFormatJSON(t *testing.T) {
 		}
 		return b
 	}
-	prev := parallel.SetWorkers(1)
-	serial := render()
-	parallel.SetWorkers(8)
-	wide := render()
-	parallel.SetWorkers(prev)
-	if string(serial) != string(wide) {
-		t.Errorf("JSON output differs between 1 and 8 workers\n--- 1 ---\n%s\n--- 8 ---\n%s", serial, wide)
+	first, second := render(), render()
+	if string(first) != string(second) {
+		t.Errorf("JSON output differs between two runs\n--- 1 ---\n%s\n--- 2 ---\n%s", first, second)
 	}
 
 	var arr []struct {
@@ -177,7 +167,7 @@ func TestFormatJSON(t *testing.T) {
 		Analyzer string `json:"analyzer"`
 		Message  string `json:"message"`
 	}
-	if err := json.Unmarshal(serial, &arr); err != nil {
+	if err := json.Unmarshal(first, &arr); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
 	for _, f := range arr {

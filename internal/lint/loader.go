@@ -9,10 +9,9 @@
 //
 // The engine loads every package in the module with its own module-aware
 // loader (stdlib dependencies are type-checked from GOROOT source via
-// go/importer's "source" compiler), then fans the analyzer × package matrix
-// out across internal/parallel. Findings are reported in a deterministic
-// order regardless of worker count — the linter obeys the same contract it
-// enforces.
+// go/importer's "source" compiler), then runs the analyzer × package matrix
+// serially. Findings are reported in a deterministic order — the linter
+// obeys the same contract it enforces.
 package lint
 
 import (
@@ -243,8 +242,7 @@ func hasGoFiles(dir string) bool {
 
 // load parses and type-checks one package, memoized by import path.
 // Loading is serialized: the stdlib source importer is not safe for
-// concurrent use, and package loading is a small fraction of a lint run
-// (the analyzer matrix is where internal/parallel earns its keep).
+// concurrent use.
 func (l *Loader) load(importPath, dir string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -2,7 +2,7 @@ package lint
 
 import "go/token"
 
-// Bottom-up per-function summaries (DESIGN.md §12). Each ProgFunc carries
+// Bottom-up per-function summaries (DESIGN.md §7). Each ProgFunc carries
 // three facts, inferred callee-before-caller over the SCC order that
 // Program.sccs returns:
 //
@@ -22,7 +22,7 @@ import "go/token"
 // changes terminates. Everything is deterministic: function order, callee
 // order, and SCC order are all derived from the sorted package/file/decl
 // order, so the summaries — and every finding derived from them — are
-// byte-identical for any worker count.
+// byte-identical from run to run.
 
 type allocFact struct {
 	// may reports that a call can allocate in steady state.
@@ -62,8 +62,8 @@ type poolFact struct {
 }
 
 // computeSummaries fills in the per-function facts bottom-up. It runs once,
-// serially, inside BuildProgram — before the analyzer matrix fans out — so
-// every pass sees the same finished summaries.
+// inside BuildProgram — before the analyzer matrix — so every pass sees the
+// same finished summaries.
 func computeSummaries(p *Program) {
 	computeAllocFacts(p)
 	for _, scc := range p.sccs() {

@@ -22,15 +22,17 @@
 //
 // The steady-state record paths (Counter.Inc/Add, Gauge.Set,
 // Histogram.Observe, SpanWriter.Span, FlightRecorder.Record) are
-// allocation-free once warm and registered in sovlint's hotalloc table.
+// allocation-free once warm and annotated //sov:hotpath for sovlint.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -447,5 +449,25 @@ func (r *Registry) WriteJSON(w io.Writer, includeHost bool) error {
 	}
 	b = append(b, "\n]\n"...)
 	_, err := w.Write(b)
+	return err
+}
+
+// WriteFile renders the registry to path: the JSON snapshot for .json
+// paths, the Prometheus text exposition otherwise. Host-class metrics are
+// included — the file is a diagnostic artifact; determinism-sensitive
+// consumers read only the virtual section (the text form separates them).
+func (r *Registry) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".json") {
+		err = r.WriteJSON(f, true)
+	} else {
+		err = r.WriteText(f, true)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }

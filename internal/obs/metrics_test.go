@@ -67,6 +67,37 @@ func TestTextExpositionGolden(t *testing.T) {
 	}
 }
 
+// TestWriteFilePicksFormatBySuffix: a .json path holds exactly WriteJSON's
+// bytes, any other path WriteText's, host section included; a path that
+// cannot be created is an error.
+func TestWriteFilePicksFormatBySuffix(t *testing.T) {
+	r := fillRegistry(false)
+	var text, js bytes.Buffer
+	if err := r.WriteText(&text, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&js, true); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, want := range map[string][]byte{"m.prom": text.Bytes(), "m.json": js.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := r.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	if err := r.WriteFile(filepath.Join(dir, "absent", "m.prom")); err == nil {
+		t.Error("WriteFile into a missing directory returned no error")
+	}
+}
+
 // TestTextExpositionOrderIndependent: the bytes depend only on the metric
 // values, never on registration order.
 func TestTextExpositionOrderIndependent(t *testing.T) {

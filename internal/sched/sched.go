@@ -511,14 +511,6 @@ func (s *Scheduler) NoteSwap(d time.Duration) {
 	s.swapMsEWMA += s.cfg.EWMAAlpha * (float64(d)/1e6 - s.swapMsEWMA)
 }
 
-// BatchCapable reports whether scene understanding currently sits on a
-// batching-capable processor — the gate for multi-camera (and fleet
-// cross-vehicle) batched inference.
-func (s *Scheduler) BatchCapable() bool { return s.cand[s.cur].batch }
-
-// MappingName returns the current "SU/Loc" assignment.
-func (s *Scheduler) MappingName() string { return s.cand[s.cur].name }
-
 // Quantized reports the current operating point.
 func (s *Scheduler) Quantized() bool { return s.quant }
 

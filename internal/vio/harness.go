@@ -129,20 +129,6 @@ func RunTrajectory(cfg Config, imuCfg sensors.IMUConfig, traj Trajectory, w *wor
 	return res
 }
 
-// WeaveTrajectory returns a lane-keeping trajectory that advances at speed
-// m/s while weaving sinusoidally with the given amplitude (m) and angular
-// frequency (rad/s). The heading follows the velocity vector, so the yaw
-// dynamics are exactly what exposes camera–IMU timestamp offsets (Fig. 11b).
-func WeaveTrajectory(speed, amplitude, omega float64) Trajectory {
-	return func(t time.Duration) (world.Pose, mathx.Vec3) {
-		s := t.Seconds()
-		y := amplitude * math.Sin(omega*s)
-		vy := amplitude * omega * math.Cos(omega*s)
-		heading := math.Atan2(vy, speed)
-		return world.Pose{Pos: mathx.Vec2{X: speed * s, Y: y}, Heading: heading}, mathx.Vec3{}
-	}
-}
-
 // CircleTrajectory returns a constant-curvature loop of the given radius at
 // speed m/s, counter-clockwise around the origin, starting at (radius, 0).
 func CircleTrajectory(radius, speed float64) Trajectory {

@@ -192,12 +192,6 @@ func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int
 	})
 }
 
-// SupportPointsQuant matches a sparse grid of points with the fixed-point
-// matcher; output order matches the serial row-major scan exactly.
-func SupportPointsQuant(left, right *QImage, maxDisp, half, stride int) []SupportPoint {
-	return SupportPointsQuantInto(nil, left, right, maxDisp, half, stride, &StereoScratch{})
-}
-
 // SupportPointsQuantInto appends the support grid's matches to dst and
 // returns it. The element order is the serial row-major scan for any worker
 // count: the parallel path buckets per tile and concatenates in tile order.

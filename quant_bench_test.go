@@ -1,7 +1,7 @@
 // Quantization speedup harness (DESIGN.md §8): every fixed-point kernel is
 // benchmarked against its float32 counterpart on identical inputs so
 // `go test -bench=BenchmarkQuantSpeedup` regenerates the int8-vs-float
-// record wholesale (scripts/bench_quant.sh distills it into
+// record wholesale (scripts/bench.sh quant distills it into
 // BENCH_quant.json). The fused conv and FC kernels are the headline: the
 // ISSUE floor is >=1.5x over float, and platform.QuantSpeedup documents the
 // modeled operating-point ratio those numbers back.
@@ -65,7 +65,7 @@ func quantBenchFC() (*nn.FC, *nn.QFC, *nn.Tensor) {
 
 // BenchmarkQuantSpeedup pairs each quantized kernel with its float32
 // counterpart; the per-kernel speedups come from dividing the paired
-// ns/op figures (scripts/bench_quant.sh automates this).
+// ns/op figures (scripts/bench.sh quant automates this).
 func BenchmarkQuantSpeedup(b *testing.B) {
 	b.Run("conv/float32", func(b *testing.B) {
 		conv, _, in := quantBenchConv()

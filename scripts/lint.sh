@@ -19,15 +19,3 @@ echo "== sovlint =="
 go build -o /dev/null ./cmd/sovlint
 go run ./cmd/sovlint "$@" ./...
 echo "no findings"
-
-echo "== sovlint -json worker invariance =="
-# The determinism contract sovlint enforces also applies to sovlint: the
-# machine-readable output must be byte-identical for any worker count.
-j1=$(go run ./cmd/sovlint -workers 1 -json ./... ) || true
-j8=$(go run ./cmd/sovlint -workers 8 -json ./... ) || true
-if [ "$j1" != "$j8" ]; then
-    echo "sovlint -json output differs between -workers 1 and -workers 8" >&2
-    diff <(echo "$j1") <(echo "$j8") >&2 || true
-    exit 1
-fi
-echo "json output stable across worker counts"

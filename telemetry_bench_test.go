@@ -2,7 +2,7 @@
 // throughput with its write amplification (WAL + run rewrites over user
 // bytes), OLAP range-scan throughput with its read amplification (run
 // bytes read over result bytes), and point-read latency under the bloom
-// filters. scripts/bench_cloud.sh turns the output into BENCH_cloud.json
+// filters. scripts/bench.sh cloud turns the output into BENCH_cloud.json
 // and carries the nightly --check regression gate.
 package sov
 

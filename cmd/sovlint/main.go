@@ -1,17 +1,17 @@
-// Command sovlint enforces the repo's determinism, hot-path allocation,
-// and concurrency invariants: a pure-stdlib static-analysis driver
-// (go/parser + go/types, no golang.org/x/tools) running the analyzer suite
-// in internal/lint over every package in the module.
+// Command sovlint enforces the repo's determinism, hot-path allocation
+// and pooled-buffer ownership invariants: a pure-stdlib static-analysis
+// driver (go/parser + go/types, no golang.org/x/tools) running the five
+// analyzers in internal/lint over every package in the module.
 //
 // Usage:
 //
-//	sovlint [-list] [-json] [packages...]
+//	sovlint [-list] [packages...]
 //
 // Packages are directories or "./..." (the default: every package under
 // the module root). Findings print as "file:line:col: [analyzer] message"
-// — or, with -json, as a stable JSON array CI can diff byte-for-byte —
-// and the exit status is 1 when any survive suppression. See DESIGN.md §7
-// for the invariants and the //sovlint annotation grammar.
+// and the exit status is 1 when any survive suppression, 2 on a usage or
+// load error. See DESIGN.md §7 for the invariants and the //sovlint
+// annotation grammar.
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (stable field and finding order)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: sovlint [flags] [./... | dirs]\n")
 		flag.PrintDefaults()
@@ -77,16 +76,8 @@ func main() {
 	}
 
 	findings := lint.Run(pkgs, lint.Analyzers())
-	if *jsonOut {
-		b, err := lint.FormatJSON(findings, modRoot)
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(b)
-	} else {
-		for _, line := range lint.Format(findings, modRoot) {
-			fmt.Println(line)
-		}
+	for _, line := range lint.Format(findings, modRoot) {
+		fmt.Println(line)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "sovlint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))

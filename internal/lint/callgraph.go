@@ -1,8 +1,8 @@
 package lint
 
-// The whole-program layer under the second-generation analyzers (DESIGN.md
-// §7): every function declaration in the loaded package set, the static
-// call graph over them, and a bottom-up SCC order for summary propagation.
+// The whole-program layer under hotalloc and poolescape (DESIGN.md §7):
+// every function declaration in the loaded package set, the static call
+// graph over them, and a bottom-up SCC order for summary propagation.
 // Construction is strictly deterministic — packages arrive sorted by import
 // path, files sorted by name, declarations in source order — so the
 // summaries (and therefore every finding derived from them) are identical
@@ -11,9 +11,7 @@ package lint
 //
 // Only static module-internal edges exist: a call through a function value,
 // an interface method, or into a package outside the loaded set has no
-// edge. Each analyzer documents how it treats those unknowns (hotalloc and
-// poolescape assume they are benign; detflow propagates argument taint
-// through them).
+// edge; hotalloc and poolescape assume those unknowns are benign.
 
 import (
 	"fmt"
@@ -40,7 +38,6 @@ type ProgFunc struct {
 	index int // position in Program.funcs
 
 	alloc allocFact
-	taint taintFact
 	pool  poolFact
 }
 
@@ -171,8 +168,8 @@ func (p *Program) sccs() [][]*ProgFunc {
 }
 
 // qualifiedName returns "pkgpath.Func" for package-level functions and
-// "pkgpath.Recv.Method" for methods — the key format of the analyzer
-// source/sink tables.
+// "pkgpath.Recv.Method" for methods — the key format of poolescape's
+// Get/Put/borrow tables.
 func qualifiedName(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""

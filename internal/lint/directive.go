@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -14,10 +15,8 @@ import (
 //	                                         reason is mandatory.
 //	//sovlint:wallclock [reason]           — on a function's doc comment:
 //	                                         the function may read the wall
-//	                                         clock (stats/diagnostics only).
-//	                                         detflow still tracks the value:
-//	                                         it must not reach a virtual-
-//	                                         time output.
+//	                                         clock (stats/diagnostics only);
+//	                                         detnow does not flag it.
 //	//sov:hotpath                          — on a function's doc comment:
 //	                                         hotalloc checks every
 //	                                         allocation site in the body
@@ -85,7 +84,7 @@ func parseFileDirectives(fset *token.FileSet, f *ast.File, known map[string]bool
 			name := fields[0]
 			if known != nil && !known[name] {
 				fd.malformed = append(fd.malformed, malformedDirective{
-					pos: c.Pos(), msg: "sovlint:ignore names unknown analyzer " + strconv(name)})
+					pos: c.Pos(), msg: "sovlint:ignore names unknown analyzer " + strconv.Quote(name)})
 				continue
 			}
 			if len(fields) < 2 {
@@ -112,10 +111,6 @@ func parseFileDirectives(fset *token.FileSet, f *ast.File, known map[string]bool
 	}
 	return fd
 }
-
-// strconv quotes a directive token for an error message without pulling in
-// fmt at every call site.
-func strconv(s string) string { return "\"" + s + "\"" }
 
 // suppress reports whether a finding by the named analyzer at the given
 // line is covered by an ignore directive, marking the directive used.

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"path/filepath"
@@ -62,11 +60,9 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetNow,
 		DetRand,
-		DetFlow,
 		MapRange,
 		HotAlloc,
 		PoolEscape,
-		GoHygiene,
 	}
 }
 
@@ -89,7 +85,7 @@ func analyzerNames(analyzers []*Analyzer) map[string]bool {
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	// Directive names are checked against the whole suite, staleness only
 	// against the analyzers that run: a hotalloc directive is neither
-	// unknown nor stale in a gohygiene-only run.
+	// unknown nor stale in a detnow-only run.
 	ran := analyzerNames(analyzers)
 	dirs := parseDirectiveIndex(pkgs, analyzerNames(Analyzers()))
 
@@ -151,52 +147,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 func Format(findings []Finding, baseDir string) []string {
 	out := make([]string, len(findings))
 	for i, f := range findings {
-		g := relativize(f, baseDir)
-		out[i] = g.String()
+		if rel, err := filepath.Rel(baseDir, f.Pos.Filename); err == nil && !filepath.IsAbs(rel) && rel != "" && rel[0] != '.' {
+			f.Pos.Filename = filepath.ToSlash(rel)
+		}
+		out[i] = f.String()
 	}
 	return out
-}
-
-func relativize(f Finding, baseDir string) Finding {
-	if rel, err := filepath.Rel(baseDir, f.Pos.Filename); err == nil && !filepath.IsAbs(rel) && rel != "" && rel[0] != '.' {
-		f.Pos.Filename = filepath.ToSlash(rel)
-	}
-	return f
-}
-
-// jsonFinding fixes the field order of the machine-readable output; the
-// struct declaration order IS the wire order, so CI can diff two runs
-// byte-for-byte.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// FormatJSON renders findings as a JSON array (one object per finding,
-// stable field order, findings in the driver's sorted order, trailing
-// newline). Paths are relativized against baseDir like Format. Two runs
-// over the same tree are byte-identical, so CI and tooling can diff
-// findings without parsing text.
-func FormatJSON(findings []Finding, baseDir string) ([]byte, error) {
-	arr := make([]jsonFinding, len(findings))
-	for i, f := range findings {
-		g := relativize(f, baseDir)
-		arr[i] = jsonFinding{
-			File:     g.Pos.Filename,
-			Line:     g.Pos.Line,
-			Col:      g.Pos.Column,
-			Analyzer: g.Analyzer,
-			Message:  g.Message,
-		}
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(arr); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

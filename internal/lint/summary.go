@@ -3,16 +3,13 @@ package lint
 import "go/token"
 
 // Bottom-up per-function summaries (DESIGN.md §7). Each ProgFunc carries
-// three facts, inferred callee-before-caller over the SCC order that
+// two facts, inferred callee-before-caller over the SCC order that
 // Program.sccs returns:
 //
 //   - allocFact: the function may allocate in steady state — an intrinsic
 //     allocation site (hotalloc's per-site scanner, minus //sovlint:ignore-
 //     sanctioned sites) or a call to a may-allocate module function. The
 //     `why` string is a witness chain down to the construct.
-//   - taintFact: how host-class values (wall clock, CPU counts, env) move
-//     through the function — returned, parameter-to-return, or parameter-
-//     to-sink (detflow.go owns the walker).
 //   - poolFact: how pooled buffers move — returned to the caller still
 //     borrowed, released via a parameter, or escaped via a parameter
 //     (poolescape.go owns the walker).
@@ -29,21 +26,6 @@ type allocFact struct {
 	may bool
 	// why is the witness chain, e.g. "packACol → make at gemm.go:108".
 	why string
-}
-
-type taintFact struct {
-	// returnsHost: some return value derives from a host-class source.
-	returnsHost bool
-	// hostNote names the origin, e.g. "time.Now at runtime.go:92".
-	hostNote string
-	// paramReturn bit i: parameter i's value can flow to a return value.
-	// For methods the receiver is parameter 0 and formals follow.
-	paramReturn uint64
-	// paramSink bit i: parameter i's value can reach a virtual-class sink
-	// inside this function (directly or transitively).
-	paramSink uint64
-	// sinkNote names the sink reached by tainted parameters.
-	sinkNote string
 }
 
 type poolFact struct {
@@ -76,10 +58,6 @@ func computeSummaries(p *Program) {
 				// Compare only the monotone bits, not the witness strings:
 				// in a recursive SCC a note that embeds a callee's note
 				// would otherwise grow on every iteration and never settle.
-				if tf := taintWalk(p, pf, nil); !taintEq(tf, pf.taint) {
-					pf.taint = tf
-					changed = true
-				}
 				if pl := poolWalk(p, pf, nil); !poolEq(pl, pf.pool) {
 					pf.pool = pl
 					changed = true
@@ -87,12 +65,6 @@ func computeSummaries(p *Program) {
 			}
 		}
 	}
-}
-
-func taintEq(a, b taintFact) bool {
-	return a.returnsHost == b.returnsHost &&
-		a.paramReturn == b.paramReturn &&
-		a.paramSink == b.paramSink
 }
 
 func poolEq(a, b poolFact) bool {

@@ -77,56 +77,3 @@ func namedPath(t types.Type) string {
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
 }
-
-// lockCarriers names the types whose values must never be copied. Beyond
-// the sync primitives, the sync/atomic value types are included: copying
-// one tears the address the atomics operate on.
-var lockCarriers = map[string]bool{
-	"sync.Mutex":          true,
-	"sync.RWMutex":        true,
-	"sync.WaitGroup":      true,
-	"sync.Once":           true,
-	"sync.Cond":           true,
-	"sync.Pool":           true,
-	"sync.Map":            true,
-	"sync/atomic.Bool":    true,
-	"sync/atomic.Int32":   true,
-	"sync/atomic.Int64":   true,
-	"sync/atomic.Uint32":  true,
-	"sync/atomic.Uint64":  true,
-	"sync/atomic.Uintptr": true,
-	"sync/atomic.Pointer": true,
-	"sync/atomic.Value":   true,
-}
-
-// containsLock reports the dotted path of the first lock-carrying
-// component reachable by value inside t ("" when none): the type itself, a
-// struct field, or an array element. Pointers, slices, maps and channels
-// are references — copying them does not copy the lock.
-func containsLock(t types.Type) string {
-	return lockPath(t, make(map[types.Type]bool))
-}
-
-func lockPath(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if p := namedPath(t); lockCarriers[p] {
-		return p
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			if p := lockPath(f.Type(), seen); p != "" {
-				return f.Name() + "." + p
-			}
-		}
-	case *types.Array:
-		if p := lockPath(u.Elem(), seen); p != "" {
-			return "[...]" + p
-		}
-	}
-	return ""
-}

@@ -30,6 +30,8 @@ import (
 
 const poolClasses = 31
 
+// sizeClass is the class a request for n elements is served from: the
+// smallest power of two that holds n.
 func sizeClass(n int) int {
 	if n <= 1 {
 		return 0
@@ -37,93 +39,99 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-type f64Pools struct{ classes [poolClasses]sync.Pool }
+// floorClass is the class a returned buffer of capacity c (> 0) files
+// under: the largest power of two it can fully satisfy, so a capacity that
+// is not a power of two lands one class down and a future Get never
+// receives a slice shorter than it asked for.
+func floorClass(c int) int { return bits.Len(uint(c)) - 1 }
 
-var f64pool f64Pools
+// newClassSlice is the pool-miss path of both pool kinds: a fresh slice of
+// length n with the whole of class c as its capacity.
+func newClassSlice[T any](n, c int) []T {
+	//sovlint:ignore hotalloc pool-miss slow path; amortized away once the size class is warm
+	return make([]T, n, 1<<c)
+}
+
+// classPool is one element type's set of sync.Pool size classes; the
+// typed Get*/Put* functions below are its only callers.
+type classPool[T any] struct{ classes [poolClasses]sync.Pool }
+
+// get returns a slice of length n (contents unspecified, capacity the
+// enclosing power of two on a miss).
+func (p *classPool[T]) get(n int) []T {
+	if n <= 0 {
+		return nil
+	}
+	c := sizeClass(n)
+	if v := p.classes[c].Get(); v != nil {
+		return (*(v.(*[]T)))[:n]
+	}
+	return newClassSlice[T](n, c)
+}
+
+// put files s under its size class for reuse.
+func (p *classPool[T]) put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	c := floorClass(cap(s))
+	full := s[:cap(s)]
+	//sovlint:ignore hotalloc sync.Pool boxing of the slice header; bytes are recycled, header churn is accepted
+	p.classes[c].Put(&full)
+}
+
+var (
+	f64pool  classPool[float64]
+	f32pool  classPool[float32]
+	c128pool classPool[complex128]
+	i32pool  classPool[int32]
+	u64pool  classPool[uint64]
+	intpool  classPool[int]
+)
 
 // GetF64 returns a float64 scratch slice of length n (contents unspecified).
-func GetF64(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := f64pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]float64)))[:n]
-	}
-	return make([]float64, n, 1<<c)
-}
+func GetF64(n int) []float64 { return f64pool.get(n) }
 
 // PutF64 returns a slice obtained from GetF64 to its pool.
-func PutF64(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c-- // cap is not a power of two: file under the floor class
-	}
-	full := s[:cap(s)]
-	f64pool.classes[c].Put(&full)
-}
-
-type f32Pools struct{ classes [poolClasses]sync.Pool }
-
-var f32pool f32Pools
+func PutF64(s []float64) { f64pool.put(s) }
 
 // GetF32 returns a float32 scratch slice of length n (contents unspecified).
-func GetF32(n int) []float32 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := f32pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]float32)))[:n]
-	}
-	return make([]float32, n, 1<<c)
-}
+func GetF32(n int) []float32 { return f32pool.get(n) }
 
 // PutF32 returns a slice obtained from GetF32 to its pool.
-func PutF32(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	f32pool.classes[c].Put(&full)
-}
-
-type c128Pools struct{ classes [poolClasses]sync.Pool }
-
-var c128pool c128Pools
+func PutF32(s []float32) { f32pool.put(s) }
 
 // GetC128 returns a complex128 scratch slice of length n (contents
 // unspecified).
-func GetC128(n int) []complex128 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := c128pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]complex128)))[:n]
-	}
-	return make([]complex128, n, 1<<c)
-}
+func GetC128(n int) []complex128 { return c128pool.get(n) }
 
 // PutC128 returns a slice obtained from GetC128 to its pool.
-func PutC128(s []complex128) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	c128pool.classes[c].Put(&full)
+func PutC128(s []complex128) { c128pool.put(s) }
+
+// GetI32 returns an int32 scratch slice of length n (contents unspecified) —
+// the cost vectors of the fixed-point stereo kernels.
+func GetI32(n int) []int32 { return i32pool.get(n) }
+
+// PutI32 returns a slice obtained from GetI32 to its pool.
+func PutI32(s []int32) { i32pool.put(s) }
+
+// GetU64 returns a uint64 scratch slice of length n (contents unspecified) —
+// the packed SWAR lane words of the second-generation int8 kernels.
+func GetU64(n int) []uint64 { return u64pool.get(n) }
+
+// PutU64 returns a slice obtained from GetU64 to its pool.
+func PutU64(s []uint64) { u64pool.put(s) }
+
+// GetIntsZeroed returns an int scratch slice of length n with every element
+// zero — the per-tile counter accumulators (e.g. kd-tree reuse counts).
+func GetIntsZeroed(n int) []int {
+	s := intpool.get(n)
+	clear(s)
+	return s
 }
+
+// PutInts returns a slice obtained from GetIntsZeroed to its pool.
+func PutInts(s []int) { intpool.put(s) }
 
 // SlicePool is a size-classed free list for frame-rate scratch slices (NN
 // activation tensors, ICP correspondence buffers, fused-object lists). The
@@ -137,8 +145,6 @@ func PutC128(s []complex128) {
 type SlicePool[T any] struct {
 	mu      sync.Mutex
 	classes [poolClasses][][]T
-	hits    int64
-	misses  int64
 }
 
 // Get returns a slice of length n (contents unspecified, capacity the
@@ -148,19 +154,18 @@ func (p *SlicePool[T]) Get(n int) []T {
 		return nil
 	}
 	c := sizeClass(n)
+	var s []T
 	p.mu.Lock()
 	if free := p.classes[c]; len(free) > 0 {
-		s := free[len(free)-1]
+		s = free[len(free)-1]
 		free[len(free)-1] = nil
 		p.classes[c] = free[:len(free)-1]
-		p.hits++
-		p.mu.Unlock()
-		return s[:n]
 	}
-	p.misses++
 	p.mu.Unlock()
-	//sovlint:ignore hotalloc pool-miss slow path; amortized away once the size class is warm
-	return make([]T, n, 1<<c)
+	if s == nil {
+		return newClassSlice[T](n, c)
+	}
+	return s[:n]
 }
 
 // Put returns a slice obtained from Get to its size class for reuse.
@@ -168,116 +173,8 @@ func (p *SlicePool[T]) Put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c-- // cap is not a power of two: file under the floor class
-	}
+	c := floorClass(cap(s))
 	p.mu.Lock()
 	p.classes[c] = append(p.classes[c], s[:cap(s)])
 	p.mu.Unlock()
-}
-
-// Stats reports reuse hits and construction misses since creation.
-func (p *SlicePool[T]) Stats() (hits, misses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
-}
-
-type i32Pools struct{ classes [poolClasses]sync.Pool }
-
-var i32pool i32Pools
-
-// GetI32 returns an int32 scratch slice of length n (contents unspecified) —
-// the cost vectors of the fixed-point stereo kernels.
-func GetI32(n int) []int32 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := i32pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]int32)))[:n]
-	}
-	//sovlint:ignore hotalloc pool-miss slow path; amortized away once the size class is warm
-	return make([]int32, n, 1<<c)
-}
-
-// PutI32 returns a slice obtained from GetI32 to its pool.
-func PutI32(s []int32) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	//sovlint:ignore hotalloc sync.Pool boxing of the slice header; bytes are recycled, header churn is accepted
-	i32pool.classes[c].Put(&full)
-}
-
-type u64Pools struct{ classes [poolClasses]sync.Pool }
-
-var u64pool u64Pools
-
-// GetU64 returns a uint64 scratch slice of length n (contents unspecified) —
-// the packed SWAR lane words of the second-generation int8 kernels.
-func GetU64(n int) []uint64 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := u64pool.classes[c].Get(); v != nil {
-		return (*(v.(*[]uint64)))[:n]
-	}
-	//sovlint:ignore hotalloc pool-miss slow path; amortized away once the size class is warm
-	return make([]uint64, n, 1<<c)
-}
-
-// PutU64 returns a slice obtained from GetU64 to its pool.
-func PutU64(s []uint64) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	//sovlint:ignore hotalloc sync.Pool boxing of the slice header; bytes are recycled, header churn is accepted
-	u64pool.classes[c].Put(&full)
-}
-
-type intPools struct{ classes [poolClasses]sync.Pool }
-
-var intpool intPools
-
-// GetIntsZeroed returns an int scratch slice of length n with every element
-// zero — the per-tile counter accumulators (e.g. kd-tree reuse counts).
-func GetIntsZeroed(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if v := intpool.classes[c].Get(); v != nil {
-		s := (*(v.(*[]int)))[:n]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	return make([]int, n, 1<<c)
-}
-
-// PutInts returns a slice obtained from GetIntsZeroed to its pool.
-func PutInts(s []int) {
-	if cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	full := s[:cap(s)]
-	intpool.classes[c].Put(&full)
 }

@@ -3,28 +3,21 @@
 //
 // Usage:
 //
-//	sovmodel [-workers N] latency -distance 5 [-speed 5.6] [-decel 4]
-//	sovmodel [-workers N] energy  -pad 0.175 [-extra 31]
-//	sovmodel [-workers N] cost
+//	sovmodel latency -distance 5 [-speed 5.6] [-decel 4]
+//	sovmodel energy  -pad 0.175 [-extra 31]
+//	sovmodel cost
 package main
 
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"time"
 
-	"sov/internal/core"
 	"sov/internal/models"
-	"sov/internal/parallel"
 )
 
 func main() {
-	workers := flag.Int("workers", runtime.NumCPU(), "worker count for parallel kernels (output is identical for any value)")
-	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md \u00a78)")
 	flag.Parse()
-	parallel.SetWorkers(*workers)
-	core.SetQuantDefault(*quant)
 	args := flag.Args()
 	if len(args) < 1 {
 		usage()

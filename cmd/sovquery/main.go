@@ -2,7 +2,7 @@
 // by sovfleet -cloud (DESIGN.md §14): a vehicle range, a virtual-time
 // window, and an optional kind filter select a rectangle of the fleet's
 // event space, streamed as JSONL. Results are byte-identical regardless of
-// how many shards or workers ingested the store.
+// the -workers value sovfleet ran with.
 //
 // Usage:
 //

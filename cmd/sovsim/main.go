@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sovsim [-duration 120s] [-seed 1] [-no-fpga] [-no-sync] [-no-reactive]
-//	       [-no-radar-tracking] [-em-planner] [-workers N]
+//	       [-no-radar-tracking] [-em-planner] [-quant]
 //	       [-sched] [-sched-mapping GPU/FPGA] [-sched-static] [-cameras N]
 //	       [-ambient 25] [-trace t.jsonl] [-metrics m.prom] [-spans s.json]
 //	       [-blackbox b.jsonl]
@@ -14,12 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"sov/internal/core"
 	"sov/internal/obs"
-	"sov/internal/parallel"
 	"sov/internal/vehicle"
 )
 
@@ -37,7 +35,6 @@ func main() {
 	spansPath := flag.String("spans", "", "write per-cycle stage spans (Chrome trace_event JSON, Perfetto-loadable) to this path")
 	boxPath := flag.String("blackbox", "", "write flight-recorder anomaly dumps (JSONL) to this path")
 	boxDepth := flag.Int("blackbox-depth", 64, "flight-recorder ring depth in cycles")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker count for parallel kernels (output is identical for any value)")
 	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md §8)")
 	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler (DESIGN.md §13)")
 	schedMapping := flag.String("sched-mapping", "", "scheduler initial SU/Loc mapping, e.g. GPU/FPGA")
@@ -45,7 +42,6 @@ func main() {
 	cameras := flag.Int("cameras", 1, "cameras feeding scene understanding per cycle")
 	ambient := flag.Float64("ambient", 25, "enclosure ambient temperature (C) for the scheduler's thermal model")
 	flag.Parse()
-	parallel.SetWorkers(*workers)
 	core.SetSchedDefault(*sched)
 
 	cfg := core.DefaultConfig()

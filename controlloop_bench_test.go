@@ -72,10 +72,9 @@ func measureSteadyStateAllocs(quant, instrumented, sched bool) float64 {
 // well: BeginCycle/Observe/decide work entirely in preallocated candidate
 // tables. Every row runs on the float and on the int8 operating points.
 //
-// The gate names its worker count instead of inheriting the host's: one
-// worker is the contract the repo commits to today. With more, every
-// parallel fan-out allocates its closures (~7 allocs/cycle); the {4} leg
-// joins this gate with ROADMAP item 1's pooled job descriptors.
+// Every row runs at one worker and at four: the loop is serial by
+// construction (internal/core imports no worker pool), so a configured pool
+// must not cost it a single allocation.
 func TestControlLoopSteadyStateAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
@@ -92,9 +91,12 @@ func TestControlLoopSteadyStateAllocs(t *testing.T) {
 		{"quant+sched", true, false, true},
 		{"quant+obs+sched", true, true, true},
 	} {
-		if got := measureSteadyStateAllocs(mode.quant, mode.instrumented, mode.sched); got > 2 {
-			t.Errorf("%s control loop allocates %.2f allocs/cycle in steady state, want < 2",
-				mode.name, got)
+		for _, workers := range []int{1, 4} {
+			parallel.SetWorkers(workers)
+			if got := measureSteadyStateAllocs(mode.quant, mode.instrumented, mode.sched); got > 2 {
+				t.Errorf("%s control loop at %d workers allocates %.2f allocs/cycle in steady state, want < 2",
+					mode.name, workers, got)
+			}
 		}
 	}
 }

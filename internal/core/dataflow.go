@@ -8,7 +8,6 @@ import (
 	"sov/internal/detect"
 	"sov/internal/fusion"
 	"sov/internal/mathx"
-	"sov/internal/parallel"
 	"sov/internal/planning"
 	"sov/internal/rpr"
 	"sov/internal/sched"
@@ -29,8 +28,10 @@ import (
 // the command sequence number, and the in-flight depth. Perceive and plan
 // touch only state they own exclusively (the detector's forked RNG, the
 // tracker, the planner's warm start, the tracer) plus frame snapshots, which
-// is what lets perception fan its two kernels out over workers and keeps
-// every telemetry record a function of capture-time values (obs.go).
+// keeps every telemetry record a function of capture-time values (obs.go).
+// The stages run on the engine thread, serially: the paper's localization ∥
+// scene-understanding parallelism lives in virtual time (latencyModel.draw
+// takes Perception = max(loc, su)), not in host goroutines.
 
 // cycleFrame carries one control cycle through the stages. The SoV owns one
 // and reuses it every cycle; all slices are recycled buffers: stages
@@ -151,8 +152,8 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	s.report.observe(fr.d)
 
 	// Pose-estimate noise is drawn at capture so the coordinator's RNG
-	// stream keeps its order (dropout Bernoulli, then pose noise) however
-	// perception fans out.
+	// stream keeps its order (dropout Bernoulli, then pose noise) whatever
+	// the perceive stage draws from its own forked streams.
 	fr.locStd = s.cfg.LocalizationErrorStd
 	if !s.cfg.HardwareSync {
 		fr.locStd *= s.cfg.SyncErrorFactor
@@ -206,18 +207,11 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 }
 
 // perceiveFrame runs the perception stage on a captured frame: camera
-// detection and radar-track maintenance (concurrent kernels when workers
-// allow), then spatial synchronization into the fused object list.
+// detection, then radar-track maintenance, then spatial synchronization into
+// the fused object list.
 func (s *SoV) perceiveFrame(fr *cycleFrame) {
-	if parallel.Workers() <= 1 {
-		s.perceiveDetect(fr)
-		s.perceiveTrack(fr)
-	} else {
-		parallel.Do(
-			func() { s.perceiveDetect(fr) },
-			func() { s.perceiveTrack(fr) },
-		)
-	}
+	s.perceiveDetect(fr)
+	s.perceiveTrack(fr)
 	fr.fused = fr.fused[:0]
 	if s.cfg.RadarTracking {
 		matches, ud, _ := fr.sync.SpatialSyncInto(fusion.DefaultSpatialSyncConfig(), fr.dets, fr.tracks)

@@ -3,18 +3,16 @@ package core
 import (
 	"time"
 
-	"sov/internal/nn"
 	"sov/internal/obs"
-	"sov/internal/parallel"
 )
 
 // This file wires the unified telemetry layer (internal/obs) into the
 // control loop. The split follows the determinism boundary documented in
 // dataflow.go: everything recorded per cycle derives from frame snapshots
 // (capture-time values), so metrics, spans, and flight-recorder content on
-// the virtual track are byte-identical across worker counts. Host
-// diagnostics (parallel substrate scheduling, kernel call volume) are
-// published as ClassHost metrics, outside the byte-identity contract.
+// the virtual track are byte-identical run to run. The loop publishes no
+// ClassHost metric today; the class and Registry's includeHost switch stay
+// for the host-time stage timers (ROADMAP item 1).
 
 // Span thread lanes on the virtual-time track, one per control-loop stage.
 // The order mirrors the causal chain: capture → sensing → perception
@@ -84,16 +82,11 @@ type coreMetrics struct {
 	counters map[string]*obs.Counter
 	gauges   map[string]*obs.Gauge
 	prev     map[string]int64
-
-	// par0 scopes the process-wide parallel substrate counters to this run.
-	par0 parallel.Counters
-	// nn0 scopes the process-wide quantized kernel dispatch counters likewise.
-	nn0 nn.KernelCounters
 }
 
 // AttachMetrics registers the control loop's steady-state instruments on reg
-// and arranges for run-summary metrics (safety, energy, subsystem activity,
-// host diagnostics) to be published at the end of each Run. Call before Run.
+// and arranges for run-summary metrics (safety, energy, subsystem activity)
+// to be published at the end of each Run. Call before Run.
 func (s *SoV) AttachMetrics(reg *obs.Registry) {
 	m := &coreMetrics{
 		reg:      reg,
@@ -227,8 +220,8 @@ func (s *SoV) recordSpans(fr *cycleFrame) {
 }
 
 // recordBox files one cycle with the flight recorder. Runs on the plan
-// stage; all fields are capture-time snapshots, so ring content at any
-// virtual time does not depend on the worker count.
+// stage; all fields are capture-time snapshots, so ring content is a
+// function of virtual time alone.
 //
 //sov:hotpath
 func (s *SoV) recordBox(fr *cycleFrame) {
@@ -278,8 +271,7 @@ func (m *coreMetrics) gaugeSet(name, help string, class obs.Class, v float64) {
 }
 
 // publishRunMetrics files the run-summary metrics after report.finish: the
-// virtual-time safety/energy/subsystem totals, then the host-class
-// parallel-substrate and kernel diagnostics. Cold path — runs once per Run.
+// virtual-time safety/energy/subsystem totals. Cold path — runs once per Run.
 func (s *SoV) publishRunMetrics() {
 	m := s.obsM
 	if m == nil {
@@ -323,18 +315,4 @@ func (s *SoV) publishRunMetrics() {
 	ss := s.sonarRig.Stats()
 	m.counterSet("sov_sonar_pings_total", "sonar pings issued", obs.ClassVirtual, ss.Pings)
 	m.counterSet("sov_sonar_sector_queries_total", "sonar reactive-sector queries", obs.ClassVirtual, ss.SectorQueries)
-
-	// Parallel substrate (host: the pool/inline split depends on scheduling).
-	par := parallel.CounterSnapshot()
-	m.counterSet("sov_parallel_runs_total", "parallel fan-out invocations this process", obs.ClassHost, par.Runs-m.par0.Runs+m.prev["sov_parallel_runs_total"])
-	m.counterSet("sov_parallel_tiles_total", "tiles executed across all fan-outs", obs.ClassHost, par.Tiles-m.par0.Tiles+m.prev["sov_parallel_tiles_total"])
-	m.counterSet("sov_parallel_pool_tiles_total", "tiles claimed via the shared pool queue", obs.ClassHost, par.PoolTiles-m.par0.PoolTiles+m.prev["sov_parallel_pool_tiles_total"])
-	m.par0 = par
-
-	// Quantized kernel call counts (host: call volume, not part of the
-	// virtual-time contract).
-	kc := nn.KernelCounterSnapshot()
-	m.counterSet("sov_qconv_gemm_dispatches_total", "QConv2D calls (im2col GEMM backend)", obs.ClassHost, kc.GEMMDispatches-m.nn0.GEMMDispatches+m.prev["sov_qconv_gemm_dispatches_total"])
-	m.counterSet("sov_qnn_batch_images_total", "images processed through batched network forwards", obs.ClassHost, kc.BatchImages-m.nn0.BatchImages+m.prev["sov_qnn_batch_images_total"])
-	m.nn0 = kc
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sov/internal/obs"
-	"sov/internal/parallel"
 )
 
 // obsOutputs is one instrumented run's telemetry artifacts, reduced to the
@@ -21,11 +20,9 @@ type obsOutputs struct {
 	rep            *Report
 }
 
-// obsRun executes one fully instrumented cruise at the given worker count.
-func obsRun(t *testing.T, quant bool, workers int, dur time.Duration) obsOutputs {
+// obsRun executes one fully instrumented cruise.
+func obsRun(t *testing.T, quant bool, dur time.Duration) obsOutputs {
 	t.Helper()
-	defer parallel.SetWorkers(parallel.SetWorkers(workers))
-
 	cfg := DefaultConfig()
 	cfg.Quant = quant
 	s := New(cfg, CruiseScenario(3))
@@ -68,8 +65,8 @@ func obsRun(t *testing.T, quant bool, workers int, dur time.Duration) obsOutputs
 
 // TestObsVirtualOutputsByteIdentical is the telemetry determinism contract:
 // the virtual-only metrics exposition, the virtual span track, and the
-// flight-recorder stream must be byte-identical across worker counts, for
-// both the float and quantized latency models.
+// flight-recorder stream must be byte-identical from run to run, for both
+// the float and quantized latency models.
 func TestObsVirtualOutputsByteIdentical(t *testing.T) {
 	const dur = 30 * time.Second
 	for _, quant := range []bool{false, true} {
@@ -77,19 +74,19 @@ func TestObsVirtualOutputsByteIdentical(t *testing.T) {
 		if quant {
 			name = "quant"
 		}
-		ref := obsRun(t, quant, 1, dur)
+		ref := obsRun(t, quant, dur)
 		if ref.rep.Cycles == 0 {
 			t.Fatalf("%s: no cycles ran", name)
 		}
-		got := obsRun(t, quant, 8, dur)
+		got := obsRun(t, quant, dur)
 		if got.metricsVirtual != ref.metricsVirtual {
-			t.Errorf("%s: virtual metrics exposition differs between 1 and 8 workers", name)
+			t.Errorf("%s: virtual metrics exposition differs between two runs", name)
 		}
 		if got.spansVirtual != ref.spansVirtual {
-			t.Errorf("%s: virtual span track differs between 1 and 8 workers", name)
+			t.Errorf("%s: virtual span track differs between two runs", name)
 		}
 		if got.box != ref.box {
-			t.Errorf("%s: flight-recorder stream differs between 1 and 8 workers", name)
+			t.Errorf("%s: flight-recorder stream differs between two runs", name)
 		}
 	}
 }
@@ -147,7 +144,7 @@ func itoa(n int) string {
 // TestObsSpanCountAndLayout: every cycle contributes exactly ten spans on
 // the virtual track, and the span file as written parses to the same count.
 func TestObsSpanCountAndLayout(t *testing.T) {
-	out := obsRun(t, false, 1, 20*time.Second)
+	out := obsRun(t, false, 20*time.Second)
 	virtSpans := strings.Count(out.spansVirtual, `"ph":"X"`)
 	if want := out.rep.Cycles * 10; virtSpans != want {
 		t.Fatalf("virtual spans = %d, want %d (10 per cycle over %d cycles)", virtSpans, want, out.rep.Cycles)

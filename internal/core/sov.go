@@ -10,7 +10,6 @@ import (
 	"sov/internal/mathx"
 	"sov/internal/models"
 	"sov/internal/obs"
-	"sov/internal/parallel"
 	"sov/internal/planning"
 	"sov/internal/rpr"
 	"sov/internal/sched"
@@ -217,9 +216,6 @@ func (s *SoV) Start() {
 	s.engine.Every(ctrlPeriod, "control", s.controlCycle)
 	if s.cfg.ReactivePath {
 		s.engine.Every(reactivePeriod, "reactive", s.reactiveCheck)
-	}
-	if s.obsM != nil {
-		s.obsM.par0 = parallel.CounterSnapshot()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"sov/internal/nn"
-	"sov/internal/parallel"
 )
 
 // BBox is an axis-aligned detection box in normalized image coordinates.
@@ -67,10 +66,6 @@ func minf(a, b float32) float32 {
 	return b
 }
 
-// decodeGrain is the fixed cell-scoring tile size; it depends only on the
-// cell count, so tile-ordered output is identical for any worker count.
-const decodeGrain = 256
-
 // decodeBox scores one grid cell: score = objectness × best class score.
 func decodeBox(c nn.GridBox) BBox {
 	bestC, bestS := 0, float32(0)
@@ -91,9 +86,7 @@ func decodeBox(c nn.GridBox) BBox {
 }
 
 // DecodeGrid converts raw YOLO-grid cells into boxes above the objectness
-// threshold, with score = objectness × best class score. Cells score
-// independently; tiles fill ordered buckets that concatenate back into the
-// serial scan order.
+// threshold, with score = objectness × best class score, in cell order.
 func DecodeGrid(cells []nn.GridBox, objThreshold float32) []BBox {
 	return DecodeGridInto(make([]BBox, 0, 16), cells, objThreshold)
 }
@@ -102,28 +95,11 @@ func DecodeGrid(cells []nn.GridBox, objThreshold float32) []BBox {
 // and returns it — the zero-allocation variant of DecodeGrid for a
 // recycled per-frame buffer. Output order matches DecodeGrid exactly.
 func DecodeGridInto(dst []BBox, cells []nn.GridBox, objThreshold float32) []BBox {
-	if parallel.Workers() <= 1 || len(cells) < 2*decodeGrain {
-		for _, c := range cells {
-			if c.Objectness < objThreshold {
-				continue
-			}
-			dst = append(dst, decodeBox(c))
+	for _, c := range cells {
+		if c.Objectness < objThreshold {
+			continue
 		}
-		return dst
-	}
-	buckets := make([][]BBox, parallel.Tiles(len(cells), decodeGrain))
-	parallel.ForTiled(len(cells), decodeGrain, func(tile, i0, i1 int) {
-		var out []BBox
-		for _, c := range cells[i0:i1] {
-			if c.Objectness < objThreshold {
-				continue
-			}
-			out = append(out, decodeBox(c))
-		}
-		buckets[tile] = out
-	})
-	for _, b := range buckets {
-		dst = append(dst, b...)
+		dst = append(dst, decodeBox(c))
 	}
 	return dst
 }

@@ -1,9 +1,6 @@
 package detect
 
-import (
-	"sov/internal/nn"
-	"sov/internal/parallel"
-)
+import "sov/internal/nn"
 
 // Fixed-point detection decode (DESIGN.md §8). The quantized YOLO head hands
 // over its raw int8 grid tensor; cells threshold on raw objectness codes —
@@ -42,43 +39,21 @@ func decodeQuantBox(raw *nn.QTensor, lut *nn.SigmoidLUT, classes, gy, gx int) BB
 }
 
 // DecodeQuantGridInto appends boxes decoded from the quantized head's raw
-// output tensor to dst (reusing its capacity) and returns it. Output order
-// matches the serial row-major cell scan for any worker count, and — because
-// both paths read the same int8 codes through the same table — is identical
-// to decoding the dequantized cells.
+// output tensor to dst (reusing its capacity) and returns it, in row-major
+// cell order. Because both paths read the same int8 codes through the same
+// table, the result is identical to decoding the dequantized cells.
 //
 //sov:hotpath
 func DecodeQuantGridInto(dst []BBox, raw *nn.QTensor, classes int, lut *nn.SigmoidLUT, objThreshold float32) []BBox {
 	thr := lut.ThresholdCode(objThreshold)
-	cells := raw.H * raw.W
-	if parallel.Workers() <= 1 || cells < 2*decodeGrain {
-		for gy := 0; gy < raw.H; gy++ {
-			row := raw.Data[gy*raw.W : (gy+1)*raw.W] // objectness plane, row gy
-			for gx, code := range row {
-				if code < thr {
-					continue
-				}
-				dst = append(dst, decodeQuantBox(raw, lut, classes, gy, gx))
-			}
-		}
-		return dst
-	}
-	//sovlint:ignore hotalloc parallel fan-out buckets are per-call bookkeeping, not steady-state frame work
-	buckets := make([][]BBox, parallel.Tiles(cells, decodeGrain))
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.ForTiled(cells, decodeGrain, func(tile, i0, i1 int) {
-		var out []BBox
-		for i := i0; i < i1; i++ {
-			if raw.Data[i] < thr { // objectness plane is the tensor's first H×W block
+	for gy := 0; gy < raw.H; gy++ {
+		row := raw.Data[gy*raw.W : (gy+1)*raw.W] // objectness plane, row gy
+		for gx, code := range row {
+			if code < thr {
 				continue
 			}
-			//sovlint:ignore hotalloc survivors are sparse; the bucket stays tiny and dies with the call
-			out = append(out, decodeQuantBox(raw, lut, classes, i/raw.W, i%raw.W))
+			dst = append(dst, decodeQuantBox(raw, lut, classes, gy, gx))
 		}
-		buckets[tile] = out
-	})
-	for _, b := range buckets {
-		dst = append(dst, b...)
 	}
 	return dst
 }

@@ -70,29 +70,6 @@ func TestDecodeQuantTracksFloatDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeQuantWorkerInvariance: the tiled parallel path must emit boxes
-// in exactly the serial scan order.
-func TestDecodeQuantWorkerInvariance(t *testing.T) {
-	_, qy, in := quantTestModel()
-	raw := qy.ForwardRaw(in)
-	defer nn.PutQTensor(raw)
-
-	prev := parallel.SetWorkers(1)
-	serial := DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0.3)
-	parallel.SetWorkers(8)
-	wide := DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0.3)
-	parallel.SetWorkers(prev)
-
-	if len(serial) != len(wide) {
-		t.Fatalf("box count %d != %d across worker counts", len(serial), len(wide))
-	}
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("box %d differs across worker counts", i)
-		}
-	}
-}
-
 // TestRunQuantCNNEndToEnd mirrors TestRunCNNEndToEnd on the fixed-point path.
 func TestRunQuantCNNEndToEnd(t *testing.T) {
 	_, qy, in := quantTestModel()

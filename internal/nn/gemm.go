@@ -139,7 +139,10 @@ func (c *QConv2D) packInput(in *QTensor) {
 // forwardGEMM runs the convolution as a blocked integer GEMM. Column blocks
 // are independent (each owns its output columns across every channel), so
 // they fan out across the worker pool; the integer arithmetic is exact, so
-// the output is byte-identical for any worker count.
+// the output is byte-identical for any worker count. A plane of one or two
+// column blocks (the detector's 7×9 head, the fleet detector's 8×8 and 4×4
+// layers) is one tile and takes the serial path: two workers lost to one on
+// all three (EXPERIMENTS.md, "Fan-out audit").
 //
 //sov:hotpath
 func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
@@ -147,7 +150,8 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 	p := oh * ow
 	nblk := ceilDiv(p, gemmColBlock)
 	apn := c.gemm.np * gemmColBlock
-	if parallel.Workers() <= 1 {
+	grain := 1 + 2*gemmColBlock/p
+	if parallel.Workers() <= 1 || nblk <= grain {
 		if cap(c.gemm.abuf) < apn {
 			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the A panel
 			c.gemm.abuf = make([]uint64, apn)
@@ -162,7 +166,7 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 		return
 	}
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(nblk, 1, func(b0, b1 int) {
+	parallel.For(nblk, grain, func(b0, b1 int) {
 		ap := parallel.GetU64(apn)
 		su := parallel.GetI32(gemmColBlock)
 		for blk := b0; blk < b1; blk++ {

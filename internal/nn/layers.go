@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"sov/internal/parallel"
 )
 
 // GlobalAvgPool collapses each channel to its mean, producing a Cx1x1
@@ -25,16 +23,14 @@ func (GlobalAvgPool) FLOPs(c, h, w int) int64 { return int64(c) * int64(h) * int
 func (GlobalAvgPool) Forward(in *Tensor) *Tensor {
 	out := NewTensor(in.C, 1, 1)
 	n := float32(in.H * in.W)
-	parallel.For(in.C, 4, func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			var s float32
-			base := c * in.H * in.W
-			for i := 0; i < in.H*in.W; i++ {
-				s += in.Data[base+i]
-			}
-			out.Data[c] = s / n
+	for c := 0; c < in.C; c++ {
+		var s float32
+		base := c * in.H * in.W
+		for i := 0; i < in.H*in.W; i++ {
+			s += in.Data[base+i]
 		}
-	})
+		out.Data[c] = s / n
+	}
 	return out
 }
 
@@ -73,19 +69,17 @@ func (f *FC) Forward(in *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: fc input %d != %d", in.Numel(), f.In))
 	}
 	out := NewTensor(f.Out, 1, 1)
-	parallel.For(f.Out, 16, func(o0, o1 int) {
-		for o := o0; o < o1; o++ {
-			s := f.Bias[o]
-			row := f.Weights[o*f.In : (o+1)*f.In]
-			for i, v := range in.Data {
-				s += row[i] * v
-			}
-			if f.ReLU && s < 0 {
-				s = 0
-			}
-			out.Data[o] = s
+	for o := 0; o < f.Out; o++ {
+		s := f.Bias[o]
+		row := f.Weights[o*f.In : (o+1)*f.In]
+		for i, v := range in.Data {
+			s += row[i] * v
 		}
-	})
+		if f.ReLU && s < 0 {
+			s = 0
+		}
+		out.Data[o] = s
+	}
 	return out
 }
 

@@ -63,6 +63,5 @@ func (y *QYOLOHead) ForwardRawBatch(dst []*QTensor, ins []*Tensor) []*QTensor {
 		PutQTensor(feat)
 		dst[i] = raw
 	}
-	kernelDispatch.batchImages.Add(int64(len(ins)))
 	return dst
 }

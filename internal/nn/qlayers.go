@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"sov/internal/parallel"
-)
+import "fmt"
 
 // QLayer is one stage of a quantized network. Layers consume and produce
 // int8 tensors directly — there is no float round-trip between stages; the
@@ -98,7 +94,6 @@ func (c *QConv2D) ForwardInto(in, out *QTensor) {
 	if out.C != oc || out.H != oh || out.W != ow {
 		panic(fmt.Sprintf("nn: qconv output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, oc, oh, ow))
 	}
-	kernelDispatch.gemm.Add(1)
 	c.forwardGEMM(in, out, oh, ow)
 }
 
@@ -125,18 +120,9 @@ func (p QMaxPool2) ForwardInto(in, out *QTensor) {
 	if out.C != in.C || out.H != in.H/2 || out.W != in.W/2 {
 		panic(fmt.Sprintf("nn: qpool output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, in.C, in.H/2, in.W/2))
 	}
-	if parallel.Workers() <= 1 {
-		for c := 0; c < in.C; c++ {
-			qpoolChannel(in, out, c)
-		}
-		return
+	for c := 0; c < in.C; c++ {
+		qpoolChannel(in, out, c)
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(in.C, 1, func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			qpoolChannel(in, out, c)
-		}
-	})
 }
 
 // qpoolChannel max-pools one channel of int8 codes.
@@ -186,18 +172,9 @@ func (p QGlobalAvgPool) ForwardInto(in, out *QTensor) {
 		panic(fmt.Sprintf("nn: qgap output shape %dx%dx%d != %dx1x1", out.C, out.H, out.W, in.C))
 	}
 	n := int32(in.H * in.W)
-	if parallel.Workers() <= 1 {
-		for c := 0; c < in.C; c++ {
-			out.Data[c] = qgapChannel(in, c, n)
-		}
-		return
+	for c := 0; c < in.C; c++ {
+		out.Data[c] = qgapChannel(in, c, n)
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(in.C, 4, func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			out.Data[c] = qgapChannel(in, c, n)
-		}
-	})
 }
 
 // qgapChannel sums one channel and divides with round-half-away-from-zero.
@@ -233,8 +210,8 @@ type QFC struct {
 	np       int
 	wpack    []uint64
 	rowConst []int64
-	// xpack holds the serial path's packed input pairs (grown on first use,
-	// reused forever); parallel callers borrow theirs from the pools.
+	// xpack holds the packed input pairs (grown on first use, reused
+	// forever).
 	xpack []uint64
 }
 
@@ -274,8 +251,7 @@ func (f *QFC) OutParams() QuantParams { return f.OutP }
 // ForwardInto implements QLayer. The int8 input row is packed into SWAR
 // pair words once, then output rows are computed four at a time so every
 // packed load feeds four weight rows and each 64-bit multiply retires two
-// MACs. Output rows are independent integer dot products — exact for any
-// worker count.
+// MACs.
 //
 //sov:hotpath
 func (f *QFC) ForwardInto(in, out *QTensor) {
@@ -285,30 +261,17 @@ func (f *QFC) ForwardInto(in, out *QTensor) {
 	if len(out.Data) != f.Out {
 		panic(fmt.Sprintf("nn: qfc output %d != %d", len(out.Data), f.Out))
 	}
-	quads := f.Out / 4
-	if parallel.Workers() <= 1 {
-		if cap(f.xpack) < f.np {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the packed input row
-			f.xpack = make([]uint64, f.np)
-		}
-		xp := f.xpack[:f.np]
-		sumU := packPairsInto(xp, in.Data)
-		for q := 0; q < quads; q++ {
-			f.swarRowQuad(xp, sumU, 4*q, out.Data)
-		}
-		f.swarTail(xp, sumU, 4*quads, out.Data)
-		return
+	if cap(f.xpack) < f.np {
+		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the packed input row
+		f.xpack = make([]uint64, f.np)
 	}
-	xp := parallel.GetU64(f.np)
+	xp := f.xpack[:f.np]
 	sumU := packPairsInto(xp, in.Data)
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(quads, 4, func(q0, q1 int) {
-		for q := q0; q < q1; q++ {
-			f.swarRowQuad(xp, sumU, 4*q, out.Data)
-		}
-	})
+	quads := f.Out / 4
+	for q := 0; q < quads; q++ {
+		f.swarRowQuad(xp, sumU, 4*q, out.Data)
+	}
 	f.swarTail(xp, sumU, 4*quads, out.Data)
-	parallel.PutU64(xp)
 }
 
 // swarTail finishes the ≤3 output rows left over by the quad sweep.

@@ -1,7 +1,5 @@
 package nn
 
-import "sov/internal/parallel"
-
 // QYOLOHead is the fixed-point grid detector: the TinyYOLO backbone and
 // 1×1 head run entirely in int8 (int32 accumulators, fused requantization),
 // and the decode evaluates sigmoid by 256-entry table lookup over the head's
@@ -79,20 +77,10 @@ func (y *QYOLOHead) InferInto(in *Tensor, out []GridBox) []GridBox {
 		out = grown
 	}
 	out = out[:n]
-	if parallel.Workers() <= 1 {
-		for gy := 0; gy < raw.H; gy++ {
-			for gx := 0; gx < raw.W; gx++ {
-				y.decodeCellQ(raw, gy, gx, &out[gy*raw.W+gx])
-			}
+	for gy := 0; gy < raw.H; gy++ {
+		for gx := 0; gx < raw.W; gx++ {
+			y.decodeCellQ(raw, gy, gx, &out[gy*raw.W+gx])
 		}
-	} else {
-		parallel.ForRows(raw.H, func(g0, g1 int) {
-			for gy := g0; gy < g1; gy++ {
-				for gx := 0; gx < raw.W; gx++ {
-					y.decodeCellQ(raw, gy, gx, &out[gy*raw.W+gx])
-				}
-			}
-		})
 	}
 	PutQTensor(raw)
 	return out

@@ -3,11 +3,11 @@
 // models are trained on proprietary field data; we run untrained (but
 // deterministic) weights through the same computational structure so that
 // the compute shape of DNN detection is real, while detection *accuracy* is
-// modeled separately (internal/detect). Inference runs on the CPU with
-// conv/pool/FC layers tiled over the internal/parallel worker pool (each
-// output element keeps its serial accumulation order, so results are
-// byte-identical for any worker count); the platform package maps its cost
-// onto GPU/TX2/FPGA operating points.
+// modeled separately (internal/detect). Inference runs on the CPU with the
+// convolutions tiled over the internal/parallel worker pool (each output
+// element keeps its serial accumulation order, so results are byte-identical
+// for any worker count) and every other layer serial; the platform package
+// maps its cost onto GPU/TX2/FPGA operating points.
 package nn
 
 import (
@@ -164,6 +164,11 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 // any worker count. The serial path skips the fan-out closure entirely,
 // keeping the pooled forward pass allocation-free.
 //
+// A tile carries at least ~16k MACs: on a smaller layer (the detector's 1×1
+// head over a 7×9 plane is 2k MACs a channel, 90 µs in all) waking a second
+// worker costs more than it returns, so the whole layer is one tile and takes
+// the serial path (EXPERIMENTS.md, "Fan-out audit").
+//
 //sov:hotpath
 func (c *Conv2D) ForwardInto(in, out *Tensor) {
 	if in.C != c.InC {
@@ -173,14 +178,15 @@ func (c *Conv2D) ForwardInto(in, out *Tensor) {
 	if out.C != oc || out.H != oh || out.W != ow {
 		panic(fmt.Sprintf("nn: conv output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, oc, oh, ow))
 	}
-	if parallel.Workers() <= 1 {
+	grain := 1 + 16384/(oh*ow*c.InC*c.K*c.K)
+	if parallel.Workers() <= 1 || oc <= grain {
 		for o := 0; o < oc; o++ {
 			c.forwardChannel(in, out, o, oh, ow)
 		}
 		return
 	}
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(oc, 1, func(o0, o1 int) {
+	parallel.For(oc, grain, func(o0, o1 int) {
 		for o := o0; o < o1; o++ {
 			c.forwardChannel(in, out, o, oh, ow)
 		}
@@ -249,18 +255,9 @@ func (MaxPool2) ForwardInto(in, out *Tensor) {
 	if out.C != in.C || out.H != in.H/2 || out.W != in.W/2 {
 		panic(fmt.Sprintf("nn: pool output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, in.C, in.H/2, in.W/2))
 	}
-	if parallel.Workers() <= 1 {
-		for c := 0; c < in.C; c++ {
-			poolChannel(in, out, c)
-		}
-		return
+	for c := 0; c < in.C; c++ {
+		poolChannel(in, out, c)
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(in.C, 1, func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			poolChannel(in, out, c)
-		}
-	})
 }
 
 // poolChannel max-pools one channel.

@@ -3,7 +3,6 @@ package nn
 import (
 	"math/rand"
 
-	"sov/internal/parallel"
 	"sov/internal/vision"
 )
 
@@ -71,9 +70,8 @@ func FromImageInto(im *vision.Image, t *Tensor) {
 	copy(t.Data, im.Pix)
 }
 
-// Infer runs the full forward pass and decodes the grid. Grid cells decode
-// independently into fixed slots, so the decode fans out row-parallel with
-// the same row-major output order as a serial scan.
+// Infer runs the full forward pass and decodes the grid into row-major
+// cell slots.
 func (y *YOLOHead) Infer(in *Tensor) []GridBox {
 	return y.InferInto(in, nil)
 }
@@ -98,20 +96,10 @@ func (y *YOLOHead) InferInto(in *Tensor, out []GridBox) []GridBox {
 		out = grown
 	}
 	out = out[:n]
-	if parallel.Workers() <= 1 {
-		for gy := 0; gy < raw.H; gy++ {
-			for gx := 0; gx < raw.W; gx++ {
-				y.decodeCell(raw, gy, gx, &out[gy*raw.W+gx])
-			}
+	for gy := 0; gy < raw.H; gy++ {
+		for gx := 0; gx < raw.W; gx++ {
+			y.decodeCell(raw, gy, gx, &out[gy*raw.W+gx])
 		}
-	} else {
-		parallel.ForRows(raw.H, func(g0, g1 int) {
-			for gy := g0; gy < g1; gy++ {
-				for gx := 0; gx < raw.W; gx++ {
-					y.decodeCell(raw, gy, gx, &out[gy*raw.W+gx])
-				}
-			}
-		})
 	}
 	PutTensor(raw)
 	return out

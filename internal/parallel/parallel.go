@@ -102,38 +102,6 @@ func ensurePool() {
 	}
 }
 
-// Cumulative substrate counters for the telemetry layer: parallel-for
-// invocations, tiles executed, and the share of tiles claimed through the
-// shared pool queue rather than inline by the submitter. Tile totals are
-// deterministic for a fixed worker count; the pool/inline split depends on
-// host scheduling, so the registry publishes these as host-class metrics.
-var (
-	statRuns      atomic.Int64
-	statTiles     atomic.Int64
-	statPoolTiles atomic.Int64
-)
-
-// Counters is a snapshot of the substrate's cumulative activity since
-// process start. Subtract two snapshots to scope a run.
-type Counters struct {
-	// Runs counts run() invocations (parallel For/ForTiled/Do fan-outs).
-	Runs int64
-	// Tiles counts tiles (or Do functions) executed across all runs.
-	Tiles int64
-	// PoolTiles counts tiles claimed via pool-queued loops; Tiles minus
-	// PoolTiles were executed inline by the submitting goroutine.
-	PoolTiles int64
-}
-
-// CounterSnapshot returns the current cumulative counters.
-func CounterSnapshot() Counters {
-	return Counters{
-		Runs:      statRuns.Load(),
-		Tiles:     statTiles.Load(),
-		PoolTiles: statPoolTiles.Load(),
-	}
-}
-
 // run executes task(0..count-1), each exactly once, using up to `helpers`
 // pool goroutines plus the calling goroutine. It holds the in-flight marker
 // for its whole duration, so fan-outs issued from task bodies run inline.
@@ -143,8 +111,6 @@ func run(count, helpers int, task func(i int)) {
 	inFlight.Add(1)
 	defer inFlight.Add(-1)
 	var claimed, completed int64
-	statRuns.Add(1)
-	statTiles.Add(int64(count))
 	if helpers > count-1 {
 		helpers = count - 1
 	}
@@ -158,7 +124,6 @@ func run(count, helpers int, task func(i int)) {
 					return
 				}
 				task(int(i))
-				statPoolTiles.Add(1)
 				atomic.AddInt64(&completed, 1)
 			}
 		}
@@ -172,7 +137,7 @@ func run(count, helpers int, task func(i int)) {
 		}
 	}
 	// The caller claims tiles inline until the queue is exhausted (same
-	// claim protocol as the pool loop, without the pool-tile accounting).
+	// claim protocol as the pool loop).
 	for {
 		i := atomic.AddInt64(&claimed, 1) - 1
 		if i >= int64(count) {

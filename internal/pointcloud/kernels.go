@@ -19,8 +19,12 @@ type icpMatch struct {
 	d2 float64
 }
 
-// icpParallelMin is the candidate count below which the correspondence
-// search stays serial (fan-out overhead would dominate).
+// icpParallelMin is the candidate count below which the ICP correspondence
+// search stays serial: two tiles of nearest-neighbor lookups (≈ 0.1 µs each)
+// do not pay for their per-tile reuse arrays — with the guard removed, 400
+// candidates run 469 µs on one worker and 527 µs on two (EXPERIMENTS.md,
+// "Fan-out audit"). The kNN-and-eigenvector work of EstimateNormals is 30×
+// heavier per point and needs no such floor.
 const icpParallelMin = 512
 
 // icpGrain is the fixed correspondence-search tile size; it depends only
@@ -390,7 +394,7 @@ func EstimateNormals(tree *KDTree, cloud *Cloud, tr Tracker, k int) []Normal {
 		}
 		out[i] = smallestEigenvector(xx, xy, xz, yy, yz, zz)
 	}
-	if tr != nil || parallel.Workers() <= 1 || n < icpParallelMin {
+	if tr != nil || parallel.Workers() <= 1 {
 		for i := 0; i < n; i++ {
 			one(i, tree.Reuse)
 		}

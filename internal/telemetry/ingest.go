@@ -9,8 +9,8 @@ import (
 
 // Ingestor is the batching front end of the store: producers Add events
 // during an epoch (the fleet does it from its serial barrier), and Flush
-// submits the accumulated batch — one WAL record, one shard-parallel
-// sort, one memtable merge. Payload bytes are copied at Add time into a
+// submits the accumulated batch — one WAL record, one sort, one memtable
+// merge. Payload bytes are copied at Add time into a
 // reused arena, so producers may reuse their buffers immediately.
 type Ingestor struct {
 	store  *Store

@@ -2,7 +2,7 @@
 // paper's Fig. 1 loop built as a real storage engine instead of the toy
 // JSON buffer internal/cloud started as. Per-vehicle condensed logs,
 // flight-recorder (blackbox) dumps, and metric snapshots flow through a
-// sharded ingestion front end into an LSM-tree store — an arena-backed
+// batching ingestion front end into an LSM-tree store — an arena-backed
 // sorted memtable, immutable sorted runs with bloom filters, size-tiered
 // compaction, and a checksummed write-ahead log with crash-recovery
 // replay — keyed by (vehicle, virtual-time). A B+-tree secondary index
@@ -10,10 +10,10 @@
 // reactive-brake events for vehicles 100–200 in hour 3") without scanning
 // the primary space.
 //
-// Everything in the store is deterministic: run files, the manifest, and
-// query results are byte-identical for any ingest shard count and any
-// -workers value, so the same diff-based determinism tests that pin the
-// simulator pin the storage engine (DESIGN.md §14).
+// The store is single-threaded and deterministic: it runs no goroutine and
+// imports no worker pool, and run files, the manifest, and query results are
+// a pure function of the ingested events, so the same diff-based determinism
+// tests that pin the simulator pin the storage engine (DESIGN.md §14).
 package telemetry
 
 import (

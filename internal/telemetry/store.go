@@ -7,11 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-
-	"sov/internal/parallel"
 )
 
 // Options sizes a store.
@@ -20,19 +19,15 @@ type Options struct {
 	// sorted run. Flush decisions are a pure function of ingested bytes,
 	// which is what makes crash-recovery replay land on identical runs.
 	FlushBytes int
-	// Shards is the ingest fan-out: batches are partitioned by
-	// vehicle%Shards, sorted shard-parallel over the worker pool, and
-	// merged serially, so the stored bytes are identical for any value.
-	Shards int
 	// NoCompact disables size-tiered compaction (benchmarks isolate the
 	// pure write path with it).
 	NoCompact bool
 }
 
 // DefaultOptions returns the deployed configuration: 256 KB memtables,
-// 8-way sharded ingest.
+// compaction on.
 func DefaultOptions() Options {
-	return Options{FlushBytes: 256 << 10, Shards: 8}
+	return Options{FlushBytes: 256 << 10}
 }
 
 // Stats counts the store's I/O work. Write amplification is
@@ -84,10 +79,9 @@ type Store struct {
 	idleCursors []*blockCursor
 
 	// reused ingest scratch
-	shardIdx   [][]int32
+	batchIdx   []int32
 	batchEnts  []memEntry
 	walBody    []byte
-	heads      []int
 	tierCounts map[int][]int
 }
 
@@ -100,9 +94,6 @@ const manifestName = "MANIFEST"
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FlushBytes <= 0 {
 		opts.FlushBytes = 256 << 10
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = 8
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -184,63 +175,29 @@ func (s *Store) Ingest(events []Event) error {
 	return s.apply(events)
 }
 
-// apply shard-sorts a batch and folds it into the memtable and (if built)
-// the secondary index, then runs the flush/compaction policy. The merged
-// order is the global key order whatever the shard count.
+// apply sorts a batch into key order and folds it into the memtable and
+// (if built) the secondary index, then runs the flush/compaction policy.
+// Keys are unique (Ingest assigns Seq), so the order is total.
 func (s *Store) apply(events []Event) error {
-	nsh := s.opts.Shards
-	if nsh > len(events) {
-		nsh = len(events)
-	}
-	if nsh < 1 {
-		nsh = 1
-	}
-	for len(s.shardIdx) < nsh {
-		s.shardIdx = append(s.shardIdx, nil)
-	}
-	shards := s.shardIdx[:nsh]
-	for i := range shards {
-		shards[i] = shards[i][:0]
-	}
+	idx := s.batchIdx[:0]
 	for i := range events {
-		sh := int(events[i].Key.Vehicle) % nsh
-		shards[sh] = append(shards[sh], int32(i))
+		idx = append(idx, int32(i))
 	}
-	// Shard phase: each shard's slice sorts independently on the pool.
-	parallel.For(nsh, 1, func(start, end int) {
-		for sh := start; sh < end; sh++ {
-			idx := shards[sh]
-			sort.Slice(idx, func(a, b int) bool {
-				return events[idx[a]].Key.Less(events[idx[b]].Key)
-			})
+	s.batchIdx = idx
+	slices.SortFunc(idx, func(a, b int32) int {
+		ka, kb := events[a].Key, events[b].Key
+		switch {
+		case ka.Less(kb):
+			return -1
+		case kb.Less(ka):
+			return 1
 		}
+		return 0
 	})
-	// Serial merge phase: k-way merge of the sorted shards into arena
-	// order; the memtable folds the result in with one linear pass.
+	// The memtable folds the sorted batch in with one linear pass.
 	ents := s.batchEnts[:0]
-	for len(s.heads) < nsh {
-		s.heads = append(s.heads, 0)
-	}
-	heads := s.heads[:nsh]
-	for i := range heads {
-		heads[i] = 0
-	}
-	for {
-		best := -1
-		for sh := 0; sh < nsh; sh++ {
-			if heads[sh] >= len(shards[sh]) {
-				continue
-			}
-			k := events[shards[sh][heads[sh]]].Key
-			if best < 0 || k.Less(events[shards[best][heads[best]]].Key) {
-				best = sh
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := events[shards[best][heads[best]]]
-		heads[best]++
+	for _, i := range idx {
+		e := events[i]
 		ents = append(ents, s.mem.put(e.Key, e.Payload))
 		if s.idx != nil {
 			s.idx.insert(skeyOf(e.Key))
@@ -536,10 +493,17 @@ func (s *Store) loadManifest() error {
 			continue
 		}
 		switch fields[0] {
-		case "next-run":
-			s.nextRun, err = strconv.ParseUint(fields[1], 10, 64)
-		case "seq":
-			s.seq, err = strconv.ParseUint(fields[1], 10, 64)
+		case "next-run", "seq":
+			if len(fields) != 2 {
+				return fmt.Errorf("telemetry: bad manifest line %q", sc.Text())
+			}
+			var v uint64
+			v, err = strconv.ParseUint(fields[1], 10, 64)
+			if fields[0] == "seq" {
+				s.seq = v
+			} else {
+				s.nextRun = v
+			}
 		case "run":
 			if len(fields) != 14 {
 				return fmt.Errorf("telemetry: bad manifest run line %q", sc.Text())
@@ -598,7 +562,7 @@ func (s *Store) loadManifest() error {
 }
 
 // ManifestBytes returns the manifest's current on-disk contents (the
-// determinism tests diff it across shard/worker counts).
+// determinism tests diff it across twin stores).
 func (s *Store) ManifestBytes() ([]byte, error) {
 	return os.ReadFile(filepath.Join(s.dir, manifestName))
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"sov/internal/cloud"
-	"sov/internal/parallel"
 )
 
 // TestKeyEncodingOrderAgrees: lexicographic order of encoded keys must
@@ -251,7 +250,7 @@ func collectScan(t *testing.T, s *Store, q Query) []Event {
 // then read every event back in order via Scan and spot-check Get.
 func TestStoreEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{FlushBytes: 8 << 10, Shards: 4}
+	opts := Options{FlushBytes: 8 << 10}
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +324,7 @@ func TestStoreEndToEnd(t *testing.T) {
 // vs B+-tree index agree on the result set.
 func TestRangeQueries(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{FlushBytes: 8 << 10, Shards: 4})
+	s, err := Open(dir, Options{FlushBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,10 +456,11 @@ func dirFingerprint(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// TestDeterminismAcrossShardsAndWorkers: run files, MANIFEST, and query
-// output must be byte-identical for shard counts {1, 3, 8} × workers
-// {1, 8}.
-func TestDeterminismAcrossShardsAndWorkers(t *testing.T) {
+// TestStoreFilesDeterministic: run files, MANIFEST, and query output are a
+// pure function of the ingested batches — twin stores fed the same stream
+// must be byte-identical. (The store is single-threaded and imports no
+// worker pool, so there is no shard or worker dimension to sweep.)
+func TestStoreFilesDeterministic(t *testing.T) {
 	events := makeEvents(30, 30)
 	type result struct {
 		files map[string]string
@@ -468,29 +468,21 @@ func TestDeterminismAcrossShardsAndWorkers(t *testing.T) {
 		label string
 	}
 	var results []result
-	for _, shards := range []int{1, 3, 8} {
-		for _, workers := range []int{1, 8} {
-			prev := parallel.SetWorkers(workers)
-			dir := t.TempDir()
-			s, err := Open(dir, Options{FlushBytes: 8 << 10, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ingestInBatches(t, s, events, 170)
-			var rows bytes.Buffer
-			if _, err := s.WriteJSONL(&rows, Query{VehicleMin: 5, VehicleMax: 25, TMinMs: 2000, TMaxMs: 25000}); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, result{
-				files: dirFingerprint(t, dir),
-				rows:  rows.String(),
-				label: fmt.Sprintf("shards=%d workers=%d", shards, workers),
-			})
-			parallel.SetWorkers(prev)
+	for _, label := range []string{"first", "twin"} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{FlushBytes: 8 << 10})
+		if err != nil {
+			t.Fatal(err)
 		}
+		ingestInBatches(t, s, events, 170)
+		var rows bytes.Buffer
+		if _, err := s.WriteJSONL(&rows, Query{VehicleMin: 5, VehicleMax: 25, TMinMs: 2000, TMaxMs: 25000}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, result{files: dirFingerprint(t, dir), rows: rows.String(), label: label})
 	}
 	base := results[0]
 	for _, r := range results[1:] {
@@ -516,7 +508,7 @@ func TestDeterminismAcrossShardsAndWorkers(t *testing.T) {
 // and after Close its on-disk state must match a never-crashed twin.
 func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 	events := makeEvents(25, 40)
-	opts := Options{FlushBytes: 8 << 10, Shards: 4}
+	opts := Options{FlushBytes: 8 << 10}
 
 	cleanDir := t.TempDir()
 	clean, err := Open(cleanDir, opts)
@@ -576,7 +568,7 @@ func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 // must not block recovery of the intact prefix.
 func TestTornWALTailRecovered(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{FlushBytes: 1 << 20, Shards: 2} // no flush: all in WAL
+	opts := Options{FlushBytes: 1 << 20} // no flush: all in WAL
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -663,7 +655,7 @@ not json at all
 // block crc on read; a flipped index byte fails open.
 func TestRunFileCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{FlushBytes: 4 << 10, Shards: 2, NoCompact: true}
+	opts := Options{FlushBytes: 4 << 10, NoCompact: true}
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -742,12 +734,49 @@ func TestRunFileCorruptionDetected(t *testing.T) {
 	os.WriteFile(runFile, raw, 0o644)
 }
 
+// TestMalformedManifestRejected: a MANIFEST damaged in any line makes Open
+// return an error; it never panics and never opens a partial store.
+func TestMalformedManifestRejected(t *testing.T) {
+	path, _, _ := firstRun(t)
+	dir := filepath.Dir(path)
+	good, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(good), "\n") // header, next-run, seq, run, end, ""
+	if len(lines) != 6 || !strings.HasPrefix(lines[3], "run ") {
+		t.Fatalf("unexpected manifest layout:\n%s", good)
+	}
+	runFields := strings.Fields(lines[3])
+	withRun := func(f []string) string {
+		return lines[0] + lines[1] + lines[2] + strings.Join(f, " ") + "\n" + lines[4]
+	}
+	badKey := append([]string(nil), runFields...)
+	badKey[9] = "zz" + badKey[9][2:]
+	for _, c := range []struct{ name, manifest string }{
+		{"short next-run", lines[0] + "next-run\n" + lines[2] + lines[3] + lines[4]},
+		{"short seq", lines[0] + lines[1] + "seq\n" + lines[3] + lines[4]},
+		{"next-run cut mid-line", lines[0] + "next-run"},
+		{"13-field run", withRun(runFields[:13])},
+		{"bad hex key", withRun(badKey)},
+		{"missing end", lines[0] + lines[1] + lines[2] + lines[3]},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(c.manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := Open(dir, Options{}); err == nil {
+			st.crash()
+			t.Errorf("%s: Open accepted the manifest:\n%s", c.name, c.manifest)
+		}
+	}
+}
+
 // firstRun flushes a few blocks into a one-run store and returns the run's
 // path, bytes and manifest entry.
 func firstRun(t *testing.T) (string, []byte, runMeta) {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := Open(dir, Options{FlushBytes: 1 << 20, Shards: 2, NoCompact: true})
+	s, err := Open(dir, Options{FlushBytes: 1 << 20, NoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -851,7 +880,7 @@ func TestBlockLengthAndCountChecked(t *testing.T) {
 // name, and leaves the store answering reads from its intact runs.
 func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{FlushBytes: 4 << 10, Shards: 2, NoCompact: true}
+	opts := Options{FlushBytes: 4 << 10, NoCompact: true}
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -923,7 +952,6 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops a quarter of its Puts at random, the codec among them")
 	}
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	// sync.Pool keeps its entries per P: on one P the codec a call returns is
 	// the codec the next call gets (testing.AllocsPerRun pins this too).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -952,7 +980,7 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 		t.Fatal("round trip broke")
 	}
 
-	s, err := Open(t.TempDir(), Options{FlushBytes: 1 << 30, Shards: 1, NoCompact: true})
+	s, err := Open(t.TempDir(), Options{FlushBytes: 1 << 30, NoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1005,7 +1033,7 @@ func TestTierOf(t *testing.T) {
 // keeps the run count far below the flush count.
 func TestCompactionReducesRunCount(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{FlushBytes: 4 << 10, Shards: 4})
+	s, err := Open(dir, Options{FlushBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

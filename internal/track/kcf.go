@@ -14,10 +14,6 @@ import (
 	"sov/internal/vision"
 )
 
-// kcfGrain is the elementwise tile size for the filter's frequency-domain
-// loops; fixed so tiling never depends on the worker count.
-const kcfGrain = 4096
-
 // KCF is a single-scale kernelized correlation filter with raw-pixel
 // features, a cosine (Hann) window, Gaussian target labels, and Gaussian
 // kernel correlation computed in the Fourier domain — the classic
@@ -77,31 +73,25 @@ func NewKCF(size int) *KCF {
 }
 
 // extract pulls the windowed, zero-mean patch centered at (cx, cy) into a
-// pooled buffer the caller must release with parallel.PutC128. Sampling
-// rows are independent and fan out; the mean is a serial ordered reduction,
-// so the patch is byte-identical for any worker count.
+// pooled buffer the caller must release with parallel.PutC128.
 func (k *KCF) extract(im *vision.Image, cx, cy float64) []complex128 {
 	n := k.Size
 	patch := parallel.GetC128(n * n)
 	half := float64(n) / 2
 	vals := parallel.GetF64(n * n)
-	parallel.ForRows(n, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := 0; x < n; x++ {
-				vals[y*n+x] = float64(im.Bilinear(cx-half+float64(x), cy-half+float64(y)))
-			}
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			vals[y*n+x] = float64(im.Bilinear(cx-half+float64(x), cy-half+float64(y)))
 		}
-	})
+	}
 	var mean float64
 	for _, v := range vals {
 		mean += v
 	}
 	mean /= float64(n * n)
-	parallel.For(n*n, kcfGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			patch[i] = complex((vals[i]-mean)*k.window[i], 0)
-		}
-	})
+	for i := range patch {
+		patch[i] = complex((vals[i]-mean)*k.window[i], 0)
+	}
 	parallel.PutF64(vals)
 	return patch
 }
@@ -112,27 +102,23 @@ func (k *KCF) extract(im *vision.Image, cx, cy float64) []complex128 {
 func (k *KCF) gaussianCorrelationF(xf, zf []complex128, xNorm, zNorm float64) []complex128 {
 	n := k.Size
 	prod := parallel.GetC128(n * n)
-	parallel.For(n*n, kcfGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			// conj(xf)*zf — cross-correlation in Fourier domain.
-			prod[i] = complex(real(xf[i]), -imag(xf[i])) * zf[i]
-		}
-	})
+	for i := range prod {
+		// conj(xf)*zf — cross-correlation in Fourier domain.
+		prod[i] = complex(real(xf[i]), -imag(xf[i])) * zf[i]
+	}
 	if err := mathx.FFT2D(prod, n, n, true); err != nil {
 		panic(err)
 	}
 	out := parallel.GetC128(n * n)
 	norm := float64(n * n)
 	s2 := k.Sigma * k.Sigma
-	parallel.For(n*n, kcfGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			d := (xNorm + zNorm - 2*real(prod[i])) / norm
-			if d < 0 {
-				d = 0
-			}
-			out[i] = complex(math.Exp(-d/s2), 0)
+	for i := range out {
+		d := (xNorm + zNorm - 2*real(prod[i])) / norm
+		if d < 0 {
+			d = 0
 		}
-	})
+		out[i] = complex(math.Exp(-d/s2), 0)
+	}
 	parallel.PutC128(prod)
 	if err := mathx.FFT2D(out, n, n, false); err != nil {
 		panic(err)
@@ -162,11 +148,9 @@ func (k *KCF) Init(im *vision.Image, cx, cy float64) {
 		k.alphaF = make([]complex128, len(kf))
 	}
 	alphaF := k.alphaF
-	parallel.For(len(kf), kcfGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			alphaF[i] = k.yf[i] / (kf[i] + complex(k.Lambda, 0))
-		}
-	})
+	for i := range kf {
+		alphaF[i] = k.yf[i] / (kf[i] + complex(k.Lambda, 0))
+	}
 	parallel.PutC128(kf)
 	k.cx, k.cy = cx, cy
 }
@@ -200,11 +184,9 @@ func (k *KCF) Update(im *vision.Image) Result {
 	parallel.PutC128(zf)
 	resp := parallel.GetC128(len(kzf))
 	alphaF := k.alphaF
-	parallel.For(len(kzf), kcfGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			resp[i] = kzf[i] * alphaF[i]
-		}
-	})
+	for i := range kzf {
+		resp[i] = kzf[i] * alphaF[i]
+	}
 	parallel.PutC128(kzf)
 	if err := mathx.FFT2D(resp, n, n, true); err != nil {
 		panic(err)

@@ -192,49 +192,18 @@ func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int
 	})
 }
 
-// SupportPointsQuantInto appends the support grid's matches to dst and
-// returns it. The element order is the serial row-major scan for any worker
-// count: the parallel path buckets per tile and concatenates in tile order.
+// SupportPointsQuantInto appends the support grid's matches to dst in
+// row-major scan order and returns it.
 //
 //sov:hotpath
 func SupportPointsQuantInto(dst []SupportPoint, left, right *QImage, maxDisp, half, stride int, s *StereoScratch) []SupportPoint {
-	nRows := 0
+	costs := s.costBand(maxDisp + 1)
 	for y := half; y < left.H-half; y += stride {
-		nRows++
-	}
-	if parallel.Workers() <= 1 {
-		costs := s.costBand(maxDisp + 1)
-		for r := 0; r < nRows; r++ {
-			y := half + r*stride
-			for x := half; x < left.W-half; x += stride {
-				if d := matchPixelQ(left, right, x, y, 0, maxDisp, half, costs); d >= 0 {
-					dst = append(dst, SupportPoint{X: x, Y: y, D: d})
-				}
+		for x := half; x < left.W-half; x += stride {
+			if d := matchPixelQ(left, right, x, y, 0, maxDisp, half, costs); d >= 0 {
+				dst = append(dst, SupportPoint{X: x, Y: y, D: d})
 			}
 		}
-		return dst
-	}
-	//sovlint:ignore hotalloc per-tile buckets only exist on the parallel path; the serial path above is allocation-free
-	buckets := make([][]SupportPoint, parallel.Tiles(nRows, 1))
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.ForTiled(nRows, 1, func(tile, r0, r1 int) {
-		costs := parallel.GetI32(maxDisp + 1)
-		var rows []SupportPoint
-		for r := r0; r < r1; r++ {
-			y := half + r*stride
-			for x := half; x < left.W-half; x += stride {
-				d := matchPixelQ(left, right, x, y, 0, maxDisp, half, costs)
-				if d >= 0 {
-					//sovlint:ignore hotalloc per-tile bucket growth on the parallel path only; the serial path appends into caller-owned dst
-					rows = append(rows, SupportPoint{X: x, Y: y, D: d})
-				}
-			}
-		}
-		buckets[tile] = rows
-		parallel.PutI32(costs)
-	})
-	for _, b := range buckets {
-		dst = append(dst, b...)
 	}
 	return dst
 }

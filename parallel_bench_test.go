@@ -1,8 +1,9 @@
-// Parallel-substrate speedup benchmarks: each kernel runs the identical
-// workload at workers=1 and workers=max so `go test -bench=ParallelSpeedup`
-// reports the scaling of the internal/parallel fan-out directly. Outputs
-// are byte-identical across worker counts (see parallel_determinism_test.go);
-// only the wall clock should move.
+// Parallel-substrate speedup benchmarks: every kernel that keeps a fan-out
+// (EXPERIMENTS.md, "Fan-out audit") runs the identical workload at workers=1
+// and workers=max, so `go test -bench=ParallelSpeedup` reports the scaling of
+// each surviving call site on the host machine. Outputs are byte-identical
+// across worker counts (see parallel_determinism_test.go); only the wall
+// clock should move. The fleet's two fan-outs have BenchmarkFleetThroughput.
 package sov
 
 import (
@@ -70,6 +71,29 @@ func BenchmarkParallelSpeedupBlockMatch(b *testing.B) {
 	})
 }
 
+// BenchmarkParallelSpeedupSupportPointStereo covers the sparse support grid
+// and the dense banded pass, float and int8 (the int8 sparse grid is serial).
+func BenchmarkParallelSpeedupSupportPointStereo(b *testing.B) {
+	left, right := benchStereoPair(160, 120)
+	b.Run("float32", func(b *testing.B) {
+		benchAtWorkerCounts(b, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vision.SupportPointStereo(left, right, 12, 3, 8, 3)
+			}
+		})
+	})
+	b.Run("int8", func(b *testing.B) {
+		ql, qr := vision.QuantizeImage(left), vision.QuantizeImage(right)
+		var m vision.DisparityMap
+		var s vision.StereoScratch
+		benchAtWorkerCounts(b, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vision.SupportPointStereoQuantInto(&m, ql, qr, 12, 3, 8, 2, &s)
+			}
+		})
+	})
+}
+
 func BenchmarkParallelSpeedupConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	conv := nn.NewConv2D(16, 32, 3, 1, 1, true, rng)
@@ -111,5 +135,44 @@ func BenchmarkParallelSpeedupICP(b *testing.B) {
 			tree := pointcloud.Build(scan, nil)
 			pointcloud.Localize(tree, moved, nil, 10, 1)
 		}
+	})
+}
+
+func BenchmarkParallelSpeedupNormals(b *testing.B) {
+	scan := pointcloud.GenerateScan(5000, 1, sim.NewRNG(21).Fork())
+	tree := pointcloud.Build(scan, nil)
+	benchAtWorkerCounts(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pointcloud.EstimateNormals(tree, scan, nil, 8)
+		}
+	})
+}
+
+// BenchmarkParallelSpeedupQuant covers the two int8 kernels that fan out at
+// top level, on the BENCH_quant shapes: the im2col GEMM's column blocks and
+// the block matcher's row blocks.
+func BenchmarkParallelSpeedupQuant(b *testing.B) {
+	b.Run("conv", func(b *testing.B) {
+		_, qc, in := quantBenchConv()
+		qin := nn.NewQTensor(in.C, in.H, in.W, qc.InP)
+		nn.QuantizeTensorInto(qin, in)
+		oc, oh, ow := qc.OutShape(in.C, in.H, in.W)
+		qout := nn.NewQTensor(oc, oh, ow, qc.OutParams())
+		benchAtWorkerCounts(b, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				qc.ForwardInto(qin, qout)
+			}
+		})
+	})
+	b.Run("stereo", func(b *testing.B) {
+		leftF, rightF := benchStereoPair(128, 96)
+		left, right := vision.QuantizeImage(leftF), vision.QuantizeImage(rightF)
+		var m vision.DisparityMap
+		var s vision.StereoScratch
+		benchAtWorkerCounts(b, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vision.BlockMatchQuantInto(&m, left, right, 12, 3, &s)
+			}
+		})
 	})
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static-analysis gate: gofmt cleanliness, go vet
-# (which owns the locks-by-value rule via copylocks), and the sovlint
-# invariant suite (determinism, hot-path allocation, pooled-buffer
-# ownership; see DESIGN.md §7). Exits non-zero on any finding so CI and
-# pre-push hooks can use it directly.
+# (which owns the locks-by-value rule via copylocks), the import guard that
+# keeps the control loop and the telemetry store serial by construction
+# (DESIGN.md §10), and the sovlint invariant suite (determinism, hot-path
+# allocation, pooled-buffer ownership; see DESIGN.md §7). Exits non-zero on
+# any finding so CI and pre-push hooks can use it directly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +20,14 @@ echo "all files formatted"
 echo "== go vet =="
 go vet ./...
 echo "no findings"
+
+echo "== serial by construction =="
+imports=$(go list -f '{{join .Imports "\n"}}' ./internal/core ./internal/telemetry)
+if grep -qx 'sov/internal/parallel' <<<"$imports"; then
+    echo "internal/core and internal/telemetry must not import sov/internal/parallel: neither has a fan-out that earns its keep (EXPERIMENTS.md, Fan-out audit)" >&2
+    exit 1
+fi
+echo "internal/core and internal/telemetry import no worker pool"
 
 echo "== sovlint =="
 go build -o /dev/null ./cmd/sovlint

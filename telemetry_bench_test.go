@@ -41,11 +41,11 @@ func benchTelemetryEvents(vehicles, epochs int) []telemetry.Event {
 // benchStoreOptions uses a small flush threshold so the benchmark exercises
 // flushes and compactions, not just the memtable.
 func benchStoreOptions() telemetry.Options {
-	return telemetry.Options{FlushBytes: 256 << 10, Shards: 8}
+	return telemetry.Options{FlushBytes: 256 << 10}
 }
 
 // BenchmarkTelemetryIngest is the OLTP write path: epoch-sized batches
-// through WAL, shard sort, memtable merge, flush, and compaction.
+// through WAL, batch sort, memtable merge, flush, and compaction.
 // write_amp is total storage bytes written per user byte.
 func BenchmarkTelemetryIngest(b *testing.B) {
 	const vehicles, epochs = 200, 20

@@ -37,7 +37,7 @@ func main() {
 	vehicles := flag.String("vehicles", "", "vehicle id range `lo-hi` (or a single id; empty = all)")
 	from := flag.Duration("from", 0, "virtual-time window start (e.g. 3h)")
 	to := flag.Duration("to", 0, "virtual-time window end (0 = unbounded)")
-	kinds := flag.String("kinds", "", "comma-separated event kinds (epoch,assign,pickup,dropoff,collision,reactive-brake,halt,blackbox,metric,log); kind queries use the B+-tree index")
+	kinds := flag.String("kinds", "", "comma-separated event kinds (epoch,assign,pickup,dropoff,collision,reactive-brake,halt,blackbox,metric,log); rows then come time-major per kind")
 	count := flag.Bool("count", false, "print only the matching event count")
 	stats := flag.Bool("stats", false, "print store stats (runs, entries, read amplification) to stderr")
 	flag.Parse()
@@ -55,7 +55,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sovquery:", err)
 			os.Exit(2)
 		}
-		q.VehicleMin, q.VehicleMax = lo, hi
+		q.VehicleMin, q.VehicleMax, q.VehicleBounded = lo, hi, true
 	}
 	q.TMinMs = telemetry.VirtualMs(*from)
 	q.TMaxMs = telemetry.VirtualMs(*to)

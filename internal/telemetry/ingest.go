@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"time"
-)
+import "time"
 
 // Ingestor is the batching front end of the store: producers Add events
 // during an epoch (the fleet does it from its serial barrier), and Flush
@@ -59,47 +54,6 @@ func (in *Ingestor) Flush() error {
 	in.events = in.events[:0]
 	in.arena = in.arena[:0]
 	return err
-}
-
-// tRecord is the minimal schema the JSONL adapters need: every condensed
-// per-cycle trace line and flight-recorder dump carries a t_ms field.
-type tRecord struct {
-	TMs float64 `json:"t_ms"`
-}
-
-// IngestJSONL reads newline-delimited JSON records (a condensed per-cycle
-// trace from `sovsim -trace`, or any JSONL stream with a t_ms field) and
-// queues each line as one event of the given kind for the vehicle.
-// Malformed lines are skipped and counted, never fatal — a truncated
-// upload must not hide the rest of the archive.
-func (in *Ingestor) IngestJSONL(vehicle uint32, kind Kind, r io.Reader) (added, malformed int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec tRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.TMs < 0 {
-			malformed++
-			continue
-		}
-		in.Add(vehicle, time.Duration(rec.TMs*float64(time.Millisecond)), kind, line)
-		added++
-	}
-	return added, malformed, sc.Err()
-}
-
-// IngestTrace queues a per-cycle condensed log (KindLog lines).
-func (in *Ingestor) IngestTrace(vehicle uint32, r io.Reader) (added, malformed int, err error) {
-	return in.IngestJSONL(vehicle, KindLog, r)
-}
-
-// IngestBlackbox queues a flight-recorder dump stream (KindBlackbox
-// lines; obs.FlightRecorder JSONL dumps).
-func (in *Ingestor) IngestBlackbox(vehicle uint32, r io.Reader) (added, malformed int, err error) {
-	return in.IngestJSONL(vehicle, KindBlackbox, r)
 }
 
 // IngestMetrics queues one metrics-registry snapshot blob (typically

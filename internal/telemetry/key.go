@@ -5,10 +5,9 @@
 // batching ingestion front end into an LSM-tree store — an arena-backed
 // sorted memtable, immutable sorted runs with bloom filters, size-tiered
 // compaction, and a checksummed write-ahead log with crash-recovery
-// replay — keyed by (vehicle, virtual-time). A B+-tree secondary index
-// keyed by (kind, virtual-time) answers kind-first range queries ("all
-// reactive-brake events for vehicles 100–200 in hour 3") without scanning
-// the primary space.
+// replay — keyed by (vehicle, virtual-time). Kind-first range queries ("all
+// reactive-brake events for vehicles 100–200 in hour 3") scan the query's
+// rectangle of that one key space and re-sort the matches time-major.
 //
 // The store is single-threaded and deterministic: it runs no goroutine and
 // imports no worker pool, and run files, the manifest, and query results are

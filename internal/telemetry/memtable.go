@@ -92,23 +92,6 @@ func (m *memtable) get(k Key) ([]byte, bool) {
 	return nil, false
 }
 
-// scan calls fn for every entry with lo <= key <= hi, in key order.
-// Returning false stops the scan.
-func (m *memtable) scan(lo, hi Key, fn func(k Key, payload []byte) bool) {
-	i := sort.Search(len(m.entries), func(i int) bool {
-		return !m.entries[i].key.Less(lo)
-	})
-	for ; i < len(m.entries); i++ {
-		e := m.entries[i]
-		if hi.Less(e.key) {
-			return
-		}
-		if !fn(e.key, m.arena[e.off:e.off+e.n]) {
-			return
-		}
-	}
-}
-
 // reset clears the memtable for reuse after a flush, keeping capacity.
 func (m *memtable) reset() {
 	m.arena = m.arena[:0]

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -13,21 +15,23 @@ import (
 // everything.
 type Query struct {
 	VehicleMin uint32
-	VehicleMax uint32 // 0 means "no upper bound"
-	TMinMs     uint64
-	TMaxMs     uint64 // 0 means "no upper bound"
-	Kinds      []Kind
+	VehicleMax uint32 // 0 means "no upper bound" unless VehicleBounded is set
+	// VehicleBounded says VehicleMax is a bound even when it is 0: vehicle 0
+	// is a real vehicle, and [0, 0] is otherwise inexpressible.
+	VehicleBounded bool
+	TMinMs         uint64
+	TMaxMs         uint64 // 0 means "no upper bound"
+	Kinds          []Kind
 }
 
 // normalize resolves the zero-value defaults.
 func (q Query) normalize() Query {
-	if q.VehicleMax == 0 {
+	if q.VehicleMax == 0 && !q.VehicleBounded {
 		q.VehicleMax = math.MaxUint32
 	}
 	if q.TMaxMs == 0 {
 		q.TMaxMs = math.MaxUint64
 	}
-	sort.Slice(q.Kinds, func(i, j int) bool { return q.Kinds[i] < q.Kinds[j] })
 	return q
 }
 
@@ -102,81 +106,51 @@ func (s *Store) Scan(q Query, fn func(Event) bool) error {
 	}
 }
 
-// ScanByKind answers kind-first queries through the B+-tree secondary
-// index: leaves are walked in (kind, time, vehicle) order over exactly the
-// requested window and each hit is resolved with a bloom-guarded point
-// read. Events stream in time-major order per kind — the triage ordering —
-// rather than the primary vehicle-major order.
+// ScanByKind streams a query's events in triage order — kind, then time,
+// then vehicle, then sequence — rather than the primary vehicle-major
+// order: one primary Scan over the query rectangle copies the matching rows
+// into store-owned scratch, which is sorted and replayed. The buffer is
+// bounded by the result, not by the store. Payloads are valid until the
+// next call on the Store; returning false from fn stops the stream.
 func (s *Store) ScanByKind(q Query, fn func(Event) bool) error {
-	q = q.normalize()
-	if len(q.Kinds) == 0 {
-		for k := Kind(0); k < numKinds; k++ {
-			q.Kinds = append(q.Kinds, k)
-		}
-	}
-	if err := s.ensureIndex(); err != nil {
-		return err
-	}
-	for _, kind := range q.Kinds {
-		lo := skey{kind: kind, tMs: q.TMinMs, vehicle: q.VehicleMin}
-		hi := skey{kind: kind, tMs: q.TMaxMs, vehicle: math.MaxUint32, seq: math.MaxUint32}
-		stop := false
-		var ierr error
-		s.idx.scanRange(lo, hi, func(sk skey) bool {
-			if sk.vehicle < q.VehicleMin || sk.vehicle > q.VehicleMax {
-				return true
-			}
-			payload, ok, err := s.Get(sk.primary())
-			if err != nil {
-				ierr, stop = err, true
-				return false
-			}
-			if !ok {
-				// Index entries always resolve; a miss means corruption.
-				return true
-			}
-			if !fn(Event{Key: sk.primary(), Payload: payload}) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if ierr != nil {
-			return ierr
-		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}
+	// A ScanByKind made from inside fn grows its own buffers.
+	rows, arena := s.kindRows[:0], s.kindArena[:0]
+	s.kindRows, s.kindArena = nil, nil
+	defer func() { s.kindRows, s.kindArena = rows, arena }()
 
-// ensureIndex builds the secondary index on first use by replaying the
-// primary space; afterwards ingest keeps it current incrementally.
-func (s *Store) ensureIndex() error {
-	if s.idx != nil {
-		return nil
-	}
-	t := newBPTree()
-	err := s.Scan(Query{}, func(e Event) bool {
-		t.insert(skeyOf(e.Key))
+	err := s.Scan(q, func(e Event) bool {
+		// append may move the arena; a row taken before that keeps the old
+		// array, which already holds its bytes.
+		off := len(arena)
+		arena = append(arena, e.Payload...)
+		rows = append(rows, Event{Key: e.Key, Payload: arena[off:len(arena):len(arena)]})
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	s.idx = t
+	slices.SortFunc(rows, func(a, b Event) int {
+		return cmp.Or(
+			cmp.Compare(a.Key.Kind, b.Key.Kind),
+			cmp.Compare(a.Key.TMs, b.Key.TMs),
+			cmp.Compare(a.Key.Vehicle, b.Key.Vehicle),
+			cmp.Compare(a.Key.Seq, b.Key.Seq),
+		)
+	})
+	for _, e := range rows {
+		if !fn(e) {
+			break
+		}
+	}
 	return nil
 }
 
-// IndexSize reports the secondary index entry count and tree height
-// (0, 0 before the index is built).
-func (s *Store) IndexSize() (entries, height int) {
-	if s.idx == nil {
-		return 0, 0
-	}
-	return s.idx.size, s.idx.height()
-}
+// IndexSize reports (0, 0): the store has no secondary index.
+//
+// Deprecated: it stays only because benchmark/storeload.go, frozen for the
+// PR that removed the index, calls it; ROADMAP item 7 records the
+// benchmark-only follow-up that drops it with telemetry.index_entries.
+func (s *Store) IndexSize() (entries, height int) { return 0, 0 }
 
 // scanCursor is one merge source: the memtable or one run.
 type scanCursor struct {
@@ -251,15 +225,10 @@ func (c *scanCursor) next() error {
 	return nil
 }
 
-// Count runs a query and returns the matching event count (using the
-// secondary index when the query names kinds).
+// Count runs a query and returns the matching event count.
 func (s *Store) Count(q Query) (int64, error) {
 	var n int64
-	scan := s.Scan
-	if len(q.Kinds) > 0 {
-		scan = s.ScanByKind
-	}
-	err := scan(q, func(Event) bool { n++; return true })
+	err := s.Scan(q, func(Event) bool { n++; return true })
 	return n, err
 }
 
@@ -290,8 +259,8 @@ func AppendRowJSON(b []byte, e Event) []byte {
 }
 
 // WriteJSONL streams a query's rows as JSON lines. Kind-filtered queries
-// go through the secondary index (time-major order); unfiltered queries
-// scan the primary (vehicle-major order).
+// come in ScanByKind's time-major order per kind; unfiltered queries in
+// the primary vehicle-major order.
 func (s *Store) WriteJSONL(w io.Writer, q Query) (int64, error) {
 	var buf []byte
 	var n int64

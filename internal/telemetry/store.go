@@ -68,8 +68,6 @@ type Store struct {
 	seq     uint64 // global event sequence (Key.Seq)
 	wal     *walWriter
 
-	idx *bptree // lazy secondary index; nil until first kind query
-
 	stats Stats
 
 	// reused block-path state: the one run writer, Get's cursor, and the
@@ -83,6 +81,10 @@ type Store struct {
 	batchEnts  []memEntry
 	walBody    []byte
 	tierCounts map[int][]int
+
+	// reused ScanByKind scratch: the buffered rows and their payload bytes
+	kindRows  []Event
+	kindArena []byte
 }
 
 const manifestName = "MANIFEST"
@@ -175,9 +177,9 @@ func (s *Store) Ingest(events []Event) error {
 	return s.apply(events)
 }
 
-// apply sorts a batch into key order and folds it into the memtable and
-// (if built) the secondary index, then runs the flush/compaction policy.
-// Keys are unique (Ingest assigns Seq), so the order is total.
+// apply sorts a batch into key order and folds it into the memtable, then
+// runs the flush/compaction policy. Keys are unique (Ingest assigns Seq),
+// so the order is total.
 func (s *Store) apply(events []Event) error {
 	idx := s.batchIdx[:0]
 	for i := range events {
@@ -199,9 +201,6 @@ func (s *Store) apply(events []Event) error {
 	for _, i := range idx {
 		e := events[i]
 		ents = append(ents, s.mem.put(e.Key, e.Payload))
-		if s.idx != nil {
-			s.idx.insert(skeyOf(e.Key))
-		}
 	}
 	s.batchEnts = ents[:0]
 	s.mem.mergeBatch(ents)

@@ -104,7 +104,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 // TestMemtableMergeAndScan: out-of-order batches merge into global key
-// order; get and scan agree.
+// order; get and the scan cursor agree.
 func TestMemtableMergeAndScan(t *testing.T) {
 	m := newMemtable()
 	var batch []memEntry
@@ -122,12 +122,18 @@ func TestMemtableMergeAndScan(t *testing.T) {
 	if m.len() != 5 {
 		t.Fatalf("len = %d", m.len())
 	}
-	var got []Key
-	m.scan(Key{}, Key{Vehicle: 1 << 31}, func(k Key, p []byte) bool {
-		got = append(got, k)
-		return true
-	})
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Less(got[j]) }) {
+	// Scan reads the memtable through its merge cursor.
+	scan := func(lo, hi Key) (got []Key) {
+		for c := newMemCursor(m, lo, hi); !c.done; c.advanceMem() {
+			if want := fmt.Sprintf("p%d-%d", c.key.Vehicle, c.key.TMs); string(c.val) != want {
+				t.Fatalf("cursor at %v holds %q, want %q", c.key, c.val, want)
+			}
+			got = append(got, c.key)
+		}
+		return got
+	}
+	got := scan(Key{}, Key{Vehicle: 1 << 31})
+	if len(got) != 5 || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Less(got[j]) }) {
 		t.Fatalf("scan out of order: %v", got)
 	}
 	if p, ok := m.get(Key{Vehicle: 5, TMs: 20}); !ok || string(p) != "p5-20" {
@@ -137,12 +143,7 @@ func TestMemtableMergeAndScan(t *testing.T) {
 		t.Fatal("phantom get")
 	}
 	// Bounded scan.
-	got = got[:0]
-	m.scan(Key{Vehicle: 5}, Key{Vehicle: 5, TMs: 20}, func(k Key, p []byte) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 2 {
+	if got = scan(Key{Vehicle: 5}, Key{Vehicle: 5, TMs: 20}); len(got) != 2 {
 		t.Fatalf("bounded scan hit %d, want 2", len(got))
 	}
 }
@@ -320,8 +321,8 @@ func TestStoreEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRangeQueries: vehicle/time windows and kind filters, primary scan
-// vs B+-tree index agree on the result set.
+// TestRangeQueries: vehicle/time windows and kind filters, Scan and
+// ScanByKind agree on the result set.
 func TestRangeQueries(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{FlushBytes: 8 << 10})
@@ -343,8 +344,8 @@ func TestRangeQueries(t *testing.T) {
 		}
 	}
 
-	// Kind-filtered, via primary scan and via the secondary index: same
-	// set, index order is time-major.
+	// Kind-filtered, via Scan and via ScanByKind: same set, the second in
+	// time-major order.
 	qk := q
 	qk.Kinds = []Kind{KindReactiveBrake}
 	primK := collectScan(t, s, qk)
@@ -374,67 +375,9 @@ func TestRangeQueries(t *testing.T) {
 			t.Fatal("index scan not time-major")
 		}
 	}
-	if n, h := s.IndexSize(); n == 0 || h < 2 {
-		t.Fatalf("index size %d height %d", n, h)
-	}
-	// Count through the index path.
 	n, err := s.Count(qk)
 	if err != nil || int(n) != len(primK) {
 		t.Fatalf("count = %d want %d (%v)", n, len(primK), err)
-	}
-}
-
-// TestBPTreeAgainstReference: randomized inserts, full and bounded range
-// scans must match a sorted reference slice.
-func TestBPTreeAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	tree := newBPTree()
-	var ref []skey
-	for i := 0; i < 20000; i++ {
-		k := skey{
-			kind:    Kind(rng.Intn(4)),
-			tMs:     uint64(rng.Intn(5000)),
-			vehicle: uint32(rng.Intn(300)),
-			seq:     uint32(i),
-		}
-		tree.insert(k)
-		ref = append(ref, k)
-	}
-	sort.Slice(ref, func(i, j int) bool { return ref[i].less(ref[j]) })
-	var got []skey
-	tree.scanRange(skey{}, skey{kind: numKinds, tMs: 1 << 62}, func(k skey) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != len(ref) {
-		t.Fatalf("full scan %d keys, want %d", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("order mismatch at %d: %v vs %v", i, got[i], ref[i])
-		}
-	}
-	if tree.height() < 3 {
-		t.Fatalf("height %d, want >= 3 at 20k keys", tree.height())
-	}
-	// Bounded scan.
-	lo := skey{kind: 1, tMs: 1000}
-	hi := skey{kind: 1, tMs: 2000, vehicle: 1 << 31, seq: 1 << 31}
-	var bounded []skey
-	tree.scanRange(lo, hi, func(k skey) bool { bounded = append(bounded, k); return true })
-	for _, k := range bounded {
-		if k.less(lo) || hi.less(k) {
-			t.Fatalf("bounded scan leaked %v", k)
-		}
-	}
-	nWant := 0
-	for _, k := range ref {
-		if !k.less(lo) && !hi.less(k) {
-			nWant++
-		}
-	}
-	if len(bounded) != nWant {
-		t.Fatalf("bounded scan %d keys, want %d", len(bounded), nWant)
 	}
 }
 
@@ -591,9 +534,10 @@ func TestTornWALTailRecovered(t *testing.T) {
 	}
 }
 
-// TestIngestorAdaptersAndMalformedLines: JSONL adapters key events by
-// t_ms, skip malformed lines with a count, and round-trip payloads.
-func TestIngestorAdaptersAndMalformedLines(t *testing.T) {
+// TestIngestMetricsAndJSONLRendering: a metrics snapshot lands on the fleet
+// pseudo-vehicle with its payload verbatim, and the JSONL rendering embeds
+// raw payload JSON and names the fleet row.
+func TestIngestMetricsAndJSONLRendering(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, DefaultOptions())
 	if err != nil {
@@ -601,47 +545,25 @@ func TestIngestorAdaptersAndMalformedLines(t *testing.T) {
 	}
 	defer s.Close()
 	in := NewIngestor(s)
-
-	trace := `{"cycle":1,"t_ms":100.5,"v":2.0}
-not json at all
-{"cycle":2,"t_ms":200.25,"v":2.1}
-
-{"cycle":3,"t_ms":-5}
-`
-	added, malformed, err := in.IngestTrace(7, strings.NewReader(trace))
-	if err != nil || added != 2 || malformed != 2 {
-		t.Fatalf("trace: added=%d malformed=%d err=%v", added, malformed, err)
-	}
-	bb := `{"seq":1,"trigger":"collision","t_ms":1500,"records":[]}` + "\n"
-	added, malformed, err = in.IngestBlackbox(7, strings.NewReader(bb))
-	if err != nil || added != 1 || malformed != 0 {
-		t.Fatalf("blackbox: added=%d malformed=%d err=%v", added, malformed, err)
-	}
+	in.Add(7, 1500*time.Millisecond, KindBlackbox, []byte(`{"seq":1,"trigger":"collision","t_ms":1500,"records":[]}`))
 	in.IngestMetrics(3*time.Second, []byte(`[{"name":"x","value":1}]`))
 	if err := in.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	got := collectScan(t, s, Query{})
-	if len(got) != 4 {
+	if len(got) != 2 {
 		t.Fatalf("got %d events", len(got))
 	}
-	// Keys: trace lines at 100 ms and 200 ms (ms truncation), blackbox at
-	// 1500 ms, metric on the fleet pseudo-vehicle.
-	if got[0].Key != (Key{Vehicle: 7, TMs: 100, Kind: KindLog, Seq: 0}) {
-		t.Fatalf("first key %v", got[0].Key)
+	if got[0].Key != (Key{Vehicle: 7, TMs: 1500, Kind: KindBlackbox, Seq: 0}) {
+		t.Fatalf("blackbox key %v", got[0].Key)
 	}
-	if got[2].Key.Kind != KindBlackbox || got[2].Key.TMs != 1500 {
-		t.Fatalf("blackbox key %v", got[2].Key)
+	if got[1].Key != (Key{Vehicle: FleetVehicle, TMs: 3000, Kind: KindMetric, Seq: 1}) {
+		t.Fatalf("metric key %v", got[1].Key)
 	}
-	if got[3].Key.Vehicle != FleetVehicle || got[3].Key.Kind != KindMetric {
-		t.Fatalf("metric key %v", got[3].Key)
+	if !strings.Contains(string(got[0].Payload), `"trigger":"collision"`) {
+		t.Fatalf("blackbox payload %q", got[0].Payload)
 	}
-	// Payload preserved verbatim.
-	if !strings.Contains(string(got[2].Payload), `"trigger":"collision"`) {
-		t.Fatalf("blackbox payload %q", got[2].Payload)
-	}
-	// JSONL rendering embeds raw payload JSON and names the fleet row.
 	var buf bytes.Buffer
 	if _, err := s.WriteJSONL(&buf, Query{Kinds: []Kind{KindMetric}}); err != nil {
 		t.Fatal(err)

@@ -1,149 +1,32 @@
 // Package cloud is the block codec the fleet telemetry store writes its run
 // files with (internal/telemetry/sst.go) and the Sec. VII model of the
 // hourly field-data upload: a compression engine that RPR swaps onto the
-// fabric only while it is needed.
+// fabric only while it is needed. The codec (lz.go) is the kind of engine
+// that section sizes: byte-oriented LZ at a fixed cost per byte, no entropy
+// stage, its only state a 16 KB match table the caller holds; the decoder
+// holds none.
 package cloud
 
 import (
-	"bytes"
-	"compress/flate"
-	"errors"
 	"fmt"
-	"io"
-	"slices"
-	"sync"
 	"time"
 )
 
-// codec is one deflate writer and one inflate reader with everything they
-// write to and read from, reset per payload instead of rebuilt: a fresh
-// flate.Writer carries ~1.2 MB of match tables, which dwarfs the 4 KB
-// blocks the telemetry store compresses. Reset restores the exact initial
-// state, so a reused codec's bytes equal a fresh writer's
-// (TestCodecReuseMatchesFreshWriter). w and r are the boxed &out and &in,
-// kept so that a reset boxes nothing.
-type codec struct {
-	out  sliceWriter
-	w    io.Writer
-	fw   *flate.Writer
-	in   bytes.Reader
-	r    io.Reader
-	fr   io.ReadCloser
-	tail [1]byte // probes for end of stream once a bounded inflate is full
-}
-
-// sliceWriter appends what the deflater emits to a caller's slice.
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-// codecs hands out idle codecs. The store is single-threaded, so in
-// practice it holds one.
-var codecs = sync.Pool{New: func() any {
-	c := new(codec)
-	c.w, c.r = &c.out, &c.in
-	// BestSpeed is a valid level, the only error NewWriter has.
-	c.fw, _ = flate.NewWriter(c.w, flate.BestSpeed)
-	c.fr = flate.NewReader(c.r)
-	return c
-}}
-
-// AppendCompress deflates src (BestSpeed) and appends the stream to dst.
-func AppendCompress(dst, src []byte) ([]byte, error) {
-	v := codecs.Get()
-	out, err := v.(*codec).deflate(dst, src)
-	codecs.Put(v)
-	return out, err
-}
-
-func (c *codec) deflate(dst, src []byte) ([]byte, error) {
-	c.out.b = dst
-	c.fw.Reset(c.w)
-	_, err := c.fw.Write(src)
-	if err == nil {
-		err = c.fw.Close()
-	}
-	out := c.out.b
-	c.out.b = nil
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-// errInflatedTooLong reports a stream that holds more than its caller's
-// bound.
-var errInflatedTooLong = errors.New("cloud: stream inflates past its stated length")
-
-// AppendDecompress inflates src and appends the payload to dst. With
-// limit >= 0 the payload may be at most limit bytes: inflation stops there
-// and a longer stream is an error, which bounds what a crafted stream can
-// make the caller hold; limit < 0 means no bound. On error dst comes back at
-// its original length.
-func AppendDecompress(dst, src []byte, limit int) ([]byte, error) {
-	v := codecs.Get()
-	c := v.(*codec)
-	out, err := c.inflate(dst, src, limit)
-	c.in.Reset(nil)
-	codecs.Put(v)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-func (c *codec) inflate(dst, src []byte, limit int) ([]byte, error) {
-	c.in.Reset(src)
-	if err := c.fr.(flate.Resetter).Reset(c.r, nil); err != nil {
-		return dst, err
-	}
-	end := -1
-	if limit >= 0 {
-		end = len(dst) + limit
-	}
-	for {
-		full := len(dst) == end
-		room := dst[len(dst):cap(dst)]
-		switch {
-		case full:
-			room = c.tail[:] // the stream has to end here
-		case end >= 0 && len(room) > end-len(dst):
-			room = room[:end-len(dst)]
-		case len(room) == 0:
-			dst = slices.Grow(dst, len(dst)/2+512)
-			continue
-		}
-		n, err := c.fr.Read(room)
-		if full && n > 0 {
-			return dst, errInflatedTooLong
-		}
-		if !full {
-			dst = dst[:len(dst)+n]
-		}
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-}
-
-// Compress deflates a payload (the hourly field-data upload of Sec. VII:
+// Compress encodes a payload (the hourly field-data upload of Sec. VII:
 // "sensor samples captured in the field could be compressed and uploaded to
 // the cloud; this task ... happens only once per hour, and thus could be
-// swapped in only when needed" via RPR) into a fresh slice.
+// swapped in only when needed" via RPR) into a fresh slice, sized up front
+// for the half the store's blocks shrink to. It cannot fail; the error
+// result stays for the callers that check it (benchmark/probes.go).
 func Compress(data []byte) ([]byte, error) {
-	return AppendCompress(nil, data)
+	var t Table
+	return AppendCompress(make([]byte, 0, len(data)/2+16), data, &t), nil
 }
 
-// Decompress inflates a payload produced by Compress into a fresh slice,
-// sized up front with headroom over the ~3x the store's blocks deflate by.
+// Decompress decodes a payload produced by Compress into a fresh slice,
+// sized up front with headroom over the 2x the store's blocks grow back by.
 func Decompress(data []byte) ([]byte, error) {
-	out, err := AppendDecompress(make([]byte, 0, 4*len(data)+64), data, -1)
+	out, err := AppendDecompress(make([]byte, 0, 3*len(data)+64), data, -1)
 	if err != nil {
 		return nil, err
 	}

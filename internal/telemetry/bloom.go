@@ -1,15 +1,19 @@
 package telemetry
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
-// bloom is a fixed-size bloom filter over encoded keys. Runs build one at
-// flush time and persist it in the run footer: point reads consult it
-// before touching any data block, which is where the read-amplification
-// win of the LSM shape comes from (most runs do not hold the key).
+// bloom is a fixed-size bloom filter over keys. Runs build one at flush
+// time and persist it in the run footer: point reads consult it before
+// touching any data block, which is where the read-amplification win of the
+// LSM shape comes from (most runs do not hold the key).
 //
-// Double hashing (Kirsch–Mitzenmacher) derives the k probe positions from
-// two 64-bit halves of a single FNV-1a pass, so membership tests hash the
-// key exactly once.
+// A key is hashed once (hashKey) and the k probe positions come from that
+// one value by double hashing (Kirsch–Mitzenmacher); Store.Get hashes before
+// it walks the runs, so a point read pays for one hash however many filters
+// it consults.
 type bloom struct {
 	bits []uint64
 	k    uint32
@@ -31,66 +35,61 @@ func newBloom(n int) *bloom {
 	return &bloom{bits: make([]uint64, words), k: bloomK}
 }
 
-// bloomHash is FNV-1a over the encoded key, split into two independent
-// 32-bit-mixed halves for double hashing.
+// hashKey mixes a key's fields into 64 bits (two rounds of the murmur3
+// finalizer). The value is part of the run format: filters on disk hold the
+// positions it led to.
 //
 //sov:hotpath
-func bloomHash(key []byte) (uint64, uint64) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	// Split-mix the second stream so h2 is not a linear function of h1.
-	h2 := h
-	h2 ^= h2 >> 33
-	h2 *= 0xff51afd7ed558ccd
-	h2 ^= h2 >> 33
-	return h, h2 | 1 // odd increment covers all positions
+func hashKey(k Key) uint64 {
+	h := k.TMs ^ uint64(k.Kind)<<48
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= uint64(k.Vehicle)<<32 | uint64(k.Seq)
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
-// add inserts an encoded key.
+// add inserts a key by its hash. Each probe value is mapped onto the
+// filter's m bits by the high word of a 64x64 multiply: one MUL where h % m
+// was a divide.
 //
 //sov:hotpath
-func (f *bloom) add(key []byte) {
-	h1, h2 := bloomHash(key)
-	m := uint64(len(f.bits)) * 64
+func (f *bloom) add(h uint64) {
+	m, step := uint64(len(f.bits))*64, bits.RotateLeft64(h, 32)
 	for i := uint32(0); i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % m
+		pos, _ := bits.Mul64(h, m)
 		f.bits[pos/64] |= 1 << (pos % 64)
+		h += step
 	}
 }
 
-// test reports whether the key may be present (false negatives never).
+// test reports whether the key hashing to h may be present (false negatives
+// never).
 //
 //sov:hotpath
-func (f *bloom) test(key []byte) bool {
-	h1, h2 := bloomHash(key)
-	m := uint64(len(f.bits)) * 64
+func (f *bloom) test(h uint64) bool {
+	m, step := uint64(len(f.bits))*64, bits.RotateLeft64(h, 32)
 	for i := uint32(0); i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % m
+		pos, _ := bits.Mul64(h, m)
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
+		h += step
 	}
 	return true
 }
 
-// marshal renders the filter deterministically (little-endian words).
-func (f *bloom) marshal() []byte {
-	out := make([]byte, 4+8*len(f.bits))
-	binary.LittleEndian.PutUint32(out[0:4], f.k)
-	for i, w := range f.bits {
-		binary.LittleEndian.PutUint64(out[4+8*i:], w)
+// appendTo renders the filter deterministically (little-endian words) onto b.
+func (f *bloom) appendTo(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, f.k)
+	for _, w := range f.bits {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	return out
+	return b
 }
 
-// unmarshalBloom reads a marshaled filter.
+// unmarshalBloom reads a rendered filter.
 func unmarshalBloom(b []byte) *bloom {
 	if len(b) < 4 || (len(b)-4)%8 != 0 {
 		return nil

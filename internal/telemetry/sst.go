@@ -15,21 +15,25 @@ import (
 )
 
 // Sorted immutable runs are the LSM tree's on-disk level unit. A run file
-// is a sequence of ~4 KB data blocks (each optionally deflate-compressed
-// through internal/cloud's codec when that saves space), followed by a
-// block index (first key, offset, stored/raw lengths, per-block crc), the
-// run's bloom filter, and a fixed footer. Point reads consult the bloom,
-// binary-search the index, and read exactly one block; range scans read
-// only the overlapping blocks — the index is what makes the range query
-// "indexed" rather than a file scan.
+// is a sequence of ~4 KB data blocks (each stored through internal/cloud's
+// LZ codec when that saves a tenth of it), followed by a block index (first
+// key, offset, stored/raw lengths, per-block crc), the run's bloom filter,
+// and a fixed footer. Point reads consult the bloom, binary-search the
+// index, and read exactly one block; range scans read only the overlapping
+// blocks — the index is what makes the range query "indexed" rather than a
+// file scan.
 //
 // Every byte of a run is a pure function of the sorted entries it holds,
 // so run files are byte-identical across shard/worker counts and across a
 // crash-recovery replay.
 
+// Format v2 (LZ blocks, bloom probes from hashKey) shares nothing readable
+// with v1 (deflate blocks, FNV bloom) but the framing, so the version is in
+// both magics and in the MANIFEST header, and Open refuses a v1 store.
 const (
-	runMagic       = "SOVTRUN1"
-	runFooterMagic = "SOVTEND1"
+	runMagic       = "SOVTRUN2"
+	runMagicV1     = "SOVTRUN1"
+	runFooterMagic = "SOVTEND2"
 	blockTarget    = 4096 // uncompressed data-block payload target
 )
 
@@ -51,17 +55,18 @@ const blockMetaSize = KeySize + 1 + 8 + 4 + 4 + 4 + 4
 const footerSize = 8 + 4 + 8 + 4 + 8 + KeySize + KeySize + 4 + 8
 
 // runWriter streams sorted entries into a run file. The Store owns one and
-// begins it anew for every flush and compaction, so the file buffer and the
-// block, packed, index and tail buffers are allocated once per store.
+// begins it anew for every flush and compaction, so the file buffer, the
+// codec's match table and the block, packed, index and tail buffers are
+// allocated once per store.
 type runWriter struct {
 	path    string
 	f       *os.File
 	bw      *bufio.Writer
 	off     uint64
 	block   []byte // current uncompressed block body
-	packed  []byte // its deflated form
+	packed  []byte // its compressed form
+	lz      cloud.Table
 	blockN  uint32
-	keyBuf  []byte
 	index   []blockMeta
 	tail    []byte // marshaled index, bloom and footer
 	filter  *bloom
@@ -112,9 +117,8 @@ func (w *runWriter) add(k Key, payload []byte) error {
 	if w.blockN == 0 {
 		w.first = k
 	}
-	w.keyBuf = appendKey(w.keyBuf[:0], k)
-	w.filter.add(w.keyBuf)
-	w.block = append(w.block, w.keyBuf...)
+	w.filter.add(hashKey(k))
+	w.block = appendKey(w.block, k)
 	w.block = binary.AppendUvarint(w.block, uint64(len(payload)))
 	w.block = append(w.block, payload...)
 	w.blockN++
@@ -134,8 +138,7 @@ func (w *runWriter) flushBlock() error {
 	}
 	body := w.block
 	compressed := false
-	var err error
-	if w.packed, err = cloud.AppendCompress(w.packed[:0], body); err == nil && len(w.packed) < len(body)-len(body)/10 {
+	if w.packed = cloud.AppendCompress(w.packed[:0], body, &w.lz); len(w.packed) < len(body)-len(body)/10 {
 		body, compressed = w.packed, true
 	}
 	w.index = append(w.index, blockMeta{
@@ -182,15 +185,15 @@ func (w *runWriter) finish() (meta runMeta, err error) {
 		tail = binary.LittleEndian.AppendUint32(tail, bm.count)
 		tail = binary.LittleEndian.AppendUint32(tail, bm.crc)
 	}
-	bloomOff := indexOff + uint64(len(tail))
-	bloomBytes := w.filter.marshal()
-	tail = append(tail, bloomBytes...)
+	indexLen := len(tail)
+	tail = w.filter.appendTo(tail)
+	bloomLen := len(tail) - indexLen
 	crc := crc32.ChecksumIEEE(tail)
 
 	tail = binary.LittleEndian.AppendUint64(tail, indexOff)
 	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(w.index)))
-	tail = binary.LittleEndian.AppendUint64(tail, bloomOff)
-	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(bloomBytes)))
+	tail = binary.LittleEndian.AppendUint64(tail, indexOff+uint64(indexLen))
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(bloomLen))
 	tail = binary.LittleEndian.AppendUint64(tail, w.count)
 	tail = appendKey(tail, w.minKey)
 	tail = appendKey(tail, w.maxKey)
@@ -258,6 +261,17 @@ func openRun(path string, meta runMeta) (_ *run, err error) {
 		return nil, fmt.Errorf("telemetry: run %s truncated", path)
 	}
 	footer := make([]byte, footerSize)
+	magic := footer[:len(runMagic)] // read before the footer is
+	if _, err := f.ReadAt(magic, 0); err != nil {
+		return nil, err
+	}
+	switch string(magic) {
+	case runMagic:
+	case runMagicV1:
+		return nil, fmt.Errorf("telemetry: run %s is run format v1; this build reads and writes only v2", path)
+	default:
+		return nil, fmt.Errorf("telemetry: run %s bad header magic", path)
+	}
 	if _, err := f.ReadAt(footer, st.Size()-footerSize); err != nil {
 		return nil, err
 	}
@@ -328,15 +342,14 @@ func (r *run) blockFor(k Key) int {
 	return i - 1 // -1 when k precedes the first block
 }
 
-// get returns the payload for an exact key, read through cur (the payload
-// aliases cur's buffer). The bloom filter short-circuits most absent keys
-// without any block I/O.
-func (r *run) get(k Key, keyBuf []byte, cur *blockCursor, st *Stats) ([]byte, bool, error) {
+// get returns the payload for an exact key, hash being its hashKey, read
+// through cur (the payload aliases cur's buffer). The bloom filter
+// short-circuits most absent keys without any block I/O.
+func (r *run) get(k Key, hash uint64, cur *blockCursor, st *Stats) ([]byte, bool, error) {
 	if k.Less(r.meta.minKey) || r.meta.maxKey.Less(k) {
 		return nil, false, nil
 	}
-	keyBuf = appendKey(keyBuf[:0], k)
-	if !r.filter.test(keyBuf) {
+	if !r.filter.test(hash) {
 		st.BloomSkips++
 		return nil, false, nil
 	}
@@ -371,7 +384,7 @@ var (
 
 // blockCursor walks a range of one run's blocks entry by entry. It is the
 // one decoder of the block entry format (key, uvarint length, payload), and
-// it owns the buffers a block is read and inflated into: key and val stay
+// it owns the buffers a block is read and decoded into: key and val stay
 // valid while sibling cursors of the same merge load their own blocks, until
 // this cursor's next call. Compaction, Scan and Get all read through one.
 type blockCursor struct {
@@ -380,7 +393,7 @@ type blockCursor struct {
 	bi     int    // next block to load; bi-1 is the one loaded
 	last   int    // last block to walk
 	stored []byte // the loaded block as the file holds it
-	raw    []byte // ... inflated, when it is compressed
+	raw    []byte // ... decoded, when it is compressed
 	rest   []byte // undecoded remainder of the loaded block
 	left   uint32 // entries the index says rest holds
 	key    Key
@@ -431,8 +444,8 @@ func (c *blockCursor) next() (bool, error) {
 }
 
 // readBlock loads block i into the cursor's buffers, charging the read to
-// st: crc over the stored bytes first, then inflation bounded by the
-// index's raw length, then that length itself.
+// st: crc over the stored bytes first, then decoding bounded by the index's
+// raw length, then that length itself.
 //
 //sov:hotpath
 func (c *blockCursor) readBlock(i int) error {

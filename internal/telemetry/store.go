@@ -87,7 +87,11 @@ type Store struct {
 	kindArena []byte
 }
 
-const manifestName = "MANIFEST"
+const (
+	manifestName     = "MANIFEST"
+	manifestHeader   = "sovtelemetry manifest v2"
+	manifestHeaderV1 = "sovtelemetry manifest v1"
+)
 
 // Open loads (or creates) a store in dir, replaying any WAL tail left by
 // a crash through the normal ingest path so the recovered state — runs,
@@ -422,9 +426,9 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if p, ok := s.mem.get(k); ok {
 		return p, true, nil
 	}
-	var keyBuf [KeySize]byte
+	hash := hashKey(k)
 	for i := len(s.runs) - 1; i >= 0; i-- {
-		p, ok, err := s.runs[i].get(k, keyBuf[:0], &s.getCur, &s.stats)
+		p, ok, err := s.runs[i].get(k, hash, &s.getCur, &s.stats)
 		if err != nil {
 			return nil, false, err
 		}
@@ -440,7 +444,7 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 
 func (s *Store) writeManifest() error {
 	var b []byte
-	b = append(b, "sovtelemetry manifest v1\n"...)
+	b = append(b, manifestHeader+"\n"...)
 	b = append(b, "next-run "...)
 	b = strconv.AppendUint(b, s.nextRun, 10)
 	b = append(b, "\nseq "...)
@@ -482,7 +486,10 @@ func (s *Store) loadManifest() error {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	if !sc.Scan() || sc.Text() != "sovtelemetry manifest v1" {
+	if !sc.Scan() || sc.Text() != manifestHeader {
+		if sc.Text() == manifestHeaderV1 {
+			return errors.New("telemetry: store is format v1; this build reads and writes only v2")
+		}
 		return errors.New("telemetry: bad manifest header")
 	}
 	sawEnd := false

@@ -68,34 +68,38 @@ func TestKindNames(t *testing.T) {
 func TestBloomNoFalseNegatives(t *testing.T) {
 	const n = 5000
 	f := newBloom(n)
-	var buf []byte
 	for i := 0; i < n; i++ {
-		buf = appendKey(buf[:0], Key{Vehicle: uint32(i), TMs: uint64(i * 7)})
-		f.add(buf)
+		f.add(hashKey(Key{Vehicle: uint32(i), TMs: uint64(i * 7)}))
 	}
 	for i := 0; i < n; i++ {
-		buf = appendKey(buf[:0], Key{Vehicle: uint32(i), TMs: uint64(i * 7)})
-		if !f.test(buf) {
+		if !f.test(hashKey(Key{Vehicle: uint32(i), TMs: uint64(i * 7)})) {
 			t.Fatalf("false negative at %d", i)
 		}
 	}
-	fp := 0
-	for i := 0; i < n; i++ {
-		buf = appendKey(buf[:0], Key{Vehicle: uint32(i + n*10), TMs: uint64(i)})
-		if f.test(buf) {
-			fp++
+	// Absent keys of three shapes: another vehicle range, and the neighbours
+	// a point read for a missing event asks about (a present key's next Seq,
+	// a present key's other Kind).
+	for _, absent := range []func(i int) Key{
+		func(i int) Key { return Key{Vehicle: uint32(i + n*10), TMs: uint64(i)} },
+		func(i int) Key { return Key{Vehicle: uint32(i), TMs: uint64(i * 7), Seq: 1} },
+		func(i int) Key { return Key{Vehicle: uint32(i), TMs: uint64(i * 7), Kind: KindReactiveBrake} },
+	} {
+		fp := 0
+		for i := 0; i < n; i++ {
+			if f.test(hashKey(absent(i))) {
+				fp++
+			}
+		}
+		if rate := float64(fp) / n; rate > 0.03 {
+			t.Fatalf("false-positive rate %.3f, want < 3%%", rate)
 		}
 	}
-	if rate := float64(fp) / n; rate > 0.03 {
-		t.Fatalf("false-positive rate %.3f, want < 3%%", rate)
-	}
 	// Marshal round-trip preserves behavior.
-	g := unmarshalBloom(f.marshal())
+	g := unmarshalBloom(f.appendTo(nil))
 	if g == nil {
 		t.Fatal("unmarshal failed")
 	}
-	buf = appendKey(buf[:0], Key{Vehicle: 3, TMs: 21})
-	if !g.test(buf) {
+	if !g.test(hashKey(Key{Vehicle: 3, TMs: 21})) {
 		t.Fatal("round-tripped filter lost a key")
 	}
 	if unmarshalBloom([]byte{1, 2, 3}) != nil {
@@ -693,6 +697,51 @@ func TestMalformedManifestRejected(t *testing.T) {
 	}
 }
 
+// TestFormatV1Refused: a store the previous format wrote (deflate blocks,
+// FNV bloom) is refused by Open with an error that names the version, by its
+// MANIFEST header first and by a run file's own header if that is all that
+// is left of v1; a header that is neither version is refused too. The v1
+// bytes are built by hand: nothing of that format's code is kept.
+func TestFormatV1Refused(t *testing.T) {
+	path, raw, _ := firstRun(t)
+	dir := filepath.Dir(path)
+	manifestPath := filepath.Join(dir, manifestName)
+	good, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(what, wantInErr string) {
+		t.Helper()
+		st, err := Open(dir, Options{})
+		if err == nil {
+			st.crash()
+			t.Fatalf("%s: Open accepted the store", what)
+		}
+		if !strings.Contains(err.Error(), wantInErr) {
+			t.Fatalf("%s: Open failed with %q, want an error naming %q", what, err, wantInErr)
+		}
+	}
+	v1 := bytes.Replace(good, []byte("manifest v2\n"), []byte("manifest v1\n"), 1)
+	if bytes.Equal(v1, good) {
+		t.Fatalf("no v2 header to rewrite in:\n%s", good)
+	}
+	os.WriteFile(manifestPath, v1, 0o644)
+	reopen("v1 MANIFEST", "format v1")
+
+	os.WriteFile(manifestPath, good, 0o644)
+	os.WriteFile(path, append([]byte("SOVTRUN1"), raw[8:]...), 0o644)
+	reopen("v1 run header", "format v1")
+	os.WriteFile(path, append([]byte("SOVTRUN3"), raw[8:]...), 0o644)
+	reopen("unknown run header", "header magic")
+
+	os.WriteFile(path, raw, 0o644)
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("the intact store: %v", err)
+	}
+	st.crash()
+}
+
 // firstRun flushes a few blocks into a one-run store and returns the run's
 // path, bytes and manifest entry.
 func firstRun(t *testing.T) (string, []byte, runMeta) {
@@ -719,7 +768,7 @@ func firstRun(t *testing.T) (string, []byte, runMeta) {
 
 // TestBlockLengthAndCountChecked: a block whose index entry states another
 // raw length or entry count than the block holds is an error on read, and
-// a compressed block is never inflated past its stated length. The index
+// a compressed block is never decoded past its stated length. The index
 // crc is recomputed, so only these checks stand in the way.
 func TestBlockLengthAndCountChecked(t *testing.T) {
 	path, raw, meta := firstRun(t)
@@ -766,7 +815,7 @@ func TestBlockLengthAndCountChecked(t *testing.T) {
 		delta int32
 		want  error
 	}{
-		{"rawLen short", 1, rawLenAt, -1, nil}, // cloud's bound trips before errBlockLen can
+		{"rawLen short", 1, rawLenAt, -1, nil}, // the decoder's bound trips before errBlockLen can
 		{"rawLen long", 1, rawLenAt, +1, errBlockLen},
 		{"rawLen far long", 1, rawLenAt, 1 << 30, errBlockLen},
 		{"count short", 1, countAt, -1, errBlockCount},
@@ -866,17 +915,12 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 	}
 }
 
-// TestBlockPathSteadyStateAllocs: a warmed codec deflates and inflates a
-// block without allocating, and a whole 256 KB memtable flush (a run of ~60
-// blocks, reopened and recorded in the MANIFEST) allocates well under 1 MB;
-// with a flate.Writer per block it allocated ~60 MB.
+// TestBlockPathSteadyStateAllocs: the codec compresses and decodes a block
+// into buffers that have held one without allocating, a whole 256 KB
+// memtable flush (a run of ~60 blocks, reopened and recorded in the
+// MANIFEST) allocates well under 1 MB, and a point read of a flushed key
+// allocates nothing.
 func TestBlockPathSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of its Puts at random, the codec among them")
-	}
-	// sync.Pool keeps its entries per P: on one P the codec a call returns is
-	// the codec the next call gets (testing.AllocsPerRun pins this too).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var block []byte
 	for _, e := range makeEvents(1, 200) {
 		block = appendKey(block, e.Key)
@@ -886,10 +930,11 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 			break
 		}
 	}
-	packed, _ := cloud.AppendCompress(nil, block)
+	var tbl cloud.Table
+	packed := cloud.AppendCompress(nil, block, &tbl)
 	raw := make([]byte, 0, len(block))
 	if n := testing.AllocsPerRun(200, func() {
-		packed, _ = cloud.AppendCompress(packed[:0], block)
+		packed = cloud.AppendCompress(packed[:0], block, &tbl)
 	}); n != 0 {
 		t.Errorf("AppendCompress allocates %v times per block, want 0", n)
 	}
@@ -915,9 +960,6 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 			ingestInBatches(t, s, events[fed:fed+100], 100)
 			fed += 100
 		}
-		// Filling the memtable allocates here (the batches are copied), and
-		// a pool that sits idle across two collections is emptied: warm it.
-		packed, _ = cloud.AppendCompress(packed[:0], block)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := s.Flush(); err != nil {
@@ -933,6 +975,15 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 		t.Errorf("one 256 KB flush allocated %d bytes, want < 1 MB", flushAlloc)
 	}
 	t.Logf("256 KB flush: %d blocks, %d bytes allocated", len(s.runs[1].index), flushAlloc)
+
+	k := events[0].Key
+	k.Seq = 0
+	if p, ok, err := s.Get(k); err != nil || !ok || !bytes.Equal(p, events[0].Payload) {
+		t.Fatalf("Get(%v) of a flushed key = %q %v %v", k, p, ok, err)
+	}
+	if n := testing.AllocsPerRun(200, func() { s.Get(k) }); n != 0 {
+		t.Errorf("Get of a flushed key allocates %v times, want 0", n)
+	}
 }
 
 // TestTierOf: size buckets quadruple.

@@ -59,7 +59,7 @@ type Config struct {
 	// and the control loop has one execution path (DESIGN.md §6).
 	//
 	// Deprecated: nothing reads it. It stays only because benchmark/, frozen
-	// for the PR that removed the runtime, assigns it; ROADMAP item 3 records
+	// for the PR that removed the runtime, assigns it; ROADMAP item 7 records
 	// the benchmark-only follow-up that drops it.
 	Pipeline bool
 	// PipelineForce is inert.

@@ -6,6 +6,7 @@ import (
 	"sov/internal/vehicle"
 	"sov/internal/world"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -404,5 +405,37 @@ func TestLeanReportMatchesFullMeans(t *testing.T) {
 	}
 	if !strings.Contains(lean.RenderHistogram(5, 10), "no cycles") {
 		t.Fatal("lean histogram should degrade gracefully")
+	}
+}
+
+// TestTwoVehiclesShareOneWorld drives two SoVs over one *world.World from
+// two goroutines (what a fleet region's shard workers do). The world is
+// read-only and each vehicle samples it into its own obstacle frame, so
+// under -race there is nothing to report, and each vehicle's report is the
+// one it produces with the world to itself.
+func TestTwoVehiclesShareOneWorld(t *testing.T) {
+	const horizon = 30 * time.Second
+	cfgs := [2]Config{DefaultConfig(), DefaultConfig()}
+	cfgs[1].Seed, cfgs[1].StartOffsetM = 9, 400
+	var solo [2]string
+	for i, cfg := range cfgs {
+		solo[i] = New(cfg, DynamicTrafficScenario(3)).Run(horizon).Render()
+	}
+
+	w := DynamicTrafficScenario(3)
+	var shared [2]string
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared[i] = New(cfg, w).Run(horizon).Render()
+		}()
+	}
+	wg.Wait()
+	for i := range shared {
+		if shared[i] != solo[i] {
+			t.Errorf("vehicle %d on the shared world:\n%s\nalone:\n%s", i, shared[i], solo[i])
+		}
 	}
 }

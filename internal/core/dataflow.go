@@ -93,7 +93,7 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	s.lane = s.route.Lanes[s.route.ActiveLane(anchor)]
 	fr.lane = s.lane
 
-	fr.complexity = s.world.SceneComplexity(fr.pose, fr.t0)
+	fr.complexity = s.scene.SceneComplexity(fr.pose, fr.t0)
 	keyframe := s.cfg.KeyframeEvery > 0 && s.cycle%s.cfg.KeyframeEvery == 0
 	if s.cfg.DynamicKeyframe && fr.complexity >= 0.6 {
 		// Dynamic traffic extracts fresh features nearly every frame.

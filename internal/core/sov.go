@@ -33,6 +33,9 @@ type SoV struct {
 	lane   world.Lane
 	engine *sim.Engine
 	rng    *sim.RNG
+	// scene is the one obstacle frame the rigs, the detector, the complexity
+	// model and the physics step share: each trajectory once per instant.
+	scene *world.Frame
 
 	veh      *vehicle.Vehicle
 	ecu      *vehicle.ECU
@@ -110,6 +113,7 @@ func New(cfg Config, w *world.World) *SoV {
 		lane:     lane,
 		engine:   sim.NewEngine(),
 		rng:      rng,
+		scene:    world.NewFrame(w),
 		veh:      veh,
 		ecu:      vehicle.NewECU(veh),
 		bus:      canbus.NewBus(),
@@ -157,6 +161,9 @@ func New(cfg Config, w *world.World) *SoV {
 		}
 		s.sched = sch
 	}
+	s.det.Frame = s.scene
+	s.radarRig.UseFrame(s.scene)
+	s.sonarRig.UseFrame(s.scene)
 	s.report.init(cfg.LeanReport)
 	s.report.QuantizedPerception = cfg.Quant
 	return s
@@ -257,9 +264,15 @@ func (s *SoV) physicsStep(dt time.Duration) {
 	}
 	st := s.veh.Step(dt)
 	now := s.engine.Now()
-	for _, o := range s.world.Obstacles {
-		pos, _ := o.At(now)
-		clear := st.Pos.DistTo(pos) - o.Radius
+	states := s.scene.At(now)
+	for i, o := range s.world.Obstacles {
+		// Hypot(dx, dy) ≥ max(|dx|, |dy|): when that bound clears the footprint
+		// by MinClearance, the exact distance fires neither branch below.
+		d := st.Pos.Sub(states[i].Pos)
+		if far := max(math.Abs(d.X), math.Abs(d.Y)) - o.Radius; far >= 0 && far >= s.report.MinClearance {
+			continue
+		}
+		clear := d.Norm() - o.Radius
 		if clear < s.report.MinClearance {
 			s.report.MinClearance = clear
 		}

@@ -71,10 +71,10 @@ func DefaultConfig() Config {
 // Detector runs the oracle-noise channel over ground-truth visibility.
 type Detector struct {
 	Config Config
-	World  *world.World
+	Frame  *world.Frame // ground truth's source: its own unless the vehicle shares one
 	rng    *sim.RNG
-	// truth is the visibility scratch; a detector processes one frame at a
-	// time (in the pipelined SoV, on the perceive-stage goroutine).
+	// truth is the visibility scratch; a detector processes one camera
+	// frame at a time, on the goroutine that runs the serial control loop.
 	truth []world.Detection
 
 	frames int
@@ -84,7 +84,7 @@ type Detector struct {
 
 // New returns a detector bound to a world.
 func New(cfg Config, w *world.World, rng *sim.RNG) *Detector {
-	return &Detector{Config: cfg, World: w, rng: rng}
+	return &Detector{Config: cfg, Frame: world.NewFrame(w), rng: rng}
 }
 
 // Detect returns the detections for a frame captured at time t from pose.
@@ -100,7 +100,7 @@ func (d *Detector) Detect(t time.Duration, pose world.Pose) []Object {
 func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []Object {
 	d.frames++
 	cfg := d.Config
-	d.truth = d.World.VisibleObstaclesInto(d.truth[:0], pose, t, cfg.MaxRange, cfg.FOV)
+	d.truth = d.Frame.VisibleObstaclesInto(d.truth[:0], pose, t, cfg.MaxRange, cfg.FOV)
 	out := dst
 	for _, det := range d.truth {
 		p := cfg.Recall * (1 - det.Range/cfg.MaxRange*0.5)

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -51,7 +53,6 @@ type SpanWriter struct {
 	events    []spanEvent
 	threads   []threadMeta
 	processes []threadMeta // tid unused
-	buf       []byte
 	closed    bool
 }
 
@@ -93,10 +94,21 @@ func (sw *SpanWriter) Span(pid, tid int, name, parent string, cycle int, start, 
 func (sw *SpanWriter) N() int { return len(sw.events) }
 
 // appendUS renders a duration as trace_event microseconds with fixed
-// 3-decimal precision (nanosecond resolution, deterministic formatting).
+// 3-decimal precision: the text of AppendFloat(ns/1e3, 'f', 3). For
+// 0 ≤ ns < 2^52 that is quotient, point, zero-padded remainder: ns is exact
+// in a float64, the division is off by at most ns/1e3·2^-53 < 0.0005, and
+// the true value is on the 3-decimal grid, so 'f' rounds back onto it.
 func appendUS(b []byte, d time.Duration) []byte {
-	return strconv.AppendFloat(b, float64(d.Nanoseconds())/1e3, 'f', 3, 64)
+	if d < 0 || d >= 1<<52 {
+		return strconv.AppendFloat(b, float64(d.Nanoseconds())/1e3, 'f', 3, 64)
+	}
+	b = strconv.AppendInt(b, int64(d/1000), 10)
+	frac := int(d % 1000)
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
+
+// spanChunk bounds Close's buffer: the file goes out in writes of this size.
+const spanChunk = 32 << 10
 
 // Close sorts the buffered events by (pid, tid, ts, insertion order),
 // writes the JSON array — one event per line — and returns the number of
@@ -106,45 +118,34 @@ func (sw *SpanWriter) Close() (int, error) {
 		return len(sw.events), nil
 	}
 	sw.closed = true
-	sort.SliceStable(sw.events, func(i, j int) bool {
-		a, b := sw.events[i], sw.events[j]
-		if a.pid != b.pid {
-			return a.pid < b.pid
-		}
-		if a.tid != b.tid {
-			return a.tid < b.tid
-		}
-		return a.ts < b.ts
+	slices.SortStableFunc(sw.events, func(a, b spanEvent) int {
+		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.tid, b.tid), cmp.Compare(a.ts, b.ts))
 	})
 
-	b := append(sw.buf[:0], "[\n"...)
-	wrote := false
-	line := func() {
-		if wrote {
-			b = append(b, ",\n"...)
-		}
-		wrote = true
-	}
+	b := append(make([]byte, 0, spanChunk+256), "[\n"...)
 	for _, p := range sw.processes {
-		line()
 		b = append(b, `{"ph":"M","pid":`...)
 		b = strconv.AppendInt(b, int64(p.pid), 10)
 		b = append(b, `,"name":"process_name","args":{"name":"`...)
 		b = append(b, p.name...)
-		b = append(b, `"}}`...)
+		b = append(b, "\"}},\n"...)
 	}
 	for _, t := range sw.threads {
-		line()
 		b = append(b, `{"ph":"M","pid":`...)
 		b = strconv.AppendInt(b, int64(t.pid), 10)
 		b = append(b, `,"tid":`...)
 		b = strconv.AppendInt(b, int64(t.tid), 10)
 		b = append(b, `,"name":"thread_name","args":{"name":"`...)
 		b = append(b, t.name...)
-		b = append(b, `"}}`...)
+		b = append(b, "\"}},\n"...)
 	}
 	for _, ev := range sw.events {
-		line()
+		if len(b) >= spanChunk {
+			if _, err := sw.w.Write(b); err != nil {
+				return len(sw.events), err
+			}
+			b = b[:0]
+		}
 		b = append(b, `{"ph":"X","pid":`...)
 		b = strconv.AppendInt(b, int64(ev.pid), 10)
 		b = append(b, `,"tid":`...)
@@ -162,10 +163,9 @@ func (sw *SpanWriter) Close() (int, error) {
 			b = append(b, ev.parent...)
 			b = append(b, '"')
 		}
-		b = append(b, `}}`...)
+		b = append(b, "}},\n"...)
 	}
-	b = append(b, "\n]\n"...)
-	sw.buf = b
+	b = append(bytes.TrimSuffix(b, []byte(",\n")), "\n]\n"...)
 	_, err := sw.w.Write(b)
 	return len(sw.events), err
 }

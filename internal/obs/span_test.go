@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -111,7 +114,10 @@ func TestSpanWriterPerfettoSchema(t *testing.T) {
 
 // TestSpanWriterDeterministicBytes: same spans, same bytes — even when the
 // two writers buffer the events in different interleavings, the
-// sort-at-Close canonicalizes the output.
+// sort-at-Close canonicalizes the output. A trace of several chunks must be
+// the bytes one buffer and the float formatter used to produce, handed to
+// the sink in bounded writes; and a sink that fails mid-file stops the
+// writer at that write and gets its error back.
 func TestSpanWriterDeterministicBytes(t *testing.T) {
 	var a, b bytes.Buffer
 	swA := NewSpanWriter(&a)
@@ -126,6 +132,101 @@ func TestSpanWriterDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("identical span streams produced different bytes")
+	}
+
+	// 3000 events on one lane, emitted in timestamp order (so the sort keeps
+	// them), with nanosecond-odd timestamps and durations.
+	const n = 3000
+	event := func(i int) (ts, dur time.Duration, parent string) {
+		ts, dur = time.Duration(i)*100*time.Millisecond+time.Duration(i%1000), time.Duration(70_000_001+i*37)
+		if i%3 != 0 {
+			parent = "perception"
+		}
+		return ts, dur, parent
+	}
+	emit := func(sw *SpanWriter) {
+		sw.DeclareProcess(PIDVirtual, "sov virtual time")
+		sw.DeclareThread(PIDVirtual, 4, "detect")
+		for i := 0; i < n; i++ {
+			ts, dur, parent := event(i)
+			sw.Span(PIDVirtual, 4, "detect", parent, i, ts, dur)
+		}
+	}
+	us := func(d time.Duration) string { return strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', 3, 64) }
+	want := []string{`{"ph":"M","pid":1,"name":"process_name","args":{"name":"sov virtual time"}}`,
+		`{"ph":"M","pid":1,"tid":4,"name":"thread_name","args":{"name":"detect"}}`}
+	for i := 0; i < n; i++ {
+		ts, dur, parent := event(i)
+		if parent != "" {
+			parent = `,"parent":"` + parent + `"`
+		}
+		want = append(want, fmt.Sprintf(`{"ph":"X","pid":1,"tid":4,"name":"detect","ts":%s,"dur":%s,"args":{"cycle":%d%s}}`,
+			us(ts), us(dur), i, parent))
+	}
+	var sink chunkSink
+	sw := NewSpanWriter(&sink)
+	emit(sw)
+	if got, err := sw.Close(); err != nil || got != n {
+		t.Fatalf("Close = %d, %v", got, err)
+	}
+	if wantBytes := "[\n" + strings.Join(want, ",\n") + "\n]\n"; sink.buf.String() != wantBytes {
+		t.Fatalf("chunked output (%d bytes) differs from the single-buffer rendering (%d bytes)", sink.buf.Len(), len(wantBytes))
+	}
+	if sink.writes < 3 || sink.largest > spanChunk+256 {
+		t.Fatalf("%d bytes went out in %d writes, largest %d: want several writes of about %d", sink.buf.Len(), sink.writes, sink.largest, spanChunk)
+	}
+
+	failing := chunkSink{failAt: 2}
+	sw = NewSpanWriter(&failing)
+	emit(sw)
+	if got, err := sw.Close(); !errors.Is(err, errSinkFull) || got != n {
+		t.Fatalf("Close on a sink failing at write 2 = %d, %v", got, err)
+	}
+	if failing.writes != 2 {
+		t.Fatalf("writer kept going after the failed write: %d writes", failing.writes)
+	}
+}
+
+var errSinkFull = errors.New("sink full")
+
+// chunkSink records how the writer hands the file over, and fails the
+// failAt'th write when failAt is set.
+type chunkSink struct {
+	buf             bytes.Buffer
+	writes, largest int
+	failAt          int
+}
+
+func (s *chunkSink) Write(p []byte) (int, error) {
+	s.writes++
+	if s.writes == s.failAt {
+		return 0, errSinkFull
+	}
+	s.largest = max(s.largest, len(p))
+	return s.buf.Write(p)
+}
+
+// TestAppendUSMatchesFloat holds the integer rendering of microseconds to
+// the float formatter it replaces, on both sides of the 2^52 ns bound past
+// which appendUS keeps the float form, and on negative durations.
+func TestAppendUSMatchesFloat(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		want := strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', 3, 64)
+		if got := string(appendUS(nil, d)); got != want {
+			t.Fatalf("appendUS(%d ns) = %s, want %s", d, got, want)
+		}
+	}
+	for _, d := range []time.Duration{0, 1, 9, 10, 99, 100, 999, 1000, 1001, 1999, 84 * time.Millisecond, time.Hour + 1,
+		1<<52 - 1001, 1<<52 - 1, 1 << 52, 1<<52 + 1, 1<<53 + 1, 1<<62 + 12345, -1, -999, -1500, -1 << 52} {
+		check(d)
+	}
+	// A multiplicative walk over every magnitude below the bound, with the
+	// remainders that round worst (…499, …500, …501, …999) at each step.
+	for d := time.Duration(1); d < 1<<52; d = d*3/2 + 7 {
+		for _, frac := range []time.Duration{0, 1, 499, 500, 501, 999} {
+			check(d/1000*1000 + frac)
+		}
 	}
 }
 

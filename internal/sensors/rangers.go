@@ -81,7 +81,7 @@ type RadarReturn struct {
 // Radar produces returns for obstacles in its cone.
 type Radar struct {
 	Config RadarConfig
-	World  *world.World
+	Frame  *world.Frame // the unit's own unless a rig or the vehicle shares one
 	rng    *sim.RNG
 	// dets is the unit's visibility scratch; a radar scans from one
 	// goroutine at a time (in the SoV, the simulation-engine thread).
@@ -90,7 +90,7 @@ type Radar struct {
 
 // NewRadar returns a radar bound to a world.
 func NewRadar(cfg RadarConfig, w *world.World, rng *sim.RNG) *Radar {
-	return &Radar{Config: cfg, World: w, rng: rng}
+	return &Radar{Config: cfg, Frame: world.NewFrame(w), rng: rng}
 }
 
 // ScanAt returns the echo list for a scan from the given pose at time t.
@@ -106,7 +106,7 @@ func (r *Radar) ScanAtInto(dst []RadarReturn, t time.Duration, pose world.Pose) 
 	if r.Config.DropoutProb > 0 && r.rng.Bernoulli(r.Config.DropoutProb) {
 		return dst
 	}
-	r.dets = r.World.VisibleObstaclesInto(r.dets[:0], pose, t, r.Config.MaxRange, r.Config.FOV)
+	r.dets = r.Frame.VisibleObstaclesInto(r.dets[:0], pose, t, r.Config.MaxRange, r.Config.FOV)
 	out := dst
 	for _, d := range r.dets {
 		losDir := d.Pos.Sub(pose.Pos)
@@ -155,19 +155,19 @@ type SonarPing struct {
 // Sonar produces the nearest-obstacle range inside its cone.
 type Sonar struct {
 	Config SonarConfig
-	World  *world.World
+	Frame  *world.Frame // see Radar.Frame
 	rng    *sim.RNG
 }
 
 // NewSonar returns a sonar bound to a world.
 func NewSonar(cfg SonarConfig, w *world.World, rng *sim.RNG) *Sonar {
-	return &Sonar{Config: cfg, World: w, rng: rng}
+	return &Sonar{Config: cfg, Frame: world.NewFrame(w), rng: rng}
 }
 
 // PingAt returns the nearest surface range at time t, or Valid=false when
 // clear.
 func (s *Sonar) PingAt(t time.Duration, pose world.Pose) SonarPing {
-	d, ok := s.World.NearestAhead(pose, t, s.Config.MaxRange, s.Config.FOV)
+	d, ok := s.Frame.NearestAhead(pose, t, s.Config.MaxRange, s.Config.FOV)
 	if !ok {
 		return SonarPing{Time: t}
 	}

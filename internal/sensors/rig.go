@@ -55,7 +55,7 @@ type RigStats struct {
 func (r *RadarRig) Stats() RigStats { return r.stats }
 
 // NewRadarRig builds the rig over a world; each unit gets its own RNG
-// stream.
+// stream and all six look through one obstacle frame.
 func NewRadarRig(w *world.World, rng *sim.RNG) *RadarRig {
 	mounts := []Mount{
 		{Name: "front-left", Offset: mathx.Vec2{X: 2.0, Y: 0.4}, Bearing: 0.15},
@@ -69,7 +69,15 @@ func NewRadarRig(w *world.World, rng *sim.RNG) *RadarRig {
 	for range mounts {
 		rig.Units = append(rig.Units, NewRadar(DefaultRadarConfig(), w, rng.Fork()))
 	}
+	rig.UseFrame(world.NewFrame(w))
 	return rig
+}
+
+// UseFrame points every unit at f, sharing samples with f's other users.
+func (r *RadarRig) UseFrame(f *world.Frame) {
+	for _, u := range r.Units {
+		u.Frame = f
+	}
 }
 
 // RigReturn is a radar return expressed in the vehicle frame.
@@ -159,7 +167,7 @@ type SonarRigStats struct {
 // Stats returns the ring's activity counters.
 func (r *SonarRig) Stats() SonarRigStats { return r.stats }
 
-// NewSonarRig builds the 8-unit ring.
+// NewSonarRig builds the 8-unit ring over one obstacle frame.
 func NewSonarRig(w *world.World, rng *sim.RNG) *SonarRig {
 	rig := &SonarRig{}
 	for i := 0; i < 8; i++ {
@@ -171,7 +179,15 @@ func NewSonarRig(w *world.World, rng *sim.RNG) *SonarRig {
 		})
 		rig.Units = append(rig.Units, NewSonar(DefaultSonarConfig(), w, rng.Fork()))
 	}
+	rig.UseFrame(world.NewFrame(w))
 	return rig
+}
+
+// UseFrame points every unit at f (see RadarRig.UseFrame).
+func (r *SonarRig) UseFrame(f *world.Frame) {
+	for _, u := range r.Units {
+		u.Frame = f
+	}
 }
 
 // NearestInSector pings all units facing within ±halfWidth of center and

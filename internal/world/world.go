@@ -212,6 +212,43 @@ type Detection struct {
 	Bearing  float64    // radians relative to observer heading
 }
 
+// ObstacleState is one obstacle's trajectory sampled at one instant.
+type ObstacleState struct{ Pos, Vel mathx.Vec2 }
+
+// Frame is every obstacle's state at one virtual instant: the first query
+// at a t it does not hold samples each trajectory (a pure function of t)
+// once, every other query at that t reads the samples. It is the mutable
+// half of the pair, owned by one vehicle; the World stays read-only.
+type Frame struct {
+	w      *World
+	t      time.Duration
+	states []ObstacleState
+}
+
+// NewFrame returns an empty frame over w.
+func NewFrame(w *World) *Frame { return &Frame{w: w} }
+
+// At returns every obstacle's state at t, index-aligned with World.Obstacles
+// (a world that grew is resampled), valid until the next call with another t.
+//
+//sov:hotpath
+func (f *Frame) At(t time.Duration) []ObstacleState {
+	obstacles := f.w.Obstacles
+	if f.t == t && len(f.states) == len(obstacles) {
+		return f.states
+	}
+	if cap(f.states) < len(obstacles) {
+		//sovlint:ignore hotalloc first fill, or the world grew; every later instant reuses the slice
+		f.states = make([]ObstacleState, len(obstacles))
+	}
+	states := f.states[:len(obstacles)]
+	for i, o := range obstacles {
+		states[i].Pos, states[i].Vel = o.At(t)
+	}
+	f.states, f.t = states, t
+	return states
+}
+
 // VisibleObstacles returns the obstacles within maxRange and ±fov/2 of the
 // pose's heading, nearest first.
 func (w *World) VisibleObstacles(p Pose, t time.Duration, maxRange, fov float64) []Detection {
@@ -220,15 +257,42 @@ func (w *World) VisibleObstacles(p Pose, t time.Duration, maxRange, fov float64)
 
 // VisibleObstaclesInto is VisibleObstacles appending into dst (reusing its
 // capacity) — the zero-allocation variant for per-sensor scratch buffers.
-// The world itself holds no scratch so concurrent sensors can each bring
-// their own.
+// The world holds no scratch and samples every trajectory on every call;
+// what remembers an instant is the vehicle's Frame.
+func (w *World) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, maxRange, fov float64) []Detection {
+	return visibleInto(dst, w.Obstacles, nil, p, t, maxRange, fov)
+}
+
+// VisibleObstaclesInto is World.VisibleObstaclesInto over the samples at t.
+func (f *Frame) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, maxRange, fov float64) []Detection {
+	return visibleInto(dst, f.w.Obstacles, f.At(t), p, t, maxRange, fov)
+}
+
+// sample returns obstacle i's state at t: the frame's, or with nil states
+// (the frame-less World methods) a fresh evaluation. Small enough to inline.
+func sample(o *Obstacle, states []ObstacleState, i int, t time.Duration) (s ObstacleState) {
+	if states != nil {
+		return states[i]
+	}
+	s.Pos, s.Vel = o.Traj(t)
+	return s
+}
+
+// visibleInto is the one loop behind both VisibleObstaclesInto methods. It
+// (like its two siblings) rejects on the longer axis before taking the
+// Hypot: math.Hypot(x, y) ≥ max(|x|, |y|) in floating point, NaN on either
+// side failing both tests (FuzzHypotLowerBound), so r > maxRange would
+// reject the same obstacles.
 //
 //sov:hotpath
-func (w *World) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, maxRange, fov float64) []Detection {
+func visibleInto(dst []Detection, obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration, maxRange, fov float64) []Detection {
 	out := dst
-	for _, o := range w.Obstacles {
-		pos, vel := o.At(t)
-		rel := pos.Sub(p.Pos)
+	for i, o := range obstacles {
+		s := sample(o, states, i, t)
+		rel := s.Pos.Sub(p.Pos)
+		if max(math.Abs(rel.X), math.Abs(rel.Y)) > maxRange {
+			continue
+		}
 		r := rel.Norm()
 		if r > maxRange || r == 0 {
 			continue
@@ -237,7 +301,7 @@ func (w *World) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, m
 		if math.Abs(bearing) > fov/2 {
 			continue
 		}
-		out = append(out, Detection{Obstacle: o, Pos: pos, Vel: vel, Range: r, Bearing: bearing})
+		out = append(out, Detection{Obstacle: o, Pos: s.Pos, Vel: s.Vel, Range: r, Bearing: bearing})
 	}
 	// Insertion sort by range; obstacle counts are small.
 	for i := 1; i < len(out); i++ {
@@ -252,14 +316,25 @@ func (w *World) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, m
 // forward cone (the reactive path's radar/sonar view). ok is false when
 // nothing is in view. It tracks the minimum inline — no candidate list —
 // because the reactive path polls it tens of times per control cycle.
-//
-//sov:hotpath
 func (w *World) NearestAhead(p Pose, t time.Duration, maxRange, fov float64) (Detection, bool) {
+	return nearestAhead(w.Obstacles, nil, p, t, maxRange, fov)
+}
+
+// NearestAhead is World.NearestAhead over the frame's samples at t.
+func (f *Frame) NearestAhead(p Pose, t time.Duration, maxRange, fov float64) (Detection, bool) {
+	return nearestAhead(f.w.Obstacles, f.At(t), p, t, maxRange, fov)
+}
+
+//sov:hotpath
+func nearestAhead(obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration, maxRange, fov float64) (Detection, bool) {
 	var best Detection
 	found := false
-	for _, o := range w.Obstacles {
-		pos, vel := o.At(t)
-		rel := pos.Sub(p.Pos)
+	for i, o := range obstacles {
+		s := sample(o, states, i, t)
+		rel := s.Pos.Sub(p.Pos)
+		if max(math.Abs(rel.X), math.Abs(rel.Y)) > maxRange {
+			continue
+		}
 		r := rel.Norm()
 		if r > maxRange || r == 0 {
 			continue
@@ -269,7 +344,7 @@ func (w *World) NearestAhead(p Pose, t time.Duration, maxRange, fov float64) (De
 			continue
 		}
 		if !found || r < best.Range {
-			best = Detection{Obstacle: o, Pos: pos, Vel: vel, Range: r, Bearing: bearing}
+			best = Detection{Obstacle: o, Pos: s.Pos, Vel: s.Vel, Range: r, Bearing: bearing}
 			found = true
 		}
 	}
@@ -281,12 +356,25 @@ func (w *World) NearestAhead(p Pose, t time.Duration, maxRange, fov float64) (De
 // The latency models use it (dynamic scenes extract new features in every
 // frame, slowing localization — Sec. V-C).
 func (w *World) SceneComplexity(p Pose, t time.Duration) float64 {
+	return sceneComplexity(w.Obstacles, nil, p, t)
+}
+
+// SceneComplexity is World.SceneComplexity over the frame's samples at t.
+func (f *Frame) SceneComplexity(p Pose, t time.Duration) float64 {
+	return sceneComplexity(f.w.Obstacles, f.At(t), p, t)
+}
+
+//sov:hotpath
+func sceneComplexity(obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration) float64 {
 	const saturation = 6.0
 	const maxRange, fov = 40.0, math.Pi
 	moving := 0
-	for _, o := range w.Obstacles {
-		pos, vel := o.At(t)
-		rel := pos.Sub(p.Pos)
+	for i, o := range obstacles {
+		s := sample(o, states, i, t)
+		rel := s.Pos.Sub(p.Pos)
+		if max(math.Abs(rel.X), math.Abs(rel.Y)) > maxRange {
+			continue
+		}
 		r := rel.Norm()
 		if r > maxRange || r == 0 {
 			continue
@@ -294,7 +382,7 @@ func (w *World) SceneComplexity(p Pose, t time.Duration) float64 {
 		if math.Abs(mathx.WrapAngle(rel.Angle()-p.Heading)) > fov/2 {
 			continue
 		}
-		if vel.Norm() > 0.2 {
+		if s.Vel.Norm() > 0.2 {
 			moving++
 		}
 	}

@@ -337,15 +337,6 @@ func BenchmarkPlannerComparisonEM(b *testing.B) {
 
 // --- Sec. VI-B: fusion / spatial sync vs KCF ------------------------------------
 
-func BenchmarkFusionGPSVIO(b *testing.B) {
-	g := fusion.NewGPSVIO()
-	fix := sensors.GPSFix{Pos: mathx.Vec2{X: 100}, Valid: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Update(time.Duration(i)*100*time.Millisecond, mathx.Vec2{X: 99.5}, fix)
-	}
-}
-
 func BenchmarkSpatialSync(b *testing.B) {
 	cfg := fusion.DefaultSpatialSyncConfig()
 	var dets []detect.Object

@@ -1,16 +1,22 @@
 // Command sovmodel answers design-constraint questions from the Sec. III
-// analytical models: latency budgets, driving-time impact, and cost.
+// analytical models: latency budgets, driving-time impact, cost, and the
+// thermal envelope. A non-physical flag (a non-positive speed or
+// deceleration, a negative power) is an error: it exits 2 like a malformed
+// one.
 //
 // Usage:
 //
 //	sovmodel latency -distance 5 [-speed 5.6] [-decel 4]
-//	sovmodel energy  -pad 0.175 [-extra 31]
+//	sovmodel energy  -pad 0.175 [-extra 31] [-day 10]
 //	sovmodel cost
+//	sovmodel thermal [-load 175] [-ambient 40]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"sov/internal/models"
@@ -33,6 +39,9 @@ func main() {
 		m := models.DefaultLatencyModel()
 		m.Speed = *speed
 		m.BrakeDecel = *decel
+		if err := m.Validate(); err != nil {
+			fail(err)
+		}
 		budget := m.ComputingBudget(*distance)
 		fmt.Printf("braking distance: %.2f m\n", m.BrakingDistance())
 		if budget < 0 {
@@ -48,6 +57,9 @@ func main() {
 		extra := fs.Float64("extra", 0, "additional watts (e.g. 31 for an idle server)")
 		day := fs.Float64("day", 10, "operating hours per day")
 		_ = fs.Parse(args[1:])
+		if *pad < 0 || *extra < 0 {
+			fail(errors.New("-pad and -extra must not be negative"))
+		}
 		em := models.DefaultEnergyModel()
 		total := *pad + *extra/1000
 		fmt.Printf("driving time at PAD=%.3f kW: %.2f h (reduced by %.2f h)\n",
@@ -65,6 +77,9 @@ func main() {
 		load := fs.Float64("load", models.DefaultPowerBudget().TotalW(), "compute load in watts")
 		ambient := fs.Float64("ambient", 40, "ambient temperature in C")
 		_ = fs.Parse(args[1:])
+		if *load < 0 {
+			fail(errors.New("-load must not be negative"))
+		}
 		th := models.DefaultThermalModel()
 		fmt.Printf("steady temperature at %.0f W, %.0f C ambient: %.1f C (ceiling %.0f C)\n",
 			*load, *ambient, th.SteadyTempC(*load, *ambient), th.MaxComponentTempC)
@@ -76,6 +91,13 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// fail reports a non-physical flag value and exits with flag's usage-error
+// status.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "sovmodel:", err)
+	os.Exit(2)
 }
 
 func usage() {

@@ -1,9 +1,9 @@
 package sov
 
 // Integration tests: the real algorithm implementations chained across
-// module boundaries on rendered synthetic scenes — renderer → corners →
-// descriptors → stereo depth → tracking → planning — verifying that the
-// pieces compose the way the SoV's proactive path composes them.
+// module boundaries on rendered synthetic scenes — renderer → stereo depth →
+// tracking → fusion → planning → actuation — verifying that the pieces
+// compose the way the SoV's proactive path composes them.
 
 import (
 	"math"
@@ -75,49 +75,6 @@ func TestVisionPerceptionChain(t *testing.T) {
 	}
 }
 
-// TestKeyframeFrontEndChain exercises the two RPR front-end variants the
-// way the localization pipeline alternates them: ORB extraction on the key
-// frame, pyramidal LK tracking of the same features on subsequent frames,
-// with descriptor matching as the relocalization check.
-func TestKeyframeFrontEndChain(t *testing.T) {
-	intr := vision.DefaultIntrinsics()
-	s0 := vision.Scene{Background: 5, BgDepth: 12,
-		Boxes: []vision.Box{{X: 0, Y: 0, Z: 5, W: 3, H: 2.4, Texture: 4}}}
-	s1 := vision.Scene{Background: 5, BgDepth: 12,
-		Boxes: []vision.Box{{X: 0.1, Y: 0, Z: 5, W: 3, H: 2.4, Texture: 4}}}
-	key := s0.Render(intr, 0)
-	next := s1.Render(intr, 0)
-
-	// Key frame: extract + describe.
-	corners, descs := vision.ExtractAndDescribe(key, 40)
-	if len(corners) < 10 {
-		t.Fatalf("corners = %d", len(corners))
-	}
-	// Non-key frame: track the corners with pyramidal LK.
-	pk := vision.NewPyramid(key, 3)
-	pn := vision.NewPyramid(next, 3)
-	tracked := 0
-	for _, c := range corners {
-		if c.X < 30 || c.X > 130 || c.Y < 25 || c.Y > 95 {
-			continue
-		}
-		r := vision.TrackLKPyramid(pk, pn, float64(c.X), float64(c.Y), 4, 20)
-		if r.OK {
-			tracked++
-		}
-	}
-	if tracked < 5 {
-		t.Fatalf("tracked only %d features into the non-key frame", tracked)
-	}
-	// Relocalization check: descriptors re-extracted on the next frame
-	// must match back to the key frame.
-	_, nextDescs := vision.ExtractAndDescribe(next, 40)
-	matches := vision.MatchORB(nextDescs, descs, 60)
-	if len(matches) < 5 {
-		t.Fatalf("only %d descriptor matches for relocalization", len(matches))
-	}
-}
-
 // TestPerceptionToActuationChain runs detection → radar fusion → MPC →
 // CAN encoding → ECU → vehicle dynamics as one pipeline tick and verifies
 // a breaking-distance-critical object actually slows the vehicle.
@@ -127,7 +84,7 @@ func TestPerceptionToActuationChain(t *testing.T) {
 	radarTrack := track.RadarTrack{ID: 1, Pos: mathx.Vec2{X: 6.9}, Vel: mathx.Vec2{}}
 	matches, ud, _ := fusion.SpatialSync(fusion.SpatialSyncConfig{MaxDistance: 1.5},
 		[]detect.Object{det}, []track.RadarTrack{radarTrack})
-	fused := fusion.FuseAll(matches, ud)
+	fused := fusion.FuseAllInto(nil, matches, ud)
 	if len(fused) != 1 || !fused[0].FromRadar {
 		t.Fatalf("fusion failed: %+v", fused)
 	}
@@ -170,7 +127,9 @@ func TestCNNOnRenderedScene(t *testing.T) {
 		Boxes: []vision.Box{{X: 0, Y: 0, Z: 5, W: 2, H: 2, Texture: 9}}}
 	im := scene.Render(intr, 0)
 	model := nn.NewTinyYOLO(im.H, im.W, 4, 42)
-	boxes := detect.RunCNN(model, nn.FromImage(im), 0.3, 0.5)
+	in := nn.NewTensor(1, im.H, im.W)
+	copy(in.Data, im.Pix)
+	boxes := detect.RunCNN(model, in, 0.3, 0.5)
 	for _, b := range boxes {
 		if b.X0 < -0.1 || b.X1 > 1.1 || b.Score < 0 || b.Score > 1 {
 			t.Fatalf("malformed box: %+v", b)
@@ -188,68 +147,5 @@ func TestSensorToFilterChain(t *testing.T) {
 	rep := NewSystem(DefaultConfig(), w).Run(15 * time.Second)
 	if rep.Cycles < 100 || rep.Collisions != 0 {
 		t.Fatalf("public-API chain failed: cycles=%d collisions=%d", rep.Cycles, rep.Collisions)
-	}
-}
-
-// TestStereoToStixelToPlannerChain drives dense SGM stereo into stixel
-// extraction and hands the resulting object candidates to the planner —
-// the vision-only perception path with no oracle anywhere.
-func TestStereoToStixelToPlannerChain(t *testing.T) {
-	rig := vision.DefaultStereoRig()
-	scene := vision.Scene{Boxes: []vision.Box{
-		{X: -0.4, Y: 0, Z: 5, W: 1.2, H: 1.6, Texture: 11},
-	}}
-	left, right := scene.RenderStereo(rig)
-	m := vision.SGM(left, right, vision.DefaultSGMConfig())
-	g := vision.GroundModelFor(rig, 1.2)
-	objs := vision.GroupStixels(
-		vision.ExtractStixels(m, rig, g, 1.0, 1.5, 8), rig, 1.2, 6)
-	if len(objs) != 1 {
-		t.Fatalf("stixel objects = %d, want 1", len(objs))
-	}
-	if math.Abs(objs[0].Depth-5) > 1 {
-		t.Fatalf("stixel depth = %.2f, want ~5", objs[0].Depth)
-	}
-
-	mpc := planning.NewMPC(planning.DefaultMPCConfig())
-	in := planning.Input{Speed: 5.6, TargetSpeed: 5.6, LaneWidth: 3}
-	in.Obstacles = []planning.Obstacle{{
-		S: objs[0].Depth, D: objs[0].LateralM, Radius: 1.5,
-	}}
-	plan := mpc.Plan(in)
-	if plan.Cmd.AccelMps2 >= -0.5 {
-		t.Fatalf("planner ignored a stereo-detected obstacle at 5 m: %+v", plan.Cmd)
-	}
-}
-
-// TestDetectCropClassifyChain crops a detected region from a rendered frame
-// and pushes it through the CNN classifier — the per-object classification
-// refinement stage, end to end on real pixels.
-func TestDetectCropClassifyChain(t *testing.T) {
-	intr := vision.DefaultIntrinsics()
-	scene := vision.Scene{Background: 5, BgDepth: 20,
-		Boxes: []vision.Box{{X: 0, Y: 0, Z: 5, W: 1.5, H: 1.5, Texture: 13}}}
-	im := scene.Render(intr, 0)
-	crop := im.Crop(int(intr.Cx), int(intr.Cy), 32, 32)
-	clf := nn.NewClassifier(32, 32, 4, 7)
-	p := clf.Classify(nn.FromImage(crop))
-	var sum float32
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(float64(sum)-1) > 1e-5 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-	// Different crops produce different distributions (the net is not
-	// degenerate).
-	p2 := clf.Classify(nn.FromImage(im.Crop(20, 20, 32, 32)))
-	same := true
-	for i := range p {
-		if p[i] != p2[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("classifier is input-independent")
 	}
 }

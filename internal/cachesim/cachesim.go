@@ -16,14 +16,6 @@ type Config struct {
 	Ways      int
 }
 
-// DefaultConfig returns a cache scaled to our synthetic clouds the way a
-// 9 MB LLC relates to full-size LiDAR working sets: the point clouds in the
-// benchmarks are ~100× smaller than real scans, so the cache is scaled down
-// by the same factor to preserve the capacity-pressure regime.
-func DefaultConfig() Config {
-	return Config{SizeBytes: 96 * 1024, LineBytes: 64, Ways: 12}
-}
-
 // Cache is a set-associative LRU cache with access accounting.
 type Cache struct {
 	cfg  Config

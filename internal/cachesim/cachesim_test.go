@@ -91,7 +91,7 @@ func TestZeroSizeAccessCountsOne(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	c := New(DefaultConfig())
+	c := New(Config{SizeBytes: 96 * 1024, LineBytes: 64, Ways: 12})
 	c.Access(0, 64)
 	c.Reset()
 	s := c.Stats()
@@ -131,7 +131,7 @@ func TestTrafficRatioAlwaysAtLeastOne(t *testing.T) {
 }
 
 func TestEmptyStats(t *testing.T) {
-	s := New(DefaultConfig()).Stats()
+	s := New(Config{SizeBytes: 96 * 1024, LineBytes: 64, Ways: 12}).Stats()
 	if s.TrafficRatio() != 0 || s.MissRate() != 0 {
 		t.Fatal("empty cache should report zero ratios")
 	}

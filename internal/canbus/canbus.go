@@ -1,8 +1,9 @@
 // Package canbus models the Controller Area Network that connects the
 // computing platform to the vehicle's ECU (Fig. 7). It provides CAN 2.0A
-// frame encoding for control commands, priority arbitration (lower ID wins),
-// and a bit-level timing model that reproduces the ~1 ms Tdata the paper
-// measures for command delivery.
+// frame encoding for control commands, ID priorities (lower ID wins; the
+// worst-case response-time analysis is schedule.go), and a bit-level timing
+// model that reproduces the ~1 ms Tdata the paper measures for command
+// delivery.
 package canbus
 
 import (
@@ -10,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -117,8 +117,8 @@ func checksum(b []byte) byte {
 	return s
 }
 
-// Bus models a single CAN segment. Frames submitted in the same arbitration
-// window contend by ID; transmission time follows the bit-time model.
+// Bus models a single CAN segment; transmission time follows the bit-time
+// model.
 type Bus struct {
 	// BitRate in bits/second (500 kbit/s typical for powertrain buses).
 	BitRate int
@@ -126,24 +126,20 @@ type Bus struct {
 	// this is what pushes the measured Tdata toward the paper's ~1 ms.
 	ControllerDelay time.Duration
 
-	pending []Frame
-	busyFor time.Duration
-
 	stats BusStats
 }
 
-// BusStats counts the segment's traffic for the telemetry layer. All four
+// BusStats counts the segment's traffic for the telemetry layer. The
 // counters advance in virtual-time order, so they are deterministic for a
 // fixed scenario.
 type BusStats struct {
-	// Submitted counts frames queued for arbitration.
+	// Submitted, Windows and Deferred count queued frames, arbitration
+	// rounds and arbitration losses. The control loop sends one command
+	// frame per cycle on an otherwise idle bus (CommandLatency) and never
+	// arbitrates, so they stay zero; the metrics keep their names.
 	Submitted int64
-	// Windows counts arbitration rounds that carried at least one frame.
-	Windows int64
-	// Deferred counts frames that lost arbitration to a higher-priority
-	// frame in their window and waited for the bus (the "arbitration loss"
-	// counter — CAN arbitration is lossless but not waitless).
-	Deferred int64
+	Windows   int64
+	Deferred  int64
 	// CommandQueries counts CommandLatency evaluations (the control loop's
 	// per-cycle Tdata draw).
 	CommandQueries int64
@@ -164,43 +160,6 @@ func (b *Bus) TransmitTime(f Frame) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(f.BitLength()) / float64(b.BitRate) * float64(time.Second))
-}
-
-// Submit queues a frame for the current arbitration window.
-func (b *Bus) Submit(f Frame) {
-	b.pending = append(b.pending, f)
-	b.stats.Submitted++
-}
-
-// Delivery is a frame paired with its arrival latency relative to the start
-// of the arbitration window.
-type Delivery struct {
-	Frame   Frame
-	Latency time.Duration
-}
-
-// Arbitrate drains the pending frames in CAN priority order (lowest ID
-// first; FIFO within an ID) and returns their deliveries with cumulative
-// bus-occupancy latencies. This models a non-preemptive bus: a lower-
-// priority frame waits for every higher-priority frame queued in the same
-// window.
-func (b *Bus) Arbitrate() []Delivery {
-	if len(b.pending) == 0 {
-		return nil
-	}
-	frames := b.pending
-	b.pending = nil
-	b.stats.Windows++
-	b.stats.Deferred += int64(len(frames) - 1)
-	sort.SliceStable(frames, func(i, j int) bool { return frames[i].ID < frames[j].ID })
-	out := make([]Delivery, len(frames))
-	elapsed := b.busyFor
-	for i, f := range frames {
-		elapsed += b.TransmitTime(f)
-		out[i] = Delivery{Frame: f, Latency: elapsed + 2*b.ControllerDelay}
-	}
-	b.busyFor = 0
-	return out
 }
 
 // CommandLatency is the one-shot convenience used by the SoV pipeline: the

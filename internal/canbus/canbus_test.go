@@ -108,45 +108,6 @@ func TestCommandLatencyAboutOneMillisecond(t *testing.T) {
 	}
 }
 
-func TestArbitrationPriority(t *testing.T) {
-	b := NewBus()
-	lo, _ := NewFrame(IDDiagnostics, []byte{1})
-	hi, _ := NewFrame(IDReactiveOverride, []byte{2})
-	mid, _ := NewFrame(IDControlCommand, []byte{3})
-	b.Submit(lo)
-	b.Submit(hi)
-	b.Submit(mid)
-	ds := b.Arbitrate()
-	if len(ds) != 3 {
-		t.Fatalf("deliveries = %d", len(ds))
-	}
-	if ds[0].Frame.ID != IDReactiveOverride || ds[1].Frame.ID != IDControlCommand || ds[2].Frame.ID != IDDiagnostics {
-		t.Fatalf("order = %#x %#x %#x", ds[0].Frame.ID, ds[1].Frame.ID, ds[2].Frame.ID)
-	}
-	// Latencies accumulate: each later frame waits for earlier ones.
-	if !(ds[0].Latency < ds[1].Latency && ds[1].Latency < ds[2].Latency) {
-		t.Fatalf("latencies not cumulative: %v", ds)
-	}
-}
-
-func TestArbitrationFIFOWithinID(t *testing.T) {
-	b := NewBus()
-	f1, _ := NewFrame(IDControlCommand, []byte{1})
-	f2, _ := NewFrame(IDControlCommand, []byte{2})
-	b.Submit(f1)
-	b.Submit(f2)
-	ds := b.Arbitrate()
-	if ds[0].Frame.Data[0] != 1 || ds[1].Frame.Data[0] != 2 {
-		t.Fatal("FIFO within same ID violated")
-	}
-}
-
-func TestArbitrateEmpty(t *testing.T) {
-	if ds := NewBus().Arbitrate(); ds != nil {
-		t.Fatalf("empty arbitrate = %v", ds)
-	}
-}
-
 func TestReactiveOverrideOutranksControl(t *testing.T) {
 	if IDReactiveOverride >= IDControlCommand {
 		t.Fatal("reactive override must have the highest priority (lowest ID)")

@@ -63,31 +63,6 @@ func CutInScenario(speed, triggerDistance float64) (*world.World, *world.Obstacl
 	return w, ped
 }
 
-// IntersectionScenario builds an unsignalized crossing: a vehicle-class
-// obstacle crosses the corridor perpendicular to travel, timed to conflict
-// with the ego vehicle unless it yields. crossSpeed sets how fast the
-// crosser moves (m/s).
-func IntersectionScenario(egoSpeed, crossSpeed float64) *world.World {
-	rng := sim.NewRNG(17)
-	w := world.NewCorridor(400, rng)
-	const conflictX = 110.0
-	// The crosser starts 30 m to the side and is timed so both reach the
-	// conflict point together if neither yields.
-	egoETA := conflictX / egoSpeed
-	startOffset := 30.0
-	crosserStart := time.Duration((egoETA - startOffset/crossSpeed) * float64(time.Second))
-	if crosserStart < 0 {
-		crosserStart = 0
-	}
-	w.Obstacles = append(w.Obstacles, &world.Obstacle{
-		ID: len(w.Obstacles) + 1, Kind: world.KindVehicle, Radius: 1.0, Height: 1.6,
-		Traj: world.LinearTrajectory(
-			mathx.Vec2{X: conflictX, Y: -startOffset},
-			mathx.Vec2{Y: crossSpeed}, crosserStart),
-	})
-	return w
-}
-
 // CutInOutcome is the result of one cut-in trial.
 type CutInOutcome struct {
 	Stopped       bool

@@ -234,9 +234,6 @@ func (s *SoV) AdvanceTo(t time.Duration) {
 	s.engine.Run(t)
 }
 
-// Now returns the vehicle's current virtual time.
-func (s *SoV) Now() time.Duration { return s.engine.Now() }
-
 // Halted reports whether the engine stopped before its last horizon: the
 // periodic events are gone, so further AdvanceTo calls cannot revive the
 // vehicle.

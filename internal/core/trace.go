@@ -66,9 +66,6 @@ func (t *Tracer) Record(r TraceRecord) {
 	t.n++
 }
 
-// Err returns the first error the tracer hit, without flushing.
-func (t *Tracer) Err() error { return t.err }
-
 // Flush pushes buffered records to the underlying writer and returns the
 // tracer's first error (including any flush error), with the same semantics
 // Close reports.

@@ -87,14 +87,9 @@ func New(cfg Config, w *world.World, rng *sim.RNG) *Detector {
 	return &Detector{Config: cfg, Frame: world.NewFrame(w), rng: rng}
 }
 
-// Detect returns the detections for a frame captured at time t from pose.
-func (d *Detector) Detect(t time.Duration, pose world.Pose) []Object {
-	return d.DetectInto(nil, t, pose)
-}
-
-// DetectInto appends the frame's detections to dst (reusing its capacity)
-// and returns it — the zero-allocation variant of Detect for a recycled
-// per-frame buffer. RNG draw order is identical to Detect.
+// DetectInto appends the detections for a frame captured at time t from
+// pose to dst (reusing its capacity) and returns it, so a recycled
+// per-frame buffer makes the call allocation-free.
 //
 //sov:hotpath
 func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []Object {

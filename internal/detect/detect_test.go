@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ func TestDetectFindsCloseObject(t *testing.T) {
 	found := 0
 	n := 1000
 	for i := 0; i < n; i++ {
-		objs := d.Detect(time.Duration(i)*33*time.Millisecond, world.Pose{})
+		objs := d.DetectInto(nil, time.Duration(i)*33*time.Millisecond, world.Pose{})
 		for _, o := range objs {
 			if !o.FalsePositive {
 				found++
@@ -47,7 +46,7 @@ func TestDetectMissesSomeObjects(t *testing.T) {
 	w := testWorld()
 	d := New(DefaultConfig(), w, sim.NewRNG(2))
 	for i := 0; i < 2000; i++ {
-		d.Detect(0, world.Pose{})
+		d.DetectInto(nil, 0, world.Pose{})
 	}
 	_, missed, _ := d.Stats()
 	if missed == 0 {
@@ -59,7 +58,7 @@ func TestDetectProducesFalsePositives(t *testing.T) {
 	d := New(DefaultConfig(), &world.World{}, sim.NewRNG(3))
 	fpSeen := false
 	for i := 0; i < 2000; i++ {
-		for _, o := range d.Detect(0, world.Pose{}) {
+		for _, o := range d.DetectInto(nil, 0, world.Pose{}) {
 			if o.FalsePositive {
 				fpSeen = true
 				if o.ID >= 0 {
@@ -85,7 +84,7 @@ func TestDetectRespectsFOVAndRange(t *testing.T) {
 	cfg.FalsePositiveRate = 0
 	d := New(cfg, w, sim.NewRNG(4))
 	for i := 0; i < 500; i++ {
-		if objs := d.Detect(0, world.Pose{}); len(objs) != 0 {
+		if objs := d.DetectInto(nil, 0, world.Pose{}); len(objs) != 0 {
 			t.Fatalf("detected out-of-view object: %+v", objs)
 		}
 	}
@@ -102,7 +101,7 @@ func TestVehicleFramePosition(t *testing.T) {
 	d := New(cfg, w, sim.NewRNG(5))
 	// Facing +Y, the object is dead ahead → vehicle-frame +X.
 	pose := world.Pose{Heading: math.Pi / 2}
-	objs := d.Detect(0, pose)
+	objs := d.DetectInto(nil, 0, pose)
 	if len(objs) != 1 {
 		t.Fatalf("objs = %d", len(objs))
 	}
@@ -126,7 +125,7 @@ func TestClassConfusion(t *testing.T) {
 	wrong := 0
 	n := 3000
 	for i := 0; i < n; i++ {
-		for _, o := range d.Detect(0, world.Pose{}) {
+		for _, o := range d.DetectInto(nil, 0, world.Pose{}) {
 			if o.Kind != world.KindPedestrian {
 				wrong++
 			}
@@ -142,45 +141,10 @@ func TestConfidenceInRange(t *testing.T) {
 	w := testWorld()
 	d := New(DefaultConfig(), w, sim.NewRNG(7))
 	for i := 0; i < 500; i++ {
-		for _, o := range d.Detect(0, world.Pose{}) {
+		for _, o := range d.DetectInto(nil, 0, world.Pose{}) {
 			if o.Confidence < 0 || o.Confidence > 1 {
 				t.Fatalf("confidence = %v", o.Confidence)
 			}
 		}
-	}
-}
-
-func TestEvaluateDetectionQuality(t *testing.T) {
-	w := &world.World{}
-	w.AddStaticObstacle(mathx.Vec2{X: 6}, 0.5)
-	w.AddStaticObstacle(mathx.Vec2{X: 15}, 0.5)
-	w.AddStaticObstacle(mathx.Vec2{X: 28}, 0.5)
-	res := Evaluate(DefaultConfig(), w, world.Pose{}, 800, 9)
-	if res.Frames != 800 {
-		t.Fatalf("frames = %d", res.Frames)
-	}
-	// Recall falls with range (the configured falloff).
-	if len(res.Bands) != 3 {
-		t.Fatalf("bands = %d", len(res.Bands))
-	}
-	if res.Bands[0].Recall <= res.Bands[2].Recall {
-		t.Fatalf("recall should fall with range: %.2f vs %.2f",
-			res.Bands[0].Recall, res.Bands[2].Recall)
-	}
-	if res.Bands[0].Recall < 0.8 {
-		t.Fatalf("near-band recall = %.2f", res.Bands[0].Recall)
-	}
-	// Range accuracy near the configured 0.2 m noise.
-	if res.Bands[0].MeanAbsRangeErr > 0.4 || res.Bands[0].MeanAbsRangeErr <= 0 {
-		t.Fatalf("range err = %.3f", res.Bands[0].MeanAbsRangeErr)
-	}
-	if res.Precision < 0.95 {
-		t.Fatalf("precision = %.3f", res.Precision)
-	}
-	if math.Abs(res.ClassAccuracy-0.95) > 0.05 {
-		t.Fatalf("class accuracy = %.3f, want ~0.95", res.ClassAccuracy)
-	}
-	if !strings.Contains(res.Render(), "precision") {
-		t.Fatal("render missing precision")
 	}
 }

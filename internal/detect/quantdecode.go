@@ -58,13 +58,6 @@ func DecodeQuantGridInto(dst []BBox, raw *nn.QTensor, classes int, lut *nn.Sigmo
 	return dst
 }
 
-// RunQuantCNN executes the fixed-point DNN detection path — int8 forward
-// pass, code-domain grid decode, NMS — returning final boxes. The quantized
-// counterpart of RunCNN.
-func RunQuantCNN(model *nn.QYOLOHead, input *nn.Tensor, objThreshold, iouThreshold float32) []BBox {
-	return RunQuantCNNInto(nil, model, input, objThreshold, iouThreshold, &QuantDetectScratch{})
-}
-
 // QuantDetectScratch carries the detection path's reusable buffers across
 // frames: the batch tensor slots, the decoded candidate list, and the NMS
 // sort scratch. The zero value is ready to use; a control loop that keeps
@@ -75,11 +68,12 @@ type QuantDetectScratch struct {
 	sorted []BBox
 }
 
-// RunQuantCNNInto is the allocation-free RunQuantCNN: candidates, NMS
-// scratch, and the returned slice's backing store all live in caller-owned
-// buffers. dst is overwritten and returned re-sliced (pass the previous
-// frame's result to reuse its capacity). Output is byte-identical to
-// RunQuantCNN.
+// RunQuantCNNInto executes the fixed-point DNN detection path — int8
+// forward pass, code-domain grid decode, NMS — returning final boxes; the
+// quantized counterpart of RunCNN. Candidates, NMS scratch, and the returned
+// slice's backing store all live in caller-owned buffers. dst is overwritten
+// and returned re-sliced (pass the previous frame's result to reuse its
+// capacity).
 //
 //sov:hotpath
 func RunQuantCNNInto(dst []BBox, model *nn.QYOLOHead, input *nn.Tensor, objThreshold, iouThreshold float32, s *QuantDetectScratch) []BBox {
@@ -94,7 +88,8 @@ func RunQuantCNNInto(dst []BBox, model *nn.QYOLOHead, input *nn.Tensor, objThres
 // panels are traversed while all images are in flight, so the packed panels
 // stay cache-resident across the batch. out[i] receives camera i's final
 // boxes (out grows to len(inputs); per-camera slices reuse their capacity).
-// Each camera's boxes are byte-identical to RunQuantCNN on its input alone.
+// Each camera's boxes are byte-identical to RunQuantCNNInto on its input
+// alone.
 //
 //sov:hotpath
 func RunQuantCNNBatch(out [][]BBox, model *nn.QYOLOHead, inputs []*nn.Tensor, objThreshold, iouThreshold float32, s *QuantDetectScratch) [][]BBox {

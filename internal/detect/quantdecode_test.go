@@ -21,16 +21,37 @@ func quantTestModel() (*nn.YOLOHead, *nn.QYOLOHead, *nn.Tensor) {
 	return model, nn.QuantizeYOLO(model, calib), in
 }
 
+// cellDecode is the generic reference decode of the quantized head: every
+// grid cell of the raw tensor becomes a GridBox through the head's sigmoid
+// table.
+func cellDecode(qy *nn.QYOLOHead, raw *nn.QTensor) []nn.GridBox {
+	lut := qy.LUT()
+	cells := make([]nn.GridBox, raw.H*raw.W)
+	for gy := 0; gy < raw.H; gy++ {
+		for gx := 0; gx < raw.W; gx++ {
+			b := &cells[gy*raw.W+gx]
+			b.Objectness = lut.At(raw.At(0, gy, gx))
+			b.CX = (float32(gx) + lut.At(raw.At(1, gy, gx))) / float32(raw.W)
+			b.CY = (float32(gy) + lut.At(raw.At(2, gy, gx))) / float32(raw.H)
+			b.W = lut.At(raw.At(3, gy, gx))
+			b.H = lut.At(raw.At(4, gy, gx))
+			b.ClassScores = make([]float32, qy.Classes)
+			for c := range b.ClassScores {
+				b.ClassScores[c] = lut.At(raw.At(5+c, gy, gx))
+			}
+		}
+	}
+	return cells
+}
+
 // TestDecodeQuantMatchesCellDecode: the fused code-domain decode must be
 // byte-identical to running the quantized inference through the generic
 // GridBox decode — both read the same int8 codes through the same table.
 func TestDecodeQuantMatchesCellDecode(t *testing.T) {
 	_, qy, in := quantTestModel()
 	const thr = 0.35
-	cells := qy.Infer(in)
-	want := DecodeGrid(cells, thr)
-
 	raw := qy.ForwardRaw(in)
+	want := DecodeGrid(cellDecode(qy, raw), thr)
 	got := DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), thr)
 	nn.PutQTensor(raw)
 
@@ -73,8 +94,8 @@ func TestDecodeQuantTracksFloatDecode(t *testing.T) {
 // TestRunQuantCNNEndToEnd mirrors TestRunCNNEndToEnd on the fixed-point path.
 func TestRunQuantCNNEndToEnd(t *testing.T) {
 	_, qy, in := quantTestModel()
-	a := RunQuantCNN(qy, in, 0.3, 0.5)
-	b := RunQuantCNN(qy, in, 0.3, 0.5)
+	a := RunQuantCNNInto(nil, qy, in, 0.3, 0.5, &QuantDetectScratch{})
+	b := RunQuantCNNInto(nil, qy, in, 0.3, 0.5, &QuantDetectScratch{})
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic quantized CNN path")
 	}
@@ -86,18 +107,17 @@ func TestRunQuantCNNEndToEnd(t *testing.T) {
 			t.Fatalf("score out of range: %v", a[i].Score)
 		}
 	}
-	strict := RunQuantCNN(qy, in, 0.9, 0.5)
+	strict := RunQuantCNNInto(nil, qy, in, 0.9, 0.5, &QuantDetectScratch{})
 	if len(strict) > len(a) {
 		t.Fatal("stricter threshold produced more boxes")
 	}
 }
 
-// TestRunQuantCNNIntoMatches: the allocation-free runner must be
-// byte-identical to RunQuantCNN, including across reuses of the same
-// scratch and destination.
+// TestRunQuantCNNIntoMatches: reusing the same scratch and destination must
+// leave the boxes byte-identical to a fresh run.
 func TestRunQuantCNNIntoMatches(t *testing.T) {
 	_, qy, in := quantTestModel()
-	want := RunQuantCNN(qy, in, 0.3, 0.5)
+	want := RunQuantCNNInto(nil, qy, in, 0.3, 0.5, &QuantDetectScratch{})
 	var s QuantDetectScratch
 	var dst []BBox
 	for pass := 0; pass < 3; pass++ {
@@ -129,7 +149,7 @@ func TestRunQuantCNNBatchMatchesSingle(t *testing.T) {
 	inputs[1] = in
 	want := make([][]BBox, len(inputs))
 	for cam, ti := range inputs {
-		want[cam] = RunQuantCNN(qy, ti, 0.3, 0.5)
+		want[cam] = RunQuantCNNInto(nil, qy, ti, 0.3, 0.5, &QuantDetectScratch{})
 	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	for _, workers := range []int{1, 8} {

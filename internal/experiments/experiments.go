@@ -150,16 +150,18 @@ func Fig4aReuse(points int) string {
 	return b.String()
 }
 
+// fig4bCache is the scaled cache of the Fig. 4b measurements.
+var fig4bCache = cachesim.Config{SizeBytes: 16 * 1024, LineBytes: 64, Ways: 8}
+
 // Fig4bTraffic measures off-chip traffic of the four point-cloud kernels
 // normalized to the optimal (compulsory) traffic (Fig. 4b).
 func Fig4bTraffic(points int) string {
 	rng := sim.NewRNG(12)
 	scan := pointcloud.GenerateScan(points, 42, rng.Fork())
 	moved := scan.Transform(0.02, mathx.Vec3{X: 0.2})
-	cacheCfg := cachesim.Config{SizeBytes: 16 * 1024, LineBytes: 64, Ways: 8}
 
 	run := func(name string, f func(c *cachesim.Cache)) string {
-		c := cachesim.New(cacheCfg)
+		c := cachesim.New(fig4bCache)
 		f(c)
 		s := c.Stats()
 		return fmt.Sprintf("  %-16s traffic/optimal = %6.1fx (miss rate %.2f)\n", name, s.TrafficRatio(), s.MissRate())
@@ -448,7 +450,7 @@ func Extensions() string {
 		mc.MeanMs, mc.MaxMs, mc.Frames)
 
 	soc := platform.MobileSoCDataPath()
-	frame := 1920 * 1080 * 2
+	frame := sensors.DefaultCameraConfig("front-left").FrameBytes()
 	fmt.Fprintf(&b, "— mobile-SoC DSP offload overhead: %.2f ms and %.2f W at 4x30 FPS (FPGA in-situ: 0)\n",
 		soc.FrameOverhead(frame).Seconds()*1000, soc.SustainedPowerW(frame, 120))
 
@@ -505,9 +507,4 @@ func All(seed int64, sovDuration time.Duration, pclPoints int) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// newFig4bCache builds the scaled cache used by the Fig. 4b measurements.
-func newFig4bCache() *cachesim.Cache {
-	return cachesim.New(cachesim.Config{SizeBytes: 16 * 1024, LineBytes: 64, Ways: 8})
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sov/internal/cachesim"
 )
 
 func TestAnalyticSections(t *testing.T) {
@@ -96,7 +98,7 @@ func TestStencilVsKDTreeTraffic(t *testing.T) {
 		t.Fatalf("missing stencil row:\n%s", out)
 	}
 	// Direct check of the stencil's ratio.
-	c := newFig4bCache()
+	c := cachesim.New(fig4bCache)
 	StencilSweep(c, 200, 45, 3)
 	if r := c.Stats().TrafficRatio(); r > 2.0 {
 		t.Fatalf("stencil traffic ratio = %.2f, want ~1 (regular reuse)", r)

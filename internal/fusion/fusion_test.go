@@ -7,7 +7,6 @@ import (
 
 	"sov/internal/detect"
 	"sov/internal/mathx"
-	"sov/internal/sensors"
 	"sov/internal/track"
 )
 
@@ -72,7 +71,7 @@ func TestFuseAllVelocityTransfer(t *testing.T) {
 	dets := []detect.Object{det(10, 0, 1), det(20, 3, 2)}
 	tracks := []track.RadarTrack{rtr(10, 0, -3, 0, 5)}
 	m, ud, _ := SpatialSync(cfg, dets, tracks)
-	fused := FuseAll(m, ud)
+	fused := FuseAllInto(nil, m, ud)
 	if len(fused) != 2 {
 		t.Fatalf("fused = %d", len(fused))
 	}
@@ -89,67 +88,6 @@ func TestFuseAllVelocityTransfer(t *testing.T) {
 	}
 	if radarObj.Velocity.X != -3 {
 		t.Fatalf("radar velocity not transferred: %v", radarObj.Velocity)
-	}
-	// Closing speed of an approaching object is positive.
-	if radarObj.ClosingSpeed() <= 0 {
-		t.Fatalf("closing speed = %v, want > 0", radarObj.ClosingSpeed())
-	}
-}
-
-func TestClosingSpeedZeroRange(t *testing.T) {
-	f := FusedObject{Object: detect.Object{}, Velocity: mathx.Vec2{X: 1}}
-	if f.ClosingSpeed() != 0 {
-		t.Fatal("zero-range closing speed should be 0")
-	}
-}
-
-func TestGPSVIODirectPositionWhenAvailable(t *testing.T) {
-	g := NewGPSVIO()
-	fix := sensors.GPSFix{Pos: mathx.Vec2{X: 100, Y: 50}, Valid: true}
-	got := g.Update(0, mathx.Vec2{X: 90, Y: 50}, fix)
-	if got != fix.Pos {
-		t.Fatalf("fused = %v, want GPS position directly", got)
-	}
-	if !g.Healthy() {
-		t.Fatal("filter should be healthy after a fix")
-	}
-}
-
-func TestGPSVIOCorrectsDriftDuringOutage(t *testing.T) {
-	g := NewGPSVIO()
-	// VIO drifted by (10, 0): odometry says (90, 0), truth is (100, 0).
-	for i := 0; i < 50; i++ {
-		fix := sensors.GPSFix{Pos: mathx.Vec2{X: 100 + float64(i)*0.1, Y: 0}, Valid: true}
-		g.Update(time.Duration(i)*100*time.Millisecond, mathx.Vec2{X: 90 + float64(i)*0.1}, fix)
-	}
-	// Offset should have converged to ~10.
-	if math.Abs(g.Offset().X-10) > 0.5 {
-		t.Fatalf("offset = %v, want ~10", g.Offset())
-	}
-	// Outage: fused position = corrected VIO.
-	got := g.Update(6*time.Second, mathx.Vec2{X: 95.2}, sensors.GPSFix{Valid: false})
-	if math.Abs(got.X-105.2) > 0.5 {
-		t.Fatalf("outage position = %v, want corrected VIO ~105.2", got)
-	}
-}
-
-func TestGPSVIOUncertaintyShrinksWithFixes(t *testing.T) {
-	g := NewGPSVIO()
-	before := g.Uncertainty()
-	for i := 0; i < 10; i++ {
-		g.Update(time.Duration(i)*100*time.Millisecond, mathx.Vec2{},
-			sensors.GPSFix{Pos: mathx.Vec2{}, Valid: true})
-	}
-	if g.Uncertainty() >= before {
-		t.Fatalf("uncertainty did not shrink: %v -> %v", before, g.Uncertainty())
-	}
-	// And grows again during outage.
-	mid := g.Uncertainty()
-	for i := 0; i < 100; i++ {
-		g.Update(time.Second, mathx.Vec2{}, sensors.GPSFix{Valid: false})
-	}
-	if g.Uncertainty() <= mid {
-		t.Fatal("uncertainty should grow during outage")
 	}
 }
 

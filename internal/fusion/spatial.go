@@ -1,10 +1,9 @@
-// Package fusion implements the "augmenting computing with sensors"
-// case studies of Sec. VI-B: spatial synchronization, which matches objects
-// detected by vision with objects tracked by radar (replacing the
-// compute-heavy KCF visual tracker), and a lightweight EKF that fuses GPS
-// fixes with VIO odometry (replacing compute-heavy drift-correction
-// algorithms). Both run in ~1 ms — one to two orders of magnitude cheaper
-// than the compute they displace.
+// Package fusion implements the radar half of the "augmenting computing
+// with sensors" case studies of Sec. VI-B: spatial synchronization, which
+// matches objects detected by vision with objects tracked by radar
+// (replacing the compute-heavy KCF visual tracker) in ~1 ms, one to two
+// orders of magnitude cheaper than the compute it displaces. The other half,
+// GPS fixes fused into the VIO filter, is vio.UpdateGPS.
 package fusion
 
 import (
@@ -189,15 +188,10 @@ type FusedObject struct {
 	FromRadar bool
 }
 
-// FuseAll combines matches and leftovers into the perception output list:
-// matched objects carry radar velocity; unmatched detections fall back to
-// vision (velocity unknown, flagged for the KCF fallback path).
-func FuseAll(matches []Match, unmatchedDets []detect.Object) []FusedObject {
-	return FuseAllInto(make([]FusedObject, 0, len(matches)+len(unmatchedDets)), matches, unmatchedDets)
-}
-
-// FuseAllInto appends the perception output to dst (reusing its capacity)
-// and returns it — the zero-allocation variant of FuseAll.
+// FuseAllInto combines matches and leftovers into the perception output
+// list, appended to dst (reusing its capacity): matched objects carry radar
+// velocity; unmatched detections fall back to vision (velocity unknown,
+// flagged for the KCF fallback path).
 //
 //sov:hotpath
 func FuseAllInto(dst []FusedObject, matches []Match, unmatchedDets []detect.Object) []FusedObject {
@@ -208,15 +202,4 @@ func FuseAllInto(dst []FusedObject, matches []Match, unmatchedDets []detect.Obje
 		dst = append(dst, FusedObject{Object: d})
 	}
 	return dst
-}
-
-// ClosingSpeed returns the component of the fused object's velocity toward
-// the vehicle (positive = approaching), used by collision checks.
-func (f FusedObject) ClosingSpeed() float64 {
-	r := f.Object.Pos.Norm()
-	if r == 0 {
-		return 0
-	}
-	los := f.Object.Pos.Scale(1 / r)
-	return -f.Velocity.Dot(los)
 }

@@ -94,13 +94,3 @@ func (p Pipeline) InterfaceDelay(rng *sim.RNG) time.Duration {
 	}
 	return p.Stages[0].StageDelay(rng)
 }
-
-// MeanTotal returns the analytic mean traversal latency (base sums plus
-// tail expectations); useful for calibration checks.
-func (p Pipeline) MeanTotal() time.Duration {
-	var sum time.Duration
-	for _, s := range p.Stages {
-		sum += s.Base + time.Duration(s.TailProb*float64(s.TailScale))
-	}
-	return sum
-}

@@ -116,7 +116,12 @@ func TestMeanTotalAnalytic(t *testing.T) {
 		sum += p.Deliver(rng).Total.Seconds()
 	}
 	empirical := sum / float64(n)
-	analytic := p.MeanTotal().Seconds()
+	// Analytic mean traversal: base sums plus tail expectations.
+	var mean time.Duration
+	for _, s := range p.Stages {
+		mean += s.Base + time.Duration(s.TailProb*float64(s.TailScale))
+	}
+	analytic := mean.Seconds()
 	if empirical < analytic*0.9 || empirical > analytic*1.15 {
 		t.Fatalf("empirical mean %.4f vs analytic %.4f", empirical, analytic)
 	}

@@ -29,17 +29,9 @@ func DefaultPixelPipeline() PixelPipelineConfig {
 	return PixelPipelineConfig{BlackLevel: 0.02, DenoiseStrength: 0.4, Gamma: 2.2, SharpenAmount: 0.3}
 }
 
-// Process runs the chain, returning a new image.
-func (c PixelPipelineConfig) Process(in *vision.Image) *vision.Image {
-	out := vision.NewImage(in.W, in.H)
-	blur := vision.NewImage(in.W, in.H)
-	c.ProcessInto(out, blur, in)
-	return out
-}
-
 // ProcessInto runs the chain writing into out, using blur as blur scratch;
-// both must match in's dimensions and may hold stale frames on entry. This
-// is the zero-allocation variant of Process for recycled frame buffers.
+// both must match in's dimensions and may hold stale frames on entry, so
+// recycled frame buffers make the chain allocation-free.
 //
 //sov:hotpath
 func (c PixelPipelineConfig) ProcessInto(out, blur *vision.Image, in *vision.Image) {

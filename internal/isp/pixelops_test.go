@@ -2,10 +2,18 @@ package isp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sov/internal/vision"
 )
+
+// process runs the float chain into fresh buffers.
+func process(c PixelPipelineConfig, in *vision.Image) *vision.Image {
+	out, blur := vision.NewImage(in.W, in.H), vision.NewImage(in.W, in.H)
+	c.ProcessInto(out, blur, in)
+	return out
+}
 
 func noisyRamp() *vision.Image {
 	im := vision.NewImage(64, 48)
@@ -20,9 +28,9 @@ func noisyRamp() *vision.Image {
 
 func TestProcessDoesNotMutateInput(t *testing.T) {
 	im := noisyRamp()
-	before := im.Clone()
-	DefaultPixelPipeline().Process(im)
-	if vision.MeanAbsDiff(im, before) != 0 {
+	before := slices.Clone(im.Pix)
+	process(DefaultPixelPipeline(), im)
+	if !slices.Equal(im.Pix, before) {
 		t.Fatal("pipeline mutated its input")
 	}
 }
@@ -33,7 +41,7 @@ func TestBlackLevelSubtraction(t *testing.T) {
 		im.Pix[i] = 0.01 // below the pedestal
 	}
 	cfg := PixelPipelineConfig{BlackLevel: 0.02}
-	out := cfg.Process(im)
+	out := process(cfg, im)
 	for _, v := range out.Pix {
 		if v != 0 {
 			t.Fatalf("pedestal not clamped: %v", v)
@@ -44,7 +52,7 @@ func TestBlackLevelSubtraction(t *testing.T) {
 func TestDenoiseReducesNoise(t *testing.T) {
 	im := noisyRamp()
 	cfg := PixelPipelineConfig{DenoiseStrength: 0.8}
-	out := cfg.Process(im)
+	out := process(cfg, im)
 	// Measure high-frequency energy via neighbor differences.
 	hf := func(im *vision.Image) float64 {
 		var s float64
@@ -67,7 +75,7 @@ func TestGammaBrightensShadows(t *testing.T) {
 		im.Pix[i] = 0.25
 	}
 	cfg := PixelPipelineConfig{Gamma: 2.0}
-	out := cfg.Process(im)
+	out := process(cfg, im)
 	want := float32(math.Sqrt(0.25))
 	if math.Abs(float64(out.Pix[0]-want)) > 1e-6 {
 		t.Fatalf("gamma = %v, want %v", out.Pix[0], want)
@@ -87,7 +95,7 @@ func TestSharpenIncreasesEdgeContrast(t *testing.T) {
 		}
 	}
 	cfg := PixelPipelineConfig{SharpenAmount: 0.8}
-	out := cfg.Process(im)
+	out := process(cfg, im)
 	// The first bright column should overshoot above the flat level.
 	if out.At(8, 4) <= im.At(8, 4) {
 		t.Fatalf("no overshoot: %v vs %v", out.At(8, 4), im.At(8, 4))
@@ -105,16 +113,17 @@ func TestSharpenIncreasesEdgeContrast(t *testing.T) {
 }
 
 func TestFullChainPreservesTrackability(t *testing.T) {
-	// The chain must not destroy the features downstream vision uses.
-	intr := vision.DefaultIntrinsics()
+	// The chain must not destroy the texture downstream vision matches
+	// features on: stereo support points survive it.
+	rig := vision.DefaultStereoRig()
 	scene := vision.Scene{Background: 5, BgDepth: 10,
 		Boxes: []vision.Box{{X: 0, Y: 0, Z: 4, W: 3, H: 2, Texture: 9}}}
-	raw := scene.Render(intr, 0)
-	processed := DefaultPixelPipeline().Process(raw)
-	rawCorners := vision.DetectCorners(raw, 50, 0.02, 5)
-	procCorners := vision.DetectCorners(processed, 50, 0.02, 5)
-	if len(procCorners) < len(rawCorners)/2 {
-		t.Fatalf("processing destroyed corners: %d -> %d", len(rawCorners), len(procCorners))
+	left, right := scene.RenderStereo(rig)
+	cfg := DefaultPixelPipeline()
+	raw := vision.SupportPoints(left, right, 12, 3, 8)
+	proc := vision.SupportPoints(process(cfg, left), process(cfg, right), 12, 3, 8)
+	if len(proc) < len(raw)/2 {
+		t.Fatalf("processing destroyed stereo support points: %d -> %d", len(raw), len(proc))
 	}
 }
 
@@ -123,9 +132,10 @@ func BenchmarkPixelPipeline160x120(b *testing.B) {
 	scene := vision.Scene{Background: 5, BgDepth: 10}
 	im := scene.Render(intr, 0)
 	cfg := DefaultPixelPipeline()
+	out, blur := vision.NewImage(im.W, im.H), vision.NewImage(im.W, im.H)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Process(im)
+		cfg.ProcessInto(out, blur, im)
 	}
 }

@@ -43,14 +43,6 @@ func (c PixelPipelineConfig) Quantized() *QuantPixelPipeline {
 	return q
 }
 
-// Process runs the fixed-point chain, returning a new image.
-func (q *QuantPixelPipeline) Process(in *vision.QImage) *vision.QImage {
-	out := vision.NewQImage(in.W, in.H)
-	blur := vision.NewQImage(in.W, in.H)
-	q.ProcessInto(out, blur, in)
-	return out
-}
-
 // ProcessInto runs the fixed-point chain writing into out, using blur as
 // blur scratch; both must match in's dimensions. Zero allocations.
 //

@@ -7,6 +7,13 @@ import (
 	"sov/internal/vision"
 )
 
+// qprocess runs the fixed-point chain into fresh buffers.
+func qprocess(q *QuantPixelPipeline, in *vision.QImage) *vision.QImage {
+	out, blur := vision.NewQImage(in.W, in.H), vision.NewQImage(in.W, in.H)
+	q.ProcessInto(out, blur, in)
+	return out
+}
+
 func renderTestFrame() *vision.Image {
 	s := vision.Scene{Background: 7, BgDepth: 12, Boxes: []vision.Box{
 		{X: -0.5, Y: 0, Z: 5, W: 1.2, H: 1.2, Texture: 3},
@@ -22,15 +29,13 @@ func renderTestFrame() *vision.Image {
 func TestQuantPipelineTracksFloat(t *testing.T) {
 	in := renderTestFrame()
 	cfg := DefaultPixelPipeline()
-	ref := cfg.Process(in)
+	ref := process(cfg, in)
 
-	qp := cfg.Quantized()
-	qout := qp.Process(vision.QuantizeImage(in))
-	got := qout.Dequantize()
+	qout := qprocess(cfg.Quantized(), vision.QuantizeImage(in))
 
 	var sum, worst float64
 	for i := range ref.Pix {
-		d := math.Abs(float64(got.Pix[i] - ref.Pix[i]))
+		d := math.Abs(float64(float32(qout.Pix[i])/255 - ref.Pix[i]))
 		sum += d
 		if d > worst {
 			worst = d
@@ -49,8 +54,8 @@ func TestQuantPipelineTracksFloat(t *testing.T) {
 func TestQuantPipelineDeterministic(t *testing.T) {
 	in := vision.QuantizeImage(renderTestFrame())
 	qp := DefaultPixelPipeline().Quantized()
-	a := qp.Process(in)
-	b := qp.Process(in)
+	a := qprocess(qp, in)
+	b := qprocess(qp, in)
 	for i := range a.Pix {
 		if a.Pix[i] != b.Pix[i] {
 			t.Fatalf("pixel %d differs between runs: %d != %d", i, a.Pix[i], b.Pix[i])

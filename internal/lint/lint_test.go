@@ -36,7 +36,13 @@ func loadFixture(t *testing.T, name string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", name), "fixture/"+name)
+	// A fixture directory is type-checked as the synthetic package
+	// "fixture/<name>"; it does not need to live under the module root.
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.load("fixture/"+name, dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}

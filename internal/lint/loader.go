@@ -204,17 +204,6 @@ func (l *Loader) LoadDirs(dirs []string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir type-checks a single directory as the package at importPath. It
-// is the fixture entry point: the directory does not need to live under
-// the module root, and importPath may be synthetic ("fixture/detnow").
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(importPath, abs)
-}
-
 func (l *Loader) importPathFor(dir string) (string, error) {
 	rel, err := filepath.Rel(l.ModRoot, dir)
 	if err != nil || strings.HasPrefix(rel, "..") {

@@ -55,7 +55,6 @@ var PoolEscape = &Analyzer{
 // name used in findings. The result of any of these is an owned borrow.
 var poolGets = map[string]string{
 	"sov/internal/parallel.GetF64":        "parallel.GetF64",
-	"sov/internal/parallel.GetF32":        "parallel.GetF32",
 	"sov/internal/parallel.GetC128":       "parallel.GetC128",
 	"sov/internal/parallel.GetI32":        "parallel.GetI32",
 	"sov/internal/parallel.GetU64":        "parallel.GetU64",
@@ -67,7 +66,6 @@ var poolGets = map[string]string{
 // The released buffer is the first argument.
 var poolPuts = map[string]string{
 	"sov/internal/parallel.PutF64":        "parallel.PutF64",
-	"sov/internal/parallel.PutF32":        "parallel.PutF32",
 	"sov/internal/parallel.PutC128":       "parallel.PutC128",
 	"sov/internal/parallel.PutI32":        "parallel.PutI32",
 	"sov/internal/parallel.PutU64":        "parallel.PutU64",

@@ -95,11 +95,3 @@ func FFT2D(x []complex128, rows, cols int, inverse bool) error {
 	})
 	return nil
 }
-
-// NextPow2 returns the smallest power of two >= n (and at least 1).
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}

@@ -119,17 +119,6 @@ func TestFFT2DParseval(t *testing.T) {
 	}
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {17, 32}, {64, 64}, {65, 128},
-	}
-	for _, c := range cases {
-		if got := NextPow2(c.in); got != c.want {
-			t.Errorf("NextPow2(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func BenchmarkFFT1K(b *testing.B) {
 	x := make([]complex128, 1024)
 	for i := range x {

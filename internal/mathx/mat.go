@@ -114,14 +114,6 @@ func MatSub(a, b *Mat) *Mat {
 	return out
 }
 
-// ScaleInPlace multiplies every element by s and returns m.
-func (m *Mat) ScaleInPlace(s float64) *Mat {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
 // Symmetrize replaces m with (m + mᵀ)/2; used to keep EKF covariances
 // symmetric under floating-point drift.
 func (m *Mat) Symmetrize() {

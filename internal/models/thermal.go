@@ -1,7 +1,5 @@
 package models
 
-import "fmt"
-
 // ThermalModel is the Sec. III-B thermal constraint: a lumped
 // thermal-resistance model of the computing enclosure. The paper's point is
 // that at PAD < 200 W, conventional fan cooling holds the system inside its
@@ -50,12 +48,4 @@ func (m ThermalModel) MaxLoadW(ambientC float64) float64 {
 		return 0
 	}
 	return (m.MaxComponentTempC - ambientC) / m.ThermalResistanceCW
-}
-
-// Validate reports whether the model is physically meaningful.
-func (m ThermalModel) Validate() error {
-	if m.ThermalResistanceCW <= 0 || m.MaxComponentTempC <= 0 {
-		return fmt.Errorf("models: thermal model needs positive resistance and ceiling")
-	}
-	return nil
 }

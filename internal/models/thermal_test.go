@@ -47,13 +47,7 @@ func TestHeadroomAndMaxLoad(t *testing.T) {
 	}
 }
 
-func TestThermalValidate(t *testing.T) {
-	if err := DefaultThermalModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if (ThermalModel{}).Validate() == nil {
-		t.Fatal("zero model should be invalid")
-	}
+func TestThermalDegenerateModel(t *testing.T) {
 	z := ThermalModel{}
 	if z.MaxLoadW(20) != 0 || z.HeadroomW(10, 20) != 0 {
 		t.Fatal("degenerate model should return zeros, not Inf")

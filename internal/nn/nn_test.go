@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"sov/internal/vision"
 )
 
 func TestTensorBasics(t *testing.T) {
@@ -156,32 +154,6 @@ func TestInferDeterministic(t *testing.T) {
 	}
 }
 
-func TestFLOPsPositiveAndScales(t *testing.T) {
-	small := NewTinyYOLO(56, 72, 2, 7)
-	big := NewTinyYOLO(112, 144, 2, 7)
-	fs, fb := small.TotalFLOPs(), big.TotalFLOPs()
-	if fs <= 0 {
-		t.Fatalf("flops = %d", fs)
-	}
-	// 4x pixels → ~4x FLOPs.
-	ratio := float64(fb) / float64(fs)
-	if ratio < 3.5 || ratio > 4.5 {
-		t.Fatalf("FLOP scaling = %v, want ~4", ratio)
-	}
-}
-
-func TestFromImage(t *testing.T) {
-	im := vision.NewImage(4, 3)
-	im.Set(1, 1, 0.5)
-	tn := FromImage(im)
-	if tn.C != 1 || tn.H != 3 || tn.W != 4 {
-		t.Fatalf("shape = %dx%dx%d", tn.C, tn.H, tn.W)
-	}
-	if tn.At(0, 1, 1) != 0.5 {
-		t.Fatal("pixel copy wrong")
-	}
-}
-
 func TestSigmoid(t *testing.T) {
 	if Sigmoid(0) != 0.5 {
 		t.Fatalf("sigmoid(0) = %v", Sigmoid(0))
@@ -239,60 +211,4 @@ func TestFCReLUAndPanic(t *testing.T) {
 		}
 	}()
 	f.Forward(NewTensor(3, 1, 1))
-}
-
-func TestSoftmaxProperties(t *testing.T) {
-	p := Softmax([]float32{1, 2, 3})
-	var sum float32
-	for i := 1; i < len(p); i++ {
-		if p[i] <= p[i-1] {
-			t.Fatal("softmax not monotonic with logits")
-		}
-	}
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(float64(sum)-1) > 1e-5 {
-		t.Fatalf("softmax sum = %v", sum)
-	}
-	// Large logits must not overflow.
-	q := Softmax([]float32{1000, 1001})
-	if math.IsNaN(float64(q[0])) || math.IsNaN(float64(q[1])) {
-		t.Fatal("softmax overflowed")
-	}
-	if len(Softmax(nil)) != 0 {
-		t.Fatal("empty softmax")
-	}
-}
-
-func TestClassifierEndToEnd(t *testing.T) {
-	c := NewClassifier(32, 32, 4, 5)
-	crop := NewTensor(1, 32, 32)
-	for i := range crop.Data {
-		crop.Data[i] = float32(i%9) / 9
-	}
-	p := c.Classify(crop)
-	if len(p) != 4 {
-		t.Fatalf("classes = %d", len(p))
-	}
-	var sum float32
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			t.Fatalf("probability out of range: %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(float64(sum)-1) > 1e-5 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-	// Deterministic.
-	p2 := NewClassifier(32, 32, 4, 5).Classify(crop)
-	for i := range p {
-		if p[i] != p2[i] {
-			t.Fatal("classifier not deterministic")
-		}
-	}
-	if c.TotalFLOPs() <= 0 {
-		t.Fatal("flops")
-	}
 }

@@ -8,31 +8,6 @@ package nn
 // The per-image arithmetic is untouched — batched outputs are byte-identical
 // to running each image alone, for any worker count.
 
-// ForwardBatchPooled runs the stack over a batch layer-major: every layer
-// forwards all images before the next layer starts, so one weight-panel
-// traversal's cache footprint serves the whole batch. Intermediate
-// activations borrow from the tensor pools; returned tensors are pooled
-// (release with PutQTensor) unless the stack is empty, in which case the
-// inputs come back unchanged. dst is reused as the batch slot array
-// (pass the previous cycle's slice to avoid growing it).
-//
-//sov:hotpath
-func (n *QNetwork) ForwardBatchPooled(dst []*QTensor, ins []*QTensor) []*QTensor {
-	dst = append(dst[:0], ins...)
-	for _, l := range n.Layers {
-		for i, cur := range dst {
-			c, h, w := l.OutShape(cur.C, cur.H, cur.W)
-			out := GetQTensor(c, h, w, l.OutParams())
-			l.ForwardInto(cur, out)
-			if cur != ins[i] {
-				PutQTensor(cur)
-			}
-			dst[i] = out
-		}
-	}
-	return dst
-}
-
 // ForwardRawBatch is the batched ForwardRaw: it quantizes each input, runs
 // the backbone and head layer-major across the batch, and returns one raw
 // int8 grid tensor per image (pooled — release each with PutQTensor). dst

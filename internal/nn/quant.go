@@ -26,13 +26,6 @@ type QuantParams struct {
 	Zero  int32
 }
 
-// Quantize maps a real value to its int8 code (round half away from zero,
-// saturating).
-func (p QuantParams) Quantize(v float32) int8 {
-	q := p.Zero + int32(roundf(v/p.Scale))
-	return satInt8(q)
-}
-
 // Dequantize maps an int8 code back to its real value.
 func (p QuantParams) Dequantize(q int8) float32 {
 	return p.Scale * float32(int32(q)-p.Zero)
@@ -154,21 +147,6 @@ func QuantizeTensorInto(q *QTensor, t *Tensor) {
 	zero := q.Params.Zero
 	for i, v := range t.Data {
 		q.Data[i] = satInt8(zero + int32(roundf(v*inv)))
-	}
-}
-
-// DequantizeTensorInto fills t (which must match q's shape) with q's real
-// values.
-//
-//sov:hotpath
-func DequantizeTensorInto(t *Tensor, q *QTensor) {
-	if q.C != t.C || q.H != t.H || q.W != t.W {
-		panic(fmt.Sprintf("nn: dequantize shape %dx%dx%d != %dx%dx%d", t.C, t.H, t.W, q.C, q.H, q.W))
-	}
-	s := q.Params.Scale
-	zero := q.Params.Zero
-	for i, v := range q.Data {
-		t.Data[i] = s * float32(int32(v)-zero)
 	}
 }
 

@@ -18,13 +18,39 @@ func calibInput(c, h, w int, seed int64) *Tensor {
 	return t
 }
 
+// Classifier is the conv trunk + GAP + FC stack the quantizer tests run: it
+// covers every float layer kind QuantizeNetwork converts.
+type Classifier struct {
+	Net *Network
+}
+
+// NewClassifier builds the stack with deterministic weights for inH×inW
+// crops (the spatial size only matters to the caller's inputs).
+func NewClassifier(inH, inW, classes int, seed int64) *Classifier {
+	rng := rand.New(rand.NewSource(seed))
+	return &Classifier{Net: &Network{Layers: []Layer{
+		NewConv2D(1, 8, 3, 1, 1, true, rng),
+		MaxPool2{},
+		NewConv2D(8, 16, 3, 1, 1, true, rng),
+		MaxPool2{},
+		GlobalAvgPool{},
+		NewFC(16, classes, false, rng),
+	}}}
+}
+
 func TestQuantParamsRoundTrip(t *testing.T) {
 	p := ChooseQuantParams(-0.8, 1.6)
-	if got := p.Dequantize(p.Quantize(0)); got != 0 {
+	quantize := func(v float32) int8 {
+		in, q := NewTensor(1, 1, 1), NewQTensor(1, 1, 1, p)
+		in.Data[0] = v
+		QuantizeTensorInto(q, in)
+		return q.Data[0]
+	}
+	if got := p.Dequantize(quantize(0)); got != 0 {
 		t.Fatalf("zero does not survive the round trip: %g", got)
 	}
 	for _, v := range []float32{-0.8, -0.3, 0, 0.41, 1.6} {
-		q := p.Quantize(v)
+		q := quantize(v)
 		back := p.Dequantize(q)
 		if d := math.Abs(float64(back - v)); d > float64(p.Scale)/2+1e-6 {
 			t.Fatalf("round trip of %g -> %d -> %g off by %g (> scale/2 = %g)", v, q, back, d, p.Scale/2)
@@ -150,20 +176,26 @@ func TestQYOLOTracksFloatDecode(t *testing.T) {
 
 	probe := calibInput(1, 48, 64, 99)
 	ref := y.Infer(probe)
-	got := qy.Infer(probe)
-	if len(ref) != len(got) {
-		t.Fatalf("cell count %d != %d", len(got), len(ref))
+	raw := qy.ForwardRaw(probe)
+	defer PutQTensor(raw)
+	if len(ref) != raw.H*raw.W {
+		t.Fatalf("cell count %d != %d", raw.H*raw.W, len(ref))
 	}
+	lut := qy.LUT()
 	cellW := 1 / float32(qy.GridW)
 	cellH := 1 / float32(qy.GridH)
 	for i := range ref {
-		if d := math.Abs(float64(got[i].Objectness - ref[i].Objectness)); d > 0.05 {
+		gy, gx := i/raw.W, i%raw.W
+		obj := lut.At(raw.At(0, gy, gx))
+		cx := (float32(gx) + lut.At(raw.At(1, gy, gx))) / float32(raw.W)
+		cy := (float32(gy) + lut.At(raw.At(2, gy, gx))) / float32(raw.H)
+		if d := math.Abs(float64(obj - ref[i].Objectness)); d > 0.05 {
 			t.Fatalf("cell %d objectness off by %g", i, d)
 		}
-		if d := math.Abs(float64(got[i].CX - ref[i].CX)); d > float64(cellW)/2 {
+		if d := math.Abs(float64(cx - ref[i].CX)); d > float64(cellW)/2 {
 			t.Fatalf("cell %d cx off by %g", i, d)
 		}
-		if d := math.Abs(float64(got[i].CY - ref[i].CY)); d > float64(cellH)/2 {
+		if d := math.Abs(float64(cy - ref[i].CY)); d > float64(cellH)/2 {
 			t.Fatalf("cell %d cy off by %g", i, d)
 		}
 	}

@@ -91,9 +91,6 @@ func (t *Tensor) Numel() int { return len(t.Data) }
 // Layer is one network stage.
 type Layer interface {
 	Forward(in *Tensor) *Tensor
-	// FLOPs estimates multiply-accumulate work for an input shape; the
-	// platform models scale latency with it.
-	FLOPs(c, h, w int) int64
 	// OutShape gives the output shape for an input shape.
 	OutShape(c, h, w int) (int, int, int)
 	Name() string
@@ -142,12 +139,6 @@ func (c *Conv2D) OutShape(_, h, w int) (int, int, int) {
 	oh := (h+2*c.Pad-c.K)/c.Stride + 1
 	ow := (w+2*c.Pad-c.K)/c.Stride + 1
 	return c.OutC, oh, ow
-}
-
-// FLOPs implements Layer.
-func (c *Conv2D) FLOPs(_, h, w int) int64 {
-	_, oh, ow := c.OutShape(0, h, w)
-	return int64(c.OutC) * int64(oh) * int64(ow) * int64(c.InC) * int64(c.K*c.K) * 2
 }
 
 // Forward implements Layer.
@@ -238,9 +229,6 @@ func (MaxPool2) Name() string { return "maxpool2" }
 // OutShape implements Layer.
 func (MaxPool2) OutShape(c, h, w int) (int, int, int) { return c, h / 2, w / 2 }
 
-// FLOPs implements Layer.
-func (MaxPool2) FLOPs(c, h, w int) int64 { return int64(c) * int64(h/2) * int64(w/2) * 4 }
-
 // Forward implements Layer.
 func (MaxPool2) Forward(in *Tensor) *Tensor {
 	out := NewTensor(in.C, in.H/2, in.W/2)
@@ -321,16 +309,6 @@ func (n *Network) ForwardPooled(in *Tensor) *Tensor {
 		cur = out
 	}
 	return cur
-}
-
-// TotalFLOPs estimates the MAC work for an input shape.
-func (n *Network) TotalFLOPs(c, h, w int) int64 {
-	var total int64
-	for _, l := range n.Layers {
-		total += l.FLOPs(c, h, w)
-		c, h, w = l.OutShape(c, h, w)
-	}
-	return total
 }
 
 // Sigmoid is the logistic function used on the detection head outputs.

@@ -19,6 +19,11 @@ const (
 	tileOutC, tileK, tilePad  = 32, 3, 1
 )
 
+// llc is the model cache: a 9 MB last-level cache scaled down by the same
+// ~100x as the synthetic working sets, so the capacity-pressure regime of a
+// full-size frame is preserved.
+var llc = cachesim.Config{SizeBytes: 96 * 1024, LineBytes: 64, Ways: 12}
+
 // replayGEMMStream drives one full forwardGEMM's worth of accesses with
 // column block width nc through the cache model. The gather addresses come
 // from a real layer's tap table, in packAGroup's order. Regions are spaced
@@ -90,7 +95,7 @@ func TestGEMMColBlockAtSweepOptimum(t *testing.T) {
 	rates := make(map[int]float64, len(candidates))
 	best := 1.0
 	for _, nc := range candidates {
-		c := cachesim.New(cachesim.DefaultConfig())
+		c := cachesim.New(llc)
 		replayGEMMStream(c, nc)
 		r := c.Stats().MissRate()
 		rates[nc] = r

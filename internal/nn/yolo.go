@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math/rand"
-
-	"sov/internal/vision"
-)
+import "math/rand"
 
 // GridBox is one raw detection-head output cell after decoding: a box in
 // normalized image coordinates with an objectness score and class logits.
@@ -23,9 +19,6 @@ type YOLOHead struct {
 	Classes  int
 	GridH    int
 	GridW    int
-	inC      int
-	inH      int
-	inW      int
 }
 
 // NewTinyYOLO builds the detector for the given input size with
@@ -50,24 +43,7 @@ func NewTinyYOLO(inH, inW, classes int, seed int64) *YOLOHead {
 		Classes:  classes,
 		GridH:    inH / 8,
 		GridW:    inW / 8,
-		inC:      1, inH: inH, inW: inW,
 	}
-}
-
-// FromImage converts a vision.Image to the network's input tensor.
-func FromImage(im *vision.Image) *Tensor {
-	t := NewTensor(1, im.H, im.W)
-	copy(t.Data, im.Pix)
-	return t
-}
-
-// FromImageInto copies a vision.Image into t, which must be 1×H×W — the
-// zero-allocation counterpart of FromImage for pooled input tensors.
-func FromImageInto(im *vision.Image, t *Tensor) {
-	if t.C != 1 || t.H != im.H || t.W != im.W {
-		panic("nn: FromImageInto shape mismatch")
-	}
-	copy(t.Data, im.Pix)
 }
 
 // Infer runs the full forward pass and decodes the grid into row-major
@@ -120,14 +96,4 @@ func (y *YOLOHead) decodeCell(raw *Tensor, gy, gx int, b *GridBox) {
 	for c := 0; c < y.Classes; c++ {
 		b.ClassScores[c] = Sigmoid(raw.At(5+c, gy, gx))
 	}
-}
-
-// TotalFLOPs returns the MAC estimate of one forward pass.
-func (y *YOLOHead) TotalFLOPs() int64 {
-	f := y.Backbone.TotalFLOPs(y.inC, y.inH, y.inW)
-	c, h, w := y.inC, y.inH, y.inW
-	for _, l := range y.Backbone.Layers {
-		c, h, w = l.OutShape(c, h, w)
-	}
-	return f + y.Head.FLOPs(c, h, w)
 }

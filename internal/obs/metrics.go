@@ -124,13 +124,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the running sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot copies the histogram state under the lock.
 func (h *Histogram) snapshot() (counts []int64, count int64, sum float64) {
 	h.mu.Lock()
@@ -171,13 +164,6 @@ func binQuantile(counts []int64, count int64, lo, width float64, q float64) floa
 		}
 	}
 	return lo + width*float64(len(counts))
-}
-
-// Quantile estimates the q-quantile of the observed distribution from the
-// fixed bins (see binQuantile). NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts, count, _ := h.snapshot()
-	return binQuantile(counts, count, h.lo, h.width, q)
 }
 
 type kind uint8

@@ -182,11 +182,6 @@ func TestScratchPools(t *testing.T) {
 		t.Fatalf("GetF64 len %d", len(f))
 	}
 	PutF64(f)
-	g := GetF32(33)
-	if len(g) != 33 {
-		t.Fatalf("GetF32 len %d", len(g))
-	}
-	PutF32(g)
 	z := GetC128(8)
 	if len(z) != 8 {
 		t.Fatalf("GetC128 len %d", len(z))

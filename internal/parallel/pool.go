@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Scratch-buffer pools. Hot kernels (SGM scanline aggregation, stereo cost
-// vectors, FFT column gathers, KCF spectra, ICP reuse counters) borrow
+// Scratch-buffer pools. Hot kernels (stereo cost vectors, FFT column
+// gathers, KCF spectra, ICP reuse counters) borrow
 // per-tile scratch here instead of allocating per call. Buffers are
 // size-classed by power of two; Get returns a slice of the requested
 // length whose contents are unspecified — callers must overwrite before
@@ -82,7 +82,6 @@ func (p *classPool[T]) put(s []T) {
 
 var (
 	f64pool  classPool[float64]
-	f32pool  classPool[float32]
 	c128pool classPool[complex128]
 	i32pool  classPool[int32]
 	u64pool  classPool[uint64]
@@ -94,12 +93,6 @@ func GetF64(n int) []float64 { return f64pool.get(n) }
 
 // PutF64 returns a slice obtained from GetF64 to its pool.
 func PutF64(s []float64) { f64pool.put(s) }
-
-// GetF32 returns a float32 scratch slice of length n (contents unspecified).
-func GetF32(n int) []float32 { return f32pool.get(n) }
-
-// PutF32 returns a slice obtained from GetF32 to its pool.
-func PutF32(s []float32) { f32pool.put(s) }
 
 // GetC128 returns a complex128 scratch slice of length n (contents
 // unspecified).

@@ -60,23 +60,6 @@ type Plan struct {
 	Cost float64
 }
 
-// Predict propagates obstacles with constant velocity over the horizon,
-// returning per-step positions. This is the "action/traffic prediction"
-// block of Fig. 5 — micromobility speeds make constant-velocity prediction
-// adequate.
-func Predict(obs []Obstacle, dt float64, steps int) [][]Obstacle {
-	out := make([][]Obstacle, steps)
-	for k := 0; k < steps; k++ {
-		t := dt * float64(k+1)
-		row := make([]Obstacle, len(obs))
-		for i, o := range obs {
-			row[i] = Obstacle{S: o.S + o.VS*t, D: o.D + o.VD*t, VS: o.VS, VD: o.VD, Radius: o.Radius}
-		}
-		out[k] = row
-	}
-	return out
-}
-
 // CollisionCheck returns whether the trajectory comes within margin of any
 // predicted obstacle, and the minimum clearance observed.
 func CollisionCheck(traj []TrajPoint, obs []Obstacle, margin float64) (collides bool, minClear float64) {

@@ -128,18 +128,6 @@ func TestEMPlannerBlocksOnWall(t *testing.T) {
 	}
 }
 
-func TestPredictConstantVelocity(t *testing.T) {
-	obs := []Obstacle{{S: 10, D: 1, VS: -2, VD: 0.5, Radius: 0.3}}
-	pred := Predict(obs, 0.1, 5)
-	if len(pred) != 5 {
-		t.Fatalf("steps = %d", len(pred))
-	}
-	last := pred[4][0]
-	if math.Abs(last.S-9) > 1e-9 || math.Abs(last.D-1.25) > 1e-9 {
-		t.Fatalf("predicted = %+v", last)
-	}
-}
-
 func TestCollisionCheck(t *testing.T) {
 	traj := []TrajPoint{{T: 1, S: 5, D: 0, V: 5}}
 	hit, clear := CollisionCheck(traj, []Obstacle{{S: 5, D: 0.2, Radius: 0.3}}, 0.5)

@@ -31,29 +31,11 @@ func MobileSoCDataPath() DataPath {
 	}
 }
 
-// InSituFPGADataPath returns our design: the sensor interface feeds the
-// accelerator directly; no CPU-mediated copies.
-func InSituFPGADataPath() DataPath {
-	return DataPath{
-		Name:             "fpga-in-situ",
-		CopiesPerFrame:   0,
-		CopyBandwidthBps: 6e9,
-	}
-}
-
 // FrameOverhead returns the per-frame latency cost of the path for a frame
 // of the given size.
 func (p DataPath) FrameOverhead(frameBytes int) time.Duration {
-	if p.CopiesPerFrame == 0 {
-		return p.FixedOverhead
-	}
 	copyTime := time.Duration(float64(p.CopiesPerFrame) * float64(frameBytes) / p.CopyBandwidthBps * float64(time.Second))
 	return p.FixedOverhead + copyTime
-}
-
-// FrameEnergyJ returns the per-frame coordination energy.
-func (p DataPath) FrameEnergyJ(frameBytes int) float64 {
-	return p.CoordinationPowerW * p.FrameOverhead(frameBytes).Seconds()
 }
 
 // SustainedPowerW returns the steady coordination power at a frame rate.

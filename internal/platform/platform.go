@@ -154,23 +154,6 @@ func QuantizedLatency(d time.Duration) time.Duration {
 	return time.Duration(float64(d) / QuantSpeedup)
 }
 
-// QuantizedCatalog returns the catalog with the dense perception tasks
-// (depth, detection, tracking) moved to their int8 fixed-point operating
-// points. Localization is untouched — the FPGA accelerator already runs a
-// fixed-point dataflow, which is exactly why its operating point is this
-// cheap — and planning is not a dense kernel.
-func QuantizedCatalog() map[string]*Processor {
-	cat := Catalog()
-	for _, p := range cat {
-		for _, t := range []Task{TaskDepth, TaskDetection, TaskTracking} {
-			if lat, ok := p.Latency[t]; ok {
-				p.Latency[t] = QuantizedLatency(lat)
-			}
-		}
-	}
-	return cat
-}
-
 // TX2CumulativePerception returns the serial latency of running all three
 // perception tasks on the TX2 (the paper: 844.2 ms — far beyond real-time).
 func TX2CumulativePerception() time.Duration {
@@ -297,17 +280,4 @@ func ExploreMappings() []PerceptionResult {
 // localization offloaded to the FPGA).
 func OurDesign() Mapping {
 	return Mapping{SceneUnderstanding: "GPU", Localization: "FPGA"}
-}
-
-// FPGALocalizationResources documents the localization accelerator's FPGA
-// footprint (Sec. V-B2).
-type FPGAResources struct {
-	LUTs, Registers, BRAMs, DSPs int
-	PowerW                       float64
-}
-
-// LocalizationAcceleratorResources returns the deployed accelerator's
-// footprint: ~200K LUTs, 120K registers, 600 BRAMs, 800 DSPs, < 6 W.
-func LocalizationAcceleratorResources() FPGAResources {
-	return FPGAResources{LUTs: 200_000, Registers: 120_000, BRAMs: 600, DSPs: 800, PowerW: 5.8}
 }

@@ -158,12 +158,8 @@ func (t *KDTree) visitInto(n int32, reuse []int) *kdNode {
 
 func (t *KDTree) visit(n int32) *kdNode { return t.visitInto(n, t.Reuse) }
 
-// Nearest returns the index and squared distance of the closest point.
-func (t *KDTree) Nearest(q mathx.Vec3) (int, float64) {
-	return t.nearestInto(q, t.Reuse)
-}
-
-// nearestInto is Nearest crediting visits to the given reuse slice.
+// nearestInto returns the index and squared distance of the closest point,
+// crediting visits to the given reuse slice.
 func (t *KDTree) nearestInto(q mathx.Vec3, reuse []int) (int, float64) {
 	bestIdx, bestD2 := -1, math.Inf(1)
 	t.nearest(t.root, q, &bestIdx, &bestD2, reuse)

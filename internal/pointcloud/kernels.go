@@ -176,73 +176,6 @@ func Localize(tree *KDTree, src *Cloud, tr Tracker, iters, subsample int) ICPRes
 	return res
 }
 
-// LocalizePointToPlane runs point-to-plane ICP: residuals are projected
-// onto the target surface normals, which converges in far fewer iterations
-// than point-to-point on structured scenes (the standard production
-// refinement). Normals must come from EstimateNormals on the target cloud.
-func LocalizePointToPlane(tree *KDTree, normals []Normal, src *Cloud, tr Tracker, iters, subsample int) ICPResult {
-	if subsample < 1 {
-		subsample = 1
-	}
-	yaw, trans := 0.0, mathx.Vec3{}
-	res := ICPResult{}
-	for it := 0; it < iters; it++ {
-		// Correspondence search (parallel when untracked); the normal-equation
-		// accumulation replays the ordered match list serially.
-		pairs := collectMatches(tree, src, tr, subsample, yaw, trans)
-		if len(pairs) < 6 {
-			matchPool.Put(pairs)
-			break
-		}
-		// Linearized system over (dyaw, tx, ty): for each correspondence,
-		// n·(R p + t - q) ≈ 0 with R ≈ I + dyaw×.
-		var a [3][3]float64
-		var bvec [3]float64
-		var sse float64
-		n := len(pairs)
-		for _, pr := range pairs {
-			qp := pr.q
-			q := tree.cloud.Pts[pr.j]
-			nv := normals[pr.j]
-			// Planar (yaw-only) rotation derivative: d(Rp)/dyaw = (-py', px', 0).
-			jyaw := -qp.Y*nv.X + qp.X*nv.Y
-			row := [3]float64{jyaw, nv.X, nv.Y}
-			r := nv.X*(qp.X-q.X) + nv.Y*(qp.Y-q.Y) + nv.Z*(qp.Z-q.Z)
-			for ri := 0; ri < 3; ri++ {
-				for ci := 0; ci < 3; ci++ {
-					a[ri][ci] += row[ri] * row[ci]
-				}
-				bvec[ri] -= row[ri] * r
-			}
-			sse += r * r
-		}
-		matchPool.Put(pairs)
-		am := mathx.MatFromRows([][]float64{
-			{a[0][0] + 1e-9, a[0][1], a[0][2]},
-			{a[1][0], a[1][1] + 1e-9, a[1][2]},
-			{a[2][0], a[2][1], a[2][2] + 1e-9},
-		})
-		sol, err := mathx.SolveSPD(am, bvec[:])
-		if err != nil {
-			break
-		}
-		dyaw, tx, ty := sol[0], sol[1], sol[2]
-		yaw += dyaw
-		sNew, cNew := math.Sin(dyaw), math.Cos(dyaw)
-		ox, oy := trans.X, trans.Y
-		trans.X = cNew*ox - sNew*oy + tx
-		trans.Y = sNew*ox + cNew*oy + ty
-		res.Iterations = it + 1
-		res.RMSE = math.Sqrt(sse / float64(n))
-		if math.Abs(dyaw) < 1e-6 && math.Hypot(tx, ty) < 1e-5 {
-			break
-		}
-	}
-	res.Yaw = yaw
-	res.Trans = trans
-	return res
-}
-
 // Segment performs Euclidean cluster extraction: connected components under
 // the "within radius" relation, ignoring near-ground points. Returns point
 // index groups of at least minPts.

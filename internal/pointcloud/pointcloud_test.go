@@ -22,7 +22,7 @@ func grid(n int) *Cloud {
 func TestNearestExact(t *testing.T) {
 	c := grid(10)
 	tr := Build(c, nil)
-	idx, d2 := tr.Nearest(mathx.Vec3{X: 3.2, Y: 7.1, Z: 0.5})
+	idx, d2 := tr.nearestInto(mathx.Vec3{X: 3.2, Y: 7.1, Z: 0.5}, tr.Reuse)
 	if c.Pts[idx].X != 3 || c.Pts[idx].Y != 7 {
 		t.Fatalf("nearest = %v", c.Pts[idx])
 	}
@@ -45,7 +45,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 				bi = i
 			}
 		}
-		gi, gd := tr.Nearest(query)
+		gi, gd := tr.nearestInto(query, tr.Reuse)
 		if gi != bi && math.Abs(gd-bd) > 1e-12 {
 			t.Fatalf("query %d: tree %d(%v) vs brute %d(%v)", q, gi, gd, bi, bd)
 		}
@@ -305,7 +305,7 @@ func BenchmarkKDTreeNearest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Nearest(mathx.Vec3{X: float64(i % 20), Y: float64(i % 17), Z: 1})
+		tree.nearestInto(mathx.Vec3{X: float64(i % 20), Y: float64(i % 17), Z: 1}, tree.Reuse)
 	}
 }
 
@@ -318,59 +318,5 @@ func BenchmarkLocalizeICP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Localize(tree, moved, nil, 10, 4)
-	}
-}
-
-func TestPointToPlaneICPRecoversTransform(t *testing.T) {
-	rng := sim.NewRNG(13)
-	target := GenerateScan(3000, 11, rng)
-	src := target.Transform(0.04, mathx.Vec3{X: 0.3, Y: -0.15})
-	tree := Build(target, nil)
-	normals := EstimateNormals(tree, target, nil, 8)
-	res := LocalizePointToPlane(tree, normals, src, nil, 20, 2)
-	if math.Abs(res.Yaw+0.04) > 0.01 {
-		t.Fatalf("yaw = %v, want ~-0.04", res.Yaw)
-	}
-	if res.RMSE > 0.4 {
-		t.Fatalf("RMSE = %v", res.RMSE)
-	}
-}
-
-func TestPointToPlaneConvergesFasterThanPointToPoint(t *testing.T) {
-	rng := sim.NewRNG(14)
-	target := GenerateScan(3000, 11, rng)
-	src := target.Transform(0.05, mathx.Vec3{X: 0.4})
-	tree := Build(target, nil)
-	normals := EstimateNormals(tree, target, nil, 8)
-	p2pl := LocalizePointToPlane(tree, normals, src, nil, 30, 2)
-	p2p := Localize(tree, src, nil, 30, 2)
-	if p2pl.Iterations > p2p.Iterations {
-		t.Fatalf("point-to-plane took %d iterations vs point-to-point %d",
-			p2pl.Iterations, p2p.Iterations)
-	}
-	if math.Abs(p2pl.Yaw+0.05) > 0.015 {
-		t.Fatalf("point-to-plane yaw = %v", p2pl.Yaw)
-	}
-}
-
-func TestPointToPlaneDegenerate(t *testing.T) {
-	c := &Cloud{Pts: []mathx.Vec3{{X: 1}}}
-	tree := Build(c, nil)
-	res := LocalizePointToPlane(tree, []Normal{{Z: 1}}, c, nil, 5, 1)
-	if res.Yaw != 0 || res.Trans.Norm() != 0 {
-		t.Fatalf("degenerate input moved: %+v", res)
-	}
-}
-
-func BenchmarkLocalizePointToPlane(b *testing.B) {
-	rng := sim.NewRNG(15)
-	scan := GenerateScan(5000, 1, rng)
-	moved := scan.Transform(0.02, mathx.Vec3{X: 0.2})
-	tree := Build(scan, nil)
-	normals := EstimateNormals(tree, scan, nil, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LocalizePointToPlane(tree, normals, moved, nil, 10, 4)
 	}
 }

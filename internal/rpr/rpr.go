@@ -252,8 +252,5 @@ func (m *Manager) Require(b Bitstream) Result {
 	return m.Engine.Transfer(b.Bytes)
 }
 
-// Current returns the loaded bitstream name.
-func (m *Manager) Current() string { return m.current }
-
 // Stats reports swaps performed and avoided.
 func (m *Manager) Stats() (swaps, avoided int) { return m.swaps, m.hits }

@@ -109,8 +109,8 @@ func TestManagerSwapsOnlyOnChange(t *testing.T) {
 	if swaps != 2 || avoided != 1 {
 		t.Fatalf("swaps=%d avoided=%d", swaps, avoided)
 	}
-	if m.Current() != "feature-track" {
-		t.Fatalf("current = %s", m.Current())
+	if m.current != "feature-track" {
+		t.Fatalf("current = %s", m.current)
 	}
 }
 
@@ -131,8 +131,8 @@ func TestManagerScriptedSequence(t *testing.T) {
 		}
 		for i, b := range seq {
 			r := m.Require(b)
-			if m.Current() != b.Name {
-				t.Fatalf("step %d: current = %s, want %s", i, m.Current(), b.Name)
+			if m.current != b.Name {
+				t.Fatalf("step %d: current = %s, want %s", i, m.current, b.Name)
 			}
 			if i > 0 && seq[i-1].Name == b.Name {
 				if r.Duration != 0 || r.Bytes != 0 {

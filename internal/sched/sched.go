@@ -121,7 +121,7 @@ type Config struct {
 	TrackOnExtractPenalty float64
 	// BatchMarginal is the marginal cost of one extra image in a batched
 	// inference relative to a standalone forward (layer-major batching
-	// amortizes weight traffic; nn.ForwardBatchPooled).
+	// amortizes weight traffic; nn.ForwardRawBatch).
 	BatchMarginal float64
 
 	// Mapping is the initial (SU, Loc) assignment; Static pins it and

@@ -93,15 +93,9 @@ func NewRadar(cfg RadarConfig, w *world.World, rng *sim.RNG) *Radar {
 	return &Radar{Config: cfg, Frame: world.NewFrame(w), rng: rng}
 }
 
-// ScanAt returns the echo list for a scan from the given pose at time t.
-// A dropout (unstable signal) returns nil even if targets are present.
-func (r *Radar) ScanAt(t time.Duration, pose world.Pose) []RadarReturn {
-	return r.ScanAtInto(nil, t, pose)
-}
-
-// ScanAtInto appends the scan's echoes to dst (reusing its capacity) and
-// returns it — the zero-allocation variant of ScanAt for a recycled buffer.
-// RNG draw order is identical to ScanAt.
+// ScanAtInto appends the echoes of a scan from the given pose at time t to
+// dst (reusing its capacity) and returns it. A dropout (unstable signal)
+// appends nothing even if targets are present.
 func (r *Radar) ScanAtInto(dst []RadarReturn, t time.Duration, pose world.Pose) []RadarReturn {
 	if r.Config.DropoutProb > 0 && r.rng.Bernoulli(r.Config.DropoutProb) {
 		return dst

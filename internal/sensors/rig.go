@@ -43,7 +43,7 @@ type RadarRig struct {
 // and echoes advance in virtual-time order (the rig is engine-thread-only),
 // so the counters are deterministic for a fixed scenario.
 type RigStats struct {
-	// Scans counts per-unit radar scans (each ScanAll sweeps every unit).
+	// Scans counts per-unit radar scans (each ScanAllInto sweeps every unit).
 	Scans int64
 	// Echoes counts merged vehicle-frame returns produced.
 	Echoes int64
@@ -90,14 +90,8 @@ type RigReturn struct {
 	VehiclePos mathx.Vec2
 }
 
-// ScanAll scans every unit and merges the returns into the vehicle frame.
-func (r *RadarRig) ScanAll(t time.Duration, pose world.Pose) []RigReturn {
-	return r.ScanAllInto(nil, t, pose)
-}
-
-// ScanAllInto appends the merged vehicle-frame returns to dst (reusing its
-// capacity) and returns it — the zero-allocation variant of ScanAll for a
-// recycled buffer. RNG draw order is identical to ScanAll.
+// ScanAllInto scans every unit and appends the returns, merged into the
+// vehicle frame, to dst (reusing its capacity).
 func (r *RadarRig) ScanAllInto(dst []RigReturn, t time.Duration, pose world.Pose) []RigReturn {
 	base := len(dst)
 	r.stats.Scans += int64(len(r.Units))

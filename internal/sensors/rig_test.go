@@ -20,7 +20,7 @@ func TestRadarRigCovers360(t *testing.T) {
 	if len(rig.Units) != 6 {
 		t.Fatalf("units = %d, want 6 (Table I)", len(rig.Units))
 	}
-	rets := rig.ScanAll(0, world.Pose{})
+	rets := rig.ScanAllInto(nil, 0, world.Pose{})
 	seen := map[string]bool{}
 	for _, r := range rets {
 		quadrant := "front"

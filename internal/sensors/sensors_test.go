@@ -191,7 +191,7 @@ func TestRadarMeasuresRadialVelocity(t *testing.T) {
 	var sumVel, sumRange float64
 	n := 500
 	for i := 0; i < n; i++ {
-		rets := r.ScanAt(0, world.Pose{})
+		rets := r.ScanAtInto(nil, 0, world.Pose{})
 		if len(rets) != 1 {
 			t.Fatalf("returns = %d", len(rets))
 		}
@@ -213,7 +213,7 @@ func TestRadarDropout(t *testing.T) {
 	cfg := DefaultRadarConfig()
 	cfg.DropoutProb = 1.0
 	r := NewRadar(cfg, w, sim.NewRNG(6))
-	if rets := r.ScanAt(0, world.Pose{}); rets != nil {
+	if rets := r.ScanAtInto(nil, 0, world.Pose{}); rets != nil {
 		t.Fatal("dropout should return nil")
 	}
 }
@@ -222,7 +222,7 @@ func TestRadarRespectsRangeLimit(t *testing.T) {
 	w := &world.World{}
 	w.AddStaticObstacle(mathx.Vec2{X: 100}, 0.5)
 	r := NewRadar(DefaultRadarConfig(), w, sim.NewRNG(7))
-	if rets := r.ScanAt(0, world.Pose{}); len(rets) != 0 {
+	if rets := r.ScanAtInto(nil, 0, world.Pose{}); len(rets) != 0 {
 		t.Fatal("target beyond MaxRange returned")
 	}
 }

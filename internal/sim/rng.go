@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"math/rand"
+
+	"sov/internal/mathx"
 )
 
 // RNG wraps math/rand with the distributions the SoV latency models need.
@@ -55,7 +57,7 @@ func (r *RNG) Exponential(mean float64) float64 {
 
 // Uniform draws from U[lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return mathx.Lerp(lo, hi, r.Float64())
 }
 
 // Bernoulli returns true with probability p.

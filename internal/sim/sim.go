@@ -75,11 +75,6 @@ func (e *Engine) Schedule(delay time.Duration, name string, fn func()) {
 	heap.Push(&e.queue, ev)
 }
 
-// ScheduleAt enqueues fn at an absolute virtual time (clamped to now).
-func (e *Engine) ScheduleAt(at time.Duration, name string, fn func()) {
-	e.Schedule(at-e.now, name, fn)
-}
-
 // Every schedules fn at a fixed period starting after one period, until the
 // engine stops or the horizon passes.
 func (e *Engine) Every(period time.Duration, name string, fn func()) {
@@ -127,6 +122,3 @@ func (e *Engine) Run(horizon time.Duration) int {
 	}
 	return n
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

@@ -56,8 +56,8 @@ func TestHorizonCutsOff(t *testing.T) {
 	if e.Now() != time.Second {
 		t.Fatalf("clock = %v, want horizon", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending = %d", len(e.queue))
 	}
 }
 
@@ -108,16 +108,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	e.Run(time.Second)
 	if !fired {
 		t.Fatal("negative-delay event did not fire")
-	}
-}
-
-func TestScheduleAt(t *testing.T) {
-	e := NewEngine()
-	var at time.Duration
-	e.ScheduleAt(42*time.Millisecond, "abs", func() { at = e.Now() })
-	e.Run(time.Second)
-	if at != 42*time.Millisecond {
-		t.Fatalf("at = %v", at)
 	}
 }
 

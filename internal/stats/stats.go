@@ -198,14 +198,3 @@ func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }

@@ -42,9 +42,6 @@ func (in *Ingestor) PayloadBuf() []byte { return in.buf[:0] }
 // PayloadBuf call reuses its capacity.
 func (in *Ingestor) KeepPayloadBuf(b []byte) { in.buf = b }
 
-// Pending returns the queued event count.
-func (in *Ingestor) Pending() int { return len(in.events) }
-
 // Flush submits the batch to the store and resets the batcher.
 func (in *Ingestor) Flush() error {
 	if len(in.events) == 0 {

@@ -167,8 +167,8 @@ func TestScanByKindAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestInBatches(t, s, events, 70)
-	if len(s.runs) < 3 || s.MemLen() == 0 {
-		t.Fatalf("test wants >= 3 runs and a live memtable, got %d runs and %d buffered events", len(s.runs), s.MemLen())
+	if len(s.runs) < 3 || s.mem.len() == 0 {
+		t.Fatalf("test wants >= 3 runs and a live memtable, got %d runs and %d buffered events", len(s.runs), s.mem.len())
 	}
 	checkKindQueries(t, s, events, rng, "runs+memtable")
 	if err := s.Close(); err != nil {
@@ -179,8 +179,8 @@ func TestScanByKindAgainstModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.MemLen() != 0 {
-		t.Fatalf("%d events in the memtable after a clean reopen", s.MemLen())
+	if s.mem.len() != 0 {
+		t.Fatalf("%d events in the memtable after a clean reopen", s.mem.len())
 	}
 	checkKindQueries(t, s, events, rng, "reopened")
 	if err := s.Close(); err != nil {

@@ -384,15 +384,6 @@ func (s *Store) Close() error {
 	return first
 }
 
-// crash closes every file handle WITHOUT flushing the memtable or
-// resetting the WAL — the crash-recovery tests' process-kill stand-in.
-func (s *Store) crash() {
-	s.wal.close()
-	for _, r := range s.runs {
-		r.close()
-	}
-}
-
 // Stats returns a copy of the I/O counters.
 func (s *Store) Stats() Stats { return s.stats }
 
@@ -403,9 +394,6 @@ func (s *Store) Runs() (count int, bytes int64) {
 	}
 	return len(s.runs), bytes
 }
-
-// MemLen reports buffered (unflushed) events.
-func (s *Store) MemLen() int { return s.mem.len() }
 
 // borrowCursor hands out an idle block cursor, its buffers already grown,
 // or a new one. Borrowers append theirs back to idleCursors when done.

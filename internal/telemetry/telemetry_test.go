@@ -17,6 +17,15 @@ import (
 	"sov/internal/cloud"
 )
 
+// crash closes every file handle WITHOUT flushing the memtable or
+// resetting the WAL — the crash-recovery tests' process-kill stand-in.
+func (s *Store) crash() {
+	s.wal.close()
+	for _, r := range s.runs {
+		r.close()
+	}
+}
+
 // TestKeyEncodingOrderAgrees: lexicographic order of encoded keys must
 // equal Key.Less, and decode must invert encode.
 func TestKeyEncodingOrderAgrees(t *testing.T) {
@@ -474,7 +483,7 @@ func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestInBatches(t, victim, events, 120)
-	if victim.MemLen() == 0 {
+	if victim.mem.len() == 0 {
 		t.Fatal("test wants unflushed events at crash time; tune batch size")
 	}
 	victim.crash() // no flush, WAL tail left behind
@@ -862,7 +871,7 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 		ingestInBatches(t, s, events[fed:fed+50], 50)
 		fed += 50
 	}
-	if s.MemLen() != 0 {
+	if s.mem.len() != 0 {
 		// keep the run count at tierFanout-1 across Close
 		t.Fatalf("test wants an empty memtable at %d runs; tune the batch size", len(s.runs))
 	}

@@ -229,6 +229,3 @@ func (k *KCF) Update(im *vision.Image) Result {
 	}
 	return Result{X: k.cx, Y: k.cy, Peak: best, OK: ok}
 }
-
-// Center returns the current estimated target center.
-func (k *KCF) Center() (float64, float64) { return k.cx, k.cy }

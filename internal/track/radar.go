@@ -41,17 +41,10 @@ func NewRadarTracker() *RadarTracker {
 	return &RadarTracker{Gate: 2.0, Alpha: 0.6, Beta: 0.2, MaxAge: 500 * time.Millisecond}
 }
 
-// Observe ingests one radar scan taken at time t and returns the live
-// tracks. Returns are in polar vehicle-frame coordinates.
-func (rt *RadarTracker) Observe(t time.Duration, returns []sensors.RadarReturn) []RadarTrack {
-	out := make([]RadarTrack, 0, len(rt.tracks)+len(returns))
-	return rt.ObserveInto(t, returns, out)
-}
-
-// ObserveInto is the reusing variant of Observe: the live tracks append to
-// dst (grown as needed) and the association scratch is kept on the tracker,
-// so a warm steady state allocates nothing. Filter updates are identical to
-// Observe.
+// ObserveInto ingests one radar scan taken at time t (returns in polar
+// vehicle-frame coordinates) and appends the live tracks to dst (grown as
+// needed). The association scratch is kept on the tracker, so a warm steady
+// state allocates nothing.
 //
 //sov:hotpath
 func (rt *RadarTracker) ObserveInto(t time.Duration, returns []sensors.RadarReturn, dst []RadarTrack) []RadarTrack {
@@ -123,17 +116,6 @@ func (rt *RadarTracker) ObserveInto(t time.Duration, returns []sensors.RadarRetu
 	}
 	rt.tracks = rt.tracks[:n]
 	return append(dst, rt.tracks...)
-}
-
-// Confirmed returns tracks with at least minHits associations.
-func (rt *RadarTracker) Confirmed(minHits int) []RadarTrack {
-	var out []RadarTrack
-	for _, tr := range rt.tracks {
-		if tr.Hits >= minHits {
-			out = append(out, tr)
-		}
-	}
-	return out
 }
 
 func polar(r, bearing float64) mathx.Vec2 {

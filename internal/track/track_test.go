@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"sov/internal/mathx"
 	"sov/internal/sensors"
 	"sov/internal/vision"
 )
@@ -43,9 +42,8 @@ func TestKCFTracksMovingTarget(t *testing.T) {
 			t.Fatalf("step %d: tracked y = %.1f, want %.1f", step, r.Y, intr.Cy)
 		}
 	}
-	cx, _ := k.Center()
-	if math.Abs(cx-trueX) > 2.0 {
-		t.Fatalf("final center %v, want %v", cx, trueX)
+	if math.Abs(k.cx-trueX) > 2.0 {
+		t.Fatalf("final center %v, want %v", k.cx, trueX)
 	}
 }
 
@@ -81,6 +79,17 @@ func TestKCFPanicsOnBadSize(t *testing.T) {
 	NewKCF(20)
 }
 
+// confirmed returns the tracker's tracks with at least minHits associations.
+func confirmed(rt *RadarTracker, minHits int) []RadarTrack {
+	var out []RadarTrack
+	for _, tr := range rt.tracks {
+		if tr.Hits >= minHits {
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
 func TestRadarTrackerBuildsTrajectory(t *testing.T) {
 	rt := NewRadarTracker()
 	// Target approaching from 20 m at -2 m/s along the boresight.
@@ -88,9 +97,9 @@ func TestRadarTrackerBuildsTrajectory(t *testing.T) {
 		ti := time.Duration(i) * 50 * time.Millisecond
 		rng := 20 - 2*ti.Seconds()
 		rets := []sensors.RadarReturn{{ObstacleID: 1, Range: rng, Bearing: 0, RadialVel: -2, Time: ti}}
-		rt.Observe(ti, rets)
+		rt.ObserveInto(ti, rets, nil)
 	}
-	tracks := rt.Confirmed(5)
+	tracks := confirmed(rt, 5)
 	if len(tracks) != 1 {
 		t.Fatalf("confirmed tracks = %d, want 1", len(tracks))
 	}
@@ -114,18 +123,18 @@ func TestRadarTrackerSeparatesTargets(t *testing.T) {
 			{ObstacleID: 1, Range: 10, Bearing: 0, RadialVel: 0, Time: ti},
 			{ObstacleID: 2, Range: 10, Bearing: 0.6, RadialVel: 0, Time: ti},
 		}
-		rt.Observe(ti, rets)
+		rt.ObserveInto(ti, rets, nil)
 	}
-	if got := len(rt.Confirmed(5)); got != 2 {
+	if got := len(confirmed(rt, 5)); got != 2 {
 		t.Fatalf("tracks = %d, want 2", got)
 	}
 }
 
 func TestRadarTrackerExpiresStaleTracks(t *testing.T) {
 	rt := NewRadarTracker()
-	rt.Observe(0, []sensors.RadarReturn{{Range: 10, Bearing: 0}})
+	rt.ObserveInto(0, []sensors.RadarReturn{{Range: 10, Bearing: 0}}, nil)
 	// No observations for > MaxAge.
-	out := rt.Observe(time.Second, nil)
+	out := rt.ObserveInto(time.Second, nil, nil)
 	if len(out) != 0 {
 		t.Fatalf("stale track survived: %v", out)
 	}
@@ -133,9 +142,9 @@ func TestRadarTrackerExpiresStaleTracks(t *testing.T) {
 
 func TestRadarTrackerGateRejectsJumps(t *testing.T) {
 	rt := NewRadarTracker()
-	rt.Observe(0, []sensors.RadarReturn{{Range: 10, Bearing: 0}})
+	rt.ObserveInto(0, []sensors.RadarReturn{{Range: 10, Bearing: 0}}, nil)
 	// A return 8 m away should start a new track, not teleport the old.
-	out := rt.Observe(50*time.Millisecond, []sensors.RadarReturn{{Range: 18, Bearing: 0}})
+	out := rt.ObserveInto(50*time.Millisecond, []sensors.RadarReturn{{Range: 18, Bearing: 0}}, nil)
 	if len(out) != 2 {
 		t.Fatalf("tracks = %d, want 2 (gate must reject)", len(out))
 	}
@@ -149,9 +158,9 @@ func TestRadarTrackerVelocityFromTrajectoryNotJustRadial(t *testing.T) {
 		ti := time.Duration(i) * 50 * time.Millisecond
 		b := -0.3 + 0.02*float64(i)
 		rets := []sensors.RadarReturn{{Range: 10, Bearing: b, RadialVel: 0, Time: ti}}
-		rt.Observe(ti, rets)
+		rt.ObserveInto(ti, rets, nil)
 	}
-	tracks := rt.Confirmed(10)
+	tracks := confirmed(rt, 10)
 	if len(tracks) != 1 {
 		t.Fatalf("tracks = %d", len(tracks))
 	}
@@ -192,78 +201,10 @@ func BenchmarkRadarTrackerObserve(b *testing.B) {
 		{Range: 15, Bearing: 0.3, RadialVel: 0.5},
 		{Range: 20, Bearing: -0.4, RadialVel: -2},
 	}
+	var out []RadarTrack
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Observe(time.Duration(i)*50*time.Millisecond, rets)
-	}
-}
-
-var _ = mathx.Vec2{} // keep import for helpers
-
-func twoTargetScene(x1, x2 float64) *vision.Image {
-	s := vision.Scene{
-		Background: 2, BgDepth: 25,
-		Boxes: []vision.Box{
-			{X: x1, Y: -0.8, Z: 6, W: 1.4, H: 1.4, Texture: 17},
-			{X: x2, Y: 0.8, Z: 6, W: 1.4, H: 1.4, Texture: 33},
-		},
-	}
-	return s.Render(vision.DefaultIntrinsics(), 0)
-}
-
-func TestMultiKCFTracksTwoTargets(t *testing.T) {
-	intr := vision.DefaultIntrinsics()
-	m := NewMultiKCF()
-	im0 := twoTargetScene(-1.2, 1.2)
-	// Detections in pixels: x = cx + X/Z*f, y = cy + Y/Z*f.
-	px := func(X, Y float64) [2]float64 {
-		return [2]float64{intr.Cx + X/6*intr.Fx, intr.Cy + Y/6*intr.Fy}
-	}
-	m.Spawn(im0, [][2]float64{px(-1.2, -0.8), px(1.2, 0.8)}, 0)
-	if m.Count() != 2 {
-		t.Fatalf("targets = %d", m.Count())
-	}
-	// Duplicate spawn is rejected.
-	m.Spawn(im0, [][2]float64{px(-1.2, -0.8)}, 0)
-	if m.Count() != 2 {
-		t.Fatal("duplicate detection spawned a target")
-	}
-	// Both targets drift right 0.05 m/frame.
-	for i := 1; i <= 5; i++ {
-		im := twoTargetScene(-1.2+0.05*float64(i), 1.2+0.05*float64(i))
-		targets := m.Update(im, time.Duration(i)*33*time.Millisecond)
-		if len(targets) != 2 {
-			t.Fatalf("frame %d: targets = %d", i, len(targets))
-		}
-	}
-	// Final positions moved ~5 px right.
-	for _, tr := range m.Update(twoTargetScene(-0.95, 1.45), 200*time.Millisecond) {
-		var want float64
-		if tr.Y < float64(intr.Cy) {
-			want = intr.Cx + (-0.95)/6*intr.Fx
-		} else {
-			want = intr.Cx + 1.45/6*intr.Fx
-		}
-		if math.Abs(tr.X-want) > 3 {
-			t.Fatalf("target %d at x=%.1f, want ~%.1f", tr.ID, tr.X, want)
-		}
-	}
-}
-
-func TestMultiKCFPrunesLostTargets(t *testing.T) {
-	m := NewMultiKCF()
-	im := twoTargetScene(-1.2, 1.2)
-	m.Spawn(im, [][2]float64{{80, 44}}, 0)
-	if m.Count() != 1 {
-		t.Fatalf("targets = %d", m.Count())
-	}
-	// Flat frames kill the response; target should be pruned.
-	flat := vision.NewImage(im.W, im.H)
-	for i := 0; i < 5; i++ {
-		m.Update(flat, time.Duration(i)*33*time.Millisecond)
-	}
-	if m.Count() != 0 {
-		t.Fatalf("lost target not pruned: %d", m.Count())
+		out = rt.ObserveInto(time.Duration(i)*50*time.Millisecond, rets, out[:0])
 	}
 }

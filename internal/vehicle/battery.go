@@ -49,17 +49,6 @@ func (b *Battery) Charge(chargeKW float64, dt time.Duration) bool {
 // RemainingKWh returns the usable energy left.
 func (b *Battery) RemainingKWh() float64 { return b.SoC * b.CapacityKWh }
 
-// RemainingDrivingTime returns how long the pack sustains a load.
-func (b *Battery) RemainingDrivingTime(loadKW float64) time.Duration {
-	if loadKW <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	return time.Duration(b.RemainingKWh() / loadKW * float64(time.Hour))
-}
-
-// Empty reports whether the pack is exhausted.
-func (b *Battery) Empty() bool { return b.SoC <= 0 }
-
 // String summarizes the pack.
 func (b *Battery) String() string {
 	return fmt.Sprintf("battery: %.1f%% (%.2f kWh of %.1f)", 100*b.SoC, b.RemainingKWh(), b.CapacityKWh)

@@ -83,9 +83,6 @@ func (v *Vehicle) Odometer() float64 { return v.odometer }
 // Now returns the vehicle's internal clock.
 func (v *Vehicle) Now() time.Duration { return v.now }
 
-// ActiveCommand returns the command currently in mechanical effect.
-func (v *Vehicle) ActiveCommand() canbus.Command { return v.active }
-
 // Apply registers a command at the current time; it becomes mechanically
 // effective MechLatency later (Tmech).
 func (v *Vehicle) Apply(cmd canbus.Command) {

@@ -171,13 +171,13 @@ func TestECUProactiveAfterHoldExpires(t *testing.T) {
 	if err := e.Receive(mustEncode(t, canbus.IDControlCommand, canbus.Command{AccelMps2: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if v.ActiveCommand().EStop {
+	if v.active.EStop {
 		// command not yet active; step to activate
 		step(v, 10*time.Millisecond, time.Millisecond)
 	}
 	step(v, 10*time.Millisecond, time.Millisecond)
-	if v.ActiveCommand().AccelMps2 != 1 {
-		t.Fatalf("active command = %+v, want accel 1", v.ActiveCommand())
+	if v.active.AccelMps2 != 1 {
+		t.Fatalf("active command = %+v, want accel 1", v.active)
 	}
 }
 
@@ -293,7 +293,7 @@ func TestBatteryDrainMatchesEq2(t *testing.T) {
 	b := NewBattery(6)
 	load := 0.6 + 0.175
 	hours := 0.0
-	for !b.Empty() && hours < 20 {
+	for b.SoC > 0 && hours < 20 {
 		b.Drain(load, time.Minute)
 		hours += 1.0 / 60
 	}
@@ -304,15 +304,16 @@ func TestBatteryDrainMatchesEq2(t *testing.T) {
 
 func TestBatteryRemainingDrivingTime(t *testing.T) {
 	b := NewBattery(6)
-	got := b.RemainingDrivingTime(0.6)
-	if math.Abs(got.Hours()-10) > 1e-9 {
-		t.Fatalf("remaining = %v, want 10 h", got)
+	// A full 6 kWh pack sustains the 0.6 kW vehicle load for 10 h (Eq. 2's
+	// baseline); five of them leave half the pack.
+	if h := b.RemainingKWh() / 0.6; math.Abs(h-10) > 1e-9 {
+		t.Fatalf("remaining = %v h, want 10", h)
 	}
 	b.Drain(0.6, 5*time.Hour)
 	if math.Abs(b.RemainingKWh()-3) > 1e-9 {
 		t.Fatalf("remaining = %v kWh, want 3", b.RemainingKWh())
 	}
-	if b.Empty() {
+	if b.SoC <= 0 {
 		t.Fatal("half-full pack reported empty")
 	}
 	if b.String() == "" {
@@ -325,14 +326,11 @@ func TestBatteryClampsAtZero(t *testing.T) {
 	if b.Drain(100, time.Hour) {
 		t.Fatal("over-drain should report empty")
 	}
-	if b.SoC != 0 || !b.Empty() {
+	if b.SoC != 0 {
 		t.Fatalf("SoC = %v", b.SoC)
 	}
 	if (&Battery{}).Drain(1, time.Hour) {
 		t.Fatal("zero-capacity pack should be empty")
-	}
-	if b.RemainingDrivingTime(0) <= 0 {
-		t.Fatal("zero load should return effectively infinite time")
 	}
 }
 

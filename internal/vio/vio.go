@@ -13,7 +13,6 @@
 package vio
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -143,12 +142,6 @@ func NewWithMap(cfg Config, initial world.Pose, w *world.World) *VIO {
 func (v *VIO) Pose() world.Pose {
 	return world.Pose{Pos: mathx.Vec2{X: v.x[iPx], Y: v.x[iPy]}, Heading: mathx.WrapAngle(v.x[iYaw])}
 }
-
-// Velocity returns the world-frame velocity estimate.
-func (v *VIO) Velocity() mathx.Vec2 { return mathx.Vec2{X: v.x[iVx], Y: v.x[iVy]} }
-
-// Covariance returns a copy of the state covariance.
-func (v *VIO) Covariance() *mathx.Mat { return v.p.Clone() }
 
 // Stats reports propagation steps, camera updates, and landmarks created.
 func (v *VIO) Stats() (propagations, updates, landmarks int) {
@@ -366,11 +359,4 @@ func ObserveLandmarks(w *world.World, truth world.Pose, cfg Config, rng *sim.RNG
 		})
 	}
 	return out
-}
-
-// String summarizes the filter for logs.
-func (v *VIO) String() string {
-	p := v.Pose()
-	return fmt.Sprintf("vio: pos=(%.2f,%.2f) yaw=%.3f vel=(%.2f,%.2f) lms=%d",
-		p.Pos.X, p.Pos.Y, p.Heading, v.x[iVx], v.x[iVy], len(v.landmarks))
 }

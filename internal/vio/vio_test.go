@@ -165,7 +165,7 @@ func TestCovarianceStaysSymmetricPSD(t *testing.T) {
 			v.UpdateCamera(ObserveLandmarks(w, truth, cfg, obsRNG))
 		}
 	}
-	p := v.Covariance()
+	p := v.p
 	for i := 0; i < p.Rows; i++ {
 		for j := 0; j < p.Cols; j++ {
 			if math.Abs(p.At(i, j)-p.At(j, i)) > 1e-9 {
@@ -231,13 +231,6 @@ func TestEstimatorEstimatesGyroBias(t *testing.T) {
 	}
 }
 
-func TestStringHasContent(t *testing.T) {
-	v := New(DefaultConfig(), world.Pose{})
-	if v.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func BenchmarkPropagateIMU(b *testing.B) {
 	v := New(DefaultConfig(), world.Pose{})
 	imu := sensors.NewIMU(sensors.DefaultIMUConfig(), sim.NewRNG(1))
@@ -260,6 +253,19 @@ func BenchmarkUpdateCamera12Landmarks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.UpdateCamera(obs)
+	}
+}
+
+// BenchmarkUpdateGPS times the EKF step the Sec. VI-B FusionStudy row runs
+// on every GPS fix: the GPS-VIO fusion that replaces drift-correcting
+// compute.
+func BenchmarkUpdateGPS(b *testing.B) {
+	v := New(DefaultConfig(), world.Pose{})
+	fix := sensors.GPSFix{Pos: mathx.Vec2{X: 100}, Valid: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.UpdateGPS(fix)
 	}
 }
 
@@ -317,7 +323,7 @@ func TestMapModeFilterConsistencyNEES(t *testing.T) {
 			if i > 4800 { // skip the convergence transient
 				est := v.Pose().Pos
 				ex, ey := est.X-pose.Pos.X, est.Y-pose.Pos.Y
-				p := v.Covariance()
+				p := v.p
 				pp := mathx.MatFromRows([][]float64{
 					{p.At(0, 0), p.At(0, 1)},
 					{p.At(1, 0), p.At(1, 1)},

@@ -1,7 +1,6 @@
 // Package vision is the camera-processing substrate: a grayscale image
-// container, a synthetic pinhole stereo renderer, Shi-Tomasi-style corner
-// extraction, pyramidal-free Lucas–Kanade patch tracking, and two stereo
-// matchers (dense block matching and an ELAS-style support-point matcher).
+// container, a synthetic pinhole stereo renderer, and two stereo matchers
+// (dense block matching and an ELAS-style support-point matcher).
 // These are the "regular stencil" vision kernels the paper contrasts with
 // irregular LiDAR processing (Sec. III-D).
 package vision
@@ -61,48 +60,4 @@ func (im *Image) Bilinear(x, y float64) float32 {
 	v01 := im.At(x0, y0+1)
 	v11 := im.At(x0+1, y0+1)
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
-}
-
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	c := NewImage(im.W, im.H)
-	copy(c.Pix, im.Pix)
-	return c
-}
-
-// GradX returns the central-difference horizontal gradient at (x, y).
-func (im *Image) GradX(x, y int) float32 { return (im.At(x+1, y) - im.At(x-1, y)) / 2 }
-
-// GradY returns the central-difference vertical gradient at (x, y).
-func (im *Image) GradY(x, y int) float32 { return (im.At(x, y+1) - im.At(x, y-1)) / 2 }
-
-// Crop extracts a w×h sub-image centered at (cx, cy) with border clamping —
-// the detector-to-classifier hand-off (each detection box becomes a crop).
-func (im *Image) Crop(cx, cy, w, h int) *Image {
-	out := NewImage(w, h)
-	x0 := cx - w/2
-	y0 := cy - h/2
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			out.Pix[y*w+x] = im.At(x0+x, y0+y)
-		}
-	}
-	return out
-}
-
-// MeanAbsDiff returns the mean absolute pixel difference between images of
-// identical shape; a cheap similarity metric used in tests.
-func MeanAbsDiff(a, b *Image) float64 {
-	if a.W != b.W || a.H != b.H {
-		panic("vision: MeanAbsDiff shape mismatch")
-	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i] - b.Pix[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(len(a.Pix))
 }

@@ -78,24 +78,3 @@ func QuantizeImage(im *Image) *QImage {
 	QuantizeImageInto(q, im)
 	return q
 }
-
-// DequantizeInto fills out (which must match im's dimensions) with the real
-// values of im's codes.
-//
-//sov:hotpath
-func (im *QImage) DequantizeInto(out *Image) {
-	if out.W != im.W || out.H != im.H {
-		panic("vision: DequantizeInto dimensions do not match")
-	}
-	const inv = float32(1.0 / 255.0)
-	for i, v := range im.Pix {
-		out.Pix[i] = float32(v) * inv
-	}
-}
-
-// Dequantize returns a freshly allocated float copy of im.
-func (im *QImage) Dequantize() *Image {
-	out := NewImage(im.W, im.H)
-	im.DequantizeInto(out)
-	return out
-}

@@ -124,14 +124,13 @@ func matchPixelQ(left, right *QImage, x, y, dMin, dMax, half int, scratch []int3
 	return float32(d)
 }
 
-// StereoScratch carries the fixed-point matchers' reusable state across
-// frames: the per-pixel cost band and the support-point list. The zero
-// value is ready to use; buffers grow on first use and stick, so a control
-// loop that keeps one StereoScratch per camera pair allocates nothing once
-// warm (serial path — the parallel fan-out borrows pooled buffers instead).
+// StereoScratch carries the fixed-point matcher's per-pixel cost band
+// across frames. The zero value is ready to use; the band grows on first use
+// and sticks, so a control loop that keeps one StereoScratch per camera pair
+// allocates nothing once warm (serial path — the parallel fan-out borrows
+// pooled buffers instead).
 type StereoScratch struct {
 	costs []int32
-	sps   []SupportPoint
 }
 
 // costBand returns the scratch cost vector for an n-candidate search.
@@ -155,18 +154,11 @@ func sizeMap(m *DisparityMap, w, h int) {
 	}
 }
 
-// BlockMatchQuant is the fixed-point BlockMatch: exhaustive int32-SAD search
-// over 8-bit frames. Output layout and validity semantics are identical to
-// the float matcher's.
-func BlockMatchQuant(left, right *QImage, maxDisp, half int) *DisparityMap {
-	m := &DisparityMap{}
-	BlockMatchQuantInto(m, left, right, maxDisp, half, &StereoScratch{})
-	return m
-}
-
-// BlockMatchQuantInto is the allocation-free BlockMatchQuant: the disparity
-// plane and cost band live in caller-owned storage. Output is byte-identical
-// to BlockMatchQuant for any worker count.
+// BlockMatchQuantInto is the fixed-point BlockMatch: exhaustive int32-SAD
+// search over 8-bit frames, with the disparity plane and cost band in
+// caller-owned storage. Output layout and validity semantics are identical
+// to the float matcher's, and the output is byte-identical for any worker
+// count.
 //
 //sov:hotpath
 func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int, s *StereoScratch) {
@@ -186,79 +178,6 @@ func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int
 		for y := y0; y < y1; y++ {
 			for x := 0; x < left.W; x++ {
 				m.D[y*m.W+x] = matchPixelQ(left, right, x, y, 0, maxDisp, half, costs)
-			}
-		}
-		parallel.PutI32(costs)
-	})
-}
-
-// SupportPointsQuantInto appends the support grid's matches to dst in
-// row-major scan order and returns it.
-//
-//sov:hotpath
-func SupportPointsQuantInto(dst []SupportPoint, left, right *QImage, maxDisp, half, stride int, s *StereoScratch) []SupportPoint {
-	costs := s.costBand(maxDisp + 1)
-	for y := half; y < left.H-half; y += stride {
-		for x := half; x < left.W-half; x += stride {
-			if d := matchPixelQ(left, right, x, y, 0, maxDisp, half, costs); d >= 0 {
-				dst = append(dst, SupportPoint{X: x, Y: y, D: d})
-			}
-		}
-	}
-	return dst
-}
-
-// SupportPointStereoQuant is the fixed-point ELAS-style matcher: sparse
-// support points build a disparity prior, then each pixel searches a narrow
-// band with the int32-SAD kernel.
-func SupportPointStereoQuant(left, right *QImage, maxDisp, half, stride, band int) *DisparityMap {
-	m := &DisparityMap{}
-	SupportPointStereoQuantInto(m, left, right, maxDisp, half, stride, band, &StereoScratch{})
-	return m
-}
-
-// SupportPointStereoQuantInto is the allocation-free SupportPointStereoQuant:
-// support points, cost bands, and the disparity plane all live in
-// caller-owned storage. Output is byte-identical to the allocating form.
-//
-//sov:hotpath
-func SupportPointStereoQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half, stride, band int, s *StereoScratch) {
-	s.sps = SupportPointsQuantInto(s.sps[:0], left, right, maxDisp, half, stride, s)
-	sps := s.sps
-	sizeMap(m, left.W, left.H)
-	if len(sps) == 0 {
-		for i := range m.D {
-			m.D[i] = -1
-		}
-		return
-	}
-	if parallel.Workers() <= 1 {
-		costs := s.costBand(maxDisp + 1)
-		for y := 0; y < left.H; y++ {
-			for x := 0; x < left.W; x++ {
-				prior := interpolatePrior(sps, x, y)
-				dMin := int(prior) - band
-				dMax := int(prior) + band
-				if dMax > maxDisp {
-					dMax = maxDisp
-				}
-				m.D[y*m.W+x] = matchPixelQ(left, right, x, y, dMin, dMax, half, costs)
-			}
-		}
-		return
-	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(left.H, sadRowBlock, func(y0, y1 int) {
-		costs := parallel.GetI32(maxDisp + 1)
-		for y := y0; y < y1; y++ {
-			for x := 0; x < left.W; x++ {
-				prior := interpolatePrior(sps, x, y)
-				dMin := int(prior) - band
-				dMax := int(prior) + band
-				if dMax > maxDisp {
-					dMax = maxDisp
-				}
-				m.D[y*m.W+x] = matchPixelQ(left, right, x, y, dMin, dMax, half, costs)
 			}
 		}
 		parallel.PutI32(costs)

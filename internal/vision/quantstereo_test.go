@@ -11,11 +11,11 @@ func TestQImageRoundTrip(t *testing.T) {
 		im.Pix[i] = float32(i) / float32(len(im.Pix)-1)
 	}
 	q := QuantizeImage(im)
-	back := q.Dequantize()
 	for i := range im.Pix {
 		// Half a code of quantization noise at most.
-		if d := math.Abs(float64(back.Pix[i] - im.Pix[i])); d > 1.0/510+1e-6 {
-			t.Fatalf("pixel %d: %g -> %d -> %g off by %g", i, im.Pix[i], q.Pix[i], back.Pix[i], d)
+		back := float32(q.Pix[i]) / 255
+		if d := math.Abs(float64(back - im.Pix[i])); d > 1.0/510+1e-6 {
+			t.Fatalf("pixel %d: %g -> %d -> %g off by %g", i, im.Pix[i], q.Pix[i], back, d)
 		}
 	}
 	im.Pix[0], im.Pix[1] = -0.5, 1.5
@@ -63,7 +63,8 @@ func TestBlockMatchQuantTracksFloat(t *testing.T) {
 	s := Scene{Background: 5, BgDepth: 30, Boxes: []Box{{X: 0, Y: 0, Z: z, W: 3, H: 2.4, Texture: 11}}}
 	left, right := s.RenderStereo(rig)
 	ref := BlockMatch(left, right, 12, 3)
-	q := BlockMatchQuant(QuantizeImage(left), QuantizeImage(right), 12, 3)
+	q := &DisparityMap{}
+	BlockMatchQuantInto(q, QuantizeImage(left), QuantizeImage(right), 12, 3, &StereoScratch{})
 	disparityParity(t, ref, q)
 
 	// The quantized map must still recover the known metric depth on its own.
@@ -73,23 +74,5 @@ func TestBlockMatchQuantTracksFloat(t *testing.T) {
 	}
 	if want := rig.DisparityFromDepth(z); math.Abs(float64(med)-want) > 0.5 {
 		t.Fatalf("quantized median disparity = %v, want %v", med, want)
-	}
-}
-
-func TestSupportPointStereoQuantTracksFloat(t *testing.T) {
-	rig := DefaultStereoRig()
-	s := Scene{Background: 5, BgDepth: 20, Boxes: []Box{{X: 0, Y: 0, Z: 4, W: 3, H: 2.4, Texture: 9}}}
-	left, right := s.RenderStereo(rig)
-	ref := SupportPointStereo(left, right, 12, 3, 8, 2)
-	q := SupportPointStereoQuant(QuantizeImage(left), QuantizeImage(right), 12, 3, 8, 2)
-	disparityParity(t, ref, q)
-
-	refMed, _ := MedianDisparityIn(ref, 60, 40, 100, 80)
-	qMed, ok := MedianDisparityIn(q, 60, 40, 100, 80)
-	if !ok {
-		t.Fatal("quantized support-point stereo produced no disparities in region")
-	}
-	if math.Abs(float64(refMed-qMed)) > 0.5 {
-		t.Fatalf("float %v vs quant %v median disparity", refMed, qMed)
 	}
 }

@@ -21,17 +21,6 @@ func (m *DisparityMap) At(x, y int) float32 {
 	return m.D[y*m.W+x]
 }
 
-// ValidFraction returns the fraction of pixels with a valid disparity.
-func (m *DisparityMap) ValidFraction() float64 {
-	n := 0
-	for _, d := range m.D {
-		if d >= 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.D))
-}
-
 // sadAt computes the sum of absolute differences between a (2*half+1)²
 // patch in left at (x, y) and in right at (x-d, y).
 func sadAt(left, right *Image, x, y, d, half int) float64 {

@@ -16,7 +16,12 @@ import (
 // tiles pay the (R + 2·half)-row halo over and over; the constraint caps
 // how far the sweep can push R.
 
-// replaySADStream drives one frame of BlockMatchQuant accesses (the bench
+// llc is the model cache: a 9 MB last-level cache scaled down by the same
+// ~100x as the synthetic working sets, so the capacity-pressure regime of a
+// full-size frame is preserved.
+var llc = cachesim.Config{SizeBytes: 96 * 1024, LineBytes: 64, Ways: 12}
+
+// replaySADStream drives one frame of BlockMatchQuantInto accesses (the bench
 // shape: 128×96, maxDisp 12, half 3) tiled into row blocks of height r.
 // The cache resets per tile to model each tile landing on a cold private
 // cache.
@@ -72,7 +77,7 @@ func TestSADRowBlockAtSweepOptimum(t *testing.T) {
 		if (frameRows+r-1)/r < minTiles {
 			continue // too coarse: the frame no longer feeds every worker
 		}
-		c := cachesim.New(cachesim.DefaultConfig())
+		c := cachesim.New(llc)
 		acc, miss := replaySADStream(c, r)
 		rate := float64(miss) / float64(acc)
 		rates[r] = rate

@@ -2,6 +2,7 @@ package vision
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -23,11 +24,6 @@ func TestImageBasics(t *testing.T) {
 	im.Set(-1, 0, 123)
 	if im.At(0, 0) != 0.9 {
 		t.Fatal("OOB set leaked")
-	}
-	c := im.Clone()
-	c.Set(0, 0, 0)
-	if im.At(0, 0) != 0.9 {
-		t.Fatal("clone aliases source")
 	}
 }
 
@@ -59,7 +55,7 @@ func TestRenderDeterministic(t *testing.T) {
 	intr := DefaultIntrinsics()
 	a := s.Render(intr, 0)
 	b := s.Render(intr, 0)
-	if MeanAbsDiff(a, b) != 0 {
+	if !slices.Equal(a.Pix, b.Pix) {
 		t.Fatal("render not deterministic")
 	}
 }
@@ -163,9 +159,6 @@ func TestDisparityMapHelpers(t *testing.T) {
 	if m.At(-1, 0) != -1 || m.At(0, 5) != -1 {
 		t.Fatal("OOB should be -1")
 	}
-	if m.ValidFraction() != 0.75 {
-		t.Fatalf("valid fraction = %v", m.ValidFraction())
-	}
 	med, ok := MedianDisparityIn(m, 0, 0, 1, 1)
 	if !ok || med != 2 {
 		t.Fatalf("median = %v ok=%v", med, ok)
@@ -173,89 +166,6 @@ func TestDisparityMapHelpers(t *testing.T) {
 	if _, ok := MedianDisparityIn(m, 1, 0, 1, 0); ok {
 		t.Fatal("all-invalid region should report !ok")
 	}
-}
-
-func TestDetectCornersFindsBoxCorners(t *testing.T) {
-	intr := DefaultIntrinsics()
-	s := Scene{Background: 0, BgDepth: 0, Boxes: []Box{{X: 0, Y: 0, Z: 5, W: 2, H: 2, Texture: 4}}}
-	im := s.Render(intr, 0)
-	corners := DetectCorners(im, 50, 0.05, 5)
-	if len(corners) < 10 {
-		t.Fatalf("corners = %d, want >= 10 on textured box", len(corners))
-	}
-	// Scores sorted descending by construction of selection.
-	for i := 1; i < len(corners); i++ {
-		if corners[i].Score > corners[0].Score {
-			t.Fatal("first corner is not the strongest")
-		}
-	}
-	// Min-distance respected.
-	for i := 0; i < len(corners); i++ {
-		for j := i + 1; j < len(corners); j++ {
-			dx := corners[i].X - corners[j].X
-			dy := corners[i].Y - corners[j].Y
-			if dx*dx+dy*dy < 25 {
-				t.Fatalf("corners %d,%d too close", i, j)
-			}
-		}
-	}
-}
-
-func TestDetectCornersEmptyImage(t *testing.T) {
-	im := NewImage(32, 32)
-	if got := DetectCorners(im, 10, 0.01, 3); len(got) != 0 {
-		t.Fatalf("flat image corners = %d", len(got))
-	}
-	if got := DetectCorners(im, 0, 0.01, 3); got != nil {
-		t.Fatal("maxCorners=0 should return nil")
-	}
-}
-
-func TestTrackLKRecoverShift(t *testing.T) {
-	intr := DefaultIntrinsics()
-	s1 := Scene{Background: 0, BgDepth: 0, Boxes: []Box{{X: 0, Y: 0, Z: 5, W: 2, H: 2, Texture: 4}}}
-	s2 := Scene{Background: 0, BgDepth: 0, Boxes: []Box{{X: 0.05, Y: 0.025, Z: 5, W: 2, H: 2, Texture: 4}}}
-	im1 := s1.Render(intr, 0)
-	im2 := s2.Render(intr, 0)
-	// 0.05 m at Z=5 with f=120 → 1.2 px right; 0.6 px down.
-	corners := DetectCorners(im1, 10, 0.05, 8)
-	if len(corners) == 0 {
-		t.Fatal("no corners to track")
-	}
-	okCount := 0
-	for _, c := range corners {
-		// Skip corners too close to the box edge (texture leaves the patch).
-		if c.X < 30 || c.X > 130 || c.Y < 25 || c.Y > 95 {
-			continue
-		}
-		r := TrackLK(im1, im2, float64(c.X), float64(c.Y), 4, 20)
-		if !r.OK {
-			continue
-		}
-		if math.Abs(r.X-float64(c.X)-1.2) < 0.5 && math.Abs(r.Y-float64(c.Y)-0.6) < 0.5 {
-			okCount++
-		}
-	}
-	if okCount < 3 {
-		t.Fatalf("only %d corners tracked to the expected shift", okCount)
-	}
-}
-
-func TestTrackLKFlatRegionFails(t *testing.T) {
-	im := NewImage(64, 64)
-	r := TrackLK(im, im, 32, 32, 4, 10)
-	if r.OK {
-		t.Fatal("tracking on flat region should fail (singular system)")
-	}
-}
-
-func TestMeanAbsDiffPanicsOnShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MeanAbsDiff(NewImage(2, 2), NewImage(3, 3))
 }
 
 func BenchmarkBlockMatch160x120(b *testing.B) {
@@ -277,47 +187,5 @@ func BenchmarkSupportPointStereo160x120(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SupportPointStereo(left, right, 12, 2, 8, 2)
-	}
-}
-
-func BenchmarkDetectCorners(b *testing.B) {
-	intr := DefaultIntrinsics()
-	s := Scene{Background: 5, BgDepth: 10, Boxes: []Box{{X: 0, Y: 0, Z: 4, W: 3, H: 2, Texture: 9}}}
-	im := s.Render(intr, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DetectCorners(im, 100, 0.02, 5)
-	}
-}
-
-func BenchmarkTrackLK(b *testing.B) {
-	intr := DefaultIntrinsics()
-	s1 := Scene{Background: 5, BgDepth: 10, Boxes: []Box{{X: 0, Y: 0, Z: 4, W: 3, H: 2, Texture: 9}}}
-	s2 := Scene{Background: 5, BgDepth: 10, Boxes: []Box{{X: 0.02, Y: 0, Z: 4, W: 3, H: 2, Texture: 9}}}
-	im1 := s1.Render(intr, 0)
-	im2 := s2.Render(intr, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TrackLK(im1, im2, 80, 60, 4, 20)
-	}
-}
-
-func TestCrop(t *testing.T) {
-	im := NewImage(10, 10)
-	im.Set(5, 5, 0.9)
-	c := im.Crop(5, 5, 4, 4)
-	if c.W != 4 || c.H != 4 {
-		t.Fatalf("crop shape %dx%d", c.W, c.H)
-	}
-	// Center pixel lands at (2,2) of the crop (w/2, h/2).
-	if c.At(2, 2) != 0.9 {
-		t.Fatalf("crop center = %v", c.At(2, 2))
-	}
-	// Border clamping near the edge does not panic and fills values.
-	e := im.Crop(0, 0, 6, 6)
-	if e.W != 6 {
-		t.Fatal("edge crop wrong")
 	}
 }

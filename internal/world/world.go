@@ -174,20 +174,6 @@ func (r Route) ActiveLane(p mathx.Vec2) int {
 	return best
 }
 
-// Progress returns the cumulative arclength traveled along the route for a
-// position on (or near) lane index i.
-func (r Route) Progress(i int, p mathx.Vec2) float64 {
-	s := 0.0
-	for j := 0; j < i && j < len(r.Lanes); j++ {
-		s += r.Lanes[j].Length()
-	}
-	if i < len(r.Lanes) {
-		l := r.Lanes[i]
-		s += mathx.Clamp(p.Sub(l.Start).Dot(l.Direction()), 0, l.Length())
-	}
-	return s
-}
-
 // TotalLength returns the route length.
 func (r Route) TotalLength() float64 {
 	s := 0.0
@@ -473,38 +459,6 @@ func (w *World) AddStaticObstacle(pos mathx.Vec2, radius float64) *Obstacle {
 		Traj: StaticTrajectory(pos)}
 	w.Obstacles = append(w.Obstacles, o)
 	return o
-}
-
-// FigureEight returns a pose trajectory tracing a figure-eight of the given
-// radius at the given speed; used by the VIO sync-error study, where yaw
-// dynamics expose camera–IMU timestamp offsets.
-func FigureEight(radius, speed float64) func(t time.Duration) (Pose, mathx.Vec3) {
-	if radius <= 0 {
-		panic("world: FigureEight needs positive radius")
-	}
-	omega := speed / radius
-	return func(t time.Duration) (Pose, mathx.Vec3) {
-		s := t.Seconds()
-		phase := omega * s
-		// Two tangent circles; switch every full loop.
-		loop := int(phase / (2 * math.Pi))
-		ph := math.Mod(phase, 2*math.Pi)
-		var pose Pose
-		var yawRate float64
-		if loop%2 == 0 {
-			// Left circle, counter-clockwise, centered at (0, radius).
-			pose.Pos = mathx.Vec2{X: radius * math.Sin(ph), Y: radius * (1 - math.Cos(ph))}
-			pose.Heading = ph
-			yawRate = omega
-		} else {
-			// Right circle, clockwise, centered at (0, -radius).
-			pose.Pos = mathx.Vec2{X: radius * math.Sin(ph), Y: -radius * (1 - math.Cos(ph))}
-			pose.Heading = -ph
-			yawRate = -omega
-		}
-		pose.Heading = mathx.WrapAngle(pose.Heading)
-		return pose, mathx.Vec3{Z: yawRate}
-	}
 }
 
 // NewRing builds a circular-course world: landmark posts line both sides of

@@ -172,40 +172,6 @@ func TestGPSOutage(t *testing.T) {
 	}
 }
 
-func TestFigureEightContinuity(t *testing.T) {
-	traj := FigureEight(20, 5.6)
-	prev, _ := traj(0)
-	for ms := 10; ms < 60000; ms += 10 {
-		p, _ := traj(time.Duration(ms) * time.Millisecond)
-		if p.Pos.DistTo(prev.Pos) > 0.12 { // 5.6 m/s * 10 ms + slack
-			t.Fatalf("discontinuity at %d ms: %v -> %v", ms, prev.Pos, p.Pos)
-		}
-		prev = p
-	}
-}
-
-func TestFigureEightYawRateSign(t *testing.T) {
-	traj := FigureEight(20, 5.6)
-	_, omega0 := traj(0)
-	if omega0.Z <= 0 {
-		t.Fatalf("first loop should turn left: %v", omega0.Z)
-	}
-	// One full loop takes 2*pi*r/v ≈ 22.4 s; sample mid second loop.
-	_, omega1 := traj(30 * time.Second)
-	if omega1.Z >= 0 {
-		t.Fatalf("second loop should turn right: %v", omega1.Z)
-	}
-}
-
-func TestFigureEightPanicsOnBadRadius(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	FigureEight(0, 5)
-}
-
 func TestCampusLoop(t *testing.T) {
 	w := CampusLoop(80, sim.NewRNG(3))
 	if len(w.Lanes) != 4 {
@@ -233,7 +199,7 @@ func TestObstacleKindStrings(t *testing.T) {
 	}
 }
 
-func TestRouteActiveLaneAndProgress(t *testing.T) {
+func TestRouteActiveLane(t *testing.T) {
 	r := Route{Lanes: []Lane{
 		{Start: mathx.Vec2{}, End: mathx.Vec2{X: 80}, Width: 3},
 		{Start: mathx.Vec2{X: 80}, End: mathx.Vec2{X: 80, Y: 80}, Width: 3},
@@ -248,31 +214,7 @@ func TestRouteActiveLaneAndProgress(t *testing.T) {
 	if got := r.ActiveLane(mathx.Vec2{X: 80, Y: 0}); got != 1 {
 		t.Fatalf("corner active = %d, want handover to 1", got)
 	}
-	if p := r.Progress(0, mathx.Vec2{X: 40}); math.Abs(p-40) > 1e-9 {
-		t.Fatalf("progress leg1 = %v", p)
-	}
-	if p := r.Progress(1, mathx.Vec2{X: 80, Y: 30}); math.Abs(p-110) > 1e-9 {
-		t.Fatalf("progress leg2 = %v", p)
-	}
 	if r.TotalLength() != 160 {
 		t.Fatalf("total = %v", r.TotalLength())
-	}
-}
-
-func TestRouteProgressMonotoneAlongPath(t *testing.T) {
-	r := Route{Lanes: CampusLoop(80, sim.NewRNG(1)).Lanes}
-	prev := -1.0
-	// Walk the loop's first three legs sampling progress.
-	samples := []mathx.Vec2{
-		{X: 10}, {X: 40}, {X: 75},
-		{X: 80, Y: 10}, {X: 80, Y: 40}, {X: 80, Y: 75},
-		{X: 70, Y: 80}, {X: 40, Y: 80},
-	}
-	for _, p := range samples {
-		prog := r.Progress(r.ActiveLane(p), p)
-		if prog <= prev {
-			t.Fatalf("progress not monotone at %v: %v after %v", p, prog, prev)
-		}
-		prev = prog
 	}
 }

@@ -51,17 +51,6 @@ func benchStereoPair(w, h int) (*vision.Image, *vision.Image) {
 	return scene.RenderStereo(rig)
 }
 
-func BenchmarkParallelSpeedupSGM(b *testing.B) {
-	left, right := benchStereoPair(256, 192)
-	cfg := vision.DefaultSGMConfig()
-	cfg.MaxDisp = 32
-	benchAtWorkerCounts(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vision.SGM(left, right, cfg)
-		}
-	})
-}
-
 func BenchmarkParallelSpeedupBlockMatch(b *testing.B) {
 	left, right := benchStereoPair(192, 144)
 	benchAtWorkerCounts(b, func(b *testing.B) {
@@ -72,25 +61,13 @@ func BenchmarkParallelSpeedupBlockMatch(b *testing.B) {
 }
 
 // BenchmarkParallelSpeedupSupportPointStereo covers the sparse support grid
-// and the dense banded pass, float and int8 (the int8 sparse grid is serial).
+// and the dense banded pass.
 func BenchmarkParallelSpeedupSupportPointStereo(b *testing.B) {
 	left, right := benchStereoPair(160, 120)
-	b.Run("float32", func(b *testing.B) {
-		benchAtWorkerCounts(b, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				vision.SupportPointStereo(left, right, 12, 3, 8, 3)
-			}
-		})
-	})
-	b.Run("int8", func(b *testing.B) {
-		ql, qr := vision.QuantizeImage(left), vision.QuantizeImage(right)
-		var m vision.DisparityMap
-		var s vision.StereoScratch
-		benchAtWorkerCounts(b, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				vision.SupportPointStereoQuantInto(&m, ql, qr, 12, 3, 8, 2, &s)
-			}
-		})
+	benchAtWorkerCounts(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			vision.SupportPointStereo(left, right, 12, 3, 8, 3)
+		}
 	})
 }
 

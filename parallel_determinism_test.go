@@ -31,18 +31,6 @@ func atWorkers(n int, fn func()) {
 	fn()
 }
 
-func TestSGMDeterministicAcrossWorkers(t *testing.T) {
-	left, right := benchStereoPair(128, 96)
-	cfg := vision.DefaultSGMConfig()
-	cfg.MaxDisp = 24
-	var serial, par *vision.DisparityMap
-	atWorkers(1, func() { serial = vision.SGM(left, right, cfg) })
-	atWorkers(8, func() { par = vision.SGM(left, right, cfg) })
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("SGM disparity maps differ between workers=1 and workers=8")
-	}
-}
-
 func TestBlockStereoDeterministicAcrossWorkers(t *testing.T) {
 	left, right := benchStereoPair(128, 96)
 	var bm1, bm8, sp1, sp8 *vision.DisparityMap
@@ -129,12 +117,12 @@ func TestICPDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestQuantKernelsDeterministicAcrossWorkers covers the fixed-point
-// perception kernels (DESIGN.md §8): the int8 NN forward pass and YOLO
-// decode, quantized stereo matchers, fixed-point ISP chain, and the
-// code-domain detection decode must be bit-identical across worker counts —
-// integer arithmetic makes this exact, not approximate.
+// perception kernels (DESIGN.md §8): the int8 NN forward pass, the quantized
+// block matcher, the fixed-point ISP chain, and the code-domain detection
+// decode must be bit-identical across worker counts — integer arithmetic
+// makes this exact, not approximate.
 func TestQuantKernelsDeterministicAcrossWorkers(t *testing.T) {
-	// Quantized network + YOLO decode.
+	// Quantized network + grid decode.
 	y := nn.NewTinyYOLO(48, 64, 3, 21)
 	calib := nn.NewTensor(1, 48, 64)
 	for i := range calib.Data {
@@ -145,52 +133,44 @@ func TestQuantKernelsDeterministicAcrossWorkers(t *testing.T) {
 	for i := range probe.Data {
 		probe.Data[i] = float32(i%7) / 7
 	}
-	var cells1, cells8 []nn.GridBox
+	var codes1, codes8 []int8
 	var boxes1, boxes8 []detect.BBox
 	atWorkers(1, func() {
-		cells1 = qy.Infer(probe)
 		raw := qy.ForwardRaw(probe)
+		codes1 = append(codes1, raw.Data...)
 		boxes1 = detect.DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0.3)
 		nn.PutQTensor(raw)
 	})
 	atWorkers(8, func() {
-		cells8 = qy.Infer(probe)
 		raw := qy.ForwardRaw(probe)
+		codes8 = append(codes8, raw.Data...)
 		boxes8 = detect.DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0.3)
 		nn.PutQTensor(raw)
 	})
-	if !reflect.DeepEqual(cells1, cells8) {
-		t.Fatal("quantized YOLO decode differs between workers=1 and workers=8")
+	if !reflect.DeepEqual(codes1, codes8) {
+		t.Fatal("quantized YOLO head output differs between workers=1 and workers=8")
 	}
 	if !reflect.DeepEqual(boxes1, boxes8) {
 		t.Fatal("quantized grid decode differs between workers=1 and workers=8")
 	}
 
-	// Quantized stereo matchers.
+	// Quantized block matcher.
 	leftF, rightF := benchStereoPair(128, 96)
 	left, right := vision.QuantizeImage(leftF), vision.QuantizeImage(rightF)
-	var bm1, bm8, sp1, sp8 *vision.DisparityMap
-	atWorkers(1, func() {
-		bm1 = vision.BlockMatchQuant(left, right, 16, 2)
-		sp1 = vision.SupportPointStereoQuant(left, right, 16, 2, 8, 3)
-	})
-	atWorkers(8, func() {
-		bm8 = vision.BlockMatchQuant(left, right, 16, 2)
-		sp8 = vision.SupportPointStereoQuant(left, right, 16, 2, 8, 3)
-	})
+	var bm1, bm8 vision.DisparityMap
+	atWorkers(1, func() { vision.BlockMatchQuantInto(&bm1, left, right, 16, 2, &vision.StereoScratch{}) })
+	atWorkers(8, func() { vision.BlockMatchQuantInto(&bm8, left, right, 16, 2, &vision.StereoScratch{}) })
 	if !reflect.DeepEqual(bm1, bm8) {
-		t.Fatal("BlockMatchQuant differs between workers=1 and workers=8")
-	}
-	if !reflect.DeepEqual(sp1, sp8) {
-		t.Fatal("SupportPointStereoQuant differs between workers=1 and workers=8")
+		t.Fatal("BlockMatchQuantInto differs between workers=1 and workers=8")
 	}
 
 	// Fixed-point ISP chain (serial kernel, but run under both settings to
 	// pin the contract alongside the others).
 	qp := isp.DefaultPixelPipeline().Quantized()
-	var isp1, isp8 *vision.QImage
-	atWorkers(1, func() { isp1 = qp.Process(left) })
-	atWorkers(8, func() { isp8 = qp.Process(left) })
+	isp1, isp8 := vision.NewQImage(left.W, left.H), vision.NewQImage(left.W, left.H)
+	blur := vision.NewQImage(left.W, left.H)
+	atWorkers(1, func() { qp.ProcessInto(isp1, blur, left) })
+	atWorkers(8, func() { qp.ProcessInto(isp8, blur, left) })
 	if !reflect.DeepEqual(isp1, isp8) {
 		t.Fatal("fixed-point ISP differs between workers=1 and workers=8")
 	}

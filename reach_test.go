@@ -1,0 +1,363 @@
+// The reachability audit (ROADMAP item 10): every non-test function or
+// method is reached from a root that a shipped program, the public API, a
+// paper row or a committed benchmark depends on, or it goes. The roots come
+// from the tree: (1) every main under cmd/, examples/ and benchmark/; (2)
+// package sov's exported API, with the exported methods of the module types
+// it hands out (sov.EnergyModel is models.EnergyModel, so
+// EnergyModel.Validate is public); (3) the Example functions; (4) the benchmarks
+// scripts/bench.sh and ci.yml run and Table III names; (5) benchmark/'s test
+// files. Non-test bodies resolve through go/types: a call through an
+// interface reaches every module method of that name and signature, and a
+// module value passed to the standard library (heap.Push, fmt.Print) reaches
+// all its methods. Test bodies resolve by name: pkg.Name through the file's
+// imports, x.M to every method named M. The scan may keep a little dead
+// code; it never flags live code.
+package sov
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"sov/internal/experiments"
+	"sov/internal/lint"
+)
+
+func TestReachability(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, modRoot := loader.ModPath, loader.ModRoot
+	key := func(fn *types.Func) string { return fn.Origin().FullName() }
+	inMod := func(p *types.Package) bool {
+		return p != nil && (p.Path() == mod || strings.HasPrefix(p.Path(), mod+"/"))
+	}
+	bodies := map[string][]func(visit func(string)){} // key → a walk per declaration
+	methods := map[string][]string{}                  // method name → keys, for x.M in tests
+	typedMethods := map[string][]*types.Func{}        // the same, for interface calls
+	funcs := map[string]token.Position{}              // what must be reached
+	kinds := []string{"main", "sov API", "Example", "committed benchmark", "benchmark/ test"}
+	roots := make([][]string, len(kinds))
+	mains := regexp.MustCompile(`^(cmd|examples)/|^benchmark$`)
+	declare := func(k string, walk func(visit func(string))) { bodies[k] = append(bodies[k], walk) }
+
+	for _, p := range pkgs {
+		info := p.Info
+		typed := func(n ast.Node) func(func(string)) {
+			return func(visit func(string)) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && calleePkg(info, call) != nil && !inMod(calleePkg(info, call)) {
+						for _, a := range call.Args { // the standard library may call any method of a module value
+							mset := types.NewMethodSet(info.TypeOf(a))
+							for i := 0; i < mset.Len(); i++ {
+								if m := mset.At(i).Obj().(*types.Func); inMod(m.Pkg()) {
+									visit(key(m))
+								}
+							}
+						}
+					}
+					id, _ := n.(*ast.Ident)
+					switch obj := info.Uses[id].(type) {
+					case *types.Func:
+						sig := obj.Type().(*types.Signature)
+						if sig.Recv() == nil || !types.IsInterface(sig.Recv().Type()) {
+							visit(key(obj))
+							break
+						}
+						for _, m := range typedMethods[obj.Name()] {
+							if types.Identical(m.Type(), sig) {
+								visit(key(m))
+							}
+						}
+					case *types.Var:
+						if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+							visit(obj.Pkg().Path() + "." + obj.Name())
+						}
+					}
+					return true
+				})
+			}
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					for _, name := range varNames(d) {
+						declare(p.ImportPath+"."+name, typed(d))
+					}
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				k := key(fn)
+				declare(k, typed(fd))
+				funcs[k] = p.Fset.Position(fd.Pos())
+				if fd.Recv != nil {
+					methods[fn.Name()] = append(methods[fn.Name()], k)
+					typedMethods[fn.Name()] = append(typedMethods[fn.Name()], fn)
+				}
+				if k == p.ImportPath+".main" && mains.MatchString(strings.TrimPrefix(p.ImportPath, mod+"/")) {
+					roots[0] = append(roots[0], k)
+				}
+				if p.ImportPath == mod && fd.Name.IsExported() {
+					roots[1] = append(roots[1], k)
+				}
+			}
+		}
+	}
+
+	// Package sov's API is more than its own declarations: sov.EnergyModel
+	// is models.EnergyModel, so a caller reaches every exported method of a
+	// type sov exports, and of the types its exported fields and signatures
+	// hand out. An interface it hands out reaches the module methods that
+	// may stand behind it.
+	seen := map[types.Type]bool{}
+	var expose func(t types.Type)
+	exposeFunc := func(m *types.Func) {
+		if m.Exported() && inMod(m.Pkg()) {
+			roots[1] = append(roots[1], key(m))
+			expose(m.Type())
+		}
+	}
+	expose = func(t types.Type) {
+		t = types.Unalias(t)
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Named:
+			if !inMod(t.Obj().Pkg()) {
+				return
+			}
+			mset := types.NewMethodSet(types.NewPointer(t))
+			for i := 0; i < mset.Len(); i++ {
+				exposeFunc(mset.At(i).Obj().(*types.Func))
+			}
+			expose(t.Underlying())
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				sig := t.Method(i).Type()
+				for _, m := range typedMethods[t.Method(i).Name()] {
+					if types.Identical(m.Type(), sig) {
+						exposeFunc(m)
+					}
+				}
+			}
+		case *types.Pointer:
+			expose(t.Elem())
+		case *types.Slice:
+			expose(t.Elem())
+		case *types.Array:
+			expose(t.Elem())
+		case *types.Chan:
+			expose(t.Elem())
+		case *types.Map:
+			expose(t.Key())
+			expose(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if f := t.Field(i); f.Exported() || f.Embedded() {
+					expose(f.Type())
+				}
+			}
+		case *types.Signature:
+			expose(t.Params())
+			expose(t.Results())
+		case *types.Tuple:
+			for i := 0; i < t.Len(); i++ {
+				expose(t.At(i).Type())
+			}
+		}
+	}
+	for _, p := range pkgs {
+		if p.ImportPath != mod {
+			continue
+		}
+		for _, name := range p.Types.Scope().Names() {
+			if obj := p.Types.Scope().Lookup(name); obj.Exported() {
+				expose(obj.Type())
+			}
+		}
+	}
+
+	var benches []*regexp.Regexp
+	for file, re := range map[string]string{"scripts/bench.sh": `\bbench=(Benchmark\w*)`, ".github/workflows/ci.yml": `-bench='?([^' \n]+)`} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(string(src), -1) {
+			benches = append(benches, regexp.MustCompile(m[1]))
+		}
+	}
+	for _, name := range regexp.MustCompile(`Benchmark\w+`).FindAllString(experiments.Table3Algorithms(), -1) {
+		benches = append(benches, regexp.MustCompile("^"+name+"$"))
+	}
+
+	// Test files: declarations keyed per test package, names resolved by
+	// spelling.
+	err = filepath.WalkDir(modRoot, func(file string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && file != modRoot && (d.Name() == "testdata" || d.Name()[0] == '.') {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(modRoot, filepath.Dir(file))
+		path := filepath.ToSlash(filepath.Join(mod, rel))
+		scope, self := "test:"+path+"|"+f.Name.Name+".", path+"."
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			self = scope
+		}
+		imports := map[string]string{}
+		for _, is := range f.Imports {
+			ip, _ := strconv.Unquote(is.Path.Value)
+			imports[ip[strings.LastIndex(ip, "/")+1:]] = ip
+			if is.Name != nil {
+				imports[is.Name.Name] = ip
+			}
+		}
+		byName := func(n ast.Node) func(func(string)) {
+			return func(visit func(string)) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
+							visit(imports[id.Name] + "." + n.Sel.Name)
+						}
+						visit("call:" + n.Sel.Name)
+					case *ast.Ident:
+						visit(scope + n.Name)
+						visit(self + n.Name)
+					}
+					return true
+				})
+			}
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				for _, name := range varNames(d) {
+					declare(scope+name, byName(d))
+				}
+				continue
+			}
+			k, name := scope+fd.Name.Name, fd.Name.Name
+			if fd.Recv != nil {
+				k = scope + "(method)." + name
+				methods[name] = append(methods[name], k)
+			}
+			declare(k, byName(fd))
+			switch {
+			case fd.Recv != nil:
+			case rel == "benchmark":
+				roots[4] = append(roots[4], k)
+			case strings.HasPrefix(name, "Example"):
+				roots[2] = append(roots[2], k)
+			case strings.HasPrefix(name, "Benchmark"):
+				for _, re := range benches {
+					if re.MatchString(name) {
+						roots[3] = append(roots[3], k)
+						break
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reached := map[string]bool{}
+	var queue []string
+	visit := func(k string) {
+		if !reached[k] {
+			reached[k] = true
+			queue = append(queue, k)
+		}
+	}
+	for i, rs := range roots {
+		if len(rs) == 0 {
+			t.Fatalf("found no %s root: the scan is broken, not the tree", kinds[i])
+		}
+		for _, k := range rs {
+			visit(k)
+		}
+	}
+	for len(queue) > 0 {
+		k := queue[0]
+		queue = queue[1:]
+		if name, ok := strings.CutPrefix(k, "call:"); ok {
+			for _, m := range methods[name] {
+				visit(m)
+			}
+		}
+		for _, walk := range bodies[k] {
+			walk(visit)
+		}
+	}
+	var dead []string
+	for k, pos := range funcs {
+		if !reached[k] && !strings.HasSuffix(k, ".init") { // an init runs wherever its package links
+			rel, _ := filepath.Rel(modRoot, pos.Filename)
+			dead = append(dead, rel+":"+strconv.Itoa(pos.Line)+": "+k)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d of %d functions are reached by no program, public API, paper row or committed benchmark; delete them with their tests, or give them a root:\n%s",
+			len(dead), len(funcs), strings.Join(dead, "\n"))
+	}
+}
+
+// calleePkg returns the package of a call's static callee: nil for builtins,
+// conversions and calls through function values.
+func calleePkg(info *types.Info, call *ast.CallExpr) *types.Package {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Pkg()
+	}
+	return nil
+}
+
+// varNames returns the names a var declaration declares.
+func varNames(d ast.Decl) (names []string) {
+	if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+		for _, s := range gd.Specs {
+			for _, n := range s.(*ast.ValueSpec).Names {
+				names = append(names, n.Name)
+			}
+		}
+	}
+	return names
+}

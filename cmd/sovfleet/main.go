@@ -111,7 +111,7 @@ func main() {
 		}
 		// Final fleet-wide metrics snapshot rides along as the last event.
 		var mbuf bytes.Buffer
-		if err := reg.WriteJSON(&mbuf, true); err == nil {
+		if err := reg.WriteJSON(&mbuf); err == nil {
 			ingest.IngestMetrics(fl.Now(), mbuf.Bytes())
 		}
 		if err := ingest.Flush(); err != nil {

@@ -34,7 +34,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the metrics registry exposition to this path (.json for the JSON snapshot, else Prometheus text)")
 	spansPath := flag.String("spans", "", "write per-cycle stage spans (Chrome trace_event JSON, Perfetto-loadable) to this path")
 	boxPath := flag.String("blackbox", "", "write flight-recorder anomaly dumps (JSONL) to this path")
-	boxDepth := flag.Int("blackbox-depth", 64, "flight-recorder ring depth in cycles")
 	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md §8)")
 	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler (DESIGN.md §13)")
 	schedMapping := flag.String("sched-mapping", "", "scheduler initial SU/Loc mapping, e.g. GPU/FPGA")
@@ -97,8 +96,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		// Three blocked cycles in a row is already an anomaly at 10 Hz.
-		box = obs.NewFlightRecorder(f, *boxDepth, 3)
+		// A 64-cycle ring; three blocked cycles in a row is already an
+		// anomaly at 10 Hz.
+		box = obs.NewFlightRecorder(f, 64, 3)
 		s.AttachFlightRecorder(box)
 	}
 	rep := s.Run(*duration)

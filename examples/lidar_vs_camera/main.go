@@ -23,7 +23,9 @@ func main() {
 
 	// Reuse irregularity.
 	tree := pointcloud.Build(scan, nil)
-	pointcloud.Localize(tree, moved, nil, 15, 2)
+	est := pointcloud.Localize(tree, moved, nil, 15, 2)
+	fmt.Printf("ICP aligns the moved scan back: yaw %.3f rad, shift %.2f m (the scan moved by 0.030 rad, 0.30 m)\n",
+		est.Yaw, est.Trans.Norm())
 	min, max := 1<<30, 0
 	for _, r := range tree.Reuse {
 		if r < min {

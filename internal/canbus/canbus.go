@@ -125,28 +125,7 @@ type Bus struct {
 	// ControllerDelay models driver + controller queuing at each end;
 	// this is what pushes the measured Tdata toward the paper's ~1 ms.
 	ControllerDelay time.Duration
-
-	stats BusStats
 }
-
-// BusStats counts the segment's traffic for the telemetry layer. The
-// counters advance in virtual-time order, so they are deterministic for a
-// fixed scenario.
-type BusStats struct {
-	// Submitted, Windows and Deferred count queued frames, arbitration
-	// rounds and arbitration losses. The control loop sends one command
-	// frame per cycle on an otherwise idle bus (CommandLatency) and never
-	// arbitrates, so they stay zero; the metrics keep their names.
-	Submitted int64
-	Windows   int64
-	Deferred  int64
-	// CommandQueries counts CommandLatency evaluations (the control loop's
-	// per-cycle Tdata draw).
-	CommandQueries int64
-}
-
-// Stats returns the segment's traffic counters.
-func (b *Bus) Stats() BusStats { return b.stats }
 
 // NewBus returns a 500 kbit/s bus with controller delays calibrated so a
 // command frame's end-to-end Tdata is ≈1 ms.
@@ -169,6 +148,5 @@ func (b *Bus) CommandLatency() time.Duration {
 	if err != nil {
 		panic(err) // zero command is always encodable
 	}
-	b.stats.CommandQueries++
 	return b.TransmitTime(f) + 2*b.ControllerDelay
 }

@@ -51,9 +51,8 @@ type ResponseTime struct {
 	Message PeriodicMessage
 	// Blocking is the longest lower-priority frame that can be mid-flight.
 	Blocking time.Duration
-	// Interference is the queueing delay from higher-priority traffic.
-	Interference time.Duration
-	// WorstCase = Blocking + Interference + own transmission.
+	// WorstCase = Blocking + interference from higher-priority traffic +
+	// own transmission.
 	WorstCase time.Duration
 	// MeetsDeadline assumes deadline = period.
 	MeetsDeadline bool
@@ -98,10 +97,9 @@ func AnalyzeSchedule(sched []PeriodicMessage, bitRate int) []ResponseTime {
 			}
 		}
 		rt := ResponseTime{
-			Message:      m,
-			Blocking:     blocking,
-			Interference: w - blocking,
-			WorstCase:    w + own,
+			Message:   m,
+			Blocking:  blocking,
+			WorstCase: w + own,
 		}
 		rt.MeetsDeadline = rt.WorstCase <= m.Period
 		out[i] = rt

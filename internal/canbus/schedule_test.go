@@ -36,12 +36,13 @@ func TestReactiveOverrideHasLowestWorstCase(t *testing.T) {
 	if rts[0].WorstCase > time.Millisecond {
 		t.Fatalf("override worst case = %v, want < 1 ms", rts[0].WorstCase)
 	}
-	if rts[0].Interference != 0 {
-		t.Fatalf("highest priority should see no interference: %v", rts[0].Interference)
+	own := frameTime(rts[0].Message, 500_000)
+	if rts[0].WorstCase != rts[0].Blocking+own {
+		t.Fatalf("highest priority should see no interference: %v != %v + %v", rts[0].WorstCase, rts[0].Blocking, own)
 	}
 	// Lower priorities accumulate interference.
 	last := rts[len(rts)-1]
-	if last.Interference == 0 {
+	if last.WorstCase <= last.Blocking+frameTime(last.Message, 500_000) {
 		t.Fatal("lowest priority should see interference")
 	}
 }

@@ -34,44 +34,34 @@ func Decompress(data []byte) ([]byte, error) {
 }
 
 // CompressionAccelerator models the FPGA compression engine that RPR swaps
-// in for the hourly upload: fixed throughput and power while resident, zero
-// cost while swapped out.
+// in for the hourly upload: fixed throughput while resident, zero cost
+// while swapped out.
 type CompressionAccelerator struct {
 	// ThroughputBps is the streaming compression rate.
 	ThroughputBps float64
-	// PowerW while the accelerator is resident and active.
-	PowerW float64
 }
 
-// DefaultCompressionAccelerator returns a 200 MB/s, 2 W engine.
+// DefaultCompressionAccelerator returns a 200 MB/s engine.
 func DefaultCompressionAccelerator() CompressionAccelerator {
-	return CompressionAccelerator{ThroughputBps: 200e6, PowerW: 2}
+	return CompressionAccelerator{ThroughputBps: 200e6}
 }
 
-// Job is one compression task's cost estimate.
-type Job struct {
-	InputBytes int64
-	Duration   time.Duration
-	EnergyJ    float64
-}
-
-// Estimate returns the accelerator cost for a payload.
-func (a CompressionAccelerator) Estimate(inputBytes int64) Job {
+// Estimate returns the accelerator's busy time for a payload.
+func (a CompressionAccelerator) Estimate(inputBytes int64) time.Duration {
 	if a.ThroughputBps <= 0 {
-		return Job{InputBytes: inputBytes}
+		return 0
 	}
-	d := time.Duration(float64(inputBytes) / a.ThroughputBps * float64(time.Second))
-	return Job{InputBytes: inputBytes, Duration: d, EnergyJ: a.PowerW * d.Seconds()}
+	return time.Duration(float64(inputBytes) / a.ThroughputBps * float64(time.Second))
 }
 
 // HourlyUploadPlan is the Sec. VII RPR use case evaluated end to end: swap
 // the compressor in, compress an hour of sensor data, swap the localization
 // variant back. It returns a human-readable cost summary.
 func HourlyUploadPlan(hourBytes int64, acc CompressionAccelerator, swapCost time.Duration) string {
-	job := acc.Estimate(hourBytes)
-	total := job.Duration + 2*swapCost
+	busy := acc.Estimate(hourBytes)
+	total := busy + 2*swapCost
 	return fmt.Sprintf(
 		"hourly upload: %.1f GB -> compress %.1fs + 2 swaps %.1f ms = %.1fs busy/hour (%.4f%% duty)",
-		float64(hourBytes)/1e9, job.Duration.Seconds(), 2*swapCost.Seconds()*1000,
+		float64(hourBytes)/1e9, busy.Seconds(), 2*swapCost.Seconds()*1000,
 		total.Seconds(), 100*total.Seconds()/3600)
 }

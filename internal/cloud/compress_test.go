@@ -351,14 +351,11 @@ func TestDecompressGarbage(t *testing.T) {
 func TestCompressionAcceleratorEstimate(t *testing.T) {
 	acc := DefaultCompressionAccelerator()
 	// 1 hour of raw data at the paper's ~1 TB/day is ~42 GB.
-	job := acc.Estimate(42 << 30)
-	if job.Duration < 100*time.Second || job.Duration > 400*time.Second {
-		t.Fatalf("42 GB at 200 MB/s = %v, want ~225 s", job.Duration)
+	busy := acc.Estimate(42 << 30)
+	if busy < 100*time.Second || busy > 400*time.Second {
+		t.Fatalf("42 GB at 200 MB/s = %v, want ~225 s", busy)
 	}
-	if job.EnergyJ <= 0 {
-		t.Fatal("energy must be positive")
-	}
-	if z := (CompressionAccelerator{}).Estimate(100); z.Duration != 0 {
+	if z := (CompressionAccelerator{}).Estimate(100); z != 0 {
 		t.Fatal("degenerate accelerator should be zero, not Inf")
 	}
 }

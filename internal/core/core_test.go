@@ -323,7 +323,7 @@ func IntersectionScenario(egoSpeed, crossSpeed float64) *world.World {
 		crosserStart = 0
 	}
 	w.Obstacles = append(w.Obstacles, &world.Obstacle{
-		ID: len(w.Obstacles) + 1, Kind: world.KindVehicle, Radius: 1.0, Height: 1.6,
+		ID: len(w.Obstacles) + 1, Kind: world.KindVehicle, Radius: 1.0,
 		Traj: world.LinearTrajectory(
 			mathx.Vec2{X: conflictX, Y: -startOffset},
 			mathx.Vec2{Y: crossSpeed}, crosserStart),

@@ -10,9 +10,7 @@ import (
 // control loop. The split follows the determinism boundary documented in
 // dataflow.go: everything recorded per cycle derives from frame snapshots
 // (capture-time values), so metrics, spans, and flight-recorder content on
-// the virtual track are byte-identical run to run. The loop publishes no
-// ClassHost metric today; the class and Registry's includeHost switch stay
-// for the host-time stage timers (ROADMAP item 1).
+// the virtual track are byte-identical run to run.
 
 // Span thread lanes on the virtual-time track, one per control-loop stage.
 // The order mirrors the causal chain: capture → sensing → perception
@@ -77,7 +75,7 @@ type coreMetrics struct {
 	schedSwaps      *obs.Counter
 
 	// Lazily registered run-summary handles, plus the previously published
-	// totals so cumulative sources (ECU, rigs, bus) publish deltas and stay
+	// totals so cumulative sources (ECU, rigs) publish deltas and stay
 	// monotone counters across repeated Runs.
 	counters map[string]*obs.Counter
 	gauges   map[string]*obs.Gauge
@@ -248,10 +246,10 @@ func (s *SoV) recordBox(fr *cycleFrame) {
 // counterSet publishes a cumulative total under name, registering the
 // counter on first use and adding only the delta since the last publish so
 // the metric stays monotone across repeated Runs.
-func (m *coreMetrics) counterSet(name, help string, class obs.Class, total int64) {
+func (m *coreMetrics) counterSet(name, help string, total int64) {
 	c := m.counters[name]
 	if c == nil {
-		c = m.reg.Counter(name, help, class)
+		c = m.reg.Counter(name, help, obs.ClassVirtual)
 		m.counters[name] = c
 	}
 	if d := total - m.prev[name]; d > 0 {
@@ -261,10 +259,10 @@ func (m *coreMetrics) counterSet(name, help string, class obs.Class, total int64
 }
 
 // gaugeSet publishes a point-in-time value, registering on first use.
-func (m *coreMetrics) gaugeSet(name, help string, class obs.Class, v float64) {
+func (m *coreMetrics) gaugeSet(name, help string, v float64) {
 	g := m.gauges[name]
 	if g == nil {
-		g = m.reg.Gauge(name, help, class)
+		g = m.reg.Gauge(name, help, obs.ClassVirtual)
 		m.gauges[name] = g
 	}
 	g.Set(v)
@@ -280,39 +278,32 @@ func (s *SoV) publishRunMetrics() {
 	r := &s.report
 
 	// Vehicle + safety summary (virtual).
-	m.gaugeSet("sov_distance_m", "odometer distance covered", obs.ClassVirtual, r.DistanceM)
-	m.gaugeSet("sov_min_clearance_m", "closest obstacle approach over the run", obs.ClassVirtual, r.MinClearance)
-	m.gaugeSet("sov_lateral_rms_m", "lane-keeping RMS error", obs.ClassVirtual, r.LateralRMSM)
-	m.gaugeSet("sov_proactive_fraction", "share of driving time not under reactive override", obs.ClassVirtual, r.ProactiveFraction)
-	m.gaugeSet("sov_ad_energy_wh", "autonomous-driving system energy over the run", obs.ClassVirtual, r.ADEnergyWh)
-	m.gaugeSet("sov_battery_soc", "battery state of charge at end of run", obs.ClassVirtual, s.battery.SoC)
+	m.gaugeSet("sov_distance_m", "odometer distance covered", r.DistanceM)
+	m.gaugeSet("sov_min_clearance_m", "closest obstacle approach over the run", r.MinClearance)
+	m.gaugeSet("sov_lateral_rms_m", "lane-keeping RMS error", r.LateralRMSM)
+	m.gaugeSet("sov_proactive_fraction", "share of driving time not under reactive override", r.ProactiveFraction)
+	m.gaugeSet("sov_ad_energy_wh", "autonomous-driving system energy over the run", r.ADEnergyWh)
+	m.gaugeSet("sov_battery_soc", "battery state of charge at end of run", s.battery.SoC)
 
 	// Online scheduler summary (virtual: the thermal projection is a pure
 	// function of virtual-time duty EWMAs).
 	if s.sched != nil {
-		m.gaugeSet("sov_sched_temp_c", "scheduler float-equivalent steady temperature projection", obs.ClassVirtual, s.sched.TempC())
-		m.gaugeSet("sov_sched_quantized", "current operating point (1 = int8)", obs.ClassVirtual, b2f(s.sched.Quantized()))
+		m.gaugeSet("sov_sched_temp_c", "scheduler float-equivalent steady temperature projection", s.sched.TempC())
+		m.gaugeSet("sov_sched_quantized", "current operating point (1 = int8)", b2f(s.sched.Quantized()))
 	}
 
 	// ECU (virtual): every state transition happens at a virtual-time event.
 	frames, overrides, rejected := s.ecu.Stats()
-	m.counterSet("sov_ecu_frames_total", "CAN frames processed by the ECU", obs.ClassVirtual, int64(frames))
-	m.counterSet("sov_ecu_overrides_total", "reactive override frames accepted", obs.ClassVirtual, int64(overrides))
-	m.counterSet("sov_ecu_rejected_total", "malformed frames dropped by the ECU", obs.ClassVirtual, int64(rejected))
-
-	// CAN segment (virtual).
-	bs := s.bus.Stats()
-	m.counterSet("sov_can_frames_submitted_total", "frames queued for bus arbitration", obs.ClassVirtual, bs.Submitted)
-	m.counterSet("sov_can_arbitration_windows_total", "arbitration rounds carrying frames", obs.ClassVirtual, bs.Windows)
-	m.counterSet("sov_can_arbitration_deferred_total", "frames that lost arbitration and waited", obs.ClassVirtual, bs.Deferred)
-	m.counterSet("sov_can_command_queries_total", "per-cycle command latency evaluations", obs.ClassVirtual, bs.CommandQueries)
+	m.counterSet("sov_ecu_frames_total", "CAN frames processed by the ECU", int64(frames))
+	m.counterSet("sov_ecu_overrides_total", "reactive override frames accepted", int64(overrides))
+	m.counterSet("sov_ecu_rejected_total", "malformed frames dropped by the ECU", int64(rejected))
 
 	// Sensor rigs (virtual: engine-thread-only, virtual-time ordered).
 	rs := s.radarRig.Stats()
-	m.counterSet("sov_radar_scans_total", "per-unit radar scans", obs.ClassVirtual, rs.Scans)
-	m.counterSet("sov_radar_echoes_total", "merged radar returns", obs.ClassVirtual, rs.Echoes)
-	m.counterSet("sov_radar_sector_queries_total", "radar reactive-sector queries", obs.ClassVirtual, rs.SectorQueries)
+	m.counterSet("sov_radar_scans_total", "per-unit radar scans", rs.Scans)
+	m.counterSet("sov_radar_echoes_total", "merged radar returns", rs.Echoes)
+	m.counterSet("sov_radar_sector_queries_total", "radar reactive-sector queries", rs.SectorQueries)
 	ss := s.sonarRig.Stats()
-	m.counterSet("sov_sonar_pings_total", "sonar pings issued", obs.ClassVirtual, ss.Pings)
-	m.counterSet("sov_sonar_sector_queries_total", "sonar reactive-sector queries", obs.ClassVirtual, ss.SectorQueries)
+	m.counterSet("sov_sonar_pings_total", "sonar pings issued", ss.Pings)
+	m.counterSet("sov_sonar_sector_queries_total", "sonar reactive-sector queries", ss.SectorQueries)
 }

@@ -28,12 +28,6 @@ type Object struct {
 	// Radius is the estimated footprint radius (from the detection box
 	// extent); the planner needs it to know whether it can steer around.
 	Radius float64
-	// Confidence is the detector score in [0,1].
-	Confidence float64
-	// FalsePositive marks hallucinated objects (ground-truth flag used
-	// only by evaluation code, never by the pipeline).
-	FalsePositive bool
-	Time          time.Duration
 }
 
 // Config tunes the oracle-noise channel.
@@ -110,14 +104,15 @@ func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []
 			kind = world.ObstacleKind((int(kind) + 1) % 4)
 		}
 		obj := Object{
-			ID:         det.Obstacle.ID,
-			Kind:       kind,
-			Range:      rng,
-			Bearing:    brg,
-			Radius:     math.Max(0.1, det.Obstacle.Radius*(1+d.rng.Normal(0, 0.1))),
-			Confidence: mathx.Clamp(d.rng.Normal(0.85, 0.08), 0, 1),
-			Time:       t,
+			ID:      det.Obstacle.ID,
+			Kind:    kind,
+			Range:   rng,
+			Bearing: brg,
+			Radius:  math.Max(0.1, det.Obstacle.Radius*(1+d.rng.Normal(0, 0.1))),
 		}
+		// The detector score is drawn but not kept (nothing downstream
+		// reads it); the draw stays so the detector's stream is unchanged.
+		d.rng.Normal(0.85, 0.08)
 		obj.Pos = polarToVehicle(rng, brg)
 		// Velocity is NOT produced by single-frame detection; tracking
 		// (radar or KCF) supplies it. World velocity retained for eval.
@@ -129,16 +124,14 @@ func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []
 		d.fps++
 		rng := d.rng.Uniform(3, cfg.MaxRange)
 		brg := d.rng.Uniform(-cfg.FOV/2, cfg.FOV/2)
+		d.rng.Normal(0.6, 0.1) // the unkept score, as above
 		out = append(out, Object{
-			ID:            -d.fps, // negative IDs mark hallucinations
-			Kind:          world.KindStatic,
-			Range:         rng,
-			Bearing:       brg,
-			Pos:           polarToVehicle(rng, brg),
-			Radius:        0.3,
-			Confidence:    mathx.Clamp(d.rng.Normal(0.6, 0.1), 0, 1),
-			FalsePositive: true,
-			Time:          t,
+			ID:      -d.fps, // negative IDs mark hallucinations
+			Kind:    world.KindStatic,
+			Range:   rng,
+			Bearing: brg,
+			Pos:     polarToVehicle(rng, brg),
+			Radius:  0.3,
 		})
 	}
 	return out

@@ -147,8 +147,7 @@ type unit struct {
 // rider is one trip request. Slots live in an arena and recycle through a
 // free list so steady-state demand allocates nothing.
 type rider struct {
-	seq     int64 // stable id for traces (arena slots are reused)
-	region  int32
+	seq     int64   // stable id for traces (arena slots are reused)
 	pos     float64 // ring position of the pickup point
 	tripLen float64
 	arriveT time.Duration
@@ -177,7 +176,6 @@ func (q *fifo) pop() int32 {
 // region is one service area: a shared read-only world, its demand stream,
 // and the rider queue.
 type region struct {
-	id       int
 	world    *world.World
 	vehicles []int // unit ids serving this region, ascending
 	rng      *sim.RNG
@@ -295,7 +293,6 @@ func New(cfg Config) *Fleet {
 	for r := 0; r < cfg.Regions; r++ {
 		wrng := sim.NewRNG(splitSeed(cfg.Seed, streamRegionWorld, int64(r)))
 		f.regions = append(f.regions, &region{
-			id:    r,
 			world: world.CampusLoop(cfg.RegionSideM, wrng),
 			rng:   sim.NewRNG(splitSeed(cfg.Seed, streamDemand, int64(r))),
 		})
@@ -515,7 +512,6 @@ func (f *Fleet) arrivals() {
 			tripLen := rg.rng.Uniform(f.cfg.TripMinM, f.cfg.TripMaxM)
 			idx := f.allocRider()
 			r := &f.riders[idx]
-			r.region = int32(rg.id)
 			r.pos = pos
 			r.tripLen = tripLen
 			r.arriveT = f.epochEnd

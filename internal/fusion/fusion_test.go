@@ -28,8 +28,9 @@ func TestSpatialSyncMatchesProjectedTargets(t *testing.T) {
 	if len(matches) != 1 || len(ud) != 0 || len(ut) != 0 {
 		t.Fatalf("matches=%d ud=%d ut=%d", len(matches), len(ud), len(ut))
 	}
-	if matches[0].Distance > 0.01 {
-		t.Fatalf("projection residual = %v, want ~0", matches[0].Distance)
+	m := matches[0]
+	if d := m.Detection.Pos.Add(cfg.CameraMount).DistTo(m.Track.Pos.Add(cfg.RadarMount)); d > 0.01 {
+		t.Fatalf("projection residual = %v, want ~0", d)
 	}
 }
 
@@ -72,19 +73,12 @@ func TestFuseAllVelocityTransfer(t *testing.T) {
 	tracks := []track.RadarTrack{rtr(10, 0, -3, 0, 5)}
 	m, ud, _ := SpatialSync(cfg, dets, tracks)
 	fused := FuseAllInto(nil, m, ud)
-	if len(fused) != 2 {
-		t.Fatalf("fused = %d", len(fused))
+	if len(fused) != 2 || len(m) != 1 {
+		t.Fatalf("fused = %d from %d matches", len(fused), len(m))
 	}
-	var radarObj, visionObj *FusedObject
-	for i := range fused {
-		if fused[i].FromRadar {
-			radarObj = &fused[i]
-		} else {
-			visionObj = &fused[i]
-		}
-	}
-	if radarObj == nil || visionObj == nil {
-		t.Fatalf("fused set wrong: %+v", fused)
+	radarObj, visionObj := fused[0], fused[1] // matches come first
+	if visionObj.Velocity != (mathx.Vec2{}) {
+		t.Fatalf("unmatched detection got a velocity: %+v", visionObj)
 	}
 	if radarObj.Velocity.X != -3 {
 		t.Fatalf("radar velocity not transferred: %v", radarObj.Velocity)

@@ -18,8 +18,6 @@ import (
 type Match struct {
 	Detection detect.Object
 	Track     track.RadarTrack
-	// Distance is the matching cost (meters in the vehicle frame).
-	Distance float64
 }
 
 // SpatialSyncConfig tunes the matcher.
@@ -76,7 +74,7 @@ func SpatialSync(cfg SpatialSyncConfig, dets []detect.Object, tracks []track.Rad
 		}
 		usedD[c.di] = true
 		usedT[c.ti] = true
-		matches = append(matches, Match{Detection: dets[c.di], Track: tracks[c.ti], Distance: c.d})
+		matches = append(matches, Match{Detection: dets[c.di], Track: tracks[c.ti]})
 	}
 	for i, d := range dets {
 		if !usedD[i] {
@@ -161,7 +159,7 @@ func (sc *SyncScratch) SpatialSyncInto(cfg SpatialSyncConfig, dets []detect.Obje
 		}
 		sc.usedD[c.di] = true
 		sc.usedT[c.ti] = true
-		sc.matches = append(sc.matches, Match{Detection: dets[c.di], Track: tracks[c.ti], Distance: c.d})
+		sc.matches = append(sc.matches, Match{Detection: dets[c.di], Track: tracks[c.ti]})
 	}
 	for i, d := range dets {
 		if !sc.usedD[i] {
@@ -183,20 +181,17 @@ type FusedObject struct {
 	// Velocity is the radar-derived vehicle-frame velocity — the quantity
 	// vision-only pipelines would need KCF across frames to estimate.
 	Velocity mathx.Vec2
-	// FromRadar reports whether velocity came from radar (true) or had to
-	// fall back to vision tracking (false).
-	FromRadar bool
 }
 
 // FuseAllInto combines matches and leftovers into the perception output
-// list, appended to dst (reusing its capacity): matched objects carry radar
-// velocity; unmatched detections fall back to vision (velocity unknown,
-// flagged for the KCF fallback path).
+// list, appended to dst (reusing its capacity): the matched objects first,
+// carrying radar velocity, then the unmatched detections (velocity unknown,
+// left to the KCF fallback path).
 //
 //sov:hotpath
 func FuseAllInto(dst []FusedObject, matches []Match, unmatchedDets []detect.Object) []FusedObject {
 	for _, m := range matches {
-		dst = append(dst, FusedObject{Object: m.Detection, Velocity: m.Track.Vel, FromRadar: true})
+		dst = append(dst, FusedObject{Object: m.Detection, Velocity: m.Track.Vel})
 	}
 	for _, d := range unmatchedDets {
 		dst = append(dst, FusedObject{Object: d})

@@ -31,8 +31,6 @@ const (
 // ignoreDirective is one parsed //sovlint:ignore comment.
 type ignoreDirective struct {
 	analyzer string
-	reason   string
-	line     int
 	pos      token.Pos
 	// used records whether the directive did any work this run: it
 	// suppressed a reported finding, or it sanctioned an allocation site
@@ -95,8 +93,6 @@ func parseFileDirectives(fset *token.FileSet, f *ast.File, known map[string]bool
 			line := fset.Position(c.Pos()).Line
 			d := &ignoreDirective{
 				analyzer: name,
-				reason:   strings.Join(fields[1:], " "),
-				line:     line,
 				pos:      c.Pos(),
 			}
 			fd.list = append(fd.list, d)

@@ -238,11 +238,12 @@ func TestQFCSWARParity(t *testing.T) {
 		for i := range in.Data {
 			in.Data[i] = int8(rng.Intn(256) - 128)
 		}
+		w, _ := quantizeWeights(fc.Weights)
 		want := make([]int8, shape.out)
 		for o := 0; o < shape.out; o++ {
 			acc := qf.foldedBias[o]
 			for i, v := range in.Data {
-				acc += int32(qf.Weights[o*shape.in+i]) * int32(v)
+				acc += int32(w[o*shape.in+i]) * int32(v)
 			}
 			want[o] = qf.rq.apply(acc)
 		}

@@ -30,8 +30,6 @@ type QConv2D struct {
 	Weights   []int8  // [outC][inC][K][K], symmetric per-tensor
 	Bias      []int32 // accumulator domain (inScale × weightScale)
 	InP, OutP QuantParams
-	WScale    float32
-	ReLU      bool
 	rq        requant
 	zeroIn    int32
 	gemm      gemmState
@@ -46,7 +44,7 @@ func NewQConv2D(c *Conv2D, in, out QuantParams) *QConv2D {
 	w, ws := quantizeWeights(c.Weights)
 	q := &QConv2D{
 		InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad,
-		Weights: w, InP: in, OutP: out, WScale: ws, ReLU: c.ReLU,
+		Weights: w, InP: in, OutP: out,
 		zeroIn: in.Zero,
 	}
 	accScale := in.Scale * ws
@@ -198,11 +196,8 @@ func qgapChannel(in *QTensor, c int, n int32) int8 {
 // packed once at construction.
 type QFC struct {
 	In, Out    int
-	Weights    []int8
 	foldedBias []int32
 	InP, OutP  QuantParams
-	WScale     float32
-	ReLU       bool
 	rq         requant
 	// wpack holds each weight row as np reversed biased pair words; rowConst
 	// folds the bias and the constant terms of the pair-dot identity, so the
@@ -218,7 +213,7 @@ type QFC struct {
 // NewQFC quantizes a float FC layer for the given activation quantizations.
 func NewQFC(f *FC, in, out QuantParams) *QFC {
 	w, ws := quantizeWeights(f.Weights)
-	q := &QFC{In: f.In, Out: f.Out, Weights: w, InP: in, OutP: out, WScale: ws, ReLU: f.ReLU}
+	q := &QFC{In: f.In, Out: f.Out, InP: in, OutP: out}
 	accScale := in.Scale * ws
 	bias := quantizeBias(f.Bias, accScale)
 	q.foldedBias = make([]int32, f.Out)

@@ -254,13 +254,12 @@ func tensorRange(t *Tensor) (min, max float32) {
 // the fixed-point detection head evaluates its activations by table lookup
 // instead of exponentials.
 type SigmoidLUT struct {
-	Params QuantParams
-	Table  [256]float32
+	Table [256]float32
 }
 
 // NewSigmoidLUT builds the table for the given activation quantization.
 func NewSigmoidLUT(p QuantParams) *SigmoidLUT {
-	l := &SigmoidLUT{Params: p}
+	l := &SigmoidLUT{}
 	for q := -128; q <= 127; q++ {
 		l.Table[q+128] = Sigmoid(p.Dequantize(int8(q)))
 	}

@@ -182,8 +182,8 @@ func TestQYOLOTracksFloatDecode(t *testing.T) {
 		t.Fatalf("cell count %d != %d", raw.H*raw.W, len(ref))
 	}
 	lut := qy.LUT()
-	cellW := 1 / float32(qy.GridW)
-	cellH := 1 / float32(qy.GridH)
+	cellW := 1 / float32(raw.W)
+	cellH := 1 / float32(raw.H)
 	for i := range ref {
 		gy, gx := i/raw.W, i%raw.W
 		obj := lut.At(raw.At(0, gy, gx))

@@ -9,8 +9,6 @@ type QYOLOHead struct {
 	Backbone *QNetwork
 	Head     *QConv2D
 	Classes  int
-	GridH    int
-	GridW    int
 	lut      *SigmoidLUT
 }
 
@@ -28,8 +26,6 @@ func QuantizeYOLO(y *YOLOHead, calib *Tensor) *QYOLOHead {
 		Backbone: qb,
 		Head:     head,
 		Classes:  y.Classes,
-		GridH:    y.GridH,
-		GridW:    y.GridW,
 		lut:      NewSigmoidLUT(rawP),
 	}
 }

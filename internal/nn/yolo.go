@@ -17,12 +17,13 @@ type YOLOHead struct {
 	Backbone *Network
 	Head     *Conv2D
 	Classes  int
-	GridH    int
-	GridW    int
 }
 
-// NewTinyYOLO builds the detector for the given input size with
-// deterministic weights. Three conv+pool stages reduce the input by 8×.
+// NewTinyYOLO builds the detector with deterministic weights. Three
+// conv+pool stages reduce the input by 8×; the network is fully
+// convolutional, so the input size inH × inW fixes no weight and is unused.
+// The two arguments stay until the frozen benchmark stops passing them
+// (ROADMAP item 7).
 func NewTinyYOLO(inH, inW, classes int, seed int64) *YOLOHead {
 	// Weight init draws from an explicit caller-provided seed (detrand:
 	// never the global math/rand source).
@@ -41,8 +42,6 @@ func NewTinyYOLO(inH, inW, classes int, seed int64) *YOLOHead {
 		Backbone: backbone,
 		Head:     head,
 		Classes:  classes,
-		GridH:    inH / 8,
-		GridW:    inW / 8,
 	}
 }
 

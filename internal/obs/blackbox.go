@@ -73,16 +73,13 @@ type pendingTrigger struct {
 }
 
 // maxPending bounds the deferred-trigger queue; anomaly storms beyond it
-// are counted as dropped rather than queued unboundedly.
+// are dropped rather than queued unboundedly.
 const maxPending = 16
 
 // BoxStats summarizes a recorder's activity.
 type BoxStats struct {
-	Recorded        int64
-	Dumps           int
-	Suppressed      int
-	DroppedTriggers int
-	ByTrigger       [numTriggers]int64
+	Dumps     int
+	ByTrigger [numTriggers]int64
 }
 
 // FlightRecorder keeps a fixed ring of the last N cycle records and dumps
@@ -142,9 +139,7 @@ func NewFlightRecorder(w io.Writer, depth, blockedStreak int) *FlightRecorder {
 // different goroutine than Record.
 func (f *FlightRecorder) Trigger(tr Trigger, tMs float64) {
 	f.mu.Lock()
-	if f.nPending == maxPending {
-		f.stats.DroppedTriggers++
-	} else {
+	if f.nPending < maxPending {
 		f.pending[f.nPending] = pendingTrigger{tr: tr, tMs: tMs}
 		f.nPending++
 	}
@@ -159,7 +154,6 @@ func (f *FlightRecorder) Record(rec CycleRecord) {
 	f.mu.Lock()
 	f.ring[f.total%int64(len(f.ring))] = rec
 	f.total++
-	f.stats.Recorded++
 	if f.streakAt > 0 {
 		if rec.Blocked {
 			f.streak++
@@ -189,7 +183,6 @@ func (f *FlightRecorder) Record(rec CycleRecord) {
 func (f *FlightRecorder) dumpLocked(tr Trigger, tMs float64) {
 	f.stats.ByTrigger[tr]++
 	if tMs-f.lastDumpMs[tr] < dumpGapMs {
-		f.stats.Suppressed++
 		return
 	}
 	f.lastDumpMs[tr] = tMs

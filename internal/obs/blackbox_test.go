@@ -99,8 +99,8 @@ func TestFlightRecorderRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := f.Stats()
-	if st.Dumps != 3 || st.Suppressed != 1 {
-		t.Fatalf("dumps=%d suppressed=%d, want 3 and 1: %+v", st.Dumps, st.Suppressed, st)
+	if st.Dumps != 3 || st.ByTrigger[TriggerReactive] != 3 {
+		t.Fatalf("dumps=%d reactive triggers=%d, want 3 and 3 (one suppressed): %+v", st.Dumps, st.ByTrigger[TriggerReactive], st)
 	}
 	dumps := parseDumps(t, &buf)
 	if dumps[0].Trigger != "reactive-engagement" || dumps[1].Trigger != "collision" || dumps[2].Trigger != "reactive-engagement" {
@@ -152,13 +152,13 @@ func TestFlightRecorderCloseFlushesPending(t *testing.T) {
 }
 
 // TestFlightRecorderBoundedTriggerQueue: an anomaly storm beyond the pending
-// capacity counts drops instead of growing without bound.
+// capacity drops triggers instead of growing without bound.
 func TestFlightRecorderBoundedTriggerQueue(t *testing.T) {
 	f := NewFlightRecorder(&bytes.Buffer{}, 4, 0)
 	for i := 0; i < maxPending+5; i++ {
 		f.Trigger(TriggerReactive, float64(i))
 	}
-	if st := f.Stats(); st.DroppedTriggers != 5 {
-		t.Fatalf("dropped = %d, want 5", st.DroppedTriggers)
+	if f.nPending != maxPending || len(f.pending) != maxPending {
+		t.Fatalf("pending = %d of %d, want the queue full at %d", f.nPending, len(f.pending), maxPending)
 	}
 }

@@ -6,16 +6,13 @@
 //
 //   - Registry: named counters, gauges, and fixed-bin histograms with a
 //     stable, sorted Prometheus-style text exposition and a JSON snapshot.
-//     Every metric carries a determinism class: ClassVirtual values derive
-//     only from the virtual clock and the seeded RNG streams, so their
-//     exposition is byte-identical across worker counts and control-loop
-//     modes; ClassHost values are wall-clock diagnostics excluded from that
-//     contract and emitted in a clearly separated section.
+//     Every metric is virtual-time: its value derives only from the
+//     virtual clock and the seeded RNG streams, so the exposition is
+//     byte-identical across worker counts and control-loop modes.
 //   - SpanWriter: per-cycle spans (capture → sensing → perception{depth,
 //     detect, track, vio} → planning → deliver → actuate) recorded in
 //     virtual time with causal parent links, exported as Chrome
-//     trace_event JSON loadable in Perfetto. Host wall-clock spans live on
-//     a separate, labeled process track.
+//     trace_event JSON loadable in Perfetto.
 //   - FlightRecorder: a fixed ring of the last N cycle records, dumped on
 //     collision, reactive engagement, or blocked-cycle streaks — crash
 //     forensics without full-trace overhead.
@@ -37,25 +34,15 @@ import (
 	"sync/atomic"
 )
 
-// Class is a metric's determinism class.
+// Class is a metric's determinism class. There is one: the host-time class
+// went with its last emitter, and the type stays until the frozen benchmark
+// stops passing it (ROADMAP item 7).
 type Class uint8
 
-const (
-	// ClassVirtual marks values derived only from virtual time and seeded
-	// RNG streams: byte-identical across worker counts and control-loop
-	// modes for a fixed configuration.
-	ClassVirtual Class = iota
-	// ClassHost marks wall-clock / host-scheduling diagnostics, excluded
-	// from the determinism contract.
-	ClassHost
-)
-
-func (c Class) String() string {
-	if c == ClassHost {
-		return "host"
-	}
-	return "virtual"
-}
+// ClassVirtual marks values derived only from virtual time and seeded RNG
+// streams: byte-identical across worker counts and control-loop modes for a
+// fixed configuration.
+const ClassVirtual Class = 0
 
 // Counter is a monotonically increasing integer metric. Safe for concurrent
 // use; Inc and Add never allocate.
@@ -187,10 +174,9 @@ func (k kind) String() string {
 
 // metric is one registered entry.
 type metric struct {
-	name  string
-	help  string
-	class Class
-	kind  kind
+	name string
+	help string
+	kind kind
 
 	counter *Counter
 	gauge   *Gauge
@@ -198,7 +184,7 @@ type metric struct {
 }
 
 // Registry holds named metrics and renders them deterministically: the
-// exposition sorts by (class, name), so two registries holding the same
+// exposition sorts by name, so two registries holding the same
 // values produce the same bytes regardless of registration order.
 // Registration allocates and is meant for setup time; the returned handles
 // are what hot paths touch.
@@ -242,14 +228,14 @@ func (r *Registry) register(m *metric) {
 // Counter registers and returns a counter.
 func (r *Registry) Counter(name, help string, class Class) *Counter {
 	c := &Counter{}
-	r.register(&metric{name: name, help: help, class: class, kind: kindCounter, counter: c})
+	r.register(&metric{name: name, help: help, kind: kindCounter, counter: c})
 	return c
 }
 
 // Gauge registers and returns a gauge.
 func (r *Registry) Gauge(name, help string, class Class) *Gauge {
 	g := &Gauge{}
-	r.register(&metric{name: name, help: help, class: class, kind: kindGauge, gauge: g})
+	r.register(&metric{name: name, help: help, kind: kindGauge, gauge: g})
 	return g
 }
 
@@ -259,23 +245,17 @@ func (r *Registry) Histogram(name, help string, class Class, lo, hi float64, bin
 		panic(fmt.Sprintf("obs: invalid histogram %q [%v,%v) bins=%d", name, lo, hi, bins))
 	}
 	h := &Histogram{lo: lo, width: (hi - lo) / float64(bins), counts: make([]int64, bins)}
-	r.register(&metric{name: name, help: help, class: class, kind: kindHistogram, hist: h})
+	r.register(&metric{name: name, help: help, kind: kindHistogram, hist: h})
 	return h
 }
 
-// sortedMetrics returns the registered metrics ordered by (class, name):
-// the virtual section first, each section alphabetical.
+// sortedMetrics returns the registered metrics in name order.
 func (r *Registry) sortedMetrics() []*metric {
 	r.mu.Lock()
 	out := make([]*metric, len(r.metrics))
 	copy(out, r.metrics)
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].class != out[j].class {
-			return out[i].class < out[j].class
-		}
-		return out[i].name < out[j].name
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
@@ -285,30 +265,20 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-const (
-	headerVirtual = "# determinism: virtual-time (byte-identical across workers and control-loop modes)\n"
-	headerHost    = "# determinism: host wall-clock diagnostics (excluded from the determinism contract)\n"
-)
+const headerVirtual = "# determinism: virtual-time (byte-identical across workers and control-loop modes)\n"
 
-// WriteText renders the Prometheus-style text exposition: HELP/TYPE
-// comments plus values, sorted by (class, name). The virtual-time section
-// comes first; when includeHost is set, host-class metrics follow under a
-// separator comment. Output is byte-stable for equal metric values.
-func (r *Registry) WriteText(w io.Writer, includeHost bool) error {
+// WriteText renders the Prometheus-style text exposition: a determinism
+// header, then HELP/TYPE comments plus values in name order. Output is
+// byte-stable for equal metric values. The bool argument is ignored; it
+// selected the host-time section, which has gone, and stays until the frozen
+// benchmark stops passing it (ROADMAP item 7).
+func (r *Registry) WriteText(w io.Writer, _ bool) error {
 	var b []byte
-	cur := Class(255)
-	for _, m := range r.sortedMetrics() {
-		if m.class == ClassHost && !includeHost {
-			continue
-		}
-		if m.class != cur {
-			cur = m.class
-			if cur == ClassHost {
-				b = append(b, headerHost...)
-			} else {
-				b = append(b, headerVirtual...)
-			}
-		}
+	ms := r.sortedMetrics()
+	if len(ms) > 0 {
+		b = append(b, headerVirtual...)
+	}
+	for _, m := range ms {
 		b = append(b, "# HELP "...)
 		b = append(b, m.name...)
 		b = append(b, ' ')
@@ -379,24 +349,19 @@ func appendJSONFloat(b []byte, v float64) []byte {
 }
 
 // WriteJSON renders the snapshot as a JSON array of metric objects in the
-// same deterministic (class, name) order as WriteText. Non-finite values
-// render as null. The hand-rolled encoder keeps key order fixed.
-func (r *Registry) WriteJSON(w io.Writer, includeHost bool) error {
+// same name order as WriteText. Non-finite values render as null. The
+// hand-rolled encoder keeps key order fixed.
+func (r *Registry) WriteJSON(w io.Writer) error {
 	b := []byte("[\n")
 	first := true
 	for _, m := range r.sortedMetrics() {
-		if m.class == ClassHost && !includeHost {
-			continue
-		}
 		if !first {
 			b = append(b, ",\n"...)
 		}
 		first = false
 		b = append(b, ` {"name":"`...)
 		b = append(b, m.name...)
-		b = append(b, `","class":"`...)
-		b = append(b, m.class.String()...)
-		b = append(b, `","kind":"`...)
+		b = append(b, `","class":"virtual","kind":"`...)
 		b = append(b, m.kind.String()...)
 		b = append(b, '"')
 		switch m.kind {
@@ -439,18 +404,16 @@ func (r *Registry) WriteJSON(w io.Writer, includeHost bool) error {
 }
 
 // WriteFile renders the registry to path: the JSON snapshot for .json
-// paths, the Prometheus text exposition otherwise. Host-class metrics are
-// included — the file is a diagnostic artifact; determinism-sensitive
-// consumers read only the virtual section (the text form separates them).
+// paths, the Prometheus text exposition otherwise.
 func (r *Registry) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	if strings.HasSuffix(path, ".json") {
-		err = r.WriteJSON(f, true)
+		err = r.WriteJSON(f)
 	} else {
-		err = r.WriteText(f, true)
+		err = r.WriteText(f, false)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

@@ -12,7 +12,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fillRegistry builds a registry with every instrument kind in both classes,
+// fillRegistry builds a registry with every instrument kind,
 // registered in the given order, holding fixed values. Two registries built
 // with different orders must render identical bytes.
 func fillRegistry(reverse bool) *Registry {
@@ -26,8 +26,6 @@ func fillRegistry(reverse bool) *Registry {
 				h.Observe(v)
 			}
 		},
-		func() { r.Counter("sov_pipe_stalls_total", "queue-full stalls", ClassHost).Add(2) },
-		func() { r.Gauge("sov_pipe_busy_ms", "stage busy wall-clock", ClassHost).Set(12.5) },
 	}
 	if reverse {
 		for i := len(build) - 1; i >= 0; i-- {
@@ -41,9 +39,9 @@ func fillRegistry(reverse bool) *Registry {
 	return r
 }
 
-// TestTextExpositionGolden pins the exposition bytes: sections ordered
-// virtual-then-host, names alphabetical within a section, HELP/TYPE
-// comments, cumulative histogram buckets with a +Inf terminal.
+// TestTextExpositionGolden pins the exposition bytes: the determinism
+// header, names alphabetical, HELP/TYPE comments, cumulative histogram
+// buckets with a +Inf terminal.
 func TestTextExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := fillRegistry(false).WriteText(&buf, true); err != nil {
@@ -68,7 +66,7 @@ func TestTextExpositionGolden(t *testing.T) {
 }
 
 // TestWriteFilePicksFormatBySuffix: a .json path holds exactly WriteJSON's
-// bytes, any other path WriteText's, host section included; a path that
+// bytes, any other path WriteText's; a path that
 // cannot be created is an error.
 func TestWriteFilePicksFormatBySuffix(t *testing.T) {
 	r := fillRegistry(false)
@@ -76,7 +74,7 @@ func TestWriteFilePicksFormatBySuffix(t *testing.T) {
 	if err := r.WriteText(&text, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteJSON(&js, true); err != nil {
+	if err := r.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -113,22 +111,6 @@ func TestTextExpositionOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestHostSectionExcluded: includeHost=false must drop every host-class
-// metric and the host section header — the determinism-contract view.
-func TestHostSectionExcluded(t *testing.T) {
-	var buf bytes.Buffer
-	if err := fillRegistry(false).WriteText(&buf, false); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if bytes.Contains(buf.Bytes(), []byte("sov_pipe")) {
-		t.Fatalf("host metrics leaked into virtual-only exposition:\n%s", out)
-	}
-	if bytes.Contains(buf.Bytes(), []byte(headerHost)) {
-		t.Fatal("host section header present in virtual-only exposition")
-	}
-}
-
 // TestHistogramClampsAndCounts: out-of-range observations land in the edge
 // bins; count and sum track every observation.
 func TestHistogramClampsAndCounts(t *testing.T) {
@@ -156,15 +138,15 @@ func TestWriteJSONValidAndInfSafe(t *testing.T) {
 	r := fillRegistry(false)
 	r.Gauge("sov_min_clearance_m", "closest approach", ClassVirtual).Set(math.Inf(1))
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf, true); err != nil {
+	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var snap []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(snap) != 6 {
-		t.Fatalf("got %d metrics, want 6", len(snap))
+	if len(snap) != 4 {
+		t.Fatalf("got %d metrics, want 4", len(snap))
 	}
 	for _, m := range snap {
 		if m["name"] == "sov_min_clearance_m" {
@@ -173,9 +155,10 @@ func TestWriteJSONValidAndInfSafe(t *testing.T) {
 			}
 		}
 	}
-	// Virtual section leads: the first entry must be virtual-class.
-	if snap[0]["class"] != "virtual" || snap[len(snap)-1]["class"] != "host" {
-		t.Fatalf("class ordering broken: first=%v last=%v", snap[0]["class"], snap[len(snap)-1]["class"])
+	for _, m := range snap {
+		if m["class"] != "virtual" {
+			t.Fatalf("%v has class %v, want virtual", m["name"], m["class"])
+		}
 	}
 }
 
@@ -229,7 +212,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		}
 	}
 	var js bytes.Buffer
-	if err := r.WriteJSON(&js, false); err != nil {
+	if err := r.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	var snap []map[string]any
@@ -243,7 +226,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	r3 := NewRegistry()
 	r3.Histogram("empty", "test", ClassVirtual, 0, 1, 2)
 	var js3 bytes.Buffer
-	if err := r3.WriteJSON(&js3, false); err != nil {
+	if err := r3.WriteJSON(&js3); err != nil {
 		t.Fatal(err)
 	}
 	var snap3 []map[string]any

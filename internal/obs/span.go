@@ -9,14 +9,10 @@ import (
 	"time"
 )
 
-// Process IDs of the two trace tracks. Virtual-time spans derive only from
-// the simulation clock and latency draws, so their byte content is part of
-// the determinism contract; host spans carry wall-clock diagnostics and are
-// kept on their own clearly labeled process.
-const (
-	PIDVirtual = 1
-	PIDHost    = 2
-)
+// PIDVirtual is the process ID of the virtual-time trace track. Its spans
+// derive only from the simulation clock and latency draws, so their byte
+// content is part of the determinism contract.
+const PIDVirtual = 1
 
 // spanEvent is one buffered trace event. Name and parent must be static
 // strings (package constants), so buffering a span never allocates beyond

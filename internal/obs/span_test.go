@@ -11,13 +11,17 @@ import (
 	"time"
 )
 
+// pidOther is a second process track: the writer keeps processes apart,
+// and the span summary reads only PIDVirtual.
+const pidOther = 2
+
 // emitTestSpans writes two cycles of a realistic stage tree, deliberately
 // interleaved so cycle 2's sensing is buffered before cycle 1's planning —
 // the writer must still emit monotonic timestamps per lane.
 func emitTestSpans(sw *SpanWriter) {
 	ms := func(n float64) time.Duration { return time.Duration(n * float64(time.Millisecond)) }
 	sw.DeclareProcess(PIDVirtual, "sov virtual time")
-	sw.DeclareProcess(PIDHost, "host wall-clock")
+	sw.DeclareProcess(pidOther, "host wall-clock")
 	sw.DeclareThread(PIDVirtual, 1, "sensing")
 	sw.DeclareThread(PIDVirtual, 2, "perception")
 	sw.DeclareThread(PIDVirtual, 3, "depth")
@@ -46,8 +50,8 @@ func emitTestSpans(sw *SpanWriter) {
 	sw.Span(PIDVirtual, 7, "planning", "perception", 1, ms(155), ms(3))
 	sw.Span(PIDVirtual, 7, "planning", "perception", 2, ms(270), ms(3))
 
-	// One host wall-clock span on the separate track.
-	sw.Span(PIDHost, 1, "busy", "", 0, 0, ms(12))
+	// One span on the other track.
+	sw.Span(pidOther, 1, "busy", "", 0, 0, ms(12))
 }
 
 // TestSpanWriterPerfettoSchema: the output must be valid JSON in the Chrome

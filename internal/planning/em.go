@@ -65,7 +65,7 @@ func (e *EMPlanner) Plan(in Input) Plan {
 			v = 0.1
 		}
 		t += cfg.StationStep / v
-		traj[i] = TrajPoint{T: t, S: cfg.StationStep * float64(i+1), D: path[i], V: speeds[i]}
+		traj[i] = TrajPoint{T: t, S: cfg.StationStep * float64(i+1), D: path[i]}
 	}
 
 	// The DP penalties are soft; a least-cost trajectory that still

@@ -46,7 +46,6 @@ type Input struct {
 type TrajPoint struct {
 	T    float64 // seconds from now
 	S, D float64 // lane coordinates relative to the plan origin
-	V    float64 // speed
 }
 
 // Plan is a planner's output.
@@ -92,7 +91,7 @@ func simulateInto(dst []TrajPoint, in Input, accel, steer []float64, dt float64)
 		h = mathx.Clamp(h, -2.5, 2.5)
 		s += v * math.Cos(h) * dt
 		d += v * math.Sin(h) * dt
-		dst[k] = TrajPoint{T: dt * float64(k+1), S: s, D: d, V: v}
+		dst[k] = TrajPoint{T: dt * float64(k+1), S: s, D: d}
 	}
 	return dst
 }

@@ -90,10 +90,12 @@ func TestEMPlannerCruise(t *testing.T) {
 	if p.Blocked {
 		t.Fatal("empty road should not block")
 	}
-	// Speed profile should hold near target.
-	for _, tp := range p.Traj[2:] {
-		if math.Abs(tp.V-5.6) > 1.5 {
-			t.Fatalf("EM speed at s=%v is %v, want ~5.6", tp.S, tp.V)
+	// Speed profile should hold near target: each station's speed is its
+	// spacing over the time taken to cover it.
+	for i := 2; i < len(p.Traj); i++ {
+		cur, prev := p.Traj[i], p.Traj[i-1]
+		if v := (cur.S - prev.S) / (cur.T - prev.T); math.Abs(v-5.6) > 1.5 {
+			t.Fatalf("EM speed at s=%v is %v, want ~5.6", cur.S, v)
 		}
 	}
 }
@@ -129,7 +131,7 @@ func TestEMPlannerBlocksOnWall(t *testing.T) {
 }
 
 func TestCollisionCheck(t *testing.T) {
-	traj := []TrajPoint{{T: 1, S: 5, D: 0, V: 5}}
+	traj := []TrajPoint{{T: 1, S: 5, D: 0}}
 	hit, clear := CollisionCheck(traj, []Obstacle{{S: 5, D: 0.2, Radius: 0.3}}, 0.5)
 	if !hit {
 		t.Fatal("expected collision flag")
@@ -145,7 +147,7 @@ func TestCollisionCheck(t *testing.T) {
 
 func TestCollisionCheckMovingObstacle(t *testing.T) {
 	// Obstacle starts far but closes at 10 m/s; at T=2 it reaches S=5.
-	traj := []TrajPoint{{T: 2, S: 5, D: 0, V: 2.5}}
+	traj := []TrajPoint{{T: 2, S: 5, D: 0}}
 	hit, _ := CollisionCheck(traj, []Obstacle{{S: 25, D: 0, VS: -10, Radius: 0.5}}, 0.5)
 	if !hit {
 		t.Fatal("moving obstacle should collide at T=2")
@@ -256,10 +258,15 @@ func TestEMPlannerSpeedsNonNegative(t *testing.T) {
 	e := NewEMPlanner(DefaultEMConfig())
 	in := cruiseInput()
 	in.Obstacles = []Obstacle{{S: 15, D: 0, VS: -3, Radius: 1}}
-	p := e.Plan(in)
-	for _, tp := range p.Traj {
-		if tp.V < 0 {
-			t.Fatalf("negative speed in profile: %+v", tp)
+	// The profile Plan builds its trajectory and first-step command from.
+	// Plan clamps each speed to 0.1 m/s before timing a station, so the
+	// trajectory's clock cannot show a negative speed: read the profile.
+	path := e.qpSmooth(e.pathDP(in), 0.4)
+	speeds, _ := e.speedDP(in, path)
+	speeds = e.qpSmooth(speeds, 0.2)
+	for i, v := range speeds {
+		if v < 0 {
+			t.Fatalf("negative speed %v at station %d", v, i)
 		}
 	}
 }
@@ -452,7 +459,7 @@ func (pp planPair) plan(t *testing.T, where string, in Input) Plan {
 	}
 	for i := range g.Traj {
 		p, q := g.Traj[i], w.Traj[i]
-		if !same(p.T, q.T) || !same(p.S, q.S) || !same(p.D, q.D) || !same(p.V, q.V) {
+		if !same(p.T, q.T) || !same(p.S, q.S) || !same(p.D, q.D) {
 			t.Fatalf("%s: traj[%d] = %+v, full rollout = %+v", where, i, p, q)
 		}
 	}
@@ -603,7 +610,7 @@ func FuzzPlanMatchesFullRollout(f *testing.F) {
 		pp := newPlanPair(cfg)
 		for c := 0; c < 4; c++ {
 			p := pp.plan(t, fmt.Sprintf("cycle %d", c), in)
-			in.Speed, in.LaneOffset = p.Traj[0].V, p.Traj[0].D
+			in.Speed, in.LaneOffset = mathx.Clamp(in.Speed+p.Cmd.AccelMps2*cfg.Dt, 0, 12), p.Traj[0].D
 			in.HeadingErr = mathx.Clamp(in.HeadingErr+pp.got.steer[0]*cfg.Dt, -2.5, 2.5)
 			for i := range in.Obstacles {
 				o := &in.Obstacles[i]

@@ -52,18 +52,6 @@ type Processor struct {
 	Latency map[Task]time.Duration
 	// PowerW is the active power used for energy = power × latency.
 	PowerW float64
-	// IdlePowerW matters for the always-on energy model.
-	IdlePowerW float64
-	// CostUSD is the unit cost.
-	CostUSD float64
-	// SensorInterface marks mature MIPI/CSI-class camera interfaces and
-	// ISP hardware (embedded FPGAs have them; servers don't).
-	SensorInterface bool
-	// CANInterface marks a mature CAN stack (the server has one; that is
-	// why planning maps there).
-	CANInterface bool
-	// Automotive marks automotive-grade qualification (Sec. III-C).
-	Automotive bool
 	// Batching marks processors whose inference runtime amortizes
 	// multi-image batches (layer-major batched forwards, DESIGN.md §10);
 	// the online scheduler only batches multi-camera inference when scene
@@ -95,8 +83,7 @@ func Catalog() map[string]*Processor {
 				TaskLocalization: 90 * time.Millisecond,
 				TaskPlanning:     3 * time.Millisecond,
 			},
-			PowerW: 94, IdlePowerW: 20, CostUSD: 400,
-			CANInterface: true,
+			PowerW: 94,
 		},
 		"GPU": {
 			Name: "GPU", // Nvidia GTX 1060
@@ -106,7 +93,7 @@ func Catalog() map[string]*Processor {
 				TaskTracking:     17 * time.Millisecond,
 				TaskLocalization: 31 * time.Millisecond,
 			},
-			PowerW: 120, IdlePowerW: 11, CostUSD: 300,
+			PowerW:   120,
 			Batching: true,
 		},
 		"TX2": {
@@ -117,9 +104,8 @@ func Catalog() map[string]*Processor {
 				TaskTracking:     60 * time.Millisecond,
 				TaskLocalization: 104200 * time.Microsecond,
 			},
-			PowerW: 12, IdlePowerW: 2, CostUSD: 600,
-			SensorInterface: true,
-			Batching:        true,
+			PowerW:   12,
+			Batching: true,
 		},
 		"FPGA": {
 			Name: "FPGA", // Xilinx Zynq UltraScale+ (automotive grade)
@@ -129,9 +115,7 @@ func Catalog() map[string]*Processor {
 				TaskTracking:     30 * time.Millisecond,
 				TaskLocalization: 24 * time.Millisecond,
 			},
-			PowerW: 6, IdlePowerW: 1.5, CostUSD: 250,
-			SensorInterface: true,
-			Automotive:      true,
+			PowerW: 6,
 		},
 	}
 }

@@ -13,8 +13,8 @@ func TestCatalogOperatingPoints(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		if p.PowerW <= 0 || p.CostUSD <= 0 {
-			t.Fatalf("%s has invalid power/cost", name)
+		if p.PowerW <= 0 {
+			t.Fatalf("%s has invalid power", name)
 		}
 	}
 	// Fig. 6a headline: FPGA beats GPU only on localization.
@@ -231,21 +231,6 @@ func TestBatchingCapability(t *testing.T) {
 func TestEvaluateMappingErrors(t *testing.T) {
 	if _, err := EvaluateMapping(Mapping{SceneUnderstanding: "QPU", Localization: "GPU"}, Catalog()); err == nil {
 		t.Fatal("unknown processor should error")
-	}
-}
-
-func TestOnlyFPGAIsAutomotiveWithSensors(t *testing.T) {
-	// Sec. III-C / V-A: the FPGA is chosen partly because it is
-	// automotive-grade and has mature sensor interfaces.
-	cat := Catalog()
-	if !cat["FPGA"].Automotive || !cat["FPGA"].SensorInterface {
-		t.Fatal("FPGA must be automotive-grade with sensor interfaces")
-	}
-	if cat["GPU"].SensorInterface || cat["CPU"].SensorInterface {
-		t.Fatal("server parts must lack sensor interfaces")
-	}
-	if !cat["CPU"].CANInterface {
-		t.Fatal("the server hosts the mature CAN stack")
 	}
 }
 

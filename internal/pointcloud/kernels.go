@@ -14,9 +14,8 @@ import (
 // reductions serially over the ordered match list, so the estimate is
 // bit-identical to a fully serial scan.
 type icpMatch struct {
-	q  mathx.Vec3
-	j  int
-	d2 float64
+	q mathx.Vec3
+	j int
 }
 
 // icpParallelMin is the candidate count below which the ICP correspondence
@@ -51,7 +50,7 @@ func icpMatchOne(tree *KDTree, src *Cloud, tr Tracker, i int, s, c float64, tran
 	if j < 0 || d2 > 4.0 {
 		return out
 	}
-	return append(out, icpMatch{q: q, j: j, d2: d2})
+	return append(out, icpMatch{q: q, j: j})
 }
 
 // collectMatches gathers the accepted correspondences of one ICP iteration
@@ -98,12 +97,10 @@ func collectMatches(tree *KDTree, src *Cloud, tr Tracker, subsample int, yaw flo
 }
 
 // ICPResult is the estimated rigid transform (yaw + translation) aligning
-// the source cloud onto the target, plus convergence diagnostics.
+// the source cloud onto the target.
 type ICPResult struct {
-	Yaw        float64
-	Trans      mathx.Vec3
-	Iterations int
-	RMSE       float64
+	Yaw   float64
+	Trans mathx.Vec3
 }
 
 // Localize runs point-to-point ICP of src against the target tree — the
@@ -115,7 +112,6 @@ func Localize(tree *KDTree, src *Cloud, tr Tracker, iters, subsample int) ICPRes
 		subsample = 1
 	}
 	yaw, trans := 0.0, mathx.Vec3{}
-	res := ICPResult{}
 	for it := 0; it < iters; it++ {
 		// Correspondence search (parallel when untracked); all reductions
 		// below replay the ordered match list serially, keeping the same
@@ -128,10 +124,8 @@ func Localize(tree *KDTree, src *Cloud, tr Tracker, iters, subsample int) ICPRes
 		var srcCx, srcCy, dstCx, dstCy float64
 		var sxx, sxy, syx, syy float64
 		var zSum float64
-		var sse float64
 		for _, pr := range pairs {
 			d := tree.cloud.Pts[pr.j]
-			sse += pr.d2
 			srcCx += pr.q.X
 			srcCy += pr.q.Y
 			dstCx += d.X
@@ -165,15 +159,11 @@ func Localize(tree *KDTree, src *Cloud, tr Tracker, iters, subsample int) ICPRes
 		trans.X = cNew*ox - sNew*oy + tx
 		trans.Y = sNew*ox + cNew*oy + ty
 		trans.Z += zSum / n
-		res.Iterations = it + 1
-		res.RMSE = math.Sqrt(sse / n)
 		if math.Abs(dyaw) < 1e-5 && math.Hypot(tx, ty) < 1e-4 {
 			break
 		}
 	}
-	res.Yaw = yaw
-	res.Trans = trans
-	return res
+	return ICPResult{Yaw: yaw, Trans: trans}
 }
 
 // Segment performs Euclidean cluster extraction: connected components under

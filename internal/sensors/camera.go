@@ -40,16 +40,9 @@ func DefaultCameraConfig(name string) CameraConfig {
 
 // Frame is one camera capture.
 type Frame struct {
-	Camera string
-	Seq    int
 	// TrueCaptureTime is the ground-truth mid-exposure instant (what an
 	// ideal synchronizer would timestamp).
 	TrueCaptureTime time.Duration
-	// SensorTimestamp is the timestamp available where the frame was
-	// stamped — at the sensor interface under hardware sync, or at the
-	// application layer under software sync (then including variable
-	// pipeline delay).
-	SensorTimestamp time.Duration
 	// ArrivalTime is when the frame reached the consumer (true time).
 	ArrivalTime time.Duration
 }
@@ -71,25 +64,18 @@ func (c CameraConfig) Period() time.Duration {
 // external trigger (the hardware synchronizer).
 type Camera struct {
 	Config CameraConfig
-	seq    int
 }
 
 // NewCamera returns a camera with the given config.
 func NewCamera(cfg CameraConfig) *Camera { return &Camera{Config: cfg} }
 
-// CaptureAt produces the frame for a trigger at true time t. The returned
-// frame's SensorTimestamp is left at the *interface arrival* local time;
-// the synchronization layers adjust it per their strategy.
+// CaptureAt produces the frame for a trigger at true time t.
 func (c *Camera) CaptureAt(trueTrigger time.Duration) Frame {
-	c.seq++
 	cfg := c.Config
 	mid := trueTrigger + cfg.Exposure/2
 	interfaceArrival := trueTrigger + cfg.Exposure + cfg.Readout
 	return Frame{
-		Camera:          cfg.Name,
-		Seq:             c.seq,
 		TrueCaptureTime: mid,
-		SensorTimestamp: cfg.Clock.Local(interfaceArrival),
 		ArrivalTime:     interfaceArrival,
 	}
 }
@@ -138,11 +124,8 @@ func DefaultIMUConfig() IMUConfig {
 // IMUSample is one inertial measurement: body-frame acceleration and
 // angular rate, plus the timestamps the sync layers compare.
 type IMUSample struct {
-	Seq             int
-	AccelX, AccelY  float64 // body frame, m/s²
-	YawRate         float64 // rad/s
-	TrueSampleTime  time.Duration
-	SensorTimestamp time.Duration
+	AccelX, AccelY float64 // body frame, m/s²
+	YawRate        float64 // rad/s
 }
 
 // SampleBytes is the IMU sample wire size; small enough that the hardware
@@ -153,7 +136,6 @@ const SampleBytes = 20
 type IMU struct {
 	Config IMUConfig
 	rng    *sim.RNG
-	seq    int
 }
 
 // NewIMU returns an IMU with its own RNG stream.
@@ -169,14 +151,10 @@ func (u *IMU) Period() time.Duration {
 // SampleAt produces the measurement for a trigger at true time t given the
 // ground-truth body-frame acceleration (ax, ay) and yaw rate.
 func (u *IMU) SampleAt(trueT time.Duration, ax, ay, yawRate float64) IMUSample {
-	u.seq++
 	cfg := u.Config
 	return IMUSample{
-		Seq:             u.seq,
-		AccelX:          ax + cfg.AccelBias + u.rng.Normal(0, cfg.AccelNoiseStd),
-		AccelY:          ay + u.rng.Normal(0, cfg.AccelNoiseStd),
-		YawRate:         yawRate + cfg.GyroBias + u.rng.Normal(0, cfg.GyroNoiseStd),
-		TrueSampleTime:  trueT,
-		SensorTimestamp: cfg.Clock.Local(trueT),
+		AccelX:  ax + cfg.AccelBias + u.rng.Normal(0, cfg.AccelNoiseStd),
+		AccelY:  ay + u.rng.Normal(0, cfg.AccelNoiseStd),
+		YawRate: yawRate + cfg.GyroBias + u.rng.Normal(0, cfg.GyroNoiseStd),
 	}
 }

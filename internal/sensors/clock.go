@@ -16,13 +16,8 @@ type Clock struct {
 	Offset time.Duration
 }
 
-// Local converts true (simulation) time to this sensor's local timestamp.
-func (c Clock) Local(trueTime time.Duration) time.Duration {
-	scaled := float64(trueTime) * (1 + c.DriftPPM*1e-6)
-	return time.Duration(scaled) + c.Offset
-}
-
-// TrueFromLocal inverts Local.
+// TrueFromLocal converts this sensor's local timestamp back to true
+// (simulation) time.
 func (c Clock) TrueFromLocal(local time.Duration) time.Duration {
 	return time.Duration(float64(local-c.Offset) / (1 + c.DriftPPM*1e-6))
 }

@@ -11,18 +11,16 @@ import (
 
 // GPSConfig describes the GNSS receiver.
 type GPSConfig struct {
-	RateHz   float64
 	NoiseStd float64 // meters, horizontal, per axis
 }
 
 // DefaultGPSConfig returns a 10 Hz receiver with ~0.5 m noise (RTK-free).
-func DefaultGPSConfig() GPSConfig { return GPSConfig{RateHz: 10, NoiseStd: 0.5} }
+func DefaultGPSConfig() GPSConfig { return GPSConfig{NoiseStd: 0.5} }
 
 // GPSFix is one position fix. Valid is false during outages (tunnels,
 // multipath) — the trigger for the corrected-VIO fallback of Sec. VI-B.
 type GPSFix struct {
 	Pos   mathx.Vec2
-	Time  time.Duration
 	Valid bool
 }
 
@@ -41,18 +39,16 @@ func NewGPS(cfg GPSConfig, w *world.World, rng *sim.RNG) *GPS {
 // FixAt returns the fix for true position pos at time t.
 func (g *GPS) FixAt(t time.Duration, pos mathx.Vec2) GPSFix {
 	if g.World != nil && !g.World.GPSAvailable(t) {
-		return GPSFix{Time: t, Valid: false}
+		return GPSFix{Valid: false}
 	}
 	return GPSFix{
 		Pos:   pos.Add(mathx.Vec2{X: g.rng.Normal(0, g.Config.NoiseStd), Y: g.rng.Normal(0, g.Config.NoiseStd)}),
-		Time:  t,
 		Valid: true,
 	}
 }
 
 // RadarConfig describes one automotive radar unit.
 type RadarConfig struct {
-	RateHz      float64
 	MaxRange    float64 // meters
 	FOV         float64 // radians
 	RangeStd    float64 // meters
@@ -64,7 +60,7 @@ type RadarConfig struct {
 
 // DefaultRadarConfig returns the deployed forward radar.
 func DefaultRadarConfig() RadarConfig {
-	return RadarConfig{RateHz: 20, MaxRange: 40, FOV: math.Pi / 2,
+	return RadarConfig{MaxRange: 40, FOV: math.Pi / 2,
 		RangeStd: 0.15, VelocityStd: 0.1, DropoutProb: 0}
 }
 
@@ -128,7 +124,6 @@ func (r *Radar) ScanAtInto(dst []RadarReturn, t time.Duration, pose world.Pose) 
 
 // SonarConfig describes one ultrasonic ranger.
 type SonarConfig struct {
-	RateHz   float64
 	MaxRange float64
 	FOV      float64
 	RangeStd float64
@@ -136,14 +131,13 @@ type SonarConfig struct {
 
 // DefaultSonarConfig returns the deployed short-range sonar.
 func DefaultSonarConfig() SonarConfig {
-	return SonarConfig{RateHz: 20, MaxRange: 5, FOV: math.Pi / 3, RangeStd: 0.05}
+	return SonarConfig{MaxRange: 5, FOV: math.Pi / 3, RangeStd: 0.05}
 }
 
 // SonarPing is one range-only measurement (no bearing, no velocity).
 type SonarPing struct {
 	Range float64
 	Valid bool
-	Time  time.Duration
 }
 
 // Sonar produces the nearest-obstacle range inside its cone.
@@ -163,11 +157,11 @@ func NewSonar(cfg SonarConfig, w *world.World, rng *sim.RNG) *Sonar {
 func (s *Sonar) PingAt(t time.Duration, pose world.Pose) SonarPing {
 	d, ok := s.Frame.NearestAhead(pose, t, s.Config.MaxRange, s.Config.FOV)
 	if !ok {
-		return SonarPing{Time: t}
+		return SonarPing{}
 	}
 	surface := d.Range - d.Obstacle.Radius
 	if surface < 0 {
 		surface = 0
 	}
-	return SonarPing{Range: math.Max(0, surface+s.rng.Normal(0, s.Config.RangeStd)), Valid: true, Time: t}
+	return SonarPing{Range: math.Max(0, surface+s.rng.Normal(0, s.Config.RangeStd)), Valid: true}
 }

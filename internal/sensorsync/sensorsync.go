@@ -37,22 +37,18 @@ func HardwareSynchronizerResources() SynchronizerResources {
 // between the true capture instant of each frame and the true sample
 // instant of the IMU measurement it was associated with.
 type PairingResult struct {
-	Frames  int
-	Errors  *stats.Sample // milliseconds
-	MeanMs  float64
-	MaxMs   float64
-	P99Ms   float64
-	Dropped int
+	Frames int
+	MeanMs float64 // errors in milliseconds
+	MaxMs  float64
+	P99Ms  float64
 }
 
-func summarize(errs *stats.Sample, frames, dropped int) PairingResult {
+func summarize(errs *stats.Sample, frames int) PairingResult {
 	return PairingResult{
-		Frames:  frames,
-		Errors:  errs,
-		MeanMs:  errs.Mean(),
-		MaxMs:   errs.Max(),
-		P99Ms:   errs.Quantile(0.99),
-		Dropped: dropped,
+		Frames: frames,
+		MeanMs: errs.Mean(),
+		MaxMs:  errs.Max(),
+		P99Ms:  errs.Quantile(0.99),
 	}
 }
 
@@ -115,7 +111,7 @@ func SoftwareSyncExperiment(horizon time.Duration, rng *sim.RNG) PairingResult {
 		errs.Observe(err.Seconds() * 1000)
 		frames++
 	}
-	return summarize(errs, frames, 0)
+	return summarize(errs, frames)
 }
 
 // HardwareSyncExperiment runs the Fig. 12c design: one common timer
@@ -160,7 +156,7 @@ func HardwareSyncExperiment(horizon time.Duration, rng *sim.RNG) PairingResult {
 		errs.Observe(err.Seconds() * 1000)
 		frames++
 	}
-	return summarize(errs, frames, 0)
+	return summarize(errs, frames)
 }
 
 // DepthErrorAtOffset renders the Fig. 11a experiment for one inter-camera

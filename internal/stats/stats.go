@@ -177,20 +177,17 @@ func (h *Histogram) Render(width int) string {
 	return b.String()
 }
 
-// Welford is a streaming mean/variance accumulator for long simulations
-// where retaining raw values is unnecessary.
+// Welford is a streaming mean accumulator for long simulations where
+// retaining raw values is unnecessary.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Observe records one value.
 func (w *Welford) Observe(v float64) {
 	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
+	w.mean += (v - w.mean) / float64(w.n)
 }
 
 // N returns the observation count.

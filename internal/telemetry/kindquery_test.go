@@ -200,8 +200,8 @@ func TestScanByKindAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if len(s.runs) != 0 || s.Stats().Replayed != int64(len(events)) {
-		t.Fatalf("test wants a memtable-only store, got %d runs and %d replayed events", len(s.runs), s.Stats().Replayed)
+	if len(s.runs) != 0 || s.mem.len() != len(events) {
+		t.Fatalf("test wants a memtable-only store, got %d runs and %d replayed events", len(s.runs), s.mem.len())
 	}
 	checkKindQueries(t, s, events, rng, "wal-recovered")
 }

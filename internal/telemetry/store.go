@@ -43,7 +43,6 @@ type Stats struct {
 	BloomSkips      int64 // point reads short-circuited by a bloom filter
 	Flushes         int64
 	Compactions     int64
-	Replayed        int64 // events recovered from the WAL at open
 }
 
 // WriteAmplification returns total storage writes per user byte.
@@ -134,7 +133,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			if uint64(e.Key.Seq) >= s.seq {
 				s.seq = uint64(e.Key.Seq) + 1
 			}
-			s.stats.Replayed++
 		}
 		flushesBefore := s.stats.Flushes
 		if err := s.apply(events); err != nil {

@@ -492,7 +492,7 @@ func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recovered.Stats().Replayed == 0 {
+	if recovered.mem.len() == 0 {
 		t.Fatal("no WAL replay happened")
 	}
 	recRows := collectScan(t, recovered, Query{})

@@ -25,9 +25,8 @@ const walName = "wal.log"
 
 // walWriter appends framed batch records to the log.
 type walWriter struct {
-	f     *os.File
-	buf   []byte
-	bytes int64
+	f   *os.File
+	buf []byte
 }
 
 func openWAL(dir string) (*walWriter, error) {
@@ -35,12 +34,7 @@ func openWAL(dir string) (*walWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &walWriter{f: f, bytes: st.Size()}, nil
+	return &walWriter{f: f}, nil
 }
 
 // appendBatch frames and writes one serialized batch body.
@@ -49,8 +43,7 @@ func (w *walWriter) appendBatch(body []byte) error {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(body)))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(body))
 	w.buf = append(w.buf, body...)
-	n, err := w.f.Write(w.buf)
-	w.bytes += int64(n)
+	_, err := w.f.Write(w.buf)
 	return err
 }
 
@@ -60,7 +53,6 @@ func (w *walWriter) reset() error {
 		return err
 	}
 	_, err := w.f.Seek(0, io.SeekStart)
-	w.bytes = 0
 	return err
 }
 

@@ -158,8 +158,6 @@ func (k *KCF) Init(im *vision.Image, cx, cy float64) {
 // Result is one tracking step outcome.
 type Result struct {
 	X, Y float64 // new center
-	Peak float64 // response peak (confidence)
-	OK   bool
 }
 
 // Update locates the target in the new frame starting from the previous
@@ -221,11 +219,10 @@ func (k *KCF) Update(im *vision.Image) Result {
 	}
 	k.cx += dx
 	k.cy += dy
-	ok := best > 0.15
-	if ok {
+	if best > 0.15 {
 		// Retrain on the new location (full replace keeps the model
 		// simple; interpolation factor 1.0).
 		k.Init(im, k.cx, k.cy)
 	}
-	return Result{X: k.cx, Y: k.cy, Peak: best, OK: ok}
+	return Result{X: k.cx, Y: k.cy}
 }

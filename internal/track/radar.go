@@ -13,8 +13,6 @@ type RadarTrack struct {
 	ID       int
 	Pos      mathx.Vec2 // vehicle frame
 	Vel      mathx.Vec2 // vehicle frame estimate
-	RadialV  float64    // latest direct radial-velocity measurement
-	Hits     int
 	LastSeen time.Duration
 }
 
@@ -86,8 +84,6 @@ func (rt *RadarTracker) ObserveInto(t time.Duration, returns []sensors.RadarRetu
 		resid := meas.Sub(pred)
 		tr.Pos = pred.Add(resid.Scale(rt.Alpha))
 		tr.Vel = tr.Vel.Add(resid.Scale(rt.Beta / dt))
-		tr.RadialV = r.RadialVel
-		tr.Hits++
 		tr.LastSeen = t
 	}
 	// Start new tracks for unassociated returns.
@@ -101,8 +97,6 @@ func (rt *RadarTracker) ObserveInto(t time.Duration, returns []sensors.RadarRetu
 			ID:       rt.nextID,
 			Pos:      polar(r.Range, r.Bearing),
 			Vel:      losUnit.Scale(r.RadialVel), // radial component seeds velocity
-			RadialV:  r.RadialVel,
-			Hits:     1,
 			LastSeen: t,
 		})
 	}

@@ -14,9 +14,6 @@ func ShuttleParams() Params {
 		MaxAccel:    1.5,
 		MaxSteer:    0.45,
 		MechLatency: 24 * time.Millisecond, // larger actuators
-		MassKg:      1400,
-		PayloadKg:   640, // 8 passengers
 		BasePowerKW: 1.1,
-		PeakPowerKW: 5.0,
 	}
 }

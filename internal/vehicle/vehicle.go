@@ -21,10 +21,7 @@ type Params struct {
 	MaxAccel    float64       // m/s²
 	MaxSteer    float64       // rad
 	MechLatency time.Duration // delay before a command takes mechanical effect
-	MassKg      float64       // curb mass (2-seater pod)
-	PayloadKg   float64       // passenger payload (~1/5 of vehicle mass per the paper)
 	BasePowerKW float64       // Pv: average vehicle power without AD
-	PeakPowerKW float64       // peak traction power (paper: up to 2 kW)
 }
 
 // DefaultParams returns the 2-seater pod configuration.
@@ -36,10 +33,7 @@ func DefaultParams() Params {
 		MaxAccel:    2.0,
 		MaxSteer:    0.55,
 		MechLatency: 19 * time.Millisecond,
-		MassKg:      450,
-		PayloadKg:   90,
 		BasePowerKW: 0.6,
-		PeakPowerKW: 2.0,
 	}
 }
 

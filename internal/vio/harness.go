@@ -32,9 +32,6 @@ type RunOptions struct {
 	GPS *sensors.GPS
 	// GPSRate in Hz (default 10 when GPS is set).
 	GPSRate float64
-	// KnownMap localizes against the pre-constructed landmark map
-	// (production mode) instead of pure odometry.
-	KnownMap bool
 }
 
 // RunResult summarizes a trajectory run.
@@ -67,12 +64,7 @@ func RunTrajectory(cfg Config, imuCfg sensors.IMUConfig, traj Trajectory, w *wor
 	obsRNG := rng.Fork()
 
 	startPose, _ := traj(0)
-	var filter *VIO
-	if opt.KnownMap {
-		filter = NewWithMap(cfg, startPose, w)
-	} else {
-		filter = New(cfg, startPose)
-	}
+	filter := New(cfg, startPose)
 	// Seed the initial velocity from the trajectory (wheel odometry).
 	p1, _ := traj(10 * time.Millisecond)
 	filter.SetVelocity(p1.Pos.Sub(startPose.Pos).Scale(100))

@@ -91,10 +91,9 @@ type VIO struct {
 	// the anchor noise that drives odometry frame drift.
 	pending map[int][]mathx.Vec2
 
-	updates     int
-	propagns    int
-	newLM       int
-	lastUpdated time.Duration
+	updates  int
+	propagns int
+	newLM    int
 }
 
 // New returns a filter initialized at the given pose with small initial
@@ -122,20 +121,6 @@ func New(cfg Config, initial world.Pose) *VIO {
 func (v *VIO) SetVelocity(vel mathx.Vec2) {
 	v.x[iVx] = vel.X
 	v.x[iVy] = vel.Y
-}
-
-// NewWithMap returns a filter that localizes against a pre-constructed
-// landmark map (the production configuration: the paper's vehicles localize
-// in a global, pre-annotated map). Known landmarks bound the position error;
-// the pure-odometry mode of New is what exhibits the cumulative drift of
-// Sec. VI-B.
-func NewWithMap(cfg Config, initial world.Pose, w *world.World) *VIO {
-	cfg.LandmarkPosStd = 0.1 // survey-grade map
-	v := New(cfg, initial)
-	for i, lm := range w.Landmarks {
-		v.landmarks[i] = lm.XY()
-	}
-	return v
 }
 
 // Pose returns the current estimate.

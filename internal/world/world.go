@@ -66,7 +66,6 @@ type Obstacle struct {
 	ID     int
 	Kind   ObstacleKind
 	Radius float64 // meters, footprint radius
-	Height float64 // meters (for rendering / classification)
 	Traj   Trajectory
 }
 
@@ -419,7 +418,6 @@ func (w *World) AddCutInPedestrian(atX float64, triggerTime time.Duration, cross
 		ID:     len(w.Obstacles) + 1,
 		Kind:   KindPedestrian,
 		Radius: 0.3,
-		Height: 1.7,
 		Traj:   LinearTrajectory(mathx.Vec2{X: atX, Y: -3}, mathx.Vec2{Y: crossSpeed}, triggerTime),
 	}
 	w.Obstacles = append(w.Obstacles, o)
@@ -441,7 +439,6 @@ func (w *World) AddSuddenObstacle(pos mathx.Vec2, triggerTime time.Duration) *Ob
 		ID:     len(w.Obstacles) + 1,
 		Kind:   KindVehicle,
 		Radius: SuddenObstacleRadius,
-		Height: 1.5,
 		Traj: func(t time.Duration) (mathx.Vec2, mathx.Vec2) {
 			if t < triggerTime {
 				return hidden, mathx.Vec2{}
@@ -455,7 +452,7 @@ func (w *World) AddSuddenObstacle(pos mathx.Vec2, triggerTime time.Duration) *Ob
 
 // AddStaticObstacle places a static obstacle.
 func (w *World) AddStaticObstacle(pos mathx.Vec2, radius float64) *Obstacle {
-	o := &Obstacle{ID: len(w.Obstacles) + 1, Kind: KindStatic, Radius: radius, Height: 1.0,
+	o := &Obstacle{ID: len(w.Obstacles) + 1, Kind: KindStatic, Radius: radius,
 		Traj: StaticTrajectory(pos)}
 	w.Obstacles = append(w.Obstacles, o)
 	return o

@@ -78,6 +78,10 @@ func metricScenarios() []metricScenario {
 		vehicleScenario("sched under pressure", 90*time.Second, 0, func(c *core.Config) {
 			c.Sched, c.SchedMapping, c.AmbientC = true, "GPU/GPU", 45
 		}),
+		// The same start in a cool enclosure: it remaps but keeps float.
+		vehicleScenario("contended start", 30*time.Second, 0, func(c *core.Config) {
+			c.Sched, c.SchedMapping = true, "GPU/GPU"
+		}),
 		// An obstacle inside the proactive envelope: the reactive path brakes.
 		vehicleScenario("sudden obstacle", 30*time.Second, 4.5, func(*core.Config) {}),
 		// One inside the braking floor: a collision.
@@ -111,7 +115,9 @@ var faultCounters = map[string]bool{
 // TestEveryMetricMoves: every metric the programs register must read
 // non-zero in some scenario, and differ between two scenarios that both
 // register it. A metric that sits still across all of them reports nothing:
-// give it a scenario that moves it, or delete it. The per-shard series
+// give it a scenario that moves it, or delete it. Two counters that read the
+// same in every scenario count one event twice: keep one, or add the
+// scenario that separates them. The per-shard series
 // (fleet_shard03_trips_total) are one family: which shard completes a trip
 // is incidental. A fault counter must instead read zero everywhere.
 func TestEveryMetricMoves(t *testing.T) {
@@ -120,6 +126,7 @@ func TestEveryMetricMoves(t *testing.T) {
 	}
 	values := map[string][]string{} // metric family → its values in each scenario that registers it
 	where := map[string][]string{}  // the same, labeled with the scenario
+	counters := map[string]bool{}
 	shard := regexp.MustCompile(`shard[0-9]+`)
 	for _, sc := range metricScenarios() {
 		reg := obs.NewRegistry()
@@ -140,6 +147,7 @@ func TestEveryMetricMoves(t *testing.T) {
 			name := shard.ReplaceAllString(m["name"].(string), "shard##")
 			values[name] = append(values[name], v)
 			where[name] = append(where[name], sc.name+": "+v)
+			counters[name] = m["kind"] == "counter" && !faultCounters[name]
 		}
 	}
 	for name := range faultCounters {
@@ -162,10 +170,28 @@ func TestEveryMetricMoves(t *testing.T) {
 			still = append(still, fmt.Sprintf("%s (%s)", name, strings.Join(where[name], "; ")))
 		}
 	}
+	twins := map[string][]string{} // a counter's labeled values → the counters that read them
+	for name, counter := range counters {
+		if counter {
+			k := strings.Join(where[name], "; ")
+			twins[k] = append(twins[k], name)
+		}
+	}
+	var dup []string
+	for k, names := range twins {
+		if len(names) > 1 {
+			sort.Strings(names)
+			dup = append(dup, fmt.Sprintf("%s (%s)", strings.Join(names, " = "), k))
+		}
+	}
 	sort.Strings(still)
 	sort.Strings(faults)
+	sort.Strings(dup)
 	if len(still) > 0 {
 		t.Errorf("%d of %d metrics never move:\n%s", len(still), len(values), strings.Join(still, "\n"))
+	}
+	if len(dup) > 0 {
+		t.Errorf("%d groups of counters read the same in every scenario:\n%s", len(dup), strings.Join(dup, "\n"))
 	}
 	if len(faults) > 0 {
 		t.Errorf("fault counters read non-zero in a healthy scenario:\n%s", strings.Join(faults, "\n"))

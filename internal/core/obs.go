@@ -293,17 +293,17 @@ func (s *SoV) publishRunMetrics() {
 	}
 
 	// ECU (virtual): every state transition happens at a virtual-time event.
-	frames, overrides, rejected := s.ecu.Stats()
+	// An accepted override frame is a reactive engagement: the loop's
+	// sov_reactive_engagements_total counts it.
+	frames, rejected := s.ecu.Stats()
 	m.counterSet("sov_ecu_frames_total", "CAN frames processed by the ECU", int64(frames))
-	m.counterSet("sov_ecu_overrides_total", "reactive override frames accepted", int64(overrides))
 	m.counterSet("sov_ecu_rejected_total", "malformed frames dropped by the ECU", int64(rejected))
 
-	// Sensor rigs (virtual: engine-thread-only, virtual-time ordered).
+	// Sensor rigs (virtual: engine-thread-only, virtual-time ordered). Every
+	// reactive check queries the radar sector and then the sonar ring, so
+	// the radar's sector queries count both.
 	rs := s.radarRig.Stats()
 	m.counterSet("sov_radar_scans_total", "per-unit radar scans", rs.Scans)
 	m.counterSet("sov_radar_echoes_total", "merged radar returns", rs.Echoes)
 	m.counterSet("sov_radar_sector_queries_total", "radar reactive-sector queries", rs.SectorQueries)
-	ss := s.sonarRig.Stats()
-	m.counterSet("sov_sonar_pings_total", "sonar pings issued", ss.Pings)
-	m.counterSet("sov_sonar_sector_queries_total", "sonar reactive-sector queries", ss.SectorQueries)
 }

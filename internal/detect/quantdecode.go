@@ -59,11 +59,10 @@ func DecodeQuantGridInto(dst []BBox, raw *nn.QTensor, classes int, lut *nn.Sigmo
 }
 
 // QuantDetectScratch carries the detection path's reusable buffers across
-// frames: the batch tensor slots, the decoded candidate list, and the NMS
-// sort scratch. The zero value is ready to use; a control loop that keeps
-// one per detector allocates nothing once warm.
+// frames: the decoded candidate list and the NMS sort scratch (the model
+// owns its tensors). The zero value is ready to use; a control loop that
+// keeps one per detector allocates nothing once warm.
 type QuantDetectScratch struct {
-	raws   []*nn.QTensor
 	boxes  []BBox
 	sorted []BBox
 }
@@ -79,7 +78,6 @@ type QuantDetectScratch struct {
 func RunQuantCNNInto(dst []BBox, model *nn.QYOLOHead, input *nn.Tensor, objThreshold, iouThreshold float32, s *QuantDetectScratch) []BBox {
 	raw := model.ForwardRaw(input)
 	s.boxes = DecodeQuantGridInto(s.boxes[:0], raw, model.Classes, model.LUT(), objThreshold)
-	nn.PutQTensor(raw)
 	return NMSInto(dst[:0], s.boxes, iouThreshold, &s.sorted)
 }
 
@@ -93,15 +91,13 @@ func RunQuantCNNInto(dst []BBox, model *nn.QYOLOHead, input *nn.Tensor, objThres
 //
 //sov:hotpath
 func RunQuantCNNBatch(out [][]BBox, model *nn.QYOLOHead, inputs []*nn.Tensor, objThreshold, iouThreshold float32, s *QuantDetectScratch) [][]BBox {
-	s.raws = model.ForwardRawBatch(s.raws, inputs)
+	raws := model.ForwardRawBatch(inputs)
 	for len(out) < len(inputs) {
 		out = append(out, nil)
 	}
 	out = out[:len(inputs)]
-	for i, raw := range s.raws {
-		s.boxes = DecodeQuantGridInto(s.boxes[:0], raw, model.Classes, model.LUT(), objThreshold)
-		nn.PutQTensor(raw)
-		s.raws[i] = nil
+	for i := range raws {
+		s.boxes = DecodeQuantGridInto(s.boxes[:0], &raws[i], model.Classes, model.LUT(), objThreshold)
 		out[i] = NMSInto(out[i][:0], s.boxes, iouThreshold, &s.sorted)
 	}
 	return out

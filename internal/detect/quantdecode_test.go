@@ -53,7 +53,6 @@ func TestDecodeQuantMatchesCellDecode(t *testing.T) {
 	raw := qy.ForwardRaw(in)
 	want := DecodeGrid(cellDecode(qy, raw), thr)
 	got := DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), thr)
-	nn.PutQTensor(raw)
 
 	if len(got) != len(want) {
 		t.Fatalf("box count %d != %d", len(got), len(want))
@@ -74,7 +73,6 @@ func TestDecodeQuantTracksFloatDecode(t *testing.T) {
 
 	raw := qy.ForwardRaw(in)
 	got := DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0)
-	nn.PutQTensor(raw)
 
 	if len(got) != len(ref) {
 		t.Fatalf("cell count %d != %d", len(got), len(ref))

@@ -3,6 +3,7 @@ package fleet
 import (
 	"sov/internal/detect"
 	"sov/internal/nn"
+	"sov/internal/parallel"
 )
 
 // Cross-vehicle batched perception: the layer-major quantized batching of
@@ -34,7 +35,9 @@ type shardNN struct {
 
 // initShards quantizes the master detector (calibrated on a fixed ramp,
 // seeded from the fleet seed) and hands each shard a ShareClone with
-// preallocated inputs sized to the shard.
+// preallocated inputs sized to the shard. One forward of each clone over
+// its (blank) inputs, fanned out the way a perception epoch fans out, sizes
+// the clone's buffers now rather than on the first perception epoch.
 func (f *Fleet) initShards() {
 	y := nn.NewTinyYOLO(batchInH, batchInW, batchClasses, splitSeed(f.cfg.Seed, streamModel, 0))
 	calib := nn.NewTensor(1, batchInH, batchInW)
@@ -58,6 +61,11 @@ func (f *Fleet) initShards() {
 		}
 		f.shards = append(f.shards, sh)
 	}
+	parallel.For(f.nShards, 1, func(start, end int) {
+		for _, sh := range f.shards[start:end] {
+			sh.model.ForwardRawBatch(sh.inputs)
+		}
+	})
 }
 
 // shardRange is the perception fan-out body: shards [start, end) fill

@@ -303,9 +303,7 @@ func TestConcurrentShardsRace(t *testing.T) {
 	for i, hw := range [][2]int{{batchInH, batchInW}, {48, 24}} {
 		inputs[i] = nn.NewTensor(1, hw[0], hw[1])
 		fillInput(inputs[i].Data, i, 3, 5)
-		raw := f.shards[2].model.ForwardRaw(inputs[i])
-		want[i] = append([]int8(nil), raw.Data...)
-		nn.PutQTensor(raw)
+		want[i] = append([]int8(nil), f.shards[2].model.ForwardRaw(inputs[i]).Data...)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -319,7 +317,6 @@ func TestConcurrentShardsRace(t *testing.T) {
 				if !slices.Equal(raw.Data, want[i]) {
 					t.Errorf("clone %d pass %d: %dx%d output differs from the serial forward", g, pass, inputs[i].H, inputs[i].W)
 				}
-				nn.PutQTensor(raw)
 			}
 		}(g)
 	}

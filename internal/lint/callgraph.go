@@ -1,8 +1,8 @@
 package lint
 
-// The whole-program layer under hotalloc and poolescape (DESIGN.md §7):
-// every function declaration in the loaded package set, the static call
-// graph over them, and a bottom-up SCC order for summary propagation.
+// The whole-program layer under hotalloc (DESIGN.md §7): every function
+// declaration in the loaded package set, the static call graph over them,
+// and a bottom-up SCC order for summary propagation.
 // Construction is strictly deterministic — packages arrive sorted by import
 // path, files sorted by name, declarations in source order — so the
 // summaries (and therefore every finding derived from them) are identical
@@ -11,7 +11,7 @@ package lint
 //
 // Only static module-internal edges exist: a call through a function value,
 // an interface method, or into a package outside the loaded set has no
-// edge; hotalloc and poolescape assume those unknowns are benign.
+// edge; hotalloc assumes those unknowns are benign.
 
 import (
 	"fmt"
@@ -22,10 +22,8 @@ import (
 )
 
 // A ProgFunc is one function or method declaration plus its static
-// module-internal call edges and bottom-up summaries.
+// module-internal call edges and bottom-up summary.
 type ProgFunc struct {
-	// Obj is the declared (generic, not instantiated) function object.
-	Obj *types.Func
 	// Decl is the declaration; Decl.Body may be nil (assembly stubs).
 	Decl *ast.FuncDecl
 	// Pkg is the package the declaration lives in.
@@ -38,7 +36,6 @@ type ProgFunc struct {
 	index int // position in Program.funcs
 
 	alloc allocFact
-	pool  poolFact
 }
 
 // Name returns "Recv.Name" for methods, "Name" otherwise.
@@ -53,9 +50,9 @@ type Program struct {
 }
 
 // BuildProgram indexes every function declaration in pkgs, wires the static
-// call graph, and computes the bottom-up summaries. dirs supplies the
-// //sovlint:ignore directives so sanctioned allocation sites do not poison
-// may-allocate summaries (marking those directives used).
+// call graph, and computes the bottom-up may-allocate summaries. dirs
+// supplies the //sovlint:ignore directives so sanctioned allocation sites do
+// not poison them (marking those directives used).
 func BuildProgram(pkgs []*Package, dirs *directiveIndex) *Program {
 	p := &Program{byObj: make(map[*types.Func]*ProgFunc), dirs: dirs}
 	for _, pkg := range pkgs {
@@ -69,7 +66,7 @@ func BuildProgram(pkgs []*Package, dirs *directiveIndex) *Program {
 				if !ok {
 					continue
 				}
-				pf := &ProgFunc{Obj: obj, Decl: fn, Pkg: pkg, index: len(p.funcs)}
+				pf := &ProgFunc{Decl: fn, Pkg: pkg, index: len(p.funcs)}
 				p.funcs = append(p.funcs, pf)
 				p.byObj[obj] = pf
 			}
@@ -92,26 +89,19 @@ func BuildProgram(pkgs []*Package, dirs *directiveIndex) *Program {
 			return true
 		})
 	}
-	computeSummaries(p)
+	computeAllocFacts(p)
 	return p
 }
 
-// FuncOf returns the ProgFunc for a declared function object (resolving
-// generic instantiations to their origin), or nil when the object is not a
-// declaration in the loaded set.
-func (p *Program) FuncOf(obj *types.Func) *ProgFunc {
+// callee resolves a call expression to its module-internal target (generic
+// instantiations resolve to their origin), or nil for dynamic calls,
+// builtins, conversions, and functions outside the loaded set.
+func (p *Program) callee(pkg *Package, call *ast.CallExpr) *ProgFunc {
+	obj, _ := calleeObject(pkg.Info, call).(*types.Func)
 	if obj == nil {
 		return nil
 	}
 	return p.byObj[obj.Origin()]
-}
-
-// callee resolves a call expression to its module-internal target, or nil
-// for dynamic calls, builtins, conversions, and functions outside the
-// loaded set.
-func (p *Program) callee(pkg *Package, call *ast.CallExpr) *ProgFunc {
-	obj, _ := calleeObject(pkg.Info, call).(*types.Func)
-	return p.FuncOf(obj)
 }
 
 // sccs returns the strongly connected components of the call graph in
@@ -165,26 +155,6 @@ func (p *Program) sccs() [][]*ProgFunc {
 		}
 	}
 	return out
-}
-
-// qualifiedName returns "pkgpath.Func" for package-level functions and
-// "pkgpath.Recv.Method" for methods — the key format of poolescape's
-// Get/Put/borrow tables.
-func qualifiedName(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	name := fn.Pkg().Path() + "."
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		rt := sig.Recv().Type()
-		if ptr, ok := rt.(*types.Pointer); ok {
-			rt = ptr.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok {
-			name += named.Obj().Name() + "."
-		}
-	}
-	return name + fn.Name()
 }
 
 // posLabel renders pos as "file.go:line" (basename only) — stable across

@@ -128,7 +128,7 @@ const (
 func (k allocKind) message(fnName, detail string) string {
 	switch k {
 	case allocMake:
-		return "make in hot path " + fnName + " allocates; borrow from a pool or reuse a scratch buffer"
+		return "make in hot path " + fnName + " allocates; reuse a scratch buffer the kernel or its caller owns"
 	case allocNew:
 		return "new in hot path " + fnName + " allocates"
 	case allocAppend:

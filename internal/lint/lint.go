@@ -62,7 +62,6 @@ func Analyzers() []*Analyzer {
 		DetRand,
 		MapRange,
 		HotAlloc,
-		PoolEscape,
 	}
 }
 

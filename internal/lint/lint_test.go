@@ -22,7 +22,6 @@ var goldenCases = []struct {
 	{"maprange", []*Analyzer{MapRange}},
 	{"hotalloc", []*Analyzer{HotAlloc}},
 	{"hotcalls", []*Analyzer{HotAlloc}},
-	{"poolescape", []*Analyzer{PoolEscape}},
 	{"suppress", []*Analyzer{DetNow}},
 }
 
@@ -126,9 +125,9 @@ func TestSuppression(t *testing.T) {
 }
 
 // TestFindingsDeterministic runs the full matrix over every fixture twice
-// (hotcalls and poolescape exercise the call graph and both summary facts)
-// and requires byte-identical output — the linter obeys the determinism
-// contract it enforces.
+// (hotcalls exercises the call graph and the summary fact) and requires
+// byte-identical output — the linter obeys the determinism contract it
+// enforces.
 func TestFindingsDeterministic(t *testing.T) {
 	collect := func() string {
 		var all []string

@@ -3,23 +3,20 @@ package lint
 import "go/token"
 
 // Bottom-up per-function summaries (DESIGN.md §7). Each ProgFunc carries
-// two facts, inferred callee-before-caller over the SCC order that
+// one fact, inferred callee-before-caller over the SCC order that
 // Program.sccs returns:
 //
 //   - allocFact: the function may allocate in steady state — an intrinsic
 //     allocation site (hotalloc's per-site scanner, minus //sovlint:ignore-
 //     sanctioned sites) or a call to a may-allocate module function. The
 //     `why` string is a witness chain down to the construct.
-//   - poolFact: how pooled buffers move — returned to the caller still
-//     borrowed, released via a parameter, or escaped via a parameter
-//     (poolescape.go owns the walker).
 //
-// Facts are monotone (bits and booleans only ever turn on within the
-// fixed-point loop of one SCC), so iterating each component until nothing
-// changes terminates. Everything is deterministic: function order, callee
-// order, and SCC order are all derived from the sorted package/file/decl
-// order, so the summaries — and every finding derived from them — are
-// byte-identical from run to run.
+// The fact is monotone (it only ever turns on within the fixed-point loop of
+// one SCC), so iterating each component until nothing changes terminates.
+// Everything is deterministic: function order, callee order, and SCC order
+// are all derived from the sorted package/file/decl order, so the summaries
+// — and every finding derived from them — are byte-identical from run to
+// run.
 
 type allocFact struct {
 	// may reports that a call can allocate in steady state.
@@ -28,56 +25,12 @@ type allocFact struct {
 	why string
 }
 
-type poolFact struct {
-	// returnsPooled: a return value is a still-borrowed pooled buffer (the
-	// legal ownership-transfer idiom: "caller must release").
-	returnsPooled bool
-	// poolNote names the pool origin, e.g. "parallel.GetC128".
-	poolNote string
-	// putsParam bit i: the function releases parameter i back to its pool.
-	putsParam uint64
-	// escapesParam bit i: the function stores parameter i somewhere that
-	// outlives the call (field, global, channel, spawned goroutine).
-	escapesParam uint64
-	// escapeNote describes where escaping parameters end up.
-	escapeNote string
-}
-
-// computeSummaries fills in the per-function facts bottom-up. It runs once,
-// inside BuildProgram — before the analyzer matrix — so every pass sees the
-// same finished summaries.
-func computeSummaries(p *Program) {
-	computeAllocFacts(p)
-	for _, scc := range p.sccs() {
-		for changed := true; changed; {
-			changed = false
-			for _, pf := range scc {
-				if pf.Decl.Body == nil {
-					continue
-				}
-				// Compare only the monotone bits, not the witness strings:
-				// in a recursive SCC a note that embeds a callee's note
-				// would otherwise grow on every iteration and never settle.
-				if pl := poolWalk(p, pf, nil); !poolEq(pl, pf.pool) {
-					pf.pool = pl
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-func poolEq(a, b poolFact) bool {
-	return a.returnsPooled == b.returnsPooled &&
-		a.putsParam == b.putsParam &&
-		a.escapesParam == b.escapesParam
-}
-
 // computeAllocFacts seeds each function's may-allocate fact from its own
-// allocation sites, then propagates callee facts up the call graph.
-// Sites covered by a //sovlint:ignore hotalloc directive are sanctioned:
-// they do not poison the summary, and the directive counts as used (so it
-// is not reported stale).
+// allocation sites, then propagates callee facts up the call graph. It runs
+// once, inside BuildProgram — before the analyzer matrix — so every pass
+// sees the same finished summaries. Sites covered by a //sovlint:ignore
+// hotalloc directive are sanctioned: they do not poison the summary, and the
+// directive counts as used (so it is not reported stale).
 func computeAllocFacts(p *Program) {
 	for _, pf := range p.funcs {
 		if pf.Decl.Body == nil {

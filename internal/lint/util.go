@@ -63,17 +63,3 @@ func isFuncFrom(obj types.Object, pkgPath string, names ...string) bool {
 	}
 	return false
 }
-
-// namedPath returns "pkgpath.TypeName" for a named or instantiated type,
-// or "" for anything else.
-func namedPath(t types.Type) string {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}

@@ -79,9 +79,9 @@ func FFT2D(x []complex128, rows, cols int, inverse bool) error {
 			_ = FFT(x[r*cols:(r+1)*cols], inverse) // length pre-validated
 		}
 	})
-	// Columns (gather/scatter through a per-tile scratch buffer).
+	// Columns (gather/scatter through a buffer each tile owns).
 	parallel.For(cols, 1+4096/rows, func(c0, c1 int) {
-		col := parallel.GetC128(rows)
+		col := make([]complex128, rows)
 		for c := c0; c < c1; c++ {
 			for r := 0; r < rows; r++ {
 				col[r] = x[r*cols+c]
@@ -91,7 +91,6 @@ func FFT2D(x []complex128, rows, cols int, inverse bool) error {
 				x[r*cols+c] = col[r]
 			}
 		}
-		parallel.PutC128(col)
 	})
 	return nil
 }

@@ -37,8 +37,11 @@ type gemmState struct {
 
 // gemmScratch is everything a forward pass writes in the layer instance.
 type gemmScratch struct {
-	abuf []uint64 // serial A-panel scratch (grown on first use)
-	sbuf []int32  // serial Σu scratch (grown on first use)
+	// abuf and sbuf hold one A panel and one Σu row per fan-out tile (one
+	// in all on the serial path), grown on first use. Slabs are a cache line
+	// apart (gemmSlabs), so two workers never write the same line.
+	abuf []uint64
+	sbuf []int32
 	// pbuf is the input as biased bytes u = x+128 inside a zero-point
 	// border, InC × (inH+2·Pad) × (inW+2·Pad); taps[k] is the byte offset of
 	// im2col row k = (ic, ky, kx) from a window's top-left corner in it.
@@ -142,39 +145,52 @@ func (c *QConv2D) packInput(in *QTensor) {
 // the output is byte-identical for any worker count. A plane of one or two
 // column blocks (the detector's 7×9 head, the fleet detector's 8×8 and 4×4
 // layers) is one tile and takes the serial path: two workers lost to one on
-// all three (EXPERIMENTS.md, "Fan-out audit").
+// all three (EXPERIMENTS.md, "Fan-out audit"). Tile t packs into slab t of
+// the layer's scratch.
 //
 //sov:hotpath
 func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 	c.packInput(in)
 	p := oh * ow
 	nblk := ceilDiv(p, gemmColBlock)
-	apn := c.gemm.np * gemmColBlock
 	grain := 1 + 2*gemmColBlock/p
-	if parallel.Workers() <= 1 || nblk <= grain {
-		if cap(c.gemm.abuf) < apn {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the A panel
-			c.gemm.abuf = make([]uint64, apn)
-		}
-		if cap(c.gemm.sbuf) < gemmColBlock {
-			//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the column-sum row
-			c.gemm.sbuf = make([]int32, gemmColBlock)
-		}
-		for blk := 0; blk < nblk; blk++ {
-			c.gemmBlock(out, ow, p, blk*gemmColBlock, c.gemm.abuf[:apn], c.gemm.sbuf[:gemmColBlock])
-		}
+	tiles := 1
+	if parallel.Workers() > 1 && nblk > grain {
+		tiles = parallel.Tiles(nblk, grain)
+	}
+	as, ss := c.gemmSlabs()
+	if cap(c.gemm.abuf) < tiles*as {
+		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the A panels
+		c.gemm.abuf = make([]uint64, tiles*as)
+	}
+	if cap(c.gemm.sbuf) < tiles*ss {
+		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the column-sum rows
+		c.gemm.sbuf = make([]int32, tiles*ss)
+	}
+	if tiles == 1 {
+		c.gemmBlocks(out, ow, p, 0, nblk, 0)
 		return
 	}
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(nblk, grain, func(b0, b1 int) {
-		ap := parallel.GetU64(apn)
-		su := parallel.GetI32(gemmColBlock)
-		for blk := b0; blk < b1; blk++ {
-			c.gemmBlock(out, ow, p, blk*gemmColBlock, ap, su)
-		}
-		parallel.PutI32(su)
-		parallel.PutU64(ap)
-	})
+	parallel.For(nblk, grain, func(b0, b1 int) { c.gemmBlocks(out, ow, p, b0, b1, b0/grain) })
+}
+
+// gemmSlabs returns the spacing of the per-tile A panels (in words) and Σu
+// rows (in int32s): each slab plus one 64-byte cache line.
+func (c *QConv2D) gemmSlabs() (as, ss int) {
+	return c.gemm.np*gemmColBlock + 8, gemmColBlock + 16
+}
+
+// gemmBlocks runs column blocks [b0, b1) through scratch slab t.
+//
+//sov:hotpath
+func (c *QConv2D) gemmBlocks(out *QTensor, ow, p, b0, b1, t int) {
+	as, ss := c.gemmSlabs()
+	ap := c.gemm.abuf[t*as:][:c.gemm.np*gemmColBlock]
+	su := c.gemm.sbuf[t*ss:][:gemmColBlock]
+	for blk := b0; blk < b1; blk++ {
+		c.gemmBlock(out, ow, p, blk*gemmColBlock, ap, su)
+	}
 }
 
 // gemmBlock packs one im2col column block and multiplies it against every

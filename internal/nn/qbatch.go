@@ -10,33 +10,28 @@ package nn
 
 // ForwardRawBatch is the batched ForwardRaw: it quantizes each input, runs
 // the backbone and head layer-major across the batch, and returns one raw
-// int8 grid tensor per image (pooled — release each with PutQTensor). dst
-// is reused as the batch slot array. Outputs are byte-identical to calling
-// ForwardRaw per image.
+// int8 grid tensor per image. Image i's input starts in buffer 1 of the
+// head's pair i and layer l writes buffer l%2, so a warm batch allocates
+// nothing; the results belong to the head and are valid until the next
+// forward call. Outputs are byte-identical to calling ForwardRaw per image.
 //
 //sov:hotpath
-func (y *QYOLOHead) ForwardRawBatch(dst []*QTensor, ins []*Tensor) []*QTensor {
-	dst = dst[:0]
-	for _, in := range ins {
-		qin := GetQTensor(in.C, in.H, in.W, y.Backbone.InParams)
-		QuantizeTensorInto(qin, in)
-		dst = append(dst, qin)
+func (y *QYOLOHead) ForwardRawBatch(ins []*Tensor) []QTensor {
+	y.grow(len(ins))
+	acts := y.acts[:len(ins)]
+	for i, in := range ins {
+		QuantizeTensorInto(acts[i][1].resize(in.C, in.H, in.W, y.Backbone.InParams), in)
 	}
-	for _, l := range y.Backbone.Layers {
-		for i, cur := range dst {
+	for li, l := range y.Backbone.Layers {
+		for i := range acts {
+			cur, out := &acts[i][(li+1)%2], &acts[i][li%2]
 			c, h, w := l.OutShape(cur.C, cur.H, cur.W)
-			out := GetQTensor(c, h, w, l.OutParams())
-			l.ForwardInto(cur, out)
-			PutQTensor(cur)
-			dst[i] = out
+			l.ForwardInto(cur, out.resize(c, h, w, l.OutParams()))
 		}
 	}
-	for i, feat := range dst {
-		oc, oh, ow := y.Head.OutShape(feat.C, feat.H, feat.W)
-		raw := GetQTensor(oc, oh, ow, y.Head.OutParams())
-		y.Head.ForwardInto(feat, raw)
-		PutQTensor(feat)
-		dst[i] = raw
+	feat := (len(y.Backbone.Layers) + 1) % 2
+	for i := range acts {
+		y.forwardHead(&acts[i][feat], &y.raws[i])
 	}
-	return dst
+	return y.raws[:len(ins)]
 }

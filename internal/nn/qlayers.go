@@ -68,7 +68,7 @@ func (c *QConv2D) OutShape(_, h, w int) (int, int, int) {
 func (c *QConv2D) OutParams() QuantParams { return c.OutP }
 
 // Forward allocates the output and runs the kernel (test convenience; the
-// hot path is ForwardInto over pooled tensors).
+// hot path is ForwardInto over the network's own buffers).
 func (c *QConv2D) Forward(in *QTensor) *QTensor {
 	oc, oh, ow := c.OutShape(in.C, in.H, in.W)
 	out := NewQTensor(oc, oh, ow, c.OutP)
@@ -327,21 +327,22 @@ func (f *QFC) swarRow(xp []uint64, sumU int64, o int) int8 {
 type QNetwork struct {
 	Layers   []QLayer
 	InParams QuantParams
+	// act is the pair of activation buffers ForwardPooled alternates
+	// between; it belongs to this network alone (ShareClone starts empty).
+	act [2]QTensor
 }
 
-// ForwardPooled runs the stack with every intermediate activation borrowed
-// from the quantized tensor pools; a warm steady state allocates nothing.
-// The returned tensor is pooled — release it with PutQTensor (unless it is
-// the input itself, returned unchanged for an empty stack).
-func (n *QNetwork) ForwardPooled(in *QTensor) *QTensor {
-	cur := in
-	for _, l := range n.Layers {
+// ForwardPooled quantizes in into the network's own buffer 1, then runs the
+// stack with layer i writing into buffer i%2, so a warm steady state
+// allocates nothing. The result belongs to the network and is valid until
+// the next call.
+func (n *QNetwork) ForwardPooled(in *Tensor) *QTensor {
+	cur := n.act[1].resize(in.C, in.H, in.W, n.InParams)
+	QuantizeTensorInto(cur, in)
+	for i, l := range n.Layers {
 		c, h, w := l.OutShape(cur.C, cur.H, cur.W)
-		out := GetQTensor(c, h, w, l.OutParams())
+		out := n.act[i%2].resize(c, h, w, l.OutParams())
 		l.ForwardInto(cur, out)
-		if cur != in {
-			PutQTensor(cur)
-		}
 		cur = out
 	}
 	return cur

@@ -7,15 +7,12 @@ package nn
 // integer-only requantization between layers, so a quantized network never
 // round-trips through float between stages. The arithmetic is exact integer
 // math — byte-identical for any worker count by construction — and every
-// per-frame buffer is pooled, so a warm quantized forward pass allocates
-// nothing.
+// per-frame buffer belongs to the network instance that writes it, so a warm
+// quantized forward pass allocates nothing.
 
 import (
 	"fmt"
 	"math"
-	"sync"
-
-	"sov/internal/parallel"
 )
 
 // QuantParams is a per-tensor affine quantization: real = Scale*(q - Zero).
@@ -85,51 +82,16 @@ func NewQTensor(c, h, w int, p QuantParams) *QTensor {
 	return &QTensor{C: c, H: h, W: w, Data: make([]int8, c*h*w), Params: p}
 }
 
-// qtensorData/qtensorHeaders recycle quantized activation storage the same
-// way the float tensor pools do, so the quantized forward path reaches a
-// true zero-allocation steady state.
-var (
-	qtensorData    parallel.SlicePool[int8]
-	qtensorHeaders struct {
-		mu   sync.Mutex
-		free []*QTensor
+// resize makes t a c×h×w tensor under p with unspecified contents, growing
+// its storage only when it is too small, and returns it.
+func (t *QTensor) resize(c, h, w int, p QuantParams) *QTensor {
+	n := c * h * w
+	if cap(t.Data) < n {
+		//sovlint:ignore hotalloc first use or a larger shape; warm passes reuse the buffer
+		t.Data = make([]int8, n)
 	}
-)
-
-// GetQTensor returns a pooled quantized tensor of the given shape with
-// unspecified contents; pair with PutQTensor.
-func GetQTensor(c, h, w int, p QuantParams) *QTensor {
-	if c <= 0 || h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("nn: invalid qtensor shape %dx%dx%d", c, h, w))
-	}
-	qtensorHeaders.mu.Lock()
-	var t *QTensor
-	if n := len(qtensorHeaders.free); n > 0 {
-		t = qtensorHeaders.free[n-1]
-		qtensorHeaders.free[n-1] = nil
-		qtensorHeaders.free = qtensorHeaders.free[:n-1]
-	}
-	qtensorHeaders.mu.Unlock()
-	if t == nil {
-		//sovlint:ignore hotalloc header-pool miss; headers are recycled via PutQTensor after warmup
-		t = &QTensor{}
-	}
-	t.C, t.H, t.W = c, h, w
-	t.Params = p
-	t.Data = qtensorData.Get(c * h * w)
+	t.C, t.H, t.W, t.Data, t.Params = c, h, w, t.Data[:n], p
 	return t
-}
-
-// PutQTensor releases a tensor obtained from GetQTensor back to the pools.
-func PutQTensor(t *QTensor) {
-	if t == nil || t.Data == nil {
-		return
-	}
-	qtensorData.Put(t.Data)
-	t.Data = nil
-	qtensorHeaders.mu.Lock()
-	qtensorHeaders.free = append(qtensorHeaders.free, t)
-	qtensorHeaders.mu.Unlock()
 }
 
 // At returns element (c, y, x).

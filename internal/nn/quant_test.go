@@ -147,13 +147,7 @@ func TestQuantizedNetworkTracksFloat(t *testing.T) {
 	probe := calibInput(1, 32, 32, 77)
 	ref := cl.Net.Forward(probe)
 
-	qin := GetQTensor(1, 32, 32, qn.InParams)
-	QuantizeTensorInto(qin, probe)
-	qout := qn.ForwardPooled(qin)
-	if qout != qin {
-		defer PutQTensor(qin)
-	}
-	defer PutQTensor(qout)
+	qout := qn.ForwardPooled(probe)
 
 	outP := qn.OutParams()
 	// Accumulated over 6 layers; the documented end-to-end budget is 6
@@ -177,7 +171,6 @@ func TestQYOLOTracksFloatDecode(t *testing.T) {
 	probe := calibInput(1, 48, 64, 99)
 	ref := y.Infer(probe)
 	raw := qy.ForwardRaw(probe)
-	defer PutQTensor(raw)
 	if len(ref) != raw.H*raw.W {
 		t.Fatalf("cell count %d != %d", raw.H*raw.W, len(ref))
 	}
@@ -202,10 +195,10 @@ func TestQYOLOTracksFloatDecode(t *testing.T) {
 }
 
 // TestQuantForwardPooledZeroAlloc: a warm quantized forward pass must not
-// allocate (the pooled-path contract the hotalloc analyzer guards). The gate
-// names its worker count instead of inheriting the host's: with more than
-// one worker each layer's fan-out allocates its closures (51 allocs/run);
-// the {4} leg joins this gate with ROADMAP item 1's pooled job descriptors.
+// allocate (the owned-buffer contract the hotalloc analyzer guards). The
+// gate names its worker count instead of inheriting the host's: with more
+// than one worker each layer's fan-out allocates its closures; the {4} leg
+// joins this gate with ROADMAP item 4's job descriptors.
 func TestQuantForwardPooledZeroAlloc(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
@@ -214,16 +207,8 @@ func TestQuantForwardPooledZeroAlloc(t *testing.T) {
 	qn := QuantizeNetwork(cl.Net, calib)
 	probe := calibInput(1, 32, 32, 8)
 
-	run := func() {
-		qin := GetQTensor(1, 32, 32, qn.InParams)
-		QuantizeTensorInto(qin, probe)
-		qout := qn.ForwardPooled(qin)
-		PutQTensor(qin)
-		if qout != qin {
-			PutQTensor(qout)
-		}
-	}
-	run() // warm the pools
+	run := func() { qn.ForwardPooled(probe) }
+	run() // grow the activation buffers
 	if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
 		t.Fatalf("warm quantized forward pass allocates %.1f times per run, want 0", allocs)
 	}

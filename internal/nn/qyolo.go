@@ -10,6 +10,11 @@ type QYOLOHead struct {
 	Head     *QConv2D
 	Classes  int
 	lut      *SigmoidLUT
+	// acts holds one pair of activation buffers per batch image and raws
+	// each image's head output. Both belong to this head: a result is valid
+	// until the next forward call, and ShareClone starts the clone empty.
+	acts [][2]QTensor
+	raws []QTensor
 }
 
 // QuantizeYOLO converts a float YOLO head into its fixed-point counterpart,
@@ -35,19 +40,26 @@ func QuantizeYOLO(y *YOLOHead, calib *Tensor) *QYOLOHead {
 func (y *QYOLOHead) LUT() *SigmoidLUT { return y.lut }
 
 // ForwardRaw runs the quantized forward pass and returns the raw int8 grid
-// tensor, borrowed from the tensor pools — release it with PutQTensor. The
-// input quantization (float image → int8 codes) is the only non-integer
-// step on the path.
+// tensor, which belongs to the head and is valid until the next forward
+// call. The input quantization (float image → int8 codes) is the only
+// non-integer step on the path.
 func (y *QYOLOHead) ForwardRaw(in *Tensor) *QTensor {
-	qin := GetQTensor(in.C, in.H, in.W, y.Backbone.InParams)
-	QuantizeTensorInto(qin, in)
-	feat := y.Backbone.ForwardPooled(qin)
+	y.grow(1)
+	return y.forwardHead(y.Backbone.ForwardPooled(in), &y.raws[0])
+}
+
+// forwardHead runs the 1×1 head over feat into raw and returns raw.
+func (y *QYOLOHead) forwardHead(feat, raw *QTensor) *QTensor {
 	oc, oh, ow := y.Head.OutShape(feat.C, feat.H, feat.W)
-	raw := GetQTensor(oc, oh, ow, y.Head.OutParams())
-	y.Head.ForwardInto(feat, raw)
-	if feat != qin {
-		PutQTensor(feat)
-	}
-	PutQTensor(qin)
+	y.Head.ForwardInto(feat, raw.resize(oc, oh, ow, y.Head.OutParams()))
 	return raw
+}
+
+// grow gives the head buffers for a batch of n images (first use, or a
+// larger batch; the buffers' storage grows on their first forward).
+func (y *QYOLOHead) grow(n int) {
+	for len(y.raws) < n {
+		y.acts = append(y.acts, [2]QTensor{})
+		y.raws = append(y.raws, QTensor{})
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"sov/internal/parallel"
 )
@@ -33,50 +32,16 @@ func NewTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float32, c*h*w)}
 }
 
-// tensorData recycles activation storage through a size-classed free list;
-// tensorHeaders recycles the Tensor headers themselves, so a pooled forward
-// pass reaches a true zero-allocation steady state.
-var (
-	tensorData    parallel.SlicePool[float32]
-	tensorHeaders struct {
-		mu   sync.Mutex
-		free []*Tensor
+// resize makes t a c×h×w tensor with unspecified contents, growing its
+// storage only when it is too small, and returns it. Layers that write every
+// output element (conv, pool) can consume it directly.
+func (t *Tensor) resize(c, h, w int) *Tensor {
+	n := c * h * w
+	if cap(t.Data) < n {
+		t.Data = make([]float32, n)
 	}
-)
-
-// GetTensor returns a pooled tensor of the given shape with unspecified
-// contents; pair with PutTensor. Layers that write every output element
-// (conv, pool) can consume it directly.
-func GetTensor(c, h, w int) *Tensor {
-	if c <= 0 || h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("nn: invalid tensor shape %dx%dx%d", c, h, w))
-	}
-	tensorHeaders.mu.Lock()
-	var t *Tensor
-	if n := len(tensorHeaders.free); n > 0 {
-		t = tensorHeaders.free[n-1]
-		tensorHeaders.free[n-1] = nil
-		tensorHeaders.free = tensorHeaders.free[:n-1]
-	}
-	tensorHeaders.mu.Unlock()
-	if t == nil {
-		t = &Tensor{}
-	}
-	t.C, t.H, t.W = c, h, w
-	t.Data = tensorData.Get(c * h * w)
+	t.C, t.H, t.W, t.Data = c, h, w, t.Data[:n]
 	return t
-}
-
-// PutTensor releases a tensor obtained from GetTensor back to the pools.
-func PutTensor(t *Tensor) {
-	if t == nil || t.Data == nil {
-		return
-	}
-	tensorData.Put(t.Data)
-	t.Data = nil
-	tensorHeaders.mu.Lock()
-	tensorHeaders.free = append(tensorHeaders.free, t)
-	tensorHeaders.mu.Unlock()
 }
 
 // At returns element (c, y, x).
@@ -97,7 +62,7 @@ type Layer interface {
 }
 
 // IntoLayer is implemented by layers that can write into a caller-provided
-// output tensor, enabling the pooled (allocation-free) forward path.
+// output tensor, enabling the allocation-free forward path.
 type IntoLayer interface {
 	Layer
 	// ForwardInto computes the layer output into out, which must have the
@@ -153,7 +118,7 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 // more than one worker they fan out across the pool. Each output element
 // keeps its serial accumulation order, so the tensor is byte-identical for
 // any worker count. The serial path skips the fan-out closure entirely,
-// keeping the pooled forward pass allocation-free.
+// keeping ForwardPooled allocation-free.
 //
 // A tile carries at least ~16k MACs: on a smaller layer (the detector's 1×1
 // head over a 7×9 plane is 2k MACs a channel, 90 µs in all) waking a second
@@ -272,6 +237,9 @@ func poolChannel(in, out *Tensor, c int) {
 // Network is an ordered stack of layers.
 type Network struct {
 	Layers []Layer
+	// act is the pair of activation buffers ForwardPooled alternates
+	// between; it belongs to this network alone.
+	act [2]Tensor
 }
 
 // Forward runs the stack.
@@ -283,29 +251,20 @@ func (n *Network) Forward(in *Tensor) *Tensor {
 	return t
 }
 
-// ForwardPooled runs the stack with every intermediate activation borrowed
-// from the tensor pools, so a warm steady state allocates nothing. The
-// result is byte-identical to Forward. The returned tensor is pooled —
-// release it with PutTensor when done (unless it is the input itself, which
-// is returned unchanged for an empty stack).
+// ForwardPooled runs the stack with layer i writing into the network's own
+// activation buffer i%2, so a warm steady state allocates nothing. The
+// result is byte-identical to Forward. It belongs to the network and is
+// valid until the next call (the input itself for an empty stack).
 func (n *Network) ForwardPooled(in *Tensor) *Tensor {
 	cur := in
-	for _, l := range n.Layers {
+	for i, l := range n.Layers {
 		il, ok := l.(IntoLayer)
 		if !ok {
-			next := l.Forward(cur)
-			if cur != in {
-				PutTensor(cur)
-			}
-			cur = next
+			cur = l.Forward(cur)
 			continue
 		}
-		c, h, w := l.OutShape(cur.C, cur.H, cur.W)
-		out := GetTensor(c, h, w)
+		out := n.act[i%2].resize(l.OutShape(cur.C, cur.H, cur.W))
 		il.ForwardInto(cur, out)
-		if cur != in {
-			PutTensor(cur)
-		}
 		cur = out
 	}
 	return cur

@@ -17,6 +17,8 @@ type YOLOHead struct {
 	Backbone *Network
 	Head     *Conv2D
 	Classes  int
+	// raw is the head output InferInto decodes; it belongs to this head.
+	raw Tensor
 }
 
 // NewTinyYOLO builds the detector with deterministic weights. Three
@@ -51,19 +53,15 @@ func (y *YOLOHead) Infer(in *Tensor) []GridBox {
 	return y.InferInto(in, nil)
 }
 
-// InferInto is the reusing variant of Infer: the forward pass borrows every
-// intermediate activation from the tensor pools and the decode writes into
-// out's slots, keeping their ClassScores backing arrays. Pass the previous
-// cycle's slice back in and a warm steady state allocates nothing. Results
-// are byte-identical to a fresh Infer.
+// InferInto is the reusing variant of Infer: the forward pass writes every
+// activation into buffers the head and its backbone own, and the decode
+// writes into out's slots, keeping their ClassScores backing arrays. Pass the
+// previous cycle's slice back in and a warm steady state allocates nothing.
+// Results are byte-identical to a fresh Infer.
 func (y *YOLOHead) InferInto(in *Tensor, out []GridBox) []GridBox {
 	feat := y.Backbone.ForwardPooled(in)
-	oc, oh, ow := y.Head.OutShape(feat.C, feat.H, feat.W)
-	raw := GetTensor(oc, oh, ow)
+	raw := y.raw.resize(y.Head.OutShape(feat.C, feat.H, feat.W))
 	y.Head.ForwardInto(feat, raw)
-	if feat != in {
-		PutTensor(feat)
-	}
 	n := raw.H * raw.W
 	if cap(out) < n {
 		grown := make([]GridBox, n)
@@ -76,7 +74,6 @@ func (y *YOLOHead) InferInto(in *Tensor, out []GridBox) []GridBox {
 			y.decodeCell(raw, gy, gx, &out[gy*raw.W+gx])
 		}
 	}
-	PutTensor(raw)
 	return out
 }
 

@@ -1,7 +1,7 @@
 // Package parallel is the multi-core compute substrate for the perception
-// kernels: a shared worker pool sized from runtime.NumCPU, tiled
-// parallel-for helpers, and scratch-buffer pools that stop hot loops from
-// allocating per call.
+// kernels: a shared worker pool sized from runtime.NumCPU and tiled
+// parallel-for helpers. It holds no scratch buffers: a kernel that needs
+// per-tile scratch owns it, indexed by tile.
 //
 // Determinism contract (the hard requirement of the calibrated figures):
 // every helper here must produce byte-identical results for any worker

@@ -176,29 +176,6 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestScratchPools(t *testing.T) {
-	f := GetF64(100)
-	if len(f) != 100 {
-		t.Fatalf("GetF64 len %d", len(f))
-	}
-	PutF64(f)
-	z := GetC128(8)
-	if len(z) != 8 {
-		t.Fatalf("GetC128 len %d", len(z))
-	}
-	PutC128(z)
-	in := GetIntsZeroed(57)
-	if len(in) != 57 {
-		t.Fatalf("GetIntsZeroed len %d", len(in))
-	}
-	PutInts(in)
-	// Zero-length gets are nil and Puts of them are no-ops.
-	if GetF64(0) != nil {
-		t.Fatal("GetF64(0) != nil")
-	}
-	PutF64(nil)
-}
-
 func BenchmarkForOverhead(b *testing.B) {
 	prev := SetWorkers(runtime.NumCPU())
 	defer SetWorkers(prev)

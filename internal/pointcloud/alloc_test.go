@@ -9,8 +9,8 @@ import (
 )
 
 // TestLocalizeSteadyStateAllocs is the satellite audit gate: a warm serial
-// ICP localization must not allocate — its per-iteration correspondence
-// lists come from the match pool.
+// ICP localization must not allocate — every iteration reuses the tree's
+// correspondence list.
 func TestLocalizeSteadyStateAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -20,15 +20,15 @@ func TestLocalizeSteadyStateAllocs(t *testing.T) {
 	tree := Build(target, nil)
 	run := func() { Localize(tree, src, nil, 5, 2) }
 	for i := 0; i < 3; i++ {
-		run() // warm the match pool
+		run() // grow the match list
 	}
 	if avg := testing.AllocsPerRun(10, run); avg > 0 {
 		t.Fatalf("warm Localize allocates %.2f allocs/op, want 0", avg)
 	}
 }
 
-// TestLocalizePooledMatchesUnpooled pins the pooled correspondence path to
-// the historical result: the pool must not change a single bit of the
+// TestLocalizePooledMatchesUnpooled pins the reused correspondence list to
+// the first run's result: reuse must not change a single bit of the
 // estimate.
 func TestLocalizePooledMatchesUnpooled(t *testing.T) {
 	prev := parallel.SetWorkers(1)
@@ -41,7 +41,7 @@ func TestLocalizePooledMatchesUnpooled(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		again := Localize(tree, src, nil, 20, 2)
 		if again != first {
-			t.Fatalf("pooled rerun diverged: %+v != %+v", again, first)
+			t.Fatalf("rerun diverged: %+v != %+v", again, first)
 		}
 	}
 }

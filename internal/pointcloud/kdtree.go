@@ -63,6 +63,34 @@ type KDTree struct {
 	tr    Tracker
 	// Reuse counts accesses per point during queries.
 	Reuse []int
+
+	// Query scratch, owned by the tree (one caller queries it at a time):
+	// the correspondence list of the current ICP iteration, and one
+	// reuse-counter row per fan-out tile, merged into Reuse afterwards.
+	matches   []icpMatch
+	tileReuse []int
+}
+
+// reuseRows returns tiles zeroed reuse-counter rows of the tree's scratch,
+// one after another.
+func (t *KDTree) reuseRows(tiles int) []int {
+	n := tiles * len(t.Reuse)
+	if cap(t.tileReuse) < n {
+		t.tileReuse = make([]int, n)
+	}
+	rows := t.tileReuse[:n]
+	clear(rows)
+	return rows
+}
+
+// mergeReuse adds every row of rows into Reuse. Integer adds are exact in
+// any order, so the counts do not depend on the tiling.
+func (t *KDTree) mergeReuse(rows []int) {
+	for ; len(rows) > 0; rows = rows[len(t.Reuse):] {
+		for i, r := range rows[:len(t.Reuse)] {
+			t.Reuse[i] += r
+		}
+	}
 }
 
 // Build constructs a balanced kd-tree over the cloud. The tracker (may be

@@ -2,7 +2,6 @@ package pointcloud
 
 import (
 	"math"
-	"sync"
 
 	"sov/internal/mathx"
 	"sov/internal/parallel"
@@ -26,15 +25,19 @@ type icpMatch struct {
 // heavier per point and needs no such floor.
 const icpParallelMin = 512
 
-// icpGrain is the fixed correspondence-search tile size; it depends only
-// on the input, never the worker count, so tile-ordered outputs are
-// byte-identical for any parallelism.
-const icpGrain = 256
+// icpGrain is the smallest kd-tree query tile. A query fan-out over n
+// points has at most maxQueryTiles tiles, because each tile counts reuse
+// into its own row of the tree's scratch (maxQueryTiles × points ints
+// however large n is). The tiling depends only on the input, never the
+// worker count, so tile-ordered outputs are byte-identical for any
+// parallelism.
+const (
+	icpGrain      = 256
+	maxQueryTiles = 8
+)
 
-// matchPool recycles the per-iteration correspondence buffers: both ICP
-// variants borrow one list per iteration and return it before the next, so
-// a warm localization loop allocates nothing for matches.
-var matchPool parallel.SlicePool[icpMatch]
+// queryGrain is the tile size of a fan-out over n kd-tree queries.
+func queryGrain(n int) int { return max(icpGrain, (n+maxQueryTiles-1)/maxQueryTiles) }
 
 // icpMatchOne matches one source point against the target tree and appends
 // the accepted correspondence to out. It is a plain function (not a closure
@@ -55,44 +58,38 @@ func icpMatchOne(tree *KDTree, src *Cloud, tr Tracker, i int, s, c float64, tran
 
 // collectMatches gathers the accepted correspondences of one ICP iteration
 // in source-point order. With no tracker attached the nearest-neighbor
-// searches fan out across the worker pool: each tile owns a scratch reuse
-// counter (merged afterwards — integer adds are exact in any order) and a
+// searches fan out across the worker pool: each tile owns a row of reuse
+// counters (merged afterwards — integer adds are exact in any order) and a
 // tile-ordered bucket, so the returned slice matches the serial scan
 // exactly. With a tracker the walk stays serial, preserving the cache
-// simulator's access order. The returned slice is borrowed from matchPool;
-// callers release it with matchPool.Put once consumed.
+// simulator's access order. The returned slice is the tree's match list,
+// valid until the next query.
 func collectMatches(tree *KDTree, src *Cloud, tr Tracker, subsample int, yaw float64, trans mathx.Vec3) []icpMatch {
 	s, c := math.Sin(yaw), math.Cos(yaw)
 	m := (src.Len() + subsample - 1) / subsample // candidate count
+	matches := tree.matches[:0]
 	if tr != nil || parallel.Workers() <= 1 || m < icpParallelMin {
-		matches := matchPool.Get(m)[:0]
 		for i := 0; i < src.Len(); i += subsample {
 			matches = icpMatchOne(tree, src, tr, i, s, c, trans, tree.Reuse, matches)
 		}
+		tree.matches = matches
 		return matches
 	}
-	buckets := make([][]icpMatch, parallel.Tiles(m, icpGrain))
-	var mu sync.Mutex
-	parallel.ForTiled(m, icpGrain, func(tile, k0, k1 int) {
-		reuse := parallel.GetIntsZeroed(tree.cloud.Len())
+	grain, n := queryGrain(m), tree.cloud.Len()
+	buckets := make([][]icpMatch, parallel.Tiles(m, grain))
+	rows := tree.reuseRows(len(buckets))
+	parallel.ForTiled(m, grain, func(tile, k0, k1 int) {
 		out := make([]icpMatch, 0, k1-k0)
 		for k := k0; k < k1; k++ {
-			out = icpMatchOne(tree, src, tr, k*subsample, s, c, trans, reuse, out)
+			out = icpMatchOne(tree, src, tr, k*subsample, s, c, trans, rows[tile*n:(tile+1)*n], out)
 		}
 		buckets[tile] = out
-		mu.Lock()
-		for i, r := range reuse {
-			if r != 0 {
-				tree.Reuse[i] += r
-			}
-		}
-		mu.Unlock()
-		parallel.PutInts(reuse)
 	})
-	matches := matchPool.Get(m)[:0]
+	tree.mergeReuse(rows)
 	for _, b := range buckets {
 		matches = append(matches, b...)
 	}
+	tree.matches = matches
 	return matches
 }
 
@@ -118,7 +115,6 @@ func Localize(tree *KDTree, src *Cloud, tr Tracker, iters, subsample int) ICPRes
 		// floating-point association as a single-threaded scan.
 		pairs := collectMatches(tree, src, tr, subsample, yaw, trans)
 		if len(pairs) < 3 {
-			matchPool.Put(pairs)
 			break
 		}
 		var srcCx, srcCy, dstCx, dstCy float64
@@ -146,7 +142,6 @@ func Localize(tree *KDTree, src *Cloud, tr Tracker, iters, subsample int) ICPRes
 			syx += ay * bx
 			syy += ay * by
 		}
-		matchPool.Put(pairs)
 		dyaw := math.Atan2(sxy-syx, sxx+syy)
 		yaw += dyaw
 		sNew, cNew := math.Sin(dyaw), math.Cos(dyaw)
@@ -289,7 +284,7 @@ type Normal = mathx.Vec3
 // EstimateNormals fits a plane to each point's k-neighborhood (PCA smallest
 // eigenvector via plane least-squares) — the core of surface reconstruction.
 // Points are independent, so untracked runs fan the kNN searches out across
-// the worker pool (per-tile reuse scratch, merged afterwards); each point's
+// the worker pool (a reuse row per tile, merged afterwards); each point's
 // accumulation is self-contained, so the normals are byte-identical for any
 // worker count.
 func EstimateNormals(tree *KDTree, cloud *Cloud, tr Tracker, k int) []Normal {
@@ -323,21 +318,14 @@ func EstimateNormals(tree *KDTree, cloud *Cloud, tr Tracker, k int) []Normal {
 		}
 		return out
 	}
-	var mu sync.Mutex
-	parallel.For(n, icpGrain, func(i0, i1 int) {
-		reuse := parallel.GetIntsZeroed(tree.cloud.Len())
+	grain, cn := queryGrain(n), tree.cloud.Len()
+	rows := tree.reuseRows(parallel.Tiles(n, grain))
+	parallel.ForTiled(n, grain, func(tile, i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			one(i, reuse)
+			one(i, rows[tile*cn:(tile+1)*cn])
 		}
-		mu.Lock()
-		for i, r := range reuse {
-			if r != 0 {
-				tree.Reuse[i] += r
-			}
-		}
-		mu.Unlock()
-		parallel.PutInts(reuse)
 	})
+	tree.mergeReuse(rows)
 	return out
 }
 

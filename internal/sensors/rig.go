@@ -146,20 +146,7 @@ func (r *RadarRig) NearestInSector(t time.Duration, pose world.Pose, center, hal
 type SonarRig struct {
 	Units  []*Sonar
 	Mounts []Mount
-
-	stats SonarRigStats
 }
-
-// SonarRigStats counts a sonar ring's activity for the telemetry layer.
-type SonarRigStats struct {
-	// Pings counts per-unit pings issued by sector queries.
-	Pings int64
-	// SectorQueries counts NearestInSector evaluations.
-	SectorQueries int64
-}
-
-// Stats returns the ring's activity counters.
-func (r *SonarRig) Stats() SonarRigStats { return r.stats }
 
 // NewSonarRig builds the 8-unit ring over one obstacle frame.
 func NewSonarRig(w *world.World, rng *sim.RNG) *SonarRig {
@@ -187,7 +174,6 @@ func (r *SonarRig) UseFrame(f *world.Frame) {
 // NearestInSector pings all units facing within ±halfWidth of center and
 // returns the closest valid range (measured from the vehicle origin).
 func (r *SonarRig) NearestInSector(t time.Duration, pose world.Pose, center, halfWidth float64) (float64, bool) {
-	r.stats.SectorQueries++
 	best := math.Inf(1)
 	found := false
 	for i, u := range r.Units {
@@ -195,7 +181,6 @@ func (r *SonarRig) NearestInSector(t time.Duration, pose world.Pose, center, hal
 		if math.Abs(mathx.WrapAngle(m.Bearing-center)) > halfWidth {
 			continue
 		}
-		r.stats.Pings++
 		ping := u.PingAt(t, m.sensorPose(pose))
 		if !ping.Valid {
 			continue

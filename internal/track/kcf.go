@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"sov/internal/mathx"
-	"sov/internal/parallel"
 	"sov/internal/vision"
 )
 
@@ -32,6 +31,13 @@ type KCF struct {
 	xf     []complex128 // FFT of the training patch (windowed)
 	xNorm  float64      // ||x||²
 	cx, cy float64      // current target center
+
+	// Scratch, size×size each: the sampled pixel values, the windowed patch
+	// (transformed in place), and the kernel correlation, which becomes the
+	// response in place. A KCF is driven by one caller at a time.
+	vals  []float64
+	patch []complex128
+	corr  []complex128
 }
 
 // NewKCF returns a tracker with a size×size template (size must be a power
@@ -42,6 +48,9 @@ func NewKCF(size int) *KCF {
 	}
 	k := &KCF{Size: size, Sigma: 0.5, Lambda: 1e-4, OutputSigma: float64(size) / 10}
 	k.window = make([]float64, size*size)
+	k.vals = make([]float64, size*size)
+	k.patch = make([]complex128, size*size)
+	k.corr = make([]complex128, size*size)
 	for y := 0; y < size; y++ {
 		wy := 0.5 * (1 - math.Cos(2*math.Pi*float64(y)/float64(size-1)))
 		for x := 0; x < size; x++ {
@@ -72,13 +81,12 @@ func NewKCF(size int) *KCF {
 	return k
 }
 
-// extract pulls the windowed, zero-mean patch centered at (cx, cy) into a
-// pooled buffer the caller must release with parallel.PutC128.
+// extract pulls the windowed, zero-mean patch centered at (cx, cy) into
+// k.patch and returns it.
 func (k *KCF) extract(im *vision.Image, cx, cy float64) []complex128 {
 	n := k.Size
-	patch := parallel.GetC128(n * n)
+	patch, vals := k.patch, k.vals
 	half := float64(n) / 2
-	vals := parallel.GetF64(n * n)
 	for y := 0; y < n; y++ {
 		for x := 0; x < n; x++ {
 			vals[y*n+x] = float64(im.Bilinear(cx-half+float64(x), cy-half+float64(y)))
@@ -92,34 +100,31 @@ func (k *KCF) extract(im *vision.Image, cx, cy float64) []complex128 {
 	for i := range patch {
 		patch[i] = complex((vals[i]-mean)*k.window[i], 0)
 	}
-	parallel.PutF64(vals)
 	return patch
 }
 
 // gaussianCorrelationF computes the Fourier transform of the Gaussian
-// kernel correlation between patches whose FFTs are xf and zf. The result
-// is a pooled buffer the caller must release with parallel.PutC128.
+// kernel correlation between patches whose FFTs are xf and zf into k.corr
+// and returns it.
 func (k *KCF) gaussianCorrelationF(xf, zf []complex128, xNorm, zNorm float64) []complex128 {
 	n := k.Size
-	prod := parallel.GetC128(n * n)
-	for i := range prod {
+	out := k.corr
+	for i := range out {
 		// conj(xf)*zf — cross-correlation in Fourier domain.
-		prod[i] = complex(real(xf[i]), -imag(xf[i])) * zf[i]
+		out[i] = complex(real(xf[i]), -imag(xf[i])) * zf[i]
 	}
-	if err := mathx.FFT2D(prod, n, n, true); err != nil {
+	if err := mathx.FFT2D(out, n, n, true); err != nil {
 		panic(err)
 	}
-	out := parallel.GetC128(n * n)
 	norm := float64(n * n)
 	s2 := k.Sigma * k.Sigma
 	for i := range out {
-		d := (xNorm + zNorm - 2*real(prod[i])) / norm
+		d := (xNorm + zNorm - 2*real(out[i])) / norm
 		if d < 0 {
 			d = 0
 		}
 		out[i] = complex(math.Exp(-d/s2), 0)
 	}
-	parallel.PutC128(prod)
 	if err := mathx.FFT2D(out, n, n, false); err != nil {
 		panic(err)
 	}
@@ -134,11 +139,9 @@ func (k *KCF) Init(im *vision.Image, cx, cy float64) {
 	for _, v := range x {
 		k.xNorm += real(v) * real(v)
 	}
-	// xf and alphaF are retained as model state, so they come from make,
-	// not the scratch pools.
+	// xf and alphaF are the model, which outlives the scratch.
 	xf := make([]complex128, len(x))
 	copy(xf, x)
-	parallel.PutC128(x)
 	if err := mathx.FFT2D(xf, n, n, false); err != nil {
 		panic(err)
 	}
@@ -151,7 +154,6 @@ func (k *KCF) Init(im *vision.Image, cx, cy float64) {
 	for i := range kf {
 		alphaF[i] = k.yf[i] / (kf[i] + complex(k.Lambda, 0))
 	}
-	parallel.PutC128(kf)
 	k.cx, k.cy = cx, cy
 }
 
@@ -167,25 +169,19 @@ func (k *KCF) Update(im *vision.Image) Result {
 		return Result{}
 	}
 	n := k.Size
-	z := k.extract(im, k.cx, k.cy)
+	zf := k.extract(im, k.cx, k.cy)
 	var zNorm float64
-	for _, v := range z {
+	for _, v := range zf {
 		zNorm += real(v) * real(v)
 	}
-	zf := parallel.GetC128(len(z))
-	copy(zf, z)
-	parallel.PutC128(z)
 	if err := mathx.FFT2D(zf, n, n, false); err != nil {
 		panic(err)
 	}
-	kzf := k.gaussianCorrelationF(k.xf, zf, k.xNorm, zNorm)
-	parallel.PutC128(zf)
-	resp := parallel.GetC128(len(kzf))
+	resp := k.gaussianCorrelationF(k.xf, zf, k.xNorm, zNorm)
 	alphaF := k.alphaF
-	for i := range kzf {
-		resp[i] = kzf[i] * alphaF[i]
+	for i := range resp {
+		resp[i] *= alphaF[i]
 	}
-	parallel.PutC128(kzf)
 	if err := mathx.FFT2D(resp, n, n, true); err != nil {
 		panic(err)
 	}
@@ -210,7 +206,6 @@ func (k *KCF) Update(im *vision.Image) Result {
 	if den := at(bx, by-1) - 2*best + at(bx, by+1); den < -1e-12 {
 		dy += 0.5 * (at(bx, by-1) - at(bx, by+1)) / den
 	}
-	parallel.PutC128(resp)
 	if dx > float64(n)/2 {
 		dx -= float64(n)
 	}

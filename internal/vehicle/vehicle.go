@@ -157,7 +157,6 @@ type ECU struct {
 
 	overrideUntil time.Duration
 	frames        int
-	overrides     int
 	rejected      int
 }
 
@@ -178,7 +177,6 @@ func (e *ECU) Receive(f canbus.Frame) error {
 	now := e.Vehicle.Now()
 	switch f.ID {
 	case canbus.IDReactiveOverride:
-		e.overrides++
 		e.overrideUntil = now + e.HoldTime
 		cmd.EStop = true
 		e.Vehicle.Apply(cmd)
@@ -195,9 +193,9 @@ func (e *ECU) Receive(f canbus.Frame) error {
 	return nil
 }
 
-// Stats reports frames seen, overrides honored, and commands rejected.
-func (e *ECU) Stats() (frames, overrides, rejected int) {
-	return e.frames, e.overrides, e.rejected
+// Stats reports frames seen and commands rejected.
+func (e *ECU) Stats() (frames, rejected int) {
+	return e.frames, e.rejected
 }
 
 // OverrideActive reports whether a reactive hold is in effect.

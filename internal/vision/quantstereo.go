@@ -47,7 +47,8 @@ func sadAtQ(left, right *QImage, x, y, d, half int) int32 {
 
 // matchPixelQ is the fixed-point matchPixel: best disparity in [dMin, dMax]
 // by int32 SAD with the same uniqueness check and sub-pixel parabola as the
-// float path. scratch holds per-candidate costs (borrow via parallel.GetI32).
+// float path. scratch holds the per-candidate costs (a StereoScratch band)
+// and must have room for dMax+1 of them.
 //
 //sov:hotpath
 func matchPixelQ(left, right *QImage, x, y, dMin, dMax, half int, scratch []int32) float32 {
@@ -63,12 +64,7 @@ func matchPixelQ(left, right *QImage, x, y, dMin, dMax, half int, scratch []int3
 	const maxCost = int32(1) << 30
 	best, second := maxCost, maxCost
 	bestD := -1
-	costs := scratch
-	if cap(costs) < dMax-dMin+1 {
-		//sovlint:ignore hotalloc fallback for nil scratch; the matchers pass pooled GetI32 buffers
-		costs = make([]int32, dMax-dMin+1)
-	}
-	costs = costs[:dMax-dMin+1]
+	costs := scratch[:dMax-dMin+1]
 	// The SWAR row kernel covers the sub-band whose right-image windows are
 	// interior: d ≤ x−half. Near the left image edge that is a strict prefix
 	// of [dMin, dMax]; the few remaining candidates take the clamped scalar
@@ -124,16 +120,16 @@ func matchPixelQ(left, right *QImage, x, y, dMin, dMax, half int, scratch []int3
 	return float32(d)
 }
 
-// StereoScratch carries the fixed-point matcher's per-pixel cost band
-// across frames. The zero value is ready to use; the band grows on first use
-// and sticks, so a control loop that keeps one StereoScratch per camera pair
-// allocates nothing once warm (serial path — the parallel fan-out borrows
-// pooled buffers instead).
+// StereoScratch carries the fixed-point matcher's per-pixel cost bands
+// across frames: one band on the serial path, one per tile on the parallel
+// one. The zero value is ready to use; the bands grow on first use and
+// stick, so a control loop that keeps one StereoScratch per camera pair
+// allocates nothing in the matcher once warm.
 type StereoScratch struct {
 	costs []int32
 }
 
-// costBand returns the scratch cost vector for an n-candidate search.
+// costBand returns the scratch for n costs.
 func (s *StereoScratch) costBand(n int) []int32 {
 	if cap(s.costs) < n {
 		//sovlint:ignore hotalloc first-call scratch growth; warm frames reuse the band
@@ -155,7 +151,7 @@ func sizeMap(m *DisparityMap, w, h int) {
 }
 
 // BlockMatchQuantInto is the fixed-point BlockMatch: exhaustive int32-SAD
-// search over 8-bit frames, with the disparity plane and cost band in
+// search over 8-bit frames, with the disparity plane and cost bands in
 // caller-owned storage. Output layout and validity semantics are identical
 // to the float matcher's, and the output is byte-identical for any worker
 // count.
@@ -163,23 +159,29 @@ func sizeMap(m *DisparityMap, w, h int) {
 //sov:hotpath
 func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int, s *StereoScratch) {
 	sizeMap(m, left.W, left.H)
+	n := maxDisp + 1
 	if parallel.Workers() <= 1 {
-		costs := s.costBand(maxDisp + 1)
-		for y := 0; y < left.H; y++ {
-			for x := 0; x < left.W; x++ {
-				m.D[y*m.W+x] = matchPixelQ(left, right, x, y, 0, maxDisp, half, costs)
-			}
-		}
+		matchRowsQ(m, left, right, 0, left.H, maxDisp, half, s.costBand(n))
 		return
 	}
+	// Tile bands start a whole cache line (16 int32) past the previous one's
+	// end, so two workers never write the same line.
+	stride := n + 16
+	bands := s.costBand(parallel.Tiles(left.H, sadRowBlock) * stride)
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(left.H, sadRowBlock, func(y0, y1 int) {
-		costs := parallel.GetI32(maxDisp + 1)
-		for y := y0; y < y1; y++ {
-			for x := 0; x < left.W; x++ {
-				m.D[y*m.W+x] = matchPixelQ(left, right, x, y, 0, maxDisp, half, costs)
-			}
-		}
-		parallel.PutI32(costs)
+		b := y0 / sadRowBlock * stride
+		matchRowsQ(m, left, right, y0, y1, maxDisp, half, bands[b:b+n])
 	})
+}
+
+// matchRowsQ fills rows [y0, y1) of m through one cost band.
+//
+//sov:hotpath
+func matchRowsQ(m *DisparityMap, left, right *QImage, y0, y1, maxDisp, half int, costs []int32) {
+	for y := y0; y < y1; y++ {
+		for x := 0; x < left.W; x++ {
+			m.D[y*m.W+x] = matchPixelQ(left, right, x, y, 0, maxDisp, half, costs)
+		}
+	}
 }

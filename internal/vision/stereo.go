@@ -39,8 +39,8 @@ func sadAt(left, right *Image, x, y, d, half int) float64 {
 
 // matchPixel finds the best disparity in [dMin, dMax] with sub-pixel
 // parabola refinement and a uniqueness check. Returns -1 when ambiguous.
-// scratch, when non-nil with sufficient capacity, holds the per-candidate
-// costs so the per-pixel hot path does not allocate.
+// scratch holds the per-candidate costs and must have room for dMax+1 of
+// them.
 func matchPixel(left, right *Image, x, y, dMin, dMax, half int, scratch []float64) float32 {
 	if dMin < 0 {
 		dMin = 0
@@ -53,11 +53,7 @@ func matchPixel(left, right *Image, x, y, dMin, dMax, half int, scratch []float6
 	}
 	best, second := math.Inf(1), math.Inf(1)
 	bestD := -1
-	costs := scratch
-	if cap(costs) < dMax-dMin+1 {
-		costs = make([]float64, dMax-dMin+1)
-	}
-	costs = costs[:dMax-dMin+1]
+	costs := scratch[:dMax-dMin+1]
 	for d := dMin; d <= dMax; d++ {
 		c := sadAt(left, right, x, y, d, half)
 		costs[d-dMin] = c
@@ -95,13 +91,12 @@ func matchPixel(left, right *Image, x, y, dMin, dMax, half int, scratch []float6
 func BlockMatch(left, right *Image, maxDisp, half int) *DisparityMap {
 	m := &DisparityMap{W: left.W, H: left.H, D: make([]float32, left.W*left.H)}
 	parallel.ForRows(left.H, func(y0, y1 int) {
-		costs := parallel.GetF64(maxDisp + 1)
+		costs := make([]float64, maxDisp+1)
 		for y := y0; y < y1; y++ {
 			for x := 0; x < left.W; x++ {
 				m.D[y*m.W+x] = matchPixel(left, right, x, y, 0, maxDisp, half, costs)
 			}
 		}
-		parallel.PutF64(costs)
 	})
 	return m
 }
@@ -125,7 +120,7 @@ func SupportPoints(left, right *Image, maxDisp, half, stride int) []SupportPoint
 	}
 	buckets := make([][]SupportPoint, parallel.Tiles(nRows, 1))
 	parallel.ForTiled(nRows, 1, func(tile, r0, r1 int) {
-		costs := parallel.GetF64(maxDisp + 1)
+		costs := make([]float64, maxDisp+1)
 		var rows []SupportPoint
 		for r := r0; r < r1; r++ {
 			y := half + r*stride
@@ -137,7 +132,6 @@ func SupportPoints(left, right *Image, maxDisp, half, stride int) []SupportPoint
 			}
 		}
 		buckets[tile] = rows
-		parallel.PutF64(costs)
 	})
 	var out []SupportPoint
 	for _, b := range buckets {
@@ -160,7 +154,7 @@ func SupportPointStereo(left, right *Image, maxDisp, half, stride, band int) *Di
 		return m
 	}
 	parallel.ForRows(left.H, func(y0, y1 int) {
-		costs := parallel.GetF64(maxDisp + 1)
+		costs := make([]float64, maxDisp+1)
 		for y := y0; y < y1; y++ {
 			for x := 0; x < left.W; x++ {
 				prior := interpolatePrior(sps, x, y)
@@ -172,7 +166,6 @@ func SupportPointStereo(left, right *Image, maxDisp, half, stride, band int) *Di
 				m.D[y*m.W+x] = matchPixel(left, right, x, y, dMin, dMax, half, costs)
 			}
 		}
-		parallel.PutF64(costs)
 	})
 	return m
 }

@@ -139,13 +139,11 @@ func TestQuantKernelsDeterministicAcrossWorkers(t *testing.T) {
 		raw := qy.ForwardRaw(probe)
 		codes1 = append(codes1, raw.Data...)
 		boxes1 = detect.DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0.3)
-		nn.PutQTensor(raw)
 	})
 	atWorkers(8, func() {
 		raw := qy.ForwardRaw(probe)
 		codes8 = append(codes8, raw.Data...)
 		boxes8 = detect.DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0.3)
-		nn.PutQTensor(raw)
 	})
 	if !reflect.DeepEqual(codes1, codes8) {
 		t.Fatal("quantized YOLO head output differs between workers=1 and workers=8")

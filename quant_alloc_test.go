@@ -15,10 +15,10 @@ import (
 )
 
 // TestQuantKernelsZeroAllocSteadyState warms each kernel, then requires
-// zero allocations per run with one worker (the serial paths; the parallel
-// fan-outs borrow pooled buffers and are audited by sovlint instead), and
-// for the batched detector also with four workers from inside a fan-out
-// body, where every layer's own fan-out runs inline.
+// zero allocations per run with one worker (the serial paths; a top-level
+// parallel fan-out still allocates its closures), and for the batched
+// detector also with four workers from inside a fan-out body, where every
+// layer's own fan-out runs inline.
 func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 
@@ -30,10 +30,10 @@ func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 	// conv: perception-shaped QConv2D through the GEMM dispatcher.
 	{
 		_, qc, in := quantBenchConv()
-		qin := nn.GetQTensor(in.C, in.H, in.W, qc.InP)
+		qin := nn.NewQTensor(in.C, in.H, in.W, qc.InP)
 		nn.QuantizeTensorInto(qin, in)
 		oc, oh, ow := qc.OutShape(in.C, in.H, in.W)
-		qout := nn.GetQTensor(oc, oh, ow, qc.OutParams())
+		qout := nn.NewQTensor(oc, oh, ow, qc.OutParams())
 		kernels = append(kernels, struct {
 			name string
 			run  func()
@@ -43,9 +43,9 @@ func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 	// fc: SWAR pair-dot QFC.
 	{
 		_, qf, in := quantBenchFC()
-		qin := nn.GetQTensor(in.C, 1, 1, qf.InP)
+		qin := nn.NewQTensor(in.C, 1, 1, qf.InP)
 		nn.QuantizeTensorInto(qin, in)
-		qout := nn.GetQTensor(qf.Out, 1, 1, qf.OutParams())
+		qout := nn.NewQTensor(qf.Out, 1, 1, qf.OutParams())
 		kernels = append(kernels, struct {
 			name string
 			run  func()
@@ -114,7 +114,7 @@ func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 	}
 
 	for _, k := range kernels {
-		k.run() // warm: scratch growth and pool population happen here
+		k.run() // warm: scratch growth happens here
 		k.run()
 		if avg := testing.AllocsPerRun(20, k.run); avg > 0 {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", k.name, avg)

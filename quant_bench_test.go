@@ -79,18 +79,15 @@ func BenchmarkQuantSpeedup(b *testing.B) {
 	})
 	b.Run("conv/int8", func(b *testing.B) {
 		_, qc, in := quantBenchConv()
-		qin := nn.GetQTensor(in.C, in.H, in.W, qc.InP)
+		qin := nn.NewQTensor(in.C, in.H, in.W, qc.InP)
 		nn.QuantizeTensorInto(qin, in)
 		oc, oh, ow := qc.OutShape(in.C, in.H, in.W)
-		qout := nn.GetQTensor(oc, oh, ow, qc.OutParams())
+		qout := nn.NewQTensor(oc, oh, ow, qc.OutParams())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			qc.ForwardInto(qin, qout)
 		}
-		b.StopTimer()
-		nn.PutQTensor(qout)
-		nn.PutQTensor(qin)
 	})
 	b.Run("fc/float32", func(b *testing.B) {
 		fc, _, in := quantBenchFC()
@@ -102,17 +99,14 @@ func BenchmarkQuantSpeedup(b *testing.B) {
 	})
 	b.Run("fc/int8", func(b *testing.B) {
 		_, qf, in := quantBenchFC()
-		qin := nn.GetQTensor(in.C, 1, 1, qf.InP)
+		qin := nn.NewQTensor(in.C, 1, 1, qf.InP)
 		nn.QuantizeTensorInto(qin, in)
-		qout := nn.GetQTensor(qf.Out, 1, 1, qf.OutParams())
+		qout := nn.NewQTensor(qf.Out, 1, 1, qf.OutParams())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			qf.ForwardInto(qin, qout)
 		}
-		b.StopTimer()
-		nn.PutQTensor(qout)
-		nn.PutQTensor(qin)
 	})
 	b.Run("isp/float32", func(b *testing.B) {
 		left, _ := benchStereoPair(256, 192)

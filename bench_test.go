@@ -373,7 +373,7 @@ func BenchmarkAllExperimentsReport(b *testing.B) {
 	var out string
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out = experiments.All(1, 30*time.Second, 2000)
+		out = experiments.All(core.DefaultConfig(), 1, 30*time.Second, 2000)
 	}
 	b.ReportMetric(float64(len(out)), "report_bytes")
 }

@@ -5,13 +5,11 @@
 // Usage:
 //
 //	sovbench [-duration 120s] [-seed 1] [-points 4000] [-only fig10] [-workers N]
-//	         [-cpuprofile cpu.out] [-memprofile mem.out]
-//	         [-metrics m.prom] [-spans s.json] [-blackbox b.jsonl]
+//	         [-quant] [-sched] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// The telemetry flags attach the unified observability layer to the Fig. 10
-// characterization cruise: when any is set, an instrumented characterization
-// run executes (replacing the plain one under -only fig10) and its registry
-// exposition, span file, and flight-recorder dumps land at the given paths.
+// -quant and -sched set the base core.Config every SoV run of the suite
+// starts from. The Fig. 10 cruise with telemetry attached is sovsim's job:
+// sovsim -seed S -duration D -metrics m.prom -spans s.json -blackbox b.jsonl.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 
 	"sov/internal/core"
 	"sov/internal/experiments"
-	"sov/internal/obs"
 	"sov/internal/parallel"
 )
 
@@ -39,13 +36,10 @@ func main() {
 	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler to SoV runs (DESIGN.md \u00a713)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
-	metricsPath := flag.String("metrics", "", "attach a metrics registry to the characterization cruise and write its exposition here (.json for JSON, else Prometheus text)")
-	spansPath := flag.String("spans", "", "attach span tracing to the characterization cruise and write Chrome trace_event JSON here")
-	boxPath := flag.String("blackbox", "", "attach the flight recorder to the characterization cruise and write anomaly dumps (JSONL) here")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
-	core.SetQuantDefault(*quant)
-	core.SetSchedDefault(*sched)
+	base := core.DefaultConfig()
+	base.Quant, base.Sched = *quant, *sched
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -75,17 +69,9 @@ func main() {
 		}()
 	}
 
-	telemetry := *metricsPath != "" || *spansPath != "" || *boxPath != ""
-
 	if *only == "" {
-		fmt.Print(experiments.All(*seed, *duration, *points))
-		if telemetry {
-			runInstrumented(*seed, *duration, *metricsPath, *spansPath, *boxPath)
-		}
+		fmt.Print(experiments.All(base, *seed, *duration, *points))
 		return
-	}
-	if telemetry && strings.ToLower(*only) != "fig10" {
-		defer runInstrumented(*seed, *duration, *metricsPath, *spansPath, *boxPath)
 	}
 	switch strings.ToLower(*only) {
 	case "fig2":
@@ -109,12 +95,8 @@ func main() {
 	case "fig9":
 		fmt.Print(experiments.Fig9RPR())
 	case "fig10":
-		if telemetry {
-			runInstrumented(*seed, *duration, *metricsPath, *spansPath, *boxPath)
-		} else {
-			out, _ := experiments.Fig10Characterization(*seed, *duration)
-			fmt.Print(out)
-		}
+		out, _ := experiments.Fig10Characterization(base, *seed, *duration)
+		fmt.Print(out)
 	case "fig11a":
 		fmt.Print(experiments.Fig11aDepthSync())
 	case "fig11b":
@@ -122,7 +104,7 @@ func main() {
 	case "fig12":
 		fmt.Print(experiments.Fig12SyncArchitecture())
 	case "reactive":
-		fmt.Print(experiments.ReactivePathStudy())
+		fmt.Print(experiments.ReactivePathStudy(base))
 	case "csv":
 		fmt.Print(experiments.SeriesCSV())
 	case "fusion":
@@ -130,75 +112,11 @@ func main() {
 	case "extensions":
 		fmt.Print(experiments.Extensions())
 	case "sched":
-		fmt.Print(experiments.SchedDynamic(*seed))
+		fmt.Print(experiments.SchedDynamic(base, *seed))
 	case "sched-json":
-		fmt.Print(experiments.SchedBenchJSON(*seed))
+		fmt.Print(experiments.SchedBenchJSON(base, *seed))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
 		os.Exit(2)
-	}
-}
-
-// runInstrumented executes the telemetry-attached characterization cruise
-// and writes the requested artifacts.
-func runInstrumented(seed int64, duration time.Duration, metricsPath, spansPath, boxPath string) {
-	var reg *obs.Registry
-	if metricsPath != "" {
-		reg = obs.NewRegistry()
-	}
-	var spans *obs.SpanWriter
-	var spansFile *os.File
-	if spansPath != "" {
-		f, err := os.Create(spansPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spans:", err)
-			return
-		}
-		spansFile = f
-		spans = obs.NewSpanWriter(f)
-	}
-	var box *obs.FlightRecorder
-	var boxFile *os.File
-	if boxPath != "" {
-		f, err := os.Create(boxPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blackbox:", err)
-			return
-		}
-		boxFile = f
-		box = obs.NewFlightRecorder(f, 64, 3)
-	}
-
-	out, _ := experiments.Fig10Instrumented(seed, duration, reg, spans, box)
-	fmt.Print(out)
-
-	if reg != nil {
-		if err := reg.WriteFile(metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
-		} else {
-			fmt.Printf("metrics: registry snapshot -> %s\n", metricsPath)
-		}
-	}
-	if spans != nil {
-		n, err := spans.Close()
-		if cerr := spansFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spans:", err)
-		} else {
-			fmt.Printf("spans: %d events -> %s\n", n, spansPath)
-		}
-	}
-	if box != nil {
-		n, err := box.Close()
-		if cerr := boxFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blackbox:", err)
-		} else {
-			fmt.Printf("blackbox: %d dumps -> %s\n", n, boxPath)
-		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"time"
 
-	"sov/internal/core"
 	"sov/internal/fleet"
 	"sov/internal/obs"
 	"sov/internal/parallel"
@@ -52,8 +51,6 @@ func main() {
 	flag.Parse()
 
 	parallel.SetWorkers(*workers)
-	core.SetQuantDefault(*quant)
-	core.SetSchedDefault(*sched)
 
 	cfg := fleet.DefaultConfig()
 	cfg.Vehicles = *vehicles
@@ -62,7 +59,8 @@ func main() {
 	cfg.Seed = *seed
 	cfg.DemandPerHour = *demand
 	cfg.PerceptionEvery = *perception
-	cfg.Vehicle = core.DefaultConfig()
+	cfg.Vehicle.Quant = *quant
+	cfg.Vehicle.Sched = *sched
 
 	if *tracePath != "" {
 		out := os.Stdout

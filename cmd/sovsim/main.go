@@ -41,10 +41,10 @@ func main() {
 	cameras := flag.Int("cameras", 1, "cameras feeding scene understanding per cycle")
 	ambient := flag.Float64("ambient", 25, "enclosure ambient temperature (C) for the scheduler's thermal model")
 	flag.Parse()
-	core.SetSchedDefault(*sched)
 
 	cfg := core.DefaultConfig()
 	cfg.Quant = *quant
+	cfg.Sched = *sched
 	cfg.SchedMapping = *schedMapping
 	cfg.SchedStatic = *schedStatic
 	cfg.Cameras = *cameras

@@ -241,9 +241,6 @@ var flagCases = []flagCase{
 	{"sovbench -sched", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "5s", "-sched"}, "differs"},
 	{"sovbench -cpuprofile", []string{"-only", "fig2"}, []string{"-only", "fig2", "-cpuprofile", "cpu.out"}, "differs"},
 	{"sovbench -memprofile", []string{"-only", "fig2"}, []string{"-only", "fig2", "-memprofile", "mem.out"}, "differs"},
-	{"sovbench -metrics", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "5s", "-metrics", "m.prom"}, "differs"},
-	{"sovbench -spans", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "5s", "-spans", "s.json"}, "differs"},
-	{"sovbench -blackbox", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "5s", "-blackbox", "b.jsonl"}, "differs"},
 
 	{"sovfleet -vehicles", fleetBase, append(fleetArgs(), "-vehicles", "9"), "differs"},
 	{"sovfleet -regions", fleetBase, append(fleetArgs(), "-regions", "1"), "differs"},

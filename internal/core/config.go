@@ -137,28 +137,21 @@ type Config struct {
 // Deprecated: see Config.Pipeline.
 func SetPipelineDefault(bool) {}
 
-// quantDefault is the process-wide default for Config.Quant: the -quant
-// flags set it so helpers that build DefaultConfig internally (the
-// experiment suite) run on the fixed-point perception path too.
-var quantDefault bool
+// SetQuantDefault does nothing: DefaultConfig reads no process state, and
+// callers set Config.Quant.
+//
+// Deprecated: nothing reads what it was given. It stays only because the
+// frozen benchmark/ calls it; ROADMAP item 7 drops that call and this shim.
+func SetQuantDefault(bool) {}
 
-// SetQuantDefault makes subsequent DefaultConfig calls enable (or disable)
-// the quantized perception path.
-func SetQuantDefault(on bool) { quantDefault = on }
-
-// schedDefault mirrors quantDefault for Config.Sched: the -sched flags on
-// sovsim/sovbench/sovfleet set it.
-var schedDefault bool
-
-// SetSchedDefault makes subsequent DefaultConfig calls attach (or not) the
-// online heterogeneous scheduler.
-func SetSchedDefault(on bool) { schedDefault = on }
+// SetSchedDefault does nothing: callers set Config.Sched.
+//
+// Deprecated: see SetQuantDefault.
+func SetSchedDefault(bool) {}
 
 // DefaultConfig returns the deployed configuration.
 func DefaultConfig() Config {
 	return Config{
-		Quant:           quantDefault,
-		Sched:           schedDefault,
 		Cameras:         1,
 		AmbientC:        25,
 		Seed:            1,

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sov/internal/mathx"
+	"sov/internal/obs"
 	"sov/internal/sim"
 	"sov/internal/vehicle"
 	"sov/internal/world"
@@ -369,10 +371,23 @@ func TestBatteryDrainsDuringRun(t *testing.T) {
 }
 
 func TestRenderHistogram(t *testing.T) {
-	rep := cruiseReport(t, nil)
+	rep := New(DefaultConfig(), CruiseScenario(3)).Run(30 * time.Second)
 	out := rep.RenderHistogram(10, 30)
 	if !strings.Contains(out, "#") || !strings.Contains(out, "Tcomp") {
 		t.Fatalf("histogram:\n%s", out)
+	}
+	// Every cycle lands in exactly one bar.
+	total := 0
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[1:] {
+		fields := strings.Fields(line)
+		n, err := strconv.Atoi(fields[len(fields)-1])
+		if err != nil {
+			t.Fatalf("bar %q: %v", line, err)
+		}
+		total += n
+	}
+	if total != rep.Cycles {
+		t.Fatalf("bars count %d values over %d cycles:\n%s", total, rep.Cycles, out)
 	}
 	var empty Report
 	empty.init(false)
@@ -381,30 +396,37 @@ func TestRenderHistogram(t *testing.T) {
 	}
 }
 
-// TestIncrementalAdvanceMatchesRun pins the fleet-facing decomposition:
-// Start + AdvanceTo in 1 s epochs + Finish must produce the same report
-// as a one-shot Run, byte for byte — the epoch barriers only slice the
-// event loop, they never reorder or perturb it.
+// TestIncrementalAdvanceMatchesRun pins the fleet- and benchmark-facing
+// decomposition: Start + AdvanceTo every 100 ms + Finish must produce the
+// same report and the same metrics exposition as a one-shot Run, byte for
+// byte — the steps only slice the event loop, they never reorder or perturb
+// it — and a second Finish publishes no second copy of the run's counts.
 func TestIncrementalAdvanceMatchesRun(t *testing.T) {
 	const horizon = 30 * time.Second
-	oneShot := New(DefaultConfig(), CruiseScenario(3)).Run(horizon)
+	whole := New(schedUnderPressure(), CruiseScenario(3))
+	wreg := obs.NewRegistry()
+	whole.AttachMetrics(wreg)
+	oneShot := whole.Run(horizon)
+	want, _ := exposition(t, wreg)
 
-	s := New(DefaultConfig(), CruiseScenario(3))
+	s := New(schedUnderPressure(), CruiseScenario(3))
+	reg := obs.NewRegistry()
+	s.AttachMetrics(reg)
 	s.Start()
-	for at := time.Second; at <= horizon; at += time.Second {
+	for at := 100 * time.Millisecond; at <= horizon; at += 100 * time.Millisecond {
 		s.AdvanceTo(at)
 		if s.engine.Now() != at {
 			t.Fatalf("Now() = %v after AdvanceTo(%v)", s.engine.Now(), at)
 		}
 	}
-	stepped := s.Finish(horizon)
-
-	if got, want := stepped.Render(), oneShot.Render(); got != want {
-		t.Fatalf("epoch-stepped report differs from one-shot Run:\n--- stepped ---\n%s\n--- one-shot ---\n%s", got, want)
-	}
-	if stepped.Cycles != oneShot.Cycles || stepped.Collisions != oneShot.Collisions {
-		t.Fatalf("stepped cycles/collisions %d/%d vs %d/%d",
-			stepped.Cycles, stepped.Collisions, oneShot.Cycles, oneShot.Collisions)
+	for _, finish := range []string{"Finish", "second Finish"} {
+		stepped := s.Finish(horizon)
+		if got, want := stepped.Render(), oneShot.Render(); got != want {
+			t.Fatalf("after %s, the stepped report differs from one-shot Run:\n--- stepped ---\n%s\n--- one-shot ---\n%s", finish, got, want)
+		}
+		if got, _ := exposition(t, reg); got != want {
+			t.Fatalf("after %s, the stepped exposition differs from one-shot Run:\n--- stepped ---\n%s\n--- one-shot ---\n%s", finish, got, want)
+		}
 	}
 }
 

@@ -27,8 +27,9 @@ import (
 // interleave with the reactive path's scans), the shared-stream noise draws,
 // the command sequence number, and the in-flight depth. Perceive and plan
 // touch only state they own exclusively (the detector's forked RNG, the
-// tracker, the planner's warm start, the tracer) plus frame snapshots, which
-// keeps every telemetry record a function of capture-time values (obs.go).
+// tracker, the planner's warm start) plus frame snapshots, and recordCycle
+// (obs.go) emits every telemetry record from the finished frame, which keeps
+// each a function of capture-time values.
 // The stages run on the engine thread, serially: the paper's localization ∥
 // scene-understanding parallelism lives in virtual time (latencyModel.draw
 // takes Perception = max(loc, su)), not in host goroutines.
@@ -52,8 +53,8 @@ type cycleFrame struct {
 	tdata          time.Duration
 	inflight       int
 	overrideActive bool
-	// Scheduler decisions snapshotted at capture, so the plan stage emits
-	// their spans/metrics without touching scheduler state.
+	// Scheduler decisions snapshotted at capture, so recordCycle emits
+	// their spans without touching scheduler state.
 	schedRemap    bool
 	schedOpSwitch bool
 	schedSwap     time.Duration
@@ -149,7 +150,6 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 			}
 		}
 	}
-	s.report.observe(fr.d)
 
 	// Pose-estimate noise is drawn at capture so the coordinator's RNG
 	// stream keeps its order (dropout Bernoulli, then pose noise) whatever
@@ -201,9 +201,7 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	}
 	s.outstanding = s.outstanding[:n]
 	fr.inflight = len(s.outstanding)
-	s.report.observeDepth(fr.inflight)
 	s.outstanding = append(s.outstanding, fr.t0+fr.d.Tcomp+fr.tdata)
-	s.observeCycleMetrics(fr)
 }
 
 // perceiveFrame runs the perception stage on a captured frame: camera
@@ -241,35 +239,15 @@ func (s *SoV) perceiveTrack(fr *cycleFrame) {
 }
 
 // planFrame runs the planning stage: lane-frame conversion, the planner,
-// telemetry, and command encoding.
+// and command encoding.
 func (s *SoV) planFrame(fr *cycleFrame) {
-	in := s.planningInput(fr)
-	p := s.plan.Plan(in)
+	p := s.plan.Plan(s.planningInput(fr))
 	fr.blocked = p.Blocked
-	if p.Blocked {
-		s.report.BlockedCycles++
-		if s.obsM != nil {
-			s.obsM.blocked.Inc()
-		}
-	}
 	fr.objects = len(fr.fused)
-	s.recordTrace(fr)
-	s.recordSpans(fr)
-	s.recordBox(fr)
-
 	cmd := p.Cmd
 	cmd.Seq = fr.seq
 	frame, err := canbus.EncodeCommand(canbus.IDControlCommand, cmd)
-	if err != nil {
-		s.report.EncodeErrors++
-		if s.obsM != nil {
-			s.obsM.encodeErr.Inc()
-		}
-		fr.encodeOK = false
-		return
-	}
-	fr.cmdFrame = frame
-	fr.encodeOK = true
+	fr.cmdFrame, fr.encodeOK = frame, err == nil
 }
 
 // planningInput converts fused perception output into lane coordinates,

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"sov/internal/obs"
-)
+import "sov/internal/obs"
 
 // This file wires the unified telemetry layer (internal/obs) into the
 // control loop. The split follows the determinism boundary documented in
@@ -51,62 +47,40 @@ const (
 	spanSchedSwap  = "sched-rpr-swap"
 )
 
-// coreMetrics bundles the SoV's registry handles. The steady-state handles
-// are created at attach time; run-summary metrics register lazily at the
-// first publish so repeated Runs on one SoV update rather than re-register.
+// coreMetrics bundles the SoV's registry handles. The three latency
+// histograms are registered at attach time and observed once per cycle by
+// recordCycle; every counter and gauge is a run summary, registered at the
+// first publish and written from the Report (publishRunMetrics), so repeated
+// Runs on one SoV update rather than re-register.
 type coreMetrics struct {
 	reg *obs.Registry
 
-	// Steady-state instruments (touched every cycle; allocation-free).
-	cycles     *obs.Counter
-	delivered  *obs.Counter
-	blocked    *obs.Counter
-	reactive   *obs.Counter
-	encodeErr  *obs.Counter
-	collisions *obs.Counter
-	tcompMs    *obs.Histogram
-	e2eMs      *obs.Histogram
-	inflightH  *obs.Histogram
-
-	// Scheduler decision counters; nil unless the scheduler is attached so
-	// the exposition without -sched is byte-stable against its goldens.
-	schedRemaps     *obs.Counter
-	schedOpSwitches *obs.Counter
-	schedSwaps      *obs.Counter
+	tcompMs   *obs.Histogram
+	e2eMs     *obs.Histogram
+	inflightH *obs.Histogram
 
 	// Lazily registered run-summary handles, plus the previously published
-	// totals so cumulative sources (ECU, rigs) publish deltas and stay
-	// monotone counters across repeated Runs.
+	// totals so cumulative sources (the report, ECU, rigs, scheduler)
+	// publish deltas and stay monotone counters across repeated Runs.
 	counters map[string]*obs.Counter
 	gauges   map[string]*obs.Gauge
 	prev     map[string]int64
 }
 
-// AttachMetrics registers the control loop's steady-state instruments on reg
-// and arranges for run-summary metrics (safety, energy, subsystem activity)
-// to be published at the end of each Run. Call before Run.
+// AttachMetrics registers the control loop's latency histograms on reg and
+// arranges for the run-summary metrics (event counts, safety, energy,
+// subsystem activity) to be published at the end of each Run. Call before
+// Run.
 func (s *SoV) AttachMetrics(reg *obs.Registry) {
-	m := &coreMetrics{
-		reg:      reg,
-		counters: make(map[string]*obs.Counter),
-		gauges:   make(map[string]*obs.Gauge),
-		prev:     make(map[string]int64),
+	s.obsM = &coreMetrics{
+		reg:       reg,
+		tcompMs:   reg.Histogram("sov_tcomp_ms", "per-cycle computing latency Tcomp (ms)", obs.ClassVirtual, 0, 800, 40),
+		e2eMs:     reg.Histogram("sov_e2e_ms", "end-to-end latency Tcomp+Tdata+Tmech (ms)", obs.ClassVirtual, 0, 800, 40),
+		inflightH: reg.Histogram("sov_inflight_commands", "commands in flight at capture (virtual pipeline depth)", obs.ClassVirtual, 0, 8, 8),
+		counters:  make(map[string]*obs.Counter),
+		gauges:    make(map[string]*obs.Gauge),
+		prev:      make(map[string]int64),
 	}
-	m.cycles = reg.Counter("sov_cycles_total", "control cycles captured", obs.ClassVirtual)
-	m.delivered = reg.Counter("sov_commands_delivered_total", "commands accepted by the ECU", obs.ClassVirtual)
-	m.blocked = reg.Counter("sov_blocked_cycles_total", "cycles where the planner found no feasible trajectory", obs.ClassVirtual)
-	m.reactive = reg.Counter("sov_reactive_engagements_total", "reactive-path safety engagements", obs.ClassVirtual)
-	m.encodeErr = reg.Counter("sov_encode_errors_total", "commands that failed CAN encoding", obs.ClassVirtual)
-	m.collisions = reg.Counter("sov_collisions_total", "obstacle contacts", obs.ClassVirtual)
-	m.tcompMs = reg.Histogram("sov_tcomp_ms", "per-cycle computing latency Tcomp (ms)", obs.ClassVirtual, 0, 800, 40)
-	m.e2eMs = reg.Histogram("sov_e2e_ms", "end-to-end latency Tcomp+Tdata+Tmech (ms)", obs.ClassVirtual, 0, 800, 40)
-	m.inflightH = reg.Histogram("sov_inflight_commands", "commands in flight at capture (virtual pipeline depth)", obs.ClassVirtual, 0, 8, 8)
-	if s.sched != nil {
-		m.schedRemaps = reg.Counter("sov_sched_remaps_total", "online scheduler task remappings", obs.ClassVirtual)
-		m.schedOpSwitches = reg.Counter("sov_sched_op_switches_total", "online scheduler quant/float operating-point switches", obs.ClassVirtual)
-		m.schedSwaps = reg.Counter("sov_sched_rpr_swaps_total", "RPR bitstream swaps charged by the scheduler", obs.ClassVirtual)
-	}
-	s.obsM = m
 }
 
 // AttachSpans streams per-cycle stage spans of subsequent runs to sw. Call
@@ -134,31 +108,6 @@ func (s *SoV) AttachSpans(sw *obs.SpanWriter) {
 // caller owns Close.
 func (s *SoV) AttachFlightRecorder(f *obs.FlightRecorder) { s.box = f }
 
-// observeCycleMetrics records the capture-time steady-state metrics. Called
-// at the end of captureInto, on the engine thread.
-//
-//sov:hotpath
-func (s *SoV) observeCycleMetrics(fr *cycleFrame) {
-	m := s.obsM
-	if m == nil {
-		return
-	}
-	m.cycles.Inc()
-	m.tcompMs.Observe(ms(fr.d.Tcomp))
-	m.inflightH.Observe(float64(fr.inflight))
-	if m.schedRemaps != nil {
-		if fr.schedRemap {
-			m.schedRemaps.Inc()
-		}
-		if fr.schedOpSwitch {
-			m.schedOpSwitches.Inc()
-		}
-		if fr.schedSwap > 0 {
-			m.schedSwaps.Inc()
-		}
-	}
-}
-
 func b2f(v bool) float64 {
 	if v {
 		return 1
@@ -166,22 +115,44 @@ func b2f(v bool) float64 {
 	return 0
 }
 
-// observeE2E files one cycle's end-to-end latency with the report and, when
-// attached, the metrics registry.
-func (s *SoV) observeE2E(total time.Duration) {
-	s.report.observeE2E(total)
-	if s.obsM != nil {
-		s.obsM.e2eMs.Observe(ms(total))
-	}
-}
-
-// recordSpans emits one cycle's stage spans from frame snapshots. Runs on
-// the plan stage (the only SpanWriter caller during a run); the writer's
-// sort-at-Close keeps each lane monotonic regardless of latency overlap
-// between cycles.
+// recordCycle is the control loop's one per-cycle emitter: it folds the
+// finished cycle into the report and files it with every attached sink —
+// latency histograms, stage spans, flight recorder — reading frame
+// snapshots only, so each record is a function of capture-time values. The
+// JSONL tracer is the one sink outside it (controlCycle): encoding/json
+// allocates per record, and this body stays allocation-free.
 //
 //sov:hotpath
-func (s *SoV) recordSpans(fr *cycleFrame) {
+func (s *SoV) recordCycle(fr *cycleFrame) {
+	e2e := fr.d.Tcomp + fr.tdata + s.cfg.Vehicle.MechLatency
+	s.report.observe(fr, e2e)
+
+	if m := s.obsM; m != nil {
+		m.tcompMs.Observe(ms(fr.d.Tcomp))
+		m.inflightH.Observe(float64(fr.inflight))
+		if fr.encodeOK {
+			m.e2eMs.Observe(ms(e2e))
+		}
+	}
+
+	if s.box != nil {
+		s.box.Record(obs.CycleRecord{
+			Cycle:        fr.cycle,
+			TMs:          fr.t0.Seconds() * 1000,
+			X:            fr.st.Pos.X,
+			Y:            fr.st.Pos.Y,
+			Speed:        fr.st.Speed,
+			SensingMs:    ms(fr.d.Sensing),
+			PerceptionMs: ms(fr.d.Perception),
+			PlanningMs:   ms(fr.d.Planning),
+			TcompMs:      ms(fr.d.Tcomp),
+			Objects:      fr.objects,
+			Blocked:      fr.blocked,
+			Reactive:     fr.overrideActive,
+			InFlight:     fr.inflight,
+		})
+	}
+
 	sw := s.spans
 	if sw == nil {
 		return
@@ -189,7 +160,8 @@ func (s *SoV) recordSpans(fr *cycleFrame) {
 	t0 := fr.t0
 	c := fr.cycle
 	// Capture is instantaneous in virtual time: a zero-duration anchor
-	// carrying the cycle id.
+	// carrying the cycle id. The writer's sort-at-Close keeps each lane
+	// monotonic regardless of latency overlap between cycles.
 	sw.Span(obs.PIDVirtual, tidCapture, spanCapture, "", c, t0, 0)
 	sw.Span(obs.PIDVirtual, tidSensing, spanSensing, spanCapture, c, t0, fr.d.Sensing)
 	pStart := t0 + fr.d.Sensing
@@ -204,8 +176,7 @@ func (s *SoV) recordSpans(fr *cycleFrame) {
 	sw.Span(obs.PIDVirtual, tidPlanning, spanPlanning, spanPerception, c, pStart+fr.d.Perception, fr.d.Planning)
 	sw.Span(obs.PIDVirtual, tidDeliver, spanDeliver, spanPlanning, c, t0+fr.d.Tcomp, fr.tdata)
 	sw.Span(obs.PIDVirtual, tidActuate, spanActuate, spanDeliver, c, t0+fr.d.Tcomp+fr.tdata, s.cfg.Vehicle.MechLatency)
-	// Scheduler decision events, snapshotted into the frame at capture so
-	// this (plan-stage) emitter stays the only SpanWriter caller.
+	// Scheduler decision events, snapshotted into the frame at capture.
 	if fr.schedRemap {
 		sw.Span(obs.PIDVirtual, tidSched, spanSchedRemap, spanCapture, c, t0, 0)
 	}
@@ -215,32 +186,6 @@ func (s *SoV) recordSpans(fr *cycleFrame) {
 	if fr.schedSwap > 0 {
 		sw.Span(obs.PIDVirtual, tidSched, spanSchedSwap, spanCapture, c, t0, fr.schedSwap)
 	}
-}
-
-// recordBox files one cycle with the flight recorder. Runs on the plan
-// stage; all fields are capture-time snapshots, so ring content is a
-// function of virtual time alone.
-//
-//sov:hotpath
-func (s *SoV) recordBox(fr *cycleFrame) {
-	if s.box == nil {
-		return
-	}
-	s.box.Record(obs.CycleRecord{
-		Cycle:        fr.cycle,
-		TMs:          fr.t0.Seconds() * 1000,
-		X:            fr.st.Pos.X,
-		Y:            fr.st.Pos.Y,
-		Speed:        fr.st.Speed,
-		SensingMs:    ms(fr.d.Sensing),
-		PerceptionMs: ms(fr.d.Perception),
-		PlanningMs:   ms(fr.d.Planning),
-		TcompMs:      ms(fr.d.Tcomp),
-		Objects:      fr.objects,
-		Blocked:      fr.blocked,
-		Reactive:     fr.overrideActive,
-		InFlight:     fr.inflight,
-	})
 }
 
 // counterSet publishes a cumulative total under name, registering the
@@ -269,13 +214,22 @@ func (m *coreMetrics) gaugeSet(name, help string, v float64) {
 }
 
 // publishRunMetrics files the run-summary metrics after report.finish: the
-// virtual-time safety/energy/subsystem totals. Cold path — runs once per Run.
+// report's event counts and the virtual-time safety/energy/subsystem
+// totals. Cold path — runs once per Finish.
 func (s *SoV) publishRunMetrics() {
 	m := s.obsM
 	if m == nil {
 		return
 	}
 	r := &s.report
+
+	// Event counts: the report is the one tally.
+	m.counterSet("sov_cycles_total", "control cycles captured", int64(r.Cycles))
+	m.counterSet("sov_commands_delivered_total", "commands accepted by the ECU", int64(r.CommandsDelivered))
+	m.counterSet("sov_blocked_cycles_total", "cycles where the planner found no feasible trajectory", int64(r.BlockedCycles))
+	m.counterSet("sov_reactive_engagements_total", "reactive-path safety engagements", int64(r.ReactiveEngagements))
+	m.counterSet("sov_encode_errors_total", "commands that failed CAN encoding", int64(r.EncodeErrors))
+	m.counterSet("sov_collisions_total", "obstacle contacts", int64(r.Collisions))
 
 	// Vehicle + safety summary (virtual).
 	m.gaugeSet("sov_distance_m", "odometer distance covered", r.DistanceM)
@@ -286,10 +240,14 @@ func (s *SoV) publishRunMetrics() {
 	m.gaugeSet("sov_battery_soc", "battery state of charge at end of run", s.battery.SoC)
 
 	// Online scheduler summary (virtual: the thermal projection is a pure
-	// function of virtual-time duty EWMAs).
-	if s.sched != nil {
-		m.gaugeSet("sov_sched_temp_c", "scheduler float-equivalent steady temperature projection", s.sched.TempC())
-		m.gaugeSet("sov_sched_quantized", "current operating point (1 = int8)", b2f(s.sched.Quantized()))
+	// function of virtual-time duty EWMAs). r.Sched is the scheduler's
+	// Snapshot, taken by Finish.
+	if sc := r.Sched; sc != nil {
+		m.counterSet("sov_sched_remaps_total", "online scheduler task remappings", int64(sc.Remaps))
+		m.counterSet("sov_sched_op_switches_total", "online scheduler quant/float operating-point switches", int64(sc.OpSwitches))
+		m.counterSet("sov_sched_rpr_swaps_total", "RPR bitstream swaps charged by the scheduler", int64(sc.Swaps))
+		m.gaugeSet("sov_sched_temp_c", "scheduler float-equivalent steady temperature projection", sc.TempC)
+		m.gaugeSet("sov_sched_quantized", "current operating point (1 = int8)", b2f(sc.Quantized))
 	}
 
 	// ECU (virtual): every state transition happens at a virtual-time event.

@@ -90,17 +90,11 @@ func TestObsVirtualOutputsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestObsMetricsMatchReport: the registry's steady-state counters must agree
-// exactly with the report's own counters — one source of truth, two views.
-func TestObsMetricsMatchReport(t *testing.T) {
-	cfg := DefaultConfig()
-	s := New(cfg, CruiseScenario(3))
-	reg := obs.NewRegistry()
-	s.AttachMetrics(reg)
-	rep := s.Run(30 * time.Second)
-
+// exposition renders reg's text exposition as name → value lines.
+func exposition(t *testing.T, reg *obs.Registry) (string, map[string]string) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, true); err != nil {
+	if err := reg.WriteText(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	got := map[string]string{}
@@ -108,27 +102,65 @@ func TestObsMetricsMatchReport(t *testing.T) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, val, ok := strings.Cut(line, " ")
-		if ok {
+		if name, val, ok := strings.Cut(line, " "); ok {
 			got[name] = val
 		}
 	}
-	check := func(name string, want int) {
-		t.Helper()
-		if got[name] != itoa(want) {
-			t.Errorf("%s = %s, report says %d", name, got[name], want)
+	return buf.String(), got
+}
+
+// schedUnderPressure is the metric audit's scene that moves all three
+// scheduler counters: a contended start in a hot enclosure remaps, switches
+// operating point and swaps bitstreams.
+func schedUnderPressure() Config {
+	cfg := DefaultConfig()
+	cfg.Sched, cfg.SchedMapping, cfg.AmbientC = true, "GPU/GPU", 45
+	return cfg
+}
+
+// TestObsMetricsMatchReport: every counter the registry exposes is written
+// from the report (and the scheduler's snapshot) at Finish, and the
+// per-cycle histograms count one observation per cycle.
+func TestObsMetricsMatchReport(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		dur  time.Duration
+	}{
+		{"cruise", DefaultConfig(), 30 * time.Second},
+		{"sched under pressure", schedUnderPressure(), 90 * time.Second},
+	} {
+		s := New(c.cfg, CruiseScenario(c.cfg.Seed))
+		reg := obs.NewRegistry()
+		s.AttachMetrics(reg)
+		rep := s.Run(c.dur)
+		_, got := exposition(t, reg)
+		check := func(name string, want int) {
+			t.Helper()
+			if got[name] != itoa(want) {
+				t.Errorf("%s: %s = %s, report says %d", c.name, name, got[name], want)
+			}
 		}
-	}
-	check("sov_cycles_total", rep.Cycles)
-	check("sov_commands_delivered_total", rep.CommandsDelivered)
-	check("sov_blocked_cycles_total", rep.BlockedCycles)
-	check("sov_reactive_engagements_total", rep.ReactiveEngagements)
-	check("sov_collisions_total", rep.Collisions)
-	check("sov_tcomp_ms_count", rep.Cycles)
-	check("sov_e2e_ms_count", rep.Cycles)
-	check("sov_inflight_commands_count", rep.Cycles)
-	if _, ok := got["sov_distance_m"]; !ok {
-		t.Error("run-summary gauge sov_distance_m missing from exposition")
+		check("sov_cycles_total", rep.Cycles)
+		check("sov_commands_delivered_total", rep.CommandsDelivered)
+		check("sov_blocked_cycles_total", rep.BlockedCycles)
+		check("sov_reactive_engagements_total", rep.ReactiveEngagements)
+		check("sov_encode_errors_total", rep.EncodeErrors)
+		check("sov_collisions_total", rep.Collisions)
+		check("sov_tcomp_ms_count", rep.Cycles)
+		check("sov_e2e_ms_count", rep.Cycles)
+		check("sov_inflight_commands_count", rep.Cycles)
+		if _, ok := got["sov_distance_m"]; !ok {
+			t.Errorf("%s: run-summary gauge sov_distance_m missing from exposition", c.name)
+		}
+		if sc := rep.Sched; sc != nil {
+			if sc.Remaps == 0 || sc.OpSwitches == 0 || sc.Swaps == 0 {
+				t.Errorf("%s: scene leaves a scheduler counter at zero: %+v", c.name, *sc)
+			}
+			check("sov_sched_remaps_total", sc.Remaps)
+			check("sov_sched_op_switches_total", sc.OpSwitches)
+			check("sov_sched_rpr_swaps_total", sc.Swaps)
+		}
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 )
 
 // Report is the run's characterization output: the Fig. 10 latency
-// distributions plus safety/throughput counters.
+// distributions plus safety/throughput counters. It is the loop's one tally
+// of those events; an attached metrics registry publishes its counts from
+// here at Finish.
 type Report struct {
 	// Stage latency samples in milliseconds.
 	Tcomp        *stats.Sample
@@ -98,10 +100,24 @@ func (r *Report) init(lean bool) {
 
 func ms(d time.Duration) float64 { return d.Seconds() * 1000 }
 
-func (r *Report) observe(d latencyDraw) {
+// observe folds one finished control cycle into the report: its counts,
+// its stage latencies, its pipeline depth and, when its command was
+// encoded, its end-to-end latency e2e.
+func (r *Report) observe(fr *cycleFrame, e2e time.Duration) {
 	r.Cycles++
+	if fr.blocked {
+		r.BlockedCycles++
+	}
+	if !fr.encodeOK {
+		r.EncodeErrors++
+	}
+	d := &fr.d
 	if r.lean {
 		r.leanTcomp.Observe(ms(d.Tcomp))
+		r.leanDepth.Observe(float64(fr.inflight))
+		if fr.encodeOK {
+			r.leanE2E.Observe(ms(e2e))
+		}
 		return
 	}
 	r.Tcomp.Observe(ms(d.Tcomp))
@@ -112,22 +128,10 @@ func (r *Report) observe(d latencyDraw) {
 	r.Detection.Observe(ms(d.Detection))
 	r.Tracking.Observe(ms(d.Tracking))
 	r.Localization.Observe(ms(d.Localization))
-}
-
-func (r *Report) observeE2E(total time.Duration) {
-	if r.lean {
-		r.leanE2E.Observe(ms(total))
-		return
+	r.PipelineDepth.Observe(float64(fr.inflight))
+	if fr.encodeOK {
+		r.EndToEnd.Observe(ms(e2e))
 	}
-	r.EndToEnd.Observe(ms(total))
-}
-
-func (r *Report) observeDepth(inflight int) {
-	if r.lean {
-		r.leanDepth.Observe(float64(inflight))
-		return
-	}
-	r.PipelineDepth.Observe(float64(inflight))
 }
 
 // MeanTcompMS returns the mean per-cycle computing latency in milliseconds,
@@ -257,8 +261,8 @@ func (r *Report) RenderHistogram(bins, width int) string {
 	lo := r.Tcomp.Min()
 	hi := r.Tcomp.Max() + 1
 	h := stats.NewHistogram(lo, hi, bins)
-	for q := 0.0; q <= 1.0; q += 1.0 / float64(r.Tcomp.N()) {
-		h.Observe(r.Tcomp.Quantile(q))
+	for _, v := range r.Tcomp.Sorted() {
+		h.Observe(v)
 	}
 	return "Tcomp distribution (ms):\n" + h.Render(width)
 }

@@ -276,9 +276,6 @@ func (s *SoV) physicsStep(dt time.Duration) {
 		if clear < 0 && !s.report.collided[o.ID] {
 			s.report.collided[o.ID] = true
 			s.report.Collisions++
-			if s.obsM != nil {
-				s.obsM.collisions.Inc()
-			}
 			if s.box != nil {
 				s.box.Trigger(obs.TriggerCollision, ms(now))
 			}
@@ -296,12 +293,15 @@ func (s *SoV) physicsStep(dt time.Duration) {
 }
 
 // controlCycle runs one proactive-path iteration: capture, perceive, plan,
-// and schedule the command's delivery after the drawn computing latency.
+// record, and schedule the command's delivery after the drawn computing
+// latency.
 func (s *SoV) controlCycle() {
 	fr := &s.frame
 	s.captureInto(fr)
 	s.perceiveFrame(fr)
 	s.planFrame(fr)
+	s.recordCycle(fr)
+	s.tracer.record(fr)
 	if !fr.encodeOK {
 		return
 	}
@@ -309,7 +309,6 @@ func (s *SoV) controlCycle() {
 	// bus (Tdata) and takes effect after Tmech inside the vehicle model.
 	// The CAN frame is copied into a recycled delivery slot: the cycle
 	// frame is reused next cycle, long before this delivery fires.
-	s.observeE2E(fr.d.Tcomp + fr.tdata + s.cfg.Vehicle.MechLatency)
 	s.scheduleDelivery(fr.d.Tcomp+fr.tdata, fr.cmdFrame)
 }
 
@@ -332,9 +331,6 @@ func (s *SoV) scheduleDelivery(delay time.Duration, frame canbus.Frame) {
 		sl.fire = func() {
 			if err := s.ecu.Receive(sl.frame); err == nil {
 				s.report.CommandsDelivered++
-				if s.obsM != nil {
-					s.obsM.delivered.Inc()
-				}
 			}
 			s.freeSlots = append(s.freeSlots, sl)
 		}
@@ -374,18 +370,12 @@ func (s *SoV) reactiveCheck() {
 		return
 	}
 	s.report.ReactiveEngagements++
-	if s.obsM != nil {
-		s.obsM.reactive.Inc()
-	}
 	if s.box != nil {
 		s.box.Trigger(obs.TriggerReactive, ms(now))
 	}
 	frame, err := canbus.EncodeCommand(canbus.IDReactiveOverride, canbus.Command{EStop: true, Seq: s.seq})
 	if err != nil {
 		s.report.EncodeErrors++
-		if s.obsM != nil {
-			s.obsM.encodeErr.Inc()
-		}
 		return
 	}
 	s.engine.Schedule(s.cfg.ReactiveLatency, "reactive-override", func() {

@@ -142,13 +142,14 @@ func SummarizeTrace(r io.Reader) (TraceSummary, error) {
 	return out, nil
 }
 
-// recordTrace is called from the plan stage when a tracer is attached. It
-// reads only frame snapshots.
-func (s *SoV) recordTrace(fr *cycleFrame) {
-	if s.tracer == nil {
+// record writes one finished cycle from frame snapshots; a nil tracer
+// records nothing. controlCycle calls it beside recordCycle: json.Marshal
+// allocates, so it stays out of the allocation-free emitter.
+func (t *Tracer) record(fr *cycleFrame) {
+	if t == nil {
 		return
 	}
-	s.tracer.Record(TraceRecord{
+	t.Record(TraceRecord{
 		Cycle:          fr.cycle,
 		TimeMs:         fr.t0.Seconds() * 1000,
 		PosX:           fr.st.Pos.X,

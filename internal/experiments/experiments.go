@@ -2,8 +2,10 @@
 // evaluation as text reports. Each Fig*/Table* function runs the underlying
 // systems (not canned numbers, except where the paper's own measured
 // operating points are the input — see DESIGN.md) and prints the same rows
-// or series the paper reports. cmd/sovbench prints them all; the root
-// bench_test.go wraps each in a testing.B target.
+// or series the paper reports. The functions that run the SoV take the base
+// core.Config those runs start from; nothing reads process-wide defaults.
+// cmd/sovbench prints them all; the root bench_test.go wraps each in a
+// testing.B target.
 package experiments
 
 import (
@@ -18,7 +20,6 @@ import (
 	"sov/internal/core"
 	"sov/internal/mathx"
 	"sov/internal/models"
-	"sov/internal/obs"
 	"sov/internal/platform"
 	"sov/internal/pointcloud"
 	"sov/internal/rpr"
@@ -299,36 +300,14 @@ func Fig9RPR() string {
 	return b.String()
 }
 
-// Fig10Characterization runs the SoV cruise and renders the latency
-// distribution (Fig. 10a/b).
-func Fig10Characterization(seed int64, duration time.Duration) (string, *core.Report) {
-	cfg := core.DefaultConfig()
+// Fig10Characterization runs the SoV cruise on base with the given seed and
+// renders the latency distribution (Fig. 10a/b).
+func Fig10Characterization(base core.Config, seed int64, duration time.Duration) (string, *core.Report) {
+	cfg := base
 	cfg.Seed = seed
 	w := core.CruiseScenario(seed)
 	rep := core.New(cfg, w).Run(duration)
 	return "Fig. 10 — on-vehicle latency characterization\n" + rep.Render(), rep
-}
-
-// Fig10Instrumented is Fig10Characterization with the unified telemetry
-// layer attached: any non-nil registry, span writer, or flight recorder is
-// wired into the run (sovbench's -metrics/-spans/-blackbox flags). The
-// caller owns closing the span writer and recorder.
-func Fig10Instrumented(seed int64, duration time.Duration, reg *obs.Registry, spans *obs.SpanWriter, box *obs.FlightRecorder) (string, *core.Report) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	w := core.CruiseScenario(seed)
-	s := core.New(cfg, w)
-	if reg != nil {
-		s.AttachMetrics(reg)
-	}
-	if spans != nil {
-		s.AttachSpans(spans)
-	}
-	if box != nil {
-		s.AttachFlightRecorder(box)
-	}
-	rep := s.Run(duration)
-	return "Fig. 10 — on-vehicle latency characterization (instrumented)\n" + rep.Render(), rep
 }
 
 // Fig11aDepthSync sweeps stereo depth error against inter-camera sync
@@ -394,15 +373,14 @@ func Fig12SyncArchitecture() string {
 }
 
 // ReactivePathStudy sweeps sudden-obstacle appearance distances and reports
-// outcomes (Sec. IV: reactive path avoids ~4.1-4.8 m where the proactive
-// path needs ~5+ m; inside the ~3.9 m braking floor nothing helps).
-func ReactivePathStudy() string {
+// outcomes on base (Sec. IV: reactive path avoids ~4.1-4.8 m where the
+// proactive path needs ~5+ m; inside the ~3.9 m braking floor nothing helps).
+func ReactivePathStudy(base core.Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Reactive path — sudden-obstacle distance sweep (v=5.6 m/s, floor 3.92 m)\n")
 	fmt.Fprintf(&b, "  %-12s %-10s %-10s %-12s %s\n", "appears(m)", "reactive", "collided", "clearance(m)", "stopped")
 	for _, d := range []float64{3.0, 4.2, 4.5, 5.5, 7.0, 10.0, 20.0} {
-		cfg := core.DefaultConfig()
-		out := core.RunSuddenObstacle(cfg, d, 30*time.Second)
+		out := core.RunSuddenObstacle(base, d, 30*time.Second)
 		fmt.Fprintf(&b, "  %-12.1f %-10v %-10v %-12.2f %v\n",
 			d, out.Reactive, out.Collided, out.MinClearanceM, out.Stopped)
 	}
@@ -476,8 +454,8 @@ func Extensions() string {
 }
 
 // All runs every experiment and concatenates the reports (the full
-// regeneration pass used by cmd/sovbench).
-func All(seed int64, sovDuration time.Duration, pclPoints int) string {
+// regeneration pass used by cmd/sovbench). The SoV runs start from base.
+func All(base core.Config, seed int64, sovDuration time.Duration, pclPoints int) string {
 	var b strings.Builder
 	sections := []string{
 		Fig2LatencyChain(),
@@ -492,13 +470,13 @@ func All(seed int64, sovDuration time.Duration, pclPoints int) string {
 		Fig8Mappings(),
 		Fig9RPR(),
 	}
-	fig10, _ := Fig10Characterization(seed, sovDuration)
+	fig10, _ := Fig10Characterization(base, seed, sovDuration)
 	sections = append(sections,
 		fig10,
 		Fig11aDepthSync(),
 		Fig11bLocalizationSync(),
 		Fig12SyncArchitecture(),
-		ReactivePathStudy(),
+		ReactivePathStudy(base),
 		FusionStudy(),
 		Extensions(),
 	)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sov/internal/cachesim"
+	"sov/internal/core"
 )
 
 func TestAnalyticSections(t *testing.T) {
@@ -46,7 +47,7 @@ func TestFig4Sections(t *testing.T) {
 }
 
 func TestFig10Section(t *testing.T) {
-	out, rep := Fig10Characterization(2, 30*time.Second)
+	out, rep := Fig10Characterization(core.DefaultConfig(), 2, 30*time.Second)
 	if !strings.Contains(out, "computing latency") {
 		t.Fatalf("fig10:\n%s", out)
 	}
@@ -70,7 +71,7 @@ func TestStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long studies")
 	}
-	r := ReactivePathStudy()
+	r := ReactivePathStudy(core.DefaultConfig())
 	if !strings.Contains(r, "appears(m)") {
 		t.Fatalf("reactive:\n%s", r)
 	}

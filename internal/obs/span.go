@@ -42,7 +42,7 @@ type threadMeta struct {
 // package constants, which keeps the steady-state record path free of
 // per-span allocations.
 //
-// The writer is safe for single-goroutine use (the SoV plan stage); Close
+// The writer is safe for single-goroutine use (the SoV control loop); Close
 // must follow the last Span.
 type SpanWriter struct {
 	w         io.Writer

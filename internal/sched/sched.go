@@ -511,12 +511,6 @@ func (s *Scheduler) NoteSwap(d time.Duration) {
 	s.swapMsEWMA += s.cfg.EWMAAlpha * (float64(d)/1e6 - s.swapMsEWMA)
 }
 
-// Quantized reports the current operating point.
-func (s *Scheduler) Quantized() bool { return s.quant }
-
-// TempC returns the last float-equivalent steady temperature projection.
-func (s *Scheduler) TempC() float64 { return s.lastTempC }
-
 // Snapshot returns the cumulative decision record.
 func (s *Scheduler) Snapshot() Stats {
 	st := s.stats

@@ -152,26 +152,26 @@ func TestSoCHysteresis(t *testing.T) {
 	w := s.cfg.WindowCycles
 
 	calm(s, w+1, 1) // first window boundary: healthy, stays float
-	if s.Quantized() {
+	if s.Snapshot().Quantized {
 		t.Fatal("quantized while healthy")
 	}
 	calm(s, w, 0.20) // at/below SoCEnter: must enter int8
-	if !s.Quantized() || s.Snapshot().OpSwitches != 1 {
+	if !s.Snapshot().Quantized || s.Snapshot().OpSwitches != 1 {
 		t.Fatalf("no quant entry at soc=0.20: %+v", s.Snapshot())
 	}
 	calm(s, w, 0.30) // inside the band: no exit
-	if !s.Quantized() || s.Snapshot().OpSwitches != 1 {
+	if !s.Snapshot().Quantized || s.Snapshot().OpSwitches != 1 {
 		t.Fatalf("exited inside the hysteresis band: %+v", s.Snapshot())
 	}
 	// Recovered above SoCExit, but the dwell guard (MinDwellWindows=3 since
 	// the switch) must hold the point through the next boundary — the second
 	// window since entry — then release at the third.
 	calm(s, w, 0.50)
-	if !s.Quantized() {
+	if !s.Snapshot().Quantized {
 		t.Fatal("exited before MinDwellWindows")
 	}
 	calm(s, w, 0.50)
-	if s.Quantized() || s.Snapshot().OpSwitches != 2 {
+	if s.Snapshot().Quantized || s.Snapshot().OpSwitches != 2 {
 		t.Fatalf("no exit after dwell + recovery: %+v", s.Snapshot())
 	}
 	calm(s, 5*w, 0.50) // and it stays out
@@ -194,11 +194,11 @@ func TestThermalOpPoint(t *testing.T) {
 	}
 	// Saturated scene: 700 ms float-equivalent detection stalls.
 	drive(s, 2*cfg.WindowCycles, 1, 1, 40, 700, 17, 31)
-	if !s.Quantized() {
-		t.Fatalf("no quant entry under thermal pressure (temp %.1fC)", s.TempC())
+	if !s.Snapshot().Quantized {
+		t.Fatalf("no quant entry under thermal pressure (temp %.1fC)", s.Snapshot().TempC)
 	}
-	if s.TempC() < cfg.Thermal.MaxComponentTempC {
-		t.Fatalf("entered quant below the ceiling: %.1fC", s.TempC())
+	if s.Snapshot().TempC < cfg.Thermal.MaxComponentTempC {
+		t.Fatalf("entered quant below the ceiling: %.1fC", s.Snapshot().TempC)
 	}
 	sw := s.Snapshot().OpSwitches
 	drive(s, 10*cfg.WindowCycles, 1, 1, 40, 700, 17, 31)
@@ -227,7 +227,7 @@ func TestQuantFloorNeverFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Quantized() {
+	if !s.Snapshot().Quantized {
 		t.Fatal("QuantFloor did not start quantized")
 	}
 	calm(s, 20*cfg.WindowCycles, 1)

@@ -10,7 +10,7 @@ func newBenchMPC() *planning.MPC {
 }
 
 func newBenchEM() *planning.EMPlanner {
-	return planning.NewEMPlanner(planning.DefaultEMConfig())
+	return planning.NewEMPlanner()
 }
 
 func benchPlanInput() planning.Input {

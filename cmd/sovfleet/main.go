@@ -49,6 +49,12 @@ func main() {
 	hist := flag.Bool("hist", false, "print the rider wait-time histogram")
 	cloudDir := flag.String("cloud", "", "ingest per-epoch fleet telemetry into the LSM store at this directory")
 	flag.Parse()
+	if *vehicles < 1 {
+		fail(fmt.Errorf("-vehicles %d: need at least one vehicle", *vehicles))
+	}
+	if *demand < 0 {
+		fail(fmt.Errorf("-demand %v: arrivals per region-hour must not be negative", *demand))
+	}
 
 	parallel.SetWorkers(*workers)
 
@@ -139,4 +145,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// fail reports a non-physical flag value and exits with flag's usage-error
+// status.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "sovfleet:", err)
+	os.Exit(2)
 }

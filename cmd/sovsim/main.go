@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -18,6 +19,7 @@ import (
 
 	"sov/internal/core"
 	"sov/internal/obs"
+	"sov/internal/sched"
 	"sov/internal/vehicle"
 )
 
@@ -35,16 +37,30 @@ func main() {
 	spansPath := flag.String("spans", "", "write per-cycle stage spans (Chrome trace_event JSON, Perfetto-loadable) to this path")
 	boxPath := flag.String("blackbox", "", "write flight-recorder anomaly dumps (JSONL) to this path")
 	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md §8)")
-	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler (DESIGN.md §13)")
+	schedOn := flag.Bool("sched", false, "attach the online heterogeneous scheduler (DESIGN.md §13)")
 	schedMapping := flag.String("sched-mapping", "", "scheduler initial SU/Loc mapping, e.g. GPU/FPGA")
 	schedStatic := flag.Bool("sched-static", false, "pin the scheduler to its initial mapping (baseline)")
 	cameras := flag.Int("cameras", 1, "cameras feeding scene understanding per cycle")
 	ambient := flag.Float64("ambient", 25, "enclosure ambient temperature (C) for the scheduler's thermal model")
 	flag.Parse()
+	if *cameras < 1 {
+		fail(fmt.Errorf("-cameras %d: need at least one camera", *cameras))
+	}
+	if *schedMapping != "" {
+		sc := sched.DefaultConfig()
+		m, err := sched.ParseMapping(*schedMapping)
+		if err == nil {
+			sc.Mapping = m
+			_, err = sched.New(sc)
+		}
+		if err != nil {
+			fail(err)
+		}
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Quant = *quant
-	cfg.Sched = *sched
+	cfg.Sched = *schedOn
 	cfg.SchedMapping = *schedMapping
 	cfg.SchedStatic = *schedStatic
 	cfg.Cameras = *cameras
@@ -62,14 +78,10 @@ func main() {
 	w := core.CruiseScenario(*seed)
 	s := core.New(cfg, w)
 	var tracer *core.Tracer
+	var traceF, spansF, boxF *os.File
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		tracer = core.NewTracer(f)
+		traceF = create("trace", *tracePath)
+		tracer = core.NewTracer(traceF)
 		s.AttachTracer(tracer)
 	}
 	var reg *obs.Registry
@@ -79,61 +91,71 @@ func main() {
 	}
 	var spans *obs.SpanWriter
 	if *spansPath != "" {
-		f, err := os.Create(*spansPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spans:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		spans = obs.NewSpanWriter(f)
+		spansF = create("spans", *spansPath)
+		spans = obs.NewSpanWriter(spansF)
 		s.AttachSpans(spans)
 	}
 	var box *obs.FlightRecorder
 	if *boxPath != "" {
-		f, err := os.Create(*boxPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blackbox:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
+		boxF = create("blackbox", *boxPath)
 		// A 64-cycle ring; three blocked cycles in a row is already an
 		// anomaly at 10 Hz.
-		box = obs.NewFlightRecorder(f, 64, 3)
+		box = obs.NewFlightRecorder(boxF, 64, 3)
 		s.AttachFlightRecorder(box)
 	}
 	rep := s.Run(*duration)
-	if tracer != nil {
-		if n, err := tracer.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-		} else {
-			fmt.Printf("trace: %d records -> %s\n", n, *tracePath)
+
+	// Every artifact asked for is written in full or the run fails: a write
+	// or close error exits 1, after the other artifacts and the report.
+	failed := false
+	written := func(what string, err error, format string, args ...any) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, what+":", err)
+			failed = true
+			return
 		}
+		fmt.Printf(format, args...)
+	}
+	if tracer != nil {
+		n, err := tracer.Close()
+		written("trace", cmp.Or(err, traceF.Close()), "trace: %d records -> %s\n", n, *tracePath)
 	}
 	if reg != nil {
-		if err := reg.WriteFile(*metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
-		} else {
-			fmt.Printf("metrics: registry snapshot -> %s\n", *metricsPath)
-		}
+		written("metrics", reg.WriteFile(*metricsPath), "metrics: registry snapshot -> %s\n", *metricsPath)
 	}
 	if spans != nil {
-		if n, err := spans.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "spans:", err)
-		} else {
-			fmt.Printf("spans: %d events -> %s\n", n, *spansPath)
-		}
+		n, err := spans.Close()
+		written("spans", cmp.Or(err, spansF.Close()), "spans: %d events -> %s\n", n, *spansPath)
 	}
 	if box != nil {
-		if n, err := box.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "blackbox:", err)
-		} else {
-			fmt.Printf("blackbox: %d dumps -> %s\n", n, *boxPath)
-		}
+		n, err := box.Close()
+		written("blackbox", cmp.Or(err, boxF.Close()), "blackbox: %d dumps -> %s\n", n, *boxPath)
 	}
 	fmt.Printf("SoV cruise: %v simulated, seed %d\n", *duration, *seed)
 	fmt.Print(rep.Render())
 	if rep.Collisions > 0 {
 		fmt.Fprintln(os.Stderr, "warning: collisions occurred")
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
+}
+
+// create opens an artifact file; one that cannot be created fails the run
+// before it starts.
+func create(what, path string) *os.File {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, what+":", err)
+		os.Exit(1)
+	}
+	return f
+}
+
+// fail reports a non-physical flag value and exits with flag's usage-error
+// status.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "sovsim:", err)
+	os.Exit(2)
 }

@@ -200,8 +200,10 @@ func TestEveryMetricMoves(t *testing.T) {
 
 // flagCase is one row of the flag audit: the CLI run with `with` must
 // differ from the run with `base` (want "differs"), match it byte for byte
-// (want "same": a flag whose contract is to change only host time), or exit
-// 2 (want "exit 2": a non-physical value).
+// (want "same": a flag whose contract is to change only host time), exit 2
+// with a one-line message and no file written (want "exit 2": a
+// non-physical value), or exit 1 (want "exit 1": an artifact it was asked
+// for could not be written).
 type flagCase struct {
 	flag       string // "cli -name"
 	base, with []string
@@ -222,13 +224,16 @@ var flagCases = []flagCase{
 	{"sovsim -shuttle", []string{"-duration", "5s"}, []string{"-duration", "5s", "-shuttle"}, "differs"},
 	{"sovsim -trace", []string{"-duration", "5s"}, []string{"-duration", "5s", "-trace", "t.jsonl"}, "differs"},
 	{"sovsim -metrics", []string{"-duration", "5s"}, []string{"-duration", "5s", "-metrics", "m.prom"}, "differs"},
+	{"sovsim -metrics", []string{"-duration", "5s"}, []string{"-duration", "5s", "-metrics", "missing/m.prom"}, "exit 1"},
 	{"sovsim -spans", []string{"-duration", "5s"}, []string{"-duration", "5s", "-spans", "s.json"}, "differs"},
 	{"sovsim -blackbox", []string{"-duration", "5s"}, []string{"-duration", "5s", "-blackbox", "b.jsonl"}, "differs"},
 	{"sovsim -quant", []string{"-duration", "5s"}, []string{"-duration", "5s", "-quant"}, "differs"},
 	{"sovsim -sched", []string{"-duration", "5s"}, []string{"-duration", "5s", "-sched"}, "differs"},
 	{"sovsim -sched-mapping", []string{"-duration", "5s", "-sched"}, []string{"-duration", "5s", "-sched", "-sched-mapping", "GPU/GPU"}, "differs"},
+	{"sovsim -sched-mapping", []string{"-duration", "5s", "-sched"}, []string{"-duration", "5s", "-sched", "-sched-mapping", "bogus"}, "exit 2"},
 	{"sovsim -sched-static", []string{"-duration", "5s", "-sched", "-sched-mapping", "GPU/GPU"}, []string{"-duration", "5s", "-sched", "-sched-mapping", "GPU/GPU", "-sched-static"}, "differs"},
 	{"sovsim -cameras", []string{"-duration", "5s"}, []string{"-duration", "5s", "-cameras", "3"}, "differs"},
+	{"sovsim -cameras", []string{"-duration", "5s"}, []string{"-duration", "5s", "-cameras", "0"}, "exit 2"},
 	{"sovsim -ambient", []string{"-duration", "30s", "-sched"}, []string{"-duration", "30s", "-sched", "-ambient", "45"}, "differs"},
 
 	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "6s"}, "differs"},
@@ -243,14 +248,16 @@ var flagCases = []flagCase{
 	{"sovbench -memprofile", []string{"-only", "fig2"}, []string{"-only", "fig2", "-memprofile", "mem.out"}, "differs"},
 
 	{"sovfleet -vehicles", fleetBase, append(fleetArgs(), "-vehicles", "9"), "differs"},
+	{"sovfleet -vehicles", fleetBase, append(fleetArgs(), "-vehicles", "0"), "exit 2"},
 	{"sovfleet -regions", fleetBase, append(fleetArgs(), "-regions", "1"), "differs"},
 	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "4s"), "differs"},
 	{"sovfleet -epoch", fleetBase, append(fleetArgs(), "-epoch", "500ms"), "differs"},
 	{"sovfleet -seed", fleetBase, append(fleetArgs(), "-seed", "2"), "differs"},
 	{"sovfleet -workers", append(fleetArgs(), "-workers", "1"), append(fleetArgs(), "-workers", "3"), "same"},
 	{"sovfleet -demand", fleetBase, append(fleetArgs(), "-demand", "20000"), "differs"},
+	{"sovfleet -demand", fleetBase, append(fleetArgs(), "-demand", "-5"), "exit 2"},
 	{"sovfleet -quant", fleetBase, append(fleetArgs(), "-quant"), "differs"},
-	// The scheduler's multipliers are 1.0 until a pack falls to SoCEnter
+	// The scheduler's multipliers are 1.0 until a pack falls to socEnter
 	// (0.25): one vehicle starting at 64% crosses it after about 3 h.
 	{"sovfleet -sched", fleetLowSoC(), fleetLowSoC("-sched"), "differs"},
 	{"sovfleet -perception", fleetBase, append(fleetArgs(), "-perception", "1"), "differs"},
@@ -433,8 +440,10 @@ func TestEveryFlagChangesAnOutput(t *testing.T) {
 		base, baseCode := run(cli, c.base)
 		with, code := run(cli, c.with)
 		switch {
-		case c.want == "exit 2" && code != 2:
-			t.Errorf("%s: %v exits %d, want 2 on a non-physical value", c.flag, c.with, code)
+		case c.want == "exit 2" && (code != 2 || strings.Count(with, "\n") != 1):
+			t.Errorf("%s: %v exits %d, want 2 and one line on a non-physical value:\n%s", c.flag, c.with, code, with)
+		case c.want == "exit 1" && code != 1:
+			t.Errorf("%s: %v exits %d, want 1 when an artifact cannot be written", c.flag, c.with, code)
 		case c.want == "same" && (with != base || code != baseCode):
 			t.Errorf("%s: %v changes the output of %v; it may change only host time", c.flag, c.with, c.base)
 		case c.want == "differs" && with == base && code == baseCode:

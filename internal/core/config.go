@@ -94,9 +94,6 @@ type Config struct {
 	// AmbientC is the enclosure ambient temperature for the scheduler's
 	// thermal model (default 25).
 	AmbientC float64
-	// InitialSoC overrides the battery's starting state of charge when
-	// positive (scheduler battery-pressure studies).
-	InitialSoC float64
 	// DynamicKeyframe forces a localization keyframe whenever the scene
 	// complexity reaches 0.6 — dynamic traffic extracts fresh features
 	// nearly every frame, which is what shifts the RPR swap economics.
@@ -116,21 +113,23 @@ type Config struct {
 
 	// Detector configures the oracle-noise detection channel.
 	Detector detect.Config
+}
 
-	// ReactiveLatency is the radar→ECU override latency (30 ms deployed).
-	ReactiveLatency time.Duration
-	// ReactiveMarginM pads the reactive trigger distance.
-	ReactiveMarginM float64
+const (
+	// reactiveLatency is the radar→ECU override latency (30 ms deployed).
+	reactiveLatency = 30 * time.Millisecond
+	// reactiveMarginM pads the reactive trigger distance.
+	reactiveMarginM float64 = 0.2
 
-	// LocalizationErrorStd is the lateral/longitudinal standard deviation
+	// localizationErrorStd is the lateral/longitudinal standard deviation
 	// of the pose estimate the planner consumes (map-mode VIO at ~a few
 	// cm when synchronized). When HardwareSync is off it is inflated by
-	// SyncErrorFactor — the closed-loop consequence of Fig. 11.
-	LocalizationErrorStd float64
-	// SyncErrorFactor multiplies the localization error without the
+	// syncErrorFactor — the closed-loop consequence of Fig. 11.
+	localizationErrorStd float64 = 0.04
+	// syncErrorFactor multiplies the localization error without the
 	// hardware synchronizer.
-	SyncErrorFactor float64
-}
+	syncErrorFactor float64 = 12
+)
 
 // SetPipelineDefault does nothing.
 //
@@ -152,27 +151,22 @@ func SetSchedDefault(bool) {}
 // DefaultConfig returns the deployed configuration.
 func DefaultConfig() Config {
 	return Config{
-		Cameras:         1,
-		AmbientC:        25,
-		Seed:            1,
-		Vehicle:         vehicle.DefaultParams(),
-		TargetSpeed:     5.6,
-		ControlRate:     10,
-		PhysicsRate:     100,
-		RadarRate:       20,
-		ReactiveRate:    50,
-		FPGAOffload:     true,
-		HardwareSync:    true,
-		ReactivePath:    true,
-		RadarTracking:   true,
-		EMPlanner:       false,
-		RPREnabled:      true,
-		KeyframeEvery:   5,
-		Detector:        detect.DefaultConfig(),
-		ReactiveLatency: 30 * time.Millisecond,
-		ReactiveMarginM: 0.2,
-
-		LocalizationErrorStd: 0.04,
-		SyncErrorFactor:      12,
+		Cameras:       1,
+		AmbientC:      25,
+		Seed:          1,
+		Vehicle:       vehicle.DefaultParams(),
+		TargetSpeed:   5.6,
+		ControlRate:   10,
+		PhysicsRate:   100,
+		RadarRate:     20,
+		ReactiveRate:  50,
+		FPGAOffload:   true,
+		HardwareSync:  true,
+		ReactivePath:  true,
+		RadarTracking: true,
+		EMPlanner:     false,
+		RPREnabled:    true,
+		KeyframeEvery: 5,
+		Detector:      detect.DefaultConfig(),
 	}
 }

@@ -47,7 +47,6 @@ type cycleFrame struct {
 	complexity     float64
 	d              latencyDraw
 	seq            uint16
-	locStd         float64
 	noiseX, noiseY float64
 	noiseH         float64
 	tdata          time.Duration
@@ -154,16 +153,13 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	// Pose-estimate noise is drawn at capture so the coordinator's RNG
 	// stream keeps its order (dropout Bernoulli, then pose noise) whatever
 	// the perceive stage draws from its own forked streams.
-	fr.locStd = s.cfg.LocalizationErrorStd
+	locStd := localizationErrorStd
 	if !s.cfg.HardwareSync {
-		fr.locStd *= s.cfg.SyncErrorFactor
+		locStd *= syncErrorFactor
 	}
-	fr.noiseX, fr.noiseY, fr.noiseH = 0, 0, 0
-	if fr.locStd > 0 {
-		fr.noiseX = s.rng.Normal(0, fr.locStd)
-		fr.noiseY = s.rng.Normal(0, fr.locStd)
-		fr.noiseH = s.rng.Normal(0, fr.locStd/2)
-	}
+	fr.noiseX = s.rng.Normal(0, locStd)
+	fr.noiseY = s.rng.Normal(0, locStd)
+	fr.noiseH = s.rng.Normal(0, locStd/2)
 
 	// The radar scan stays at capture: its per-unit RNG streams are shared
 	// with the reactive path's scans, so the draw order must follow the
@@ -232,10 +228,8 @@ func (s *SoV) perceiveTrack(fr *cycleFrame) {
 	// without synchronization it inflates per the Fig. 11 studies, and
 	// the lane-keeping loop feels it.
 	fr.estPose = fr.pose
-	if fr.locStd > 0 {
-		fr.estPose.Pos = fr.estPose.Pos.Add(mathx.Vec2{X: fr.noiseX, Y: fr.noiseY})
-		fr.estPose.Heading = mathx.WrapAngle(fr.estPose.Heading + fr.noiseH)
-	}
+	fr.estPose.Pos = fr.estPose.Pos.Add(mathx.Vec2{X: fr.noiseX, Y: fr.noiseY})
+	fr.estPose.Heading = mathx.WrapAngle(fr.estPose.Heading + fr.noiseH)
 }
 
 // planFrame runs the planning stage: lane-frame conversion, the planner,

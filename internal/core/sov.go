@@ -124,7 +124,7 @@ func New(cfg Config, w *world.World) *SoV {
 		lat:      newLatencyModel(cfg, rng.Fork()),
 	}
 	if cfg.EMPlanner {
-		s.plan = planning.NewEMPlanner(planning.DefaultEMConfig())
+		s.plan = planning.NewEMPlanner()
 	} else {
 		s.plan = planning.NewMPC(planning.DefaultMPCConfig())
 	}
@@ -132,9 +132,6 @@ func New(cfg Config, w *world.World) *SoV {
 		s.rprMgr = rpr.NewManager()
 	}
 	s.battery = vehicle.NewBattery(models.DefaultEnergyModel().CapacityKWh)
-	if cfg.InitialSoC > 0 {
-		s.battery.SoC = cfg.InitialSoC
-	}
 	if cfg.Sched {
 		sc := sched.DefaultConfig()
 		sc.ControlRate = cfg.ControlRate
@@ -364,8 +361,8 @@ func (s *SoV) reactiveCheck() {
 	// Trigger envelope: braking distance + distance covered during the
 	// reactive latency + mechanical latency + the obstacle's footprint
 	// margin.
-	reaction := (s.cfg.ReactiveLatency + s.cfg.Vehicle.MechLatency).Seconds()
-	trigger := s.veh.StopDistanceFrom(st.Speed) + st.Speed*reaction + s.cfg.ReactiveMarginM + 0.3
+	reaction := (reactiveLatency + s.cfg.Vehicle.MechLatency).Seconds()
+	trigger := s.veh.StopDistanceFrom(st.Speed) + st.Speed*reaction + reactiveMarginM + 0.3
 	if nearest > trigger {
 		return
 	}
@@ -378,7 +375,7 @@ func (s *SoV) reactiveCheck() {
 		s.report.EncodeErrors++
 		return
 	}
-	s.engine.Schedule(s.cfg.ReactiveLatency, "reactive-override", func() {
+	s.engine.Schedule(reactiveLatency, "reactive-override", func() {
 		_ = s.ecu.Receive(frame)
 	})
 }

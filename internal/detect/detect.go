@@ -32,20 +32,25 @@ type Object struct {
 
 // Config tunes the oracle-noise channel.
 type Config struct {
-	// Recall is the per-object detection probability at close range.
+	// Recall is the per-object detection probability at close range; it
+	// falls off linearly with range to half of it at MaxRange.
 	Recall float64
-	// RangeFalloff reduces recall linearly to zero at MaxRange.
-	MaxRange float64
-	// FOV is the camera's horizontal field of view.
-	FOV float64
 	// RangeNoiseStd / BearingNoiseStd perturb estimates.
 	RangeNoiseStd   float64
 	BearingNoiseStd float64
 	// FalsePositiveRate is the expected hallucinations per frame.
 	FalsePositiveRate float64
-	// ClassAccuracy is the probability the class label is correct.
-	ClassAccuracy float64
 }
+
+// The deployed camera's reach, and the channel's label accuracy.
+const (
+	// MaxRange bounds what the camera detector sees, in meters.
+	MaxRange float64 = 35
+	// FOV is the camera's horizontal field of view.
+	FOV float64 = math.Pi / 2
+	// classAccuracy is the probability the class label is correct.
+	classAccuracy float64 = 0.95
+)
 
 // DefaultConfig returns a field-calibrated channel: high but imperfect
 // recall, occasional false positives — enough to exercise the reactive
@@ -53,12 +58,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Recall:            0.97,
-		MaxRange:          35,
-		FOV:               math.Pi / 2,
 		RangeNoiseStd:     0.2, // coarse depth is fine: the paper tolerates ~0.2 m
 		BearingNoiseStd:   0.01,
 		FalsePositiveRate: 0.01,
-		ClassAccuracy:     0.95,
 	}
 }
 
@@ -89,10 +91,10 @@ func New(cfg Config, w *world.World, rng *sim.RNG) *Detector {
 func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []Object {
 	d.frames++
 	cfg := d.Config
-	d.truth = d.Frame.VisibleObstaclesInto(d.truth[:0], pose, t, cfg.MaxRange, cfg.FOV)
+	d.truth = d.Frame.VisibleObstaclesInto(d.truth[:0], pose, t, MaxRange, FOV)
 	out := dst
 	for _, det := range d.truth {
-		p := cfg.Recall * (1 - det.Range/cfg.MaxRange*0.5)
+		p := cfg.Recall * (1 - det.Range/MaxRange*0.5)
 		if !d.rng.Bernoulli(p) {
 			d.missed++
 			continue
@@ -100,7 +102,7 @@ func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []
 		rng := det.Range + d.rng.Normal(0, cfg.RangeNoiseStd)
 		brg := det.Bearing + d.rng.Normal(0, cfg.BearingNoiseStd)
 		kind := det.Obstacle.Kind
-		if !d.rng.Bernoulli(cfg.ClassAccuracy) {
+		if !d.rng.Bernoulli(classAccuracy) {
 			kind = world.ObstacleKind((int(kind) + 1) % 4)
 		}
 		obj := Object{
@@ -122,8 +124,8 @@ func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []
 	// False positives appear at random plausible locations.
 	if cfg.FalsePositiveRate > 0 && d.rng.Bernoulli(cfg.FalsePositiveRate) {
 		d.fps++
-		rng := d.rng.Uniform(3, cfg.MaxRange)
-		brg := d.rng.Uniform(-cfg.FOV/2, cfg.FOV/2)
+		rng := d.rng.Uniform(3, MaxRange)
+		brg := d.rng.Uniform(-FOV/2, FOV/2)
 		d.rng.Normal(0.6, 0.1) // the unkept score, as above
 		out = append(out, Object{
 			ID:      -d.fps, // negative IDs mark hallucinations

@@ -395,7 +395,7 @@ func FusionStudy() string {
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
 	w := world.NewCorridor(1200, sim.NewRNG(5))
-	gps := sensors.NewGPS(sensors.DefaultGPSConfig(), w, sim.NewRNG(6))
+	gps := sensors.NewGPS(w, sim.NewRNG(6))
 	speed := 5.6
 	traj := func(tt time.Duration) (world.Pose, mathx.Vec3) {
 		return world.Pose{Pos: mathx.Vec2{X: speed * tt.Seconds()}}, mathx.Vec3{}
@@ -428,7 +428,7 @@ func Extensions() string {
 		mc.MeanMs, mc.MaxMs, mc.Frames)
 
 	soc := platform.MobileSoCDataPath()
-	frame := sensors.DefaultCameraConfig("front-left").FrameBytes()
+	frame := sensors.FrameBytes
 	fmt.Fprintf(&b, "— mobile-SoC DSP offload overhead: %.2f ms and %.2f W at 4x30 FPS (FPGA in-situ: 0)\n",
 		soc.FrameOverhead(frame).Seconds()*1000, soc.SustainedPowerW(frame, 120))
 

@@ -8,31 +8,32 @@ import (
 	"sov/internal/mathx"
 )
 
-// MPCConfig tunes the receding-horizon controller.
+// MPCConfig sizes the receding-horizon controller.
 type MPCConfig struct {
 	Horizon int     // steps
 	Dt      float64 // seconds per step
-	Iters   int     // gradient iterations
-	// Cost weights.
-	WSpeed, WLane, WHeading, WEffort, WObstacle float64
-	// SafeDistance is the obstacle clearance the cost enforces.
-	SafeDistance float64
-	MaxAccel     float64
-	MaxBrake     float64
-	MaxSteerRate float64
 }
 
 // DefaultMPCConfig matches the deployed planner: a 2-second horizon at
 // 10 Hz, coarse enough for lane-granularity maneuvers and cheap enough for
 // the ~3 ms planning budget of Fig. 10a.
-func DefaultMPCConfig() MPCConfig {
-	return MPCConfig{
-		Horizon: 20, Dt: 0.1, Iters: 5,
-		WSpeed: 1.0, WLane: 2.0, WHeading: 1.0, WEffort: 0.1, WObstacle: 30.0,
-		SafeDistance: 2.0,
-		MaxAccel:     2.0, MaxBrake: 4.0, MaxSteerRate: 0.5,
-	}
-}
+func DefaultMPCConfig() MPCConfig { return MPCConfig{Horizon: 20, Dt: 0.1} }
+
+// The deployed MPC's iteration budget, cost weights and control limits.
+const (
+	mpcIters             = 5 // gradient iterations
+	wSpeed       float64 = 1.0
+	wLane        float64 = 2.0
+	wHeading     float64 = 1.0
+	wEffort      float64 = 0.1
+	wObstacle    float64 = 30.0
+	maxAccel     float64 = 2.0
+	maxBrake     float64 = 4.0
+	maxSteerRate float64 = 0.5
+)
+
+// safeDistance is the obstacle clearance both planners' costs enforce.
+const safeDistance float64 = 2.0
 
 // MPC is the production planner: gradient-based shooting over acceleration
 // and steering-rate sequences with a quadratic tracking cost and an
@@ -105,8 +106,7 @@ type rollState struct{ s, d, v, h, c float64 }
 //
 //sov:hotpath
 func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rollState {
-	cfg := &m.Cfg
-	dt := cfg.Dt
+	dt := m.Cfg.Dt
 	s, d, v, h, c := st.s, st.d, st.v, st.h, st.c
 	for k := from; k < to; k++ {
 		a, w := m.accel[k], m.steer[k]
@@ -126,16 +126,16 @@ func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rol
 		t := dt * float64(k+1)
 
 		dv := v - in.TargetSpeed
-		c += cfg.WSpeed * dv * dv
-		c += cfg.WLane * d * d
-		c += cfg.WEffort * (a*a + 4*w*w)
+		c += wSpeed * dv * dv
+		c += wLane * d * d
+		c += wEffort * (a*a + 4*w*w)
 		for _, o := range in.Obstacles {
 			ds := s - (o.S + o.VS*t)
 			dd := d - (o.D + o.VD*t)
 			clear := math.Sqrt(ds*ds+dd*dd) - o.Radius
-			if clear < cfg.SafeDistance {
-				pen := cfg.SafeDistance - clear
-				c += cfg.WObstacle * pen * pen
+			if clear < safeDistance {
+				pen := safeDistance - clear
+				c += wObstacle * pen * pen
 			}
 		}
 	}
@@ -149,7 +149,7 @@ func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rol
 //sov:hotpath
 func (m *MPC) costFrom(in Input, st rollState, k int, memo []headingTrig) float64 {
 	st = m.roll(in, st, k, len(m.accel), memo)
-	return st.c + m.Cfg.WHeading*st.h*st.h
+	return st.c + wHeading*st.h*st.h
 }
 
 // Plan runs one receding-horizon optimization and returns the first-step
@@ -171,7 +171,7 @@ func (m *MPC) Plan(in Input) Plan {
 	start := rollState{d: in.LaneOffset, v: in.Speed, h: in.HeadingErr}
 	base := m.costFrom(in, start, 0, m.trig)
 	const eps = 1e-3
-	for it := 0; it < cfg.Iters; it++ {
+	for it := 0; it < mpcIters; it++ {
 		improved := false
 		pre := start // rollout state before step k
 		for k := 0; k < cfg.Horizon; k++ {
@@ -186,8 +186,8 @@ func (m *MPC) Plan(in Input) Plan {
 			m.steer[k] -= eps
 			gs := (cs - base) / eps
 
-			na := mathx.Clamp(m.accel[k]-lr*ga, -cfg.MaxBrake, cfg.MaxAccel)
-			ns := mathx.Clamp(m.steer[k]-lr*gs, -cfg.MaxSteerRate, cfg.MaxSteerRate)
+			na := mathx.Clamp(m.accel[k]-lr*ga, -maxBrake, maxAccel)
+			ns := mathx.Clamp(m.steer[k]-lr*gs, -maxSteerRate, maxSteerRate)
 			olda, olds := m.accel[k], m.steer[k]
 			m.accel[k], m.steer[k] = na, ns
 			// A candidate that keeps steer[k] stays on the heading track
@@ -236,7 +236,7 @@ func (m *MPC) Plan(in Input) Plan {
 		// No safe trajectory found: command a full brake and flag it; the
 		// reactive path is the backstop if this is too late.
 		plan.Blocked = true
-		plan.Cmd = canbus.Command{AccelMps2: -cfg.MaxBrake}
+		plan.Cmd = canbus.Command{AccelMps2: -maxBrake}
 	}
 	return plan
 }

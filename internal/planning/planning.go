@@ -7,7 +7,9 @@
 // checking.
 //
 // Planning operates in lane (Frenet-like) coordinates: s along the lane,
-// d lateral offset (positive left).
+// d lateral offset (positive left). The deployed cost weights, control
+// limits, iteration budgets and EM lattice sizes are package constants;
+// MPCConfig keeps only the horizon and step the callers vary.
 package planning
 
 import (

@@ -85,7 +85,7 @@ func TestMPCRecentersOnLane(t *testing.T) {
 }
 
 func TestEMPlannerCruise(t *testing.T) {
-	e := NewEMPlanner(DefaultEMConfig())
+	e := NewEMPlanner()
 	p := e.Plan(cruiseInput())
 	if p.Blocked {
 		t.Fatal("empty road should not block")
@@ -101,7 +101,7 @@ func TestEMPlannerCruise(t *testing.T) {
 }
 
 func TestEMPlannerAvoidsObstacle(t *testing.T) {
-	e := NewEMPlanner(DefaultEMConfig())
+	e := NewEMPlanner()
 	in := cruiseInput()
 	in.Obstacles = []Obstacle{{S: 20, D: 0, Radius: 0.8}}
 	p := e.Plan(in)
@@ -118,7 +118,7 @@ func TestEMPlannerAvoidsObstacle(t *testing.T) {
 }
 
 func TestEMPlannerBlocksOnWall(t *testing.T) {
-	e := NewEMPlanner(DefaultEMConfig())
+	e := NewEMPlanner()
 	in := cruiseInput()
 	// A wall of obstacles across all laterals at 8 m, too wide to pass.
 	for d := -4.0; d <= 4.0; d += 1 {
@@ -182,7 +182,7 @@ func TestEMPlannerIsMuchMoreExpensiveThanMPC(t *testing.T) {
 	in := cruiseInput()
 	in.Obstacles = []Obstacle{{S: 20, D: 0.3, Radius: 0.5}}
 	m := NewMPC(DefaultMPCConfig())
-	e := NewEMPlanner(DefaultEMConfig())
+	e := NewEMPlanner()
 	mpcT := timeIt(200, func() { m.Plan(in) })
 	emT := timeIt(20, func() { e.Plan(in) })
 	if emT < 5*mpcT {
@@ -211,7 +211,7 @@ func BenchmarkMPCPlan(b *testing.B) {
 }
 
 func BenchmarkEMPlan(b *testing.B) {
-	e := NewEMPlanner(DefaultEMConfig())
+	e := NewEMPlanner()
 	in := cruiseInput()
 	in.Obstacles = []Obstacle{{S: 20, D: 0.3, Radius: 0.5}}
 	b.ReportAllocs()
@@ -244,7 +244,7 @@ func TestMPCCommandsAlwaysWithinLimits(t *testing.T) {
 			})
 		}
 		p := m.Plan(in)
-		if p.Cmd.AccelMps2 < -cfg.MaxBrake-1e-9 || p.Cmd.AccelMps2 > cfg.MaxAccel+1e-9 {
+		if p.Cmd.AccelMps2 < -maxBrake-1e-9 || p.Cmd.AccelMps2 > maxAccel+1e-9 {
 			return false
 		}
 		return p.Cmd.SteerRad >= -0.55-1e-9 && p.Cmd.SteerRad <= 0.55+1e-9
@@ -255,7 +255,7 @@ func TestMPCCommandsAlwaysWithinLimits(t *testing.T) {
 }
 
 func TestEMPlannerSpeedsNonNegative(t *testing.T) {
-	e := NewEMPlanner(DefaultEMConfig())
+	e := NewEMPlanner()
 	in := cruiseInput()
 	in.Obstacles = []Obstacle{{S: 15, D: 0, VS: -3, Radius: 1}}
 	// The profile Plan builds its trajectory and first-step command from.
@@ -303,21 +303,21 @@ func (m *fullRolloutMPC) cost(in Input, accel, steer []float64) float64 {
 		t := dt * float64(k+1)
 
 		dv := v - in.TargetSpeed
-		c += cfg.WSpeed * dv * dv
-		c += cfg.WLane * d * d
-		c += cfg.WEffort * (accel[k]*accel[k] + 4*steer[k]*steer[k])
+		c += wSpeed * dv * dv
+		c += wLane * d * d
+		c += wEffort * (accel[k]*accel[k] + 4*steer[k]*steer[k])
 		for _, o := range in.Obstacles {
 			ds := s - (o.S + o.VS*t)
 			dd := d - (o.D + o.VD*t)
 			clear := math.Sqrt(ds*ds+dd*dd) - o.Radius
-			if clear < cfg.SafeDistance {
-				pen := cfg.SafeDistance - clear
-				c += cfg.WObstacle * pen * pen
+			if clear < safeDistance {
+				pen := safeDistance - clear
+				c += wObstacle * pen * pen
 			}
 		}
 	}
 	// Terminal heading alignment.
-	c += cfg.WHeading * h * h
+	c += wHeading * h * h
 	return c
 }
 
@@ -333,7 +333,7 @@ func (m *fullRolloutMPC) Plan(in Input) Plan {
 	lr := 0.5
 	base := m.cost(in, m.accel, m.steer)
 	const eps = 1e-3
-	for it := 0; it < cfg.Iters; it++ {
+	for it := 0; it < mpcIters; it++ {
 		improved := false
 		for k := 0; k < cfg.Horizon; k++ {
 			// Numerical gradient for accel[k].
@@ -347,8 +347,8 @@ func (m *fullRolloutMPC) Plan(in Input) Plan {
 			m.steer[k] -= eps
 			gs := (cs - base) / eps
 
-			na := mathx.Clamp(m.accel[k]-lr*ga, -cfg.MaxBrake, cfg.MaxAccel)
-			ns := mathx.Clamp(m.steer[k]-lr*gs, -cfg.MaxSteerRate, cfg.MaxSteerRate)
+			na := mathx.Clamp(m.accel[k]-lr*ga, -maxBrake, maxAccel)
+			ns := mathx.Clamp(m.steer[k]-lr*gs, -maxSteerRate, maxSteerRate)
 			olda, olds := m.accel[k], m.steer[k]
 			m.accel[k], m.steer[k] = na, ns
 			c := m.cost(in, m.accel, m.steer)
@@ -381,7 +381,7 @@ func (m *fullRolloutMPC) Plan(in Input) Plan {
 	}
 	if collides {
 		plan.Blocked = true
-		plan.Cmd = canbus.Command{AccelMps2: -cfg.MaxBrake}
+		plan.Cmd = canbus.Command{AccelMps2: -maxBrake}
 	}
 	return plan
 }
@@ -474,7 +474,7 @@ func (pp planPair) plan(t *testing.T, where string, in Input) Plan {
 
 // pinned counts the horizon steps of the solution in.HeadingErr was just
 // planned from whose heading sits on the ±2.5 clamp, and those whose steer
-// rate sits on ±MaxSteerRate.
+// rate sits on ±maxSteerRate.
 func (pp planPair) pinned(in Input) (heading, steer int) {
 	h := in.HeadingErr
 	for _, w := range pp.got.steer {
@@ -482,7 +482,7 @@ func (pp planPair) pinned(in Input) (heading, steer int) {
 		if math.Abs(h) == 2.5 {
 			heading++
 		}
-		if math.Abs(w) == pp.got.Cfg.MaxSteerRate {
+		if math.Abs(w) == maxSteerRate {
 			steer++
 		}
 	}
@@ -521,7 +521,7 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 		headings, steers := 0, 0
 		for _, sign := range []float64{1, -1} {
 			pp := newPlanPair(cfg)
-			pp.warm(0, sign*cfg.MaxSteerRate)
+			pp.warm(0, sign*maxSteerRate)
 			for c := 0; c < 8; c++ {
 				in := Input{Speed: 8, TargetSpeed: 8, LaneOffset: sign * 1.5,
 					HeadingErr: sign * (2.3 + 0.05*float64(c)), // past the clamp from cycle 5 on

@@ -12,10 +12,14 @@ import (
 	"time"
 )
 
+// The datapath's configuration clock (100 MHz on the Zynq) and active power.
+const (
+	clockHz      float64 = 100e6
+	enginePowerW float64 = 0.7
+)
+
 // EngineConfig describes the reconfiguration datapath.
 type EngineConfig struct {
-	// ClockHz is the configuration clock (100 MHz on the Zynq).
-	ClockHz float64
 	// ICAPBytesPerCycle is the ICAP port width (4 bytes).
 	ICAPBytesPerCycle int
 	// MemBytesPerBeat is the DRAM read width per burst beat (8 bytes).
@@ -26,20 +30,16 @@ type EngineConfig struct {
 	HandshakeCycles int
 	// FIFOBytes decouples Tx from Rx (128 B suffices per the paper).
 	FIFOBytes int
-	// EnginePowerW is the datapath's active power.
-	EnginePowerW float64
 }
 
 // DefaultEngineConfig returns the deployed engine parameters.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{
-		ClockHz:           100e6,
 		ICAPBytesPerCycle: 4,
 		MemBytesPerBeat:   8,
 		BurstBeats:        16,
 		HandshakeCycles:   4,
 		FIFOBytes:         128,
-		EnginePowerW:      0.7,
 	}
 }
 
@@ -70,11 +70,11 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the given config. It panics on a config
-// whose datapath can never move a byte: no clock, no ICAP port, no burst
+// whose datapath can never move a byte: no ICAP port, no burst
 // beats, no handshake to open a burst with, or a memory beat wider than the
 // FIFO it is pushed into.
 func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.ClockHz <= 0 || cfg.ICAPBytesPerCycle <= 0 || cfg.FIFOBytes <= 0 ||
+	if cfg.ICAPBytesPerCycle <= 0 || cfg.FIFOBytes <= 0 ||
 		cfg.BurstBeats < 1 || cfg.HandshakeCycles < 1 ||
 		cfg.MemBytesPerBeat < 1 || cfg.MemBytesPerBeat > cfg.FIFOBytes {
 		panic(fmt.Sprintf("rpr: invalid engine config %+v", cfg))
@@ -166,12 +166,12 @@ func (e *Engine) Transfer(bytes int) Result {
 			panic("rpr: transfer did not converge")
 		}
 	}
-	dur := time.Duration(float64(cycles) / cfg.ClockHz * float64(time.Second))
+	dur := time.Duration(float64(cycles) / clockHz * float64(time.Second))
 	res := Result{
 		Bytes:      bytes,
 		Duration:   dur,
 		Throughput: float64(bytes) / dur.Seconds(),
-		EnergyJ:    cfg.EnginePowerW * dur.Seconds(),
+		EnergyJ:    enginePowerW * dur.Seconds(),
 		Cycles:     cycles,
 	}
 	e.swaps++

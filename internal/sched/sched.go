@@ -11,14 +11,14 @@
 //     (SU, Loc) processor pair — GPU contention included in the *candidate*
 //     scoring via platform.Contended, so scoring and final evaluation cannot
 //     diverge — and the mapping moves only when the best candidate beats the
-//     current one by RemapMargin (hysteresis against ping-ponging).
+//     current one by remapMargin (hysteresis against ping-ponging).
 //
 //   - operating point: a lumped thermal model (models.ThermalModel) over the
 //     duty-scaled processor powers decides quant↔float switches. Entering the
 //     int8 operating point requires the projected steady temperature to reach
-//     the component ceiling (or battery SoC to fall to SoCEnter); exiting
+//     the component ceiling (or battery SoC to fall to socEnter); exiting
 //     requires the *float-equivalent* temperature — what the enclosure would
-//     see if the switch were undone — to fall below ThermalExitC, plus a
+//     see if the switch were undone — to fall below thermalExitC, plus a
 //     minimum dwell and SoC recovery, so the switch can never flap.
 //
 //   - localization front-end: the RPR keyframe schedule swaps bitstreams at
@@ -27,6 +27,10 @@
 //     <3 ms swap cost against the cost of just leaving the extract bitstream
 //     resident (paying a small tracking-on-extract penalty on the remaining
 //     non-key cycles) and goes sticky, with a margin on both transitions.
+//
+// The estimator rates, margins and thresholds are package constants
+// (DESIGN.md §13); Config holds what a caller sets: cameras, control rate,
+// ambient, window, mapping and the static/quant pins.
 //
 // Every input is virtual-class (drawn latencies, virtual SoC, keyframe
 // schedule), all state updates happen in BeginCycle/Observe on the engine
@@ -87,7 +91,7 @@ type Stats struct {
 }
 
 // Config parameterizes the scheduler. DefaultConfig returns the deployed
-// values; the hysteresis constants are documented in DESIGN.md §13.
+// values.
 type Config struct {
 	// Cameras feeding scene understanding (detection inference per cycle).
 	Cameras int
@@ -98,31 +102,6 @@ type Config struct {
 
 	// WindowCycles is the decision cadence.
 	WindowCycles int
-	// EWMAAlpha smooths the per-task latency estimates.
-	EWMAAlpha float64
-	// DutyAlpha smooths the thermal duty and front-end rate estimates
-	// (slower, so single-cycle spikes do not flap decisions).
-	DutyAlpha float64
-	// RemapMargin: a candidate must beat the current mapping's projected
-	// perception latency by this fraction before a remap fires.
-	RemapMargin float64
-	// ThermalExitC: the float-equivalent temperature must fall below this
-	// (strictly under the enter ceiling) before quant can be undone.
-	ThermalExitC float64
-	// SoCEnter/SoCExit bound the battery-pressure hysteresis band.
-	SoCEnter, SoCExit float64
-	// MinDwellWindows is the minimum number of windows between operating-
-	// point switches.
-	MinDwellWindows int
-	// StickyMargin is the hysteresis ratio on front-end policy changes.
-	StickyMargin float64
-	// TrackOnExtractPenalty is the localization slowdown of running the
-	// feature-extract bitstream on a non-keyframe cycle (sticky policy).
-	TrackOnExtractPenalty float64
-	// BatchMarginal is the marginal cost of one extra image in a batched
-	// inference relative to a standalone forward (layer-major batching
-	// amortizes weight traffic; nn.ForwardRawBatch).
-	BatchMarginal float64
 
 	// Mapping is the initial (SU, Loc) assignment; Static pins it and
 	// disables all online decisions (experiment baselines).
@@ -131,35 +110,54 @@ type Config struct {
 	// QuantFloor pins the operating point at int8 (the -quant flag: the
 	// perception stack is built quantized, so the scheduler may not float).
 	QuantFloor bool
-
-	// Thermal is the enclosure model; BaseW the non-server power floor
-	// (sensors, idle) the duty-scaled processor powers add onto.
-	Thermal models.ThermalModel
-	BaseW   float64
 }
 
 // DefaultConfig returns the deployed scheduler parameters.
 func DefaultConfig() Config {
 	return Config{
-		Cameras:               1,
-		ControlRate:           10,
-		AmbientC:              25,
-		WindowCycles:          10,
-		EWMAAlpha:             0.2,
-		DutyAlpha:             0.05,
-		RemapMargin:           0.05,
-		ThermalExitC:          79,
-		SoCEnter:              0.25,
-		SoCExit:               0.35,
-		MinDwellWindows:       3,
-		StickyMargin:          1.25,
-		TrackOnExtractPenalty: 0.10,
-		BatchMarginal:         0.4,
-		Mapping:               platform.OurDesign(),
-		Thermal:               models.DefaultThermalModel(),
-		BaseW:                 models.DefaultPowerBudget().TotalW() - models.ServerDynamicPowerW,
+		Cameras:      1,
+		ControlRate:  10,
+		AmbientC:     25,
+		WindowCycles: 10,
+		Mapping:      platform.OurDesign(),
 	}
 }
+
+// The deployed estimators and hysteresis constants (DESIGN.md §13).
+const (
+	// ewmaAlpha smooths the per-task latency estimates.
+	ewmaAlpha float64 = 0.2
+	// dutyAlpha smooths the thermal duty and front-end rate estimates
+	// (slower, so single-cycle spikes do not flap decisions).
+	dutyAlpha float64 = 0.05
+	// remapMargin: a candidate must beat the current mapping's projected
+	// perception latency by this fraction before a remap fires.
+	remapMargin float64 = 0.05
+	// thermalExitC: the float-equivalent temperature must fall below this
+	// (strictly under the enter ceiling) before quant can be undone.
+	thermalExitC float64 = 79
+	// socEnter/socExit bound the battery-pressure hysteresis band.
+	socEnter, socExit float64 = 0.25, 0.35
+	// minDwellWindows is the minimum number of windows between operating-
+	// point switches.
+	minDwellWindows = 3
+	// stickyMargin is the hysteresis ratio on front-end policy changes.
+	stickyMargin float64 = 1.25
+	// trackOnExtractPenalty is the localization slowdown of running the
+	// feature-extract bitstream on a non-keyframe cycle (sticky policy).
+	trackOnExtractPenalty float64 = 0.10
+	// batchMarginal is the marginal cost of one extra image in a batched
+	// inference relative to a standalone forward (layer-major batching
+	// amortizes weight traffic; nn.ForwardRawBatch).
+	batchMarginal float64 = 0.4
+)
+
+// thermal is the enclosure model; baseW the non-server power floor
+// (sensors, idle) the duty-scaled processor powers add onto.
+var (
+	thermal = models.DefaultThermalModel()
+	baseW   = models.DefaultPowerBudget().TotalW() - models.ServerDynamicPowerW
+)
 
 // ParseMapping parses an "SU/Loc" processor pair ("GPU/FPGA").
 func ParseMapping(s string) (platform.Mapping, error) {
@@ -286,7 +284,7 @@ func New(cfg Config) (*Scheduler, error) {
 			cfg.Mapping.SceneUnderstanding, cfg.Mapping.Localization)
 	}
 	s.quant = cfg.QuantFloor
-	s.lastTempC = cfg.Thermal.SteadyTempC(cfg.BaseW+cfg.Thermal.FanPowerW, cfg.AmbientC)
+	s.lastTempC = thermal.SteadyTempC(baseW+thermal.FanPowerW, cfg.AmbientC)
 	return s, nil
 }
 
@@ -298,7 +296,7 @@ func (s *Scheduler) camFactor(c *candidate) float64 {
 		return 1
 	}
 	if c.batch {
-		return 1 + s.cfg.BatchMarginal*float64(s.cfg.Cameras-1)
+		return 1 + batchMarginal*float64(s.cfg.Cameras-1)
 	}
 	return float64(s.cfg.Cameras)
 }
@@ -346,7 +344,7 @@ func (s *Scheduler) BeginCycle(soc float64, keyframe bool) (*Transform, Events) 
 	s.feExtract = keyframe || s.sticky
 	s.tr.Loc = c.locR
 	if s.sticky && !keyframe {
-		s.tr.Loc *= 1 + s.cfg.TrackOnExtractPenalty
+		s.tr.Loc *= 1 + trackOnExtractPenalty
 	}
 	s.locApplied = s.tr.Loc
 
@@ -358,7 +356,7 @@ func (s *Scheduler) BeginCycle(soc float64, keyframe bool) (*Transform, Events) 
 		if legacyExtract != s.lastLegacyExtract {
 			t = 1
 		}
-		s.transRate += s.cfg.DutyAlpha * (t - s.transRate)
+		s.transRate += dutyAlpha * (t - s.transRate)
 	}
 	s.lastLegacyExtract = legacyExtract
 	s.feInit = true
@@ -366,7 +364,7 @@ func (s *Scheduler) BeginCycle(soc float64, keyframe bool) (*Transform, Events) 
 	if keyframe {
 		kf = 1
 	}
-	s.kfDuty += s.cfg.DutyAlpha * (kf - s.kfDuty)
+	s.kfDuty += dutyAlpha * (kf - s.kfDuty)
 
 	return &s.tr, ev
 }
@@ -398,7 +396,7 @@ func (s *Scheduler) Observe(depth, det, track, loc time.Duration, kcf bool) {
 	}
 	nloc := locMs / s.locApplied
 
-	a := s.cfg.EWMAAlpha
+	a := ewmaAlpha
 	if !s.seeded {
 		s.nDepth, s.nDet, s.nTrack, s.nLoc = nd, ndet, ntrk, nloc
 		s.suDutyMs = s.floatSU(depthMs, detMs, trackMs, qf)
@@ -414,7 +412,7 @@ func (s *Scheduler) Observe(depth, det, track, loc time.Duration, kcf bool) {
 	// Thermal duty tracks the *float-equivalent* busy time of the current
 	// mapping, so the exit condition evaluates the world where the quant
 	// switch is undone (anti-flap: see decide).
-	da := s.cfg.DutyAlpha
+	da := dutyAlpha
 	s.suDutyMs += da * (s.floatSU(depthMs, detMs, trackMs, qf) - s.suDutyMs)
 	s.locDutyMs += da * (locMs - s.locDutyMs)
 }
@@ -441,21 +439,21 @@ func (s *Scheduler) decide(soc float64) Events {
 	// duty EWMAs are kept in observed (mapping-applied, float-equivalent)
 	// milliseconds, so duty = busy ms / control period directly.
 	perCycle := 1000 / cfg.ControlRate // ms of wall per control cycle
-	loadF := cfg.BaseW + cfg.Thermal.FanPowerW +
+	loadF := baseW + thermal.FanPowerW +
 		s.suDutyMs/perCycle*c.powSU + s.locDutyMs/perCycle*c.powLoc
-	tempF := cfg.Thermal.SteadyTempC(loadF, cfg.AmbientC)
+	tempF := thermal.SteadyTempC(loadF, cfg.AmbientC)
 	s.lastTempC = tempF
 
 	s.dwellWindows++
 	if !s.quant {
-		if tempF >= cfg.Thermal.MaxComponentTempC || soc <= cfg.SoCEnter {
+		if tempF >= thermal.MaxComponentTempC || soc <= socEnter {
 			s.quant = true
 			s.stats.OpSwitches++
 			s.dwellWindows = 0
 			ev.OpSwitched = true
 		}
-	} else if !cfg.QuantFloor && s.dwellWindows >= cfg.MinDwellWindows &&
-		tempF <= cfg.ThermalExitC && soc >= cfg.SoCExit {
+	} else if !cfg.QuantFloor && s.dwellWindows >= minDwellWindows &&
+		tempF <= thermalExitC && soc >= socExit {
 		s.quant = false
 		s.stats.OpSwitches++
 		s.dwellWindows = 0
@@ -471,7 +469,7 @@ func (s *Scheduler) decide(soc float64) Events {
 			best, bestScore = i, sc
 		}
 	}
-	if best != s.cur && bestScore < (1-cfg.RemapMargin)*curScore {
+	if best != s.cur && bestScore < (1-remapMargin)*curScore {
 		s.cur = best
 		s.stats.Remaps++
 		ev.Remapped = true
@@ -479,12 +477,12 @@ func (s *Scheduler) decide(soc float64) Events {
 
 	// Front-end policy: amortize the swap rate against the sticky penalty.
 	costFollow := s.transRate * s.swapMsEWMA
-	costSticky := (1 - s.kfDuty) * cfg.TrackOnExtractPenalty * s.nLoc * s.cand[s.cur].locR
+	costSticky := (1 - s.kfDuty) * trackOnExtractPenalty * s.nLoc * s.cand[s.cur].locR
 	if !s.sticky {
-		if costSticky*cfg.StickyMargin < costFollow {
+		if costSticky*stickyMargin < costFollow {
 			s.sticky = true
 		}
-	} else if costFollow*cfg.StickyMargin < costSticky {
+	} else if costFollow*stickyMargin < costSticky {
 		s.sticky = false
 	}
 	return ev
@@ -508,7 +506,7 @@ func (s *Scheduler) FrontEnd() rpr.Bitstream {
 func (s *Scheduler) NoteSwap(d time.Duration) {
 	s.stats.Swaps++
 	s.stats.SwapTotal += d
-	s.swapMsEWMA += s.cfg.EWMAAlpha * (float64(d)/1e6 - s.swapMsEWMA)
+	s.swapMsEWMA += ewmaAlpha * (float64(d)/1e6 - s.swapMsEWMA)
 }
 
 // Snapshot returns the cumulative decision record.

@@ -141,8 +141,8 @@ func TestStaticPinsEverything(t *testing.T) {
 }
 
 // TestSoCHysteresis walks the battery-pressure band window by window: quant
-// enters at SoCEnter, a recovery inside the band does nothing, and the exit
-// waits out MinDwellWindows even once SoC clears SoCExit — so the operating
+// enters at socEnter, a recovery inside the band does nothing, and the exit
+// waits out minDwellWindows even once SoC clears socExit — so the operating
 // point can never flap.
 func TestSoCHysteresis(t *testing.T) {
 	s, err := New(DefaultConfig())
@@ -155,7 +155,7 @@ func TestSoCHysteresis(t *testing.T) {
 	if s.Snapshot().Quantized {
 		t.Fatal("quantized while healthy")
 	}
-	calm(s, w, 0.20) // at/below SoCEnter: must enter int8
+	calm(s, w, 0.20) // at/below socEnter: must enter int8
 	if !s.Snapshot().Quantized || s.Snapshot().OpSwitches != 1 {
 		t.Fatalf("no quant entry at soc=0.20: %+v", s.Snapshot())
 	}
@@ -163,12 +163,12 @@ func TestSoCHysteresis(t *testing.T) {
 	if !s.Snapshot().Quantized || s.Snapshot().OpSwitches != 1 {
 		t.Fatalf("exited inside the hysteresis band: %+v", s.Snapshot())
 	}
-	// Recovered above SoCExit, but the dwell guard (MinDwellWindows=3 since
+	// Recovered above socExit, but the dwell guard (minDwellWindows=3 since
 	// the switch) must hold the point through the next boundary — the second
 	// window since entry — then release at the third.
 	calm(s, w, 0.50)
 	if !s.Snapshot().Quantized {
-		t.Fatal("exited before MinDwellWindows")
+		t.Fatal("exited before minDwellWindows")
 	}
 	calm(s, w, 0.50)
 	if s.Snapshot().Quantized || s.Snapshot().OpSwitches != 2 {
@@ -182,7 +182,7 @@ func TestSoCHysteresis(t *testing.T) {
 
 // TestThermalOpPoint: a detection-stall workload hot enough to push the
 // projected steady temperature past the component ceiling forces the int8
-// point; while the *float-equivalent* temperature stays above ThermalExitC
+// point; while the *float-equivalent* temperature stays above thermalExitC
 // the switch holds (no flap); once the load — and with it the projection —
 // subsides, the scheduler returns to float exactly once.
 func TestThermalOpPoint(t *testing.T) {
@@ -197,7 +197,7 @@ func TestThermalOpPoint(t *testing.T) {
 	if !s.Snapshot().Quantized {
 		t.Fatalf("no quant entry under thermal pressure (temp %.1fC)", s.Snapshot().TempC)
 	}
-	if s.Snapshot().TempC < cfg.Thermal.MaxComponentTempC {
+	if s.Snapshot().TempC < thermal.MaxComponentTempC {
 		t.Fatalf("entered quant below the ceiling: %.1fC", s.Snapshot().TempC)
 	}
 	sw := s.Snapshot().OpSwitches
@@ -206,14 +206,14 @@ func TestThermalOpPoint(t *testing.T) {
 		t.Fatalf("operating point flapped under sustained load: %d -> %d switches", sw, got)
 	}
 	// Load subsides: the duty EWMA decays, the float-equivalent projection
-	// drops below ThermalExitC, and the point floats again — once.
+	// drops below thermalExitC, and the point floats again — once.
 	calm(s, 40*cfg.WindowCycles, 1)
 	st := s.Snapshot()
 	if st.Quantized || st.OpSwitches != sw+1 {
 		t.Fatalf("no clean thermal exit: %+v", st)
 	}
-	if st.TempC > cfg.ThermalExitC {
-		t.Fatalf("exited while projecting %.1fC > exit %.0fC", st.TempC, cfg.ThermalExitC)
+	if st.TempC > thermalExitC {
+		t.Fatalf("exited while projecting %.1fC > exit %.0fC", st.TempC, thermalExitC)
 	}
 }
 
@@ -299,7 +299,7 @@ func TestMulticamBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := s.BeginCycle(1, true)
-	want := 1 + cfg.BatchMarginal*2 // GPU batches: 1 + 0.4/extra image
+	want := 1 + batchMarginal*2 // GPU batches: 1 + 0.4/extra image
 	if tr.Det != want {
 		t.Fatalf("GPU 3-camera Det = %.2f, want %.2f", tr.Det, want)
 	}

@@ -14,29 +14,24 @@ type CameraConfig struct {
 	FPS float64
 	// Exposure is the shutter-open time per frame.
 	Exposure time.Duration
-	// Readout is the sensor-to-interface transmission time (analog-buffer
-	// readout + MIPI/CSI-2 transfer); constant per the paper.
-	Readout time.Duration
 	// Clock is the camera's local oscillator, used when free-running.
 	Clock Clock
-	// WidthPx/HeightPx size the frames (used by the vision substrate and
-	// the bandwidth model).
-	WidthPx, HeightPx int
 }
 
 // DefaultCameraConfig returns the deployed 30 FPS global-shutter config.
-// Exposure + readout are the *constant* delays the hardware-collaborative
-// sync design compensates in software.
+// Exposure + CameraReadout are the *constant* delays the
+// hardware-collaborative sync design compensates in software.
 func DefaultCameraConfig(name string) CameraConfig {
 	return CameraConfig{
 		Name:     name,
 		FPS:      30,
 		Exposure: 8 * time.Millisecond,
-		Readout:  12 * time.Millisecond,
-		WidthPx:  1920,
-		HeightPx: 1080,
 	}
 }
+
+// CameraReadout is the sensor-to-interface transmission time (analog-buffer
+// readout + MIPI/CSI-2 transfer); constant per the paper.
+const CameraReadout = 12 * time.Millisecond
 
 // Frame is one camera capture.
 type Frame struct {
@@ -47,10 +42,10 @@ type Frame struct {
 	ArrivalTime time.Duration
 }
 
-// FrameBytes returns the raw frame size (16 bpp Bayer) — the reason the
-// hardware synchronizer does NOT route frames through itself (a 1080p frame
-// is ~6 MB more than a 20-byte IMU sample).
-func (c CameraConfig) FrameBytes() int { return c.WidthPx * c.HeightPx * 2 }
+// FrameBytes is the raw 1920×1080 frame size (16 bpp Bayer) — the reason
+// the hardware synchronizer does NOT route frames through itself (a 1080p
+// frame is ~6 MB more than a 20-byte IMU sample).
+const FrameBytes = 1920 * 1080 * 2
 
 // Period returns the frame period.
 func (c CameraConfig) Period() time.Duration {
@@ -73,7 +68,7 @@ func NewCamera(cfg CameraConfig) *Camera { return &Camera{Config: cfg} }
 func (c *Camera) CaptureAt(trueTrigger time.Duration) Frame {
 	cfg := c.Config
 	mid := trueTrigger + cfg.Exposure/2
-	interfaceArrival := trueTrigger + cfg.Exposure + cfg.Readout
+	interfaceArrival := trueTrigger + cfg.Exposure + CameraReadout
 	return Frame{
 		TrueCaptureTime: mid,
 		ArrivalTime:     interfaceArrival,
@@ -96,15 +91,18 @@ func (c *Camera) FreeRunTriggers(horizon time.Duration) []time.Duration {
 	}
 }
 
+// The deployed IMU's sample rate (8× camera) and white-noise standard
+// deviations.
+const (
+	imuRateHz                = 240
+	imuGyroNoiseStd  float64 = 0.003 // rad/s
+	imuAccelNoiseStd float64 = 0.03  // m/s²
+)
+
 // IMUConfig describes the inertial measurement unit.
 type IMUConfig struct {
-	// RateHz is the sample rate (240 in the deployed rig: 8× camera).
-	RateHz float64
 	// Clock is the IMU's local oscillator.
 	Clock Clock
-	// GyroNoiseStd / AccelNoiseStd are white-noise standard deviations.
-	GyroNoiseStd  float64 // rad/s
-	AccelNoiseStd float64 // m/s²
 	// GyroBias / AccelBias are constant biases the VIO estimates.
 	GyroBias  float64 // rad/s (yaw axis)
 	AccelBias float64 // m/s² (body x)
@@ -113,11 +111,8 @@ type IMUConfig struct {
 // DefaultIMUConfig returns the deployed 240 Hz configuration.
 func DefaultIMUConfig() IMUConfig {
 	return IMUConfig{
-		RateHz:        240,
-		GyroNoiseStd:  0.003,
-		AccelNoiseStd: 0.03,
-		GyroBias:      0.002,
-		AccelBias:     0.05,
+		GyroBias:  0.002,
+		AccelBias: 0.05,
 	}
 }
 
@@ -145,7 +140,7 @@ func NewIMU(cfg IMUConfig, rng *sim.RNG) *IMU {
 
 // Period returns the sample period.
 func (u *IMU) Period() time.Duration {
-	return time.Duration(float64(time.Second) / u.Config.RateHz)
+	return time.Second / imuRateHz
 }
 
 // SampleAt produces the measurement for a trigger at true time t given the
@@ -153,8 +148,8 @@ func (u *IMU) Period() time.Duration {
 func (u *IMU) SampleAt(trueT time.Duration, ax, ay, yawRate float64) IMUSample {
 	cfg := u.Config
 	return IMUSample{
-		AccelX:  ax + cfg.AccelBias + u.rng.Normal(0, cfg.AccelNoiseStd),
-		AccelY:  ay + u.rng.Normal(0, cfg.AccelNoiseStd),
-		YawRate: yawRate + cfg.GyroBias + u.rng.Normal(0, cfg.GyroNoiseStd),
+		AccelX:  ax + cfg.AccelBias + u.rng.Normal(0, imuAccelNoiseStd),
+		AccelY:  ay + u.rng.Normal(0, imuAccelNoiseStd),
+		YawRate: yawRate + cfg.GyroBias + u.rng.Normal(0, imuGyroNoiseStd),
 	}
 }

@@ -9,13 +9,9 @@ import (
 	"sov/internal/world"
 )
 
-// GPSConfig describes the GNSS receiver.
-type GPSConfig struct {
-	NoiseStd float64 // meters, horizontal, per axis
-}
-
-// DefaultGPSConfig returns a 10 Hz receiver with ~0.5 m noise (RTK-free).
-func DefaultGPSConfig() GPSConfig { return GPSConfig{NoiseStd: 0.5} }
+// gpsNoiseStd is the deployed 10 Hz receiver's horizontal noise per axis,
+// in meters (RTK-free).
+const gpsNoiseStd float64 = 0.5
 
 // GPSFix is one position fix. Valid is false during outages (tunnels,
 // multipath) — the trigger for the corrected-VIO fallback of Sec. VI-B.
@@ -26,14 +22,13 @@ type GPSFix struct {
 
 // GPS samples ground-truth position with noise and honors world outages.
 type GPS struct {
-	Config GPSConfig
-	World  *world.World
-	rng    *sim.RNG
+	World *world.World
+	rng   *sim.RNG
 }
 
 // NewGPS returns a GPS bound to a world.
-func NewGPS(cfg GPSConfig, w *world.World, rng *sim.RNG) *GPS {
-	return &GPS{Config: cfg, World: w, rng: rng}
+func NewGPS(w *world.World, rng *sim.RNG) *GPS {
+	return &GPS{World: w, rng: rng}
 }
 
 // FixAt returns the fix for true position pos at time t.
@@ -42,27 +37,28 @@ func (g *GPS) FixAt(t time.Duration, pos mathx.Vec2) GPSFix {
 		return GPSFix{Valid: false}
 	}
 	return GPSFix{
-		Pos:   pos.Add(mathx.Vec2{X: g.rng.Normal(0, g.Config.NoiseStd), Y: g.rng.Normal(0, g.Config.NoiseStd)}),
+		Pos:   pos.Add(mathx.Vec2{X: g.rng.Normal(0, gpsNoiseStd), Y: g.rng.Normal(0, gpsNoiseStd)}),
 		Valid: true,
 	}
 }
 
+// The deployed forward radar unit.
+const (
+	RadarMaxRange    float64 = 40          // meters
+	RadarFOV         float64 = math.Pi / 2 // radians
+	radarRangeStd    float64 = 0.15        // meters
+	radarVelocityStd float64 = 0.1         // m/s (radial)
+)
+
 // RadarConfig describes one automotive radar unit.
 type RadarConfig struct {
-	MaxRange    float64 // meters
-	FOV         float64 // radians
-	RangeStd    float64 // meters
-	VelocityStd float64 // m/s (radial)
 	// DropoutProb is the per-scan probability of an unstable return (the
 	// condition under which the SoV falls back to KCF visual tracking).
 	DropoutProb float64
 }
 
 // DefaultRadarConfig returns the deployed forward radar.
-func DefaultRadarConfig() RadarConfig {
-	return RadarConfig{MaxRange: 40, FOV: math.Pi / 2,
-		RangeStd: 0.15, VelocityStd: 0.1, DropoutProb: 0}
-}
+func DefaultRadarConfig() RadarConfig { return RadarConfig{DropoutProb: 0} }
 
 // RadarReturn is one target echo: range, bearing, and — the radar's unique
 // direct measurement — radial velocity.
@@ -96,7 +92,7 @@ func (r *Radar) ScanAtInto(dst []RadarReturn, t time.Duration, pose world.Pose) 
 	if r.Config.DropoutProb > 0 && r.rng.Bernoulli(r.Config.DropoutProb) {
 		return dst
 	}
-	r.dets = r.Frame.VisibleObstaclesInto(r.dets[:0], pose, t, r.Config.MaxRange, r.Config.FOV)
+	r.dets = r.Frame.VisibleObstaclesInto(r.dets[:0], pose, t, RadarMaxRange, RadarFOV)
 	out := dst
 	for _, d := range r.dets {
 		losDir := d.Pos.Sub(pose.Pos)
@@ -113,26 +109,21 @@ func (r *Radar) ScanAtInto(dst []RadarReturn, t time.Duration, pose world.Pose) 
 		}
 		out = append(out, RadarReturn{
 			ObstacleID: d.Obstacle.ID,
-			Range:      math.Max(0, surface+r.rng.Normal(0, r.Config.RangeStd)),
+			Range:      math.Max(0, surface+r.rng.Normal(0, radarRangeStd)),
 			Bearing:    d.Bearing + r.rng.Normal(0, 0.01),
-			RadialVel:  radial + r.rng.Normal(0, r.Config.VelocityStd),
+			RadialVel:  radial + r.rng.Normal(0, radarVelocityStd),
 			Time:       t,
 		})
 	}
 	return out
 }
 
-// SonarConfig describes one ultrasonic ranger.
-type SonarConfig struct {
-	MaxRange float64
-	FOV      float64
-	RangeStd float64
-}
-
-// DefaultSonarConfig returns the deployed short-range sonar.
-func DefaultSonarConfig() SonarConfig {
-	return SonarConfig{MaxRange: 5, FOV: math.Pi / 3, RangeStd: 0.05}
-}
+// The deployed short-range ultrasonic ranger.
+const (
+	SonarMaxRange float64 = 5           // meters
+	SonarFOV      float64 = math.Pi / 3 // radians
+	sonarRangeStd float64 = 0.05        // meters
+)
 
 // SonarPing is one range-only measurement (no bearing, no velocity).
 type SonarPing struct {
@@ -142,20 +133,19 @@ type SonarPing struct {
 
 // Sonar produces the nearest-obstacle range inside its cone.
 type Sonar struct {
-	Config SonarConfig
-	Frame  *world.Frame // see Radar.Frame
-	rng    *sim.RNG
+	Frame *world.Frame // see Radar.Frame
+	rng   *sim.RNG
 }
 
 // NewSonar returns a sonar bound to a world.
-func NewSonar(cfg SonarConfig, w *world.World, rng *sim.RNG) *Sonar {
-	return &Sonar{Config: cfg, Frame: world.NewFrame(w), rng: rng}
+func NewSonar(w *world.World, rng *sim.RNG) *Sonar {
+	return &Sonar{Frame: world.NewFrame(w), rng: rng}
 }
 
 // PingAt returns the nearest surface range at time t, or Valid=false when
 // clear.
 func (s *Sonar) PingAt(t time.Duration, pose world.Pose) SonarPing {
-	d, ok := s.Frame.NearestAhead(pose, t, s.Config.MaxRange, s.Config.FOV)
+	d, ok := s.Frame.NearestAhead(pose, t, SonarMaxRange, SonarFOV)
 	if !ok {
 		return SonarPing{}
 	}
@@ -163,5 +153,5 @@ func (s *Sonar) PingAt(t time.Duration, pose world.Pose) SonarPing {
 	if surface < 0 {
 		surface = 0
 	}
-	return SonarPing{Range: math.Max(0, surface+s.rng.Normal(0, s.Config.RangeStd)), Valid: true}
+	return SonarPing{Range: math.Max(0, surface+s.rng.Normal(0, sonarRangeStd)), Valid: true}
 }

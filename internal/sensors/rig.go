@@ -158,7 +158,7 @@ func NewSonarRig(w *world.World, rng *sim.RNG) *SonarRig {
 			Offset:  mathx.Vec2{X: 1.2 * math.Cos(ang), Y: 1.2 * math.Sin(ang)},
 			Bearing: ang,
 		})
-		rig.Units = append(rig.Units, NewSonar(DefaultSonarConfig(), w, rng.Fork()))
+		rig.Units = append(rig.Units, NewSonar(w, rng.Fork()))
 	}
 	rig.UseFrame(world.NewFrame(w))
 	return rig

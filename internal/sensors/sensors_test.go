@@ -41,13 +41,12 @@ func TestCameraCapturePipeline(t *testing.T) {
 }
 
 func TestCameraFrameBytes(t *testing.T) {
-	cfg := DefaultCameraConfig("x")
 	// ~6 MB for a 1080p frame (the paper's figure motivating near-sensor
 	// timestamping instead of routing frames through the synchronizer).
-	if b := cfg.FrameBytes(); b < 3_000_000 || b > 8_000_000 {
+	if b := FrameBytes; b < 3_000_000 || b > 8_000_000 {
 		t.Fatalf("frame bytes = %d", b)
 	}
-	if cfg.FrameBytes() <= SampleBytes*1000 {
+	if FrameBytes <= SampleBytes*1000 {
 		t.Fatal("frame must be orders of magnitude larger than an IMU sample")
 	}
 }
@@ -140,7 +139,7 @@ func TestIMURateIs8xCamera(t *testing.T) {
 
 func TestGPSNoiseAndOutage(t *testing.T) {
 	w := &world.World{GPSOutages: []world.TimeWindow{{From: 10 * time.Second, To: 20 * time.Second}}}
-	g := NewGPS(DefaultGPSConfig(), w, sim.NewRNG(3))
+	g := NewGPS(w, sim.NewRNG(3))
 	pos := mathx.Vec2{X: 100, Y: 50}
 	fix := g.FixAt(time.Second, pos)
 	if !fix.Valid {
@@ -156,7 +155,7 @@ func TestGPSNoiseAndOutage(t *testing.T) {
 }
 
 func TestGPSNoiseStatistics(t *testing.T) {
-	g := NewGPS(DefaultGPSConfig(), &world.World{}, sim.NewRNG(4))
+	g := NewGPS(&world.World{}, sim.NewRNG(4))
 	var sumSq float64
 	n := 2000
 	for i := 0; i < n; i++ {
@@ -220,7 +219,7 @@ func TestSonarNearestOnly(t *testing.T) {
 	w := &world.World{}
 	w.AddStaticObstacle(mathx.Vec2{X: 2}, 0.3)
 	w.AddStaticObstacle(mathx.Vec2{X: 4}, 0.3)
-	s := NewSonar(DefaultSonarConfig(), w, sim.NewRNG(8))
+	s := NewSonar(w, sim.NewRNG(8))
 	p := s.PingAt(0, world.Pose{})
 	if !p.Valid {
 		t.Fatal("expected ping")
@@ -232,7 +231,7 @@ func TestSonarNearestOnly(t *testing.T) {
 }
 
 func TestSonarClearPath(t *testing.T) {
-	s := NewSonar(DefaultSonarConfig(), &world.World{}, sim.NewRNG(9))
+	s := NewSonar(&world.World{}, sim.NewRNG(9))
 	if p := s.PingAt(0, world.Pose{}); p.Valid {
 		t.Fatal("clear path should be invalid ping")
 	}
@@ -241,7 +240,7 @@ func TestSonarClearPath(t *testing.T) {
 func TestSonarNonNegativeRange(t *testing.T) {
 	w := &world.World{}
 	w.AddStaticObstacle(mathx.Vec2{X: 0.01}, 0.3)
-	s := NewSonar(DefaultSonarConfig(), w, sim.NewRNG(10))
+	s := NewSonar(w, sim.NewRNG(10))
 	for i := 0; i < 100; i++ {
 		if p := s.PingAt(0, world.Pose{}); p.Valid && p.Range < 0 {
 			t.Fatal("negative sonar range")

@@ -56,7 +56,7 @@ func MultiCameraSyncExperiment(nCams int, horizon time.Duration, rng *sim.RNG) M
 			f := cam.CaptureAt(t)
 			ifaceTS := f.ArrivalTime + pipe.InterfaceDelay(pipes[ci])
 			cfg := cam.Config
-			recovered[ci] = ifaceTS - cfg.Exposure - cfg.Readout + cfg.Exposure/2
+			recovered[ci] = ifaceTS - cfg.Exposure - sensors.CameraReadout + cfg.Exposure/2
 		}
 		min, max := recovered[0], recovered[0]
 		for _, r := range recovered[1:] {

@@ -147,7 +147,7 @@ func HardwareSyncExperiment(horizon time.Duration, rng *sim.RNG) PairingResult {
 		// Software adjustment: subtract the constant exposure + readout
 		// (from the sensor datasheet) to recover the trigger time; add
 		// half the exposure for mid-exposure alignment.
-		recovered := ifaceTS - camCfg.Exposure - camCfg.Readout + camCfg.Exposure/2
+		recovered := ifaceTS - camCfg.Exposure - sensors.CameraReadout + camCfg.Exposure/2
 		// The associated IMU sample is the one from the same trigger.
 		err := (f.TrueCaptureTime - recovered) + (t - imuTrue)
 		if err < 0 {

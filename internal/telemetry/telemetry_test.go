@@ -209,6 +209,76 @@ func TestWALFramingAndTornTail(t *testing.T) {
 	}
 }
 
+// TestWALBatchCountBoundedByBody: a batch count read from disk that the
+// body cannot hold is an error, not an allocation sized by it. A frame
+// whose CRC passes but whose count is 2^62 must fail Open, not panic it.
+func TestWALBatchCountBoundedByBody(t *testing.T) {
+	for _, count := range []uint64{1 << 62, 2} {
+		body := binary.AppendUvarint(nil, count)
+		body = appendKey(body, Key{Vehicle: 1})
+		body = append(body, 0) // one empty payload: room for one event only
+		if _, err := decodeBatchBody(body); err == nil {
+			t.Fatalf("count %d over a one-event body decoded", count)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walName), appendFrame(nil, body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir, Options{}); err == nil {
+			s.Close()
+			t.Fatalf("count %d: Open replayed a corrupt batch", count)
+		}
+	}
+}
+
+// FuzzWALBatch holds the WAL framing and batch codec to three rules: no
+// input panics walFrame or decodeBatchBody; a batch body decodes to the
+// events it was encoded from; and a framed batch with one byte flipped
+// reads as a torn tail, never as a different batch.
+func FuzzWALBatch(f *testing.F) {
+	one := appendBatchBody(nil, []Event{{Key: Key{Vehicle: 1, TMs: 5}, Payload: []byte("a")}})
+	f.Add([]byte{}, uint(0), byte(1))
+	f.Add(one, uint(9), byte(0x80))
+	f.Add(appendFrame(nil, one), uint(0), byte(0xff))
+	f.Add(binary.AppendUvarint(nil, 1<<62), uint(3), byte(0x01))
+	f.Add(bytes.Repeat([]byte{0x5a}, 3*(KeySize+8)), uint(40), byte(0x10))
+	f.Fuzz(func(t *testing.T, data []byte, flip uint, mask byte) {
+		walFrame(data)
+		decodeBatchBody(data)
+
+		// data cut into events: a key's worth of bytes, then a byte whose
+		// low five bits size the payload that follows.
+		var evs []Event
+		for rest := data; len(rest) > KeySize; {
+			k, n := decodeKey(rest), int(rest[KeySize]&31)
+			rest = rest[KeySize+1:]
+			n = min(n, len(rest))
+			evs = append(evs, Event{Key: k, Payload: rest[:n]})
+			rest = rest[n:]
+		}
+		body := appendBatchBody(nil, evs)
+		got, err := decodeBatchBody(body)
+		if err != nil || len(got) != len(evs) {
+			t.Fatalf("%d events decoded to %d: %v", len(evs), len(got), err)
+		}
+		for i := range evs {
+			if got[i].Key != evs[i].Key || !bytes.Equal(got[i].Payload, evs[i].Payload) {
+				t.Fatalf("event %d: got %+v, want %+v", i, got[i], evs[i])
+			}
+		}
+
+		frame := appendFrame(nil, body)
+		if mask == 0 {
+			return
+		}
+		i := int(flip % uint(len(frame)))
+		frame[i] ^= mask
+		if b, _, err := walFrame(frame); err == nil {
+			t.Fatalf("byte %d flipped by %#x: frame read as a %d-byte batch", i, mask, len(b))
+		}
+	})
+}
+
 // makeEvents builds a deterministic synthetic fleet workload: V vehicles,
 // E epochs, an epoch snapshot per vehicle plus sparse sparse events.
 func makeEvents(vehicles, epochs int) []Event {

@@ -39,12 +39,16 @@ func openWAL(dir string) (*walWriter, error) {
 
 // appendBatch frames and writes one serialized batch body.
 func (w *walWriter) appendBatch(body []byte) error {
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(body)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(body))
-	w.buf = append(w.buf, body...)
+	w.buf = appendFrame(w.buf[:0], body)
 	_, err := w.f.Write(w.buf)
 	return err
+}
+
+// appendFrame appends body to b framed as walFrame reads it.
+func appendFrame(b, body []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(body))
+	return append(b, body...)
 }
 
 // reset truncates the log after a flush made its contents durable in runs.
@@ -129,6 +133,12 @@ func decodeBatchBody(b []byte) ([]Event, error) {
 		return nil, errors.New("telemetry: bad batch count")
 	}
 	b = b[n:]
+	// Every event takes a key and at least a one-byte payload length, so a
+	// count the rest of the body cannot hold is corrupt; rejecting it here
+	// keeps a count read from disk from sizing the allocation.
+	if count > uint64(len(b)/(KeySize+1)) {
+		return nil, errors.New("telemetry: batch count exceeds body")
+	}
 	events := make([]Event, 0, count)
 	for i := uint64(0); i < count; i++ {
 		if len(b) < KeySize {

@@ -98,7 +98,7 @@ func RunTrajectory(cfg Config, imuCfg sensors.IMUConfig, traj Trajectory, w *wor
 				captureT = 0
 			}
 			truthAtCapture, _ := traj(captureT)
-			obs := ObserveLandmarks(w, truthAtCapture, cfg, obsRNG)
+			obs := ObserveLandmarks(w, truthAtCapture, obsRNG)
 			filter.UpdateCamera(obs)
 
 			truthNow, _ := traj(t)

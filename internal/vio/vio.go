@@ -10,6 +10,8 @@
 // (stereo range + bearing) correct it at 30 Hz. Landmarks are initialized
 // from their first observation relative to the *current estimated* pose —
 // the mechanism by which VIO accumulates error over distance (Sec. VI-B).
+// The sensor noise and camera reach are the deployed suite's constants;
+// Config keeps LandmarkPosStd, which a surveyed map lowers.
 package vio
 
 import (
@@ -35,17 +37,21 @@ const (
 	stateDim
 )
 
-// Config holds noise parameters.
+// The deployed sensor suite's noise and the camera front-end's reach.
+const (
+	gyroNoise   float64 = 0.003         // rad/s/√Hz equivalent per-sample std
+	accelNoise  float64 = 0.03          // m/s²
+	biasWalk    float64 = 1e-5          // bias random-walk per-sample std
+	rangeStd    float64 = 0.15          // stereo landmark range noise, m
+	bearingStd  float64 = 0.01          // landmark bearing noise, rad
+	gpsPosStd   float64 = 0.5           // GPS position noise for fused updates, m
+	maxLMRange  float64 = 18            // landmark visibility range
+	cameraFOV   float64 = math.Pi * 0.8 // horizontal FOV
+	maxLandmark         = 12            // max landmarks used per update
+)
+
+// Config holds the filter's map-quality parameter.
 type Config struct {
-	GyroNoise   float64 // rad/s/√Hz equivalent per-sample std
-	AccelNoise  float64 // m/s²
-	BiasWalk    float64 // bias random-walk per-sample std
-	RangeStd    float64 // stereo landmark range noise, m
-	BearingStd  float64 // landmark bearing noise, rad
-	GPSPosStd   float64 // GPS position noise for fused updates, m
-	MaxLMRange  float64 // landmark visibility range
-	CameraFOV   float64 // horizontal FOV
-	MaxLandmark int     // max landmarks used per update
 	// LandmarkPosStd accounts for the anchor error a landmark inherits
 	// from the pose estimate it was initialized against. Without it the
 	// filter becomes overconfident, freezes its bias estimates, and
@@ -54,20 +60,7 @@ type Config struct {
 }
 
 // DefaultConfig matches the deployed sensor suite.
-func DefaultConfig() Config {
-	return Config{
-		GyroNoise:      0.003,
-		AccelNoise:     0.03,
-		BiasWalk:       1e-5,
-		RangeStd:       0.15,
-		BearingStd:     0.01,
-		GPSPosStd:      0.5,
-		MaxLMRange:     18,
-		CameraFOV:      math.Pi * 0.8,
-		MaxLandmark:    12,
-		LandmarkPosStd: 0.5,
-	}
-}
+func DefaultConfig() Config { return Config{LandmarkPosStd: 0.5} }
 
 // LandmarkObs is one stereo landmark observation in the body frame.
 type LandmarkObs struct {
@@ -140,7 +133,6 @@ func (v *VIO) PropagateIMU(s sensors.IMUSample, dt time.Duration) {
 		return
 	}
 	v.propagns++
-	cfg := v.Config
 
 	omega := s.YawRate - v.x[iBg]
 	ax := s.AccelX - v.x[iBax]
@@ -174,9 +166,9 @@ func (v *VIO) PropagateIMU(s sensors.IMUSample, dt time.Duration) {
 
 	// P = F P Fᵀ + Q.
 	v.p = mathx.MatMul(mathx.MatMul(f, v.p), f.T())
-	qa := cfg.AccelNoise * cfg.AccelNoise * h
-	qg := cfg.GyroNoise * cfg.GyroNoise * h
-	qb := cfg.BiasWalk * cfg.BiasWalk * h
+	qa := accelNoise * accelNoise * h
+	qg := gyroNoise * gyroNoise * h
+	qb := biasWalk * biasWalk * h
 	v.p.Add(iVx, iVx, qa)
 	v.p.Add(iVy, iVy, qa)
 	v.p.Add(iYaw, iYaw, qg)
@@ -190,9 +182,8 @@ func (v *VIO) PropagateIMU(s sensors.IMUSample, dt time.Duration) {
 // are initialized relative to the current estimate; known ones correct the
 // state.
 func (v *VIO) UpdateCamera(obs []LandmarkObs) {
-	cfg := v.Config
-	if len(obs) > cfg.MaxLandmark {
-		obs = obs[:cfg.MaxLandmark]
+	if len(obs) > maxLandmark {
+		obs = obs[:maxLandmark]
 	}
 	const initAnchorSightings = 4
 	for _, o := range obs {
@@ -244,8 +235,8 @@ func (v *VIO) updateOne(lm mathx.Vec2, o LandmarkObs) {
 
 	lmVar := v.Config.LandmarkPosStd * v.Config.LandmarkPosStd
 	rm := mathx.NewMat(2, 2)
-	rm.Set(0, 0, v.Config.RangeStd*v.Config.RangeStd+lmVar)
-	rm.Set(1, 1, v.Config.BearingStd*v.Config.BearingStd+lmVar/r2)
+	rm.Set(0, 0, rangeStd*rangeStd+lmVar)
+	rm.Set(1, 1, bearingStd*bearingStd+lmVar/r2)
 
 	resid := []float64{
 		o.Range - predRange,
@@ -265,8 +256,8 @@ func (v *VIO) UpdateGPS(fix sensors.GPSFix) {
 	h.Set(0, iPx, 1)
 	h.Set(1, iPy, 1)
 	rm := mathx.NewMat(2, 2)
-	rm.Set(0, 0, v.Config.GPSPosStd*v.Config.GPSPosStd)
-	rm.Set(1, 1, v.Config.GPSPosStd*v.Config.GPSPosStd)
+	rm.Set(0, 0, gpsPosStd*gpsPosStd)
+	rm.Set(1, 1, gpsPosStd*gpsPosStd)
 	resid := []float64{fix.Pos.X - v.x[iPx], fix.Pos.Y - v.x[iPy]}
 	// Schmidt-style considered update: the gain is restricted to the
 	// position states. In pure-odometry mode the landmark anchors live in
@@ -331,16 +322,16 @@ func (v *VIO) PositionError(truth world.Pose) float64 {
 
 // ObserveLandmarks generates stereo landmark observations of the world from
 // the TRUE pose with measurement noise — the camera front-end's output.
-func ObserveLandmarks(w *world.World, truth world.Pose, cfg Config, rng *sim.RNG) []LandmarkObs {
-	idx := w.LandmarksInFOV(truth, cfg.MaxLMRange, cfg.CameraFOV)
+func ObserveLandmarks(w *world.World, truth world.Pose, rng *sim.RNG) []LandmarkObs {
+	idx := w.LandmarksInFOV(truth, maxLMRange, cameraFOV)
 	out := make([]LandmarkObs, 0, len(idx))
 	for _, i := range idx {
 		lm := w.Landmarks[i].XY()
 		rel := lm.Sub(truth.Pos)
 		out = append(out, LandmarkObs{
 			ID:      i,
-			Range:   rel.Norm() + rng.Normal(0, cfg.RangeStd),
-			Bearing: mathx.WrapAngle(rel.Angle()-truth.Heading) + rng.Normal(0, cfg.BearingStd),
+			Range:   rel.Norm() + rng.Normal(0, rangeStd),
+			Bearing: mathx.WrapAngle(rel.Angle()-truth.Heading) + rng.Normal(0, bearingStd),
 		})
 	}
 	return out

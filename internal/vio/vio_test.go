@@ -65,7 +65,7 @@ func TestGPSFusionBoundsDrift(t *testing.T) {
 		return world.Pose{Pos: mathx.Vec2{X: speed * tt.Seconds()}}, mathx.Vec3{}
 	}
 	w := world.NewCorridor(1200, sim.NewRNG(5))
-	gps := sensors.NewGPS(sensors.DefaultGPSConfig(), w, sim.NewRNG(6))
+	gps := sensors.NewGPS(w, sim.NewRNG(6))
 	bare := RunTrajectory(cfg, imuCfg, traj, w, RunOptions{Duration: 120 * time.Second}, sim.NewRNG(7))
 	fused := RunTrajectory(cfg, imuCfg, traj, w, RunOptions{Duration: 120 * time.Second, GPS: gps}, sim.NewRNG(7))
 	if fused.Errors.Quantile(0.9) >= bare.Errors.Quantile(0.9) {
@@ -125,7 +125,7 @@ func TestCovarianceStaysSymmetricPSD(t *testing.T) {
 		v.PropagateIMU(imu.SampleAt(tt, 0.1, 0, 0.05), dt)
 		if i%8 == 0 {
 			truth := world.Pose{Pos: mathx.Vec2{X: float64(i) * 0.02}}
-			v.UpdateCamera(ObserveLandmarks(w, truth, cfg, obsRNG))
+			v.UpdateCamera(ObserveLandmarks(w, truth, obsRNG))
 		}
 	}
 	p := v.p
@@ -186,7 +186,7 @@ func TestEstimatorEstimatesGyroBias(t *testing.T) {
 		pose, _ := traj(tt)
 		v.PropagateIMU(imu.SampleAt(tt, 0, 0, 0), dt)
 		if i%8 == 0 {
-			v.UpdateCamera(ObserveLandmarks(w, pose, cfg, obsRNG))
+			v.UpdateCamera(ObserveLandmarks(w, pose, obsRNG))
 		}
 	}
 	if math.Abs(v.x[iBg]-0.01) > 0.005 {
@@ -210,7 +210,7 @@ func BenchmarkUpdateCamera12Landmarks(b *testing.B) {
 	rng := sim.NewRNG(2)
 	w := world.NewCorridor(100, rng)
 	v := New(cfg, world.Pose{Pos: mathx.Vec2{X: 50}})
-	obs := ObserveLandmarks(w, world.Pose{Pos: mathx.Vec2{X: 50}}, cfg, rng)
+	obs := ObserveLandmarks(w, world.Pose{Pos: mathx.Vec2{X: 50}}, rng)
 	v.UpdateCamera(obs) // initialize landmarks
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -240,7 +240,7 @@ func TestGPSOutageWindowHandled(t *testing.T) {
 	imuCfg := calibratedIMU()
 	w := world.NewCorridor(1200, sim.NewRNG(20))
 	w.GPSOutages = []world.TimeWindow{{From: 40 * time.Second, To: 80 * time.Second}}
-	gps := sensors.NewGPS(sensors.DefaultGPSConfig(), w, sim.NewRNG(21))
+	gps := sensors.NewGPS(w, sim.NewRNG(21))
 	speed := 5.6
 	traj := func(tt time.Duration) (world.Pose, mathx.Vec3) {
 		return world.Pose{Pos: mathx.Vec2{X: speed * tt.Seconds()}}, mathx.Vec3{}
@@ -282,7 +282,7 @@ func TestMapModeFilterConsistencyNEES(t *testing.T) {
 		v.PropagateIMU(imu.SampleAt(tt, ax, ay, yr), dt)
 		if i%8 == 0 {
 			pose, _ := traj(tt)
-			v.UpdateCamera(ObserveLandmarks(w, pose, cfg, obsRNG))
+			v.UpdateCamera(ObserveLandmarks(w, pose, obsRNG))
 			if i > 4800 { // skip the convergence transient
 				est := v.Pose().Pos
 				ex, ey := est.X-pose.Pos.X, est.Y-pose.Pos.Y

@@ -22,6 +22,16 @@
 // every field read and written, and a test root's x.f or {f: v} reads and
 // writes every field named f. Embedded fields and fields documented
 // Deprecated: (kept only so a frozen caller compiles) are not audited.
+//
+// The constant audit (ROADMAP item 6): an exported field of a …Config,
+// Params or Options struct type that a Default… constructor in its package
+// returns must be assigned somewhere other than that constructor, or it has
+// one value and is a constant. Any code counts as a writer, reached or not:
+// tests (by name), examples and benchmark/ included; the sov-API exemption
+// does not apply. A field benchmark/ names is exempt while that package is
+// frozen (ROADMAP item 7). A float field becomes a constant typed float64:
+// typed constant arithmetic rounds at every step as the field's run-time
+// arithmetic did, where an untyped x*x folds exactly and can differ.
 package sov
 
 import (
@@ -65,9 +75,12 @@ func TestReachability(t *testing.T) {
 	fieldKey := map[*types.Var]string{}               // declared field → "pkg.T.f"
 	fields := map[string]token.Position{}             // the fields the state audit checks
 	scalar := map[string]bool{}                       // fields whose zero value nothing else can change
+	ctorOf := map[string]string{}                     // Default… constructor key → the type it returns
+	frozen := map[string]bool{}                       // benchmark/'s declarations, test files included
 	kinds := []string{"main", "sov API", "Example", "committed benchmark", "benchmark/ test"}
 	roots := make([][]string, len(kinds))
 	mains := regexp.MustCompile(`^(cmd|examples)/|^benchmark$`)
+	options := regexp.MustCompile(`^([A-Z]\w*)?(Config|Params|Options)$`)
 	declare := func(k string, walk func(visit func(string))) { bodies[k] = append(bodies[k], walk) }
 
 	for _, p := range pkgs {
@@ -98,31 +111,35 @@ func TestReachability(t *testing.T) {
 			})
 		}
 	}
-	// allFields visits a read and a write of every audited field a value of
-	// type t holds, through pointers, containers and nested structs.
-	var allFields func(t types.Type, visit func(string), seen map[types.Type]bool)
-	allFields = func(t types.Type, visit func(string), seen map[types.Type]bool) {
+	// allFields visits a read of every audited field a value of type t
+	// holds, through pointers, containers and nested structs, and a write of
+	// each that sits behind a pointer, slice or map: reflection cannot set a
+	// field of a struct passed by value.
+	var allFields func(t types.Type, visit func(string), shared bool, seen map[types.Type]bool)
+	allFields = func(t types.Type, visit func(string), shared bool, seen map[types.Type]bool) {
 		if t == nil || seen[t] {
 			return
 		}
 		seen[t] = true
 		switch u := t.Underlying().(type) {
 		case *types.Pointer:
-			allFields(u.Elem(), visit, seen)
+			allFields(u.Elem(), visit, true, seen)
 		case *types.Slice:
-			allFields(u.Elem(), visit, seen)
+			allFields(u.Elem(), visit, true, seen)
 		case *types.Array:
-			allFields(u.Elem(), visit, seen)
+			allFields(u.Elem(), visit, shared, seen)
 		case *types.Map:
-			allFields(u.Key(), visit, seen)
-			allFields(u.Elem(), visit, seen)
+			allFields(u.Key(), visit, true, seen)
+			allFields(u.Elem(), visit, true, seen)
 		case *types.Struct:
 			for i := 0; i < u.NumFields(); i++ {
 				if k, ok := fieldKey[u.Field(i).Origin()]; ok {
 					visit("read:" + k)
-					visit("write:" + k)
+					if shared {
+						visit("write:" + k)
+					}
 				}
-				allFields(u.Field(i).Type(), visit, seen)
+				allFields(u.Field(i).Type(), visit, shared, seen)
 			}
 		}
 	}
@@ -180,7 +197,7 @@ func TestReachability(t *testing.T) {
 									}
 								}
 								if sig != nil && types.IsInterface(paramType(sig, i)) { // and, through reflection, any field
-									allFields(info.TypeOf(a), visit, map[types.Type]bool{})
+									allFields(info.TypeOf(a), visit, false, map[types.Type]bool{})
 								}
 							}
 						}
@@ -220,12 +237,19 @@ func TestReachability(t *testing.T) {
 				if !ok {
 					for _, name := range varNames(d) {
 						declare(p.ImportPath+"."+name, typed(d))
+						frozen[p.ImportPath+"."+name] = p.ImportPath == mod+"/benchmark"
 					}
 					continue
 				}
 				fn := info.Defs[fd.Name].(*types.Func)
 				k := key(fn)
 				declare(k, typed(fd))
+				frozen[k] = p.ImportPath == mod+"/benchmark"
+				if res := fn.Type().(*types.Signature).Results(); fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default") && res.Len() == 1 {
+					if t, ok := res.At(0).Type().(*types.Named); ok && t.Obj().Pkg() == p.Types && options.MatchString(t.Obj().Name()) {
+						ctorOf[k] = p.ImportPath + "." + t.Obj().Name()
+					}
+				}
 				funcs[k] = p.Fset.Position(fd.Pos())
 				if fd.Recv != nil {
 					methods[fn.Name()] = append(methods[fn.Name()], k)
@@ -376,6 +400,21 @@ func TestReachability(t *testing.T) {
 					case *ast.KeyValueExpr:
 						if id, ok := n.Key.(*ast.Ident); ok {
 							visit("field:" + id.Name)
+							visit("set:" + id.Name)
+						}
+					case *ast.AssignStmt:
+						for _, l := range n.Lhs {
+							if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
+								visit("set:" + sel.Sel.Name)
+							}
+						}
+					case *ast.IncDecStmt:
+						if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+							visit("set:" + sel.Sel.Name)
+						}
+					case *ast.UnaryExpr:
+						if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+							visit("set:" + sel.Sel.Name)
 						}
 					case *ast.Ident:
 						visit(scope + n.Name)
@@ -390,6 +429,7 @@ func TestReachability(t *testing.T) {
 			if !ok {
 				for _, name := range varNames(d) {
 					declare(scope+name, byName(d))
+					frozen[scope+name] = rel == "benchmark"
 				}
 				continue
 			}
@@ -399,6 +439,7 @@ func TestReachability(t *testing.T) {
 				methods[name] = append(methods[name], k)
 			}
 			declare(k, byName(fd))
+			frozen[k] = rel == "benchmark"
 			switch {
 			case fd.Recv != nil:
 			case rel == "benchmark":
@@ -480,6 +521,45 @@ func TestReachability(t *testing.T) {
 	if len(state) > 0 {
 		t.Errorf("%d of %d struct fields are dead state; delete them with what feeds them, or give them a reader:\n%s",
 			len(state), len(fields), strings.Join(state, "\n"))
+	}
+
+	// The constant audit walks every declaration, reached or not: a write
+	// counts wherever it is, unless it is the type's own constructor's.
+	written, named := map[string]bool{}, map[string]bool{}
+	for k, walks := range bodies {
+		for _, walk := range walks {
+			walk(func(v string) {
+				kind, f, _ := strings.Cut(v, ":")
+				if frozen[k] && (kind == "read" || kind == "write" || kind == "field") {
+					named[f] = true
+				}
+				if kind == "write" && ctorOf[k] != f[:strings.LastIndex(f, ".")] || kind == "set" {
+					written[f] = true
+				}
+			})
+		}
+	}
+	defaults := map[string]bool{}
+	for _, typ := range ctorOf {
+		defaults[typ] = true
+	}
+	var settable, constant []string
+	for k, pos := range fields {
+		typ, name := k[:strings.LastIndex(k, ".")], k[strings.LastIndex(k, ".")+1:]
+		if !defaults[typ] || !token.IsExported(name) {
+			continue
+		}
+		settable = append(settable, k)
+		if !written[k] && !written[name] && !named[k] && !named[name] {
+			rel, _ := filepath.Rel(modRoot, pos.Filename)
+			constant = append(constant, rel+":"+strconv.Itoa(pos.Line)+": "+k)
+		}
+	}
+	sort.Strings(constant)
+	t.Logf("%d settable fields across %d types a Default… constructor returns", len(settable), len(defaults))
+	if len(constant) > 0 {
+		t.Errorf("%d of %d settable fields are set only by their Default… constructor; make each a constant:\n%s",
+			len(constant), len(settable), strings.Join(constant, "\n"))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sov/internal/core"
+	"sov/internal/detect"
 	"sov/internal/mathx"
 	"sov/internal/sensors"
 	"sov/internal/sim"
@@ -41,22 +42,21 @@ func controlPeriodQueries(t0 time.Duration, radar *sensors.RadarRig, sonar *sens
 	for at := t0; at < t0+every(cfg.ControlRate); at += every(cfg.PhysicsRate) {
 		pose := world.Pose{Pos: mathx.Vec2{X: cfg.TargetSpeed * at.Seconds()}}
 		sweep := func() {
-			for i, m := range radar.Mounts {
-				c := radar.Units[i].Config
-				qs = append(qs, worldQuery{'v', at, mounted(m, pose), c.MaxRange, c.FOV})
+			for _, m := range radar.Mounts {
+				qs = append(qs, worldQuery{'v', at, mounted(m, pose), sensors.RadarMaxRange, sensors.RadarFOV})
 			}
 		}
 		qs = append(qs, worldQuery{kind: 'p', at: at, pose: pose})
 		if at == t0 {
 			qs = append(qs, worldQuery{kind: 'c', at: at, pose: pose})
 			sweep()
-			qs = append(qs, worldQuery{'v', at, pose, cfg.Detector.MaxRange, cfg.Detector.FOV})
+			qs = append(qs, worldQuery{'v', at, pose, detect.MaxRange, detect.FOV})
 		}
 		if (at-t0)%every(cfg.ReactiveRate) == 0 {
 			sweep()
-			for i, m := range sonar.Mounts {
-				if c := sonar.Units[i].Config; math.Abs(mathx.WrapAngle(m.Bearing)) <= 0.5 {
-					qs = append(qs, worldQuery{'n', at, mounted(m, pose), c.MaxRange, c.FOV})
+			for _, m := range sonar.Mounts {
+				if math.Abs(mathx.WrapAngle(m.Bearing)) <= 0.5 {
+					qs = append(qs, worldQuery{'n', at, mounted(m, pose), sensors.SonarMaxRange, sensors.SonarFOV})
 				}
 			}
 		}
@@ -87,7 +87,7 @@ func BenchmarkWorldQueries(b *testing.B) {
 		o.Traj = func(at time.Duration) (mathx.Vec2, mathx.Vec2) { evals++; return traj(at) }
 	}
 	const periods = 600 // one virtual minute from the head of the heavy block
-	// The rigs are read for their mounts and ranges only.
+	// The rigs are read for their mounts only.
 	rng := sim.NewRNG(1)
 	radar, sonar := sensors.NewRadarRig(w, rng), sensors.NewSonarRig(w, rng)
 	var qs [periods][]worldQuery

@@ -63,17 +63,16 @@ func gatherFig3a(m models.LatencyModel) []models.RequirementPoint {
 // --- Fig. 3b: reduced driving time vs PAD -----------------------------------
 
 func BenchmarkFig3bDrivingTime(b *testing.B) {
-	em := models.DefaultEnergyModel()
-	base := models.DefaultPowerBudget().TotalKW()
+	base := models.PowerBudgetKW()
 	var cur float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cur = em.ReducedDrivingTimeHours(base)
+		cur = models.ReducedDrivingTimeHours(base)
 	}
 	b.ReportMetric(cur, "reduced_h_current")
-	b.ReportMetric(em.ReducedDrivingTimeHours(base+0.092), "reduced_h_lidar")
-	b.ReportMetric(em.ReducedDrivingTimeHours(base+0.031), "reduced_h_idle_server")
-	b.ReportMetric(em.ReducedDrivingTimeHours(base+0.118), "reduced_h_full_server")
+	b.ReportMetric(models.ReducedDrivingTimeHours(base+0.092), "reduced_h_lidar")
+	b.ReportMetric(models.ReducedDrivingTimeHours(base+0.031), "reduced_h_idle_server")
+	b.ReportMetric(models.ReducedDrivingTimeHours(base+0.118), "reduced_h_full_server")
 }
 
 // --- Table I / Table II ------------------------------------------------------
@@ -82,7 +81,7 @@ func BenchmarkTable1PowerBreakdown(b *testing.B) {
 	var total float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		total = models.DefaultPowerBudget().TotalW()
+		total = models.PowerBudgetW()
 	}
 	b.ReportMetric(total, "PAD_W")
 }
@@ -206,7 +205,7 @@ func BenchmarkFig9RPREngine(b *testing.B) {
 	b.ReportMetric(r.Throughput/1e6, "engine_MBps")
 	b.ReportMetric(r.Duration.Seconds()*1000, "swap_ms")
 	b.ReportMetric(r.EnergyJ*1000, "swap_mJ")
-	cpu := rpr.DefaultCPUDriven().Transfer(rpr.BitstreamFeatureExtract.Bytes)
+	cpu := rpr.CPUDrivenTransfer(rpr.BitstreamFeatureExtract.Bytes)
 	b.ReportMetric(cpu.Duration.Seconds()/r.Duration.Seconds(), "vs_cpu_x")
 }
 

@@ -20,6 +20,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -68,6 +69,8 @@ func main() {
 	cfg.Vehicle.Quant = *quant
 	cfg.Vehicle.Sched = *sched
 
+	var traceF *os.File // nil when the trace goes to stdout
+	var traceW *bufio.Writer
 	if *tracePath != "" {
 		out := os.Stdout
 		if *tracePath != "-" {
@@ -76,12 +79,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, "trace:", err)
 				os.Exit(1)
 			}
-			defer f.Close()
-			out = f
+			traceF, out = f, f
 		}
-		bw := bufio.NewWriterSize(out, 1<<16)
-		defer bw.Flush()
-		cfg.Trace = bw
+		traceW = bufio.NewWriterSize(out, 1<<16)
+		cfg.Trace = traceW
 	}
 
 	var store *telemetry.Store
@@ -142,6 +143,18 @@ func main() {
 	if reg != nil && *metricsPath != "" {
 		if err := reg.WriteFile(*metricsPath); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", err)
+			os.Exit(1)
+		}
+	}
+	// The trace is written in full or the run fails: a write, flush or
+	// close error exits 1.
+	if traceW != nil {
+		err := traceW.Flush()
+		if traceF != nil {
+			err = cmp.Or(err, traceF.Close())
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "trace:", err)
 			os.Exit(1)
 		}
 	}

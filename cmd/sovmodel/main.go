@@ -53,20 +53,19 @@ func main() {
 			m.SpeedForBudget(164*time.Millisecond, *distance))
 	case "energy":
 		fs := flag.NewFlagSet("energy", flag.ExitOnError)
-		pad := fs.Float64("pad", models.DefaultPowerBudget().TotalKW(), "AD power in kW")
+		pad := fs.Float64("pad", models.PowerBudgetKW(), "AD power in kW")
 		extra := fs.Float64("extra", 0, "additional watts (e.g. 31 for an idle server)")
 		day := fs.Float64("day", 10, "operating hours per day")
 		_ = fs.Parse(args[1:])
 		if *pad < 0 || *extra < 0 {
 			fail(errors.New("-pad and -extra must not be negative"))
 		}
-		em := models.DefaultEnergyModel()
 		total := *pad + *extra/1000
 		fmt.Printf("driving time at PAD=%.3f kW: %.2f h (reduced by %.2f h)\n",
-			total, em.DrivingTimeHours(total), em.ReducedDrivingTimeHours(total))
+			total, models.DrivingTimeHours(total), models.ReducedDrivingTimeHours(total))
 		if *extra != 0 {
 			fmt.Printf("the extra %.0f W costs %.1f%% of a %.0f h operating day\n",
-				*extra, em.RevenueLossPercent(*pad, total, *day), *day)
+				*extra, models.RevenueLossPercent(*pad, total, *day), *day)
 		}
 	case "cost":
 		fmt.Print(models.DefaultCameraVehicleCost().Render())
@@ -74,18 +73,17 @@ func main() {
 		fmt.Printf("TCO: $%.0f/year, $%.2f per trip\n", tco.AnnualUSD(), tco.CostPerTripUSD())
 	case "thermal":
 		fs := flag.NewFlagSet("thermal", flag.ExitOnError)
-		load := fs.Float64("load", models.DefaultPowerBudget().TotalW(), "compute load in watts")
+		load := fs.Float64("load", models.PowerBudgetW(), "compute load in watts")
 		ambient := fs.Float64("ambient", 40, "ambient temperature in C")
 		_ = fs.Parse(args[1:])
 		if *load < 0 {
 			fail(errors.New("-load must not be negative"))
 		}
-		th := models.DefaultThermalModel()
 		fmt.Printf("steady temperature at %.0f W, %.0f C ambient: %.1f C (ceiling %.0f C)\n",
-			*load, *ambient, th.SteadyTempC(*load, *ambient), th.MaxComponentTempC)
+			*load, *ambient, models.SteadyTempC(*load, *ambient), models.MaxComponentTempC)
 		fmt.Printf("headroom: %.0f W; max safe load: %.0f W\n",
-			th.HeadroomW(*load, *ambient), th.MaxLoadW(*ambient))
-		if !th.WithinLimits(*load, *ambient) {
+			models.HeadroomW(*load, *ambient), models.MaxLoadW(*ambient))
+		if !models.WithinLimits(*load, *ambient) {
 			fmt.Println("WARNING: load exceeds the thermal envelope")
 		}
 	default:

@@ -20,12 +20,11 @@ func ExampleLatencyModel() {
 }
 
 // The energy model reproduces the Fig. 3b markers.
-func ExampleEnergyModel() {
-	em := sov.DefaultEnergyModel()
-	pad := sov.DefaultPowerBudget().TotalKW()
-	fmt.Printf("driving time with AD: %.1f h\n", em.DrivingTimeHours(pad))
+func ExampleDrivingTimeHours() {
+	pad := sov.PowerBudgetKW()
+	fmt.Printf("driving time with AD: %.1f h\n", sov.DrivingTimeHours(pad))
 	fmt.Printf("an idle server costs %.1f%% of a 10 h day\n",
-		em.RevenueLossPercent(pad, pad+0.031, 10))
+		sov.RevenueLossPercent(pad, pad+0.031, 10))
 	// Output:
 	// driving time with AD: 7.7 h
 	// an idle server costs 3.0% of a 10 h day

@@ -10,13 +10,10 @@ import (
 )
 
 func main() {
-	em := sov.DefaultEnergyModel()
-	budget := sov.DefaultPowerBudget()
-
 	fmt.Println("== Power budget (Table I) ==")
-	fmt.Print(budget.Render())
+	fmt.Print(sov.RenderPowerBudget())
 
-	base := budget.TotalKW()
+	base := sov.PowerBudgetKW()
 	fmt.Println("\n== Driving time per charge (6 kWh battery, Fig. 3b) ==")
 	rows := []struct {
 		name  string
@@ -29,11 +26,11 @@ func main() {
 		{"switch to Waymo-style LiDAR suite (+92 W)", base + 0.092},
 	}
 	for _, r := range rows {
-		h := em.DrivingTimeHours(r.padKW)
+		h := sov.DrivingTimeHours(r.padKW)
 		fmt.Printf("%-44s %5.2f h  (lost %4.2f h/charge)\n", r.name, h, 10-h)
 	}
 	fmt.Printf("\nan always-on idle server costs %.1f%% of a 10 h operating day\n",
-		em.RevenueLossPercent(base, base+0.031, 10))
+		sov.RevenueLossPercent(base, base+0.031, 10))
 
 	fmt.Println("\n== Vehicle cost (Table II) ==")
 	cam := sov.CameraVehicleCost()

@@ -60,11 +60,10 @@ func main() {
 	fmt.Printf("%-28s $%-21.0f $%.0f\n", "sensor cost", cam.SensorTotalUSD(), lid.SensorTotalUSD())
 	fmt.Printf("%-28s $%-21.0f >$%.0f\n", "vehicle retail", cam.RetailPriceUSD, lid.RetailPriceUSD)
 
-	em := models.DefaultEnergyModel()
-	base := models.DefaultPowerBudget().TotalKW()
+	base := models.PowerBudgetKW()
 	fmt.Printf("%-28s %-22s %.1f h\n", "driving time (6 kWh)",
-		fmt.Sprintf("%.1f h", em.DrivingTimeHours(base)),
-		em.DrivingTimeHours(base+lidarW/1000))
+		fmt.Sprintf("%.1f h", models.DrivingTimeHours(base)),
+		models.DrivingTimeHours(base+lidarW/1000))
 
 	fmt.Println("\nDepth precision: LiDAR wins (~2 cm vs ~0.2 m) — but lane-granularity")
 	fmt.Println("maneuvering (1-3 m lanes) tolerates 0.2 m, so the precision is unpurchased.")

@@ -57,7 +57,7 @@ func TestVisionPerceptionChain(t *testing.T) {
 		im := makeScene(0.05*float64(i)).Render(rig.Intr, 0)
 		lastX = k.Update(im).X
 	}
-	wantShift := 0.05 * 6 / objZ * rig.Intr.Fx // ≈ 6 px
+	wantShift := 0.05 * 6 / objZ * vision.Fx // ≈ 6 px
 	if math.Abs(lastX-rig.Intr.Cx-wantShift) > 2 {
 		t.Fatalf("tracked shift = %.1f px, want ~%.1f", lastX-rig.Intr.Cx, wantShift)
 	}
@@ -65,7 +65,7 @@ func TestVisionPerceptionChain(t *testing.T) {
 	// Pixel velocity → metric lateral velocity at the stereo depth.
 	framePeriod := 1.0 / 30
 	pxPerFrame := (lastX - rig.Intr.Cx) / 6
-	lateralV := pxPerFrame * depth / rig.Intr.Fx / framePeriod
+	lateralV := pxPerFrame * depth / vision.Fx / framePeriod
 	if math.Abs(lateralV-1.5) > 0.4 { // 0.05 m/frame * 30 fps
 		t.Fatalf("recovered lateral velocity = %.2f m/s, want ~1.5", lateralV)
 	}

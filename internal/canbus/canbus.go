@@ -72,7 +72,8 @@ const cmdScale = 100.0
 func EncodeCommand(id uint32, c Command) (Frame, error) {
 	steer := c.SteerRad * cmdScale
 	accel := c.AccelMps2 * cmdScale
-	if math.Abs(steer) > math.MaxInt16 || math.Abs(accel) > math.MaxInt16 {
+	// Written as !(… <= …) so NaN, which compares false, is rejected too.
+	if !(math.Abs(steer) <= math.MaxInt16) || !(math.Abs(accel) <= math.MaxInt16) {
 		return Frame{}, fmt.Errorf("canbus: command out of encodable range: %+v", c)
 	}
 	var payload [8]byte

@@ -61,6 +61,69 @@ func TestEncodeRejectsHugeValues(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsNaN: NaN fails every comparison, so a range check
+// written as |x| > max lets it through and it goes onto the bus as 0.
+func TestEncodeRejectsNaN(t *testing.T) {
+	for _, c := range []Command{{SteerRad: math.NaN()}, {AccelMps2: math.NaN()}} {
+		if f, err := EncodeCommand(IDControlCommand, c); err == nil {
+			got, _ := DecodeCommand(f)
+			t.Errorf("%+v encodes without error and decodes as %+v", c, got)
+		}
+	}
+}
+
+// FuzzCommandCodec holds the command frame codec to three properties:
+// DecodeCommand never panics on an arbitrary frame; EncodeCommand either
+// fails or produces a frame that decodes to each field within half a
+// fixed-point step (EStop and Seq exact); and one flipped payload byte
+// decodes to ErrBadChecksum or to a different command, never a panic.
+func FuzzCommandCodec(f *testing.F) {
+	f.Add(IDControlCommand, 0.25, -4.0, true, uint16(42), []byte{1, 2, 3, 4, 5, 6, 7, 8}, 8, uint8(1), uint8(0xFF))
+	f.Add(IDReactiveOverride, -0.5, 2.5, false, uint16(65535), []byte{}, 3, uint8(7), uint8(1))
+	f.Add(IDControlCommand, 327.67, -327.67, false, uint16(0), []byte{0xFF}, 9, uint8(4), uint8(0x80))
+	f.Add(IDControlCommand, 327.68, 0.0, false, uint16(1), []byte(nil), -1, uint8(0), uint8(0))
+	f.Add(IDVehicleStatus, math.NaN(), 0.0, false, uint16(2), []byte{0, 0, 0, 0, 0, 0, 0, 0}, 8, uint8(3), uint8(2))
+	f.Add(uint32(0x800), 0.0, math.Inf(-1), true, uint16(3), []byte{9}, 1, uint8(5), uint8(4))
+	f.Fuzz(func(t *testing.T, id uint32, steer, accel float64, estop bool, seq uint16, raw []byte, dlc int, at, mask uint8) {
+		var fr Frame
+		fr.ID, fr.DLC = id, dlc
+		copy(fr.Data[:], raw)
+		_, _ = DecodeCommand(fr)
+
+		c := Command{SteerRad: steer, AccelMps2: accel, EStop: estop, Seq: seq}
+		enc, err := EncodeCommand(id, c)
+		encodable := id <= maxStandardID &&
+			math.Abs(steer*cmdScale) <= math.MaxInt16 && math.Abs(accel*cmdScale) <= math.MaxInt16
+		if err != nil {
+			if encodable {
+				t.Fatalf("EncodeCommand(%#x, %+v): %v", id, c, err)
+			}
+			return
+		}
+		if !encodable {
+			t.Fatalf("EncodeCommand(%#x, %+v) accepted an unencodable command", id, c)
+		}
+		got, err := DecodeCommand(enc)
+		if err != nil {
+			t.Fatalf("DecodeCommand(EncodeCommand(%+v)): %v", c, err)
+		}
+		const halfStep = 0.5/cmdScale + 1e-9
+		if math.Abs(got.SteerRad-steer) > halfStep || math.Abs(got.AccelMps2-accel) > halfStep ||
+			got.EStop != estop || got.Seq != seq {
+			t.Fatalf("%+v round-trips to %+v", c, got)
+		}
+
+		if mask == 0 {
+			mask = 1
+		}
+		bad := enc
+		bad.Data[at%8] ^= mask
+		if corrupt, err := DecodeCommand(bad); err != ErrBadChecksum && (err != nil || corrupt == got) {
+			t.Fatalf("byte %d ^ %#x of %+v decodes to %+v, %v", at%8, mask, c, corrupt, err)
+		}
+	})
+}
+
 func TestDecodeDetectsCorruption(t *testing.T) {
 	f, err := EncodeCommand(IDControlCommand, Command{SteerRad: 0.1, Seq: 7})
 	if err != nil {

@@ -33,32 +33,21 @@ func Decompress(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// CompressionAccelerator models the FPGA compression engine that RPR swaps
-// in for the hourly upload: fixed throughput while resident, zero cost
+// compressBps is the streaming rate of the FPGA compression engine that RPR
+// swaps in for the hourly upload: fixed throughput while resident, zero cost
 // while swapped out.
-type CompressionAccelerator struct {
-	// ThroughputBps is the streaming compression rate.
-	ThroughputBps float64
-}
+const compressBps float64 = 200e6
 
-// DefaultCompressionAccelerator returns a 200 MB/s engine.
-func DefaultCompressionAccelerator() CompressionAccelerator {
-	return CompressionAccelerator{ThroughputBps: 200e6}
-}
-
-// Estimate returns the accelerator's busy time for a payload.
-func (a CompressionAccelerator) Estimate(inputBytes int64) time.Duration {
-	if a.ThroughputBps <= 0 {
-		return 0
-	}
-	return time.Duration(float64(inputBytes) / a.ThroughputBps * float64(time.Second))
+// compressBusy returns the compression engine's busy time for a payload.
+func compressBusy(inputBytes int64) time.Duration {
+	return time.Duration(float64(inputBytes) / compressBps * float64(time.Second))
 }
 
 // HourlyUploadPlan is the Sec. VII RPR use case evaluated end to end: swap
 // the compressor in, compress an hour of sensor data, swap the localization
 // variant back. It returns a human-readable cost summary.
-func HourlyUploadPlan(hourBytes int64, acc CompressionAccelerator, swapCost time.Duration) string {
-	busy := acc.Estimate(hourBytes)
+func HourlyUploadPlan(hourBytes int64, swapCost time.Duration) string {
+	busy := compressBusy(hourBytes)
 	total := busy + 2*swapCost
 	return fmt.Sprintf(
 		"hourly upload: %.1f GB -> compress %.1fs + 2 swaps %.1f ms = %.1fs busy/hour (%.4f%% duty)",

@@ -349,19 +349,15 @@ func TestDecompressGarbage(t *testing.T) {
 }
 
 func TestCompressionAcceleratorEstimate(t *testing.T) {
-	acc := DefaultCompressionAccelerator()
 	// 1 hour of raw data at the paper's ~1 TB/day is ~42 GB.
-	busy := acc.Estimate(42 << 30)
+	busy := compressBusy(42 << 30)
 	if busy < 100*time.Second || busy > 400*time.Second {
 		t.Fatalf("42 GB at 200 MB/s = %v, want ~225 s", busy)
-	}
-	if z := (CompressionAccelerator{}).Estimate(100); z != 0 {
-		t.Fatal("degenerate accelerator should be zero, not Inf")
 	}
 }
 
 func TestHourlyUploadPlanLowDuty(t *testing.T) {
-	out := HourlyUploadPlan(42<<30, DefaultCompressionAccelerator(), 3*time.Millisecond)
+	out := HourlyUploadPlan(42<<30, 3*time.Millisecond)
 	if !strings.Contains(out, "duty") {
 		t.Fatalf("plan: %s", out)
 	}

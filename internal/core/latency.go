@@ -27,13 +27,12 @@ type latencyDraw struct {
 // 164 ms, best ≈ 149 ms, with a long tail reaching the 740 ms worst case.
 type latencyModel struct {
 	cfg    Config
-	pipe   isp.Pipeline
 	rng    *sim.RNG
 	delays []time.Duration // reused per-draw ISP trace buffer
 }
 
 func newLatencyModel(cfg Config, rng *sim.RNG) *latencyModel {
-	return &latencyModel{cfg: cfg, pipe: isp.DefaultPipeline(), rng: rng}
+	return &latencyModel{cfg: cfg, rng: rng}
 }
 
 const (
@@ -58,7 +57,7 @@ func (m *latencyModel) draw(complexity float64, keyframe, radarStable bool, tr *
 	var d latencyDraw
 
 	// Sensing: exposure + readout + ISP/kernel/app pipeline.
-	ispTr := m.pipe.DeliverInto(m.delays, m.rng)
+	ispTr := isp.DeliverInto(m.delays, m.rng)
 	m.delays = ispTr.Delays
 	d.Sensing = exposure + readout + ispTr.Total
 	if !m.cfg.HardwareSync {

@@ -191,7 +191,7 @@ func TestObsSpanCountAndLayout(t *testing.T) {
 // dump the surrounding cycles.
 func TestObsFlightRecorderCapturesReactive(t *testing.T) {
 	cfg := DefaultConfig()
-	w, _ := CutInScenario(cfg.TargetSpeed, 4.5)
+	w := cutInScenario(cfg.TargetSpeed, 4.5)
 	s := New(cfg, w)
 	var buf bytes.Buffer
 	box := obs.NewFlightRecorder(&buf, 16, 3)

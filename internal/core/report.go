@@ -161,10 +161,9 @@ func (r *Report) finish(duration time.Duration, s *SoV) {
 		r.ThroughputHz = float64(r.CommandsDelivered) / duration.Seconds()
 	}
 	r.DistanceM = s.veh.Odometer()
-	padW := models.DefaultPowerBudget().TotalW()
+	padW := models.PowerBudgetW()
 	r.ADEnergyWh = padW * duration.Hours()
-	em := models.DefaultEnergyModel()
-	r.BatteryShare = r.ADEnergyWh / (em.CapacityKWh * 1000)
+	r.BatteryShare = r.ADEnergyWh / (models.CapacityKWh * 1000)
 	if r.physSteps > 0 {
 		r.LateralRMSM = math.Sqrt(r.lateralSumSq / float64(r.physSteps))
 	}
@@ -250,19 +249,4 @@ func (r *Report) renderLean() string {
 			sc.Mapping, sc.Quantized, sc.Sticky, sc.TempC, sc.Windows, sc.Remaps, sc.OpSwitches, sc.Swaps, ms(sc.SwapTotal))
 	}
 	return b.String()
-}
-
-// RenderHistogram draws the Tcomp distribution as a terminal bar chart
-// (the visual form of Fig. 10a).
-func (r *Report) RenderHistogram(bins, width int) string {
-	if r.lean || r.Tcomp.N() == 0 {
-		return "(no cycles)\n"
-	}
-	lo := r.Tcomp.Min()
-	hi := r.Tcomp.Max() + 1
-	h := stats.NewHistogram(lo, hi, bins)
-	for _, v := range r.Tcomp.Sorted() {
-		h.Observe(v)
-	}
-	return "Tcomp distribution (ms):\n" + h.Render(width)
 }

@@ -49,41 +49,12 @@ func DynamicTrafficScenario(seed int64) *world.World {
 	return w
 }
 
-// CutInScenario places a pedestrian that steps into the lane when the
-// vehicle is exactly triggerDistance meters away (at the configured speed),
-// the canonical obstacle-avoidance stress test of Fig. 3a.
-func CutInScenario(speed, triggerDistance float64) (*world.World, *world.Obstacle) {
-	rng := sim.NewRNG(7)
-	w := world.NewCorridor(400, rng)
-	// The pedestrian starts just off-lane and steps to the centerline
-	// quickly once triggered. The vehicle starts at x=0 at `speed`.
-	pedX := 120.0
-	triggerTime := time.Duration((pedX - triggerDistance) / speed * float64(time.Second))
-	ped := w.AddCutInPedestrian(pedX, triggerTime, 6.0) // fast step-in: ~0.5 s to centerline
-	return w, ped
-}
-
-// CutInOutcome is the result of one cut-in trial.
+// CutInOutcome is the result of one obstacle trial.
 type CutInOutcome struct {
 	Stopped       bool
 	Collided      bool
 	MinClearanceM float64
 	Reactive      bool // the reactive path fired
-}
-
-// RunCutIn executes a cut-in trial with the given config and trigger
-// distance and reports the outcome.
-func RunCutIn(cfg Config, triggerDistance float64, duration time.Duration) CutInOutcome {
-	w, ped := CutInScenario(cfg.TargetSpeed, triggerDistance)
-	s := New(cfg, w)
-	rep := s.Run(duration)
-	_ = ped
-	return CutInOutcome{
-		Stopped:       s.Vehicle().State().Speed < 0.05,
-		Collided:      rep.Collisions > 0,
-		MinClearanceM: rep.MinClearance,
-		Reactive:      rep.ReactiveEngagements > 0,
-	}
 }
 
 // RunSuddenObstacle executes the Eq. 1 worst case: an obstacle materializes

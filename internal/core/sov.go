@@ -131,7 +131,7 @@ func New(cfg Config, w *world.World) *SoV {
 	if cfg.RPREnabled {
 		s.rprMgr = rpr.NewManager()
 	}
-	s.battery = vehicle.NewBattery(models.DefaultEnergyModel().CapacityKWh)
+	s.battery = vehicle.NewBattery(models.CapacityKWh)
 	if cfg.Sched {
 		sc := sched.DefaultConfig()
 		sc.ControlRate = cfg.ControlRate
@@ -251,7 +251,7 @@ func (s *SoV) Finish(duration time.Duration) *Report {
 // physicsStep advances the vehicle and records safety metrics.
 func (s *SoV) physicsStep(dt time.Duration) {
 	// Drain the pack at Pv + PAD; an empty pack ends the drive.
-	load := s.cfg.Vehicle.BasePowerKW + models.DefaultPowerBudget().TotalKW()
+	load := s.cfg.Vehicle.BasePowerKW + models.PowerBudgetKW()
 	if !s.battery.Drain(load, dt) {
 		s.engine.Stop()
 		return

@@ -21,9 +21,8 @@ func SeriesCSV() string {
 		fmt.Fprintf(&b, "fig3a_budget_ms,%.3f,%.3f\n", p.Distance, p.Budget.Seconds()*1000)
 	}
 
-	em := models.DefaultEnergyModel()
 	for pad := 0.15; pad <= 0.3501; pad += 0.01 {
-		fmt.Fprintf(&b, "fig3b_reduced_h,%.3f,%.4f\n", pad, em.ReducedDrivingTimeHours(pad))
+		fmt.Fprintf(&b, "fig3b_reduced_h,%.3f,%.4f\n", pad, models.ReducedDrivingTimeHours(pad))
 	}
 
 	for ms := 0; ms <= 150; ms += 10 {

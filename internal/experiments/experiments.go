@@ -38,7 +38,7 @@ func Fig2LatencyChain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 2 — end-to-end latency model (v=%.1f m/s, a=%.1f m/s2)\n", m.Speed, m.BrakeDecel)
 	fmt.Fprintf(&b, "  Tdata=%v  Tmech=%v  Tstop=%v  braking distance=%.2f m\n",
-		m.DataLatency, m.MechLatency, m.StopTime(), m.BrakingDistance())
+		models.DataLatency, m.MechLatency, m.StopTime(), m.BrakingDistance())
 	for _, tc := range []time.Duration{30 * time.Millisecond, 149 * time.Millisecond, 164 * time.Millisecond, 740 * time.Millisecond} {
 		fmt.Fprintf(&b, "  Tcomp=%-6v -> stopping distance %.2f m (compute share %.0f%%)\n",
 			tc, m.StoppingDistance(tc), 100*m.ComputeShare(tc))
@@ -65,32 +65,30 @@ func Fig3aRequirement() string {
 // Fig3bDrivingTime sweeps reduced driving time against PAD with the
 // paper's four markers (Fig. 3b).
 func Fig3bDrivingTime() string {
-	em := models.DefaultEnergyModel()
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 3b — reduced driving time vs PAD (E=%.0f kWh, Pv=%.1f kW)\n", em.CapacityKWh, em.VehiclePowerKW)
+	fmt.Fprintf(&b, "Fig. 3b — reduced driving time vs PAD (E=%.0f kWh, Pv=%.1f kW)\n", models.CapacityKWh, models.VehiclePowerKW)
 	fmt.Fprintf(&b, "  %-10s %s\n", "PAD(kW)", "reduced(h)")
 	for pad := 0.15; pad <= 0.351; pad += 0.02 {
-		fmt.Fprintf(&b, "  %-10.2f %.2f\n", pad, em.ReducedDrivingTimeHours(pad))
+		fmt.Fprintf(&b, "  %-10.2f %.2f\n", pad, models.ReducedDrivingTimeHours(pad))
 	}
-	base := models.DefaultPowerBudget().TotalKW()
+	base := models.PowerBudgetKW()
 	lidar := 0.0
 	for _, c := range models.WaymoLiDARSuite() {
 		lidar += c.TotalW()
 	}
 	fmt.Fprintf(&b, "  markers: current (%.3f kW) %.2f h | +LiDAR %.2f h | +1 server idle %.2f h | +1 server full %.2f h\n",
 		base,
-		em.ReducedDrivingTimeHours(base),
-		em.ReducedDrivingTimeHours(base+lidar/1000),
-		em.ReducedDrivingTimeHours(base+models.ServerIdlePowerW/1000),
-		em.ReducedDrivingTimeHours(base+models.ServerDynamicPowerW/1000))
+		models.ReducedDrivingTimeHours(base),
+		models.ReducedDrivingTimeHours(base+lidar/1000),
+		models.ReducedDrivingTimeHours(base+models.ServerIdlePowerW/1000),
+		models.ReducedDrivingTimeHours(base+models.ServerDynamicPowerW/1000))
 	return b.String()
 }
 
 // Table1Power renders the Table I power breakdown.
 func Table1Power() string {
-	b := models.DefaultPowerBudget()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table I — power breakdown\n%s", b.Render())
+	fmt.Fprintf(&sb, "Table I — power breakdown\n%s", models.RenderPowerBudget())
 	fmt.Fprintf(&sb, "LiDAR comparison (not used): long-range %.0f W, short-range %.0f W\n",
 		models.LongRangeLiDARPowerW, models.ShortRangeLiDARPowerW)
 	return sb.String()
@@ -284,12 +282,11 @@ func Fig8Mappings() string {
 // (Fig. 9 / Sec. V-B3).
 func Fig9RPR() string {
 	eng := rpr.NewEngine(rpr.DefaultEngineConfig())
-	cpu := rpr.DefaultCPUDriven()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 — runtime partial reconfiguration\n")
 	for _, bs := range []rpr.Bitstream{rpr.BitstreamFeatureExtract, rpr.BitstreamFeatureTrack} {
 		re := eng.Transfer(bs.Bytes)
-		rc := cpu.Transfer(bs.Bytes)
+		rc := rpr.CPUDrivenTransfer(bs.Bytes)
 		fmt.Fprintf(&b, "  %-16s %7d B: engine %8v (%6.1f MB/s, %.2f mJ) | CPU-driven %10v (%.0f KB/s)\n",
 			bs.Name, bs.Bytes, re.Duration.Round(time.Microsecond), re.Throughput/1e6, re.EnergyJ*1000,
 			rc.Duration.Round(time.Millisecond), rc.Throughput/1024)
@@ -395,7 +392,7 @@ func FusionStudy() string {
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
 	w := world.NewCorridor(1200, sim.NewRNG(5))
-	gps := sensors.NewGPS(w, sim.NewRNG(6))
+	gps := sensors.NewGPS(sim.NewRNG(6))
 	speed := 5.6
 	traj := func(tt time.Duration) (world.Pose, mathx.Vec3) {
 		return world.Pose{Pos: mathx.Vec2{X: speed * tt.Seconds()}}, mathx.Vec3{}
@@ -432,14 +429,13 @@ func Extensions() string {
 	fmt.Fprintf(&b, "— mobile-SoC DSP offload overhead: %.2f ms and %.2f W at 4x30 FPS (FPGA in-situ: 0)\n",
 		soc.FrameOverhead(frame).Seconds()*1000, soc.SustainedPowerW(frame, 120))
 
-	th := models.DefaultThermalModel()
-	pad := models.DefaultPowerBudget().TotalW()
+	pad := models.PowerBudgetW()
 	fmt.Fprintf(&b, "— thermal: %0.f W at +40C ambient -> %.0f C internal (ceiling %.0f C, headroom %.0f W)\n",
-		pad, th.SteadyTempC(pad, 40), th.MaxComponentTempC, th.HeadroomW(pad, 40))
+		pad, models.SteadyTempC(pad, 40), models.MaxComponentTempC, models.HeadroomW(pad, 40))
 
 	swap := rpr.NewEngine(rpr.DefaultEngineConfig()).Transfer(rpr.BitstreamFeatureExtract.Bytes)
 	fmt.Fprintf(&b, "— RPR hourly upload: %s\n",
-		cloud.HourlyUploadPlan(42<<30, cloud.DefaultCompressionAccelerator(), swap.Duration))
+		cloud.HourlyUploadPlan(42<<30, swap.Duration))
 
 	// Pod vs shuttle: the two product lines' Eq. 1 envelopes.
 	pod := models.DefaultLatencyModel()

@@ -27,26 +27,19 @@ type Stage struct {
 	TailScale time.Duration
 }
 
-// Pipeline is an ordered list of stages.
-type Pipeline struct {
-	Stages []Stage
-}
-
-// DefaultPipeline returns the deployed camera stack, calibrated so that
-// sensing (exposure+readout upstream plus this pipeline) averages ≈84 ms —
-// about half of the 164 ms mean computing latency — with a long tail, and
-// so the ISP stage alone varies by ~10 ms as the paper reports.
-func DefaultPipeline() Pipeline {
-	return Pipeline{Stages: []Stage{
-		{Name: "sensor-interface", Base: 1 * time.Millisecond, JitterStd: 200 * time.Microsecond},
-		{Name: "isp", Base: 28 * time.Millisecond, JitterStd: 4 * time.Millisecond,
-			TailProb: 0.02, TailScale: 10 * time.Millisecond},
-		{Name: "kernel-driver", Base: 14 * time.Millisecond, JitterStd: 3 * time.Millisecond,
-			TailProb: 0.03, TailScale: 20 * time.Millisecond},
-		{Name: "dram-copy", Base: 6 * time.Millisecond, JitterStd: 1 * time.Millisecond},
-		{Name: "app-delivery", Base: 15 * time.Millisecond, JitterStd: 5 * time.Millisecond,
-			TailProb: 0.05, TailScale: 60 * time.Millisecond},
-	}}
+// stages is the deployed camera pipeline in traversal order, calibrated so
+// that sensing (exposure+readout upstream plus this pipeline) averages
+// ≈84 ms — about half of the 164 ms mean computing latency — with a long
+// tail, and so the ISP stage alone varies by ~10 ms as the paper reports.
+var stages = []Stage{
+	{Name: "sensor-interface", Base: 1 * time.Millisecond, JitterStd: 200 * time.Microsecond},
+	{Name: "isp", Base: 28 * time.Millisecond, JitterStd: 4 * time.Millisecond,
+		TailProb: 0.02, TailScale: 10 * time.Millisecond},
+	{Name: "kernel-driver", Base: 14 * time.Millisecond, JitterStd: 3 * time.Millisecond,
+		TailProb: 0.03, TailScale: 20 * time.Millisecond},
+	{Name: "dram-copy", Base: 6 * time.Millisecond, JitterStd: 1 * time.Millisecond},
+	{Name: "app-delivery", Base: 15 * time.Millisecond, JitterStd: 5 * time.Millisecond,
+		TailProb: 0.05, TailScale: 60 * time.Millisecond},
 }
 
 // StageDelay draws one latency for a stage.
@@ -68,15 +61,15 @@ type Trace struct {
 }
 
 // Deliver draws the traversal latency of one frame through the pipeline.
-func (p Pipeline) Deliver(rng *sim.RNG) Trace {
-	return p.DeliverInto(make([]time.Duration, 0, len(p.Stages)), rng)
+func Deliver(rng *sim.RNG) Trace {
+	return DeliverInto(make([]time.Duration, 0, len(stages)), rng)
 }
 
 // DeliverInto is Deliver writing the per-stage breakdown into a reused
 // buffer (truncated, then appended to), so per-frame draws don't allocate.
-func (p Pipeline) DeliverInto(delays []time.Duration, rng *sim.RNG) Trace {
+func DeliverInto(delays []time.Duration, rng *sim.RNG) Trace {
 	t := Trace{Delays: delays[:0]}
-	for _, s := range p.Stages {
+	for _, s := range stages {
 		d := s.StageDelay(rng)
 		t.Delays = append(t.Delays, d)
 		t.Total += d
@@ -88,9 +81,6 @@ func (p Pipeline) DeliverInto(delays []time.Duration, rng *sim.RNG) Trace {
 // interface — the point where the hardware-collaborative design timestamps
 // frames. Everything after it is the variable region software-only sync
 // cannot compensate.
-func (p Pipeline) InterfaceDelay(rng *sim.RNG) time.Duration {
-	if len(p.Stages) == 0 {
-		return 0
-	}
-	return p.Stages[0].StageDelay(rng)
+func InterfaceDelay(rng *sim.RNG) time.Duration {
+	return stages[0].StageDelay(rng)
 }

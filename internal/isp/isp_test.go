@@ -9,11 +9,10 @@ import (
 )
 
 func TestDeliverPositiveAndDecomposed(t *testing.T) {
-	p := DefaultPipeline()
 	rng := sim.NewRNG(1)
-	tr := p.Deliver(rng)
-	if len(tr.Delays) != len(p.Stages) {
-		t.Fatalf("delays = %d, want %d", len(tr.Delays), len(p.Stages))
+	tr := Deliver(rng)
+	if len(tr.Delays) != len(stages) {
+		t.Fatalf("delays = %d, want %d", len(tr.Delays), len(stages))
 	}
 	var sum time.Duration
 	for i, d := range tr.Delays {
@@ -28,11 +27,10 @@ func TestDeliverPositiveAndDecomposed(t *testing.T) {
 }
 
 func TestPipelineMeanNearCalibration(t *testing.T) {
-	p := DefaultPipeline()
 	rng := sim.NewRNG(2)
 	s := stats.NewSample()
 	for i := 0; i < 20000; i++ {
-		s.Observe(p.Deliver(rng).Total.Seconds() * 1000)
+		s.Observe(Deliver(rng).Total.Seconds() * 1000)
 	}
 	mean := s.Mean()
 	// Pipeline ≈ 64-69 ms; with 20 ms exposure+readout upstream this puts
@@ -48,10 +46,9 @@ func TestPipelineMeanNearCalibration(t *testing.T) {
 
 func TestISPStageVariesByAboutTenMs(t *testing.T) {
 	// The paper: "ISP processing latency may vary by about 10 ms".
-	p := DefaultPipeline()
 	var ispStage Stage
 	found := false
-	for _, s := range p.Stages {
+	for _, s := range stages {
 		if s.Name == "isp" {
 			ispStage = s
 			found = true
@@ -74,11 +71,10 @@ func TestISPStageVariesByAboutTenMs(t *testing.T) {
 func TestInterfaceDelaySmallAndStable(t *testing.T) {
 	// Timestamping at the sensor interface sees only ~1 ms, nearly
 	// constant — the premise of near-sensor synchronization.
-	p := DefaultPipeline()
 	rng := sim.NewRNG(4)
 	s := stats.NewSample()
 	for i := 0; i < 5000; i++ {
-		s.Observe(p.InterfaceDelay(rng).Seconds() * 1000)
+		s.Observe(InterfaceDelay(rng).Seconds() * 1000)
 	}
 	if s.Mean() > 2 {
 		t.Fatalf("interface mean = %.2f ms, want ~1", s.Mean())
@@ -89,13 +85,12 @@ func TestInterfaceDelaySmallAndStable(t *testing.T) {
 }
 
 func TestApplicationVariationMuchLargerThanInterface(t *testing.T) {
-	p := DefaultPipeline()
 	rng := sim.NewRNG(5)
 	iface := stats.NewSample()
 	app := stats.NewSample()
 	for i := 0; i < 10000; i++ {
-		iface.Observe(p.InterfaceDelay(rng).Seconds() * 1000)
-		app.Observe(p.Deliver(rng).Total.Seconds() * 1000)
+		iface.Observe(InterfaceDelay(rng).Seconds() * 1000)
+		app.Observe(Deliver(rng).Total.Seconds() * 1000)
 	}
 	if app.Std() < 10*iface.Std() {
 		t.Fatalf("app-layer variation (%.2f) should dwarf interface variation (%.2f)",
@@ -108,32 +103,20 @@ func TestApplicationVariationMuchLargerThanInterface(t *testing.T) {
 }
 
 func TestMeanTotalAnalytic(t *testing.T) {
-	p := DefaultPipeline()
 	rng := sim.NewRNG(6)
 	var sum float64
 	n := 30000
 	for i := 0; i < n; i++ {
-		sum += p.Deliver(rng).Total.Seconds()
+		sum += Deliver(rng).Total.Seconds()
 	}
 	empirical := sum / float64(n)
 	// Analytic mean traversal: base sums plus tail expectations.
 	var mean time.Duration
-	for _, s := range p.Stages {
+	for _, s := range stages {
 		mean += s.Base + time.Duration(s.TailProb*float64(s.TailScale))
 	}
 	analytic := mean.Seconds()
 	if empirical < analytic*0.9 || empirical > analytic*1.15 {
 		t.Fatalf("empirical mean %.4f vs analytic %.4f", empirical, analytic)
-	}
-}
-
-func TestEmptyPipeline(t *testing.T) {
-	p := Pipeline{}
-	rng := sim.NewRNG(7)
-	if p.Deliver(rng).Total != 0 {
-		t.Fatal("empty pipeline should be zero latency")
-	}
-	if p.InterfaceDelay(rng) != 0 {
-		t.Fatal("empty pipeline interface delay should be zero")
 	}
 }

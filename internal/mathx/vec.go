@@ -57,29 +57,11 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
 // Dot returns the inner product of v and u.
 func (v Vec3) Dot(u Vec3) float64 { return v.X*u.X + v.Y*u.Y + v.Z*u.Z }
 
-// Cross returns the cross product v × u.
-func (v Vec3) Cross(u Vec3) Vec3 {
-	return Vec3{
-		v.Y*u.Z - v.Z*u.Y,
-		v.Z*u.X - v.X*u.Z,
-		v.X*u.Y - v.Y*u.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
 // DistTo returns the Euclidean distance between v and u.
 func (v Vec3) DistTo(u Vec3) float64 { return v.Sub(u).Norm() }
-
-// Normalized returns v/|v|, or the zero vector when |v| == 0.
-func (v Vec3) Normalized() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return Vec3{}
-	}
-	return v.Scale(1 / n)
-}
 
 // XY projects v onto the ground plane.
 func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }

@@ -54,28 +54,6 @@ func TestVec2RotatePreservesNorm(t *testing.T) {
 	}
 }
 
-func TestVec3CrossOrthogonal(t *testing.T) {
-	a := Vec3{1, 2, 3}
-	b := Vec3{-4, 5, 0.5}
-	c := a.Cross(b)
-	if !almostEq(c.Dot(a), 0, 1e-12) || !almostEq(c.Dot(b), 0, 1e-12) {
-		t.Fatalf("cross not orthogonal: %v", c)
-	}
-	if a.Cross(a).Norm() != 0 {
-		t.Fatalf("a x a != 0")
-	}
-}
-
-func TestVec3Normalized(t *testing.T) {
-	if got := (Vec3{}).Normalized(); got != (Vec3{}) {
-		t.Fatalf("zero normalized = %v", got)
-	}
-	n := Vec3{0, 3, 4}.Normalized()
-	if !almostEq(n.Norm(), 1, 1e-12) {
-		t.Fatalf("norm = %v", n.Norm())
-	}
-}
-
 func TestClamp(t *testing.T) {
 	cases := []struct{ x, lo, hi, want float64 }{
 		{5, 0, 10, 5},

@@ -116,14 +116,3 @@ func (t TCO) CostPerTripUSD() float64 {
 	}
 	return t.AnnualUSD() / trips
 }
-
-// Validate reports whether the TCO profile is self-consistent.
-func (t TCO) Validate() error {
-	if t.VehicleUSD < 0 || t.ServiceLifeYears <= 0 {
-		return fmt.Errorf("models: TCO needs non-negative vehicle cost and positive service life")
-	}
-	if t.TripsPerDay < 0 || t.OperatingDaysYear < 0 {
-		return fmt.Errorf("models: TCO needs non-negative trip counts")
-	}
-	return nil
-}

@@ -72,19 +72,3 @@ func TestTCOZeroTrips(t *testing.T) {
 		t.Fatal("zero trips should return 0, not NaN/Inf")
 	}
 }
-
-func TestTCOValidate(t *testing.T) {
-	if err := DefaultTCO().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultTCO()
-	bad.ServiceLifeYears = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero life should be invalid")
-	}
-	bad = DefaultTCO()
-	bad.TripsPerDay = -1
-	if bad.Validate() == nil {
-		t.Fatal("negative trips should be invalid")
-	}
-}

@@ -6,28 +6,25 @@ import (
 	"strings"
 )
 
-// EnergyModel captures Eq. 2: the driving time lost to the power drawn by
-// the autonomous-driving system.
+// The energy model is Eq. 2: the driving time lost to the power drawn by
+// the autonomous-driving system,
 //
-//	Treduced = E/Pv − E/(Pv + Pad)
-type EnergyModel struct {
+//	Treduced = E/Pv − E/(Pv + Pad),
+//
+// over the deployed vehicle's parameters: a 6 kWh battery and a 0.6 kW
+// average vehicle draw (10 h driving time baseline).
+const (
 	// CapacityKWh is the battery capacity E in kilowatt-hours.
-	CapacityKWh float64
+	CapacityKWh float64 = 6
 	// VehiclePowerKW is Pv, the average power of the vehicle itself
 	// (without autonomous driving), in kW.
-	VehiclePowerKW float64
-}
-
-// DefaultEnergyModel returns the deployed vehicle's parameters: a 6 kWh
-// battery and a 0.6 kW average vehicle draw (10 h driving time baseline).
-func DefaultEnergyModel() EnergyModel {
-	return EnergyModel{CapacityKWh: 6, VehiclePowerKW: 0.6}
-}
+	VehiclePowerKW float64 = 0.6
+)
 
 // DrivingTimeHours returns the driving time on a single charge when the
 // autonomous-driving system draws padKW kilowatts.
-func (m EnergyModel) DrivingTimeHours(padKW float64) float64 {
-	return m.CapacityKWh / (m.VehiclePowerKW + padKW)
+func DrivingTimeHours(padKW float64) float64 {
+	return CapacityKWh / (VehiclePowerKW + padKW)
 }
 
 // DepotChargeRateKW is the nominal depot charger power for the deployed
@@ -36,35 +33,17 @@ func (m EnergyModel) DrivingTimeHours(padKW float64) float64 {
 // availability metric is built on.
 const DepotChargeRateKW = 3.0
 
-// RechargeHours returns how long a charger of chargeKW takes to restore
-// deltaSoC (a fraction of the pack) — the out-of-service window a vehicle
-// pays per depot visit.
-func (m EnergyModel) RechargeHours(deltaSoC, chargeKW float64) float64 {
-	if chargeKW <= 0 || deltaSoC <= 0 {
-		return 0
-	}
-	return deltaSoC * m.CapacityKWh / chargeKW
-}
-
 // ReducedDrivingTimeHours implements Eq. 2.
-func (m EnergyModel) ReducedDrivingTimeHours(padKW float64) float64 {
-	return m.CapacityKWh/m.VehiclePowerKW - m.DrivingTimeHours(padKW)
+func ReducedDrivingTimeHours(padKW float64) float64 {
+	return CapacityKWh/VehiclePowerKW - DrivingTimeHours(padKW)
 }
 
 // RevenueLossPercent converts a driving-time reduction into percent of an
 // operating day of the given length (the paper's +31 W idle server →
 // 0.3 h → 3% of a 10 h day).
-func (m EnergyModel) RevenueLossPercent(padBeforeKW, padAfterKW, dayHours float64) float64 {
-	delta := m.DrivingTimeHours(padBeforeKW) - m.DrivingTimeHours(padAfterKW)
+func RevenueLossPercent(padBeforeKW, padAfterKW, dayHours float64) float64 {
+	delta := DrivingTimeHours(padBeforeKW) - DrivingTimeHours(padAfterKW)
 	return 100 * delta / dayHours
-}
-
-// Validate reports whether the parameters are physically meaningful.
-func (m EnergyModel) Validate() error {
-	if m.CapacityKWh <= 0 || m.VehiclePowerKW <= 0 {
-		return fmt.Errorf("models: energy model needs positive capacity and vehicle power")
-	}
-	return nil
 }
 
 // PowerComponent is one row of the Table I power breakdown.
@@ -77,25 +56,19 @@ type PowerComponent struct {
 // TotalW returns PowerW * Quantity.
 func (c PowerComponent) TotalW() float64 { return c.PowerW * float64(c.Quantity) }
 
-// PowerBudget is the autonomous-driving power breakdown (Table I).
-type PowerBudget struct {
-	Components []PowerComponent
-}
-
-// DefaultPowerBudget returns Table I as measured on the deployed vehicles:
-// the main CPU+GPU server (118 W dynamic / 31 W idle), the embedded vision
-// module (FPGA + cameras/IMU/GPS, 11 W), six radars (13 W total), and eight
-// sonars (2 W total), for a 175 W PAD total. The server row uses its
-// average (dynamic) figure; idle is tracked separately by callers that need
-// it (e.g. the "+1 server idle" point of Fig. 3b).
-func DefaultPowerBudget() PowerBudget {
-	return PowerBudget{Components: []PowerComponent{
-		{Name: "Main computing server (CPU+GPU), dynamic", PowerW: 118, Quantity: 1},
-		{Name: "Main computing server (CPU+GPU), idle overhead", PowerW: 31, Quantity: 1},
-		{Name: "Embedded vision module (FPGA+cameras/IMU/GPS)", PowerW: 11, Quantity: 1},
-		{Name: "Radar", PowerW: 13.0 / 6.0, Quantity: 6},
-		{Name: "Sonar", PowerW: 2.0 / 8.0, Quantity: 8},
-	}}
+// powerBudget is the autonomous-driving power breakdown of Table I as
+// measured on the deployed vehicles: the main CPU+GPU server (118 W dynamic
+// / 31 W idle), the embedded vision module (FPGA + cameras/IMU/GPS, 11 W),
+// six radars (13 W total), and eight sonars (2 W total), for a 175 W PAD
+// total. The server row uses its average (dynamic) figure; idle is tracked
+// separately by callers that need it (e.g. the "+1 server idle" point of
+// Fig. 3b).
+var powerBudget = []PowerComponent{
+	{Name: "Main computing server (CPU+GPU), dynamic", PowerW: 118, Quantity: 1},
+	{Name: "Main computing server (CPU+GPU), idle overhead", PowerW: 31, Quantity: 1},
+	{Name: "Embedded vision module (FPGA+cameras/IMU/GPS)", PowerW: 11, Quantity: 1},
+	{Name: "Radar", PowerW: 13.0 / 6.0, Quantity: 6},
+	{Name: "Sonar", PowerW: 2.0 / 8.0, Quantity: 8},
 }
 
 // Constants for the LiDAR comparison of Table I / Fig. 3b.
@@ -110,26 +83,17 @@ const (
 	ServerDynamicPowerW = 118.0
 )
 
-// TotalW sums all component rows.
-func (b PowerBudget) TotalW() float64 {
+// PowerBudgetW sums the Table I rows: PAD in watts.
+func PowerBudgetW() float64 {
 	sum := 0.0
-	for _, c := range b.Components {
-		sum += c.TotalW()
+	for i := range powerBudget {
+		sum += powerBudget[i].TotalW()
 	}
 	return sum
 }
 
-// TotalKW is TotalW in kilowatts (for the EnergyModel).
-func (b PowerBudget) TotalKW() float64 { return b.TotalW() / 1000 }
-
-// With returns a copy of the budget with an extra component appended; used
-// to build the "+LiDAR" and "+1 server" scenarios of Fig. 3b.
-func (b PowerBudget) With(c PowerComponent) PowerBudget {
-	out := PowerBudget{Components: make([]PowerComponent, len(b.Components)+1)}
-	copy(out.Components, b.Components)
-	out.Components[len(b.Components)] = c
-	return out
-}
+// PowerBudgetKW is PowerBudgetW in kilowatts (for the energy model).
+func PowerBudgetKW() float64 { return PowerBudgetW() / 1000 }
 
 // WaymoLiDARSuite returns the 1 long-range + 4 short-range configuration
 // (~92 W) the paper uses for its Fig. 3b "Use LiDAR" point.
@@ -140,16 +104,16 @@ func WaymoLiDARSuite() []PowerComponent {
 	}
 }
 
-// Render formats the budget as an aligned text table (Table I).
-func (b PowerBudget) Render() string {
+// RenderPowerBudget formats Table I as an aligned text table.
+func RenderPowerBudget() string {
 	var sb strings.Builder
-	rows := make([]PowerComponent, len(b.Components))
-	copy(rows, b.Components)
+	rows := make([]PowerComponent, len(powerBudget))
+	copy(rows, powerBudget)
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].TotalW() > rows[j].TotalW() })
 	fmt.Fprintf(&sb, "%-50s %10s %5s %10s\n", "Component", "Power (W)", "Qty", "Total (W)")
 	for _, c := range rows {
 		fmt.Fprintf(&sb, "%-50s %10.1f %5d %10.1f\n", c.Name, c.PowerW, c.Quantity, c.TotalW())
 	}
-	fmt.Fprintf(&sb, "%-50s %10s %5s %10.1f\n", "Total for AD (PAD)", "", "", b.TotalW())
+	fmt.Fprintf(&sb, "%-50s %10s %5s %10.1f\n", "Total for AD (PAD)", "", "", PowerBudgetW())
 	return sb.String()
 }

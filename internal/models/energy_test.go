@@ -7,44 +7,40 @@ import (
 )
 
 func TestDrivingTimeBaseline(t *testing.T) {
-	m := DefaultEnergyModel()
 	// 6 kWh / 0.6 kW = 10 hours without AD.
-	if got := m.DrivingTimeHours(0); math.Abs(got-10) > 1e-12 {
+	if got := DrivingTimeHours(0); math.Abs(got-10) > 1e-12 {
 		t.Fatalf("baseline driving time = %v", got)
 	}
 }
 
 func TestCurrentSystemDrivingTime(t *testing.T) {
-	m := DefaultEnergyModel()
 	// Paper: PAD = 175 W reduces driving time from 10 h to 7.7 h.
-	got := m.DrivingTimeHours(0.175)
+	got := DrivingTimeHours(0.175)
 	if math.Abs(got-7.74) > 0.05 {
 		t.Fatalf("driving time with AD = %v, want ~7.7", got)
 	}
-	red := m.ReducedDrivingTimeHours(0.175)
+	red := ReducedDrivingTimeHours(0.175)
 	if math.Abs(red-2.26) > 0.05 {
 		t.Fatalf("reduced = %v, want ~2.3", red)
 	}
 }
 
 func TestAdditionalIdleServerCostsPointThreeHours(t *testing.T) {
-	m := DefaultEnergyModel()
 	// Paper: +31 W idle server reduces driving time by ~0.3 h → 3% of a
 	// 10 h operating day.
 	base := 0.175
 	withServer := base + ServerIdlePowerW/1000
-	delta := m.DrivingTimeHours(base) - m.DrivingTimeHours(withServer)
+	delta := DrivingTimeHours(base) - DrivingTimeHours(withServer)
 	if math.Abs(delta-0.3) > 0.05 {
 		t.Fatalf("idle server delta = %v h, want ~0.3", delta)
 	}
-	pct := m.RevenueLossPercent(base, withServer, 10)
+	pct := RevenueLossPercent(base, withServer, 10)
 	if math.Abs(pct-3) > 0.5 {
 		t.Fatalf("revenue loss = %v%%, want ~3%%", pct)
 	}
 }
 
 func TestLiDARSuiteCostsPointEightHours(t *testing.T) {
-	m := DefaultEnergyModel()
 	// Paper: applying Waymo's LiDAR suite (~92 W) reduces driving time a
 	// further ~0.8 h vs. the current system.
 	lidarW := 0.0
@@ -54,27 +50,25 @@ func TestLiDARSuiteCostsPointEightHours(t *testing.T) {
 	if math.Abs(lidarW-92) > 1e-9 {
 		t.Fatalf("LiDAR suite power = %v W, want 92", lidarW)
 	}
-	delta := m.DrivingTimeHours(0.175) - m.DrivingTimeHours(0.175+lidarW/1000)
+	delta := DrivingTimeHours(0.175) - DrivingTimeHours(0.175+lidarW/1000)
 	if math.Abs(delta-0.8) > 0.1 {
 		t.Fatalf("LiDAR delta = %v h, want ~0.8", delta)
 	}
 }
 
 func TestFullLoadServerAbout3Hours(t *testing.T) {
-	m := DefaultEnergyModel()
 	// Paper Fig. 3b: +1 server at full load lands near 0.29 kW where the
 	// total reduction is ~3.3-3.5 h.
-	red := m.ReducedDrivingTimeHours(0.175 + ServerDynamicPowerW/1000)
+	red := ReducedDrivingTimeHours(0.175 + ServerDynamicPowerW/1000)
 	if red < 3.0 || red > 3.6 {
 		t.Fatalf("full-load reduction = %v h, want ~3.3", red)
 	}
 }
 
 func TestReducedMonotonicInPAD(t *testing.T) {
-	m := DefaultEnergyModel()
 	prev := -1.0
 	for pad := 0.15; pad <= 0.35; pad += 0.01 {
-		r := m.ReducedDrivingTimeHours(pad)
+		r := ReducedDrivingTimeHours(pad)
 		if r <= prev {
 			t.Fatalf("not monotonic at pad=%v", pad)
 		}
@@ -83,55 +77,19 @@ func TestReducedMonotonicInPAD(t *testing.T) {
 }
 
 func TestPowerBudgetTotalsMatchTableI(t *testing.T) {
-	b := DefaultPowerBudget()
-	if math.Abs(b.TotalW()-175) > 1e-9 {
-		t.Fatalf("PAD total = %v W, want 175", b.TotalW())
+	if w := PowerBudgetW(); math.Abs(w-175) > 1e-9 {
+		t.Fatalf("PAD total = %v W, want 175", w)
 	}
-	if math.Abs(b.TotalKW()-0.175) > 1e-12 {
-		t.Fatalf("PAD total kW = %v", b.TotalKW())
-	}
-}
-
-func TestPowerBudgetWith(t *testing.T) {
-	b := DefaultPowerBudget()
-	b2 := b.With(PowerComponent{Name: "Extra server (idle)", PowerW: 31, Quantity: 1})
-	if math.Abs(b2.TotalW()-206) > 1e-9 {
-		t.Fatalf("with server = %v W", b2.TotalW())
-	}
-	if len(b.Components) == len(b2.Components) {
-		t.Fatal("With should not mutate the receiver")
+	if kw := PowerBudgetKW(); math.Abs(kw-0.175) > 1e-12 {
+		t.Fatalf("PAD total kW = %v", kw)
 	}
 }
 
 func TestPowerBudgetRender(t *testing.T) {
-	out := DefaultPowerBudget().Render()
+	out := RenderPowerBudget()
 	for _, want := range []string{"Radar", "Sonar", "PAD", "175.0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestEnergyModelValidate(t *testing.T) {
-	if err := DefaultEnergyModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if (EnergyModel{}).Validate() == nil {
-		t.Fatal("zero model should be invalid")
-	}
-}
-
-func TestRechargeHours(t *testing.T) {
-	m := DefaultEnergyModel()
-	// Full 6 kWh pack on the 3 kW depot feed: 2 hours out of service.
-	if got := m.RechargeHours(1, DepotChargeRateKW); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("full recharge = %v h, want 2", got)
-	}
-	// The fleet's usual 20% → 95% top-up is three quarters of that.
-	if got := m.RechargeHours(0.75, DepotChargeRateKW); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("0.75 SoC recharge = %v h, want 1.5", got)
-	}
-	if m.RechargeHours(0, DepotChargeRateKW) != 0 || m.RechargeHours(0.5, 0) != 0 {
-		t.Fatal("degenerate inputs must cost no time")
 	}
 }

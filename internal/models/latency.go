@@ -21,12 +21,14 @@ type LatencyModel struct {
 	Speed float64
 	// BrakeDecel is the brake deceleration a in m/s² (positive).
 	BrakeDecel float64
-	// DataLatency is Tdata, the CAN-bus transmission latency.
-	DataLatency time.Duration
 	// MechLatency is Tmech, the time for the mechanical components to
 	// start reacting.
 	MechLatency time.Duration
 }
+
+// DataLatency is Tdata, the CAN-bus transmission latency of the deployed
+// vehicles (≈ 1 ms).
+const DataLatency = 1 * time.Millisecond
 
 // DefaultLatencyModel returns the parameters measured from the deployed
 // vehicles: v = 5.6 m/s, a = 4 m/s², Tdata ≈ 1 ms, Tmech ≈ 19 ms.
@@ -34,7 +36,6 @@ func DefaultLatencyModel() LatencyModel {
 	return LatencyModel{
 		Speed:       5.6,
 		BrakeDecel:  4.0,
-		DataLatency: 1 * time.Millisecond,
 		MechLatency: 19 * time.Millisecond,
 	}
 }
@@ -54,7 +55,7 @@ func (m LatencyModel) BrakingDistance() float64 {
 // being sensed and the vehicle standing still, for a given computing
 // latency (the left-hand side of Eq. 1a).
 func (m LatencyModel) StoppingDistance(tcomp time.Duration) float64 {
-	reaction := tcomp + m.DataLatency + m.MechLatency
+	reaction := tcomp + DataLatency + m.MechLatency
 	return reaction.Seconds()*m.Speed + m.BrakingDistance()
 }
 
@@ -64,7 +65,7 @@ func (m LatencyModel) StoppingDistance(tcomp time.Duration) float64 {
 // computing system (Fig. 3a's left edge).
 func (m LatencyModel) ComputingBudget(d float64) time.Duration {
 	slack := (d - m.BrakingDistance()) / m.Speed
-	budget := time.Duration(slack*float64(time.Second)) - m.DataLatency - m.MechLatency
+	budget := time.Duration(slack*float64(time.Second)) - DataLatency - m.MechLatency
 	return budget
 }
 
@@ -75,17 +76,11 @@ func (m LatencyModel) AvoidableDistance(tcomp time.Duration) float64 {
 	return m.StoppingDistance(tcomp)
 }
 
-// CanAvoid reports whether an object sensed at d meters is avoidable with
-// computing latency tcomp.
-func (m LatencyModel) CanAvoid(tcomp time.Duration, d float64) bool {
-	return m.StoppingDistance(tcomp) <= d
-}
-
 // ComputeShare returns Tcomp / (Tcomp + Tdata + Tmech): the fraction of the
 // pre-braking end-to-end latency attributable to the computing system (the
 // paper reports 88% at the mean 164 ms).
 func (m LatencyModel) ComputeShare(tcomp time.Duration) float64 {
-	total := tcomp + m.DataLatency + m.MechLatency
+	total := tcomp + DataLatency + m.MechLatency
 	if total == 0 {
 		return 0
 	}
@@ -100,7 +95,7 @@ func (m LatencyModel) Validate() error {
 	if m.BrakeDecel <= 0 {
 		return fmt.Errorf("models: brake deceleration %v must be positive", m.BrakeDecel)
 	}
-	if m.DataLatency < 0 || m.MechLatency < 0 {
+	if m.MechLatency < 0 {
 		return fmt.Errorf("models: negative latency components")
 	}
 	return nil
@@ -130,7 +125,7 @@ func (m LatencyModel) RequirementCurve(dMin, dMax float64, n int) []RequirementP
 // and object distance, what is the maximum safe speed? Solved from Eq. 1a:
 // v²/(2a) + v*T - d = 0.
 func (m LatencyModel) SpeedForBudget(tcomp time.Duration, d float64) float64 {
-	t := (tcomp + m.DataLatency + m.MechLatency).Seconds()
+	t := (tcomp + DataLatency + m.MechLatency).Seconds()
 	a := m.BrakeDecel
 	// v = a*(-T + sqrt(T² + 2d/a))
 	disc := t*t + 2*d/a

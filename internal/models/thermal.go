@@ -1,51 +1,40 @@
 package models
 
-// ThermalModel is the Sec. III-B thermal constraint: a lumped
+// The thermal model is the Sec. III-B thermal constraint: a lumped
 // thermal-resistance model of the computing enclosure. The paper's point is
 // that at PAD < 200 W, conventional fan cooling holds the system inside its
 // commercial temperature range across the deployment climates
 // (−20 °C … +40 °C); this model lets that claim be checked quantitatively
-// and shows where it would break.
-type ThermalModel struct {
-	// ThermalResistanceCW is the enclosure's effective junction-to-ambient
+// and shows where it would break. The parameters are the deployed server
+// enclosure's: ~0.25 °C/W with fans, 85 °C ceiling.
+const (
+	// thermalResistanceCW is the enclosure's effective junction-to-ambient
 	// thermal resistance in °C per watt with the stock fans.
-	ThermalResistanceCW float64
+	thermalResistanceCW float64 = 0.25
 	// MaxComponentTempC is the commercial-grade ceiling.
-	MaxComponentTempC float64
+	MaxComponentTempC float64 = 85
 	// FanPowerW is drawn whenever active cooling runs.
-	FanPowerW float64
-}
-
-// DefaultThermalModel returns the deployed server-enclosure parameters:
-// ~0.25 °C/W with fans, 85 °C ceiling.
-func DefaultThermalModel() ThermalModel {
-	return ThermalModel{ThermalResistanceCW: 0.25, MaxComponentTempC: 85, FanPowerW: 6}
-}
+	FanPowerW float64 = 6
+)
 
 // SteadyTempC returns the steady-state internal temperature for a heat load
 // at an ambient temperature.
-func (m ThermalModel) SteadyTempC(loadW, ambientC float64) float64 {
-	return ambientC + m.ThermalResistanceCW*loadW
+func SteadyTempC(loadW, ambientC float64) float64 {
+	return ambientC + thermalResistanceCW*loadW
 }
 
 // WithinLimits reports whether the load is thermally safe at the ambient.
-func (m ThermalModel) WithinLimits(loadW, ambientC float64) bool {
-	return m.SteadyTempC(loadW, ambientC) <= m.MaxComponentTempC
+func WithinLimits(loadW, ambientC float64) bool {
+	return SteadyTempC(loadW, ambientC) <= MaxComponentTempC
 }
 
 // HeadroomW returns how much more power could be dissipated at the ambient
 // before hitting the ceiling (negative when already over).
-func (m ThermalModel) HeadroomW(loadW, ambientC float64) float64 {
-	if m.ThermalResistanceCW <= 0 {
-		return 0
-	}
-	return (m.MaxComponentTempC-ambientC)/m.ThermalResistanceCW - loadW
+func HeadroomW(loadW, ambientC float64) float64 {
+	return (MaxComponentTempC-ambientC)/thermalResistanceCW - loadW
 }
 
 // MaxLoadW returns the largest thermally safe load at the ambient.
-func (m ThermalModel) MaxLoadW(ambientC float64) float64 {
-	if m.ThermalResistanceCW <= 0 {
-		return 0
-	}
-	return (m.MaxComponentTempC - ambientC) / m.ThermalResistanceCW
+func MaxLoadW(ambientC float64) float64 {
+	return (MaxComponentTempC - ambientC) / thermalResistanceCW
 }

@@ -185,29 +185,23 @@ func (e *Engine) Stats() (swaps int, total time.Duration, energyJ float64) {
 	return e.swaps, e.total, e.energyJ
 }
 
-// CPUDriven models the stock Zynq flow: the processing system copies the
-// bitstream through the kernel driver word by word (~300 KB/s effective)
-// at full CPU power.
-type CPUDriven struct {
-	// ThroughputBps is the effective rate (the paper: 300 KB/s).
-	ThroughputBps float64
-	// PowerW is the CPU power burned while copying.
-	PowerW float64
-}
+// The stock Zynq flow: the processing system copies the bitstream through
+// the kernel driver word by word at full CPU power.
+const (
+	// cpuDrivenBps is the stock path's effective rate (the paper: 300 KB/s).
+	cpuDrivenBps float64 = 300 * 1024
+	// cpuDrivenPowerW is the CPU power burned while copying.
+	cpuDrivenPowerW float64 = 4
+)
 
-// DefaultCPUDriven returns the measured stock path.
-func DefaultCPUDriven() CPUDriven {
-	return CPUDriven{ThroughputBps: 300 * 1024, PowerW: 4}
-}
-
-// Transfer returns the stock path's cost for a bitstream.
-func (c CPUDriven) Transfer(bytes int) Result {
-	dur := time.Duration(float64(bytes) / c.ThroughputBps * float64(time.Second))
+// CPUDrivenTransfer returns the stock path's cost for a bitstream.
+func CPUDrivenTransfer(bytes int) Result {
+	dur := time.Duration(float64(bytes) / cpuDrivenBps * float64(time.Second))
 	return Result{
 		Bytes:      bytes,
 		Duration:   dur,
-		Throughput: c.ThroughputBps,
-		EnergyJ:    c.PowerW * dur.Seconds(),
+		Throughput: cpuDrivenBps,
+		EnergyJ:    cpuDrivenPowerW * dur.Seconds(),
 	}
 }
 

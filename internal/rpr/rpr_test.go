@@ -42,10 +42,9 @@ func TestCPUDrivenIsOrdersOfMagnitudeSlower(t *testing.T) {
 	// Paper: stock CPU-mediated path runs at ~300 KB/s — about 1000×
 	// slower than the engine.
 	e := NewEngine(DefaultEngineConfig())
-	cpu := DefaultCPUDriven()
 	bytes := 1 << 20
 	re := e.Transfer(bytes)
-	rc := cpu.Transfer(bytes)
+	rc := CPUDrivenTransfer(bytes)
 	ratio := rc.Duration.Seconds() / re.Duration.Seconds()
 	if ratio < 500 {
 		t.Fatalf("CPU/engine slowdown = %.0fx, want >= 500x", ratio)

@@ -13,7 +13,7 @@
 //     diverge — and the mapping moves only when the best candidate beats the
 //     current one by remapMargin (hysteresis against ping-ponging).
 //
-//   - operating point: a lumped thermal model (models.ThermalModel) over the
+//   - operating point: a lumped thermal model (models.SteadyTempC) over the
 //     duty-scaled processor powers decides quant↔float switches. Entering the
 //     int8 operating point requires the projected steady temperature to reach
 //     the component ceiling (or battery SoC to fall to socEnter); exiting
@@ -152,12 +152,9 @@ const (
 	batchMarginal float64 = 0.4
 )
 
-// thermal is the enclosure model; baseW the non-server power floor
-// (sensors, idle) the duty-scaled processor powers add onto.
-var (
-	thermal = models.DefaultThermalModel()
-	baseW   = models.DefaultPowerBudget().TotalW() - models.ServerDynamicPowerW
-)
+// baseW is the non-server power floor (sensors, idle) the duty-scaled
+// processor powers add onto.
+var baseW = models.PowerBudgetW() - models.ServerDynamicPowerW
 
 // ParseMapping parses an "SU/Loc" processor pair ("GPU/FPGA").
 func ParseMapping(s string) (platform.Mapping, error) {
@@ -284,7 +281,7 @@ func New(cfg Config) (*Scheduler, error) {
 			cfg.Mapping.SceneUnderstanding, cfg.Mapping.Localization)
 	}
 	s.quant = cfg.QuantFloor
-	s.lastTempC = thermal.SteadyTempC(baseW+thermal.FanPowerW, cfg.AmbientC)
+	s.lastTempC = models.SteadyTempC(baseW+models.FanPowerW, cfg.AmbientC)
 	return s, nil
 }
 
@@ -439,14 +436,14 @@ func (s *Scheduler) decide(soc float64) Events {
 	// duty EWMAs are kept in observed (mapping-applied, float-equivalent)
 	// milliseconds, so duty = busy ms / control period directly.
 	perCycle := 1000 / cfg.ControlRate // ms of wall per control cycle
-	loadF := baseW + thermal.FanPowerW +
+	loadF := baseW + models.FanPowerW +
 		s.suDutyMs/perCycle*c.powSU + s.locDutyMs/perCycle*c.powLoc
-	tempF := thermal.SteadyTempC(loadF, cfg.AmbientC)
+	tempF := models.SteadyTempC(loadF, cfg.AmbientC)
 	s.lastTempC = tempF
 
 	s.dwellWindows++
 	if !s.quant {
-		if tempF >= thermal.MaxComponentTempC || soc <= socEnter {
+		if tempF >= models.MaxComponentTempC || soc <= socEnter {
 			s.quant = true
 			s.stats.OpSwitches++
 			s.dwellWindows = 0

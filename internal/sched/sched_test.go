@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sov/internal/models"
 	"sov/internal/platform"
 	"sov/internal/rpr"
 )
@@ -197,7 +198,7 @@ func TestThermalOpPoint(t *testing.T) {
 	if !s.Snapshot().Quantized {
 		t.Fatalf("no quant entry under thermal pressure (temp %.1fC)", s.Snapshot().TempC)
 	}
-	if s.Snapshot().TempC < thermal.MaxComponentTempC {
+	if s.Snapshot().TempC < models.MaxComponentTempC {
 		t.Fatalf("entered quant below the ceiling: %.1fC", s.Snapshot().TempC)
 	}
 	sw := s.Snapshot().OpSwitches

@@ -13,32 +13,25 @@ import (
 // in meters (RTK-free).
 const gpsNoiseStd float64 = 0.5
 
-// GPSFix is one position fix. Valid is false during outages (tunnels,
-// multipath) — the trigger for the corrected-VIO fallback of Sec. VI-B.
+// GPSFix is one position fix.
 type GPSFix struct {
-	Pos   mathx.Vec2
-	Valid bool
+	Pos mathx.Vec2
 }
 
-// GPS samples ground-truth position with noise and honors world outages.
+// GPS samples ground-truth position with noise.
 type GPS struct {
-	World *world.World
-	rng   *sim.RNG
+	rng *sim.RNG
 }
 
-// NewGPS returns a GPS bound to a world.
-func NewGPS(w *world.World, rng *sim.RNG) *GPS {
-	return &GPS{World: w, rng: rng}
+// NewGPS returns a GPS drawing its noise from rng.
+func NewGPS(rng *sim.RNG) *GPS {
+	return &GPS{rng: rng}
 }
 
-// FixAt returns the fix for true position pos at time t.
-func (g *GPS) FixAt(t time.Duration, pos mathx.Vec2) GPSFix {
-	if g.World != nil && !g.World.GPSAvailable(t) {
-		return GPSFix{Valid: false}
-	}
+// Fix returns a noisy fix of the true position pos.
+func (g *GPS) Fix(pos mathx.Vec2) GPSFix {
 	return GPSFix{
-		Pos:   pos.Add(mathx.Vec2{X: g.rng.Normal(0, gpsNoiseStd), Y: g.rng.Normal(0, gpsNoiseStd)}),
-		Valid: true,
+		Pos: pos.Add(mathx.Vec2{X: g.rng.Normal(0, gpsNoiseStd), Y: g.rng.Normal(0, gpsNoiseStd)}),
 	}
 }
 

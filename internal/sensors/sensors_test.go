@@ -137,29 +137,12 @@ func TestIMURateIs8xCamera(t *testing.T) {
 	}
 }
 
-func TestGPSNoiseAndOutage(t *testing.T) {
-	w := &world.World{GPSOutages: []world.TimeWindow{{From: 10 * time.Second, To: 20 * time.Second}}}
-	g := NewGPS(w, sim.NewRNG(3))
-	pos := mathx.Vec2{X: 100, Y: 50}
-	fix := g.FixAt(time.Second, pos)
-	if !fix.Valid {
-		t.Fatal("fix should be valid outside outage")
-	}
-	if fix.Pos.DistTo(pos) > 5 {
-		t.Fatalf("fix too far: %v", fix.Pos)
-	}
-	out := g.FixAt(15*time.Second, pos)
-	if out.Valid {
-		t.Fatal("fix should be invalid during outage")
-	}
-}
-
 func TestGPSNoiseStatistics(t *testing.T) {
-	g := NewGPS(&world.World{}, sim.NewRNG(4))
+	g := NewGPS(sim.NewRNG(4))
 	var sumSq float64
 	n := 2000
 	for i := 0; i < n; i++ {
-		f := g.FixAt(0, mathx.Vec2{})
+		f := g.Fix(mathx.Vec2{})
 		sumSq += f.Pos.X * f.Pos.X
 	}
 	std := math.Sqrt(sumSq / float64(n))

@@ -33,7 +33,6 @@ func MultiCameraSyncExperiment(nCams int, horizon time.Duration, rng *sim.RNG) M
 	}
 	cams := make([]*sensors.Camera, nCams)
 	pipes := make([]*sim.RNG, nCams)
-	pipe := isp.DefaultPipeline()
 	for i := range cams {
 		cfg := sensors.DefaultCameraConfig("cam")
 		// Per-camera exposure calibration differences are constant and
@@ -54,7 +53,7 @@ func MultiCameraSyncExperiment(nCams int, horizon time.Duration, rng *sim.RNG) M
 		recovered := make([]time.Duration, nCams)
 		for ci, cam := range cams {
 			f := cam.CaptureAt(t)
-			ifaceTS := f.ArrivalTime + pipe.InterfaceDelay(pipes[ci])
+			ifaceTS := f.ArrivalTime + isp.InterfaceDelay(pipes[ci])
 			cfg := cam.Config
 			recovered[ci] = ifaceTS - cfg.Exposure - sensors.CameraReadout + cfg.Exposure/2
 		}

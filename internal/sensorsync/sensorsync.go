@@ -63,7 +63,6 @@ func SoftwareSyncExperiment(horizon time.Duration, rng *sim.RNG) PairingResult {
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.Clock = sensors.Clock{DriftPPM: -120, Offset: -1 * time.Millisecond}
 	imu := sensors.NewIMU(imuCfg, rng.Fork())
-	pipe := isp.DefaultPipeline()
 	pipeRNG := rng.Fork()
 	imuDelayRNG := rng.Fork()
 
@@ -89,7 +88,7 @@ func SoftwareSyncExperiment(horizon time.Duration, rng *sim.RNG) PairingResult {
 	frames := 0
 	for _, trig := range cam.FreeRunTriggers(horizon) {
 		f := cam.CaptureAt(trig)
-		tr := pipe.Deliver(pipeRNG)
+		tr := isp.Deliver(pipeRNG)
 		appTS := f.ArrivalTime + tr.Total
 		// Nearest application-timestamp IMU sample.
 		best := time.Duration(math.MaxInt64)
@@ -124,7 +123,6 @@ func HardwareSyncExperiment(horizon time.Duration, rng *sim.RNG) PairingResult {
 	cam := sensors.NewCamera(camCfg)
 	imuCfg := sensors.DefaultIMUConfig()
 	imu := sensors.NewIMU(imuCfg, rng.Fork())
-	pipe := isp.DefaultPipeline()
 	ifaceRNG := rng.Fork()
 
 	errs := stats.NewSample()
@@ -143,7 +141,7 @@ func HardwareSyncExperiment(horizon time.Duration, rng *sim.RNG) PairingResult {
 		f := cam.CaptureAt(t)
 		// Sensor-interface timestamp: arrival plus the tiny interface
 		// stage (the only variability left).
-		ifaceTS := f.ArrivalTime + pipe.InterfaceDelay(ifaceRNG)
+		ifaceTS := f.ArrivalTime + isp.InterfaceDelay(ifaceRNG)
 		// Software adjustment: subtract the constant exposure + readout
 		// (from the sensor datasheet) to recover the trigger time; add
 		// half the exposure for mid-exposure alignment.
@@ -203,7 +201,7 @@ func DepthErrorAtOffset(offset time.Duration, objZ, objSpeed, maxDepth float64) 
 func AnalyticDepthError(offset time.Duration, objZ, objSpeed, maxDepth float64) float64 {
 	rig := vision.DefaultStereoRig()
 	d := rig.DisparityFromDepth(objZ)
-	shift := rig.Intr.Fx * objSpeed * offset.Seconds() / objZ
+	shift := vision.Fx * objSpeed * offset.Seconds() / objZ
 	est := rig.DepthFromDisparity(d - shift)
 	if est > maxDepth || est < 0 || math.IsInf(est, 1) {
 		est = maxDepth

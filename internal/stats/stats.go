@@ -86,13 +86,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.values[lo]*(1-frac) + s.values[hi]*frac
 }
 
-// Sorted returns the observations in ascending order. The slice is the
-// sample's own: read it, do not keep or modify it.
-func (s *Sample) Sorted() []float64 {
-	s.ensureSorted()
-	return s.values
-}
-
 // Min returns the smallest observation.
 func (s *Sample) Min() float64 { return s.Quantile(0) }
 

@@ -30,7 +30,7 @@ func TestKCFTracksMovingTarget(t *testing.T) {
 	for step := 1; step <= 8; step++ {
 		m := 0.1 * float64(step)
 		im := renderTarget(m, 0)
-		trueX = intr.Cx + m/6*intr.Fx
+		trueX = intr.Cx + m/6*vision.Fx
 		r := k.Update(im)
 		if math.Abs(r.X-trueX) > 2.0 {
 			t.Fatalf("step %d: tracked x = %.1f, want %.1f", step, r.X, trueX)

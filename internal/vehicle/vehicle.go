@@ -5,7 +5,6 @@
 package vehicle
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -135,17 +134,6 @@ func (v *Vehicle) StopDistanceFrom(speed float64) float64 {
 		return math.Inf(1)
 	}
 	return speed * speed / (2 * v.Params.MaxBrake)
-}
-
-// Validate reports whether the parameters are physically meaningful.
-func (p Params) Validate() error {
-	if p.WheelBase <= 0 || p.MaxSpeed <= 0 || p.MaxBrake <= 0 {
-		return fmt.Errorf("vehicle: wheelbase, max speed, and max brake must be positive")
-	}
-	if p.MechLatency < 0 {
-		return fmt.Errorf("vehicle: negative mechanical latency")
-	}
-	return nil
 }
 
 // ECU is the engine control unit: it decodes CAN frames into commands and

@@ -105,22 +105,6 @@ func TestZeroDtIsNoop(t *testing.T) {
 	}
 }
 
-func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultParams()
-	bad.WheelBase = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero wheelbase should be invalid")
-	}
-	bad = DefaultParams()
-	bad.MechLatency = -time.Second
-	if bad.Validate() == nil {
-		t.Fatal("negative latency should be invalid")
-	}
-}
-
 func mustEncode(t *testing.T, id uint32, c canbus.Command) canbus.Frame {
 	t.Helper()
 	f, err := canbus.EncodeCommand(id, c)
@@ -236,9 +220,6 @@ func TestPositionContinuity(t *testing.T) {
 
 func TestShuttleParams(t *testing.T) {
 	s := ShuttleParams()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	p := DefaultParams()
 	if s.MaxSpeed != p.MaxSpeed {
 		t.Fatal("both product lines are capped at 20 mph")

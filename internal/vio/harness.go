@@ -113,7 +113,7 @@ func RunTrajectory(cfg Config, imuCfg sensors.IMUConfig, traj Trajectory, w *wor
 		if opt.GPS != nil && t >= nextGPS {
 			nextGPS += gpsDT
 			truthNow, _ := traj(t)
-			filter.UpdateGPS(opt.GPS.FixAt(t, truthNow.Pos))
+			filter.UpdateGPS(opt.GPS.Fix(truthNow.Pos))
 		}
 	}
 	truthEnd, _ := traj(opt.Duration)

@@ -249,9 +249,6 @@ func (v *VIO) updateOne(lm mathx.Vec2, o LandmarkObs) {
 // when GNSS is strong it corrects the accumulated VIO drift; the EKF update
 // itself is trivially cheap compared to the vision front-end).
 func (v *VIO) UpdateGPS(fix sensors.GPSFix) {
-	if !fix.Valid {
-		return
-	}
 	h := mathx.NewMat(2, stateDim)
 	h.Set(0, iPx, 1)
 	h.Set(1, iPy, 1)

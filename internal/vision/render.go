@@ -4,9 +4,15 @@ import (
 	"math"
 )
 
-// Intrinsics is a pinhole camera model.
+// Fx and fy are the pinhole focal lengths in pixels: the deployed camera's
+// geometry scaled to the 160×120 rendering every experiment uses.
+const (
+	Fx float64 = 120
+	fy float64 = 120
+)
+
+// Intrinsics is a pinhole camera model with the Fx, fy focal lengths.
 type Intrinsics struct {
-	Fx, Fy float64 // focal lengths in pixels
 	Cx, Cy float64 // principal point
 	W, H   int
 }
@@ -15,7 +21,7 @@ type Intrinsics struct {
 // 160×120 rendering of the deployed camera's geometry (focal length scaled
 // accordingly) to keep the real-algorithm benches fast.
 func DefaultIntrinsics() Intrinsics {
-	return Intrinsics{Fx: 120, Fy: 120, Cx: 80, Cy: 60, W: 160, H: 120}
+	return Intrinsics{Cx: 80, Cy: 60, W: 160, H: 120}
 }
 
 // StereoRig is a rectified stereo pair: the right camera is displaced by
@@ -35,7 +41,7 @@ func (r StereoRig) DepthFromDisparity(d float64) float64 {
 	if d <= 0 {
 		return math.Inf(1)
 	}
-	return r.Intr.Fx * r.Baseline / d
+	return Fx * r.Baseline / d
 }
 
 // DisparityFromDepth converts metric depth to disparity in pixels.
@@ -43,7 +49,7 @@ func (r StereoRig) DisparityFromDepth(z float64) float64 {
 	if z <= 0 {
 		return math.Inf(1)
 	}
-	return r.Intr.Fx * r.Baseline / z
+	return Fx * r.Baseline / z
 }
 
 // Box is a textured axis-aligned rectangle at constant camera-frame depth:
@@ -121,8 +127,8 @@ func (s Scene) RenderInto(im *Image, intr Intrinsics, baselineOffset float64, sc
 	for py := 0; py < intr.H; py++ {
 		for px := 0; px < intr.W; px++ {
 			// Back-project the pixel ray.
-			dx := (float64(px) - intr.Cx) / intr.Fx
-			dy := (float64(py) - intr.Cy) / intr.Fy
+			dx := (float64(px) - intr.Cx) / Fx
+			dy := (float64(py) - intr.Cy) / fy
 			// Background plane.
 			var val float32
 			if s.BgDepth > 0 {

@@ -123,27 +123,6 @@ type World struct {
 	Obstacles []*Obstacle
 	// Landmarks are the 3-D visual features VIO localizes against.
 	Landmarks []mathx.Vec3
-	// GPSOutages are time windows with no usable GNSS signal (tunnels,
-	// multipath canyons) for the GPS-VIO fusion case study.
-	GPSOutages []TimeWindow
-}
-
-// TimeWindow is a half-open virtual-time interval [From, To).
-type TimeWindow struct {
-	From, To time.Duration
-}
-
-// Contains reports whether t falls inside the window.
-func (w TimeWindow) Contains(t time.Duration) bool { return t >= w.From && t < w.To }
-
-// GPSAvailable reports whether GNSS is usable at time t.
-func (w *World) GPSAvailable(t time.Duration) bool {
-	for _, o := range w.GPSOutages {
-		if o.Contains(t) {
-			return false
-		}
-	}
-	return true
 }
 
 // Route is an ordered sequence of lanes the vehicle follows (the
@@ -234,14 +213,8 @@ func (f *Frame) At(t time.Duration) []ObstacleState {
 	return states
 }
 
-// VisibleObstacles returns the obstacles within maxRange and ±fov/2 of the
-// pose's heading, nearest first.
-func (w *World) VisibleObstacles(p Pose, t time.Duration, maxRange, fov float64) []Detection {
-	return w.VisibleObstaclesInto(nil, p, t, maxRange, fov)
-}
-
-// VisibleObstaclesInto is VisibleObstacles appending into dst (reusing its
-// capacity) — the zero-allocation variant for per-sensor scratch buffers.
+// VisibleObstaclesInto appends to dst (reusing its capacity) the obstacles
+// within maxRange and ±fov/2 of the pose's heading, nearest first.
 // The world holds no scratch and samples every trajectory on every call;
 // what remembers an instant is the vehicle's Frame.
 func (w *World) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, maxRange, fov float64) []Detection {

@@ -64,7 +64,7 @@ func TestVisibleObstaclesFOVAndRange(t *testing.T) {
 	w.AddStaticObstacle(mathx.Vec2{X: 5, Y: 20}, 0.5) // wide bearing
 
 	p := Pose{}
-	ds := w.VisibleObstacles(p, 0, 50, math.Pi/2)
+	ds := w.VisibleObstaclesInto(nil, p, 0, 50, math.Pi/2)
 	if len(ds) != 1 {
 		t.Fatalf("visible = %d, want 1", len(ds))
 	}
@@ -78,7 +78,7 @@ func TestVisibleObstaclesSortedByRange(t *testing.T) {
 	w.AddStaticObstacle(mathx.Vec2{X: 30}, 0.5)
 	w.AddStaticObstacle(mathx.Vec2{X: 10}, 0.5)
 	w.AddStaticObstacle(mathx.Vec2{X: 20}, 0.5)
-	ds := w.VisibleObstacles(Pose{}, 0, 50, math.Pi)
+	ds := w.VisibleObstaclesInto(nil, Pose{}, 0, 50, math.Pi)
 	for i := 1; i < len(ds); i++ {
 		if ds[i].Range < ds[i-1].Range {
 			t.Fatalf("not sorted: %v", ds)
@@ -156,19 +156,6 @@ func TestCorridorLandmarks(t *testing.T) {
 		if w.Landmarks[i].XY().DistTo(mathx.Vec2{X: 10}) > 20 {
 			t.Fatal("landmark beyond range returned")
 		}
-	}
-}
-
-func TestGPSOutage(t *testing.T) {
-	w := &World{GPSOutages: []TimeWindow{{From: 10 * time.Second, To: 20 * time.Second}}}
-	if !w.GPSAvailable(5 * time.Second) {
-		t.Fatal("GPS should be available at 5s")
-	}
-	if w.GPSAvailable(15 * time.Second) {
-		t.Fatal("GPS should be out at 15s")
-	}
-	if !w.GPSAvailable(20 * time.Second) {
-		t.Fatal("window is half-open; 20s should be available")
 	}
 }
 

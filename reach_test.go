@@ -1,13 +1,12 @@
 // The reachability audit (ROADMAP item 10): every non-test function or
-// method is reached from a root that a shipped program, the public API, a
-// paper row or a committed benchmark depends on, or it goes. The roots come
-// from the tree: (1) every main under cmd/, examples/ and benchmark/; (2)
-// package sov's exported API, with the exported methods of the module types
-// it hands out (sov.EnergyModel is models.EnergyModel, so
-// EnergyModel.Validate is public); (3) the Example functions; (4) the benchmarks
-// scripts/bench.sh and ci.yml run and Table III names; (5) benchmark/'s test
-// files. Non-test bodies resolve through go/types: a call through an
-// interface reaches every module method of that name and signature, and a
+// method is reached from a root that a shipped program, an example, a paper
+// row or a committed benchmark depends on, or it goes. The roots come from
+// the tree: (1) every main under cmd/, examples/ and benchmark/; (2) the
+// Example functions; (3) the benchmarks scripts/bench.sh and ci.yml run and
+// Table III names; (4) benchmark/'s test files. Package sov is the façade
+// the examples import, not a root: an exported name nothing runs is dead
+// like any other. Non-test bodies resolve through go/types: a call through
+// an interface reaches every module method of that name and signature, and a
 // module value passed to the standard library (heap.Push, fmt.Print) reaches
 // all its methods. Test bodies resolve by name: pkg.Name through the file's
 // imports, x.M to every method named M. The scan may keep a little dead
@@ -16,22 +15,23 @@
 // The same walk audits state (ROADMAP item 13): every field of a non-test
 // struct type must be read by reached code, and a field of scalar type
 // that reached code reads must also be written by it, or it is always zero.
-// A write is an assignment, ++/--, a composite literal or &x.f; the caller
-// of package sov may write any exported field it is handed. A module value
+// A write is an assignment, ++/--, a composite literal or &x.f. A module value
 // handed to the standard library as an interface (fmt, encoding/json) has
 // every field read and written, and a test root's x.f or {f: v} reads and
 // writes every field named f. Embedded fields and fields documented
 // Deprecated: (kept only so a frozen caller compiles) are not audited.
 //
-// The constant audit (ROADMAP item 6): an exported field of a …Config,
-// Params or Options struct type that a Default… constructor in its package
-// returns must be assigned somewhere other than that constructor, or it has
-// one value and is a constant. Any code counts as a writer, reached or not:
-// tests (by name), examples and benchmark/ included; the sov-API exemption
-// does not apply. A field benchmark/ names is exempt while that package is
-// frozen (ROADMAP item 7). A float field becomes a constant typed float64:
-// typed constant arithmetic rounds at every step as the field's run-time
-// arithmetic did, where an untyped x*x folds exactly and can differ.
+// The constant audit (ROADMAP item 6): an exported field of an exported
+// struct type that a Default… constructor in its package returns must be
+// assigned somewhere other than that constructor, or it has one value and
+// is a constant. Any code counts as a writer, reached or not: tests (by
+// name), examples and benchmark/ included, and so do two Default…
+// constructors of one type that both set it (two values). A field
+// benchmark/ names is exempt while that package is frozen (ROADMAP item 7).
+// A float field becomes a constant typed float64: typed constant
+// arithmetic rounds at every step as the field's run-time arithmetic did,
+// where an untyped x*x folds exactly and can differ. A type left with no
+// fields goes, and its methods become package functions.
 package sov
 
 import (
@@ -77,10 +77,9 @@ func TestReachability(t *testing.T) {
 	scalar := map[string]bool{}                       // fields whose zero value nothing else can change
 	ctorOf := map[string]string{}                     // Default… constructor key → the type it returns
 	frozen := map[string]bool{}                       // benchmark/'s declarations, test files included
-	kinds := []string{"main", "sov API", "Example", "committed benchmark", "benchmark/ test"}
+	kinds := []string{"main", "Example", "committed benchmark", "benchmark/ test"}
 	roots := make([][]string, len(kinds))
 	mains := regexp.MustCompile(`^(cmd|examples)/|^benchmark$`)
-	options := regexp.MustCompile(`^([A-Z]\w*)?(Config|Params|Options)$`)
 	declare := func(k string, walk func(visit func(string))) { bodies[k] = append(bodies[k], walk) }
 
 	for _, p := range pkgs {
@@ -246,7 +245,7 @@ func TestReachability(t *testing.T) {
 				declare(k, typed(fd))
 				frozen[k] = p.ImportPath == mod+"/benchmark"
 				if res := fn.Type().(*types.Signature).Results(); fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default") && res.Len() == 1 {
-					if t, ok := res.At(0).Type().(*types.Named); ok && t.Obj().Pkg() == p.Types && options.MatchString(t.Obj().Name()) {
+					if t, ok := res.At(0).Type().(*types.Named); ok && t.Obj().Pkg() == p.Types && t.Obj().Exported() {
 						ctorOf[k] = p.ImportPath + "." + t.Obj().Name()
 					}
 				}
@@ -258,87 +257,6 @@ func TestReachability(t *testing.T) {
 				if k == p.ImportPath+".main" && mains.MatchString(strings.TrimPrefix(p.ImportPath, mod+"/")) {
 					roots[0] = append(roots[0], k)
 				}
-				if p.ImportPath == mod && fd.Name.IsExported() {
-					roots[1] = append(roots[1], k)
-				}
-			}
-		}
-	}
-
-	// Package sov's API is more than its own declarations: sov.EnergyModel
-	// is models.EnergyModel, so a caller reaches every exported method of a
-	// type sov exports, and of the types its exported fields and signatures
-	// hand out. An interface it hands out reaches the module methods that
-	// may stand behind it.
-	seen := map[types.Type]bool{}
-	var expose func(t types.Type)
-	exposeFunc := func(m *types.Func) {
-		if m.Exported() && inMod(m.Pkg()) {
-			roots[1] = append(roots[1], key(m))
-			expose(m.Type())
-		}
-	}
-	expose = func(t types.Type) {
-		t = types.Unalias(t)
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		switch t := t.(type) {
-		case *types.Named:
-			if !inMod(t.Obj().Pkg()) {
-				return
-			}
-			mset := types.NewMethodSet(types.NewPointer(t))
-			for i := 0; i < mset.Len(); i++ {
-				exposeFunc(mset.At(i).Obj().(*types.Func))
-			}
-			expose(t.Underlying())
-		case *types.Interface:
-			for i := 0; i < t.NumMethods(); i++ {
-				sig := t.Method(i).Type()
-				for _, m := range typedMethods[t.Method(i).Name()] {
-					if types.Identical(m.Type(), sig) {
-						exposeFunc(m)
-					}
-				}
-			}
-		case *types.Pointer:
-			expose(t.Elem())
-		case *types.Slice:
-			expose(t.Elem())
-		case *types.Array:
-			expose(t.Elem())
-		case *types.Chan:
-			expose(t.Elem())
-		case *types.Map:
-			expose(t.Key())
-			expose(t.Elem())
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				if f := t.Field(i); f.Exported() || f.Embedded() {
-					if k, ok := fieldKey[f.Origin()]; ok {
-						roots[1] = append(roots[1], "write:"+k)
-					}
-					expose(f.Type())
-				}
-			}
-		case *types.Signature:
-			expose(t.Params())
-			expose(t.Results())
-		case *types.Tuple:
-			for i := 0; i < t.Len(); i++ {
-				expose(t.At(i).Type())
-			}
-		}
-	}
-	for _, p := range pkgs {
-		if p.ImportPath != mod {
-			continue
-		}
-		for _, name := range p.Types.Scope().Names() {
-			if obj := p.Types.Scope().Lookup(name); obj.Exported() {
-				expose(obj.Type())
 			}
 		}
 	}
@@ -443,13 +361,13 @@ func TestReachability(t *testing.T) {
 			switch {
 			case fd.Recv != nil:
 			case rel == "benchmark":
-				roots[4] = append(roots[4], k)
+				roots[3] = append(roots[3], k)
 			case strings.HasPrefix(name, "Example"):
-				roots[2] = append(roots[2], k)
+				roots[1] = append(roots[1], k)
 			case strings.HasPrefix(name, "Benchmark"):
 				for _, re := range benches {
 					if re.MatchString(name) {
-						roots[3] = append(roots[3], k)
+						roots[2] = append(roots[2], k)
 						break
 					}
 				}
@@ -498,7 +416,7 @@ func TestReachability(t *testing.T) {
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d of %d functions are reached by no program, public API, paper row or committed benchmark; delete them with their tests, or give them a root:\n%s",
+		t.Errorf("%d of %d functions are reached by no program, example, paper row or committed benchmark; delete them with their tests, or give them a root:\n%s",
 			len(dead), len(funcs), strings.Join(dead, "\n"))
 	}
 
@@ -524,8 +442,10 @@ func TestReachability(t *testing.T) {
 	}
 
 	// The constant audit walks every declaration, reached or not: a write
-	// counts wherever it is, unless it is the type's own constructor's.
+	// counts wherever it is, unless it is one of the type's own
+	// constructors' and the only one.
 	written, named := map[string]bool{}, map[string]bool{}
+	ctorSets := map[string]map[string]bool{} // field → the Default… constructors that set it
 	for k, walks := range bodies {
 		for _, walk := range walks {
 			walk(func(v string) {
@@ -533,11 +453,20 @@ func TestReachability(t *testing.T) {
 				if frozen[k] && (kind == "read" || kind == "write" || kind == "field") {
 					named[f] = true
 				}
-				if kind == "write" && ctorOf[k] != f[:strings.LastIndex(f, ".")] || kind == "set" {
+				switch {
+				case kind == "set" || kind == "write" && ctorOf[k] != f[:strings.LastIndex(f, ".")]:
 					written[f] = true
+				case kind == "write":
+					if ctorSets[f] == nil {
+						ctorSets[f] = map[string]bool{}
+					}
+					ctorSets[f][k] = true
 				}
 			})
 		}
+	}
+	for f, ctors := range ctorSets {
+		written[f] = written[f] || len(ctors) > 1
 	}
 	defaults := map[string]bool{}
 	for _, typ := range ctorOf {

@@ -10,9 +10,8 @@
 //   - the assembled on-vehicle system (sensing → perception → planning with
 //     the reactive safety override) running as a deterministic
 //     discrete-event simulation, producing the Fig. 10 characterization;
-//   - the hardware design-space tools: the platform catalog and perception
-//     mapping explorer (Figs. 6/8), the runtime-partial-reconfiguration
-//     engine (Fig. 9), and the sensing–computing co-design experiments
+//   - the hardware design-space tools: the perception mapping explorer
+//     (Figs. 6/8) and the sensing–computing co-design experiments
 //     (Figs. 11/12).
 //
 // Everything underneath is implemented from scratch in this module: the
@@ -29,7 +28,6 @@ import (
 	"sov/internal/core"
 	"sov/internal/models"
 	"sov/internal/platform"
-	"sov/internal/rpr"
 	"sov/internal/sensorsync"
 	"sov/internal/sim"
 	"sov/internal/world"
@@ -45,7 +43,7 @@ type Report = core.Report
 // World is the synthetic environment the vehicle drives through.
 type World = world.World
 
-// CutInOutcome is the result of an obstacle cut-in trial.
+// CutInOutcome is the result of an obstacle trial.
 type CutInOutcome = core.CutInOutcome
 
 // DefaultConfig returns the deployed vehicle's configuration: localization
@@ -77,22 +75,11 @@ func (s *System) DistanceM() float64 { return s.inner.Vehicle().Odometer() }
 // periodic far-ahead pedestrian crossings.
 func CruiseScenario(seed int64) *World { return core.CruiseScenario(seed) }
 
-// RunCutIn executes one pedestrian cut-in trial: the pedestrian steps into
-// the lane when the vehicle is triggerDistance meters away.
-func RunCutIn(cfg Config, triggerDistance float64, d time.Duration) CutInOutcome {
-	return core.RunCutIn(cfg, triggerDistance, d)
-}
-
 // RunSuddenObstacle executes the Eq. 1 worst case: an obstacle materializes
 // directly in the lane when the vehicle is triggerDistance meters away.
 // Outcomes are decided purely by distance vs. reaction latency.
 func RunSuddenObstacle(cfg Config, triggerDistance float64, d time.Duration) CutInOutcome {
 	return core.RunSuddenObstacle(cfg, triggerDistance, d)
-}
-
-// NewCorridor builds a straight two-lane corridor world with landmarks.
-func NewCorridor(length float64, seed int64) *World {
-	return world.NewCorridor(length, sim.NewRNG(seed))
 }
 
 // CampusLoop builds a rectangular campus-loop world.
@@ -105,12 +92,6 @@ func CampusLoop(side float64, seed int64) *World {
 // LatencyModel is Eq. 1: the end-to-end stop-distance constraint.
 type LatencyModel = models.LatencyModel
 
-// EnergyModel is Eq. 2: driving time lost to the AD system's power draw.
-type EnergyModel = models.EnergyModel
-
-// PowerBudget is the Table I power breakdown.
-type PowerBudget = models.PowerBudget
-
 // CostModel is the Table II vehicle cost breakdown.
 type CostModel = models.CostModel
 
@@ -121,11 +102,21 @@ type TCO = models.TCO
 // a = 4 m/s², Tdata ≈ 1 ms, Tmech ≈ 19 ms).
 func DefaultLatencyModel() LatencyModel { return models.DefaultLatencyModel() }
 
-// DefaultEnergyModel returns the 6 kWh / 0.6 kW vehicle.
-func DefaultEnergyModel() EnergyModel { return models.DefaultEnergyModel() }
+// DrivingTimeHours is Eq. 2's driving time on one charge of the 6 kWh /
+// 0.6 kW vehicle when the AD system draws padKW.
+func DrivingTimeHours(padKW float64) float64 { return models.DrivingTimeHours(padKW) }
 
-// DefaultPowerBudget returns Table I (PAD = 175 W).
-func DefaultPowerBudget() PowerBudget { return models.DefaultPowerBudget() }
+// RevenueLossPercent is the share of a dayHours operating day lost when the
+// AD power rises from padBeforeKW to padAfterKW.
+func RevenueLossPercent(padBeforeKW, padAfterKW, dayHours float64) float64 {
+	return models.RevenueLossPercent(padBeforeKW, padAfterKW, dayHours)
+}
+
+// PowerBudgetKW returns Table I's AD power total, PAD = 0.175 kW.
+func PowerBudgetKW() float64 { return models.PowerBudgetKW() }
+
+// RenderPowerBudget formats the Table I power breakdown.
+func RenderPowerBudget() string { return models.RenderPowerBudget() }
 
 // CameraVehicleCost returns our camera-based vehicle's Table II rows.
 func CameraVehicleCost() CostModel { return models.DefaultCameraVehicleCost() }
@@ -138,26 +129,11 @@ func DefaultTCO() TCO { return models.DefaultTCO() }
 
 // Hardware design space (Sec. V).
 
-// Processor is one hardware option with measured operating points (Fig. 6).
-type Processor = platform.Processor
-
-// PerceptionMapping assigns perception task groups to processors.
-type PerceptionMapping = platform.Mapping
-
 // MappingResult is the evaluated latency of one mapping (Fig. 8).
 type MappingResult = platform.PerceptionResult
 
-// PlatformCatalog returns the CPU/GPU/TX2/FPGA operating points.
-func PlatformCatalog() map[string]*Processor { return platform.Catalog() }
-
 // ExploreMappings evaluates the Fig. 8 mapping strategies, best first.
 func ExploreMappings() []MappingResult { return platform.ExploreMappings() }
-
-// RPREngine is the runtime-partial-reconfiguration datapath (Fig. 9).
-type RPREngine = rpr.Engine
-
-// NewRPREngine returns the deployed reconfiguration engine.
-func NewRPREngine() *RPREngine { return rpr.NewEngine(rpr.DefaultEngineConfig()) }
 
 // Sensing–computing co-design (Sec. VI).
 

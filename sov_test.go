@@ -25,8 +25,7 @@ func TestPublicModels(t *testing.T) {
 	if lm.BrakingDistance() <= 0 {
 		t.Fatal("braking distance")
 	}
-	em := DefaultEnergyModel()
-	if em.DrivingTimeHours(DefaultPowerBudget().TotalKW()) >= 10 {
+	if DrivingTimeHours(PowerBudgetKW()) >= 10 {
 		t.Fatal("AD power should reduce driving time below baseline")
 	}
 	if CameraVehicleCost().SensorTotalUSD() >= LiDARVehicleCost().SensorTotalUSD() {
@@ -37,17 +36,10 @@ func TestPublicModels(t *testing.T) {
 	}
 }
 
-func TestPublicPlatformAndRPR(t *testing.T) {
-	if len(PlatformCatalog()) != 4 {
-		t.Fatal("catalog size")
-	}
+func TestPublicMappingExplorer(t *testing.T) {
 	results := ExploreMappings()
 	if len(results) == 0 || results[0].Mapping.Localization != "FPGA" {
 		t.Fatalf("best mapping = %+v", results)
-	}
-	r := NewRPREngine().Transfer(1 << 20)
-	if r.Throughput < 350e6 {
-		t.Fatalf("rpr throughput = %v", r.Throughput)
 	}
 }
 
@@ -63,17 +55,7 @@ func TestPublicSyncExperiments(t *testing.T) {
 }
 
 func TestWorldBuilders(t *testing.T) {
-	if w := NewCorridor(100, 2); len(w.Landmarks) == 0 {
-		t.Fatal("corridor landmarks")
-	}
-	if w := CampusLoop(80, 2); len(w.Lanes) != 4 {
-		t.Fatal("campus lanes")
-	}
-}
-
-func TestCutInPublic(t *testing.T) {
-	out := RunCutIn(DefaultConfig(), 15, 25*time.Second)
-	if out.Collided {
-		t.Fatalf("collision at 15 m: %+v", out)
+	if w := CampusLoop(80, 2); len(w.Lanes) != 4 || len(w.Landmarks) == 0 {
+		t.Fatal("campus lanes and landmarks")
 	}
 }

@@ -2,6 +2,8 @@ package sov
 
 import (
 	"go/types"
+	"os/exec"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -18,6 +20,11 @@ import (
 //   - one owner per buffer: no non-test code under internal/ or cmd/ uses
 //     sync.Pool; a scratch buffer belongs to its kernel instance or to a
 //     caller-held …Scratch (DESIGN.md §10).
+//
+// A third rule asks the compiler: the helpers two kernels' speed rests on
+// stay under the inliner's budget (go build -gcflags=-m must report them
+// inlinable) — requant.apply and satInt8 in the int8 GEMM write-back, sad8
+// in the SWAR stereo sweep (DESIGN.md §10).
 func TestStructuralGuards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -51,8 +58,42 @@ func TestStructuralGuards(t *testing.T) {
 			}
 		}
 	}
+	found = append(found, inlinerViolations(t)...)
 	sort.Strings(found)
 	if len(found) > 0 {
 		t.Errorf("%d structural guard violations:\n%s", len(found), strings.Join(found, "\n"))
 	}
+}
+
+// mustInline lists, per package, the functions the hot kernels call per
+// output element and rely on being inlined.
+var mustInline = map[string][]string{
+	"./internal/nn":     {"requant.apply", "satInt8"},
+	"./internal/vision": {"sad8"},
+}
+
+// inlinerViolations builds the mustInline packages with -gcflags=-m and
+// returns one line per listed function the compiler did not report
+// inlinable.
+func inlinerViolations(t *testing.T) []string {
+	t.Helper()
+	var pkgs []string
+	for p := range mustInline {
+		pkgs = append(pkgs, p)
+	}
+	sort.Strings(pkgs)
+	out, err := exec.Command("go", append([]string{"build", "-gcflags=-m"}, pkgs...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	var found []string
+	for _, p := range pkgs {
+		for _, fn := range mustInline[p] {
+			re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(strings.TrimPrefix(p, "./")) + `/[^:]+:\d+:\d+: can inline ` + regexp.QuoteMeta(fn) + `$`)
+			if !re.Match(out) {
+				found = append(found, p+": "+fn+" is not inlinable: a kernel calls it per output element")
+			}
+		}
+	}
+	return found
 }

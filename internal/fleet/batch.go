@@ -46,11 +46,7 @@ func (f *Fleet) initShards() {
 	}
 	master := nn.QuantizeYOLO(y, calib)
 	for s := 0; s < f.nShards; s++ {
-		lo := s * f.shardLen
-		hi := lo + f.shardLen
-		if hi > len(f.units) {
-			hi = len(f.units)
-		}
+		lo, hi := shardBounds(s, len(f.units), f.nShards)
 		sh := &shardNN{
 			model: master.ShareClone(),
 			units: f.units[lo:hi],

@@ -191,13 +191,12 @@ type assignment struct {
 // Fleet is the sharded substrate. Step advances every vehicle one epoch;
 // Run loops Step to a horizon and returns the summary.
 type Fleet struct {
-	cfg      Config
-	units    []*unit
-	regions  []*region
-	perim    float64
-	grain    int
-	nShards  int
-	shardLen int
+	cfg     Config
+	units   []*unit
+	regions []*region
+	perim   float64
+	grain   int
+	nShards int
 
 	epoch    int
 	epochEnd time.Duration
@@ -285,7 +284,6 @@ func New(cfg Config) *Fleet {
 		nShards:  cfg.Shards,
 		waitHist: stats.NewHistogram(0, 600, 24), // wait seconds, 25 s bins
 	}
-	f.shardLen = (cfg.Vehicles + f.nShards - 1) / f.nShards
 	f.prevCycles = make([]int64, f.nShards)
 	f.prevTrips = make([]int64, f.nShards)
 	f.window = make([]int32, peakWindowEpochs(cfg.Epoch))
@@ -335,6 +333,17 @@ func New(cfg Config) *Fleet {
 	}
 	f.cloud = cfg.Cloud
 	return f
+}
+
+// shardBounds returns the vehicle range [lo, hi) of shard s when n vehicles
+// split across shards. Vehicles map to shards in contiguous ceil-sized id
+// blocks, so when the blocks run out before the last shard (10 vehicles on
+// 8 shards are blocks of 2) the trailing shards are empty: both ends clamp
+// to n.
+func shardBounds(s, n, shards int) (lo, hi int) {
+	size := (n + shards - 1) / shards
+	lo = min(s*size, n)
+	return lo, min(lo+size, n)
 }
 
 // AttachMetrics registers the fleet's bounded-cardinality metrics on reg:

@@ -274,6 +274,48 @@ func TestReplayFromSeed(t *testing.T) {
 	}
 }
 
+// TestShardSplitCoversEveryVehicle checks that for every vehicle count
+// 1–40 on 1–8 shards the shard ranges partition the vehicles in id order,
+// one contiguous ceil-sized block each. Counts whose blocks run out before
+// the last shard (10 vehicles on 8 shards) leave the trailing shards
+// empty; a perceiving fleet of such a count once sliced past its vehicles
+// and panicked, so those fleets are built and their shards checked too.
+func TestShardSplitCoversEveryVehicle(t *testing.T) {
+	for v := 1; v <= 40; v++ {
+		for shards := 1; shards <= 8; shards++ {
+			size, next := (v+shards-1)/shards, 0
+			for s := 0; s < shards; s++ {
+				lo, hi := shardBounds(s, v, shards)
+				if lo != next || hi < lo || hi-lo > size {
+					t.Fatalf("%d vehicles on %d shards: shard %d is [%d, %d) after [.., %d)", v, shards, s, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != v {
+				t.Fatalf("%d vehicles on %d shards: shards cover %d vehicles", v, shards, next)
+			}
+		}
+	}
+	for v := 9; v <= 13; v++ {
+		cfg := testConfig(v)
+		cfg.Regions = 1
+		cfg.Shards = 8
+		cfg.PerceptionEvery = 1
+		f := New(cfg)
+		var got []*unit
+		for _, sh := range f.shards {
+			if len(sh.inputs) != len(sh.units) {
+				t.Fatalf("%d vehicles: a shard holds %d units and %d inputs", v, len(sh.units), len(sh.inputs))
+			}
+			got = append(got, sh.units...)
+		}
+		if !slices.Equal(got, f.units) {
+			t.Fatalf("%d vehicles on 8 shards: perception shards do not partition the fleet in id order", v)
+		}
+		f.Step()
+	}
+}
+
 // TestConcurrentShardsRace is the scratch-aliasing regression test
 // (satellite: 64 vehicles advancing concurrently under -race, with the
 // batched perception clones active so shared-weight scratch is exercised).

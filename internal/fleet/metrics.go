@@ -98,11 +98,7 @@ func (m *fleetMetrics) publish(f *Fleet) {
 	// Shard aggregation: vehicles map to shards by contiguous id blocks, so
 	// the per-shard totals are simple strided sums over the unit slice.
 	for s := 0; s < f.nShards; s++ {
-		lo := s * f.shardLen
-		hi := lo + f.shardLen
-		if hi > len(f.units) {
-			hi = len(f.units)
-		}
+		lo, hi := shardBounds(s, len(f.units), f.nShards)
 		var cyc, trips int64
 		for i := lo; i < hi; i++ {
 			cyc += int64(f.units[i].sov.Cycles())

@@ -1,6 +1,10 @@
 package nn
 
-import "sov/internal/parallel"
+import (
+	"math"
+
+	"sov/internal/parallel"
+)
 
 // im2col + register-blocked integer GEMM: QConv2D's one backend (DESIGN.md
 // §10). The convolution reshapes into C[OutC × P] = W[OutC × kd] · A[kd × P]
@@ -149,9 +153,12 @@ func (c *QConv2D) packInput(in *QTensor) {
 // the layer's scratch.
 //
 //sov:hotpath
-func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
+func (c *QConv2D) forwardGEMM(in, out *QTensor) {
+	p := c.gemmCols(out)
+	if p == 0 {
+		return // a pooled plane under 2×2 floors to nothing
+	}
 	c.packInput(in)
-	p := oh * ow
 	nblk := ceilDiv(p, gemmColBlock)
 	grain := 1 + 2*gemmColBlock/p
 	tiles := 1
@@ -168,11 +175,36 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor, oh, ow int) {
 		c.gemm.sbuf = make([]int32, tiles*ss)
 	}
 	if tiles == 1 {
-		c.gemmBlocks(out, ow, p, 0, nblk, 0)
+		c.gemmBlocks(out, p, 0, nblk, 0)
 		return
 	}
 	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
-	parallel.For(nblk, grain, func(b0, b1 int) { c.gemmBlocks(out, ow, p, b0, b1, b0/grain) })
+	parallel.For(nblk, grain, func(b0, b1 int) { c.gemmBlocks(out, p, b0, b1, b0/grain) })
+}
+
+// gemmCols returns the GEMM column count P for an output tensor: one column
+// per output pixel, or with a fused pool four per pooled pixel (its 2×2
+// window of conv pixels, see corner).
+func (c *QConv2D) gemmCols(out *QTensor) int {
+	if c.Pool {
+		return 4 * out.H * out.W
+	}
+	return out.H * out.W
+}
+
+// corner returns the padded-buffer offset of GEMM column col's window for
+// an output ow pixels wide (pw is the padded input width). Without a pool
+// column col is output pixel col. With one, group col/4 is pooled pixel q
+// and col%4 picks its window's conv pixel (2·qy + col%4/2, 2·qx + col%4%2),
+// so a four-column group is one 2×2 max-pool window and the conv pixels
+// the floor drops (an odd last row or column) are never computed.
+func (c *QConv2D) corner(col, ow, pw int) int {
+	oy, ox := col/ow, col%ow
+	if c.Pool {
+		q, ci := col>>2, col&3
+		oy, ox = 2*(q/ow)+ci>>1, 2*(q%ow)+ci&1
+	}
+	return (oy*pw + ox) * c.Stride
 }
 
 // gemmSlabs returns the spacing of the per-tile A panels (in words) and Σu
@@ -184,20 +216,25 @@ func (c *QConv2D) gemmSlabs() (as, ss int) {
 // gemmBlocks runs column blocks [b0, b1) through scratch slab t.
 //
 //sov:hotpath
-func (c *QConv2D) gemmBlocks(out *QTensor, ow, p, b0, b1, t int) {
+func (c *QConv2D) gemmBlocks(out *QTensor, p, b0, b1, t int) {
 	as, ss := c.gemmSlabs()
 	ap := c.gemm.abuf[t*as:][:c.gemm.np*gemmColBlock]
 	su := c.gemm.sbuf[t*ss:][:gemmColBlock]
 	for blk := b0; blk < b1; blk++ {
-		c.gemmBlock(out, ow, p, blk*gemmColBlock, ap, su)
+		c.gemmBlock(out, p, blk*gemmColBlock, ap, su)
 	}
 }
 
 // gemmBlock packs one im2col column block and multiplies it against every
-// weight panel, requantizing straight into the output tensor.
+// weight panel, requantizing straight into the output tensor. A full 4×4
+// tile (four real channels, four real columns) writes back straight from
+// its sixteen accumulators; with a fused pool each row stores the code of
+// its largest accumulator, which is the max of the four codes because
+// requantization is monotonic. A tile cut by OutC or by the plane's end
+// takes the guarded loop.
 //
 //sov:hotpath
-func (c *QConv2D) gemmBlock(out *QTensor, ow, p, colBase int, ap []uint64, su []int32) {
+func (c *QConv2D) gemmBlock(out *QTensor, p, colBase int, ap []uint64, su []int32) {
 	cols := gemmColBlock
 	if colBase+cols > p {
 		cols = p - colBase
@@ -210,29 +247,26 @@ func (c *QConv2D) gemmBlock(out *QTensor, ow, p, colBase int, ap []uint64, su []
 		for ci := range corner {
 			// Phantom columns of the last group repeat the last real one:
 			// their accumulators are never written back.
-			col := min(colBase+g*4+ci, p-1)
-			corner[ci] = (col/ow*pw + col%ow) * c.Stride
+			corner[ci] = c.corner(min(colBase+g*4+ci, p-1), out.W, pw)
 		}
 		c.packAGroup(ap[g*np*4:(g+1)*np*4], su[g*4:g*4+4], corner)
 	}
 	rq := c.rq
+	plane := out.H * out.W
 	for rb := 0; rb < c.gemm.mpad/4; rb++ {
+		o0 := rb * 4
 		bp := c.gemm.b[rb*np*4 : (rb+1)*np*4]
 		for g := 0; g < groups; g++ {
 			a := ap[g*np*4 : (g+1)*np*4]
+			b := bp[:len(a)]
 			var s00, s01, s02, s03 uint64
 			var s10, s11, s12, s13 uint64
 			var s20, s21, s22, s23 uint64
 			var s30, s31, s32, s33 uint64
-			for j := 0; j < np; j++ {
-				x0 := a[j*4]
-				x1 := a[j*4+1]
-				x2 := a[j*4+2]
-				x3 := a[j*4+3]
-				b0 := bp[j*4]
-				b1 := bp[j*4+1]
-				b2 := bp[j*4+2]
-				b3 := bp[j*4+3]
+			for len(a) >= 4 && len(b) >= 4 {
+				x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
+				b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+				a, b = a[4:], b[4:]
 				s00 += (x0 * b0) >> 32
 				s01 += (x1 * b0) >> 32
 				s02 += (x2 * b0) >> 32
@@ -250,25 +284,52 @@ func (c *QConv2D) gemmBlock(out *QTensor, ow, p, colBase int, ap []uint64, su []
 				s32 += (x2 * b3) >> 32
 				s33 += (x3 * b3) >> 32
 			}
+			col := colBase + g*4
+			if o0+4 <= c.OutC && g*4+4 <= cols {
+				rc := c.gemm.rowC[o0 : o0+4 : o0+4]
+				s := su[g*4 : g*4+4 : g*4+4]
+				u0, u1, u2, u3 := -128*int64(s[0]), -128*int64(s[1]), -128*int64(s[2]), -128*int64(s[3])
+				a00, a01, a02, a03 := int32(rc[0]+u0+int64(s00)), int32(rc[0]+u1+int64(s01)), int32(rc[0]+u2+int64(s02)), int32(rc[0]+u3+int64(s03))
+				a10, a11, a12, a13 := int32(rc[1]+u0+int64(s10)), int32(rc[1]+u1+int64(s11)), int32(rc[1]+u2+int64(s12)), int32(rc[1]+u3+int64(s13))
+				a20, a21, a22, a23 := int32(rc[2]+u0+int64(s20)), int32(rc[2]+u1+int64(s21)), int32(rc[2]+u2+int64(s22)), int32(rc[2]+u3+int64(s23))
+				a30, a31, a32, a33 := int32(rc[3]+u0+int64(s30)), int32(rc[3]+u1+int64(s31)), int32(rc[3]+u2+int64(s32)), int32(rc[3]+u3+int64(s33))
+				if c.Pool {
+					d := out.Data[o0*plane+col/4:]
+					d[0] = rq.apply(max(a00, a01, a02, a03))
+					d[plane] = rq.apply(max(a10, a11, a12, a13))
+					d[2*plane] = rq.apply(max(a20, a21, a22, a23))
+					d[3*plane] = rq.apply(max(a30, a31, a32, a33))
+					continue
+				}
+				d0 := out.Data[o0*p+col:][:4:4]
+				d1 := out.Data[(o0+1)*p+col:][:4:4]
+				d2 := out.Data[(o0+2)*p+col:][:4:4]
+				d3 := out.Data[(o0+3)*p+col:][:4:4]
+				d0[0], d0[1], d0[2], d0[3] = rq.apply(a00), rq.apply(a01), rq.apply(a02), rq.apply(a03)
+				d1[0], d1[1], d1[2], d1[3] = rq.apply(a10), rq.apply(a11), rq.apply(a12), rq.apply(a13)
+				d2[0], d2[1], d2[2], d2[3] = rq.apply(a20), rq.apply(a21), rq.apply(a22), rq.apply(a23)
+				d3[0], d3[1], d3[2], d3[3] = rq.apply(a30), rq.apply(a31), rq.apply(a32), rq.apply(a33)
+				continue
+			}
 			sums := [16]uint64{
 				s00, s01, s02, s03,
 				s10, s11, s12, s13,
 				s20, s21, s22, s23,
 				s30, s31, s32, s33,
 			}
-			for r := 0; r < 4; r++ {
-				o := rb*4 + r
-				if o >= c.OutC {
-					break
-				}
+			for r := 0; r < 4 && o0+r < c.OutC; r++ {
+				o := o0 + r
 				rc := c.gemm.rowC[o]
-				obase := o * p
-				for ci := 0; ci < 4; ci++ {
-					col := colBase + g*4 + ci
-					if col >= colBase+cols {
-						break
+				if c.Pool {
+					m := int32(math.MinInt32)
+					for ci := 0; ci < 4; ci++ {
+						m = max(m, int32(rc-128*int64(su[g*4+ci])+int64(sums[r*4+ci])))
 					}
-					out.Data[obase+col] = rq.apply(int32(rc - 128*int64(su[g*4+ci]) + int64(sums[r*4+ci])))
+					out.Data[o*plane+col/4] = rq.apply(m)
+					continue
+				}
+				for ci := 0; ci < 4 && g*4+ci < cols; ci++ {
+					out.Data[o*p+col+ci] = rq.apply(int32(rc - 128*int64(su[g*4+ci]) + int64(sums[r*4+ci])))
 				}
 			}
 		}

@@ -11,10 +11,13 @@ import (
 
 // refQConv is the trusted scalar reference: per output pixel, the exact
 // per-tap accumulation with zero-point subtraction over the taps that fall
-// inside the input, requantized. The production backend must match it bit
-// for bit.
+// inside the input, requantized by refRequant, then (for a layer with a
+// fused pool) refMaxPool2. The production backend must match it bit for
+// bit.
 func refQConv(c *QConv2D, in *QTensor) []int8 {
-	oc, oh, ow := c.OutShape(in.C, in.H, in.W)
+	oc := c.OutC
+	oh := (in.H+2*c.Pad-c.K)/c.Stride + 1
+	ow := (in.W+2*c.Pad-c.K)/c.Stride + 1
 	out := make([]int8, oc*oh*ow)
 	per := c.InC * c.K * c.K
 	for o := 0; o < oc; o++ {
@@ -34,7 +37,25 @@ func refQConv(c *QConv2D, in *QTensor) []int8 {
 						}
 					}
 				}
-				out[(o*oh+oy)*ow+ox] = c.rq.apply(acc)
+				out[(o*oh+oy)*ow+ox] = refRequant(c.rq, acc)
+			}
+		}
+	}
+	if c.Pool {
+		return refMaxPool2(out, oc, oh, ow)
+	}
+	return out
+}
+
+// refMaxPool2 is the scalar 2×2 stride-2 max pool over c planes of h×w
+// codes; an odd last row or column is dropped.
+func refMaxPool2(in []int8, c, h, w int) []int8 {
+	var out []int8
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y+1 < h; y += 2 {
+			for x := 0; x+1 < w; x += 2 {
+				at := func(dy, dx int) int8 { return in[(ch*h+y+dy)*w+x+dx] }
+				out = append(out, max(at(0, 0), at(0, 1), at(1, 0), at(1, 1)))
 			}
 		}
 	}
@@ -77,6 +98,18 @@ func parityConv(t *testing.T, idx int) (*QConv2D, *QTensor) {
 	return qc, randomQInput(rng, qc, s.h, s.w)
 }
 
+// pooledParityConv is parityConv's twin with a fused 2×2 max pool, or
+// false when the shape's conv plane is under 2×2 and pools to nothing.
+func pooledParityConv(t *testing.T, idx int) (*QConv2D, *QTensor, bool) {
+	t.Helper()
+	qc, in := parityConv(t, idx)
+	if _, oh, ow := qc.OutShape(in.C, in.H, in.W); oh < 2 || ow < 2 {
+		return nil, nil, false
+	}
+	qc.Pool = true
+	return qc, in, true
+}
+
 func randomQInput(rng *rand.Rand, qc *QConv2D, h, w int) *QTensor {
 	in := NewQTensor(qc.InC, h, w, qc.InP)
 	for i := range in.Data {
@@ -108,17 +141,35 @@ func TestQConvMatchesReference(t *testing.T) {
 	}
 }
 
+// TestQConvPooledMatchesReference is the shape sweep again with the 2×2
+// max pool fused into every layer whose plane holds one window: odd planes
+// check the floor, the fleet layers the path the detector runs.
+func TestQConvPooledMatchesReference(t *testing.T) {
+	for idx := range parityShapes {
+		qc, in, ok := pooledParityConv(t, idx)
+		if !ok {
+			continue
+		}
+		if !eqInt8(forwardPoisoned(qc, in), refQConv(qc, in)) {
+			t.Fatalf("pooled shape %d %+v: output != reference", idx, parityShapes[idx])
+		}
+	}
+}
+
 // TestGEMMParityAcrossWorkers checks the output stays byte-identical when
 // the column blocks fan out across a worker pool.
 func TestGEMMParityAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
 	for _, idx := range []int{4, 7} { // perception shape + border-heavy shape
-		qc, in := parityConv(t, idx)
-		want := refQConv(qc, in)
-		for _, workers := range []int{1, 3, 8} {
-			parallel.SetWorkers(workers)
-			if !eqInt8(forwardPoisoned(qc, in), want) {
-				t.Fatalf("shape %d workers %d: output != reference", idx, workers)
+		for _, pool := range []bool{false, true} {
+			qc, in := parityConv(t, idx)
+			qc.Pool = pool
+			want := refQConv(qc, in)
+			for _, workers := range []int{1, 3, 8} {
+				parallel.SetWorkers(workers)
+				if !eqInt8(forwardPoisoned(qc, in), want) {
+					t.Fatalf("shape %d pool %v workers %d: output != reference", idx, pool, workers)
+				}
 			}
 		}
 	}
@@ -185,11 +236,11 @@ func TestQConvRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// FuzzQConvMatchesReference draws the layer shape, stride, pad, zero point
-// and every weight and activation from the input bytes and compares the
-// backend with refQConv.
+// FuzzQConvMatchesReference draws the layer shape, stride, pad, zero point,
+// whether a max pool is fused, and every weight and activation from the
+// input bytes and compares the backend with refQConv.
 func FuzzQConvMatchesReference(f *testing.F) {
-	f.Fuzz(func(t *testing.T, inC, outC, k, stride, pad, h, w uint8, zero int8, data []byte) {
+	f.Fuzz(func(t *testing.T, inC, outC, k, stride, pad, h, w uint8, zero int8, pool bool, data []byte) {
 		s := struct{ inC, outC, k, stride, pad, h, w int }{
 			1 + int(inC)%8, 1 + int(outC)%9, 1 + int(k)%5, 1 + int(stride)%3, int(pad) % 4, 1 + int(h)%20, 1 + int(w)%20,
 		}
@@ -215,12 +266,16 @@ func FuzzQConvMatchesReference(f *testing.F) {
 		}
 		inP := QuantParams{Scale: 0.02, Zero: int32(zero)}
 		qc := NewQConv2D(conv, inP, ChooseQuantParams(-3, 3))
+		if _, oh, ow := qc.OutShape(s.inC, s.h, s.w); pool && (oh < 2 || ow < 2) {
+			t.Skip("conv plane pools to nothing")
+		}
+		qc.Pool = pool
 		in := NewQTensor(s.inC, s.h, s.w, inP)
 		for i := range in.Data {
 			in.Data[i] = int8(next())
 		}
 		if !eqInt8(forwardPoisoned(qc, in), refQConv(qc, in)) {
-			t.Fatalf("shape %+v zero %d: output != reference", s, zero)
+			t.Fatalf("shape %+v zero %d pool %v: output != reference", s, zero, pool)
 		}
 	})
 }
@@ -245,7 +300,7 @@ func TestQFCSWARParity(t *testing.T) {
 			for i, v := range in.Data {
 				acc += int32(w[o*shape.in+i]) * int32(v)
 			}
-			want[o] = qf.rq.apply(acc)
+			want[o] = refRequant(qf.rq, acc)
 		}
 		out := NewQTensor(shape.out, 1, 1, qf.OutP)
 		qf.ForwardInto(in, out)

@@ -30,9 +30,13 @@ type QConv2D struct {
 	Weights   []int8  // [outC][inC][K][K], symmetric per-tensor
 	Bias      []int32 // accumulator domain (inScale × weightScale)
 	InP, OutP QuantParams
-	rq        requant
-	zeroIn    int32
-	gemm      gemmState
+	// Pool fuses a following 2×2 stride-2 max pool: the layer writes the
+	// pooled plane and the full-resolution activation never exists.
+	// QuantizeNetwork sets it when it folds a MaxPool2 into the conv.
+	Pool   bool
+	rq     requant
+	zeroIn int32
+	gemm   gemmState
 }
 
 // NewQConv2D quantizes a float convolution for the given input/output
@@ -61,6 +65,9 @@ func (c *QConv2D) Name() string { return fmt.Sprintf("qconv%dx%d/%d->%d", c.K, c
 func (c *QConv2D) OutShape(_, h, w int) (int, int, int) {
 	oh := (h+2*c.Pad-c.K)/c.Stride + 1
 	ow := (w+2*c.Pad-c.K)/c.Stride + 1
+	if c.Pool {
+		return c.OutC, oh / 2, ow / 2
+	}
 	return c.OutC, oh, ow
 }
 
@@ -92,59 +99,7 @@ func (c *QConv2D) ForwardInto(in, out *QTensor) {
 	if out.C != oc || out.H != oh || out.W != ow {
 		panic(fmt.Sprintf("nn: qconv output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, oc, oh, ow))
 	}
-	c.forwardGEMM(in, out, oh, ow)
-}
-
-// QMaxPool2 is the 2×2 stride-2 max pool over int8 codes. Quantization is
-// monotonic, so pooling codes equals pooling real values; parameters pass
-// through unchanged and the kernel is exact.
-type QMaxPool2 struct {
-	P QuantParams
-}
-
-// Name implements QLayer.
-func (QMaxPool2) Name() string { return "qmaxpool2" }
-
-// OutShape implements QLayer.
-func (QMaxPool2) OutShape(c, h, w int) (int, int, int) { return c, h / 2, w / 2 }
-
-// OutParams implements QLayer.
-func (p QMaxPool2) OutParams() QuantParams { return p.P }
-
-// ForwardInto implements QLayer.
-//
-//sov:hotpath
-func (p QMaxPool2) ForwardInto(in, out *QTensor) {
-	if out.C != in.C || out.H != in.H/2 || out.W != in.W/2 {
-		panic(fmt.Sprintf("nn: qpool output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, in.C, in.H/2, in.W/2))
-	}
-	for c := 0; c < in.C; c++ {
-		qpoolChannel(in, out, c)
-	}
-}
-
-// qpoolChannel max-pools one channel of int8 codes.
-//
-//sov:hotpath
-func qpoolChannel(in, out *QTensor, c int) {
-	for y := 0; y < out.H; y++ {
-		top := in.Data[(c*in.H+2*y)*in.W : (c*in.H+2*y+1)*in.W]
-		bot := in.Data[(c*in.H+2*y+1)*in.W : (c*in.H+2*y+2)*in.W]
-		outRow := out.Data[(c*out.H+y)*out.W : (c*out.H+y+1)*out.W]
-		for x := 0; x < out.W; x++ {
-			m := top[2*x]
-			if v := top[2*x+1]; v > m {
-				m = v
-			}
-			if v := bot[2*x]; v > m {
-				m = v
-			}
-			if v := bot[2*x+1]; v > m {
-				m = v
-			}
-			outRow[x] = m
-		}
-	}
+	c.forwardGEMM(in, out)
 }
 
 // QGlobalAvgPool averages each channel in the integer domain (rounded
@@ -360,7 +315,8 @@ func (n *QNetwork) OutParams() QuantParams {
 // calib is a representative input: each activation's quantization is fitted
 // to its observed range on the calibration pass (weights quantize
 // symmetrically per tensor; biases land in the int32 accumulator domain).
-// The float network is left untouched.
+// A MaxPool2 folds into the Conv2D before it (QConv2D.Pool); one anywhere
+// else panics. The float network is left untouched.
 func QuantizeNetwork(net *Network, calib *Tensor) *QNetwork {
 	qn := &QNetwork{}
 	lo, hi := tensorRange(calib)
@@ -381,7 +337,16 @@ func QuantizeNetwork(net *Network, calib *Tensor) *QNetwork {
 			qn.Layers = append(qn.Layers, NewQFC(t, cur, op))
 			cur = op
 		case MaxPool2:
-			qn.Layers = append(qn.Layers, QMaxPool2{P: cur})
+			// Pooling codes equals pooling real values (quantization is
+			// monotonic), so the pool folds exactly into the conv before it.
+			var qc *QConv2D
+			if n := len(qn.Layers); n > 0 {
+				qc, _ = qn.Layers[n-1].(*QConv2D)
+			}
+			if qc == nil || qc.Pool {
+				panic("nn: a max pool quantizes only folded into the convolution before it")
+			}
+			qc.Pool = true
 		case GlobalAvgPool:
 			qn.Layers = append(qn.Layers, QGlobalAvgPool{P: cur})
 		default:

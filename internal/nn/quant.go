@@ -145,17 +145,16 @@ func newRequant(m float64, zero int32, relu bool) requant {
 	return requant{mult: int32(q), shift: uint(s), zero: zero, relu: relu}
 }
 
-// apply rescales one accumulator to an int8 output code.
+// apply rescales one accumulator to an int8 output code. The rounding is
+// half away from zero, sign-symmetric: adding p>>63 (−1 for a negative
+// product, 0 otherwise) before the arithmetic shift turns floor((p+half)/2^s)
+// into −floor((−p+half)/2^s) for p < 0, so one branch-free expression covers
+// both signs and the method stays under the inliner's budget (DESIGN.md §10).
 //
 //sov:hotpath
 func (r requant) apply(acc int32) int8 {
 	p := int64(acc) * int64(r.mult)
-	half := int64(1) << (r.shift - 1)
-	if p >= 0 {
-		p = (p + half) >> r.shift
-	} else {
-		p = -((-p + half) >> r.shift) // round half away from zero, sign-symmetric
-	}
+	p = (p + int64(1)<<(r.shift-1) + p>>63) >> r.shift
 	q := int32(p) + r.zero
 	if r.relu && q < r.zero {
 		q = r.zero

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sov/internal/parallel"
@@ -74,6 +75,63 @@ func TestRequantMatchesFloatScaling(t *testing.T) {
 			// boundaries; anything further is a logic error.
 			if d := got - want; d < -1 || d > 1 {
 				t.Fatalf("requant(%d)×%g = %d, want %d", acc, m, got, want)
+			}
+		}
+	}
+}
+
+// refRequant is requantization written the way it first shipped, one
+// rounding branch per sign: the oracle requant.apply's branch-free formula
+// is held to exactly, and the reference the conv and FC parity tests build
+// their expected bytes with.
+func refRequant(r requant, acc int32) int8 {
+	p := int64(acc) * int64(r.mult)
+	half := int64(1) << (r.shift - 1)
+	if p >= 0 {
+		p = (p + half) >> r.shift
+	} else {
+		p = -((-p + half) >> r.shift) // round half away from zero, sign-symmetric
+	}
+	q := int32(p) + r.zero
+	if r.relu && q < r.zero {
+		q = r.zero
+	}
+	return satInt8(q)
+}
+
+// TestRequantMatchesReference holds apply to refRequant code for code on
+// every shift × relu × zero point, over the accumulators where rounding
+// and saturation turn (0, ±1, each side of ±half and of ±3·half with a unit
+// multiplier, the int32 extremes) and a seeded random sweep.
+func TestRequantMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	mults := []int32{1, 3, 1 << 30, 1<<30 + 1, 0x5555_5555, math.MaxInt32}
+	for shift := uint(1); shift <= 62; shift++ {
+		half := int64(1) << (shift - 1)
+		var accs []int32
+		for _, v := range []int64{0, 1, half, 3 * half, math.MaxInt32} {
+			for _, d := range []int64{-1, 0, 1} {
+				for _, sign := range []int64{1, -1} {
+					if a := sign * (v + d); a >= math.MinInt32 && a <= math.MaxInt32 {
+						accs = append(accs, int32(a))
+					}
+				}
+			}
+		}
+		accs = append(accs, math.MinInt32)
+		for i := 0; i < 64; i++ {
+			accs = append(accs, int32(rng.Uint32()))
+		}
+		for _, mult := range mults {
+			for _, relu := range []bool{false, true} {
+				for _, zero := range []int32{-128, -1, 0, 3, 127} {
+					r := requant{mult: mult, shift: shift, zero: zero, relu: relu}
+					for _, acc := range accs {
+						if got, want := r.apply(acc), refRequant(r, acc); got != want {
+							t.Fatalf("%+v apply(%d) = %d, reference %d", r, acc, got, want)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -157,6 +215,31 @@ func TestQuantizedNetworkTracksFloat(t *testing.T) {
 		if d := math.Abs(float64(outP.Dequantize(qout.Data[i]) - ref.Data[i])); d > budget {
 			t.Errorf("logit[%d]: |q - float| = %g exceeds budget %g", i, d, budget)
 		}
+	}
+}
+
+// TestQuantizeNetworkFoldsPools checks each max pool lands in the conv
+// before it, and that a pool with no unpooled conv to fold into panics
+// instead of being dropped.
+func TestQuantizeNetworkFoldsPools(t *testing.T) {
+	cl := NewClassifier(32, 32, 4, 42)
+	qn := QuantizeNetwork(cl.Net, calibInput(1, 32, 32, 3))
+	if len(qn.Layers) != 4 || !qn.Layers[0].(*QConv2D).Pool || !qn.Layers[1].(*QConv2D).Pool {
+		t.Fatalf("conv/pool/conv/pool/gap/fc quantized to %d layers, want two pooled convs, gap, fc", len(qn.Layers))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for name, layers := range map[string][]Layer{
+		"leading pool": {MaxPool2{}, NewConv2D(1, 2, 3, 1, 1, true, rng)},
+		"two pools":    {NewConv2D(1, 2, 3, 1, 1, true, rng), MaxPool2{}, MaxPool2{}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "max pool") {
+					t.Fatalf("panic %q, want one about the max pool", msg)
+				}
+			}()
+			QuantizeNetwork(&Network{Layers: layers}, calibInput(1, 16, 16, 5))
+		})
 	}
 }
 

@@ -47,7 +47,7 @@ func (n *QNetwork) ShareClone() *QNetwork {
 			out.Layers[i] = t.ShareClone()
 		case *QFC:
 			out.Layers[i] = t.ShareClone()
-		case QMaxPool2, QGlobalAvgPool:
+		case QGlobalAvgPool:
 			out.Layers[i] = l
 		default:
 			panic(fmt.Sprintf("nn: cannot share-clone layer %s", l.Name()))

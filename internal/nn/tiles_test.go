@@ -25,12 +25,13 @@ const (
 var llc = cachesim.Config{SizeBytes: 96 * 1024, LineBytes: 64, Ways: 12}
 
 // replayGEMMStream drives one full forwardGEMM's worth of accesses with
-// column block width nc through the cache model. The gather addresses come
-// from a real layer's tap table, in packAGroup's order. Regions are spaced
+// column block width nc through the cache model, for the plain layer or
+// with a fused 2×2 max pool. The gather addresses come from a real layer's
+// tap table and column corners, in packAGroup's order. Regions are spaced
 // so they never alias: pbuf (padded biased input bytes), the tap table,
 // abuf (the reused A-panel scratch), the packed B panels, and the int8
 // output plane.
-func replayGEMMStream(c *cachesim.Cache, nc int) {
+func replayGEMMStream(c *cachesim.Cache, nc int, pool bool) {
 	const (
 		pbase int64 = 0
 		tbase int64 = 1 << 19
@@ -42,12 +43,19 @@ func replayGEMMStream(c *cachesim.Cache, nc int) {
 		InC: tileInC, OutC: tileOutC, K: tileK, Stride: 1, Pad: tilePad,
 		Weights: make([]float32, tileOutC*tileInC*tileK*tileK), Bias: make([]float32, tileOutC),
 	}, QuantParams{Scale: 1}, QuantParams{Scale: 1})
+	qc.Pool = pool
 	qc.reshape(tileInH, tileInW)
 	taps := qc.gemm.taps
 	np := qc.gemm.np
 	pw := tileInW + 2*tilePad
-	oh, ow := tileInH, tileInW // stride 1, pad 1
-	p := oh * ow
+	_, oh, ow := qc.OutShape(tileInC, tileInH, tileInW)
+	out := &QTensor{H: oh, W: ow}
+	p := qc.gemmCols(out)
+	// Output bytes per GEMM column: a pooled group of four writes one.
+	perCol := 1
+	if pool {
+		perCol = 4
+	}
 	panelBytes := int64(np * 4 * 8)
 	for colBase := 0; colBase < p; colBase += nc {
 		cols := nc
@@ -62,7 +70,7 @@ func replayGEMMStream(c *cachesim.Cache, nc int) {
 				c.Access(tbase+int64(4*k), 4)
 				for ci := 0; ci < 4; ci++ {
 					col := min(colBase+g*4+ci, p-1)
-					c.Access(pbase+int64(col/ow*pw+col%ow)+int64(off), 1)
+					c.Access(pbase+int64(qc.corner(col, ow, pw))+int64(off), 1)
 				}
 			}
 			c.Access(abase+int64(g)*panelBytes, panelBytes) // pack writes
@@ -79,7 +87,7 @@ func replayGEMMStream(c *cachesim.Cache, nc int) {
 				if o >= tileOutC {
 					break
 				}
-				c.Access(obase+int64(o*p+colBase), int64(cols))
+				c.Access(obase+int64((o*p+colBase)/perCol), int64((cols+perCol-1)/perCol))
 			}
 		}
 	}
@@ -87,29 +95,32 @@ func replayGEMMStream(c *cachesim.Cache, nc int) {
 
 // TestGEMMColBlockAtSweepOptimum sweeps the column block width and requires
 // the shipped gemmColBlock to sit within 10% of the best measured miss
-// rate. The sweep shape is the capacity cliff: blocks past ~128 columns
-// outgrow the model cache (72 KB of A panel + 18 KB of B), while narrow
-// blocks re-stream the B panels once per block.
+// rate, in the plain gather order and in the pooled one (each four-column
+// group one 2×2 window). The sweep shape is the capacity cliff: blocks past
+// ~128 columns outgrow the model cache (72 KB of A panel + 18 KB of B),
+// while narrow blocks re-stream the B panels once per block.
 func TestGEMMColBlockAtSweepOptimum(t *testing.T) {
 	candidates := []int{32, 64, 128, 256, 512}
-	rates := make(map[int]float64, len(candidates))
-	best := 1.0
-	for _, nc := range candidates {
-		c := cachesim.New(llc)
-		replayGEMMStream(c, nc)
-		r := c.Stats().MissRate()
-		rates[nc] = r
-		if r < best {
-			best = r
+	for _, pool := range []bool{false, true} {
+		rates := make(map[int]float64, len(candidates))
+		best := 1.0
+		for _, nc := range candidates {
+			c := cachesim.New(llc)
+			replayGEMMStream(c, nc, pool)
+			r := c.Stats().MissRate()
+			rates[nc] = r
+			if r < best {
+				best = r
+			}
+			t.Logf("pool %v column block %3d: miss rate %.5f", pool, nc, r)
 		}
-		t.Logf("column block %3d: miss rate %.5f", nc, r)
-	}
-	shipped, ok := rates[gemmColBlock]
-	if !ok {
-		t.Fatalf("shipped gemmColBlock %d not in sweep candidates %v", gemmColBlock, candidates)
-	}
-	if shipped > best*1.10 {
-		t.Fatalf("shipped gemmColBlock %d misses at %.5f, > 10%% above sweep optimum %.5f",
-			gemmColBlock, shipped, best)
+		shipped, ok := rates[gemmColBlock]
+		if !ok {
+			t.Fatalf("shipped gemmColBlock %d not in sweep candidates %v", gemmColBlock, candidates)
+		}
+		if shipped > best*1.10 {
+			t.Fatalf("pool %v: shipped gemmColBlock %d misses at %.5f, > 10%% above sweep optimum %.5f",
+				pool, gemmColBlock, shipped, best)
+		}
 	}
 }

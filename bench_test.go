@@ -94,7 +94,7 @@ func BenchmarkTable2CostBreakdown(b *testing.B) {
 			models.DefaultCameraVehicleCost().SensorTotalUSD()
 	}
 	b.ReportMetric(ratio, "lidar_vs_camera_sensor_x")
-	b.ReportMetric(models.DefaultTCO().CostPerTripUSD(), "usd_per_trip")
+	b.ReportMetric(models.CostPerTripUSD(), "usd_per_trip")
 }
 
 // --- Fig. 4a: irregular point reuse ------------------------------------------
@@ -196,7 +196,7 @@ func BenchmarkFig8MappingStrategies(b *testing.B) {
 // --- Fig. 9: RPR engine -------------------------------------------------------
 
 func BenchmarkFig9RPREngine(b *testing.B) {
-	eng := rpr.NewEngine(rpr.DefaultEngineConfig())
+	eng := new(rpr.Engine)
 	var r rpr.Result
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -258,7 +258,6 @@ func BenchmarkFig11aDepthVsSync(b *testing.B) {
 // --- Fig. 11b: localization vs camera-IMU sync error ---------------------------
 
 func BenchmarkFig11bLocalizationVsSync(b *testing.B) {
-	cfg := vio.DefaultConfig()
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
@@ -267,9 +266,9 @@ func BenchmarkFig11bLocalizationVsSync(b *testing.B) {
 	var synced, off40 vio.RunResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		synced = vio.RunTrajectory(cfg, imuCfg, traj, w,
+		synced = vio.RunTrajectory(imuCfg, traj, w,
 			vio.RunOptions{Duration: 40 * time.Second}, sim.NewRNG(9))
-		off40 = vio.RunTrajectory(cfg, imuCfg, traj, w,
+		off40 = vio.RunTrajectory(imuCfg, traj, w,
 			vio.RunOptions{Duration: 40 * time.Second, CameraTimestampOffset: 40 * time.Millisecond}, sim.NewRNG(9))
 	}
 	b.ReportMetric(synced.Errors.Mean(), "err_m_synced")

@@ -1,8 +1,9 @@
 // Command sovmodel answers design-constraint questions from the Sec. III
 // analytical models: latency budgets, driving-time impact, cost, and the
-// thermal envelope. A non-physical flag (a non-positive speed or
-// deceleration, a negative power) is an error: it exits 2 like a malformed
-// one.
+// thermal envelope. A non-physical flag (a non-positive speed,
+// deceleration or operating day, a negative distance or power, an ambient
+// below absolute zero) or an unknown subcommand is an error: it exits 2
+// like a malformed flag.
 //
 // Usage:
 //
@@ -27,7 +28,6 @@ func main() {
 	args := flag.Args()
 	if len(args) < 1 {
 		usage()
-		return
 	}
 	switch args[0] {
 	case "latency":
@@ -41,6 +41,9 @@ func main() {
 		m.BrakeDecel = *decel
 		if err := m.Validate(); err != nil {
 			fail(err)
+		}
+		if !(*distance >= 0) {
+			fail(errors.New("-distance must not be negative"))
 		}
 		budget := m.ComputingBudget(*distance)
 		fmt.Printf("braking distance: %.2f m\n", m.BrakingDistance())
@@ -60,6 +63,9 @@ func main() {
 		if *pad < 0 || *extra < 0 {
 			fail(errors.New("-pad and -extra must not be negative"))
 		}
+		if !(*day > 0 && *day <= 24) {
+			fail(errors.New("-day must be in (0, 24] hours"))
+		}
 		total := *pad + *extra/1000
 		fmt.Printf("driving time at PAD=%.3f kW: %.2f h (reduced by %.2f h)\n",
 			total, models.DrivingTimeHours(total), models.ReducedDrivingTimeHours(total))
@@ -69,8 +75,7 @@ func main() {
 		}
 	case "cost":
 		fmt.Print(models.DefaultCameraVehicleCost().Render())
-		tco := models.DefaultTCO()
-		fmt.Printf("TCO: $%.0f/year, $%.2f per trip\n", tco.AnnualUSD(), tco.CostPerTripUSD())
+		fmt.Printf("TCO: $%.0f/year, $%.2f per trip\n", models.AnnualUSD(), models.CostPerTripUSD())
 	case "thermal":
 		fs := flag.NewFlagSet("thermal", flag.ExitOnError)
 		load := fs.Float64("load", models.PowerBudgetW(), "compute load in watts")
@@ -78,6 +83,9 @@ func main() {
 		_ = fs.Parse(args[1:])
 		if *load < 0 {
 			fail(errors.New("-load must not be negative"))
+		}
+		if !(*ambient >= absoluteZeroC) {
+			fail(errors.New("-ambient must not be below absolute zero (-273.15 C)"))
 		}
 		fmt.Printf("steady temperature at %.0f W, %.0f C ambient: %.1f C (ceiling %.0f C)\n",
 			*load, *ambient, models.SteadyTempC(*load, *ambient), models.MaxComponentTempC)
@@ -91,6 +99,9 @@ func main() {
 	}
 }
 
+// absoluteZeroC is the coldest physical ambient.
+const absoluteZeroC = -273.15
+
 // fail reports a non-physical flag value and exits with flag's usage-error
 // status.
 func fail(err error) {
@@ -98,6 +109,8 @@ func fail(err error) {
 	os.Exit(2)
 }
 
+// usage reports a missing or unknown subcommand and exits 2.
 func usage() {
-	fmt.Println("usage: sovmodel {latency|energy|cost|thermal} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: sovmodel {latency|energy|cost|thermal} [flags]")
+	os.Exit(2)
 }

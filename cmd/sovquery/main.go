@@ -48,6 +48,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *from < 0 || *to < 0 || *to != 0 && *to < *from {
+		fmt.Fprintf(os.Stderr, "sovquery: bad window -from %v -to %v (want 0 <= from <= to, or -to 0 for no end)\n", *from, *to)
+		os.Exit(2)
+	}
+
 	var q telemetry.Query
 	if *vehicles != "" {
 		lo, hi, err := parseRange(*vehicles)
@@ -70,6 +75,11 @@ func main() {
 			os.Exit(2)
 		}
 		q.Kinds = append(q.Kinds, k)
+	}
+
+	if !telemetry.Exists(*dir) {
+		fmt.Fprintf(os.Stderr, "sovquery: no telemetry store in %s (no MANIFEST or wal.log)\n", *dir)
+		os.Exit(1)
 	}
 
 	// Open read-only-ish: NoCompact so a query never rewrites the store.

@@ -204,7 +204,7 @@ func TestEveryMetricMoves(t *testing.T) {
 // (want "same": a flag whose contract is to change only host time), exit 2
 // with a one-line message and no file written (want "exit 2": a
 // non-physical value), or exit 1 (want "exit 1": an artifact it was asked
-// for could not be written).
+// for could not be written, or a store it was asked to read is missing).
 type flagCase struct {
 	flag       string // "cli -name"
 	base, with []string
@@ -213,7 +213,8 @@ type flagCase struct {
 
 // flagCases covers every flag of every CLI. Relative paths land in a fresh
 // working directory per run; {store}, {trace}, {spans} and {box} name the
-// inputs the test prepares.
+// inputs the test prepares; {missing} names a directory that must stay
+// absent.
 var flagCases = []flagCase{
 	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "6s"}, "differs"},
 	{"sovsim -seed", []string{"-duration", "5s"}, []string{"-duration", "5s", "-seed", "2"}, "differs"},
@@ -269,9 +270,13 @@ var flagCases = []flagCase{
 	{"sovfleet -cloud", fleetBase, append(fleetArgs(), "-cloud", "store"), "differs"},
 
 	{"sovquery -dir", []string{}, []string{"-dir", "{store}"}, "differs"},
+	{"sovquery -dir", []string{}, []string{"-dir", "{missing}"}, "exit 1"},
 	{"sovquery -vehicles", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-vehicles", "0-3"}, "differs"},
 	{"sovquery -from", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-from", "2s"}, "differs"},
+	{"sovquery -from", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-from", "-1s"}, "exit 2"},
 	{"sovquery -to", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-to", "1s"}, "differs"},
+	{"sovquery -to", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-to", "-1s"}, "exit 2"},
+	{"sovquery -to", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-from", "5m", "-to", "1m"}, "exit 2"},
 	{"sovquery -kinds", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-kinds", "epoch"}, "differs"},
 	{"sovquery -count", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-count"}, "differs"},
 	{"sovquery -stats", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-stats"}, "differs"},
@@ -282,6 +287,7 @@ var flagCases = []flagCase{
 	{"sovlint -list", []string{"cmd/sovtrace"}, []string{"-list", "cmd/sovtrace"}, "differs"},
 
 	{"sovmodel -distance", []string{"latency"}, []string{"latency", "-distance", "8"}, "differs"},
+	{"sovmodel -distance", []string{"latency"}, []string{"latency", "-distance", "-5"}, "exit 2"},
 	{"sovmodel -speed", []string{"latency"}, []string{"latency", "-speed", "4"}, "differs"},
 	{"sovmodel -speed", []string{"latency"}, []string{"latency", "-speed", "-3"}, "exit 2"},
 	{"sovmodel -decel", []string{"latency"}, []string{"latency", "-decel", "3"}, "differs"},
@@ -291,9 +297,12 @@ var flagCases = []flagCase{
 	{"sovmodel -extra", []string{"energy"}, []string{"energy", "-extra", "31"}, "differs"},
 	{"sovmodel -extra", []string{"energy"}, []string{"energy", "-extra", "-5"}, "exit 2"},
 	{"sovmodel -day", []string{"energy", "-extra", "31"}, []string{"energy", "-extra", "31", "-day", "12"}, "differs"},
+	{"sovmodel -day", []string{"energy", "-extra", "31"}, []string{"energy", "-extra", "31", "-day", "0"}, "exit 2"},
+	{"sovmodel -day", []string{"energy", "-extra", "31"}, []string{"energy", "-extra", "31", "-day", "-5"}, "exit 2"},
 	{"sovmodel -load", []string{"thermal"}, []string{"thermal", "-load", "300"}, "differs"},
 	{"sovmodel -load", []string{"thermal"}, []string{"thermal", "-load", "-50"}, "exit 2"},
 	{"sovmodel -ambient", []string{"thermal"}, []string{"thermal", "-ambient", "25"}, "differs"},
+	{"sovmodel -ambient", []string{"thermal"}, []string{"thermal", "-ambient", "-400"}, "exit 2"},
 }
 
 // fleetBase is a small fleet with a trace, so per-epoch state is visible.
@@ -383,10 +392,11 @@ func TestEveryFlagChangesAnOutput(t *testing.T) {
 	// flight-recorder archive.
 	in := t.TempDir()
 	inputs := map[string]string{
-		"{store}": filepath.Join(in, "store"),
-		"{trace}": filepath.Join(in, "t.jsonl"),
-		"{spans}": filepath.Join(in, "s.json"),
-		"{box}":   filepath.Join(in, "b.jsonl"),
+		"{store}":   filepath.Join(in, "store"),
+		"{trace}":   filepath.Join(in, "t.jsonl"),
+		"{spans}":   filepath.Join(in, "s.json"),
+		"{box}":     filepath.Join(in, "b.jsonl"),
+		"{missing}": filepath.Join(in, "missing"),
 	}
 	for _, args := range [][]string{
 		{"sovfleet", "-vehicles", "20", "-regions", "2", "-duration", "3s", "-cloud", inputs["{store}"]},
@@ -450,11 +460,17 @@ func TestEveryFlagChangesAnOutput(t *testing.T) {
 		case c.want == "exit 2" && (code != 2 || strings.Count(with, "\n") != 1):
 			t.Errorf("%s: %v exits %d, want 2 and one line on a non-physical value:\n%s", c.flag, c.with, code, with)
 		case c.want == "exit 1" && code != 1:
-			t.Errorf("%s: %v exits %d, want 1 when an artifact cannot be written", c.flag, c.with, code)
+			t.Errorf("%s: %v exits %d, want 1 when an artifact cannot be written or read", c.flag, c.with, code)
 		case c.want == "same" && (with != base || code != baseCode):
 			t.Errorf("%s: %v changes the output of %v; it may change only host time", c.flag, c.with, c.base)
 		case c.want == "differs" && with == base && code == baseCode:
 			t.Errorf("%s: %v prints and writes exactly what %v does; the flag changes nothing", c.flag, c.with, c.base)
 		}
+	}
+	if _, err := os.Stat(inputs["{missing}"]); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("sovquery -dir %s created a store where there was none", inputs["{missing}"])
+	}
+	if out, code := run("sovmodel", []string{"nonesuch"}); code != 2 || strings.Count(out, "\n") != 1 {
+		t.Errorf("sovmodel nonesuch exits %d, want 2 and one line on an unknown subcommand:\n%s", code, out)
 	}
 }

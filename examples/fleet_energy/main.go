@@ -39,7 +39,6 @@ func main() {
 	fmt.Printf("LiDAR-based sensors : $%.0f (retail >$%.0f)\n", lidar.SensorTotalUSD(), lidar.RetailPriceUSD)
 	fmt.Printf("sensor cost ratio   : %.0fx\n", lidar.SensorTotalUSD()/cam.SensorTotalUSD())
 
-	tco := sov.DefaultTCO()
 	fmt.Printf("\n== TCO (tourist-site profile) ==\nannual: $%.0f -> break-even $%.2f per trip (site charges $1)\n",
-		tco.AnnualUSD(), tco.CostPerTripUSD())
+		sov.AnnualUSD(), sov.CostPerTripUSD())
 }

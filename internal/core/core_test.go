@@ -243,23 +243,6 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
-func TestRadarDropoutTriggersKCFFallback(t *testing.T) {
-	// Failure injection: unstable radar forces the KCF fallback, raising
-	// the tracking-stage latency on affected cycles (Sec. VI-B).
-	stable := cruiseReport(t, nil)
-	cfg := DefaultConfig()
-	w := CruiseScenario(3)
-	s := New(cfg, w)
-	for _, u := range s.radarRig.Units {
-		u.Config.DropoutProb = 0.5
-	}
-	flaky := s.Run(120 * time.Second)
-	if flaky.Tracking.Mean() < 3*stable.Tracking.Mean() {
-		t.Fatalf("dropouts should inflate tracking: stable %.2f vs flaky %.2f ms",
-			stable.Tracking.Mean(), flaky.Tracking.Mean())
-	}
-}
-
 func TestLaneKeepingTightWhenSynchronized(t *testing.T) {
 	rep := cruiseReport(t, nil)
 	if rep.LateralRMSM > 0.4 {

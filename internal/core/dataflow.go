@@ -99,10 +99,6 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 		// Dynamic traffic extracts fresh features nearly every frame.
 		keyframe = true
 	}
-	radarStable := true
-	if p := s.radarRig.Units[0].Config.DropoutProb; p > 0 {
-		radarStable = !s.rng.Bernoulli(p)
-	}
 
 	// The online scheduler runs at capture, in cycle order: its inputs
 	// (battery SoC, keyframe schedule, the EWMAs fed by prior draws) are all
@@ -117,12 +113,12 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 		fr.schedRemap, fr.schedOpSwitch = ev.Remapped, ev.OpSwitched
 	}
 
-	fr.d = s.lat.draw(fr.complexity, keyframe, radarStable, tr)
+	fr.d = s.lat.draw(fr.complexity, keyframe, tr)
 	if s.sched != nil {
 		// Feed the drawn latencies back before the RPR swap charge, so the
 		// EWMAs track task compute, not front-end reconfiguration.
 		s.sched.Observe(fr.d.Depth, fr.d.Detection, fr.d.Tracking, fr.d.Localization,
-			!(s.cfg.RadarTracking && radarStable))
+			!s.cfg.RadarTracking)
 	}
 	// RPR swap cost folds into localization when the front-end variant
 	// changes (Sec. V-B3: < 3 ms). The scheduler may hold the extract

@@ -53,7 +53,7 @@ const (
 // the operating point and the contention factors fold into its mapping
 // ratios), and at the deployed GPU/FPGA float point every multiplier is
 // exactly 1.0 — the draw is bit-identical to the scheduler-off path.
-func (m *latencyModel) draw(complexity float64, keyframe, radarStable bool, tr *sched.Transform) latencyDraw {
+func (m *latencyModel) draw(complexity float64, keyframe bool, tr *sched.Transform) latencyDraw {
 	var d latencyDraw
 
 	// Sensing: exposure + readout + ISP/kernel/app pipeline.
@@ -101,8 +101,7 @@ func (m *latencyModel) draw(complexity float64, keyframe, radarStable bool, tr *
 		d.Detection *= time.Duration(m.cfg.Cameras)
 	}
 
-	kcf := !(m.cfg.RadarTracking && radarStable)
-	if !kcf {
+	if m.cfg.RadarTracking {
 		// Spatial synchronization on the CPU: ~1 ms (Sec. VI-B).
 		d.Tracking = time.Duration(m.rng.TruncNormal(1e6, 0.2e6, 0.5e6, 2e6))
 	} else {

@@ -99,8 +99,7 @@ func Table2Cost() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table II — our (camera-based) vehicle\n%s\n", models.DefaultCameraVehicleCost().Render())
 	fmt.Fprintf(&sb, "LiDAR-based vehicle (e.g. Waymo-class)\n%s", models.DefaultLiDARVehicleCost().Render())
-	tco := models.DefaultTCO()
-	fmt.Fprintf(&sb, "TCO sketch: $%.0f/year -> $%.2f per trip\n", tco.AnnualUSD(), tco.CostPerTripUSD())
+	fmt.Fprintf(&sb, "TCO sketch: $%.0f/year -> $%.2f per trip\n", models.AnnualUSD(), models.CostPerTripUSD())
 	return sb.String()
 }
 
@@ -281,7 +280,7 @@ func Fig8Mappings() string {
 // Fig9RPR compares the reconfiguration engine with the CPU-driven path
 // (Fig. 9 / Sec. V-B3).
 func Fig9RPR() string {
-	eng := rpr.NewEngine(rpr.DefaultEngineConfig())
+	eng := new(rpr.Engine)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 — runtime partial reconfiguration\n")
 	for _, bs := range []rpr.Bitstream{rpr.BitstreamFeatureExtract, rpr.BitstreamFeatureTrack} {
@@ -293,7 +292,7 @@ func Fig9RPR() string {
 	}
 	res := rpr.EngineResources()
 	fmt.Fprintf(&b, "  engine footprint: %d LUTs, %d FFs; FIFO %d B\n",
-		res.LUTs, res.FFs, rpr.DefaultEngineConfig().FIFOBytes)
+		res.LUTs, res.FFs, rpr.FIFOBytes)
 	return b.String()
 }
 
@@ -326,7 +325,6 @@ func Fig11aDepthSync() string {
 // Fig11bLocalizationSync runs the VIO loop with 0/20/40 ms camera–IMU
 // offsets (Fig. 11b).
 func Fig11bLocalizationSync() string {
-	cfg := vio.DefaultConfig()
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
@@ -339,7 +337,7 @@ func Fig11bLocalizationSync() string {
 		var mean, p90, max float64
 		const seeds = 4
 		for s := int64(0); s < seeds; s++ {
-			res := vio.RunTrajectory(cfg, imuCfg, traj, w, vio.RunOptions{
+			res := vio.RunTrajectory(imuCfg, traj, w, vio.RunOptions{
 				Duration:              60 * time.Second,
 				CameraTimestampOffset: time.Duration(ms) * time.Millisecond,
 			}, sim.NewRNG(9+s))
@@ -387,7 +385,6 @@ func ReactivePathStudy(base core.Config) string {
 // FusionStudy reports the Sec. VI-B numbers: GPS-VIO drift correction and
 // radar-vs-KCF tracking cost, via the core simulation's tracking latencies.
 func FusionStudy() string {
-	cfg := vio.DefaultConfig()
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
@@ -397,8 +394,8 @@ func FusionStudy() string {
 	traj := func(tt time.Duration) (world.Pose, mathx.Vec3) {
 		return world.Pose{Pos: mathx.Vec2{X: speed * tt.Seconds()}}, mathx.Vec3{}
 	}
-	bare := vio.RunTrajectory(cfg, imuCfg, traj, w, vio.RunOptions{Duration: 120 * time.Second}, sim.NewRNG(7))
-	fused := vio.RunTrajectory(cfg, imuCfg, traj, w, vio.RunOptions{Duration: 120 * time.Second, GPS: gps}, sim.NewRNG(7))
+	bare := vio.RunTrajectory(imuCfg, traj, w, vio.RunOptions{Duration: 120 * time.Second}, sim.NewRNG(7))
+	fused := vio.RunTrajectory(imuCfg, traj, w, vio.RunOptions{Duration: 120 * time.Second, GPS: gps}, sim.NewRNG(7))
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sec. VI-B — augmenting computing with sensors\n")
 	fmt.Fprintf(&b, "  VIO only   : mean %.2f m  p90 %.2f m  final %.2f m over %0.f m\n",
@@ -433,7 +430,7 @@ func Extensions() string {
 	fmt.Fprintf(&b, "— thermal: %0.f W at +40C ambient -> %.0f C internal (ceiling %.0f C, headroom %.0f W)\n",
 		pad, models.SteadyTempC(pad, 40), models.MaxComponentTempC, models.HeadroomW(pad, 40))
 
-	swap := rpr.NewEngine(rpr.DefaultEngineConfig()).Transfer(rpr.BitstreamFeatureExtract.Bytes)
+	swap := new(rpr.Engine).Transfer(rpr.BitstreamFeatureExtract.Bytes)
 	fmt.Fprintf(&b, "— RPR hourly upload: %s\n",
 		cloud.HourlyUploadPlan(42<<30, swap.Duration))
 

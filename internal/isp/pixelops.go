@@ -12,74 +12,77 @@ import (
 // substrate's images. Benchmarked to show where sensing's compute actually
 // goes (the paper: the camera pipeline dominates sensing latency).
 
-// PixelPipelineConfig tunes the processing chain.
-type PixelPipelineConfig struct {
+// The deployed tuning of the processing chain.
+const (
 	// BlackLevel is subtracted from every pixel (sensor pedestal).
-	BlackLevel float32
+	BlackLevel float32 = 0.02
 	// DenoiseStrength in [0,1] blends the 3×3 box blur.
-	DenoiseStrength float32
+	DenoiseStrength float32 = 0.4
 	// Gamma applies v^(1/Gamma) tone mapping.
-	Gamma float32
+	Gamma float32 = 2.2
 	// SharpenAmount adds (v - blur(v)) * amount.
-	SharpenAmount float32
-}
-
-// DefaultPixelPipeline matches the deployed tuning.
-func DefaultPixelPipeline() PixelPipelineConfig {
-	return PixelPipelineConfig{BlackLevel: 0.02, DenoiseStrength: 0.4, Gamma: 2.2, SharpenAmount: 0.3}
-}
+	SharpenAmount float32 = 0.3
+)
 
 // ProcessInto runs the chain writing into out, using blur as blur scratch;
 // both must match in's dimensions and may hold stale frames on entry, so
 // recycled frame buffers make the chain allocation-free.
 //
 //sov:hotpath
-func (c PixelPipelineConfig) ProcessInto(out, blur *vision.Image, in *vision.Image) {
+func ProcessInto(out, blur *vision.Image, in *vision.Image) {
 	if out.W != in.W || out.H != in.H || blur.W != in.W || blur.H != in.H {
 		panic("isp: ProcessInto buffer dimensions do not match input")
 	}
 	copy(out.Pix, in.Pix)
-	// Black level.
-	if c.BlackLevel != 0 {
-		for i, v := range out.Pix {
-			v -= c.BlackLevel
-			if v < 0 {
-				v = 0
-			}
-			out.Pix[i] = v
+	subtractBlackLevel(out, BlackLevel)
+	denoise(out, blur, DenoiseStrength)
+	applyGamma(out, Gamma)
+	sharpen(out, blur, SharpenAmount)
+}
+
+// subtractBlackLevel subtracts the sensor pedestal level, clamping at 0.
+func subtractBlackLevel(out *vision.Image, level float32) {
+	for i, v := range out.Pix {
+		v -= level
+		if v < 0 {
+			v = 0
 		}
+		out.Pix[i] = v
 	}
-	// Denoise: blend with a 3x3 box blur.
-	if c.DenoiseStrength > 0 {
-		boxBlur3Into(blur, out)
-		a := c.DenoiseStrength
-		for i := range out.Pix {
-			out.Pix[i] = out.Pix[i]*(1-a) + blur.Pix[i]*a
-		}
+}
+
+// denoise blends out with its 3×3 box blur at weight a.
+func denoise(out, blur *vision.Image, a float32) {
+	boxBlur3Into(blur, out)
+	for i := range out.Pix {
+		out.Pix[i] = out.Pix[i]*(1-a) + blur.Pix[i]*a
 	}
-	// Gamma.
-	if c.Gamma > 0 && c.Gamma != 1 {
-		inv := 1 / float64(c.Gamma)
-		for i, v := range out.Pix {
-			if v < 0 {
-				v = 0
-			}
-			out.Pix[i] = float32(math.Pow(float64(v), inv))
+}
+
+// applyGamma tone-maps out by v^(1/gamma).
+func applyGamma(out *vision.Image, gamma float32) {
+	inv := 1 / float64(gamma)
+	for i, v := range out.Pix {
+		if v < 0 {
+			v = 0
 		}
+		out.Pix[i] = float32(math.Pow(float64(v), inv))
 	}
-	// Unsharp mask.
-	if c.SharpenAmount > 0 {
-		boxBlur3Into(blur, out)
-		for i := range out.Pix {
-			v := out.Pix[i] + (out.Pix[i]-blur.Pix[i])*c.SharpenAmount
-			if v < 0 {
-				v = 0
-			}
-			if v > 1 {
-				v = 1
-			}
-			out.Pix[i] = v
+}
+
+// sharpen applies the unsharp mask v + (v - blur(v))·amount, clamped to
+// [0,1].
+func sharpen(out, blur *vision.Image, amount float32) {
+	boxBlur3Into(blur, out)
+	for i := range out.Pix {
+		v := out.Pix[i] + (out.Pix[i]-blur.Pix[i])*amount
+		if v < 0 {
+			v = 0
 		}
+		if v > 1 {
+			v = 1
+		}
+		out.Pix[i] = v
 	}
 }
 

@@ -9,9 +9,17 @@ import (
 )
 
 // process runs the float chain into fresh buffers.
-func process(c PixelPipelineConfig, in *vision.Image) *vision.Image {
+func process(in *vision.Image) *vision.Image {
 	out, blur := vision.NewImage(in.W, in.H), vision.NewImage(in.W, in.H)
-	c.ProcessInto(out, blur, in)
+	ProcessInto(out, blur, in)
+	return out
+}
+
+// stage runs one stage of the chain on a copy of in, with blur scratch.
+func stage(in *vision.Image, run func(out, blur *vision.Image)) *vision.Image {
+	out, blur := vision.NewImage(in.W, in.H), vision.NewImage(in.W, in.H)
+	copy(out.Pix, in.Pix)
+	run(out, blur)
 	return out
 }
 
@@ -29,7 +37,7 @@ func noisyRamp() *vision.Image {
 func TestProcessDoesNotMutateInput(t *testing.T) {
 	im := noisyRamp()
 	before := slices.Clone(im.Pix)
-	process(DefaultPixelPipeline(), im)
+	process(im)
 	if !slices.Equal(im.Pix, before) {
 		t.Fatal("pipeline mutated its input")
 	}
@@ -40,8 +48,7 @@ func TestBlackLevelSubtraction(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = 0.01 // below the pedestal
 	}
-	cfg := PixelPipelineConfig{BlackLevel: 0.02}
-	out := process(cfg, im)
+	out := stage(im, func(out, _ *vision.Image) { subtractBlackLevel(out, 0.02) })
 	for _, v := range out.Pix {
 		if v != 0 {
 			t.Fatalf("pedestal not clamped: %v", v)
@@ -51,8 +58,7 @@ func TestBlackLevelSubtraction(t *testing.T) {
 
 func TestDenoiseReducesNoise(t *testing.T) {
 	im := noisyRamp()
-	cfg := PixelPipelineConfig{DenoiseStrength: 0.8}
-	out := process(cfg, im)
+	out := stage(im, func(out, blur *vision.Image) { denoise(out, blur, 0.8) })
 	// Measure high-frequency energy via neighbor differences.
 	hf := func(im *vision.Image) float64 {
 		var s float64
@@ -74,8 +80,7 @@ func TestGammaBrightensShadows(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = 0.25
 	}
-	cfg := PixelPipelineConfig{Gamma: 2.0}
-	out := process(cfg, im)
+	out := stage(im, func(out, _ *vision.Image) { applyGamma(out, 2.0) })
 	want := float32(math.Sqrt(0.25))
 	if math.Abs(float64(out.Pix[0]-want)) > 1e-6 {
 		t.Fatalf("gamma = %v, want %v", out.Pix[0], want)
@@ -94,8 +99,7 @@ func TestSharpenIncreasesEdgeContrast(t *testing.T) {
 			}
 		}
 	}
-	cfg := PixelPipelineConfig{SharpenAmount: 0.8}
-	out := process(cfg, im)
+	out := stage(im, func(out, blur *vision.Image) { sharpen(out, blur, 0.8) })
 	// The first bright column should overshoot above the flat level.
 	if out.At(8, 4) <= im.At(8, 4) {
 		t.Fatalf("no overshoot: %v vs %v", out.At(8, 4), im.At(8, 4))
@@ -119,9 +123,8 @@ func TestFullChainPreservesTrackability(t *testing.T) {
 	scene := vision.Scene{Background: 5, BgDepth: 10,
 		Boxes: []vision.Box{{X: 0, Y: 0, Z: 4, W: 3, H: 2, Texture: 9}}}
 	left, right := scene.RenderStereo(rig)
-	cfg := DefaultPixelPipeline()
 	raw := vision.SupportPoints(left, right, 12, 3, 8)
-	proc := vision.SupportPoints(process(cfg, left), process(cfg, right), 12, 3, 8)
+	proc := vision.SupportPoints(process(left), process(right), 12, 3, 8)
 	if len(proc) < len(raw)/2 {
 		t.Fatalf("processing destroyed stereo support points: %d -> %d", len(raw), len(proc))
 	}
@@ -131,11 +134,10 @@ func BenchmarkPixelPipeline160x120(b *testing.B) {
 	intr := vision.DefaultIntrinsics()
 	scene := vision.Scene{Background: 5, BgDepth: 10}
 	im := scene.Render(intr, 0)
-	cfg := DefaultPixelPipeline()
 	out, blur := vision.NewImage(im.W, im.H), vision.NewImage(im.W, im.H)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.ProcessInto(out, blur, im)
+		ProcessInto(out, blur, im)
 	}
 }

@@ -14,31 +14,31 @@ import (
 // accumulates in int32 with exact rounding division. The chain is bitwise
 // deterministic for any worker count and allocates nothing once constructed.
 
-// QuantPixelPipeline is a PixelPipelineConfig compiled for 8-bit frames.
-// Build one with PixelPipelineConfig.Quantized and reuse it across frames.
+// QuantPixelPipeline is the deployed tuning compiled for 8-bit frames.
+// Build one with Quantized and reuse it across frames.
 type QuantPixelPipeline struct {
 	blackLevel int32 // code units
 	denoiseA   int32 // 8.8 fixed-point blend weight
 	sharpenA   int32 // 8.8 fixed-point sharpen amount
 	gamma      [256]uint8
-	hasGamma   bool
 }
 
-// Quantized compiles the float config into its fixed-point form. The gamma
+// Quantized compiles the float tuning into its fixed-point form. The gamma
 // table is the only float computation, done once here.
-func (c PixelPipelineConfig) Quantized() *QuantPixelPipeline {
+func Quantized() *QuantPixelPipeline {
+	// Variables, so the products round in float32 at run time: the constant
+	// expressions would fold exactly, and int32() of a non-integer constant
+	// does not compile.
+	bl, dn, g, sh := BlackLevel, DenoiseStrength, Gamma, SharpenAmount
 	q := &QuantPixelPipeline{
-		blackLevel: int32(c.BlackLevel*255 + 0.5),
-		denoiseA:   int32(c.DenoiseStrength*256 + 0.5),
-		sharpenA:   int32(c.SharpenAmount*256 + 0.5),
+		blackLevel: int32(bl*255 + 0.5),
+		denoiseA:   int32(dn*256 + 0.5),
+		sharpenA:   int32(sh*256 + 0.5),
 	}
-	if c.Gamma > 0 && c.Gamma != 1 {
-		q.hasGamma = true
-		inv := 1 / float64(c.Gamma)
-		for i := 0; i < 256; i++ {
-			v := math.Pow(float64(i)/255, inv)
-			q.gamma[i] = uint8(v*255 + 0.5)
-		}
+	inv := 1 / float64(g)
+	for i := 0; i < 256; i++ {
+		v := math.Pow(float64(i)/255, inv)
+		q.gamma[i] = uint8(v*255 + 0.5)
 	}
 	return q
 }
@@ -53,53 +53,45 @@ func (q *QuantPixelPipeline) ProcessInto(out, blur *vision.QImage, in *vision.QI
 	}
 	copy(out.Pix, in.Pix)
 	// Black level: saturating subtract in code units.
-	if q.blackLevel != 0 {
-		bl := q.blackLevel
-		for i, v := range out.Pix {
-			d := int32(v) - bl
-			if d < 0 {
-				d = 0
-			}
-			out.Pix[i] = uint8(d)
+	bl := q.blackLevel
+	for i, v := range out.Pix {
+		d := int32(v) - bl
+		if d < 0 {
+			d = 0
 		}
+		out.Pix[i] = uint8(d)
 	}
 	// Denoise: 8.8 fixed-point blend with the 3×3 box blur.
-	if q.denoiseA > 0 {
-		qBoxBlur3Into(blur, out)
-		a := q.denoiseA
-		for i := range out.Pix {
-			v := int32(out.Pix[i])
-			b := int32(blur.Pix[i])
-			out.Pix[i] = uint8((v*(256-a) + b*a + 128) >> 8)
-		}
+	qBoxBlur3Into(blur, out)
+	a := q.denoiseA
+	for i := range out.Pix {
+		v := int32(out.Pix[i])
+		b := int32(blur.Pix[i])
+		out.Pix[i] = uint8((v*(256-a) + b*a + 128) >> 8)
 	}
 	// Gamma: one table lookup per pixel.
-	if q.hasGamma {
-		for i, v := range out.Pix {
-			out.Pix[i] = q.gamma[v]
-		}
+	for i, v := range out.Pix {
+		out.Pix[i] = q.gamma[v]
 	}
 	// Unsharp mask: v + (v - blur)·amount in 8.8 fixed point, saturating.
-	if q.sharpenA > 0 {
-		qBoxBlur3Into(blur, out)
-		a := q.sharpenA
-		for i := range out.Pix {
-			v := int32(out.Pix[i])
-			t := (v - int32(blur.Pix[i])) * a
-			if t >= 0 {
-				t = (t + 128) >> 8
-			} else {
-				t = -((-t + 128) >> 8) // round half away from zero
-			}
-			v += t
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			out.Pix[i] = uint8(v)
+	qBoxBlur3Into(blur, out)
+	a = q.sharpenA
+	for i := range out.Pix {
+		v := int32(out.Pix[i])
+		t := (v - int32(blur.Pix[i])) * a
+		if t >= 0 {
+			t = (t + 128) >> 8
+		} else {
+			t = -((-t + 128) >> 8) // round half away from zero
 		}
+		v += t
+		if v < 0 {
+			v = 0
+		}
+		if v > 255 {
+			v = 255
+		}
+		out.Pix[i] = uint8(v)
 	}
 }
 

@@ -28,10 +28,9 @@ func renderTestFrame() *vision.Image {
 // near black, where one input code spans many output codes.
 func TestQuantPipelineTracksFloat(t *testing.T) {
 	in := renderTestFrame()
-	cfg := DefaultPixelPipeline()
-	ref := process(cfg, in)
+	ref := process(in)
 
-	qout := qprocess(cfg.Quantized(), vision.QuantizeImage(in))
+	qout := qprocess(Quantized(), vision.QuantizeImage(in))
 
 	var sum, worst float64
 	for i := range ref.Pix {
@@ -53,7 +52,7 @@ func TestQuantPipelineTracksFloat(t *testing.T) {
 // arithmetic — two runs must agree bit for bit.
 func TestQuantPipelineDeterministic(t *testing.T) {
 	in := vision.QuantizeImage(renderTestFrame())
-	qp := DefaultPixelPipeline().Quantized()
+	qp := Quantized()
 	a := qprocess(qp, in)
 	b := qprocess(qp, in)
 	for i := range a.Pix {
@@ -66,7 +65,7 @@ func TestQuantPipelineDeterministic(t *testing.T) {
 // TestQuantPipelineZeroAlloc: the ProcessInto steady state must not allocate.
 func TestQuantPipelineZeroAlloc(t *testing.T) {
 	in := vision.QuantizeImage(renderTestFrame())
-	qp := DefaultPixelPipeline().Quantized()
+	qp := Quantized()
 	out := vision.NewQImage(in.W, in.H)
 	blur := vision.NewQImage(in.W, in.H)
 	if allocs := testing.AllocsPerRun(20, func() { qp.ProcessInto(out, blur, in) }); allocs > 0 {
@@ -77,8 +76,7 @@ func TestQuantPipelineZeroAlloc(t *testing.T) {
 // TestQuantGammaTableMatchesFloat: every 8-bit code's gamma output must be
 // the rounding of the float curve.
 func TestQuantGammaTableMatchesFloat(t *testing.T) {
-	cfg := PixelPipelineConfig{Gamma: 2.2}
-	qp := cfg.Quantized()
+	qp := Quantized()
 	for i := 0; i < 256; i++ {
 		want := math.Pow(float64(i)/255, 1/2.2) * 255
 		if d := math.Abs(float64(qp.gamma[i]) - want); d > 0.5+1e-9 {

@@ -73,46 +73,26 @@ func (m CostModel) Render() string {
 	return sb.String()
 }
 
-// TCO is the total-cost-of-ownership sketch from Sec. VII: vehicle capital
-// cost amortized over a service life plus recurring operating costs.
-type TCO struct {
-	VehicleUSD        float64 // purchase price
-	ServiceLifeYears  float64
-	AnnualServiceUSD  float64 // maintenance, insurance, remote ops
-	AnnualCloudUSD    float64 // map upkeep, model training, storage
-	AnnualEnergyUSD   float64 // charging
-	TripsPerDay       float64
-	OperatingDaysYear float64
-}
-
-// DefaultTCO returns a plausible operating profile for the Japan tourist
-// site deployment ($1/trip pricing context).
-func DefaultTCO() TCO {
-	return TCO{
-		VehicleUSD:        70000,
-		ServiceLifeYears:  5,
-		AnnualServiceUSD:  6000,
-		AnnualCloudUSD:    2000,
-		AnnualEnergyUSD:   800,
-		TripsPerDay:       60,
-		OperatingDaysYear: 330,
-	}
-}
+// The total-cost-of-ownership sketch from Sec. VII: vehicle capital cost
+// amortized over a service life plus recurring operating costs, at a
+// plausible operating profile for the Japan tourist site deployment
+// ($1/trip pricing context).
+const (
+	tcoVehicleUSD        float64 = 70000 // purchase price
+	tcoServiceLifeYears  float64 = 5
+	tcoAnnualServiceUSD  float64 = 6000 // maintenance, insurance, remote ops
+	tcoAnnualCloudUSD    float64 = 2000 // map upkeep, model training, storage
+	tcoAnnualEnergyUSD   float64 = 800  // charging
+	tcoTripsPerDay       float64 = 60
+	tcoOperatingDaysYear float64 = 330
+)
 
 // AnnualUSD returns the total cost per operating year.
-func (t TCO) AnnualUSD() float64 {
-	capital := 0.0
-	if t.ServiceLifeYears > 0 {
-		capital = t.VehicleUSD / t.ServiceLifeYears
-	}
-	return capital + t.AnnualServiceUSD + t.AnnualCloudUSD + t.AnnualEnergyUSD
+func AnnualUSD() float64 {
+	return tcoVehicleUSD/tcoServiceLifeYears + tcoAnnualServiceUSD + tcoAnnualCloudUSD + tcoAnnualEnergyUSD
 }
 
 // CostPerTripUSD returns the break-even per-trip cost.
-func (t TCO) CostPerTripUSD() float64 {
-	trips := t.TripsPerDay * t.OperatingDaysYear
-	if trips == 0 {
-		return 0
-	}
-	return t.AnnualUSD() / trips
+func CostPerTripUSD() float64 {
+	return AnnualUSD() / (tcoTripsPerDay * tcoOperatingDaysYear)
 }

@@ -7,10 +7,7 @@
 // reconfiguration, in ~400 LUTs + 400 FFs.
 package rpr
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // The datapath's configuration clock (100 MHz on the Zynq) and active power.
 const (
@@ -18,30 +15,19 @@ const (
 	enginePowerW float64 = 0.7
 )
 
-// EngineConfig describes the reconfiguration datapath.
-type EngineConfig struct {
-	// ICAPBytesPerCycle is the ICAP port width (4 bytes).
-	ICAPBytesPerCycle int
-	// MemBytesPerBeat is the DRAM read width per burst beat (8 bytes).
-	MemBytesPerBeat int
-	// BurstBeats is the beats per memory burst (one handshake per burst).
-	BurstBeats int
-	// HandshakeCycles is the fixed cost of starting a burst.
-	HandshakeCycles int
+// The deployed reconfiguration datapath.
+const (
+	// icapBytesPerCycle is the ICAP port width.
+	icapBytesPerCycle = 4
+	// memBytesPerBeat is the DRAM read width per burst beat.
+	memBytesPerBeat = 8
+	// burstBeats is the beats per memory burst (one handshake per burst).
+	burstBeats = 16
+	// handshakeCycles is the fixed cost of starting a burst.
+	handshakeCycles = 4
 	// FIFOBytes decouples Tx from Rx (128 B suffices per the paper).
-	FIFOBytes int
-}
-
-// DefaultEngineConfig returns the deployed engine parameters.
-func DefaultEngineConfig() EngineConfig {
-	return EngineConfig{
-		ICAPBytesPerCycle: 4,
-		MemBytesPerBeat:   8,
-		BurstBeats:        16,
-		HandshakeCycles:   4,
-		FIFOBytes:         128,
-	}
-}
+	FIFOBytes = 128
+)
 
 // Resources reports the engine's FPGA footprint (~400 FFs and ~400 LUTs).
 type Resources struct {
@@ -60,33 +46,43 @@ type Result struct {
 	Cycles     int64
 }
 
-// Engine is the decoupled Tx/FIFO/Rx reconfiguration datapath.
+// Engine is the decoupled Tx/FIFO/Rx reconfiguration datapath; the zero
+// value is ready to use.
 type Engine struct {
-	Cfg EngineConfig
-	// telemetry
 	swaps   int
 	total   time.Duration
 	energyJ float64
 }
 
-// NewEngine returns an engine with the given config. It panics on a config
-// whose datapath can never move a byte: no ICAP port, no burst
-// beats, no handshake to open a burst with, or a memory beat wider than the
-// FIFO it is pushed into.
-func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.ICAPBytesPerCycle <= 0 || cfg.FIFOBytes <= 0 ||
-		cfg.BurstBeats < 1 || cfg.HandshakeCycles < 1 ||
-		cfg.MemBytesPerBeat < 1 || cfg.MemBytesPerBeat > cfg.FIFOBytes {
-		panic(fmt.Sprintf("rpr: invalid engine config %+v", cfg))
+// Transfer simulates streaming a bitstream of the given size through the
+// deployed datapath, cycle-exact (see transferCycles). A transfer of no
+// bytes costs nothing and is not counted as a swap.
+//
+//sov:hotpath
+func (e *Engine) Transfer(bytes int) Result {
+	if bytes <= 0 {
+		return Result{}
 	}
-	return &Engine{Cfg: cfg}
+	cycles := transferCycles(bytes, icapBytesPerCycle, memBytesPerBeat, burstBeats, handshakeCycles, FIFOBytes)
+	dur := time.Duration(float64(cycles) / clockHz * float64(time.Second))
+	res := Result{
+		Bytes:      bytes,
+		Duration:   dur,
+		Throughput: float64(bytes) / dur.Seconds(),
+		EnergyJ:    enginePowerW * dur.Seconds(),
+		Cycles:     cycles,
+	}
+	e.swaps++
+	e.total += dur
+	e.energyJ += res.EnergyJ
+	return res
 }
 
-// Transfer simulates streaming a bitstream of the given size, cycle-exact:
-// Tx bursts from memory into the FIFO (one handshake per burst, critically
-// not per word — the design's key trick), while Rx drains the FIFO into the
-// ICAP at its port width every cycle. A transfer of no bytes costs nothing
-// and is not counted as a swap.
+// transferCycles returns the cycles a datapath of the given widths takes
+// to stream bytes (> 0): Tx bursts from memory into the FIFO (one handshake
+// per burst, critically not per word — the design's key trick), while Rx
+// drains the FIFO into the ICAP at its port width every cycle. Every width
+// is at least 1 and a memory beat fits in the FIFO.
 //
 // Only the fill and drain edges are stepped cycle by cycle. A burst opens
 // with the datapath in state (FIFO level, no beats pending, no handshake in
@@ -94,15 +90,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 // between repeats with it; the whole periods that fit before the end of the
 // bitstream are then taken in one jump. The repeat is found with one saved
 // burst start, re-taken at burst 1, 2, 4, 8, ... (Brent), so nothing is
-// cached or allocated and any Cfg, including one changed between calls, is
-// modelled exactly.
+// cached or allocated and any widths are modelled exactly.
 //
 //sov:hotpath
-func (e *Engine) Transfer(bytes int) Result {
-	if bytes <= 0 {
-		return Result{}
-	}
-	cfg := e.Cfg
+func transferCycles(bytes, icap, beat, burst, handshakeLen, fifoBytes int) int64 {
 	fifo := 0 // bytes pushed by Tx and not yet accepted by the ICAP
 	sent := 0 // bytes pushed by Tx
 	var cycles int64
@@ -125,9 +116,6 @@ func (e *Engine) Transfer(bytes int) Result {
 						// is the truncated final push.
 						seeking = false
 						dSent, dCycles := sent-markSent, cycles-markCycles
-						if dSent == 0 {
-							panic("rpr: transfer did not converge")
-						}
 						if n := (bytes-sent)/dSent - 1; n > 0 {
 							sent += n * dSent
 							cycles += int64(n) * dCycles
@@ -137,15 +125,15 @@ func (e *Engine) Transfer(bytes int) Result {
 						retake *= 2
 					}
 				}
-				handshake = cfg.HandshakeCycles
+				handshake = handshakeLen
 			}
 			if handshake > 0 {
 				handshake--
 				if handshake == 0 {
-					burstRemaining = cfg.BurstBeats
+					burstRemaining = burst
 				}
-			} else if burstRemaining > 0 && fifo+cfg.MemBytesPerBeat <= cfg.FIFOBytes {
-				push := cfg.MemBytesPerBeat
+			} else if burstRemaining > 0 && fifo+beat <= fifoBytes {
+				push := beat
 				if sent+push > bytes {
 					push = bytes - sent
 				}
@@ -156,28 +144,14 @@ func (e *Engine) Transfer(bytes int) Result {
 		}
 		// Rx side drains into the ICAP.
 		if fifo > 0 {
-			drain := cfg.ICAPBytesPerCycle
+			drain := icap
 			if drain > fifo {
 				drain = fifo
 			}
 			fifo -= drain
 		}
-		if cycles > int64(bytes)*100+1000 {
-			panic("rpr: transfer did not converge")
-		}
 	}
-	dur := time.Duration(float64(cycles) / clockHz * float64(time.Second))
-	res := Result{
-		Bytes:      bytes,
-		Duration:   dur,
-		Throughput: float64(bytes) / dur.Seconds(),
-		EnergyJ:    enginePowerW * dur.Seconds(),
-		Cycles:     cycles,
-	}
-	e.swaps++
-	e.total += dur
-	e.energyJ += res.EnergyJ
-	return res
+	return cycles
 }
 
 // Stats reports cumulative swaps, time, and energy.
@@ -231,7 +205,7 @@ type Manager struct {
 
 // NewManager returns a manager over a fresh default engine.
 func NewManager() *Manager {
-	return &Manager{Engine: NewEngine(DefaultEngineConfig())}
+	return &Manager{Engine: new(Engine)}
 }
 
 // Require ensures the named bitstream is loaded, returning the swap cost

@@ -8,7 +8,7 @@ import (
 
 func TestEngineThroughputAtLeast350MBps(t *testing.T) {
 	// Paper: "Our RPR engine achieves over 350 MB/s".
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	r := e.Transfer(1 << 20)
 	if r.Throughput < 350e6 {
 		t.Fatalf("throughput = %.1f MB/s, want >= 350", r.Throughput/1e6)
@@ -20,7 +20,7 @@ func TestEngineThroughputAtLeast350MBps(t *testing.T) {
 
 func TestSwapUnder3ms(t *testing.T) {
 	// Paper: reconfiguration delay < 3 ms for the localization variants.
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	for _, b := range []Bitstream{BitstreamFeatureExtract, BitstreamFeatureTrack} {
 		r := e.Transfer(b.Bytes)
 		if r.Duration >= 3*time.Millisecond {
@@ -31,7 +31,7 @@ func TestSwapUnder3ms(t *testing.T) {
 
 func TestSwapEnergyAbout2mJ(t *testing.T) {
 	// Paper: ~2.1 mJ per reconfiguration.
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	r := e.Transfer(BitstreamFeatureExtract.Bytes)
 	if r.EnergyJ < 0.5e-3 || r.EnergyJ > 5e-3 {
 		t.Fatalf("energy = %v J, want ~2 mJ", r.EnergyJ)
@@ -41,7 +41,7 @@ func TestSwapEnergyAbout2mJ(t *testing.T) {
 func TestCPUDrivenIsOrdersOfMagnitudeSlower(t *testing.T) {
 	// Paper: stock CPU-mediated path runs at ~300 KB/s — about 1000×
 	// slower than the engine.
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	bytes := 1 << 20
 	re := e.Transfer(bytes)
 	rc := CPUDrivenTransfer(bytes)
@@ -55,7 +55,7 @@ func TestCPUDrivenIsOrdersOfMagnitudeSlower(t *testing.T) {
 }
 
 func TestTransferExactByteCount(t *testing.T) {
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	for _, n := range []int{1, 7, 128, 4096, 100_001} {
 		r := e.Transfer(n)
 		if r.Bytes != n {
@@ -70,18 +70,15 @@ func TestTransferExactByteCount(t *testing.T) {
 func TestFIFODepthMatters(t *testing.T) {
 	// A 128-byte FIFO is "sufficient" (paper): a tiny FIFO stalls the
 	// ICAP during burst handshakes and loses throughput.
-	small := DefaultEngineConfig()
-	small.FIFOBytes = 8
-	rSmall := NewEngine(small).Transfer(1 << 18)
-	rBig := NewEngine(DefaultEngineConfig()).Transfer(1 << 18)
-	if rSmall.Throughput >= rBig.Throughput {
-		t.Fatalf("small FIFO (%.0f MB/s) should underperform 128 B FIFO (%.0f MB/s)",
-			rSmall.Throughput/1e6, rBig.Throughput/1e6)
+	small, big := deployed, deployed
+	small.fifo = 8
+	if cs, cb := small.cycles(1<<18), big.cycles(1<<18); cs <= cb {
+		t.Fatalf("small FIFO (%d cycles) should underperform 128 B FIFO (%d cycles)", cs, cb)
 	}
 }
 
 func TestEngineStatsAccumulate(t *testing.T) {
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	e.Transfer(1000)
 	e.Transfer(2000)
 	swaps, total, energy := e.Stats()
@@ -172,37 +169,8 @@ func TestEngineResourceFootprint(t *testing.T) {
 	}
 }
 
-func TestPanicsOnBadConfig(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("zero config", func() { NewEngine(EngineConfig{}) })
-	// Configs whose datapath can never move a byte.
-	for name, mut := range map[string]func(*EngineConfig){
-		"no burst beats":       func(c *EngineConfig) { c.BurstBeats = 0 },
-		"no handshake":         func(c *EngineConfig) { c.HandshakeCycles = 0 },
-		"no memory beat":       func(c *EngineConfig) { c.MemBytesPerBeat = 0 },
-		"beat wider than FIFO": func(c *EngineConfig) { c.MemBytesPerBeat = c.FIFOBytes + 1 },
-	} {
-		cfg := DefaultEngineConfig()
-		mut(&cfg)
-		mustPanic(name, func() { NewEngine(cfg) })
-		// Cfg is an exported field: the same config written after
-		// construction must still end in a panic, not a hang.
-		e := NewEngine(DefaultEngineConfig())
-		e.Cfg = cfg
-		mustPanic(name+" (set after NewEngine)", func() { e.Transfer(4096) })
-	}
-}
-
 func TestTransferOfNothingIsFree(t *testing.T) {
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	for _, n := range []int{0, -1, -1 << 20} {
 		if r := e.Transfer(n); r != (Result{}) {
 			t.Fatalf("Transfer(%d) = %+v, want the zero Result", n, r)
@@ -213,10 +181,20 @@ func TestTransferOfNothingIsFree(t *testing.T) {
 	}
 }
 
+// widths is one datapath: ICAP port, memory beat, burst beats, handshake
+// cycles and FIFO bytes.
+type widths struct{ icap, beat, burst, handshake, fifo int }
+
+var deployed = widths{icapBytesPerCycle, memBytesPerBeat, burstBeats, handshakeCycles, FIFOBytes}
+
+func (w widths) cycles(bytes int) int64 {
+	return transferCycles(bytes, w.icap, w.beat, w.burst, w.handshake, w.fifo)
+}
+
 // cycleModel is the per-cycle loop Transfer ran before it skipped the steady
-// state, kept verbatim as the oracle: every cycle of the Tx/FIFO/Rx state
-// machine is stepped, and the cycle count is returned.
-func cycleModel(cfg EngineConfig, bytes int) int64 {
+// state, kept as the oracle: every cycle of the Tx/FIFO/Rx state machine is
+// stepped, and the cycle count is returned.
+func cycleModel(w widths, bytes int) int64 {
 	fifo := 0
 	sent := 0     // bytes pushed by Tx
 	consumed := 0 // bytes accepted by ICAP
@@ -228,15 +206,15 @@ func cycleModel(cfg EngineConfig, bytes int) int64 {
 		// Tx side.
 		if sent < bytes {
 			if burstRemaining == 0 && handshake == 0 {
-				handshake = cfg.HandshakeCycles
+				handshake = w.handshake
 			}
 			if handshake > 0 {
 				handshake--
 				if handshake == 0 {
-					burstRemaining = cfg.BurstBeats
+					burstRemaining = w.burst
 				}
-			} else if burstRemaining > 0 && fifo+cfg.MemBytesPerBeat <= cfg.FIFOBytes {
-				push := cfg.MemBytesPerBeat
+			} else if burstRemaining > 0 && fifo+w.beat <= w.fifo {
+				push := w.beat
 				if sent+push > bytes {
 					push = bytes - sent
 				}
@@ -247,7 +225,7 @@ func cycleModel(cfg EngineConfig, bytes int) int64 {
 		}
 		// Rx side drains into the ICAP.
 		if fifo > 0 {
-			drain := cfg.ICAPBytesPerCycle
+			drain := w.icap
 			if drain > fifo {
 				drain = fifo
 			}
@@ -261,24 +239,30 @@ func cycleModel(cfg EngineConfig, bytes int) int64 {
 	return cycles
 }
 
-// datapath builds a config from raw draws, folding each into the range the
+// datapath builds widths from raw draws, folding each into the range the
 // exactness tests cover: ICAP width 1–9, beat 1–16, burst 1–32, handshake
 // 1–12, FIFO from one beat to one beat plus 300 bytes.
-func datapath(icap, beat, burst, handshake, fifoExtra uint) EngineConfig {
-	cfg := DefaultEngineConfig()
-	cfg.ICAPBytesPerCycle = 1 + int(icap%9)
-	cfg.MemBytesPerBeat = 1 + int(beat%16)
-	cfg.BurstBeats = 1 + int(burst%32)
-	cfg.HandshakeCycles = 1 + int(handshake%12)
-	cfg.FIFOBytes = cfg.MemBytesPerBeat + int(fifoExtra%301)
-	return cfg
+func datapath(icap, beat, burst, handshake, fifoExtra uint) widths {
+	w := widths{
+		icap:      1 + int(icap%9),
+		beat:      1 + int(beat%16),
+		burst:     1 + int(burst%32),
+		handshake: 1 + int(handshake%12),
+	}
+	w.fifo = w.beat + int(fifoExtra%301)
+	return w
 }
 
-func checkAgainstCycleModel(t *testing.T, cfg EngineConfig, bytes int) {
+// checkAgainstCycleModel holds transferCycles to the oracle; the deployed
+// widths go through Engine.Transfer, which runs them.
+func checkAgainstCycleModel(t *testing.T, w widths, bytes int) {
 	t.Helper()
-	e := NewEngine(cfg)
-	if got, want := e.Transfer(bytes).Cycles, cycleModel(cfg, bytes); got != want {
-		t.Fatalf("%+v: Transfer(%d) took %d cycles, the per-cycle model %d", cfg, bytes, got, want)
+	got := w.cycles(bytes)
+	if w == deployed {
+		got = new(Engine).Transfer(bytes).Cycles
+	}
+	if want := cycleModel(w, bytes); got != want {
+		t.Fatalf("%+v: Transfer(%d) took %d cycles, the per-cycle model %d", w, bytes, got, want)
 	}
 }
 
@@ -289,14 +273,14 @@ func TestTransferMatchesCycleModel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	for i := -1; i < configs; i++ {
-		cfg := DefaultEngineConfig()
+		w := deployed
 		if i >= 0 {
-			cfg = datapath(uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()))
+			w = datapath(uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()), uint(rng.Uint32()))
 		}
 		sizes := []int{1, 3, 127, 128, 129, 4096, 65537, 900 * 1024, 1 << 20,
 			1 + rng.Intn(1<<20), 1 + rng.Intn(1<<12)}
 		for _, n := range sizes {
-			checkAgainstCycleModel(t, cfg, n)
+			checkAgainstCycleModel(t, w, n)
 		}
 	}
 }
@@ -311,7 +295,7 @@ func FuzzTransferMatchesCycleModel(f *testing.F) {
 }
 
 func BenchmarkEngineTransfer1MB(b *testing.B) {
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Transfer(1 << 20)
@@ -319,7 +303,7 @@ func BenchmarkEngineTransfer1MB(b *testing.B) {
 }
 
 func TestTransferDoesNotAllocate(t *testing.T) {
-	e := NewEngine(DefaultEngineConfig())
+	e := new(Engine)
 	if n := testing.AllocsPerRun(100, func() { e.Transfer(1 << 20) }); n != 0 {
 		t.Fatalf("Transfer allocates %v times per call, want 0", n)
 	}

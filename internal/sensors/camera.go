@@ -1,7 +1,6 @@
 package sensors
 
 import (
-	"fmt"
 	"time"
 
 	"sov/internal/sim"
@@ -10,8 +9,6 @@ import (
 // CameraConfig describes one camera module.
 type CameraConfig struct {
 	Name string
-	// FPS is the frame rate when free-running (30 in the deployed rig).
-	FPS float64
 	// Exposure is the shutter-open time per frame.
 	Exposure time.Duration
 	// Clock is the camera's local oscillator, used when free-running.
@@ -24,7 +21,6 @@ type CameraConfig struct {
 func DefaultCameraConfig(name string) CameraConfig {
 	return CameraConfig{
 		Name:     name,
-		FPS:      30,
 		Exposure: 8 * time.Millisecond,
 	}
 }
@@ -47,13 +43,12 @@ type Frame struct {
 // frame is ~6 MB more than a 20-byte IMU sample).
 const FrameBytes = 1920 * 1080 * 2
 
-// Period returns the frame period.
-func (c CameraConfig) Period() time.Duration {
-	if c.FPS <= 0 {
-		panic(fmt.Sprintf("sensors: camera %q has non-positive FPS", c.Name))
-	}
-	return time.Duration(float64(time.Second) / c.FPS)
-}
+// The deployed cameras' free-running frame rate, and its period in whole
+// nanoseconds.
+const (
+	cameraFPS    = 30
+	cameraPeriod = time.Second / cameraFPS
+)
 
 // Camera produces frames either free-running on its local clock or from an
 // external trigger (the hardware synchronizer).
@@ -79,8 +74,7 @@ func (c *Camera) CaptureAt(trueTrigger time.Duration) Frame {
 // fires during [0, horizon), according to its own (drifting) clock.
 func (c *Camera) FreeRunTriggers(horizon time.Duration) []time.Duration {
 	var out []time.Duration
-	period := c.Config.Period()
-	for local := time.Duration(0); ; local += period {
+	for local := time.Duration(0); ; local += cameraPeriod {
 		trueT := c.Config.Clock.TrueFromLocal(local)
 		if trueT >= horizon {
 			return out

@@ -43,16 +43,6 @@ const (
 	radarVelocityStd float64 = 0.1         // m/s (radial)
 )
 
-// RadarConfig describes one automotive radar unit.
-type RadarConfig struct {
-	// DropoutProb is the per-scan probability of an unstable return (the
-	// condition under which the SoV falls back to KCF visual tracking).
-	DropoutProb float64
-}
-
-// DefaultRadarConfig returns the deployed forward radar.
-func DefaultRadarConfig() RadarConfig { return RadarConfig{DropoutProb: 0} }
-
 // RadarReturn is one target echo: range, bearing, and — the radar's unique
 // direct measurement — radial velocity.
 type RadarReturn struct {
@@ -65,26 +55,21 @@ type RadarReturn struct {
 
 // Radar produces returns for obstacles in its cone.
 type Radar struct {
-	Config RadarConfig
-	Frame  *world.Frame // the unit's own unless a rig or the vehicle shares one
-	rng    *sim.RNG
+	Frame *world.Frame // the unit's own unless a rig or the vehicle shares one
+	rng   *sim.RNG
 	// dets is the unit's visibility scratch; a radar scans from one
 	// goroutine at a time (in the SoV, the simulation-engine thread).
 	dets []world.Detection
 }
 
 // NewRadar returns a radar bound to a world.
-func NewRadar(cfg RadarConfig, w *world.World, rng *sim.RNG) *Radar {
-	return &Radar{Config: cfg, Frame: world.NewFrame(w), rng: rng}
+func NewRadar(w *world.World, rng *sim.RNG) *Radar {
+	return &Radar{Frame: world.NewFrame(w), rng: rng}
 }
 
 // ScanAtInto appends the echoes of a scan from the given pose at time t to
-// dst (reusing its capacity) and returns it. A dropout (unstable signal)
-// appends nothing even if targets are present.
+// dst (reusing its capacity) and returns it.
 func (r *Radar) ScanAtInto(dst []RadarReturn, t time.Duration, pose world.Pose) []RadarReturn {
-	if r.Config.DropoutProb > 0 && r.rng.Bernoulli(r.Config.DropoutProb) {
-		return dst
-	}
 	r.dets = r.Frame.VisibleObstaclesInto(r.dets[:0], pose, t, RadarMaxRange, RadarFOV)
 	out := dst
 	for _, d := range r.dets {

@@ -67,7 +67,7 @@ func NewRadarRig(w *world.World, rng *sim.RNG) *RadarRig {
 	}
 	rig := &RadarRig{Mounts: mounts}
 	for range mounts {
-		rig.Units = append(rig.Units, NewRadar(DefaultRadarConfig(), w, rng.Fork()))
+		rig.Units = append(rig.Units, NewRadar(w, rng.Fork()))
 	}
 	rig.UseFrame(world.NewFrame(w))
 	return rig

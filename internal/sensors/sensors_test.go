@@ -52,24 +52,14 @@ func TestCameraFrameBytes(t *testing.T) {
 }
 
 func TestCameraPeriod(t *testing.T) {
-	cfg := DefaultCameraConfig("x")
-	if cfg.Period() != time.Second/30 {
-		t.Fatalf("period = %v", cfg.Period())
+	if cameraPeriod != time.Second/30 {
+		t.Fatalf("period = %v", cameraPeriod)
 	}
 }
 
-func TestCameraPeriodPanicsOnZeroFPS(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(CameraConfig{Name: "bad"}).Period()
-}
-
 func TestFreeRunTriggersDrift(t *testing.T) {
-	fast := NewCamera(CameraConfig{Name: "a", FPS: 30, Clock: Clock{DriftPPM: 50000}}) // +5%
-	slow := NewCamera(CameraConfig{Name: "b", FPS: 30, Clock: Clock{}})
+	fast := NewCamera(CameraConfig{Name: "a", Clock: Clock{DriftPPM: 50000}}) // +5%
+	slow := NewCamera(CameraConfig{Name: "b", Clock: Clock{}})
 	horizon := 10 * time.Second
 	fa := fast.FreeRunTriggers(horizon)
 	sa := slow.FreeRunTriggers(horizon)
@@ -91,8 +81,8 @@ func TestFreeRunTriggersDrift(t *testing.T) {
 func TestFreeRunTriggersDivergeAcrossSensors(t *testing.T) {
 	// Two 30 FPS cameras with slightly different oscillators lose frame
 	// alignment over time: the core problem of Sec. VI-A.
-	a := NewCamera(CameraConfig{Name: "a", FPS: 30, Clock: Clock{DriftPPM: 200}})
-	b := NewCamera(CameraConfig{Name: "b", FPS: 30, Clock: Clock{DriftPPM: -200, Offset: time.Millisecond}})
+	a := NewCamera(CameraConfig{Name: "a", Clock: Clock{DriftPPM: 200}})
+	b := NewCamera(CameraConfig{Name: "b", Clock: Clock{DriftPPM: -200, Offset: time.Millisecond}})
 	ta := a.FreeRunTriggers(60 * time.Second)
 	tb := b.FreeRunTriggers(60 * time.Second)
 	n := len(ta)
@@ -130,8 +120,7 @@ func TestIMUSampleNoiseAndBias(t *testing.T) {
 
 func TestIMURateIs8xCamera(t *testing.T) {
 	u := NewIMU(DefaultIMUConfig(), sim.NewRNG(2))
-	cam := DefaultCameraConfig("x")
-	ratio := cam.Period().Seconds() / u.Period().Seconds()
+	ratio := cameraPeriod.Seconds() / u.Period().Seconds()
 	if math.Abs(ratio-8) > 1e-4 {
 		t.Fatalf("IMU/camera rate ratio = %v, want 8 (240 Hz vs 30 FPS)", ratio)
 	}
@@ -158,7 +147,7 @@ func TestRadarMeasuresRadialVelocity(t *testing.T) {
 		ID: 1, Kind: world.KindVehicle, Radius: 0.5,
 		Traj: world.LinearTrajectory(mathx.Vec2{X: 20}, mathx.Vec2{X: -2}, 0),
 	})
-	r := NewRadar(DefaultRadarConfig(), w, sim.NewRNG(5))
+	r := NewRadar(w, sim.NewRNG(5))
 	var sumVel, sumRange float64
 	n := 500
 	for i := 0; i < n; i++ {
@@ -178,21 +167,10 @@ func TestRadarMeasuresRadialVelocity(t *testing.T) {
 	}
 }
 
-func TestRadarDropout(t *testing.T) {
-	w := &world.World{}
-	w.AddStaticObstacle(mathx.Vec2{X: 10}, 0.5)
-	cfg := DefaultRadarConfig()
-	cfg.DropoutProb = 1.0
-	r := NewRadar(cfg, w, sim.NewRNG(6))
-	if rets := r.ScanAtInto(nil, 0, world.Pose{}); rets != nil {
-		t.Fatal("dropout should return nil")
-	}
-}
-
 func TestRadarRespectsRangeLimit(t *testing.T) {
 	w := &world.World{}
 	w.AddStaticObstacle(mathx.Vec2{X: 100}, 0.5)
-	r := NewRadar(DefaultRadarConfig(), w, sim.NewRNG(7))
+	r := NewRadar(w, sim.NewRNG(7))
 	if rets := r.ScanAtInto(nil, 0, world.Pose{}); len(rets) != 0 {
 		t.Fatal("target beyond MaxRange returned")
 	}

@@ -92,6 +92,18 @@ const (
 	manifestHeaderV1 = "sovtelemetry manifest v1"
 )
 
+// Exists reports whether dir holds a store (a MANIFEST or a WAL), so a
+// reader can refuse a directory that Open would create a store in. A stat
+// error other than "not exist" counts as a store, for Open to report.
+func Exists(dir string) bool {
+	for _, name := range []string{manifestName, walName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			return true
+		}
+	}
+	return false
+}
+
 // Open loads (or creates) a store in dir, replaying any WAL tail left by
 // a crash through the normal ingest path so the recovered state — runs,
 // manifest, memtable — is byte-identical to what a non-crashed store

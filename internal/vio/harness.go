@@ -47,7 +47,7 @@ type RunResult struct {
 // generating IMU samples (with noise/bias from imuCfg) and camera landmark
 // observations from the world, and returns the error history. It is the
 // engine behind the Fig. 11b experiment and the Sec. VI-B fusion study.
-func RunTrajectory(cfg Config, imuCfg sensors.IMUConfig, traj Trajectory, w *world.World,
+func RunTrajectory(imuCfg sensors.IMUConfig, traj Trajectory, w *world.World,
 	opt RunOptions, rng *sim.RNG) RunResult {
 
 	if opt.IMURate <= 0 {
@@ -64,7 +64,7 @@ func RunTrajectory(cfg Config, imuCfg sensors.IMUConfig, traj Trajectory, w *wor
 	obsRNG := rng.Fork()
 
 	startPose, _ := traj(0)
-	filter := New(cfg, startPose)
+	filter := New(startPose)
 	// Seed the initial velocity from the trajectory (wheel odometry).
 	p1, _ := traj(10 * time.Millisecond)
 	filter.SetVelocity(p1.Pos.Sub(startPose.Pos).Scale(100))

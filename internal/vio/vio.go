@@ -10,8 +10,10 @@
 // (stereo range + bearing) correct it at 30 Hz. Landmarks are initialized
 // from their first observation relative to the *current estimated* pose —
 // the mechanism by which VIO accumulates error over distance (Sec. VI-B).
-// The sensor noise and camera reach are the deployed suite's constants;
-// Config keeps LandmarkPosStd, which a surveyed map lowers.
+// The sensor noise and camera reach are the deployed suite's constants.
+// Each landmark carries the anchor error of its source: one initialized
+// against the pose estimate inherits anchorPosStd, while a surveyed map's
+// landmarks are tighter.
 package vio
 
 import (
@@ -48,19 +50,19 @@ const (
 	maxLMRange  float64 = 18            // landmark visibility range
 	cameraFOV   float64 = math.Pi * 0.8 // horizontal FOV
 	maxLandmark         = 12            // max landmarks used per update
+	// anchorPosStd accounts for the anchor error a landmark inherits from
+	// the pose estimate it was initialized against. Without it the filter
+	// becomes overconfident, freezes its bias estimates, and fights GPS
+	// corrections.
+	anchorPosStd float64 = 0.5
 )
 
-// Config holds the filter's map-quality parameter.
-type Config struct {
-	// LandmarkPosStd accounts for the anchor error a landmark inherits
-	// from the pose estimate it was initialized against. Without it the
-	// filter becomes overconfident, freezes its bias estimates, and
-	// fights GPS corrections.
-	LandmarkPosStd float64
+// landmark is a map point: its estimated world position, fixed once
+// initialized, and the std of that position's error.
+type landmark struct {
+	pos mathx.Vec2
+	std float64
 }
-
-// DefaultConfig matches the deployed sensor suite.
-func DefaultConfig() Config { return Config{LandmarkPosStd: 0.5} }
 
 // LandmarkObs is one stereo landmark observation in the body frame.
 type LandmarkObs struct {
@@ -71,14 +73,11 @@ type LandmarkObs struct {
 
 // VIO is the filter.
 type VIO struct {
-	Config Config
-
 	x [stateDim]float64
 	p *mathx.Mat
 
-	// landmarks maps landmark ID to its estimated world position, fixed
-	// once initialized.
-	landmarks map[int]mathx.Vec2
+	// landmarks maps landmark ID to its map point.
+	landmarks map[int]landmark
 	// pending accumulates the first sightings of a landmark; the anchor
 	// is committed as their average (initAnchorSightings), which reduces
 	// the anchor noise that drives odometry frame drift.
@@ -91,9 +90,9 @@ type VIO struct {
 
 // New returns a filter initialized at the given pose with small initial
 // uncertainty.
-func New(cfg Config, initial world.Pose) *VIO {
-	v := &VIO{Config: cfg, p: mathx.NewMat(stateDim, stateDim),
-		landmarks: make(map[int]mathx.Vec2), pending: make(map[int][]mathx.Vec2)}
+func New(initial world.Pose) *VIO {
+	v := &VIO{p: mathx.NewMat(stateDim, stateDim),
+		landmarks: make(map[int]landmark), pending: make(map[int][]mathx.Vec2)}
 	v.x[iPx] = initial.Pos.X
 	v.x[iPy] = initial.Pos.Y
 	v.x[iYaw] = initial.Heading
@@ -201,7 +200,7 @@ func (v *VIO) UpdateCamera(obs []LandmarkObs) {
 				for _, p := range v.pending[o.ID] {
 					avg = avg.Add(p)
 				}
-				v.landmarks[o.ID] = avg.Scale(1 / float64(len(v.pending[o.ID])))
+				v.landmarks[o.ID] = landmark{pos: avg.Scale(1 / float64(len(v.pending[o.ID]))), std: anchorPosStd}
 				delete(v.pending, o.ID)
 				v.newLM++
 			}
@@ -214,9 +213,9 @@ func (v *VIO) UpdateCamera(obs []LandmarkObs) {
 
 // updateOne performs a 2-D (range, bearing) EKF update against the stored
 // landmark position.
-func (v *VIO) updateOne(lm mathx.Vec2, o LandmarkObs) {
-	dx := lm.X - v.x[iPx]
-	dy := lm.Y - v.x[iPy]
+func (v *VIO) updateOne(lm landmark, o LandmarkObs) {
+	dx := lm.pos.X - v.x[iPx]
+	dy := lm.pos.Y - v.x[iPy]
 	r2 := dx*dx + dy*dy
 	r := math.Sqrt(r2)
 	if r < 0.5 {
@@ -233,7 +232,7 @@ func (v *VIO) updateOne(lm mathx.Vec2, o LandmarkObs) {
 	h.Set(1, iPy, -dx/r2)
 	h.Set(1, iYaw, -1)
 
-	lmVar := v.Config.LandmarkPosStd * v.Config.LandmarkPosStd
+	lmVar := lm.std * lm.std
 	rm := mathx.NewMat(2, 2)
 	rm.Set(0, 0, rangeStd*rangeStd+lmVar)
 	rm.Set(1, 1, bearingStd*bearingStd+lmVar/r2)
@@ -272,7 +271,8 @@ func (v *VIO) UpdateGPS(fix sensors.GPSFix) {
 	shift := mathx.Vec2{X: v.x[iPx], Y: v.x[iPy]}.Sub(before)
 	if shift.Norm() > 0 {
 		for id, lm := range v.landmarks {
-			v.landmarks[id] = lm.Add(shift)
+			lm.pos = lm.pos.Add(shift)
+			v.landmarks[id] = lm
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 )
 
 func TestStationaryStaysPut(t *testing.T) {
-	cfg := DefaultConfig()
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
@@ -21,7 +20,7 @@ func TestStationaryStaysPut(t *testing.T) {
 	traj := func(time.Duration) (world.Pose, mathx.Vec3) {
 		return world.Pose{Pos: mathx.Vec2{X: 10}}, mathx.Vec3{}
 	}
-	res := RunTrajectory(cfg, imuCfg, traj, w, RunOptions{Duration: 10 * time.Second}, rng)
+	res := RunTrajectory(imuCfg, traj, w, RunOptions{Duration: 10 * time.Second}, rng)
 	if res.FinalError > 0.5 {
 		t.Fatalf("stationary drift = %v m", res.FinalError)
 	}
@@ -40,15 +39,14 @@ func calibratedIMU() sensors.IMUConfig {
 func TestVIOAccumulatesDriftWithDistance(t *testing.T) {
 	// The paper (Sec. VI-B): "The longer distance the vehicle travels,
 	// the more inaccurate the position estimation is."
-	cfg := DefaultConfig()
 	imuCfg := calibratedIMU()
 	speed := 5.6
 	traj := func(tt time.Duration) (world.Pose, mathx.Vec3) {
 		return world.Pose{Pos: mathx.Vec2{X: speed * tt.Seconds()}}, mathx.Vec3{}
 	}
-	short := RunTrajectory(cfg, imuCfg, traj, world.NewCorridor(1200, sim.NewRNG(3)),
+	short := RunTrajectory(imuCfg, traj, world.NewCorridor(1200, sim.NewRNG(3)),
 		RunOptions{Duration: 20 * time.Second}, sim.NewRNG(4))
-	long := RunTrajectory(cfg, imuCfg, traj, world.NewCorridor(1200, sim.NewRNG(3)),
+	long := RunTrajectory(imuCfg, traj, world.NewCorridor(1200, sim.NewRNG(3)),
 		RunOptions{Duration: 120 * time.Second}, sim.NewRNG(4))
 	if long.Errors.Quantile(0.9) <= short.Errors.Quantile(0.9) {
 		t.Fatalf("drift did not grow: short p90 %v vs long p90 %v",
@@ -58,7 +56,6 @@ func TestVIOAccumulatesDriftWithDistance(t *testing.T) {
 
 func TestGPSFusionBoundsDrift(t *testing.T) {
 	// Sec. VI-B: fusing GNSS bounds the cumulative VIO error cheaply.
-	cfg := DefaultConfig()
 	imuCfg := calibratedIMU()
 	speed := 5.6
 	traj := func(tt time.Duration) (world.Pose, mathx.Vec3) {
@@ -66,8 +63,8 @@ func TestGPSFusionBoundsDrift(t *testing.T) {
 	}
 	w := world.NewCorridor(1200, sim.NewRNG(5))
 	gps := sensors.NewGPS(sim.NewRNG(6))
-	bare := RunTrajectory(cfg, imuCfg, traj, w, RunOptions{Duration: 120 * time.Second}, sim.NewRNG(7))
-	fused := RunTrajectory(cfg, imuCfg, traj, w, RunOptions{Duration: 120 * time.Second, GPS: gps}, sim.NewRNG(7))
+	bare := RunTrajectory(imuCfg, traj, w, RunOptions{Duration: 120 * time.Second}, sim.NewRNG(7))
+	fused := RunTrajectory(imuCfg, traj, w, RunOptions{Duration: 120 * time.Second, GPS: gps}, sim.NewRNG(7))
 	if fused.Errors.Quantile(0.9) >= bare.Errors.Quantile(0.9) {
 		t.Fatalf("GPS fusion did not help: fused p90 %v vs bare p90 %v",
 			fused.Errors.Quantile(0.9), bare.Errors.Quantile(0.9))
@@ -81,13 +78,12 @@ func TestCameraSyncOffsetDegradesLocalization(t *testing.T) {
 	// Fig. 11b: a camera–IMU timestamp offset corrupts the trajectory.
 	// Constant-curvature motion (steady yaw rate) makes the offset's
 	// systematic bearing error unidirectional, as in the paper's loop.
-	cfg := DefaultConfig()
 	imuCfg := calibratedIMU()
 	w := world.NewRing(20, sim.NewRNG(8))
 	traj := CircleTrajectory(20, 5.6)
-	synced := RunTrajectory(cfg, imuCfg, traj, w,
+	synced := RunTrajectory(imuCfg, traj, w,
 		RunOptions{Duration: 60 * time.Second}, sim.NewRNG(9))
-	off40 := RunTrajectory(cfg, imuCfg, traj, w,
+	off40 := RunTrajectory(imuCfg, traj, w,
 		RunOptions{Duration: 60 * time.Second, CameraTimestampOffset: 40 * time.Millisecond}, sim.NewRNG(9))
 	if off40.Errors.Mean() < 2*synced.Errors.Mean() {
 		t.Fatalf("40 ms offset should degrade localization: synced mean %v vs offset mean %v",
@@ -99,7 +95,7 @@ func TestCameraSyncOffsetDegradesLocalization(t *testing.T) {
 }
 
 func TestUpdateGPSPullsEstimate(t *testing.T) {
-	v := New(DefaultConfig(), world.Pose{})
+	v := New(world.Pose{})
 	before := v.Pose()
 	v.UpdateGPS(sensors.GPSFix{Pos: mathx.Vec2{X: 100}})
 	if v.Pose().Pos.X <= before.Pos.X {
@@ -108,11 +104,10 @@ func TestUpdateGPSPullsEstimate(t *testing.T) {
 }
 
 func TestCovarianceStaysSymmetricPSD(t *testing.T) {
-	cfg := DefaultConfig()
 	imuCfg := sensors.DefaultIMUConfig()
 	rng := sim.NewRNG(10)
 	w := world.NewCorridor(100, rng)
-	v := New(cfg, world.Pose{})
+	v := New(world.Pose{})
 	imu := sensors.NewIMU(imuCfg, rng.Fork())
 	obsRNG := rng.Fork()
 	dt := 4167 * time.Microsecond
@@ -138,7 +133,7 @@ func TestCovarianceStaysSymmetricPSD(t *testing.T) {
 }
 
 func TestLandmarkInitializationAfterSightings(t *testing.T) {
-	v := New(DefaultConfig(), world.Pose{})
+	v := New(world.Pose{})
 	obs := []LandmarkObs{{ID: 7, Range: 5, Bearing: 0.1}}
 	// The anchor commits after 4 sightings (averaged) and never again.
 	for i := 0; i < 3; i++ {
@@ -162,7 +157,6 @@ func TestLandmarkInitializationAfterSightings(t *testing.T) {
 }
 
 func TestEstimatorEstimatesGyroBias(t *testing.T) {
-	cfg := DefaultConfig()
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.GyroBias = 0.01 // strong bias
 	rng := sim.NewRNG(11)
@@ -175,7 +169,7 @@ func TestEstimatorEstimatesGyroBias(t *testing.T) {
 	// so the bias is cleanly observable.
 	imu := sensors.NewIMU(imuCfg, rng.Fork())
 	obsRNG := rng.Fork()
-	v := NewWithMap(cfg, world.Pose{}, w)
+	v := NewWithMap(world.Pose{}, w)
 	dt := 4167 * time.Microsecond
 	for i := 1; i <= 20000; i++ {
 		tt := time.Duration(i) * dt
@@ -191,7 +185,7 @@ func TestEstimatorEstimatesGyroBias(t *testing.T) {
 }
 
 func BenchmarkPropagateIMU(b *testing.B) {
-	v := New(DefaultConfig(), world.Pose{})
+	v := New(world.Pose{})
 	imu := sensors.NewIMU(sensors.DefaultIMUConfig(), sim.NewRNG(1))
 	s := imu.SampleAt(0, 0.5, 0.1, 0.2)
 	b.ReportAllocs()
@@ -202,10 +196,9 @@ func BenchmarkPropagateIMU(b *testing.B) {
 }
 
 func BenchmarkUpdateCamera12Landmarks(b *testing.B) {
-	cfg := DefaultConfig()
 	rng := sim.NewRNG(2)
 	w := world.NewCorridor(100, rng)
-	v := New(cfg, world.Pose{Pos: mathx.Vec2{X: 50}})
+	v := New(world.Pose{Pos: mathx.Vec2{X: 50}})
 	obs := ObserveLandmarks(w, world.Pose{Pos: mathx.Vec2{X: 50}}, rng)
 	v.UpdateCamera(obs) // initialize landmarks
 	b.ReportAllocs()
@@ -219,7 +212,7 @@ func BenchmarkUpdateCamera12Landmarks(b *testing.B) {
 // on every GPS fix: the GPS-VIO fusion that replaces drift-correcting
 // compute.
 func BenchmarkUpdateGPS(b *testing.B) {
-	v := New(DefaultConfig(), world.Pose{})
+	v := New(world.Pose{})
 	fix := sensors.GPSFix{Pos: mathx.Vec2{X: 100}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -233,7 +226,6 @@ func TestMapModeFilterConsistencyNEES(t *testing.T) {
 	// consistent filter, err' * P⁻¹ * err has mean ≈ 2 (the position
 	// dimension). Gross overconfidence (NEES >> 2) or underconfidence
 	// (NEES << 2) would invalidate every covariance-based decision.
-	cfg := DefaultConfig()
 	imuCfg := calibratedIMU()
 	rng := sim.NewRNG(31)
 	w := world.NewCorridor(300, rng)
@@ -243,7 +235,7 @@ func TestMapModeFilterConsistencyNEES(t *testing.T) {
 	}
 	imu := sensors.NewIMU(imuCfg, rng.Fork())
 	obsRNG := rng.Fork()
-	v := NewWithMap(cfg, world.Pose{}, w)
+	v := NewWithMap(world.Pose{}, w)
 	v.SetVelocity(mathx.Vec2{X: speed})
 	dt := 4167 * time.Microsecond
 	nees := 0.0
@@ -285,11 +277,10 @@ func TestMapModeFilterConsistencyNEES(t *testing.T) {
 // in a global, pre-annotated map). Known landmarks bound the position error;
 // the pure-odometry mode of New is what exhibits the cumulative drift of
 // Sec. VI-B.
-func NewWithMap(cfg Config, initial world.Pose, w *world.World) *VIO {
-	cfg.LandmarkPosStd = 0.1 // survey-grade map
-	v := New(cfg, initial)
+func NewWithMap(initial world.Pose, w *world.World) *VIO {
+	v := New(initial)
 	for i, lm := range w.Landmarks {
-		v.landmarks[i] = lm.XY()
+		v.landmarks[i] = landmark{pos: lm.XY(), std: 0.1} // survey-grade map
 	}
 	return v
 }

@@ -164,7 +164,7 @@ func TestQuantKernelsDeterministicAcrossWorkers(t *testing.T) {
 
 	// Fixed-point ISP chain (serial kernel, but run under both settings to
 	// pin the contract alongside the others).
-	qp := isp.DefaultPixelPipeline().Quantized()
+	qp := isp.Quantized()
 	isp1, isp8 := vision.NewQImage(left.W, left.H), vision.NewQImage(left.W, left.H)
 	blur := vision.NewQImage(left.W, left.H)
 	atWorkers(1, func() { qp.ProcessInto(isp1, blur, left) })

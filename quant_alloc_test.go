@@ -55,7 +55,7 @@ func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 	// isp: fused fixed-point pixel pipeline.
 	{
 		left, _ := benchStereoPair(256, 192)
-		q := isp.DefaultPixelPipeline().Quantized()
+		q := isp.Quantized()
 		in := vision.QuantizeImage(left)
 		out := vision.NewQImage(in.W, in.H)
 		blur := vision.NewQImage(in.W, in.H)

@@ -110,18 +110,17 @@ func BenchmarkQuantSpeedup(b *testing.B) {
 	})
 	b.Run("isp/float32", func(b *testing.B) {
 		left, _ := benchStereoPair(256, 192)
-		cfg := isp.DefaultPixelPipeline()
 		out := vision.NewImage(left.W, left.H)
 		blur := vision.NewImage(left.W, left.H)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg.ProcessInto(out, blur, left)
+			isp.ProcessInto(out, blur, left)
 		}
 	})
 	b.Run("isp/int8", func(b *testing.B) {
 		left, _ := benchStereoPair(256, 192)
-		q := isp.DefaultPixelPipeline().Quantized()
+		q := isp.Quantized()
 		in := vision.QuantizeImage(left)
 		out := vision.NewQImage(in.W, in.H)
 		blur := vision.NewQImage(in.W, in.H)

@@ -95,9 +95,6 @@ type LatencyModel = models.LatencyModel
 // CostModel is the Table II vehicle cost breakdown.
 type CostModel = models.CostModel
 
-// TCO is the total-cost-of-ownership sketch of Sec. VII.
-type TCO = models.TCO
-
 // DefaultLatencyModel returns the deployed parameters (v = 5.6 m/s,
 // a = 4 m/s², Tdata ≈ 1 ms, Tmech ≈ 19 ms).
 func DefaultLatencyModel() LatencyModel { return models.DefaultLatencyModel() }
@@ -124,8 +121,12 @@ func CameraVehicleCost() CostModel { return models.DefaultCameraVehicleCost() }
 // LiDARVehicleCost returns the LiDAR-based comparison rows of Table II.
 func LiDARVehicleCost() CostModel { return models.DefaultLiDARVehicleCost() }
 
-// DefaultTCO returns the tourist-site operating profile.
-func DefaultTCO() TCO { return models.DefaultTCO() }
+// AnnualUSD is the yearly total cost of ownership (Sec. VII) at the
+// tourist-site operating profile.
+func AnnualUSD() float64 { return models.AnnualUSD() }
+
+// CostPerTripUSD is the break-even per-trip cost at that profile.
+func CostPerTripUSD() float64 { return models.CostPerTripUSD() }
 
 // Hardware design space (Sec. V).
 

@@ -31,7 +31,7 @@ func TestPublicModels(t *testing.T) {
 	if CameraVehicleCost().SensorTotalUSD() >= LiDARVehicleCost().SensorTotalUSD() {
 		t.Fatal("camera sensors must be cheaper")
 	}
-	if DefaultTCO().CostPerTripUSD() <= 0 {
+	if CostPerTripUSD() <= 0 {
 		t.Fatal("TCO per trip")
 	}
 }

@@ -56,6 +56,18 @@ func main() {
 	if *demand < 0 {
 		fail(fmt.Errorf("-demand %v: arrivals per region-hour must not be negative", *demand))
 	}
+	if *regions < 1 {
+		fail(fmt.Errorf("-regions %d: need at least one region", *regions))
+	}
+	if *epoch <= 0 {
+		fail(fmt.Errorf("-epoch %v: the lockstep epoch must be positive", *epoch))
+	}
+	if *duration <= 0 {
+		fail(fmt.Errorf("-duration %v: the virtual horizon must be positive", *duration))
+	}
+	if *perception < 0 {
+		fail(fmt.Errorf("-perception %d: need an epoch count, or 0 for off", *perception))
+	}
 
 	parallel.SetWorkers(*workers)
 

@@ -252,8 +252,14 @@ var flagCases = []flagCase{
 	{"sovfleet -vehicles", fleetBase, append(fleetArgs(), "-vehicles", "9"), "differs"},
 	{"sovfleet -vehicles", fleetBase, append(fleetArgs(), "-vehicles", "0"), "exit 2"},
 	{"sovfleet -regions", fleetBase, append(fleetArgs(), "-regions", "1"), "differs"},
+	{"sovfleet -regions", fleetBase, append(fleetArgs(), "-regions", "0"), "exit 2"},
+	{"sovfleet -regions", fleetBase, append(fleetArgs(), "-regions", "-3"), "exit 2"},
 	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "4s"), "differs"},
+	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "0"), "exit 2"},
+	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "-1m"), "exit 2"},
 	{"sovfleet -epoch", fleetBase, append(fleetArgs(), "-epoch", "500ms"), "differs"},
+	{"sovfleet -epoch", fleetBase, append(fleetArgs(), "-epoch", "0"), "exit 2"},
+	{"sovfleet -epoch", fleetBase, append(fleetArgs(), "-epoch", "-5s"), "exit 2"},
 	{"sovfleet -seed", fleetBase, append(fleetArgs(), "-seed", "2"), "differs"},
 	{"sovfleet -workers", append(fleetArgs(), "-workers", "1"), append(fleetArgs(), "-workers", "3"), "same"},
 	{"sovfleet -demand", fleetBase, append(fleetArgs(), "-demand", "20000"), "differs"},
@@ -263,6 +269,7 @@ var flagCases = []flagCase{
 	// (0.25): one vehicle starting at 64% crosses it after about 3 h.
 	{"sovfleet -sched", fleetLowSoC(), fleetLowSoC("-sched"), "differs"},
 	{"sovfleet -perception", fleetBase, append(fleetArgs(), "-perception", "1"), "differs"},
+	{"sovfleet -perception", fleetBase, append(fleetArgs(), "-perception", "-1"), "exit 2"},
 	{"sovfleet -trace", []string{"-vehicles", "8", "-regions", "2", "-duration", "3s"}, fleetBase, "differs"},
 	{"sovfleet -trace", []string{"-vehicles", "2", "-duration", "5s"}, []string{"-vehicles", "2", "-duration", "5s", "-trace", "/dev/full"}, "exit 1"},
 	{"sovfleet -metrics", fleetBase, append(fleetArgs(), "-metrics", "m.prom"), "differs"},

@@ -9,22 +9,22 @@ import (
 // im2col + register-blocked integer GEMM: QConv2D's one backend (DESIGN.md
 // §10). The convolution reshapes into C[OutC × P] = W[OutC × kd] · A[kd × P]
 // with kd = InC·K·K and P = OH·OW output pixels. Weight panels (B) pack once
-// at construction into reversed biased pair words (swar.go). Activation
+// at construction into reversed biased triple words (swar.go). Activation
 // panels (A) pack per column block from a zero-point-padded copy of the
 // input: the border of that copy holds the input's zero-point code, which
 // *is* real zero, so an output pixel's window is always kd in-bounds bytes
 // at fixed offsets from its top-left corner and border columns need no code
 // of their own. The offsets live in a per-shape tap table. The 4×4
-// micro-kernel keeps sixteen pair-dot accumulators live across the shared
+// micro-kernel keeps sixteen triple-dot accumulators live across the shared
 // kd sweep: every A load feeds four weight rows, every B load four pixels,
-// and every 64-bit multiply retires two MACs.
+// and every 64-bit multiply retires three MACs.
 
 // gemmColBlock is the im2col column-block width (output pixels per A
-// panel). Chosen by the cachesim sweep in tiles_test.go: the block's pair
-// words (np·8·gemmColBlock bytes) plus the full B panel set must stay
+// panel). Chosen by the cachesim sweep in tiles_test.go: the block's packed
+// words (nw·8·gemmColBlock bytes) plus the full B panel set must stay
 // cache-resident together — then the B panels survive from block to block
 // and only the A gather misses. On the perception-shaped GEMM stream the
-// sweep's miss-rate optimum sits at 32 columns (18 KB of A panel + 18 KB of
+// sweep's miss-rate optimum sits at 32 columns (12 KB of A panel + 12 KB of
 // B); wall-clock is flat from 32 to 128 on the ALU-bound kernel, so the
 // traffic optimum ships (DESIGN.md §10).
 const gemmColBlock = 32
@@ -32,10 +32,10 @@ const gemmColBlock = 32
 // gemmState is QConv2D's GEMM backend: construction-time weight panels,
 // which ShareClone aliases, and per-instance scratch, which it zeroes.
 type gemmState struct {
-	np   int      // pair words per kd-length dot product
+	nw   int      // packed words per kd-length dot product (swarWords)
 	mpad int      // OutC rounded up to the 4-row panel height
-	b    []uint64 // packed B panels, [mpad/4] panels of [np][4] words
-	rowC []int64  // per-channel pair-dot constant (swarRowConst)
+	b    []uint64 // packed B panels, [mpad/4] panels of [nw][4] words
+	rowC []int64  // per-channel triple-dot constant (swarRowConst)
 	gemmScratch
 }
 
@@ -64,30 +64,20 @@ type gemmScratch struct {
 // exact everywhere.
 func (c *QConv2D) initGEMM() {
 	kd := c.InC * c.K * c.K
-	np := swarPairs(kd)
+	nw := swarWords(kd)
 	mpad := (c.OutC + 3) &^ 3
-	c.gemm.np = np
+	c.gemm.nw = nw
 	c.gemm.mpad = mpad
-	c.gemm.b = make([]uint64, mpad*np)
+	c.gemm.b = make([]uint64, mpad*nw)
 	c.gemm.rowC = make([]int64, c.OutC)
+	words := make([]uint64, nw)
 	for o := 0; o < c.OutC; o++ {
-		row := c.Weights[o*kd : (o+1)*kd]
-		panel := c.gemm.b[(o/4)*np*4:]
-		r := o % 4
-		var wsum int32
-		var wsumB int64
-		for j := 0; j < np; j++ {
-			a := uint64(uint8(row[2*j]) ^ 0x80)
-			b := uint64(swarPadW)
-			wsum += int32(row[2*j])
-			if 2*j+1 < kd {
-				b = uint64(uint8(row[2*j+1]) ^ 0x80)
-				wsum += int32(row[2*j+1])
-			}
-			panel[j*4+r] = b | a<<32
-			wsumB += int64(a + b)
+		wsumB := packWeightTriplesInto(words, c.Weights[o*kd:(o+1)*kd])
+		panel := c.gemm.b[(o/4)*nw*4:]
+		for j, w := range words {
+			panel[j*4+o%4] = w
 		}
-		c.gemm.rowC[o] = swarRowConst(c.Bias[o]-c.zeroIn*wsum, wsumB, np)
+		c.gemm.rowC[o] = swarRowConst(c.Bias[o], c.zeroIn, wsumB, nw)
 	}
 }
 
@@ -210,7 +200,7 @@ func (c *QConv2D) corner(col, ow, pw int) int {
 // gemmSlabs returns the spacing of the per-tile A panels (in words) and Σu
 // rows (in int32s): each slab plus one 64-byte cache line.
 func (c *QConv2D) gemmSlabs() (as, ss int) {
-	return c.gemm.np*gemmColBlock + 8, gemmColBlock + 16
+	return c.gemm.nw*gemmColBlock + 8, gemmColBlock + 16
 }
 
 // gemmBlocks runs column blocks [b0, b1) through scratch slab t.
@@ -218,7 +208,7 @@ func (c *QConv2D) gemmSlabs() (as, ss int) {
 //sov:hotpath
 func (c *QConv2D) gemmBlocks(out *QTensor, p, b0, b1, t int) {
 	as, ss := c.gemmSlabs()
-	ap := c.gemm.abuf[t*as:][:c.gemm.np*gemmColBlock]
+	ap := c.gemm.abuf[t*as:][:c.gemm.nw*gemmColBlock]
 	su := c.gemm.sbuf[t*ss:][:gemmColBlock]
 	for blk := b0; blk < b1; blk++ {
 		c.gemmBlock(out, p, blk*gemmColBlock, ap, su)
@@ -240,7 +230,7 @@ func (c *QConv2D) gemmBlock(out *QTensor, p, colBase int, ap []uint64, su []int3
 		cols = p - colBase
 	}
 	groups := (cols + 3) / 4
-	np := c.gemm.np
+	nw := c.gemm.nw
 	pw := c.gemm.inW + 2*c.Pad
 	for g := 0; g < groups; g++ {
 		var corner [4]int
@@ -249,15 +239,15 @@ func (c *QConv2D) gemmBlock(out *QTensor, p, colBase int, ap []uint64, su []int3
 			// their accumulators are never written back.
 			corner[ci] = c.corner(min(colBase+g*4+ci, p-1), out.W, pw)
 		}
-		c.packAGroup(ap[g*np*4:(g+1)*np*4], su[g*4:g*4+4], corner)
+		c.packAGroup(ap[g*nw*4:(g+1)*nw*4], su[g*4:g*4+4], corner)
 	}
 	rq := c.rq
 	plane := out.H * out.W
 	for rb := 0; rb < c.gemm.mpad/4; rb++ {
 		o0 := rb * 4
-		bp := c.gemm.b[rb*np*4 : (rb+1)*np*4]
+		bp := c.gemm.b[rb*nw*4 : (rb+1)*nw*4]
 		for g := 0; g < groups; g++ {
-			a := ap[g*np*4 : (g+1)*np*4]
+			a := ap[g*nw*4 : (g+1)*nw*4]
 			b := bp[:len(a)]
 			var s00, s01, s02, s03 uint64
 			var s10, s11, s12, s13 uint64
@@ -267,22 +257,22 @@ func (c *QConv2D) gemmBlock(out *QTensor, p, colBase int, ap []uint64, su []int3
 				x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
 				b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
 				a, b = a[4:], b[4:]
-				s00 += (x0 * b0) >> 32
-				s01 += (x1 * b0) >> 32
-				s02 += (x2 * b0) >> 32
-				s03 += (x3 * b0) >> 32
-				s10 += (x0 * b1) >> 32
-				s11 += (x1 * b1) >> 32
-				s12 += (x2 * b1) >> 32
-				s13 += (x3 * b1) >> 32
-				s20 += (x0 * b2) >> 32
-				s21 += (x1 * b2) >> 32
-				s22 += (x2 * b2) >> 32
-				s23 += (x3 * b2) >> 32
-				s30 += (x0 * b3) >> 32
-				s31 += (x1 * b3) >> 32
-				s32 += (x2 * b3) >> 32
-				s33 += (x3 * b3) >> 32
+				s00 += (x0 * b0) >> swarShift
+				s01 += (x1 * b0) >> swarShift
+				s02 += (x2 * b0) >> swarShift
+				s03 += (x3 * b0) >> swarShift
+				s10 += (x0 * b1) >> swarShift
+				s11 += (x1 * b1) >> swarShift
+				s12 += (x2 * b1) >> swarShift
+				s13 += (x3 * b1) >> swarShift
+				s20 += (x0 * b2) >> swarShift
+				s21 += (x1 * b2) >> swarShift
+				s22 += (x2 * b2) >> swarShift
+				s23 += (x3 * b2) >> swarShift
+				s30 += (x0 * b3) >> swarShift
+				s31 += (x1 * b3) >> swarShift
+				s32 += (x2 * b3) >> swarShift
+				s33 += (x3 * b3) >> swarShift
 			}
 			col := colBase + g*4
 			if o0+4 <= c.OutC && g*4+4 <= cols {
@@ -340,7 +330,8 @@ func (c *QConv2D) gemmBlock(out *QTensor, p, colBase int, ap []uint64, su []int3
 // A panel (pixel ci at word offset ci, stride 4) and writes each pixel's Σu.
 // corner[ci] is the pixel's window corner in the padded buffer; every tap is
 // then an in-bounds byte at its table offset, so the sweep has no row or
-// column tests. An odd kd pairs its last tap with the swarPadU lane.
+// column tests. Three taps fill a word; a 1- or 2-tap tail leaves the
+// word's padding lanes at u = 0.
 //
 //sov:hotpath
 func (c *QConv2D) packAGroup(panel []uint64, su []int32, corner [4]int) {
@@ -348,32 +339,34 @@ func (c *QConv2D) packAGroup(panel []uint64, su []int32, corner [4]int) {
 	w0, w1, w2, w3 := pb[corner[0]:], pb[corner[1]:], pb[corner[2]:], pb[corner[3]:]
 	taps := c.gemm.taps
 	var s0, s1, s2, s3 uint64
-	j := 0
-	for ; 2*j+1 < len(taps); j++ {
-		lo, hi := taps[2*j], taps[2*j+1]
-		q := panel[j*4 : j*4+4 : j*4+4]
-		a, b := uint64(w0[lo]), uint64(w0[hi])
-		s0 += a + b
-		q[0] = a | b<<32
-		a, b = uint64(w1[lo]), uint64(w1[hi])
-		s1 += a + b
-		q[1] = a | b<<32
-		a, b = uint64(w2[lo]), uint64(w2[hi])
-		s2 += a + b
-		q[2] = a | b<<32
-		a, b = uint64(w3[lo]), uint64(w3[hi])
-		s3 += a + b
-		q[3] = a | b<<32
+	for ; len(taps) >= 3; taps, panel = taps[3:], panel[4:] {
+		t0, t1, t2 := taps[0], taps[1], taps[2]
+		q := panel[:4:4]
+		a, b, d := uint64(w0[t0]), uint64(w0[t1]), uint64(w0[t2])
+		s0 += a + b + d
+		q[0] = a | b<<swarLane | d<<swarShift
+		a, b, d = uint64(w1[t0]), uint64(w1[t1]), uint64(w1[t2])
+		s1 += a + b + d
+		q[1] = a | b<<swarLane | d<<swarShift
+		a, b, d = uint64(w2[t0]), uint64(w2[t1]), uint64(w2[t2])
+		s2 += a + b + d
+		q[2] = a | b<<swarLane | d<<swarShift
+		a, b, d = uint64(w3[t0]), uint64(w3[t1]), uint64(w3[t2])
+		s3 += a + b + d
+		q[3] = a | b<<swarLane | d<<swarShift
 	}
-	if 2*j < len(taps) {
-		lo := taps[2*j]
-		q := panel[j*4 : j*4+4 : j*4+4]
-		a, b, d, e := uint64(w0[lo]), uint64(w1[lo]), uint64(w2[lo]), uint64(w3[lo])
-		s0, s1, s2, s3 = s0+a, s1+b, s2+d, s3+e
-		q[0] = a | swarPadU<<32
-		q[1] = b | swarPadU<<32
-		q[2] = d | swarPadU<<32
-		q[3] = e | swarPadU<<32
+	if len(taps) > 0 {
+		q := panel[:4:4]
+		q[0], q[1], q[2], q[3] = 0, 0, 0, 0 // padding lanes hold u = 0
+		for l, t := range taps {
+			a, b, d, e := uint64(w0[t]), uint64(w1[t]), uint64(w2[t]), uint64(w3[t])
+			s0, s1, s2, s3 = s0+a, s1+b, s2+d, s3+e
+			sh := swarLane * l
+			q[0] |= a << sh
+			q[1] |= b << sh
+			q[2] |= d << sh
+			q[3] |= e << sh
+		}
 	}
 	su[0], su[1], su[2], su[3] = int32(s0), int32(s1), int32(s2), int32(s3)
 }

@@ -280,8 +280,25 @@ func FuzzQConvMatchesReference(f *testing.F) {
 	})
 }
 
-// TestQFCSWARParity checks the pair-dot QFC against a scalar widened dot
-// product over odd and even widths, including the ≤3-row tail.
+// refQFC is the scalar widened dot the QFC must match: per output row, the
+// quantized bias plus Σ w·(x − zero) over every input, requantized by
+// refRequant.
+func refQFC(qf *QFC, fc *FC, in *QTensor) []int8 {
+	w, ws := quantizeWeights(fc.Weights)
+	bias := quantizeBias(fc.Bias, qf.InP.Scale*ws)
+	out := make([]int8, qf.Out)
+	for o := range out {
+		acc := bias[o]
+		for i, v := range in.Data {
+			acc += int32(w[o*qf.In+i]) * (int32(v) - qf.InP.Zero)
+		}
+		out[o] = refRequant(qf.rq, acc)
+	}
+	return out
+}
+
+// TestQFCSWARParity checks the triple-dot QFC against refQFC over every
+// width residue mod 3, including the ≤3-row tail.
 func TestQFCSWARParity(t *testing.T) {
 	for _, shape := range []struct{ in, out int }{
 		{256, 128}, {255, 127}, {7, 9}, {1, 1}, {17, 6}, {64, 3},
@@ -293,21 +310,52 @@ func TestQFCSWARParity(t *testing.T) {
 		for i := range in.Data {
 			in.Data[i] = int8(rng.Intn(256) - 128)
 		}
-		w, _ := quantizeWeights(fc.Weights)
-		want := make([]int8, shape.out)
-		for o := 0; o < shape.out; o++ {
-			acc := qf.foldedBias[o]
-			for i, v := range in.Data {
-				acc += int32(w[o*shape.in+i]) * int32(v)
-			}
-			want[o] = refRequant(qf.rq, acc)
-		}
 		out := NewQTensor(shape.out, 1, 1, qf.OutP)
 		qf.ForwardInto(in, out)
-		if !eqInt8(out.Data, want) {
+		if !eqInt8(out.Data, refQFC(qf, fc, in)) {
 			t.Fatalf("qfc %dx%d: SWAR output != scalar reference", shape.in, shape.out)
 		}
 	}
+}
+
+// FuzzQFCMatchesReference draws the layer width, output count, both zero
+// points, ReLU, and every weight, bias and input code from the input bytes
+// and compares QFC with refQFC.
+func FuzzQFCMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, width uint16, outs uint8, zeroIn, zeroOut int8, data []byte) {
+		nin, nout := 1+int(width)%600, 1+int(outs)%24
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		fc := &FC{In: nin, Out: nout, ReLU: next()&1 == 1}
+		fc.Weights = make([]float32, nin*nout)
+		for i := range fc.Weights {
+			fc.Weights[i] = float32(int8(next())) / 127
+		}
+		fc.Bias = make([]float32, nout)
+		for i := range fc.Bias {
+			fc.Bias[i] = float32(int8(next())) / 16
+		}
+		inP := QuantParams{Scale: 0.02, Zero: int32(zeroIn)}
+		qf := NewQFC(fc, inP, QuantParams{Scale: 0.05, Zero: int32(zeroOut)})
+		in := NewQTensor(nin, 1, 1, inP)
+		for i := range in.Data {
+			in.Data[i] = int8(next())
+		}
+		out := NewQTensor(nout, 1, 1, qf.OutP)
+		for i := range out.Data {
+			out.Data[i] = 0x55 // every element must be written
+		}
+		qf.ForwardInto(in, out)
+		if !eqInt8(out.Data, refQFC(qf, fc, in)) {
+			t.Fatalf("qfc %dx%d zeros (%d, %d) relu %v: output != reference", nin, nout, zeroIn, zeroOut, fc.ReLU)
+		}
+	})
 }
 
 func eqInt8(a, b []int8) bool {

@@ -4,7 +4,7 @@ package nn
 // cameras run the same quantized network every cycle; forwarding them
 // image-major re-streams every layer's weight panels per camera, while
 // forwarding layer-major walks the batch inside each layer so the packed
-// GEMM B panels and QFC pair words stay cache-resident across all images.
+// GEMM B panels and QFC triple words stay cache-resident across all images.
 // The per-image arithmetic is untouched — batched outputs are byte-identical
 // to running each image alone, for any worker count.
 

@@ -20,7 +20,7 @@ type QLayer interface {
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // QConv2D is the fused int8 convolution: conv + bias + ReLU + requantize in
-// one pass, for every shape, through the im2col + pair-dot GEMM backend
+// one pass, for every shape, through the im2col + triple-dot GEMM backend
 // (gemm.go). Accumulation is exact integer arithmetic throughout.
 type QConv2D struct {
 	InC, OutC int
@@ -147,20 +147,19 @@ func qgapChannel(in *QTensor, c int, n int32) int8 {
 // QFC is the fused int8 fully-connected layer: dot product + bias + ReLU +
 // requantize, with the zero-point folded into the bias (every input element
 // is always valid, so the fold is exact everywhere). The dot products run as
-// SWAR pair-dots (swar.go): two MACs per 64-bit multiply against weight rows
-// packed once at construction.
+// SWAR triple-dots (swar.go): three MACs per 64-bit multiply against weight
+// rows packed once at construction.
 type QFC struct {
-	In, Out    int
-	foldedBias []int32
-	InP, OutP  QuantParams
-	rq         requant
-	// wpack holds each weight row as np reversed biased pair words; rowConst
-	// folds the bias and the constant terms of the pair-dot identity, so the
-	// kernel only subtracts 128·Σu at the end.
-	np       int
+	In, Out   int
+	InP, OutP QuantParams
+	rq        requant
+	// wpack holds each weight row as nw reversed biased triple words;
+	// rowConst folds the bias and the constant terms of the triple-dot
+	// identity, so the kernel only subtracts 128·Σu at the end.
+	nw       int
 	wpack    []uint64
 	rowConst []int64
-	// xpack holds the packed input pairs (grown on first use, reused
+	// xpack holds the packed input triples (grown on first use, reused
 	// forever).
 	xpack []uint64
 }
@@ -171,19 +170,12 @@ func NewQFC(f *FC, in, out QuantParams) *QFC {
 	q := &QFC{In: f.In, Out: f.Out, InP: in, OutP: out}
 	accScale := in.Scale * ws
 	bias := quantizeBias(f.Bias, accScale)
-	q.foldedBias = make([]int32, f.Out)
-	q.np = swarPairs(f.In)
-	q.wpack = make([]uint64, f.Out*q.np)
+	q.nw = swarWords(f.In)
+	q.wpack = make([]uint64, f.Out*q.nw)
 	q.rowConst = make([]int64, f.Out)
 	for o := 0; o < f.Out; o++ {
-		row := w[o*f.In : (o+1)*f.In]
-		var wsum int32
-		for _, v := range row {
-			wsum += int32(v)
-		}
-		q.foldedBias[o] = bias[o] - in.Zero*wsum
-		wsumB := packWeightPairsInto(q.wpack[o*q.np:(o+1)*q.np], row)
-		q.rowConst[o] = swarRowConst(q.foldedBias[o], wsumB, q.np)
+		wsumB := packWeightTriplesInto(q.wpack[o*q.nw:(o+1)*q.nw], w[o*f.In:(o+1)*f.In])
+		q.rowConst[o] = swarRowConst(bias[o], in.Zero, wsumB, q.nw)
 	}
 	q.rq = newRequant(float64(accScale)/float64(out.Scale), out.Zero, f.ReLU)
 	return q
@@ -199,8 +191,8 @@ func (f *QFC) OutShape(_, _, _ int) (int, int, int) { return f.Out, 1, 1 }
 func (f *QFC) OutParams() QuantParams { return f.OutP }
 
 // ForwardInto implements QLayer. The int8 input row is packed into SWAR
-// pair words once, then output rows are computed four at a time so every
-// packed load feeds four weight rows and each 64-bit multiply retires two
+// triple words once, then output rows are computed four at a time so every
+// packed load feeds four weight rows and each 64-bit multiply retires three
 // MACs.
 //
 //sov:hotpath
@@ -211,12 +203,12 @@ func (f *QFC) ForwardInto(in, out *QTensor) {
 	if len(out.Data) != f.Out {
 		panic(fmt.Sprintf("nn: qfc output %d != %d", len(out.Data), f.Out))
 	}
-	if cap(f.xpack) < f.np {
+	if cap(f.xpack) < f.nw {
 		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the packed input row
-		f.xpack = make([]uint64, f.np)
+		f.xpack = make([]uint64, f.nw)
 	}
-	xp := f.xpack[:f.np]
-	sumU := packPairsInto(xp, in.Data)
+	xp := f.xpack[:f.nw]
+	sumU := packTriplesInto(xp, in.Data)
 	quads := f.Out / 4
 	for q := 0; q < quads; q++ {
 		f.swarRowQuad(xp, sumU, 4*q, out.Data)
@@ -235,26 +227,27 @@ func (f *QFC) swarTail(xp []uint64, sumU int64, o int, dst []int8) {
 
 // swarRowQuad computes four fused output elements against the packed input
 // row: each packed load feeds four weight rows and every multiply retires
-// two MACs via the pair-dot identity (swar.go), so both the load traffic and
-// the multiply count per MAC halve relative to the widened-int32 sweep.
+// three MACs via the triple-dot identity (swar.go), so both the load traffic
+// and the multiply count per MAC fall to a third of the widened-int32
+// sweep's.
 //
 //sov:hotpath
 func (f *QFC) swarRowQuad(xp []uint64, sumU int64, o int, dst []int8) {
-	np := f.np
-	r0 := f.wpack[o*np : (o+1)*np]
-	r1 := f.wpack[(o+1)*np : (o+2)*np]
-	r2 := f.wpack[(o+2)*np : (o+3)*np]
-	r3 := f.wpack[(o+3)*np : (o+4)*np]
+	nw := f.nw
+	r0 := f.wpack[o*nw : (o+1)*nw]
+	r1 := f.wpack[(o+1)*nw : (o+2)*nw]
+	r2 := f.wpack[(o+2)*nw : (o+3)*nw]
+	r3 := f.wpack[(o+3)*nw : (o+4)*nw]
 	xp = xp[:len(r0)]
 	r1 = r1[:len(r0)]
 	r2 = r2[:len(r0)]
 	r3 = r3[:len(r0)]
 	var a, b, c, d uint64
 	for i, x := range xp {
-		a += (x * r0[i]) >> 32
-		b += (x * r1[i]) >> 32
-		c += (x * r2[i]) >> 32
-		d += (x * r3[i]) >> 32
+		a += (x * r0[i]) >> swarShift
+		b += (x * r1[i]) >> swarShift
+		c += (x * r2[i]) >> swarShift
+		d += (x * r3[i]) >> swarShift
 	}
 	base := -128 * sumU
 	dst[o] = f.rq.apply(int32(f.rowConst[o] + base + int64(a)))
@@ -263,16 +256,16 @@ func (f *QFC) swarRowQuad(xp []uint64, sumU int64, o int, dst []int8) {
 	dst[o+3] = f.rq.apply(int32(f.rowConst[o+3] + base + int64(d)))
 }
 
-// swarRow computes one fused output element by pair-dot (the ≤3 trailing
+// swarRow computes one fused output element by triple-dot (the ≤3 trailing
 // rows of the quad sweep).
 //
 //sov:hotpath
 func (f *QFC) swarRow(xp []uint64, sumU int64, o int) int8 {
-	row := f.wpack[o*f.np : (o+1)*f.np]
+	row := f.wpack[o*f.nw : (o+1)*f.nw]
 	xp = xp[:len(row)]
 	var a uint64
 	for i, x := range xp {
-		a += (x * row[i]) >> 32
+		a += (x * row[i]) >> swarShift
 	}
 	return f.rq.apply(int32(f.rowConst[o] - 128*sumU + int64(a)))
 }

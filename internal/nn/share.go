@@ -10,7 +10,7 @@ import "fmt"
 // model unsafe to forward from two goroutines at once — a tap table is
 // rebuilt in place when the input shape changes. ShareClone splits the two
 // concerns: the clone aliases every read-only tensor — int8 weights, biases,
-// pair-dot row constants, packed GEMM B panels, FC pair words, the sigmoid
+// triple-dot row constants, packed GEMM B panels, FC triple words, the sigmoid
 // LUT — and zeroes only the mutable scratch, which regrows privately on the
 // clone's first forward. N shards therefore pay one copy of the weight
 // panels (they stay cache-resident across the whole fleet batch) plus N
@@ -26,7 +26,7 @@ func (c *QConv2D) ShareClone() *QConv2D {
 }
 
 // ShareClone returns a QFC that shares the receiver's weights and packed
-// pair words, with a private input-pack buffer. Safe to forward
+// triple words, with a private input-pack buffer. Safe to forward
 // concurrently with the original.
 func (f *QFC) ShareClone() *QFC {
 	cp := *f

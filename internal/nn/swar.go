@@ -2,12 +2,12 @@ package nn
 
 // SWAR (SIMD Within A Register) substrate for the second-generation int8
 // kernels (DESIGN.md §10). The kernels below this file (QFC and the im2col
-// GEMM micro-kernel behind QConv2D) do their multiply-accumulate on two
+// GEMM micro-kernel behind QConv2D) do their multiply-accumulate on three
 // activations per 64-bit word. Everything is exact integer arithmetic — the
 // SWAR paths produce bit-identical accumulators to the scalar references
 // the package tests compare them with.
 //
-// Lane layout and the pair-dot identity
+// Lane layout and the triple-dot identity
 //
 // Signed int8 codes are first rebased to the unsigned domain,
 //
@@ -17,77 +17,89 @@ package nn
 // so lane products never need sign extension. A dot product rebuilds from
 // the unsigned one by the exact correction
 //
-//	Σ w·x = Σ u·w' − 128·Σu − 128·Σw' + 16384·n                      (pair-dot)
+//	Σ w·x = Σ u·w' − 128·Σu − 128·Σw' + 16384·n
 //
 // over n padded elements; a padding element with u = 0, w' = 128 contributes
-// 0·128 − 0 − 128·128 + 16384 = 0, so odd lengths pad for free.
+// 0·128 − 0 − 128·128 + 16384 = 0, so any length pads for free.
 //
-// The pair-dot kernel packs two consecutive activations into the 32-bit
-// halves of a word, A = u₀ | u₁<<32, and the matching weights *reversed*,
-// B = w'₁ | w'₀<<32. Then in the 64-bit product
+// The triple-dot kernel packs three consecutive activations into 22-bit
+// lanes of a word, A = u₀ | u₁<<22 | u₂<<44, and the matching weights
+// *reversed*, B = w'₂ | w'₁<<22 | w'₀<<44. Lane i of A meets lane j of B at
+// bit 22·(i+2−j), so in the 64-bit product
 //
-//	A·B = u₀w'₁ + (u₀w'₀ + u₁w'₁)<<32 + u₁w'₀<<64 (mod 2⁶⁴)
+//	A·B = u₀w'₂ + (u₀w'₁ + u₁w'₂)<<22 + (u₀w'₀ + u₁w'₁ + u₂w'₂)<<44
+//	      + (u₁w'₀ + u₂w'₁)<<66 + u₂w'₀<<88                    (mod 2⁶⁴)
 //
-// the low half u₀w'₁ ≤ 255·255 = 65025 < 2³² cannot carry into the middle,
-// the middle sum ≤ 130050 < 2³² cannot carry into the (discarded) top, so
-// (A·B)>>32 extracts u₀w'₀ + u₁w'₁ exactly: two MACs per multiply.
+// the last two terms vanish mod 2⁶⁴; the low terms sum to at most
+// 65025 + 130050·2²² < 2⁴⁰, so they cannot carry into bit 44; and the
+// window sum is at most 3·255² = 195075 < 2¹⁸, so it ends below bit 62 and
+// nothing wraps. (A·B)>>44 therefore extracts u₀w'₀ + u₁w'₁ + u₂w'₂
+// exactly, with no mask: three MACs per multiply. Three is the most an
+// exact 8×8-bit dot fits in one 64-bit product — a fourth lane's low cross
+// terms would carry into the window.
 
-// swarPadU and swarPadW are the padding lane values of the pair-dot
-// identity: an (u, w') = (0, 128) element contributes exactly zero.
+// swarLane is the lane width of a packed word, and swarShift the bit where
+// the triple-dot window starts in a product of two words.
 const (
-	swarPadU = 0
-	swarPadW = 128
+	swarLane  = 22
+	swarShift = 2 * swarLane
 )
 
-// swarPairs returns the packed pair count for an n-element dot product.
-func swarPairs(n int) int { return (n + 1) / 2 }
+// swarWords returns the packed word count for an n-element dot product.
+func swarWords(n int) int { return (n + 2) / 3 }
 
-// packPairsInto packs src (int8 codes) into biased activation pair words
-// dst[j] = u₂ⱼ | u₂ⱼ₊₁<<32 and returns Σu. dst must have swarPairs(len(src))
-// elements; an odd tail pads with u = 0.
+// packTriplesInto packs src (int8 codes) into biased activation words
+// dst[j] = u₃ⱼ | u₃ⱼ₊₁<<22 | u₃ⱼ₊₂<<44 and returns Σu. dst must have
+// swarWords(len(src)) elements; a 1- or 2-element tail pads with u = 0.
 //
 //sov:hotpath
-func packPairsInto(dst []uint64, src []int8) int64 {
+func packTriplesInto(dst []uint64, src []int8) int64 {
 	var sum int64
-	i, j := 0, 0
-	for ; i+2 <= len(src); i, j = i+2, j+1 {
-		a := uint64(uint8(src[i]) ^ 0x80)
-		b := uint64(uint8(src[i+1]) ^ 0x80)
-		dst[j] = a | b<<32
-		sum += int64(a + b)
+	j := 0
+	for ; len(src) >= 3; j++ {
+		a := uint64(uint8(src[0]) ^ 0x80)
+		b := uint64(uint8(src[1]) ^ 0x80)
+		c := uint64(uint8(src[2]) ^ 0x80)
+		src = src[3:]
+		dst[j] = a | b<<swarLane | c<<swarShift
+		sum += int64(a + b + c)
 	}
-	if i < len(src) {
-		a := uint64(uint8(src[i]) ^ 0x80)
-		dst[j] = a | swarPadU<<32
-		sum += int64(a)
+	if len(src) > 0 {
+		var word uint64 // padding lanes stay u = 0
+		for l, v := range src {
+			u := uint64(uint8(v) ^ 0x80)
+			word |= u << (swarLane * l)
+			sum += int64(u)
+		}
+		dst[j] = word
 	}
 	return sum
 }
 
-// packWeightPairsInto packs one weight row into reversed biased pair words
-// dst[j] = w'₂ⱼ₊₁ | w'₂ⱼ<<32 (the pair-dot operand order) and returns Σw'
-// over the padded row. dst must have swarPairs(len(row)) elements.
-func packWeightPairsInto(dst []uint64, row []int8) int64 {
+// packWeightTriplesInto packs one weight row into reversed biased words
+// dst[j] = w'₃ⱼ₊₂ | w'₃ⱼ₊₁<<22 | w'₃ⱼ<<44 (the triple-dot operand order) and
+// returns Σw' over the padded row. dst must have swarWords(len(row))
+// elements; lanes past the row's end hold w = 0, the padding w' = 128.
+func packWeightTriplesInto(dst []uint64, row []int8) int64 {
 	var sum int64
-	i, j := 0, 0
-	for ; i+2 <= len(row); i, j = i+2, j+1 {
-		a := uint64(uint8(row[i]) ^ 0x80)
-		b := uint64(uint8(row[i+1]) ^ 0x80)
-		dst[j] = b | a<<32
-		sum += int64(a + b)
-	}
-	if i < len(row) {
-		a := uint64(uint8(row[i]) ^ 0x80)
-		dst[j] = swarPadW | a<<32
-		sum += int64(a) + swarPadW
+	for j := range dst {
+		var t [3]int8
+		copy(t[:], row[3*j:])
+		a := uint64(uint8(t[0]) ^ 0x80)
+		b := uint64(uint8(t[1]) ^ 0x80)
+		c := uint64(uint8(t[2]) ^ 0x80)
+		dst[j] = c | b<<swarLane | a<<swarShift
+		sum += int64(a + b + c)
 	}
 	return sum
 }
 
 // swarRowConst folds everything constant about one weight row of the
-// pair-dot identity: bias (with the input zero point already folded in),
-// −128·Σw', and +16384·n over the padded length. The kernel then computes
+// triple-dot identity: the bias, the input zero point's share −zeroIn·Σw
+// (Σw = Σw' − 128·n: a padding lane is w = 0), −128·Σw', and +16384·n over
+// the padded length n = 3·words. The kernel then computes
 // acc = rowConst + Σ(u·w') − 128·Σu.
-func swarRowConst(foldedBias int32, wsumBiased int64, pairs int) int64 {
-	return int64(foldedBias) - 128*wsumBiased + 16384*int64(2*pairs)
+func swarRowConst(bias, zeroIn int32, wsumBiased int64, words int) int64 {
+	n := int64(3 * words)
+	return int64(bias) - int64(zeroIn)*(wsumBiased-128*n) - 128*wsumBiased + 16384*n
 }

@@ -46,7 +46,7 @@ func replayGEMMStream(c *cachesim.Cache, nc int, pool bool) {
 	qc.Pool = pool
 	qc.reshape(tileInH, tileInW)
 	taps := qc.gemm.taps
-	np := qc.gemm.np
+	nw := qc.gemm.nw
 	pw := tileInW + 2*tilePad
 	_, oh, ow := qc.OutShape(tileInC, tileInH, tileInW)
 	out := &QTensor{H: oh, W: ow}
@@ -56,7 +56,7 @@ func replayGEMMStream(c *cachesim.Cache, nc int, pool bool) {
 	if pool {
 		perCol = 4
 	}
-	panelBytes := int64(np * 4 * 8)
+	panelBytes := int64(nw * 4 * 8)
 	for colBase := 0; colBase < p; colBase += nc {
 		cols := nc
 		if colBase+cols > p {
@@ -96,8 +96,8 @@ func replayGEMMStream(c *cachesim.Cache, nc int, pool bool) {
 // TestGEMMColBlockAtSweepOptimum sweeps the column block width and requires
 // the shipped gemmColBlock to sit within 10% of the best measured miss
 // rate, in the plain gather order and in the pooled one (each four-column
-// group one 2×2 window). The sweep shape is the capacity cliff: blocks past
-// ~128 columns outgrow the model cache (72 KB of A panel + 18 KB of B),
+// group one 2×2 window). The sweep shape is the capacity cliff: blocks of
+// 256 columns outgrow the model cache (96 KB of A panel + 12 KB of B),
 // while narrow blocks re-stream the B panels once per block.
 func TestGEMMColBlockAtSweepOptimum(t *testing.T) {
 	candidates := []int{32, 64, 128, 256, 512}

@@ -40,7 +40,7 @@ func TestQuantKernelsZeroAllocSteadyState(t *testing.T) {
 		}{"conv", func() { qc.ForwardInto(qin, qout) }})
 	}
 
-	// fc: SWAR pair-dot QFC.
+	// fc: SWAR triple-dot QFC.
 	{
 		_, qf, in := quantBenchFC()
 		qin := nn.NewQTensor(in.C, 1, 1, qf.InP)

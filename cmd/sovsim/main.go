@@ -43,8 +43,14 @@ func main() {
 	cameras := flag.Int("cameras", 1, "cameras feeding scene understanding per cycle")
 	ambient := flag.Float64("ambient", 25, "enclosure ambient temperature (C) for the scheduler's thermal model")
 	flag.Parse()
+	if *duration <= 0 {
+		fail(fmt.Errorf("-duration %v: must be positive", *duration))
+	}
 	if *cameras < 1 {
 		fail(fmt.Errorf("-cameras %d: need at least one camera", *cameras))
+	}
+	if !(*ambient >= absoluteZeroC) {
+		fail(fmt.Errorf("-ambient %g: below absolute zero (%g C)", *ambient, absoluteZeroC))
 	}
 	if *schedMapping != "" {
 		sc := sched.DefaultConfig()
@@ -152,6 +158,9 @@ func create(what, path string) *os.File {
 	}
 	return f
 }
+
+// absoluteZeroC is the coldest physical ambient.
+const absoluteZeroC = -273.15
 
 // fail reports a non-physical flag value and exits with flag's usage-error
 // status.

@@ -29,7 +29,7 @@ func main() {
 	blackboxMode := flag.Bool("blackbox", false, "treat the input as a flight-recorder JSONL dump archive")
 	flag.Parse()
 	if flag.NArg() != 1 || (*spansMode && *blackboxMode) {
-		fmt.Println("usage: sovtrace [-spans | -blackbox] <file>")
+		fmt.Fprintln(os.Stderr, "usage: sovtrace [-spans | -blackbox] <file>")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))

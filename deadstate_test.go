@@ -217,6 +217,8 @@ type flagCase struct {
 // absent.
 var flagCases = []flagCase{
 	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "6s"}, "differs"},
+	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "0"}, "exit 2"},
+	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "-5s"}, "exit 2"},
 	{"sovsim -seed", []string{"-duration", "5s"}, []string{"-duration", "5s", "-seed", "2"}, "differs"},
 	{"sovsim -no-fpga", []string{"-duration", "5s"}, []string{"-duration", "5s", "-no-fpga"}, "differs"},
 	{"sovsim -no-sync", []string{"-duration", "5s"}, []string{"-duration", "5s", "-no-sync"}, "differs"},
@@ -237,6 +239,8 @@ var flagCases = []flagCase{
 	{"sovsim -cameras", []string{"-duration", "5s"}, []string{"-duration", "5s", "-cameras", "3"}, "differs"},
 	{"sovsim -cameras", []string{"-duration", "5s"}, []string{"-duration", "5s", "-cameras", "0"}, "exit 2"},
 	{"sovsim -ambient", []string{"-duration", "30s", "-sched"}, []string{"-duration", "30s", "-sched", "-ambient", "45"}, "differs"},
+	{"sovsim -ambient", []string{"-duration", "30s", "-sched"}, []string{"-duration", "30s", "-sched", "-ambient", "-5"}, "differs"},
+	{"sovsim -ambient", []string{"-duration", "30s", "-sched"}, []string{"-duration", "30s", "-sched", "-ambient", "-400"}, "exit 2"},
 
 	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "6s"}, "differs"},
 	{"sovbench -seed", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "5s", "-seed", "2"}, "differs"},

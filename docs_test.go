@@ -1,6 +1,7 @@
 package sov
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -31,5 +32,58 @@ func TestExperimentsBudget(t *testing.T) {
 		if _, err := os.Stat(filepath.Join("testdata", "audit", m[1])); err != nil {
 			t.Errorf("EXPERIMENTS.md names %s, which testdata/audit/ lacks", m[1])
 		}
+	}
+}
+
+// TestDesignCitationsResolve: every DESIGN.md section that Go source, a
+// README, ROADMAP.md, scripts/ or the CI workflow cites ("DESIGN.md §N",
+// "DESIGN §N", and any ", §M" after either) is a "## N." heading there.
+// CHANGES.md and testdata/ are history and fixtures, and are not read.
+func TestDesignCitationsResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heading := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## ([0-9]+)\.`).FindAllStringSubmatch(string(design), -1) {
+		heading[m[1]] = true
+	}
+	cite := regexp.MustCompile(`DESIGN(?:\.md)? §[0-9]+(?:, §[0-9]+)*`)
+	num := regexp.MustCompile(`[0-9]+`)
+	cited := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == "testdata" || d.Name() == ".git" || d.Name() == ".claude"):
+			return fs.SkipDir
+		case d.IsDir():
+			return nil
+		}
+		read := strings.HasSuffix(path, ".go") || d.Name() == "README.md" || path == "ROADMAP.md" ||
+			filepath.Dir(path) == "scripts" || path == filepath.Join(".github", "workflows", "ci.yml")
+		if !read {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		text := string(b)
+		for _, loc := range cite.FindAllStringIndex(text, -1) {
+			for _, n := range num.FindAllString(text[loc[0]:loc[1]], -1) {
+				cited++
+				if !heading[n] {
+					t.Errorf("%s:%d cites DESIGN.md §%s, which has no \"## %s.\" heading", path, strings.Count(text[:loc[0]], "\n")+1, n, n)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cited == 0 {
+		t.Fatal("found no DESIGN.md citations; the scan is broken")
 	}
 }

@@ -31,7 +31,6 @@ func benchFleetConfig(vehicles int) fleet.Config {
 	v := core.DefaultConfig()
 	v.ControlRate = 2
 	v.PhysicsRate = 10
-	v.RadarRate = 5
 	v.ReactiveRate = 5
 	v.Quant = false
 	cfg.Vehicle = v

@@ -27,7 +27,11 @@ type Config struct {
 	ControlRate float64
 	// PhysicsRate integrates vehicle dynamics.
 	PhysicsRate float64
-	// RadarRate drives the radar scans feeding the tracker.
+	// RadarRate is inert: the reactive path's radar checks run at
+	// ReactiveRate.
+	//
+	// Deprecated: nothing reads it. It stays only because benchmark/ assigns
+	// it; ROADMAP item 7 drops it.
 	RadarRate float64
 	// ReactiveRate is the safety-override check rate. The six radar units
 	// are staggered, so the fused forward view refreshes faster than any

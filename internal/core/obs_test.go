@@ -10,86 +10,6 @@ import (
 	"sov/internal/obs"
 )
 
-// obsOutputs is one instrumented run's telemetry artifacts, reduced to the
-// pieces covered by the determinism contract.
-type obsOutputs struct {
-	metricsVirtual string // virtual-only registry exposition
-	spansVirtual   string // PIDVirtual lines of the span file
-	spanFile       string // the span file as written
-	box            string // flight-recorder dump stream, verbatim
-	rep            *Report
-}
-
-// obsRun executes one fully instrumented cruise.
-func obsRun(t *testing.T, quant bool, dur time.Duration) obsOutputs {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Quant = quant
-	s := New(cfg, CruiseScenario(3))
-
-	reg := obs.NewRegistry()
-	s.AttachMetrics(reg)
-	var spanBuf, boxBuf bytes.Buffer
-	sw := obs.NewSpanWriter(&spanBuf)
-	s.AttachSpans(sw)
-	box := obs.NewFlightRecorder(&boxBuf, 16, 3)
-	s.AttachFlightRecorder(box)
-
-	rep := s.Run(dur)
-	if _, err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := box.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var met bytes.Buffer
-	if err := reg.WriteText(&met, false); err != nil {
-		t.Fatal(err)
-	}
-	// Keep only the virtual-time track.
-	var virt []string
-	for _, line := range strings.Split(spanBuf.String(), "\n") {
-		if strings.Contains(line, `"pid":1,`) {
-			virt = append(virt, line)
-		}
-	}
-	return obsOutputs{
-		metricsVirtual: met.String(),
-		spansVirtual:   strings.Join(virt, "\n"),
-		spanFile:       spanBuf.String(),
-		box:            boxBuf.String(),
-		rep:            rep,
-	}
-}
-
-// TestObsVirtualOutputsByteIdentical is the telemetry determinism contract:
-// the virtual-only metrics exposition, the virtual span track, and the
-// flight-recorder stream must be byte-identical from run to run, for both
-// the float and quantized latency models.
-func TestObsVirtualOutputsByteIdentical(t *testing.T) {
-	const dur = 30 * time.Second
-	for _, quant := range []bool{false, true} {
-		name := "float"
-		if quant {
-			name = "quant"
-		}
-		ref := obsRun(t, quant, dur)
-		if ref.rep.Cycles == 0 {
-			t.Fatalf("%s: no cycles ran", name)
-		}
-		got := obsRun(t, quant, dur)
-		if got.metricsVirtual != ref.metricsVirtual {
-			t.Errorf("%s: virtual metrics exposition differs between two runs", name)
-		}
-		if got.spansVirtual != ref.spansVirtual {
-			t.Errorf("%s: virtual span track differs between two runs", name)
-		}
-		if got.box != ref.box {
-			t.Errorf("%s: flight-recorder stream differs between two runs", name)
-		}
-	}
-}
-
 // exposition renders reg's text exposition as name → value lines.
 func exposition(t *testing.T, reg *obs.Registry) (string, map[string]string) {
 	t.Helper()
@@ -172,17 +92,24 @@ func itoa(n int) string {
 // TestObsSpanCountAndLayout: every cycle contributes exactly ten spans on
 // the virtual track, and the span file as written parses to the same count.
 func TestObsSpanCountAndLayout(t *testing.T) {
-	out := obsRun(t, false, 20*time.Second)
-	virtSpans := strings.Count(out.spansVirtual, `"ph":"X"`)
-	if want := out.rep.Cycles * 10; virtSpans != want {
-		t.Fatalf("virtual spans = %d, want %d (10 per cycle over %d cycles)", virtSpans, want, out.rep.Cycles)
+	s := New(DefaultConfig(), CruiseScenario(3))
+	var buf bytes.Buffer
+	sw := obs.NewSpanWriter(&buf)
+	s.AttachSpans(sw)
+	rep := s.Run(20 * time.Second)
+	if _, err := sw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	sum, err := obs.SummarizeSpans(strings.NewReader(out.spanFile))
+	spans := strings.Count(buf.String(), `"ph":"X"`)
+	if want := rep.Cycles * 10; spans != want {
+		t.Fatalf("virtual spans = %d, want %d (10 per cycle over %d cycles)", spans, want, rep.Cycles)
+	}
+	sum, err := obs.SummarizeSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Cycles != out.rep.Cycles || sum.Events != virtSpans {
-		t.Fatalf("summary sees %d events over %d cycles, want %d over %d", sum.Events, sum.Cycles, virtSpans, out.rep.Cycles)
+	if sum.Cycles != rep.Cycles || sum.Events != spans {
+		t.Fatalf("summary sees %d events over %d cycles, want %d over %d", sum.Events, sum.Cycles, spans, rep.Cycles)
 	}
 }
 

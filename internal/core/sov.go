@@ -135,12 +135,8 @@ func New(cfg Config, w *world.World) *SoV {
 	if cfg.Sched {
 		sc := sched.DefaultConfig()
 		sc.ControlRate = cfg.ControlRate
-		if cfg.Cameras > 1 {
-			sc.Cameras = cfg.Cameras
-		}
-		if cfg.AmbientC > 0 {
-			sc.AmbientC = cfg.AmbientC
-		}
+		sc.Cameras = cfg.Cameras
+		sc.AmbientC = cfg.AmbientC
 		sc.Static = cfg.SchedStatic
 		// -quant builds the perception stack on the int8 kernels, so the
 		// scheduler may not float the operating point back out from under it.
@@ -210,17 +206,13 @@ func (s *SoV) Start() {
 	s.started = true
 	ctrlPeriod := time.Duration(float64(time.Second) / s.cfg.ControlRate)
 	physPeriod := time.Duration(float64(time.Second) / s.cfg.PhysicsRate)
-	reactiveRate := s.cfg.ReactiveRate
-	if reactiveRate <= 0 {
-		reactiveRate = s.cfg.RadarRate
-	}
-	reactivePeriod := time.Duration(float64(time.Second) / reactiveRate)
 
 	s.engine.Every(physPeriod, "physics", func() { s.physicsStep(physPeriod) })
 	s.engine.Every(ctrlPeriod, "control", s.controlCycle)
-	if s.cfg.ReactivePath {
-		s.engine.Every(reactivePeriod, "reactive", s.reactiveCheck)
+	if !s.cfg.ReactivePath {
+		return
 	}
+	s.engine.Every(time.Duration(float64(time.Second)/s.cfg.ReactiveRate), "reactive", s.reactiveCheck)
 }
 
 // AdvanceTo processes events up to the absolute virtual time t. Repeated

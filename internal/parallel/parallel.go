@@ -87,7 +87,8 @@ func ensurePool() {
 	n := runtime.NumCPU()
 	if n < 4 {
 		// Keep a few helpers even on small hosts so SetWorkers(n>NumCPU)
-		// still interleaves goroutines (the determinism tests rely on it).
+		// still interleaves goroutines (TestDeterminism's 8-worker runs
+		// rely on it).
 		n = 4
 	}
 	//sovlint:ignore hotalloc one-time pool bring-up behind the CAS; never runs again after the first fan-out

@@ -482,53 +482,6 @@ func dirFingerprint(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// TestStoreFilesDeterministic: run files, MANIFEST, and query output are a
-// pure function of the ingested batches — twin stores fed the same stream
-// must be byte-identical. (The store is single-threaded and imports no
-// worker pool, so there is no shard or worker dimension to sweep.)
-func TestStoreFilesDeterministic(t *testing.T) {
-	events := makeEvents(30, 30)
-	type result struct {
-		files map[string]string
-		rows  string
-		label string
-	}
-	var results []result
-	for _, label := range []string{"first", "twin"} {
-		dir := t.TempDir()
-		s, err := Open(dir, Options{FlushBytes: 8 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestInBatches(t, s, events, 170)
-		var rows bytes.Buffer
-		if _, err := s.WriteJSONL(&rows, Query{VehicleMin: 5, VehicleMax: 25, TMinMs: 2000, TMaxMs: 25000}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, result{files: dirFingerprint(t, dir), rows: rows.String(), label: label})
-	}
-	base := results[0]
-	for _, r := range results[1:] {
-		if r.rows != base.rows {
-			t.Fatalf("query rows differ: %s vs %s", base.label, r.label)
-		}
-		if len(r.files) != len(base.files) {
-			t.Fatalf("file sets differ: %s has %d files, %s has %d", base.label, len(base.files), r.label, len(r.files))
-		}
-		for name, fp := range base.files {
-			if r.files[name] != fp {
-				t.Fatalf("file %s differs between %s and %s", name, base.label, r.label)
-			}
-		}
-	}
-	if base.rows == "" {
-		t.Fatal("empty query output")
-	}
-}
-
 // TestCrashRecoveryReplaysToIdenticalStore: a store killed mid-stream
 // (open WAL tail, unflushed memtable) must reopen to the same contents,
 // and after Close its on-disk state must match a never-crashed twin.

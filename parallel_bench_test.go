@@ -2,7 +2,7 @@
 // (EXPERIMENTS.md, "Fan-out audit") runs the identical workload at workers=1
 // and workers=max, so `go test -bench=ParallelSpeedup` reports the scaling of
 // each surviving call site on the host machine. Outputs are byte-identical
-// across worker counts (see parallel_determinism_test.go); only the wall
+// across worker counts (TestDeterminism/kernels/…); only the wall
 // clock should move. The fleet's two fan-outs have BenchmarkFleetThroughput.
 package sov
 

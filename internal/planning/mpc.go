@@ -10,8 +10,8 @@ import (
 
 // MPCConfig sizes the receding-horizon controller.
 type MPCConfig struct {
-	Horizon int     // steps
-	Dt      float64 // seconds per step
+	Horizon int     // steps; NewMPC reads it, and its planner keeps that horizon
+	Dt      float64 // seconds per step; every Plan reads it
 }
 
 // DefaultMPCConfig matches the deployed planner: a 2-second horizon at
@@ -21,7 +21,8 @@ func DefaultMPCConfig() MPCConfig { return MPCConfig{Horizon: 20, Dt: 0.1} }
 
 // The deployed MPC's iteration budget, cost weights and control limits.
 const (
-	mpcIters             = 5 // gradient iterations
+	mpcIters             = 5    // gradient iterations
+	eps          float64 = 1e-3 // finite-difference step of the gradient probes
 	wSpeed       float64 = 1.0
 	wLane        float64 = 2.0
 	wHeading     float64 = 1.0
@@ -49,6 +50,9 @@ type MPC struct {
 	// last rolled through and its sin, cos; cand is the same for a candidate
 	// that moves steer[k], and replaces trig[k:] only if it is accepted.
 	trig, cand []headingTrig
+	// probe is the steer probe's memo: row k (probe[k*n:(k+1)*n], n the
+	// horizon) holds the headings the probe of steer[k] last rolled through.
+	probe []headingTrig
 }
 
 // headingTrig is one memoised math.Sincos result. It is keyed on the bit
@@ -84,6 +88,7 @@ func NewMPC(cfg MPCConfig) *MPC {
 		traj:  make([]TrajPoint, cfg.Horizon),
 		trig:  newTrigMemo(cfg.Horizon),
 		cand:  newTrigMemo(cfg.Horizon),
+		probe: newTrigMemo(cfg.Horizon * cfg.Horizon),
 	}
 }
 
@@ -91,6 +96,31 @@ func NewMPC(cfg MPCConfig) *MPC {
 // offset, speed, heading error, and the cost accumulated over the steps
 // already taken.
 type rollState struct{ s, d, v, h, c float64 }
+
+// trackCost adds one step's speed, lane and effort terms to c. It and
+// obstacleCost are the per-step cost of every rollout; both stay within the
+// inliner's budget (TestStructuralGuards).
+func trackCost(c, v, d, a, w, target float64) float64 {
+	dv := v - target
+	c += wSpeed * dv * dv
+	c += wLane * d * d
+	c += wEffort * (a*a + 4*w*w)
+	return c
+}
+
+// obstacleCost adds the barrier of every obstacle at time t to c.
+func obstacleCost(c, s, d, t float64, obs []Obstacle) float64 {
+	for _, o := range obs {
+		ds := s - (o.S + o.VS*t)
+		dd := d - (o.D + o.VD*t)
+		clear := math.Sqrt(ds*ds+dd*dd) - o.Radius
+		if clear < safeDistance {
+			pen := safeDistance - clear
+			c += wObstacle * pen * pen
+		}
+	}
+	return c
+}
 
 // roll advances st over horizon steps [from, to) of the current control
 // sequence without allocating: the rollout is fused into the cost
@@ -100,12 +130,16 @@ type rollState struct{ s, d, v, h, c float64 }
 // control k from the state before step k.
 //
 // The heading recurrence depends on steer[] alone, so most rollouts of a
-// sweep revisit headings an earlier one already took the sin and cos of.
-// With a memo, step k reuses memo[k] when it holds this exact heading and
-// stores into it otherwise; with nil every step calls math.Sincos.
+// sweep revisit headings an earlier one already took the sin and cos of:
+// step k reuses memo[k] when it holds this exact heading and stores into it
+// otherwise.
+//
+// The rollout returns early, after the step whose cost exceeds stop. Every
+// cost term is ≥ 0 or NaN and rounded addition is monotone, so the full
+// rollout's cost would not be below stop either.
 //
 //sov:hotpath
-func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rollState {
+func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig, stop float64) rollState {
 	dt := m.Cfg.Dt
 	s, d, v, h, c := st.s, st.d, st.v, st.h, st.c
 	for k := from; k < to; k++ {
@@ -113,9 +147,7 @@ func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rol
 		v = mathx.Clamp(v+a*dt, 0, 12)
 		h = mathx.Clamp(h+w*dt, -2.5, 2.5)
 		var sin, cos float64
-		if memo == nil {
-			sin, cos = math.Sincos(h)
-		} else if e, key := &memo[k], math.Float64bits(h); e.key == key {
+		if e, key := &memo[k], math.Float64bits(h); e.key == key {
 			sin, cos = e.sin, e.cos
 		} else {
 			sin, cos = math.Sincos(h)
@@ -123,20 +155,10 @@ func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rol
 		}
 		s += v * cos * dt
 		d += v * sin * dt
-		t := dt * float64(k+1)
-
-		dv := v - in.TargetSpeed
-		c += wSpeed * dv * dv
-		c += wLane * d * d
-		c += wEffort * (a*a + 4*w*w)
-		for _, o := range in.Obstacles {
-			ds := s - (o.S + o.VS*t)
-			dd := d - (o.D + o.VD*t)
-			clear := math.Sqrt(ds*ds+dd*dd) - o.Radius
-			if clear < safeDistance {
-				pen := safeDistance - clear
-				c += wObstacle * pen * pen
-			}
+		c = trackCost(c, v, d, a, w, in.TargetSpeed)
+		c = obstacleCost(c, s, d, dt*float64(k+1), in.Obstacles)
+		if c > stop {
+			break
 		}
 	}
 	return rollState{s, d, v, h, c}
@@ -144,46 +166,120 @@ func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig) rol
 
 // costFrom evaluates the objective of the current control sequence given
 // the rollout state before step k: the remaining steps plus the terminal
-// heading alignment.
+// heading alignment. A cost that exceeds stop may be returned short.
 //
 //sov:hotpath
-func (m *MPC) costFrom(in Input, st rollState, k int, memo []headingTrig) float64 {
-	st = m.roll(in, st, k, len(m.accel), memo)
+func (m *MPC) costFrom(in Input, st rollState, k int, memo []headingTrig, stop float64) float64 {
+	st = m.roll(in, st, k, len(m.accel), memo, stop)
 	return st.c + wHeading*st.h*st.h
+}
+
+// probes returns the costs of the two gradient probes of control k, which
+// resume from pre, the rollout state before step k: accel[k]+eps (ca) and
+// steer[k]+eps (cs). Both are rolled in one pass as two independent
+// dependency chains, and each performs costFrom's operations in costFrom's
+// order. Each perturbed control goes back by -eps, which may move it by an
+// ulp, and the steer probe sees accel[k] after that round trip: the order
+// in which the full-rollout oracle perturbs them. The accel probe's headings
+// are the current sequence's and read trig; the steer probe's are its own
+// and read its row of probe.
+//
+//sov:hotpath
+func (m *MPC) probes(in Input, pre rollState, k int) (ca, cs float64) {
+	dt, n := m.Cfg.Dt, len(m.accel)
+	// One length for every slice the loop indexes, so it has no bounds checks.
+	accel, steer, trig, row := m.accel, m.steer[:n], m.trig[:n], m.probe[k*n:(k+1)*n]
+	aa, ws := accel[k]+eps, steer[k]+eps
+	accel[k] = aa - eps
+	wk := ws - eps
+	sa, da, va, ha, ca := pre.s, pre.d, pre.v, pre.h, pre.c // accel probe
+	sw, dw, vw, hw, cs := pre.s, pre.d, pre.v, pre.h, pre.c // steer probe
+	for j := k; j < n; j++ {
+		a, w := accel[j], steer[j]
+		if j > k {
+			aa, ws = a, w
+		}
+		va = mathx.Clamp(va+aa*dt, 0, 12)
+		ha = mathx.Clamp(ha+w*dt, -2.5, 2.5)
+		vw = mathx.Clamp(vw+a*dt, 0, 12)
+		hw = mathx.Clamp(hw+ws*dt, -2.5, 2.5)
+		var sina, cosa, sinw, cosw float64
+		if e, key := &trig[j], math.Float64bits(ha); e.key == key {
+			sina, cosa = e.sin, e.cos
+		} else {
+			sina, cosa = math.Sincos(ha)
+			*e = headingTrig{key, sina, cosa}
+		}
+		if e, key := &row[j], math.Float64bits(hw); e.key == key {
+			sinw, cosw = e.sin, e.cos
+		} else {
+			sinw, cosw = math.Sincos(hw)
+			*e = headingTrig{key, sinw, cosw}
+		}
+		sa += va * cosa * dt
+		da += va * sina * dt
+		sw += vw * cosw * dt
+		dw += vw * sinw * dt
+		t := dt * float64(j+1)
+		ca = trackCost(ca, va, da, aa, w, in.TargetSpeed)
+		cs = trackCost(cs, vw, dw, a, ws, in.TargetSpeed)
+		ca = obstacleCost(ca, sa, da, t, in.Obstacles)
+		cs = obstacleCost(cs, sw, dw, t, in.Obstacles)
+	}
+	steer[k] = wk
+	return ca + wHeading*ha*ha, cs + wHeading*hw*hw
+}
+
+// trajectory writes the rollout of the current control sequence into
+// m.traj. The last sweep advanced over every step of the sequence after
+// settling it, so each lookup in trig hits; the key check keeps a miss exact.
+func (m *MPC) trajectory(in Input) []TrajPoint {
+	dt := m.Cfg.Dt
+	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
+	for k, a := range m.accel {
+		v = mathx.Clamp(v+a*dt, 0, 12)
+		h = mathx.Clamp(h+m.steer[k]*dt, -2.5, 2.5)
+		var sin, cos float64
+		if e, key := &m.trig[k], math.Float64bits(h); e.key == key {
+			sin, cos = e.sin, e.cos
+		} else {
+			sin, cos = math.Sincos(h)
+			*e = headingTrig{key, sin, cos}
+		}
+		s += v * cos * dt
+		d += v * sin * dt
+		m.traj[k] = TrajPoint{T: dt * float64(k+1), S: s, D: d}
+	}
+	return m.traj
 }
 
 // Plan runs one receding-horizon optimization and returns the first-step
 // command. The optimizer is coordinate-wise numerical gradient descent with
 // a fixed iteration budget — deterministic compute cost, as an embedded
 // planner requires. A probe of control k leaves steps before k untouched,
-// so each sweep carries the rollout state before step k forward and every
-// probe resumes from it instead of re-rolling the whole horizon, and every
-// rollout that leaves steer[] alone takes its sin, cos from the trig memo.
+// so each sweep carries the rollout state before step k forward and both
+// probes resume from it in one pass instead of re-rolling the whole
+// horizon; a candidate's rollout stops once it costs more than the current
+// sequence; and every rollout reads its sin, cos from a heading memo.
 //
 //sov:hotpath
 func (m *MPC) Plan(in Input) Plan {
-	cfg := m.Cfg
+	n := len(m.accel) // the horizon NewMPC sized every buffer for
 	// Warm start: shift the previous solution one step.
 	copy(m.accel, m.accel[1:])
 	copy(m.steer, m.steer[1:])
 
+	inf := math.Inf(1)
 	lr := 0.5
 	start := rollState{d: in.LaneOffset, v: in.Speed, h: in.HeadingErr}
-	base := m.costFrom(in, start, 0, m.trig)
-	const eps = 1e-3
+	base := m.costFrom(in, start, 0, m.trig, inf)
 	for it := 0; it < mpcIters; it++ {
 		improved := false
 		pre := start // rollout state before step k
-		for k := 0; k < cfg.Horizon; k++ {
-			// Numerical gradient for accel[k].
-			m.accel[k] += eps
-			ca := m.costFrom(in, pre, k, m.trig)
-			m.accel[k] -= eps
+		for k := 0; k < n; k++ {
+			// Numerical gradients for accel[k] and steer[k].
+			ca, cs := m.probes(in, pre, k)
 			ga := (ca - base) / eps
-			// And steer[k].
-			m.steer[k] += eps
-			cs := m.costFrom(in, pre, k, nil) // every heading from k on is new
-			m.steer[k] -= eps
 			gs := (cs - base) / eps
 
 			na := mathx.Clamp(m.accel[k]-lr*ga, -maxBrake, maxAccel)
@@ -196,7 +292,7 @@ func (m *MPC) Plan(in Input) Plan {
 			if moved {
 				memo = m.cand
 			}
-			c := m.costFrom(in, pre, k, memo)
+			c := m.costFrom(in, pre, k, memo, base)
 			if c < base {
 				base = c
 				improved = true
@@ -208,7 +304,7 @@ func (m *MPC) Plan(in Input) Plan {
 			}
 			// Step k is settled for this sweep (the ±eps round trip may
 			// have moved it by an ulp even when rejected): advance over it.
-			pre = m.roll(in, pre, k, k+1, m.trig)
+			pre = m.roll(in, pre, k, k+1, m.trig, inf)
 		}
 		if !improved {
 			lr /= 2
@@ -218,7 +314,7 @@ func (m *MPC) Plan(in Input) Plan {
 		}
 	}
 
-	traj := simulateInto(m.traj, in, m.accel, m.steer, cfg.Dt)
+	traj := m.trajectory(in)
 	collides, _ := CollisionCheck(traj, in.Obstacles, 0.5)
 	// Convert the first-step heading rate to a bicycle steering angle:
 	// steer = atan(L * hdot / v).

@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"sov/internal/canbus"
-	"sov/internal/mathx"
 )
 
 // Obstacle is a planning-frame obstacle: position and velocity in lane
@@ -79,21 +78,4 @@ func CollisionCheck(traj []TrajPoint, obs []Obstacle, margin float64) (collides 
 		return false, minClear
 	}
 	return minClear < margin, minClear
-}
-
-// simulateInto rolls the planning model of MPC.roll forward (s' = v cos h,
-// d' = v sin h, v' = a, h' = steer rate) and writes the trajectory into dst,
-// which must have len(accel) points: the planner owns the buffer, so a plan
-// allocates nothing.
-func simulateInto(dst []TrajPoint, in Input, accel, steer []float64, dt float64) []TrajPoint {
-	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
-	for k := range accel {
-		v = mathx.Clamp(v+accel[k]*dt, 0, 12)
-		h += steer[k] * dt
-		h = mathx.Clamp(h, -2.5, 2.5)
-		s += v * math.Cos(h) * dt
-		d += v * math.Sin(h) * dt
-		dst[k] = TrajPoint{T: dt * float64(k+1), S: s, D: d}
-	}
-	return dst
 }

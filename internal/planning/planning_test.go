@@ -386,6 +386,23 @@ func (m *fullRolloutMPC) Plan(in Input) Plan {
 	return plan
 }
 
+// simulateInto rolls the planning model of MPC.roll forward (s' = v cos h,
+// d' = v sin h, v' = a, h' = steer rate) and writes the trajectory into dst,
+// which must have len(accel) points: the planner owns the buffer, so a plan
+// allocates nothing.
+func simulateInto(dst []TrajPoint, in Input, accel, steer []float64, dt float64) []TrajPoint {
+	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
+	for k := range accel {
+		v = mathx.Clamp(v+accel[k]*dt, 0, 12)
+		h += steer[k] * dt
+		h = mathx.Clamp(h, -2.5, 2.5)
+		s += v * math.Cos(h) * dt
+		d += v * math.Sin(h) * dt
+		dst[k] = TrajPoint{T: dt * float64(k+1), S: s, D: d}
+	}
+	return dst
+}
+
 // randomObstacle draws a moving obstacle somewhere in the 40 m ahead.
 func randomObstacle(rng *rand.Rand) Obstacle {
 	return Obstacle{
@@ -489,10 +506,11 @@ func (pp planPair) pinned(in Input) (heading, steer int) {
 	return heading, steer
 }
 
-// TestPlanBitIdenticalToFullRollout holds the resumed-rollout, sin/cos
-// memoising Plan to the full-rollout oracle bit for bit, on runs of
-// consecutive Plan calls over random scenes and then over the regimes the
-// memo's hits and misses depend on.
+// TestPlanBitIdenticalToFullRollout holds Plan — probes resumed from the
+// state before the probed step and rolled in one pass, losing candidates cut
+// short, sin/cos read from heading memos — to the full-rollout oracle bit for
+// bit, on runs of consecutive Plan calls over random scenes and then over
+// the regimes the memos' hits and misses and the early stop depend on.
 func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 	t.Run("random scenes", func(t *testing.T) {
 		const runs, cycles = 150, 8 // 1200 inputs
@@ -586,6 +604,49 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 			}
 		}
 	})
+
+	// NewMPC sized every buffer for the horizon it was given; a later
+	// Cfg.Horizon must neither index past them nor narrow the sweep.
+	t.Run("Horizon mutated between plans", func(t *testing.T) {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(2000 + seed))
+			pp := newPlanPair(DefaultMPCConfig())
+			for c, horizon := range []int{20, 30, 30, 10, 10, 20} {
+				pp.got.Cfg.Horizon = horizon
+				pp.plan(t, fmt.Sprintf("seed %d cycle %d, Horizon %d", seed, c, horizon), randomPlanInput(rng))
+			}
+		}
+	})
+
+	// Every cost term is ≥ 0 or NaN, which is what lets a losing candidate
+	// stop early. A squared speed error past the float64 range and a
+	// barrier of infinite radius make every cost +Inf; a NaN speed makes
+	// it NaN. Each scene is planned twice and then followed by finite ones,
+	// which start from the warm start it left.
+	t.Run("non-finite costs", func(t *testing.T) {
+		wall := Obstacle{S: 12, D: 0.5, Radius: math.Inf(1)}
+		for i, sc := range []struct {
+			in   Input
+			cost string // the first plan's, as fmt prints it
+		}{
+			{Input{Speed: 5, TargetSpeed: 1e200, LaneOffset: 0.4, HeadingErr: 0.1}, "+Inf"},
+			{Input{Speed: 5, TargetSpeed: 5, LaneOffset: -0.3, Obstacles: []Obstacle{wall}}, "+Inf"},
+			{Input{Speed: math.NaN(), TargetSpeed: 5, HeadingErr: -0.2}, "NaN"},
+		} {
+			rng := rand.New(rand.NewSource(int64(3000 + i)))
+			pp := newPlanPair(DefaultMPCConfig())
+			for c := 0; c < 4; c++ {
+				in := sc.in
+				if c >= 2 {
+					in = randomPlanInput(rng)
+				}
+				p := pp.plan(t, fmt.Sprintf("scene %d cycle %d", i, c), in)
+				if got := fmt.Sprint(p.Cost); c == 0 && got != sc.cost {
+					t.Fatalf("scene %d: cost %s, want %s", i, got, sc.cost)
+				}
+			}
+		}
+	})
 }
 
 // FuzzPlanMatchesFullRollout drives MPC.Plan and the full-rollout oracle
@@ -626,16 +687,36 @@ func FuzzPlanMatchesFullRollout(f *testing.F) {
 // that never converges, which is what the control loop feeds the planner.
 // (BenchmarkPlannerComparisonMPC replays one aligned, converged input.)
 func BenchmarkPlanSequence(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	inputs := make([]Input, 256)
-	for i := range inputs {
-		inputs[i] = randomPlanInput(rng)
-	}
+	inputs := planSequence()
 	m := NewMPC(DefaultMPCConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Plan(inputs[i%len(inputs)])
+	}
+}
+
+// planSequence is BenchmarkPlanSequence's input stream.
+func planSequence() []Input {
+	rng := rand.New(rand.NewSource(1))
+	inputs := make([]Input, 256)
+	for i := range inputs {
+		inputs[i] = randomPlanInput(rng)
+	}
+	return inputs
+}
+
+// TestPlanZeroAlloc holds Plan to no allocation over BenchmarkPlanSequence's
+// stream: every buffer and memo it uses is allocated in NewMPC.
+func TestPlanZeroAlloc(t *testing.T) {
+	inputs := planSequence()
+	m := NewMPC(DefaultMPCConfig())
+	i := 0
+	if allocs := testing.AllocsPerRun(len(inputs), func() {
+		m.Plan(inputs[i%len(inputs)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Plan allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"sov/internal/telemetry"
 )
 
-//sovlint:wallclock host-throughput report only; simulation results are virtual-time
 func main() {
 	vehicles := flag.Int("vehicles", 1000, "fleet size")
 	regions := flag.Int("regions", 8, "independent service regions")

@@ -260,7 +260,8 @@ func quantStereoPair() (*vision.QImage, *vision.QImage) {
 }
 
 // cruise is sovsim's instrumented run (-trace, -metrics, -spans,
-// -blackbox) for 30 s of virtual time on the default config after tweak.
+// -blackbox) for 30 s of virtual time on the default config after tweak,
+// plus sovtrace's summaries of the spans and blackbox files.
 func cruise(t *testing.T, tweak func(*core.Config)) (map[string][]byte, *core.Report) {
 	cfg := core.DefaultConfig()
 	tweak(&cfg)
@@ -283,6 +284,14 @@ func cruise(t *testing.T, tweak func(*core.Config)) (map[string][]byte, *core.Re
 	if err := reg.WriteText(&metrics, false); err != nil {
 		t.Fatal(err)
 	}
+	spanSum, err := obs.SummarizeSpans(bytes.NewReader(spans.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxSum, err := obs.SummarizeBlackbox(bytes.NewReader(box.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.QuantizedPerception != cfg.Quant || (rep.Sched != nil) != cfg.Sched {
 		t.Fatalf("report says quantized=%v, scheduler attached=%v; the config asked for %v, %v",
 			rep.QuantizedPerception, rep.Sched != nil, cfg.Quant, cfg.Sched)
@@ -293,6 +302,9 @@ func cruise(t *testing.T, tweak func(*core.Config)) (map[string][]byte, *core.Re
 		"metrics":  metrics.Bytes(),
 		"spans":    spans.Bytes(),
 		"blackbox": box.Bytes(),
+		// What sovtrace prints for the spans and blackbox files.
+		"spans-summary":    []byte(spanSum.Render()),
+		"blackbox-summary": []byte(boxSum.Render()),
 	}, rep
 }
 

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"sov/internal/lint"
 )
 
 // TestStructuralGuards holds two design rules on the type-checked module,
@@ -29,7 +27,7 @@ func TestStructuralGuards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader, err := lint.NewLoader(".")
+	loader, err := newModLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +39,14 @@ func TestStructuralGuards(t *testing.T) {
 	serial := map[string]bool{mod + "/internal/core": true, mod + "/internal/telemetry": true}
 	var found []string
 	for _, p := range pkgs {
-		if serial[p.ImportPath] {
+		if serial[p.Types.Path()] {
 			for _, imp := range p.Types.Imports() {
 				if imp.Path() == mod+"/internal/parallel" {
-					found = append(found, p.ImportPath+" imports "+imp.Path()+": the control loop and the telemetry store are serial by construction")
+					found = append(found, p.Types.Path()+" imports "+imp.Path()+": the control loop and the telemetry store are serial by construction")
 				}
 			}
 		}
-		rel := strings.TrimPrefix(p.ImportPath, mod+"/")
+		rel := strings.TrimPrefix(p.Types.Path(), mod+"/")
 		if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
 			continue
 		}

@@ -30,8 +30,6 @@ const (
 type Table [1 << hashBits]uint32
 
 // AppendCompress appends src's stream to dst.
-//
-//sov:hotpath
 func AppendCompress(dst, src []byte, t *Table) []byte {
 	clear(t[:])
 	anchor, i, misses := 0, 0, 0
@@ -55,8 +53,6 @@ func AppendCompress(dst, src []byte, t *Table) []byte {
 }
 
 // matchLen counts the leading bytes a and b share; b is the shorter.
-//
-//sov:hotpath
 func matchLen(a, b []byte) int {
 	n := 0
 	for ; n+8 <= len(b); n += 8 {
@@ -72,8 +68,6 @@ func matchLen(a, b []byte) int {
 
 // appendSequence emits literals and, unless matchLen is 0 (the final
 // sequence), a match of matchLen >= minMatch bytes offset back.
-//
-//sov:hotpath
 func appendSequence(dst, literals []byte, offset, matchLen int) []byte {
 	ln, mn := len(literals), max(matchLen-minMatch, 0)
 	dst = append(dst, byte(min(ln, 15)<<4|min(mn, 15)))
@@ -108,8 +102,6 @@ var (
 // crafted stream can make the caller hold; limit < 0 means no bound. It
 // keeps no state and reports every malformed input as an error; on error dst
 // comes back at its original length.
-//
-//sov:hotpath
 func AppendDecompress(dst, src []byte, limit int) ([]byte, error) {
 	out, s, end := dst, 0, math.MaxInt
 	if limit >= 0 && limit < end-len(dst) {

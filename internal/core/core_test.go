@@ -225,13 +225,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestSoVString(t *testing.T) {
-	s := New(DefaultConfig(), CruiseScenario(1))
-	if s.String() == "" {
-		t.Fatal("empty string")
-	}
-}
-
 func TestEnergyAccounting(t *testing.T) {
 	rep := cruiseReport(t, nil)
 	// 175 W for 120 s = 5.83 Wh.

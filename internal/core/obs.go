@@ -121,8 +121,6 @@ func b2f(v bool) float64 {
 // snapshots only, so each record is a function of capture-time values. The
 // JSONL tracer is the one sink outside it (controlCycle): encoding/json
 // allocates per record, and this body stays allocation-free.
-//
-//sov:hotpath
 func (s *SoV) recordCycle(fr *cycleFrame) {
 	e2e := fr.d.Tcomp + fr.tdata + s.cfg.Vehicle.MechLatency
 	s.report.observe(fr, e2e)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -370,11 +369,4 @@ func (s *SoV) reactiveCheck() {
 	s.engine.Schedule(reactiveLatency, "reactive-override", func() {
 		_ = s.ecu.Receive(frame)
 	})
-}
-
-// String summarizes the SoV state.
-func (s *SoV) String() string {
-	st := s.veh.State()
-	return fmt.Sprintf("sov: t=%v pos=(%.1f,%.1f) v=%.1f cycles=%d",
-		s.engine.Now(), st.Pos.X, st.Pos.Y, st.Speed, s.cycle)
 }

@@ -86,8 +86,6 @@ func New(cfg Config, w *world.World, rng *sim.RNG) *Detector {
 // DetectInto appends the detections for a frame captured at time t from
 // pose to dst (reusing its capacity) and returns it, so a recycled
 // per-frame buffer makes the call allocation-free.
-//
-//sov:hotpath
 func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []Object {
 	d.frames++
 	cfg := d.Config

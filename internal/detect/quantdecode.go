@@ -10,8 +10,6 @@ import "sov/internal/nn"
 // assembly. No intermediate GridBox/ClassScores materialize at all.
 
 // decodeQuantBox scores one surviving grid cell from its int8 codes.
-//
-//sov:hotpath
 func decodeQuantBox(raw *nn.QTensor, lut *nn.SigmoidLUT, classes, gy, gx int) BBox {
 	bestC := 0
 	bestCode := int8(-128)
@@ -42,8 +40,6 @@ func decodeQuantBox(raw *nn.QTensor, lut *nn.SigmoidLUT, classes, gy, gx int) BB
 // output tensor to dst (reusing its capacity) and returns it, in row-major
 // cell order. Because both paths read the same int8 codes through the same
 // table, the result is identical to decoding the dequantized cells.
-//
-//sov:hotpath
 func DecodeQuantGridInto(dst []BBox, raw *nn.QTensor, classes int, lut *nn.SigmoidLUT, objThreshold float32) []BBox {
 	thr := lut.ThresholdCode(objThreshold)
 	for gy := 0; gy < raw.H; gy++ {
@@ -73,8 +69,6 @@ type QuantDetectScratch struct {
 // slice's backing store all live in caller-owned buffers. dst is overwritten
 // and returned re-sliced (pass the previous frame's result to reuse its
 // capacity).
-//
-//sov:hotpath
 func RunQuantCNNInto(dst []BBox, model *nn.QYOLOHead, input *nn.Tensor, objThreshold, iouThreshold float32, s *QuantDetectScratch) []BBox {
 	raw := model.ForwardRaw(input)
 	s.boxes = DecodeQuantGridInto(s.boxes[:0], raw, model.Classes, model.LUT(), objThreshold)
@@ -88,8 +82,6 @@ func RunQuantCNNInto(dst []BBox, model *nn.QYOLOHead, input *nn.Tensor, objThres
 // boxes (out grows to len(inputs); per-camera slices reuse their capacity).
 // Each camera's boxes are byte-identical to RunQuantCNNInto on its input
 // alone.
-//
-//sov:hotpath
 func RunQuantCNNBatch(out [][]BBox, model *nn.QYOLOHead, inputs []*nn.Tensor, objThreshold, iouThreshold float32, s *QuantDetectScratch) [][]BBox {
 	raws := model.ForwardRawBatch(inputs)
 	for len(out) < len(inputs) {

@@ -85,8 +85,6 @@ func (f *Fleet) shardRange(start, end int) {
 // epoch, odometer) via an integer mix — a stand-in for a camera capture
 // that exercises the full quantized path without touching any RNG stream
 // or float transcendentals.
-//
-//sov:hotpath
 func fillInput(dst []float32, id, epoch, odo16 int) {
 	h := uint32(id)*0x9e3779b9 ^ uint32(epoch)*0x85ebca6b ^ uint32(odo16)*0xc2b2ae35
 	for i := range dst {

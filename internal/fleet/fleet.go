@@ -408,8 +408,6 @@ func (f *Fleet) advanceRange(start, end int) {
 }
 
 // ringPos maps a unit's odometer onto its region loop.
-//
-//sov:hotpath
 func ringPos(startOff, odo, perim float64) float64 {
 	p := math.Mod(startOff+odo, perim)
 	if p < 0 {
@@ -420,8 +418,6 @@ func ringPos(startOff, odo, perim float64) float64 {
 
 // ringDist is the forward distance a one-way vehicle at vpos covers to
 // reach pos on a loop of length perim.
-//
-//sov:hotpath
 func ringDist(vpos, pos, perim float64) float64 {
 	d := pos - vpos
 	if d < 0 {
@@ -601,8 +597,6 @@ func diurnal(t time.Duration) float64 {
 // poisson draws a Poisson(lambda) count via Knuth's product method — exact
 // for the small per-epoch arrival rates the fleet uses, and consuming a
 // deterministic stream of uniforms.
-//
-//sov:hotpath
 func poisson(rng *sim.RNG, lambda float64) int {
 	if lambda <= 0 {
 		return 0

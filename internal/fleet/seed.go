@@ -19,8 +19,6 @@ const (
 )
 
 // splitSeed derives an independent child seed from (seed, class, index).
-//
-//sov:hotpath
 func splitSeed(seed int64, class streamClass, index int64) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(class)<<32+uint64(index)+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -108,7 +108,6 @@ type SyncScratch struct {
 
 func growBools(s []bool, n int) []bool {
 	if cap(s) < n {
-		//sovlint:ignore hotalloc grow-on-demand scratch; capacity sticks to the high-water mark
 		return make([]bool, n)
 	}
 	s = s[:n]
@@ -122,8 +121,6 @@ func growBools(s []bool, n int) []bool {
 // is an insertion sort on the matching cost — deterministic (and stable,
 // which sort.Slice does not guarantee on ties), so results are reproducible
 // bit-for-bit across runs and worker counts.
-//
-//sov:hotpath
 func (sc *SyncScratch) SpatialSyncInto(cfg SpatialSyncConfig, dets []detect.Object, tracks []track.RadarTrack) (matches []Match, unmatchedDets []detect.Object, unmatchedTracks []track.RadarTrack) {
 	cands := sc.cands[:0]
 	for di, d := range dets {
@@ -187,8 +184,6 @@ type FusedObject struct {
 // list, appended to dst (reusing its capacity): the matched objects first,
 // carrying radar velocity, then the unmatched detections (velocity unknown,
 // left to the KCF fallback path).
-//
-//sov:hotpath
 func FuseAllInto(dst []FusedObject, matches []Match, unmatchedDets []detect.Object) []FusedObject {
 	for _, m := range matches {
 		dst = append(dst, FusedObject{Object: m.Detection, Velocity: m.Track.Vel})

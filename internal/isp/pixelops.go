@@ -27,8 +27,6 @@ const (
 // ProcessInto runs the chain writing into out, using blur as blur scratch;
 // both must match in's dimensions and may hold stale frames on entry, so
 // recycled frame buffers make the chain allocation-free.
-//
-//sov:hotpath
 func ProcessInto(out, blur *vision.Image, in *vision.Image) {
 	if out.W != in.W || out.H != in.H || blur.W != in.W || blur.H != in.H {
 		panic("isp: ProcessInto buffer dimensions do not match input")
@@ -87,8 +85,6 @@ func sharpen(out, blur *vision.Image, amount float32) {
 }
 
 // boxBlur3Into writes a 3x3 mean filter of im into out (border clamped).
-//
-//sov:hotpath
 func boxBlur3Into(out, im *vision.Image) {
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {

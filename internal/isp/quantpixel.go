@@ -45,8 +45,6 @@ func Quantized() *QuantPixelPipeline {
 
 // ProcessInto runs the fixed-point chain writing into out, using blur as
 // blur scratch; both must match in's dimensions. Zero allocations.
-//
-//sov:hotpath
 func (q *QuantPixelPipeline) ProcessInto(out, blur *vision.QImage, in *vision.QImage) {
 	if out.W != in.W || out.H != in.H || blur.W != in.W || blur.H != in.H {
 		panic("isp: ProcessInto buffer dimensions do not match input")
@@ -98,8 +96,6 @@ func (q *QuantPixelPipeline) ProcessInto(out, blur *vision.QImage, in *vision.QI
 // qBoxBlur3Into writes a 3×3 mean filter of im into out (border clamped):
 // int32 accumulation, exact rounding division by 9, and a branch-free
 // subslice loop over the interior rows.
-//
-//sov:hotpath
 func qBoxBlur3Into(out, im *vision.QImage) {
 	w, h := im.W, im.H
 	for y := 0; y < h; y++ {
@@ -126,8 +122,6 @@ func qBoxBlur3Into(out, im *vision.QImage) {
 }
 
 // qBlurEdge computes one border-clamped 3×3 mean at (x, y).
-//
-//sov:hotpath
 func qBlurEdge(out, im *vision.QImage, x, y int) {
 	var s int32
 	for dy := -1; dy <= 1; dy++ {

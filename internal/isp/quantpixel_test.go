@@ -73,6 +73,16 @@ func TestQuantPipelineZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPipelineZeroAlloc: the float ProcessInto must not allocate either.
+func TestPipelineZeroAlloc(t *testing.T) {
+	in := renderTestFrame()
+	out := vision.NewImage(in.W, in.H)
+	blur := vision.NewImage(in.W, in.H)
+	if allocs := testing.AllocsPerRun(20, func() { ProcessInto(out, blur, in) }); allocs > 0 {
+		t.Fatalf("warm float ISP pass allocates %.1f times per run, want 0", allocs)
+	}
+}
+
 // TestQuantGammaTableMatchesFloat: every 8-bit code's gamma output must be
 // the rounding of the float curve.
 func TestQuantGammaTableMatchesFloat(t *testing.T) {

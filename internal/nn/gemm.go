@@ -87,7 +87,6 @@ func (c *QConv2D) reshape(h, w int) {
 	g := &c.gemm
 	ph, pw := h+2*c.Pad, w+2*c.Pad
 	if n := c.InC * ph * pw; cap(g.pbuf) < n {
-		//sovlint:ignore hotalloc first call or a larger input shape; warm passes reuse the padded buffer
 		g.pbuf = make([]byte, n)
 	} else {
 		g.pbuf = g.pbuf[:n]
@@ -97,7 +96,6 @@ func (c *QConv2D) reshape(h, w int) {
 		g.pbuf[i] = upad
 	}
 	if g.taps == nil {
-		//sovlint:ignore hotalloc first-call scratch growth; a shape change rewrites the table in place
 		g.taps = make([]int32, 0, c.InC*c.K*c.K)
 	}
 	g.taps = g.taps[:0]
@@ -114,8 +112,6 @@ func (c *QConv2D) reshape(h, w int) {
 // packInput rewrites the input tensor as biased bytes into the interior of
 // the padded buffer, once per forward pass before any fan-out (the buffer
 // and the tap table are read-only to the workers).
-//
-//sov:hotpath
 func (c *QConv2D) packInput(in *QTensor) {
 	g := &c.gemm
 	if g.pbuf == nil || g.inH != in.H || g.inW != in.W {
@@ -141,8 +137,6 @@ func (c *QConv2D) packInput(in *QTensor) {
 // layers) is one tile and takes the serial path: two workers lost to one on
 // all three (EXPERIMENTS.md, "Fan-out audit"). Tile t packs into slab t of
 // the layer's scratch.
-//
-//sov:hotpath
 func (c *QConv2D) forwardGEMM(in, out *QTensor) {
 	p := c.gemmCols(out)
 	if p == 0 {
@@ -157,18 +151,15 @@ func (c *QConv2D) forwardGEMM(in, out *QTensor) {
 	}
 	as, ss := c.gemmSlabs()
 	if cap(c.gemm.abuf) < tiles*as {
-		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the A panels
 		c.gemm.abuf = make([]uint64, tiles*as)
 	}
 	if cap(c.gemm.sbuf) < tiles*ss {
-		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the column-sum rows
 		c.gemm.sbuf = make([]int32, tiles*ss)
 	}
 	if tiles == 1 {
 		c.gemmBlocks(out, p, 0, nblk, 0)
 		return
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(nblk, grain, func(b0, b1 int) { c.gemmBlocks(out, p, b0, b1, b0/grain) })
 }
 
@@ -204,8 +195,6 @@ func (c *QConv2D) gemmSlabs() (as, ss int) {
 }
 
 // gemmBlocks runs column blocks [b0, b1) through scratch slab t.
-//
-//sov:hotpath
 func (c *QConv2D) gemmBlocks(out *QTensor, p, b0, b1, t int) {
 	as, ss := c.gemmSlabs()
 	ap := c.gemm.abuf[t*as:][:c.gemm.nw*gemmColBlock]
@@ -222,8 +211,6 @@ func (c *QConv2D) gemmBlocks(out *QTensor, p, b0, b1, t int) {
 // its largest accumulator, which is the max of the four codes because
 // requantization is monotonic. A tile cut by OutC or by the plane's end
 // takes the guarded loop.
-//
-//sov:hotpath
 func (c *QConv2D) gemmBlock(out *QTensor, p, colBase int, ap []uint64, su []int32) {
 	cols := gemmColBlock
 	if colBase+cols > p {
@@ -332,8 +319,6 @@ func (c *QConv2D) gemmBlock(out *QTensor, p, colBase int, ap []uint64, su []int3
 // then an in-bounds byte at its table offset, so the sweep has no row or
 // column tests. Three taps fill a word; a 1- or 2-tap tail leaves the
 // word's padding lanes at u = 0.
-//
-//sov:hotpath
 func (c *QConv2D) packAGroup(panel []uint64, su []int32, corner [4]int) {
 	pb := c.gemm.pbuf
 	w0, w1, w2, w3 := pb[corner[0]:], pb[corner[1]:], pb[corner[2]:], pb[corner[3]:]

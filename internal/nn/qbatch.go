@@ -14,8 +14,6 @@ package nn
 // head's pair i and layer l writes buffer l%2, so a warm batch allocates
 // nothing; the results belong to the head and are valid until the next
 // forward call. Outputs are byte-identical to calling ForwardRaw per image.
-//
-//sov:hotpath
 func (y *QYOLOHead) ForwardRawBatch(ins []*Tensor) []QTensor {
 	y.grow(len(ins))
 	acts := y.acts[:len(ins)]

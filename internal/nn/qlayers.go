@@ -86,8 +86,6 @@ func (c *QConv2D) Forward(in *QTensor) *QTensor {
 // ForwardInto implements QLayer. Column blocks of the GEMM are independent
 // exact integer work units, so the output is byte-identical for any worker
 // count.
-//
-//sov:hotpath
 func (c *QConv2D) ForwardInto(in, out *QTensor) {
 	if in.C != c.InC {
 		panic(fmt.Sprintf("nn: qconv input channels %d != %d", in.C, c.InC))
@@ -118,8 +116,6 @@ func (QGlobalAvgPool) OutShape(c, _, _ int) (int, int, int) { return c, 1, 1 }
 func (p QGlobalAvgPool) OutParams() QuantParams { return p.P }
 
 // ForwardInto implements QLayer.
-//
-//sov:hotpath
 func (p QGlobalAvgPool) ForwardInto(in, out *QTensor) {
 	if out.C != in.C || out.H != 1 || out.W != 1 {
 		panic(fmt.Sprintf("nn: qgap output shape %dx%dx%d != %dx1x1", out.C, out.H, out.W, in.C))
@@ -131,8 +127,6 @@ func (p QGlobalAvgPool) ForwardInto(in, out *QTensor) {
 }
 
 // qgapChannel sums one channel and divides with round-half-away-from-zero.
-//
-//sov:hotpath
 func qgapChannel(in *QTensor, c int, n int32) int8 {
 	var sum int32
 	for _, v := range in.Data[c*in.H*in.W : (c+1)*in.H*in.W] {
@@ -194,8 +188,6 @@ func (f *QFC) OutParams() QuantParams { return f.OutP }
 // triple words once, then output rows are computed four at a time so every
 // packed load feeds four weight rows and each 64-bit multiply retires three
 // MACs.
-//
-//sov:hotpath
 func (f *QFC) ForwardInto(in, out *QTensor) {
 	if len(in.Data) != f.In {
 		panic(fmt.Sprintf("nn: qfc input %d != %d", len(in.Data), f.In))
@@ -204,7 +196,6 @@ func (f *QFC) ForwardInto(in, out *QTensor) {
 		panic(fmt.Sprintf("nn: qfc output %d != %d", len(out.Data), f.Out))
 	}
 	if cap(f.xpack) < f.nw {
-		//sovlint:ignore hotalloc first-call scratch growth; warm passes reuse the packed input row
 		f.xpack = make([]uint64, f.nw)
 	}
 	xp := f.xpack[:f.nw]
@@ -217,8 +208,6 @@ func (f *QFC) ForwardInto(in, out *QTensor) {
 }
 
 // swarTail finishes the ≤3 output rows left over by the quad sweep.
-//
-//sov:hotpath
 func (f *QFC) swarTail(xp []uint64, sumU int64, o int, dst []int8) {
 	for ; o < f.Out; o++ {
 		dst[o] = f.swarRow(xp, sumU, o)
@@ -230,8 +219,6 @@ func (f *QFC) swarTail(xp []uint64, sumU int64, o int, dst []int8) {
 // three MACs via the triple-dot identity (swar.go), so both the load traffic
 // and the multiply count per MAC fall to a third of the widened-int32
 // sweep's.
-//
-//sov:hotpath
 func (f *QFC) swarRowQuad(xp []uint64, sumU int64, o int, dst []int8) {
 	nw := f.nw
 	r0 := f.wpack[o*nw : (o+1)*nw]
@@ -258,8 +245,6 @@ func (f *QFC) swarRowQuad(xp []uint64, sumU int64, o int, dst []int8) {
 
 // swarRow computes one fused output element by triple-dot (the ≤3 trailing
 // rows of the quad sweep).
-//
-//sov:hotpath
 func (f *QFC) swarRow(xp []uint64, sumU int64, o int) int8 {
 	row := f.wpack[o*f.nw : (o+1)*f.nw]
 	xp = xp[:len(row)]

@@ -87,7 +87,6 @@ func NewQTensor(c, h, w int, p QuantParams) *QTensor {
 func (t *QTensor) resize(c, h, w int, p QuantParams) *QTensor {
 	n := c * h * w
 	if cap(t.Data) < n {
-		//sovlint:ignore hotalloc first use or a larger shape; warm passes reuse the buffer
 		t.Data = make([]int8, n)
 	}
 	t.C, t.H, t.W, t.Data, t.Params = c, h, w, t.Data[:n], p
@@ -99,8 +98,6 @@ func (t *QTensor) At(c, y, x int) int8 { return t.Data[(c*t.H+y)*t.W+x] }
 
 // QuantizeTensorInto fills q (which must match t's shape) with t quantized
 // under q.Params. The zero-allocation entry point of the quantized path.
-//
-//sov:hotpath
 func QuantizeTensorInto(q *QTensor, t *Tensor) {
 	if q.C != t.C || q.H != t.H || q.W != t.W {
 		panic(fmt.Sprintf("nn: quantize shape %dx%dx%d != %dx%dx%d", q.C, q.H, q.W, t.C, t.H, t.W))
@@ -150,8 +147,6 @@ func newRequant(m float64, zero int32, relu bool) requant {
 // product, 0 otherwise) before the arithmetic shift turns floor((p+half)/2^s)
 // into −floor((−p+half)/2^s) for p < 0, so one branch-free expression covers
 // both signs and the method stays under the inliner's budget (DESIGN.md §10).
-//
-//sov:hotpath
 func (r requant) apply(acc int32) int8 {
 	p := int64(acc) * int64(r.mult)
 	p = (p + int64(1)<<(r.shift-1) + p>>63) >> r.shift
@@ -228,8 +223,6 @@ func NewSigmoidLUT(p QuantParams) *SigmoidLUT {
 }
 
 // At returns sigmoid(dequantize(q)).
-//
-//sov:hotpath
 func (l *SigmoidLUT) At(q int8) float32 { return l.Table[int32(q)+128] }
 
 // ThresholdCode returns the smallest int8 code whose sigmoid meets or

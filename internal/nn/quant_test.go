@@ -277,22 +277,23 @@ func TestQYOLOTracksFloatDecode(t *testing.T) {
 	}
 }
 
-// TestQuantForwardPooledZeroAlloc: a warm quantized forward pass must not
-// allocate (the owned-buffer contract the hotalloc analyzer guards). The
-// gate names its worker count instead of inheriting the host's: with more
-// than one worker each layer's fan-out allocates its closures; the {4} leg
-// joins this gate with ROADMAP item 4's job descriptors.
+// TestQuantForwardPooledZeroAlloc owns the owned-buffer contract: a warm
+// quantized forward pass must not allocate. The 5-class head leaves one
+// output row past the FC's quad sweep, so QFC.swarRow runs too.
+// The gate names its worker count instead of inheriting the host's: with
+// more than one worker each layer's fan-out allocates its closures; the {4}
+// leg joins this gate with ROADMAP item 4's job descriptors.
 func TestQuantForwardPooledZeroAlloc(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
-	cl := NewClassifier(32, 32, 4, 42)
 	calib := calibInput(1, 32, 32, 3)
-	qn := QuantizeNetwork(cl.Net, calib)
 	probe := calibInput(1, 32, 32, 8)
-
-	run := func() { qn.ForwardPooled(probe) }
-	run() // grow the activation buffers
-	if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
-		t.Fatalf("warm quantized forward pass allocates %.1f times per run, want 0", allocs)
+	for _, classes := range []int{4, 5} {
+		qn := QuantizeNetwork(NewClassifier(32, 32, classes, 42).Net, calib)
+		run := func() { qn.ForwardPooled(probe) }
+		run() // grow the activation buffers
+		if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
+			t.Errorf("warm quantized forward pass of a %d-class head allocates %.1f times per run, want 0", classes, allocs)
+		}
 	}
 }

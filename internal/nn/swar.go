@@ -51,8 +51,6 @@ func swarWords(n int) int { return (n + 2) / 3 }
 // packTriplesInto packs src (int8 codes) into biased activation words
 // dst[j] = u₃ⱼ | u₃ⱼ₊₁<<22 | u₃ⱼ₊₂<<44 and returns Σu. dst must have
 // swarWords(len(src)) elements; a 1- or 2-element tail pads with u = 0.
-//
-//sov:hotpath
 func packTriplesInto(dst []uint64, src []int8) int64 {
 	var sum int64
 	j := 0

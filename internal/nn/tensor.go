@@ -124,8 +124,6 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 // head over a 7×9 plane is 2k MACs a channel, 90 µs in all) waking a second
 // worker costs more than it returns, so the whole layer is one tile and takes
 // the serial path (EXPERIMENTS.md, "Fan-out audit").
-//
-//sov:hotpath
 func (c *Conv2D) ForwardInto(in, out *Tensor) {
 	if in.C != c.InC {
 		panic(fmt.Sprintf("nn: conv input channels %d != %d", in.C, c.InC))
@@ -141,7 +139,6 @@ func (c *Conv2D) ForwardInto(in, out *Tensor) {
 		}
 		return
 	}
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(oc, grain, func(o0, o1 int) {
 		for o := o0; o < o1; o++ {
 			c.forwardChannel(in, out, o, oh, ow)
@@ -150,8 +147,6 @@ func (c *Conv2D) ForwardInto(in, out *Tensor) {
 }
 
 // forwardChannel computes one output channel of the convolution.
-//
-//sov:hotpath
 func (c *Conv2D) forwardChannel(in, out *Tensor, o, oh, ow int) {
 	wBase := o * c.InC * c.K * c.K
 	for oy := 0; oy < oh; oy++ {
@@ -202,8 +197,6 @@ func (MaxPool2) Forward(in *Tensor) *Tensor {
 }
 
 // ForwardInto implements IntoLayer.
-//
-//sov:hotpath
 func (MaxPool2) ForwardInto(in, out *Tensor) {
 	if out.C != in.C || out.H != in.H/2 || out.W != in.W/2 {
 		panic(fmt.Sprintf("nn: pool output shape %dx%dx%d != %dx%dx%d", out.C, out.H, out.W, in.C, in.H/2, in.W/2))
@@ -214,8 +207,6 @@ func (MaxPool2) ForwardInto(in, out *Tensor) {
 }
 
 // poolChannel max-pools one channel.
-//
-//sov:hotpath
 func poolChannel(in, out *Tensor, c int) {
 	for y := 0; y < out.H; y++ {
 		for x := 0; x < out.W; x++ {

@@ -27,8 +27,8 @@ type YOLOHead struct {
 // The two arguments stay until the frozen benchmark stops passing them
 // (ROADMAP item 7).
 func NewTinyYOLO(inH, inW, classes int, seed int64) *YOLOHead {
-	// Weight init draws from an explicit caller-provided seed (detrand:
-	// never the global math/rand source).
+	// Weight init draws from an explicit caller-provided seed, never the
+	// global math/rand source (TestInferDeterministic).
 	rng := rand.New(rand.NewSource(seed))
 	backbone := &Network{Layers: []Layer{
 		NewConv2D(1, 8, 3, 1, 1, true, rng),

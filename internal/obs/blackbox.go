@@ -148,8 +148,6 @@ func (f *FlightRecorder) Trigger(tr Trigger, tMs float64) {
 
 // Record appends one cycle record to the ring, fires any pending triggers
 // the stream has caught up with, and maintains the blocked-streak trigger.
-//
-//sov:hotpath
 func (f *FlightRecorder) Record(rec CycleRecord) {
 	f.mu.Lock()
 	f.ring[f.total%int64(len(f.ring))] = rec
@@ -191,7 +189,6 @@ func (f *FlightRecorder) dumpLocked(tr Trigger, tMs float64) {
 	if n > depth {
 		n = depth
 	}
-	//sovlint:ignore hotalloc trigger-dump path; runs once per incident, not per cycle
 	records := make([]CycleRecord, 0, n)
 	start := f.total - n
 	for i := int64(0); i < n; i++ {
@@ -205,7 +202,6 @@ func (f *FlightRecorder) dumpLocked(tr Trigger, tMs float64) {
 		Recorded: f.total,
 		Records:  records,
 	}
-	//sovlint:ignore hotalloc trigger-dump path; one JSON encode per incident, not per cycle
 	b, err := json.Marshal(d)
 	if err != nil {
 		if f.err == nil {

@@ -19,7 +19,8 @@
 //
 // The steady-state record paths (Counter.Inc/Add, Gauge.Set,
 // Histogram.Observe, SpanWriter.Span, FlightRecorder.Record) are
-// allocation-free once warm and annotated //sov:hotpath for sovlint.
+// allocation-free once warm; the obs rows of TestControlLoopSteadyStateAllocs
+// hold them to it.
 package obs
 
 import (
@@ -49,13 +50,9 @@ const ClassVirtual Class = 0
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-//
-//sov:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be non-negative to keep the counter monotone).
-//
-//sov:hotpath
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -66,8 +63,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-//
-//sov:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the last stored value (zero before the first Set).
@@ -87,8 +82,6 @@ type Histogram struct {
 }
 
 // Observe records one value.
-//
-//sov:hotpath
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	idx := int((v - h.lo) / h.width)

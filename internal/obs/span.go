@@ -72,8 +72,6 @@ func (sw *SpanWriter) DeclareThread(pid, tid int, name string) {
 // static strings without JSON metacharacters; parent is the causally
 // preceding span's name ("" for roots) and lands in args.parent alongside
 // args.cycle.
-//
-//sov:hotpath
 func (sw *SpanWriter) Span(pid, tid int, name, parent string, cycle int, start, dur time.Duration) {
 	sw.events = append(sw.events, spanEvent{
 		pid:    uint8(pid),

@@ -91,10 +91,8 @@ func ensurePool() {
 		// rely on it).
 		n = 4
 	}
-	//sovlint:ignore hotalloc one-time pool bring-up behind the CAS; never runs again after the first fan-out
 	tasks = make(chan func(), 8*n)
 	for i := 0; i < n; i++ {
-		//sovlint:ignore hotalloc one-time pool bring-up behind the CAS; never runs again after the first fan-out
 		go func() {
 			for f := range tasks {
 				f()
@@ -117,7 +115,6 @@ func run(count, helpers int, task func(i int)) {
 	}
 	if helpers > 0 {
 		ensurePool()
-		//sovlint:ignore hotalloc one work-stealing loop closure per fan-out; the cost is the contract of going parallel at all
 		loop := func() {
 			for {
 				i := atomic.AddInt64(&claimed, 1) - 1
@@ -187,7 +184,6 @@ func For(n, grain int, fn func(start, end int)) {
 		fn(0, n)
 		return
 	}
-	//sovlint:ignore hotalloc one tile-mapping closure per fan-out; the cost is the contract of going parallel at all
 	run(tiles, w-1, func(t int) {
 		start := t * grain
 		end := start + grain

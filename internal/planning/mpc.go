@@ -137,8 +137,6 @@ func obstacleCost(c, s, d, t float64, obs []Obstacle) float64 {
 // The rollout returns early, after the step whose cost exceeds stop. Every
 // cost term is ≥ 0 or NaN and rounded addition is monotone, so the full
 // rollout's cost would not be below stop either.
-//
-//sov:hotpath
 func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig, stop float64) rollState {
 	dt := m.Cfg.Dt
 	s, d, v, h, c := st.s, st.d, st.v, st.h, st.c
@@ -167,8 +165,6 @@ func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig, sto
 // costFrom evaluates the objective of the current control sequence given
 // the rollout state before step k: the remaining steps plus the terminal
 // heading alignment. A cost that exceeds stop may be returned short.
-//
-//sov:hotpath
 func (m *MPC) costFrom(in Input, st rollState, k int, memo []headingTrig, stop float64) float64 {
 	st = m.roll(in, st, k, len(m.accel), memo, stop)
 	return st.c + wHeading*st.h*st.h
@@ -183,8 +179,6 @@ func (m *MPC) costFrom(in Input, st rollState, k int, memo []headingTrig, stop f
 // in which the full-rollout oracle perturbs them. The accel probe's headings
 // are the current sequence's and read trig; the steer probe's are its own
 // and read its row of probe.
-//
-//sov:hotpath
 func (m *MPC) probes(in Input, pre rollState, k int) (ca, cs float64) {
 	dt, n := m.Cfg.Dt, len(m.accel)
 	// One length for every slice the loop indexes, so it has no bounds checks.
@@ -261,8 +255,6 @@ func (m *MPC) trajectory(in Input) []TrajPoint {
 // probes resume from it in one pass instead of re-rolling the whole
 // horizon; a candidate's rollout stops once it costs more than the current
 // sequence; and every rollout reads its sin, cos from a heading memo.
-//
-//sov:hotpath
 func (m *MPC) Plan(in Input) Plan {
 	n := len(m.accel) // the horizon NewMPC sized every buffer for
 	// Warm start: shift the previous solution one step.

@@ -42,8 +42,6 @@ func queryGrain(n int) int { return max(icpGrain, (n+maxQueryTiles-1)/maxQueryTi
 // icpMatchOne matches one source point against the target tree and appends
 // the accepted correspondence to out. It is a plain function (not a closure
 // over the iteration state) so the serial path stays allocation-free.
-//
-//sov:hotpath
 func icpMatchOne(tree *KDTree, src *Cloud, tr Tracker, i int, s, c float64, trans mathx.Vec3, reuse []int, out []icpMatch) []icpMatch {
 	src.access(tr, i)
 	p := src.Pts[i]

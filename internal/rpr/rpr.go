@@ -57,8 +57,6 @@ type Engine struct {
 // Transfer simulates streaming a bitstream of the given size through the
 // deployed datapath, cycle-exact (see transferCycles). A transfer of no
 // bytes costs nothing and is not counted as a swap.
-//
-//sov:hotpath
 func (e *Engine) Transfer(bytes int) Result {
 	if bytes <= 0 {
 		return Result{}
@@ -91,8 +89,6 @@ func (e *Engine) Transfer(bytes int) Result {
 // bitstream are then taken in one jump. The repeat is found with one saved
 // burst start, re-taken at burst 1, 2, 4, 8, ... (Brent), so nothing is
 // cached or allocated and any widths are modelled exactly.
-//
-//sov:hotpath
 func transferCycles(bytes, icap, beat, burst, handshakeLen, fifoBytes int) int64 {
 	fifo := 0 // bytes pushed by Tx and not yet accepted by the ICAP
 	sent := 0 // bytes pushed by Tx

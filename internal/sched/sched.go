@@ -36,7 +36,8 @@
 // schedule), all state updates happen in BeginCycle/Observe on the engine
 // thread in cycle order, and the decision functions are pure over that
 // state — so runs are byte-identical across worker counts and control-loop
-// modes. The hot per-cycle methods are allocation-free (//sov:hotpath).
+// modes. The hot per-cycle methods are allocation-free (the sched rows of
+// TestControlLoopSteadyStateAllocs).
 package sched
 
 import (
@@ -321,8 +322,6 @@ func (s *Scheduler) score(c *candidate) float64 {
 // Transform plus any decision events. keyframe is the localization
 // front-end schedule, soc the battery state of charge. The returned
 // Transform is owned by the scheduler and valid until the next BeginCycle.
-//
-//sov:hotpath
 func (s *Scheduler) BeginCycle(soc float64, keyframe bool) (*Transform, Events) {
 	s.cycle++
 	var ev Events
@@ -372,8 +371,6 @@ func (s *Scheduler) BeginCycle(soc float64, keyframe bool) (*Transform, Events) 
 // baseline GPU/FPGA float per-camera terms. kcf reports whether tracking
 // ran the KCF fallback (mapping-dependent) or radar spatial sync (CPU,
 // mapping-independent).
-//
-//sov:hotpath
 func (s *Scheduler) Observe(depth, det, track, loc time.Duration, kcf bool) {
 	c := &s.cand[s.cur]
 	qf := 1.0
@@ -487,8 +484,6 @@ func (s *Scheduler) decide(soc float64) Events {
 
 // FrontEnd returns the localization front-end bitstream the current cycle
 // should have resident (BeginCycle must have run this cycle).
-//
-//sov:hotpath
 func (s *Scheduler) FrontEnd() rpr.Bitstream {
 	if s.feExtract {
 		return rpr.BitstreamFeatureExtract
@@ -498,8 +493,6 @@ func (s *Scheduler) FrontEnd() rpr.Bitstream {
 
 // NoteSwap charges an RPR swap to the scheduler's accounting and updates
 // the amortization estimate.
-//
-//sov:hotpath
 func (s *Scheduler) NoteSwap(d time.Duration) {
 	s.stats.Swaps++
 	s.stats.SwapTotal += d

@@ -38,8 +38,6 @@ func newBloom(n int) *bloom {
 // hashKey mixes a key's fields into 64 bits (two rounds of the murmur3
 // finalizer). The value is part of the run format: filters on disk hold the
 // positions it led to.
-//
-//sov:hotpath
 func hashKey(k Key) uint64 {
 	h := k.TMs ^ uint64(k.Kind)<<48
 	h ^= h >> 33
@@ -53,8 +51,6 @@ func hashKey(k Key) uint64 {
 // add inserts a key by its hash. Each probe value is mapped onto the
 // filter's m bits by the high word of a 64x64 multiply: one MUL where h % m
 // was a divide.
-//
-//sov:hotpath
 func (f *bloom) add(h uint64) {
 	m, step := uint64(len(f.bits))*64, bits.RotateLeft64(h, 32)
 	for i := uint32(0); i < f.k; i++ {
@@ -66,8 +62,6 @@ func (f *bloom) add(h uint64) {
 
 // test reports whether the key hashing to h may be present (false negatives
 // never).
-//
-//sov:hotpath
 func (f *bloom) test(h uint64) bool {
 	m, step := uint64(len(f.bits))*64, bits.RotateLeft64(h, 32)
 	for i := uint32(0); i < f.k; i++ {

@@ -23,8 +23,6 @@ func NewIngestor(store *Store) *Ingestor {
 func (in *Ingestor) Store() *Store { return in.store }
 
 // Add queues one event. Seq is assigned at Flush; payload is copied.
-//
-//sov:hotpath
 func (in *Ingestor) Add(vehicle uint32, t time.Duration, kind Kind, payload []byte) {
 	off := len(in.arena)
 	in.arena = append(in.arena, payload...)

@@ -94,8 +94,6 @@ const KeySize = 18
 
 // appendKey encodes k big-endian so lexicographic byte order equals the
 // (vehicle, t, kind, seq) order.
-//
-//sov:hotpath
 func appendKey(b []byte, k Key) []byte {
 	var buf [KeySize]byte
 	binary.BigEndian.PutUint32(buf[0:4], k.Vehicle)
@@ -106,8 +104,6 @@ func appendKey(b []byte, k Key) []byte {
 }
 
 // decodeKey reads an encoded key back.
-//
-//sov:hotpath
 func decodeKey(b []byte) Key {
 	return Key{
 		Vehicle: binary.BigEndian.Uint32(b[0:4]),
@@ -118,8 +114,6 @@ func decodeKey(b []byte) Key {
 }
 
 // Less orders keys (vehicle, t, kind, seq).
-//
-//sov:hotpath
 func (k Key) Less(o Key) bool {
 	if k.Vehicle != o.Vehicle {
 		return k.Vehicle < o.Vehicle

@@ -38,8 +38,6 @@ func (m *memtable) sizeBytes() int {
 func (m *memtable) len() int { return len(m.entries) }
 
 // put stores one event's payload in the arena and returns its entry.
-//
-//sov:hotpath
 func (m *memtable) put(k Key, payload []byte) memEntry {
 	off := int32(len(m.arena))
 	m.arena = append(m.arena, payload...)

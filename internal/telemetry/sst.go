@@ -130,8 +130,6 @@ func (w *runWriter) add(k Key, payload []byte) error {
 }
 
 // flushBlock writes the pending block, compressing when it pays.
-//
-//sov:hotpath
 func (w *runWriter) flushBlock() error {
 	if w.blockN == 0 {
 		return nil
@@ -409,8 +407,6 @@ func (c *blockCursor) seek(r *run, st *Stats, first, last int) {
 
 // next decodes the following entry into key and val. It returns false at
 // the end of the block range.
-//
-//sov:hotpath
 func (c *blockCursor) next() (bool, error) {
 	if len(c.rest) == 0 {
 		if c.left != 0 {
@@ -446,8 +442,6 @@ func (c *blockCursor) next() (bool, error) {
 // readBlock loads block i into the cursor's buffers, charging the read to
 // st: crc over the stored bytes first, then decoding bounded by the index's
 // raw length, then that length itself.
-//
-//sov:hotpath
 func (c *blockCursor) readBlock(i int) error {
 	bm := &c.r.index[i]
 	c.stored = slices.Grow(c.stored[:0], int(bm.storedLen))[:bm.storedLen]

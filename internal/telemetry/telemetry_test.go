@@ -947,12 +947,26 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 	}
 }
 
-// TestBlockPathSteadyStateAllocs: the codec compresses and decodes a block
-// into buffers that have held one without allocating, a whole 256 KB
-// memtable flush (a run of ~60 blocks, reopened and recorded in the
-// MANIFEST) allocates well under 1 MB, and a point read of a flushed key
-// allocates nothing.
+// TestBlockPathSteadyStateAllocs: an Ingestor queues a 200-event epoch
+// into the batch it has already held without allocating, the codec
+// compresses and decodes a block into buffers that have held one without
+// allocating, a whole 256 KB memtable flush (a run of ~60 blocks, reopened
+// and recorded in the MANIFEST) allocates well under 1 MB, and a point read
+// of a flushed key allocates nothing.
 func TestBlockPathSteadyStateAllocs(t *testing.T) {
+	epoch := makeEvents(200, 1)[:200]
+	in := NewIngestor(nil)
+	add := func() {
+		in.events, in.arena = in.events[:0], in.arena[:0] // what Flush leaves
+		for _, e := range epoch {
+			in.Add(e.Key.Vehicle, time.Duration(e.Key.TMs)*time.Millisecond, e.Key.Kind, e.Payload)
+		}
+	}
+	add() // grow the batch
+	if n := testing.AllocsPerRun(20, add); n != 0 {
+		t.Errorf("Ingestor.Add allocates %v times per 200-event epoch, want 0", n)
+	}
+
 	var block []byte
 	for _, e := range makeEvents(1, 200) {
 		block = appendKey(block, e.Key)

@@ -43,11 +43,8 @@ func NewRadarTracker() *RadarTracker {
 // vehicle-frame coordinates) and appends the live tracks to dst (grown as
 // needed). The association scratch is kept on the tracker, so a warm steady
 // state allocates nothing.
-//
-//sov:hotpath
 func (rt *RadarTracker) ObserveInto(t time.Duration, returns []sensors.RadarReturn, dst []RadarTrack) []RadarTrack {
 	if cap(rt.used) < len(returns) {
-		//sovlint:ignore hotalloc grow path runs only when the return count exceeds every previous frame; amortized zero
 		rt.used = make([]bool, len(returns))
 	}
 	used := rt.used[:len(returns)]

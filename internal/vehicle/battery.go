@@ -1,9 +1,6 @@
 package vehicle
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Battery tracks the pack's state of charge as the vehicle and the
 // autonomous-driving system draw power — the on-line counterpart of the
@@ -44,12 +41,4 @@ func (b *Battery) Charge(chargeKW float64, dt time.Duration) bool {
 		b.SoC = 1
 	}
 	return b.SoC >= 1
-}
-
-// RemainingKWh returns the usable energy left.
-func (b *Battery) RemainingKWh() float64 { return b.SoC * b.CapacityKWh }
-
-// String summarizes the pack.
-func (b *Battery) String() string {
-	return fmt.Sprintf("battery: %.1f%% (%.2f kWh of %.1f)", 100*b.SoC, b.RemainingKWh(), b.CapacityKWh)
 }

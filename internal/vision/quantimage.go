@@ -61,8 +61,6 @@ func quantizePixel(v float32) uint8 {
 // QuantizeImageInto fills q (which must match im's dimensions) with im's
 // pixels quantized to 8-bit codes. The only float arithmetic on the
 // fixed-point camera path.
-//
-//sov:hotpath
 func QuantizeImageInto(q *QImage, im *Image) {
 	if q.W != im.W || q.H != im.H {
 		panic("vision: QuantizeImageInto dimensions do not match")

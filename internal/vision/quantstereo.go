@@ -10,8 +10,6 @@ import "sov/internal/parallel"
 
 // sadAtQ computes the int32 sum of absolute differences between a
 // (2*half+1)² patch in left at (x, y) and in right at (x-d, y).
-//
-//sov:hotpath
 func sadAtQ(left, right *QImage, x, y, d, half int) int32 {
 	if x-half >= 0 && x+half < left.W && y-half >= 0 && y+half < left.H &&
 		x-d-half >= 0 && x-d+half < right.W {
@@ -49,8 +47,6 @@ func sadAtQ(left, right *QImage, x, y, d, half int) int32 {
 // by int32 SAD with the same uniqueness check and sub-pixel parabola as the
 // float path. scratch holds the per-candidate costs (a StereoScratch band)
 // and must have room for dMax+1 of them.
-//
-//sov:hotpath
 func matchPixelQ(left, right *QImage, x, y, dMin, dMax, half int, scratch []int32) float32 {
 	if dMin < 0 {
 		dMin = 0
@@ -132,7 +128,6 @@ type StereoScratch struct {
 // costBand returns the scratch for n costs.
 func (s *StereoScratch) costBand(n int) []int32 {
 	if cap(s.costs) < n {
-		//sovlint:ignore hotalloc first-call scratch growth; warm frames reuse the band
 		s.costs = make([]int32, n)
 	}
 	return s.costs[:n]
@@ -143,7 +138,6 @@ func (s *StereoScratch) costBand(n int) []int32 {
 func sizeMap(m *DisparityMap, w, h int) {
 	m.W, m.H = w, h
 	if cap(m.D) < w*h {
-		//sovlint:ignore hotalloc first-call output growth; warm frames reuse the plane
 		m.D = make([]float32, w*h)
 	} else {
 		m.D = m.D[:w*h]
@@ -155,8 +149,6 @@ func sizeMap(m *DisparityMap, w, h int) {
 // caller-owned storage. Output layout and validity semantics are identical
 // to the float matcher's, and the output is byte-identical for any worker
 // count.
-//
-//sov:hotpath
 func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int, s *StereoScratch) {
 	sizeMap(m, left.W, left.H)
 	n := maxDisp + 1
@@ -168,7 +160,6 @@ func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int
 	// end, so two workers never write the same line.
 	stride := n + 16
 	bands := s.costBand(parallel.Tiles(left.H, sadRowBlock) * stride)
-	//sovlint:ignore hotalloc fan-out closure only exists on the parallel path; the serial path above is allocation-free
 	parallel.For(left.H, sadRowBlock, func(y0, y1 int) {
 		b := y0 / sadRowBlock * stride
 		matchRowsQ(m, left, right, y0, y1, maxDisp, half, bands[b:b+n])
@@ -176,8 +167,6 @@ func BlockMatchQuantInto(m *DisparityMap, left, right *QImage, maxDisp, half int
 }
 
 // matchRowsQ fills rows [y0, y1) of m through one cost band.
-//
-//sov:hotpath
 func matchRowsQ(m *DisparityMap, left, right *QImage, y0, y1, maxDisp, half int, costs []int32) {
 	for y := y0; y < y1; y++ {
 		for x := 0; x < left.W; x++ {

@@ -55,8 +55,6 @@ func sadWindowMask(w int) uint64 {
 // to the fenced difference. Spreading that bit to a full-byte mask selects
 // hi = max(x,y) and lo = min(x,y) per lane, whose difference has no
 // inter-byte borrows; two 16-bit folds and one multiply sum the lanes.
-//
-//sov:hotpath
 func sad8(x, y uint64) int32 {
 	z := (x | sadHigh) - (y &^ sadHigh)
 	m := ((((x &^ y) | (^(x ^ y) & z)) & sadHigh) >> 7) * 0xFF
@@ -83,8 +81,6 @@ func sadSWAROK(left, right *QImage, x, dMin, dMax, half int) bool {
 // the same clamp At applies — so border-row windows cost the same as
 // interior ones. Caller must have checked sadSWAROK. The sums are exact,
 // so costs match sadAtQ byte for byte.
-//
-//sov:hotpath
 func sadSweepSWAR(left, right *QImage, x, y, dMin, half int, costs []int32) {
 	w := 2*half + 1
 	mask := sadWindowMask(w)

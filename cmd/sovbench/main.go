@@ -30,13 +30,28 @@ func main() {
 	duration := flag.Duration("duration", 120*time.Second, "SoV characterization run length")
 	seed := flag.Int64("seed", 1, "seed")
 	points := flag.Int("points", 4000, "points per synthetic LiDAR scan")
-	only := flag.String("only", "", "run a single experiment: fig2|fig3a|fig3b|table1|table2|fig4a|fig4b|fig6|fig8|fig9|fig10|fig11a|fig11b|fig12|reactive|fusion|extensions|sched|sched-json|csv")
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(names(), "|"))
 	workers := flag.Int("workers", runtime.NumCPU(), "worker count for parallel kernels (output is identical for any value)")
 	quant := flag.Bool("quant", false, "back perception with the int8 fixed-point kernels (DESIGN.md \u00a78)")
 	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler to SoV runs (DESIGN.md \u00a713)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()
+	if *duration <= 0 {
+		fail(fmt.Errorf("-duration %v: must be positive", *duration))
+	}
+	if *points <= 0 {
+		fail(fmt.Errorf("-points %d: need at least one point per scan", *points))
+	}
+	run := experiments.All
+	if *only != "" {
+		s, ok := experiments.Lookup(*only)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
+			os.Exit(2)
+		}
+		run = s.Run
+	}
 	parallel.SetWorkers(*workers)
 	base := core.DefaultConfig()
 	base.Quant, base.Sched = *quant, *sched
@@ -69,54 +84,21 @@ func main() {
 		}()
 	}
 
-	if *only == "" {
-		fmt.Print(experiments.All(base, *seed, *duration, *points))
-		return
+	fmt.Print(run(base, *seed, *duration, *points))
+}
+
+// names lists the sections -only accepts, in the full pass's order.
+func names() []string {
+	var out []string
+	for _, s := range experiments.Sections {
+		out = append(out, s.Name)
 	}
-	switch strings.ToLower(*only) {
-	case "fig2":
-		fmt.Print(experiments.Fig2LatencyChain())
-	case "fig3a":
-		fmt.Print(experiments.Fig3aRequirement())
-	case "fig3b":
-		fmt.Print(experiments.Fig3bDrivingTime())
-	case "table1":
-		fmt.Print(experiments.Table1Power())
-	case "table2":
-		fmt.Print(experiments.Table2Cost())
-	case "fig4a":
-		fmt.Print(experiments.Fig4aReuse(*points))
-	case "fig4b":
-		fmt.Print(experiments.Fig4bTraffic(*points))
-	case "fig6":
-		fmt.Print(experiments.Fig6Platforms())
-	case "fig8":
-		fmt.Print(experiments.Fig8Mappings())
-	case "fig9":
-		fmt.Print(experiments.Fig9RPR())
-	case "fig10":
-		out, _ := experiments.Fig10Characterization(base, *seed, *duration)
-		fmt.Print(out)
-	case "fig11a":
-		fmt.Print(experiments.Fig11aDepthSync())
-	case "fig11b":
-		fmt.Print(experiments.Fig11bLocalizationSync())
-	case "fig12":
-		fmt.Print(experiments.Fig12SyncArchitecture())
-	case "reactive":
-		fmt.Print(experiments.ReactivePathStudy(base))
-	case "csv":
-		fmt.Print(experiments.SeriesCSV())
-	case "fusion":
-		fmt.Print(experiments.FusionStudy())
-	case "extensions":
-		fmt.Print(experiments.Extensions())
-	case "sched":
-		fmt.Print(experiments.SchedDynamic(base, *seed))
-	case "sched-json":
-		fmt.Print(experiments.SchedBenchJSON(base, *seed))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
-		os.Exit(2)
-	}
+	return out
+}
+
+// fail reports a non-physical flag value and exits with flag's usage-error
+// status.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "sovbench:", err)
+	os.Exit(2)
 }

@@ -243,8 +243,12 @@ var flagCases = []flagCase{
 	{"sovsim -ambient", []string{"-duration", "30s", "-sched"}, []string{"-duration", "30s", "-sched", "-ambient", "-400"}, "exit 2"},
 
 	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "6s"}, "differs"},
+	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "0"}, "exit 2"},
+	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "-5s"}, "exit 2"},
 	{"sovbench -seed", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "5s", "-seed", "2"}, "differs"},
 	{"sovbench -points", []string{"-only", "fig4a", "-points", "500"}, []string{"-only", "fig4a", "-points", "600"}, "differs"},
+	{"sovbench -points", []string{"-only", "fig4a", "-points", "500"}, []string{"-only", "fig4a", "-points", "0"}, "exit 2"},
+	{"sovbench -points", []string{"-only", "fig4b", "-points", "500"}, []string{"-only", "fig4b", "-points", "-10"}, "exit 2"},
 	{"sovbench -only", []string{"-only", "fig2"}, []string{"-only", "fig3a"}, "differs"},
 	{"sovbench -only", []string{"-only", "nonesuch"}, []string{"-only", "nonesuch"}, "exit 2"},
 	{"sovbench -workers", []string{"-only", "fig4a", "-points", "500", "-workers", "1"}, []string{"-only", "fig4a", "-points", "500", "-workers", "3"}, "same"},

@@ -166,11 +166,14 @@ func detRows() []detRow {
 			for i := range calib.Data {
 				calib.Data[i], probe.Data[i] = float32(i%13)/13, float32(i%7)/7
 			}
-			qy := nn.QuantizeYOLO(nn.NewTinyYOLO(48, 64, 3, 21), calib)
+			y := nn.NewTinyYOLO(48, 64, 3, 21)
+			qy := nn.QuantizeYOLO(y, calib)
 			raw := qy.ForwardRaw(probe)
 			return map[string][]byte{
 				"codes": lines(raw.Data),
 				"boxes": lines(detect.DecodeQuantGridInto(nil, raw, qy.Classes, qy.LUT(), 0.3)),
+				// The float head it was quantized from: objectness, box, scores.
+				"float": lines(y.Infer(probe)),
 			}
 		}},
 		{"kernels/stereo-int8", func(t *testing.T) map[string][]byte {

@@ -5,14 +5,15 @@ import (
 	"strings"
 	"time"
 
+	"sov/internal/core"
 	"sov/internal/models"
 	"sov/internal/sensorsync"
 )
 
-// SeriesCSV emits the sweep figures' data series in CSV form for external
+// seriesCSV emits the sweep figures' data series in CSV form for external
 // plotting: Fig. 3a (latency budget vs distance), Fig. 3b (driving time vs
 // PAD), and Fig. 11a (depth error vs sync offset, analytic series).
-func SeriesCSV() string {
+func seriesCSV(core.Config, int64, time.Duration, int) string {
 	var b strings.Builder
 
 	lm := models.DefaultLatencyModel()

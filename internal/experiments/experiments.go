@@ -1,11 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation as text reports. Each Fig*/Table* function runs the underlying
-// systems (not canned numbers, except where the paper's own measured
-// operating points are the input — see DESIGN.md) and prints the same rows
-// or series the paper reports. The functions that run the SoV take the base
-// core.Config those runs start from; nothing reads process-wide defaults.
-// cmd/sovbench prints them all; the root bench_test.go wraps each in a
-// testing.B target.
+// evaluation as text reports. Each section runs the underlying systems (not
+// canned numbers, except where the paper's own measured operating points
+// are the input — see DESIGN.md) and prints the same rows or series the
+// paper reports. Sections is the one way in: cmd/sovbench prints its rows,
+// and the root BenchmarkExperiments times them, at the same parameters.
+// The sections that run the SoV take the base core.Config those runs start
+// from; nothing reads process-wide defaults.
 package experiments
 
 import (
@@ -31,9 +31,68 @@ import (
 	"sov/internal/world"
 )
 
-// Fig2LatencyChain demonstrates the Eq. 1 latency chain at the deployed
+// Section is one report sovbench can print: a paper figure or table, a
+// study, or an export. Every section takes the same arguments — the base
+// config the SoV runs start from, the seed and length of the Fig. 10
+// cruise, the points per synthetic LiDAR scan — and ignores those it does
+// not use.
+type Section struct {
+	Name string
+	Run  func(base core.Config, seed int64, d time.Duration, points int) string
+	Solo bool // left out of the full pass; only sovbench -only prints it
+}
+
+// Sections is every section, in the order the full pass prints them.
+var Sections = []Section{
+	{Name: "fig2", Run: fig2LatencyChain},
+	{Name: "fig3a", Run: fig3aRequirement},
+	{Name: "fig3b", Run: fig3bDrivingTime},
+	{Name: "table1", Run: table1Power},
+	{Name: "table2", Run: table2Cost},
+	{Name: "table3", Run: table3Algorithms},
+	{Name: "fig4a", Run: fig4aReuse},
+	{Name: "fig4b", Run: fig4bTraffic},
+	{Name: "fig6", Run: fig6Platforms},
+	{Name: "fig8", Run: fig8Mappings},
+	{Name: "fig9", Run: fig9RPR},
+	{Name: "fig10", Run: fig10Characterization},
+	{Name: "fig11a", Run: fig11aDepthSync},
+	{Name: "fig11b", Run: fig11bLocalizationSync},
+	{Name: "fig12", Run: fig12SyncArchitecture},
+	{Name: "reactive", Run: reactivePathStudy},
+	{Name: "fusion", Run: fusionStudy},
+	{Name: "extensions", Run: extensions},
+	{Name: "sched", Run: schedDynamic, Solo: true},
+	{Name: "sched-json", Run: schedBenchJSON, Solo: true},
+	{Name: "csv", Run: seriesCSV, Solo: true},
+}
+
+// Lookup returns the section called name, ignoring case.
+func Lookup(name string) (Section, bool) {
+	for _, s := range Sections {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
+	}
+	return Section{}, false
+}
+
+// All runs every section of the full pass and concatenates the reports,
+// each followed by a blank line.
+func All(base core.Config, seed int64, d time.Duration, points int) string {
+	var b strings.Builder
+	for _, s := range Sections {
+		if !s.Solo {
+			b.WriteString(s.Run(base, seed, d, points))
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
+}
+
+// fig2LatencyChain demonstrates the Eq. 1 latency chain at the deployed
 // parameters (Fig. 2).
-func Fig2LatencyChain() string {
+func fig2LatencyChain(core.Config, int64, time.Duration, int) string {
 	m := models.DefaultLatencyModel()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 2 — end-to-end latency model (v=%.1f m/s, a=%.1f m/s2)\n", m.Speed, m.BrakeDecel)
@@ -46,9 +105,9 @@ func Fig2LatencyChain() string {
 	return b.String()
 }
 
-// Fig3aRequirement sweeps the computing-latency budget against object
+// fig3aRequirement sweeps the computing-latency budget against object
 // distance (Fig. 3a).
-func Fig3aRequirement() string {
+func fig3aRequirement(core.Config, int64, time.Duration, int) string {
 	m := models.DefaultLatencyModel()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3a — computing latency requirement vs object distance\n")
@@ -62,9 +121,9 @@ func Fig3aRequirement() string {
 	return b.String()
 }
 
-// Fig3bDrivingTime sweeps reduced driving time against PAD with the
+// fig3bDrivingTime sweeps reduced driving time against PAD with the
 // paper's four markers (Fig. 3b).
-func Fig3bDrivingTime() string {
+func fig3bDrivingTime(core.Config, int64, time.Duration, int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3b — reduced driving time vs PAD (E=%.0f kWh, Pv=%.1f kW)\n", models.CapacityKWh, models.VehiclePowerKW)
 	fmt.Fprintf(&b, "  %-10s %s\n", "PAD(kW)", "reduced(h)")
@@ -85,8 +144,8 @@ func Fig3bDrivingTime() string {
 	return b.String()
 }
 
-// Table1Power renders the Table I power breakdown.
-func Table1Power() string {
+// table1Power renders the Table I power breakdown.
+func table1Power(core.Config, int64, time.Duration, int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table I — power breakdown\n%s", models.RenderPowerBudget())
 	fmt.Fprintf(&sb, "LiDAR comparison (not used): long-range %.0f W, short-range %.0f W\n",
@@ -94,8 +153,8 @@ func Table1Power() string {
 	return sb.String()
 }
 
-// Table2Cost renders the Table II cost comparison.
-func Table2Cost() string {
+// table2Cost renders the Table II cost comparison.
+func table2Cost(core.Config, int64, time.Duration, int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table II — our (camera-based) vehicle\n%s\n", models.DefaultCameraVehicleCost().Render())
 	fmt.Fprintf(&sb, "LiDAR-based vehicle (e.g. Waymo-class)\n%s", models.DefaultLiDARVehicleCost().Render())
@@ -103,9 +162,9 @@ func Table2Cost() string {
 	return sb.String()
 }
 
-// Table3Algorithms inventories the algorithm suite (Table III) with the
+// table3Algorithms inventories the algorithm suite (Table III) with the
 // packages that implement each and the benchmark that measures it.
-func Table3Algorithms() string {
+func table3Algorithms(core.Config, int64, time.Duration, int) string {
 	rows := [][3]string{
 		{"Depth estimation", "ELAS-style support-point stereo (internal/vision)", "BenchmarkSupportPointStereo160x120"},
 		{"Object detection", "CNN grid head + NMS (internal/nn, internal/detect)", "BenchmarkRunCNNFullPath"},
@@ -121,9 +180,9 @@ func Table3Algorithms() string {
 	return b.String()
 }
 
-// Fig4aReuse runs LiDAR localization on two scenes and reports the
+// fig4aReuse runs LiDAR localization on two scenes and reports the
 // irregular point-reuse histograms (Fig. 4a).
-func Fig4aReuse(points int) string {
+func fig4aReuse(_ core.Config, _ int64, _ time.Duration, points int) string {
 	rng := sim.NewRNG(11)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 4a — point reuse frequency during LiDAR localization (%d pts/scan)\n", points)
@@ -151,9 +210,9 @@ func Fig4aReuse(points int) string {
 // fig4bCache is the scaled cache of the Fig. 4b measurements.
 var fig4bCache = cachesim.Config{SizeBytes: 16 * 1024, LineBytes: 64, Ways: 8}
 
-// Fig4bTraffic measures off-chip traffic of the four point-cloud kernels
+// fig4bTraffic measures off-chip traffic of the four point-cloud kernels
 // normalized to the optimal (compulsory) traffic (Fig. 4b).
-func Fig4bTraffic(points int) string {
+func fig4bTraffic(_ core.Config, _ int64, _ time.Duration, points int) string {
 	rng := sim.NewRNG(12)
 	scan := pointcloud.GenerateScan(points, 42, rng.Fork())
 	moved := scan.Transform(0.02, mathx.Vec3{X: 0.2})
@@ -200,15 +259,15 @@ func Fig4bTraffic(points int) string {
 	// (Sec. III-D's contrast). A 3x3 convolution sweep over an image the
 	// same size as the cloud streams rows with near-perfect reuse.
 	b.WriteString(run("vision-stencil", func(c *cachesim.Cache) {
-		StencilSweep(c, 200, points/200*3, 3)
+		stencilSweep(c, 200, points/200*3, 3)
 	}))
 	return b.String()
 }
 
-// StencilSweep drives the cache with a (2*half+1)² convolution access
+// stencilSweep drives the cache with a (2*half+1)² convolution access
 // pattern over a w×h row-major float32 image — the "regular stencil"
 // memory behaviour of vision kernels.
-func StencilSweep(c *cachesim.Cache, w, h, half int) {
+func stencilSweep(c *cachesim.Cache, w, h, half int) {
 	const px = 4
 	for y := half; y < h-half; y++ {
 		for x := half; x < w-half; x++ {
@@ -221,9 +280,9 @@ func StencilSweep(c *cachesim.Cache, w, h, half int) {
 	}
 }
 
-// Fig6Platforms reports per-task latency and energy on the four platforms
+// fig6Platforms reports per-task latency and energy on the four platforms
 // (Fig. 6a/6b).
-func Fig6Platforms() string {
+func fig6Platforms(core.Config, int64, time.Duration, int) string {
 	cat := platform.Catalog()
 	names := []string{"CPU", "GPU", "TX2", "FPGA"}
 	tasks := []platform.Task{platform.TaskDepth, platform.TaskDetection, platform.TaskLocalization}
@@ -257,8 +316,8 @@ func Fig6Platforms() string {
 	return b.String()
 }
 
-// Fig8Mappings reports the perception mapping exploration (Fig. 8).
-func Fig8Mappings() string {
+// fig8Mappings reports the perception mapping exploration (Fig. 8).
+func fig8Mappings(core.Config, int64, time.Duration, int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 8 — perception mapping strategies\n")
 	fmt.Fprintf(&b, "  %-24s %-14s %-14s %s\n", "mapping (SU/Loc)", "scene(ms)", "loc(ms)", "perception(ms)")
@@ -277,9 +336,9 @@ func Fig8Mappings() string {
 	return b.String()
 }
 
-// Fig9RPR compares the reconfiguration engine with the CPU-driven path
+// fig9RPR compares the reconfiguration engine with the CPU-driven path
 // (Fig. 9 / Sec. V-B3).
-func Fig9RPR() string {
+func fig9RPR(core.Config, int64, time.Duration, int) string {
 	eng := new(rpr.Engine)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 — runtime partial reconfiguration\n")
@@ -296,20 +355,19 @@ func Fig9RPR() string {
 	return b.String()
 }
 
-// Fig10Characterization runs the SoV cruise on base with the given seed and
-// renders the latency distribution (Fig. 10a/b).
-func Fig10Characterization(base core.Config, seed int64, duration time.Duration) (string, *core.Report) {
+// fig10Characterization runs the SoV cruise on base for d with the given
+// seed and renders the latency distribution (Fig. 10a/b).
+func fig10Characterization(base core.Config, seed int64, d time.Duration, _ int) string {
 	cfg := base
 	cfg.Seed = seed
-	w := core.CruiseScenario(seed)
-	rep := core.New(cfg, w).Run(duration)
-	return "Fig. 10 — on-vehicle latency characterization\n" + rep.Render(), rep
+	rep := core.New(cfg, core.CruiseScenario(seed)).Run(d)
+	return "Fig. 10 — on-vehicle latency characterization\n" + rep.Render()
 }
 
-// Fig11aDepthSync sweeps stereo depth error against inter-camera sync
+// fig11aDepthSync sweeps stereo depth error against inter-camera sync
 // error, both analytically and through the rendered stereo stack
 // (Fig. 11a).
-func Fig11aDepthSync() string {
+func fig11aDepthSync(core.Config, int64, time.Duration, int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 11a — stereo depth error vs camera sync error (object at 5 m moving 1.2 m/s)\n")
 	fmt.Fprintf(&b, "  %-12s %-14s %s\n", "offset(ms)", "analytic(m)", "rendered(m)")
@@ -322,9 +380,9 @@ func Fig11aDepthSync() string {
 	return b.String()
 }
 
-// Fig11bLocalizationSync runs the VIO loop with 0/20/40 ms camera–IMU
+// fig11bLocalizationSync runs the VIO loop with 0/20/40 ms camera–IMU
 // offsets (Fig. 11b).
-func Fig11bLocalizationSync() string {
+func fig11bLocalizationSync(core.Config, int64, time.Duration, int) string {
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
@@ -350,9 +408,9 @@ func Fig11bLocalizationSync() string {
 	return b.String()
 }
 
-// Fig12SyncArchitecture compares software-only and hardware-collaborative
+// fig12SyncArchitecture compares software-only and hardware-collaborative
 // synchronization (Fig. 12 / Sec. VI-A3).
-func Fig12SyncArchitecture() string {
+func fig12SyncArchitecture(core.Config, int64, time.Duration, int) string {
 	sw := sensorsync.SoftwareSyncExperiment(20*time.Second, sim.NewRNG(13))
 	hw := sensorsync.HardwareSyncExperiment(20*time.Second, sim.NewRNG(13))
 	res := sensorsync.HardwareSynchronizerResources()
@@ -367,10 +425,10 @@ func Fig12SyncArchitecture() string {
 	return b.String()
 }
 
-// ReactivePathStudy sweeps sudden-obstacle appearance distances and reports
+// reactivePathStudy sweeps sudden-obstacle appearance distances and reports
 // outcomes on base (Sec. IV: reactive path avoids ~4.1-4.8 m where the
 // proactive path needs ~5+ m; inside the ~3.9 m braking floor nothing helps).
-func ReactivePathStudy(base core.Config) string {
+func reactivePathStudy(base core.Config, _ int64, _ time.Duration, _ int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Reactive path — sudden-obstacle distance sweep (v=5.6 m/s, floor 3.92 m)\n")
 	fmt.Fprintf(&b, "  %-12s %-10s %-10s %-12s %s\n", "appears(m)", "reactive", "collided", "clearance(m)", "stopped")
@@ -382,9 +440,9 @@ func ReactivePathStudy(base core.Config) string {
 	return b.String()
 }
 
-// FusionStudy reports the Sec. VI-B numbers: GPS-VIO drift correction and
+// fusionStudy reports the Sec. VI-B numbers: GPS-VIO drift correction and
 // radar-vs-KCF tracking cost, via the core simulation's tracking latencies.
-func FusionStudy() string {
+func fusionStudy(core.Config, int64, time.Duration, int) string {
 	imuCfg := sensors.DefaultIMUConfig()
 	imuCfg.GyroBias = 0
 	imuCfg.AccelBias = 0
@@ -405,11 +463,11 @@ func FusionStudy() string {
 	return b.String()
 }
 
-// Extensions reports the supporting analyses beyond the paper's figures:
+// extensions reports the supporting analyses beyond the paper's figures:
 // CAN schedulability, multi-camera sync scaling, mobile-SoC data-movement
 // overhead, the thermal constraint, and the RPR hourly-upload use case
 // sketched in Sec. VII.
-func Extensions() string {
+func extensions(core.Config, int64, time.Duration, int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extensions\n")
 
@@ -443,39 +501,5 @@ func Extensions() string {
 	fmt.Fprintf(&b, "— product lines at 164 ms Tcomp: pod avoids >= %.2f m (floor %.2f), shuttle >= %.2f m (floor %.2f)\n",
 		pod.AvoidableDistance(164*time.Millisecond), pod.BrakingDistance(),
 		shuttle.AvoidableDistance(164*time.Millisecond), shuttle.BrakingDistance())
-	return b.String()
-}
-
-// All runs every experiment and concatenates the reports (the full
-// regeneration pass used by cmd/sovbench). The SoV runs start from base.
-func All(base core.Config, seed int64, sovDuration time.Duration, pclPoints int) string {
-	var b strings.Builder
-	sections := []string{
-		Fig2LatencyChain(),
-		Fig3aRequirement(),
-		Fig3bDrivingTime(),
-		Table1Power(),
-		Table2Cost(),
-		Table3Algorithms(),
-		Fig4aReuse(pclPoints),
-		Fig4bTraffic(pclPoints),
-		Fig6Platforms(),
-		Fig8Mappings(),
-		Fig9RPR(),
-	}
-	fig10, _ := Fig10Characterization(base, seed, sovDuration)
-	sections = append(sections,
-		fig10,
-		Fig11aDepthSync(),
-		Fig11bLocalizationSync(),
-		Fig12SyncArchitecture(),
-		ReactivePathStudy(base),
-		FusionStudy(),
-		Extensions(),
-	)
-	for _, s := range sections {
-		b.WriteString(s)
-		b.WriteString("\n")
-	}
 	return b.String()
 }

@@ -9,106 +9,116 @@ import (
 	"sov/internal/core"
 )
 
-func TestAnalyticSections(t *testing.T) {
-	cases := []struct {
-		name string
-		out  string
-		want []string
-	}{
-		{"fig2", Fig2LatencyChain(), []string{"Tmech", "braking distance"}},
-		{"fig3a", Fig3aRequirement(), []string{"164", "740", "floor"}},
-		{"fig3b", Fig3bDrivingTime(), []string{"LiDAR", "server idle"}},
-		{"table1", Table1Power(), []string{"175.0", "Radar", "Sonar"}},
-		{"table2", Table2Cost(), []string{"70000", "LiDAR", "per trip"}},
-		{"fig6", Fig6Platforms(), []string{"844.2", "FPGA", "TX2"}},
-		{"fig8", Fig8Mappings(), []string{"GPU/FPGA", "speedup"}},
-		{"fig9", Fig9RPR(), []string{"feature-extract", "MB/s", "CPU-driven"}},
-	}
-	for _, c := range cases {
-		for _, w := range c.want {
-			if !strings.Contains(c.out, w) {
-				t.Errorf("%s missing %q:\n%s", c.name, w, c.out)
+// small are the parameters the tests run sections at: seed 1, a 5 s
+// cruise, 500-point scans.
+func small(s Section) string {
+	return s.Run(core.DefaultConfig(), 1, 5*time.Second, 500)
+}
+
+// checkSections runs each named section at small parameters and checks
+// that it prints every wanted string.
+func checkSections(t *testing.T, want map[string][]string) {
+	t.Helper()
+	for name, ws := range want {
+		s, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("no section %s", name)
+		}
+		out := small(s)
+		for _, w := range ws {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s missing %q:\n%s", name, w, out)
 			}
 		}
 	}
 }
 
-func TestFig4Sections(t *testing.T) {
-	a := Fig4aReuse(1500)
-	if !strings.Contains(a, "frame 0") || !strings.Contains(a, "frame 1") {
-		t.Fatalf("fig4a:\n%s", a)
+// TestSections: the full pass is its rows run one at a time and
+// concatenated, so sovbench -only NAME prints exactly what the full pass
+// prints for NAME; Lookup ignores case and knows only the table's names.
+func TestSections(t *testing.T) {
+	if s, ok := Lookup("FIG10"); !ok || s.Name != "fig10" {
+		t.Errorf("Lookup(FIG10) = %q, %v; want fig10", s.Name, ok)
 	}
-	b := Fig4bTraffic(2500)
-	for _, k := range []string{"localization", "segmentation", "recognition", "reconstruction"} {
-		if !strings.Contains(b, k) {
-			t.Fatalf("fig4b missing %s:\n%s", k, b)
+	if _, ok := Lookup("nonesuch"); ok {
+		t.Error("Lookup(nonesuch) found a section")
+	}
+	if testing.Short() {
+		t.Skip("runs the full pass twice")
+	}
+	var full strings.Builder
+	for _, s := range Sections {
+		if !s.Solo {
+			full.WriteString(small(s) + "\n")
 		}
 	}
+	if got := All(core.DefaultConfig(), 1, 5*time.Second, 500); got != full.String() {
+		t.Errorf("All differs from its rows run one at a time:\n%s\nwant:\n%s", got, full.String())
+	}
+}
+
+func TestAnalyticSections(t *testing.T) {
+	checkSections(t, map[string][]string{
+		"fig2":   {"Tmech", "braking distance"},
+		"fig3a":  {"164", "740", "floor"},
+		"fig3b":  {"LiDAR", "server idle"},
+		"table1": {"175.0", "Radar", "Sonar"},
+		"table2": {"70000", "LiDAR", "per trip"},
+		"table3": {"BenchmarkKCFTrackerStep", "BenchmarkPlannerComparisonMPC"},
+		"fig6":   {"844.2", "FPGA", "TX2"},
+		"fig8":   {"GPU/FPGA", "speedup"},
+		"fig9":   {"feature-extract", "MB/s", "CPU-driven"},
+	})
+}
+
+func TestFig4Sections(t *testing.T) {
+	checkSections(t, map[string][]string{
+		"fig4a": {"frame 0", "frame 1"},
+		"fig4b": {"localization", "segmentation", "recognition", "reconstruction", "vision-stencil"},
+	})
 }
 
 func TestFig10Section(t *testing.T) {
-	out, rep := Fig10Characterization(core.DefaultConfig(), 2, 30*time.Second)
-	if !strings.Contains(out, "computing latency") {
-		t.Fatalf("fig10:\n%s", out)
-	}
-	if rep.Cycles < 250 {
-		t.Fatalf("cycles = %d", rep.Cycles)
-	}
+	checkSections(t, map[string][]string{"fig10": {"computing latency", "over 50 cycles"}})
 }
 
 func TestSyncSections(t *testing.T) {
-	a := Fig11aDepthSync()
-	if !strings.Contains(a, "offset(ms)") {
-		t.Fatalf("fig11a:\n%s", a)
-	}
-	c := Fig12SyncArchitecture()
-	if !strings.Contains(c, "hardware sync") || !strings.Contains(c, "1443") {
-		t.Fatalf("fig12:\n%s", c)
-	}
+	checkSections(t, map[string][]string{
+		"fig11a": {"offset(ms)"},
+		"fig12":  {"hardware sync", "1443"},
+	})
 }
 
 func TestStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long studies")
 	}
-	r := ReactivePathStudy(core.DefaultConfig())
-	if !strings.Contains(r, "appears(m)") {
-		t.Fatalf("reactive:\n%s", r)
-	}
-	f := FusionStudy()
-	if !strings.Contains(f, "GPS-VIO") {
-		t.Fatalf("fusion:\n%s", f)
-	}
+	checkSections(t, map[string][]string{
+		"reactive": {"appears(m)"},
+		"fusion":   {"GPS-VIO"},
+	})
 }
 
 func TestExtensionsSection(t *testing.T) {
-	out := Extensions()
-	for _, w := range []string{"CAN schedule", "8-camera", "mobile-SoC", "thermal", "hourly upload"} {
-		if !strings.Contains(out, w) {
-			t.Fatalf("extensions missing %q:\n%s", w, out)
-		}
-	}
+	checkSections(t, map[string][]string{
+		"extensions": {"CAN schedule", "8-camera", "mobile-SoC", "thermal", "hourly upload"},
+	})
 }
 
 func TestStencilVsKDTreeTraffic(t *testing.T) {
 	// Sec. III-D: vision's regular stencils reuse on-chip; LiDAR's
 	// kd-tree kernels do not. The stencil reference must sit near the
-	// compulsory minimum while the point-cloud kernels are 10-100x above.
-	out := Fig4bTraffic(3000)
-	if !strings.Contains(out, "vision-stencil") {
-		t.Fatalf("missing stencil row:\n%s", out)
-	}
-	// Direct check of the stencil's ratio.
+	// compulsory minimum.
 	c := cachesim.New(fig4bCache)
-	StencilSweep(c, 200, 45, 3)
+	stencilSweep(c, 200, 45, 3)
 	if r := c.Stats().TrafficRatio(); r > 2.0 {
 		t.Fatalf("stencil traffic ratio = %.2f, want ~1 (regular reuse)", r)
 	}
 }
 
 func TestSeriesCSV(t *testing.T) {
-	out := SeriesCSV()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
+	s, _ := Lookup("csv")
+	lines := strings.Split(strings.TrimSpace(small(s)), "\n")
 	if lines[0] != "figure,x,y" {
 		t.Fatalf("header = %q", lines[0])
 	}

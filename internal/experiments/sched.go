@@ -104,10 +104,10 @@ func runSchedMulticam(base core.Config, seed int64) (seq, batched *core.Report) 
 	return seq, batched
 }
 
-// SchedDynamic renders the dynamic-traffic mapping tables: the Fig. 6/8
+// schedDynamic renders the dynamic-traffic mapping tables: the Fig. 6/8
 // exploration redone online, plus the steady-load overhead and multi-camera
 // batching checks. Every run starts from base.
-func SchedDynamic(base core.Config, seed int64) string {
+func schedDynamic(base core.Config, seed int64, _ time.Duration, _ int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Online scheduler — Fig. 6/8 regenerated under dynamic traffic (%v, ambient 45C)\n",
 		schedDynamicDuration)
@@ -132,11 +132,11 @@ func SchedDynamic(base core.Config, seed int64) string {
 	return b.String()
 }
 
-// SchedBenchJSON emits the machine-readable BENCH_sched.json content. The
+// schedBenchJSON emits the machine-readable BENCH_sched.json content. The
 // runs are virtual-time deterministic, so scripts/bench.sh sched --check can
 // regenerate and exact-diff this output against the committed snapshot.
 // Every run starts from base.
-func SchedBenchJSON(base core.Config, seed int64) string {
+func schedBenchJSON(base core.Config, seed int64, _ time.Duration, _ int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "{\n  \"experiment\": \"sched_dynamic_traffic\",\n  \"seed\": %d,\n", seed)
 	fmt.Fprintf(&b, "  \"dynamic\": {\n    \"scenario\": \"DynamicTrafficScenario ambient=45C dynamic-keyframe %s\",\n    \"rows\": [\n",

@@ -48,20 +48,6 @@ func TestQuantPipelineTracksFloat(t *testing.T) {
 	}
 }
 
-// TestQuantPipelineDeterministic: the fixed-point chain is pure integer
-// arithmetic — two runs must agree bit for bit.
-func TestQuantPipelineDeterministic(t *testing.T) {
-	in := vision.QuantizeImage(renderTestFrame())
-	qp := Quantized()
-	a := qprocess(qp, in)
-	b := qprocess(qp, in)
-	for i := range a.Pix {
-		if a.Pix[i] != b.Pix[i] {
-			t.Fatalf("pixel %d differs between runs: %d != %d", i, a.Pix[i], b.Pix[i])
-		}
-	}
-}
-
 // TestQuantPipelineZeroAlloc: the ProcessInto steady state must not allocate.
 func TestQuantPipelineZeroAlloc(t *testing.T) {
 	in := vision.QuantizeImage(renderTestFrame())

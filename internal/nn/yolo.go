@@ -28,7 +28,7 @@ type YOLOHead struct {
 // (ROADMAP item 7).
 func NewTinyYOLO(inH, inW, classes int, seed int64) *YOLOHead {
 	// Weight init draws from an explicit caller-provided seed, never the
-	// global math/rand source (TestInferDeterministic).
+	// global math/rand source (TestDeterminism/kernels/yolo-int8).
 	rng := rand.New(rand.NewSource(seed))
 	backbone := &Network{Layers: []Layer{
 		NewConv2D(1, 8, 3, 1, 1, true, rng),

@@ -272,16 +272,6 @@ func TestCacheTrafficExceedsOptimal(t *testing.T) {
 	}
 }
 
-func TestGenerateScanDeterministicPerSeed(t *testing.T) {
-	a := GenerateScan(100, 5, sim.NewRNG(9))
-	b := GenerateScan(100, 5, sim.NewRNG(9))
-	for i := range a.Pts {
-		if a.Pts[i] != b.Pts[i] {
-			t.Fatal("scan generation not deterministic")
-		}
-	}
-}
-
 func TestTransformRoundTrip(t *testing.T) {
 	c := grid(4)
 	moved := c.Transform(0.3, mathx.Vec3{X: 1, Y: -2, Z: 0.1})

@@ -208,7 +208,7 @@ func BenchmarkUpdateCamera12Landmarks(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateGPS times the EKF step the Sec. VI-B FusionStudy row runs
+// BenchmarkUpdateGPS times the EKF step the Sec. VI-B fusion section runs
 // on every GPS fix: the GPS-VIO fusion that replaces drift-correcting
 // compute.
 func BenchmarkUpdateGPS(b *testing.B) {

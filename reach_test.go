@@ -46,11 +46,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"sov/internal/core"
 	"sov/internal/experiments"
 )
 
@@ -271,18 +273,34 @@ func TestReachability(t *testing.T) {
 		}
 	}
 
-	var benches []*regexp.Regexp
+	// A committed -bench pattern roots the Benchmark functions its top level
+	// matches (go test matches "BenchmarkX/sub" level by level), and must
+	// match at least one: a misspelled pattern benchmarks nothing. The sub
+	// level of BenchmarkExperiments must match an experiments section.
+	type benchRoot struct {
+		re    *regexp.Regexp
+		from  string
+		found bool
+	}
+	var benches []*benchRoot
 	for file, re := range map[string]string{"scripts/bench.sh": `\bbench=(Benchmark\w*)`, ".github/workflows/ci.yml": `-bench='?([^' \n]+)`} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(string(src), -1) {
-			benches = append(benches, regexp.MustCompile(m[1]))
+			top, sub, ok := strings.Cut(m[1], "/")
+			b := &benchRoot{re: regexp.MustCompile(top), from: file + ": " + m[1]}
+			benches = append(benches, b)
+			if ok && b.re.MatchString("BenchmarkExperiments") && !slices.ContainsFunc(experiments.Sections,
+				func(s experiments.Section) bool { return regexp.MustCompile(sub).MatchString(s.Name) }) {
+				t.Errorf("%s: %s matches no experiments section", file, m[1])
+			}
 		}
 	}
-	for _, name := range regexp.MustCompile(`Benchmark\w+`).FindAllString(experiments.Table3Algorithms(), -1) {
-		benches = append(benches, regexp.MustCompile("^"+name+"$"))
+	table3, _ := experiments.Lookup("table3")
+	for _, name := range regexp.MustCompile(`Benchmark\w+`).FindAllString(table3.Run(core.Config{}, 0, 0, 0), -1) {
+		benches = append(benches, &benchRoot{re: regexp.MustCompile("^" + name + "$"), from: "Table III: " + name})
 	}
 
 	// Test files: declarations keyed per test package, names resolved by
@@ -375,10 +393,10 @@ func TestReachability(t *testing.T) {
 			case strings.HasPrefix(name, "Example"):
 				roots[1] = append(roots[1], k)
 			case strings.HasPrefix(name, "Benchmark"):
-				for _, re := range benches {
-					if re.MatchString(name) {
+				for _, b := range benches {
+					if b.re.MatchString(name) {
+						b.found = true
 						roots[2] = append(roots[2], k)
-						break
 					}
 				}
 			}
@@ -387,6 +405,12 @@ func TestReachability(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	for _, b := range benches {
+		if !b.found {
+			t.Errorf("%s matches no Benchmark function", b.from)
+		}
 	}
 
 	// reach returns every key the given roots reach.

@@ -37,8 +37,9 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()
-	if *duration <= 0 {
-		fail(fmt.Errorf("-duration %v: must be positive", *duration))
+	base := core.DefaultConfig()
+	if period := time.Duration(float64(time.Second) / base.ControlRate); *duration < period {
+		fail(fmt.Errorf("-duration %v: shorter than one %v control period", *duration, period))
 	}
 	if *points <= 0 {
 		fail(fmt.Errorf("-points %d: need at least one point per scan", *points))
@@ -53,7 +54,6 @@ func main() {
 		run = s.Run
 	}
 	parallel.SetWorkers(*workers)
-	base := core.DefaultConfig()
 	base.Quant, base.Sched = *quant, *sched
 
 	if *cpuProfile != "" {

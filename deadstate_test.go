@@ -245,6 +245,7 @@ var flagCases = []flagCase{
 	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "6s"}, "differs"},
 	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "0"}, "exit 2"},
 	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "-5s"}, "exit 2"},
+	{"sovbench -duration", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "50ms", "-cpuprofile", "cpu.out"}, "exit 2"},
 	{"sovbench -seed", []string{"-only", "fig10", "-duration", "5s"}, []string{"-only", "fig10", "-duration", "5s", "-seed", "2"}, "differs"},
 	{"sovbench -points", []string{"-only", "fig4a", "-points", "500"}, []string{"-only", "fig4a", "-points", "600"}, "differs"},
 	{"sovbench -points", []string{"-only", "fig4a", "-points", "500"}, []string{"-only", "fig4a", "-points", "0"}, "exit 2"},

@@ -24,9 +24,11 @@ func Compress(data []byte) ([]byte, error) {
 }
 
 // Decompress decodes a payload produced by Compress into a fresh slice,
-// sized up front with headroom over the 2x the store's blocks grow back by.
+// sized up front with headroom over the ~3.1x the store's blocks grow back
+// by and over the slack the decoder's fixed-size copies write into, so a
+// store block decodes in one allocation.
 func Decompress(data []byte) ([]byte, error) {
-	out, err := AppendDecompress(make([]byte, 0, 3*len(data)+64), data, -1)
+	out, err := AppendDecompress(make([]byte, 0, 4*(len(data)+slack)), data, -1)
 	if err != nil {
 		return nil, err
 	}

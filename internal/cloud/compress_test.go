@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -98,22 +99,135 @@ func checkRoundTrip(t *testing.T, tbl *Table, payload []byte) []byte {
 // checkArbitrary hands the decoder bytes that need not be a stream: it
 // agrees with the reference decoder on whether they are one and on what
 // they hold, never returns more than limit allows, and on error returns dst
-// at its length.
+// at its length with its bytes intact. It runs each limit twice: into a dst
+// with no spare capacity, where every sequence grows the buffer, and into
+// one with room, where the common sequences take the fixed-size copies.
 func checkArbitrary(t *testing.T, stream []byte) {
 	t.Helper()
 	want, valid := refDecode(stream)
 	prefix := []byte("kept")
 	for _, limit := range []int{-1, 0, len(want) - 1, len(want), 4096} {
 		fits := valid && (limit < 0 || len(want) <= limit)
-		got, err := AppendDecompress(append([]byte(nil), prefix...), stream, limit)
-		switch {
-		case (err == nil) != fits:
-			t.Fatalf("limit %d: %d stream bytes decoded with err %v; the reference decoder: %d bytes, valid %v", limit, len(stream), err, len(want), valid)
-		case err != nil && !bytes.Equal(got, prefix):
-			t.Fatalf("limit %d: dst came back %d bytes long from a failed decode", limit, len(got))
-		case err == nil && !bytes.Equal(got[len(prefix):], want):
-			t.Fatalf("limit %d: decoded %d bytes, the reference decoder %d, or other bytes", limit, len(got)-len(prefix), len(want))
+		for _, dst := range [][]byte{slices.Clip(slices.Clone(prefix)), append(make([]byte, 0, len(want)+2*slack), prefix...)} {
+			got, err := AppendDecompress(dst, stream, limit)
+			switch {
+			case (err == nil) != fits:
+				t.Fatalf("limit %d, dst cap %d: %d stream bytes decoded with err %v; the reference decoder: %d bytes, valid %v", limit, cap(dst), len(stream), err, len(want), valid)
+			case !bytes.HasPrefix(got, prefix):
+				t.Fatalf("limit %d, dst cap %d: the prefix came back as %q", limit, cap(dst), got[:min(len(got), len(prefix))])
+			case err != nil && len(got) != len(prefix):
+				t.Fatalf("limit %d, dst cap %d: dst came back %d bytes long from a failed decode", limit, cap(dst), len(got))
+			case err == nil && !bytes.Equal(got[len(prefix):], want):
+				t.Fatalf("limit %d, dst cap %d: decoded %d bytes, the reference decoder %d, or other bytes", limit, cap(dst), len(got)-len(prefix), len(want))
+			}
 		}
+	}
+}
+
+// edgeHistory is what edgeStream decodes before the sequence under test:
+// 296 literals and a 4-byte match 296 back.
+const edgeHistory = 300
+
+// edgeStream is a hand-built stream around one sequence under test: the
+// history, then lit literals and a match of ml bytes off back
+// (edgeHistory+lit reaches the first byte), then a closing sequence of tail
+// literals. ml 0 leaves the middle sequence out.
+func edgeStream(lit, off, ml, tail int) []byte {
+	const h = edgeHistory - minMatch
+	b := make([]byte, h+lit+tail)
+	rand.New(rand.NewSource(int64(lit*1000 + off))).Read(b)
+	s := appendSequence(nil, b[:h], h, minMatch)
+	if ml > 0 {
+		s = appendSequence(s, b[h:h+lit], off, ml)
+	}
+	return appendSequence(s, b[h+lit:], 0, 0)
+}
+
+// codecEdges are the sequences on either side of each of the decoder's
+// fixed-size-copy conditions: a literal nibble below 15, a match nibble
+// below 15, an offset of at least 16, 16 bytes of src after the token. The
+// 16 closing literals leave every other sequence room to take the copies.
+var codecEdges = []struct {
+	name               string
+	lit, off, ml, tail int
+}{
+	{"no literals", 0, 20, 8, 16},
+	{"14 literals", 14, 20, 8, 16},
+	{"15 literals: a continued nibble", 15, 20, 8, 16},
+	{"15 literals, offset 256: a continued nibble, a zero byte", 15, 256, 8, 16},
+	{"16 literals", 16, 20, 8, 16},
+	{"17 literals", 17, 20, 8, 16},
+	{"match of 4", 3, 20, 4, 16},
+	{"match of 16: one chunk", 3, 20, 16, 16},
+	{"match of 17: two chunks", 3, 20, 17, 16},
+	{"match of 18", 3, 20, 18, 16},
+	{"match of 19: a continued nibble", 3, 20, 19, 16},
+	{"match of 19+255+26: continuation bytes", 3, 20, 300, 16},
+	{"offset 1", 3, 1, 18, 16},
+	{"offset 7", 3, 7, 18, 16},
+	{"offset 8", 3, 8, 18, 16},
+	{"offset 15", 3, 15, 18, 16},
+	{"offset 16", 3, 16, 18, 16},
+	{"offset 17", 3, 17, 18, 16},
+	{"offset 256", 3, 256, 18, 16},
+	{"offset 303: the first byte", 3, 303, 18, 16},
+	{"offset 304: before the first byte", 3, 304, 18, 16},
+	{"a sequence 14 bytes before the end", 2, 20, 18, 8},
+	{"a sequence 15 bytes before the end", 2, 20, 18, 9},
+	{"a sequence 16 bytes before the end", 2, 20, 18, 10},
+	{"a sequence 17 bytes before the end", 2, 20, 18, 11},
+	{"an empty closing sequence", 3, 20, 18, 0},
+	{"closing literals only", 0, 0, 0, 14},
+}
+
+// TestCodecBoundaries: each edge decodes as the reference decoder says,
+// through every limit and dst shape checkArbitrary tries, and each is a
+// valid stream (or, for an offset before the first byte, a corrupt one),
+// so a sequence taking the wrong copy shows as wrong bytes. With a corrupt
+// sequence after it, the edge is where a limit one byte short of it fails
+// the decode, as errTooLong, and any other limit gets errCorrupt. Each
+// stream is clipped to its length, so a read past its end panics.
+func TestCodecBoundaries(t *testing.T) {
+	for _, c := range codecEdges {
+		t.Run(c.name, func(t *testing.T) {
+			stream := edgeStream(c.lit, c.off, c.ml, c.tail)
+			want, valid := refDecode(stream)
+			if valid != (c.off <= edgeHistory+c.lit) {
+				t.Fatalf("the reference decoder says valid=%v", valid)
+			}
+			if valid && len(want) != edgeHistory+c.lit+c.ml+c.tail {
+				t.Fatalf("the reference decoder gave %d bytes", len(want))
+			}
+			checkArbitrary(t, slices.Clip(stream))
+			if c.ml == 0 {
+				return
+			}
+			// The corrupt sequence: a literal count whose continuation
+			// bytes run off the end, enough of them to leave the edge its 16.
+			bad := edgeStream(c.lit, c.off, c.ml, 0)
+			bad = append(append(bad[:len(bad)-1], 0xf0), bytes.Repeat([]byte{255}, 14)...)
+			edgeEnd := edgeHistory + c.lit + c.ml
+			for _, limit := range []int{-1, edgeEnd - 1, edgeEnd} {
+				wantErr := errCorrupt
+				if valid && limit == edgeEnd-1 {
+					wantErr = errTooLong
+				}
+				dst := make([]byte, 2, 4096)
+				if got, err := AppendDecompress(dst, slices.Clip(bad), limit); err != wantErr || len(got) != 2 {
+					t.Fatalf("limit %d, a corrupt sequence after the edge: %d bytes, err %v, want %v", limit, len(got), err, wantErr)
+				}
+			}
+		})
+	}
+}
+
+// TestDecompressAllocatesOnce: Decompress sizes its fresh slice for what a
+// store block grows back to plus the decoder's slack, so a block decodes in
+// exactly one allocation.
+func TestDecompressAllocatesOnce(t *testing.T) {
+	z, _ := Compress(storeBlock(5))
+	if n := testing.AllocsPerRun(100, func() { Decompress(z) }); n != 1 {
+		t.Fatalf("Decompress of a store block made %v allocations, want 1", n)
 	}
 }
 
@@ -209,6 +323,13 @@ func FuzzCodecSequence(f *testing.F) {
 	// Hand-built streams: "x"; "x" and a 274-byte match one back; a match
 	// with nothing behind it.
 	f.Add([]byte{0, 2, 0x10, 'x', 0, 7, 0x1f, 'x', 1, 0, 0xff, 0, 0, 0, 4, 0, 1, 0, 0})
+	// Every fixed-size-copy edge, one after another.
+	var edges []byte
+	for _, c := range codecEdges {
+		e := edgeStream(c.lit, c.off, c.ml, c.tail)
+		edges = append(binary.BigEndian.AppendUint16(edges, uint16(len(e))), e...)
+	}
+	f.Add(edges)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tbl Table
 		for len(data) >= 2 {
@@ -217,7 +338,7 @@ func FuzzCodecSequence(f *testing.F) {
 			if n > len(data) {
 				n = len(data)
 			}
-			payload := data[:n]
+			payload := data[:n:n] // clipped: a read past its end panics
 			data = data[n:]
 
 			checkRoundTrip(t, &tbl, payload)

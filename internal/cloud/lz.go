@@ -96,12 +96,20 @@ var (
 	errTooLong = errors.New("cloud: stream decodes past its stated length")
 )
 
+// slack is the capacity past its length that out must have for a sequence
+// to take the decoder's fixed-size copies: up to 14 literals, then a match
+// of up to 18 bytes written as two 16-byte chunks.
+const slack = 14 + 2*16
+
 // AppendDecompress decodes src and appends the payload to dst. With
 // limit >= 0 the payload may be at most limit bytes: a longer stream is an
-// error before anything past the bound is written, which bounds what a
-// crafted stream can make the caller hold; limit < 0 means no bound. It
-// keeps no state and reports every malformed input as an error; on error dst
-// comes back at its original length.
+// error, and the length AppendDecompress returns never exceeds
+// len(dst)+limit, which bounds what a crafted stream can make the caller
+// hold; limit < 0 means no bound. Bytes past the returned length, up to the
+// capacity of the returned slice, may be overwritten with scratch. dst must
+// not overlap src. It keeps no state and reports every malformed input as an
+// error; on error dst comes back at its original length, its first len(dst)
+// bytes untouched.
 func AppendDecompress(dst, src []byte, limit int) ([]byte, error) {
 	out, s, end := dst, 0, math.MaxInt
 	if limit >= 0 && limit < end-len(dst) {
@@ -109,6 +117,26 @@ func AppendDecompress(dst, src []byte, limit int) ([]byte, error) {
 	}
 	for s < len(src) {
 		tok := src[s]
+		// The common sequence (short literals, a short match at least 16
+		// back, a valid offset, room under end) is copied in fixed 16-byte
+		// chunks into out's spare capacity: the literal chunk reads no
+		// further than src's last 16 bytes, and each match chunk reads only
+		// bytes that stand at least 16 behind where it writes.
+		if ln, mn := int(tok>>4), int(tok&15); ln < 15 && mn < 15 && len(src)-s > 16 && cap(out)-len(out) >= slack {
+			o, ml := len(out)+ln, mn+minMatch
+			off := int(binary.LittleEndian.Uint16(src[s+1+ln:]))
+			if off >= 16 && off <= o-len(dst) && ln+ml <= end-len(out) {
+				*(*[16]byte)(out[len(out) : len(out)+16]) = *(*[16]byte)(src[s+1 : s+17])
+				out = out[:o]
+				*(*[16]byte)(out[o : o+16]) = *(*[16]byte)(out[o-off : o-off+16])
+				if ml > 16 {
+					*(*[16]byte)(out[o+16 : o+32]) = *(*[16]byte)(out[o+16-off : o+32-off])
+				}
+				out = out[:o+ml]
+				s += 3 + ln
+				continue
+			}
+		}
 		s++
 		n, ok := int(tok>>4), true
 		if n == 15 {
@@ -146,9 +174,9 @@ func AppendDecompress(dst, src []byte, limit int) ([]byte, error) {
 		if n > end-len(out) {
 			return dst, errTooLong
 		}
-		// A match may run into the bytes it is producing (offset < length
-		// repeats a period), so it is copied in pieces no longer than what
-		// already stands behind them.
+		// A long match, or one that runs into the bytes it is producing
+		// (offset < length repeats a period), is copied in pieces no longer
+		// than what already stands behind them.
 		out = slices.Grow(out, n)
 		for from := len(out) - off; n > 0; {
 			k := min(n, len(out)-from)

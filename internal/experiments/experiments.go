@@ -256,10 +256,11 @@ func fig4bTraffic(_ core.Config, _ int64, _ time.Duration, points int) string {
 		pointcloud.RansacGround(scan, c, 40, 0.08, sim.NewRNG(33))
 	}))
 	// Reference: the regular stencil access pattern of vision kernels
-	// (Sec. III-D's contrast). A 3x3 convolution sweep over an image the
-	// same size as the cloud streams rows with near-perfect reuse.
+	// (Sec. III-D's contrast). A 7x7 stencil sweep over an image the same
+	// size as the cloud, and never shorter than the stencil, streams rows
+	// with near-perfect reuse.
 	b.WriteString(run("vision-stencil", func(c *cachesim.Cache) {
-		stencilSweep(c, 200, points/200*3, 3)
+		stencilSweep(c, 200, max(points/200*3, 2*3+1), 3)
 	}))
 	return b.String()
 }

@@ -105,6 +105,21 @@ func TestExtensionsSection(t *testing.T) {
 	})
 }
 
+// TestFig4bStencilNeverEmpty: a scan too small for one stencil height of
+// image rows still sweeps one row, so the vision-stencil reference reads
+// real traffic rather than an empty image's zeros.
+func TestFig4bStencilNeverEmpty(t *testing.T) {
+	s, _ := Lookup("fig4b")
+	for _, points := range []int{1, 100, 466} {
+		out := s.Run(core.DefaultConfig(), 1, 5*time.Second, points)
+		for _, l := range strings.Split(out, "\n") {
+			if f := strings.Fields(l); len(f) > 3 && f[0] == "vision-stencil" && f[3] == "0.0x" {
+				t.Errorf("%d points: %s", points, l)
+			}
+		}
+	}
+}
+
 func TestStencilVsKDTreeTraffic(t *testing.T) {
 	// Sec. III-D: vision's regular stencils reuse on-chip; LiDAR's
 	// kd-tree kernels do not. The stencil reference must sit near the

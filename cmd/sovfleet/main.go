@@ -61,8 +61,8 @@ func main() {
 	if *epoch <= 0 {
 		fail(fmt.Errorf("-epoch %v: the lockstep epoch must be positive", *epoch))
 	}
-	if *duration <= 0 {
-		fail(fmt.Errorf("-duration %v: the virtual horizon must be positive", *duration))
+	if *duration < *epoch {
+		fail(fmt.Errorf("-duration %v: shorter than one %v epoch", *duration, *epoch))
 	}
 	if *perception < 0 {
 		fail(fmt.Errorf("-perception %d: need an epoch count, or 0 for off", *perception))

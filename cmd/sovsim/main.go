@@ -43,8 +43,8 @@ func main() {
 	cameras := flag.Int("cameras", 1, "cameras feeding scene understanding per cycle")
 	ambient := flag.Float64("ambient", 25, "enclosure ambient temperature (C) for the scheduler's thermal model")
 	flag.Parse()
-	if *duration <= 0 {
-		fail(fmt.Errorf("-duration %v: must be positive", *duration))
+	if period := time.Duration(float64(time.Second) / core.DefaultConfig().ControlRate); *duration < period {
+		fail(fmt.Errorf("-duration %v: shorter than one %v control period", *duration, period))
 	}
 	if *cameras < 1 {
 		fail(fmt.Errorf("-cameras %d: need at least one camera", *cameras))

@@ -219,6 +219,7 @@ var flagCases = []flagCase{
 	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "6s"}, "differs"},
 	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "0"}, "exit 2"},
 	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "-5s"}, "exit 2"},
+	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "50ms", "-trace", "t.jsonl"}, "exit 2"},
 	{"sovsim -seed", []string{"-duration", "5s"}, []string{"-duration", "5s", "-seed", "2"}, "differs"},
 	{"sovsim -no-fpga", []string{"-duration", "5s"}, []string{"-duration", "5s", "-no-fpga"}, "differs"},
 	{"sovsim -no-sync", []string{"-duration", "5s"}, []string{"-duration", "5s", "-no-sync"}, "differs"},
@@ -266,6 +267,7 @@ var flagCases = []flagCase{
 	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "4s"), "differs"},
 	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "0"), "exit 2"},
 	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "-1m"), "exit 2"},
+	{"sovfleet -duration", fleetBase, append(fleetArgs(), "-duration", "500ms", "-epoch", "1s"), "exit 2"},
 	{"sovfleet -epoch", fleetBase, append(fleetArgs(), "-epoch", "500ms"), "differs"},
 	{"sovfleet -epoch", fleetBase, append(fleetArgs(), "-epoch", "0"), "exit 2"},
 	{"sovfleet -epoch", fleetBase, append(fleetArgs(), "-epoch", "-5s"), "exit 2"},

@@ -1,113 +1,62 @@
 package fleet
 
 import (
-	"strconv"
-
 	"sov/internal/telemetry"
 )
 
-// Cloud uplink: when Config.Cloud is set, the serial barrier emits one
-// telemetry event per fleet transition — epoch snapshots, dispatch
-// assignments, pickups, dropoffs, collision and reactive-brake deltas,
-// halts — and flushes them as one store batch per epoch. Every emission
-// happens on the serial barrier in fixed vehicle/region order, so the
-// ingested byte stream (and therefore the store's on-disk state) is
-// byte-identical for any -workers count, matching the trace/metrics
-// determinism contract (DESIGN.md §11, §14).
+// Cloud uplink: when Config.Cloud is set, observe hands the epoch to
+// uplink, which emits one telemetry event per fleet transition — halts,
+// pickups, dropoffs and dispatch assignments from the epoch log, then per
+// vehicle its collision and reactive-brake deltas and its epoch snapshot —
+// and flushes them as one store batch. Both walks run on the serial
+// barrier in fixed order, so the ingested byte stream (and therefore the
+// store's on-disk state) is byte-identical for any -workers count,
+// matching the trace/metrics determinism contract (DESIGN.md §11, §14).
 
 // stateNames renders vehState for epoch-snapshot payloads.
 var stateNames = [...]string{"idle", "to-pickup", "on-trip", "charging", "halted"}
 
-// emitAssign records a dispatch decision.
-func (f *Fleet) emitAssign(u *unit, riderSeq int64, distM float64) {
-	b := f.cloud.PayloadBuf()
-	b = append(b, `{"rider":`...)
-	b = strconv.AppendInt(b, riderSeq, 10)
-	b = append(b, `,"dist_m":`...)
-	b = strconv.AppendFloat(b, distM, 'f', 1, 64)
-	b = append(b, '}')
-	f.cloud.Add(uint32(u.id), f.epochEnd, telemetry.KindAssign, b)
-	f.cloud.KeepPayloadBuf(b)
+// emit queues one event of u at this barrier with the payload built in the
+// fleet's scratch; Add copies it, so the scratch is reused.
+func (f *Fleet) emit(u *unit, kind telemetry.Kind, payload *jsonObj) {
+	f.cloud.Add(uint32(u.id), f.epochEnd, kind, payload.close())
 }
 
-// emitPickup records a rider boarding with their realized wait.
-func (f *Fleet) emitPickup(u *unit, riderSeq int64, waitS float64) {
-	b := f.cloud.PayloadBuf()
-	b = append(b, `{"rider":`...)
-	b = strconv.AppendInt(b, riderSeq, 10)
-	b = append(b, `,"wait_s":`...)
-	b = strconv.AppendFloat(b, waitS, 'f', 2, 64)
-	b = append(b, '}')
-	f.cloud.Add(uint32(u.id), f.epochEnd, telemetry.KindPickup, b)
-	f.cloud.KeepPayloadBuf(b)
-}
-
-// emitDropoff records a completed trip with its duration.
-func (f *Fleet) emitDropoff(u *unit, riderSeq int64, tripS float64) {
-	b := f.cloud.PayloadBuf()
-	b = append(b, `{"rider":`...)
-	b = strconv.AppendInt(b, riderSeq, 10)
-	b = append(b, `,"trip_s":`...)
-	b = strconv.AppendFloat(b, tripS, 'f', 2, 64)
-	b = append(b, '}')
-	f.cloud.Add(uint32(u.id), f.epochEnd, telemetry.KindDropoff, b)
-	f.cloud.KeepPayloadBuf(b)
-}
-
-// emitHalt records a vehicle leaving service for good.
-func (f *Fleet) emitHalt(u *unit) {
-	b := f.cloud.PayloadBuf()
-	b = append(b, `{"soc":`...)
-	b = strconv.AppendFloat(b, u.soc, 'f', 4, 64)
-	b = append(b, `,"odo_m":`...)
-	b = strconv.AppendFloat(b, u.odo, 'f', 1, 64)
-	b = append(b, '}')
-	f.cloud.Add(uint32(u.id), f.epochEnd, telemetry.KindHalt, b)
-	f.cloud.KeepPayloadBuf(b)
-}
-
-// emitEpochEvents runs in observe(): per vehicle in id order, the epoch
-// snapshot plus collision/reactive-brake deltas since the last barrier,
-// then one batch flush (one WAL record per epoch).
-func (f *Fleet) emitEpochEvents() {
+// uplink emits the epoch's events in the order the barrier produced them,
+// then flushes (one WAL record per epoch).
+func (f *Fleet) uplink() {
+	for _, t := range f.log {
+		u := f.units[t.vehicle]
+		p := f.payload.reset()
+		switch t.kind {
+		case telemetry.KindHalt:
+			p.float("soc", u.soc, 4).float("odo_m", u.odo, 1)
+		case telemetry.KindPickup:
+			p.int("rider", t.rider).float("wait_s", t.value, 2)
+		case telemetry.KindDropoff:
+			p.int("rider", t.rider).float("trip_s", t.value, 2)
+		case telemetry.KindAssign:
+			p.int("rider", t.rider).float("dist_m", t.value, 1)
+		}
+		f.emit(u, t.kind, p)
+	}
 	for _, u := range f.units {
 		if d := u.sov.CollisionCount() - u.prevColl; d > 0 {
 			u.prevColl += d
-			b := f.cloud.PayloadBuf()
-			b = append(b, `{"n":`...)
-			b = strconv.AppendInt(b, int64(d), 10)
-			b = append(b, '}')
-			f.cloud.Add(uint32(u.id), f.epochEnd, telemetry.KindCollision, b)
-			f.cloud.KeepPayloadBuf(b)
+			f.emit(u, telemetry.KindCollision, f.payload.reset().int("n", int64(d)))
 		}
 		if d := u.sov.ReactiveCount() - u.prevReact; d > 0 {
 			u.prevReact += d
-			b := f.cloud.PayloadBuf()
-			b = append(b, `{"n":`...)
-			b = strconv.AppendInt(b, int64(d), 10)
-			b = append(b, '}')
-			f.cloud.Add(uint32(u.id), f.epochEnd, telemetry.KindReactiveBrake, b)
-			f.cloud.KeepPayloadBuf(b)
+			f.emit(u, telemetry.KindReactiveBrake, f.payload.reset().int("n", int64(d)))
 		}
-		b := f.cloud.PayloadBuf()
-		b = append(b, `{"soc":`...)
-		b = strconv.AppendFloat(b, u.soc, 'f', 4, 64)
-		b = append(b, `,"odo_m":`...)
-		b = strconv.AppendFloat(b, u.odo, 'f', 1, 64)
-		b = append(b, `,"state":"`...)
-		b = append(b, stateNames[u.state]...)
-		b = append(b, `","trips":`...)
-		b = strconv.AppendInt(b, u.trips, 10)
-		b = append(b, '}')
-		f.cloud.Add(uint32(u.id), f.epochEnd, telemetry.KindEpoch, b)
-		f.cloud.KeepPayloadBuf(b)
+		f.emit(u, telemetry.KindEpoch, f.payload.reset().
+			float("soc", u.soc, 4).
+			float("odo_m", u.odo, 1).
+			str("state", stateNames[u.state]).
+			int("trips", u.trips))
 	}
-}
-
-// flushCloud submits the epoch's accumulated events. A store error halts
-// the uplink (the simulation itself keeps running) and is surfaced via
-// CloudErr.
-func (f *Fleet) flushCloud() {
+	// A store error halts the uplink (the simulation itself keeps running)
+	// and is surfaced via CloudErr.
 	if err := f.cloud.Flush(); err != nil && f.cloudErr == nil {
 		f.cloudErr = err
 		f.cloud = nil

@@ -29,7 +29,9 @@ import (
 )
 
 // Config sizes and seeds a fleet run. The zero value is not usable; start
-// from DefaultConfig.
+// from DefaultConfig, the one table of defaults: New rejects a
+// non-positive size, epoch, region side, charger power or initial charge
+// rather than filling one in.
 type Config struct {
 	// Vehicles is the fleet size (hundreds to thousands).
 	Vehicles int
@@ -37,7 +39,7 @@ type Config struct {
 	// assigned round-robin and riders only match vehicles in their region.
 	Regions int
 	// Shards bounds the per-shard telemetry cardinality and the batched-
-	// perception clone count. Defaults to 8, capped at maxShards.
+	// perception clone count; capped at maxShards and at Vehicles.
 	Shards int
 	// Seed drives every stream in the fleet: per-vehicle seeds, region
 	// worlds, demand arrivals, and initial charge are all split from it.
@@ -182,10 +184,15 @@ type region struct {
 	queue    fifo
 }
 
-// assignment records one dispatch decision for the epoch trace.
-type assignment struct {
-	rider   int64
+// transition is one entry of the epoch's barrier log: a vehicle halting, a
+// rider boarding (value is the wait in s) or alighting (the trip in s), or
+// a dispatch decision (the pickup distance in m). Kind is the telemetry
+// kind the cloud uplink files it under.
+type transition struct {
+	kind    telemetry.Kind
 	vehicle int
+	rider   int64 // rider seq; unused for a halt
+	value   float64
 }
 
 // Fleet is the sharded substrate. Step advances every vehicle one epoch;
@@ -205,7 +212,10 @@ type Fleet struct {
 	freeRiders []int32
 	riderSeq   int64
 
-	assignments []assignment
+	// log is the epoch's transitions in barrier order, reused across
+	// epochs; sum is the fold observe makes of the epoch.
+	log []transition
+	sum Summary
 
 	// Pre-bound fan-out closures: built once so the steady-state epoch
 	// loop never allocates for scheduling.
@@ -219,74 +229,61 @@ type Fleet struct {
 
 	cloud    *telemetry.Ingestor
 	cloudErr error
+	payload  jsonObj // cloud payload scratch; Ingestor.Add copies it out
 
-	// Run aggregates (updated serially on barriers).
-	totArrived   int64
-	totAssigned  int64
-	totCompleted int64
-	totBoxes     int64
-	waitW        stats.Welford
-	waitMax      float64
-	waitHist     *stats.Histogram
-	tripW        stats.Welford
-	availEpochs  int64 // vehicle-epochs in service (idle or serving)
-	totalEpochs  int64 // vehicle-epochs overall
-	window       []int32
-	windowSum    int64
-	peakWindow   int64
-	prevCycles   []int64 // per-shard cycle totals at the last barrier
-	prevTrips    []int64 // per-shard trip totals at the last barrier
+	// Run aggregates behind the fold (updated serially on barriers).
+	waitW       stats.Welford
+	waitHist    *stats.Histogram
+	tripW       stats.Welford
+	availEpochs int64 // vehicle-epochs in service (idle or serving)
+	totalEpochs int64 // vehicle-epochs overall
+	window      []int32
+	windowSum   int64
+	peakWindow  int64
+	shardSize   int     // unit i is in shard i/shardSize (shardBounds' blocks)
+	shardCycles []int64 // per-shard cycle totals at this barrier
+	shardTrips  []int64 // per-shard trip totals at this barrier
 }
 
 // New builds the fleet: regions, vehicles (each with its own split seed and
 // staggered start), shard state, and (optionally) the shared quantized
 // detector clones. Worlds are read-only after construction, so vehicles of
-// one region share a single instance.
+// one region share a single instance. It panics on an unusable Config.
 func New(cfg Config) *Fleet {
-	if cfg.Vehicles <= 0 {
+	switch {
+	case cfg.Vehicles <= 0:
 		panic("fleet: need at least one vehicle")
+	case cfg.Regions <= 0:
+		panic(fmt.Sprintf("fleet: Regions %d: need at least one region", cfg.Regions))
+	case cfg.Epoch <= 0:
+		panic(fmt.Sprintf("fleet: Epoch %v: the lockstep epoch must be positive", cfg.Epoch))
+	case cfg.Shards <= 0:
+		panic(fmt.Sprintf("fleet: Shards %d: need at least one shard", cfg.Shards))
+	case cfg.RegionSideM <= 0:
+		panic(fmt.Sprintf("fleet: RegionSideM %g: a region needs a positive side", cfg.RegionSideM))
+	case cfg.ChargeRateKW <= 0:
+		panic(fmt.Sprintf("fleet: ChargeRateKW %g: the depot charger needs positive power", cfg.ChargeRateKW))
+	case cfg.InitialSoCMax <= 0:
+		panic(fmt.Sprintf("fleet: InitialSoCMax %g: the fleet needs some starting charge", cfg.InitialSoCMax))
 	}
-	if cfg.Regions <= 0 {
-		cfg.Regions = 1
-	}
-	if cfg.Regions > cfg.Vehicles {
-		cfg.Regions = cfg.Vehicles
-	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = time.Second
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	if cfg.Shards > maxShards {
-		cfg.Shards = maxShards
-	}
-	if cfg.Shards > cfg.Vehicles {
-		cfg.Shards = cfg.Vehicles
-	}
-	if cfg.RegionSideM <= 0 {
-		cfg.RegionSideM = 250
-	}
+	cfg.Regions = min(cfg.Regions, cfg.Vehicles)
+	cfg.Shards = min(cfg.Shards, maxShards, cfg.Vehicles)
 	if cfg.TripMaxM < cfg.TripMinM {
 		cfg.TripMaxM = cfg.TripMinM
 	}
-	if cfg.ChargeRateKW <= 0 {
-		cfg.ChargeRateKW = models.DepotChargeRateKW
-	}
-	if cfg.InitialSoCMax <= 0 {
-		cfg.InitialSoCMin, cfg.InitialSoCMax = 1, 1
-	}
 
 	f := &Fleet{
-		cfg:      cfg,
-		perim:    4 * cfg.RegionSideM,
-		grain:    8,
-		nShards:  cfg.Shards,
-		waitHist: stats.NewHistogram(0, 600, 24), // wait seconds, 25 s bins
+		cfg:         cfg,
+		perim:       4 * cfg.RegionSideM,
+		grain:       8,
+		nShards:     cfg.Shards,
+		waitHist:    stats.NewHistogram(0, 600, 24), // wait seconds, 25 s bins
+		window:      make([]int32, peakWindowEpochs(cfg.Epoch)),
+		shardSize:   (cfg.Vehicles + cfg.Shards - 1) / cfg.Shards,
+		shardCycles: make([]int64, cfg.Shards),
+		shardTrips:  make([]int64, cfg.Shards),
+		sum:         Summary{Vehicles: cfg.Vehicles, Regions: cfg.Regions},
 	}
-	f.prevCycles = make([]int64, f.nShards)
-	f.prevTrips = make([]int64, f.nShards)
-	f.window = make([]int32, peakWindowEpochs(cfg.Epoch))
 
 	for r := 0; r < cfg.Regions; r++ {
 		wrng := sim.NewRNG(splitSeed(cfg.Seed, streamRegionWorld, int64(r)))
@@ -323,6 +320,10 @@ func New(cfg Config) *Fleet {
 	for _, u := range f.units {
 		u.sov.Start()
 	}
+	// A vehicle logs at most three transitions an epoch (pickup, dropoff,
+	// then a new assignment) and rarely more than one: twice the fleet
+	// size keeps the log from regrowing in the epoch loop.
+	f.log = make([]transition, 0, 2*len(f.units))
 	f.advanceFn = f.advanceRange
 	if cfg.PerceptionEvery > 0 {
 		f.initShards()
@@ -369,11 +370,11 @@ func (f *Fleet) Step() {
 	if f.shardFn != nil && f.epoch%f.cfg.PerceptionEvery == 0 {
 		parallel.For(f.nShards, 1, f.shardFn)
 	}
-	f.assignments = f.assignments[:0]
-	completed := f.settle()
-	f.arrivals()
+	f.log = f.log[:0]
+	f.settle()
+	arrived := f.arrivals()
 	f.dispatch()
-	f.observe(completed)
+	f.observe(arrived)
 }
 
 // Run advances the fleet to the given horizon and returns the summary.
@@ -428,9 +429,8 @@ func ringDist(vpos, pos, perim float64) float64 {
 
 // settle is the first barrier phase: in vehicle-id order, retire halted
 // vehicles, board and complete trips the epoch's driving reached, and run
-// the charge cycle. Returns the number of trips completed this epoch.
-func (f *Fleet) settle() int {
-	completed := 0
+// the charge cycle. Each halt, pickup and dropoff goes on the epoch log.
+func (f *Fleet) settle() {
 	for _, u := range f.units {
 		if u.halt && u.state != stateHalted {
 			// A dead pack strands its rider: the request goes back to the
@@ -440,44 +440,22 @@ func (f *Fleet) settle() int {
 				u.rider = -1
 			}
 			u.state = stateHalted
-			if f.cloud != nil {
-				f.emitHalt(u)
-			}
+			f.log = append(f.log, transition{kind: telemetry.KindHalt, vehicle: u.id})
 		}
-		switch u.state {
-		case stateToPickup:
-			if u.odo >= u.pickup {
-				r := &f.riders[u.rider]
-				r.pickupT = f.epochEnd
-				wait := (f.epochEnd - r.arriveT).Seconds()
-				f.waitW.Observe(wait)
-				f.waitHist.Observe(wait)
-				if wait > f.waitMax {
-					f.waitMax = wait
-				}
-				if f.m != nil {
-					f.m.waitS.Observe(wait)
-				}
-				if f.cloud != nil {
-					f.emitPickup(u, r.seq, wait)
-				}
-				u.state = stateOnTrip
-			}
+		if u.state == stateToPickup && u.odo >= u.pickup {
+			r := &f.riders[u.rider]
+			r.pickupT = f.epochEnd
+			wait := (f.epochEnd - r.arriveT).Seconds()
+			f.log = append(f.log, transition{telemetry.KindPickup, u.id, r.seq, wait})
+			u.state = stateOnTrip
 		}
 		if u.state == stateOnTrip && u.odo >= u.dropoff {
 			r := &f.riders[u.rider]
-			f.tripW.Observe((f.epochEnd - r.pickupT).Seconds())
-			if f.m != nil {
-				f.m.tripS.Observe((f.epochEnd - r.pickupT).Seconds())
-			}
-			if f.cloud != nil {
-				f.emitDropoff(u, r.seq, (f.epochEnd - r.pickupT).Seconds())
-			}
+			trip := (f.epochEnd - r.pickupT).Seconds()
+			f.log = append(f.log, transition{telemetry.KindDropoff, u.id, r.seq, trip})
 			f.freeRiders = append(f.freeRiders, u.rider)
 			u.rider = -1
 			u.trips++
-			f.totCompleted++
-			completed++
 			u.state = stateIdle
 		}
 		switch u.state {
@@ -494,20 +472,16 @@ func (f *Fleet) settle() int {
 				u.state = stateIdle
 			}
 		}
-		f.totalEpochs++
-		if u.state == stateIdle || u.state == stateToPickup || u.state == stateOnTrip {
-			f.availEpochs++
-		}
 	}
-	return completed
 }
 
 // arrivals is the demand phase: per region (in region order, one RNG
 // stream each), a Poisson-distributed number of riders arrives with
 // uniform pickup points and trip lengths, modulated by the diurnal curve.
-func (f *Fleet) arrivals() {
+// Returns the number of riders that arrived.
+func (f *Fleet) arrivals() (arrived int) {
 	if f.cfg.DemandPerHour <= 0 {
-		return
+		return 0
 	}
 	lambda := f.cfg.DemandPerHour / 3600 * f.cfg.Epoch.Seconds() * diurnal(f.epochEnd)
 	for _, rg := range f.regions {
@@ -522,9 +496,10 @@ func (f *Fleet) arrivals() {
 			r.arriveT = f.epochEnd
 			r.pickupT = 0
 			rg.queue.push(idx)
-			f.totArrived++
 		}
+		arrived += n
 	}
+	return arrived
 }
 
 // allocRider returns a rider arena slot, recycling completed slots so
@@ -544,7 +519,8 @@ func (f *Fleet) allocRider() int32 {
 // dispatch is the assignment phase: per region, riders leave the FIFO in
 // arrival order and each takes the nearest idle vehicle by forward ring
 // distance (ties to the lowest vehicle id). A head-of-line rider with no
-// idle vehicle waits — later riders do not jump the queue.
+// idle vehicle waits — later riders do not jump the queue. Each assignment
+// goes on the epoch log.
 func (f *Fleet) dispatch() {
 	for _, rg := range f.regions {
 		for rg.queue.len() > 0 {
@@ -570,22 +546,9 @@ func (f *Fleet) dispatch() {
 			u.rider = ridx
 			u.pickup = u.odo + bestDist
 			u.dropoff = u.pickup + r.tripLen
-			f.totAssigned++
-			f.assignments = append(f.assignments, assignment{rider: r.seq, vehicle: best})
-			if f.cloud != nil {
-				f.emitAssign(u, r.seq, bestDist)
-			}
+			f.log = append(f.log, transition{telemetry.KindAssign, best, r.seq, bestDist})
 		}
 	}
-}
-
-// waiting returns the total queued riders across regions.
-func (f *Fleet) waiting() int {
-	n := 0
-	for _, rg := range f.regions {
-		n += rg.queue.len()
-	}
-	return n
 }
 
 // diurnal modulates demand ±50% over a 24 h virtual day (peak at 1/4 day).
@@ -623,82 +586,89 @@ func peakWindowEpochs(epoch time.Duration) int {
 	return n
 }
 
-// observe is the telemetry phase: rolling peak-throughput window, metrics
-// registry updates, and the epoch trace record.
-func (f *Fleet) observe(completed int) {
-	slot := (f.epoch - 1) % len(f.window)
-	f.windowSum += int64(completed) - int64(f.window[slot])
-	f.window[slot] = int32(completed)
-	if f.windowSum > f.peakWindow {
-		f.peakWindow = f.windowSum
-	}
-	for _, u := range f.units {
-		f.totBoxes += int64(u.boxes)
-		u.boxes = 0
-	}
+// observe is the telemetry phase: fold the epoch once, then hand the fold
+// and the log to whichever sinks are attached.
+func (f *Fleet) observe(arrived int) {
+	completed := f.fold(arrived)
 	if f.m != nil {
 		f.m.publish(f)
 	}
 	if f.tr != nil {
-		f.tr.record(f, completed)
+		f.tr.record(&f.sum, completed, f.log)
 	}
 	if f.cloud != nil {
-		f.emitEpochEvents()
-		f.flushCloud()
+		f.uplink()
 	}
 }
 
-// counts tallies the fleet's service states (serial barrier data).
-func (f *Fleet) counts() (idle, busy, charging, halted int) {
-	for _, u := range f.units {
-		switch u.state {
-		case stateIdle:
-			idle++
-		case stateToPickup, stateOnTrip:
-			busy++
-		case stateCharging:
-			charging++
-		case stateHalted:
-			halted++
+// fold is the epoch's one pass over what happened: the log, in barrier
+// order, feeds the wait and trip statistics, and one walk over the units,
+// in id order, tallies states, cycles, collisions, distance, charge,
+// detections and the per-shard totals. It fills f.sum, which every sink
+// reads, and returns the trips completed this epoch.
+func (f *Fleet) fold(arrived int) (completed int) {
+	s := &f.sum
+	s.Epochs, s.VirtualTime = f.epoch, f.epochEnd
+	s.RidersArrived += int64(arrived)
+	for _, t := range f.log {
+		switch t.kind {
+		case telemetry.KindAssign:
+			s.TripsAssigned++
+		case telemetry.KindPickup:
+			f.waitW.Observe(t.value)
+			f.waitHist.Observe(t.value)
+			s.WaitMaxS = max(s.WaitMaxS, t.value)
+		case telemetry.KindDropoff:
+			f.tripW.Observe(t.value)
+			completed++
 		}
 	}
-	return
-}
+	s.TripsCompleted += int64(completed)
+	s.WaitMeanS, s.TripMeanS = f.waitW.Mean(), f.tripW.Mean()
 
-// distance sums the fleet odometer.
-func (f *Fleet) distance() float64 {
-	d := 0.0
-	for _, u := range f.units {
-		d += u.odo
-	}
-	return d
-}
+	slot := (f.epoch - 1) % len(f.window)
+	f.windowSum += int64(completed) - int64(f.window[slot])
+	f.window[slot] = int32(completed)
+	f.peakWindow = max(f.peakWindow, f.windowSum)
 
-// cycles sums captured control cycles across the fleet.
-func (f *Fleet) cycles() int64 {
-	var n int64
-	for _, u := range f.units {
-		n += int64(u.sov.Cycles())
+	s.Idle, s.Busy, s.Charging, s.Halted = 0, 0, 0, 0
+	s.Cycles, s.Collisions, s.DistanceM = 0, 0, 0
+	soc := 0.0
+	clear(f.shardCycles)
+	clear(f.shardTrips)
+	for i, u := range f.units {
+		switch u.state {
+		case stateIdle:
+			s.Idle++
+		case stateToPickup, stateOnTrip:
+			s.Busy++
+		case stateCharging:
+			s.Charging++
+		case stateHalted:
+			s.Halted++
+		}
+		cyc := int64(u.sov.Cycles())
+		s.Cycles += cyc
+		s.Collisions += u.sov.CollisionCount()
+		s.DistanceM += u.odo
+		soc += u.soc
+		s.Detections += int64(u.boxes)
+		u.boxes = 0
+		f.shardCycles[i/f.shardSize] += cyc
+		f.shardTrips[i/f.shardSize] += u.trips
 	}
-	return n
-}
+	s.MeanSoC = soc / float64(len(f.units))
+	s.WaitingNow = 0
+	for _, rg := range f.regions {
+		s.WaitingNow += rg.queue.len()
+	}
 
-// collisions sums obstacle contacts across the fleet.
-func (f *Fleet) collisions() int {
-	n := 0
-	for _, u := range f.units {
-		n += u.sov.CollisionCount()
-	}
-	return n
-}
-
-// meanSoC averages the fleet state of charge in vehicle-id order.
-func (f *Fleet) meanSoC() float64 {
-	s := 0.0
-	for _, u := range f.units {
-		s += u.soc
-	}
-	return s / float64(len(f.units))
+	f.availEpochs += int64(s.Idle + s.Busy)
+	f.totalEpochs += int64(len(f.units))
+	s.TripsPerHour = float64(s.TripsCompleted) / f.epochEnd.Hours()
+	s.PeakTripsPerHour = float64(f.peakWindow) / (time.Duration(len(f.window)) * f.cfg.Epoch).Hours()
+	s.Availability = float64(f.availEpochs) / float64(f.totalEpochs)
+	return completed
 }
 
 // Summary is the fleet-utility report: the EM411-style vehicle/fleet MVU
@@ -731,39 +701,12 @@ type Summary struct {
 	Idle, Busy, Charging, Halted int
 }
 
-// Summarize closes over the current epoch state. It does not stop the
-// fleet — Step may continue afterwards.
+// Summarize returns the fold of the last completed epoch (before the
+// first Step, only the fleet's shape is set). It does not stop the fleet —
+// Step may continue afterwards.
 func (f *Fleet) Summarize() *Summary {
-	s := &Summary{
-		Vehicles:       len(f.units),
-		Regions:        len(f.regions),
-		Epochs:         f.epoch,
-		VirtualTime:    f.epochEnd,
-		RidersArrived:  f.totArrived,
-		TripsAssigned:  f.totAssigned,
-		TripsCompleted: f.totCompleted,
-		WaitMeanS:      f.waitW.Mean(),
-		WaitMaxS:       f.waitMax,
-		TripMeanS:      f.tripW.Mean(),
-		WaitingNow:     f.waiting(),
-		DistanceM:      f.distance(),
-		Cycles:         f.cycles(),
-		Collisions:     f.collisions(),
-		MeanSoC:        f.meanSoC(),
-		Detections:     f.totBoxes,
-	}
-	if f.epochEnd > 0 {
-		s.TripsPerHour = float64(f.totCompleted) / f.epochEnd.Hours()
-	}
-	windowHours := (time.Duration(len(f.window)) * f.cfg.Epoch).Hours()
-	if windowHours > 0 {
-		s.PeakTripsPerHour = float64(f.peakWindow) / windowHours
-	}
-	if f.totalEpochs > 0 {
-		s.Availability = float64(f.availEpochs) / float64(f.totalEpochs)
-	}
-	s.Idle, s.Busy, s.Charging, s.Halted = f.counts()
-	return s
+	s := f.sum
+	return &s
 }
 
 // WaitHistogram renders the wait-time distribution as a terminal chart.

@@ -2,11 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +20,7 @@ import (
 	"sov/internal/obs"
 	"sov/internal/parallel"
 	"sov/internal/sim"
+	"sov/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -142,7 +147,10 @@ func TestDispatchInvariants(t *testing.T) {
 	lastSeq := map[int32]int64{}
 	for e := 0; e < 30; e++ {
 		f.Step()
-		for _, a := range f.assignments {
+		for _, a := range f.log {
+			if a.kind != telemetry.KindAssign {
+				continue
+			}
 			u := f.units[a.vehicle]
 			if u.state != stateToPickup {
 				t.Fatalf("epoch %d: assigned vehicle %d not heading to pickup", f.epoch, a.vehicle)
@@ -187,7 +195,7 @@ func TestRechargeCycle(t *testing.T) {
 	sawCharging := false
 	for e := 0; e < 240; e++ {
 		f.Step()
-		if _, _, charging, _ := f.counts(); charging > 0 {
+		if f.Summarize().Charging > 0 {
 			sawCharging = true
 		}
 	}
@@ -273,7 +281,7 @@ func TestConcurrentShardsRace(t *testing.T) {
 	for e := 0; e < 5; e++ {
 		f.Step()
 	}
-	if f.cycles() == 0 {
+	if f.Summarize().Cycles == 0 {
 		t.Fatal("no control cycles captured")
 	}
 	s := f.Summarize()
@@ -390,5 +398,152 @@ func TestThousandVehicles(t *testing.T) {
 	b := runFleetTrace(t, cfg, 8, time.Second)
 	if a == "" || a != b {
 		t.Fatal("1000-vehicle epoch trace is empty or differs between 1 and 8 workers")
+	}
+}
+
+// TestNewRejectsUnusableConfig: DefaultConfig is the only table of
+// defaults, so New refuses a field no usable fleet has instead of quietly
+// filling in a value of its own. The message names the field.
+func TestNewRejectsUnusableConfig(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		tweak func(*Config)
+	}{
+		{"Regions", func(c *Config) { c.Regions = 0 }},
+		{"Epoch", func(c *Config) { c.Epoch = -time.Second }},
+		{"Shards", func(c *Config) { c.Shards = 0 }},
+		{"RegionSideM", func(c *Config) { c.RegionSideM = 0 }},
+		{"ChargeRateKW", func(c *Config) { c.ChargeRateKW = -1 }},
+		{"InitialSoCMax", func(c *Config) { c.InitialSoCMin, c.InitialSoCMax = 0, 0 }},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			cfg := testConfig(4)
+			c.tweak(&cfg)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.field) {
+					t.Fatalf("New accepted %s out of range (recovered %v), want a panic naming it", c.field, r)
+				}
+			}()
+			New(cfg)
+		})
+	}
+}
+
+// TestEpochSinksAgree runs one fleet with every sink attached and checks,
+// after each epoch, that the trace line, the metrics and the store's epoch
+// snapshots all report that epoch's fold. The fleet starts nearly empty
+// under heavy demand, so every service state occurs.
+func TestEpochSinksAgree(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(2))
+	cfg := testConfig(16)
+	cfg.InitialSoCMin, cfg.InitialSoCMax = 0, 0.01
+	cfg.RechargeSoC, cfg.FullSoC, cfg.ChargeRateKW = 0.002, 0.02, 50
+	cfg.DemandPerHour = 6000
+	var trace bytes.Buffer
+	cfg.Trace = &trace
+	store, err := telemetry.Open(t.TempDir(), telemetry.Options{FlushBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cfg.Cloud = telemetry.NewIngestor(store)
+	f := New(cfg)
+	f.AttachMetrics(obs.NewRegistry())
+	var seen Summary // the most of each state any epoch held
+	for e := 1; e <= 90; e++ {
+		f.Step()
+		s := f.Summarize()
+		seen.Idle, seen.Busy = max(seen.Idle, s.Idle), max(seen.Busy, s.Busy)
+		seen.Charging, seen.Halted = max(seen.Charging, s.Charging), max(seen.Halted, s.Halted)
+
+		// The trace line: the buffer holds this epoch's alone.
+		var line map[string]any
+		dec := json.NewDecoder(&trace)
+		dec.UseNumber()
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		for k, want := range map[string]string{
+			"epoch":      strconv.Itoa(e),
+			"idle":       strconv.Itoa(s.Idle),
+			"busy":       strconv.Itoa(s.Busy),
+			"charging":   strconv.Itoa(s.Charging),
+			"halted":     strconv.Itoa(s.Halted),
+			"waiting":    strconv.Itoa(s.WaitingNow),
+			"cycles":     strconv.FormatInt(s.Cycles, 10),
+			"collisions": strconv.Itoa(s.Collisions),
+			"trips":      strconv.FormatInt(s.TripsCompleted, 10),
+			"arrived":    strconv.FormatInt(s.RidersArrived, 10),
+			"dist_m":     strconv.FormatFloat(s.DistanceM, 'f', 3, 64),
+			"soc":        strconv.FormatFloat(s.MeanSoC, 'f', 3, 64),
+		} {
+			if got := fmt.Sprint(line[k]); got != want {
+				t.Fatalf("epoch %d: trace %s = %s, fold %s", e, k, got, want)
+			}
+		}
+
+		// The metrics.
+		m := f.m
+		for name, got := range map[string][2]float64{
+			"idle":         {m.idle.Value(), float64(s.Idle)},
+			"busy":         {m.busy.Value(), float64(s.Busy)},
+			"charging":     {m.charging.Value(), float64(s.Charging)},
+			"halted":       {m.halted.Value(), float64(s.Halted)},
+			"waiting":      {m.waiting.Value(), float64(s.WaitingNow)},
+			"trips/hour":   {m.tph.Value(), s.TripsPerHour},
+			"peak":         {m.peakTPH.Value(), s.PeakTripsPerHour},
+			"availability": {m.avail.Value(), s.Availability},
+			"soc":          {m.soc.Value(), s.MeanSoC},
+			"arrived":      {float64(m.arrived.Value()), float64(s.RidersArrived)},
+			"assigned":     {float64(m.assigned.Value()), float64(s.TripsAssigned)},
+			"completed":    {float64(m.completed.Value()), float64(s.TripsCompleted)},
+			"trip count":   {float64(m.tripS.Count()), float64(s.TripsCompleted)},
+		} {
+			if got[0] != got[1] {
+				t.Fatalf("epoch %d: metric %s = %v, fold %v", e, name, got[0], got[1])
+			}
+		}
+
+		// The store's epoch snapshots, one per vehicle at this barrier.
+		ms := uint64(f.Now().Milliseconds())
+		states := map[string]int{}
+		var n int
+		var trips int64
+		var soc float64
+		err := store.Scan(telemetry.Query{TMinMs: ms, TMaxMs: ms, Kinds: []telemetry.Kind{telemetry.KindEpoch}}, func(ev telemetry.Event) bool {
+			var p struct {
+				SoC   float64 `json:"soc"`
+				State string  `json:"state"`
+				Trips int64   `json:"trips"`
+			}
+			if err := json.Unmarshal(ev.Payload, &p); err != nil {
+				t.Fatal(err)
+			}
+			n++
+			states[p.State]++
+			trips += p.Trips
+			soc += p.SoC
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [...]int{n, states["idle"], states["to-pickup"] + states["on-trip"], states["charging"], states["halted"]}; got != [...]int{s.Vehicles, s.Idle, s.Busy, s.Charging, s.Halted} {
+			t.Fatalf("epoch %d: store holds %d snapshots (idle, busy, charging, halted = %v), fold %d vehicles %d/%d/%d/%d",
+				e, n, got[1:], s.Vehicles, s.Idle, s.Busy, s.Charging, s.Halted)
+		}
+		if trips != s.TripsCompleted {
+			t.Fatalf("epoch %d: store snapshots count %d trips, fold %d", e, trips, s.TripsCompleted)
+		}
+		// Each snapshot rounds its SoC to 4 decimals.
+		if d := math.Abs(soc/float64(n) - s.MeanSoC); d > 5e-5+1e-12 {
+			t.Fatalf("epoch %d: store mean SoC %.6f, fold %.6f", e, soc/float64(n), s.MeanSoC)
+		}
+	}
+	if seen.Idle == 0 || seen.Busy == 0 || seen.Charging == 0 || seen.Halted == 0 {
+		t.Fatalf("some service state never occurred (most idle/busy/charging/halted: %d/%d/%d/%d)", seen.Idle, seen.Busy, seen.Charging, seen.Halted)
+	}
+	if err := f.CloudErr(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,9 +2,9 @@ package fleet
 
 import (
 	"fmt"
-	"time"
 
 	"sov/internal/obs"
+	"sov/internal/telemetry"
 )
 
 // Bounded-cardinality fleet telemetry. The registry has no label support
@@ -38,6 +38,7 @@ type fleetMetrics struct {
 	// prev* hold the totals already published, so the epoch path can Add
 	// deltas instead of re-counting from zero.
 	prevArrived, prevAssigned, prevCompleted int64
+	prevCycles, prevTrips                    []int64 // per shard
 }
 
 func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
@@ -56,6 +57,9 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 		peakTPH:   reg.Gauge("fleet_peak_trips_per_hour", "best 5-minute completion window, hourly rate", obs.ClassVirtual),
 		avail:     reg.Gauge("fleet_availability", "fraction of vehicle-time in service", obs.ClassVirtual),
 		soc:       reg.Gauge("fleet_mean_soc", "fleet mean state of charge", obs.ClassVirtual),
+
+		prevCycles: make([]int64, shards),
+		prevTrips:  make([]int64, shards),
 	}
 	for s := 0; s < shards; s++ {
 		m.shardCycles = append(m.shardCycles, reg.Counter(
@@ -68,45 +72,40 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 	return m
 }
 
-// publish pushes the epoch's deltas and gauges. Runs on the serial barrier.
+// publish pushes the epoch's fold as counter deltas and gauges, and the
+// log's waits and trip durations into the histograms. Runs on the serial
+// barrier, after the fold.
 func (m *fleetMetrics) publish(f *Fleet) {
-	m.arrived.Add(f.totArrived - m.prevArrived)
-	m.prevArrived = f.totArrived
-	m.assigned.Add(f.totAssigned - m.prevAssigned)
-	m.prevAssigned = f.totAssigned
-	m.completed.Add(f.totCompleted - m.prevCompleted)
-	m.prevCompleted = f.totCompleted
-
-	idle, busy, charging, halted := f.counts()
-	m.idle.Set(float64(idle))
-	m.busy.Set(float64(busy))
-	m.charging.Set(float64(charging))
-	m.halted.Set(float64(halted))
-	m.waiting.Set(float64(f.waiting()))
-	if f.epochEnd > 0 {
-		m.tph.Set(float64(f.totCompleted) / f.epochEnd.Hours())
-	}
-	windowHours := (time.Duration(len(f.window)) * f.cfg.Epoch).Hours()
-	if windowHours > 0 {
-		m.peakTPH.Set(float64(f.peakWindow) / windowHours)
-	}
-	if f.totalEpochs > 0 {
-		m.avail.Set(float64(f.availEpochs) / float64(f.totalEpochs))
-	}
-	m.soc.Set(f.meanSoC())
-
-	// Shard aggregation: vehicles map to shards by contiguous id blocks, so
-	// the per-shard totals are simple strided sums over the unit slice.
-	for s := 0; s < f.nShards; s++ {
-		lo, hi := shardBounds(s, len(f.units), f.nShards)
-		var cyc, trips int64
-		for i := lo; i < hi; i++ {
-			cyc += int64(f.units[i].sov.Cycles())
-			trips += f.units[i].trips
+	s := &f.sum
+	m.arrived.Add(s.RidersArrived - m.prevArrived)
+	m.prevArrived = s.RidersArrived
+	m.assigned.Add(s.TripsAssigned - m.prevAssigned)
+	m.prevAssigned = s.TripsAssigned
+	m.completed.Add(s.TripsCompleted - m.prevCompleted)
+	m.prevCompleted = s.TripsCompleted
+	for _, t := range f.log {
+		switch t.kind {
+		case telemetry.KindPickup:
+			m.waitS.Observe(t.value)
+		case telemetry.KindDropoff:
+			m.tripS.Observe(t.value)
 		}
-		m.shardCycles[s].Add(cyc - f.prevCycles[s])
-		f.prevCycles[s] = cyc
-		m.shardTrips[s].Add(trips - f.prevTrips[s])
-		f.prevTrips[s] = trips
+	}
+
+	m.idle.Set(float64(s.Idle))
+	m.busy.Set(float64(s.Busy))
+	m.charging.Set(float64(s.Charging))
+	m.halted.Set(float64(s.Halted))
+	m.waiting.Set(float64(s.WaitingNow))
+	m.tph.Set(s.TripsPerHour)
+	m.peakTPH.Set(s.PeakTripsPerHour)
+	m.avail.Set(s.Availability)
+	m.soc.Set(s.MeanSoC)
+
+	for i := range m.shardCycles {
+		m.shardCycles[i].Add(f.shardCycles[i] - m.prevCycles[i])
+		m.prevCycles[i] = f.shardCycles[i]
+		m.shardTrips[i].Add(f.shardTrips[i] - m.prevTrips[i])
+		m.prevTrips[i] = f.shardTrips[i]
 	}
 }

@@ -11,7 +11,6 @@ type Ingestor struct {
 	store  *Store
 	events []Event
 	arena  []byte
-	buf    []byte // payload-builder scratch loaned out via PayloadBuf
 }
 
 // NewIngestor wraps a store.
@@ -31,14 +30,6 @@ func (in *Ingestor) Add(vehicle uint32, t time.Duration, kind Kind, payload []by
 		Payload: in.arena[off:len(in.arena):len(in.arena)],
 	})
 }
-
-// PayloadBuf loans the caller a reset scratch buffer to build a payload
-// in; pass the result to Add, which copies it out.
-func (in *Ingestor) PayloadBuf() []byte { return in.buf[:0] }
-
-// KeepPayloadBuf returns the (possibly grown) scratch so the next
-// PayloadBuf call reuses its capacity.
-func (in *Ingestor) KeepPayloadBuf(b []byte) { in.buf = b }
 
 // Flush submits the batch to the store and resets the batcher.
 func (in *Ingestor) Flush() error {

@@ -7,9 +7,9 @@
 // Usage:
 //
 //	sovfleet [-vehicles 1000] [-regions 8] [-duration 10m] [-epoch 1s]
-//	         [-seed 1] [-workers N] [-demand 120] [-quant] [-sched]
-//	         [-perception 0] [-trace fleet.jsonl] [-metrics fleet.prom]
-//	         [-hist] [-cloud telemetry-dir]
+//	         [-seed 1] [-workers N] [-demand 120] [-quant] [-perception 0]
+//	         [-trace fleet.jsonl] [-metrics fleet.prom] [-hist]
+//	         [-cloud telemetry-dir]
 //
 // With -cloud, every epoch's barrier streams per-vehicle events into the
 // LSM telemetry store at that directory (DESIGN.md §14); query it with
@@ -42,7 +42,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "worker count (output is identical for any value)")
 	demand := flag.Float64("demand", 120, "mean rider arrivals per region-hour")
 	quant := flag.Bool("quant", false, "back per-vehicle perception with the int8 kernels")
-	sched := flag.Bool("sched", false, "attach the online heterogeneous scheduler to every vehicle")
 	perception := flag.Int("perception", 0, "run the batched cross-vehicle quantized detector every k epochs (0 = off)")
 	tracePath := flag.String("trace", "", "write the per-epoch JSONL fleet trace here (- for stdout)")
 	metricsPath := flag.String("metrics", "", "write the fleet metrics exposition here (.json for JSON, else Prometheus text)")
@@ -78,7 +77,6 @@ func main() {
 	cfg.DemandPerHour = *demand
 	cfg.PerceptionEvery = *perception
 	cfg.Vehicle.Quant = *quant
-	cfg.Vehicle.Sched = *sched
 
 	var traceF *os.File // nil when the trace goes to stdout
 	var traceW *bufio.Writer

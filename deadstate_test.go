@@ -276,9 +276,6 @@ var flagCases = []flagCase{
 	{"sovfleet -demand", fleetBase, append(fleetArgs(), "-demand", "20000"), "differs"},
 	{"sovfleet -demand", fleetBase, append(fleetArgs(), "-demand", "-5"), "exit 2"},
 	{"sovfleet -quant", fleetBase, append(fleetArgs(), "-quant"), "differs"},
-	// The scheduler's multipliers are 1.0 until a pack falls to socEnter
-	// (0.25): one vehicle starting at 64% crosses it after about 3 h.
-	{"sovfleet -sched", fleetLowSoC(), fleetLowSoC("-sched"), "differs"},
 	{"sovfleet -perception", fleetBase, append(fleetArgs(), "-perception", "1"), "differs"},
 	{"sovfleet -perception", fleetBase, append(fleetArgs(), "-perception", "-1"), "exit 2"},
 	{"sovfleet -trace", []string{"-vehicles", "8", "-regions", "2", "-duration", "3s"}, fleetBase, "differs"},
@@ -323,11 +320,6 @@ var flagCases = []flagCase{
 
 // fleetBase is a small fleet with a trace, so per-epoch state is visible.
 var fleetBase = fleetArgs()
-
-// fleetLowSoC runs one vehicle long enough to drain its pack below 25%.
-func fleetLowSoC(extra ...string) []string {
-	return append([]string{"-vehicles", "1", "-regions", "1", "-duration", "3h10m", "-seed", "6", "-trace", "t.jsonl"}, extra...)
-}
 
 func fleetArgs() []string {
 	return []string{"-vehicles", "8", "-regions", "2", "-duration", "3s", "-trace", "t.jsonl"}

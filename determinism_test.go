@@ -90,7 +90,8 @@ func TestDeterminism(t *testing.T) {
 			}
 			return ref[row]["trace"]
 		}
-		float, quant, sched, fleetFloat := trace("core/float"), trace("core/quant"), trace("core/sched"), trace("fleet/float")
+		float, quant, sched := trace("core/float"), trace("core/quant"), trace("core/sched")
+		fleetFloat, fleetSched := trace("fleet/float"), trace("fleet/sched")
 		contended, rep := cruise(t, func(c *core.Config) { c.Sched, c.SchedMapping = true, "GPU/GPU" })
 		if rep.Sched.Remaps < 1 || rep.Sched.Mapping != "GPU/FPGA" {
 			t.Errorf("the scheduler started on GPU/GPU remapped %d times and ended on %s; want at least one remap, to GPU/FPGA",
@@ -104,6 +105,8 @@ func TestDeterminism(t *testing.T) {
 		}{
 			// At the deployed point every scheduler multiplier is exactly 1.0.
 			{"core/sched trace vs core/float", sched, float, true},
+			// A fleet runs at 25 °C, where the thermal path never fires.
+			{"fleet/sched trace vs fleet/float", fleetSched, fleetFloat, true},
 			{"core/quant trace vs core/float", quant, float, false},
 			{"GPU/GPU-pinned sched trace vs core/sched", contended["trace"], sched, false},
 			{"seed-8 fleet trace vs fleet/float", seed8["trace"], fleetFloat, false},

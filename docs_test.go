@@ -15,7 +15,7 @@ import (
 // EXPERIMENTS.md is a parent-vs-change run log. DESIGN.md may not grow past
 // its cap; ROADMAP item 15 rewrites it to 600 lines.
 func TestExperimentsBudget(t *testing.T) {
-	const maxLines, maxDesignLines = 400, 1207
+	const maxLines, maxDesignLines = 400, 1202
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ type Config struct {
 	Quant bool
 	// Sched attaches the online heterogeneous scheduler (internal/sched):
 	// runtime task remapping, quant↔float operating-point switching under
-	// thermal/SoC pressure, contention-aware co-location, and multi-camera
+	// thermal pressure, contention-aware co-location, and multi-camera
 	// batching, all from observed virtual-time latencies (DESIGN.md §13).
 	// It supersedes the FPGAOffload ablation — contention comes from the
 	// chosen mapping instead.

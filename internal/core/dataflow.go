@@ -101,7 +101,7 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	}
 
 	// The online scheduler runs at capture, in cycle order: its inputs
-	// (battery SoC, keyframe schedule, the EWMAs fed by prior draws) are all
+	// (keyframe schedule, the EWMAs fed by prior draws) are all
 	// virtual-class, so the decision sequence — and therefore every
 	// multiplier it hands the latency model — is identical across worker
 	// counts.
@@ -109,7 +109,7 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	fr.schedRemap, fr.schedOpSwitch, fr.schedSwap = false, false, 0
 	if s.sched != nil {
 		var ev sched.Events
-		tr, ev = s.sched.BeginCycle(s.battery.SoC, keyframe)
+		tr, ev = s.sched.BeginCycle(0, keyframe)
 		fr.schedRemap, fr.schedOpSwitch = ev.Remapped, ev.OpSwitched
 	}
 
@@ -121,17 +121,11 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 			!s.cfg.RadarTracking)
 	}
 	// RPR swap cost folds into localization when the front-end variant
-	// changes (Sec. V-B3: < 3 ms). The scheduler may hold the extract
-	// bitstream resident (sticky front-end) instead of following the
-	// keyframe schedule; either way the swap latency is charged to the
-	// cycle that triggered it.
+	// changes (Sec. V-B3: < 3 ms), charged to the cycle that triggered it.
 	if s.rprMgr != nil {
 		bs := rpr.BitstreamFeatureTrack
 		if keyframe {
 			bs = rpr.BitstreamFeatureExtract
-		}
-		if s.sched != nil {
-			bs = s.sched.FrontEnd()
 		}
 		if res := s.rprMgr.Require(bs); res.Bytes > 0 {
 			fr.d.Localization += res.Duration

@@ -222,8 +222,8 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, "perception compute: int8 fixed-point operating points (x%.1f)\n", platform.QuantSpeedup)
 	}
 	if sc := r.Sched; sc != nil {
-		fmt.Fprintf(&b, "online scheduler: mapping=%s quant=%v sticky=%v temp=%.1fC windows=%d remaps=%d op-switches=%d rpr-swaps=%d (%.1f ms)\n",
-			sc.Mapping, sc.Quantized, sc.Sticky, sc.TempC, sc.Windows, sc.Remaps, sc.OpSwitches, sc.Swaps, ms(sc.SwapTotal))
+		fmt.Fprintf(&b, "online scheduler: mapping=%s quant=%v temp=%.1fC windows=%d remaps=%d op-switches=%d rpr-swaps=%d (%.1f ms)\n",
+			sc.Mapping, sc.Quantized, sc.TempC, sc.Windows, sc.Remaps, sc.OpSwitches, sc.Swaps, ms(sc.SwapTotal))
 	}
 	return b.String()
 }
@@ -245,8 +245,8 @@ func (r *Report) renderLean() string {
 	fmt.Fprintf(&b, "navigation: lane-keeping RMS %.3f m\n", r.LateralRMSM)
 	fmt.Fprintf(&b, "pipeline depth (commands in flight at capture): mean=%.2f\n", r.leanDepth.Mean())
 	if sc := r.Sched; sc != nil {
-		fmt.Fprintf(&b, "online scheduler: mapping=%s quant=%v sticky=%v temp=%.1fC windows=%d remaps=%d op-switches=%d rpr-swaps=%d (%.1f ms)\n",
-			sc.Mapping, sc.Quantized, sc.Sticky, sc.TempC, sc.Windows, sc.Remaps, sc.OpSwitches, sc.Swaps, ms(sc.SwapTotal))
+		fmt.Fprintf(&b, "online scheduler: mapping=%s quant=%v temp=%.1fC windows=%d remaps=%d op-switches=%d rpr-swaps=%d (%.1f ms)\n",
+			sc.Mapping, sc.Quantized, sc.TempC, sc.Windows, sc.Remaps, sc.OpSwitches, sc.Swaps, ms(sc.SwapTotal))
 	}
 	return b.String()
 }

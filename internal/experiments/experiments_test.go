@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +98,23 @@ func TestStudies(t *testing.T) {
 		"reactive": {"appears(m)"},
 		"fusion":   {"GPS-VIO"},
 	})
+}
+
+// TestSchedBenchSnapshot: the sched-json section regenerates the committed
+// BENCH_sched.json byte for byte, so any change to a scheduler mechanism
+// that moves a virtual-time result fails here, not only in the CI gate.
+func TestSchedBenchSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the scheduler experiment")
+	}
+	want, err := os.ReadFile("../../BENCH_sched.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := Lookup("sched-json")
+	if got := s.Run(core.DefaultConfig(), 1, 0, 0); got != string(want) {
+		t.Errorf("sched-json differs from BENCH_sched.json:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestExtensionsSection(t *testing.T) {

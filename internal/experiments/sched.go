@@ -115,9 +115,9 @@ func schedDynamic(base core.Config, seed int64, _ time.Duration, _ int) string {
 		"mapping strategy", "p50 percep", "p99 percep", "remaps", "op-sw", "rpr-swaps", "end state")
 	for _, r := range runSchedDynamic(base, seed) {
 		sc := r.report.Sched
-		fmt.Fprintf(&b, "  %-28s %8.1f ms   %8.1f ms   %-8d %-8d %-10d %s quant=%v sticky=%v temp=%.1fC\n",
+		fmt.Fprintf(&b, "  %-28s %8.1f ms   %8.1f ms   %-8d %-8d %-10d %s quant=%v temp=%.1fC\n",
 			r.name, r.p50(), r.p99(), sc.Remaps, sc.OpSwitches, sc.Swaps,
-			sc.Mapping, sc.Quantized, sc.Sticky, sc.TempC)
+			sc.Mapping, sc.Quantized, sc.TempC)
 	}
 
 	off, online := runSchedSteady(base, seed)

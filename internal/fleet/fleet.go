@@ -377,13 +377,12 @@ func (f *Fleet) Step() {
 	f.observe(arrived)
 }
 
-// Run advances the fleet to the given horizon and returns the summary.
+// Run advances the fleet by every whole epoch that ends at or before the
+// horizon and returns the summary; a horizon shorter than one epoch steps
+// nothing.
 func (f *Fleet) Run(horizon time.Duration) *Summary {
-	for f.epochEnd+f.cfg.Epoch <= horizon || f.epoch == 0 {
+	for f.epochEnd+f.cfg.Epoch <= horizon {
 		f.Step()
-		if f.epochEnd >= horizon {
-			break
-		}
 	}
 	return f.Summarize()
 }

@@ -547,3 +547,23 @@ func TestEpochSinksAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunStopsAtTheHorizon: Run steps only whole epochs that end at or
+// before the horizon, so a horizon shorter than one epoch steps nothing.
+func TestRunStopsAtTheHorizon(t *testing.T) {
+	cfg := testConfig(2)
+	for _, c := range []struct {
+		horizon time.Duration
+		epochs  int
+	}{
+		{cfg.Epoch / 2, 0},
+		{cfg.Epoch, 1},
+		{5*cfg.Epoch + cfg.Epoch/2, 5},
+	} {
+		sum := New(cfg).Run(c.horizon)
+		if sum.Epochs != c.epochs || sum.VirtualTime > c.horizon {
+			t.Errorf("Run(%v): %d epochs, %v virtual; want %d epochs within the horizon",
+				c.horizon, sum.Epochs, sum.VirtualTime, c.epochs)
+		}
+	}
+}

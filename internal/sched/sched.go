@@ -2,41 +2,32 @@
 // perception stage graph (depth ∥ detection→tracking, localization) as a
 // dataflow over the platform.Catalog processors and re-evaluates the
 // task-to-processor mapping every cycle window from *observed* virtual-time
-// latencies instead of the static Fig. 6 table. Three decisions are made at
-// window boundaries, all deterministic functions of EWMA state accumulated
+// latencies instead of the static Fig. 6 table. Two decisions are made at
+// window boundaries, both deterministic functions of EWMA state accumulated
 // on the engine thread in cycle order:
 //
 //   - remapping: per-task latency EWMAs, normalized back to the baseline
 //     GPU/FPGA float operating point, are projected onto every candidate
 //     (SU, Loc) processor pair — GPU contention included in the *candidate*
 //     scoring via platform.Contended, so scoring and final evaluation cannot
-//     diverge — and the mapping moves only when the best candidate beats the
-//     current one by remapMargin (hysteresis against ping-ponging).
+//     diverge — and the mapping moves to the strictly best candidate.
 //
 //   - operating point: a lumped thermal model (models.SteadyTempC) over the
 //     duty-scaled processor powers decides quant↔float switches. Entering the
 //     int8 operating point requires the projected steady temperature to reach
-//     the component ceiling (or battery SoC to fall to socEnter); exiting
-//     requires the *float-equivalent* temperature — what the enclosure would
-//     see if the switch were undone — to fall below thermalExitC, plus a
-//     minimum dwell and SoC recovery, so the switch can never flap.
+//     the component ceiling; exiting requires the *float-equivalent*
+//     temperature — what the enclosure would see if the switch were undone —
+//     to fall below thermalExitC, so the switch can never flap.
 //
-//   - localization front-end: the RPR keyframe schedule swaps bitstreams at
-//     a measured rate; when the keyframe duty rises (dynamic traffic forcing
-//     feature extraction almost every frame) the scheduler amortizes the
-//     <3 ms swap cost against the cost of just leaving the extract bitstream
-//     resident (paying a small tracking-on-extract penalty on the remaining
-//     non-key cycles) and goes sticky, with a margin on both transitions.
+// The estimator rates and thresholds are package constants (DESIGN.md §13);
+// Config holds what a caller sets: cameras, control rate, ambient, window,
+// mapping and the static/quant pins.
 //
-// The estimator rates, margins and thresholds are package constants
-// (DESIGN.md §13); Config holds what a caller sets: cameras, control rate,
-// ambient, window, mapping and the static/quant pins.
-//
-// Every input is virtual-class (drawn latencies, virtual SoC, keyframe
-// schedule), all state updates happen in BeginCycle/Observe on the engine
-// thread in cycle order, and the decision functions are pure over that
-// state — so runs are byte-identical across worker counts and control-loop
-// modes. The hot per-cycle methods are allocation-free (the sched rows of
+// Every input is virtual-class (drawn latencies, keyframe schedule), all
+// state updates happen in BeginCycle/Observe on the engine thread in cycle
+// order, and the decision functions are pure over that state — so runs are
+// byte-identical across worker counts and control-loop modes. The hot
+// per-cycle methods are allocation-free (the sched rows of
 // TestControlLoopSteadyStateAllocs).
 package sched
 
@@ -81,11 +72,10 @@ type Stats struct {
 	// SwapTotal is their summed latency.
 	Swaps     int
 	SwapTotal time.Duration
-	// Mapping is the current "SU/Loc" assignment; Quantized and Sticky are
-	// the current operating point and front-end policy.
+	// Mapping is the current "SU/Loc" assignment; Quantized is the current
+	// operating point.
 	Mapping   string
 	Quantized bool
-	Sticky    bool
 	// TempC is the last float-equivalent steady temperature the thermal
 	// model projected.
 	TempC float64
@@ -124,29 +114,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// The deployed estimators and hysteresis constants (DESIGN.md §13).
+// The deployed estimators and the thermal exit threshold (DESIGN.md §13).
 const (
 	// ewmaAlpha smooths the per-task latency estimates.
 	ewmaAlpha float64 = 0.2
-	// dutyAlpha smooths the thermal duty and front-end rate estimates
-	// (slower, so single-cycle spikes do not flap decisions).
+	// dutyAlpha smooths the thermal duty estimates (slower, so single-cycle
+	// spikes do not flap decisions).
 	dutyAlpha float64 = 0.05
-	// remapMargin: a candidate must beat the current mapping's projected
-	// perception latency by this fraction before a remap fires.
-	remapMargin float64 = 0.05
 	// thermalExitC: the float-equivalent temperature must fall below this
 	// (strictly under the enter ceiling) before quant can be undone.
 	thermalExitC float64 = 79
-	// socEnter/socExit bound the battery-pressure hysteresis band.
-	socEnter, socExit float64 = 0.25, 0.35
-	// minDwellWindows is the minimum number of windows between operating-
-	// point switches.
-	minDwellWindows = 3
-	// stickyMargin is the hysteresis ratio on front-end policy changes.
-	stickyMargin float64 = 1.25
-	// trackOnExtractPenalty is the localization slowdown of running the
-	// feature-extract bitstream on a non-keyframe cycle (sticky policy).
-	trackOnExtractPenalty float64 = 0.10
 	// batchMarginal is the marginal cost of one extra image in a batched
 	// inference relative to a standalone forward (layer-major batching
 	// amortizes weight traffic; nn.ForwardRawBatch).
@@ -196,25 +173,12 @@ type Scheduler struct {
 	// understanding and localization busy milliseconds per cycle.
 	suDutyMs, locDutyMs float64
 
-	// Front-end policy state: keyframe duty, the rate at which the legacy
-	// follow-the-keyframe policy would swap bitstreams, the observed swap
-	// latency, and whether the extract bitstream is held resident.
-	kfDuty, transRate float64
-	swapMsEWMA        float64
-	lastLegacyExtract bool
-	feInit            bool
-	sticky            bool
-	feExtract         bool // this cycle's front-end choice
-
-	quant        bool
-	dwellWindows int
+	keyframe bool // this cycle's front-end schedule
+	quant    bool
 
 	lastTempC float64
 
 	tr Transform
-	// locApplied is the Loc multiplier issued this cycle (sticky penalty
-	// included), needed to normalize the observation back out.
-	locApplied float64
 
 	stats Stats
 }
@@ -240,7 +204,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	sort.Strings(names)
 
-	s := &Scheduler{cfg: cfg, cur: -1, swapMsEWMA: 2.7}
+	s := &Scheduler{cfg: cfg, cur: -1}
 	for _, su := range names {
 		sp := cat[su]
 		d, ok1 := sp.Latency[platform.TaskDepth]
@@ -320,13 +284,14 @@ func (s *Scheduler) score(c *candidate) float64 {
 // BeginCycle advances the scheduler one control cycle: at window boundaries
 // it runs the decision function, then fills and returns the cycle's
 // Transform plus any decision events. keyframe is the localization
-// front-end schedule, soc the battery state of charge. The returned
-// Transform is owned by the scheduler and valid until the next BeginCycle.
-func (s *Scheduler) BeginCycle(soc float64, keyframe bool) (*Transform, Events) {
+// front-end schedule. The first argument is ignored; it goes with the
+// benchmark's compatibility shims (ROADMAP item 7). The returned Transform
+// is owned by the scheduler and valid until the next BeginCycle.
+func (s *Scheduler) BeginCycle(_ float64, keyframe bool) (*Transform, Events) {
 	s.cycle++
 	var ev Events
 	if !s.cfg.Static && s.cycle > 1 && (s.cycle-1)%s.cfg.WindowCycles == 0 {
-		ev = s.decide(soc)
+		ev = s.decide()
 	}
 
 	c := &s.cand[s.cur]
@@ -334,34 +299,8 @@ func (s *Scheduler) BeginCycle(soc float64, keyframe bool) (*Transform, Events) 
 	s.tr.Depth = c.depthR
 	s.tr.Det = c.detR * s.camFactor(c)
 	s.tr.Track = c.trackR
-
-	// Front-end choice: follow the keyframe schedule, or hold the extract
-	// bitstream resident and pay the tracking-on-extract penalty off-key.
-	s.feExtract = keyframe || s.sticky
 	s.tr.Loc = c.locR
-	if s.sticky && !keyframe {
-		s.tr.Loc *= 1 + trackOnExtractPenalty
-	}
-	s.locApplied = s.tr.Loc
-
-	// Policy-independent front-end telemetry: what the legacy schedule
-	// would have loaded, and how often it transitions.
-	legacyExtract := keyframe
-	if s.feInit {
-		t := 0.0
-		if legacyExtract != s.lastLegacyExtract {
-			t = 1
-		}
-		s.transRate += dutyAlpha * (t - s.transRate)
-	}
-	s.lastLegacyExtract = legacyExtract
-	s.feInit = true
-	kf := 0.0
-	if keyframe {
-		kf = 1
-	}
-	s.kfDuty += dutyAlpha * (kf - s.kfDuty)
-
+	s.keyframe = keyframe
 	return &s.tr, ev
 }
 
@@ -388,7 +327,7 @@ func (s *Scheduler) Observe(depth, det, track, loc time.Duration, kcf bool) {
 	if kcf {
 		ntrk = trackMs / c.trackR
 	}
-	nloc := locMs / s.locApplied
+	nloc := locMs / c.locR
 
 	a := ewmaAlpha
 	if !s.seeded {
@@ -421,9 +360,9 @@ func (s *Scheduler) floatSU(depthMs, detMs, trackMs, qf float64) float64 {
 	return su
 }
 
-// decide runs at window boundaries: operating point, mapping, front-end
-// policy. Pure over the EWMA state and soc.
-func (s *Scheduler) decide(soc float64) Events {
+// decide runs at window boundaries: operating point, then mapping. Pure
+// over the EWMA state.
+func (s *Scheduler) decide() Events {
 	var ev Events
 	s.stats.Windows++
 	cfg := &s.cfg
@@ -438,65 +377,47 @@ func (s *Scheduler) decide(soc float64) Events {
 	tempF := models.SteadyTempC(loadF, cfg.AmbientC)
 	s.lastTempC = tempF
 
-	s.dwellWindows++
 	if !s.quant {
-		if tempF >= models.MaxComponentTempC || soc <= socEnter {
+		if tempF >= models.MaxComponentTempC {
 			s.quant = true
 			s.stats.OpSwitches++
-			s.dwellWindows = 0
 			ev.OpSwitched = true
 		}
-	} else if !cfg.QuantFloor && s.dwellWindows >= minDwellWindows &&
-		tempF <= thermalExitC && soc >= socExit {
+	} else if !cfg.QuantFloor && tempF <= thermalExitC {
 		s.quant = false
 		s.stats.OpSwitches++
-		s.dwellWindows = 0
 		ev.OpSwitched = true
 	}
 
-	// Remap: strict improvement beyond the margin, candidates visited in
-	// name order so ties resolve deterministically.
-	curScore := s.score(c)
-	best, bestScore := s.cur, curScore
+	// Remap: strict improvement, candidates visited in name order so ties
+	// resolve deterministically.
+	best, bestScore := s.cur, s.score(c)
 	for i := range s.cand {
 		if sc := s.score(&s.cand[i]); sc < bestScore {
 			best, bestScore = i, sc
 		}
 	}
-	if best != s.cur && bestScore < (1-remapMargin)*curScore {
+	if best != s.cur {
 		s.cur = best
 		s.stats.Remaps++
 		ev.Remapped = true
 	}
-
-	// Front-end policy: amortize the swap rate against the sticky penalty.
-	costFollow := s.transRate * s.swapMsEWMA
-	costSticky := (1 - s.kfDuty) * trackOnExtractPenalty * s.nLoc * s.cand[s.cur].locR
-	if !s.sticky {
-		if costSticky*stickyMargin < costFollow {
-			s.sticky = true
-		}
-	} else if costFollow*stickyMargin < costSticky {
-		s.sticky = false
-	}
 	return ev
 }
 
-// FrontEnd returns the localization front-end bitstream the current cycle
-// should have resident (BeginCycle must have run this cycle).
+// FrontEnd returns the localization front-end bitstream the keyframe
+// schedule puts resident this cycle (BeginCycle must have run this cycle).
 func (s *Scheduler) FrontEnd() rpr.Bitstream {
-	if s.feExtract {
+	if s.keyframe {
 		return rpr.BitstreamFeatureExtract
 	}
 	return rpr.BitstreamFeatureTrack
 }
 
-// NoteSwap charges an RPR swap to the scheduler's accounting and updates
-// the amortization estimate.
+// NoteSwap charges an RPR swap to the scheduler's accounting.
 func (s *Scheduler) NoteSwap(d time.Duration) {
 	s.stats.Swaps++
 	s.stats.SwapTotal += d
-	s.swapMsEWMA += ewmaAlpha * (float64(d)/1e6 - s.swapMsEWMA)
 }
 
 // Snapshot returns the cumulative decision record.
@@ -504,7 +425,6 @@ func (s *Scheduler) Snapshot() Stats {
 	st := s.stats
 	st.Mapping = s.cand[s.cur].name
 	st.Quantized = s.quant
-	st.Sticky = s.sticky
 	st.TempC = s.lastTempC
 	return st
 }

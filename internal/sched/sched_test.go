@@ -26,10 +26,10 @@ func mustMapping(t *testing.T, s string) platform.Mapping {
 // by whatever Transform the scheduler issues — exactly what the core latency
 // model does — then observed back. Keyframes fire every kfEvery cycles
 // (0 = never). Tracking always reports the KCF branch.
-func drive(s *Scheduler, n int, soc float64, kfEvery int, depth, det, track, loc float64) {
+func drive(s *Scheduler, n, kfEvery int, depth, det, track, loc float64) {
 	for i := 0; i < n; i++ {
 		kf := kfEvery > 0 && s.cycle%kfEvery == 0
-		tr, _ := s.BeginCycle(soc, kf)
+		tr, _ := s.BeginCycle(0, kf)
 		q := 1.0
 		if tr.Quant {
 			q = platform.QuantSpeedup
@@ -40,7 +40,7 @@ func drive(s *Scheduler, n int, soc float64, kfEvery int, depth, det, track, loc
 
 // calm is the steady-cruise workload: the Fig. 6 GPU/FPGA latencies at a
 // light duty that keeps the thermal model far from its ceiling.
-func calm(s *Scheduler, n int, soc float64) { drive(s, n, soc, 5, 4, 6, 1.7, 3.1) }
+func calm(s *Scheduler, n int) { drive(s, n, 5, 4, 6, 1.7, 3.1) }
 
 func TestParseMapping(t *testing.T) {
 	m, err := ParseMapping("GPU/FPGA")
@@ -89,7 +89,7 @@ func TestCandidatesNameOrdered(t *testing.T) {
 
 // TestRemapConvergesFromContendedStart: started on the contended GPU/GPU
 // pair, the scheduler must remap to the deployed GPU/FPGA point at the first
-// window — and then never move again (the margin blocks ping-ponging).
+// window — and then never move again: no candidate beats it strictly.
 func TestRemapConvergesFromContendedStart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mapping = mustMapping(t, "GPU/GPU")
@@ -97,7 +97,7 @@ func TestRemapConvergesFromContendedStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(s, 200, 1, 5, 40, 60, 17, 31)
+	drive(s, 200, 5, 40, 60, 17, 31)
 	st := s.Snapshot()
 	if st.Mapping != "GPU/FPGA" {
 		t.Fatalf("converged to %s, want GPU/FPGA", st.Mapping)
@@ -114,15 +114,14 @@ func TestRemapHoldsAtDeployedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(s, 200, 1, 5, 40, 60, 17, 31)
+	drive(s, 200, 5, 40, 60, 17, 31)
 	if st := s.Snapshot(); st.Remaps != 0 || st.Mapping != "GPU/FPGA" {
 		t.Fatalf("deployed point drifted: %+v", st)
 	}
 }
 
 // TestStaticPinsEverything: Static disables the decision function entirely —
-// no windows, no remaps, no operating-point switches, even from a bad start
-// under pressure.
+// no windows, no remaps, no operating-point switches, even from a bad start.
 func TestStaticPinsEverything(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mapping = mustMapping(t, "GPU/GPU")
@@ -131,53 +130,13 @@ func TestStaticPinsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(s, 100, 0.1, 5, 40, 60, 17, 31)
+	drive(s, 100, 5, 40, 60, 17, 31)
 	st := s.Snapshot()
 	if st.Windows != 0 || st.Remaps != 0 || st.OpSwitches != 0 {
 		t.Fatalf("static scheduler decided something: %+v", st)
 	}
 	if st.Mapping != "GPU/GPU" || st.Quantized {
 		t.Fatalf("static scheduler moved: %+v", st)
-	}
-}
-
-// TestSoCHysteresis walks the battery-pressure band window by window: quant
-// enters at socEnter, a recovery inside the band does nothing, and the exit
-// waits out minDwellWindows even once SoC clears socExit — so the operating
-// point can never flap.
-func TestSoCHysteresis(t *testing.T) {
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := s.cfg.WindowCycles
-
-	calm(s, w+1, 1) // first window boundary: healthy, stays float
-	if s.Snapshot().Quantized {
-		t.Fatal("quantized while healthy")
-	}
-	calm(s, w, 0.20) // at/below socEnter: must enter int8
-	if !s.Snapshot().Quantized || s.Snapshot().OpSwitches != 1 {
-		t.Fatalf("no quant entry at soc=0.20: %+v", s.Snapshot())
-	}
-	calm(s, w, 0.30) // inside the band: no exit
-	if !s.Snapshot().Quantized || s.Snapshot().OpSwitches != 1 {
-		t.Fatalf("exited inside the hysteresis band: %+v", s.Snapshot())
-	}
-	// Recovered above socExit, but the dwell guard (minDwellWindows=3 since
-	// the switch) must hold the point through the next boundary — the second
-	// window since entry — then release at the third.
-	calm(s, w, 0.50)
-	if !s.Snapshot().Quantized {
-		t.Fatal("exited before minDwellWindows")
-	}
-	calm(s, w, 0.50)
-	if s.Snapshot().Quantized || s.Snapshot().OpSwitches != 2 {
-		t.Fatalf("no exit after dwell + recovery: %+v", s.Snapshot())
-	}
-	calm(s, 5*w, 0.50) // and it stays out
-	if st := s.Snapshot(); st.OpSwitches != 2 {
-		t.Fatalf("operating point flapped: %+v", st)
 	}
 }
 
@@ -194,7 +153,7 @@ func TestThermalOpPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturated scene: 700 ms float-equivalent detection stalls.
-	drive(s, 2*cfg.WindowCycles, 1, 1, 40, 700, 17, 31)
+	drive(s, 2*cfg.WindowCycles, 1, 40, 700, 17, 31)
 	if !s.Snapshot().Quantized {
 		t.Fatalf("no quant entry under thermal pressure (temp %.1fC)", s.Snapshot().TempC)
 	}
@@ -202,13 +161,13 @@ func TestThermalOpPoint(t *testing.T) {
 		t.Fatalf("entered quant below the ceiling: %.1fC", s.Snapshot().TempC)
 	}
 	sw := s.Snapshot().OpSwitches
-	drive(s, 10*cfg.WindowCycles, 1, 1, 40, 700, 17, 31)
+	drive(s, 10*cfg.WindowCycles, 1, 40, 700, 17, 31)
 	if got := s.Snapshot().OpSwitches; got != sw {
 		t.Fatalf("operating point flapped under sustained load: %d -> %d switches", sw, got)
 	}
 	// Load subsides: the duty EWMA decays, the float-equivalent projection
 	// drops below thermalExitC, and the point floats again — once.
-	calm(s, 40*cfg.WindowCycles, 1)
+	calm(s, 40*cfg.WindowCycles)
 	st := s.Snapshot()
 	if st.Quantized || st.OpSwitches != sw+1 {
 		t.Fatalf("no clean thermal exit: %+v", st)
@@ -231,61 +190,22 @@ func TestQuantFloorNeverFloats(t *testing.T) {
 	if !s.Snapshot().Quantized {
 		t.Fatal("QuantFloor did not start quantized")
 	}
-	calm(s, 20*cfg.WindowCycles, 1)
+	calm(s, 20*cfg.WindowCycles)
 	if st := s.Snapshot(); !st.Quantized || st.OpSwitches != 0 {
 		t.Fatalf("QuantFloor floated: %+v", st)
 	}
 }
 
-// TestStickyFrontEndBothWays: when the keyframe schedule transitions nearly
-// every cycle and localization is cheap, holding the extract bitstream
-// resident beats paying the swap rate — the scheduler goes sticky and
-// FrontEnd ignores the schedule. When keyframes thin out and localization
-// grows expensive, the tracking-on-extract penalty dominates and the policy
-// reverts, with the margin guarding both transitions.
-func TestStickyFrontEndBothWays(t *testing.T) {
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Alternating keyframes (a swap almost every cycle), 5 ms localization.
-	drive(s, 300, 1, 2, 4, 6, 1.7, 5)
-	if !s.Snapshot().Sticky {
-		t.Fatal("never went sticky under per-cycle keyframe transitions")
-	}
-	if tr, _ := s.BeginCycle(1, false); tr.Loc <= s.cand[s.cur].locR {
-		t.Fatal("sticky off-key cycle did not pay the tracking-on-extract penalty")
-	}
-	if s.FrontEnd() != rpr.BitstreamFeatureExtract {
-		t.Fatal("sticky front-end did not hold the extract bitstream off-key")
-	}
-	// Sparse keyframes, 60 ms localization: the penalty now costs more than
-	// the (rare) swaps, so the policy must revert to following the schedule.
-	drive(s, 400, 1, 10, 4, 6, 1.7, 60)
-	if s.Snapshot().Sticky {
-		t.Fatal("never reverted to the follow policy")
-	}
-	if _, _ = s.BeginCycle(1, false); s.FrontEnd() != rpr.BitstreamFeatureTrack {
-		t.Fatal("follow policy did not track the schedule off-key")
-	}
-}
-
-// TestNoteSwapAccounting: swaps charged via NoteSwap accumulate in the stats
-// and feed the amortization EWMA the sticky decision reads.
+// TestNoteSwapAccounting: swaps charged via NoteSwap accumulate in the stats.
 func TestNoteSwapAccounting(t *testing.T) {
 	s, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.swapMsEWMA
 	s.NoteSwap(3 * time.Millisecond)
 	s.NoteSwap(3 * time.Millisecond)
-	st := s.Snapshot()
-	if st.Swaps != 2 || st.SwapTotal != 6*time.Millisecond {
+	if st := s.Snapshot(); st.Swaps != 2 || st.SwapTotal != 6*time.Millisecond {
 		t.Fatalf("swap accounting: %+v", st)
-	}
-	if s.swapMsEWMA <= before || s.swapMsEWMA > 3 {
-		t.Fatalf("swap EWMA %.3f did not move toward 3 ms from %.3f", s.swapMsEWMA, before)
 	}
 }
 
@@ -299,7 +219,7 @@ func TestMulticamBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := s.BeginCycle(1, true)
+	tr, _ := s.BeginCycle(0, true)
 	want := 1 + batchMarginal*2 // GPU batches: 1 + 0.4/extra image
 	if tr.Det != want {
 		t.Fatalf("GPU 3-camera Det = %.2f, want %.2f", tr.Det, want)
@@ -310,7 +230,7 @@ func TestMulticamBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ = s.BeginCycle(1, true)
+	tr, _ = s.BeginCycle(0, true)
 	seq := s.cand[s.cur].detR * 3 // FPGA runs cameras sequentially
 	if tr.Det != seq {
 		t.Fatalf("FPGA 3-camera Det = %.2f, want %.2f", tr.Det, seq)
@@ -329,13 +249,32 @@ func TestSchedulerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drive(s, 150, 1, 5, 40, 700, 17, 31)
+		drive(s, 150, 5, 40, 700, 17, 31)
 		s.NoteSwap(2 * time.Millisecond)
-		drive(s, 150, 0.2, 3, 4, 6, 1.7, 3.1)
+		drive(s, 150, 3, 4, 6, 1.7, 3.1)
 		return s.Snapshot()
 	}
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("identical drives diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestFrontEndFollowsKeyframes: the front-end bitstream is the keyframe
+// schedule's, cycle by cycle.
+func TestFrontEndFollowsKeyframes(t *testing.T) {
+	s, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kf := range []bool{true, false, false, true} {
+		s.BeginCycle(0, kf)
+		want := rpr.BitstreamFeatureTrack
+		if kf {
+			want = rpr.BitstreamFeatureExtract
+		}
+		if got := s.FrontEnd(); got != want {
+			t.Fatalf("keyframe=%v: FrontEnd = %v, want %v", kf, got, want)
+		}
 	}
 }

@@ -67,7 +67,7 @@ func TestStructuralGuards(t *testing.T) {
 // output element (per rollout step, in the planner) and rely on being inlined.
 var mustInline = map[string][]string{
 	"./internal/nn":       {"requant.apply", "satInt8"},
-	"./internal/planning": {"trackCost", "obstacleCost"},
+	"./internal/planning": {"trackCost", "obstacleCost", "firstOctant", "sincosPoly"},
 	"./internal/vision":   {"sad8"},
 }
 

@@ -148,7 +148,11 @@ func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig, sto
 		if e, key := &memo[k], math.Float64bits(h); e.key == key {
 			sin, cos = e.sin, e.cos
 		} else {
-			sin, cos = math.Sincos(h)
+			if firstOctant(h) {
+				sin, cos = sincosPoly(h)
+			} else {
+				sin, cos = math.Sincos(h)
+			}
 			*e = headingTrig{key, sin, cos}
 		}
 		s += v * cos * dt
@@ -201,13 +205,21 @@ func (m *MPC) probes(in Input, pre rollState, k int) (ca, cs float64) {
 		if e, key := &trig[j], math.Float64bits(ha); e.key == key {
 			sina, cosa = e.sin, e.cos
 		} else {
-			sina, cosa = math.Sincos(ha)
+			if firstOctant(ha) {
+				sina, cosa = sincosPoly(ha)
+			} else {
+				sina, cosa = math.Sincos(ha)
+			}
 			*e = headingTrig{key, sina, cosa}
 		}
 		if e, key := &row[j], math.Float64bits(hw); e.key == key {
 			sinw, cosw = e.sin, e.cos
 		} else {
-			sinw, cosw = math.Sincos(hw)
+			if firstOctant(hw) {
+				sinw, cosw = sincosPoly(hw)
+			} else {
+				sinw, cosw = math.Sincos(hw)
+			}
 			*e = headingTrig{key, sinw, cosw}
 		}
 		sa += va * cosa * dt

@@ -506,6 +506,22 @@ func (pp planPair) pinned(in Input) (heading, steer int) {
 	return heading, steer
 }
 
+// octants counts the horizon steps of the solution in.HeadingErr was just
+// planned from whose heading a memo miss computes with the first-octant
+// kernel, and those it leaves to math.Sincos.
+func (pp planPair) octants(in Input) (kernel, fallback int) {
+	h := in.HeadingErr
+	for _, w := range pp.got.steer {
+		h = mathx.Clamp(h+w*pp.got.Cfg.Dt, -2.5, 2.5)
+		if firstOctant(h) {
+			kernel++
+		} else {
+			fallback++
+		}
+	}
+	return kernel, fallback
+}
+
 // TestPlanBitIdenticalToFullRollout holds Plan — probes resumed from the
 // state before the probed step and rolled in one pass, losing candidates cut
 // short, sin/cos read from heading memos — to the full-rollout oracle bit for
@@ -551,6 +567,27 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 		}
 		if headings == 0 || steers == 0 {
 			t.Fatalf("%d steps with the heading on its clamp, %d with the steer rate on its limit; want both", headings, steers)
+		}
+	})
+
+	// A heading just past ±π/4, which the terminal heading and lane costs
+	// steer back inside it: each plan's rollouts cross the cut, so the
+	// first-octant kernel and math.Sincos both feed one plan's sums.
+	t.Run("heading across π/4", func(t *testing.T) {
+		crossing := 0
+		for _, sign := range []float64{1, -1} {
+			pp := newPlanPair(DefaultMPCConfig())
+			for c := 0; c < 8; c++ {
+				in := Input{Speed: 6, TargetSpeed: 6, LaneOffset: sign * 0.5,
+					HeadingErr: sign * (0.79 + 0.02*float64(c))}
+				pp.plan(t, fmt.Sprintf("sign %v cycle %d", sign, c), in)
+				if k, f := pp.octants(in); k > 0 && f > 0 {
+					crossing++
+				}
+			}
+		}
+		if crossing == 0 {
+			t.Fatal("no plan's solution crossed ±π/4; want headings on both sides of the kernel's cut")
 		}
 	})
 

@@ -64,11 +64,13 @@ func TestStructuralGuards(t *testing.T) {
 }
 
 // mustInline lists, per package, the functions the hot kernels call per
-// output element (per rollout step, in the planner) and rely on being inlined.
+// output element (per rollout step, in the planner; per obstacle, in the
+// world queries) and rely on being inlined.
 var mustInline = map[string][]string{
 	"./internal/nn":       {"requant.apply", "satInt8"},
 	"./internal/planning": {"trackCost", "obstacleCost", "firstOctant", "sincosPoly"},
 	"./internal/vision":   {"sad8"},
+	"./internal/world":    {"sample"},
 }
 
 // inlinerViolations builds the mustInline packages with -gcflags=-m and

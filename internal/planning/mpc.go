@@ -236,29 +236,6 @@ func (m *MPC) probes(in Input, pre rollState, k int) (ca, cs float64) {
 	return ca + wHeading*ha*ha, cs + wHeading*hw*hw
 }
 
-// trajectory writes the rollout of the current control sequence into
-// m.traj. The last sweep advanced over every step of the sequence after
-// settling it, so each lookup in trig hits; the key check keeps a miss exact.
-func (m *MPC) trajectory(in Input) []TrajPoint {
-	dt := m.Cfg.Dt
-	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
-	for k, a := range m.accel {
-		v = mathx.Clamp(v+a*dt, 0, 12)
-		h = mathx.Clamp(h+m.steer[k]*dt, -2.5, 2.5)
-		var sin, cos float64
-		if e, key := &m.trig[k], math.Float64bits(h); e.key == key {
-			sin, cos = e.sin, e.cos
-		} else {
-			sin, cos = math.Sincos(h)
-			*e = headingTrig{key, sin, cos}
-		}
-		s += v * cos * dt
-		d += v * sin * dt
-		m.traj[k] = TrajPoint{T: dt * float64(k+1), S: s, D: d}
-	}
-	return m.traj
-}
-
 // Plan runs one receding-horizon optimization and returns the first-step
 // command. The optimizer is coordinate-wise numerical gradient descent with
 // a fixed iteration budget — deterministic compute cost, as an embedded
@@ -308,7 +285,10 @@ func (m *MPC) Plan(in Input) Plan {
 			}
 			// Step k is settled for this sweep (the ±eps round trip may
 			// have moved it by an ulp even when rejected): advance over it.
+			// No later step of the sweep moves it, so the last sweep's
+			// advance is the rollout of the final sequence: the trajectory.
 			pre = m.roll(in, pre, k, k+1, m.trig, inf)
+			m.traj[k] = TrajPoint{T: m.Cfg.Dt * float64(k+1), S: pre.s, D: pre.d}
 		}
 		if !improved {
 			lr /= 2
@@ -318,7 +298,7 @@ func (m *MPC) Plan(in Input) Plan {
 		}
 	}
 
-	traj := m.trajectory(in)
+	traj := m.traj
 	collides, _ := CollisionCheck(traj, in.Obstacles, 0.5)
 	// Convert the first-step heading rate to a bicycle steering angle:
 	// steer = atan(L * hdot / v).

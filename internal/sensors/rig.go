@@ -33,6 +33,11 @@ type RadarRig struct {
 	Units  []*Radar
 	Mounts []Mount
 
+	// frame is the one the units share (UseFrame); reach is the half-side
+	// of the window a sweep sets on it (SweepReach of Mounts).
+	frame *world.Frame
+	reach float64
+
 	unitScratch   []RadarReturn // per-unit echoes, reused across scans
 	sectorScratch []RigReturn   // NearestInSector's merged-scan buffer
 
@@ -65,7 +70,7 @@ func NewRadarRig(w *world.World, rng *sim.RNG) *RadarRig {
 		{Name: "rear-left", Offset: mathx.Vec2{X: -1.5, Y: 0.4}, Bearing: math.Pi - 0.15},
 		{Name: "rear-right", Offset: mathx.Vec2{X: -1.5, Y: -0.4}, Bearing: -(math.Pi - 0.15)},
 	}
-	rig := &RadarRig{Mounts: mounts}
+	rig := &RadarRig{Mounts: mounts, reach: SweepReach(mounts)}
 	for range mounts {
 		rig.Units = append(rig.Units, NewRadar(w, rng.Fork()))
 	}
@@ -73,8 +78,25 @@ func NewRadarRig(w *world.World, rng *sim.RNG) *RadarRig {
 	return rig
 }
 
+// SweepReach is the half-side of the window a sweep of radars on mounts
+// sets around the vehicle: a unit's box, its sensor pose ± RadarMaxRange,
+// lies within the vehicle pose ± (RadarMaxRange + |Offset|) on each axis.
+// The slack covers the rounding of the mount rotation and of the pose sum,
+// below it at any coordinate under 10¹² m; a box it does not cover fails
+// the frame's fit test and walks every obstacle, which costs time, never a
+// byte.
+func SweepReach(mounts []Mount) float64 {
+	const slack = 1e-3 // meters
+	farthest := 0.0
+	for _, m := range mounts {
+		farthest = max(farthest, m.Offset.Norm())
+	}
+	return RadarMaxRange + farthest + slack
+}
+
 // UseFrame points every unit at f, sharing samples with f's other users.
 func (r *RadarRig) UseFrame(f *world.Frame) {
+	r.frame = f
 	for _, u := range r.Units {
 		u.Frame = f
 	}
@@ -91,9 +113,13 @@ type RigReturn struct {
 }
 
 // ScanAllInto scans every unit and appends the returns, merged into the
-// vehicle frame, to dst (reusing its capacity).
+// vehicle frame, to dst (reusing its capacity). It first sets the shared
+// frame's window around the vehicle at t, wide enough for every unit's
+// view: the six views, and any other query at t that fits (the sonar ring,
+// the detector), walk the obstacles near the vehicle, not all of them.
 func (r *RadarRig) ScanAllInto(dst []RigReturn, t time.Duration, pose world.Pose) []RigReturn {
 	base := len(dst)
+	r.frame.Around(t, pose.Pos, r.reach)
 	r.stats.Scans += int64(len(r.Units))
 	for i, u := range r.Units {
 		m := r.Mounts[i]

@@ -3,6 +3,7 @@ package sensors
 import (
 	"math"
 	"testing"
+	"time"
 
 	"sov/internal/mathx"
 	"sov/internal/sim"
@@ -101,5 +102,56 @@ func TestSonarRigRing(t *testing.T) {
 	// Nothing behind.
 	if _, ok := rig.NearestInSector(0, world.Pose{}, math.Pi, math.Pi/4); ok {
 		t.Fatal("rear sonar hallucinated")
+	}
+}
+
+// TestSweepWindowServesEveryUnit holds the window a sweep sets to its
+// purpose: each of the six views, and each ping of a sonar ring sharing the
+// frame at the same instant, walks only the obstacles inside the window,
+// at headings that lay each mount's offset along an axis (where a unit's
+// box comes closest to the window's edge) and far from the origin.
+func TestSweepWindowServesEveryUnit(t *testing.T) {
+	w := &world.World{}
+	rig := NewRadarRig(w, sim.NewRNG(6))
+	sonar := NewSonarRig(w, sim.NewRNG(7))
+	f := world.NewFrame(w)
+	rig.UseFrame(f)
+	sonar.UseFrame(f)
+	var headings []float64
+	for _, m := range rig.Mounts {
+		for k := 0.0; k < 4; k++ {
+			headings = append(headings, mathx.WrapAngle(k*math.Pi/2-math.Atan2(m.Offset.Y, m.Offset.X)))
+		}
+	}
+	for k, origin := range []mathx.Vec2{{}, {X: 1e6, Y: -3e5}} {
+		at := time.Duration(k) * time.Second // a frame keys its samples on t
+		w.Obstacles = nil
+		for i := 0; i < 40; i++ { // a ring of obstacles at 8 to 86 m
+			ang := float64(i) * 2.4
+			w.AddStaticObstacle(origin.Add(mathx.Vec2{X: math.Cos(ang), Y: math.Sin(ang)}.Scale(8+2*float64(i))), 0.5)
+		}
+		for _, h := range headings {
+			pose := world.Pose{Pos: origin, Heading: h}
+			inside := int64(0)
+			for _, o := range w.Obstacles {
+				pos, _ := o.At(at)
+				if d := pos.Sub(origin); max(math.Abs(d.X), math.Abs(d.Y)) <= rig.reach {
+					inside++
+				}
+			}
+			if inside == 0 || inside == int64(len(w.Obstacles)) {
+				t.Fatalf("the window holds %d of %d obstacles; the test needs some on each side", inside, len(w.Obstacles))
+			}
+			before := f.Visits()
+			rig.ScanAllInto(nil, at, pose)
+			if got, want := f.Visits()-before, int64(len(rig.Units))*inside; got != want {
+				t.Fatalf("heading %v at %v: the sweep walked %d obstacles, want %d (%d per unit)", h, origin, got, want, inside)
+			}
+			before = f.Visits()
+			sonar.NearestInSector(at, pose, 0, math.Pi)
+			if got, want := f.Visits()-before, int64(len(sonar.Units))*inside; got != want {
+				t.Fatalf("heading %v at %v: the sonar ring walked %d obstacles, want %d", h, origin, got, want)
+			}
+		}
 	}
 }

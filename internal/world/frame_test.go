@@ -85,10 +85,11 @@ func sameDetections(a, b []Detection) bool {
 	return true
 }
 
-// randomWorld mixes the three trajectory kinds with the prefilter's edge
-// cases as seen from the origin pose: obstacles exactly at the radar,
-// detector and sonar ranges on an axis and just off it, one on the observer
-// (r == 0), and positions at ±Inf and NaN.
+// randomWorld mixes the three trajectory kinds with the prefilter's and the
+// window's edge cases as seen from the origin pose: obstacles exactly at the
+// radar, detector and sonar ranges and at the window reaches 5 and 44 on an
+// axis and one Nextafter beyond, one on the observer (r == 0), and
+// positions at ±Inf and NaN.
 func randomWorld(rng *sim.RNG) *World {
 	w := &World{}
 	for i, n := 0, 5+rng.Intn(40); i < n; i++ {
@@ -108,11 +109,33 @@ func randomWorld(rng *sim.RNG) *World {
 	for _, pos := range []mathx.Vec2{
 		{X: 40}, {Y: -40}, {X: math.Nextafter(40, 41)}, {X: 35}, {X: 5}, {Y: 5}, {X: -5},
 		{X: 40, Y: 1e-300}, {X: 28.3, Y: 28.3}, {X: 39, Y: 39}, {},
+		{X: math.Nextafter(5, 6)}, {Y: math.Nextafter(-5, -6)}, {X: 44}, {Y: -44}, {X: math.Nextafter(44, 45)}, {Y: math.Nextafter(-44, -45)},
 		{X: inf}, {X: -inf, Y: 3}, {X: nan}, {X: 3, Y: nan}, {X: inf, Y: nan}, {X: nan, Y: nan},
 	} {
 		w.AddStaticObstacle(pos, 0.5)
 	}
 	return w
+}
+
+// checkView asserts that both cone queries of one view read the same
+// through the frame, through the World and through the reference loop.
+func checkView(t *testing.T, w *World, f *Frame, p Pose, at time.Duration, maxRange, fov float64) {
+	t.Helper()
+	view := struct{ maxRange, fov float64 }{maxRange, fov}
+	want := refVisible(w, p, at, maxRange, fov)
+	if got := w.VisibleObstaclesInto(nil, p, at, maxRange, fov); !sameDetections(got, want) {
+		t.Fatalf("World.VisibleObstaclesInto(%+v, %v, %+v) = %v, want %v", p, at, view, got, want)
+	}
+	if got := f.VisibleObstaclesInto(nil, p, at, maxRange, fov); !sameDetections(got, want) {
+		t.Fatalf("Frame.VisibleObstaclesInto(%+v, %v, %+v) = %v, want %v", p, at, view, got, want)
+	}
+	wantD, wantOK := refNearest(w, p, at, maxRange, fov)
+	if got, ok := w.NearestAhead(p, at, maxRange, fov); ok != wantOK || !sameDetection(got, wantD) {
+		t.Fatalf("World.NearestAhead(%+v, %v, %+v) = %v %v, want %v %v", p, at, view, got, ok, wantD, wantOK)
+	}
+	if got, ok := f.NearestAhead(p, at, maxRange, fov); ok != wantOK || !sameDetection(got, wantD) {
+		t.Fatalf("Frame.NearestAhead(%+v, %v, %+v) = %v %v, want %v %v", p, at, view, got, ok, wantD, wantOK)
+	}
 }
 
 // checkFrameMatchesWorld asserts that every query at (p, t) reads the same
@@ -123,20 +146,7 @@ func checkFrameMatchesWorld(t *testing.T, w *World, f *Frame, p Pose, at time.Du
 	for _, view := range []struct{ maxRange, fov float64 }{
 		{40, math.Pi / 2}, {35, math.Pi / 2}, {5, math.Pi / 3}, {40, 2 * math.Pi}, {0, math.Pi}, {math.Inf(1), math.Pi}, {math.NaN(), math.Pi},
 	} {
-		want := refVisible(w, p, at, view.maxRange, view.fov)
-		if got := w.VisibleObstaclesInto(nil, p, at, view.maxRange, view.fov); !sameDetections(got, want) {
-			t.Fatalf("World.VisibleObstaclesInto(%+v, %v, %+v) = %v, want %v", p, at, view, got, want)
-		}
-		if got := f.VisibleObstaclesInto(nil, p, at, view.maxRange, view.fov); !sameDetections(got, want) {
-			t.Fatalf("Frame.VisibleObstaclesInto(%+v, %v, %+v) = %v, want %v", p, at, view, got, want)
-		}
-		wantD, wantOK := refNearest(w, p, at, view.maxRange, view.fov)
-		if got, ok := w.NearestAhead(p, at, view.maxRange, view.fov); ok != wantOK || !sameDetection(got, wantD) {
-			t.Fatalf("World.NearestAhead(%+v, %v, %+v) = %v %v, want %v %v", p, at, view, got, ok, wantD, wantOK)
-		}
-		if got, ok := f.NearestAhead(p, at, view.maxRange, view.fov); ok != wantOK || !sameDetection(got, wantD) {
-			t.Fatalf("Frame.NearestAhead(%+v, %v, %+v) = %v %v, want %v %v", p, at, view, got, ok, wantD, wantOK)
-		}
+		checkView(t, w, f, p, at, view.maxRange, view.fov)
 	}
 	want := refComplexity(w, p, at)
 	if got := w.SceneComplexity(p, at); !sameBits(got, want) {
@@ -156,10 +166,19 @@ func checkFrameMatchesWorld(t *testing.T, w *World, f *Frame, p Pose, at time.Du
 	}
 }
 
+// windowReaches are the windows TestFrameMatchesWorld sets: the two that set
+// no window, an empty one, the sonar scale and wider than a radar sweep's,
+// which the next instant's first queries find cut at another t.
+var windowReaches = []float64{math.NaN(), math.Inf(1), 0, 5, 44}
+
 // TestFrameMatchesWorld is the frame's contract: over random worlds, poses
 // and times — time running forwards, repeating and going backwards, and an
 // obstacle appended to the world between queries — one long-lived frame
-// answers every query with the bits and the order of the frame-less path.
+// answers every query with the bits and the order of the frame-less path,
+// whatever window it holds: one around each pose at each t, queried from
+// inside it, from a box straddling its edge and from another pose; one set
+// at an earlier t; one cut before an obstacle was appended; and the
+// rounding edges of the fit test (windowRoundingEdges).
 func TestFrameMatchesWorld(t *testing.T) {
 	rng := sim.NewRNG(23)
 	for trial := 0; trial < 40; trial++ {
@@ -174,23 +193,87 @@ func TestFrameMatchesWorld(t *testing.T) {
 		}
 		times := []time.Duration{0, 0, 10 * time.Millisecond, 4 * time.Second, 4 * time.Second, time.Second, 9 * time.Second, 0}
 		for step, at := range times {
+			// The window left from the previous instant was cut at another t.
 			for _, p := range poses {
 				checkFrameMatchesWorld(t, w, f, p, at)
 			}
+			if trial < 8 {
+				for i, c := range poses {
+					for _, reach := range windowReaches {
+						f.Around(at, c.Pos, reach)
+						straddle := Pose{Pos: c.Pos.Add(mathx.Vec2{X: 3, Y: -2}), Heading: c.Heading}
+						for _, p := range []Pose{c, straddle, poses[(i+4)%len(poses)]} {
+							checkFrameMatchesWorld(t, w, f, p, at)
+						}
+					}
+				}
+			}
 			switch step {
 			case 2:
-				w.AddCutInPedestrian(3, 2*time.Second, 1.4) // seen at the same t as the fill that missed it
+				f.Around(at, poses[0].Pos, 44)
+				w.AddCutInPedestrian(3, 2*time.Second, 1.4) // seen at the same t as the fill and the window that missed it
 				checkFrameMatchesWorld(t, w, f, poses[0], at)
 			case 4:
 				w.AddStaticObstacle(mathx.Vec2{X: 1, Y: 1}, 0.4)
 			}
 		}
 	}
+	for _, e := range windowRoundingEdges(sim.NewRNG(43), 16) {
+		w := &World{}
+		w.AddStaticObstacle(e.obstacle, 0.5)
+		f := NewFrame(w)
+		f.Around(time.Second, e.center, e.reach)
+		checkFrameMatchesWorld(t, w, f, e.query, time.Second)
+	}
+}
+
+// windowEdge is a window and a query whose box fits inside it only up to
+// rounding: fl(maxRange + |fl(p-c)|) equals reach exactly, and the obstacle,
+// on the axis through both, has |fl(x-p)| ≤ maxRange (the query keeps it)
+// but |fl(x-c)| > reach (the window drops it). A fit test without its
+// rounding margin walks the window and misses the obstacle.
+type windowEdge struct {
+	center, obstacle mathx.Vec2
+	reach            float64
+	query            Pose
+}
+
+// windowRoundingEdges searches n such edges, along X and along Y, at
+// the view ranges checkFrameMatchesWorld asks.
+func windowRoundingEdges(rng *sim.RNG, n int) []windowEdge {
+	var edges []windowEdge
+	for len(edges) < n {
+		c := rng.Uniform(-40, 40)
+		p := c + rng.Uniform(-2.5, 2.5)
+		m := []float64{40, 35, 5}[rng.Intn(3)]
+		reach := m + math.Abs(p-c)
+		for _, dir := range []float64{1, -1} {
+			x := c + dir*reach
+			for k := 0; k < 4; k++ {
+				if math.Abs(x-c) > reach && math.Abs(x-p) <= m && x != p {
+					heading := 0.0
+					if dir < 0 {
+						heading = math.Pi
+					}
+					e := windowEdge{mathx.Vec2{X: c}, mathx.Vec2{X: x}, reach, Pose{Pos: mathx.Vec2{X: p}, Heading: heading}}
+					if len(edges)%2 == 1 { // the same edge along Y
+						e = windowEdge{mathx.Vec2{Y: c}, mathx.Vec2{Y: x}, reach, Pose{Pos: mathx.Vec2{Y: p}, Heading: heading + math.Pi/2}}
+					}
+					edges = append(edges, e)
+					break
+				}
+				x = math.Nextafter(x, dir*math.Inf(1))
+			}
+		}
+	}
+	return edges[:n]
 }
 
 // TestFrameSamplesEachTrajectoryOncePerInstant is the point of the frame:
 // any number of queries at one t cost one evaluation per obstacle, and the
-// frame-less path costs one per obstacle per query.
+// frame-less path costs one per obstacle per query. A window is cut from
+// the samples, so it adds no evaluation, and a warm frame refills both
+// without allocating.
 func TestFrameSamplesEachTrajectoryOncePerInstant(t *testing.T) {
 	w := randomWorld(sim.NewRNG(5))
 	evals := 0
@@ -208,6 +291,7 @@ func TestFrameSamplesEachTrajectoryOncePerInstant(t *testing.T) {
 			w.SceneComplexity(p, at)
 			return
 		}
+		f.Around(at, p.Pos, 44)
 		dst = f.VisibleObstaclesInto(dst[:0], p, at, 40, math.Pi/2)
 		f.NearestAhead(p, at, 5, math.Pi/3)
 		f.SceneComplexity(p, at)
@@ -228,6 +312,58 @@ func TestFrameSamplesEachTrajectoryOncePerInstant(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { query(time.Second, f); query(3*time.Second, f) }); allocs != 0 {
 		t.Fatalf("warm frame allocates %v per refill", allocs)
+	}
+}
+
+// TestWindowWalksOnlyItsObstacles pins what the window saves and where the
+// fit test's boundary lies: a query whose box fits walks exactly the
+// obstacles not outside the window (NaN and ±Inf positions included), at
+// fl(maxRange·(1+2⁻⁴⁹)) == reach too; one reach an ulp narrower, another t,
+// a world that grew or an unset window walk every obstacle.
+func TestWindowWalksOnlyItsObstacles(t *testing.T) {
+	w := randomWorld(sim.NewRNG(11))
+	f := NewFrame(w)
+	at := 3 * time.Second
+	walk := func(reach float64, queryAt time.Duration) int64 {
+		f.Around(at, mathx.Vec2{}, reach)
+		before := f.Visits()
+		f.VisibleObstaclesInto(nil, Pose{}, queryAt, 40, math.Pi)
+		return f.Visits() - before
+	}
+	if got := func() int64 { f.VisibleObstaclesInto(nil, Pose{}, at, 40, math.Pi); return f.Visits() }(); got != int64(len(w.Obstacles)) {
+		t.Fatalf("a frame with no window walked %d of %d obstacles", got, len(w.Obstacles))
+	}
+	reach := 40 * (1 + 0x1p-49)
+	inside := int64(0)
+	for _, o := range w.Obstacles {
+		pos, _ := o.At(at)
+		if d := max(math.Abs(pos.X), math.Abs(pos.Y)); !(d > reach) || math.IsInf(d, 1) {
+			inside++
+		}
+	}
+	if inside >= int64(len(w.Obstacles)) {
+		t.Fatalf("every obstacle of the test world is inside the window")
+	}
+	n := int64(len(w.Obstacles))
+	for _, c := range []struct {
+		name    string
+		reach   float64
+		queryAt time.Duration
+		want    int64
+	}{
+		{"fit at equality", reach, at, inside},
+		{"an ulp narrower", math.Nextafter(reach, 0), at, n},
+		{"window cut at another t", reach, at + time.Millisecond, n},
+	} {
+		if got := walk(c.reach, c.queryAt); got != c.want {
+			t.Errorf("%s: walked %d obstacles, want %d", c.name, got, c.want)
+		}
+	}
+	f.Around(at, mathx.Vec2{}, reach)
+	w.AddStaticObstacle(mathx.Vec2{X: 1}, 0.5)
+	before := f.Visits()
+	if f.VisibleObstaclesInto(nil, Pose{}, at, 40, math.Pi); f.Visits()-before != n+1 {
+		t.Errorf("after the world grew: walked %d obstacles, want %d", f.Visits()-before, n+1)
 	}
 }
 
@@ -266,6 +402,47 @@ func FuzzHypotLowerBound(f *testing.F) {
 		}
 		if !(h-radius >= m-radius) {
 			t.Fatalf("Hypot(%v, %v) - %v = %v < %v", x, y, radius, h-radius, m-radius)
+		}
+	})
+}
+
+// FuzzWindowMatchesWorld holds the window to the frame-less queries over
+// arbitrary windows, poses and ranges: obstacles at the fuzzed position and
+// an ulp either side of it, and at the window's edges and an ulp beyond
+// them, must read the same through a frame holding the window as through
+// the reference loops.
+func FuzzWindowMatchesWorld(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, e := range windowRoundingEdges(sim.NewRNG(43), 4) {
+		f.Add(e.obstacle.X, e.obstacle.Y, e.center.X, e.center.Y, e.reach, e.query.Pos.X, e.query.Pos.Y, e.query.Heading, 40.0)
+	}
+	for _, s := range [][9]float64{
+		{3, 0, 0, 0, 44, 0, 0, 0, 40}, {44, 0, 0, 0, 44, 2, 0, 0, 40}, {40, 0, 0, 0, 40, 0, 0, 0, 40},
+		{3, 4, 1, 1, 5, 1, 1, 1, 5}, {nan, 3, 0, 0, 44, 0, 0, 0, 40}, {inf, 0, 0, 0, 44, 0, 0, 0, 40},
+		{3, 0, 0, 0, inf, 0, 0, 0, 40}, {3, 0, 0, 0, nan, 0, 0, 0, 40}, {3, 0, nan, 0, 44, 0, 0, 0, 40},
+		{3, 0, 0, 0, 44, nan, 0, 0, 40}, {3, 0, 0, 0, 44, 0, 0, 0, inf}, {3, 0, 0, 0, 44, 0, 0, 0, -1}, {nan, 0, 0, 0, 44, 0, 0, 0, -inf},
+		{1e6 + 3, 1e6, 1e6, 1e6, 42.04, 1e6 + 2, 1e6 - 0.4, 0.3, 40}, {5e-324, 0, 0, 0, 5e-324, 0, 0, 0, 0},
+	} {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8])
+	}
+	f.Fuzz(func(t *testing.T, ox, oy, cx, cy, reach, px, py, heading, maxRange float64) {
+		w := &World{}
+		up, down := math.Inf(1), math.Inf(-1)
+		for _, pos := range []mathx.Vec2{
+			{X: ox, Y: oy}, {X: math.Nextafter(ox, up), Y: oy}, {X: ox, Y: math.Nextafter(oy, down)},
+			{X: cx + reach, Y: cy}, {X: math.Nextafter(cx+reach, up), Y: cy},
+			{X: cx, Y: cy - reach}, {X: cx, Y: math.Nextafter(cy-reach, down)},
+		} {
+			w.AddStaticObstacle(pos, 0.5)
+		}
+		fr := NewFrame(w)
+		fr.Around(0, mathx.Vec2{X: cx, Y: cy}, reach)
+		p := Pose{Pos: mathx.Vec2{X: px, Y: py}, Heading: heading}
+		for _, fov := range []float64{math.Pi / 2, 2 * math.Pi} {
+			checkView(t, w, fr, p, 0, maxRange, fov)
+		}
+		if got, want := fr.SceneComplexity(p, 0), refComplexity(w, p, 0); !sameBits(got, want) {
+			t.Fatalf("Frame.SceneComplexity(%+v) = %v, want %v", p, got, want)
 		}
 	})
 }

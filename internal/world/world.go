@@ -166,14 +166,28 @@ type ObstacleState struct{ Pos, Vel mathx.Vec2 }
 // at a t it does not hold samples each trajectory (a pure function of t)
 // once, every other query at that t reads the samples. It is the mutable
 // half of the pair, owned by one vehicle; the World stays read-only.
+//
+// A frame also keeps one window (Around): the obstacles near a point at one
+// t with their samples, so the queries a sensor sweep makes there walk that
+// short list instead of every obstacle.
 type Frame struct {
 	w      *World
 	t      time.Duration
 	states []ObstacleState
+
+	// The window: obstacles and their samples, in index order.
+	winObstacles []*Obstacle
+	winStates    []ObstacleState
+	winT         time.Duration
+	winCenter    mathx.Vec2
+	winReach     float64
+	winN         int // len(states) the window was cut from; -1 while unset
+
+	visits int64 // obstacles the frame's queries have walked
 }
 
 // NewFrame returns an empty frame over w.
-func NewFrame(w *World) *Frame { return &Frame{w: w} }
+func NewFrame(w *World) *Frame { return &Frame{w: w, winN: -1} }
 
 // At returns every obstacle's state at t, index-aligned with World.Obstacles
 // (a world that grew is resampled), valid until the next call with another t.
@@ -193,6 +207,75 @@ func (f *Frame) At(t time.Duration) []ObstacleState {
 	return states
 }
 
+// Around sets the frame's window: from the samples at t, every obstacle not
+// provably outside the box center ± reach, with its sample, in index order.
+// An obstacle is outside when max(|dx|, |dy|) > reach; a NaN or infinite
+// difference (a NaN or ±Inf position) stays in, as it passes the query
+// loops' prefilter. A non-finite center or reach sets no window. The window
+// replaces the previous one and serves every query at t whose box fits
+// inside it (Frame.view).
+func (f *Frame) Around(t time.Duration, center mathx.Vec2, reach float64) {
+	states := f.At(t)
+	f.winN = -1
+	if !isFinite(center.X) || !isFinite(center.Y) || !isFinite(reach) {
+		return
+	}
+	if cap(f.winStates) < len(states) {
+		f.winObstacles = make([]*Obstacle, 0, len(states))
+		f.winStates = make([]ObstacleState, 0, len(states))
+	}
+	obstacles, samples := f.winObstacles[:0], f.winStates[:0]
+	for i, s := range states {
+		rel := s.Pos.Sub(center)
+		if d := max(math.Abs(rel.X), math.Abs(rel.Y)); d > reach && !math.IsInf(d, 1) {
+			continue
+		}
+		obstacles = append(obstacles, f.w.Obstacles[i])
+		samples = append(samples, s)
+	}
+	f.winObstacles, f.winStates = obstacles, samples
+	f.winT, f.winCenter, f.winReach, f.winN = t, center, reach, len(states)
+}
+
+func isFinite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
+
+// Visits returns how many obstacles the frame's queries have walked, one
+// per obstacle per query: what a window saves.
+func (f *Frame) Visits() int64 { return f.visits }
+
+// view returns the obstacles, and their samples at t, that a query of the
+// box p ± maxRange walks: the window's when it was cut at t from the world
+// as it is now and provably holds every obstacle the query could keep,
+// every obstacle otherwise. It counts the walk.
+//
+// The fit test is conservative in floating point. Per axis, a query keeps
+// an obstacle at x only if |fl(x-p)| ≤ maxRange, and the window dropped it
+// only if |fl(x-c)| > reach. With u = 2⁻⁵³ and d = |fl(p-c)|, every
+// subtraction and addition rounds within a factor 1±u of its exact result
+// (gradual underflow makes sums and differences exact below the normal
+// range), so |x-c| ≤ |x-p| + |p-c| gives
+// |fl(x-c)| ≤ fl(maxRange+d)·(1+u)/(1-u)² < fl(maxRange+d)·(1+2⁻⁴⁹)·(1-u).
+// The test compares fl(fl(maxRange+d)·(1+2⁻⁴⁹)) with reach, so a fit
+// means every obstacle the query keeps is in the window. Below the normal
+// range the product rounds no lower than the sum, and there every step is
+// exact. A negative maxRange (−Inf included) keeps no finite obstacle, only
+// NaN positions, which every window holds. A NaN maxRange, a +Inf one, or a
+// NaN or infinite p makes the product NaN or +Inf and never fits; Around
+// keeps no window with a non-finite center or reach.
+// The window keeps index order, so a query appends, sorts and reports what
+// it would over every obstacle.
+func (f *Frame) view(p mathx.Vec2, t time.Duration, maxRange float64) (obstacles []*Obstacle, states []ObstacleState) {
+	obstacles, states = f.w.Obstacles, f.At(t)
+	if f.winN == len(states) && f.winT == t {
+		d := max(math.Abs(p.X-f.winCenter.X), math.Abs(p.Y-f.winCenter.Y))
+		if (maxRange+d)*(1+0x1p-49) <= f.winReach {
+			obstacles, states = f.winObstacles, f.winStates
+		}
+	}
+	f.visits += int64(len(states))
+	return obstacles, states
+}
+
 // VisibleObstaclesInto appends to dst (reusing its capacity) the obstacles
 // within maxRange and ±fov/2 of the pose's heading, nearest first.
 // The world holds no scratch and samples every trajectory on every call;
@@ -203,7 +286,8 @@ func (w *World) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, m
 
 // VisibleObstaclesInto is World.VisibleObstaclesInto over the samples at t.
 func (f *Frame) VisibleObstaclesInto(dst []Detection, p Pose, t time.Duration, maxRange, fov float64) []Detection {
-	return visibleInto(dst, f.w.Obstacles, f.At(t), p, t, maxRange, fov)
+	obstacles, states := f.view(p.Pos, t, maxRange)
+	return visibleInto(dst, obstacles, states, p, t, maxRange, fov)
 }
 
 // sample returns obstacle i's state at t: the frame's, or with nil states
@@ -216,11 +300,11 @@ func sample(o *Obstacle, states []ObstacleState, i int, t time.Duration) (s Obst
 	return s
 }
 
-// visibleInto is the one loop behind both VisibleObstaclesInto methods. It
-// (like its two siblings) rejects on the longer axis before taking the
-// Hypot: math.Hypot(x, y) ≥ max(|x|, |y|) in floating point, NaN on either
-// side failing both tests (FuzzHypotLowerBound), so r > maxRange would
-// reject the same obstacles.
+// visibleInto is the one loop behind both VisibleObstaclesInto methods,
+// over every obstacle or a frame's window. It (like its two siblings)
+// rejects on the longer axis before taking the Hypot: math.Hypot(x, y) ≥
+// max(|x|, |y|) in floating point, NaN on either side failing both tests
+// (FuzzHypotLowerBound), so r > maxRange would reject the same obstacles.
 func visibleInto(dst []Detection, obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration, maxRange, fov float64) []Detection {
 	out := dst
 	for i, o := range obstacles {
@@ -258,7 +342,8 @@ func (w *World) NearestAhead(p Pose, t time.Duration, maxRange, fov float64) (De
 
 // NearestAhead is World.NearestAhead over the frame's samples at t.
 func (f *Frame) NearestAhead(p Pose, t time.Duration, maxRange, fov float64) (Detection, bool) {
-	return nearestAhead(f.w.Obstacles, f.At(t), p, t, maxRange, fov)
+	obstacles, states := f.view(p.Pos, t, maxRange)
+	return nearestAhead(obstacles, states, p, t, maxRange, fov)
 }
 
 func nearestAhead(obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration, maxRange, fov float64) (Detection, bool) {
@@ -296,12 +381,16 @@ func (w *World) SceneComplexity(p Pose, t time.Duration) float64 {
 
 // SceneComplexity is World.SceneComplexity over the frame's samples at t.
 func (f *Frame) SceneComplexity(p Pose, t time.Duration) float64 {
-	return sceneComplexity(f.w.Obstacles, f.At(t), p, t)
+	obstacles, states := f.view(p.Pos, t, complexityRange)
+	return sceneComplexity(obstacles, states, p, t)
 }
+
+// complexityRange is how far the complexity model looks.
+const complexityRange = 40.0
 
 func sceneComplexity(obstacles []*Obstacle, states []ObstacleState, p Pose, t time.Duration) float64 {
 	const saturation = 6.0
-	const maxRange, fov = 40.0, math.Pi
+	const maxRange, fov = complexityRange, math.Pi
 	moving := 0
 	for i, o := range obstacles {
 		s := sample(o, states, i, t)

@@ -19,9 +19,10 @@ import (
 
 // worldQuery is one question a control period asks: a cone view (radar
 // unit, camera detector), a nearest-ahead ping (sonar), the complexity
-// model, or the physics step's sweep over every obstacle.
+// model, or the physics step's sweep over every obstacle; or the window a
+// radar sweep sets before its six views (maxRange is its reach).
 type worldQuery struct {
-	kind          byte // 'v' view, 'n' nearest, 'c' complexity, 'p' physics sweep
+	kind          byte // 'v' view, 'n' nearest, 'c' complexity, 'p' physics sweep, 'w' window
 	at            time.Duration
 	pose          world.Pose
 	maxRange, fov float64
@@ -31,7 +32,8 @@ type worldQuery struct {
 // core.SoV's engine fires it with the default rates: a physics sweep every
 // 10 ms; at t0 the complexity model, a six-unit radar sweep and the
 // detector's view; every 20 ms the reactive path's six-unit sweep and
-// forward sonar sector.
+// forward sonar sector. Each sweep starts with the window
+// RadarRig.ScanAllInto sets.
 func controlPeriodQueries(t0 time.Duration, radar *sensors.RadarRig, sonar *sensors.SonarRig) []worldQuery {
 	cfg := core.DefaultConfig()
 	mounted := func(m sensors.Mount, p world.Pose) world.Pose {
@@ -42,6 +44,7 @@ func controlPeriodQueries(t0 time.Duration, radar *sensors.RadarRig, sonar *sens
 	for at := t0; at < t0+every(cfg.ControlRate); at += every(cfg.PhysicsRate) {
 		pose := world.Pose{Pos: mathx.Vec2{X: cfg.TargetSpeed * at.Seconds()}}
 		sweep := func() {
+			qs = append(qs, worldQuery{kind: 'w', at: at, pose: pose, maxRange: sensors.SweepReach(radar.Mounts)})
 			for _, m := range radar.Mounts {
 				qs = append(qs, worldQuery{'v', at, mounted(m, pose), sensors.RadarMaxRange, sensors.RadarFOV})
 			}
@@ -76,9 +79,10 @@ var worldQuerySink float64
 
 // BenchmarkWorldQueries runs consecutive control periods of the dense
 // DynamicTrafficScenario block (84 pedestrians on the corridor) and reports
-// ns/op per period and the Trajectory evaluations one period costs:
-// `frame` is the path core.SoV runs, `world` the frame-less one every
-// query took before the frame existed.
+// ns/op per period, the Trajectory evaluations one period costs and the
+// obstacles its queries walk: `frame` is the path core.SoV runs, a window
+// per radar sweep included, `world` the frame-less one every query took
+// before the frame existed.
 func BenchmarkWorldQueries(b *testing.B) {
 	w := core.DynamicTrafficScenario(7)
 	evals := 0
@@ -95,13 +99,31 @@ func BenchmarkWorldQueries(b *testing.B) {
 		qs[i] = controlPeriodQueries(90*time.Second+time.Duration(i)*100*time.Millisecond, radar, sonar)
 	}
 	var dets []world.Detection
-	run := func(b *testing.B, view obstacleView, sweep func(q worldQuery, minClear float64) float64) {
+	queries, walks := 0, 0 // per period: questions, and those that walk obstacles
+	for _, q := range qs[0] {
+		switch q.kind {
+		case 'v', 'n', 'c':
+			walks++
+			fallthrough
+		case 'p':
+			queries++
+		}
+	}
+	// visits counts the obstacles the queries walked; nil means each of the
+	// period's walks visits every obstacle.
+	run := func(b *testing.B, view obstacleView, visits func() int64, window func(q worldQuery), sweep func(q worldQuery, minClear float64) float64) {
 		evals = 0
+		walked := int64(0)
+		if visits != nil {
+			walked = visits()
+		}
 		minClear := math.Inf(1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs[i%periods] {
 				switch q.kind {
+				case 'w':
+					window(q)
 				case 'v':
 					dets = view.VisibleObstaclesInto(dets[:0], q.pose, q.at, q.maxRange, q.fov)
 					worldQuerySink += float64(len(dets))
@@ -116,14 +138,20 @@ func BenchmarkWorldQueries(b *testing.B) {
 			}
 		}
 		worldQuerySink += minClear
-		b.ReportMetric(float64(len(qs[0])), "queries/period")
+		b.ReportMetric(float64(queries), "queries/period")
 		b.ReportMetric(float64(evals)/float64(b.N), "traj-evals/period")
+		perPeriod := float64(walks) * float64(len(w.Obstacles))
+		if visits != nil {
+			perPeriod = float64(visits()-walked) / float64(b.N)
+		}
+		b.ReportMetric(perPeriod, "visits/period")
 	}
 	// The two physics sweeps are core.SoV.physicsStep's clearance loop after
 	// and before the frame.
 	b.Run("frame", func(b *testing.B) {
 		f := world.NewFrame(w)
-		run(b, f, func(q worldQuery, minClear float64) float64 {
+		window := func(q worldQuery) { f.Around(q.at, q.pose.Pos, q.maxRange) }
+		run(b, f, f.Visits, window, func(q worldQuery, minClear float64) float64 {
 			for i, s := range f.At(q.at) {
 				d := q.pose.Pos.Sub(s.Pos)
 				radius := w.Obstacles[i].Radius
@@ -136,7 +164,7 @@ func BenchmarkWorldQueries(b *testing.B) {
 		})
 	})
 	b.Run("world", func(b *testing.B) {
-		run(b, w, func(q worldQuery, minClear float64) float64 {
+		run(b, w, nil, func(worldQuery) {}, func(q worldQuery, minClear float64) float64 {
 			for _, o := range w.Obstacles {
 				pos, _ := o.At(q.at)
 				minClear = min(minClear, q.pose.Pos.DistTo(pos)-o.Radius)

@@ -73,9 +73,10 @@ func BenchmarkSpatialSync(b *testing.B) {
 		dets = append(dets, detect.Object{ID: i, Pos: mathx.Vec2{X: 10 + float64(i), Y: float64(i % 3)}})
 		tracks = append(tracks, track.RadarTrack{ID: i, Pos: mathx.Vec2{X: 8.8 + float64(i), Y: float64(i % 3)}})
 	}
+	var sc fusion.SyncScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fusion.SpatialSync(cfg, dets, tracks)
+		sc.SpatialSyncInto(cfg, dets, tracks)
 	}
 }
 

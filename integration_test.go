@@ -75,10 +75,13 @@ func TestVisionPerceptionChain(t *testing.T) {
 // CAN encoding → ECU → vehicle dynamics as one pipeline tick and verifies
 // a breaking-distance-critical object actually slows the vehicle.
 func TestPerceptionToActuationChain(t *testing.T) {
-	// Fused perception output: a stopped object 7 m dead ahead.
+	// Fused perception output: a stopped object 7 m dead ahead of the
+	// camera, which the radar, mounted 1.2 m further forward, ranges 0.1 m
+	// short.
 	det := detect.Object{ID: 1, Range: 7, Pos: mathx.Vec2{X: 7}, Radius: 0.5}
-	radarTrack := track.RadarTrack{ID: 1, Pos: mathx.Vec2{X: 6.9}, Vel: mathx.Vec2{}}
-	matches, ud, _ := fusion.SpatialSync(fusion.SpatialSyncConfig{MaxDistance: 1.5},
+	radarTrack := track.RadarTrack{ID: 1, Pos: mathx.Vec2{X: 5.7}, Vel: mathx.Vec2{}}
+	var sync fusion.SyncScratch
+	matches, ud, _ := sync.SpatialSyncInto(fusion.DefaultSpatialSyncConfig(),
 		[]detect.Object{det}, []track.RadarTrack{radarTrack})
 	fused := fusion.FuseAllInto(nil, matches, ud)
 	if len(fused) != 1 || len(matches) != 1 {

@@ -115,7 +115,9 @@ type Config struct {
 	// historical placement.
 	StartOffsetM float64
 
-	// Detector configures the oracle-noise detection channel.
+	// Detector is the empty detect.Config that detect.New ignores: the
+	// channel's parameters are constants of package detect. It stays only
+	// because benchmark/ reads it (ROADMAP item 7).
 	Detector detect.Config
 }
 
@@ -171,6 +173,5 @@ func DefaultConfig() Config {
 		EMPlanner:     false,
 		RPREnabled:    true,
 		KeyframeEvery: 5,
-		Detector:      detect.DefaultConfig(),
 	}
 }

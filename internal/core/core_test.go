@@ -445,3 +445,24 @@ func TestTwoVehiclesShareOneWorld(t *testing.T) {
 		}
 	}
 }
+
+// TestControlCycleWalksTheSweepWindow: capture runs the radar sweep before
+// the complexity model, so the complexity query and the detector walk the
+// window the sweep set (world.Frame.Around) like the six radar views do,
+// and one control cycle's queries visit fewer obstacles than the world
+// holds. A complexity query ahead of the sweep walks every obstacle. Each
+// cycle runs at an instant no physics, control or reactive event has
+// sampled, so no earlier sweep left a window there.
+func TestControlCycleWalksTheSweepWindow(t *testing.T) {
+	w := CruiseScenario(3)
+	s := New(DefaultConfig(), w)
+	s.Start()
+	for at := 5 * time.Second; at <= 120*time.Second; at += 5 * time.Second {
+		s.AdvanceTo(at - time.Millisecond)
+		before := s.scene.Visits()
+		s.controlCycle()
+		if got := s.scene.Visits() - before; got >= int64(len(w.Obstacles)) {
+			t.Fatalf("the control cycle at %v walked %d obstacles; the world holds %d", at, got, len(w.Obstacles))
+		}
+	}
+}

@@ -93,6 +93,23 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	s.lane = s.route.Lanes[s.route.ActiveLane(anchor)]
 	fr.lane = s.lane
 
+	// The radar scan stays at capture: its per-unit RNG streams are shared
+	// with the reactive path's scans, so the draw order must follow the
+	// virtual clock. It runs before the complexity model, which then walks
+	// the window the sweep sets (Frame.Around) instead of every obstacle;
+	// the sweep draws from its units' streams alone, so nothing else moves.
+	fr.rig = s.radarRig.ScanAllInto(fr.rig[:0], fr.t0, fr.pose)
+	fr.returns = fr.returns[:0]
+	for _, rr := range fr.rig {
+		fr.returns = append(fr.returns, sensors.RadarReturn{
+			ObstacleID: rr.ObstacleID,
+			Range:      rr.VehiclePos.Norm(),
+			Bearing:    rr.VehicleBearing,
+			RadialVel:  rr.RadialVel,
+			Time:       rr.Time,
+		})
+	}
+
 	fr.complexity = s.scene.SceneComplexity(fr.pose, fr.t0)
 	keyframe := s.cfg.KeyframeEvery > 0 && s.cycle%s.cfg.KeyframeEvery == 0
 	if s.cfg.DynamicKeyframe && fr.complexity >= 0.6 {
@@ -150,21 +167,6 @@ func (s *SoV) captureInto(fr *cycleFrame) {
 	fr.noiseX = s.rng.Normal(0, locStd)
 	fr.noiseY = s.rng.Normal(0, locStd)
 	fr.noiseH = s.rng.Normal(0, locStd/2)
-
-	// The radar scan stays at capture: its per-unit RNG streams are shared
-	// with the reactive path's scans, so the draw order must follow the
-	// virtual clock.
-	fr.rig = s.radarRig.ScanAllInto(fr.rig[:0], fr.t0, fr.pose)
-	fr.returns = fr.returns[:0]
-	for _, rr := range fr.rig {
-		fr.returns = append(fr.returns, sensors.RadarReturn{
-			ObstacleID: rr.ObstacleID,
-			Range:      rr.VehiclePos.Norm(),
-			Bearing:    rr.VehicleBearing,
-			RadialVel:  rr.RadialVel,
-			Time:       rr.Time,
-		})
-	}
 
 	// The command sequence number is assigned at capture — in virtual time
 	// the cycle's command exists from its capture instant, which is what

@@ -30,19 +30,14 @@ type Object struct {
 	Radius float64
 }
 
-// Config tunes the oracle-noise channel.
-type Config struct {
-	// Recall is the per-object detection probability at close range; it
-	// falls off linearly with range to half of it at MaxRange.
-	Recall float64
-	// RangeNoiseStd / BearingNoiseStd perturb estimates.
-	RangeNoiseStd   float64
-	BearingNoiseStd float64
-	// FalsePositiveRate is the expected hallucinations per frame.
-	FalsePositiveRate float64
-}
+// Config is empty: the channel's parameters are the constants below.
+//
+// Deprecated: kept so the benchmark's call of New compiles (ROADMAP item 7).
+type Config struct{}
 
-// The deployed camera's reach, and the channel's label accuracy.
+// The deployed camera's reach, and the field-calibrated channel: high but
+// imperfect recall, occasional false positives — enough to exercise the
+// reactive path.
 const (
 	// MaxRange bounds what the camera detector sees, in meters.
 	MaxRange float64 = 35
@@ -50,25 +45,21 @@ const (
 	FOV float64 = math.Pi / 2
 	// classAccuracy is the probability the class label is correct.
 	classAccuracy float64 = 0.95
+	// recall is the per-object detection probability at close range; it
+	// falls off linearly with range to half of it at MaxRange.
+	recall float64 = 0.97
+	// rangeNoiseStd and bearingNoiseStd perturb estimates; coarse depth is
+	// fine, as the paper tolerates ~0.2 m.
+	rangeNoiseStd   float64 = 0.2
+	bearingNoiseStd float64 = 0.01
+	// falsePositiveRate is the expected hallucinations per frame.
+	falsePositiveRate float64 = 0.01
 )
-
-// DefaultConfig returns a field-calibrated channel: high but imperfect
-// recall, occasional false positives — enough to exercise the reactive
-// path.
-func DefaultConfig() Config {
-	return Config{
-		Recall:            0.97,
-		RangeNoiseStd:     0.2, // coarse depth is fine: the paper tolerates ~0.2 m
-		BearingNoiseStd:   0.01,
-		FalsePositiveRate: 0.01,
-	}
-}
 
 // Detector runs the oracle-noise channel over ground-truth visibility.
 type Detector struct {
-	Config Config
-	Frame  *world.Frame // ground truth's source: its own unless the vehicle shares one
-	rng    *sim.RNG
+	Frame *world.Frame // ground truth's source: its own unless the vehicle shares one
+	rng   *sim.RNG
 	// truth is the visibility scratch; a detector processes one camera
 	// frame at a time, on the goroutine that runs the serial control loop.
 	truth []world.Detection
@@ -78,9 +69,9 @@ type Detector struct {
 	fps    int
 }
 
-// New returns a detector bound to a world.
-func New(cfg Config, w *world.World, rng *sim.RNG) *Detector {
-	return &Detector{Config: cfg, Frame: world.NewFrame(w), rng: rng}
+// New returns a detector bound to a world. The Config is ignored.
+func New(_ Config, w *world.World, rng *sim.RNG) *Detector {
+	return &Detector{Frame: world.NewFrame(w), rng: rng}
 }
 
 // DetectInto appends the detections for a frame captured at time t from
@@ -88,17 +79,16 @@ func New(cfg Config, w *world.World, rng *sim.RNG) *Detector {
 // per-frame buffer makes the call allocation-free.
 func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []Object {
 	d.frames++
-	cfg := d.Config
 	d.truth = d.Frame.VisibleObstaclesInto(d.truth[:0], pose, t, MaxRange, FOV)
 	out := dst
 	for _, det := range d.truth {
-		p := cfg.Recall * (1 - det.Range/MaxRange*0.5)
+		p := recall * (1 - det.Range/MaxRange*0.5)
 		if !d.rng.Bernoulli(p) {
 			d.missed++
 			continue
 		}
-		rng := det.Range + d.rng.Normal(0, cfg.RangeNoiseStd)
-		brg := det.Bearing + d.rng.Normal(0, cfg.BearingNoiseStd)
+		rng := det.Range + d.rng.Normal(0, rangeNoiseStd)
+		brg := det.Bearing + d.rng.Normal(0, bearingNoiseStd)
 		kind := det.Obstacle.Kind
 		if !d.rng.Bernoulli(classAccuracy) {
 			kind = world.ObstacleKind((int(kind) + 1) % 4)
@@ -120,7 +110,7 @@ func (d *Detector) DetectInto(dst []Object, t time.Duration, pose world.Pose) []
 		out = append(out, obj)
 	}
 	// False positives appear at random plausible locations.
-	if cfg.FalsePositiveRate > 0 && d.rng.Bernoulli(cfg.FalsePositiveRate) {
+	if d.rng.Bernoulli(falsePositiveRate) {
 		d.fps++
 		rng := d.rng.Uniform(3, MaxRange)
 		brg := d.rng.Uniform(-FOV/2, FOV/2)

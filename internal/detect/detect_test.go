@@ -18,7 +18,7 @@ func testWorld() *world.World {
 
 func TestDetectFindsCloseObject(t *testing.T) {
 	w := testWorld()
-	d := New(DefaultConfig(), w, sim.NewRNG(1))
+	d := New(Config{}, w, sim.NewRNG(1))
 	found := 0
 	n := 1000
 	for i := 0; i < n; i++ {
@@ -44,7 +44,7 @@ func TestDetectFindsCloseObject(t *testing.T) {
 
 func TestDetectMissesSomeObjects(t *testing.T) {
 	w := testWorld()
-	d := New(DefaultConfig(), w, sim.NewRNG(2))
+	d := New(Config{}, w, sim.NewRNG(2))
 	for i := 0; i < 2000; i++ {
 		d.DetectInto(nil, 0, world.Pose{})
 	}
@@ -55,7 +55,7 @@ func TestDetectMissesSomeObjects(t *testing.T) {
 }
 
 func TestDetectProducesFalsePositives(t *testing.T) {
-	d := New(DefaultConfig(), &world.World{}, sim.NewRNG(3))
+	d := New(Config{}, &world.World{}, sim.NewRNG(3))
 	fpSeen := false
 	for i := 0; i < 2000; i++ {
 		for _, o := range d.DetectInto(nil, 0, world.Pose{}) {
@@ -78,12 +78,12 @@ func TestDetectRespectsFOVAndRange(t *testing.T) {
 	w := &world.World{}
 	w.AddStaticObstacle(mathx.Vec2{X: -10}, 0.5) // behind
 	w.AddStaticObstacle(mathx.Vec2{X: 100}, 0.5) // too far
-	cfg := DefaultConfig()
-	cfg.FalsePositiveRate = 0
-	d := New(cfg, w, sim.NewRNG(4))
+	d := New(Config{}, w, sim.NewRNG(4))
 	for i := 0; i < 500; i++ {
-		if objs := d.DetectInto(nil, 0, world.Pose{}); len(objs) != 0 {
-			t.Fatalf("detected out-of-view object: %+v", objs)
+		for _, o := range d.DetectInto(nil, 0, world.Pose{}) {
+			if o.ID >= 0 { // negative IDs are hallucinations
+				t.Fatalf("detected out-of-view object: %+v", o)
+			}
 		}
 	}
 }
@@ -91,24 +91,32 @@ func TestDetectRespectsFOVAndRange(t *testing.T) {
 func TestVehicleFramePosition(t *testing.T) {
 	w := &world.World{}
 	w.AddStaticObstacle(mathx.Vec2{X: 0, Y: 10}, 0.5)
-	cfg := DefaultConfig()
-	cfg.FalsePositiveRate = 0
-	cfg.RangeNoiseStd = 0
-	cfg.BearingNoiseStd = 0
-	cfg.Recall = 1
-	d := New(cfg, w, sim.NewRNG(5))
-	// Facing +Y, the object is dead ahead → vehicle-frame +X.
+	d := New(Config{}, w, sim.NewRNG(5))
+	// Facing +Y, the object is dead ahead → vehicle-frame +X, at the range
+	// and bearing the detector reports (both carry the channel's noise).
 	pose := world.Pose{Heading: math.Pi / 2}
-	objs := d.DetectInto(nil, 0, pose)
-	if len(objs) != 1 {
-		t.Fatalf("objs = %d", len(objs))
+	seen := 0
+	for i := 0; i < 50; i++ {
+		for _, o := range d.DetectInto(nil, 0, pose) {
+			if o.ID < 0 {
+				continue
+			}
+			seen++
+			if math.Abs(o.Range-10) > 1.5 || math.Abs(o.Bearing) > 0.1 {
+				t.Fatalf("range, bearing = %v, %v, want ~10, ~0", o.Range, o.Bearing)
+			}
+			want := mathx.Vec2{X: o.Range * math.Cos(o.Bearing), Y: o.Range * math.Sin(o.Bearing)}
+			if o.Pos.DistTo(want) > 1e-6 {
+				t.Fatalf("vehicle-frame pos = %v, want %v", o.Pos, want)
+			}
+			wantWorld := mathx.Vec2{X: o.Range * math.Cos(o.Bearing+pose.Heading), Y: o.Range * math.Sin(o.Bearing+pose.Heading)}
+			if back := ToWorld(pose, o.Pos); back.DistTo(wantWorld) > 1e-6 {
+				t.Fatalf("ToWorld = %v, want %v", back, wantWorld)
+			}
+		}
 	}
-	if math.Abs(objs[0].Pos.X-10) > 1e-6 || math.Abs(objs[0].Pos.Y) > 1e-6 {
-		t.Fatalf("vehicle-frame pos = %v, want (10,0)", objs[0].Pos)
-	}
-	back := ToWorld(pose, objs[0].Pos)
-	if back.DistTo(mathx.Vec2{X: 0, Y: 10}) > 1e-6 {
-		t.Fatalf("ToWorld = %v", back)
+	if seen == 0 {
+		t.Fatal("the object dead ahead was never detected")
 	}
 }
 
@@ -116,14 +124,14 @@ func TestClassConfusion(t *testing.T) {
 	w := &world.World{}
 	w.AddCutInPedestrian(10, 0, 0) // pedestrian standing at x=10, y=-3... place in view
 	w.Obstacles[0].Traj = world.StaticTrajectory(mathx.Vec2{X: 10})
-	cfg := DefaultConfig()
-	cfg.FalsePositiveRate = 0
-	cfg.Recall = 1
-	d := New(cfg, w, sim.NewRNG(6))
-	wrong := 0
-	n := 3000
-	for i := 0; i < n; i++ {
+	d := New(Config{}, w, sim.NewRNG(6))
+	wrong, n := 0, 0
+	for i := 0; i < 3000; i++ {
 		for _, o := range d.DetectInto(nil, 0, world.Pose{}) {
+			if o.ID < 0 {
+				continue // a hallucination's kind is not a label of the pedestrian
+			}
+			n++
 			if o.Kind != world.KindPedestrian {
 				wrong++
 			}

@@ -1,10 +1,6 @@
 package detect
 
-import (
-	"sort"
-
-	"sov/internal/nn"
-)
+import "sov/internal/nn"
 
 // BBox is an axis-aligned detection box in normalized image coordinates.
 type BBox struct {
@@ -104,34 +100,13 @@ func DecodeGridInto(dst []BBox, cells []nn.GridBox, objThreshold float32) []BBox
 	return dst
 }
 
-// NMS performs class-aware greedy non-maximum suppression: boxes are taken
-// in descending score order; a box is suppressed when it overlaps an
-// already-kept box of the same class by more than iouThreshold.
-func NMS(boxes []BBox, iouThreshold float32) []BBox {
-	sorted := make([]BBox, len(boxes))
-	copy(sorted, boxes)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
-	var kept []BBox
-	for _, b := range sorted {
-		ok := true
-		for _, k := range kept {
-			if k.Class == b.Class && IoU(k, b) > iouThreshold {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			kept = append(kept, b)
-		}
-	}
-	return kept
-}
-
-// NMSInto is the reusing variant of NMS: kept boxes append to dst and the
-// score-ordering pass borrows *scratch (both grown as needed and handed
-// back). The sort is an insertion sort — stable, like NMS's
-// sort.SliceStable, so the output is byte-identical — and allocation-free
-// once the scratch has warmed to the working-set size.
+// NMSInto performs class-aware greedy non-maximum suppression: boxes are
+// taken in descending score order, ties in input order; a box is suppressed
+// when it overlaps an already-kept box of the same class by more than
+// iouThreshold. Kept boxes append to dst and the score-ordering pass
+// borrows *scratch (both grown as needed and handed back), so the call is
+// allocation-free once the scratch has warmed to the working-set size. The
+// input is not reordered.
 func NMSInto(dst, boxes []BBox, iouThreshold float32, scratch *[]BBox) []BBox {
 	sorted := append((*scratch)[:0], boxes...)
 	*scratch = sorted
@@ -166,5 +141,5 @@ func NMSInto(dst, boxes []BBox, iouThreshold float32, scratch *[]BBox) []BBox {
 // models field accuracy.
 func RunCNN(model *nn.YOLOHead, input *nn.Tensor, objThreshold, iouThreshold float32) []BBox {
 	cells := model.Infer(input)
-	return NMS(DecodeGrid(cells, objThreshold), iouThreshold)
+	return NMSInto(nil, DecodeGrid(cells, objThreshold), iouThreshold, new([]BBox))
 }

@@ -45,7 +45,7 @@ func TestNMSSuppressesSameClassOverlaps(t *testing.T) {
 		{X0: 0.11, Y0: 0.11, X1: 0.31, Y1: 0.31, Score: 0.8, Class: 0}, // duplicate
 		{X0: 0.6, Y0: 0.6, X1: 0.8, Y1: 0.8, Score: 0.7, Class: 0},     // separate object
 	}
-	kept := NMS(boxes, 0.5)
+	kept := NMSInto(nil, boxes, 0.5, new([]BBox))
 	if len(kept) != 2 {
 		t.Fatalf("kept = %d, want 2", len(kept))
 	}
@@ -59,17 +59,17 @@ func TestNMSKeepsDifferentClasses(t *testing.T) {
 		{X0: 0.1, Y0: 0.1, X1: 0.3, Y1: 0.3, Score: 0.9, Class: 0},
 		{X0: 0.1, Y0: 0.1, X1: 0.3, Y1: 0.3, Score: 0.8, Class: 1},
 	}
-	if kept := NMS(boxes, 0.5); len(kept) != 2 {
+	if kept := NMSInto(nil, boxes, 0.5, new([]BBox)); len(kept) != 2 {
 		t.Fatalf("class-aware NMS kept %d, want 2", len(kept))
 	}
 }
 
 func TestNMSEmptyAndDoesNotMutate(t *testing.T) {
-	if got := NMS(nil, 0.5); len(got) != 0 {
+	if got := NMSInto(nil, nil, 0.5, new([]BBox)); len(got) != 0 {
 		t.Fatal("empty NMS")
 	}
 	boxes := []BBox{{Score: 0.1}, {Score: 0.9}}
-	NMS(boxes, 0.5)
+	NMSInto(nil, boxes, 0.5, new([]BBox))
 	if boxes[0].Score != 0.1 {
 		t.Fatal("NMS mutated input order")
 	}

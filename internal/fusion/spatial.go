@@ -7,8 +7,6 @@
 package fusion
 
 import (
-	"sort"
-
 	"sov/internal/detect"
 	"sov/internal/mathx"
 	"sov/internal/track"
@@ -20,74 +18,27 @@ type Match struct {
 	Track     track.RadarTrack
 }
 
-// SpatialSyncConfig tunes the matcher.
-type SpatialSyncConfig struct {
-	// MaxDistance gates a pairing, in meters after projection.
-	MaxDistance float64
-	// RadarMount is the radar's position offset in the vehicle frame
+// SpatialSyncConfig is empty: the gate and the mounts are the constants
+// below.
+//
+// Deprecated: kept so the benchmark's call of SpatialSyncInto compiles
+// (ROADMAP item 7).
+type SpatialSyncConfig struct{}
+
+// DefaultSpatialSyncConfig returns the empty SpatialSyncConfig.
+func DefaultSpatialSyncConfig() SpatialSyncConfig { return SpatialSyncConfig{} }
+
+// The deployed matcher: the forward radar sits on the bumper and the stereo
+// camera at the windshield.
+const (
+	// maxDistance gates a pairing, in meters after projection.
+	maxDistance float64 = 1.5
+	// radarMountX is the radar's position offset in the vehicle frame
 	// (the projection from radar coordinates to camera coordinates).
-	RadarMount mathx.Vec2
-	// CameraMount is the camera's position offset in the vehicle frame.
-	CameraMount mathx.Vec2
-}
-
-// DefaultSpatialSyncConfig places the forward radar on the bumper and the
-// stereo camera at the windshield.
-func DefaultSpatialSyncConfig() SpatialSyncConfig {
-	return SpatialSyncConfig{
-		MaxDistance: 1.5,
-		RadarMount:  mathx.Vec2{X: 2.0},
-		CameraMount: mathx.Vec2{X: 0.8},
-	}
-}
-
-// SpatialSync projects radar tracks into the camera frame and greedily
-// matches them with vision detections by Euclidean distance (smallest cost
-// first, each side used at most once). It returns the matches plus the
-// unmatched leftovers from both sides. The entire operation is a few
-// hundred arithmetic operations — the paper measures ~1 ms on the CPU,
-// about 100× cheaper than running KCF.
-func SpatialSync(cfg SpatialSyncConfig, dets []detect.Object, tracks []track.RadarTrack) (matches []Match, unmatchedDets []detect.Object, unmatchedTracks []track.RadarTrack) {
-	type cand struct {
-		di, ti int
-		d      float64
-	}
-	var cands []cand
-	for di, d := range dets {
-		// Detection position is camera-relative; shift to vehicle frame.
-		dPos := d.Pos.Add(cfg.CameraMount)
-		for ti, tr := range tracks {
-			// Track position is radar-relative; shift to vehicle frame.
-			tPos := tr.Pos.Add(cfg.RadarMount)
-			dist := dPos.DistTo(tPos)
-			if dist <= cfg.MaxDistance {
-				cands = append(cands, cand{di: di, ti: ti, d: dist})
-			}
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	usedD := make([]bool, len(dets))
-	usedT := make([]bool, len(tracks))
-	for _, c := range cands {
-		if usedD[c.di] || usedT[c.ti] {
-			continue
-		}
-		usedD[c.di] = true
-		usedT[c.ti] = true
-		matches = append(matches, Match{Detection: dets[c.di], Track: tracks[c.ti]})
-	}
-	for i, d := range dets {
-		if !usedD[i] {
-			unmatchedDets = append(unmatchedDets, d)
-		}
-	}
-	for i, tr := range tracks {
-		if !usedT[i] {
-			unmatchedTracks = append(unmatchedTracks, tr)
-		}
-	}
-	return matches, unmatchedDets, unmatchedTracks
-}
+	radarMountX float64 = 2.0
+	// cameraMountX is the camera's position offset in the vehicle frame.
+	cameraMountX float64 = 0.8
+)
 
 type syncCand struct {
 	di, ti int
@@ -117,20 +68,26 @@ func growBools(s []bool, n int) []bool {
 	return s
 }
 
-// SpatialSyncInto is the reusing variant of SpatialSync. The candidate sort
-// is an insertion sort on the matching cost — deterministic (and stable,
-// which sort.Slice does not guarantee on ties), so results are reproducible
-// bit-for-bit across runs and worker counts.
-func (sc *SyncScratch) SpatialSyncInto(cfg SpatialSyncConfig, dets []detect.Object, tracks []track.RadarTrack) (matches []Match, unmatchedDets []detect.Object, unmatchedTracks []track.RadarTrack) {
+// SpatialSyncInto projects radar tracks into the camera frame and greedily
+// matches them with vision detections by Euclidean distance (smallest cost
+// first, ties in (detection, track) order, each side used at most once). It
+// returns the matches plus the unmatched leftovers from both sides. The
+// entire operation is a few hundred arithmetic operations — the paper
+// measures ~1 ms on the CPU, about 100× cheaper than running KCF. The
+// candidate sort is a stable insertion sort on the matching cost, so
+// results are reproducible bit-for-bit across runs and worker counts. The
+// SpatialSyncConfig is ignored.
+func (sc *SyncScratch) SpatialSyncInto(_ SpatialSyncConfig, dets []detect.Object, tracks []track.RadarTrack) (matches []Match, unmatchedDets []detect.Object, unmatchedTracks []track.RadarTrack) {
+	cameraMount, radarMount := mathx.Vec2{X: cameraMountX}, mathx.Vec2{X: radarMountX}
 	cands := sc.cands[:0]
 	for di, d := range dets {
 		// Detection position is camera-relative; shift to vehicle frame.
-		dPos := d.Pos.Add(cfg.CameraMount)
+		dPos := d.Pos.Add(cameraMount)
 		for ti, tr := range tracks {
 			// Track position is radar-relative; shift to vehicle frame.
-			tPos := tr.Pos.Add(cfg.RadarMount)
+			tPos := tr.Pos.Add(radarMount)
 			dist := dPos.DistTo(tPos)
-			if dist <= cfg.MaxDistance {
+			if dist <= maxDistance {
 				cands = append(cands, syncCand{di: di, ti: ti, d: dist})
 			}
 		}

@@ -1,26 +1,27 @@
 package planning
 
 import (
-	"fmt"
 	"math"
 
 	"sov/internal/canbus"
 	"sov/internal/mathx"
 )
 
-// MPCConfig sizes the receding-horizon controller.
-type MPCConfig struct {
-	Horizon int     // steps; NewMPC reads it, and its planner keeps that horizon
-	Dt      float64 // seconds per step; every Plan reads it
-}
+// MPCConfig is empty: the horizon and step are the constants below.
+//
+// Deprecated: kept so the benchmark's calls of NewMPC compile (ROADMAP
+// item 7).
+type MPCConfig struct{}
 
-// DefaultMPCConfig matches the deployed planner: a 2-second horizon at
-// 10 Hz, coarse enough for lane-granularity maneuvers and cheap enough for
-// the ~3 ms planning budget of Fig. 10a.
-func DefaultMPCConfig() MPCConfig { return MPCConfig{Horizon: 20, Dt: 0.1} }
+// DefaultMPCConfig returns the empty MPCConfig.
+func DefaultMPCConfig() MPCConfig { return MPCConfig{} }
 
-// The deployed MPC's iteration budget, cost weights and control limits.
+// The deployed MPC: a 2-second horizon at 10 Hz, coarse enough for
+// lane-granularity maneuvers and cheap enough for the ~3 ms planning budget
+// of Fig. 10a; its iteration budget, cost weights and control limits.
 const (
+	horizon              = 20   // steps
+	dt           float64 = 0.1  // seconds per step
 	mpcIters             = 5    // gradient iterations
 	eps          float64 = 1e-3 // finite-difference step of the gradient probes
 	wSpeed       float64 = 1.0
@@ -40,7 +41,6 @@ const safeDistance float64 = 2.0
 // and steering-rate sequences with a quadratic tracking cost and an
 // obstacle barrier.
 type MPC struct {
-	Cfg MPCConfig
 	// warm-start buffers reused across cycles.
 	accel, steer []float64
 	// traj is the rollout buffer reused across cycles; each Plan's Traj
@@ -57,7 +57,7 @@ type MPC struct {
 
 // headingTrig is one memoised math.Sincos result. It is keyed on the bit
 // pattern of the heading, so a hit is the value Sincos would return whatever
-// happened to the controls or Cfg since it was stored, and -0 and +0 (whose
+// happened to the controls since it was stored, and -0 and +0 (whose
 // sines differ in sign) stay apart.
 type headingTrig struct {
 	key      uint64
@@ -76,19 +76,15 @@ func newTrigMemo(n int) []headingTrig {
 	return memo
 }
 
-// NewMPC returns a planner with the given configuration.
-func NewMPC(cfg MPCConfig) *MPC {
-	if cfg.Horizon < 1 || cfg.Dt <= 0 {
-		panic(fmt.Sprintf("planning: invalid MPC config: Horizon=%d Dt=%v", cfg.Horizon, cfg.Dt))
-	}
+// NewMPC returns the deployed planner. The MPCConfig is ignored.
+func NewMPC(MPCConfig) *MPC {
 	return &MPC{
-		Cfg:   cfg,
-		accel: make([]float64, cfg.Horizon),
-		steer: make([]float64, cfg.Horizon),
-		traj:  make([]TrajPoint, cfg.Horizon),
-		trig:  newTrigMemo(cfg.Horizon),
-		cand:  newTrigMemo(cfg.Horizon),
-		probe: newTrigMemo(cfg.Horizon * cfg.Horizon),
+		accel: make([]float64, horizon),
+		steer: make([]float64, horizon),
+		traj:  make([]TrajPoint, horizon),
+		trig:  newTrigMemo(horizon),
+		cand:  newTrigMemo(horizon),
+		probe: newTrigMemo(horizon * horizon),
 	}
 }
 
@@ -138,7 +134,6 @@ func obstacleCost(c, s, d, t float64, obs []Obstacle) float64 {
 // cost term is ≥ 0 or NaN and rounded addition is monotone, so the full
 // rollout's cost would not be below stop either.
 func (m *MPC) roll(in Input, st rollState, from, to int, memo []headingTrig, stop float64) rollState {
-	dt := m.Cfg.Dt
 	s, d, v, h, c := st.s, st.d, st.v, st.h, st.c
 	for k := from; k < to; k++ {
 		a, w := m.accel[k], m.steer[k]
@@ -184,7 +179,7 @@ func (m *MPC) costFrom(in Input, st rollState, k int, memo []headingTrig, stop f
 // are the current sequence's and read trig; the steer probe's are its own
 // and read its row of probe.
 func (m *MPC) probes(in Input, pre rollState, k int) (ca, cs float64) {
-	dt, n := m.Cfg.Dt, len(m.accel)
+	n := len(m.accel)
 	// One length for every slice the loop indexes, so it has no bounds checks.
 	accel, steer, trig, row := m.accel, m.steer[:n], m.trig[:n], m.probe[k*n:(k+1)*n]
 	aa, ws := accel[k]+eps, steer[k]+eps
@@ -245,7 +240,7 @@ func (m *MPC) probes(in Input, pre rollState, k int) (ca, cs float64) {
 // horizon; a candidate's rollout stops once it costs more than the current
 // sequence; and every rollout reads its sin, cos from a heading memo.
 func (m *MPC) Plan(in Input) Plan {
-	n := len(m.accel) // the horizon NewMPC sized every buffer for
+	n := len(m.accel) // the horizon
 	// Warm start: shift the previous solution one step.
 	copy(m.accel, m.accel[1:])
 	copy(m.steer, m.steer[1:])
@@ -288,7 +283,7 @@ func (m *MPC) Plan(in Input) Plan {
 			// No later step of the sweep moves it, so the last sweep's
 			// advance is the rollout of the final sequence: the trajectory.
 			pre = m.roll(in, pre, k, k+1, m.trig, inf)
-			m.traj[k] = TrajPoint{T: m.Cfg.Dt * float64(k+1), S: pre.s, D: pre.d}
+			m.traj[k] = TrajPoint{T: dt * float64(k+1), S: pre.s, D: pre.d}
 		}
 		if !improved {
 			lr /= 2

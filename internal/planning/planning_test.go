@@ -276,23 +276,19 @@ func TestEMPlannerSpeedsNonNegative(t *testing.T) {
 // horizon with separate math.Cos/math.Sin calls. It is kept verbatim as the
 // oracle TestPlanBitIdenticalToFullRollout holds MPC.Plan to.
 type fullRolloutMPC struct {
-	Cfg          MPCConfig
 	accel, steer []float64
 	traj         []TrajPoint
 }
 
-func newFullRolloutMPC(cfg MPCConfig) *fullRolloutMPC {
+func newFullRolloutMPC() *fullRolloutMPC {
 	return &fullRolloutMPC{
-		Cfg:   cfg,
-		accel: make([]float64, cfg.Horizon),
-		steer: make([]float64, cfg.Horizon),
-		traj:  make([]TrajPoint, cfg.Horizon),
+		accel: make([]float64, horizon),
+		steer: make([]float64, horizon),
+		traj:  make([]TrajPoint, horizon),
 	}
 }
 
 func (m *fullRolloutMPC) cost(in Input, accel, steer []float64) float64 {
-	cfg := m.Cfg
-	dt := cfg.Dt
 	s, d, v, h := 0.0, in.LaneOffset, in.Speed, in.HeadingErr
 	c := 0.0
 	for k := range accel {
@@ -322,7 +318,6 @@ func (m *fullRolloutMPC) cost(in Input, accel, steer []float64) float64 {
 }
 
 func (m *fullRolloutMPC) Plan(in Input) Plan {
-	cfg := m.Cfg
 	if in.LaneWidth == 0 {
 		in.LaneWidth = 3
 	}
@@ -335,7 +330,7 @@ func (m *fullRolloutMPC) Plan(in Input) Plan {
 	const eps = 1e-3
 	for it := 0; it < mpcIters; it++ {
 		improved := false
-		for k := 0; k < cfg.Horizon; k++ {
+		for k := 0; k < horizon; k++ {
 			// Numerical gradient for accel[k].
 			m.accel[k] += eps
 			ca := m.cost(in, m.accel, m.steer)
@@ -367,7 +362,7 @@ func (m *fullRolloutMPC) Plan(in Input) Plan {
 		}
 	}
 
-	traj := simulateInto(m.traj, in, m.accel, m.steer, cfg.Dt)
+	traj := simulateInto(m.traj, in, m.accel, m.steer, dt)
 	collides, _ := CollisionCheck(traj, in.Obstacles, 0.5)
 	const wheelBase = 1.8
 	v := math.Max(in.Speed, 0.5)
@@ -443,8 +438,8 @@ type planPair struct {
 	want *fullRolloutMPC
 }
 
-func newPlanPair(cfg MPCConfig) planPair {
-	return planPair{NewMPC(cfg), newFullRolloutMPC(cfg)}
+func newPlanPair() planPair {
+	return planPair{NewMPC(DefaultMPCConfig()), newFullRolloutMPC()}
 }
 
 // warm sets every control of both warm starts.
@@ -495,7 +490,7 @@ func (pp planPair) plan(t *testing.T, where string, in Input) Plan {
 func (pp planPair) pinned(in Input) (heading, steer int) {
 	h := in.HeadingErr
 	for _, w := range pp.got.steer {
-		h = mathx.Clamp(h+w*pp.got.Cfg.Dt, -2.5, 2.5)
+		h = mathx.Clamp(h+w*dt, -2.5, 2.5)
 		if math.Abs(h) == 2.5 {
 			heading++
 		}
@@ -512,7 +507,7 @@ func (pp planPair) pinned(in Input) (heading, steer int) {
 func (pp planPair) octants(in Input) (kernel, fallback int) {
 	h := in.HeadingErr
 	for _, w := range pp.got.steer {
-		h = mathx.Clamp(h+w*pp.got.Cfg.Dt, -2.5, 2.5)
+		h = mathx.Clamp(h+w*dt, -2.5, 2.5)
 		if firstOctant(h) {
 			kernel++
 		} else {
@@ -533,7 +528,7 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 		blocked := 0
 		for seed := int64(0); seed < runs; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			pp := newPlanPair(DefaultMPCConfig())
+			pp := newPlanPair()
 			for c := 0; c < cycles; c++ {
 				if pp.plan(t, fmt.Sprintf("seed %d cycle %d", seed, c), randomPlanInput(rng)).Blocked {
 					blocked++
@@ -551,10 +546,9 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 	// heading, and a candidate clamped to the limit it already sat on is the
 	// ns == olds path.
 	t.Run("heading and steer pinned", func(t *testing.T) {
-		cfg := DefaultMPCConfig()
 		headings, steers := 0, 0
 		for _, sign := range []float64{1, -1} {
-			pp := newPlanPair(cfg)
+			pp := newPlanPair()
 			pp.warm(0, sign*maxSteerRate)
 			for c := 0; c < 8; c++ {
 				in := Input{Speed: 8, TargetSpeed: 8, LaneOffset: sign * 1.5,
@@ -576,7 +570,7 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 	t.Run("heading across π/4", func(t *testing.T) {
 		crossing := 0
 		for _, sign := range []float64{1, -1} {
-			pp := newPlanPair(DefaultMPCConfig())
+			pp := newPlanPair()
 			for c := 0; c < 8; c++ {
 				in := Input{Speed: 6, TargetSpeed: 6, LaneOffset: sign * 0.5,
 					HeadingErr: sign * (0.79 + 0.02*float64(c))}
@@ -601,7 +595,7 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 		for _, h := range []float64{0, negZero} {
 			for _, steer := range []float64{0, negZero} {
 				for _, offset := range []float64{0, negZero, 0.7} {
-					pp := newPlanPair(DefaultMPCConfig())
+					pp := newPlanPair()
 					pp.warm(0, steer)
 					in := Input{Speed: 5.6, TargetSpeed: 5.6, LaneOffset: offset, HeadingErr: h,
 						Obstacles: []Obstacle{{S: 9, D: 2.4, Radius: 0.6}}}
@@ -616,41 +610,13 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 	t.Run("dense obstacles", func(t *testing.T) {
 		for seed := int64(0); seed < 12; seed++ {
 			rng := rand.New(rand.NewSource(1000 + seed))
-			pp := newPlanPair(DefaultMPCConfig())
+			pp := newPlanPair()
 			for c := 0; c < 4; c++ {
 				in := randomPlanInput(rng)
 				for n := 16 + rng.Intn(17); len(in.Obstacles) < n; {
 					in.Obstacles = append(in.Obstacles, randomObstacle(rng))
 				}
 				pp.plan(t, fmt.Sprintf("seed %d cycle %d, %d obstacles", seed, c, len(in.Obstacles)), in)
-			}
-		}
-	})
-
-	// Cfg is an exported field: a caller may retune it between cycles, and
-	// the memo filled under the old Dt must not answer for the new one.
-	t.Run("Dt mutated between plans", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(7))
-		pp := newPlanPair(DefaultMPCConfig())
-		in := randomPlanInput(rng)
-		for c, dt := range []float64{0.1, 0.05, 0.05, 0.2, 0.1, 0.1} {
-			pp.got.Cfg.Dt, pp.want.Cfg.Dt = dt, dt
-			pp.plan(t, fmt.Sprintf("cycle %d, Dt %v", c, dt), in) // the same scene again: only Dt moved the headings
-			if c%2 == 1 {
-				in = randomPlanInput(rng)
-			}
-		}
-	})
-
-	// NewMPC sized every buffer for the horizon it was given; a later
-	// Cfg.Horizon must neither index past them nor narrow the sweep.
-	t.Run("Horizon mutated between plans", func(t *testing.T) {
-		for seed := int64(0); seed < 20; seed++ {
-			rng := rand.New(rand.NewSource(2000 + seed))
-			pp := newPlanPair(DefaultMPCConfig())
-			for c, horizon := range []int{20, 30, 30, 10, 10, 20} {
-				pp.got.Cfg.Horizon = horizon
-				pp.plan(t, fmt.Sprintf("seed %d cycle %d, Horizon %d", seed, c, horizon), randomPlanInput(rng))
 			}
 		}
 	})
@@ -671,7 +637,7 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 			{Input{Speed: math.NaN(), TargetSpeed: 5, HeadingErr: -0.2}, "NaN"},
 		} {
 			rng := rand.New(rand.NewSource(int64(3000 + i)))
-			pp := newPlanPair(DefaultMPCConfig())
+			pp := newPlanPair()
 			for c := 0; c < 4; c++ {
 				in := sc.in
 				if c >= 2 {
@@ -691,9 +657,7 @@ func TestPlanBitIdenticalToFullRollout(t *testing.T) {
 // most 32), then follows the plan for a few cycles as the vehicle would, so
 // the warm start and the memo carry over from one Plan to the next.
 func FuzzPlanMatchesFullRollout(f *testing.F) {
-	f.Fuzz(func(t *testing.T, speed, laneOffset, headingErr, targetSpeed float64, horizon uint8, obstacles []byte) {
-		cfg := DefaultMPCConfig()
-		cfg.Horizon = 1 + int(horizon)%24
+	f.Fuzz(func(t *testing.T, speed, laneOffset, headingErr, targetSpeed float64, obstacles []byte) {
 		in := Input{Speed: speed, LaneOffset: laneOffset, HeadingErr: headingErr, TargetSpeed: targetSpeed}
 		unit := func(x byte) float64 { return float64(x) / 255 }
 		for b := obstacles; len(b) >= 5 && len(in.Obstacles) < 32; b = b[5:] {
@@ -705,15 +669,15 @@ func FuzzPlanMatchesFullRollout(f *testing.F) {
 				Radius: 0.3 + unit(b[4]),
 			})
 		}
-		pp := newPlanPair(cfg)
+		pp := newPlanPair()
 		for c := 0; c < 4; c++ {
 			p := pp.plan(t, fmt.Sprintf("cycle %d", c), in)
-			in.Speed, in.LaneOffset = mathx.Clamp(in.Speed+p.Cmd.AccelMps2*cfg.Dt, 0, 12), p.Traj[0].D
-			in.HeadingErr = mathx.Clamp(in.HeadingErr+pp.got.steer[0]*cfg.Dt, -2.5, 2.5)
+			in.Speed, in.LaneOffset = mathx.Clamp(in.Speed+p.Cmd.AccelMps2*dt, 0, 12), p.Traj[0].D
+			in.HeadingErr = mathx.Clamp(in.HeadingErr+pp.got.steer[0]*dt, -2.5, 2.5)
 			for i := range in.Obstacles {
 				o := &in.Obstacles[i]
-				o.S += o.VS*cfg.Dt - p.Traj[0].S
-				o.D += o.VD * cfg.Dt
+				o.S += o.VS*dt - p.Traj[0].S
+				o.D += o.VD * dt
 			}
 		}
 	})
@@ -754,24 +718,5 @@ func TestPlanZeroAlloc(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("Plan allocates %v times per call, want 0", allocs)
-	}
-}
-
-func TestNewMPCPanicsOnBadConfig(t *testing.T) {
-	for _, mut := range []func(*MPCConfig){
-		func(c *MPCConfig) { c.Horizon = 0 },
-		func(c *MPCConfig) { c.Dt = 0 },
-		func(c *MPCConfig) { c.Dt = -0.1 },
-	} {
-		cfg := DefaultMPCConfig()
-		mut(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewMPC(%+v) did not panic", cfg)
-				}
-			}()
-			NewMPC(cfg)
-		}()
 	}
 }

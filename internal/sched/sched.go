@@ -3,14 +3,15 @@
 // dataflow over the platform.Catalog processors and re-evaluates the
 // task-to-processor mapping every cycle window from *observed* virtual-time
 // latencies instead of the static Fig. 6 table. Two decisions are made at
-// window boundaries, both deterministic functions of EWMA state accumulated
-// on the engine thread in cycle order:
+// window boundaries, both deterministic functions of state accumulated on
+// the engine thread in cycle order:
 //
-//   - remapping: per-task latency EWMAs, normalized back to the baseline
-//     GPU/FPGA float operating point, are projected onto every candidate
-//     (SU, Loc) processor pair — GPU contention included in the *candidate*
-//     scoring via platform.Contended, so scoring and final evaluation cannot
-//     diverge — and the mapping moves to the strictly best candidate.
+//   - remapping: the last cycle's per-task latencies, normalized back to
+//     the baseline GPU/FPGA float operating point, are projected onto every
+//     candidate (SU, Loc) processor pair — GPU contention included in the
+//     *candidate* scoring via platform.Contended, so scoring and final
+//     evaluation cannot diverge — and the mapping moves to the strictly
+//     best candidate.
 //
 //   - operating point: a lumped thermal model (models.SteadyTempC) over the
 //     duty-scaled processor powers decides quant↔float switches. Entering the
@@ -19,9 +20,9 @@
 //     temperature — what the enclosure would see if the switch were undone —
 //     to fall below thermalExitC, so the switch can never flap.
 //
-// The estimator rates and thresholds are package constants (DESIGN.md §13);
-// Config holds what a caller sets: cameras, control rate, ambient, window,
-// mapping and the static/quant pins.
+// The window, the duty estimator's rate and the thresholds are package
+// constants (DESIGN.md §13); Config holds what a caller sets: cameras,
+// control rate, ambient, mapping and the static/quant pins.
 //
 // Every input is virtual-class (drawn latencies, keyframe schedule), all
 // state updates happen in BeginCycle/Observe on the engine thread in cycle
@@ -91,9 +92,6 @@ type Config struct {
 	// AmbientC is the enclosure ambient for the thermal model.
 	AmbientC float64
 
-	// WindowCycles is the decision cadence.
-	WindowCycles int
-
 	// Mapping is the initial (SU, Loc) assignment; Static pins it and
 	// disables all online decisions (experiment baselines).
 	Mapping platform.Mapping
@@ -106,20 +104,20 @@ type Config struct {
 // DefaultConfig returns the deployed scheduler parameters.
 func DefaultConfig() Config {
 	return Config{
-		Cameras:      1,
-		ControlRate:  10,
-		AmbientC:     25,
-		WindowCycles: 10,
-		Mapping:      platform.OurDesign(),
+		Cameras:     1,
+		ControlRate: 10,
+		AmbientC:    25,
+		Mapping:     platform.OurDesign(),
 	}
 }
 
-// The deployed estimators and the thermal exit threshold (DESIGN.md §13).
+// The deployed decision cadence, duty estimator and thermal exit threshold
+// (DESIGN.md §13).
 const (
-	// ewmaAlpha smooths the per-task latency estimates.
-	ewmaAlpha float64 = 0.2
-	// dutyAlpha smooths the thermal duty estimates (slower, so single-cycle
-	// spikes do not flap decisions).
+	// windowCycles is the decision cadence, in control cycles.
+	windowCycles = 10
+	// dutyAlpha smooths the thermal duty estimates, so single-cycle spikes
+	// do not flap the operating point.
 	dutyAlpha float64 = 0.05
 	// thermalExitC: the float-equivalent temperature must fall below this
 	// (strictly under the enter ceiling) before quant can be undone.
@@ -163,15 +161,16 @@ type Scheduler struct {
 
 	cycle int
 
-	// Per-task latency EWMAs, normalized to the baseline GPU/FPGA float
-	// per-camera operating point (milliseconds), so candidate scoring is a
-	// pure projection. seeded marks the first observation.
+	// The last cycle's per-task latencies, normalized to the baseline
+	// GPU/FPGA float per-camera operating point (milliseconds), so candidate
+	// scoring is a pure projection.
 	nDepth, nDet, nTrack, nLoc float64
-	seeded                     bool
 
 	// Thermal duty EWMAs: the current mapping's float-equivalent scene-
-	// understanding and localization busy milliseconds per cycle.
+	// understanding and localization busy milliseconds per cycle. The first
+	// observation seeds them, and seeded marks it.
 	suDutyMs, locDutyMs float64
+	seeded              bool
 
 	keyframe bool // this cycle's front-end schedule
 	quant    bool
@@ -186,8 +185,8 @@ type Scheduler struct {
 // New builds a scheduler over the platform catalog. The initial mapping
 // must name catalog processors that support the perception tasks.
 func New(cfg Config) (*Scheduler, error) {
-	if cfg.WindowCycles <= 0 || cfg.ControlRate <= 0 {
-		return nil, fmt.Errorf("sched: config needs positive WindowCycles and ControlRate")
+	if cfg.ControlRate <= 0 {
+		return nil, fmt.Errorf("sched: config needs a positive ControlRate")
 	}
 	if cfg.Cameras < 1 {
 		cfg.Cameras = 1
@@ -263,9 +262,9 @@ func (s *Scheduler) camFactor(c *candidate) float64 {
 	return float64(s.cfg.Cameras)
 }
 
-// score projects the normalized EWMAs onto a candidate at the current
+// score projects the normalized latencies onto a candidate at the current
 // operating point: max(scene understanding, localization) in baseline-
-// equivalent milliseconds. Pure over the EWMA state.
+// equivalent milliseconds. Pure over the observed state.
 func (s *Scheduler) score(c *candidate) float64 {
 	qf := 1.0
 	if s.quant {
@@ -290,7 +289,7 @@ func (s *Scheduler) score(c *candidate) float64 {
 func (s *Scheduler) BeginCycle(_ float64, keyframe bool) (*Transform, Events) {
 	s.cycle++
 	var ev Events
-	if !s.cfg.Static && s.cycle > 1 && (s.cycle-1)%s.cfg.WindowCycles == 0 {
+	if !s.cfg.Static && s.cycle > 1 && (s.cycle-1)%windowCycles == 0 {
 		ev = s.decide()
 	}
 
@@ -305,11 +304,11 @@ func (s *Scheduler) BeginCycle(_ float64, keyframe bool) (*Transform, Events) {
 }
 
 // Observe feeds one cycle's drawn task latencies (post-Transform, pre-RPR
-// swap charge) back into the EWMA state, normalizing the applied mapping,
-// operating-point, and camera factors back out so the estimates stay in
-// baseline GPU/FPGA float per-camera terms. kcf reports whether tracking
-// ran the KCF fallback (mapping-dependent) or radar spatial sync (CPU,
-// mapping-independent).
+// swap charge) back into the scheduler's state, normalizing the applied
+// mapping, operating-point, and camera factors back out so the estimates
+// stay in baseline GPU/FPGA float per-camera terms. kcf reports whether
+// tracking ran the KCF fallback (mapping-dependent) or radar spatial sync
+// (CPU, mapping-independent).
 func (s *Scheduler) Observe(depth, det, track, loc time.Duration, kcf bool) {
 	c := &s.cand[s.cur]
 	qf := 1.0
@@ -321,26 +320,20 @@ func (s *Scheduler) Observe(depth, det, track, loc time.Duration, kcf bool) {
 	trackMs := float64(track) / 1e6
 	locMs := float64(loc) / 1e6
 
-	nd := depthMs * qf / c.depthR
-	ndet := detMs * qf / (c.detR * s.camFactor(c))
-	ntrk := trackMs
+	s.nDepth = depthMs * qf / c.depthR
+	s.nDet = detMs * qf / (c.detR * s.camFactor(c))
+	s.nTrack = trackMs
 	if kcf {
-		ntrk = trackMs / c.trackR
+		s.nTrack = trackMs / c.trackR
 	}
-	nloc := locMs / c.locR
+	s.nLoc = locMs / c.locR
 
-	a := ewmaAlpha
 	if !s.seeded {
-		s.nDepth, s.nDet, s.nTrack, s.nLoc = nd, ndet, ntrk, nloc
 		s.suDutyMs = s.floatSU(depthMs, detMs, trackMs, qf)
 		s.locDutyMs = locMs
 		s.seeded = true
 		return
 	}
-	s.nDepth += a * (nd - s.nDepth)
-	s.nDet += a * (ndet - s.nDet)
-	s.nTrack += a * (ntrk - s.nTrack)
-	s.nLoc += a * (nloc - s.nLoc)
 
 	// Thermal duty tracks the *float-equivalent* busy time of the current
 	// mapping, so the exit condition evaluates the world where the quant
@@ -361,7 +354,7 @@ func (s *Scheduler) floatSU(depthMs, detMs, trackMs, qf float64) float64 {
 }
 
 // decide runs at window boundaries: operating point, then mapping. Pure
-// over the EWMA state.
+// over the observed state.
 func (s *Scheduler) decide() Events {
 	var ev Events
 	s.stats.Windows++

@@ -60,11 +60,6 @@ func TestNewRejectsUnknownMapping(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted a mapping outside the catalog")
 	}
-	cfg = DefaultConfig()
-	cfg.WindowCycles = 0
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted WindowCycles=0")
-	}
 }
 
 // TestCandidatesNameOrdered pins the determinism prerequisite of the remap
@@ -153,7 +148,7 @@ func TestThermalOpPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturated scene: 700 ms float-equivalent detection stalls.
-	drive(s, 2*cfg.WindowCycles, 1, 40, 700, 17, 31)
+	drive(s, 2*windowCycles, 1, 40, 700, 17, 31)
 	if !s.Snapshot().Quantized {
 		t.Fatalf("no quant entry under thermal pressure (temp %.1fC)", s.Snapshot().TempC)
 	}
@@ -161,13 +156,13 @@ func TestThermalOpPoint(t *testing.T) {
 		t.Fatalf("entered quant below the ceiling: %.1fC", s.Snapshot().TempC)
 	}
 	sw := s.Snapshot().OpSwitches
-	drive(s, 10*cfg.WindowCycles, 1, 40, 700, 17, 31)
+	drive(s, 10*windowCycles, 1, 40, 700, 17, 31)
 	if got := s.Snapshot().OpSwitches; got != sw {
 		t.Fatalf("operating point flapped under sustained load: %d -> %d switches", sw, got)
 	}
 	// Load subsides: the duty EWMA decays, the float-equivalent projection
 	// drops below thermalExitC, and the point floats again — once.
-	calm(s, 40*cfg.WindowCycles)
+	calm(s, 40*windowCycles)
 	st := s.Snapshot()
 	if st.Quantized || st.OpSwitches != sw+1 {
 		t.Fatalf("no clean thermal exit: %+v", st)
@@ -190,7 +185,7 @@ func TestQuantFloorNeverFloats(t *testing.T) {
 	if !s.Snapshot().Quantized {
 		t.Fatal("QuantFloor did not start quantized")
 	}
-	calm(s, 20*cfg.WindowCycles)
+	calm(s, 20*windowCycles)
 	if st := s.Snapshot(); !st.Quantized || st.OpSwitches != 0 {
 		t.Fatalf("QuantFloor floated: %+v", st)
 	}

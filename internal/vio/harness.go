@@ -14,11 +14,18 @@ import (
 // Trajectory yields the ground-truth pose and angular velocity at time t.
 type Trajectory func(t time.Duration) (world.Pose, mathx.Vec3)
 
+// The deployed sensor periods: a 240 Hz IMU triggers a 30 Hz camera through
+// the synchronizer's 8× downsample (Sec. VI-A), and GPS fixes arrive at
+// 10 Hz. The integer quotients truncate to whole nanoseconds.
+const (
+	imuDT = time.Second / 240
+	camDT = time.Second / 30
+	gpsDT = time.Second / 10
+)
+
 // RunOptions configures a closed-loop trajectory run.
 type RunOptions struct {
 	Duration time.Duration
-	// IMURate / CamRate in Hz (240 / 30 deployed).
-	IMURate, CamRate float64
 	// CameraTimestampOffset models camera–IMU desynchronization: a frame
 	// physically captured at t is fused as if captured at t+offset
 	// (Fig. 11b sweeps this). Under software-only synchronization the
@@ -30,8 +37,6 @@ type RunOptions struct {
 	CameraTimestampOffset time.Duration
 	// GPS, when non-nil, is fused at 10 Hz (the GPS-VIO hybrid).
 	GPS *sensors.GPS
-	// GPSRate in Hz (default 10 when GPS is set).
-	GPSRate float64
 }
 
 // RunResult summarizes a trajectory run.
@@ -50,16 +55,6 @@ type RunResult struct {
 func RunTrajectory(imuCfg sensors.IMUConfig, traj Trajectory, w *world.World,
 	opt RunOptions, rng *sim.RNG) RunResult {
 
-	if opt.IMURate <= 0 {
-		opt.IMURate = 240
-	}
-	if opt.CamRate <= 0 {
-		opt.CamRate = 30
-	}
-	if opt.GPS != nil && opt.GPSRate <= 0 {
-		opt.GPSRate = 10
-	}
-
 	imu := sensors.NewIMU(imuCfg, rng.Fork())
 	obsRNG := rng.Fork()
 
@@ -68,13 +63,6 @@ func RunTrajectory(imuCfg sensors.IMUConfig, traj Trajectory, w *world.World,
 	// Seed the initial velocity from the trajectory (wheel odometry).
 	p1, _ := traj(10 * time.Millisecond)
 	filter.SetVelocity(p1.Pos.Sub(startPose.Pos).Scale(100))
-
-	imuDT := time.Duration(float64(time.Second) / opt.IMURate)
-	camDT := time.Duration(float64(time.Second) / opt.CamRate)
-	var gpsDT time.Duration
-	if opt.GPS != nil {
-		gpsDT = time.Duration(float64(time.Second) / opt.GPSRate)
-	}
 
 	res := RunResult{Errors: stats.NewSample()}
 	nextCam := camDT

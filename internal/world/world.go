@@ -102,7 +102,10 @@ func (l Lane) Contains(p mathx.Vec2) bool {
 
 // World is the complete synthetic environment.
 type World struct {
-	Lanes     []Lane
+	Lanes []Lane
+	// Obstacles are only ever appended to. A Frame knows an instant by its
+	// time and the list's length, so a caller that replaces or reorders the
+	// list must build new frames over the world.
 	Obstacles []*Obstacle
 	// Landmarks are the 3-D visual features VIO localizes against.
 	Landmarks []mathx.Vec3
@@ -191,6 +194,10 @@ func NewFrame(w *World) *Frame { return &Frame{w: w, winN: -1} }
 
 // At returns every obstacle's state at t, index-aligned with World.Obstacles
 // (a world that grew is resampled), valid until the next call with another t.
+// The samples and the window are keyed on (t, len(World.Obstacles)), which
+// holds because obstacles are only appended: after the list is replaced
+// with one of the same length, the frame would answer from the old list, so
+// such a caller needs a new frame.
 func (f *Frame) At(t time.Duration) []ObstacleState {
 	obstacles := f.w.Obstacles
 	if f.t == t && len(f.states) == len(obstacles) {

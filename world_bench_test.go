@@ -30,7 +30,7 @@ type worldQuery struct {
 
 // controlPeriodQueries lists the period starting at t0 in the order
 // core.SoV's engine fires it with the default rates: a physics sweep every
-// 10 ms; at t0 the complexity model, a six-unit radar sweep and the
+// 10 ms; at t0 a six-unit radar sweep, the complexity model and the
 // detector's view; every 20 ms the reactive path's six-unit sweep and
 // forward sonar sector. Each sweep starts with the window
 // RadarRig.ScanAllInto sets.
@@ -51,8 +51,8 @@ func controlPeriodQueries(t0 time.Duration, radar *sensors.RadarRig, sonar *sens
 		}
 		qs = append(qs, worldQuery{kind: 'p', at: at, pose: pose})
 		if at == t0 {
-			qs = append(qs, worldQuery{kind: 'c', at: at, pose: pose})
 			sweep()
+			qs = append(qs, worldQuery{kind: 'c', at: at, pose: pose})
 			qs = append(qs, worldQuery{'v', at, pose, detect.MaxRange, detect.FOV})
 		}
 		if (at-t0)%every(cfg.ReactiveRate) == 0 {

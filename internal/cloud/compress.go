@@ -3,7 +3,8 @@
 // hourly field-data upload: a compression engine that RPR swaps onto the
 // fabric only while it is needed. The codec (lz.go) is the kind of engine
 // that section sizes: byte-oriented LZ at a fixed cost per byte, no entropy
-// stage, its only state a 16 KB match table the caller holds; the decoder
+// stage, its only state a 16 KB match table the caller holds, one per tile
+// when the store compresses a batch of blocks in one fan-out; the decoder
 // holds none.
 package cloud
 
@@ -28,7 +29,7 @@ func Compress(data []byte) ([]byte, error) {
 // by and over the slack the decoder's fixed-size copies write into, so a
 // store block decodes in one allocation.
 func Decompress(data []byte) ([]byte, error) {
-	out, err := AppendDecompress(make([]byte, 0, 4*(len(data)+slack)), data, -1)
+	out, err := AppendDecompress(make([]byte, 0, 4*(len(data)+Slack)), data, -1)
 	if err != nil {
 		return nil, err
 	}

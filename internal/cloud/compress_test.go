@@ -108,7 +108,7 @@ func checkArbitrary(t *testing.T, stream []byte) {
 	prefix := []byte("kept")
 	for _, limit := range []int{-1, 0, len(want) - 1, len(want), 4096} {
 		fits := valid && (limit < 0 || len(want) <= limit)
-		for _, dst := range [][]byte{slices.Clip(slices.Clone(prefix)), append(make([]byte, 0, len(want)+2*slack), prefix...)} {
+		for _, dst := range [][]byte{slices.Clip(slices.Clone(prefix)), append(make([]byte, 0, len(want)+2*Slack), prefix...)} {
 			got, err := AppendDecompress(dst, stream, limit)
 			switch {
 			case (err == nil) != fits:

@@ -96,10 +96,10 @@ var (
 	errTooLong = errors.New("cloud: stream decodes past its stated length")
 )
 
-// slack is the capacity past its length that out must have for a sequence
+// Slack is the capacity past its length that out must have for a sequence
 // to take the decoder's fixed-size copies: up to 14 literals, then a match
 // of up to 18 bytes written as two 16-byte chunks.
-const slack = 14 + 2*16
+const Slack = 14 + 2*16
 
 // AppendDecompress decodes src and appends the payload to dst. With
 // limit >= 0 the payload may be at most limit bytes: a longer stream is an
@@ -122,7 +122,7 @@ func AppendDecompress(dst, src []byte, limit int) ([]byte, error) {
 		// chunks into out's spare capacity: the literal chunk reads no
 		// further than src's last 16 bytes, and each match chunk reads only
 		// bytes that stand at least 16 behind where it writes.
-		if ln, mn := int(tok>>4), int(tok&15); ln < 15 && mn < 15 && len(src)-s > 16 && cap(out)-len(out) >= slack {
+		if ln, mn := int(tok>>4), int(tok&15); ln < 15 && mn < 15 && len(src)-s > 16 && cap(out)-len(out) >= Slack {
 			o, ml := len(out)+ln, mn+minMatch
 			off := int(binary.LittleEndian.Uint16(src[s+1+ln:]))
 			if off >= 16 && off <= o-len(dst) && ln+ml <= end-len(out) {

@@ -9,10 +9,11 @@
 // reactive-brake events for vehicles 100–200 in hour 3") scan the query's
 // rectangle of that one key space and re-sort the matches time-major.
 //
-// The store is single-threaded and deterministic: it runs no goroutine and
-// imports no worker pool, and run files, the manifest, and query results are
-// a pure function of the ingested events, so the same diff-based determinism
-// tests that pin the simulator pin the storage engine (DESIGN.md §14).
+// The store is deterministic: its only fan-outs code whole blocks, each a
+// function of its entries alone, so run files, the manifest, and query
+// results are a pure function of the ingested events at any worker count,
+// and the same diff-based determinism tests that pin the simulator pin the
+// storage engine (DESIGN.md §14).
 package telemetry
 
 import (

@@ -75,7 +75,7 @@ func (s *Store) Scan(q Query, fn func(Event) bool) error {
 		}
 		c := &scanCursor{hi: hi, run: s.borrowCursor()}
 		sources = append(sources, c)
-		if err := c.seekRun(r, lo, &s.stats); err != nil {
+		if err := c.seekRun(r, lo, &s.stats, 1); err != nil {
 			return err
 		}
 	}
@@ -190,13 +190,13 @@ func (c *scanCursor) advanceMem() {
 }
 
 // seekRun points a run source at r's first key >= lo, walking only the
-// blocks the index says can hold keys in [lo, c.hi].
-func (c *scanCursor) seekRun(r *run, lo Key, st *Stats) error {
+// blocks the index says can hold keys in [lo, c.hi], ahead at a time.
+func (c *scanCursor) seekRun(r *run, lo Key, st *Stats, ahead int) error {
 	first := r.blockFor(lo)
 	if first < 0 {
 		first = 0
 	}
-	c.run.seek(r, st, first, r.blockFor(c.hi))
+	c.run.seek(r, st, first, r.blockFor(c.hi), ahead)
 	for {
 		if err := c.next(); err != nil {
 			return err

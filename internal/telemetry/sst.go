@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"sov/internal/cloud"
+	"sov/internal/parallel"
 )
 
 // Sorted immutable runs are the LSM tree's on-disk level unit. A run file
@@ -35,6 +36,16 @@ const (
 	runMagicV1     = "SOVTRUN1"
 	runFooterMagic = "SOVTEND2"
 	blockTarget    = 4096 // uncompressed data-block payload target
+
+	// blockCap is what every block buffer of the codec batches is made
+	// with: the target, room for the entry that carries a block past it,
+	// and the decoder's slack. A block whose last entry is longer grows its
+	// buffer once.
+	blockCap = blockTarget + 256 + cloud.Slack
+
+	batchBlocks = 16 // blocks a run writer compresses per fan-out
+	codecTiles  = 4  // tiles of that fan-out, each with its own match table
+	readAhead   = 8  // blocks a merge's input cursor reads and decodes per fan-out
 )
 
 // blockMeta is one index entry.
@@ -54,27 +65,48 @@ const blockMetaSize = KeySize + 1 + 8 + 4 + 4 + 4 + 4
 // u32 | entryCount u64 | minKey | maxKey | metaCRC u32 | magic.
 const footerSize = 8 + 4 + 8 + 4 + 8 + KeySize + KeySize + 4 + 8
 
-// runWriter streams sorted entries into a run file. The Store owns one and
-// begins it anew for every flush and compaction, so the file buffer, the
-// codec's match table and the block, packed, index and tail buffers are
-// allocated once per store.
+// runWriter streams sorted entries into a run file. The Store holds one,
+// match tables included, and begins it anew for every flush and compaction,
+// so the file buffer, the batch's block buffers and the index and tail
+// buffers are allocated once per store, at its first flush.
+//
+// Blocks are coded in batches: add fills the pending blocks in turn, and
+// once batchBlocks of them are full (or finish drains the last, partial
+// batch) one fan-out codes them all, codecTiles tiles each with its own
+// match table, and they are written in block order. Every block is
+// compressed on its own (the codec clears its table per call), so a block's
+// bytes do not depend on its batch, its tile or the worker count.
 type runWriter struct {
-	path    string
-	f       *os.File
-	bw      *bufio.Writer
-	off     uint64
-	block   []byte // current uncompressed block body
-	packed  []byte // its compressed form
-	lz      cloud.Table
-	blockN  uint32
-	index   []blockMeta
-	tail    []byte // marshaled index, bloom and footer
-	filter  *bloom
-	first   Key
-	minKey  Key
-	maxKey  Key
-	count   uint64
-	started bool
+	path       string
+	f          *os.File
+	bw         *bufio.Writer
+	off        uint64
+	pend       [batchBlocks]pendingBlock
+	npend      int // full blocks queued; pend[npend] is the one being filled
+	tiles      [codecTiles]codecTile
+	compressFn func(tile, start, end int) // compressTiles, bound once
+	index      []blockMeta
+	tail       []byte // marshaled index, bloom and footer
+	filter     *bloom
+	minKey     Key
+	maxKey     Key
+	count      uint64
+	started    bool
+}
+
+// pendingBlock is one block of the batch: its entries, which coding
+// replaces with their compressed form when that saves a tenth of them, and
+// its index entry, complete but for the offset once the batch is coded.
+type pendingBlock struct {
+	body []byte
+	bm   blockMeta
+}
+
+// codecTile is what one tile of a batch's fan-out owns: a match table and
+// the buffer a block is compressed into.
+type codecTile struct {
+	table  cloud.Table
+	packed []byte
 }
 
 // begin creates the run file at path and resets the writer for it.
@@ -85,13 +117,23 @@ func (w *runWriter) begin(path string, expectEntries int) error {
 	}
 	if w.bw == nil {
 		w.bw = bufio.NewWriterSize(f, 1<<16)
+		w.compressFn = w.compressTiles
+		for i := range w.tiles {
+			w.tiles[i].packed = make([]byte, 0, blockCap)
+		}
+		for i := range w.pend {
+			w.pend[i].body = make([]byte, 0, blockCap)
+		}
 	} else {
 		w.bw.Reset(f)
 	}
 	w.path, w.f = path, f
 	w.filter = newBloom(expectEntries)
-	w.block, w.index = w.block[:0], w.index[:0]
-	w.blockN, w.count, w.started = 0, 0, false
+	for i := range w.pend {
+		w.pend[i].body, w.pend[i].bm = w.pend[i].body[:0], blockMeta{}
+	}
+	w.npend, w.index = 0, w.index[:0]
+	w.count, w.started = 0, false
 	w.off = uint64(len(runMagic))
 	if _, err := w.bw.WriteString(runMagic); err != nil {
 		w.abort()
@@ -114,58 +156,72 @@ func (w *runWriter) add(k Key, payload []byte) error {
 		w.started = true
 	}
 	w.maxKey = k
-	if w.blockN == 0 {
-		w.first = k
+	b := &w.pend[w.npend]
+	if b.bm.count == 0 {
+		b.bm.firstKey = k
 	}
 	w.filter.add(hashKey(k))
-	w.block = appendKey(w.block, k)
-	w.block = binary.AppendUvarint(w.block, uint64(len(payload)))
-	w.block = append(w.block, payload...)
-	w.blockN++
+	b.body = appendKey(b.body, k)
+	b.body = binary.AppendUvarint(b.body, uint64(len(payload)))
+	b.body = append(b.body, payload...)
+	b.bm.count++
 	w.count++
-	if len(w.block) >= blockTarget {
-		return w.flushBlock()
+	if len(b.body) >= blockTarget {
+		if w.npend++; w.npend == batchBlocks {
+			return w.writeBatch()
+		}
 	}
 	return nil
 }
 
-// flushBlock writes the pending block, compressing when it pays.
-func (w *runWriter) flushBlock() error {
-	if w.blockN == 0 {
-		return nil
+// writeBatch codes the queued blocks in one fan-out, then writes them in
+// block order.
+func (w *runWriter) writeBatch() error {
+	parallel.ForTiled(w.npend, batchBlocks/codecTiles, w.compressFn)
+	for i := range w.pend[:w.npend] {
+		b := &w.pend[i]
+		b.bm.off = w.off
+		w.index = append(w.index, b.bm)
+		if _, err := w.bw.Write(b.body); err != nil {
+			return err
+		}
+		w.off += uint64(len(b.body))
+		b.body, b.bm = b.body[:0], blockMeta{}
 	}
-	body := w.block
-	compressed := false
-	if w.packed = cloud.AppendCompress(w.packed[:0], body, &w.lz); len(w.packed) < len(body)-len(body)/10 {
-		body, compressed = w.packed, true
-	}
-	w.index = append(w.index, blockMeta{
-		firstKey:   w.first,
-		compressed: compressed,
-		off:        w.off,
-		storedLen:  uint32(len(body)),
-		rawLen:     uint32(len(w.block)),
-		count:      w.blockN,
-		crc:        crc32.ChecksumIEEE(body),
-	})
-	if _, err := w.bw.Write(body); err != nil {
-		return err
-	}
-	w.off += uint64(len(body))
-	w.block = w.block[:0]
-	w.blockN = 0
+	w.npend = 0
 	return nil
 }
 
-// finish writes index, bloom, and footer, then closes the file. It returns
-// the run's metadata for the manifest; on error the run is aborted.
+// compressTiles is one tile of writeBatch's fan-out: blocks [start, end),
+// each compressed through the tile's table and stored compressed when that
+// saves a tenth of it, then checksummed as stored.
+func (w *runWriter) compressTiles(tile, start, end int) {
+	t := &w.tiles[tile]
+	for i := start; i < end; i++ {
+		b := &w.pend[i]
+		raw := len(b.body)
+		t.packed = cloud.AppendCompress(t.packed[:0], b.body, &t.table)
+		if b.bm.compressed = len(t.packed) < raw-raw/10; b.bm.compressed {
+			b.body = append(b.body[:0], t.packed...)
+		}
+		b.bm.rawLen, b.bm.storedLen = uint32(raw), uint32(len(b.body))
+		b.bm.crc = crc32.ChecksumIEEE(b.body)
+	}
+}
+
+// finish writes the last blocks, index, bloom, and footer, then closes the
+// file. It returns the run's metadata for the manifest; on error the run is
+// aborted.
 func (w *runWriter) finish() (meta runMeta, err error) {
 	defer func() {
 		if err != nil {
 			w.abort()
 		}
 	}()
-	if err := w.flushBlock(); err != nil {
+	if w.pend[w.npend].bm.count > 0 {
+		w.npend++
+	}
+	if err := w.writeBatch(); err != nil {
 		return runMeta{}, err
 	}
 	indexOff := w.off
@@ -237,11 +293,12 @@ type run struct {
 	filter *bloom
 }
 
-// openRun loads a run's index and bloom. Nothing the file says is trusted
-// before it is checked: the footer's offsets against the file size, the
-// index and bloom against the footer's crc, every block's extent against
-// the data region.
-func openRun(path string, meta runMeta) (_ *run, err error) {
+// openRun loads a run's index and bloom, reading them through *scratch (the
+// store's, grown to the largest metadata it has read: nothing points into
+// it once they are parsed). Nothing the file says is trusted before it is
+// checked: the footer's offsets against the file size, the index and bloom
+// against the footer's crc, every block's extent against the data region.
+func openRun(path string, meta runMeta, scratch *[]byte) (_ *run, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -300,7 +357,8 @@ func openRun(path string, meta runMeta) (_ *run, err error) {
 		bloomOff-indexOff != uint64(blockCount)*blockMetaSize {
 		return nil, fmt.Errorf("telemetry: run %s footer offsets out of range", path)
 	}
-	metaBuf := make([]byte, tailOff-indexOff)
+	metaBuf := slices.Grow((*scratch)[:0], int(tailOff-indexOff))[:tailOff-indexOff]
+	*scratch = metaBuf
 	if _, err := f.ReadAt(metaBuf, int64(indexOff)); err != nil {
 		return nil, err
 	}
@@ -355,7 +413,7 @@ func (r *run) get(k Key, hash uint64, cur *blockCursor, st *Stats) ([]byte, bool
 	if bi < 0 {
 		return nil, false, nil
 	}
-	cur.seek(r, st, bi, bi)
+	cur.seek(r, st, bi, bi, 1)
 	for {
 		ok, err := cur.next()
 		if err != nil {
@@ -386,22 +444,37 @@ var (
 // valid while sibling cursors of the same merge load their own blocks, until
 // this cursor's next call. Compaction, Scan and Get all read through one.
 type blockCursor struct {
-	r      *run
-	st     *Stats
-	bi     int    // next block to load; bi-1 is the one loaded
-	last   int    // last block to walk
-	stored []byte // the loaded block as the file holds it
-	raw    []byte // ... decoded, when it is compressed
-	rest   []byte // undecoded remainder of the loaded block
-	left   uint32 // entries the index says rest holds
-	key    Key
-	val    []byte
+	r        *run
+	st       *Stats
+	bi       int // next block to walk; bi-1 is the one being walked
+	last     int // last block to walk
+	ahead    int // blocks a load reads at most
+	batch    [readAhead]loadedBlock
+	slot     int // next batch slot to walk; the load filled batch[:nbatch]
+	nbatch   int
+	stored   []byte                     // the batch as the file holds it
+	bufs     [readAhead][]byte          // decode buffers, one per batch slot
+	decodeFn func(tile, start, end int) // decode, bound once
+	rest     []byte                     // undecoded remainder of the block being walked
+	left     uint32                     // entries the index says rest holds
+	key      Key
+	val      []byte
+}
+
+// loadedBlock is one block of a load: its index entry, its bytes as stored,
+// the entries decoded from them, or the error its read or decode met.
+type loadedBlock struct {
+	bm     *blockMeta
+	stored []byte
+	body   []byte
+	err    error
 }
 
 // seek positions the cursor before the first entry of block first; next
-// walks on through block last.
-func (c *blockCursor) seek(r *run, st *Stats, first, last int) {
-	c.r, c.st, c.bi, c.last = r, st, first, last
+// walks on through block last, loading up to ahead blocks at a time.
+func (c *blockCursor) seek(r *run, st *Stats, first, last, ahead int) {
+	c.r, c.st, c.bi, c.last, c.ahead = r, st, first, last, ahead
+	c.slot, c.nbatch = 0, 0
 	c.rest, c.left = nil, 0
 }
 
@@ -415,10 +488,16 @@ func (c *blockCursor) next() (bool, error) {
 		if c.bi > c.last {
 			return false, nil
 		}
-		c.bi++
-		if err := c.readBlock(c.bi - 1); err != nil {
-			return false, err
+		if c.slot == c.nbatch {
+			c.load(min(c.ahead, c.last-c.bi+1))
 		}
+		b := &c.batch[c.slot]
+		c.slot++
+		c.bi++
+		if b.err != nil {
+			return false, b.err
+		}
+		c.rest, c.left = b.body, b.bm.count
 	}
 	b := c.rest
 	if c.left == 0 {
@@ -439,33 +518,75 @@ func (c *blockCursor) next() (bool, error) {
 	return true, nil
 }
 
-// readBlock loads block i into the cursor's buffers, charging the read to
-// st: crc over the stored bytes first, then decoding bounded by the index's
-// raw length, then that length itself.
-func (c *blockCursor) readBlock(i int) error {
-	bm := &c.r.index[i]
-	c.stored = slices.Grow(c.stored[:0], int(bm.storedLen))[:bm.storedLen]
-	if _, err := c.r.f.ReadAt(c.stored, int64(bm.off)); err != nil {
-		return err
+// load is the store's one block loader: it reads blocks bi..bi+n-1 and
+// charges them to st in block order, checking each crc, then decodes them
+// (one fan-out when n > 1), each bounded by its index entry's raw length
+// and then held to it. A block that fails keeps its error for next to
+// return when the walk reaches it, so an error surfaces where, and as, the
+// block-at-a-time walk met it; the load reads no further than that block.
+func (c *blockCursor) load(n int) {
+	total := 0
+	for _, bm := range c.r.index[c.bi : c.bi+n] {
+		total += int(bm.storedLen)
 	}
-	c.st.BlocksRead++
-	c.st.RunBytesRead += int64(bm.storedLen)
-	if crc32.ChecksumIEEE(c.stored) != bm.crc {
-		return errBlockCRC
-	}
-	block := c.stored
-	if bm.compressed {
-		raw, err := cloud.AppendDecompress(c.raw[:0], c.stored, int(bm.rawLen))
-		if err != nil {
-			return err
+	c.stored = slices.Grow(c.stored[:0], total)
+	c.slot, c.nbatch = 0, n
+	for j := range n {
+		bm := &c.r.index[c.bi+j]
+		off := len(c.stored)
+		c.stored = c.stored[:off+int(bm.storedLen)]
+		b := &c.batch[j]
+		b.bm, b.stored, b.body, b.err = bm, c.stored[off:], nil, nil
+		if _, b.err = c.r.f.ReadAt(b.stored, int64(bm.off)); b.err == nil {
+			c.st.BlocksRead++
+			c.st.RunBytesRead += int64(bm.storedLen)
+			if crc32.ChecksumIEEE(b.stored) != bm.crc {
+				b.err = errBlockCRC
+			}
 		}
-		c.raw, block = raw, raw
+		if b.err != nil {
+			c.nbatch = j + 1
+			break
+		}
 	}
-	if len(block) != int(bm.rawLen) {
-		return errBlockLen
+	// Get's and Scan's one block decodes inline: ForTiled's closure would
+	// be a point read's only allocation.
+	if c.nbatch == 1 {
+		c.decode(0, 0, 1)
+		return
 	}
-	c.rest, c.left = block, bm.count
-	return nil
+	if c.decodeFn == nil {
+		c.decodeFn = c.decode
+	}
+	parallel.ForTiled(c.nbatch, 1, c.decodeFn)
+}
+
+// decode is the body of load's fan-out: batch slots [start, end), each
+// decoded into its own buffer.
+func (c *blockCursor) decode(_, start, end int) {
+	for j := start; j < end; j++ {
+		b := &c.batch[j]
+		if b.err != nil {
+			continue
+		}
+		body := b.stored
+		if b.bm.compressed {
+			if c.bufs[j] == nil {
+				c.bufs[j] = make([]byte, 0, blockCap)
+			}
+			raw, err := cloud.AppendDecompress(c.bufs[j][:0], b.stored, int(b.bm.rawLen))
+			if err != nil {
+				b.err = err
+				continue
+			}
+			c.bufs[j], body = raw, raw
+		}
+		if len(body) != int(b.bm.rawLen) {
+			b.err = errBlockLen
+			continue
+		}
+		b.body = body
+	}
 }
 
 // fail names the run and block a cursor error came from.
@@ -482,17 +603,15 @@ func runPath(dir string, id uint64) string {
 // keys, which cannot occur in practice since Seq disambiguates) into a new
 // run file via w. Runs must be passed oldest-first.
 func (s *Store) mergeRuns(runs []*run, w *runWriter) error {
+	for len(s.mergeCurs) < len(runs) {
+		s.mergeCurs = append(s.mergeCurs, new(blockCursor))
+	}
 	iters := make([]scanCursor, len(runs))
 	for i := range iters {
-		iters[i] = scanCursor{hi: keyMax, run: s.borrowCursor()}
+		iters[i] = scanCursor{hi: keyMax, run: s.mergeCurs[i]}
 	}
-	defer func() {
-		for i := range iters {
-			s.idleCursors = append(s.idleCursors, iters[i].run)
-		}
-	}()
 	for i, r := range runs {
-		if err := iters[i].seekRun(r, Key{}, &s.stats); err != nil {
+		if err := iters[i].seekRun(r, Key{}, &s.stats, readAhead); err != nil {
 			return err
 		}
 	}

@@ -69,11 +69,15 @@ type Store struct {
 
 	stats Stats
 
-	// reused block-path state: the one run writer, Get's cursor, and the
-	// cursors scans and compactions borrow
+	// reused block-path state: the one run writer, Get's cursor, the
+	// cursors scans borrow, a merge's input cursors (the only ones that
+	// read ahead, so the only ones that grow a batch of decode buffers),
+	// and openRun's buffer for a run's index and bloom
 	rw          runWriter
 	getCur      blockCursor
 	idleCursors []*blockCursor
+	mergeCurs   []*blockCursor
+	metaBuf     []byte
 
 	// reused ingest scratch
 	batchIdx   []int32
@@ -252,7 +256,7 @@ func (s *Store) flush() error {
 	meta.tier = tierOf(meta.bytes)
 	s.stats.RunBytesWritten += meta.bytes
 	s.stats.Flushes++
-	r, err := openRun(runPath(s.dir, id), meta)
+	r, err := openRun(runPath(s.dir, id), meta, &s.metaBuf)
 	if err != nil {
 		return err
 	}
@@ -361,7 +365,7 @@ func (s *Store) mergeRunsAt(positions []int) error {
 		}
 		kept = append(kept, r)
 	}
-	nr, err := openRun(runPath(s.dir, id), meta)
+	nr, err := openRun(runPath(s.dir, id), meta, &s.metaBuf)
 	if err != nil {
 		return err
 	}
@@ -541,7 +545,7 @@ func (s *Store) loadManifest() error {
 				return err
 			}
 			m.crc = uint32(crc)
-			r, err := openRun(runPath(s.dir, m.id), m)
+			r, err := openRun(runPath(s.dir, m.id), m, &s.metaBuf)
 			if err != nil {
 				return err
 			}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sov/internal/cloud"
 )
@@ -801,17 +802,19 @@ func firstRun(t *testing.T) (string, []byte, runMeta) {
 // TestBlockLengthAndCountChecked: a block whose index entry states another
 // raw length or entry count than the block holds is an error on read, and
 // a compressed block is never decoded past its stated length. The index
-// crc is recomputed, so only these checks stand in the way.
+// crc is recomputed, so only these checks stand in the way. A cursor
+// that loads a merge's read-ahead batch walks as far and fails as the
+// block-at-a-time one does.
 func TestBlockLengthAndCountChecked(t *testing.T) {
 	path, raw, meta := firstRun(t)
 	foot := len(raw) - footerSize
 	indexOff := int(binary.LittleEndian.Uint64(raw[foot:]))
 	const rawLenAt, countAt = KeySize + 13, KeySize + 17
 
-	walk := func(r *run) (entries int, err error) {
+	walkAhead := func(r *run, ahead int) (entries int, err error) {
 		var st Stats
 		var c blockCursor
-		c.seek(r, &st, 0, len(r.index)-1)
+		c.seek(r, &st, 0, len(r.index)-1, ahead)
 		for {
 			ok, err := c.next()
 			if err != nil || !ok {
@@ -820,7 +823,14 @@ func TestBlockLengthAndCountChecked(t *testing.T) {
 			entries++
 		}
 	}
-	intact, err := openRun(path, meta)
+	walk := func(r *run) (int, error) {
+		n, err := walkAhead(r, 1)
+		if n2, err2 := walkAhead(r, readAhead); n2 != n || err2 != err {
+			t.Fatalf("read-ahead walk: %d entries, err %v; one block at a time: %d, %v", n2, err2, n, err)
+		}
+		return n, err
+	}
+	intact, err := openRun(path, meta, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -866,7 +876,7 @@ func TestBlockLengthAndCountChecked(t *testing.T) {
 		m.crc = crc32.ChecksumIEEE(mut[indexOff:foot])
 		binary.LittleEndian.PutUint32(mut[foot+32+2*KeySize:], m.crc)
 		os.WriteFile(path, mut, 0o644)
-		r, err := openRun(path, m)
+		r, err := openRun(path, m, new([]byte))
 		if err != nil {
 			t.Fatalf("%s: open: %v", c.name, err)
 		}
@@ -951,8 +961,9 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 // into the batch it has already held without allocating, the codec
 // compresses and decodes a block into buffers that have held one without
 // allocating, a whole 256 KB memtable flush (a run of ~60 blocks, reopened
-// and recorded in the MANIFEST) allocates well under 1 MB, and a point read
-// of a flushed key allocates nothing.
+// and recorded in the MANIFEST) allocates well under 1 MB, a warm reopen of
+// a run allocates no buffer for its metadata, and a point read of a flushed
+// key allocates nothing.
 func TestBlockPathSteadyStateAllocs(t *testing.T) {
 	epoch := makeEvents(200, 1)[:200]
 	in := NewIngestor(nil)
@@ -1021,6 +1032,27 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 		t.Errorf("one 256 KB flush allocated %d bytes, want < 1 MB", flushAlloc)
 	}
 	t.Logf("256 KB flush: %d blocks, %d bytes allocated", len(s.runs[1].index), flushAlloc)
+
+	// A warm reopen reads the index and bloom through the store's scratch:
+	// it allocates what the open run keeps (the decoded index, the bloom's
+	// words) and a few small values, but no buffer the metadata's size.
+	r := s.runs[1]
+	metaLen := uint64(len(r.index)*blockMetaSize + 4 + 8*len(r.filter.bits))
+	kept := uint64(uintptr(len(r.index))*unsafe.Sizeof(blockMeta{}) + uintptr(8*len(r.filter.bits)))
+	const reopens = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reopens {
+		r2, err := openRun(runPath(s.dir, r.meta.id), r.meta, &s.metaBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2.close()
+	}
+	runtime.ReadMemStats(&after)
+	if extra := (after.TotalAlloc-before.TotalAlloc)/reopens - kept; extra >= metaLen {
+		t.Errorf("a warm reopen allocated %d bytes beyond the %d it keeps, want < the %d of the metadata", extra, kept, metaLen)
+	}
 
 	k := events[0].Key
 	k.Seq = 0

@@ -1,9 +1,9 @@
 // Package mathx provides the small linear-algebra and signal-processing
-// primitives shared by the SoV subsystems: 2-D/3-D vectors, small dense
-// matrices with Cholesky factorization, and radix-2 FFTs.
+// primitives shared by the SoV subsystems: 2-D/3-D vectors, a Cholesky
+// solve of small symmetric positive-definite systems, and radix-2 FFTs.
 //
-// Everything is allocation-conscious: the hot paths (EKF propagation, KCF
-// correlation) reuse caller-provided buffers where it matters.
+// Everything is allocation-conscious: the hot paths (the EKF's innovation
+// solve, KCF correlation) reuse caller-provided buffers where it matters.
 package mathx
 
 import "math"

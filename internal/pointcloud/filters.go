@@ -110,26 +110,25 @@ func RansacGround(c *Cloud, tr Tracker, iterations int, tolerance float64, rng *
 // planeFrom3 solves z = Ax + By + C through three points.
 func planeFrom3(p1, p2, p3 mathx.Vec3) (Plane, bool) {
 	// Solve the 3x3 linear system [x y 1][A B C]' = z.
-	a := mathx.MatFromRows([][]float64{
-		{p1.X, p1.Y, 1},
-		{p2.X, p2.Y, 1},
-		{p3.X, p3.Y, 1},
-	})
 	// Determinant check via expansion.
 	det := p1.X*(p2.Y-p3.Y) - p1.Y*(p2.X-p3.X) + (p2.X*p3.Y - p3.X*p2.Y)
 	if math.Abs(det) < 1e-9 {
 		return Plane{}, false
 	}
 	// Cramer's rule.
-	z := []float64{p1.Z, p2.Z, p3.Z}
+	z := [3]float64{p1.Z, p2.Z, p3.Z}
 	solve := func(col int) float64 {
-		m := a.Clone()
-		for r := 0; r < 3; r++ {
-			m.Set(r, col, z[r])
+		m := [3][3]float64{
+			{p1.X, p1.Y, 1},
+			{p2.X, p2.Y, 1},
+			{p3.X, p3.Y, 1},
 		}
-		return (m.At(0, 0)*(m.At(1, 1)*m.At(2, 2)-m.At(1, 2)*m.At(2, 1)) -
-			m.At(0, 1)*(m.At(1, 0)*m.At(2, 2)-m.At(1, 2)*m.At(2, 0)) +
-			m.At(0, 2)*(m.At(1, 0)*m.At(2, 1)-m.At(1, 1)*m.At(2, 0))) / det
+		for r := 0; r < 3; r++ {
+			m[r][col] = z[r]
+		}
+		return (m[0][0]*(m[1][1]*m[2][2]-m[1][2]*m[2][1]) -
+			m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
+			m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])) / det
 	}
 	return Plane{A: solve(0), B: solve(1), C: solve(2)}, true
 }

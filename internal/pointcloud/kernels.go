@@ -330,25 +330,24 @@ func EstimateNormals(tree *KDTree, cloud *Cloud, tr Tracker, k int) []Normal {
 // smallestEigenvector of a symmetric 3x3 via inverse power iteration with
 // a small regularizer (adequate for well-conditioned neighborhoods).
 func smallestEigenvector(xx, xy, xz, yy, yz, zz float64) mathx.Vec3 {
-	a := mathx.MatFromRows([][]float64{
-		{xx + 1e-9, xy, xz},
-		{xy, yy + 1e-9, yz},
-		{xz, yz, zz + 1e-9},
-	})
-	v := []float64{0, 0, 1}
+	a := [9]float64{
+		xx + 1e-9, xy, xz,
+		xy, yy + 1e-9, yz,
+		xz, yz, zz + 1e-9,
+	}
+	var l [9]float64
+	v := [3]float64{0, 0, 1}
 	for it := 0; it < 8; it++ {
-		sol, err := mathx.SolveSPD(a, v)
-		if err != nil {
+		if !mathx.SolveSPD(a[:], l[:], v[:]) {
 			return mathx.Vec3{Z: 1}
 		}
-		norm := math.Sqrt(sol[0]*sol[0] + sol[1]*sol[1] + sol[2]*sol[2])
+		norm := math.Sqrt(v[0]*v[0] + v[1]*v[1] + v[2]*v[2])
 		if norm == 0 {
 			return mathx.Vec3{Z: 1}
 		}
-		for i := range sol {
-			sol[i] /= norm
+		for i := range v {
+			v[i] /= norm
 		}
-		v = sol
 	}
 	return mathx.Vec3{X: v[0], Y: v[1], Z: v[2]}
 }

@@ -1,15 +1,20 @@
 package telemetry
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"sov/internal/cloud"
 	"sov/internal/parallel"
 )
 
@@ -156,4 +161,76 @@ func TestCorruptBlockInsideReadAheadBatch(t *testing.T) {
 			t.Fatalf("workers %d: %d runs live after the failed merge, want %d", w, len(s.runs), tierFanout)
 		}
 	})
+}
+
+// TestCompressedBlockBoundary: a block is stored compressed only when that
+// saves a tenth of it. Of two one-entry blocks, the one whose compressed
+// form is one byte under nine tenths of the block is stored compressed,
+// and the one that compresses to exactly nine tenths is stored raw, though
+// compressing shrinks it too. Both read back.
+func TestCompressedBlockBoundary(t *testing.T) {
+	noise := make([]byte, blockTarget)
+	rand.New(rand.NewSource(45)).Read(noise)
+	var table cloud.Table
+	// find returns a payload of blockTarget bytes, zeros then noise, whose
+	// block under key k compresses to the block's nine tenths plus over.
+	find := func(k Key, over int) (payload []byte, raw, packed int) {
+		for z := 0; z < blockTarget; z++ {
+			payload = append(make([]byte, z), noise[z:]...)
+			block := binary.AppendUvarint(appendKey(nil, k), uint64(len(payload)))
+			block = append(block, payload...)
+			raw, packed = len(block), len(cloud.AppendCompress(nil, block, &table))
+			if packed == raw-raw/10+over {
+				return payload, raw, packed
+			}
+		}
+		t.Fatalf("no payload compresses to nine tenths %+d", over)
+		return nil, 0, 0
+	}
+	keys := []Key{{Vehicle: 1, TMs: 1000}, {Vehicle: 1, TMs: 2000}}
+	under, underRaw, underPacked := find(keys[0], -1)
+	at, atRaw, _ := find(keys[1], 0)
+
+	path := filepath.Join(t.TempDir(), "run.sst")
+	var w runWriter
+	if err := w.begin(path, len(keys)); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range [][]byte{under, at} {
+		if err := w.add(keys[i], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta, err := w.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := openRun(path, meta, new([]byte))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if len(r.index) != 2 {
+		t.Fatalf("run has %d blocks, want one per entry", len(r.index))
+	}
+	if bm := r.index[0]; !bm.compressed || int(bm.rawLen) != underRaw || int(bm.storedLen) != underPacked {
+		t.Errorf("block at nine tenths -1: compressed %v, %d of %d bytes stored; want compressed, %d of %d",
+			bm.compressed, bm.storedLen, bm.rawLen, underPacked, underRaw)
+	}
+	if bm := r.index[1]; bm.compressed || int(bm.rawLen) != atRaw || int(bm.storedLen) != atRaw {
+		t.Errorf("block at nine tenths: compressed %v, %d of %d bytes stored; want raw, %d of %d",
+			bm.compressed, bm.storedLen, bm.rawLen, atRaw, atRaw)
+	}
+	var st Stats
+	var c blockCursor
+	c.seek(r, &st, 0, len(r.index)-1, 1)
+	for i, want := range [][]byte{under, at} {
+		ok, err := c.next()
+		if !ok || err != nil || c.key != keys[i] || !bytes.Equal(c.val, want) {
+			t.Fatalf("entry %d: ok %v, err %v, key %+v (want %+v), payload equal %v", i, ok, err, c.key, keys[i], bytes.Equal(c.val, want))
+		}
+	}
+	if ok, err := c.next(); ok || err != nil {
+		t.Fatalf("past the last entry: ok %v, err %v", ok, err)
+	}
 }

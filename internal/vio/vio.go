@@ -71,10 +71,22 @@ type LandmarkObs struct {
 	Bearing float64
 }
 
+// row is one row of the filter's fixed-size matrices: none has more than
+// stateDim columns, and each product names how many it uses.
+type row = [stateDim]float64
+
+// eye is the stateDim×stateDim identity.
+var eye = func() (m [stateDim]row) {
+	for i := range m {
+		m[i][i] = 1
+	}
+	return m
+}()
+
 // VIO is the filter.
 type VIO struct {
 	x [stateDim]float64
-	p *mathx.Mat
+	p [stateDim]row
 
 	// landmarks maps landmark ID to its map point.
 	landmarks map[int]landmark
@@ -86,24 +98,29 @@ type VIO struct {
 	updates  int
 	propagns int
 	newLM    int
+
+	// The storage every step writes in place, so none allocates: h and rm
+	// are a measurement's Jacobian H and noise R; j is the propagation's
+	// Jacobian F, then an update's I−KH, and jp is j·P, then K·R·Kᵀ.
+	h, rm, hp, s, sInv [2]row
+	pht, k, kr, j, jp  [stateDim]row
 }
 
 // New returns a filter initialized at the given pose with small initial
 // uncertainty.
 func New(initial world.Pose) *VIO {
-	v := &VIO{p: mathx.NewMat(stateDim, stateDim),
-		landmarks: make(map[int]landmark), pending: make(map[int][]mathx.Vec2)}
+	v := &VIO{landmarks: make(map[int]landmark), pending: make(map[int][]mathx.Vec2)}
 	v.x[iPx] = initial.Pos.X
 	v.x[iPy] = initial.Pos.Y
 	v.x[iYaw] = initial.Heading
 	for i := 0; i < stateDim; i++ {
-		v.p.Set(i, i, 0.01)
+		v.p[i][i] = 0.01
 	}
-	v.p.Set(iVx, iVx, 1.0)
-	v.p.Set(iVy, iVy, 1.0)
-	v.p.Set(iBg, iBg, 1e-4)
-	v.p.Set(iBax, iBax, 1e-2)
-	v.p.Set(iBay, iBay, 1e-2)
+	v.p[iVx][iVx] = 1.0
+	v.p[iVy][iVy] = 1.0
+	v.p[iBg][iBg] = 1e-4
+	v.p[iBax][iBax] = 1e-2
+	v.p[iBay][iBay] = 1e-2
 	return v
 }
 
@@ -150,31 +167,33 @@ func (v *VIO) PropagateIMU(s sensors.IMUSample, dt time.Duration) {
 	v.x[iYaw] = mathx.WrapAngle(yaw + omega*h)
 
 	// Error-state Jacobian F (discrete, first order).
-	f := mathx.Eye(stateDim)
-	f.Set(iPx, iVx, h)
-	f.Set(iPy, iVy, h)
+	f := &v.j
+	*f = eye
+	f[iPx][iVx] = h
+	f[iPy][iVy] = h
 	// d v / d yaw: rotating the body accel.
-	f.Set(iVx, iYaw, (-sn*ax-c*ay)*h)
-	f.Set(iVy, iYaw, (c*ax-sn*ay)*h)
+	f[iVx][iYaw] = (-sn*ax - c*ay) * h
+	f[iVy][iYaw] = (c*ax - sn*ay) * h
 	// d v / d ba = -R h.
-	f.Set(iVx, iBax, -c*h)
-	f.Set(iVx, iBay, sn*h)
-	f.Set(iVy, iBax, -sn*h)
-	f.Set(iVy, iBay, -c*h)
-	f.Set(iYaw, iBg, -h)
+	f[iVx][iBax] = -c * h
+	f[iVx][iBay] = sn * h
+	f[iVy][iBax] = -sn * h
+	f[iVy][iBay] = -c * h
+	f[iYaw][iBg] = -h
 
 	// P = F P Fᵀ + Q.
-	v.p = mathx.MatMul(mathx.MatMul(f, v.p), f.T())
+	mul(v.jp[:], f[:], v.p[:], stateDim, stateDim, false)
+	mul(v.p[:], v.jp[:], f[:], stateDim, stateDim, true)
 	qa := accelNoise * accelNoise * h
 	qg := gyroNoise * gyroNoise * h
 	qb := biasWalk * biasWalk * h
-	v.p.Add(iVx, iVx, qa)
-	v.p.Add(iVy, iVy, qa)
-	v.p.Add(iYaw, iYaw, qg)
-	v.p.Add(iBg, iBg, qb)
-	v.p.Add(iBax, iBax, qb)
-	v.p.Add(iBay, iBay, qb)
-	v.p.Symmetrize()
+	v.p[iVx][iVx] += qa
+	v.p[iVy][iVy] += qa
+	v.p[iYaw][iYaw] += qg
+	v.p[iBg][iBg] += qb
+	v.p[iBax][iBax] += qb
+	v.p[iBay][iBay] += qb
+	v.symmetrize()
 }
 
 // UpdateCamera applies a set of landmark observations. Unknown landmarks
@@ -225,36 +244,35 @@ func (v *VIO) updateOne(lm landmark, o LandmarkObs) {
 	predBearing := mathx.WrapAngle(math.Atan2(dy, dx) - v.x[iYaw])
 
 	// H: 2 x stateDim.
-	h := mathx.NewMat(2, stateDim)
-	h.Set(0, iPx, -dx/r)
-	h.Set(0, iPy, -dy/r)
-	h.Set(1, iPx, dy/r2)
-	h.Set(1, iPy, -dx/r2)
-	h.Set(1, iYaw, -1)
+	v.h = [2]row{}
+	v.h[0][iPx] = -dx / r
+	v.h[0][iPy] = -dy / r
+	v.h[1][iPx] = dy / r2
+	v.h[1][iPy] = -dx / r2
+	v.h[1][iYaw] = -1
 
 	lmVar := lm.std * lm.std
-	rm := mathx.NewMat(2, 2)
-	rm.Set(0, 0, rangeStd*rangeStd+lmVar)
-	rm.Set(1, 1, bearingStd*bearingStd+lmVar/r2)
+	v.rm = [2]row{}
+	v.rm[0][0] = rangeStd*rangeStd + lmVar
+	v.rm[1][1] = bearingStd*bearingStd + lmVar/r2
 
-	resid := []float64{
+	v.kalmanUpdate([2]float64{
 		o.Range - predRange,
 		mathx.WrapAngle(o.Bearing - predBearing),
-	}
-	v.kalmanUpdate(h, rm, resid, nil)
+	}, false)
 }
 
 // UpdateGPS applies a global position fix (the GPS-VIO hybrid of Sec. VI-B:
 // when GNSS is strong it corrects the accumulated VIO drift; the EKF update
 // itself is trivially cheap compared to the vision front-end).
 func (v *VIO) UpdateGPS(fix sensors.GPSFix) {
-	h := mathx.NewMat(2, stateDim)
-	h.Set(0, iPx, 1)
-	h.Set(1, iPy, 1)
-	rm := mathx.NewMat(2, 2)
-	rm.Set(0, 0, gpsPosStd*gpsPosStd)
-	rm.Set(1, 1, gpsPosStd*gpsPosStd)
-	resid := []float64{fix.Pos.X - v.x[iPx], fix.Pos.Y - v.x[iPy]}
+	v.h = [2]row{}
+	v.h[0][iPx] = 1
+	v.h[1][iPy] = 1
+	v.rm = [2]row{}
+	v.rm[0][0] = gpsPosStd * gpsPosStd
+	v.rm[1][1] = gpsPosStd * gpsPosStd
+	resid := [2]float64{fix.Pos.X - v.x[iPx], fix.Pos.Y - v.x[iPy]}
 	// Schmidt-style considered update: the gain is restricted to the
 	// position states. In pure-odometry mode the landmark anchors live in
 	// a drifted frame; letting a global position fix rip through the
@@ -263,7 +281,7 @@ func (v *VIO) UpdateGPS(fix sensors.GPSFix) {
 	// paper's design — "GNSS updates are directly used as the vehicle's
 	// current position".
 	before := mathx.Vec2{X: v.x[iPx], Y: v.x[iPy]}
-	v.kalmanUpdate(h, rm, resid, []int{iPx, iPy})
+	v.kalmanUpdate(resid, true)
 	// "The GNSS signals are used to correct the VIO errors": the
 	// correction re-anchors the odometry frame, so translate the landmark
 	// anchors along with the pose. Otherwise drifted anchors pull the
@@ -277,39 +295,100 @@ func (v *VIO) UpdateGPS(fix sensors.GPSFix) {
 	}
 }
 
-// kalmanUpdate applies a measurement with Joseph-form covariance update
-// (valid for any, including masked, gain). gainRows, when non-nil, limits
-// the correction to those state indices.
-func (v *VIO) kalmanUpdate(h, rm *mathx.Mat, resid []float64, gainRows []int) {
-	ht := h.T()
-	s := mathx.MatAdd(mathx.MatMul(mathx.MatMul(h, v.p), ht), rm)
-	sInv, err := mathx.InvertSPD(s)
-	if err != nil {
-		return // numerically degenerate; skip this measurement
-	}
-	k := mathx.MatMul(mathx.MatMul(v.p, ht), sInv)
-	if gainRows != nil {
-		allowed := make(map[int]bool, len(gainRows))
-		for _, r := range gainRows {
-			allowed[r] = true
+// kalmanUpdate applies the measurement v.h, v.rm with Joseph-form
+// covariance update (valid for any, including masked, gain). posOnly
+// limits the correction to the position states.
+func (v *VIO) kalmanUpdate(resid [2]float64, posOnly bool) {
+	// S = H P Hᵀ + R.
+	mul(v.hp[:], v.h[:], v.p[:], stateDim, stateDim, false)
+	mul(v.s[:], v.hp[:], v.h[:], stateDim, 2, true)
+	for i := range v.s {
+		for c := 0; c < 2; c++ {
+			v.s[i][c] += v.rm[i][c]
 		}
-		for i := 0; i < k.Rows; i++ {
-			if !allowed[i] {
-				for j := 0; j < k.Cols; j++ {
-					k.Set(i, j, 0)
-				}
+	}
+	// S⁻¹ column by column.
+	s := [4]float64{v.s[0][0], v.s[0][1], v.s[1][0], v.s[1][1]}
+	var l [4]float64
+	for c := 0; c < 2; c++ {
+		var col [2]float64
+		col[c] = 1
+		if !mathx.SolveSPD(s[:], l[:], col[:]) {
+			return // numerically degenerate; skip this measurement
+		}
+		v.sInv[0][c], v.sInv[1][c] = col[0], col[1]
+	}
+	// K = P Hᵀ S⁻¹.
+	mul(v.pht[:], v.p[:], v.h[:], stateDim, 2, true)
+	mul(v.k[:], v.pht[:], v.sInv[:], 2, 2, false)
+	if posOnly {
+		for i := range v.k {
+			if i != iPx && i != iPy {
+				v.k[i] = row{}
 			}
 		}
 	}
-	dx := k.MulVec(resid)
-	for i := 0; i < stateDim; i++ {
-		v.x[i] += dx[i]
+	for i := range v.x {
+		dx := 0.0
+		for c, kv := range v.k[i][:2] {
+			dx += kv * resid[c]
+		}
+		v.x[i] += dx
 	}
 	v.x[iYaw] = mathx.WrapAngle(v.x[iYaw])
 	// Joseph form: P = (I-KH) P (I-KH)ᵀ + K R Kᵀ.
-	ikh := mathx.MatSub(mathx.Eye(stateDim), mathx.MatMul(k, h))
-	v.p = mathx.MatAdd(mathx.MatMul(mathx.MatMul(ikh, v.p), ikh.T()), mathx.MatMul(mathx.MatMul(k, rm), k.T()))
-	v.p.Symmetrize()
+	mul(v.j[:], v.k[:], v.h[:], 2, stateDim, false)
+	for i := range v.j {
+		for c := range v.j[i] {
+			v.j[i][c] = eye[i][c] - v.j[i][c]
+		}
+	}
+	mul(v.jp[:], v.j[:], v.p[:], stateDim, stateDim, false)
+	mul(v.p[:], v.jp[:], v.j[:], stateDim, stateDim, true)
+	mul(v.kr[:], v.k[:], v.rm[:], 2, 2, false)
+	mul(v.jp[:], v.kr[:], v.k[:], 2, stateDim, true)
+	for i := range v.p {
+		for c := range v.p[i] {
+			v.p[i][c] += v.jp[i][c]
+		}
+	}
+	v.symmetrize()
+}
+
+// mul sets out = a·b, or a·bᵀ when bt, where a has n columns and the
+// product m. Each output row accumulates from zero over a's columns in
+// order, and a zero a[i][k] adds nothing: the order of the allocating
+// algebra the tests hold the filter to in bits (oracle_test.go).
+func mul(out, a, b []row, n, m int, bt bool) {
+	for i := range out {
+		o := &out[i]
+		*o = row{}
+		for k, av := range a[i][:n] {
+			if av == 0 {
+				continue
+			}
+			for c := 0; c < m; c++ {
+				var bv float64
+				if bt {
+					bv = b[c][k]
+				} else {
+					bv = b[k][c]
+				}
+				o[c] += av * bv
+			}
+		}
+	}
+}
+
+// symmetrize replaces P with (P + Pᵀ)/2, keeping the covariance symmetric
+// under floating-point drift.
+func (v *VIO) symmetrize() {
+	for i := range v.p {
+		for c := i + 1; c < stateDim; c++ {
+			m := (v.p[i][c] + v.p[c][i]) / 2
+			v.p[i][c], v.p[c][i] = m, m
+		}
+	}
 }
 
 // PositionError returns the Euclidean error against a true pose.

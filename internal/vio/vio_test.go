@@ -120,14 +120,14 @@ func TestCovarianceStaysSymmetricPSD(t *testing.T) {
 		}
 	}
 	p := v.p
-	for i := 0; i < p.Rows; i++ {
-		for j := 0; j < p.Cols; j++ {
-			if math.Abs(p.At(i, j)-p.At(j, i)) > 1e-9 {
+	for i := range p {
+		for j := range p[i] {
+			if math.Abs(p[i][j]-p[j][i]) > 1e-9 {
 				t.Fatalf("covariance asymmetric at (%d,%d)", i, j)
 			}
 		}
-		if p.At(i, i) < 0 {
-			t.Fatalf("negative variance at %d: %v", i, p.At(i, i))
+		if p[i][i] < 0 {
+			t.Fatalf("negative variance at %d: %v", i, p[i][i])
 		}
 	}
 }
@@ -251,13 +251,11 @@ func TestMapModeFilterConsistencyNEES(t *testing.T) {
 				est := v.Pose().Pos
 				ex, ey := est.X-pose.Pos.X, est.Y-pose.Pos.Y
 				p := v.p
-				pp := mathx.MatFromRows([][]float64{
-					{p.At(0, 0), p.At(0, 1)},
-					{p.At(1, 0), p.At(1, 1)},
-				})
-				sol, err := mathx.SolveSPD(pp, []float64{ex, ey})
-				if err != nil {
-					t.Fatal(err)
+				pp := [4]float64{p[0][0], p[0][1], p[1][0], p[1][1]}
+				var l [4]float64
+				sol := [2]float64{ex, ey}
+				if !mathx.SolveSPD(pp[:], l[:], sol[:]) {
+					t.Fatal("position covariance not positive definite")
 				}
 				nees += ex*sol[0] + ey*sol[1]
 				n++

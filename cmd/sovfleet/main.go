@@ -1,5 +1,5 @@
 // Command sovfleet runs the fleet-scale simulation: N deterministic SoV
-// instances sharded across the worker pool, advancing in lockstep
+// instances sharded across -workers goroutines, advancing in lockstep
 // virtual-time epochs with seeded trip demand, nearest-idle dispatch, and
 // battery/recharge state (DESIGN.md §11). Output is byte-identical for any
 // -workers count.

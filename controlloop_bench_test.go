@@ -74,8 +74,8 @@ func measureSteadyStateAllocs(quant, instrumented, sched bool) float64 {
 // tables. Every row runs on the float and on the int8 operating points.
 //
 // Every row runs at one worker and at four: the loop is serial by
-// construction (internal/core imports no worker pool), so a configured pool
-// must not cost it a single allocation.
+// construction (internal/core does not import internal/parallel), so a
+// configured worker count must not cost it a single allocation.
 func TestControlLoopSteadyStateAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	t.Cleanup(func() { parallel.SetWorkers(prev) })

@@ -169,7 +169,7 @@ func table3Algorithms(core.Config, int64, time.Duration, int) string {
 		{"Depth estimation", "ELAS-style support-point stereo (internal/vision)", "BenchmarkSupportPointStereo160x120"},
 		{"Object detection", "CNN grid head + NMS (internal/nn, internal/detect)", "BenchmarkRunCNNFullPath"},
 		{"Object tracking", "KCF w/ FFT (internal/track) + radar spatial sync (internal/fusion)", "BenchmarkKCFTrackerStep / BenchmarkSpatialSync"},
-		{"Localization", "EKF VIO, odometry + map modes (internal/vio)", "BenchmarkPropagateIMU / BenchmarkUpdateCamera12Landmarks"},
+		{"Localization", "EKF VIO, odometry + map modes (internal/vio)", "BenchmarkPropagateIMU / BenchmarkUpdateCamera"},
 		{"Planning", "MPC (internal/planning) vs EM-style DP+QP", "BenchmarkPlannerComparisonMPC / ...EM"},
 	}
 	var b strings.Builder

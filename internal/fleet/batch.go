@@ -67,7 +67,7 @@ func (f *Fleet) initShards() {
 // shardRange is the perception fan-out body: shards [start, end) fill
 // their input tensors from vehicle state and run the layer-major batch.
 // Shards own disjoint vehicles and private clones, so the phase is
-// race-free and tiling-independent; parallel.For tiles it across the pool.
+// race-free and tiling-independent; parallel.For tiles it across the workers.
 func (f *Fleet) shardRange(start, end int) {
 	for s := start; s < end; s++ {
 		sh := f.shards[s]

@@ -54,8 +54,8 @@ func FFT(x []complex128, inverse bool) error {
 // FFT2D computes the 2-D FFT of a rows×cols image stored row-major in x,
 // in place. Both dimensions must be powers of two.
 //
-// Row and column transforms are independent, so they run tiled on the
-// worker pool; each 1-D FFT is the same serial instruction stream for any
+// Row and column transforms are independent, so they run tiled across
+// workers; each 1-D FFT is the same serial instruction stream for any
 // worker count, keeping the result byte-identical.
 func FFT2D(x []complex128, rows, cols int, inverse bool) error {
 	if rows*cols != len(x) {

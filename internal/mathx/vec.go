@@ -77,8 +77,24 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// WrapAngle normalizes an angle to (-pi, pi].
+// WrapAngle normalizes an angle to (-pi, pi]; ±Inf and NaN give NaN. An
+// angle already in range returns at once, and this check is all a caller
+// inlines.
 func WrapAngle(a float64) float64 {
+	if a > math.Pi || a <= -math.Pi {
+		return wrapAngle(a)
+	}
+	return a
+}
+
+// wrapAngle is WrapAngle for an angle outside (-pi, pi]. Angles within 64π
+// step back 2π at a time (every trace byte depends on that rounding);
+// larger ones are first reduced exactly by math.Remainder, so the loops run
+// at most 32 times for any input.
+func wrapAngle(a float64) float64 {
+	if math.Abs(a) > 64*math.Pi {
+		a = math.Remainder(a, 2*math.Pi)
+	}
 	for a > math.Pi {
 		a -= 2 * math.Pi
 	}

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +96,63 @@ func TestWrapAngleRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// wrapAngleLoop is WrapAngle before it reduced large angles: 2π steps
+// only. It is the oracle for every |a| <= 64π.
+func wrapAngleLoop(a float64) float64 {
+	for a > math.Pi {
+		a -= 2 * math.Pi
+	}
+	for a <= -math.Pi {
+		a += 2 * math.Pi
+	}
+	return a
+}
+
+// TestWrapAngleReturns covers inputs the 2π loop never finished on (|a| so
+// large that a-2π == a, or ±Inf) and pins every angle within 64π to the
+// loop's result bit for bit.
+func TestWrapAngleReturns(t *testing.T) {
+	cases := []struct {
+		in      float64
+		wantNaN bool
+	}{
+		{1e17, false},
+		{-1e17, false},
+		{-1e300, false},
+		{math.MaxFloat64, false},
+		{64*math.Pi + 1e-9, false},
+		{math.Inf(1), true},
+		{math.Inf(-1), true},
+		{math.NaN(), true},
+	}
+	for _, c := range cases {
+		got := WrapAngle(c.in)
+		if c.wantNaN {
+			if !math.IsNaN(got) {
+				t.Errorf("WrapAngle(%v) = %v, want NaN", c.in, got)
+			}
+			continue
+		}
+		if !(got > -math.Pi && got <= math.Pi) {
+			t.Errorf("WrapAngle(%v) = %v, outside (-π, π]", c.in, got)
+		}
+		if r := math.Remainder(c.in, 2*math.Pi); got != r && !(r == -math.Pi && got == math.Pi) {
+			t.Errorf("WrapAngle(%v) = %v, want remainder %v", c.in, got, r)
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	small := []float64{0, math.Pi, -math.Pi, 2 * math.Pi, 64 * math.Pi, -64 * math.Pi,
+		math.Nextafter(64*math.Pi, 0), math.Nextafter(-64*math.Pi, 0), math.SmallestNonzeroFloat64}
+	for range 100000 {
+		small = append(small, (2*rng.Float64()-1)*64*math.Pi)
+	}
+	for _, a := range small {
+		if got, want := WrapAngle(a), wrapAngleLoop(a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WrapAngle(%v) = %v, the 2π loop gives %v", a, got, want)
+		}
 	}
 }
 

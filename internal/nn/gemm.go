@@ -131,7 +131,7 @@ func (c *QConv2D) packInput(in *QTensor) {
 
 // forwardGEMM runs the convolution as a blocked integer GEMM. Column blocks
 // are independent (each owns its output columns across every channel), so
-// they fan out across the worker pool; the integer arithmetic is exact, so
+// they fan out across the workers; the integer arithmetic is exact, so
 // the output is byte-identical for any worker count. A plane of one or two
 // column blocks (the detector's 7×9 head, the fleet detector's 8×8 and 4×4
 // layers) is one tile and takes the serial path: two workers lost to one on

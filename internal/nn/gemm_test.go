@@ -157,7 +157,7 @@ func TestQConvPooledMatchesReference(t *testing.T) {
 }
 
 // TestGEMMParityAcrossWorkers checks the output stays byte-identical when
-// the column blocks fan out across a worker pool.
+// the column blocks fan out across workers.
 func TestGEMMParityAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
 	for _, idx := range []int{4, 7} { // perception shape + border-heavy shape

@@ -4,7 +4,7 @@
 // deterministic) weights through the same computational structure so that
 // the compute shape of DNN detection is real, while detection *accuracy* is
 // modeled separately (internal/detect). Inference runs on the CPU with the
-// convolutions tiled over the internal/parallel worker pool (each output
+// convolutions tiled over internal/parallel's workers (each output
 // element keeps its serial accumulation order, so results are byte-identical
 // for any worker count) and every other layer serial; the platform package
 // maps its cost onto GPU/TX2/FPGA operating points.
@@ -115,7 +115,7 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 }
 
 // ForwardInto implements IntoLayer. Output channels are independent; with
-// more than one worker they fan out across the pool. Each output element
+// more than one worker they fan out across them. Each output element
 // keeps its serial accumulation order, so the tensor is byte-identical for
 // any worker count. The serial path skips the fan-out closure entirely,
 // keeping ForwardPooled allocation-free.

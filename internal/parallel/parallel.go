@@ -1,7 +1,8 @@
 // Package parallel is the multi-core compute substrate for the perception
-// kernels: a shared worker pool sized from runtime.NumCPU and tiled
-// parallel-for helpers. It holds no scratch buffers: a kernel that needs
-// per-tile scratch owns it, indexed by tile.
+// kernels: tiled parallel-for helpers. Each fan-out starts its own helper
+// goroutines (at most Workers()-1) and none of them does work for it after
+// it returns; there is no pool and no queue. The package holds no scratch
+// buffers: a kernel that needs per-tile scratch owns it, indexed by tile.
 //
 // Determinism contract (the hard requirement of the calibrated figures):
 // every helper here must produce byte-identical results for any worker
@@ -29,13 +30,13 @@ import (
 // configured holds the SetWorkers override; 0 means runtime.NumCPU().
 var configured atomic.Int64
 
-// inFlight counts fan-outs currently inside run. While it is non-zero the
-// pool is already the unit of parallelism, so every further fan-out — one
-// issued from a running body, or from another goroutine beside it — takes
-// its caller's serial branch: no closure, no queue traffic, no allocation.
-// Go has no goroutine-local state, so the marker is process-wide; outputs
-// are byte-identical for any worker count, which makes going serial always
-// a legal schedule.
+// inFlight counts fan-outs currently inside run. While it is non-zero that
+// fan-out's helpers are already the unit of parallelism, so every further
+// fan-out — one issued from a running body, or from another goroutine
+// beside it — takes its caller's serial branch: no closure, no goroutine,
+// no allocation. Go has no goroutine-local state, so the marker is
+// process-wide; outputs are byte-identical for any worker count, which
+// makes going serial always a legal schedule.
 var inFlight atomic.Int32
 
 // Workers returns the parallelism a fan-out issued now would get: 1 while
@@ -69,89 +70,33 @@ func SetWorkers(n int) int {
 	return prev
 }
 
-// tasks is the shared pool's run queue. Helper execution is opportunistic:
-// a submitting goroutine never blocks on the queue and always processes
-// tiles itself, so a saturated pool (two goroutines fanning out at once)
-// degrades to caller-runs-everything instead of deadlocking.
-var tasks chan func()
-
-var poolStarted atomic.Bool
-
-func ensurePool() {
-	if poolStarted.Load() {
-		return
-	}
-	if !poolStarted.CompareAndSwap(false, true) {
-		return
-	}
-	n := runtime.NumCPU()
-	if n < 4 {
-		// Keep a few helpers even on small hosts so SetWorkers(n>NumCPU)
-		// still interleaves goroutines (TestDeterminism's 8-worker runs
-		// rely on it).
-		n = 4
-	}
-	tasks = make(chan func(), 8*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			for f := range tasks {
-				f()
-			}
-		}()
-	}
-}
-
-// run executes task(0..count-1), each exactly once, using up to `helpers`
-// pool goroutines plus the calling goroutine. It holds the in-flight marker
-// for its whole duration, so fan-outs issued from task bodies run inline.
-// While waiting for stragglers the caller drains the shared queue, so two
-// goroutines that both got past the marker cannot deadlock each other.
+// run executes task(0..count-1), each exactly once, on the calling
+// goroutine and up to `helpers` goroutines started for this fan-out alone.
+// Every participant claims tiles from one atomic counter; the caller then
+// yields until the last claimed tile completes. A helper scheduled after
+// that point finds the counter exhausted and exits without calling task.
+// The in-flight marker is held throughout, so fan-outs issued from task
+// bodies run inline.
 func run(count, helpers int, task func(i int)) {
 	inFlight.Add(1)
 	defer inFlight.Add(-1)
-	var claimed, completed int64
-	if helpers > count-1 {
-		helpers = count - 1
-	}
-	if helpers > 0 {
-		ensurePool()
-		loop := func() {
-			for {
-				i := atomic.AddInt64(&claimed, 1) - 1
-				if i >= int64(count) {
-					return
-				}
-				task(int(i))
-				atomic.AddInt64(&completed, 1)
+	var claimed, completed atomic.Int64
+	loop := func() {
+		for {
+			i := claimed.Add(1) - 1
+			if i >= int64(count) {
+				return
 			}
-		}
-	submit:
-		for i := 0; i < helpers; i++ {
-			select {
-			case tasks <- loop:
-			default:
-				break submit // pool saturated: caller handles the rest
-			}
+			task(int(i))
+			completed.Add(1)
 		}
 	}
-	// The caller claims tiles inline until the queue is exhausted (same
-	// claim protocol as the pool loop).
-	for {
-		i := atomic.AddInt64(&claimed, 1) - 1
-		if i >= int64(count) {
-			break
-		}
-		task(int(i))
-		atomic.AddInt64(&completed, 1)
+	for h := min(helpers, count-1); h > 0; h-- {
+		go loop()
 	}
-	for atomic.LoadInt64(&completed) < int64(count) {
-		// Help with whatever is queued instead of blocking a pool slot.
-		select {
-		case f := <-tasks:
-			f()
-		default:
-			runtime.Gosched()
-		}
+	loop()
+	for completed.Load() < int64(count) {
+		runtime.Gosched()
 	}
 }
 

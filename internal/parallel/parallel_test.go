@@ -2,8 +2,10 @@ package parallel
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func withWorkers(t *testing.T, n int, f func()) {
@@ -188,4 +190,52 @@ func BenchmarkForOverhead(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestFanOutLeavesNoGoroutine holds the helper lifecycle: after 2 000 short
+// back-to-back fan-outs, every goroutine they started has exited, so no
+// finished fan-out leaves work parked or queued behind it. Besides the
+// goroutine count it looks for any goroutine with a frame in this package
+// other than the test's own, so a helper started by an earlier test (a
+// process-wide pool, say) cannot hide inside the baseline.
+func TestFanOutLeavesNoGoroutine(t *testing.T) {
+	for _, w := range []int{2, 8} {
+		withWorkers(t, w, func() {
+			before := runtime.NumGoroutine()
+			var sink [4]int64
+			for range 2000 {
+				ForTiled(4, 1, func(tile, _, _ int) {
+					for j := range 200 {
+						sink[tile] += int64(j)
+					}
+				})
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				n, helpers := runtime.NumGoroutine(), helperStacks()
+				if n <= before && len(helpers) == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("workers=%d: %d goroutines after 2 000 fan-outs, %d before; %d still in package parallel:\n%s",
+						w, n, before, len(helpers), strings.Join(helpers, "\n\n"))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// helperStacks returns the stacks of every goroutine, other than a test's,
+// that has a frame in this package.
+func helperStacks() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sov/internal/parallel.") && !strings.Contains(g, "sov/internal/parallel.Test") {
+			out = append(out, g)
+		}
+	}
+	return out
 }

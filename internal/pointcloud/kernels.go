@@ -56,7 +56,7 @@ func icpMatchOne(tree *KDTree, src *Cloud, tr Tracker, i int, s, c float64, tran
 
 // collectMatches gathers the accepted correspondences of one ICP iteration
 // in source-point order. With no tracker attached the nearest-neighbor
-// searches fan out across the worker pool: each tile owns a row of reuse
+// searches fan out across workers: each tile owns a row of reuse
 // counters (merged afterwards — integer adds are exact in any order) and a
 // tile-ordered bucket, so the returned slice matches the serial scan
 // exactly. With a tracker the walk stays serial, preserving the cache
@@ -282,7 +282,7 @@ type Normal = mathx.Vec3
 // EstimateNormals fits a plane to each point's k-neighborhood (PCA smallest
 // eigenvector via plane least-squares) — the core of surface reconstruction.
 // Points are independent, so untracked runs fan the kNN searches out across
-// the worker pool (a reuse row per tile, merged afterwards); each point's
+// workers (a reuse row per tile, merged afterwards); each point's
 // accumulation is self-contained, so the normals are byte-identical for any
 // worker count.
 func EstimateNormals(tree *KDTree, cloud *Cloud, tr Tracker, k int) []Normal {

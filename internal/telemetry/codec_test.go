@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"sov/internal/cloud"
@@ -49,8 +48,8 @@ func storeDigest(files map[string]string) string {
 const pinnedStoreDigest = "5e6854f62531317ca5d374bcf3181e8f04c062e22716a014554ee477d14acea1"
 
 // TestBatchCodecBytesAcrossWorkers: a store whose flushes span several
-// write batches and whose compactions merge runs of several read-ahead
-// batches leaves every run file, the MANIFEST and the WAL byte-identical,
+// write batches and whose compactions merge runs of that size leaves every
+// run file, the MANIFEST and the WAL byte-identical,
 // and counts the same I/O, at 1, 2 and 8 workers; and those bytes are the
 // pinned ones.
 func TestBatchCodecBytesAcrossWorkers(t *testing.T) {
@@ -68,8 +67,8 @@ func TestBatchCodecBytesAcrossWorkers(t *testing.T) {
 		if st.Flushes < tierFanout+1 || st.Compactions < 1 {
 			t.Fatalf("workers %d: %d flushes, %d compactions; want a merge and a run flushed after it", w, st.Flushes, st.Compactions)
 		}
-		// Every live run, the flushed ones included, spans two write batches;
-		// the merges read runs of that size, two read-ahead batches or more.
+		// Every live run, the flushed ones included, spans two write batches,
+		// and the merges read every block of runs of that size.
 		for _, r := range s.runs {
 			if len(r.index) <= batchBlocks {
 				t.Fatalf("workers %d: run %06d has %d blocks, want more than %d", w, r.meta.id, len(r.index), batchBlocks)
@@ -102,12 +101,11 @@ func TestBatchCodecBytesAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCorruptBlockInsideReadAheadBatch: a block whose crc fails in the
-// middle of a merge input's second read-ahead batch fails the compaction
-// with the error the block-at-a-time walk gives, naming that run and block,
+// TestCorruptBlockFailsMerge: a block whose crc fails in the middle of a
+// merge input fails the compaction with an error naming that run and block,
 // and leaves no run file the MANIFEST does not name — at any worker count.
-func TestCorruptBlockInsideReadAheadBatch(t *testing.T) {
-	const bad = readAhead + readAhead/2 // the middle of the second batch
+func TestCorruptBlockFailsMerge(t *testing.T) {
+	const bad = 12 // a block well inside the run
 	events := makeEvents(100, 80)
 	atWorkers(t, func(w int) {
 		dir := t.TempDir()
@@ -146,16 +144,8 @@ func TestCorruptBlockInsideReadAheadBatch(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Fatalf("workers %d: compaction over a corrupt block: %v, want %q", w, err, want)
 		}
-		manifest, err := s.ManifestBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		des, _ := os.ReadDir(dir)
-		for _, de := range des {
-			id, isRun := strings.CutPrefix(strings.TrimSuffix(de.Name(), ".sst"), "run-")
-			if isRun && !strings.Contains(string(manifest), "run "+id+" ") {
-				t.Fatalf("workers %d: %s is on disk but not in the MANIFEST:\n%s", w, de.Name(), manifest)
-			}
+		if name := unnamedRun(t, s); name != "" {
+			t.Fatalf("workers %d: %s is on disk but not in the MANIFEST", w, name)
 		}
 		if len(s.runs) != tierFanout {
 			t.Fatalf("workers %d: %d runs live after the failed merge, want %d", w, len(s.runs), tierFanout)
@@ -223,7 +213,7 @@ func TestCompressedBlockBoundary(t *testing.T) {
 	}
 	var st Stats
 	var c blockCursor
-	c.seek(r, &st, 0, len(r.index)-1, 1)
+	c.seek(r, &st, 0, len(r.index)-1)
 	for i, want := range [][]byte{under, at} {
 		ok, err := c.next()
 		if !ok || err != nil || c.key != keys[i] || !bytes.Equal(c.val, want) {

@@ -49,52 +49,25 @@ func (q Query) matchKind(k Kind) bool {
 }
 
 // Scan streams every matching event in primary (vehicle-major, then time)
-// order: a k-way merge of the memtable and every run, each source reading
-// only the blocks its index says overlap the query rectangle. Payload
-// slices alias internal buffers — copy to retain. Returning false from fn
-// stops the scan.
+// order: a k-way merge of every run and the memtable over the query
+// rectangle's key range. Payload slices alias internal buffers — copy to
+// retain. Returning false from fn stops the scan.
 func (s *Store) Scan(q Query, fn func(Event) bool) error {
 	q = q.normalize()
 	lo := Key{Vehicle: q.VehicleMin, TMs: q.TMinMs}
 	hi := keyMax
 	hi.Vehicle, hi.TMs = q.VehicleMax, q.TMaxMs
-
-	sources := make([]*scanCursor, 0, len(s.runs)+1)
-	// The block cursors go back to the store for the next scan; a Scan or
-	// Get made from inside fn borrows others.
-	defer func() {
-		for _, c := range sources {
-			if c.run != nil {
-				s.idleCursors = append(s.idleCursors, c.run)
-			}
-		}
-	}()
-	for _, r := range s.runs {
-		if hi.Less(r.meta.minKey) || r.meta.maxKey.Less(lo) {
-			continue
-		}
-		c := &scanCursor{hi: hi, run: s.borrowCursor()}
-		sources = append(sources, c)
-		if err := c.seekRun(r, lo, &s.stats, 1); err != nil {
+	srcs, err := s.sources(s.runs, s.mem, lo, hi)
+	defer s.release(srcs)
+	if err != nil {
+		return err
+	}
+	for {
+		best, err := least(srcs)
+		if best < 0 || err != nil {
 			return err
 		}
-	}
-	sources = append(sources, newMemCursor(s.mem, lo, hi))
-
-	for {
-		best := -1
-		for i, c := range sources {
-			if c.done {
-				continue
-			}
-			if best < 0 || c.key.Less(sources[best].key) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		c := sources[best]
+		c := srcs[best]
 		k := c.key
 		emit := k.TMs >= q.TMinMs && k.TMs <= q.TMaxMs && q.matchKind(k.Kind)
 		if emit && !fn(Event{Key: k, Payload: c.val}) {
@@ -104,6 +77,63 @@ func (s *Store) Scan(q Query, fn func(Event) bool) error {
 			return err
 		}
 	}
+}
+
+// sources opens the merge sources of Scan and compaction: one per run of
+// runs (oldest first) that can hold keys in [lo, hi], reading only the
+// blocks its index says overlap them, then mem unless nil. The caller hands
+// them to release when done, also after an error.
+func (s *Store) sources(runs []*run, mem *memtable, lo, hi Key) ([]*scanCursor, error) {
+	srcs := make([]*scanCursor, 0, len(runs)+1)
+	for _, r := range runs {
+		if hi.Less(r.meta.minKey) || r.meta.maxKey.Less(lo) {
+			continue
+		}
+		c := &scanCursor{hi: hi, run: s.borrowCursor()}
+		srcs = append(srcs, c)
+		if err := c.seekRun(r, lo, &s.stats); err != nil {
+			return srcs, err
+		}
+	}
+	if mem != nil {
+		srcs = append(srcs, newMemCursor(mem, lo, hi))
+	}
+	return srcs, nil
+}
+
+// release gives srcs' block cursors back to the store for the next merge; a
+// Scan or Get made from inside a Scan's fn borrows others.
+func (s *Store) release(srcs []*scanCursor) {
+	for _, c := range srcs {
+		if c.run != nil {
+			s.idleCursors = append(s.idleCursors, c.run)
+		}
+	}
+}
+
+// least returns the source holding the least key, or -1 once every source
+// is done. Sources go oldest first, so of equal keys the newest wins and
+// the older ones step past theirs (Seq keeps keys unique, so none do).
+func least(srcs []*scanCursor) (int, error) {
+	best := -1
+	for i, c := range srcs {
+		if c.done {
+			continue
+		}
+		if best >= 0 {
+			b := srcs[best]
+			if b.key.Less(c.key) {
+				continue
+			}
+			if b.key == c.key {
+				if err := b.next(); err != nil {
+					return -1, err
+				}
+			}
+		}
+		best = i
+	}
+	return best, nil
 }
 
 // ScanByKind streams a query's events in triage order — kind, then time,
@@ -190,13 +220,13 @@ func (c *scanCursor) advanceMem() {
 }
 
 // seekRun points a run source at r's first key >= lo, walking only the
-// blocks the index says can hold keys in [lo, c.hi], ahead at a time.
-func (c *scanCursor) seekRun(r *run, lo Key, st *Stats, ahead int) error {
+// blocks the index says can hold keys in [lo, c.hi].
+func (c *scanCursor) seekRun(r *run, lo Key, st *Stats) error {
 	first := r.blockFor(lo)
 	if first < 0 {
 		first = 0
 	}
-	c.run.seek(r, st, first, r.blockFor(c.hi), ahead)
+	c.run.seek(r, st, first, r.blockFor(c.hi))
 	for {
 		if err := c.next(); err != nil {
 			return err

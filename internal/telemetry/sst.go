@@ -37,15 +37,14 @@ const (
 	runFooterMagic = "SOVTEND2"
 	blockTarget    = 4096 // uncompressed data-block payload target
 
-	// blockCap is what every block buffer of the codec batches is made
-	// with: the target, room for the entry that carries a block past it,
-	// and the decoder's slack. A block whose last entry is longer grows its
-	// buffer once.
+	// blockCap is what every block buffer of the write batch and every
+	// cursor's decode buffer is made with: the target, room for the entry
+	// that carries a block past it, and the decoder's slack. A block whose
+	// last entry is longer grows its buffer once.
 	blockCap = blockTarget + 256 + cloud.Slack
 
 	batchBlocks = 16 // blocks a run writer compresses per fan-out
 	codecTiles  = 4  // tiles of that fan-out, each with its own match table
-	readAhead   = 8  // blocks a merge's input cursor reads and decodes per fan-out
 )
 
 // blockMeta is one index entry.
@@ -413,7 +412,7 @@ func (r *run) get(k Key, hash uint64, cur *blockCursor, st *Stats) ([]byte, bool
 	if bi < 0 {
 		return nil, false, nil
 	}
-	cur.seek(r, st, bi, bi, 1)
+	cur.seek(r, st, bi, bi)
 	for {
 		ok, err := cur.next()
 		if err != nil {
@@ -444,37 +443,22 @@ var (
 // valid while sibling cursors of the same merge load their own blocks, until
 // this cursor's next call. Compaction, Scan and Get all read through one.
 type blockCursor struct {
-	r        *run
-	st       *Stats
-	bi       int // next block to walk; bi-1 is the one being walked
-	last     int // last block to walk
-	ahead    int // blocks a load reads at most
-	batch    [readAhead]loadedBlock
-	slot     int // next batch slot to walk; the load filled batch[:nbatch]
-	nbatch   int
-	stored   []byte                     // the batch as the file holds it
-	bufs     [readAhead][]byte          // decode buffers, one per batch slot
-	decodeFn func(tile, start, end int) // decode, bound once
-	rest     []byte                     // undecoded remainder of the block being walked
-	left     uint32                     // entries the index says rest holds
-	key      Key
-	val      []byte
-}
-
-// loadedBlock is one block of a load: its index entry, its bytes as stored,
-// the entries decoded from them, or the error its read or decode met.
-type loadedBlock struct {
-	bm     *blockMeta
-	stored []byte
-	body   []byte
-	err    error
+	r      *run
+	st     *Stats
+	bi     int    // next block to load; bi-1 is the one being walked
+	last   int    // last block to walk
+	stored []byte // the block as the file holds it
+	raw    []byte // the block decompressed, when it is stored compressed
+	rest   []byte // undecoded remainder of the block being walked
+	left   uint32 // entries the index says rest holds
+	key    Key
+	val    []byte
 }
 
 // seek positions the cursor before the first entry of block first; next
-// walks on through block last, loading up to ahead blocks at a time.
-func (c *blockCursor) seek(r *run, st *Stats, first, last, ahead int) {
-	c.r, c.st, c.bi, c.last, c.ahead = r, st, first, last, ahead
-	c.slot, c.nbatch = 0, 0
+// walks on through block last.
+func (c *blockCursor) seek(r *run, st *Stats, first, last int) {
+	c.r, c.st, c.bi, c.last = r, st, first, last
 	c.rest, c.left = nil, 0
 }
 
@@ -488,16 +472,10 @@ func (c *blockCursor) next() (bool, error) {
 		if c.bi > c.last {
 			return false, nil
 		}
-		if c.slot == c.nbatch {
-			c.load(min(c.ahead, c.last-c.bi+1))
-		}
-		b := &c.batch[c.slot]
-		c.slot++
 		c.bi++
-		if b.err != nil {
-			return false, b.err
+		if err := c.load(&c.r.index[c.bi-1]); err != nil {
+			return false, err
 		}
-		c.rest, c.left = b.body, b.bm.count
 	}
 	b := c.rest
 	if c.left == 0 {
@@ -518,75 +496,35 @@ func (c *blockCursor) next() (bool, error) {
 	return true, nil
 }
 
-// load is the store's one block loader: it reads blocks bi..bi+n-1 and
-// charges them to st in block order, checking each crc, then decodes them
-// (one fan-out when n > 1), each bounded by its index entry's raw length
-// and then held to it. A block that fails keeps its error for next to
-// return when the walk reaches it, so an error surfaces where, and as, the
-// block-at-a-time walk met it; the load reads no further than that block.
-func (c *blockCursor) load(n int) {
-	total := 0
-	for _, bm := range c.r.index[c.bi : c.bi+n] {
-		total += int(bm.storedLen)
+// load is the store's one block loader: it reads the block bm indexes,
+// charges it to st, checks its crc, and decodes it bounded by the index
+// entry's raw length, then holds it to that length.
+func (c *blockCursor) load(bm *blockMeta) error {
+	c.stored = slices.Grow(c.stored[:0], int(bm.storedLen))[:bm.storedLen]
+	if _, err := c.r.f.ReadAt(c.stored, int64(bm.off)); err != nil {
+		return err
 	}
-	c.stored = slices.Grow(c.stored[:0], total)
-	c.slot, c.nbatch = 0, n
-	for j := range n {
-		bm := &c.r.index[c.bi+j]
-		off := len(c.stored)
-		c.stored = c.stored[:off+int(bm.storedLen)]
-		b := &c.batch[j]
-		b.bm, b.stored, b.body, b.err = bm, c.stored[off:], nil, nil
-		if _, b.err = c.r.f.ReadAt(b.stored, int64(bm.off)); b.err == nil {
-			c.st.BlocksRead++
-			c.st.RunBytesRead += int64(bm.storedLen)
-			if crc32.ChecksumIEEE(b.stored) != bm.crc {
-				b.err = errBlockCRC
-			}
-		}
-		if b.err != nil {
-			c.nbatch = j + 1
-			break
-		}
+	c.st.BlocksRead++
+	c.st.RunBytesRead += int64(bm.storedLen)
+	if crc32.ChecksumIEEE(c.stored) != bm.crc {
+		return errBlockCRC
 	}
-	// Get's and Scan's one block decodes inline: ForTiled's closure would
-	// be a point read's only allocation.
-	if c.nbatch == 1 {
-		c.decode(0, 0, 1)
-		return
-	}
-	if c.decodeFn == nil {
-		c.decodeFn = c.decode
-	}
-	parallel.ForTiled(c.nbatch, 1, c.decodeFn)
-}
-
-// decode is the body of load's fan-out: batch slots [start, end), each
-// decoded into its own buffer.
-func (c *blockCursor) decode(_, start, end int) {
-	for j := start; j < end; j++ {
-		b := &c.batch[j]
-		if b.err != nil {
-			continue
+	body := c.stored
+	if bm.compressed {
+		if c.raw == nil {
+			c.raw = make([]byte, 0, blockCap)
 		}
-		body := b.stored
-		if b.bm.compressed {
-			if c.bufs[j] == nil {
-				c.bufs[j] = make([]byte, 0, blockCap)
-			}
-			raw, err := cloud.AppendDecompress(c.bufs[j][:0], b.stored, int(b.bm.rawLen))
-			if err != nil {
-				b.err = err
-				continue
-			}
-			c.bufs[j], body = raw, raw
+		raw, err := cloud.AppendDecompress(c.raw[:0], c.stored, int(bm.rawLen))
+		if err != nil {
+			return err
 		}
-		if len(body) != int(b.bm.rawLen) {
-			b.err = errBlockLen
-			continue
-		}
-		b.body = body
+		c.raw, body = raw, raw
 	}
+	if len(body) != int(bm.rawLen) {
+		return errBlockLen
+	}
+	c.rest, c.left = body, bm.count
+	return nil
 }
 
 // fail names the run and block a cursor error came from.
@@ -597,49 +535,4 @@ func (c *blockCursor) fail(err error) error {
 // runPath names run id's file.
 func runPath(dir string, id uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("run-%06d.sst", id))
-}
-
-// mergeRuns streams the union of the given runs (newest-wins on equal
-// keys, which cannot occur in practice since Seq disambiguates) into a new
-// run file via w. Runs must be passed oldest-first.
-func (s *Store) mergeRuns(runs []*run, w *runWriter) error {
-	for len(s.mergeCurs) < len(runs) {
-		s.mergeCurs = append(s.mergeCurs, new(blockCursor))
-	}
-	iters := make([]scanCursor, len(runs))
-	for i := range iters {
-		iters[i] = scanCursor{hi: keyMax, run: s.mergeCurs[i]}
-	}
-	for i, r := range runs {
-		if err := iters[i].seekRun(r, Key{}, &s.stats, readAhead); err != nil {
-			return err
-		}
-	}
-	for {
-		best := -1
-		for i := range iters {
-			it := &iters[i]
-			if it.done {
-				continue
-			}
-			if best < 0 || it.key.Less(iters[best].key) {
-				best = i
-			} else if it.key == iters[best].key {
-				// Equal keys: the later (newer) run wins; skip the older.
-				if err := iters[best].next(); err != nil {
-					return err
-				}
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		if err := w.add(iters[best].key, iters[best].val); err != nil {
-			return err
-		}
-		if err := iters[best].next(); err != nil {
-			return err
-		}
-	}
 }

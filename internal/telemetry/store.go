@@ -70,13 +70,11 @@ type Store struct {
 	stats Stats
 
 	// reused block-path state: the one run writer, Get's cursor, the
-	// cursors scans borrow, a merge's input cursors (the only ones that
-	// read ahead, so the only ones that grow a batch of decode buffers),
-	// and openRun's buffer for a run's index and bloom
+	// cursors scans and compactions borrow, and openRun's buffer for a
+	// run's index and bloom
 	rw          runWriter
 	getCur      blockCursor
 	idleCursors []*blockCursor
-	mergeCurs   []*blockCursor
 	metaBuf     []byte
 
 	// reused ingest scratch
@@ -111,7 +109,8 @@ func Exists(dir string) bool {
 // Open loads (or creates) a store in dir, replaying any WAL tail left by
 // a crash through the normal ingest path so the recovered state — runs,
 // manifest, memtable — is byte-identical to what a non-crashed store
-// would hold.
+// would hold. A run file the MANIFEST does not name is a crashed flush's or
+// compaction's output, or a compaction's input, and is deleted.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FlushBytes <= 0 {
 		opts.FlushBytes = 256 << 10
@@ -129,8 +128,23 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.loadManifest(); err != nil {
 		return nil, err
 	}
+	paths, err := filepath.Glob(filepath.Join(dir, "run-*.sst"))
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range paths {
+		if !slices.ContainsFunc(s.runs, func(r *run) bool { return runPath(dir, r.meta.id) == p }) {
+			if err := os.Remove(p); err != nil {
+				return nil, err
+			}
+		}
+	}
 	// Replay the WAL tail before opening it for append: these batches were
-	// ingested but not yet flushed when the store last stopped.
+	// ingested but not yet flushed when the store last stopped. The MANIFEST
+	// is written only with the memtable empty, so a batch below its seq is
+	// in a run already: a crash between a flush's MANIFEST and its WAL reset
+	// leaves the whole log behind.
+	flushedSeq := s.seq
 	batches, _, err := readWAL(dir)
 	if err != nil {
 		return nil, err
@@ -139,15 +153,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	lastFlushed := -1
+	kept := 0 // batches[kept:] are only in the memtable
 	for i, body := range batches {
 		events, err := decodeBatchBody(body)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: wal replay: %w", err)
 		}
+		// Seq is s.seq's low 32 bits, so both compare in serial-number order.
+		if len(events) > 0 && int32(uint32(flushedSeq)-events[0].Key.Seq) > 0 {
+			kept = i + 1
+			continue
+		}
 		for _, e := range events {
-			if uint64(e.Key.Seq) >= s.seq {
-				s.seq = uint64(e.Key.Seq) + 1
+			if d := e.Key.Seq - uint32(s.seq); int32(d) >= 0 {
+				s.seq += uint64(d) + 1
 			}
 		}
 		flushesBefore := s.stats.Flushes
@@ -155,16 +174,16 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 		if s.stats.Flushes != flushesBefore {
-			lastFlushed = i
+			kept = i + 1
 		}
 	}
-	// A flush mid-replay truncated the log; re-secure the batches that are
-	// still only in the memtable so a second crash replays them too.
-	if lastFlushed >= 0 {
+	// Drop the batches a run holds from the log, keeping those still only in
+	// the memtable so a second crash replays them too.
+	if kept > 0 {
 		if err := s.wal.reset(); err != nil {
 			return nil, err
 		}
-		for _, body := range batches[lastFlushed+1:] {
+		for _, body := range batches[kept:] {
 			if err := s.wal.appendBatch(body); err != nil {
 				return nil, err
 			}
@@ -324,7 +343,9 @@ func (s *Store) compact() error {
 }
 
 // mergeRunsAt merges the runs at the given positions (ascending) into a
-// new run, deletes the inputs, and rewrites the manifest.
+// new run, then opens it, puts it in their place, rewrites the manifest and
+// only then deletes them: a crash at any step leaves every event in runs
+// the MANIFEST names, and Open deletes the ones it does not.
 func (s *Store) mergeRunsAt(positions []int) error {
 	victims := make([]*run, len(positions))
 	var total uint64
@@ -350,28 +371,42 @@ func (s *Store) mergeRunsAt(positions []int) error {
 	meta.tier = tierOf(meta.bytes)
 	s.stats.RunBytesWritten += meta.bytes
 	s.stats.Compactions++
-
-	// Replace victims with the merged run, keeping id order.
-	drop := make(map[int]bool, len(positions))
-	for _, p := range positions {
-		drop[p] = true
-	}
-	kept := s.runs[:0]
-	for i, r := range s.runs {
-		if drop[i] {
-			r.close()
-			os.Remove(runPath(s.dir, r.meta.id))
-			continue
-		}
-		kept = append(kept, r)
-	}
 	nr, err := openRun(runPath(s.dir, id), meta, &s.metaBuf)
 	if err != nil {
 		return err
 	}
-	s.runs = append(kept, nr)
-	sort.Slice(s.runs, func(i, j int) bool { return s.runs[i].meta.id < s.runs[j].meta.id })
-	return s.writeManifest()
+	// The merged run has the newest id, so id order holds with it last.
+	s.runs = append(slices.DeleteFunc(s.runs, func(r *run) bool { return slices.Contains(victims, r) }), nr)
+	if err := s.writeManifest(); err != nil {
+		return err
+	}
+	for _, r := range victims {
+		r.close()
+		os.Remove(runPath(s.dir, r.meta.id))
+	}
+	return nil
+}
+
+// mergeRuns streams the union of runs (oldest first) into w through
+// Scan's sources and least-key pick.
+func (s *Store) mergeRuns(runs []*run, w *runWriter) error {
+	srcs, err := s.sources(runs, nil, Key{}, keyMax)
+	defer s.release(srcs)
+	if err != nil {
+		return err
+	}
+	for {
+		best, err := least(srcs)
+		if best < 0 || err != nil {
+			return err
+		}
+		if err := w.add(srcs[best].key, srcs[best].val); err != nil {
+			return err
+		}
+		if err := srcs[best].next(); err != nil {
+			return err
+		}
+	}
 }
 
 // Flush forces the memtable to disk (used by Close and checkpoints).
@@ -380,12 +415,11 @@ func (s *Store) Flush() error { return s.flush() }
 // Close flushes the memtable, rewrites the manifest, and closes every
 // file. The WAL is empty after a clean close.
 func (s *Store) Close() error {
-	var first error
-	if err := s.flush(); err != nil {
-		first = err
-	}
-	if err := s.writeManifest(); err != nil && first == nil {
-		first = err
+	// After a failed flush the WAL alone holds the memtable's events, and a
+	// MANIFEST would claim their seqs, so none is written.
+	first := s.flush()
+	if first == nil {
+		first = s.writeManifest()
 	}
 	if err := s.wal.close(); err != nil && first == nil {
 		first = err

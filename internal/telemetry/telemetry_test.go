@@ -301,7 +301,7 @@ func makeEvents(vehicles, epochs int) []Event {
 }
 
 // ingestInBatches pushes events through the store epoch-batch-wise.
-func ingestInBatches(t *testing.T, s *Store, events []Event, batch int) {
+func ingestInBatches(t testing.TB, s *Store, events []Event, batch int) {
 	t.Helper()
 	for off := 0; off < len(events); off += batch {
 		end := off + batch
@@ -544,6 +544,173 @@ func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 	}
 }
 
+// unnamedRun returns a run file in s's directory that its MANIFEST does not
+// name, or "".
+func unnamedRun(t *testing.T, s *Store) string {
+	t.Helper()
+	manifest, err := s.ManifestBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	des, _ := os.ReadDir(s.dir)
+	for _, de := range des {
+		id, isRun := strings.CutPrefix(strings.TrimSuffix(de.Name(), ".sst"), "run-")
+		if isRun && !strings.Contains(string(manifest), "run "+id+" ") {
+			return de.Name()
+		}
+	}
+	return ""
+}
+
+// TestCrashBeforeWALResetReplaysNoFlushedBatch: a crash after a flush wrote
+// the MANIFEST but before it reset the WAL leaves a log whose every batch
+// the new run holds. Open replays none of them twice, and a later crash's
+// unflushed batches replay in full, also once Seq's 32 bits wrap: the
+// counts are right, and after Close the directory matches a never-crashed
+// twin's.
+func TestCrashBeforeWALResetReplaysNoFlushedBatch(t *testing.T) {
+	events := makeEvents(10, 10)
+	opts := Options{FlushBytes: 1 << 20}
+	for _, seq := range []uint64{0, 1<<32 - 40} {
+		twinDir, dir := t.TempDir(), t.TempDir()
+		twin, err := Open(twinDir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin.seq = seq
+		ingestInBatches(t, twin, events[:60], 30)
+		if err := twin.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ingestInBatches(t, twin, events[60:], 30)
+		if err := twin.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.seq = seq
+		ingestInBatches(t, s, events[:60], 30)
+		walPath := filepath.Join(dir, walName)
+		wal, err := os.ReadFile(walPath)
+		if err != nil || len(wal) == 0 {
+			t.Fatalf("want a WAL holding the batches before the flush: %d bytes, %v", len(wal), err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		s.crash()
+		if err := os.WriteFile(walPath, wal, 0o644); err != nil { // the reset never happened
+			t.Fatal(err)
+		}
+		for _, want := range []int{60, len(events)} {
+			if s, err = Open(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.Count(Query{}); err != nil || n != int64(want) {
+				t.Fatalf("seq %d: reopened store counts %d events, ingested %d: %v", seq, n, want, err)
+			}
+			if want == 60 {
+				ingestInBatches(t, s, events[60:], 30)
+				s.crash() // those batches only in the WAL
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want, got := dirFingerprint(t, twinDir), dirFingerprint(t, dir)
+		if len(got) != len(want) {
+			t.Fatalf("seq %d: %d files, the never-crashed twin %d", seq, len(got), len(want))
+		}
+		for name, fp := range want {
+			if got[name] != fp {
+				t.Errorf("seq %d: %s differs from the never-crashed twin's", seq, name)
+			}
+		}
+	}
+}
+
+// TestCompactionCrashWindows: a compaction writes its merged run, rewrites
+// the MANIFEST, then deletes its inputs. The directory a crash leaves after
+// each of those steps opens with every event, and Open deletes every run
+// file the MANIFEST does not name.
+func TestCompactionCrashWindows(t *testing.T) {
+	opts := Options{FlushBytes: 4 << 10, NoCompact: true}
+	s, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(10, 200)
+	fed := 0
+	for len(s.runs) < tierFanout-1 {
+		ingestInBatches(t, s, events[fed:fed+50], 50)
+		fed += 50
+	}
+	ingestInBatches(t, s, events[fed:fed+50], 50)
+	fed += 50
+	if err := s.Flush(); err != nil || len(s.runs) != tierFanout {
+		t.Fatalf("%d runs: %v; want %d", len(s.runs), err, tierFanout)
+	}
+	files := func() map[string][]byte {
+		out := map[string][]byte{}
+		des, _ := os.ReadDir(s.dir)
+		for _, de := range des {
+			b, err := os.ReadFile(filepath.Join(s.dir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[de.Name()] = b
+		}
+		return out
+	}
+	before := files()
+	var inputs []string
+	for _, r := range s.runs {
+		inputs = append(inputs, filepath.Base(runPath(s.dir, r.meta.id)))
+	}
+	s.opts.NoCompact = false
+	if err := s.compact(); err != nil || s.stats.Compactions != 1 {
+		t.Fatalf("%d compactions: %v; want one", s.stats.Compactions, err)
+	}
+	after := files()
+	merged := filepath.Base(runPath(s.dir, s.runs[len(s.runs)-1].meta.id))
+	s.crash()
+
+	for _, c := range []struct {
+		step     string
+		manifest []byte
+		runs     []string
+	}{
+		{"merged run written", before[manifestName], append([]string{merged}, inputs...)},
+		{"MANIFEST rewritten", after[manifestName], append([]string{merged}, inputs...)},
+		{"first input deleted", after[manifestName], append([]string{merged}, inputs[1:]...)},
+	} {
+		dir := t.TempDir()
+		os.WriteFile(filepath.Join(dir, manifestName), c.manifest, 0o644)
+		os.WriteFile(filepath.Join(dir, walName), before[walName], 0o644)
+		for _, name := range c.runs {
+			b, ok := after[name]
+			if !ok {
+				b = before[name]
+			}
+			os.WriteFile(filepath.Join(dir, name), b, 0o644)
+		}
+		re, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("crash after %s: %v", c.step, err)
+		}
+		if n, err := re.Count(Query{}); err != nil || n != int64(fed) {
+			t.Errorf("crash after %s: %d events, ingested %d: %v", c.step, n, fed, err)
+		}
+		if name := unnamedRun(t, re); name != "" {
+			t.Errorf("crash after %s: %s is on disk but not in the MANIFEST", c.step, name)
+		}
+		re.crash()
+	}
+}
+
 // TestTornWALTailRecovered: garbage appended to the WAL (torn last write)
 // must not block recovery of the intact prefix.
 func TestTornWALTailRecovered(t *testing.T) {
@@ -777,7 +944,7 @@ func TestFormatV1Refused(t *testing.T) {
 
 // firstRun flushes a few blocks into a one-run store and returns the run's
 // path, bytes and manifest entry.
-func firstRun(t *testing.T) (string, []byte, runMeta) {
+func firstRun(t testing.TB) (string, []byte, runMeta) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(dir, Options{FlushBytes: 1 << 20, NoCompact: true})
@@ -802,19 +969,17 @@ func firstRun(t *testing.T) (string, []byte, runMeta) {
 // TestBlockLengthAndCountChecked: a block whose index entry states another
 // raw length or entry count than the block holds is an error on read, and
 // a compressed block is never decoded past its stated length. The index
-// crc is recomputed, so only these checks stand in the way. A cursor
-// that loads a merge's read-ahead batch walks as far and fails as the
-// block-at-a-time one does.
+// crc is recomputed, so only these checks stand in the way.
 func TestBlockLengthAndCountChecked(t *testing.T) {
 	path, raw, meta := firstRun(t)
 	foot := len(raw) - footerSize
 	indexOff := int(binary.LittleEndian.Uint64(raw[foot:]))
 	const rawLenAt, countAt = KeySize + 13, KeySize + 17
 
-	walkAhead := func(r *run, ahead int) (entries int, err error) {
+	walk := func(r *run) (entries int, err error) {
 		var st Stats
 		var c blockCursor
-		c.seek(r, &st, 0, len(r.index)-1, ahead)
+		c.seek(r, &st, 0, len(r.index)-1)
 		for {
 			ok, err := c.next()
 			if err != nil || !ok {
@@ -822,13 +987,6 @@ func TestBlockLengthAndCountChecked(t *testing.T) {
 			}
 			entries++
 		}
-	}
-	walk := func(r *run) (int, error) {
-		n, err := walkAhead(r, 1)
-		if n2, err2 := walkAhead(r, readAhead); n2 != n || err2 != err {
-			t.Fatalf("read-ahead walk: %d entries, err %v; one block at a time: %d, %v", n2, err2, n, err)
-		}
-		return n, err
 	}
 	intact, err := openRun(path, meta, new([]byte))
 	if err != nil {
@@ -888,6 +1046,86 @@ func TestBlockLengthAndCountChecked(t *testing.T) {
 	}
 }
 
+// FuzzRunFile holds the run file's read path to three rules: no patch of a
+// run's bytes panics openRun, a cursor walking every block, or Get; the
+// unpatched run yields every entry it was written with; and a patched one
+// is an error, from openRun or the walk. With fix set, every block crc, the
+// index crc and the MANIFEST entry's crc are recomputed over the patched
+// bytes first, so the patch reaches the decoder and the entry parser, and
+// only the first two rules hold.
+func FuzzRunFile(f *testing.F) {
+	path, valid, meta := firstRun(f)
+	r0, err := openRun(path, meta, new([]byte))
+	if err != nil {
+		f.Fatal(err)
+	}
+	index := r0.index
+	r0.close()
+	// The run holds makeEvents' events with the Seq ingest gave them.
+	events := makeEvents(10, 60)
+	for i := range events {
+		events[i].Key.Seq = uint32(i)
+	}
+	sort.Slice(events, func(i, j int) bool { return events[i].Key.Less(events[j].Key) })
+	foot := len(valid) - footerSize
+	indexOff := int(binary.LittleEndian.Uint64(valid[foot:]))
+
+	f.Fuzz(func(t *testing.T, at uint, patch []byte, fix bool) {
+		mut := append([]byte(nil), valid...)
+		for i, b := range patch {
+			mut[(at+uint(i))%uint(len(mut))] ^= b
+		}
+		m := meta
+		if fix {
+			for i, bm := range index {
+				crc := crc32.ChecksumIEEE(mut[bm.off : bm.off+uint64(bm.storedLen)])
+				binary.LittleEndian.PutUint32(mut[indexOff+i*blockMetaSize+KeySize+21:], crc)
+			}
+			m.crc = crc32.ChecksumIEEE(mut[indexOff:foot])
+			binary.LittleEndian.PutUint32(mut[foot+32+2*KeySize:], m.crc)
+		}
+		intact := bytes.Equal(mut, valid)
+		p := filepath.Join(t.TempDir(), "run.sst")
+		if err := os.WriteFile(p, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := openRun(p, m, new([]byte))
+		if err != nil {
+			if intact {
+				t.Fatalf("unpatched run: %v", err)
+			}
+			return
+		}
+		defer r.close()
+		var st Stats
+		var c blockCursor
+		c.seek(r, &st, 0, len(r.index)-1)
+		n := 0
+		for ; ; n++ {
+			var ok bool
+			if ok, err = c.next(); !ok || err != nil {
+				break
+			}
+			if intact && (n >= len(events) || c.key != events[n].Key || !bytes.Equal(c.val, events[n].Payload)) {
+				t.Fatalf("unpatched run: entry %d is %+v %q", n, c.key, c.val)
+			}
+		}
+		switch {
+		case intact && (err != nil || n != len(events)):
+			t.Fatalf("unpatched run: %d of %d entries: %v", n, len(events), err)
+		case !intact && !fix && err == nil:
+			t.Fatalf("%x at %d: read as a run of %d entries", patch, at, n)
+		}
+		for i := 0; i < len(events); i += 37 {
+			k := events[i].Key
+			got, ok, err := r.get(k, hashKey(k), &c, &st)
+			if intact && (!ok || err != nil || !bytes.Equal(got, events[i].Payload)) {
+				t.Fatalf("unpatched run: Get(%+v) = %q %v %v", k, got, ok, err)
+			}
+		}
+	})
+}
+
 // TestFailedCompactionLeavesNoPartialRun: a compaction that fails (here on
 // a block crc) returns the error, leaves no run file the MANIFEST does not
 // name, and leaves the store answering reads from its intact runs.
@@ -932,16 +1170,8 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 		t.Fatalf("compaction over a corrupt block: %v", ingestErr)
 	}
 
-	manifest, err := s.ManifestBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	des, _ := os.ReadDir(dir)
-	for _, de := range des {
-		id, isRun := strings.CutPrefix(strings.TrimSuffix(de.Name(), ".sst"), "run-")
-		if isRun && !strings.Contains(string(manifest), "run "+id+" ") {
-			t.Fatalf("%s is on disk but not in the MANIFEST:\n%s", de.Name(), manifest)
-		}
+	if name := unnamedRun(t, s); name != "" {
+		t.Fatalf("%s is on disk but not in the MANIFEST", name)
 	}
 	if len(s.runs) != tierFanout {
 		t.Fatalf("%d runs live after the failed merge, want %d", len(s.runs), tierFanout)

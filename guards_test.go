@@ -12,11 +12,11 @@ import (
 // TestStructuralGuards holds two design rules on the type-checked module,
 // where a comment or a string cannot trip them and a renamed import cannot
 // slip past:
-//   - serial by construction: internal/core does not import
-//     internal/parallel; the control loop has no fan-out that earns its keep
-//     (testdata/audit/fanout_audit.md). internal/telemetry may: its block
-//     codec fans out over whole blocks, each coded alone
-//     (testdata/audit/parallel_codec.md);
+//   - serial by construction: internal/core and internal/telemetry do not
+//     import internal/parallel. The control loop has no fan-out that earns
+//     its keep (testdata/audit/fanout_audit.md); the store's only concurrency
+//     is its writer job, one goroutine per flush, and its codec runs serially
+//     inside it (testdata/audit/store_writer.md);
 //   - one owner per buffer: no non-test code under internal/ or cmd/ uses
 //     sync.Pool; a scratch buffer belongs to its kernel instance or to a
 //     caller-held …Scratch (DESIGN.md §10).
@@ -38,13 +38,16 @@ func TestStructuralGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := loader.ModPath
-	serial := map[string]bool{mod + "/internal/core": true}
+	serial := map[string]string{
+		mod + "/internal/core":      "the control loop is serial by construction",
+		mod + "/internal/telemetry": "the store's only concurrency is its writer job",
+	}
 	var found []string
 	for _, p := range pkgs {
-		if serial[p.Types.Path()] {
+		if why, ok := serial[p.Types.Path()]; ok {
 			for _, imp := range p.Types.Imports() {
 				if imp.Path() == mod+"/internal/parallel" {
-					found = append(found, p.Types.Path()+" imports "+imp.Path()+": the control loop is serial by construction")
+					found = append(found, p.Types.Path()+" imports "+imp.Path()+": "+why)
 				}
 			}
 		}

@@ -47,12 +47,13 @@ func storeDigest(files map[string]string) string {
 // index, bloom and footer layout, the MANIFEST or the WAL.
 const pinnedStoreDigest = "5e6854f62531317ca5d374bcf3181e8f04c062e22716a014554ee477d14acea1"
 
-// TestBatchCodecBytesAcrossWorkers: a store whose flushes span several
-// write batches and whose compactions merge runs of that size leaves every
-// run file, the MANIFEST and the WAL byte-identical,
-// and counts the same I/O, at 1, 2 and 8 workers; and those bytes are the
-// pinned ones.
+// TestBatchCodecBytesAcrossWorkers: a store whose flushes span many blocks
+// and whose compactions merge runs of that size leaves every run file, the
+// MANIFEST and the WAL byte-identical, and counts the same I/O, at 1, 2 and
+// 8 workers, however its writer jobs' timing falls once they are joined;
+// and those bytes are the pinned ones.
 func TestBatchCodecBytesAcrossWorkers(t *testing.T) {
+	const manyBlocks = 16
 	events := makeEvents(100, 200)
 	var dirs []map[string]string
 	var stats []Stats
@@ -63,18 +64,21 @@ func TestBatchCodecBytesAcrossWorkers(t *testing.T) {
 		}
 		defer s.crash() // keep the WAL's tail for the comparison
 		ingestInBatches(t, s, events, 100)
+		if err := s.join(); err != nil {
+			t.Fatal(err)
+		}
 		st := s.Stats()
 		if st.Flushes < tierFanout+1 || st.Compactions < 1 {
 			t.Fatalf("workers %d: %d flushes, %d compactions; want a merge and a run flushed after it", w, st.Flushes, st.Compactions)
 		}
-		// Every live run, the flushed ones included, spans two write batches,
-		// and the merges read every block of runs of that size.
+		// Every live run, the flushed ones included, spans many blocks, and
+		// the merges read every block of runs of that size.
 		for _, r := range s.runs {
-			if len(r.index) <= batchBlocks {
-				t.Fatalf("workers %d: run %06d has %d blocks, want more than %d", w, r.meta.id, len(r.index), batchBlocks)
+			if len(r.index) <= manyBlocks {
+				t.Fatalf("workers %d: run %06d has %d blocks, want more than %d", w, r.meta.id, len(r.index), manyBlocks)
 			}
 		}
-		if st.BlocksRead < st.Compactions*tierFanout*(batchBlocks+1) {
+		if st.BlocksRead < st.Compactions*tierFanout*(manyBlocks+1) {
 			t.Fatalf("workers %d: %d compactions read %d blocks", w, st.Compactions, st.BlocksRead)
 		}
 		dirs = append(dirs, dirFingerprint(t, s.dir))
@@ -102,8 +106,9 @@ func TestBatchCodecBytesAcrossWorkers(t *testing.T) {
 }
 
 // TestCorruptBlockFailsMerge: a block whose crc fails in the middle of a
-// merge input fails the compaction with an error naming that run and block,
-// and leaves no run file the MANIFEST does not name — at any worker count.
+// merge input fails the writer job's compaction with an error naming that
+// run and block, and leaves no run file the MANIFEST does not name and the
+// committed runs as they were — at any worker count.
 func TestCorruptBlockFailsMerge(t *testing.T) {
 	const bad = 12 // a block well inside the run
 	events := makeEvents(100, 80)
@@ -115,7 +120,7 @@ func TestCorruptBlockFailsMerge(t *testing.T) {
 		}
 		defer s.crash()
 		fed := 0
-		for len(s.runs) < tierFanout-1 {
+		for s.join() == nil && len(s.runs) < tierFanout-1 {
 			ingestInBatches(t, s, events[fed:fed+100], 100)
 			fed += 100
 		}
@@ -147,8 +152,8 @@ func TestCorruptBlockFailsMerge(t *testing.T) {
 		if name := unnamedRun(t, s); name != "" {
 			t.Fatalf("workers %d: %s is on disk but not in the MANIFEST", w, name)
 		}
-		if len(s.runs) != tierFanout {
-			t.Fatalf("workers %d: %d runs live after the failed merge, want %d", w, len(s.runs), tierFanout)
+		if len(s.runs) != tierFanout-1 {
+			t.Fatalf("workers %d: %d runs live after the failed merge, want the %d committed before it", w, len(s.runs), tierFanout-1)
 		}
 	})
 }

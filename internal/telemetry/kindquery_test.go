@@ -153,8 +153,9 @@ func checkKindQueries(t *testing.T, s *Store, events []Event, rng *rand.Rand, la
 }
 
 // TestScanByKindAgainstModel: the one read path behind kind queries, against
-// a brute-force filter of what was ingested — over several runs plus a live
-// memtable, after a clean reopen (runs only), and on a store recovered from
+// a brute-force filter of what was ingested — over several runs, the frozen
+// memtable of an unjoined writer job and a live memtable, again once the job
+// is joined, after a clean reopen (runs only), and on a store recovered from
 // a WAL tail (memtable only).
 func TestScanByKindAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -167,6 +168,13 @@ func TestScanByKindAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestInBatches(t, s, events, 70)
+	if len(s.runs) < 2 || s.frozen == nil || s.mem.len() == 0 {
+		t.Fatalf("test wants >= 2 runs, a writer job and a live memtable, got %d runs, job %v and %d buffered events", len(s.runs), s.frozen != nil, s.mem.len())
+	}
+	checkKindQueries(t, s, events, rng, "runs+frozen+memtable")
+	if err := s.join(); err != nil {
+		t.Fatal(err)
+	}
 	if len(s.runs) < 3 || s.mem.len() == 0 {
 		t.Fatalf("test wants >= 3 runs and a live memtable, got %d runs and %d buffered events", len(s.runs), s.mem.len())
 	}

@@ -20,12 +20,15 @@ type memtable struct {
 	scratch []memEntry // reused merge target
 }
 
-// newMemtable pre-sizes the arena so early batches do not churn.
-func newMemtable() *memtable {
+// newMemtable sizes a memtable once for a store that flushes at flushBytes:
+// the arena takes the payloads of a full memtable and the batch that carries
+// it past the threshold, and the entry slices an entry per 64 bytes of it.
+// A store keeps two and swaps them at every flush, so neither grows again.
+func newMemtable(flushBytes int) *memtable {
 	return &memtable{
-		arena:   make([]byte, 0, 64<<10),
-		entries: make([]memEntry, 0, 1024),
-		scratch: make([]memEntry, 0, 1024),
+		arena:   make([]byte, 0, flushBytes+flushBytes/4),
+		entries: make([]memEntry, 0, flushBytes/64),
+		scratch: make([]memEntry, 0, flushBytes/64),
 	}
 }
 

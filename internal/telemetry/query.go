@@ -49,18 +49,24 @@ func (q Query) matchKind(k Kind) bool {
 }
 
 // Scan streams every matching event in primary (vehicle-major, then time)
-// order: a k-way merge of every run and the memtable over the query
-// rectangle's key range. Payload slices alias internal buffers — copy to
-// retain. Returning false from fn stops the scan.
+// order: a k-way merge of every committed run, the frozen memtable a writer
+// job may be writing and the active memtable, over the query rectangle's key
+// range. Payload slices alias internal buffers — copy to retain. Returning
+// false from fn stops the scan.
 func (s *Store) Scan(q Query, fn func(Event) bool) error {
 	q = q.normalize()
 	lo := Key{Vehicle: q.VehicleMin, TMs: q.TMinMs}
 	hi := keyMax
 	hi.Vehicle, hi.TMs = q.VehicleMax, q.TMaxMs
-	srcs, err := s.sources(s.runs, s.mem, lo, hi)
-	defer s.release(srcs)
+	srcs, err := sources(s.runs, &s.cursors, &s.stats, lo, hi)
+	defer s.cursors.release(srcs)
 	if err != nil {
 		return err
+	}
+	for _, m := range [...]*memtable{s.frozen, s.mem} {
+		if m != nil {
+			srcs = append(srcs, newMemCursor(m, lo, hi))
+		}
 	}
 	for {
 		best, err := least(srcs)
@@ -79,34 +85,46 @@ func (s *Store) Scan(q Query, fn func(Event) bool) error {
 	}
 }
 
-// sources opens the merge sources of Scan and compaction: one per run of
-// runs (oldest first) that can hold keys in [lo, hi], reading only the
-// blocks its index says overlap them, then mem unless nil. The caller hands
-// them to release when done, also after an error.
-func (s *Store) sources(runs []*run, mem *memtable, lo, hi Key) ([]*scanCursor, error) {
-	srcs := make([]*scanCursor, 0, len(runs)+1)
+// sources opens the run sources of Scan and compaction: one per run of runs
+// (oldest first) that can hold keys in [lo, hi], reading only the blocks its
+// index says overlap them through a cursor from pool and charging st. Room
+// is left for Scan's two memtable sources. The caller hands them back to
+// pool when done, also after an error.
+func sources(runs []*run, pool *cursorPool, st *Stats, lo, hi Key) ([]*scanCursor, error) {
+	srcs := make([]*scanCursor, 0, len(runs)+2)
 	for _, r := range runs {
 		if hi.Less(r.meta.minKey) || r.meta.maxKey.Less(lo) {
 			continue
 		}
-		c := &scanCursor{hi: hi, run: s.borrowCursor()}
+		c := &scanCursor{hi: hi, run: pool.borrow()}
 		srcs = append(srcs, c)
-		if err := c.seekRun(r, lo, &s.stats); err != nil {
+		if err := c.seekRun(r, lo, st); err != nil {
 			return srcs, err
 		}
-	}
-	if mem != nil {
-		srcs = append(srcs, newMemCursor(mem, lo, hi))
 	}
 	return srcs, nil
 }
 
-// release gives srcs' block cursors back to the store for the next merge; a
-// Scan or Get made from inside a Scan's fn borrows others.
-func (s *Store) release(srcs []*scanCursor) {
+// cursorPool holds idle block cursors, their buffers already grown. The
+// store's reads draw on one and the writer job's merges on another.
+type cursorPool []*blockCursor
+
+// borrow hands out an idle cursor or a new one.
+func (p *cursorPool) borrow() *blockCursor {
+	if n := len(*p); n > 0 {
+		c := (*p)[n-1]
+		*p = (*p)[:n-1]
+		return c
+	}
+	return new(blockCursor)
+}
+
+// release gives srcs' block cursors back for the next merge; a Scan or Get
+// made from inside a Scan's fn borrows others.
+func (p *cursorPool) release(srcs []*scanCursor) {
 	for _, c := range srcs {
 		if c.run != nil {
-			s.idleCursors = append(s.idleCursors, c.run)
+			*p = append(*p, c.run)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"sov/internal/cloud"
-	"sov/internal/parallel"
 )
 
 // Sorted immutable runs are the LSM tree's on-disk level unit. A run file
@@ -37,14 +36,11 @@ const (
 	runFooterMagic = "SOVTEND2"
 	blockTarget    = 4096 // uncompressed data-block payload target
 
-	// blockCap is what every block buffer of the write batch and every
-	// cursor's decode buffer is made with: the target, room for the entry
-	// that carries a block past it, and the decoder's slack. A block whose
-	// last entry is longer grows its buffer once.
+	// blockCap is what the writer's block buffers and every cursor's decode
+	// buffer are made with: the target, room for the entry that carries a
+	// block past it, and the decoder's slack. A block whose last entry is
+	// longer grows its buffer once.
 	blockCap = blockTarget + 256 + cloud.Slack
-
-	batchBlocks = 16 // blocks a run writer compresses per fan-out
-	codecTiles  = 4  // tiles of that fan-out, each with its own match table
 )
 
 // blockMeta is one index entry.
@@ -64,48 +60,28 @@ const blockMetaSize = KeySize + 1 + 8 + 4 + 4 + 4 + 4
 // u32 | entryCount u64 | minKey | maxKey | metaCRC u32 | magic.
 const footerSize = 8 + 4 + 8 + 4 + 8 + KeySize + KeySize + 4 + 8
 
-// runWriter streams sorted entries into a run file. The Store holds one,
-// match tables included, and begins it anew for every flush and compaction,
-// so the file buffer, the batch's block buffers and the index and tail
-// buffers are allocated once per store, at its first flush.
-//
-// Blocks are coded in batches: add fills the pending blocks in turn, and
-// once batchBlocks of them are full (or finish drains the last, partial
-// batch) one fan-out codes them all, codecTiles tiles each with its own
-// match table, and they are written in block order. Every block is
-// compressed on its own (the codec clears its table per call), so a block's
-// bytes do not depend on its batch, its tile or the worker count.
+// runWriter streams sorted entries into a run file. The store's writer job
+// holds one, match table included, and begins it anew for every flush and
+// compaction, so the file buffer, the block buffers and the index and tail
+// buffers are allocated once per store, at its first flush. Each block is
+// compressed on its own as it fills (the codec clears its table per call),
+// so a block's bytes depend on its entries alone.
 type runWriter struct {
-	path       string
-	f          *os.File
-	bw         *bufio.Writer
-	off        uint64
-	pend       [batchBlocks]pendingBlock
-	npend      int // full blocks queued; pend[npend] is the one being filled
-	tiles      [codecTiles]codecTile
-	compressFn func(tile, start, end int) // compressTiles, bound once
-	index      []blockMeta
-	tail       []byte // marshaled index, bloom and footer
-	filter     *bloom
-	minKey     Key
-	maxKey     Key
-	count      uint64
-	started    bool
-}
-
-// pendingBlock is one block of the batch: its entries, which coding
-// replaces with their compressed form when that saves a tenth of them, and
-// its index entry, complete but for the offset once the batch is coded.
-type pendingBlock struct {
-	body []byte
-	bm   blockMeta
-}
-
-// codecTile is what one tile of a batch's fan-out owns: a match table and
-// the buffer a block is compressed into.
-type codecTile struct {
-	table  cloud.Table
-	packed []byte
+	path    string
+	f       *os.File
+	bw      *bufio.Writer
+	off     uint64
+	body    []byte    // the block being filled
+	bm      blockMeta // its index entry
+	table   cloud.Table
+	packed  []byte // the block compressed
+	index   []blockMeta
+	tail    []byte // marshaled index, bloom and footer
+	filter  *bloom
+	minKey  Key
+	maxKey  Key
+	count   uint64
+	started bool
 }
 
 // begin creates the run file at path and resets the writer for it.
@@ -116,22 +92,14 @@ func (w *runWriter) begin(path string, expectEntries int) error {
 	}
 	if w.bw == nil {
 		w.bw = bufio.NewWriterSize(f, 1<<16)
-		w.compressFn = w.compressTiles
-		for i := range w.tiles {
-			w.tiles[i].packed = make([]byte, 0, blockCap)
-		}
-		for i := range w.pend {
-			w.pend[i].body = make([]byte, 0, blockCap)
-		}
+		w.body = make([]byte, 0, blockCap)
+		w.packed = make([]byte, 0, blockCap)
 	} else {
 		w.bw.Reset(f)
 	}
 	w.path, w.f = path, f
 	w.filter = newBloom(expectEntries)
-	for i := range w.pend {
-		w.pend[i].body, w.pend[i].bm = w.pend[i].body[:0], blockMeta{}
-	}
-	w.npend, w.index = 0, w.index[:0]
+	w.body, w.bm, w.index = w.body[:0], blockMeta{}, w.index[:0]
 	w.count, w.started = 0, false
 	w.off = uint64(len(runMagic))
 	if _, err := w.bw.WriteString(runMagic); err != nil {
@@ -155,60 +123,42 @@ func (w *runWriter) add(k Key, payload []byte) error {
 		w.started = true
 	}
 	w.maxKey = k
-	b := &w.pend[w.npend]
-	if b.bm.count == 0 {
-		b.bm.firstKey = k
+	if w.bm.count == 0 {
+		w.bm.firstKey = k
 	}
 	w.filter.add(hashKey(k))
-	b.body = appendKey(b.body, k)
-	b.body = binary.AppendUvarint(b.body, uint64(len(payload)))
-	b.body = append(b.body, payload...)
-	b.bm.count++
+	w.body = appendKey(w.body, k)
+	w.body = binary.AppendUvarint(w.body, uint64(len(payload)))
+	w.body = append(w.body, payload...)
+	w.bm.count++
 	w.count++
-	if len(b.body) >= blockTarget {
-		if w.npend++; w.npend == batchBlocks {
-			return w.writeBatch()
-		}
+	if len(w.body) >= blockTarget {
+		return w.writeBlock()
 	}
 	return nil
 }
 
-// writeBatch codes the queued blocks in one fan-out, then writes them in
-// block order.
-func (w *runWriter) writeBatch() error {
-	parallel.ForTiled(w.npend, batchBlocks/codecTiles, w.compressFn)
-	for i := range w.pend[:w.npend] {
-		b := &w.pend[i]
-		b.bm.off = w.off
-		w.index = append(w.index, b.bm)
-		if _, err := w.bw.Write(b.body); err != nil {
-			return err
-		}
-		w.off += uint64(len(b.body))
-		b.body, b.bm = b.body[:0], blockMeta{}
+// writeBlock codes the filled block, stored compressed when that saves a
+// tenth of it and checksummed as stored, writes it and indexes it.
+func (w *runWriter) writeBlock() error {
+	raw := len(w.body)
+	w.packed = cloud.AppendCompress(w.packed[:0], w.body, &w.table)
+	if w.bm.compressed = len(w.packed) < raw-raw/10; w.bm.compressed {
+		w.body = append(w.body[:0], w.packed...)
 	}
-	w.npend = 0
+	w.bm.rawLen, w.bm.storedLen = uint32(raw), uint32(len(w.body))
+	w.bm.crc = crc32.ChecksumIEEE(w.body)
+	w.bm.off = w.off
+	w.index = append(w.index, w.bm)
+	if _, err := w.bw.Write(w.body); err != nil {
+		return err
+	}
+	w.off += uint64(len(w.body))
+	w.body, w.bm = w.body[:0], blockMeta{}
 	return nil
 }
 
-// compressTiles is one tile of writeBatch's fan-out: blocks [start, end),
-// each compressed through the tile's table and stored compressed when that
-// saves a tenth of it, then checksummed as stored.
-func (w *runWriter) compressTiles(tile, start, end int) {
-	t := &w.tiles[tile]
-	for i := start; i < end; i++ {
-		b := &w.pend[i]
-		raw := len(b.body)
-		t.packed = cloud.AppendCompress(t.packed[:0], b.body, &t.table)
-		if b.bm.compressed = len(t.packed) < raw-raw/10; b.bm.compressed {
-			b.body = append(b.body[:0], t.packed...)
-		}
-		b.bm.rawLen, b.bm.storedLen = uint32(raw), uint32(len(b.body))
-		b.bm.crc = crc32.ChecksumIEEE(b.body)
-	}
-}
-
-// finish writes the last blocks, index, bloom, and footer, then closes the
+// finish writes the last block, index, bloom, and footer, then closes the
 // file. It returns the run's metadata for the manifest; on error the run is
 // aborted.
 func (w *runWriter) finish() (meta runMeta, err error) {
@@ -217,11 +167,10 @@ func (w *runWriter) finish() (meta runMeta, err error) {
 			w.abort()
 		}
 	}()
-	if w.pend[w.npend].bm.count > 0 {
-		w.npend++
-	}
-	if err := w.writeBatch(); err != nil {
-		return runMeta{}, err
+	if w.bm.count > 0 {
+		if err := w.writeBlock(); err != nil {
+			return runMeta{}, err
+		}
 	}
 	indexOff := w.off
 	tail := w.tail[:0]

@@ -53,35 +53,54 @@ func (s Stats) WriteAmplification() float64 {
 	return float64(s.WALBytes+s.RunBytesWritten) / float64(s.UserBytes)
 }
 
+// add adds o's counts to s.
+func (s *Stats) add(o Stats) {
+	s.Events += o.Events
+	s.UserBytes += o.UserBytes
+	s.WALBytes += o.WALBytes
+	s.RunBytesWritten += o.RunBytesWritten
+	s.RunBytesRead += o.RunBytesRead
+	s.BlocksRead += o.BlocksRead
+	s.BloomSkips += o.BloomSkips
+	s.Flushes += o.Flushes
+	s.Compactions += o.Compactions
+}
+
 // Store is the LSM-tree telemetry store rooted at one directory:
-// MANIFEST, wal.log, and run-*.sst files. Not safe for concurrent use —
-// the fleet ingests from its serial epoch barrier, and queries run
-// between ingest batches.
+// MANIFEST, wal.log (and wal.prev while a flush is in flight), and
+// run-*.sst files. Not safe for concurrent use — the fleet ingests from its
+// serial epoch barrier, and queries run between ingest batches. Its one
+// goroutine of its own is the writer job (job.go), at most one at a time.
 type Store struct {
 	dir  string
 	opts Options
 
-	mem     *memtable
-	runs    []*run // ascending id = oldest first
+	mem     *memtable // the active memtable
+	frozen  *memtable // the memtable a writer job writes, until the join adopts its run
+	spare   *memtable // the next active memtable, made at the first freeze
+	runs    []*run    // committed runs, ascending id = oldest first
 	nextRun uint64
 	seq     uint64 // global event sequence (Key.Seq)
-	wal     *walWriter
+	wal     walWriter
 
 	stats Stats
+	err   error // a failed job's or WAL rotation's: every later Ingest, Flush and Close returns it
 
-	// reused block-path state: the one run writer, Get's cursor, the
-	// cursors scans and compactions borrow, and openRun's buffer for a
-	// run's index and bloom
-	rw          runWriter
-	getCur      blockCursor
-	idleCursors []*blockCursor
-	metaBuf     []byte
+	// the writer job: w is its state, running says it has started and not
+	// been joined, and done carries its result (buffered, so a job ends
+	// whether or not anything joins it)
+	w       writer
+	running bool
+	done    chan error
+
+	// reused read state: Get's cursor and the cursors scans borrow
+	getCur  blockCursor
+	cursors cursorPool
 
 	// reused ingest scratch
-	batchIdx   []int32
-	batchEnts  []memEntry
-	walBody    []byte
-	tierCounts map[int][]int
+	batchIdx  []int32
+	batchEnts []memEntry
+	walBody   []byte
 
 	// reused ScanByKind scratch: the buffered rows and their payload bytes
 	kindRows  []Event
@@ -98,7 +117,7 @@ const (
 // reader can refuse a directory that Open would create a store in. A stat
 // error other than "not exist" counts as a store, for Open to report.
 func Exists(dir string) bool {
-	for _, name := range []string{manifestName, walName} {
+	for _, name := range []string{manifestName, walName, walPrevName} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
 			return true
 		}
@@ -106,12 +125,12 @@ func Exists(dir string) bool {
 	return false
 }
 
-// Open loads (or creates) a store in dir, replaying any WAL tail left by
-// a crash through the normal ingest path so the recovered state — runs,
-// manifest, memtable — is byte-identical to what a non-crashed store
-// would hold. A run file the MANIFEST does not name is a crashed flush's or
-// compaction's output, or a compaction's input, and is deleted.
-func Open(dir string, opts Options) (*Store, error) {
+// Open loads (or creates) a store in dir, replaying any WAL left by a crash
+// through the normal ingest path so the recovered state — runs, manifest,
+// memtable — is byte-identical to what a non-crashed store would hold. A
+// run file the MANIFEST does not name is a crashed job's output, or a
+// compaction's input, and is deleted.
+func Open(dir string, opts Options) (_ *Store, err error) {
 	if opts.FlushBytes <= 0 {
 		opts.FlushBytes = 256 << 10
 	}
@@ -119,12 +138,21 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:        dir,
-		opts:       opts,
-		mem:        newMemtable(),
-		nextRun:    1,
-		tierCounts: make(map[int][]int),
+		dir:     dir,
+		opts:    opts,
+		mem:     newMemtable(opts.FlushBytes),
+		nextRun: 1,
+		done:    make(chan error, 1),
+		w:       writer{dir: dir, tierCounts: make(map[int][]int)},
 	}
+	defer func() {
+		if err != nil {
+			s.join()
+			for _, r := range s.runs {
+				r.close()
+			}
+		}
+	}()
 	if err := s.loadManifest(); err != nil {
 		return nil, err
 	}
@@ -139,29 +167,22 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 		}
 	}
-	// Replay the WAL tail before opening it for append: these batches were
-	// ingested but not yet flushed when the store last stopped. The MANIFEST
-	// is written only with the memtable empty, so a batch below its seq is
-	// in a run already: a crash between a flush's MANIFEST and its WAL reset
-	// leaves the whole log behind.
-	flushedSeq := s.seq
-	batches, _, err := readWAL(dir)
+	// Replay the WAL: these batches were ingested but not committed in a run
+	// when the store last stopped. A batch below the running seq is in a run
+	// already (the MANIFEST's seq bounds what its runs hold) or was replayed
+	// from wal.prev, and is skipped.
+	batches, prev, torn, err := readWAL(dir)
 	if err != nil {
 		return nil, err
 	}
-	s.wal, err = openWAL(dir)
-	if err != nil {
-		return nil, err
-	}
-	kept := 0 // batches[kept:] are only in the memtable
-	for i, body := range batches {
+	var kept [][]byte // the replayed batches that only the memtable holds
+	for _, body := range batches {
 		events, err := decodeBatchBody(body)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: wal replay: %w", err)
 		}
 		// Seq is s.seq's low 32 bits, so both compare in serial-number order.
-		if len(events) > 0 && int32(uint32(flushedSeq)-events[0].Key.Seq) > 0 {
-			kept = i + 1
+		if len(events) > 0 && int32(uint32(s.seq)-events[0].Key.Seq) > 0 {
 			continue
 		}
 		for _, e := range events {
@@ -169,34 +190,39 @@ func Open(dir string, opts Options) (*Store, error) {
 				s.seq += uint64(d) + 1
 			}
 		}
-		flushesBefore := s.stats.Flushes
-		if err := s.apply(events); err != nil {
-			return nil, err
-		}
-		if s.stats.Flushes != flushesBefore {
-			kept = i + 1
-		}
-	}
-	// Drop the batches a run holds from the log, keeping those still only in
-	// the memtable so a second crash replays them too.
-	if kept > 0 {
-		if err := s.wal.reset(); err != nil {
-			return nil, err
-		}
-		for _, body := range batches[kept:] {
-			if err := s.wal.appendBatch(body); err != nil {
+		kept = append(kept, body)
+		if s.apply(events) {
+			if err := s.join(); err != nil {
 				return nil, err
 			}
+			s.freeze(false)
+			kept = kept[:0]
 		}
+	}
+	if err := s.join(); err != nil {
+		return nil, err
+	}
+	// Rewrite the log to the batches still only in the memtable, so a
+	// second crash replays them too, when anything else is in it.
+	if prev || torn || len(kept) < len(batches) {
+		if err := rewriteWAL(dir, kept); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.wal.open(dir); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // Ingest assigns sequence numbers, logs the batch to the WAL, and applies
-// it to the memtable (flushing and compacting when thresholds trip).
-// Events must carry Vehicle, TMs, Kind, and Payload; Seq is assigned here
-// in submission order.
+// it to the memtable, handing a full memtable to a writer job. Events must
+// carry Vehicle, TMs, Kind, and Payload; Seq is assigned here in submission
+// order.
 func (s *Store) Ingest(events []Event) error {
+	if s.err != nil {
+		return s.err
+	}
 	if len(events) == 0 {
 		return nil
 	}
@@ -211,13 +237,16 @@ func (s *Store) Ingest(events []Event) error {
 		return err
 	}
 	s.stats.WALBytes += int64(8 + len(s.walBody))
-	return s.apply(events)
+	if s.apply(events) {
+		return s.rotate()
+	}
+	return nil
 }
 
-// apply sorts a batch into key order and folds it into the memtable, then
-// runs the flush/compaction policy. Keys are unique (Ingest assigns Seq),
-// so the order is total.
-func (s *Store) apply(events []Event) error {
+// apply sorts a batch into key order and folds it into the memtable, and
+// reports whether the memtable has reached FlushBytes. Keys are unique
+// (Ingest assigns Seq), so the order is total.
+func (s *Store) apply(events []Event) (full bool) {
 	idx := s.batchIdx[:0]
 	for i := range events {
 		idx = append(idx, int32(i))
@@ -241,185 +270,95 @@ func (s *Store) apply(events []Event) error {
 	}
 	s.batchEnts = ents[:0]
 	s.mem.mergeBatch(ents)
-	if s.mem.sizeBytes() >= s.opts.FlushBytes {
-		if err := s.flush(); err != nil {
-			return err
-		}
+	return s.mem.sizeBytes() >= s.opts.FlushBytes
+}
+
+// rotate joins the running job, then freezes the active memtable: wal.log,
+// which holds exactly its batches, becomes wal.prev for the new job to
+// remove once it has committed them, and a fresh wal.log takes the batches
+// after them. A failure to rename or reopen the log is the store's error
+// from then on.
+func (s *Store) rotate() error {
+	if err := s.join(); err != nil {
+		return err
 	}
+	err := s.wal.close()
+	if err == nil {
+		err = os.Rename(filepath.Join(s.dir, walName), filepath.Join(s.dir, walPrevName))
+	}
+	if err == nil {
+		err = s.wal.open(s.dir)
+	}
+	if err != nil {
+		s.err = fmt.Errorf("telemetry: wal rotation: %w", err)
+		return s.err
+	}
+	s.freeze(true)
 	return nil
 }
 
-// flush writes the memtable as a new level-0 run, durably records it in
-// the manifest, resets the WAL, and triggers compaction.
-func (s *Store) flush() error {
-	if s.mem.len() == 0 {
-		return nil
+// freeze hands the active memtable to a new writer job, with the run list,
+// run ids and seq bound it commits against, and swaps in the spare. No job
+// may be running.
+func (s *Store) freeze(retireWAL bool) {
+	if s.spare == nil {
+		s.spare = newMemtable(s.opts.FlushBytes)
 	}
-	id := s.nextRun
-	s.nextRun++
-	w := &s.rw
-	if err := w.begin(runPath(s.dir, id), s.mem.len()); err != nil {
-		return err
-	}
-	for _, e := range s.mem.entries {
-		if err := w.add(e.key, s.mem.arena[e.off:e.off+e.n]); err != nil {
-			w.abort()
-			return err
-		}
-	}
-	meta, err := w.finish()
-	if err != nil {
-		return err
-	}
-	meta.id = id
-	meta.tier = tierOf(meta.bytes)
-	s.stats.RunBytesWritten += meta.bytes
-	s.stats.Flushes++
-	r, err := openRun(runPath(s.dir, id), meta, &s.metaBuf)
-	if err != nil {
-		return err
-	}
-	s.runs = append(s.runs, r)
-	s.mem.reset()
-	if err := s.writeManifest(); err != nil {
-		return err
-	}
-	if err := s.wal.reset(); err != nil {
-		return err
-	}
-	if !s.opts.NoCompact {
-		return s.compact()
-	}
-	return nil
+	w := &s.w
+	w.mem, w.seq, w.retireWAL, w.compact = s.mem, s.seq, retireWAL, !s.opts.NoCompact
+	w.runs = append(w.runs[:0], s.runs...)
+	w.nextRun = s.nextRun
+	w.created, w.victims, w.stats = w.created[:0], w.victims[:0], Stats{}
+	s.frozen, s.mem, s.spare = s.mem, s.spare, nil
+	s.running = true
+	go func() { s.done <- w.run() }()
 }
 
-// Size-tiered compaction: runs are bucketed by size tier (quadrupling
-// widths); when a tier accumulates tierFanout runs, the oldest tierFanout
-// merge into one run a tier up. Write amplification stays O(log n) per
-// byte instead of the O(n) a single sorted level would cost.
-
-const (
-	tierBase   = 16 << 10
-	tierFanout = 4
-)
-
-// tierOf buckets a run size.
-func tierOf(bytes int64) int {
-	t := 0
-	for x := bytes / tierBase; x >= tierFanout; x /= tierFanout {
-		t++
+// join waits for the running job, if any, and adopts its result: its run
+// list, run ids and counts; it closes the runs the job's merges replaced
+// and keeps the frozen memtable as the next spare. A failed job leaves the
+// committed state as it was, its frozen memtable readable, and its error
+// the store's.
+func (s *Store) join() error {
+	if !s.running {
+		return s.err
 	}
-	return t
-}
-
-// compact repeatedly merges the lowest overflowing tier until no tier
-// holds tierFanout runs.
-func (s *Store) compact() error {
-	for {
-		clear(s.tierCounts)
-		maxTier := 0
-		for i, r := range s.runs {
-			s.tierCounts[r.meta.tier] = append(s.tierCounts[r.meta.tier], i)
-			if r.meta.tier > maxTier {
-				maxTier = r.meta.tier
-			}
-		}
-		victim := -1
-		for t := 0; t <= maxTier; t++ {
-			if len(s.tierCounts[t]) >= tierFanout {
-				victim = t
-				break
-			}
-		}
-		if victim < 0 {
-			return nil
-		}
-		// Oldest tierFanout runs of the tier (runs are id-ordered).
-		picks := s.tierCounts[victim][:tierFanout]
-		if err := s.mergeRunsAt(picks); err != nil {
-			return err
-		}
-	}
-}
-
-// mergeRunsAt merges the runs at the given positions (ascending) into a
-// new run, then opens it, puts it in their place, rewrites the manifest and
-// only then deletes them: a crash at any step leaves every event in runs
-// the MANIFEST names, and Open deletes the ones it does not.
-func (s *Store) mergeRunsAt(positions []int) error {
-	victims := make([]*run, len(positions))
-	var total uint64
-	for i, p := range positions {
-		victims[i] = s.runs[p]
-		total += s.runs[p].meta.entries
-	}
-	id := s.nextRun
-	s.nextRun++
-	w := &s.rw
-	if err := w.begin(runPath(s.dir, id), int(total)); err != nil {
+	s.running = false
+	if err := <-s.done; err != nil {
+		s.err = err
 		return err
 	}
-	if err := s.mergeRuns(victims, w); err != nil {
-		w.abort()
-		return err
-	}
-	meta, err := w.finish()
-	if err != nil {
-		return err
-	}
-	meta.id = id
-	meta.tier = tierOf(meta.bytes)
-	s.stats.RunBytesWritten += meta.bytes
-	s.stats.Compactions++
-	nr, err := openRun(runPath(s.dir, id), meta, &s.metaBuf)
-	if err != nil {
-		return err
-	}
-	// The merged run has the newest id, so id order holds with it last.
-	s.runs = append(slices.DeleteFunc(s.runs, func(r *run) bool { return slices.Contains(victims, r) }), nr)
-	if err := s.writeManifest(); err != nil {
-		return err
-	}
-	for _, r := range victims {
+	w := &s.w
+	s.runs, w.runs = w.runs, s.runs
+	s.nextRun = w.nextRun
+	s.stats.add(w.stats)
+	for _, r := range w.victims {
 		r.close()
-		os.Remove(runPath(s.dir, r.meta.id))
 	}
+	s.frozen.reset()
+	s.spare, s.frozen = s.frozen, nil
 	return nil
 }
 
-// mergeRuns streams the union of runs (oldest first) into w through
-// Scan's sources and least-key pick.
-func (s *Store) mergeRuns(runs []*run, w *runWriter) error {
-	srcs, err := s.sources(runs, nil, Key{}, keyMax)
-	defer s.release(srcs)
-	if err != nil {
-		return err
-	}
-	for {
-		best, err := least(srcs)
-		if best < 0 || err != nil {
-			return err
-		}
-		if err := w.add(srcs[best].key, srcs[best].val); err != nil {
-			return err
-		}
-		if err := srcs[best].next(); err != nil {
+// Flush forces the memtable to disk (used by Close and checkpoints): it
+// starts a job for a non-empty memtable and joins it.
+func (s *Store) Flush() error {
+	if s.mem.len() > 0 {
+		if err := s.rotate(); err != nil {
 			return err
 		}
 	}
+	return s.join()
 }
-
-// Flush forces the memtable to disk (used by Close and checkpoints).
-func (s *Store) Flush() error { return s.flush() }
 
 // Close flushes the memtable, rewrites the manifest, and closes every
 // file. The WAL is empty after a clean close.
 func (s *Store) Close() error {
-	// After a failed flush the WAL alone holds the memtable's events, and a
+	// After a failed job the WAL alone holds the memtables' events, and a
 	// MANIFEST would claim their seqs, so none is written.
-	first := s.flush()
+	first := s.Flush()
 	if first == nil {
-		first = s.writeManifest()
+		first = writeManifest(s.dir, s.nextRun, s.seq, s.runs)
 	}
 	if err := s.wal.close(); err != nil && first == nil {
 		first = err
@@ -432,10 +371,11 @@ func (s *Store) Close() error {
 	return first
 }
 
-// Stats returns a copy of the I/O counters.
+// Stats returns a copy of the I/O counters as of the last join: a running
+// job's counts join them when it does.
 func (s *Store) Stats() Stats { return s.stats }
 
-// Runs reports the live run count and total run bytes.
+// Runs reports the committed run count and total run bytes.
 func (s *Store) Runs() (count int, bytes int64) {
 	for _, r := range s.runs {
 		bytes += r.meta.bytes
@@ -443,24 +383,18 @@ func (s *Store) Runs() (count int, bytes int64) {
 	return len(s.runs), bytes
 }
 
-// borrowCursor hands out an idle block cursor, its buffers already grown,
-// or a new one. Borrowers append theirs back to idleCursors when done.
-func (s *Store) borrowCursor() *blockCursor {
-	if n := len(s.idleCursors); n > 0 {
-		c := s.idleCursors[n-1]
-		s.idleCursors = s.idleCursors[:n-1]
-		return c
-	}
-	return new(blockCursor)
-}
-
-// Get returns the payload for an exact key: memtable first, then runs
-// newest-to-oldest with bloom-filter short-circuiting. The payload aliases
-// a store-owned buffer and is valid until the next call on the Store; copy
-// to retain.
+// Get returns the payload for an exact key: the active memtable first, then
+// the frozen one, then the committed runs newest-to-oldest with bloom-filter
+// short-circuiting. The payload aliases a store-owned buffer and is valid
+// until the next call on the Store; copy to retain.
 func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if p, ok := s.mem.get(k); ok {
 		return p, true, nil
+	}
+	if s.frozen != nil {
+		if p, ok := s.frozen.get(k); ok {
+			return p, true, nil
+		}
 	}
 	hash := hashKey(k)
 	for i := len(s.runs) - 1; i >= 0; i-- {
@@ -478,15 +412,17 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 // manifest serialization — line-oriented text, atomically replaced, byte-
 // identical for a given run set.
 
-func (s *Store) writeManifest() error {
+// writeManifest commits runs as dir's store. seq is the flushed bound:
+// every event below it is in one of runs, so a replay skips its batch.
+func writeManifest(dir string, nextRun, seq uint64, runs []*run) error {
 	var b []byte
 	b = append(b, manifestHeader+"\n"...)
 	b = append(b, "next-run "...)
-	b = strconv.AppendUint(b, s.nextRun, 10)
+	b = strconv.AppendUint(b, nextRun, 10)
 	b = append(b, "\nseq "...)
-	b = strconv.AppendUint(b, s.seq, 10)
+	b = strconv.AppendUint(b, seq, 10)
 	b = append(b, '\n')
-	for _, r := range s.runs {
+	for _, r := range runs {
 		m := r.meta
 		b = append(b, "run "...)
 		b = appendUintPad(b, m.id, 6)
@@ -505,11 +441,11 @@ func (s *Store) writeManifest() error {
 		b = append(b, '\n')
 	}
 	b = append(b, "end\n"...)
-	tmp := filepath.Join(s.dir, manifestName+".tmp")
+	tmp := filepath.Join(dir, manifestName+".tmp")
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(s.dir, manifestName))
+	return os.Rename(tmp, filepath.Join(dir, manifestName))
 }
 
 func (s *Store) loadManifest() error {
@@ -579,7 +515,7 @@ func (s *Store) loadManifest() error {
 				return err
 			}
 			m.crc = uint32(crc)
-			r, err := openRun(runPath(s.dir, m.id), m, &s.metaBuf)
+			r, err := openRun(runPath(s.dir, m.id), m, &s.w.metaBuf)
 			if err != nil {
 				return err
 			}
@@ -603,9 +539,12 @@ func (s *Store) loadManifest() error {
 	return nil
 }
 
-// ManifestBytes returns the manifest's current on-disk contents (the
-// determinism tests diff it across twin stores).
+// ManifestBytes joins the running job and returns the manifest's on-disk
+// contents (the determinism tests diff it across twin stores).
 func (s *Store) ManifestBytes() ([]byte, error) {
+	if err := s.join(); err != nil {
+		return nil, err
+	}
 	return os.ReadFile(filepath.Join(s.dir, manifestName))
 }
 

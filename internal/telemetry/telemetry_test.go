@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,9 +19,11 @@ import (
 	"sov/internal/cloud"
 )
 
-// crash closes every file handle WITHOUT flushing the memtable or
-// resetting the WAL — the crash-recovery tests' process-kill stand-in.
+// crash waits for a running writer job, then closes every file handle
+// WITHOUT flushing the memtable or writing the MANIFEST — the crash-recovery
+// tests' process-kill stand-in.
 func (s *Store) crash() {
+	s.join()
 	s.wal.close()
 	for _, r := range s.runs {
 		r.close()
@@ -120,7 +123,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 // TestMemtableMergeAndScan: out-of-order batches merge into global key
 // order; get and the scan cursor agree.
 func TestMemtableMergeAndScan(t *testing.T) {
-	m := newMemtable()
+	m := newMemtable(1 << 10)
 	var batch []memEntry
 	put := func(keys ...Key) {
 		batch = batch[:0]
@@ -166,8 +169,8 @@ func TestMemtableMergeAndScan(t *testing.T) {
 // scan without error; mid-log corruption is detected via crc.
 func TestWALFramingAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir)
-	if err != nil {
+	var w walWriter
+	if err := w.open(dir); err != nil {
 		t.Fatal(err)
 	}
 	b1 := appendBatchBody(nil, []Event{{Key: Key{Vehicle: 1, TMs: 5}, Payload: []byte("a")}})
@@ -180,7 +183,7 @@ func TestWALFramingAndTornTail(t *testing.T) {
 	}
 	w.close()
 
-	batches, torn, err := readWAL(dir)
+	batches, _, torn, err := readWAL(dir)
 	if err != nil || torn || len(batches) != 2 {
 		t.Fatalf("read: %d batches torn=%v err=%v", len(batches), torn, err)
 	}
@@ -194,7 +197,7 @@ func TestWALFramingAndTornTail(t *testing.T) {
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	f.Write([]byte{9, 0, 0, 0, 1, 2})
 	f.Close()
-	batches, torn, err = readWAL(dir)
+	batches, _, torn, err = readWAL(dir)
 	if err != nil || !torn || len(batches) != 2 {
 		t.Fatalf("torn read: %d batches torn=%v err=%v", len(batches), torn, err)
 	}
@@ -204,7 +207,7 @@ func TestWALFramingAndTornTail(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	raw[10] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
-	batches, torn, _ = readWAL(dir)
+	batches, _, torn, _ = readWAL(dir)
 	if !torn || len(batches) != 0 {
 		t.Fatalf("corrupt read: %d batches torn=%v", len(batches), torn)
 	}
@@ -485,7 +488,8 @@ func dirFingerprint(t *testing.T, dir string) map[string]string {
 
 // TestCrashRecoveryReplaysToIdenticalStore: a store killed mid-stream
 // (open WAL tail, unflushed memtable) must reopen to the same contents,
-// and after Close its on-disk state must match a never-crashed twin.
+// and after Close its on-disk state must match a never-crashed twin. So
+// must a store killed at any step of any writer job (jobCrashStates).
 func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 	events := makeEvents(25, 40)
 	opts := Options{FlushBytes: 8 << 10}
@@ -532,15 +536,146 @@ func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After Close, both directories are byte-identical.
-	cleanFP := dirFingerprint(t, cleanDir)
-	recFP := dirFingerprint(t, crashDir)
-	if len(cleanFP) != len(recFP) {
-		t.Fatalf("file sets differ: clean %d, recovered %d", len(cleanFP), len(recFP))
+	checkTwin(t, "crash mid-stream", dirFingerprint(t, cleanDir), dirFingerprint(t, crashDir))
+
+	states := jobCrashStates(t, events, opts, 120, func(int) bool { return true })
+	if len(states) < 3*6 {
+		t.Fatalf("%d crash points; want every step of several jobs", len(states))
 	}
-	for name, fp := range cleanFP {
-		if recFP[name] != fp {
-			t.Fatalf("file %s differs between clean close and crash recovery", name)
+	checkCrashStates(t, states, events, opts, 120, dirFingerprint(t, cleanDir))
+}
+
+// checkTwin fails unless a store's files are the never-crashed twin's.
+func checkTwin(t *testing.T, what string, twin, got map[string]string) {
+	t.Helper()
+	if len(got) != len(twin) {
+		t.Errorf("%s: %d files, the never-crashed twin %d", what, len(got), len(twin))
+	}
+	for name, fp := range twin {
+		if got[name] != fp {
+			t.Errorf("%s: %s differs from the never-crashed twin's", what, name)
 		}
+	}
+}
+
+// crashState is the directory a crash at one step of a writer job leaves,
+// and the number of events ingested by then.
+type crashState struct {
+	step   string
+	job    int
+	files  map[string][]byte
+	events int
+}
+
+// readFiles returns every file in dir by name.
+func readFiles(dir string) (map[string][]byte, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string][]byte{}
+	for _, de := range des {
+		b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			return nil, err
+		}
+		out[de.Name()] = b
+	}
+	return out, nil
+}
+
+// jobCrashStates ingests events into a fresh store in batches, joining each
+// writer job right after the batch that starts it, and lists every step of
+// every job (writer.crashPoint). For the jobs snap picks it also takes the
+// directory at each step, and the one a crash leaves between the WAL rename
+// and the new log's creation: the run-written state without the new log
+// and the run.
+func jobCrashStates(t *testing.T, events []Event, opts Options, batch int, snap func(job int) bool) []crashState {
+	t.Helper()
+	s, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []crashState
+	fed, jobs := 0, 0
+	s.w.crashPoint = func(step string) {
+		if step == "run written" {
+			jobs++
+		}
+		c := crashState{step: step, job: jobs, events: fed}
+		if snap(jobs) {
+			if c.files, err = readFiles(s.dir); err != nil {
+				t.Errorf("job %d, %s: %v", jobs, step, err)
+				return
+			}
+		}
+		if step == "run written" {
+			renamed := c
+			renamed.step, renamed.files = "WAL renamed", maps.Clone(c.files)
+			delete(renamed.files, walName)
+			for _, name := range unnamedRuns(c.files) {
+				delete(renamed.files, name)
+			}
+			states = append(states, renamed)
+		}
+		states = append(states, c)
+	}
+	for fed < len(events) {
+		next := events[fed:min(fed+batch, len(events))]
+		fed += len(next) // before the job that reads it starts
+		ingestInBatches(t, s, next, batch)
+		if err := s.join(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.crash()
+	return states
+}
+
+// unnamedRuns lists the run files of a directory's files that its MANIFEST
+// does not name.
+func unnamedRuns(files map[string][]byte) []string {
+	var out []string
+	for name := range files {
+		id, isRun := strings.CutPrefix(strings.TrimSuffix(name, ".sst"), "run-")
+		if isRun && !strings.Contains(string(files[manifestName]), "run "+id+" ") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// checkCrashStates opens each crash state taken, wants every event ingested by
+// then and no run file the MANIFEST does not name, ingests the rest and
+// closes, and wants the never-crashed twin's files.
+func checkCrashStates(t *testing.T, states []crashState, events []Event, opts Options, batch int, twin map[string]string) {
+	t.Helper()
+	for _, c := range states {
+		if c.files == nil {
+			continue
+		}
+		what := fmt.Sprintf("crash after job %d's %s", c.job, c.step)
+		dir := t.TempDir()
+		for name, b := range c.files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n, err := s.Count(Query{}); err != nil || n != int64(c.events) {
+			t.Errorf("%s: %d events, ingested %d: %v", what, n, c.events, err)
+		}
+		if name := unnamedRun(t, s); name != "" {
+			t.Errorf("%s: %s is on disk but not in the MANIFEST", what, name)
+		}
+		ingestInBatches(t, s, events[c.events:], batch)
+		if err := s.Close(); err != nil {
+			t.Fatalf("%s: close: %v", what, err)
+		}
+		checkTwin(t, what, twin, dirFingerprint(t, dir))
 	}
 }
 
@@ -548,22 +683,18 @@ func TestCrashRecoveryReplaysToIdenticalStore(t *testing.T) {
 // name, or "".
 func unnamedRun(t *testing.T, s *Store) string {
 	t.Helper()
-	manifest, err := s.ManifestBytes()
+	files, err := readFiles(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, _ := os.ReadDir(s.dir)
-	for _, de := range des {
-		id, isRun := strings.CutPrefix(strings.TrimSuffix(de.Name(), ".sst"), "run-")
-		if isRun && !strings.Contains(string(manifest), "run "+id+" ") {
-			return de.Name()
-		}
+	if names := unnamedRuns(files); len(names) > 0 {
+		return names[0]
 	}
 	return ""
 }
 
-// TestCrashBeforeWALResetReplaysNoFlushedBatch: a crash after a flush wrote
-// the MANIFEST but before it reset the WAL leaves a log whose every batch
+// TestCrashBeforeWALResetReplaysNoFlushedBatch: a crash after a job renamed
+// the MANIFEST but before it removed wal.prev leaves a log whose every batch
 // the new run holds. Open replays none of them twice, and a later crash's
 // unflushed batches replay in full, also once Seq's 32 bits wrap: the
 // counts are right, and after Close the directory matches a never-crashed
@@ -593,8 +724,7 @@ func TestCrashBeforeWALResetReplaysNoFlushedBatch(t *testing.T) {
 		}
 		s.seq = seq
 		ingestInBatches(t, s, events[:60], 30)
-		walPath := filepath.Join(dir, walName)
-		wal, err := os.ReadFile(walPath)
+		wal, err := os.ReadFile(filepath.Join(dir, walName))
 		if err != nil || len(wal) == 0 {
 			t.Fatalf("want a WAL holding the batches before the flush: %d bytes, %v", len(wal), err)
 		}
@@ -602,7 +732,7 @@ func TestCrashBeforeWALResetReplaysNoFlushedBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.crash()
-		if err := os.WriteFile(walPath, wal, 0o644); err != nil { // the reset never happened
+		if err := os.WriteFile(filepath.Join(dir, walPrevName), wal, 0o644); err != nil { // never removed
 			t.Fatal(err)
 		}
 		for _, want := range []int{60, len(events)} {
@@ -620,99 +750,62 @@ func TestCrashBeforeWALResetReplaysNoFlushedBatch(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want, got := dirFingerprint(t, twinDir), dirFingerprint(t, dir)
-		if len(got) != len(want) {
-			t.Fatalf("seq %d: %d files, the never-crashed twin %d", seq, len(got), len(want))
-		}
-		for name, fp := range want {
-			if got[name] != fp {
-				t.Errorf("seq %d: %s differs from the never-crashed twin's", seq, name)
-			}
-		}
+		checkTwin(t, fmt.Sprintf("seq %d", seq), dirFingerprint(t, twinDir), dirFingerprint(t, dir))
 	}
 }
 
-// TestCompactionCrashWindows: a compaction writes its merged run, rewrites
-// the MANIFEST, then deletes its inputs. The directory a crash leaves after
-// each of those steps opens with every event, and Open deletes every run
-// file the MANIFEST does not name.
+// TestCompactionCrashWindows: a job writes its run and the merged runs of
+// the compactions it triggers, renames the MANIFEST, then removes wal.prev
+// and the merge inputs. The directory a crash leaves after each of those
+// steps of the first job that merges twice (a tier-0 merge whose run fills
+// tier 1) opens with every event, with no run file the MANIFEST does not
+// name, and closes to the never-crashed twin's. The payloads are random, so
+// runs are as large as their data and tier 1 fills in a megabyte.
 func TestCompactionCrashWindows(t *testing.T) {
-	opts := Options{FlushBytes: 4 << 10, NoCompact: true}
-	s, err := Open(t.TempDir(), opts)
+	opts := Options{FlushBytes: 64 << 10}
+	events := modelEvents(rand.New(rand.NewSource(49)), 30000)
+	const batch = 400
+	twin, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := makeEvents(10, 200)
-	fed := 0
-	for len(s.runs) < tierFanout-1 {
-		ingestInBatches(t, s, events[fed:fed+50], 50)
-		fed += 50
+	ingestInBatches(t, twin, events, batch)
+	if err := twin.Close(); err != nil {
+		t.Fatal(err)
 	}
-	ingestInBatches(t, s, events[fed:fed+50], 50)
-	fed += 50
-	if err := s.Flush(); err != nil || len(s.runs) != tierFanout {
-		t.Fatalf("%d runs: %v; want %d", len(s.runs), err, tierFanout)
-	}
-	files := func() map[string][]byte {
-		out := map[string][]byte{}
-		des, _ := os.ReadDir(s.dir)
-		for _, de := range des {
-			b, err := os.ReadFile(filepath.Join(s.dir, de.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[de.Name()] = b
+	merges := map[int]int{}
+	for _, c := range jobCrashStates(t, events, opts, batch, func(int) bool { return false }) {
+		if c.step == "merged run written" {
+			merges[c.job]++
 		}
-		return out
 	}
-	before := files()
-	var inputs []string
-	for _, r := range s.runs {
-		inputs = append(inputs, filepath.Base(runPath(s.dir, r.meta.id)))
+	cascade := 0
+	for job, n := range merges {
+		if n >= 2 && (cascade == 0 || job < cascade) {
+			cascade = job
+		}
 	}
-	s.opts.NoCompact = false
-	if err := s.compact(); err != nil || s.stats.Compactions != 1 {
-		t.Fatalf("%d compactions: %v; want one", s.stats.Compactions, err)
+	if cascade == 0 {
+		t.Fatalf("no job merged twice (merges per job: %v)", merges)
 	}
-	after := files()
-	merged := filepath.Base(runPath(s.dir, s.runs[len(s.runs)-1].meta.id))
-	s.crash()
-
-	for _, c := range []struct {
-		step     string
-		manifest []byte
-		runs     []string
-	}{
-		{"merged run written", before[manifestName], append([]string{merged}, inputs...)},
-		{"MANIFEST rewritten", after[manifestName], append([]string{merged}, inputs...)},
-		{"first input deleted", after[manifestName], append([]string{merged}, inputs[1:]...)},
-	} {
-		dir := t.TempDir()
-		os.WriteFile(filepath.Join(dir, manifestName), c.manifest, 0o644)
-		os.WriteFile(filepath.Join(dir, walName), before[walName], 0o644)
-		for _, name := range c.runs {
-			b, ok := after[name]
-			if !ok {
-				b = before[name]
-			}
-			os.WriteFile(filepath.Join(dir, name), b, 0o644)
+	states := jobCrashStates(t, events, opts, batch, func(job int) bool { return job == cascade })
+	steps := map[string]int{}
+	for _, c := range states {
+		if c.job == cascade {
+			steps[c.step]++
 		}
-		re, err := Open(dir, opts)
-		if err != nil {
-			t.Fatalf("crash after %s: %v", c.step, err)
-		}
-		if n, err := re.Count(Query{}); err != nil || n != int64(fed) {
-			t.Errorf("crash after %s: %d events, ingested %d: %v", c.step, n, fed, err)
-		}
-		if name := unnamedRun(t, re); name != "" {
-			t.Errorf("crash after %s: %s is on disk but not in the MANIFEST", c.step, name)
-		}
-		re.crash()
 	}
+	want := map[string]int{"WAL renamed": 1, "run written": 1, "merged run written": 2, "MANIFEST renamed": 1, "wal.prev removed": 1, "victim removed": 2 * tierFanout}
+	if !maps.Equal(steps, want) {
+		t.Errorf("job %d's crash points %v, want %v", cascade, steps, want)
+	}
+	checkCrashStates(t, states, events, opts, batch, dirFingerprint(t, twin.dir))
 }
 
 // TestTornWALTailRecovered: garbage appended to the WAL (torn last write)
-// must not block recovery of the intact prefix.
+// must not block recovery of the intact prefix, and the batches ingested
+// after that recovery must not land behind the garbage, where the next
+// replay would stop short of them.
 func TestTornWALTailRecovered(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{FlushBytes: 1 << 20} // no flush: all in WAL
@@ -720,8 +813,9 @@ func TestTornWALTailRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := makeEvents(5, 4)
-	ingestInBatches(t, s, events, 7)
+	events := makeEvents(5, 8)
+	half := len(events) / 2
+	ingestInBatches(t, s, events[:half], 7)
 	s.crash()
 	// Tear the tail.
 	f, _ := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -731,10 +825,69 @@ func TestTornWALTailRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	got := collectScan(t, re, Query{})
-	if len(got) != len(events) {
-		t.Fatalf("recovered %d events, want %d", len(got), len(events))
+	if len(got) != half {
+		t.Fatalf("recovered %d events, want %d", len(got), half)
+	}
+	ingestInBatches(t, re, events[half:], 7)
+	re.crash()
+	re, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, err := re.Count(Query{}); err != nil || n != int64(len(events)) {
+		t.Fatalf("second recovery counts %d events, want %d: %v", n, len(events), err)
+	}
+}
+
+// TestOpenReplacesTheWALItShortens: an Open whose replay flushes (here, a
+// reopen with a smaller FlushBytes) keeps the unflushed tail of the log in
+// a new file renamed over wal.log, never by truncating the one it read, so
+// a crash inside Open cannot lose the tail; a second crash replays it.
+func TestOpenReplacesTheWALItShortens(t *testing.T) {
+	dir := t.TempDir()
+	events := makeEvents(10, 20)
+	s, err := Open(dir, Options{FlushBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestInBatches(t, s, events, 30)
+	s.crash()
+	walPath := filepath.Join(dir, walName)
+	before, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{FlushBytes: 2 << 10}
+	s, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().Flushes == 0 || s.mem.len() == 0 || after.Size() == 0 || after.Size() >= before.Size() {
+		t.Fatalf("want a replay that flushes and keeps a tail: %d flushes, %d events left, log %d -> %d bytes",
+			s.Stats().Flushes, s.mem.len(), before.Size(), after.Size())
+	}
+	if os.SameFile(before, after) {
+		t.Error("Open truncated the log it replayed in place")
+	}
+	s.crash()
+	for _, name := range []string{walPrevName, walTmpName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s left behind: %v", name, err)
+		}
+	}
+	s, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n, err := s.Count(Query{}); err != nil || n != int64(len(events)) {
+		t.Fatalf("second recovery counts %d events, want %d: %v", n, len(events), err)
 	}
 }
 
@@ -1126,9 +1279,12 @@ func FuzzRunFile(f *testing.F) {
 	})
 }
 
-// TestFailedCompactionLeavesNoPartialRun: a compaction that fails (here on
-// a block crc) returns the error, leaves no run file the MANIFEST does not
-// name, and leaves the store answering reads from its intact runs.
+// TestFailedCompactionLeavesNoPartialRun: a writer job whose compaction
+// fails (here on a block crc) returns the error at the next join, leaves no
+// run file the MANIFEST does not name and writes no MANIFEST: the run it
+// flushed is not committed, and its frozen memtable still answers reads
+// beside the intact runs. Every later Ingest, Flush and Close returns the
+// error.
 func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{FlushBytes: 4 << 10, NoCompact: true}
@@ -1138,7 +1294,7 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 	}
 	events := makeEvents(10, 200)
 	fed := 0
-	for len(s.runs) < tierFanout-1 {
+	for s.join() == nil && len(s.runs) < tierFanout-1 {
 		ingestInBatches(t, s, events[fed:fed+50], 50)
 		fed += 50
 	}
@@ -1153,6 +1309,10 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 	raw, _ := os.ReadFile(bad)
 	raw[len(runMagic)+3] ^= 0x40
 	os.WriteFile(bad, raw, 0o644)
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	opts.NoCompact = false
 	s, err = Open(dir, opts)
@@ -1173,17 +1333,32 @@ func TestFailedCompactionLeavesNoPartialRun(t *testing.T) {
 	if name := unnamedRun(t, s); name != "" {
 		t.Fatalf("%s is on disk but not in the MANIFEST", name)
 	}
-	if len(s.runs) != tierFanout {
-		t.Fatalf("%d runs live after the failed merge, want %d", len(s.runs), tierFanout)
+	if len(s.runs) != tierFanout-1 {
+		t.Fatalf("%d runs live after the failed merge, want the %d committed before it", len(s.runs), tierFanout-1)
 	}
 	// events[0] went into the first (intact) run, the last batch into the
-	// run flushed just before the merge failed.
-	for _, i := range []int{0, fed - 1} {
+	// active memtable, and the memtable the failed job froze still answers.
+	if s.frozen == nil {
+		t.Fatal("the failed job's memtable was dropped")
+	}
+	for _, i := range []int{0, int(s.frozen.entries[0].key.Seq), fed - 1} {
 		k := events[i].Key
 		k.Seq = uint32(i)
 		if p, ok, err := s.Get(k); err != nil || !ok || !bytes.Equal(p, events[i].Payload) {
 			t.Fatalf("Get(%v) after the failed compaction = %q %v %v", k, p, ok, err)
 		}
+	}
+	if err := s.Ingest(append([]Event(nil), events[fed:fed+1]...)); err != ingestErr {
+		t.Errorf("Ingest after the failed job: %v, want %v", err, ingestErr)
+	}
+	if err := s.Flush(); err != ingestErr {
+		t.Errorf("Flush after the failed job: %v, want %v", err, ingestErr)
+	}
+	if err := s.Close(); err != ingestErr {
+		t.Errorf("Close after the failed job: %v, want %v", err, ingestErr)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(got, manifest) {
+		t.Error("the MANIFEST changed after the failed job")
 	}
 }
 
@@ -1234,7 +1409,7 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 		t.Fatal("round trip broke")
 	}
 
-	s, err := Open(t.TempDir(), Options{FlushBytes: 1 << 30, NoCompact: true})
+	s, err := Open(t.TempDir(), Options{FlushBytes: 512 << 10, NoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1273,7 +1448,7 @@ func TestBlockPathSteadyStateAllocs(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range reopens {
-		r2, err := openRun(runPath(s.dir, r.meta.id), r.meta, &s.metaBuf)
+		r2, err := openRun(runPath(s.dir, r.meta.id), r.meta, &s.w.metaBuf)
 		if err != nil {
 			t.Fatal(err)
 		}

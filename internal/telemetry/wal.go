@@ -3,9 +3,7 @@ package telemetry
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -13,28 +11,37 @@ import (
 // The write-ahead log makes ingest durable before the memtable applies it:
 // one framed record per ingest batch, in submission order (before the
 // shard fan-out), so WAL bytes are identical for any shard/worker count.
-// On open, the tail of the log past the last flush checkpoint is replayed
-// through the normal ingest path; because flush decisions are a pure
-// function of ingested bytes, a crashed store replays to byte-identical
-// runs and manifest.
+// It is two files. wal.log takes the batches of the active memtable; when
+// that memtable freezes, wal.log is renamed wal.prev and a fresh wal.log
+// opened, and the writer job that commits the frozen memtable's run removes
+// wal.prev. On open, both are replayed (wal.prev first) through the normal
+// ingest path, skipping each batch the MANIFEST's seq bound says a run
+// holds; because flush decisions are a pure function of ingested bytes, a
+// crashed store replays to byte-identical runs and manifest.
 //
 // Frame: u32 length | u32 crc32(body) | body. A truncated or corrupt tail
 // (the crash case) stops replay at the last intact frame.
 
-const walName = "wal.log"
+const (
+	walName     = "wal.log"
+	walPrevName = "wal.prev"
+	walTmpName  = "wal.tmp"
+)
 
-// walWriter appends framed batch records to the log.
+// walWriter appends framed batch records to wal.log.
 type walWriter struct {
 	f   *os.File
 	buf []byte
 }
 
-func openWAL(dir string) (*walWriter, error) {
+// open opens dir's wal.log for append, creating it if need be.
+func (w *walWriter) open(dir string) error {
 	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &walWriter{f: f}, nil
+	w.f = f
+	return nil
 }
 
 // appendBatch frames and writes one serialized batch body.
@@ -51,45 +58,59 @@ func appendFrame(b, body []byte) []byte {
 	return append(b, body...)
 }
 
-// reset truncates the log after a flush made its contents durable in runs.
-func (w *walWriter) reset() error {
-	if err := w.f.Truncate(0); err != nil {
+func (w *walWriter) close() error { return w.f.Close() }
+
+// rewriteWAL makes bodies the whole log: it writes them to wal.tmp, renames
+// that over wal.log and only then removes wal.prev, so a crash at any step
+// leaves every batch in the files a replay reads. A replay that reads a
+// batch twice (wal.prev and the new wal.log) skips the second by its seq.
+func rewriteWAL(dir string, bodies [][]byte) error {
+	var b []byte
+	for _, body := range bodies {
+		b = appendFrame(b, body)
+	}
+	tmp := filepath.Join(dir, walTmpName)
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return err
 	}
-	_, err := w.f.Seek(0, io.SeekStart)
-	return err
+	if err := os.Rename(tmp, filepath.Join(dir, walName)); err != nil {
+		return err
+	}
+	if err := os.Remove(filepath.Join(dir, walPrevName)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return nil
 }
-
-func (w *walWriter) close() error { return w.f.Close() }
 
 // errWALTail marks a torn final frame — expected after a crash, not an
 // error for replay.
 var errWALTail = errors.New("telemetry: torn wal tail")
 
-// readWAL returns the intact batch bodies in the log. A torn or corrupt
-// tail ends the scan without error (tornTail reports it); corruption in
-// the middle of the log is a real error.
-func readWAL(dir string) (batches [][]byte, tornTail bool, err error) {
-	b, err := os.ReadFile(filepath.Join(dir, walName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
+// readWAL returns the intact batch bodies of wal.prev, then of wal.log,
+// and whether wal.prev exists. A torn or corrupt frame ends its file's scan
+// without error (framing is sequential, so nothing after it can be read);
+// torn reports it.
+func readWAL(dir string) (batches [][]byte, prev, torn bool, err error) {
+	for _, name := range []string{walPrevName, walName} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
 		}
-		return nil, false, err
-	}
-	off := 0
-	for off < len(b) {
-		body, n, err := walFrame(b[off:])
 		if err != nil {
-			if errors.Is(err, errWALTail) {
-				return batches, true, nil
-			}
-			return nil, false, fmt.Errorf("telemetry: wal frame at %d: %w", off, err)
+			return nil, false, false, err
 		}
-		batches = append(batches, body)
-		off += n
+		prev = prev || name == walPrevName
+		for off := 0; off < len(b); {
+			body, n, err := walFrame(b[off:])
+			if err != nil {
+				torn = true
+				break
+			}
+			batches = append(batches, body)
+			off += n
+		}
 	}
-	return batches, false, nil
+	return batches, prev, torn, nil
 }
 
 // walFrame decodes one frame, distinguishing a torn tail (short frame or

@@ -212,9 +212,8 @@ type flagCase struct {
 }
 
 // flagCases covers every flag of every CLI. Relative paths land in a fresh
-// working directory per run; {store}, {trace}, {spans} and {box} name the
-// inputs the test prepares; {missing} names a directory that must stay
-// absent.
+// working directory per run; {store} names the store the test prepares;
+// {missing} names a directory that must stay absent.
 var flagCases = []flagCase{
 	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "6s"}, "differs"},
 	{"sovsim -duration", []string{"-duration", "5s"}, []string{"-duration", "0"}, "exit 2"},
@@ -295,9 +294,6 @@ var flagCases = []flagCase{
 	{"sovquery -kinds", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-kinds", "epoch"}, "differs"},
 	{"sovquery -count", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-count"}, "differs"},
 	{"sovquery -stats", []string{"-dir", "{store}"}, []string{"-dir", "{store}", "-stats"}, "differs"},
-
-	{"sovtrace -spans", []string{"{spans}"}, []string{"-spans", "{spans}"}, "differs"},
-	{"sovtrace -blackbox", []string{"{trace}"}, []string{"-blackbox", "{box}"}, "differs"},
 
 	{"sovmodel -distance", []string{"latency"}, []string{"latency", "-distance", "8"}, "differs"},
 	{"sovmodel -distance", []string{"latency"}, []string{"latency", "-distance", "-5"}, "exit 2"},
@@ -396,23 +392,15 @@ func TestEveryFlagChangesAnOutput(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
 	}
-	// Inputs for the offline tools: a telemetry store, a trace, spans and a
-	// flight-recorder archive.
+	// The input for sovquery: a telemetry store.
 	in := t.TempDir()
 	inputs := map[string]string{
 		"{store}":   filepath.Join(in, "store"),
-		"{trace}":   filepath.Join(in, "t.jsonl"),
-		"{spans}":   filepath.Join(in, "s.json"),
-		"{box}":     filepath.Join(in, "b.jsonl"),
 		"{missing}": filepath.Join(in, "missing"),
 	}
-	for _, args := range [][]string{
-		{"sovfleet", "-vehicles", "20", "-regions", "2", "-duration", "3s", "-cloud", inputs["{store}"]},
-		{"sovsim", "-duration", "5s", "-trace", inputs["{trace}"], "-spans", inputs["{spans}"], "-blackbox", inputs["{box}"]},
-	} {
-		if out, err := exec.Command(filepath.Join(bin, args[0]), args[1:]...).CombinedOutput(); err != nil {
-			t.Fatalf("%v: %v\n%s", args, err, out)
-		}
+	args := []string{"-vehicles", "20", "-regions", "2", "-duration", "3s", "-cloud", inputs["{store}"]}
+	if out, err := exec.Command(filepath.Join(bin, "sovfleet"), args...).CombinedOutput(); err != nil {
+		t.Fatalf("sovfleet %v: %v\n%s", args, err, out)
 	}
 	run := func(cli string, args []string) (string, int) {
 		dir := t.TempDir()

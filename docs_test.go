@@ -12,16 +12,20 @@ import (
 // TestExperimentsBudget: EXPERIMENTS.md is the paper-vs-measured record plus
 // one short verdict per change. A change's own runs go to testdata/audit/,
 // where every file a verdict names must exist, and no section of
-// EXPERIMENTS.md is a parent-vs-change run log. DESIGN.md may not grow past
-// its cap; ROADMAP item 15 rewrites it to 600 lines.
+// EXPERIMENTS.md is a parent-vs-change run log. DESIGN.md is the
+// architecture as it stands, under a line cap and naming no PR: how a
+// mechanism came to be is CHANGES.md's business.
 func TestExperimentsBudget(t *testing.T) {
-	const maxLines, maxDesignLines = 400, 1194
+	const maxLines, maxDesignLines = 400, 600
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(string(design), "\n"); n > maxDesignLines {
 		t.Errorf("DESIGN.md is %d lines, over its %d-line cap: say it in fewer lines, or move history to CHANGES.md", n, maxDesignLines)
+	}
+	for _, m := range regexp.MustCompile(`\bPRs? ?#?[0-9]+`).FindAllString(string(design), -1) {
+		t.Errorf("DESIGN.md names %q: history belongs in CHANGES.md", m)
 	}
 	b, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -40,6 +44,40 @@ func TestExperimentsBudget(t *testing.T) {
 		if _, err := os.Stat(filepath.Join("testdata", "audit", m[1])); err != nil {
 			t.Errorf("EXPERIMENTS.md names %s, which testdata/audit/ lacks", m[1])
 		}
+	}
+}
+
+// TestChangesBudget: CHANGES.md is one line per entry: a PR's entry, or a
+// FOUND/MENDED note, which is kept as written. A PR entry says what changed,
+// one measured line, the tests, CI steps and gates it changed, and links its
+// audit file, in at most 1 500 bytes; the evidence itself lives in
+// testdata/audit/. The file stays under 90 KB.
+func TestChangesBudget(t *testing.T) {
+	const maxBytes, maxEntry = 90_000, 1500
+	b, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) > maxBytes {
+		t.Errorf("CHANGES.md is %d bytes, over its %d-byte budget", len(b), maxBytes)
+	}
+	entry := regexp.MustCompile(`^- (?:\*\*)?PR [0-9]+`)
+	note := regexp.MustCompile(`^- (?:FOUND|MENDED): `)
+	entries := 0
+	for i, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		switch {
+		case note.MatchString(line):
+		case entry.MatchString(line):
+			entries++
+			if len(line) > maxEntry {
+				t.Errorf("CHANGES.md:%d: a %d-byte entry, over %d: keep what changed, one measured line, the changed checks and the audit link", i+1, len(line), maxEntry)
+			}
+		default:
+			t.Errorf("CHANGES.md:%d: %.60q is neither a PR entry nor a FOUND/MENDED line", i+1, line)
+		}
+	}
+	if entries == 0 {
+		t.Fatal("found no PR entry in CHANGES.md; the scan is broken")
 	}
 }
 

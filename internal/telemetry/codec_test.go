@@ -9,23 +9,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
 	"sov/internal/cloud"
-	"sov/internal/parallel"
 )
-
-// atWorkers runs f once per worker count and restores the setting.
-func atWorkers(t *testing.T, f func(workers int)) {
-	t.Helper()
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	for _, w := range []int{1, 2, 8} {
-		parallel.SetWorkers(w)
-		f(w)
-	}
-}
 
 // storeDigest is the SHA-256 of a store's files, taken in name order over
 // each name and its dirFingerprint.
@@ -42,120 +30,100 @@ func storeDigest(files map[string]string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// pinnedStoreDigest is storeDigest of the store TestBatchCodecBytesAcrossWorkers
+// pinnedStoreDigest is storeDigest of the store TestStoreDigestPinned
 // builds. It changes only with the run format: the block codec, the block,
 // index, bloom and footer layout, the MANIFEST or the WAL.
 const pinnedStoreDigest = "5e6854f62531317ca5d374bcf3181e8f04c062e22716a014554ee477d14acea1"
 
-// TestBatchCodecBytesAcrossWorkers: a store whose flushes span many blocks
-// and whose compactions merge runs of that size leaves every run file, the
-// MANIFEST and the WAL byte-identical, and counts the same I/O, at 1, 2 and
-// 8 workers, however its writer jobs' timing falls once they are joined;
-// and those bytes are the pinned ones.
-func TestBatchCodecBytesAcrossWorkers(t *testing.T) {
+// TestStoreDigestPinned: a store whose flushes span many blocks and whose
+// compactions merge runs of that size leaves run files, a MANIFEST and a
+// WAL whose SHA-256 is the pinned one, however its writer jobs' timing
+// falls once they are joined. The store fans nothing out, so the worker
+// count cannot reach it; TestDeterminism's telemetry/store row compares its
+// bytes at 1, 2 and 8 workers.
+func TestStoreDigestPinned(t *testing.T) {
 	const manyBlocks = 16
-	events := makeEvents(100, 200)
-	var dirs []map[string]string
-	var stats []Stats
-	atWorkers(t, func(w int) {
-		s, err := Open(t.TempDir(), Options{FlushBytes: 128 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.crash() // keep the WAL's tail for the comparison
-		ingestInBatches(t, s, events, 100)
-		if err := s.join(); err != nil {
-			t.Fatal(err)
-		}
-		st := s.Stats()
-		if st.Flushes < tierFanout+1 || st.Compactions < 1 {
-			t.Fatalf("workers %d: %d flushes, %d compactions; want a merge and a run flushed after it", w, st.Flushes, st.Compactions)
-		}
-		// Every live run, the flushed ones included, spans many blocks, and
-		// the merges read every block of runs of that size.
-		for _, r := range s.runs {
-			if len(r.index) <= manyBlocks {
-				t.Fatalf("workers %d: run %06d has %d blocks, want more than %d", w, r.meta.id, len(r.index), manyBlocks)
-			}
-		}
-		if st.BlocksRead < st.Compactions*tierFanout*(manyBlocks+1) {
-			t.Fatalf("workers %d: %d compactions read %d blocks", w, st.Compactions, st.BlocksRead)
-		}
-		dirs = append(dirs, dirFingerprint(t, s.dir))
-		stats = append(stats, st)
-	})
-	if len(dirs[0]) < 3 {
-		t.Fatalf("store holds %d files, want runs, MANIFEST and WAL", len(dirs[0]))
+	s, err := Open(t.TempDir(), Options{FlushBytes: 128 << 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := storeDigest(dirs[0]); got != pinnedStoreDigest {
+	defer s.crash() // keep the WAL's tail for the digest
+	ingestInBatches(t, s, makeEvents(100, 200), 100)
+	if err := s.join(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Flushes < tierFanout+1 || st.Compactions < 1 {
+		t.Fatalf("%d flushes, %d compactions; want a merge and a run flushed after it", st.Flushes, st.Compactions)
+	}
+	// Every live run, the flushed ones included, spans many blocks, and the
+	// merges read every block of runs of that size.
+	for _, r := range s.runs {
+		if len(r.index) <= manyBlocks {
+			t.Fatalf("run %06d has %d blocks, want more than %d", r.meta.id, len(r.index), manyBlocks)
+		}
+	}
+	if st.BlocksRead < st.Compactions*tierFanout*(manyBlocks+1) {
+		t.Fatalf("%d compactions read %d blocks", st.Compactions, st.BlocksRead)
+	}
+	files := dirFingerprint(t, s.dir)
+	if len(files) < 3 {
+		t.Fatalf("store holds %d files, want runs, MANIFEST and WAL", len(files))
+	}
+	if got := storeDigest(files); got != pinnedStoreDigest {
 		t.Errorf("store digest %s, pinned %s: the run format's bytes changed", got, pinnedStoreDigest)
-	}
-	for i, w := range []int{2, 8} {
-		if !reflect.DeepEqual(stats[i+1], stats[0]) {
-			t.Errorf("workers %d: stats %+v, at 1 worker %+v", w, stats[i+1], stats[0])
-		}
-		for name, want := range dirs[0] {
-			if dirs[i+1][name] != want {
-				t.Errorf("workers %d: %s differs from the one-worker store's", w, name)
-			}
-		}
-		if len(dirs[i+1]) != len(dirs[0]) {
-			t.Errorf("workers %d: %d files, at 1 worker %d", w, len(dirs[i+1]), len(dirs[0]))
-		}
 	}
 }
 
 // TestCorruptBlockFailsMerge: a block whose crc fails in the middle of a
 // merge input fails the writer job's compaction with an error naming that
 // run and block, and leaves no run file the MANIFEST does not name and the
-// committed runs as they were — at any worker count.
+// committed runs as they were.
 func TestCorruptBlockFailsMerge(t *testing.T) {
 	const bad = 12 // a block well inside the run
 	events := makeEvents(100, 80)
-	atWorkers(t, func(w int) {
-		dir := t.TempDir()
-		s, err := Open(dir, Options{FlushBytes: 96 << 10, NoCompact: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.crash()
-		fed := 0
-		for s.join() == nil && len(s.runs) < tierFanout-1 {
-			ingestInBatches(t, s, events[fed:fed+100], 100)
-			fed += 100
-		}
-		victim := s.runs[1]
-		if len(victim.index) <= bad {
-			t.Fatalf("run %06d has %d blocks, want more than %d", victim.meta.id, len(victim.index), bad)
-		}
-		f, err := os.OpenFile(runPath(dir, victim.meta.id), os.O_RDWR, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := []byte{0}
-		at := int64(victim.index[bad].off) + 3
-		f.ReadAt(b, at)
-		b[0] ^= 0x40
-		_, err = f.WriteAt(b, at)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		s.opts.NoCompact = false
+	dir := t.TempDir()
+	s, err := Open(dir, Options{FlushBytes: 96 << 10, NoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.crash()
+	fed := 0
+	for s.join() == nil && len(s.runs) < tierFanout-1 {
 		ingestInBatches(t, s, events[fed:fed+100], 100)
-		err = s.Flush() // the fourth run: its tier merges
-		want := fmt.Sprintf("telemetry: run %06d block %d: %v", victim.meta.id, bad, errBlockCRC)
-		if err == nil || err.Error() != want {
-			t.Fatalf("workers %d: compaction over a corrupt block: %v, want %q", w, err, want)
-		}
-		if name := unnamedRun(t, s); name != "" {
-			t.Fatalf("workers %d: %s is on disk but not in the MANIFEST", w, name)
-		}
-		if len(s.runs) != tierFanout-1 {
-			t.Fatalf("workers %d: %d runs live after the failed merge, want the %d committed before it", w, len(s.runs), tierFanout-1)
-		}
-	})
+		fed += 100
+	}
+	victim := s.runs[1]
+	if len(victim.index) <= bad {
+		t.Fatalf("run %06d has %d blocks, want more than %d", victim.meta.id, len(victim.index), bad)
+	}
+	f, err := os.OpenFile(runPath(dir, victim.meta.id), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := []byte{0}
+	at := int64(victim.index[bad].off) + 3
+	f.ReadAt(b, at)
+	b[0] ^= 0x40
+	_, err = f.WriteAt(b, at)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s.opts.NoCompact = false
+	ingestInBatches(t, s, events[fed:fed+100], 100)
+	err = s.Flush() // the fourth run: its tier merges
+	want := fmt.Sprintf("telemetry: run %06d block %d: %v", victim.meta.id, bad, errBlockCRC)
+	if err == nil || err.Error() != want {
+		t.Fatalf("compaction over a corrupt block: %v, want %q", err, want)
+	}
+	if name := unnamedRun(t, s); name != "" {
+		t.Fatalf("%s is on disk but not in the MANIFEST", name)
+	}
+	if len(s.runs) != tierFanout-1 {
+		t.Fatalf("%d runs live after the failed merge, want the %d committed before it", len(s.runs), tierFanout-1)
+	}
 }
 
 // TestCompressedBlockBoundary: a block is stored compressed only when that

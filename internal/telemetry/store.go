@@ -156,6 +156,12 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	if err := s.loadManifest(); err != nil {
 		return nil, err
 	}
+	// Read the WAL before deleting anything: a log that fails to read
+	// leaves the store as it was found.
+	batches, prev, torn, err := readWAL(dir)
+	if err != nil {
+		return nil, err
+	}
 	paths, err := filepath.Glob(filepath.Join(dir, "run-*.sst"))
 	if err != nil {
 		return nil, err
@@ -171,10 +177,6 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	// when the store last stopped. A batch below the running seq is in a run
 	// already (the MANIFEST's seq bounds what its runs hold) or was replayed
 	// from wal.prev, and is skipped.
-	batches, prev, torn, err := readWAL(dir)
-	if err != nil {
-		return nil, err
-	}
 	var kept [][]byte // the replayed batches that only the memtable holds
 	for _, body := range batches {
 		events, err := decodeBatchBody(body)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
@@ -165,8 +166,9 @@ func TestMemtableMergeAndScan(t *testing.T) {
 	}
 }
 
-// TestWALFramingAndTornTail: intact frames replay; a torn tail stops the
-// scan without error; mid-log corruption is detected via crc.
+// TestWALFramingAndTornTail: intact frames replay; a torn tail, a bad crc
+// on the last frame included, stops the scan without error; a bad crc on a
+// frame with bytes after it is an error naming the file and the offset.
 func TestWALFramingAndTornTail(t *testing.T) {
 	dir := t.TempDir()
 	var w walWriter
@@ -192,24 +194,76 @@ func TestWALFramingAndTornTail(t *testing.T) {
 		t.Fatalf("decode: %v %v", ev, err)
 	}
 
-	// Torn tail: append half a frame.
+	// A bad crc on the last frame is a torn tail: the frame reaches the end
+	// of the file.
 	path := filepath.Join(dir, walName)
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.Write([]byte{9, 0, 0, 0, 1, 2})
-	f.Close()
+	intact, _ := os.ReadFile(path)
+	raw := bytes.Clone(intact)
+	raw[len(raw)-1] ^= 0xff
+	os.WriteFile(path, raw, 0o644)
+	batches, _, torn, err = readWAL(dir)
+	if err != nil || !torn || len(batches) != 1 {
+		t.Fatalf("bad crc on the last frame: %d batches torn=%v err=%v", len(batches), torn, err)
+	}
+
+	// Torn tail: append half a frame.
+	os.WriteFile(path, append(bytes.Clone(intact), 9, 0, 0, 0, 1, 2), 0o644)
 	batches, _, torn, err = readWAL(dir)
 	if err != nil || !torn || len(batches) != 2 {
 		t.Fatalf("torn read: %d batches torn=%v err=%v", len(batches), torn, err)
 	}
 
-	// Corrupt a byte inside the first frame's body: crc catches it and the
-	// scan ends there (sequential framing cannot resync).
-	raw, _ := os.ReadFile(path)
+	// Corrupt a byte inside the first frame's body: crc catches it, and with
+	// frames after it that is damage, not a crash, so the read fails.
+	raw, _ = os.ReadFile(path)
 	raw[10] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
-	batches, _, torn, _ = readWAL(dir)
-	if !torn || len(batches) != 0 {
-		t.Fatalf("corrupt read: %d batches torn=%v", len(batches), torn)
+	batches, _, torn, err = readWAL(dir)
+	want := fmt.Sprintf("telemetry: %s: offset 0: %v", path, errWALCorrupt)
+	if err == nil || err.Error() != want || batches != nil || torn {
+		t.Fatalf("corrupt read: %d batches torn=%v err=%v, want %q", len(batches), torn, err, want)
+	}
+}
+
+// TestOpenRefusesMidLogCorruption: Open over a wal.log whose first frame is
+// corrupt, with frames after it, fails with readWAL's error and changes no
+// file of the store: not the runs, the MANIFEST, wal.prev or wal.log.
+func TestOpenRefusesMidLogCorruption(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{FlushBytes: 8 << 10}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(10, 20)
+	ingestInBatches(t, s, events, 50)
+	ingestInBatches(t, s, events[:10], 5) // two batches only the WAL holds
+	s.crash()
+	path := filepath.Join(dir, walName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 2*8 {
+		t.Fatalf("wal.log holds %d bytes, want two frames", len(raw))
+	}
+	os.WriteFile(filepath.Join(dir, walPrevName), raw, 0o644)
+	raw[8] ^= 0x01
+	os.WriteFile(path, raw, 0o644)
+	before := dirFingerprint(t, dir)
+	if len(before) < 4 {
+		t.Fatalf("store holds %d files, want runs, MANIFEST and both logs", len(before))
+	}
+	re, err := Open(dir, opts)
+	if err == nil {
+		re.Close()
+		t.Fatal("Open replayed past a corrupt frame")
+	}
+	if !errors.Is(err, errWALCorrupt) || !strings.Contains(err.Error(), path+": offset 0:") {
+		t.Fatalf("Open: %v, want %v at %s offset 0", err, errWALCorrupt, path)
+	}
+	if after := dirFingerprint(t, dir); !maps.Equal(after, before) {
+		t.Fatal("a failed Open changed the store's files")
 	}
 }
 
@@ -235,10 +289,13 @@ func TestWALBatchCountBoundedByBody(t *testing.T) {
 	}
 }
 
-// FuzzWALBatch holds the WAL framing and batch codec to three rules: no
-// input panics walFrame or decodeBatchBody; a batch body decodes to the
-// events it was encoded from; and a framed batch with one byte flipped
-// reads as a torn tail, never as a different batch.
+// FuzzWALBatch holds the WAL framing and batch codec to these rules: no
+// input panics walFrame, walBatches or decodeBatchBody; a batch body
+// decodes to the events it was encoded from; and a log of three frames with
+// one byte flipped reads as a prefix of the batches written, never as a
+// batch that was not: with torn set when the byte is in the last frame's
+// crc or body, and as an error when it is in an earlier frame's. A flipped
+// length field, which the crc does not cover, reads either way.
 func FuzzWALBatch(f *testing.F) {
 	one := appendBatchBody(nil, []Event{{Key: Key{Vehicle: 1, TMs: 5}, Payload: []byte("a")}})
 	f.Add([]byte{}, uint(0), byte(1))
@@ -248,6 +305,7 @@ func FuzzWALBatch(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x5a}, 3*(KeySize+8)), uint(40), byte(0x10))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint, mask byte) {
 		walFrame(data)
+		walBatches(nil, walName, data)
 		decodeBatchBody(data)
 
 		// data cut into events: a key's worth of bytes, then a byte whose
@@ -271,14 +329,46 @@ func FuzzWALBatch(f *testing.F) {
 			}
 		}
 
-		frame := appendFrame(nil, body)
-		if mask == 0 {
-			return
+		// A log of three frames, every event and then the first third and
+		// the rest (an empty set is a zero-count batch), one byte flipped.
+		h := len(evs) / 3
+		bodies := [][]byte{body, appendBatchBody(nil, evs[:h]), appendBatchBody(nil, evs[h:])}
+		var log []byte
+		var starts []int
+		for _, b := range bodies {
+			starts = append(starts, len(log))
+			log = appendFrame(log, b)
 		}
-		i := int(flip % uint(len(frame)))
-		frame[i] ^= mask
-		if b, _, err := walFrame(frame); err == nil {
-			t.Fatalf("byte %d flipped by %#x: frame read as a %d-byte batch", i, mask, len(b))
+		i := int(flip % uint(len(log)))
+		log[i] ^= mask
+		read, torn, err := walBatches(nil, walName, log)
+		for k, b := range read {
+			if k >= len(bodies) || !bytes.Equal(b, bodies[k]) {
+				t.Fatalf("byte %d flipped by %#x: batch %d read as one that was not written", i, mask, k)
+			}
+		}
+		frame := len(starts) - 1
+		for starts[frame] > i {
+			frame--
+		}
+		last := len(bodies) - 1
+		switch {
+		case mask == 0:
+			if err != nil || torn || len(read) != len(bodies) {
+				t.Fatalf("intact log: %d of %d batches, torn %v, err %v", len(read), len(bodies), torn, err)
+			}
+		case i-starts[frame] < 4: // a length field
+			if err == nil && (!torn || len(read) != frame) {
+				t.Fatalf("frame %d's length flipped by %#x: %d batches, torn %v", frame, mask, len(read), torn)
+			}
+		case frame == last:
+			if err != nil || !torn || len(read) != last {
+				t.Fatalf("byte %d of the last frame flipped by %#x: %d batches, torn %v, err %v", i-starts[frame], mask, len(read), torn, err)
+			}
+		default:
+			if !errors.Is(err, errWALCorrupt) {
+				t.Fatalf("byte %d of frame %d flipped by %#x: %d batches, torn %v, err %v; want %v", i-starts[frame], frame, mask, len(read), torn, err, errWALCorrupt)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -19,8 +20,9 @@ import (
 // holds; because flush decisions are a pure function of ingested bytes, a
 // crashed store replays to byte-identical runs and manifest.
 //
-// Frame: u32 length | u32 crc32(body) | body. A truncated or corrupt tail
-// (the crash case) stops replay at the last intact frame.
+// Frame: u32 length | u32 crc32(body) | body. A torn tail (the crash case)
+// stops replay at the last intact frame; a corrupt frame with bytes after
+// it fails the replay instead (readWAL).
 
 const (
 	walName     = "wal.log"
@@ -86,13 +88,19 @@ func rewriteWAL(dir string, bodies [][]byte) error {
 // error for replay.
 var errWALTail = errors.New("telemetry: torn wal tail")
 
+// errWALCorrupt marks a frame whose crc fails with bytes after it: a crash
+// tears only the last write, so this is damage, and replaying past it (or
+// rewriting the log without it) would drop batches silently.
+var errWALCorrupt = errors.New("corrupt frame before the end of the log")
+
 // readWAL returns the intact batch bodies of wal.prev, then of wal.log,
-// and whether wal.prev exists. A torn or corrupt frame ends its file's scan
-// without error (framing is sequential, so nothing after it can be read);
-// torn reports it.
+// and whether wal.prev exists. A torn tail ends its file's scan without
+// error and torn reports it; a corrupt frame before the end of a file is
+// an error naming the file and the frame's offset.
 func readWAL(dir string) (batches [][]byte, prev, torn bool, err error) {
 	for _, name := range []string{walPrevName, walName} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
+		path := filepath.Join(dir, name)
+		b, err := os.ReadFile(path)
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
@@ -100,23 +108,40 @@ func readWAL(dir string) (batches [][]byte, prev, torn bool, err error) {
 			return nil, false, false, err
 		}
 		prev = prev || name == walPrevName
-		for off := 0; off < len(b); {
-			body, n, err := walFrame(b[off:])
-			if err != nil {
-				torn = true
-				break
-			}
-			batches = append(batches, body)
-			off += n
+		var tail bool
+		if batches, tail, err = walBatches(batches, path, b); err != nil {
+			return nil, false, false, err
 		}
+		torn = torn || tail
 	}
 	return batches, prev, torn, nil
 }
 
-// walFrame decodes one frame, distinguishing a torn tail (short frame or
-// bad crc at end-of-buffer) from mid-log corruption by construction: any
-// failure here is reported as a tail and the caller decides whether more
-// intact frames follow (they cannot — framing is sequential).
+// walBatches appends to batches the bodies of the intact frames of b, the
+// contents of the log file at path, and reports whether a torn tail ended
+// them. Framing is sequential, so nothing after a bad frame can be read.
+func walBatches(batches [][]byte, path string, b []byte) (_ [][]byte, torn bool, err error) {
+	for off := 0; off < len(b); {
+		body, n, err := walFrame(b[off:])
+		if errors.Is(err, errWALTail) {
+			return batches, true, nil
+		}
+		if err != nil {
+			return nil, false, fmt.Errorf("telemetry: %s: offset %d: %w", path, off, err)
+		}
+		batches = append(batches, body)
+		off += n
+	}
+	return batches, false, nil
+}
+
+// walFrame decodes the first frame of b, which runs to the end of its file.
+// A frame whose claimed end reaches or passes the end of b is a torn tail
+// (errWALTail): a short header, a length past the end, or a bad crc on the
+// last frame. A bad crc with bytes after the frame is errWALCorrupt. The
+// length field is not covered by the crc, so a corrupted length that points
+// past the end reads as a tail too, and one that points short of it reads
+// as corruption.
 func walFrame(b []byte) (body []byte, n int, err error) {
 	if len(b) < 8 {
 		return nil, 0, errWALTail
@@ -126,11 +151,15 @@ func walFrame(b []byte) (body []byte, n int, err error) {
 	if len(b) < 8+int(ln) {
 		return nil, 0, errWALTail
 	}
-	body = b[8 : 8+ln]
+	n = 8 + int(ln)
+	body = b[8:n]
 	if crc32.ChecksumIEEE(body) != crc {
-		return nil, 0, errWALTail
+		if n == len(b) {
+			return nil, 0, errWALTail
+		}
+		return nil, 0, errWALCorrupt
 	}
-	return body, 8 + int(ln), nil
+	return body, n, nil
 }
 
 // Batch body serialization: uvarint count, then per event key + uvarint

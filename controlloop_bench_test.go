@@ -13,6 +13,7 @@ import (
 	"sov/internal/core"
 	"sov/internal/obs"
 	"sov/internal/parallel"
+	"sov/internal/stats"
 )
 
 // BenchmarkControlLoopThroughput runs one 60 s characterization cruise per
@@ -34,9 +35,10 @@ func BenchmarkControlLoopThroughput(b *testing.B) {
 // control loop once warm, by differencing two fresh runs of different
 // lengths so setup-time allocations (world, detector, pools) cancel out.
 // With instrumented set, the full telemetry layer — metrics registry, span
-// writer, flight recorder — is attached, so the gate also covers the obs
-// record paths. With sched set, the online heterogeneous scheduler runs in
-// the loop, so the gate covers its per-cycle BeginCycle/Observe path too.
+// writer, flight recorder, JSONL tracer — is attached, so the gate also
+// covers the obs record paths. With sched set, the online heterogeneous
+// scheduler runs in the loop, so the gate covers its per-cycle
+// BeginCycle/Observe path too.
 func measureSteadyStateAllocs(quant, instrumented, sched bool) float64 {
 	run := func(d time.Duration) (uint64, int) {
 		cfg := core.DefaultConfig()
@@ -47,6 +49,7 @@ func measureSteadyStateAllocs(quant, instrumented, sched bool) float64 {
 			s.AttachMetrics(obs.NewRegistry())
 			s.AttachSpans(obs.NewSpanWriter(io.Discard))
 			s.AttachFlightRecorder(obs.NewFlightRecorder(io.Discard, 64, 3))
+			s.AttachTracer(core.NewTracer(io.Discard))
 		}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
@@ -68,10 +71,11 @@ func measureSteadyStateAllocs(quant, instrumented, sched bool) float64 {
 // headroom and still fails a single allocation once per cycle, anywhere
 // down a hot callee chain. The obs rows hold the
 // telemetry layer to the same bound: its steady-state record paths
-// (counters, histogram bins, buffered spans, the flight-recorder ring) must
-// add ~0 allocs/cycle. The sched rows hold the online scheduler to it as
-// well: BeginCycle/Observe/decide work entirely in preallocated candidate
-// tables. Every row runs on the float and on the int8 operating points.
+// (counters, histogram bins, buffered spans, the flight-recorder ring, the
+// trace line) must add ~0 allocs/cycle. The sched rows hold the online
+// scheduler to it as well: BeginCycle/Observe/decide work entirely in
+// preallocated candidate tables. Every row runs on the float and on the
+// int8 operating points.
 //
 // Every row runs at one worker and at four: the loop is serial by
 // construction (internal/core does not import internal/parallel), so a
@@ -99,5 +103,67 @@ func TestControlLoopSteadyStateAllocs(t *testing.T) {
 					mode.name, workers, got)
 			}
 		}
+	}
+}
+
+// allocatedBytes returns the bytes the heap allocated while f ran.
+func allocatedBytes(f func()) uint64 {
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestRecordPathAllocatesItsOutputOnce holds the three per-cycle recorders
+// to allocating what they keep, once: a span writer at most 32 B per span
+// (24 B buffered in blocks, Close's sort scratch and output chunk
+// included), a sample at most 3 × 8 B per value (its buffer doubles), and
+// the tracer nothing after its first record.
+func TestRecordPathAllocatesItsOutputOnce(t *testing.T) {
+	const spans = 100_000
+	perSpan := float64(allocatedBytes(func() {
+		sw := obs.NewSpanWriter(io.Discard)
+		for i := 0; i < spans; i++ {
+			// Ten lanes as the control loop fills them; lane 9's start
+			// follows a varying latency, so Close sorts it.
+			c := i / 10
+			t0 := time.Duration(c) * 100 * time.Millisecond
+			if lane := i % 10; lane == 9 {
+				t0 += time.Duration(c%7) * 40 * time.Millisecond
+			}
+			sw.Span(obs.PIDVirtual, 1+i%10, "stage", "parent", c, t0, time.Millisecond)
+		}
+		if _, err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})) / spans
+	t.Logf("SpanWriter: %.1f B per span", perSpan)
+	if perSpan > 32 {
+		t.Errorf("SpanWriter allocates %.1f B per span over %d spans, want ≤ 32", perSpan, spans)
+	}
+
+	const values = 100_000
+	perValue := float64(allocatedBytes(func() {
+		s := stats.NewSample()
+		for i := 0; i < values; i++ {
+			s.Observe(float64(i % 977))
+		}
+	})) / values
+	t.Logf("Sample: %.1f B per value", perValue)
+	if perValue > 3*8 {
+		t.Errorf("Sample allocates %.1f B per value over %d values, want ≤ 24", perValue, values)
+	}
+
+	tr := core.NewTracer(io.Discard)
+	rec := core.TraceRecord{Cycle: 1, TimeMs: 100, PosX: 12.5, PosY: -0.25, Speed: 3.1, SensingMs: 84.2,
+		PerceptionMs: 71.9, PlanningMs: 3.3, TcompMs: 164.125, Complexity: 0.6, Objects: 4, Blocked: true, InFlight: 2}
+	tr.Record(rec)
+	if allocs := testing.AllocsPerRun(10_000, func() { rec.Cycle++; tr.Record(rec) }); allocs != 0 {
+		t.Errorf("Tracer.Record allocates %.2f times per record once warm, want 0", allocs)
+	}
+	if _, err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

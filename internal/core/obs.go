@@ -117,10 +117,9 @@ func b2f(v bool) float64 {
 
 // recordCycle is the control loop's one per-cycle emitter: it folds the
 // finished cycle into the report and files it with every attached sink —
-// latency histograms, stage spans, flight recorder — reading frame
-// snapshots only, so each record is a function of capture-time values. The
-// JSONL tracer is the one sink outside it (controlCycle): encoding/json
-// allocates per record, and this body stays allocation-free.
+// latency histograms, flight recorder, JSONL trace, stage spans — reading
+// frame snapshots only, so each record is a function of capture-time
+// values. The body allocates nothing once warm.
 func (s *SoV) recordCycle(fr *cycleFrame) {
 	e2e := fr.d.Tcomp + fr.tdata + s.cfg.Vehicle.MechLatency
 	s.report.observe(fr, e2e)
@@ -151,6 +150,8 @@ func (s *SoV) recordCycle(fr *cycleFrame) {
 		})
 	}
 
+	s.tracer.record(fr)
+
 	sw := s.spans
 	if sw == nil {
 		return
@@ -158,8 +159,8 @@ func (s *SoV) recordCycle(fr *cycleFrame) {
 	t0 := fr.t0
 	c := fr.cycle
 	// Capture is instantaneous in virtual time: a zero-duration anchor
-	// carrying the cycle id. The writer's sort-at-Close keeps each lane
-	// monotonic regardless of latency overlap between cycles.
+	// carrying the cycle id. The writer's per-lane sort at Close keeps each
+	// lane monotonic regardless of latency overlap between cycles.
 	sw.Span(obs.PIDVirtual, tidCapture, spanCapture, "", c, t0, 0)
 	sw.Span(obs.PIDVirtual, tidSensing, spanSensing, spanCapture, c, t0, fr.d.Sensing)
 	pStart := t0 + fr.d.Sensing

@@ -289,7 +289,6 @@ func (s *SoV) controlCycle() {
 	s.perceiveFrame(fr)
 	s.planFrame(fr)
 	s.recordCycle(fr)
-	s.tracer.record(fr)
 	if !fr.encodeOK {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"sov/internal/obs"
 	"sov/internal/stats"
 )
 
@@ -31,35 +32,51 @@ type TraceRecord struct {
 	InFlight int `json:"inflight"`
 }
 
-// Tracer serializes trace records to a writer.
+// Tracer serializes trace records to a writer, one JSON line each, in the
+// bytes encoding/json writes for a TraceRecord.
 type Tracer struct {
 	w   *bufio.Writer
+	obj obs.JSONObj // the line being built, reused across records
 	n   int
 	err error
 }
 
 // NewTracer wraps a writer.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: bufio.NewWriter(w)}
+	return &Tracer{w: bufio.NewWriter(w), obj: obs.JSONObj{B: make([]byte, 0, 512)}}
 }
 
-// Record appends one line. The marshaled bytes and the terminating newline
-// are written separately: appending '\n' to json.Marshal's exactly-sized
-// result would reallocate the slice on every record.
+// Record appends one line. A NaN or ±Inf field writes nothing and becomes
+// the tracer's first error, as json.Marshal refuses it.
 func (t *Tracer) Record(r TraceRecord) {
 	if t.err != nil {
 		return
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.err = err
+	o := t.obj.Reset().
+		Int("cycle", int64(r.Cycle)).
+		Float("t_ms", r.TimeMs).
+		Float("x", r.PosX).
+		Float("y", r.PosY).
+		Float("v", r.Speed).
+		Float("sensing_ms", r.SensingMs).
+		Float("perception_ms", r.PerceptionMs).
+		Float("planning_ms", r.PlanningMs).
+		Float("tcomp_ms", r.TcompMs).
+		Float("complexity", r.Complexity).
+		Int("objects", int64(r.Objects))
+	if r.Blocked {
+		o.Bool("blocked", true)
+	}
+	if r.ReactiveActive {
+		o.Bool("reactive", true)
+	}
+	o.Int("inflight", int64(r.InFlight))
+	if o.Err != nil {
+		t.err = o.Err
 		return
 	}
-	if _, err := t.w.Write(b); err != nil {
-		t.err = err
-		return
-	}
-	if err := t.w.WriteByte('\n'); err != nil {
+	o.B = append(o.Close(), '\n') // kept, so a grown buffer is reused
+	if _, err := t.w.Write(o.B); err != nil {
 		t.err = err
 		return
 	}
@@ -143,8 +160,8 @@ func SummarizeTrace(r io.Reader) (TraceSummary, error) {
 }
 
 // record writes one finished cycle from frame snapshots; a nil tracer
-// records nothing. controlCycle calls it beside recordCycle: json.Marshal
-// allocates, so it stays out of the allocation-free emitter.
+// records nothing. recordCycle calls it: the line is appended into the
+// tracer's reused buffer, so it allocates nothing once warm.
 func (t *Tracer) record(fr *cycleFrame) {
 	if t == nil {
 		return

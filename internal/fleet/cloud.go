@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sov/internal/obs"
 	"sov/internal/telemetry"
 )
 
@@ -18,8 +19,8 @@ var stateNames = [...]string{"idle", "to-pickup", "on-trip", "charging", "halted
 
 // emit queues one event of u at this barrier with the payload built in the
 // fleet's scratch; Add copies it, so the scratch is reused.
-func (f *Fleet) emit(u *unit, kind telemetry.Kind, payload *jsonObj) {
-	f.cloud.Add(uint32(u.id), f.epochEnd, kind, payload.close())
+func (f *Fleet) emit(u *unit, kind telemetry.Kind, payload *obs.JSONObj) {
+	f.cloud.Add(uint32(u.id), f.epochEnd, kind, payload.Close())
 }
 
 // uplink emits the epoch's events in the order the barrier produced them,
@@ -27,33 +28,33 @@ func (f *Fleet) emit(u *unit, kind telemetry.Kind, payload *jsonObj) {
 func (f *Fleet) uplink() {
 	for _, t := range f.log {
 		u := f.units[t.vehicle]
-		p := f.payload.reset()
+		p := f.payload.Reset()
 		switch t.kind {
 		case telemetry.KindHalt:
-			p.float("soc", u.soc, 4).float("odo_m", u.odo, 1)
+			p.Fixed("soc", u.soc, 4).Fixed("odo_m", u.odo, 1)
 		case telemetry.KindPickup:
-			p.int("rider", t.rider).float("wait_s", t.value, 2)
+			p.Int("rider", t.rider).Fixed("wait_s", t.value, 2)
 		case telemetry.KindDropoff:
-			p.int("rider", t.rider).float("trip_s", t.value, 2)
+			p.Int("rider", t.rider).Fixed("trip_s", t.value, 2)
 		case telemetry.KindAssign:
-			p.int("rider", t.rider).float("dist_m", t.value, 1)
+			p.Int("rider", t.rider).Fixed("dist_m", t.value, 1)
 		}
 		f.emit(u, t.kind, p)
 	}
 	for _, u := range f.units {
 		if d := u.sov.CollisionCount() - u.prevColl; d > 0 {
 			u.prevColl += d
-			f.emit(u, telemetry.KindCollision, f.payload.reset().int("n", int64(d)))
+			f.emit(u, telemetry.KindCollision, f.payload.Reset().Int("n", int64(d)))
 		}
 		if d := u.sov.ReactiveCount() - u.prevReact; d > 0 {
 			u.prevReact += d
-			f.emit(u, telemetry.KindReactiveBrake, f.payload.reset().int("n", int64(d)))
+			f.emit(u, telemetry.KindReactiveBrake, f.payload.Reset().Int("n", int64(d)))
 		}
-		f.emit(u, telemetry.KindEpoch, f.payload.reset().
-			float("soc", u.soc, 4).
-			float("odo_m", u.odo, 1).
-			str("state", stateNames[u.state]).
-			int("trips", u.trips))
+		f.emit(u, telemetry.KindEpoch, f.payload.Reset().
+			Fixed("soc", u.soc, 4).
+			Fixed("odo_m", u.odo, 1).
+			Str("state", stateNames[u.state]).
+			Int("trips", u.trips))
 	}
 	// A store error halts the uplink (the simulation itself keeps running)
 	// and is surfaced via CloudErr.

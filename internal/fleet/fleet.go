@@ -229,7 +229,7 @@ type Fleet struct {
 
 	cloud    *telemetry.Ingestor
 	cloudErr error
-	payload  jsonObj // cloud payload scratch; Ingestor.Add copies it out
+	payload  obs.JSONObj // cloud payload scratch; Ingestor.Add copies it out
 
 	// Run aggregates behind the fold (updated serially on barriers).
 	waitW       stats.Welford

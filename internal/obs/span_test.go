@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -273,4 +276,135 @@ func TestSummarizeSpans(t *testing.T) {
 	if _, err := SummarizeSpans(strings.NewReader("not json")); err == nil {
 		t.Fatal("expected parse error for malformed span file")
 	}
+}
+
+// refSpanEvent is one event as the oracle buffers it: every field, strings
+// included, in one global slice.
+type refSpanEvent struct {
+	pid, tid     uint8
+	cycle        int32
+	name, parent string
+	ts, dur      time.Duration
+}
+
+// refSpanClose is the span file as one stable sort of every buffered event
+// by (pid, tid, ts) writes it: the oracle for SpanWriter's per-lane buffers
+// and sorts.
+func refSpanClose(w io.Writer, processes, threads []threadMeta, events []refSpanEvent) error {
+	slices.SortStableFunc(events, func(a, b refSpanEvent) int {
+		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.tid, b.tid), cmp.Compare(a.ts, b.ts))
+	})
+	b := []byte("[\n")
+	for _, p := range processes {
+		b = append(b, `{"ph":"M","pid":`...)
+		b = strconv.AppendInt(b, int64(p.pid), 10)
+		b = append(b, `,"name":"process_name","args":{"name":"`...)
+		b = append(b, p.name...)
+		b = append(b, "\"}},\n"...)
+	}
+	for _, t := range threads {
+		b = append(b, `{"ph":"M","pid":`...)
+		b = strconv.AppendInt(b, int64(t.pid), 10)
+		b = append(b, `,"tid":`...)
+		b = strconv.AppendInt(b, int64(t.tid), 10)
+		b = append(b, `,"name":"thread_name","args":{"name":"`...)
+		b = append(b, t.name...)
+		b = append(b, "\"}},\n"...)
+	}
+	for _, ev := range events {
+		b = append(b, `{"ph":"X","pid":`...)
+		b = strconv.AppendInt(b, int64(ev.pid), 10)
+		b = append(b, `,"tid":`...)
+		b = strconv.AppendInt(b, int64(ev.tid), 10)
+		b = append(b, `,"name":"`...)
+		b = append(b, ev.name...)
+		b = append(b, `","ts":`...)
+		b = strconv.AppendFloat(b, float64(ev.ts.Nanoseconds())/1e3, 'f', 3, 64)
+		b = append(b, `,"dur":`...)
+		b = strconv.AppendFloat(b, float64(ev.dur.Nanoseconds())/1e3, 'f', 3, 64)
+		b = append(b, `,"args":{"cycle":`...)
+		b = strconv.AppendInt(b, int64(ev.cycle), 10)
+		if ev.parent != "" {
+			b = append(b, `,"parent":"`...)
+			b = append(b, ev.parent...)
+			b = append(b, '"')
+		}
+		b = append(b, "}},\n"...)
+	}
+	b = append(bytes.TrimSuffix(b, []byte(",\n")), "\n]\n"...)
+	_, err := w.Write(b)
+	return err
+}
+
+// spanNames are the static names the span oracle draws from; "" is a root.
+var spanNames = [...]string{"", "capture", "sensing", "perception", "depth", "detect", "track", "planning"}
+
+// replaySpans decodes ops into declarations and spans, fed to the writer
+// and to the oracle's buffers alike. Each op is 4 bytes, its first byte's
+// low two bits the kind:
+//   - 0: declare process data[1]%3;
+//   - 1: declare thread (data[1]%3, data[2]%5);
+//   - 2: one span on lane (data[1]%3, data[2]%5), name and parent from
+//     data[3], cycle data[0]>>2, ts data[2] ms (signed: a negative ts
+//     too), so timestamps repeat and cycles overlap within a lane;
+//   - 3: a burst of 8·data[3] spans on lane (data[1]%3, data[2]%5), cycle
+//     i, ts i·100 ms less a jitter of up to 300 ms by data[0]: lanes of
+//     several blocks, in order or not, with ties.
+func replaySpans(sw *SpanWriter, data []byte) (processes, threads []threadMeta, events []refSpanEvent) {
+	span := func(pid, tid uint8, name, parent string, cycle int, ts, dur time.Duration) {
+		sw.Span(int(pid), int(tid), name, parent, cycle, ts, dur)
+		events = append(events, refSpanEvent{pid: pid, tid: tid, cycle: int32(cycle), name: name, parent: parent, ts: ts, dur: dur})
+	}
+	for ; len(data) >= 4; data = data[4:] {
+		pid, tid := data[1]%3, data[2]%5
+		switch data[0] & 3 {
+		case 0:
+			processes = append(processes, threadMeta{pid: pid, name: "proc"})
+			sw.DeclareProcess(int(pid), "proc")
+		case 1:
+			threads = append(threads, threadMeta{pid: pid, tid: tid, name: spanNames[tid]})
+			sw.DeclareThread(int(pid), int(tid), spanNames[tid])
+		case 2:
+			name, parent := spanNames[data[3]%8], spanNames[data[3]>>3%8]
+			span(pid, tid, name, parent, int(data[0]>>2), time.Duration(int8(data[2]))*time.Millisecond, time.Duration(data[3])*time.Microsecond+7)
+		case 3:
+			for i := 0; i < 8*int(data[3]); i++ {
+				jitter := time.Duration((i*int(data[0]>>2))%4) * 100 * time.Millisecond
+				span(pid, tid, spanNames[i%8], spanNames[(i+1)%8], i, time.Duration(i)*100*time.Millisecond-jitter, time.Duration(i%1000)*time.Microsecond)
+			}
+		}
+	}
+	return processes, threads, events
+}
+
+// FuzzSpanWriterMatchesSort holds SpanWriter's per-lane buffers and sorts
+// to the one global stable sort it replaced, byte for byte, over random
+// lanes, repeated timestamps (insertion order decides), cycles that
+// overlap within a lane, lanes of several blocks, declared lanes without
+// spans and a writer with declarations but no spans.
+func FuzzSpanWriterMatchesSort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 1, 1, 1, 0, 1, 1, 2, 0})                     // declarations, no span
+	f.Add([]byte{2, 1, 3, 9, 6, 1, 3, 17, 10, 1, 3, 1, 2, 2, 3, 9})       // equal ts, two lanes
+	f.Add([]byte{2, 1, 10, 9, 6, 1, 3, 17, 10, 1, 200, 1, 14, 1, 3, 255}) // ts goes back, and negative
+	f.Add([]byte{1, 1, 4, 0, 3, 1, 1, 40, 7, 2, 2, 33, 2, 0, 4, 1})       // bursts of 320 and 264 spans
+	f.Add([]byte{3, 1, 1, 32, 11, 1, 1, 32, 2, 1, 1, 0})                  // two bursts on one lane, one of 256
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want bytes.Buffer
+		sw := NewSpanWriter(&got)
+		processes, threads, events := replaySpans(sw, data)
+		if sw.N() != len(events) {
+			t.Fatalf("N = %d, want %d", sw.N(), len(events))
+		}
+		if n, err := sw.Close(); err != nil || n != len(events) {
+			t.Fatalf("Close = %d, %v", n, err)
+		}
+		if err := refSpanClose(&want, processes, threads, events); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("span file (%d bytes) differs from one stable sort's (%d bytes)\ngot  %.400q\nwant %.400q",
+				got.Len(), want.Len(), got.Bytes(), want.Bytes())
+		}
+	})
 }

@@ -21,8 +21,15 @@ type Sample struct {
 // NewSample returns an empty sample.
 func NewSample() *Sample { return &Sample{} }
 
-// Observe records one value.
+// Observe records one value. A full buffer doubles, so a sample allocates
+// 2–4× the bytes of the values it keeps (2.6× at 100 000 values); append
+// grows a large slice by about 1.25× and allocates more.
 func (s *Sample) Observe(v float64) {
+	if len(s.values) == cap(s.values) {
+		grown := make([]float64, len(s.values), max(2*cap(s.values), 16))
+		copy(grown, s.values)
+		s.values = grown
+	}
 	s.values = append(s.values, v)
 	s.sorted = false
 }

@@ -15,8 +15,8 @@ import (
 //   - serial by construction: internal/core and internal/telemetry do not
 //     import internal/parallel. The control loop has no fan-out that earns
 //     its keep (testdata/audit/fanout_audit.md); the store's only concurrency
-//     is its writer job, one goroutine per flush, and its codec runs serially
-//     inside it (testdata/audit/store_writer.md);
+//     is its writer job, one goroutine per flush, and the coder goroutine the
+//     job starts to code its blocks in order (testdata/audit/store_coder.md);
 //   - one owner per buffer: no non-test code under internal/ or cmd/ uses
 //     sync.Pool; a scratch buffer belongs to its kernel instance or to a
 //     caller-held …Scratch (DESIGN.md §10).
@@ -40,7 +40,7 @@ func TestStructuralGuards(t *testing.T) {
 	mod := loader.ModPath
 	serial := map[string]string{
 		mod + "/internal/core":      "the control loop is serial by construction",
-		mod + "/internal/telemetry": "the store's only concurrency is its writer job",
+		mod + "/internal/telemetry": "the store's only concurrency is its writer job and that job's coder",
 	}
 	var found []string
 	for _, p := range pkgs {

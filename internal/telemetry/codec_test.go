@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -126,36 +128,41 @@ func TestCorruptBlockFailsMerge(t *testing.T) {
 	}
 }
 
+// boundaryPayload returns a payload of blockTarget bytes, zeros then noise,
+// whose one-entry block under key k compresses to the block's nine tenths
+// plus over, and the block's raw and compressed lengths.
+func boundaryPayload(t *testing.T, k Key, over int) (payload []byte, raw, packed int) {
+	t.Helper()
+	noise := make([]byte, blockTarget)
+	rand.New(rand.NewSource(45)).Read(noise)
+	var table cloud.Table
+	for z := 0; z < blockTarget; z++ {
+		payload = append(make([]byte, z), noise[z:]...)
+		block := binary.AppendUvarint(appendKey(nil, k), uint64(len(payload)))
+		block = append(block, payload...)
+		raw, packed = len(block), len(cloud.AppendCompress(nil, block, &table))
+		if packed == raw-raw/10+over {
+			return payload, raw, packed
+		}
+	}
+	t.Fatalf("no payload compresses to nine tenths %+d", over)
+	return nil, 0, 0
+}
+
 // TestCompressedBlockBoundary: a block is stored compressed only when that
 // saves a tenth of it. Of two one-entry blocks, the one whose compressed
 // form is one byte under nine tenths of the block is stored compressed,
 // and the one that compresses to exactly nine tenths is stored raw, though
 // compressing shrinks it too. Both read back.
 func TestCompressedBlockBoundary(t *testing.T) {
-	noise := make([]byte, blockTarget)
-	rand.New(rand.NewSource(45)).Read(noise)
-	var table cloud.Table
-	// find returns a payload of blockTarget bytes, zeros then noise, whose
-	// block under key k compresses to the block's nine tenths plus over.
-	find := func(k Key, over int) (payload []byte, raw, packed int) {
-		for z := 0; z < blockTarget; z++ {
-			payload = append(make([]byte, z), noise[z:]...)
-			block := binary.AppendUvarint(appendKey(nil, k), uint64(len(payload)))
-			block = append(block, payload...)
-			raw, packed = len(block), len(cloud.AppendCompress(nil, block, &table))
-			if packed == raw-raw/10+over {
-				return payload, raw, packed
-			}
-		}
-		t.Fatalf("no payload compresses to nine tenths %+d", over)
-		return nil, 0, 0
-	}
 	keys := []Key{{Vehicle: 1, TMs: 1000}, {Vehicle: 1, TMs: 2000}}
-	under, underRaw, underPacked := find(keys[0], -1)
-	at, atRaw, _ := find(keys[1], 0)
+	under, underRaw, underPacked := boundaryPayload(t, keys[0], -1)
+	at, atRaw, _ := boundaryPayload(t, keys[1], 0)
 
 	path := filepath.Join(t.TempDir(), "run.sst")
 	var w runWriter
+	w.start()
+	defer w.stop()
 	if err := w.begin(path, len(keys)); err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +202,214 @@ func TestCompressedBlockBoundary(t *testing.T) {
 	}
 	if ok, err := c.next(); ok || err != nil {
 		t.Fatalf("past the last entry: ok %v, err %v", ok, err)
+	}
+}
+
+// refWriteRun is the serial run writer the coder goroutine replaced, kept as
+// the oracle of runWriter's bytes: it codes each block as it fills, with
+// one match table, and returns the run file and its index.
+func refWriteRun(keys []Key, payloads [][]byte) ([]byte, []blockMeta) {
+	out := []byte(runMagic)
+	var (
+		body, packed []byte
+		bm           blockMeta
+		index        []blockMeta
+		table        cloud.Table
+	)
+	filter := newBloom(len(keys))
+	writeBlock := func() {
+		raw := len(body)
+		packed = cloud.AppendCompress(packed[:0], body, &table)
+		if bm.compressed = len(packed) < raw-raw/10; bm.compressed {
+			body = append(body[:0], packed...)
+		}
+		bm.rawLen, bm.storedLen = uint32(raw), uint32(len(body))
+		bm.crc = crc32.ChecksumIEEE(body)
+		bm.off = uint64(len(out))
+		index = append(index, bm)
+		out = append(out, body...)
+		body, bm = body[:0], blockMeta{}
+	}
+	for i, k := range keys {
+		if bm.count == 0 {
+			bm.firstKey = k
+		}
+		filter.add(hashKey(k))
+		body = appendKey(body, k)
+		body = binary.AppendUvarint(body, uint64(len(payloads[i])))
+		body = append(body, payloads[i]...)
+		bm.count++
+		if len(body) >= blockTarget {
+			writeBlock()
+		}
+	}
+	if bm.count > 0 {
+		writeBlock()
+	}
+	indexOff := uint64(len(out))
+	var tail []byte
+	for _, bm := range index {
+		tail = appendKey(tail, bm.firstKey)
+		if bm.compressed {
+			tail = append(tail, 1)
+		} else {
+			tail = append(tail, 0)
+		}
+		tail = binary.LittleEndian.AppendUint64(tail, bm.off)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.storedLen)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.rawLen)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.count)
+		tail = binary.LittleEndian.AppendUint32(tail, bm.crc)
+	}
+	indexLen := len(tail)
+	tail = filter.appendTo(tail)
+	bloomLen := len(tail) - indexLen
+	crc := crc32.ChecksumIEEE(tail)
+	tail = binary.LittleEndian.AppendUint64(tail, indexOff)
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(index)))
+	tail = binary.LittleEndian.AppendUint64(tail, indexOff+uint64(indexLen))
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(bloomLen))
+	tail = binary.LittleEndian.AppendUint64(tail, uint64(len(keys)))
+	tail = appendKey(tail, keys[0])
+	tail = appendKey(tail, keys[len(keys)-1])
+	tail = binary.LittleEndian.AppendUint32(tail, crc)
+	tail = append(tail, runFooterMagic...)
+	return append(out, tail...), index
+}
+
+// TestRunWriterMatchesSerial: runWriter, whose coder goroutine codes the
+// blocks the producer fills, writes the bytes of the serial oracle
+// (refWriteRun) for every stream, at GOMAXPROCS 1 and 2, with every run of
+// one job through one ring. The streams cover payloads that straddle
+// blockTarget, incompressible blocks, blocks at the stored-compressed
+// boundary, a one-entry run, a run of exactly one full block and runs that
+// wrap the ring many times.
+func TestRunWriterMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	type stream struct {
+		name     string
+		keys     []Key
+		payloads [][]byte
+		check    func(index []blockMeta) string // what the stream must exercise
+	}
+	gen := func(name string, n int, payload func(i int) []byte, check func([]blockMeta) string) stream {
+		st := stream{name: name, check: check}
+		for i := range n {
+			st.keys = append(st.keys, Key{Vehicle: uint32(i / 7), TMs: uint64(i%7) * 1000, Seq: uint32(i)})
+			st.payloads = append(st.payloads, payload(i))
+		}
+		return st
+	}
+	noise := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	text := func(i int) []byte {
+		return fmt.Appendf(nil, `{"soc":0.%04d,"odo_m":%d,"state":"on-trip"}`, i%10000, i*37)
+	}
+	blocks := func(cond func(bm blockMeta) bool, want string) func([]blockMeta) string {
+		return func(index []blockMeta) string {
+			for _, bm := range index {
+				if cond(bm) {
+					return ""
+				}
+			}
+			return "no block " + want
+		}
+	}
+	streams := []stream{
+		// Payloads of 1 B to 1.5 blockTarget, a third of them noise: most
+		// blocks end on an entry that carries them past blockTarget.
+		gen("straddling payloads", 300, func(i int) []byte {
+			n := 1 + rng.Intn(blockTarget*3/2)
+			if i%3 == 0 {
+				return noise(n)
+			}
+			return bytes.Repeat(text(i), n/40+1)[:n]
+		}, blocks(func(bm blockMeta) bool { return bm.rawLen > blockTarget*3/2 }, "carried half a target past blockTarget")),
+		gen("incompressible blocks", 400, func(int) []byte { return noise(50 + rng.Intn(350)) },
+			blocks(func(bm blockMeta) bool { return !bm.compressed && bm.rawLen >= blockTarget }, "full and stored raw")),
+		gen("compressible, many blocks", 6000, text, func(index []blockMeta) string {
+			if len(index) < 4*ringBlocks {
+				return fmt.Sprintf("%d blocks, want the ring wrapped four times", len(index))
+			}
+			return ""
+		}),
+		gen("one entry", 1, text, func(index []blockMeta) string {
+			if len(index) != 1 || index[0].count != 1 {
+				return "want one block of one entry"
+			}
+			return ""
+		}),
+	}
+	// Exactly one full block: 100-byte entries until the block reaches
+	// blockTarget, so finish has no partial block to hand over.
+	full := stream{name: "one full block", check: func(index []blockMeta) string {
+		if len(index) != 1 || index[0].rawLen < blockTarget {
+			return "want exactly one full block"
+		}
+		return ""
+	}}
+	for size := 0; size < blockTarget; size += KeySize + 1 + 100 {
+		full.keys = append(full.keys, Key{Vehicle: 3, TMs: uint64(len(full.keys)) * 1000})
+		full.payloads = append(full.payloads, bytes.Repeat([]byte("x"), 100))
+	}
+	streams = append(streams, full)
+
+	// The stored-compressed boundary: one-entry blocks one byte under nine
+	// tenths, at nine tenths, and under again.
+	edge := stream{name: "nine-tenths boundary", check: func(index []blockMeta) string {
+		if len(index) != 3 || !index[0].compressed || index[1].compressed || !index[2].compressed {
+			return "want blocks compressed, raw, compressed"
+		}
+		return ""
+	}}
+	for i, over := range []int{-1, 0, -1} {
+		k := Key{Vehicle: 9, TMs: uint64(i+1) * 1000}
+		p, _, _ := boundaryPayload(t, k, over)
+		edge.keys, edge.payloads = append(edge.keys, k), append(edge.payloads, p)
+	}
+	streams = append(streams, edge)
+
+	dir := t.TempDir()
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var w runWriter
+			w.start()
+			defer w.stop()
+			for round := range 2 { // a second round through the same ring
+				for i, st := range streams {
+					want, index := refWriteRun(st.keys, st.payloads)
+					if msg := st.check(index); msg != "" {
+						t.Fatalf("%s: the stream does not exercise what it is for: %s", st.name, msg)
+					}
+					path := filepath.Join(dir, fmt.Sprintf("run-%d-%d-%d.sst", procs, round, i))
+					if err := w.begin(path, len(st.keys)); err != nil {
+						t.Fatal(err)
+					}
+					for j, k := range st.keys {
+						if err := w.add(k, st.payloads[j]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					meta, err := w.finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("round %d, %s: %d bytes differ from the serial writer's %d", round, st.name, len(got), len(want))
+					}
+					if meta.bytes != int64(len(want)) || meta.entries != uint64(len(st.keys)) {
+						t.Fatalf("round %d, %s: meta %+v for a %d-byte run of %d entries", round, st.name, meta, len(want), len(st.keys))
+					}
+				}
+			}
+		})
 	}
 }

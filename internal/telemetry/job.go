@@ -39,11 +39,14 @@ type writer struct {
 }
 
 // run is the job. Its steps, each a crash point Open recovers from: the run
-// written, each merged run written, the MANIFEST renamed, wal.prev removed,
-// each victim removed. It fails only before the MANIFEST is renamed, and
-// then removes every run it wrote.
+// created and written, each merged run created and written, the MANIFEST
+// renamed, wal.prev removed, each victim removed. It fails only before the
+// MANIFEST is renamed, and then removes every run it wrote. The run
+// writer's coder lives as long as the job, a failed one included.
 func (w *writer) run() (err error) {
+	w.rw.start()
 	defer func() {
+		w.rw.stop()
 		if err != nil {
 			for _, r := range w.created {
 				r.close()
@@ -88,6 +91,7 @@ func (w *writer) flush() error {
 	if err != nil {
 		return err
 	}
+	w.step("run created")
 	for _, e := range w.mem.entries {
 		if err := w.rw.add(e.key, w.mem.arena[e.off:e.off+e.n]); err != nil {
 			w.rw.abort()
@@ -192,6 +196,7 @@ func (w *writer) mergeAt(positions []int) error {
 	if err != nil {
 		return err
 	}
+	w.step("merged run created")
 	if err := w.merge(victims); err != nil {
 		w.rw.abort()
 		return err

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -183,9 +185,10 @@ func waitNoGoroutine(t *testing.T, after string) {
 	}
 }
 
-// TestWriterJobLeavesNoGoroutine: a store's writer job is its only
-// goroutine and ends with its work: none is left after Close, nor after any
-// job, a failed one included, has ended, whether or not anything joined it.
+// TestWriterJobLeavesNoGoroutine: a store's writer job and the coder it
+// starts are its only goroutines, and both end with the job's work: none is
+// left after Close, nor after any job, a failed one included, has ended,
+// whether or not anything joined it.
 func TestWriterJobLeavesNoGoroutine(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{FlushBytes: 4 << 10, NoCompact: true}
@@ -235,6 +238,60 @@ func TestWriterJobLeavesNoGoroutine(t *testing.T) {
 	}
 	if err := s.Close(); err == nil {
 		t.Fatal("Close after a failed job succeeded")
+	}
+	waitNoGoroutine(t, "Close after a failed job")
+}
+
+// TestCoderWriteErrorFailsTheJob: a run file closed under the writer as the
+// job creates it fails the coder's first write through the file buffer. The
+// job returns that error, removes the run it was writing and commits
+// nothing, and neither it nor its coder outlives it.
+func TestCoderWriteErrorFailsTheJob(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{FlushBytes: 512 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(100, 600)
+	fed := 0
+	for s.join() == nil && len(s.runs) == 0 {
+		ingestInBatches(t, s, events[fed:fed+100], 100)
+		fed += 100
+	}
+	// The run holds several file buffers' worth, so the coder writes to the
+	// file long before finish flushes the buffer.
+	if b := s.runs[0].meta.bytes; b < 2*(1<<16) {
+		t.Fatalf("a flushed run holds %d bytes, want more than two file buffers", b)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	closed := 0
+	s.w.crashPoint = func(step string) {
+		if step == "run created" {
+			s.w.rw.f.Close()
+			closed++
+		}
+	}
+	for !s.running {
+		ingestInBatches(t, s, events[fed:fed+100], 100)
+		fed += 100
+	}
+	err = s.join()
+	if closed != 1 || !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("a job whose run file was closed (%d times) returned %v, want %v", closed, err, os.ErrClosed)
+	}
+	waitNoGoroutine(t, "a job whose coder failed")
+	if name := unnamedRun(t, s); name != "" {
+		t.Fatalf("%s is on disk but not in the MANIFEST", name)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(got, manifest) {
+		t.Error("the MANIFEST changed after the failed job")
+	}
+	if err := s.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Close after the failed job: %v, want its error", err)
 	}
 	waitNoGoroutine(t, "Close after a failed job")
 }

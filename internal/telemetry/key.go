@@ -9,13 +9,14 @@
 // reactive-brake events for vehicles 100–200 in hour 3") scan the query's
 // rectangle of that one key space and re-sort the matches time-major.
 //
-// The store is deterministic: it fans nothing out, and its one goroutine
+// The store is deterministic: it fans nothing out, and its two goroutines
 // besides the caller's, the writer job that writes a frozen memtable's run
-// and its compactions, is adopted only at joins whose places the ingested
-// bytes fix. Run files, the manifest, and query results are therefore a
-// pure function of the ingested events at any worker count and any job
-// timing, and the same diff-based determinism tests that pin the simulator
-// pin the storage engine (DESIGN.md §14).
+// and its compactions and the coder that compresses and writes that job's
+// blocks in the order the job filled them, are adopted only at joins whose
+// places the ingested bytes fix. Run files, the manifest, and query results
+// are therefore a pure function of the ingested events at any worker count
+// and any job timing, and the same diff-based determinism tests that pin
+// the simulator pin the storage engine (DESIGN.md §14).
 package telemetry
 
 import (

@@ -60,28 +60,102 @@ const blockMetaSize = KeySize + 1 + 8 + 4 + 4 + 4 + 4
 // u32 | entryCount u64 | minKey | maxKey | metaCRC u32 | magic.
 const footerSize = 8 + 4 + 8 + 4 + 8 + KeySize + KeySize + 4 + 8
 
-// runWriter streams sorted entries into a run file. The store's writer job
-// holds one, match table included, and begins it anew for every flush and
-// compaction, so the file buffer, the block buffers and the index and tail
-// buffers are allocated once per store, at its first flush. Each block is
-// compressed on its own as it fills (the codec clears its table per call),
-// so a block's bytes depend on its entries alone.
+// runWriter streams sorted entries into a run file in two stages. The
+// producer, the writer job's goroutine, encodes entries into raw ~4 KB
+// blocks, feeds the bloom filter, and hands each filled block to the coder,
+// a goroutine that lasts the job (start, stop). The coder compresses the
+// blocks in the order they were filled, each on its own (the codec clears
+// its table per call), checksums them, writes them and indexes them; so a
+// block's bytes depend on its entries alone, and the run's are those of a
+// writer that codes each block as it fills.
+//
+// The producer fills the ring's blocks in turn and waits for the coder only
+// when every other block is still in flight. While any is, the coder alone
+// touches the file buffer, the offset, the index and its match table; the
+// producer takes them back once it has drained the coder (finish, abort).
+// The store holds one runWriter, begun anew for every flush and compaction,
+// so its ring, channels and buffers are allocated once, at its first job.
 type runWriter struct {
-	path    string
-	f       *os.File
-	bw      *bufio.Writer
-	off     uint64
-	body    []byte    // the block being filled
-	bm      blockMeta // its index entry
-	table   cloud.Table
-	packed  []byte // the block compressed
-	index   []blockMeta
-	tail    []byte // marshaled index, bloom and footer
-	filter  *bloom
-	minKey  Key
-	maxKey  Key
-	count   uint64
-	started bool
+	// the producer's
+	path     string
+	f        *os.File
+	ring     [ringBlocks]pendingBlock
+	cur      int    // the ring slot being filled
+	inflight int    // slots handed to the coder and not yet returned
+	tail     []byte // marshaled index, bloom and footer
+	filter   *bloom
+	minKey   Key
+	maxKey   Key
+	count    uint64
+	started  bool
+
+	// the coder's while a block is in flight
+	bw     *bufio.Writer
+	off    uint64
+	index  []blockMeta
+	table  cloud.Table
+	packed []byte // the block compressed
+	werr   error  // the run's first write error: every later block is dropped
+
+	// The channels hold at most the slots in flight, ringBlocks, so no send
+	// on them blocks.
+	full chan int   // the next slot to code, or -1 to stop
+	free chan error // a coded slot's return, with werr as it stands
+}
+
+// ringBlocks is the number of blocks in the ring: the one being filled and
+// those in flight to the coder.
+const ringBlocks = 8
+
+// pendingBlock is a raw block and its index entry as the producer filled
+// them (first key and count); the coder fills in the rest.
+type pendingBlock struct {
+	body []byte
+	bm   blockMeta
+}
+
+// start starts the coder for a writer job; stop ends it and returns once it
+// has stopped. In between the writer writes any number of runs, one at a
+// time.
+func (w *runWriter) start() {
+	if w.full == nil {
+		w.full = make(chan int, ringBlocks)
+		w.free = make(chan error, ringBlocks)
+		w.bw = bufio.NewWriterSize(nil, 1<<16)
+		bufs := make([]byte, (ringBlocks+1)*blockCap)
+		for i := range w.ring {
+			w.ring[i].body = bufs[i*blockCap : i*blockCap : (i+1)*blockCap]
+		}
+		w.packed = bufs[ringBlocks*blockCap : ringBlocks*blockCap]
+	}
+	go w.code()
+}
+
+func (w *runWriter) stop() {
+	w.drain()
+	w.full <- -1
+	<-w.free
+}
+
+// code is the coder's loop: it codes each slot handed to it, in order,
+// until stop.
+func (w *runWriter) code() {
+	for i := <-w.full; i >= 0; i = <-w.full {
+		if w.werr == nil {
+			w.werr = w.writeBlock(&w.ring[i])
+		}
+		w.free <- w.werr
+	}
+	w.free <- nil
+}
+
+// drain waits until the coder has returned every slot in flight, and
+// returns the run's write error.
+func (w *runWriter) drain() error {
+	for ; w.inflight > 0; w.inflight-- {
+		<-w.free
+	}
+	return w.werr
 }
 
 // begin creates the run file at path and resets the writer for it.
@@ -90,16 +164,10 @@ func (w *runWriter) begin(path string, expectEntries int) error {
 	if err != nil {
 		return err
 	}
-	if w.bw == nil {
-		w.bw = bufio.NewWriterSize(f, 1<<16)
-		w.body = make([]byte, 0, blockCap)
-		w.packed = make([]byte, 0, blockCap)
-	} else {
-		w.bw.Reset(f)
-	}
+	w.bw.Reset(f)
 	w.path, w.f = path, f
 	w.filter = newBloom(expectEntries)
-	w.body, w.bm, w.index = w.body[:0], blockMeta{}, w.index[:0]
+	w.index, w.werr = w.index[:0], nil
 	w.count, w.started = 0, false
 	w.off = uint64(len(runMagic))
 	if _, err := w.bw.WriteString(runMagic); err != nil {
@@ -112,6 +180,9 @@ func (w *runWriter) begin(path string, expectEntries int) error {
 // abort abandons the run being written: a failed flush or compaction must
 // leave neither an open handle nor a partial file the MANIFEST never names.
 func (w *runWriter) abort() {
+	w.drain()
+	b := &w.ring[w.cur]
+	b.body, b.bm = b.body[:0], blockMeta{}
 	w.f.Close()
 	os.Remove(w.path)
 }
@@ -123,38 +194,55 @@ func (w *runWriter) add(k Key, payload []byte) error {
 		w.started = true
 	}
 	w.maxKey = k
-	if w.bm.count == 0 {
-		w.bm.firstKey = k
+	b := &w.ring[w.cur]
+	if b.bm.count == 0 {
+		b.bm.firstKey = k
 	}
 	w.filter.add(hashKey(k))
-	w.body = appendKey(w.body, k)
-	w.body = binary.AppendUvarint(w.body, uint64(len(payload)))
-	w.body = append(w.body, payload...)
-	w.bm.count++
+	b.body = appendKey(b.body, k)
+	b.body = binary.AppendUvarint(b.body, uint64(len(payload)))
+	b.body = append(b.body, payload...)
+	b.bm.count++
 	w.count++
-	if len(w.body) >= blockTarget {
-		return w.writeBlock()
+	if len(b.body) >= blockTarget {
+		return w.send()
 	}
 	return nil
 }
 
-// writeBlock codes the filled block, stored compressed when that saves a
-// tenth of it and checksummed as stored, writes it and indexes it.
-func (w *runWriter) writeBlock() error {
-	raw := len(w.body)
-	w.packed = cloud.AppendCompress(w.packed[:0], w.body, &w.table)
-	if w.bm.compressed = len(w.packed) < raw-raw/10; w.bm.compressed {
-		w.body = append(w.body[:0], w.packed...)
+// send hands the filled slot to the coder and moves to the next one, first
+// waiting for the coder to return it if it is still in flight. It returns
+// the run's write error as the coder last reported it.
+func (w *runWriter) send() (err error) {
+	w.full <- w.cur
+	w.inflight++
+	w.cur = (w.cur + 1) % ringBlocks
+	if w.inflight == ringBlocks {
+		err = <-w.free
+		w.inflight--
 	}
-	w.bm.rawLen, w.bm.storedLen = uint32(raw), uint32(len(w.body))
-	w.bm.crc = crc32.ChecksumIEEE(w.body)
-	w.bm.off = w.off
-	w.index = append(w.index, w.bm)
-	if _, err := w.bw.Write(w.body); err != nil {
+	b := &w.ring[w.cur]
+	b.body, b.bm = b.body[:0], blockMeta{}
+	return err
+}
+
+// writeBlock codes a filled block, stored compressed when that saves a
+// tenth of it and checksummed as stored, writes it and indexes it.
+func (w *runWriter) writeBlock(b *pendingBlock) error {
+	raw := len(b.body)
+	stored := b.body
+	w.packed = cloud.AppendCompress(w.packed[:0], b.body, &w.table)
+	if b.bm.compressed = len(w.packed) < raw-raw/10; b.bm.compressed {
+		stored = w.packed
+	}
+	b.bm.rawLen, b.bm.storedLen = uint32(raw), uint32(len(stored))
+	b.bm.crc = crc32.ChecksumIEEE(stored)
+	b.bm.off = w.off
+	w.index = append(w.index, b.bm)
+	if _, err := w.bw.Write(stored); err != nil {
 		return err
 	}
-	w.off += uint64(len(w.body))
-	w.body, w.bm = w.body[:0], blockMeta{}
+	w.off += uint64(len(stored))
 	return nil
 }
 
@@ -167,10 +255,13 @@ func (w *runWriter) finish() (meta runMeta, err error) {
 			w.abort()
 		}
 	}()
-	if w.bm.count > 0 {
-		if err := w.writeBlock(); err != nil {
+	if w.ring[w.cur].bm.count > 0 {
+		if err := w.send(); err != nil {
 			return runMeta{}, err
 		}
+	}
+	if err := w.drain(); err != nil {
+		return runMeta{}, err
 	}
 	indexOff := w.off
 	tail := w.tail[:0]

@@ -69,8 +69,9 @@ func (s *Stats) add(o Stats) {
 // Store is the LSM-tree telemetry store rooted at one directory:
 // MANIFEST, wal.log (and wal.prev while a flush is in flight), and
 // run-*.sst files. Not safe for concurrent use — the fleet ingests from its
-// serial epoch barrier, and queries run between ingest batches. Its one
-// goroutine of its own is the writer job (job.go), at most one at a time.
+// serial epoch barrier, and queries run between ingest batches. Its own
+// goroutines are the writer job (job.go), at most one at a time, and the
+// coder that job starts (runWriter).
 type Store struct {
 	dir  string
 	opts Options

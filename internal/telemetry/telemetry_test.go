@@ -689,7 +689,7 @@ func jobCrashStates(t *testing.T, events []Event, opts Options, batch int, snap 
 	var states []crashState
 	fed, jobs := 0, 0
 	s.w.crashPoint = func(step string) {
-		if step == "run written" {
+		if step == "run created" { // a job's first step
 			jobs++
 		}
 		c := crashState{step: step, job: jobs, events: fed}
@@ -844,8 +844,8 @@ func TestCrashBeforeWALResetReplaysNoFlushedBatch(t *testing.T) {
 	}
 }
 
-// TestCompactionCrashWindows: a job writes its run and the merged runs of
-// the compactions it triggers, renames the MANIFEST, then removes wal.prev
+// TestCompactionCrashWindows: a job creates and writes its run and the
+// merged runs of the compactions it triggers, renames the MANIFEST, then removes wal.prev
 // and the merge inputs. The directory a crash leaves after each of those
 // steps of the first job that merges twice (a tier-0 merge whose run fills
 // tier 1) opens with every event, with no run file the MANIFEST does not
@@ -885,7 +885,8 @@ func TestCompactionCrashWindows(t *testing.T) {
 			steps[c.step]++
 		}
 	}
-	want := map[string]int{"WAL renamed": 1, "run written": 1, "merged run written": 2, "MANIFEST renamed": 1, "wal.prev removed": 1, "victim removed": 2 * tierFanout}
+	want := map[string]int{"WAL renamed": 1, "run created": 1, "run written": 1, "merged run created": 2, "merged run written": 2,
+		"MANIFEST renamed": 1, "wal.prev removed": 1, "victim removed": 2 * tierFanout}
 	if !maps.Equal(steps, want) {
 		t.Errorf("job %d's crash points %v, want %v", cascade, steps, want)
 	}
